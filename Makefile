@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint test race faults leakcheck replicate obs bench bench-smoke bench-path bench-cache bench-iosched repro examples clean
+.PHONY: all build vet lint test race faults leakcheck replicate obs bench bench-smoke bench-path bench-cache bench-iosched bench-e2e bench-e2e-smoke repro examples clean
 
 all: build vet lint test
 
@@ -32,9 +32,10 @@ leakcheck:
 
 # Failure-recovery tests under deterministic fault injection
 # (internal/faultinject; see DESIGN.md, "Failure handling"), including
-# the Coordinator crash–restart scenarios backed by internal/admindb.
+# the Coordinator crash–restart scenarios backed by internal/admindb
+# and the admission core's plan/rollback and ledger-conservation tests.
 faults:
-	$(GO) test -race -timeout 120s -run 'Fault|Failover|Redispatch|Reconnect|MSUDown|Lost|Restart|Orphan|Corrupt' . ./internal/coordinator ./internal/client ./internal/msu ./internal/faultinject ./internal/admindb
+	$(GO) test -race -timeout 120s -run 'Fault|Failover|Redispatch|Reconnect|MSUDown|Lost|Restart|Orphan|Corrupt|PlanStep|LedgerConservation|RecordPlacement|QueuedPlayWakes' . ./internal/coordinator ./internal/client ./internal/msu ./internal/faultinject ./internal/admindb
 
 # The demand-driven replication subsystem: copy-engine framing, the
 # MSU transfer path, the Coordinator placement policy, and the
@@ -72,11 +73,21 @@ bench-path:
 bench-cache:
 	$(GO) test -run='HotReplay' -bench='HotReplay|Cache' -benchmem ./internal/msu ./internal/cache
 
-# The §2.2.1/§2.3.3 live-path I/O scheduler: C-SCAN rounds vs the
-# DirectIO ablation on a mechanically-modelled Sim volume, 24 readers
-# (short benchtime smoke; CI runs this on every push).
+# The §2.2.1/§2.3.3 live-path I/O scheduler: C-SCAN rounds on a
+# mechanically-modelled Sim volume, 24 readers (short benchtime smoke;
+# CI runs this on every push).
 bench-iosched:
 	$(GO) test -run=NONE -bench='IOSched' -benchtime=2x -benchmem ./internal/msu
+
+# The viewer-side benchmark BENCHMARK.json declares (bench/README.md):
+# every workload against a real Coordinator, MSU and receivers, rows to
+# .bench_build/rows.json. The smoke target is its unit tests plus a 2 s
+# run of each workload.
+bench-e2e:
+	$(GO) run ./bench suite -o .bench_build/rows.json
+
+bench-e2e-smoke:
+	$(GO) test ./bench
 
 # Regenerate every table and figure in the paper's layout.
 repro:

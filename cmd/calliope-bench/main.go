@@ -409,9 +409,10 @@ func striping() {
 // ioschedLive measures the per-disk I/O scheduler on the real player
 // path — §2.3.3's elevator result on the live MSU rather than E6's
 // synthetic readers: 24 concurrent players over one mechanically
-// modelled volume, C-SCAN rounds vs the DirectIO ablation.
+// modelled volume, read through C-SCAN rounds. (The unscheduled path it
+// was once compared with is gone; BENCH_8.json keeps its numbers.)
 func ioschedLive() {
-	header("§2.2.1/§2.3.3: live-path I/O scheduler — 24 players, C-SCAN rounds vs direct reads")
+	header("§2.2.1/§2.3.3: live-path I/O scheduler — 24 players, C-SCAN rounds")
 	results, err := msu.MeasureIOSched(*sessions)
 	if err != nil {
 		fatal(err)
@@ -421,10 +422,6 @@ func ioschedLive() {
 	for _, r := range results {
 		fmt.Printf("%-16s %12v %12.0f %12.0f %12.0f\n",
 			r.Name, time.Duration(r.NsPerOp).Round(time.Millisecond), r.PktsPerSec, r.SeekMBPerOp, r.XfersPerOp)
-	}
-	if len(results) == 2 && results[0].NsPerOp > 0 {
-		fmt.Printf("improvement: %.1f%%   (paper: ~6%% on real 1996 disks; the model's seek share is larger)\n",
-			(results[1].NsPerOp/results[0].NsPerOp-1)*100)
 	}
 }
 

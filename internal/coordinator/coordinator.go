@@ -122,9 +122,9 @@ type Coordinator struct {
 	// §3i); om holds the pre-registered admission-path handles.
 	obs *obs.Registry
 	om  coordMetrics
-	// queuedPlays counts play requests currently parked on the pending
-	// queue (the queued_plays gauge).
-	queuedPlays int
+	// parked counts requests currently waiting on the pending queue —
+	// plays, recordings and re-dispatches alike (the queued_plays gauge).
+	parked int
 
 	nextSession core.SessionID
 	nextStream  core.StreamID
@@ -156,6 +156,24 @@ func (r *contentRec) locate(id core.MSUID) (core.DiskID, bool) {
 	return d, ok
 }
 
+// holders lists the MSUs holding a replica: the primary first, then
+// MSU id order — the order placement, transfer sourcing and listings
+// all prefer.
+func (r *contentRec) holders() []core.MSUID {
+	ids := make([]core.MSUID, 0, len(r.locations))
+	for id := range r.locations {
+		ids = append(ids, id)
+	}
+	primary := r.info.Disk.MSU
+	sort.Slice(ids, func(i, j int) bool {
+		if (ids[i] == primary) != (ids[j] == primary) {
+			return ids[i] == primary
+		}
+		return ids[i] < ids[j]
+	})
+	return ids
+}
+
 // setLocation records a replica; the first location becomes primary.
 func (r *contentRec) setLocation(d core.DiskID) {
 	if r.locations == nil {
@@ -167,25 +185,11 @@ func (r *contentRec) setLocation(d core.DiskID) {
 	}
 }
 
-// replicaList freezes a record's replica locations for a listing:
-// primary first, then MSU id order.
+// replicaList freezes a record's replica locations for a listing.
 func replicaList(rec *contentRec) []core.DiskID {
-	if len(rec.locations) == 0 {
-		return nil
-	}
-	ids := make([]core.MSUID, 0, len(rec.locations))
-	for id := range rec.locations {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	out := make([]core.DiskID, 0, len(ids))
-	if d, ok := rec.locations[rec.info.Disk.MSU]; ok {
-		out = append(out, d)
-	}
-	for _, id := range ids {
-		if id != rec.info.Disk.MSU {
-			out = append(out, rec.locations[id])
-		}
+	var out []core.DiskID
+	for _, id := range rec.holders() {
+		out = append(out, rec.locations[id])
 	}
 	return out
 }
@@ -282,12 +286,10 @@ type activeStream struct {
 	// spec is the full stream specification, kept so a failed play
 	// stream can be re-dispatched onto another MSU holding a replica.
 	spec core.StreamSpec
-	// spaceReserved is the block reservation held for a recording.
-	spaceReserved int64
-	// diskReserved records whether this stream holds a disk bandwidth
-	// slot. Plays of warmly cached content do not — they reserve NIC
-	// bandwidth only.
-	diskReserved bool
+	// grant is every ledger claim the stream holds: NIC bandwidth and
+	// (unless warmly cached) a disk slot for a play, disk bandwidth and
+	// an estimate's worth of space for a recording.
+	grant grant
 }
 
 // New builds a Coordinator.
@@ -865,7 +867,7 @@ func (c *Coordinator) deleteContent(name string) error {
 	// An in-flight copy of anything being deleted dies first: the
 	// destination's partial files carry no attributes and self-clean on
 	// abort, and a commit racing the delete is refused in replicateDone.
-	aborts = c.abortReplicationsLocked(func(r *replication) bool {
+	aborts = c.abortReplicationsLocked("content deleted", func(r *replication) bool {
 		for _, n := range names {
 			if r.content == n {
 				return true
@@ -921,10 +923,8 @@ func (c *Coordinator) deleteContent(name string) error {
 	}
 	for _, t := range targets {
 		// Return the replica's disk space to the free pool.
-		d := c.diskState(t.disk)
-		if d != nil {
-			blocks := (int64(t.rec.info.Size) + int64(d.blockSize) - 1) / int64(d.blockSize)
-			adjustCapacityLocked(d.space, blocks)
+		if d := c.diskState(t.disk); d != nil {
+			adjustCapacityLocked(d.space, blocksFor(t.rec.info.Size, d.blockSize))
 		}
 		delete(c.contents, t.name)
 	}

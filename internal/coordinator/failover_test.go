@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -386,5 +387,125 @@ func TestReregisterDropsOnlyOwnReplica(t *testing.T) {
 	}
 	if ok.MSU != "m2" {
 		t.Fatalf("play placed on %q, want surviving replica m2", ok.MSU)
+	}
+}
+
+// TestQueuedPlayWakesOnFailedDispatch: a play holds the disk's only slot
+// while its StartStream is in flight; a second, Wait-ing play queues
+// behind it. When the start fails, the rollback must wake the queue —
+// the slot used to be freed silently, leaving the waiter asleep until
+// some other stream ended or QueueTimeout fired.
+func TestQueuedPlayWakesOnFailedDispatch(t *testing.T) {
+	c := startCoordinator(t, Config{QueueTimeout: 30 * time.Second})
+	decl := []wire.ContentDecl{{Name: "movie", Type: "mpeg1"}}
+	inFlight := make(chan struct{})
+	fail := make(chan struct{})
+	first := true
+	mp := dialPeer(t, c, func(msgType string, body json.RawMessage) (any, error) {
+		if msgType != wire.TypeStartStream {
+			return nil, nil
+		}
+		if first { // start-streams arrive one at a time: the slot admits one play
+			first = false
+			close(inFlight)
+			<-fail
+			return nil, errors.New("disk refused the stream")
+		}
+		return &wire.StartStreamOK{}, nil
+	})
+	hello := wire.MSUHello{ID: "m1", Disks: []wire.DiskInfo{{
+		BlockSize: 64 * 1024, TotalBlocks: 1000, FreeBlocks: 900,
+		Bandwidth: 1500 * units.Kbps, Contents: decl, // one mpeg1 slot
+	}}}
+	if err := mp.Call(wire.TypeMSUHello, hello, &wire.MSUWelcome{}); err != nil {
+		t.Fatal(err)
+	}
+	play := func(wait bool) chan error {
+		p := clientPeer(t, c)
+		if err := p.Call(wire.TypeRegisterPort, wire.RegisterPort{Name: "tv", Type: "mpeg1", Addr: "a:1"}, nil); err != nil {
+			t.Fatal(err)
+		}
+		done := make(chan error, 1)
+		go func() {
+			done <- p.Call(wire.TypePlay, wire.Play{Content: "movie", Port: "tv", ControlAddr: "a:9", Wait: wait}, nil)
+		}()
+		return done
+	}
+	doomed := play(false)
+	<-inFlight
+	queued := play(true)
+	for deadline := time.Now().Add(5 * time.Second); c.ObsSnapshot().Gauge(wire.GaugeQueuedPlays) != 1; {
+		if time.Now().After(deadline) {
+			t.Fatal("second play never queued behind the in-flight one")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(fail)
+	if err := <-doomed; err == nil || !strings.Contains(err.Error(), "disk refused") {
+		t.Fatalf("first play: %v, want the MSU's refusal", err)
+	}
+	select {
+	case err := <-queued:
+		if err != nil {
+			t.Fatalf("queued play: %v", err)
+		}
+	case <-time.After(3 * time.Second):
+		t.Fatal("queued play still asleep 3s after the slot was freed")
+	}
+}
+
+// TestRedispatchDoesNotSpinOnFailingReplica: an orphaned group's only
+// other replica refuses every StartStream. That refusal is retryable,
+// but the rollback it causes frees nothing that was not taken by the
+// same pass, so it must not wake the group's own wait: the group parks
+// until something is released elsewhere or QueueTimeout, then is
+// reported lost (regression: the pass woke itself and hot-looped tens of
+// thousands of StartStream RPCs at the failing MSU under c.mu).
+func TestRedispatchDoesNotSpinOnFailingReplica(t *testing.T) {
+	c := startCoordinator(t, Config{QueueTimeout: 500 * time.Millisecond})
+	decl := []wire.ContentDecl{{Name: "movie", Type: "mpeg1"}}
+	m1 := fakeMSUPeer(t, c, "m1", decl, 1500*units.Kbps)
+	var starts atomic.Int64
+	m2 := dialPeer(t, c, func(msgType string, body json.RawMessage) (any, error) {
+		if msgType == wire.TypeStartStream {
+			starts.Add(1)
+			return nil, errors.New("disk refused the stream")
+		}
+		return nil, nil
+	})
+	hello := wire.MSUHello{ID: "m2", Disks: []wire.DiskInfo{{
+		BlockSize: 64 * 1024, TotalBlocks: 1000, FreeBlocks: 900,
+		Bandwidth: 1500 * units.Kbps, Contents: decl,
+	}}}
+	if err := m2.Call(wire.TypeMSUHello, hello, &wire.MSUWelcome{}); err != nil {
+		t.Fatal(err)
+	}
+	nc := newNotedClient(t, c)
+	nc.peer.Call(wire.TypeRegisterPort, wire.RegisterPort{Name: "tv", Type: "mpeg1", Addr: "a:1"}, nil) //nolint:errcheck
+	var ok wire.PlayOK
+	if err := nc.peer.Call(wire.TypePlay, wire.Play{Content: "movie", Port: "tv", ControlAddr: "a:9"}, &ok); err != nil {
+		t.Fatal(err)
+	}
+	if ok.MSU != "m1" {
+		t.Fatalf("play placed on %q, want primary m1", ok.MSU)
+	}
+	m1.Close()
+	select {
+	case l := <-nc.lost:
+		if !strings.Contains(l.Reason, "disk refused") {
+			t.Fatalf("stream-lost reason %q, want the replica's refusal", l.Reason)
+		}
+	case m := <-nc.migrated:
+		t.Fatalf("group migrated to a replica that refuses every start: %+v", m)
+	case <-time.After(5 * time.Second):
+		t.Fatal("no stream-lost notification")
+	}
+	// One pass when the group is orphaned, one more at the deadline, and
+	// a few for releases that happen to land in between.
+	if n := starts.Load(); n < 1 || n > 5 {
+		t.Fatalf("%d StartStream RPCs to the failing replica, want a handful", n)
+	}
+	if n := c.ObsSnapshot().Gauge(wire.GaugeActiveStreams); n != 0 {
+		t.Fatalf("%d streams still active after the group was lost", n)
 	}
 }

@@ -30,7 +30,7 @@ type coordMetrics struct {
 	lost       *obs.Counter   // groups_lost_total
 	ended      *obs.Counter   // streams_ended_total
 	records    *obs.Counter   // records_started_total
-	queueWait  *obs.Histogram // queue_wait_seconds (Wait-ing plays only)
+	queueWait  *obs.Histogram // queue_wait_seconds (requests admitted after parking)
 }
 
 func newCoordMetrics(r *obs.Registry) coordMetrics {
@@ -83,7 +83,7 @@ func (c *Coordinator) overlayLocked(s *obs.Snapshot) {
 	s.Gauges[wire.GaugeMSUs] = int64(len(c.msus))
 	s.Gauges[wire.GaugeMSUsAvailable] = int64(available)
 	s.Gauges[wire.GaugeActiveStreams] = int64(len(c.active))
-	s.Gauges[wire.GaugeQueuedPlays] = int64(c.queuedPlays)
+	s.Gauges[wire.GaugeQueuedPlays] = int64(c.parked)
 	s.Gauges[wire.GaugeContents] = int64(len(c.contents))
 	s.Gauges[wire.GaugeSessions] = int64(len(c.sessions))
 	s.Gauges[wire.GaugeLostRecs] = int64(c.lostRecordings)

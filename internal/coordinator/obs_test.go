@@ -166,3 +166,70 @@ func TestEventsRPC(t *testing.T) {
 		t.Fatal("long poll missed the wakeup")
 	}
 }
+
+// Every kind of parked request shows on the pending-queue instruments —
+// a queued recording as much as a queued play — and a refusal counts as
+// rejected exactly once, however it ends.
+func TestQueueInstrumentsCoverEveryRequestKind(t *testing.T) {
+	c := startCoordinator(t, Config{QueueTimeout: 400 * time.Millisecond})
+	decl := []wire.ContentDecl{{Name: "movie", Type: "mpeg1", Length: time.Minute, Size: 10 * units.MB}}
+	fakeMSUPeer(t, c, "m1", decl, 1500*units.Kbps) // one mpeg1 slot, for plays and recordings alike
+	session := func() *wire.Peer {
+		p := clientPeer(t, c)
+		if err := p.Call(wire.TypeRegisterPort, wire.RegisterPort{Name: "tv", Type: "mpeg1", Addr: "127.0.0.1:9"}, nil); err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	play := wire.Play{Content: "movie", Port: "tv", ControlAddr: "127.0.0.1:9"}
+	holder := session()
+	if err := holder.Call(wire.TypePlay, play, &wire.PlayOK{}); err != nil {
+		t.Fatal(err)
+	}
+	// Not waiting: refused at once, never queued.
+	if err := holder.Call(wire.TypePlay, play, nil); err == nil {
+		t.Fatal("second play admitted on a one-slot disk")
+	}
+	if s := c.ObsSnapshot(); s.Counter("admission_rejected_total") != 1 || s.Counter("admission_queued_total") != 0 {
+		t.Fatalf("after an immediate refusal: %+v", s.Counters)
+	}
+
+	errs := make(chan error, 2)
+	play.Wait = true
+	go func(p *wire.Peer) { errs <- p.Call(wire.TypePlay, play, nil) }(session())
+	go func(p *wire.Peer) {
+		errs <- p.Call(wire.TypeRecord, wire.Record{Content: "clip", Type: "mpeg1", Port: "tv",
+			Estimate: time.Second, ControlAddr: "127.0.0.1:9", Wait: true}, nil)
+	}(session())
+	for deadline := time.Now().Add(5 * time.Second); c.ObsSnapshot().Gauge(wire.GaugeQueuedPlays) != 2; {
+		if time.Now().After(deadline) {
+			t.Fatalf("queued gauge = %d, want the play and the recording", c.ObsSnapshot().Gauge(wire.GaugeQueuedPlays))
+		}
+		time.Sleep(time.Millisecond)
+	}
+	for i := 0; i < 2; i++ {
+		if err := <-errs; err == nil || !strings.Contains(err.Error(), "deadline") {
+			t.Fatalf("queued request: %v, want a deadline refusal", err)
+		}
+	}
+	s := c.ObsSnapshot()
+	if s.Gauge(wire.GaugeQueuedPlays) != 0 || s.Counter("admission_queued_total") != 2 || s.Counter("admission_rejected_total") != 3 {
+		t.Fatalf("after the deadline: queued gauge %d, counters %+v", s.Gauge(wire.GaugeQueuedPlays), s.Counters)
+	}
+	if h := s.Hists["queue_wait_seconds"]; h.Count != 0 {
+		t.Fatalf("queue_wait_seconds observed %d waits, but nothing queued was admitted", h.Count)
+	}
+	evs, _ := c.Events(0, 0, 0)
+	queued := 0
+	for _, ev := range evs {
+		if ev.Kind == obs.EvQueue {
+			queued++
+			if ev.Content == "" || ev.Detail == "" || ev.Session == 0 {
+				t.Fatalf("queue event does not say who waits for what: %+v", ev)
+			}
+		}
+	}
+	if queued != 2 {
+		t.Fatalf("%d queue events, want one per parked request", queued)
+	}
+}

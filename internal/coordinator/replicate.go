@@ -21,13 +21,14 @@ import (
 // reservations and, at commit time, the journaled location record.
 //
 // Invariants:
-//   - A planned transfer holds real ledger reservations on both ends
-//     (source disk bandwidth + NIC, destination disk bandwidth +
-//     space), so live admission and the copy can never double-book.
+//   - A planned transfer holds real ledger claims on both ends (source
+//     disk bandwidth + NIC, destination disk bandwidth + space), taken
+//     as one grant by the admission core (admission.go), so live
+//     admission and the copy can never double-book.
 //   - The location record is journaled only inside replicateDone —
 //     after the destination has fsynced and verified — so a crash or
 //     abort anywhere earlier leaves no trace of the replica.
-//   - A play that needs the bandwidth preempts the copy (the paper's
+//   - A stream that needs the bandwidth preempts the copy (the paper's
 //     rule that background work uses idle capacity only).
 
 // ReplicationConfig tunes the policy. The zero value enables
@@ -65,39 +66,19 @@ const (
 	hotDiskNum, hotDiskDen = 3, 4
 )
 
-// replKeyBase offsets transfer reservation keys away from stream IDs
-// and the recorder's probe keys.
+// replKeyBase offsets transfer grant keys away from stream IDs.
 const replKeyBase = uint64(1) << 62
 
-// replication is one in-flight transfer's Coordinator-side state. The
-// ledger pointers are the exact objects reserved against, so cleanup
-// releases correctly even after the MSU's registration state moved on.
+// replication is one in-flight transfer's Coordinator-side state. Its
+// grant holds the claims on both ends.
 type replication struct {
 	id      uint64
 	content string
-	src     core.MSUID
-	dst     core.MSUID
-	dstDisk int
 	rate    int64
-	blocks  int64
 	srcM    *msuState
-	srcD    *diskState
 	dstM    *msuState
-	dstD    *diskState
-}
-
-func (r *replication) key() uint64 { return replKeyBase + r.id }
-
-// releaseLocked returns every reservation the transfer holds. Callers
-// hold c.mu.
-func (r *replication) releaseLocked() {
-	k := r.key()
-	r.srcD.bw.Release(k) //nolint:errcheck // released at most once
-	if r.srcM.net != nil {
-		r.srcM.net.Release(k) //nolint:errcheck
-	}
-	r.dstD.bw.Release(k)    //nolint:errcheck
-	r.dstD.space.Release(k) //nolint:errcheck
+	dstDisk int
+	grant   grant
 }
 
 // replAbort is a deferred abort notification, sent after c.mu drops.
@@ -145,166 +126,32 @@ func (c *Coordinator) replicationFor(name string) *replication {
 	return nil
 }
 
-// planReplicationLocked decides whether content deserves another
-// replica right now and, if so, reserves both ends and dispatches the
-// transfer order in the background. Callers hold c.mu.
+// planReplicationLocked orders the transfer the admission core planned
+// for rec, if it planned one (planReplicaLocked holds the policy and
+// takes the grant). The order goes out in the background. Callers hold
+// c.mu.
 func (c *Coordinator) planReplicationLocked(rec *contentRec) {
-	if c.cfg.Replication.Disable || c.closed || rec == nil {
+	r := c.planReplicaLocked(rec)
+	if r == nil {
 		return
 	}
-	name := rec.info.Name
-	if t, ok := c.types[rec.info.Type]; !ok || t.Composite() {
-		return // composite parents replicate through their children
-	}
-	if len(rec.locations) >= c.maxReplicas() || c.replicationFor(name) != nil {
-		return
-	}
-	// Source: a live holder that can serve transfers, primary first.
-	srcID, ok := c.pickSourceLocked(rec)
-	if !ok {
-		return
-	}
-	srcM := c.msus[srcID]
-	srcD := srcM.disks[rec.locations[srcID].N]
-	// Destination: the live non-holder with the roomiest matching disk.
-	dstM, dstDisk, ok := c.pickDestinationLocked(rec, srcD.blockSize)
-	if !ok {
-		return
-	}
-	dstD := dstM.disks[dstDisk]
-	// The grant: the configured (or type-derived) rate, clipped to the
-	// idle bandwidth on every ledger it must ride.
-	want := int64(c.cfg.Replication.Rate)
-	if want <= 0 {
-		if t, ok := c.types[rec.info.Type]; ok {
-			want = 2 * int64(t.Bandwidth)
-		}
-	}
-	for _, avail := range []int64{srcD.bw.Available(), srcM.net.Available(), dstD.bw.Available()} {
-		if avail < want {
-			want = avail
-		}
-	}
-	if want < int64(minReplRate) {
-		return // not enough idle bandwidth to be worth it
-	}
-	blocks := (int64(rec.info.Size) + int64(dstD.blockSize) - 1) / int64(dstD.blockSize)
-	c.nextRepl++
-	r := &replication{
-		id: c.nextRepl, content: name,
-		src: srcID, dst: dstM.id, dstDisk: dstDisk,
-		rate: want, blocks: blocks,
-		srcM: srcM, srcD: srcD, dstM: dstM, dstD: dstD,
-	}
-	k := r.key()
-	if srcD.bw.Reserve(k, want) != nil {
-		return
-	}
-	if srcM.net.Reserve(k, want) != nil {
-		srcD.bw.Release(k) //nolint:errcheck
-		return
-	}
-	if dstD.bw.Reserve(k, want) != nil {
-		srcD.bw.Release(k)  //nolint:errcheck
-		srcM.net.Release(k) //nolint:errcheck
-		return
-	}
-	if dstD.space.Reserve(k, blocks) != nil {
-		r.releaseLocked()
-		return
-	}
-	c.replications[r.id] = r
-	c.replStats.Planned++
-	c.replStats.Active++
+	rate := units.BitRate(r.rate)
 	order := wire.Replicate{
-		ID: r.id, Content: name, Type: rec.info.Type, Disk: dstDisk,
-		Source: srcM.transferAddr, Rate: units.BitRate(want),
+		ID: r.id, Content: r.content, Type: rec.info.Type, Disk: r.dstDisk,
+		Source: r.srcM.transferAddr, Rate: rate,
 		Size: rec.info.Size, Length: rec.info.Length, HasFast: rec.info.HasFast,
 	}
-	peer := dstM.peer
-	c.logf("replicating %q: %s → %s disk %d at %v", name, srcID, dstM.id, dstDisk, units.BitRate(want))
-	c.event(obs.Event{Kind: obs.EvReplPlan, MSU: string(dstM.id), Disk: dstDisk, Content: name,
-		Detail: fmt.Sprintf("from %s at %v", srcID, units.BitRate(want))})
+	c.logf("replicating %q: %s → %s disk %d at %v", r.content, r.srcM.id, r.dstM.id, r.dstDisk, rate)
+	c.event(obs.Event{Kind: obs.EvReplPlan, MSU: string(r.dstM.id), Disk: r.dstDisk, Content: r.content,
+		Detail: fmt.Sprintf("from %s at %v", r.srcM.id, rate)})
 	c.wg.Add(1) // under c.mu: Close sets closed before waiting
 	go func() {
 		defer c.wg.Done()
-		if err := peer.CallTimeout(wire.TypeReplicate, order, nil, msuRPCTimeout); err != nil {
-			c.logf("replicate order %d (%q) to %s failed: %v", r.id, name, r.dst, err)
-			c.mu.Lock()
-			if c.replications[r.id] == r {
-				r.releaseLocked()
-				delete(c.replications, r.id)
-				c.replStats.Active--
-				c.replStats.Aborted++
-				c.event(obs.Event{Kind: obs.EvReplAbort, MSU: string(r.dst), Disk: r.dstDisk,
-					Content: name, Detail: "transfer order failed"})
-				c.signalRelease()
-			}
-			c.mu.Unlock()
+		if err := r.dstM.peer.CallTimeout(wire.TypeReplicate, order, nil, msuRPCTimeout); err != nil {
+			c.logf("replicate order %d (%q) to %s failed: %v", r.id, r.content, r.dstM.id, err)
+			c.replicationFailed(r.id, "transfer order failed")
 		}
 	}()
-}
-
-// pickSourceLocked finds a live holder able to serve transfers,
-// primary first then MSU id order. Callers hold c.mu.
-func (c *Coordinator) pickSourceLocked(rec *contentRec) (core.MSUID, bool) {
-	usable := func(id core.MSUID) bool {
-		m := c.msus[id]
-		loc, held := rec.locations[id]
-		return held && m != nil && m.alive && m.transferAddr != "" && m.net != nil &&
-			loc.N >= 0 && loc.N < len(m.disks)
-	}
-	if usable(rec.info.Disk.MSU) {
-		return rec.info.Disk.MSU, true
-	}
-	ids := make([]core.MSUID, 0, len(rec.locations))
-	for id := range rec.locations {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		if usable(id) {
-			return id, true
-		}
-	}
-	return "", false
-}
-
-// pickDestinationLocked finds the best MSU not yet holding rec: alive,
-// a disk with the same block size (IB-tree pages are block-sized, so
-// replicas cannot change geometry) and the most free blocks, with room
-// for the whole item. Callers hold c.mu.
-func (c *Coordinator) pickDestinationLocked(rec *contentRec, blockSize int) (*msuState, int, bool) {
-	ids := make([]core.MSUID, 0, len(c.msus))
-	for id := range c.msus {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	var bestM *msuState
-	bestDisk, bestFree := -1, int64(-1)
-	for _, id := range ids {
-		m := c.msus[id]
-		if !m.alive || m.peer == nil {
-			continue
-		}
-		if _, holds := rec.locations[id]; holds {
-			continue
-		}
-		for di, d := range m.disks {
-			if d.blockSize != blockSize {
-				continue
-			}
-			need := (int64(rec.info.Size) + int64(d.blockSize) - 1) / int64(d.blockSize)
-			free := d.space.Available()
-			if free < need {
-				continue
-			}
-			if free > bestFree {
-				bestM, bestDisk, bestFree = m, di, free
-			}
-		}
-	}
-	return bestM, bestDisk, bestM != nil
 }
 
 // maybeReplicateOnHeatLocked runs the heat trigger after a cache
@@ -330,82 +177,32 @@ func (c *Coordinator) maybeReplicateOnHeatLocked(d *diskState) {
 	}
 }
 
-// preemptReplicationsLocked tears down transfers holding bandwidth a
-// play needs on MSU m (preferring ones touching disk d), returning the
-// abort notifications to send once c.mu drops. Reports whether anything
-// was preempted. A preempted copy loses all its sunk work, so transfers
-// are only torn down when reclaiming their slots would actually clear
-// need on both the disk and NIC ledgers — otherwise a queued play whose
-// MSU is saturated by other streams would preempt the very copy planned
-// to relieve it, over and over, and the replica would never finish.
-// Callers hold c.mu.
-func (c *Coordinator) preemptReplicationsLocked(m *msuState, d *diskState, need int64) ([]replAbort, bool) {
+// abortReplicationsLocked tears down every transfer match selects and
+// returns the deferred abort notifications. Callers hold c.mu.
+func (c *Coordinator) abortReplicationsLocked(why string, match func(*replication) bool) []replAbort {
 	var victims []*replication
-	var diskGain, netGain int64
 	for _, r := range c.replications {
-		if r.srcM != m && r.dstM != m {
-			continue
-		}
-		victims = append(victims, r)
-		if r.srcD == d || r.dstD == d {
-			diskGain += r.rate
-		}
-		if r.srcM == m {
-			netGain += r.rate // only the source side claims NIC bandwidth
+		if match(r) {
+			c.endReplicationLocked(r, true)
+			victims = append(victims, r)
 		}
 	}
-	if len(victims) == 0 {
-		return nil, false
-	}
-	if d.bw.Available()+diskGain < need {
-		return nil, false
-	}
-	if m.net != nil && m.net.Available()+netGain < need {
-		return nil, false
-	}
-	sort.Slice(victims, func(i, j int) bool {
-		// Disk-matching transfers first, then newest first (least sunk
-		// work preempts first within a class).
-		vi := victims[i].srcD == d || victims[i].dstD == d
-		vj := victims[j].srcD == d || victims[j].dstD == d
-		if vi != vj {
-			return vi
-		}
-		return victims[i].id > victims[j].id
-	})
-	var aborts []replAbort
-	for _, r := range victims {
-		r.releaseLocked()
-		delete(c.replications, r.id)
-		c.replStats.Active--
-		c.replStats.Aborted++
-		if r.dstM.peer != nil {
-			aborts = append(aborts, replAbort{peer: r.dstM.peer, id: r.id})
-		}
-		c.logf("replication %d (%q) preempted by a play on %s", r.id, r.content, m.id)
-		c.event(obs.Event{Kind: obs.EvReplAbort, MSU: string(r.dst), Disk: r.dstDisk,
-			Content: r.content, Detail: "preempted by a play"})
-	}
-	return aborts, true
+	return c.abortNoticesLocked(victims, why)
 }
 
-// abortReplicationsLocked tears down every transfer selected by keep,
-// returning deferred abort notifications. Callers hold c.mu.
-func (c *Coordinator) abortReplicationsLocked(match func(*replication) bool) []replAbort {
+// abortNoticesLocked publishes transfers the admission core has already
+// torn down: an event each, and an abort for every destination still
+// alive to hear it (its attribute-less partial files self-clean).
+// Callers hold c.mu.
+func (c *Coordinator) abortNoticesLocked(victims []*replication, why string) []replAbort {
 	var aborts []replAbort
-	for id, r := range c.replications {
-		if !match(r) {
-			continue
-		}
-		r.releaseLocked()
-		delete(c.replications, id)
-		c.replStats.Active--
-		c.replStats.Aborted++
-		if r.dstM.peer != nil && r.dstM.alive {
+	for _, r := range victims {
+		if r.dstM.alive {
 			aborts = append(aborts, replAbort{peer: r.dstM.peer, id: r.id})
 		}
-		c.event(obs.Event{Kind: obs.EvReplAbort, MSU: string(r.dst), Disk: r.dstDisk,
-			Content: r.content, Detail: "endpoint failed or content deleted"})
+		c.logf("replication %d (%q) aborted: %s", r.id, r.content, why)
+		c.event(obs.Event{Kind: obs.EvReplAbort, MSU: string(r.dstM.id), Disk: r.dstDisk,
+			Content: r.content, Detail: why})
 	}
 	return aborts
 }
@@ -429,9 +226,7 @@ func (ctx *connCtx) replicateDone(req wire.ReplicateDone) error {
 	defer c.mu.Unlock()
 	r := c.replications[req.ID]
 	if r != nil {
-		r.releaseLocked()
-		delete(c.replications, req.ID)
-		c.replStats.Active--
+		c.endReplicationLocked(r, false)
 	}
 	rec, ok := c.contents[req.Content]
 	if !ok {
@@ -464,8 +259,7 @@ func (ctx *connCtx) replicateDone(req wire.ReplicateDone) error {
 	// restarted mid-copy, or state lost to preemption racing the
 	// commit) adds conservatively, corrected by the MSU's next
 	// re-registration.
-	blocks := (int64(req.Size) + int64(d.blockSize) - 1) / int64(d.blockSize)
-	d.space.AddStanding(blocks) //nolint:errcheck
+	d.space.AddStanding(blocksFor(req.Size, d.blockSize)) //nolint:errcheck
 	c.replStats.Completed++
 	c.replStats.BytesCopied += req.Bytes
 	c.event(obs.Event{Kind: obs.EvReplCommit, MSU: string(m.id), Disk: req.Disk,
@@ -481,20 +275,22 @@ func (ctx *connCtx) replicateDone(req wire.ReplicateDone) error {
 
 // replicateFailed handles the destination's abandonment notice.
 func (ctx *connCtx) replicateFailed(req wire.ReplicateFailed) {
-	c := ctx.c
+	ctx.c.replicationFailed(req.ID, req.Reason)
+}
+
+// replicationFailed ends a transfer its destination gave up on (or never
+// accepted) and wakes the queue for the bandwidth that frees.
+func (c *Coordinator) replicationFailed(id uint64, reason string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	r := c.replications[req.ID]
+	r := c.replications[id]
 	if r == nil {
 		return // already preempted, aborted, or committed
 	}
-	r.releaseLocked()
-	delete(c.replications, req.ID)
-	c.replStats.Active--
-	c.replStats.Aborted++
-	c.logf("replication %d (%q) failed on %s: %s", req.ID, req.Content, r.dst, req.Reason)
-	c.event(obs.Event{Kind: obs.EvReplAbort, MSU: string(r.dst), Disk: r.dstDisk,
-		Content: req.Content, Detail: req.Reason})
+	c.endReplicationLocked(r, true)
+	c.logf("replication %d (%q) failed on %s: %s", id, r.content, r.dstM.id, reason)
+	c.event(obs.Event{Kind: obs.EvReplAbort, MSU: string(r.dstM.id), Disk: r.dstDisk,
+		Content: r.content, Detail: reason})
 	c.signalRelease()
 }
 
@@ -542,11 +338,9 @@ func (c *Coordinator) dropColdReplicaLocked(m *msuState, diskIdx int) {
 			continue
 		}
 		c.dereplicating[name] = true
-		peer := m.peer
-		blocks := (int64(rec.info.Size) + int64(d.blockSize) - 1) / int64(d.blockSize)
 		c.logf("de-replicating cold %q from %s disk %d", name, m.id, diskIdx)
 		c.wg.Add(1) // under c.mu: Close sets closed before waiting
-		go c.executeDrop(peer, m, rec, name, diskIdx, blocks)
+		go c.executeDrop(m.peer, m, rec, name, diskIdx, blocksFor(rec.info.Size, d.blockSize))
 		return
 	}
 }

@@ -1,6 +1,7 @@
 package coordinator
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -210,16 +211,15 @@ func (c *Coordinator) msuDown(m *msuState) {
 	// returns. A surviving destination is told to abandon its pull (its
 	// attribute-less partial files self-clean); a dead destination
 	// discards its own state when it restarts.
-	replAborts := c.abortReplicationsLocked(func(r *replication) bool {
+	replAborts := c.abortReplicationsLocked("endpoint failed", func(r *replication) bool {
 		return r.srcM == m || r.dstM == m
 	})
 	groups := make(map[uint64]*failedGroup)
-	for id, a := range c.active {
+	for _, a := range c.active {
 		if a.msu != m.id {
 			continue
 		}
 		c.releaseStreamLocked(a)
-		delete(c.active, id)
 		g := groups[a.group]
 		if g == nil {
 			g = &failedGroup{id: a.group, session: a.session}
@@ -294,305 +294,92 @@ type failedGroup struct {
 	streams []*activeStream
 }
 
-// redispatchGroup retries placement of an orphaned play group until it
-// lands on a live MSU or the queue deadline passes — the same pending
-// queue discipline as a client-side Wait-ing play.
+// redispatchGroup parks an orphaned play group on the pending queue —
+// the same discipline as a client-side Wait-ing play — until it lands
+// on a live MSU holding every part or the queue deadline passes.
 func (c *Coordinator) redispatchGroup(g *failedGroup) {
 	defer func() {
 		c.mu.Lock()
 		delete(c.redispatching, g.id)
 		c.mu.Unlock()
 	}()
-	deadline := c.cfg.Now().Add(c.cfg.QueueTimeout)
-	reason := "no MSU holds a replica"
-	for {
-		done, retry, why := c.tryRedispatch(g)
-		if done {
-			return
+	var home *placement
+	// One pass of the admission path, under c.mu: plan, dispatch.
+	err := c.waitQueue(true, obs.Event{Session: uint64(g.session), Group: g.id}, func() error {
+		if c.sessions[g.session] == nil {
+			return nil // client gone; no one to deliver to
 		}
-		if why != "" {
-			reason = why
+		demands := make([]demand, len(g.streams))
+		parts := make([]*contentRec, len(g.streams))
+		for i, a := range g.streams {
+			demands[i] = demand{a: a}
+			if parts[i] = c.contents[a.content]; parts[i] == nil {
+				return busy("content %q no longer registered", a.content)
+			}
 		}
-		if !retry {
-			c.notifyGroupLost(g.session, g.id, reason)
-			return
+		cands := c.playCandidatesLocked(parts)
+		if len(cands) == 0 {
+			return busy("no live MSU holds a replica")
 		}
-		c.mu.Lock()
-		if c.closed {
-			c.mu.Unlock()
-			return
+		p := c.planLocked(demands, cands)
+		if p == nil {
+			return busy("a replica exists but no MSU has bandwidth")
 		}
-		ch := c.release
-		c.mu.Unlock()
-		remain := deadline.Sub(c.cfg.Now())
-		if remain <= 0 {
-			c.notifyGroupLost(g.session, g.id, reason)
-			return
+		// Unlike a fresh play, a failed start is worth another pass:
+		// another replica, or this MSU once it is back, may take the group.
+		_, standing, err := c.dispatchLocked(p)
+		if err != nil {
+			return busy("re-dispatch to %q failed: %v", p.m.id, err)
 		}
-		t := time.NewTimer(remain)
-		select {
-		case <-ch:
-			t.Stop()
-		case <-t.C:
-			c.notifyGroupLost(g.session, g.id, reason)
-			return
+		if !standing {
+			return busy("MSU %q failed during re-dispatch", p.m.id)
 		}
+		home = p
+		return nil
+	})
+	switch {
+	case home != nil:
+		c.notifyGroupMigrated(g, home)
+	case err != nil && !errors.Is(err, core.ErrSessionClosed):
+		c.notifyGroupLost(g.session, g.id, err.Error())
 	}
 }
 
-// tryRedispatch attempts one placement pass for an orphaned group.
-// done means the group's fate is settled (migrated, or client gone);
-// retry reports whether waiting on the pending queue could help.
-func (c *Coordinator) tryRedispatch(g *failedGroup) (done, retry bool, reason string) {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return true, false, ""
+// notifyGroupMigrated tells the client its group has a new home.
+func (c *Coordinator) notifyGroupMigrated(g *failedGroup, p *placement) {
+	note := wire.StreamMigrated{Group: g.id, MSU: p.m.id}
+	for _, spec := range p.specs {
+		note.Streams = append(note.Streams, wire.StreamInfo{Stream: spec.Stream, Content: spec.Content, Type: spec.Type})
 	}
-	if _, ok := c.sessions[g.session]; !ok {
-		c.mu.Unlock()
-		return true, false, "" // client gone; no one to deliver to
+	if peer := c.sessionPeer(g.session); peer != nil {
+		peer.Notify(wire.TypeStreamMigrated, note) //nolint:errcheck // the session may be dying; nothing more to do
 	}
-	parts := make([]*contentRec, 0, len(g.streams))
-	for _, a := range g.streams {
-		rec, ok := c.contents[a.content]
-		if !ok {
-			c.mu.Unlock()
-			return false, true, fmt.Sprintf("content %q no longer registered", a.content)
-		}
-		parts = append(parts, rec)
-	}
-	cands := c.placeCandidatesLocked(parts)
-	if len(cands) == 0 {
-		c.mu.Unlock()
-		return false, true, "no live MSU holds a replica"
-	}
-	var aborts []replAbort
-	defer func() { sendAborts(aborts) }()
-	reserved := 0
-	rollback := func() {
-		for i := 0; i < reserved; i++ {
-			a := g.streams[i]
-			if c.active[a.id] != a {
-				continue // the replacement's own msuDown already released it
-			}
-			c.releaseStreamLocked(a)
-			delete(c.active, a.id)
-		}
-		reserved = 0
-	}
-	var m *msuState
-	attempt := func(cand playCandidate) bool {
-		m = cand.m
-		for i, a := range g.streams {
-			diskReserved, err := c.reservePlayLocked(m, m.disks[cand.disks[i]], a.id, int64(a.spec.Rate), a.content)
-			if err != nil {
-				rollback()
-				return false
-			}
-			reserved++
-			a.msu = m.id
-			a.disk = cand.disks[i]
-			a.spec.Disk = cand.disks[i]
-			a.diskReserved = diskReserved
-			c.active[a.id] = a
-		}
-		return true
-	}
-	placed := false
-	for _, cand := range cands {
-		if attempt(cand) {
-			placed = true
-			break
-		}
-	}
-	if !placed {
-		// Orphaned plays preempt background copies just like fresh ones.
-		var need int64
-		for _, a := range g.streams {
-			need += int64(a.spec.Rate)
-		}
-		preempted := false
-		for _, cand := range cands {
-			a, found := c.preemptReplicationsLocked(cand.m, cand.m.disks[cand.disks[0]], need)
-			aborts = append(aborts, a...)
-			preempted = preempted || found
-		}
-		if preempted {
-			for _, cand := range cands {
-				if attempt(cand) {
-					placed = true
-					break
-				}
-			}
-		}
-		if !placed {
-			c.mu.Unlock()
-			return false, true, "a replica exists but no MSU has bandwidth"
-		}
-	}
-	peer := m.peer
-	specs := make([]core.StreamSpec, len(g.streams))
-	for i, a := range g.streams {
-		specs[i] = a.spec
-	}
-	c.mu.Unlock()
-
-	started := 0
-	var callErr error
-	for _, spec := range specs {
-		if callErr = peer.CallTimeout(wire.TypeStartStream, wire.StartStream{Spec: spec}, nil, msuRPCTimeout); callErr != nil {
-			break
-		}
-		started++
-	}
-	if callErr != nil {
-		for i := 0; i < started; i++ {
-			peer.Notify(wire.TypeStopStream, wire.StopStream{Stream: specs[i].Stream}) //nolint:errcheck
-		}
-		c.mu.Lock()
-		rollback()
-		c.signalRelease()
-		c.mu.Unlock()
-		return false, true, fmt.Sprintf("re-dispatch to %q failed: %v", m.id, callErr)
-	}
-
-	note := wire.StreamMigrated{Group: g.id, MSU: m.id}
-	for _, a := range g.streams {
-		note.Streams = append(note.Streams, wire.StreamInfo{Stream: a.id, Content: a.content, Type: a.typ})
-	}
-	c.mu.Lock()
-	for _, a := range g.streams {
-		if c.active[a.id] != a {
-			// The replacement died between start-stream and here; its
-			// msuDown released the entries and left recovery to us.
-			c.mu.Unlock()
-			return false, true, fmt.Sprintf("MSU %q failed during re-dispatch", m.id)
-		}
-	}
-	var speer *wire.Peer
-	if s := c.sessions[g.session]; s != nil {
-		speer = s.peer
-	}
-	c.mu.Unlock()
-	if speer != nil {
-		speer.Notify(wire.TypeStreamMigrated, note) //nolint:errcheck // the session may be dying; nothing more to do
-	}
-	c.logf("group %d re-dispatched to MSU %q", g.id, m.id)
+	c.logf("group %d re-dispatched to MSU %q", g.id, p.m.id)
 	c.om.migrations.Inc()
-	for _, a := range g.streams {
+	for _, spec := range p.specs {
 		c.event(obs.Event{Kind: obs.EvMigrate, Session: uint64(g.session), Group: g.id,
-			Stream: uint64(a.id), MSU: string(m.id), Disk: a.disk, Content: a.content})
+			Stream: uint64(spec.Stream), MSU: string(p.m.id), Disk: spec.Disk, Content: spec.Content})
 	}
-	return true, false, ""
+}
+
+// sessionPeer returns the connection of a session, nil once it is gone.
+func (c *Coordinator) sessionPeer(id core.SessionID) *wire.Peer {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if s := c.sessions[id]; s != nil {
+		return s.peer
+	}
+	return nil
 }
 
 // notifyGroupLost tells the client its group died with its MSU.
 func (c *Coordinator) notifyGroupLost(sess core.SessionID, group uint64, reason string) {
-	c.mu.Lock()
-	var peer *wire.Peer
-	if s := c.sessions[sess]; s != nil {
-		peer = s.peer
-	}
-	c.mu.Unlock()
-	if peer != nil {
+	if peer := c.sessionPeer(sess); peer != nil {
 		peer.Notify(wire.TypeStreamLost, wire.StreamLost{Group: group, Reason: reason}) //nolint:errcheck
 	}
 	c.logf("group %d lost: %s", group, reason)
 	c.om.lost.Inc()
 	c.event(obs.Event{Kind: obs.EvLost, Session: uint64(sess), Group: group, Disk: -1, Detail: reason})
-}
-
-// playCandidate is one feasible placement for a play group: a live MSU
-// holding a replica of every part, with the disk index per part.
-type playCandidate struct {
-	m     *msuState
-	disks []int
-}
-
-// placeCandidatesLocked lists every live MSU holding a replica of every
-// part, the first part's primary location first, then MSU id order
-// (deterministic). Admission tries each in turn, so a play refused
-// bandwidth on the primary falls over to any other replica — including
-// one the replication policy just created. Callers hold c.mu.
-func (c *Coordinator) placeCandidatesLocked(parts []*contentRec) []playCandidate {
-	try := func(id core.MSUID) (playCandidate, bool) {
-		m := c.msus[id]
-		if m == nil || !m.alive {
-			return playCandidate{}, false
-		}
-		disks := make([]int, len(parts))
-		for i, p := range parts {
-			loc, ok := p.locate(id)
-			if !ok || loc.N < 0 || loc.N >= len(m.disks) {
-				return playCandidate{}, false
-			}
-			disks[i] = loc.N
-		}
-		return playCandidate{m: m, disks: disks}, true
-	}
-	var out []playCandidate
-	primary := parts[0].info.Disk.MSU
-	if cand, ok := try(primary); ok {
-		out = append(out, cand)
-	}
-	var ids []core.MSUID
-	for id := range parts[0].locations {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		if id == primary {
-			continue // already tried
-		}
-		if cand, ok := try(id); ok {
-			out = append(out, cand)
-		}
-	}
-	return out
-}
-
-// reservePlayLocked commits one play stream's bandwidth: NIC bandwidth
-// always, a disk duty-cycle slot only when the content is not warmly
-// cached on the target disk (§2.2 admission, made cache-aware).
-// Reports whether the disk slot was taken. Callers hold c.mu.
-func (c *Coordinator) reservePlayLocked(m *msuState, d *diskState, id core.StreamID, rate int64, content string) (diskReserved bool, err error) {
-	if m.net != nil {
-		if err := m.net.Reserve(uint64(id), rate); err != nil {
-			return false, err
-		}
-	}
-	if d.warm(content) {
-		return false, nil
-	}
-	if err := d.bw.Reserve(uint64(id), rate); err != nil {
-		if m.net != nil {
-			m.net.Release(uint64(id)) //nolint:errcheck
-		}
-		return false, err
-	}
-	return true, nil
-}
-
-// releaseStreamLocked frees a stream's ledger entries. Callers hold
-// c.mu.
-func (c *Coordinator) releaseStreamLocked(a *activeStream) {
-	m := c.msus[a.msu]
-	if m == nil || a.disk < 0 || a.disk >= len(m.disks) {
-		return
-	}
-	if !a.record && m.net != nil {
-		// Plays hold NIC bandwidth; recordings are inbound traffic and
-		// never touched the delivery ledger.
-		m.net.Release(uint64(a.id)) //nolint:errcheck // released at most once
-	}
-	d := m.disks[a.disk]
-	if a.diskReserved {
-		d.bw.Release(uint64(a.id)) //nolint:errcheck // released at most once
-	}
-	if a.record && a.spaceReserved > 0 {
-		d.space.Release(uint64(a.id)) //nolint:errcheck
-	}
 }
 
 // streamEnded handles the MSU's termination notice.
@@ -604,7 +391,6 @@ func (c *Coordinator) streamEnded(req wire.StreamEnded) {
 		return
 	}
 	c.releaseStreamLocked(a)
-	delete(c.active, req.Stream)
 	if a.record {
 		c.settleRecordGroupLocked(a.group)
 	}
@@ -658,12 +444,8 @@ func (ctx *connCtx) recordingDone(req wire.RecordingDone) error {
 	if d == nil {
 		return fmt.Errorf("%w: disk %d", core.ErrBadRequest, req.Disk)
 	}
-	if a.record && a.spaceReserved > 0 {
-		d.space.Release(uint64(a.id)) //nolint:errcheck
-		a.spaceReserved = 0
-	}
-	blocks := (int64(req.Size) + int64(d.blockSize) - 1) / int64(d.blockSize)
-	d.space.AddStanding(blocks) //nolint:errcheck
+	a.grant.drop(d.space)
+	d.space.AddStanding(blocksFor(req.Size, d.blockSize)) //nolint:errcheck
 	rec := &contentRec{info: core.ContentInfo{
 		Name:   req.Content,
 		Type:   req.Type,
@@ -753,8 +535,7 @@ func (c *Coordinator) orphanRecordingLocked(m *msuState, req wire.RecordingDone)
 	// so blocks it had already allocated are in its declared standing
 	// reservation too — a conservative double count that the next
 	// re-registration's fresh ledgers correct.
-	blocks := (int64(req.Size) + int64(d.blockSize) - 1) / int64(d.blockSize)
-	d.space.AddStanding(blocks) //nolint:errcheck
+	d.space.AddStanding(blocksFor(req.Size, d.blockSize)) //nolint:errcheck
 	c.contents[req.Content] = rec
 	c.logf("recording %q committed by MSU %q across a restart (stream %d unknown)", req.Content, m.id, req.Stream)
 	c.signalRelease()
@@ -827,14 +608,6 @@ func (ctx *connCtx) unregisterPort(req wire.UnregisterPort) error {
 	return nil
 }
 
-// resolvePlay computes the stream specs for one play request. Callers
-// hold c.mu. It reserves bandwidth; the caller must roll back via
-// releaseStreamLocked on failure.
-type plannedStream struct {
-	spec core.StreamSpec
-	rec  *contentRec
-}
-
 // expandContent returns the atomic items behind a content name:
 // composite items expand to their children.
 func (c *Coordinator) expandContent(name string) (*contentRec, []*contentRec, error) {
@@ -880,514 +653,334 @@ func portForType(s *session, port *core.DisplayPort, atomicType string) (data, c
 	return p.Addr, p.Control, nil
 }
 
-// play schedules playback. With req.Wait it retries while resources
-// are busy, up to QueueTimeout (§2.2: queued requests).
-func (ctx *connCtx) play(req wire.Play) (*wire.PlayOK, error) {
-	c := ctx.c
+// busyError marks a refusal that waiting on the pending queue could
+// cure — resources held, an MSU down — as opposed to a request that can
+// never be admitted as asked.
+type busyError struct{ error }
+
+func (e busyError) Unwrap() error { return e.error }
+
+func busy(format string, args ...any) error {
+	return busyError{fmt.Errorf(format, args...)}
+}
+
+// waitQueue is the pending queue (§2.2: "queues requests that cannot be
+// satisfied"): it runs pass, one pass of the admission path, until the
+// request is settled. A busy refusal parks the request — when wait
+// allows it — until resources are released somewhere or QueueTimeout
+// passes. pass runs with c.mu held, and the wake-up channel is read
+// under that same hold: a release after the refusal is never missed,
+// and what the pass itself gave back (a failed start's rollback) does
+// not wake it. Every kind of request parks here, so the queue's gauge,
+// counters, wait histogram and event (stamped from who) are kept in
+// this one place.
+func (c *Coordinator) waitQueue(wait bool, who obs.Event, pass func() error) error {
 	start := c.cfg.Now()
 	deadline := start.Add(c.cfg.QueueTimeout)
-	queued := false
+	parked := false
+	c.mu.Lock()
 	defer func() {
-		if queued {
-			c.mu.Lock()
-			c.queuedPlays--
-			c.mu.Unlock()
+		if parked {
+			c.parked--
 		}
+		c.mu.Unlock()
 	}()
 	for {
-		resp, retry, err := ctx.tryPlay(req)
+		if c.closed {
+			return core.ErrSessionClosed
+		}
+		err := pass()
 		if err == nil {
-			if queued {
+			if parked {
 				c.om.queueWait.Observe(c.cfg.Now().Sub(start))
 			}
-			return resp, nil
+			return nil
 		}
-		if !req.Wait || !retry {
-			c.om.rejected.Inc()
-			return nil, err
-		}
-		c.mu.Lock()
-		if !queued {
-			queued = true
-			c.queuedPlays++
-			c.om.queued.Inc()
-			c.event(obs.Event{Kind: obs.EvQueue, Session: ctx.sessionID(),
-				Content: req.Content, Disk: -1, Detail: err.Error()})
-		}
-		ch := c.release
-		c.mu.Unlock()
 		remain := deadline.Sub(c.cfg.Now())
-		if remain <= 0 {
-			c.om.rejected.Inc()
-			return nil, fmt.Errorf("%w: queued past deadline", core.ErrNoResources)
+		mayWait := wait && errors.As(err, &busyError{})
+		if mayWait && remain <= 0 {
+			err = fmt.Errorf("%w: queued past deadline (%v)", core.ErrNoResources, err)
 		}
+		if !mayWait || remain <= 0 {
+			c.om.rejected.Inc()
+			return err
+		}
+		if !parked {
+			parked = true
+			c.parked++
+			c.om.queued.Inc()
+			who.Kind, who.Disk, who.Detail = obs.EvQueue, -1, err.Error()
+			c.event(who)
+		}
+		released := c.release
+		c.mu.Unlock()
 		t := time.NewTimer(remain)
 		select {
-		case <-ch:
+		case <-released:
 			t.Stop()
 		case <-t.C:
-			c.om.rejected.Inc()
-			return nil, fmt.Errorf("%w: queued past deadline", core.ErrNoResources)
 		}
+		c.mu.Lock()
 	}
 }
 
-// tryPlay attempts one scheduling pass. retry reports whether queueing
-// could help (resources busy, as opposed to a permanent error).
-func (ctx *connCtx) tryPlay(req wire.Play) (resp *wire.PlayOK, retry bool, err error) {
-	s, err := ctx.requireSession()
-	if err != nil {
-		return nil, false, err
+// dispatchLocked carries a planned placement out. Callers hold c.mu.
+// It journals muts first — what must survive a crash before any stream
+// leaves this process: the issued IDs at least, so a restarted
+// Coordinator never re-issues an ID the MSU or client may still be
+// using. Then it drops c.mu to tell the copies the plan preempted and
+// to start the streams on the MSU, and retakes it for the verdict. If
+// anything fails it stops the streams already running, rolls the
+// placement back and wakes the queue. Otherwise standing is the commit
+// verdict — false when the MSU died after answering, in which case its
+// msuDown has already taken over the group's recovery.
+func (c *Coordinator) dispatchLocked(p *placement, muts ...admindb.Mutation) (replies []wire.StartStreamOK, standing bool, err error) {
+	aborts := c.abortNoticesLocked(p.preempted, "preempted by a stream")
+	err = c.persistLocked(muts...)
+	peer := p.m.peer
+	c.mu.Unlock()
+	sendAborts(aborts)
+	replies = make([]wire.StartStreamOK, len(p.specs))
+	for i := 0; i < len(p.specs) && err == nil; i++ {
+		if err = peer.CallTimeout(wire.TypeStartStream, wire.StartStream{Spec: p.specs[i]}, &replies[i], msuRPCTimeout); err != nil {
+			for _, started := range p.specs[:i] {
+				peer.Notify(wire.TypeStopStream, wire.StopStream{Stream: started.Stream}) //nolint:errcheck // the MSU may be gone; its teardown stops them anyway
+			}
+		}
 	}
-	c := ctx.c
 	c.mu.Lock()
-
-	port, ok := s.ports[req.Port]
-	if !ok {
-		c.mu.Unlock()
-		return nil, false, fmt.Errorf("%w: %q", core.ErrNoSuchPort, req.Port)
-	}
-	parent, parts, err := c.expandContent(req.Content)
 	if err != nil {
-		c.mu.Unlock()
+		c.rollbackLocked(p)
 		return nil, false, err
 	}
-	// "Calliope checks that the port and the content have the same
-	// type" (§2.1).
-	if port.Type != parent.info.Type {
-		c.mu.Unlock()
-		return nil, false, fmt.Errorf("%w: content %q is %q, port %q is %q",
-			core.ErrTypeMismatch, req.Content, parent.info.Type, port.Name, port.Type)
-	}
-	cands := c.placeCandidatesLocked(parts)
-	if len(cands) == 0 {
-		c.mu.Unlock()
-		return nil, true, fmt.Errorf("%w: no live MSU holds %q", core.ErrMSUUnavailable, req.Content)
-	}
-	if req.ControlAddr == "" {
-		c.mu.Unlock()
-		return nil, false, fmt.Errorf("%w: play needs a control address", core.ErrBadRequest)
-	}
+	return replies, c.commitLocked(p), nil
+}
 
-	// Resolve each part's type and port up front; these fail identically
-	// on every candidate, so they are permanent errors, not placement
-	// failures.
-	ptypes := make([]core.ContentType, len(parts))
-	datas := make([]string, len(parts))
-	ctrls := make([]string, len(parts))
-	for pi, part := range parts {
-		t, ok := c.types[part.info.Type]
+// play schedules playback. With req.Wait a busy refusal queues (§2.2).
+func (ctx *connCtx) play(req wire.Play) (*wire.PlayOK, error) {
+	c := ctx.c
+	var s *session
+	var parent core.ContentInfo
+	var p *placement
+	// One pass of the admission path, under c.mu: validate, plan, dispatch.
+	err := c.waitQueue(req.Wait, obs.Event{Session: ctx.sessionID(), Content: req.Content}, func() (err error) {
+		if s, err = ctx.requireSession(); err != nil {
+			return err
+		}
+		port, ok := s.ports[req.Port]
 		if !ok {
-			c.mu.Unlock()
-			return nil, false, fmt.Errorf("%w: %q", core.ErrNoSuchType, part.info.Type)
+			return fmt.Errorf("%w: %q", core.ErrNoSuchPort, req.Port)
 		}
-		data, ctrl, err := portForType(s, port, part.info.Type)
+		rec, parts, err := c.expandContent(req.Content)
 		if err != nil {
-			c.mu.Unlock()
-			return nil, false, err
+			return err
 		}
-		ptypes[pi], datas[pi], ctrls[pi] = t, data, ctrl
-	}
-
-	var aborts []replAbort
-	defer func() { sendAborts(aborts) }()
-
-	c.nextGroup++
-	group := c.nextGroup
-	var planned []plannedStream
-	rollback := func() {
-		for _, p := range planned {
-			if a := c.active[p.spec.Stream]; a != nil {
-				c.releaseStreamLocked(a)
-				delete(c.active, p.spec.Stream)
+		// "Calliope checks that the port and the content have the same
+		// type" (§2.1).
+		if port.Type != rec.info.Type {
+			return fmt.Errorf("%w: content %q is %q, port %q is %q",
+				core.ErrTypeMismatch, req.Content, rec.info.Type, port.Name, port.Type)
+		}
+		if req.ControlAddr == "" {
+			return fmt.Errorf("%w: play needs a control address", core.ErrBadRequest)
+		}
+		cands := c.playCandidatesLocked(parts)
+		if len(cands) == 0 {
+			return busy("%w: no live MSU holds %q", core.ErrMSUUnavailable, req.Content)
+		}
+		parent = rec.info
+		c.nextGroup++
+		demands := make([]demand, len(parts))
+		for i, part := range parts {
+			t, ok := c.types[part.info.Type]
+			if !ok {
+				return fmt.Errorf("%w: %q", core.ErrNoSuchType, part.info.Type)
 			}
-		}
-		planned = planned[:0]
-	}
-	var m *msuState
-	attempt := func(cand playCandidate) bool {
-		m = cand.m
-		for pi, part := range parts {
-			t := ptypes[pi]
-			d := m.disks[cand.disks[pi]]
-			c.nextStream++
-			id := c.nextStream
-			diskReserved, err := c.reservePlayLocked(m, d, id, int64(t.Bandwidth), part.info.Name)
+			data, ctrl, err := portForType(s, port, part.info.Type)
 			if err != nil {
-				rollback()
-				return false
+				return err
 			}
-			spec := core.StreamSpec{
-				Stream:    id,
-				Group:     group,
-				GroupSize: len(parts),
-				Content:   part.info.Name,
-				Type:      part.info.Type,
-				Protocol:  t.Protocol,
-				Class:     t.Class,
-				Rate:      t.Bandwidth,
-				Disk:      cand.disks[pi],
-				DestAddr:  datas[pi],
-				CtrlAddr:  ctrls[pi],
-				ClientTCP: req.ControlAddr,
-			}
-			planned = append(planned, plannedStream{spec: spec, rec: part})
-			c.active[id] = &activeStream{
-				id: id, group: group, msu: m.id, disk: cand.disks[pi],
-				session: s.id, content: part.info.Name, typ: part.info.Type,
-				spec: spec, diskReserved: diskReserved,
-			}
+			c.nextStream++
+			demands[i] = demand{a: &activeStream{
+				id: c.nextStream, group: c.nextGroup, session: s.id,
+				content: part.info.Name, typ: part.info.Type,
+				spec: core.StreamSpec{
+					Stream:    c.nextStream,
+					Group:     c.nextGroup,
+					GroupSize: len(parts),
+					Content:   part.info.Name,
+					Type:      part.info.Type,
+					Protocol:  t.Protocol,
+					Class:     t.Class,
+					Rate:      t.Bandwidth,
+					DestAddr:  data,
+					CtrlAddr:  ctrl,
+					ClientTCP: req.ControlAddr,
+				},
+			}}
 		}
-		return true
-	}
-	placed := false
-	for _, cand := range cands {
-		if attempt(cand) {
-			placed = true
-			break
-		}
-	}
-	if !placed {
-		// Every replica is out of bandwidth. Plays preempt background
-		// copies, so first reclaim any slots transfers hold on the
-		// candidate MSUs and retry; failing even that, plan another
-		// replica — by the time it commits, this queued play re-runs and
-		// finds the new candidate.
-		var need int64
-		for _, t := range ptypes {
-			need += int64(t.Bandwidth)
-		}
-		preempted := false
-		for _, cand := range cands {
-			a, found := c.preemptReplicationsLocked(cand.m, cand.m.disks[cand.disks[0]], need)
-			aborts = append(aborts, a...)
-			preempted = preempted || found
-		}
-		if preempted {
-			for _, cand := range cands {
-				if attempt(cand) {
-					placed = true
-					break
-				}
-			}
-		}
-		if !placed {
+		if p = c.planLocked(demands, cands); p == nil {
+			// Every replica is out of bandwidth, background copies
+			// included. Plan another replica: by the time it commits, this
+			// queued play re-runs and finds the new candidate.
 			for _, part := range parts {
 				c.planReplicationLocked(part)
 			}
-			c.mu.Unlock()
-			return nil, true, fmt.Errorf("%w: no replica of %q has bandwidth", core.ErrNoResources, req.Content)
+			return busy("%w: no replica of %q has bandwidth", core.ErrNoResources, req.Content)
 		}
-	}
-	// The issued group/stream IDs must be durable before any of them
-	// leaves this process: a Coordinator that restarts mid-play must
-	// never re-issue an ID the MSU or client may still be using.
-	if err := c.persistLocked(c.countersLocked()); err != nil {
-		rollback()
-		c.mu.Unlock()
-		return nil, false, err
-	}
-	peer := m.peer
-	c.mu.Unlock()
-
-	// Issue StartStream RPCs outside the lock; roll back on failure.
-	started := 0
-	var callErr error
-	for _, p := range planned {
-		if callErr = peer.CallTimeout(wire.TypeStartStream, wire.StartStream{Spec: p.spec}, nil, msuRPCTimeout); callErr != nil {
-			break
+		// A fresh play does not queue behind a failed start: the client
+		// hears of it and decides.
+		if _, _, err := c.dispatchLocked(p, c.countersLocked()); err != nil {
+			return fmt.Errorf("coordinator: starting stream on %q: %w", p.m.id, err)
 		}
-		started++
-	}
-	if callErr != nil {
-		for i := 0; i < started; i++ {
-			peer.Notify(wire.TypeStopStream, wire.StopStream{Stream: planned[i].spec.Stream}) //nolint:errcheck
-		}
-		c.mu.Lock()
-		rollback()
-		c.mu.Unlock()
-		return nil, false, fmt.Errorf("coordinator: starting stream on %q: %w", m.id, callErr)
-	}
-
-	c.om.admitted.Inc()
-	c.om.dispatched.Add(int64(len(planned)))
-	c.event(obs.Event{Kind: obs.EvAdmit, Session: uint64(s.id), Group: group,
-		MSU: string(m.id), Content: req.Content, Disk: -1})
-	for _, p := range planned {
-		c.event(obs.Event{Kind: obs.EvDispatch, Session: uint64(s.id), Group: group,
-			Stream: uint64(p.spec.Stream), MSU: string(m.id), Disk: p.spec.Disk, Content: p.spec.Content})
-	}
-
-	out := &wire.PlayOK{Group: group, MSU: m.id, Length: parent.info.Length, Size: parent.info.Size}
-	for _, p := range planned {
-		out.Streams = append(out.Streams, wire.StreamInfo{
-			Stream: p.spec.Stream, Content: p.spec.Content, Type: p.spec.Type,
-		})
-	}
-	return out, false, nil
-}
-
-// record schedules a recording: it needs an MSU disk with both
-// bandwidth and space for every component (§2.2).
-func (ctx *connCtx) record(req wire.Record) (*wire.RecordOK, error) {
-	deadline := ctx.c.cfg.Now().Add(ctx.c.cfg.QueueTimeout)
-	for {
-		resp, retry, err := ctx.tryRecord(req)
-		if err == nil {
-			return resp, nil
-		}
-		if !req.Wait || !retry {
-			return nil, err
-		}
-		ctx.c.mu.Lock()
-		ch := ctx.c.release
-		ctx.c.mu.Unlock()
-		remain := deadline.Sub(ctx.c.cfg.Now())
-		if remain <= 0 {
-			return nil, fmt.Errorf("%w: queued past deadline", core.ErrNoResources)
-		}
-		t := time.NewTimer(remain)
-		select {
-		case <-ch:
-			t.Stop()
-		case <-t.C:
-			return nil, fmt.Errorf("%w: queued past deadline", core.ErrNoResources)
-		}
-	}
-}
-
-func (ctx *connCtx) tryRecord(req wire.Record) (resp *wire.RecordOK, retry bool, err error) {
-	s, err := ctx.requireSession()
+		return nil
+	})
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
-	if req.Estimate <= 0 {
-		return nil, false, fmt.Errorf("%w: recording needs a length estimate", core.ErrBadRequest)
+	group := p.specs[0].Group
+	c.om.admitted.Inc()
+	c.om.dispatched.Add(int64(len(p.specs)))
+	c.event(obs.Event{Kind: obs.EvAdmit, Session: uint64(s.id), Group: group,
+		MSU: string(p.m.id), Content: req.Content, Disk: -1})
+	out := &wire.PlayOK{Group: group, MSU: p.m.id, Length: parent.Length, Size: parent.Size}
+	for _, spec := range p.specs {
+		c.event(obs.Event{Kind: obs.EvDispatch, Session: uint64(s.id), Group: group,
+			Stream: uint64(spec.Stream), MSU: string(p.m.id), Disk: spec.Disk, Content: spec.Content})
+		out.Streams = append(out.Streams, wire.StreamInfo{Stream: spec.Stream, Content: spec.Content, Type: spec.Type})
 	}
-	if req.Content == "" {
-		return nil, false, fmt.Errorf("%w: recording needs a content name", core.ErrBadRequest)
-	}
-	if req.ControlAddr == "" {
-		return nil, false, fmt.Errorf("%w: record needs a control address", core.ErrBadRequest)
-	}
+	return out, nil
+}
+
+// record schedules a recording: it needs an MSU with disk bandwidth and
+// space for every component (§2.2: "It must schedule the request on an
+// MSU that has both disk space and bandwidth available").
+func (ctx *connCtx) record(req wire.Record) (*wire.RecordOK, error) {
 	c := ctx.c
-	c.mu.Lock()
-
-	port, ok := s.ports[req.Port]
-	if !ok {
-		c.mu.Unlock()
-		return nil, false, fmt.Errorf("%w: %q", core.ErrNoSuchPort, req.Port)
-	}
-	t, ok := c.types[req.Type]
-	if !ok {
-		c.mu.Unlock()
-		return nil, false, fmt.Errorf("%w: %q", core.ErrNoSuchType, req.Type)
-	}
-	if port.Type != req.Type {
-		c.mu.Unlock()
-		return nil, false, fmt.Errorf("%w: port %q is %q, recording %q", core.ErrTypeMismatch, port.Name, port.Type, req.Type)
-	}
-	if _, exists := c.contents[req.Content]; exists {
-		c.mu.Unlock()
-		return nil, false, fmt.Errorf("%w: content %q", core.ErrDuplicateName, req.Content)
-	}
-	// An in-flight recording of the same name also blocks reuse.
-	for _, a := range c.active {
-		if a.record && (a.content == req.Content || strings.HasPrefix(a.content, req.Content+"/")) {
-			c.mu.Unlock()
-			return nil, false, fmt.Errorf("%w: recording %q in progress", core.ErrDuplicateName, req.Content)
+	var p *placement
+	var replies []wire.StartStreamOK
+	// One pass of the admission path, under c.mu: validate, plan, dispatch.
+	err := c.waitQueue(req.Wait, obs.Event{Session: ctx.sessionID(), Content: req.Content}, func() error {
+		s, err := ctx.requireSession()
+		switch {
+		case err != nil:
+			return err
+		case req.Estimate <= 0:
+			return fmt.Errorf("%w: recording needs a length estimate", core.ErrBadRequest)
+		case req.Content == "":
+			return fmt.Errorf("%w: recording needs a content name", core.ErrBadRequest)
+		case req.ControlAddr == "":
+			return fmt.Errorf("%w: record needs a control address", core.ErrBadRequest)
 		}
-	}
-
-	// Expand composite recordings into component parts.
-	type part struct {
-		name, typ string
-		t         core.ContentType
-	}
-	var parts []part
-	if t.Composite() {
-		for _, compType := range t.Components {
-			ct, ok := c.types[compType]
-			if !ok {
-				c.mu.Unlock()
-				return nil, false, fmt.Errorf("%w: component type %q", core.ErrNoSuchType, compType)
+		port, ok := s.ports[req.Port]
+		if !ok {
+			return fmt.Errorf("%w: %q", core.ErrNoSuchPort, req.Port)
+		}
+		t, ok := c.types[req.Type]
+		if !ok {
+			return fmt.Errorf("%w: %q", core.ErrNoSuchType, req.Type)
+		}
+		if port.Type != req.Type {
+			return fmt.Errorf("%w: port %q is %q, recording %q", core.ErrTypeMismatch, port.Name, port.Type, req.Type)
+		}
+		if _, exists := c.contents[req.Content]; exists {
+			return fmt.Errorf("%w: content %q", core.ErrDuplicateName, req.Content)
+		}
+		// An in-flight recording of the same name also blocks reuse.
+		for _, a := range c.active {
+			if a.record && (a.content == req.Content || strings.HasPrefix(a.content, req.Content+"/")) {
+				return fmt.Errorf("%w: recording %q in progress", core.ErrDuplicateName, req.Content)
 			}
-			parts = append(parts, part{name: req.Content + "/" + compType, typ: compType, t: ct})
 		}
-	} else {
-		parts = append(parts, part{name: req.Content, typ: req.Type, t: t})
-	}
-
-	// Find an MSU hosting every part: bandwidth + space on its disks.
-	// "It must schedule the request on an MSU that has both disk space
-	// and bandwidth available."
-	var chosen *msuState
-	var placement []int // disk index per part
-	for _, m := range c.msus {
-		if !m.alive {
-			continue
+		// A composite recording is one stream per component type.
+		types := []string{req.Type}
+		if t.Composite() {
+			types = t.Components
 		}
-		placement = placement[:0]
-		ok := true
-		type tempRes struct {
-			d   *diskState
-			key uint64
-			bw  int64
-			sp  int64
-		}
-		var temp []tempRes
-		for pi, p := range parts {
-			found := -1
-			for di, d := range m.disks {
-				blocks := blocksForEstimate(p.t, req.Estimate, d.blockSize)
-				key := uint64(1<<63) + uint64(pi) // temporary probe keys
-				if err := d.bw.Reserve(key, int64(p.t.Bandwidth)); err != nil {
-					continue
+		c.nextGroup++
+		group := c.nextGroup
+		demands := make([]demand, len(types))
+		names := make([]string, len(types))
+		for i, typ := range types {
+			ct, name := t, req.Content
+			if t.Composite() {
+				if ct, ok = c.types[typ]; !ok {
+					return fmt.Errorf("%w: component type %q", core.ErrNoSuchType, typ)
 				}
-				if err := d.space.Reserve(key, blocks); err != nil {
-					d.bw.Release(key) //nolint:errcheck
-					continue
-				}
-				temp = append(temp, tempRes{d: d, key: key})
-				found = di
-				break
+				name = req.Content + "/" + typ
 			}
-			if found < 0 {
-				ok = false
-				break
+			// The MSU opens the sockets, so the port supplies no address —
+			// but it must have a component for every part.
+			if _, _, err := portForType(s, port, typ); err != nil {
+				return err
 			}
-			placement = append(placement, found)
+			c.nextStream++
+			names[i] = name
+			demands[i] = demand{
+				a: &activeStream{
+					id: c.nextStream, group: group, session: s.id,
+					content: name, typ: typ, record: true,
+					spec: core.StreamSpec{
+						Stream:    c.nextStream,
+						Group:     group,
+						GroupSize: len(types),
+						Content:   name,
+						Type:      typ,
+						Protocol:  ct.Protocol,
+						Class:     ct.Class,
+						Rate:      ct.Bandwidth,
+						ClientTCP: req.ControlAddr,
+						Record:    true,
+						Estimate:  req.Estimate,
+					},
+				},
+				blocks: func(blockSize int) int64 { return blocksForEstimate(ct, req.Estimate, blockSize) },
+			}
 		}
-		for _, tr := range temp {
-			tr.d.bw.Release(tr.key)    //nolint:errcheck
-			tr.d.space.Release(tr.key) //nolint:errcheck
+		if p = c.planLocked(demands, c.recordCandidatesLocked()); p == nil {
+			return busy("%w: no MSU with bandwidth and space", core.ErrNoResources)
 		}
-		if ok {
-			chosen = m
-			break
+		// Journal the recording as in flight: a Coordinator that crashes
+		// from here until the last component commits finds the entry at
+		// restart and reports the recording lost. msuDown settles the entry
+		// through recPending, so it is set before c.mu drops.
+		c.recPending[group] = nameSet(names)
+		if t.Composite() {
+			// Once every component commits, the parent is published.
+			c.pending[group] = &pendingComposite{parent: req.Content, typ: req.Type, waiting: nameSet(names)}
 		}
-	}
-	if chosen == nil {
-		c.mu.Unlock()
-		return nil, true, fmt.Errorf("%w: no MSU with bandwidth and space", core.ErrNoResources)
-	}
-
-	c.nextGroup++
-	group := c.nextGroup
-	var planned []core.StreamSpec
-	rollback := func() {
-		for _, spec := range planned {
-			d := chosen.disks[spec.Disk]
-			d.bw.Release(uint64(spec.Stream))    //nolint:errcheck
-			d.space.Release(uint64(spec.Stream)) //nolint:errcheck
-			delete(c.active, spec.Stream)
-		}
-	}
-	for pi, p := range parts {
-		d := chosen.disks[placement[pi]]
-		blocks := blocksForEstimate(p.t, req.Estimate, d.blockSize)
-		c.nextStream++
-		id := c.nextStream
-		if err := d.bw.Reserve(uint64(id), int64(p.t.Bandwidth)); err != nil {
-			rollback()
-			c.mu.Unlock()
-			return nil, true, err
-		}
-		if err := d.space.Reserve(uint64(id), blocks); err != nil {
-			d.bw.Release(uint64(id)) //nolint:errcheck
-			rollback()
-			c.mu.Unlock()
-			return nil, true, err
-		}
-		data, ctrl, err := portForType(s, port, p.typ)
+		replies, _, err = c.dispatchLocked(p, c.countersLocked(),
+			admindb.PutRecording(admindb.PendingRecording{Group: group, MSU: p.m.id, Contents: names}))
 		if err != nil {
-			d.bw.Release(uint64(id))    //nolint:errcheck
-			d.space.Release(uint64(id)) //nolint:errcheck
-			rollback()
-			c.mu.Unlock()
-			return nil, false, err
+			delete(c.recPending, group)
+			delete(c.pending, group)
+			c.persistLocked(admindb.DeleteRecording(group)) //nolint:errcheck // logged inside; an unsettled entry is re-reported lost after the next restart
+			return fmt.Errorf("coordinator: starting recording on %q: %w", p.m.id, err)
 		}
-		_ = data // recording: the MSU opens the sockets; port supplies nothing
-		_ = ctrl
-		spec := core.StreamSpec{
-			Stream:    id,
-			Group:     group,
-			GroupSize: len(parts),
-			Content:   p.name,
-			Type:      p.typ,
-			Protocol:  p.t.Protocol,
-			Class:     p.t.Class,
-			Rate:      p.t.Bandwidth,
-			Disk:      placement[pi],
-			ClientTCP: req.ControlAddr,
-			Record:    true,
-			Estimate:  req.Estimate,
-			Reserved:  units.ByteSize(blocks * int64(d.blockSize)),
-		}
-		planned = append(planned, spec)
-		c.active[id] = &activeStream{
-			id: id, group: group, msu: chosen.id, disk: placement[pi],
-			session: s.id, content: p.name, typ: p.typ, record: true,
-			spaceReserved: blocks, spec: spec, diskReserved: true,
-		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	// Journal the recording as in flight — plus the issued IDs — before
-	// any StartStream leaves this process. A Coordinator that crashes
-	// from here until the last component commits will find the entry at
-	// restart and report the recording lost.
-	names := make([]string, 0, len(parts))
-	waiting := make(map[string]bool, len(parts))
-	for _, p := range parts {
-		names = append(names, p.name)
-		waiting[p.name] = true
-	}
-	if err := c.persistLocked(c.countersLocked(),
-		admindb.PutRecording(admindb.PendingRecording{Group: group, MSU: chosen.id, Contents: names})); err != nil {
-		rollback()
-		c.mu.Unlock()
-		return nil, false, err
-	}
-	c.recPending[group] = waiting
-	peer := chosen.peer
-	c.mu.Unlock()
-
-	out := &wire.RecordOK{Group: group, MSU: chosen.id}
-	started := 0
-	var callErr error
-	for _, spec := range planned {
-		var ok wire.StartStreamOK
-		if callErr = peer.CallTimeout(wire.TypeStartStream, wire.StartStream{Spec: spec}, &ok, msuRPCTimeout); callErr != nil {
-			break
-		}
-		started++
+	c.om.records.Inc()
+	out := &wire.RecordOK{Group: p.specs[0].Group, MSU: p.m.id}
+	for i, spec := range p.specs {
 		out.Streams = append(out.Streams, wire.RecordStream{
 			Stream: spec.Stream, Content: spec.Content, Type: spec.Type,
-			DataAddr: ok.DataAddr, CtrlAddr: ok.CtrlAddr,
+			DataAddr: replies[i].DataAddr, CtrlAddr: replies[i].CtrlAddr,
 		})
 		out.Reserved += spec.Reserved
 	}
-	if callErr != nil {
-		for i := 0; i < started; i++ {
-			peer.Notify(wire.TypeStopStream, wire.StopStream{Stream: planned[i].Stream}) //nolint:errcheck
-		}
-		c.mu.Lock()
-		rollback()
-		delete(c.recPending, group)
-		c.persistLocked(admindb.DeleteRecording(group)) //nolint:errcheck // logged inside; an unsettled entry is re-reported lost after the next restart
-		c.mu.Unlock()
-		return nil, false, fmt.Errorf("coordinator: starting recording on %q: %w", chosen.id, callErr)
+	return out, nil
+}
+
+// nameSet is the "still waiting for" set of a recording's components.
+func nameSet(names []string) map[string]bool {
+	set := make(map[string]bool, len(names))
+	for _, n := range names {
+		set[n] = true
 	}
-	if t.Composite() {
-		compWaiting := make(map[string]bool, len(parts))
-		for _, p := range parts {
-			compWaiting[p.name] = true
-		}
-		c.mu.Lock()
-		c.pending[group] = &pendingComposite{parent: req.Content, typ: req.Type, waiting: compWaiting}
-		c.mu.Unlock()
-	}
-	c.om.records.Inc()
-	return out, false, nil
+	return set
 }
 
 // blocksForEstimate converts a recording-length estimate into a block
@@ -1395,10 +988,8 @@ func (ctx *connCtx) tryRecord(req wire.Record) (resp *wire.RecordOK, retry bool,
 // Coordinator uses this estimate and the content type information to
 // determine how much disk space the recording will consume").
 func blocksForEstimate(t core.ContentType, estimate time.Duration, blockSize int) int64 {
-	bytes := t.Storage.Bytes(estimate)
-	blocks := (int64(bytes) + int64(blockSize) - 1) / int64(blockSize)
-	if blocks < 1 {
-		blocks = 1
+	if blocks := blocksFor(t.Storage.Bytes(estimate), blockSize); blocks > 1 {
+		return blocks
 	}
-	return blocks
+	return 1
 }

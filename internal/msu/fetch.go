@@ -45,8 +45,9 @@ type fetchSlot struct {
 }
 
 // newFetcher builds the player's prefetch ring, or returns nil when the
-// direct-read path applies: Config.DirectIO, or content not backed by a
-// store file (test fixtures reading through the cursor only).
+// direct-read path applies: content not backed by a store file, or an
+// MSU without schedulers (test fixtures reading through the cursor
+// only).
 func newFetcher(p *player) *fetcher {
 	if p.file == nil || len(p.s.m.scheds) == 0 {
 		return nil

@@ -2,13 +2,13 @@ package msu
 
 // BenchmarkIOSched measures the per-disk I/O scheduler on the live
 // delivery path (§2.2.1): 24 concurrent players over one Sim-backed
-// volume, scheduler rounds (C-SCAN + coalescing via the prefetch ring)
-// against the DirectIO ablation where every player issues its own
-// blocking read. The Sim device serializes transfers on one mechanical
+// volume, reading through scheduler rounds (C-SCAN + coalescing via the
+// prefetch ring). The Sim device serializes transfers on one mechanical
 // model — seek curve, rotational latency, media rate — scaled down by
-// TimeScale, so the ns/op gap between the two variants is the
-// elevator's mechanical win replayed in miniature. The session harness
-// lives in measure.go, shared with cmd/calliope-bench's -json output.
+// TimeScale. The unscheduled path this once ran beside is gone; its
+// numbers are in BENCH_8.json (7.6k vs 23.9k pkts/s). The session
+// harness lives in measure.go, shared with cmd/calliope-bench's -json
+// output.
 
 import (
 	"fmt"
@@ -37,9 +37,9 @@ const (
 )
 
 // newTestMSU is newBenchMSU with test lifecycle management.
-func newTestMSU(tb testing.TB, direct, striped bool, vols ...*msufs.Volume) *MSU {
+func newTestMSU(tb testing.TB, striped bool, vols ...*msufs.Volume) *MSU {
 	tb.Helper()
-	m, err := newBenchMSU(direct, striped, vols...)
+	m, err := newBenchMSU(striped, vols...)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -68,44 +68,34 @@ func runSession(tb testing.TB, streams []*stream) {
 	}
 }
 
-// BenchmarkIOSched compares scheduler rounds against direct reads at 24
-// concurrent readers. One op is one full session: every reader plays
-// its own title end to end. Alongside ns/op it reports the Sim's head
-// travel per session — the deterministic quantity C-SCAN shrinks.
+// BenchmarkIOSched measures scheduler rounds at 24 concurrent readers.
+// One op is one full session: every reader plays its own title end to
+// end. Alongside ns/op it reports the Sim's head travel per session —
+// the deterministic quantity C-SCAN shrinks.
 func BenchmarkIOSched(b *testing.B) {
-	for _, variant := range []struct {
-		name   string
-		direct bool
-	}{
-		{"sched", false},
-		{"direct", true},
-	} {
-		b.Run(variant.name, func(b *testing.B) {
-			vol, err := newSimVolume(64*int64(units.MB), benchSimScale)
-			if err != nil {
-				b.Fatal(err)
-			}
-			sim := vol.Device().(*blockdev.Sim)
-			m := newTestMSU(b, variant.direct, false, vol)
-			pkts := flatPackets(benchPacketsPerTitle)
-			streams := make([]*stream, benchReaders)
-			for i := range streams {
-				name := fmt.Sprintf("title-%02d", i)
-				if err := Ingest(m.stores[0], name, "mpeg1", pkts); err != nil {
-					b.Fatal(err)
-				}
-				streams[i] = openTestStream(b, m, 0, core.StreamID(i+1), name)
-			}
-			seekBase, opsBase := sim.SeekBytes(), sim.Ops()
-			b.SetBytes(int64(benchReaders) * benchPacketsPerTitle * 4096)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				runSession(b, streams)
-			}
-			b.StopTimer()
-			n := float64(b.N)
-			b.ReportMetric(float64(sim.SeekBytes()-seekBase)/n/1e6, "seekMB/op")
-			b.ReportMetric(float64(sim.Ops()-opsBase)/n, "xfers/op")
-		})
+	vol, err := newSimVolume(64*int64(units.MB), benchSimScale)
+	if err != nil {
+		b.Fatal(err)
 	}
+	sim := vol.Device().(*blockdev.Sim)
+	m := newTestMSU(b, false, vol)
+	pkts := flatPackets(benchPacketsPerTitle)
+	streams := make([]*stream, benchReaders)
+	for i := range streams {
+		name := fmt.Sprintf("title-%02d", i)
+		if err := Ingest(m.stores[0], name, "mpeg1", pkts); err != nil {
+			b.Fatal(err)
+		}
+		streams[i] = openTestStream(b, m, 0, core.StreamID(i+1), name)
+	}
+	seekBase, opsBase := sim.SeekBytes(), sim.Ops()
+	b.SetBytes(int64(benchReaders) * benchPacketsPerTitle * 4096)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		runSession(b, streams)
+	}
+	b.StopTimer()
+	n := float64(b.N)
+	b.ReportMetric(float64(sim.SeekBytes()-seekBase)/n/1e6, "seekMB/op")
+	b.ReportMetric(float64(sim.Ops()-opsBase)/n, "xfers/op")
 }

@@ -61,13 +61,12 @@ func newSimVolume(size int64, scale float64) (*msufs.Volume, error) {
 // a Coordinator (New never dials; only Start does). Caching is
 // disabled so every page comes off the device and the measurement
 // isolates the I/O path.
-func newBenchMSU(direct, striped bool, vols ...*msufs.Volume) (*MSU, error) {
+func newBenchMSU(striped bool, vols ...*msufs.Volume) (*MSU, error) {
 	return New(Config{
 		ID:          "bench",
 		Coordinator: "127.0.0.1:1",
 		Volumes:     vols,
 		Striped:     striped,
-		DirectIO:    direct,
 		CacheBytes:  -1,
 	})
 }
@@ -145,12 +144,12 @@ type ioBench struct {
 }
 
 // newIOBench assembles the 24-reader harness over one Sim volume.
-func newIOBench(readers, packetsPerTitle int, direct bool, scale float64) (*ioBench, error) {
+func newIOBench(readers, packetsPerTitle int, scale float64) (*ioBench, error) {
 	vol, err := newSimVolume(64*int64(units.MB), scale)
 	if err != nil {
 		return nil, err
 	}
-	m, err := newBenchMSU(direct, false, vol)
+	m, err := newBenchMSU(false, vol)
 	if err != nil {
 		return nil, err
 	}
@@ -208,34 +207,24 @@ func (ib *ioBench) measure(name string, sessions int) (BenchResult, error) {
 	}, nil
 }
 
-// MeasureIOSched runs BenchmarkIOSched's comparison outside the
-// testing framework: scheduler rounds vs the DirectIO ablation, 24
-// concurrent readers over one mechanically-modelled volume, the given
-// number of sessions each. One op is one full session.
+// MeasureIOSched runs BenchmarkIOSched's measurement outside the
+// testing framework: scheduler rounds for 24 concurrent readers over
+// one mechanically-modelled volume, the given number of sessions. One
+// op is one full session; the result is the single "iosched/sched" row.
 func MeasureIOSched(sessions int) ([]BenchResult, error) {
 	if sessions < 1 {
 		sessions = 1
 	}
-	var out []BenchResult
-	for _, variant := range []struct {
-		name   string
-		direct bool
-	}{
-		{"iosched/sched", false},
-		{"iosched/direct", true},
-	} {
-		ib, err := newIOBench(24, 256, variant.direct, 100)
-		if err != nil {
-			return nil, err
-		}
-		res, err := ib.measure(variant.name, sessions)
-		ib.close()
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, res)
+	ib, err := newIOBench(24, 256, 100)
+	if err != nil {
+		return nil, err
 	}
-	return out, nil
+	defer ib.close()
+	res, err := ib.measure("iosched/sched", sessions)
+	if err != nil {
+		return nil, err
+	}
+	return []BenchResult{res}, nil
 }
 
 // MeasureDelivery times the zero-copy delivery path end to end — disk
@@ -256,7 +245,7 @@ func MeasureDelivery(sessions int) (BenchResult, error) {
 	if err != nil {
 		return BenchResult{}, err
 	}
-	m, err := newBenchMSU(false, false, vol)
+	m, err := newBenchMSU(false, vol)
 	if err != nil {
 		return BenchResult{}, err
 	}

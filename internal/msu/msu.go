@@ -77,10 +77,6 @@ type Config struct {
 	// streams). Zero selects DefaultCacheBytes; negative disables
 	// caching.
 	CacheBytes units.ByteSize
-	// DirectIO bypasses the per-volume I/O schedulers: every player
-	// issues its own blocking ReadBlock, the pre-scheduler behavior.
-	// Kept as the ablation baseline BenchmarkIOSched measures against.
-	DirectIO bool
 	// IODepth bounds in-flight transfers per physical volume in the
 	// I/O scheduler. 0 or 1 is the paper's one-I/O-per-disk invariant
 	// (§2.2.1); raise it for devices with useful internal queueing.
@@ -121,10 +117,10 @@ type MSU struct {
 	// stores; entries are nil when caching is disabled or the budget
 	// is below one page.
 	caches []*cache.Cache
-	// scheds holds one I/O scheduler per physical volume (nil map when
-	// Config.DirectIO): every player's page read on that volume flows
-	// through its scheduler, so the per-disk C-SCAN rounds see the
-	// whole MSU's demand. Built once in New, immutable after.
+	// scheds holds one I/O scheduler per physical volume: every
+	// player's page read on that volume flows through its scheduler, so
+	// the per-disk C-SCAN rounds see the whole MSU's demand. Built once
+	// in New, immutable after; nil only on a fixture not built by New.
 	scheds map[*msufs.Volume]*iosched.Scheduler
 	// storeVols lists the member volumes behind each logical disk,
 	// indexed like stores, for per-disk scheduler stat aggregation.
@@ -201,11 +197,9 @@ func New(cfg Config) (*MSU, error) {
 		quit:      make(chan struct{}),
 	}
 	m.obs = newMSUMetrics(obs.New(obs.Options{Now: time.Now}))
-	if !cfg.DirectIO {
-		m.scheds = make(map[*msufs.Volume]*iosched.Scheduler, len(cfg.Volumes))
-		for _, v := range cfg.Volumes {
-			m.scheds[v] = iosched.New(v.Device(), iosched.Options{Depth: cfg.IODepth, Now: time.Now})
-		}
+	m.scheds = make(map[*msufs.Volume]*iosched.Scheduler, len(cfg.Volumes))
+	for _, v := range cfg.Volumes {
+		m.scheds[v] = iosched.New(v.Device(), iosched.Options{Depth: cfg.IODepth, Now: time.Now})
 	}
 	return m, nil
 }
@@ -244,8 +238,8 @@ func (m *MSU) cacheFor(disk int) *cache.Cache {
 	return m.caches[disk]
 }
 
-// schedFor returns the I/O scheduler owning a physical volume, or nil
-// when DirectIO is on. scheds is immutable after New, so no lock.
+// schedFor returns the I/O scheduler owning a physical volume. scheds
+// is immutable after New, so no lock.
 func (m *MSU) schedFor(v *msufs.Volume) *iosched.Scheduler {
 	return m.scheds[v]
 }
