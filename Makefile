@@ -32,10 +32,11 @@ leakcheck:
 
 # Failure-recovery tests under deterministic fault injection
 # (internal/faultinject; see DESIGN.md, "Failure handling"), including
-# the Coordinator crash–restart scenarios backed by internal/admindb
-# and the admission core's plan/rollback and ledger-conservation tests.
+# the Coordinator crash–restart scenarios backed by internal/admindb,
+# the admission core's plan/rollback and ledger-conservation tests, and
+# the MSU's quit-acknowledgement and stop-drains-the-sink regressions.
 faults:
-	$(GO) test -race -timeout 120s -run 'Fault|Failover|Redispatch|Reconnect|MSUDown|Lost|Restart|Orphan|Corrupt|PlanStep|LedgerConservation|RecordPlacement|QueuedPlayWakes' . ./internal/coordinator ./internal/client ./internal/msu ./internal/faultinject ./internal/admindb
+	$(GO) test -race -timeout 120s -run 'Fault|Failover|Redispatch|Reconnect|MSUDown|Lost|Restart|Orphan|Corrupt|PlanStep|LedgerConservation|RecordPlacement|QueuedPlayWakes|CutAll|QuitIsAcknowledged|StopKeeps' . ./internal/coordinator ./internal/client ./internal/msu ./internal/faultinject ./internal/admindb
 
 # The demand-driven replication subsystem: copy-engine framing, the
 # MSU transfer path, the Coordinator placement policy, and the
@@ -63,9 +64,11 @@ bench-smoke:
 
 # The §2.3 delivery-path microbenches: allocs/op and packets/sec from
 # disk read to UDP write, zero-copy vs the legacy copy-per-packet
-# baseline, plus the page-granular ibtree cursor (DESIGN.md §3d).
+# baseline, plus the page-granular ibtree cursor and what positioning it
+# costs from the start, through the resident index and cold (DESIGN.md
+# §3d).
 bench-path:
-	$(GO) test -run=NONE -bench='PlayerDeliveryPath|PageCursorNext|CursorNext|SeekTime' -benchmem ./internal/msu ./internal/ibtree
+	$(GO) test -run=NONE -bench='PlayerDeliveryPath|PageCursorNext|CursorNext|SeekTime|PageCursorAt' -benchmem ./internal/msu ./internal/ibtree
 
 # The §3e RAM interval cache: hot-replay disk-read savings and the
 # allocation-free cache-hit delivery path, plus the cache's own

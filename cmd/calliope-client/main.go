@@ -158,8 +158,9 @@ func main() {
 }
 
 // watch polls StatusV2 every interval and prints one line per tick:
-// the cluster gauges, plus delivery/cache rates computed from the
-// difference between successive snapshots.
+// the cluster gauges, plus delivery/cache rates and the mean start-up
+// of the players started in the tick, computed from the difference
+// between successive snapshots.
 func watch(c *calliope.Client, interval time.Duration) {
 	var prev calliope.StatusV2
 	have := false
@@ -180,6 +181,9 @@ func watch(c *calliope.Client, interval time.Duration) {
 			line += fmt.Sprintf("  %6.0f pkt/s  %-12v", float64(d.Counter("delivery_packets_total"))/secs, bps)
 			if looks := d.Counter("cache_page_hits_total") + d.Counter("disk_pages_read_total"); looks > 0 {
 				line += fmt.Sprintf("  cache %d%%", d.Counter("cache_page_hits_total")*100/looks)
+			}
+			if h := d.Hists["delivery_startup_seconds"]; h.Count > 0 {
+				line += fmt.Sprintf("  start %.1f ms", h.Sum/float64(h.Count)*1000)
 			}
 		}
 		fmt.Println(line)

@@ -25,6 +25,7 @@ package faultinject
 import (
 	"fmt"
 	"net"
+	"sort"
 	"sync"
 	"time"
 )
@@ -131,7 +132,10 @@ func (in *Injector) Partition(on bool) {
 
 // CutAll severs every live connection made through this injector —
 // with Partition(true) first, the wrapped process has crashed as far
-// as the rest of the cluster can tell.
+// as the rest of the cluster can tell. Connections are cut in the order
+// they were opened, so the outcome does not depend on map order: an
+// MSU's Coordinator link, dialled at start-up, dies before the client
+// control links whose loss the MSU would otherwise still report over it.
 func (in *Injector) CutAll() {
 	in.mu.Lock()
 	conns := make([]*Conn, 0, len(in.conns))
@@ -139,6 +143,7 @@ func (in *Injector) CutAll() {
 		conns = append(conns, c)
 	}
 	in.mu.Unlock()
+	sort.Slice(conns, func(i, j int) bool { return conns[i].seq < conns[j].seq })
 	for _, c := range conns {
 		c.Cut()
 	}
@@ -218,6 +223,7 @@ func (in *Injector) track(conn net.Conn) *Conn {
 	in.mu.Lock()
 	idx := in.seq
 	in.seq++
+	c.seq = idx
 	in.conns[c] = struct{}{}
 	var fire []Rule
 	for _, r := range in.rules {
@@ -242,7 +248,8 @@ func (in *Injector) forget(c *Conn) {
 // come from an Injector's Dial or Listener wrappers.
 type Conn struct {
 	net.Conn
-	in *Injector
+	in  *Injector
+	seq int // position in the injector's open order; fixed by track
 
 	mu      sync.Mutex
 	cut     bool

@@ -186,6 +186,38 @@ func TestCutAllAndLive(t *testing.T) {
 	}
 }
 
+// closeLog is a net.Conn that only records when it was closed.
+type closeLog struct {
+	net.Conn
+	id    int
+	order *[]int
+}
+
+func (c closeLog) Close() error {
+	*c.order = append(*c.order, c.id)
+	return nil
+}
+
+// TestCutAllInOpenOrder pins what a crash looks like from outside: the
+// connections die oldest first, whatever the map holding them says.
+func TestCutAllInOpenOrder(t *testing.T) {
+	in := New(Options{})
+	var order []int
+	const n = 40
+	for i := 0; i < n; i++ {
+		in.track(closeLog{id: i, order: &order})
+	}
+	in.CutAll()
+	if len(order) != n {
+		t.Fatalf("CutAll closed %d of %d connections", len(order), n)
+	}
+	for i, id := range order {
+		if id != i {
+			t.Fatalf("cut order %v, want the order the connections were opened in", order)
+		}
+	}
+}
+
 func TestListenerWrapsAccepted(t *testing.T) {
 	in := New(Options{})
 	base, err := net.Listen("tcp", "127.0.0.1:0")

@@ -107,3 +107,47 @@ func BenchmarkSeekTime(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkPageCursorAt prices the three ways a player is positioned:
+// zero is a play from the start (no descent at all), warm a seek through
+// a resident index (memo hits, nothing page-sized allocated), cold the
+// first seek into a title (every node on the path read and decoded).
+func BenchmarkPageCursorAt(b *testing.B) {
+	const n = 1 << 16
+	tr := benchTree(b, n)
+	at := func(i int) time.Duration { return time.Duration(1+i%(n-1)) * time.Millisecond }
+	b.Run("zero", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := tr.PageCursorAt(0); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("warm", func(b *testing.B) {
+		for i := 0; i < n; i += 64 { // visit every level-1 node once
+			if _, err := tr.PageCursorAt(at(i)); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := tr.PageCursorAt(at(i)); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("cold", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			fresh, err := Open(tr.f, tr.pageSize, tr.meta)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := fresh.PageCursorAt(at(i)); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}

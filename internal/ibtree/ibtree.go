@@ -124,10 +124,12 @@ func deserializeNode(p []byte) (*node, error) {
 	if len(p) < nodeHdrLen+nkeys*entryLen {
 		return nil, fmt.Errorf("%w: node shorter than its key count", ErrCorrupt)
 	}
+	n.keys = make([]time.Duration, nkeys)
+	n.childs = make([]uint64, nkeys)
 	off := nodeHdrLen
 	for i := 0; i < nkeys; i++ {
-		n.keys = append(n.keys, time.Duration(binary.BigEndian.Uint64(p[off:])))
-		n.childs = append(n.childs, binary.BigEndian.Uint64(p[off+8:]))
+		n.keys[i] = time.Duration(binary.BigEndian.Uint64(p[off:]))
+		n.childs[i] = binary.BigEndian.Uint64(p[off+8:])
 		off += entryLen
 	}
 	return n, nil
@@ -203,7 +205,10 @@ func (b *Builder) Append(pkt Packet) error {
 	if need > b.pageSize-pageHdrLen {
 		return fmt.Errorf("%w: %d bytes into %d-byte pages", ErrTooLarge, len(pkt.Payload), b.pageSize)
 	}
-	if b.pageUsed+need > b.pageSize {
+	// Closing a page can cascade full internal pages into the fresh one;
+	// when they leave too little room for this packet, that page goes out
+	// holding index only and the packet opens the next.
+	for b.pageUsed+need > b.pageSize {
 		if err := b.closeDataPage(); err != nil {
 			return err
 		}

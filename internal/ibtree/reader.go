@@ -4,14 +4,34 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sort"
+	"sync"
 	"time"
 )
 
-// Tree reads a finalized IB-tree.
+// Tree reads a finalized IB-tree. It is safe for concurrent use: every
+// cursor of one content file shares one Tree and, through it, one copy
+// of the index.
 type Tree struct {
 	f        BlockFile
 	pageSize int
 	meta     Meta
+
+	// nodes memoises the decoded internal pages PageCursorAt has walked,
+	// by location. The index of a finalized tree never changes, so an
+	// entry is valid for the Tree's lifetime; a decoded node is at most
+	// 16 KB where the data page it was cut from is 256 KB, and a title
+	// has one level-1 node per 1024 data pages.
+	mu    sync.Mutex
+	nodes map[Ptr]*memoNode
+}
+
+// memoNode is one memoised node. once serialises the first load, so
+// concurrent seeks that miss on the same node cost one read between
+// them.
+type memoNode struct {
+	once sync.Once
+	n    *node
+	err  error
 }
 
 // Open attaches to a finalized tree described by meta.
@@ -52,7 +72,7 @@ func (t *Tree) readPage(i int64, buf []byte) error {
 }
 
 // readNode loads the embedded internal page at p, reading the data page
-// into buf (the caller's scratch, reused across a descent).
+// it sits in into buf (the caller's scratch).
 func (t *Tree) readNode(p Ptr, buf []byte) (*node, error) {
 	if err := t.readPage(p.Page, buf); err != nil {
 		return nil, err
@@ -72,18 +92,39 @@ func (t *Tree) readNode(p Ptr, buf []byte) (*node, error) {
 	return deserializeNode(buf[p.Offset : int(p.Offset)+n])
 }
 
+// memoised returns the node at p from the memo, reading and decoding
+// it first if no seek has been through it yet. A failed read is not
+// remembered: the device may answer the next one.
+func (t *Tree) memoised(p Ptr) (*node, error) {
+	t.mu.Lock()
+	e := t.nodes[p]
+	if e == nil {
+		if t.nodes == nil {
+			t.nodes = make(map[Ptr]*memoNode)
+		}
+		e = &memoNode{}
+		t.nodes[p] = e
+	}
+	t.mu.Unlock()
+	e.once.Do(func() {
+		e.n, e.err = t.readNode(p, make([]byte, t.pageSize))
+		if e.err != nil {
+			t.mu.Lock()
+			delete(t.nodes, p)
+			t.mu.Unlock()
+		}
+	})
+	return e.n, e.err
+}
+
 // descend walks the embedded internal pages from the root down to the
 // leaf data page that contains the first packet with delivery time
-// ≥ tm, reusing one scratch buffer for every level of the descent. The
-// number of pages it touches is the tree height.
-func (t *Tree) descend(tm time.Duration) (Ptr, error) {
+// ≥ tm, fetching each node with load. The number of nodes it visits is
+// the tree height.
+func (t *Tree) descend(tm time.Duration, load func(Ptr) (*node, error)) (Ptr, error) {
 	ptr := t.meta.Root
-	if t.meta.RootLevel < 1 {
-		return ptr, nil // leaf-only file: the root points at the data pages
-	}
-	scratch := make([]byte, t.pageSize)
 	for level := t.meta.RootLevel; level >= 1; level-- {
-		n, err := t.readNode(ptr, scratch)
+		n, err := load(ptr)
 		if err != nil {
 			return Ptr{}, err
 		}
@@ -109,13 +150,17 @@ func (t *Tree) descend(tm time.Duration) (Ptr, error) {
 
 // SeekTime positions a cursor at the first packet with delivery time
 // ≥ tm (or at the last packet if tm is beyond the end). It traverses
-// the embedded internal pages "in the usual way" (§2.2.1). The number
-// of pages it touches is the tree height + 1.
+// the embedded internal pages "in the usual way" (§2.2.1), reading each
+// off the file through one scratch page: the number of pages it touches
+// is the tree height + 1. It shares nothing with the memo PageCursorAt
+// descends through, which is what makes it the reference the memo is
+// tested against.
 func (t *Tree) SeekTime(tm time.Duration) (*Cursor, error) {
 	if tm > t.meta.Length {
 		tm = t.meta.Length // beyond the end: deliver the final packet
 	}
-	ptr, err := t.descend(tm)
+	scratch := make([]byte, t.pageSize)
+	ptr, err := t.descend(tm, func(p Ptr) (*node, error) { return t.readNode(p, scratch) })
 	if err != nil {
 		return nil, err
 	}
@@ -258,8 +303,14 @@ type PageCursor struct {
 
 // PageCursorAt returns a page cursor positioned so that the first span
 // it yields is the first packet with delivery time ≥ tm (the last
-// packet if tm is beyond the end). The descent reuses one scratch
-// buffer across all levels.
+// packet if tm is beyond the end).
+//
+// Playing from the start costs no index I/O (§2.2.1): with no key below
+// tm the descent would take the first child at every level, and the
+// builder puts the first packet in data page 0, so the cursor starts
+// there without looking. Any other position descends through the memo,
+// so only a node no seek has visited before is read, and once a title's
+// index is resident a seek touches no page but the one it lands on.
 func (t *Tree) PageCursorAt(tm time.Duration) (*PageCursor, error) {
 	if tm < 0 {
 		tm = 0
@@ -267,7 +318,10 @@ func (t *Tree) PageCursorAt(tm time.Duration) (*PageCursor, error) {
 	if tm > t.meta.Length {
 		tm = t.meta.Length // beyond the end: deliver the final packet
 	}
-	ptr, err := t.descend(tm)
+	if tm <= 0 {
+		return &PageCursor{t: t, cur: -1, skip: tm}, nil
+	}
+	ptr, err := t.descend(tm, t.memoised)
 	if err != nil {
 		return nil, err
 	}

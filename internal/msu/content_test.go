@@ -1,0 +1,353 @@
+package msu
+
+import (
+	"encoding/json"
+	"net"
+	"sync"
+	"testing"
+	"time"
+
+	"calliope/internal/blockdev"
+	"calliope/internal/core"
+	"calliope/internal/media"
+	"calliope/internal/msufs"
+	"calliope/internal/units"
+	"calliope/internal/wire"
+)
+
+// readLog is the device under a test volume: it counts the transfers
+// that reach it (a coalesced read is one) and which blocks each covered.
+type readLog struct {
+	blockdev.BlockDevice
+	blockSize int64
+
+	mu    sync.Mutex
+	reads int64
+	at    map[int64]int // device offset of a block → transfers that read it
+}
+
+func (d *readLog) log(off, n int64) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.reads++
+	for o := off; o < off+n; o += d.blockSize {
+		d.at[o]++
+	}
+}
+
+func (d *readLog) ReadAt(p []byte, off int64) error {
+	d.log(off, int64(len(p)))
+	return d.BlockDevice.ReadAt(p, off)
+}
+
+func (d *readLog) ReadAtv(off int64, bufs ...[]byte) error {
+	var n int64
+	for _, b := range bufs {
+		n += int64(len(b))
+	}
+	d.log(off, n)
+	return blockdev.ReadVector(d.BlockDevice, off, bufs...)
+}
+
+func (d *readLog) total() int64 {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.reads
+}
+
+func (d *readLog) readsOf(off int64) int {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.at[off]
+}
+
+// vcrRig drives one MSU built by New the way a Coordinator and a client
+// would, minus the Coordinator: streams start through startStream, the
+// MSU dials the rig's control listener, and every stream delivers to the
+// rig's one UDP sink.
+type vcrRig struct {
+	t    *testing.T
+	m    *MSU
+	dev  *readLog
+	sink *net.UDPConn
+	ln   net.Listener
+	vcrs chan *wire.Peer
+	next uint64
+}
+
+func newVCRRig(t *testing.T) *vcrRig {
+	t.Helper()
+	const blockSize = 64 * 1024
+	mem, err := blockdev.NewMem(32 * int64(units.MB))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dev := &readLog{BlockDevice: mem, blockSize: blockSize, at: make(map[int64]int)}
+	vol, err := msufs.Format(dev, msufs.Options{BlockSize: blockSize})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := New(Config{ID: "rig", Coordinator: "127.0.0.1:1", Volumes: []*msufs.Volume{vol}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { m.Close() }) //nolint:errcheck // best-effort teardown
+	sink, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { sink.Close() }) //nolint:errcheck
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := &vcrRig{t: t, m: m, dev: dev, sink: sink, ln: ln, vcrs: make(chan *wire.Peer, 1)}
+	accepted := make(chan struct{})
+	go func() {
+		defer close(accepted)
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			r.vcrs <- wire.NewPeer(conn, func(string, json.RawMessage) (any, error) { return nil, nil }, nil)
+		}
+	}()
+	t.Cleanup(func() {
+		ln.Close() //nolint:errcheck
+		<-accepted
+	})
+	return r
+}
+
+// play starts a stream of content from 0 and returns its control peer.
+func (r *vcrRig) play(content string) *wire.Peer {
+	r.t.Helper()
+	r.next++
+	_, err := r.m.startStream(core.StreamSpec{
+		Stream: core.StreamID(r.next), Group: r.next, GroupSize: 1,
+		Content: content, Type: "mpeg1", Protocol: "cbr", Class: core.ConstantRate,
+		Rate:      1500 * units.Kbps,
+		DestAddr:  r.sink.LocalAddr().String(),
+		ClientTCP: r.ln.Addr().String(),
+	})
+	if err != nil {
+		r.t.Fatalf("start-stream %q: %v", content, err)
+	}
+	select {
+	case p := <-r.vcrs:
+		return p
+	case <-time.After(5 * time.Second):
+		r.t.Fatal("MSU never dialled the control listener")
+		return nil
+	}
+}
+
+func (r *vcrRig) vcr(p *wire.Peer, op string, pos time.Duration) {
+	r.t.Helper()
+	if err := p.Call(wire.TypeVCR, wire.VCR{Op: op, Pos: pos}, &wire.VCRAck{}); err != nil {
+		r.t.Fatalf("vcr %s: %v", op, err)
+	}
+}
+
+// quit ends a stream and waits until the MSU has torn it down, so no
+// read of its is still in flight when the caller compares counters, and
+// empties the sink of what it sent.
+func (r *vcrRig) quit(p *wire.Peer) {
+	r.t.Helper()
+	r.vcr(p, "quit", 0)
+	p.Close() //nolint:errcheck // the MSU closes its end too
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		r.m.mu.Lock()
+		n := len(r.m.streams)
+		r.m.mu.Unlock()
+		if n == 0 {
+			buf := make([]byte, 4096)
+			for err := error(nil); err == nil; {
+				r.sink.SetReadDeadline(time.Now().Add(5 * time.Millisecond)) //nolint:errcheck
+				_, _, err = r.sink.ReadFromUDP(buf)
+			}
+			return
+		}
+		if time.Now().After(deadline) {
+			r.t.Fatalf("%d streams linger after quit", n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// frame waits for a datagram from frame number ≥ min and returns its
+// frame number (what came before a seek took effect is read past).
+func (r *vcrRig) frame(min uint32) uint32 {
+	r.t.Helper()
+	buf := make([]byte, 4096)
+	r.sink.SetReadDeadline(time.Now().Add(5 * time.Second)) //nolint:errcheck
+	for {
+		n, _, err := r.sink.ReadFromUDP(buf)
+		if err != nil {
+			r.t.Fatalf("no packet from frame ≥ %d: %v", min, err)
+		}
+		h, err := media.ParseHeader(buf[:n])
+		if err != nil {
+			r.t.Fatal(err)
+		}
+		if h.Frame >= min {
+			return h.Frame
+		}
+	}
+}
+
+// rootOffset is where on the device the page holding a file's IB-tree
+// root sits.
+func (r *vcrRig) rootOffset(name string) int64 {
+	r.t.Helper()
+	f, err := r.m.stores[0].Open(name)
+	if err != nil {
+		r.t.Fatal(err)
+	}
+	tree, err := treeFromAttrs(f, r.m.stores[0].BlockSize())
+	if err != nil {
+		r.t.Fatal(err)
+	}
+	_, off, err := f.Locate(tree.Meta().Root.Page)
+	if err != nil {
+		r.t.Fatal(err)
+	}
+	return off
+}
+
+// allScheduled asserts the invariant: every read that has reached the
+// device was issued by its volume's scheduler.
+func (r *vcrRig) allScheduled(when string) {
+	r.t.Helper()
+	if dev, sched := r.dev.total(), r.m.ioStats(0).Reads; dev != sched {
+		r.t.Errorf("%s: %d reads reached the device, its scheduler issued %d", when, dev, sched)
+	}
+}
+
+func ingestMovie(t *testing.T, store msufs.Store, name string, dur time.Duration, fps int) {
+	t.Helper()
+	pkts, err := media.GenerateCBR(media.CBRConfig{
+		Rate: 1500 * units.Kbps, PacketSize: 1024, FPS: fps, GOP: 15, Duration: dur,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := Ingest(store, name, "mpeg1", pkts); err != nil {
+		t.Fatal(err)
+	}
+	if err := IngestFast(store, name, "mpeg1", pkts, 0); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestPlayPathReadsThroughScheduler pins the rule content.go states. On
+// an MSU built by New, through plays from the start, a seek, the same
+// seek again, a pause and resume and a fast scan: the device serves
+// exactly the reads its scheduler issued; a play from the start reads no
+// index; the first seek reads the root page once and the second not at
+// all; and after delete and re-record under the same name a seek goes by
+// the new file's index.
+func TestPlayPathReadsThroughScheduler(t *testing.T) {
+	r := newVCRRig(t)
+	ingestMovie(t, r.m.stores[0], "movie", 20*time.Second, 30)
+	root := r.rootOffset("movie")
+
+	for i := 0; i < 3; i++ {
+		p := r.play("movie")
+		r.frame(0)
+		r.quit(p)
+	}
+	if n := r.dev.readsOf(root); n != 0 {
+		t.Errorf("3 plays from the start read the root page %d times", n)
+	}
+	r.allScheduled("after 3 plays from the start")
+
+	for i := 1; i <= 2; i++ {
+		p := r.play("movie")
+		r.vcr(p, "seek", 5*time.Second)
+		if got := r.frame(100); got < 149 || got > 151 {
+			t.Errorf("seek %d to 5 s landed on frame %d, want 150", i, got)
+		}
+		if i == 2 {
+			r.vcr(p, "pause", 0)
+			r.vcr(p, "play", 0)
+			r.vcr(p, "fast-forward", 0)
+			r.vcr(p, "fast-backward", 0)
+		}
+		r.quit(p)
+		// Read-ahead from 5 s stops well short of a 20 s title's last page,
+		// so what read the root page was the descent: once, on the first
+		// seek.
+		if n := r.dev.readsOf(root); n != 1 {
+			t.Errorf("after seek %d the root page has been read %d times, want 1", i, n)
+		}
+	}
+	r.allScheduled("after seek, resume and fast scan")
+
+	// The same name, other bytes: a third of the frame rate, so 3 s in
+	// is frame 30, and a shorter file, so the root sits elsewhere.
+	if err := r.m.deleteContent("movie"); err != nil {
+		t.Fatal(err)
+	}
+	ingestMovie(t, r.m.stores[0], "movie", 12*time.Second, 10)
+	newRoot := r.rootOffset("movie")
+	if newRoot == root {
+		t.Fatal("the re-recorded title's root page landed where the old one was; the test cannot tell them apart")
+	}
+	before, newBefore := r.dev.readsOf(root), r.dev.readsOf(newRoot)
+	p := r.play("movie")
+	r.vcr(p, "seek", 3*time.Second)
+	if got := r.frame(20); got < 29 || got > 31 {
+		t.Errorf("seek to 3 s of the re-recorded title landed on frame %d, want 30", got)
+	}
+	r.quit(p)
+	if n := r.dev.readsOf(newRoot) - newBefore; n != 1 {
+		t.Errorf("the re-recorded title's root page was read %d times, want 1", n)
+	}
+	if n := r.dev.readsOf(root) - before; n != 0 {
+		t.Errorf("the deleted title's root page was read %d times after the delete", n)
+	}
+	r.allScheduled("after delete and re-record")
+}
+
+// TestReplicaReadBackThroughScheduler runs one MSU-to-MSU copy and checks
+// the destination's verification read went through its scheduler like
+// any play-path read, and that the replica then plays.
+func TestReplicaReadBackThroughScheduler(t *testing.T) {
+	src, dst := newVCRRig(t), newVCRRig(t)
+	ingestMovie(t, src.m.stores[0], "movie", 2*time.Second, 30)
+	if err := src.m.startTransferListener(); err != nil {
+		t.Fatal(err)
+	}
+	st, err := src.m.stores[0].Stat("movie")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := dst.m.handleReplicate(wire.Replicate{
+		ID: 1, Content: "movie", Type: "mpeg1", Source: src.m.transferLn.Addr().String(),
+		Size: units.ByteSize(st.Size), HasFast: true,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		if st, err := dst.m.stores[0].Stat("movie"); err == nil && st.Attrs[AttrType] != "" {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the replica never committed")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if dst.dev.total() == 0 {
+		t.Error("the commit read nothing back")
+	}
+	dst.allScheduled("after the replica's read-back")
+	src.allScheduled("after serving the copy")
+	p := dst.play("movie")
+	dst.frame(0)
+	dst.quit(p)
+	dst.allScheduled("after playing the replica")
+}

@@ -159,9 +159,12 @@ func (g *group) handleVCR(msgType string, body json.RawMessage) (any, error) {
 	case "fast-backward":
 		err = apply(func(s *stream) error { return s.setSpeed(core.FastBackward) })
 	case "quit":
-		// Ack first, then tear down; the connection dies with us.
-		go g.quit("client quit")
-		return &wire.VCRAck{Pos: members[0].position(), Speed: core.Normal.String()}, nil
+		// The ack goes onto the wire first, then this request's goroutine
+		// tears the group down; the connection dies with us.
+		return wire.Reply{
+			Body: &wire.VCRAck{Pos: members[0].position(), Speed: core.Normal.String()},
+			Then: func() { g.quit("client quit") },
+		}, nil
 	default:
 		return nil, fmt.Errorf("%w: vcr op %q", core.ErrBadRequest, cmd.Op)
 	}

@@ -75,12 +75,7 @@ func newBenchMSU(striped bool, vols ...*msufs.Volume) (*MSU, error) {
 // a throwaway localhost UDP sink, bypassing the group/RPC machinery.
 // The returned cleanup closes both sockets.
 func openBenchStream(m *MSU, disk int, id core.StreamID, name string) (*stream, func(), error) {
-	store := m.stores[disk]
-	file, err := store.Open(name)
-	if err != nil {
-		return nil, nil, err
-	}
-	tree, err := treeFromAttrs(file, store.BlockSize())
+	c, err := m.openContent(disk, name)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -96,10 +91,10 @@ func openBenchStream(m *MSU, disk int, id core.StreamID, name string) (*stream, 
 	s := &stream{
 		m:        m,
 		spec:     core.StreamSpec{Stream: id, Disk: disk},
-		vol:      store,
-		tree:     tree,
-		file:     file,
-		length:   tree.Length(),
+		vol:      m.stores[disk],
+		tree:     c.tree,
+		file:     c.file,
+		length:   c.tree.Length(),
 		speed:    core.Normal,
 		dataConn: conn,
 	}

@@ -26,7 +26,6 @@ import (
 
 	"calliope/internal/cache"
 	"calliope/internal/core"
-	"calliope/internal/ibtree"
 	"calliope/internal/iosched"
 	"calliope/internal/msufs"
 	"calliope/internal/obs"
@@ -128,6 +127,12 @@ type MSU struct {
 	// obs holds the MSU's metrics handles (obs.go); zero-valued (all
 	// nil, every update a no-op) on an MSU not built by New.
 	obs msuMetrics
+
+	// contents holds the one shared handle per opened content file
+	// (content.go). contentMu is a leaf: nothing is called under it but
+	// the store's in-memory open.
+	contentMu sync.Mutex
+	contents  map[contentKey]*content
 
 	mu      sync.Mutex
 	peer    *wire.Peer
@@ -526,17 +531,23 @@ func (m *MSU) deleteContent(name string) error {
 		for _, companion := range []string{st.Attrs[AttrFastFwd], st.Attrs[AttrFastBack]} {
 			if companion != "" {
 				store.Remove(companion) //nolint:errcheck // best effort
-				if c := m.cacheFor(disk); c != nil {
-					c.Drop(companion)
-				}
+				m.forgetFile(disk, companion)
 			}
 		}
-		if c := m.cacheFor(disk); c != nil {
-			c.Drop(name)
-		}
-		return store.Remove(name)
+		err = store.Remove(name)
+		m.forgetFile(disk, name)
+		return err
 	}
 	return fmt.Errorf("%w: %q", core.ErrNoSuchContent, name)
+}
+
+// forgetFile drops what RAM holds of a file that was just removed: its
+// cached pages and its shared handle with the resident index.
+func (m *MSU) forgetFile(disk int, name string) {
+	if c := m.cacheFor(disk); c != nil {
+		c.Drop(name)
+	}
+	m.dropContent(disk, name)
 }
 
 // startStream admits one stream (play or record) and attaches it to
@@ -615,17 +626,4 @@ func (m *MSU) dropGroup(g *group) {
 		delete(m.streams, s.spec.Stream)
 	}
 	delete(m.groups, g.id)
-}
-
-// treeFromAttrs opens the IB-tree described by a file's attributes.
-func treeFromAttrs(file msufs.StoreFile, blockSize int) (*ibtree.Tree, error) {
-	raw, ok := file.Attrs()[AttrTree]
-	if !ok {
-		return nil, fmt.Errorf("msu: %q has no ibtree metadata", file.Name())
-	}
-	var meta ibtree.Meta
-	if err := json.Unmarshal([]byte(raw), &meta); err != nil {
-		return nil, fmt.Errorf("msu: %q ibtree metadata: %w", file.Name(), err)
-	}
-	return ibtree.Open(file, blockSize, meta)
 }

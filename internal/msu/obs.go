@@ -20,6 +20,7 @@ type msuMetrics struct {
 	packets  *obs.Counter   // delivery_packets_total
 	bytes    *obs.Counter   // delivery_bytes_total
 	lateness *obs.Histogram // delivery_lateness_seconds (send time vs pacing target)
+	startup  *obs.Histogram // delivery_startup_seconds (a player told to play → its first datagram written)
 
 	pagesRead *obs.Counter // disk_pages_read_total (IB-tree pages from disk)
 	cacheHits *obs.Counter // cache_page_hits_total (pages served from RAM)
@@ -35,6 +36,7 @@ func newMSUMetrics(r *obs.Registry) msuMetrics {
 		packets:     r.Counter("delivery_packets_total"),
 		bytes:       r.Counter("delivery_bytes_total"),
 		lateness:    r.Histogram("delivery_lateness_seconds", obs.DefaultLatencyBuckets),
+		startup:     r.Histogram("delivery_startup_seconds", obs.DefaultLatencyBuckets),
 		pagesRead:   r.Counter("disk_pages_read_total"),
 		cacheHits:   r.Counter("cache_page_hits_total"),
 		streams:     r.Counter("msu_streams_started_total"),

@@ -50,16 +50,12 @@ type stream struct {
 // newPlayStream opens content and the client-facing sockets; delivery
 // starts when the group's control connection is up (begin).
 func (m *MSU) newPlayStream(spec core.StreamSpec, vol msufs.Store) (*stream, error) {
-	file, err := vol.Open(spec.Content)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %q", core.ErrNoSuchContent, spec.Content)
-	}
-	tree, err := treeFromAttrs(file, vol.BlockSize())
+	c, err := m.openContent(spec.Disk, spec.Content)
 	if err != nil {
 		return nil, err
 	}
-	attrs := file.Attrs()
-	length := tree.Length()
+	attrs := c.file.Attrs()
+	length := c.tree.Length()
 	if raw, ok := attrs[AttrLength]; ok {
 		if ns, err := strconv.ParseInt(raw, 10, 64); err == nil {
 			length = time.Duration(ns)
@@ -75,8 +71,8 @@ func (m *MSU) newPlayStream(spec core.StreamSpec, vol msufs.Store) (*stream, err
 		m:      m,
 		spec:   spec,
 		vol:    vol,
-		tree:   tree,
-		file:   file,
+		tree:   c.tree,
+		file:   c.file,
 		length: length,
 		every:  every,
 		ffName: attrs[AttrFastFwd],
@@ -221,26 +217,23 @@ func (s *stream) setSpeed(sp core.Speed) error {
 	return s.playAt(sp, pos)
 }
 
-// fastTree lazily opens a fast-scan companion file, returning its tree
-// and the store file backing it (for scheduler-path page location).
+// fastTree returns a fast-scan companion file's shared tree and the
+// store file backing it (for scheduler-path page location).
 func (s *stream) fastTree(name string) (*ibtree.Tree, msufs.StoreFile, error) {
 	if name == "" {
 		return nil, nil, fmt.Errorf("%w: %q", core.ErrNoFastFile, s.spec.Content)
 	}
-	file, err := s.vol.Open(name)
+	c, err := s.m.openContent(s.spec.Disk, name)
 	if err != nil {
 		return nil, nil, fmt.Errorf("%w: companion %q: %v", core.ErrNoFastFile, name, err)
 	}
-	t, err := treeFromAttrs(file, s.vol.BlockSize())
-	if err != nil {
-		return nil, nil, err
-	}
-	return t, file, nil
+	return c.tree, c.file, nil
 }
 
 // playAt launches delivery at the given speed from the given
 // normal-rate position.
 func (s *stream) playAt(sp core.Speed, normalPos time.Duration) error {
+	born := time.Now()
 	var tree *ibtree.Tree
 	var file msufs.StoreFile
 	var treePos time.Duration
@@ -285,6 +278,7 @@ func (s *stream) playAt(sp core.Speed, normalPos time.Duration) error {
 		cache:    s.m.cacheFor(s.spec.Disk),
 		cname:    cname,
 		id:       playerIDs.Add(1),
+		born:     born,
 		cancel:   make(chan struct{}),
 		done:     make(chan struct{}),
 	}
@@ -379,9 +373,13 @@ type player struct {
 	// delivers straight out of the cached page with no disk I/O and no
 	// copy. cname is the cache key prefix — the file being read — and
 	// id identifies this player in the cache's interval tracking.
-	cache  *cache.Cache
-	cname  string
-	id     uint64
+	cache *cache.Cache
+	cname string
+	id    uint64
+	// born is when the stream was told to play from here (a Play, seek,
+	// resume or speed change); the first datagram written closes the
+	// player's one delivery_startup_seconds observation.
+	born   time.Time
 	cancel chan struct{}
 	done   chan struct{}
 	pool   *queue.PagePool
@@ -633,6 +631,7 @@ func (p *player) netLoop(q *queue.SPSC[descriptor], diskDone chan struct{}) {
 	// below touches only these atomics (nil-safe no-ops on a zero-value
 	// MSU), keeping the loop at 0 allocs/op.
 	om := &p.s.m.obs
+	started := false
 	epoch := time.Now()
 	for {
 		d, ok := q.Dequeue()
@@ -692,6 +691,10 @@ func (p *player) netLoop(q *queue.SPSC[descriptor], diskDone chan struct{}) {
 			p.s.m.logf("stream %d: send: %v", p.s.spec.Stream, err)
 		}
 		d.page.Release()
+		if !started {
+			started = true
+			om.startup.Observe(time.Since(p.born))
+		}
 		// A packet sent at w>0 waited for its slot (lateness ~0, clamped
 		// into the first bucket); w<0 means it left -w behind schedule.
 		// -w was computed for the pacing wait anyway, so observing it

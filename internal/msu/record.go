@@ -6,6 +6,7 @@ import (
 	"net"
 	"strconv"
 	"sync"
+	"syscall"
 	"time"
 
 	"calliope/internal/core"
@@ -96,26 +97,46 @@ func (m *MSU) newRecordStream(spec core.StreamSpec, vol msufs.Store) (*stream, *
 	return s, resp, nil
 }
 
-// readLoop receives packets on one channel until stopped.
+// readLoop receives packets on one channel until stop expires the
+// socket's read deadline under it.
 func (r *recorder) readLoop(conn *net.UDPConn, ch protocol.Channel) {
 	defer r.wg.Done()
 	buf := make([]byte, 64*1024)
 	for {
-		conn.SetReadDeadline(time.Now().Add(50 * time.Millisecond)) //nolint:errcheck
 		n, _, err := conn.ReadFromUDP(buf)
 		if err != nil {
-			if ne, ok := err.(net.Error); ok && ne.Timeout() {
-				r.mu.Lock()
-				stopped := r.stopped
-				r.mu.Unlock()
-				if stopped {
-					return
-				}
-				continue
-			}
-			return // socket closed
+			return
 		}
 		r.append(ch, buf[:n], time.Now())
+	}
+}
+
+// drain reads out what conn's receive queue already holds, without
+// waiting for more: the client sent those packets before it said stop,
+// so they belong to the recording. A sender that never stops cannot hold
+// the commit up: no more than the socket's receive buffer is taken,
+// which is the most that can have been waiting when stop was called.
+func (r *recorder) drain(conn *net.UDPConn, ch protocol.Channel) {
+	conn.SetReadDeadline(time.Time{}) //nolint:errcheck // undoes stop's wake-up; a socket that refuses drains nothing
+	rc, err := conn.SyscallConn()
+	if err != nil {
+		return
+	}
+	buf := make([]byte, 64*1024)
+	err = rc.Read(func(fd uintptr) bool {
+		limit, _ := syscall.GetsockoptInt(int(fd), syscall.SOL_SOCKET, syscall.SO_RCVBUF)
+		for got := 0; got < limit; {
+			n, _, err := syscall.Recvfrom(int(fd), buf, syscall.MSG_DONTWAIT)
+			if err != nil {
+				break // the queue is empty
+			}
+			r.append(ch, buf[:n], time.Now())
+			got += max(n, 1)
+		}
+		return true
+	})
+	if err != nil {
+		r.s.m.logf("stream %d: draining record socket: %v", r.s.spec.Stream, err)
 	}
 }
 
@@ -123,9 +144,6 @@ func (r *recorder) readLoop(conn *net.UDPConn, ch protocol.Channel) {
 func (r *recorder) append(ch protocol.Channel, payload []byte, now time.Time) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.stopped {
-		return
-	}
 	if !r.started {
 		r.started = true
 		r.epoch = now
@@ -155,8 +173,10 @@ func (r *recorder) append(ch protocol.Channel, payload []byte, now time.Time) {
 	r.packets++
 }
 
-// stop halts the readers without committing (used on teardown after
-// finish, or on abort).
+// stop ends reception without committing (finishRecording commits; a
+// teardown after it, or an abort, finds the recorder already stopped):
+// the readers are woken and waited out, what the sockets still hold is
+// appended, and only then are the sockets closed.
 func (r *recorder) stop() {
 	r.mu.Lock()
 	if r.stopped {
@@ -165,11 +185,22 @@ func (r *recorder) stop() {
 	}
 	r.stopped = true
 	r.mu.Unlock()
-	r.dataConn.Close()
+	type sink struct {
+		conn *net.UDPConn
+		ch   protocol.Channel
+	}
+	sinks := []sink{{r.dataConn, protocol.Data}}
 	if r.ctrlConn != nil {
-		r.ctrlConn.Close()
+		sinks = append(sinks, sink{r.ctrlConn, protocol.Control})
+	}
+	for _, s := range sinks {
+		s.conn.SetReadDeadline(time.Now()) //nolint:errcheck // wakes the reader; fails only on a closed socket, whose reader is gone
 	}
 	r.wg.Wait()
+	for _, s := range sinks {
+		r.drain(s.conn, s.ch)
+		s.conn.Close() //nolint:errcheck // a receive socket, just emptied
+	}
 }
 
 // finishRecording commits a recorder stream; a no-op for players.

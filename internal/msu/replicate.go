@@ -312,17 +312,14 @@ func (j *replJob) commit() error {
 		}
 	}
 	// Verification: open the replica the way a player would — the
-	// IB-tree metadata must parse and its root page must read back from
-	// the freshly written blocks.
-	f, err := j.store.Open(j.req.Content)
+	// IB-tree metadata must parse and its first page must read back from
+	// the freshly written blocks, through the volume's scheduler like
+	// any other read beside live streams.
+	c, err := j.m.openContent(j.req.Disk, j.req.Content)
 	if err != nil {
 		return fmt.Errorf("verify: %w", err)
 	}
-	tree, err := treeFromAttrs(f, j.store.BlockSize())
-	if err != nil {
-		return fmt.Errorf("verify: %w", err)
-	}
-	cur, err := tree.PageCursorAt(0)
+	cur, err := c.tree.PageCursorAt(0)
 	if err != nil {
 		return fmt.Errorf("verify: seek: %w", err)
 	}
@@ -373,12 +370,10 @@ func (j *replJob) report() {
 }
 
 // cleanup removes every file the job created, freeing its blocks, and
-// purges any cached pages.
+// purges what RAM holds of them.
 func (j *replJob) cleanup() {
 	for _, name := range j.order {
 		j.store.Remove(name) //nolint:errcheck // best effort; a racing delete already removed it
-		if c := j.m.cacheFor(j.req.Disk); c != nil {
-			c.Drop(name)
-		}
+		j.m.forgetFile(j.req.Disk, name)
 	}
 }

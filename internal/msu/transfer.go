@@ -5,7 +5,6 @@ import (
 	"net"
 	"time"
 
-	"calliope/internal/iosched"
 	"calliope/internal/msufs"
 	"calliope/internal/replicate"
 )
@@ -175,25 +174,12 @@ func (m *MSU) sourceFile(blockSize int, f msufs.StoreFile) replicate.SourceFile 
 			vol, off, err := f.Locate(i)
 			if err == nil {
 				if sched := m.schedFor(vol); sched != nil {
-					return n, schedRead(sched, off, p[:blockSize])
+					return n, schedRead(sched, off, p[:blockSize], time.Now().Add(transferReadLag))
 				}
 			}
 			return n, f.ReadBlock(i, p[:blockSize])
 		},
 	}
-}
-
-// schedRead submits one background-deadline read and waits for it.
-func schedRead(sched *iosched.Scheduler, off int64, buf []byte) error {
-	req := iosched.Request{
-		Off:      off,
-		Buf:      buf,
-		Deadline: time.Now().Add(transferReadLag),
-		C:        make(chan *iosched.Request, 1),
-	}
-	sched.Submit(&req)
-	<-req.C
-	return req.Err
 }
 
 // ratePacer returns a Pace hook holding the transfer at rate bits/s: it

@@ -115,6 +115,17 @@ func ReadMessage(r io.Reader) (*Envelope, error) {
 // sends an error response instead. Notifications ignore both returns.
 type Handler func(msgType string, body json.RawMessage) (any, error)
 
+// Reply is a Handler result for a request whose answer must be on the
+// wire before the rest of its work runs: Body is sent as the response,
+// then Then runs on the request's own goroutine, whether or not the
+// send succeeded. An MSU's answer to a VCR quit is the case — the
+// teardown it starts closes the connection the acknowledgement is
+// travelling on.
+type Reply struct {
+	Body any
+	Then func()
+}
+
 // Peer multiplexes RPC over one TCP connection. Safe for concurrent
 // Call/Notify from any goroutine.
 type Peer struct {
@@ -377,6 +388,10 @@ func (p *Peer) serve(e *Envelope) {
 	if err != nil {
 		p.send(&Envelope{Kind: KindError, ID: e.ID, Type: e.Type, Err: err.Error()}) //nolint:errcheck
 		return
+	}
+	if r, ok := result.(Reply); ok {
+		result = r.Body
+		defer r.Then()
 	}
 	body, err := json.Marshal(result)
 	if err != nil {

@@ -105,6 +105,29 @@ func TestPeerCall(t *testing.T) {
 	}
 }
 
+// TestReplyThenRunsAfterTheResponse has the handler close its own
+// connection in Then: the caller still gets the answer every time,
+// because Then waits for the response to be written.
+func TestReplyThenRunsAfterTheResponse(t *testing.T) {
+	for i := 0; i < 200; i++ {
+		var server *Peer
+		ready := make(chan struct{})
+		client, srv := peerPair(t, func(string, json.RawMessage) (any, error) {
+			<-ready
+			return Reply{Body: map[string]int{"n": i}, Then: func() { server.Close() }}, nil
+		})
+		server = srv
+		close(ready)
+		var resp map[string]int
+		if err := client.Call("quit", struct{}{}, &resp); err != nil {
+			t.Fatalf("call %d: %v", i, err)
+		}
+		if resp["n"] != i {
+			t.Fatalf("call %d answered %v", i, resp)
+		}
+	}
+}
+
 func TestPeerRemoteError(t *testing.T) {
 	client, _ := peerPair(t, func(msgType string, body json.RawMessage) (any, error) {
 		return nil, errors.New("calliope: no such content")

@@ -62,7 +62,9 @@ func TestObservabilityLifecycle(t *testing.T) {
 
 	// Delivery counters reach the Coordinator asynchronously (deltas
 	// ride the surviving MSU's cache reports, and the EOF triggers
-	// one), so poll the scrape until they are both visible.
+	// one), and so does the end of the stream (the MSU acknowledges the
+	// Quit, then tears down and reports stream-ended), so poll the
+	// scrape until all three are visible.
 	metricRe := regexp.MustCompile(`(?m)^calliope_(\w+) (\d+)$`)
 	var metrics map[string]int64
 	deadline := time.Now().Add(5 * time.Second)
@@ -73,15 +75,17 @@ func TestObservabilityLifecycle(t *testing.T) {
 			v, _ := strconv.ParseInt(m[2], 10, 64)
 			metrics[m[1]] = v
 		}
-		if metrics["admission_admitted_total"] > 0 && metrics["delivery_packets_total"] > 0 {
+		if metrics["admission_admitted_total"] > 0 && metrics["delivery_packets_total"] > 0 && metrics["streams_ended_total"] > 0 {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("metrics never showed admission+delivery: %v", metrics)
+			t.Fatalf("metrics never showed admission, delivery and the stream's end: %v", metrics)
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
-	for _, name := range []string{"dispatch_total", "migrations_total", "delivery_bytes_total", "streams_ended_total"} {
+	// delivery_startup_seconds is the MSU's start-up histogram, one
+	// observation per player, merged like the delivery counters.
+	for _, name := range []string{"dispatch_total", "migrations_total", "delivery_bytes_total", "streams_ended_total", "delivery_startup_seconds_count"} {
 		if metrics[name] <= 0 {
 			t.Errorf("%s = %d, want > 0", name, metrics[name])
 		}
