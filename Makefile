@@ -63,10 +63,9 @@ bench-smoke:
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./...
 
 # The §2.3 delivery-path microbenches: allocs/op and packets/sec from
-# disk read to UDP write, zero-copy vs the legacy copy-per-packet
-# baseline, plus the page-granular ibtree cursor and what positioning it
-# costs from the start, through the resident index and cold (DESIGN.md
-# §3d).
+# scheduler read to UDP write on an MSU built by New, plus the
+# page-granular ibtree cursor and what positioning it costs from the
+# start, through the resident index and cold (DESIGN.md §3d).
 bench-path:
 	$(GO) test -run=NONE -bench='PlayerDeliveryPath|PageCursorNext|CursorNext|SeekTime|PageCursorAt' -benchmem ./internal/msu ./internal/ibtree
 
@@ -77,8 +76,8 @@ bench-cache:
 	$(GO) test -run='HotReplay' -bench='HotReplay|Cache' -benchmem ./internal/msu ./internal/cache
 
 # The §2.2.1/§2.3.3 live-path I/O scheduler: C-SCAN rounds on a
-# mechanically-modelled Sim volume, 24 readers (short benchtime smoke;
-# CI runs this on every push).
+# mechanically-modelled Sim volume, 24 readers (two sessions; CI's
+# bench-smoke runs one).
 bench-iosched:
 	$(GO) test -run=NONE -bench='IOSched' -benchtime=2x -benchmem ./internal/msu
 

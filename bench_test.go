@@ -17,8 +17,8 @@ package calliope
 //
 // The real-binary delivery path (§2.3: disk process → shared-memory
 // queue → network process) is benchmarked in-package where the player
-// lives: BenchmarkPlayerDeliveryPath and its pre-zero-copy Legacy
-// baseline in calliope/internal/msu, and the page-granular cursor
+// lives: BenchmarkPlayerDeliveryPath and BenchmarkPlayerHotReplay in
+// calliope/internal/msu, and the page-granular cursor
 // benches (BenchmarkPageCursorNext vs BenchmarkCursorNext) in
 // calliope/internal/ibtree. `make bench-path` runs just those.
 

@@ -19,11 +19,11 @@ import (
 // index at all (§2.2.1) — so the index costs only the seeks that use it,
 // once each.
 //
-// The rule the play path keeps: no read reaches a volume's device except
-// through that volume's scheduler. The shared tree reads through
-// schedFile, so an index miss, the player's synchronous page fallback
-// and a replica's read-back queue behind the same elevator as every
-// prefetch, and the scheduler's idea of where the head is stays true.
+// The rule the MSU keeps: no read of a store file reaches a device
+// except through that volume's scheduler. submitRead is the one place a
+// block is located and queued, so a player's prefetch, an index miss, a
+// replica's read-back and a copy-out all wait behind the same elevator,
+// and the scheduler's idea of where the head is stays true.
 
 // content is one opened content file: what its streams share.
 type content struct {
@@ -59,9 +59,6 @@ func (m *MSU) openContent(disk int, name string) (*content, error) {
 		return nil, err
 	}
 	c := &content{tree: tree, file: file}
-	if m.contents == nil {
-		m.contents = make(map[contentKey]*content)
-	}
 	m.contents[key] = c
 	return c, nil
 }
@@ -75,38 +72,41 @@ func (m *MSU) dropContent(disk int, name string) {
 	m.contentMu.Unlock()
 }
 
+// submitRead is how a block of a store file reaches RAM on this MSU: it
+// is located on its physical volume and queued on that volume's
+// scheduler. Buf, Deadline and C are the caller's; the request comes
+// back on C when the device is done with Buf. An error means nothing
+// was queued.
+func (m *MSU) submitRead(f msufs.StoreFile, block int64, req *iosched.Request) error {
+	vol, off, err := f.Locate(block)
+	if err != nil {
+		return err
+	}
+	req.Off = off
+	m.scheds[vol].Submit(req)
+	return nil
+}
+
+// readBlock is submitRead, waited for.
+func (m *MSU) readBlock(f msufs.StoreFile, block int64, buf []byte, deadline time.Time) error {
+	req := iosched.Request{Buf: buf, Deadline: deadline, C: make(chan *iosched.Request, 1)}
+	if err := m.submitRead(f, block, &req); err != nil {
+		return err
+	}
+	<-req.C
+	return req.Err
+}
+
 // schedFile is the BlockFile a shared tree reads through: a block read
-// is located on its physical volume and submitted to that volume's
-// scheduler with no deadline, which sorts it ahead of every prefetch — a
-// viewer is waiting on it.
+// carries no deadline, which sorts it ahead of every prefetch — a viewer
+// is waiting on it.
 type schedFile struct {
 	msufs.StoreFile
 	m *MSU
 }
 
 func (f schedFile) ReadBlock(i int64, p []byte) error {
-	vol, off, err := f.Locate(i)
-	if err != nil {
-		return err
-	}
-	sched := f.m.schedFor(vol)
-	if sched == nil { // an MSU not built by New has no schedulers
-		return f.StoreFile.ReadBlock(i, p)
-	}
-	return schedRead(sched, off, p, time.Time{})
-}
-
-// schedRead submits one read and waits for it.
-func schedRead(sched *iosched.Scheduler, off int64, buf []byte, deadline time.Time) error {
-	req := iosched.Request{
-		Off:      off,
-		Buf:      buf,
-		Deadline: deadline,
-		C:        make(chan *iosched.Request, 1),
-	}
-	sched.Submit(&req)
-	<-req.C
-	return req.Err
+	return f.m.readBlock(f.StoreFile, i, p, time.Time{})
 }
 
 // treeFromAttrs opens the IB-tree described by a file's attributes,

@@ -1,8 +1,10 @@
 package msu
 
 import (
+	"bytes"
 	"encoding/json"
 	"net"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -55,6 +57,17 @@ func (d *readLog) total() int64 {
 	return d.reads
 }
 
+// blocksRead is how many blocks those transfers covered between them.
+func (d *readLog) blocksRead() int64 {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	var blocks int64
+	for _, n := range d.at {
+		blocks += int64(n)
+	}
+	return blocks
+}
+
 func (d *readLog) readsOf(off int64) int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -75,7 +88,8 @@ type vcrRig struct {
 	next uint64
 }
 
-func newVCRRig(t *testing.T) *vcrRig {
+// newReadLogVolume formats a memory-backed volume over a readLog.
+func newReadLogVolume(t *testing.T) (*msufs.Volume, *readLog) {
 	t.Helper()
 	const blockSize = 64 * 1024
 	mem, err := blockdev.NewMem(32 * int64(units.MB))
@@ -87,6 +101,12 @@ func newVCRRig(t *testing.T) *vcrRig {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return vol, dev
+}
+
+func newVCRRig(t *testing.T) *vcrRig {
+	t.Helper()
+	vol, dev := newReadLogVolume(t)
 	m, err := New(Config{ID: "rig", Coordinator: "127.0.0.1:1", Volumes: []*msufs.Volume{vol}})
 	if err != nil {
 		t.Fatal(err)
@@ -196,6 +216,22 @@ func (r *vcrRig) frame(min uint32) uint32 {
 			return h.Frame
 		}
 	}
+}
+
+// collect reads the next n datagrams off the sink.
+func (r *vcrRig) collect(n int) [][]byte {
+	r.t.Helper()
+	out := make([][]byte, 0, n)
+	buf := make([]byte, 4096)
+	r.sink.SetReadDeadline(time.Now().Add(10 * time.Second)) //nolint:errcheck
+	for len(out) < n {
+		k, _, err := r.sink.ReadFromUDP(buf)
+		if err != nil {
+			r.t.Fatalf("datagram %d of %d: %v", len(out), n, err)
+		}
+		out = append(out, append([]byte(nil), buf[:k]...))
+	}
+	return out
 }
 
 // rootOffset is where on the device the page holding a file's IB-tree
@@ -350,4 +386,145 @@ func TestReplicaReadBackThroughScheduler(t *testing.T) {
 	dst.frame(0)
 	dst.quit(p)
 	dst.allScheduled("after playing the replica")
+}
+
+// TestCorruptCachedPageRereadThroughScheduler damages one resident page
+// of a warmed title in place. The next viewer must get every packet as
+// stored, the damaged page must be read off the disk exactly once more —
+// through the scheduler, like any miss — and the cache must end up
+// holding the good bytes.
+func TestCorruptCachedPageRereadThroughScheduler(t *testing.T) {
+	const page = 2
+	r := newVCRRig(t)
+	store := r.m.stores[0]
+	// 12 Mbit/s for 0.4 s: ~10 pages, played in real time in under half a
+	// second, slowly enough that the sink loses nothing.
+	pkts, err := media.GenerateCBR(media.CBRConfig{
+		Rate: 12 * units.Mbps, PacketSize: 1024, FPS: 30, GOP: 15, Duration: 400 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := Ingest(store, "movie", "mpeg1", pkts); err != nil {
+		t.Fatal(err)
+	}
+	f, err := store.Open("movie")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, off, err := f.Locate(page)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	p := r.play("movie")
+	r.collect(len(pkts))
+	r.quit(p)
+	c := r.m.cacheFor(0)
+	ref := c.Lookup("movie", page)
+	if ref == nil {
+		t.Fatalf("page %d is not resident after a full play", page)
+	}
+	copy(ref.Bytes(), "junk") // over the page magic
+	ref.Release()
+	reads, pageReads := r.dev.total(), r.dev.readsOf(off)
+
+	p = r.play("movie")
+	got := r.collect(len(pkts))
+	r.quit(p)
+	if n := r.dev.readsOf(off) - pageReads; n != 1 {
+		t.Errorf("the damaged page was read %d times, want 1", n)
+	}
+	if n := r.dev.total() - reads; n != 1 {
+		t.Errorf("the replay made %d device reads, want only the damaged page's", n)
+	}
+	r.allScheduled("after replaying over a damaged cached page")
+
+	// ReadBack and the raw block read below bypass the MSU, so they come
+	// after the device-versus-scheduler comparison.
+	want, err := ReadBack(store, "movie")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want) != len(got) {
+		t.Fatalf("stored %d packets, delivered %d", len(want), len(got))
+	}
+	for i := range want {
+		if !bytes.Equal(got[i], want[i].Payload) {
+			t.Fatalf("packet %d differs from what is stored", i)
+		}
+	}
+	ref = c.Lookup("movie", page)
+	if ref == nil {
+		t.Fatalf("page %d was not cached again", page)
+	}
+	defer ref.Release()
+	onDisk := make([]byte, store.BlockSize())
+	if err := f.ReadBlock(page, onDisk); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(ref.Bytes(), onDisk) {
+		t.Errorf("the cache holds page %d with bytes that are not the disk's", page)
+	}
+}
+
+// TestPipelinedVCRCommandsLeaveOnePlayer sends seeks two at a time down
+// one control connection, as a client that does not wait for answers
+// would. The connection serves each request on its own goroutine; the
+// group must still apply them one after the other, or two of them each
+// start a player and only one is ever stopped. Afterwards the sink must
+// see one frame sequence and, after quit, no goroutine may be left.
+func TestPipelinedVCRCommandsLeaveOnePlayer(t *testing.T) {
+	r := newVCRRig(t)
+	ingestMovie(t, r.m.stores[0], "movie", 20*time.Second, 30)
+	// One play and quit first: the volume's scheduler starts its
+	// goroutines on the first read, and they stay.
+	p := r.play("movie")
+	r.frame(0)
+	r.quit(p)
+	idle := runtime.NumGoroutine()
+	p = r.play("movie")
+	r.frame(0)
+	for round := 0; round < 200; round++ {
+		var wg sync.WaitGroup
+		for _, pos := range []time.Duration{5 * time.Second, 10 * time.Second} {
+			pos := pos
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if err := p.Call(wire.TypeVCR, wire.VCR{Op: "seek", Pos: pos}, &wire.VCRAck{}); err != nil {
+					t.Errorf("seek: %v", err)
+				}
+			}()
+		}
+		wg.Wait()
+	}
+	// 15 s is frame 450, ahead of anything a player left over from the
+	// rounds above can have reached.
+	r.vcr(p, "seek", 15*time.Second)
+	last := r.frame(449)
+	buf := make([]byte, 4096)
+	for i := 0; i < 40; i++ {
+		n, _, err := r.sink.ReadFromUDP(buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h, err := media.ParseHeader(buf[:n])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if h.Frame < last {
+			t.Fatalf("frame %d after frame %d: a second player is sending", h.Frame, last)
+		}
+		last = h.Frame
+	}
+	r.quit(p)
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > idle {
+		if time.Now().After(deadline) {
+			b := make([]byte, 1<<16)
+			t.Fatalf("%d goroutines after quit, %d before the play\n%s", runtime.NumGoroutine(), idle, b[:runtime.Stack(b, true)])
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
 }

@@ -1,227 +1,82 @@
 package msu
 
-// Benchmarks for the disk→queue→socket delivery path (§2.3). The
-// zero-copy path must show 0 allocs per delivered packet in steady
-// state; the legacy bench preserves the pre-rewrite technique (per-read
-// *Packet allocation, payload copy into a pooled 64 KB buffer, timer
-// allocation per pacing wait, polling on the empty queue) as the
-// before/after baseline — see DESIGN.md §4.
+// Benchmarks and pins for the disk→queue→socket delivery path (§2.3) as
+// viewers get it: an MSU built by New, pages through the prefetch ring
+// and the volume's scheduler, instrumentation on (measure.go's rig).
+// Steady state must show 0 allocs per delivered packet. The
+// copy-per-packet player this was once run beside is gone; CHANGES.md
+// PR 3 and DESIGN.md §4 keep its numbers.
 
 import (
-	"fmt"
-	"net"
+	"math"
 	"testing"
-	"time"
 
-	"calliope/internal/core"
-	"calliope/internal/ibtree"
-	"calliope/internal/protocol"
-	"calliope/internal/queue"
+	"calliope/internal/units"
 )
 
-// benchBlocks is an in-memory BlockFile (the bench isolates the memory
-// path, as §3.2.3's diskless experiment does).
-type benchBlocks struct {
-	bs     int
-	blocks map[int64][]byte
-}
+// hotCacheBytes holds the whole deliveryPackets title with room to spare.
+const hotCacheBytes = 40 * units.MB
 
-func newBenchBlocks(bs int) *benchBlocks { return &benchBlocks{bs: bs, blocks: map[int64][]byte{}} }
-
-func (m *benchBlocks) WriteBlock(i int64, p []byte) error {
-	b := make([]byte, len(p))
-	copy(b, p)
-	m.blocks[i] = b
-	return nil
-}
-
-func (m *benchBlocks) ReadBlock(i int64, p []byte) error {
-	b, ok := m.blocks[i]
-	if !ok {
-		return fmt.Errorf("benchBlocks: no block %d", i)
-	}
-	copy(p, b)
-	return nil
-}
-
-func (m *benchBlocks) BlockLen(i int64) int { return len(m.blocks[i]) }
-
-// benchPageSize uses the paper's 256 KB data pages.
-const benchPageSize = 256 * 1024
-
-// buildBenchTree stores npkts channel-framed 4 KB packets, all at
-// delivery time zero so the player runs flat out (pure path cost, no
-// pacing waits).
-func buildBenchTree(b *testing.B, npkts int) *ibtree.Tree {
-	b.Helper()
-	f := newBenchBlocks(benchPageSize)
-	bld, err := ibtree.NewBuilder(f, benchPageSize, ibtree.DefaultMaxKeys)
+// benchDelivery repeats whole sessions until b.N packets have been
+// delivered. One op is one delivered packet.
+func benchDelivery(b *testing.B, cache units.ByteSize) {
+	s, closeBench, err := newDeliveryBench(cache)
 	if err != nil {
 		b.Fatal(err)
 	}
-	rec := protocol.EncodeStored(protocol.Data, make([]byte, 4096))
-	for i := 0; i < npkts; i++ {
-		if err := bld.Append(ibtree.Packet{Time: 0, Payload: rec}); err != nil {
-			b.Fatal(err)
-		}
-	}
-	meta, err := bld.Finalize()
-	if err != nil {
-		b.Fatal(err)
-	}
-	tree, err := ibtree.Open(f, benchPageSize, meta)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return tree
-}
-
-// benchStream wires a stream to a throwaway localhost UDP sink.
-func benchStream(b *testing.B, tree *ibtree.Tree) *stream {
-	b.Helper()
-	sink, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(func() { sink.Close() })
-	conn, err := net.DialUDP("udp", nil, sink.LocalAddr().(*net.UDPAddr))
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(func() { conn.Close() })
-	return &stream{
-		m:        &MSU{},
-		spec:     core.StreamSpec{Stream: 1},
-		tree:     tree,
-		length:   tree.Length(),
-		speed:    core.Normal,
-		dataConn: conn,
-	}
-}
-
-// benchPackets is the per-session packet count; sessions repeat until
-// b.N packets have been delivered.
-const benchPackets = 1 << 15
-
-// BenchmarkPlayerDeliveryPath measures the zero-copy player end to end:
-// IB-tree page reads into refcounted pool pages, descriptor queue,
-// direct-from-page UDP writes. One op is one delivered packet; in
-// steady state it must report 0 allocs/op.
-func BenchmarkPlayerDeliveryPath(b *testing.B) {
-	tree := buildBenchTree(b, benchPackets)
-	s := benchStream(b, tree)
+	defer closeBench()
+	streams := []*stream{s}
+	readsBase := s.m.ioStats(0).Reads
 	b.ReportAllocs()
 	b.SetBytes(4096)
 	b.ResetTimer()
 	delivered := 0
 	for delivered < b.N {
-		if err := s.playAt(core.Normal, 0); err != nil {
-			b.Fatal(err)
-		}
-		for !s.atEOF() {
-			time.Sleep(50 * time.Microsecond)
-		}
-		s.stopPlayer()
-		delivered += benchPackets
+		runSession(b, streams)
+		delivered += deliveryPackets
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(delivered)/b.Elapsed().Seconds(), "pkts/s")
+	b.ReportMetric(float64(s.m.ioStats(0).Reads-readsBase)/float64(delivered), "diskreads/pkt")
 }
 
-// BenchmarkPlayerDeliveryPathLegacy preserves the pre-rewrite data
-// path: per-packet *Packet allocation out of the cursor, payload copy
-// into a pooled 64 KB buffer, a fresh timer per pacing wait and
-// time.After polling on the empty queue. Kept as the ablation baseline
-// the zero-copy path is judged against.
-func BenchmarkPlayerDeliveryPathLegacy(b *testing.B) {
-	tree := buildBenchTree(b, benchPackets)
-	s := benchStream(b, tree)
-	b.ReportAllocs()
-	b.SetBytes(4096)
-	b.ResetTimer()
-	delivered := 0
-	for delivered < b.N {
-		legacyDeliver(b, s, tree)
-		delivered += benchPackets
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(delivered)/b.Elapsed().Seconds(), "pkts/s")
-}
+// BenchmarkPlayerDeliveryPath measures the zero-copy player end to end
+// with caching off: every page is a scheduler read into a refcounted
+// pool page, cut into descriptors, written to UDP straight from the
+// page.
+func BenchmarkPlayerDeliveryPath(b *testing.B) { benchDelivery(b, -1) }
 
-// legacyItem mirrors the old qItem: a copied payload in the queue.
-type legacyItem struct {
-	t       time.Duration
-	payload []byte
-	eof     bool
-}
+// BenchmarkPlayerHotReplay measures the cache-hit delivery path end to
+// end: every page comes from RAM and nothing touches the disk, payloads
+// alias cached page memory to the UDP write (DESIGN.md §3e).
+func BenchmarkPlayerHotReplay(b *testing.B) { benchDelivery(b, hotCacheBytes) }
 
-// legacyDeliver replays one session of the pre-zero-copy player.
-func legacyDeliver(b *testing.B, s *stream, tree *ibtree.Tree) {
-	pool, err := queue.NewBufferPool(64*1024, queueDepth/4)
-	if err != nil {
-		b.Fatal(err)
-	}
-	q := queue.NewSPSC[legacyItem](queueDepth)
-	cancel := make(chan struct{})
-	diskDone := make(chan struct{})
-	go func() { // the old disk process: copy each payload out of the page
-		defer close(diskDone)
-		cur, err := tree.SeekTime(0)
-		if err != nil {
-			return
-		}
-		for {
-			pkt, err := cur.Next()
+// TestDeliveryAllocationPins holds ROADMAP item 2's acceptance line: on
+// the path viewers get, cold through the scheduler and warm out of the
+// cache, allocations per delivered packet round to 0. What is left is
+// per session and per scheduler round, never per packet.
+func TestDeliveryAllocationPins(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		cache units.ByteSize
+	}{
+		{"scheduler path", -1},
+		{"hot replay", hotCacheBytes},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, closeBench, err := newDeliveryBench(tc.cache)
 			if err != nil {
-				return
+				t.Fatal(err)
 			}
-			if pkt == nil {
-				for !q.Enqueue(legacyItem{eof: true}) {
-					time.Sleep(time.Millisecond)
-				}
-				return
+			defer closeBench()
+			res, err := measureDelivery(tc.name, s, 2)
+			if err != nil {
+				t.Fatal(err)
 			}
-			_, payload, derr := protocol.DecodeStored(pkt.Payload)
-			if derr != nil {
-				payload = pkt.Payload
+			t.Logf("%.3f allocs per packet, %.0f pkts/s", res.AllocsPerOp, res.PktsPerSec)
+			if math.Round(res.AllocsPerOp) > 0 {
+				t.Errorf("%.3f allocations per delivered packet, want 0", res.AllocsPerOp)
 			}
-			buf := pool.Get()
-			if len(payload) > len(buf) {
-				buf = make([]byte, len(payload))
-			}
-			n := copy(buf, payload)
-			for !q.Enqueue(legacyItem{t: pkt.Time, payload: buf[:n]}) {
-				select {
-				case <-cancel:
-					return
-				case <-time.After(time.Millisecond):
-				}
-			}
-		}
-	}()
-	epoch := time.Now()
-	for { // the old network process: poll, per-wait timers, pool returns
-		it, ok := q.Dequeue()
-		if !ok {
-			select {
-			case <-cancel:
-				return
-			case <-time.After(200 * time.Microsecond):
-				continue
-			}
-		}
-		if d := time.Until(epoch.Add(it.t)); d > 0 {
-			t := time.NewTimer(d)
-			<-t.C
-		}
-		if it.eof {
-			close(cancel)
-			<-diskDone
-			return
-		}
-		if _, err := s.dataConn.Write(it.payload); err != nil {
-			b.Error(err)
-		}
-		pool.Put(it.payload)
+		})
 	}
 }

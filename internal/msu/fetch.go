@@ -44,14 +44,8 @@ type fetchSlot struct {
 	c       chan *iosched.Request
 }
 
-// newFetcher builds the player's prefetch ring, or returns nil when the
-// direct-read path applies: content not backed by a store file, or an
-// MSU without schedulers (test fixtures reading through the cursor
-// only).
+// newFetcher builds the player's prefetch ring.
 func newFetcher(p *player) *fetcher {
-	if p.file == nil || len(p.s.m.scheds) == 0 {
-		return nil
-	}
 	pages := p.tree.Meta().Pages
 	f := &fetcher{
 		p:     p,
@@ -87,8 +81,9 @@ func (f *fetcher) deadline(idx int64) time.Time {
 func (f *fetcher) nextPage(cur *ibtree.PageCursor, want int64) (*queue.PageRef, error) {
 	p := f.p
 	if f.n == 0 || f.slots[f.head].idx != want {
-		// First page, or the cursor moved (players are sequential, so
-		// in practice this is just startup): restage at want.
+		// First page, or the ring's head is not the page the cursor wants
+		// (players are sequential, so that is only after a cached page
+		// failed verification, below): restage at want.
 		f.abort()
 		f.next = want
 	}
@@ -122,11 +117,12 @@ func (f *fetcher) nextPage(cur *ibtree.PageCursor, want int64) (*queue.PageRef, 
 	if aerr != nil || !ok {
 		page.Release()
 		if hit {
-			// The cached entry failed verification: purge it and fall
-			// back to a fresh synchronous read.
+			// The cached entry failed verification: purge it and go round
+			// again. The ring's head is now past want, so it restages from
+			// want, and this time the page misses and is read off the disk.
 			p.cache.Invalidate(p.cname, want)
 			p.s.m.logf("stream %d: cached page %d invalid: %v", p.s.spec.Stream, want, aerr)
-			return p.loadNextPage(cur, want)
+			return f.nextPage(cur, want)
 		}
 		if aerr == nil { // impossible: NextPage said this page exists
 			aerr = fmt.Errorf("msu: page %d vanished mid-read", want)
@@ -200,22 +196,9 @@ func (f *fetcher) issueOne(block bool) bool {
 		}
 	}
 	slot.page = page
-	vol, off, err := p.file.Locate(idx)
-	if err != nil {
-		slot.err = err
-		f.next++
-		f.n++
-		return true
-	}
-	if sched := p.s.m.schedFor(vol); sched != nil {
-		slot.req = iosched.Request{Off: off, Buf: page.Bytes(), Deadline: f.deadline(idx), C: slot.c}
-		slot.pending = true
-		sched.Submit(&slot.req)
-	} else {
-		// A volume outside the scheduler set — unreachable from New's
-		// construction, but read it directly rather than fail.
-		slot.err = vol.Device().ReadAt(page.Bytes(), off)
-	}
+	slot.req = iosched.Request{Buf: page.Bytes(), Deadline: f.deadline(idx), C: slot.c}
+	slot.err = p.s.m.submitRead(p.file, idx, &slot.req)
+	slot.pending = slot.err == nil
 	f.next++
 	f.n++
 	return true

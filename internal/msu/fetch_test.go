@@ -58,7 +58,7 @@ func TestStripedReadOverlap(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	m := newTestMSU(t, true, vols...)
+	m := newTestMSU(t, -1, true, vols...)
 	streams := make([]*stream, players)
 	for i := range streams {
 		name := fmt.Sprintf("wide-%d", i)

@@ -22,6 +22,14 @@ type group struct {
 	size      int
 	clientTCP string
 
+	// vcrMu serialises what replaces a member's player: the first start,
+	// each VCR command and the teardown. The control connection runs every
+	// request on its own goroutine, and a command is stop-the-old-player
+	// then start-a-new-one; two of them interleaved would each start one
+	// and leave the first playing with nothing to stop it. Taken before
+	// mu, never under it.
+	vcrMu sync.Mutex
+
 	mu      sync.Mutex
 	members []*stream
 	vcr     *wire.Peer
@@ -111,6 +119,10 @@ func (g *group) connectClient() error {
 	if err := peer.Notify(wire.TypeVCRHello, hello); err != nil {
 		return err
 	}
+	// The client may answer the hello with a command before the members
+	// have begun.
+	g.vcrMu.Lock()
+	defer g.vcrMu.Unlock()
 	for _, s := range members {
 		if err := s.begin(); err != nil {
 			return fmt.Errorf("starting stream %d: %w", s.spec.Stream, err)
@@ -129,6 +141,11 @@ func (g *group) handleVCR(msgType string, body json.RawMessage) (any, error) {
 	if err := json.Unmarshal(body, &cmd); err != nil {
 		return nil, fmt.Errorf("%w: %v", core.ErrBadRequest, err)
 	}
+	// Held until the command has been applied to every member. A quit
+	// that got in first is seen here; one that comes after waits in
+	// group.quit for this command's players before it stops them.
+	g.vcrMu.Lock()
+	defer g.vcrMu.Unlock()
 	g.mu.Lock()
 	if g.quitted {
 		g.mu.Unlock()
@@ -225,11 +242,13 @@ func (g *group) quit(cause string) {
 	vcr := g.vcr
 	g.mu.Unlock()
 
+	g.vcrMu.Lock() // a command already under way starts its players first
 	for _, s := range members {
 		s.finishRecording()
 		s.teardown()
 		g.m.notifyCoordinator(wire.TypeStreamEnded, wire.StreamEnded{Stream: s.spec.Stream, Cause: cause})
 	}
+	g.vcrMu.Unlock()
 	if vcr != nil {
 		vcr.Close() //nolint:errcheck // teardown: the client is gone or leaving; nothing to report to
 	}

@@ -3,144 +3,48 @@ package msu
 // Hot-content replay through the RAM interval cache (DESIGN.md §3e):
 // once one viewer has pulled a title off disk, N concurrent followers
 // must replay it almost entirely from RAM — ≥90% fewer block reads
-// than the uncached ablation — while the delivery path stays zero-copy
-// and allocation-free per packet.
+// than the uncached ablation — on the path viewers get: an MSU built by
+// New, every miss a scheduler read. BenchmarkPlayerHotReplay and the
+// allocation pin for the same path are in delivery_bench_test.go.
 
 import (
-	"net"
-	"sync"
-	"sync/atomic"
 	"testing"
-	"time"
 
-	"calliope/internal/cache"
 	"calliope/internal/core"
-	"calliope/internal/ibtree"
-	"calliope/internal/protocol"
-	"calliope/internal/queue"
+	"calliope/internal/units"
 )
-
-// countingBlocks wraps the in-memory BlockFile and counts block reads,
-// the denominator of the cache's disk-savings claim. Safe for the
-// concurrent readers the replay test spawns (the underlying map is
-// read-only once the tree is built).
-type countingBlocks struct {
-	inner *benchBlocks
-	reads atomic.Int64
-}
-
-func (c *countingBlocks) WriteBlock(i int64, p []byte) error { return c.inner.WriteBlock(i, p) }
-func (c *countingBlocks) ReadBlock(i int64, p []byte) error {
-	c.reads.Add(1)
-	return c.inner.ReadBlock(i, p)
-}
-func (c *countingBlocks) BlockLen(i int64) int { return c.inner.BlockLen(i) }
-
-// buildHotTree stores npkts channel-framed 4 KB packets at delivery
-// time zero (flat-out replay, no pacing).
-func buildHotTree(tb testing.TB, f ibtree.BlockFile, pageSize, npkts int) *ibtree.Tree {
-	tb.Helper()
-	bld, err := ibtree.NewBuilder(f, pageSize, ibtree.DefaultMaxKeys)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	rec := protocol.EncodeStored(protocol.Data, make([]byte, 4096))
-	for i := 0; i < npkts; i++ {
-		if err := bld.Append(ibtree.Packet{Time: 0, Payload: rec}); err != nil {
-			tb.Fatal(err)
-		}
-	}
-	meta, err := bld.Finalize()
-	if err != nil {
-		tb.Fatal(err)
-	}
-	tree, err := ibtree.Open(f, pageSize, meta)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	return tree
-}
-
-// hotMSU builds an in-package MSU whose disk 0 has a RAM cache of the
-// given geometry.
-func hotMSU(tb testing.TB, pageSize, pages int) *MSU {
-	tb.Helper()
-	pool, err := queue.NewPagePool(pageSize, pages)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	return &MSU{caches: []*cache.Cache{cache.New(pool)}}
-}
-
-// hotStream wires a stream on MSU m to a throwaway localhost UDP sink.
-func hotStream(tb testing.TB, m *MSU, tree *ibtree.Tree) *stream {
-	tb.Helper()
-	sink, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
-	if err != nil {
-		tb.Fatal(err)
-	}
-	tb.Cleanup(func() { sink.Close() })
-	conn, err := net.DialUDP("udp", nil, sink.LocalAddr().(*net.UDPAddr))
-	if err != nil {
-		tb.Fatal(err)
-	}
-	tb.Cleanup(func() { conn.Close() })
-	return &stream{
-		m:        m,
-		spec:     core.StreamSpec{Stream: 1, Content: "blockbuster"},
-		tree:     tree,
-		length:   tree.Length(),
-		speed:    core.Normal,
-		dataConn: conn,
-	}
-}
-
-// playToEOF runs one full delivery session. Callable from goroutines
-// (Error, never Fatal).
-func playToEOF(tb testing.TB, s *stream) {
-	if err := s.playAt(core.Normal, 0); err != nil {
-		tb.Error(err)
-		return
-	}
-	for !s.atEOF() {
-		time.Sleep(100 * time.Microsecond)
-	}
-	s.stopPlayer()
-}
 
 // TestHotReplayCacheSavesDiskReads: 8 concurrent players of one warmed
 // title must issue at most a tenth of the uncached ablation's block
-// reads (the ISSUE's ≥90% criterion). Runs under -race in CI.
+// reads. Runs under -race in CI.
 func TestHotReplayCacheSavesDiskReads(t *testing.T) {
 	const (
-		pageSize = 64 * 1024
-		npkts    = 512
-		players  = 8
+		title   = "blockbuster"
+		npkts   = 512 // ~35 pages of 64 KB; the default cache holds 128
+		players = 8
 	)
-	run := func(m *MSU, f *countingBlocks, tree *ibtree.Tree, warm bool) int64 {
+	// run plays the title on every player at once, on a fresh MSU with
+	// the given cache, and reports the blocks its device served them.
+	run := func(cache units.ByteSize, warm bool) (int64, *MSU) {
+		vol, dev := newReadLogVolume(t)
+		m := newTestMSU(t, cache, false, vol)
+		if err := Ingest(m.stores[0], title, "mpeg1", flatPackets(npkts)); err != nil {
+			t.Fatal(err)
+		}
 		if warm {
-			playToEOF(t, hotStream(t, m, tree))
+			runSession(t, []*stream{openTestStream(t, m, 0, players+1, title)})
 		}
-		start := f.reads.Load()
-		var wg sync.WaitGroup
-		for i := 0; i < players; i++ {
-			s := hotStream(t, m, tree)
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				playToEOF(t, s)
-			}()
+		streams := make([]*stream, players)
+		for i := range streams {
+			streams[i] = openTestStream(t, m, 0, core.StreamID(i+1), title)
 		}
-		wg.Wait()
-		return f.reads.Load() - start
+		start := dev.blocksRead()
+		runSession(t, streams)
+		return dev.blocksRead() - start, m
 	}
 
-	fu := &countingBlocks{inner: newBenchBlocks(pageSize)}
-	uncached := run(&MSU{}, fu, buildHotTree(t, fu, pageSize, npkts), false)
-
-	fc := &countingBlocks{inner: newBenchBlocks(pageSize)}
-	m := hotMSU(t, pageSize, 64) // 64 pages ≳ the title's ~35
-	cached := run(m, fc, buildHotTree(t, fc, pageSize, npkts), true)
+	uncached, _ := run(-1, false)
+	cached, m := run(0, true)
 
 	if uncached == 0 {
 		t.Fatal("ablation issued no reads; the counter is broken")
@@ -154,29 +58,4 @@ func TestHotReplayCacheSavesDiskReads(t *testing.T) {
 	}
 	t.Logf("block reads: %d uncached → %d cached (%.1f%% saved), cache %v",
 		uncached, cached, 100*(1-float64(cached)/float64(uncached)), st)
-}
-
-// BenchmarkPlayerHotReplay measures the cache-hit delivery path end to
-// end: every data page comes from RAM (only the IB-tree index descent
-// touches the disk), payloads alias cached page memory to the UDP
-// write, and steady state must stay at 0 allocs per delivered packet.
-func BenchmarkPlayerHotReplay(b *testing.B) {
-	const npkts = 1 << 13
-	f := &countingBlocks{inner: newBenchBlocks(benchPageSize)}
-	tree := buildHotTree(b, f, benchPageSize, npkts)
-	m := hotMSU(b, benchPageSize, 160)
-	s := hotStream(b, m, tree)
-	playToEOF(b, s) // warm: after this the whole title is resident
-	f.reads.Store(0)
-	b.ReportAllocs()
-	b.SetBytes(4096)
-	b.ResetTimer()
-	delivered := 0
-	for delivered < b.N {
-		playToEOF(b, s)
-		delivered += npkts
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(delivered)/b.Elapsed().Seconds(), "pkts/s")
-	b.ReportMetric(float64(f.reads.Load())/float64(delivered), "diskreads/pkt")
 }

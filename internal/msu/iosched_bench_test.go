@@ -37,9 +37,9 @@ const (
 )
 
 // newTestMSU is newBenchMSU with test lifecycle management.
-func newTestMSU(tb testing.TB, striped bool, vols ...*msufs.Volume) *MSU {
+func newTestMSU(tb testing.TB, cache units.ByteSize, striped bool, vols ...*msufs.Volume) *MSU {
 	tb.Helper()
-	m, err := newBenchMSU(striped, vols...)
+	m, err := newBenchMSU(cache, striped, vols...)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func BenchmarkIOSched(b *testing.B) {
 		b.Fatal(err)
 	}
 	sim := vol.Device().(*blockdev.Sim)
-	m := newTestMSU(b, false, vol)
+	m := newTestMSU(b, -1, false, vol)
 	pkts := flatPackets(benchPacketsPerTitle)
 	streams := make([]*stream, benchReaders)
 	for i := range streams {

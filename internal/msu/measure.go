@@ -1,9 +1,11 @@
 package msu
 
-// This file is the non-test half of the live-path I/O benchmarks: the
-// same session harness BenchmarkIOSched runs in-package is exposed
-// here so cmd/calliope-bench can print the scheduler-vs-direct
-// comparison and emit machine-readable results (-json, BENCH_8.json).
+// This file is the non-test half of the live-path benchmarks: the
+// session harness BenchmarkIOSched, BenchmarkPlayerDeliveryPath and
+// BenchmarkPlayerHotReplay run in-package — an MSU built by New, its
+// streams on the prefetch ring, instrumentation on — is exposed here so
+// cmd/calliope-bench and bench/ measure the same path (-json,
+// BENCH_8.json).
 
 import (
 	"fmt"
@@ -58,16 +60,16 @@ func newSimVolume(size int64, scale float64) (*msufs.Volume, error) {
 }
 
 // newBenchMSU builds an MSU over the given volumes without connecting
-// a Coordinator (New never dials; only Start does). Caching is
-// disabled so every page comes off the device and the measurement
-// isolates the I/O path.
-func newBenchMSU(striped bool, vols ...*msufs.Volume) (*MSU, error) {
+// a Coordinator (New never dials; only Start does). A negative cache
+// disables caching, so every page comes off the device and the
+// measurement isolates the I/O path.
+func newBenchMSU(cache units.ByteSize, striped bool, vols ...*msufs.Volume) (*MSU, error) {
 	return New(Config{
 		ID:          "bench",
 		Coordinator: "127.0.0.1:1",
 		Volumes:     vols,
 		Striped:     striped,
-		CacheBytes:  -1,
+		CacheBytes:  cache,
 	})
 }
 
@@ -90,7 +92,7 @@ func openBenchStream(m *MSU, disk int, id core.StreamID, name string) (*stream, 
 	}
 	s := &stream{
 		m:        m,
-		spec:     core.StreamSpec{Stream: id, Disk: disk},
+		spec:     core.StreamSpec{Stream: id, Disk: disk, Content: name},
 		vol:      m.stores[disk],
 		tree:     c.tree,
 		file:     c.file,
@@ -144,7 +146,7 @@ func newIOBench(readers, packetsPerTitle int, scale float64) (*ioBench, error) {
 	if err != nil {
 		return nil, err
 	}
-	m, err := newBenchMSU(false, vol)
+	m, err := newBenchMSU(-1, false, vol)
 	if err != nil {
 		return nil, err
 	}
@@ -222,38 +224,58 @@ func MeasureIOSched(sessions int) ([]BenchResult, error) {
 	return []BenchResult{res}, nil
 }
 
-// MeasureDelivery times the zero-copy delivery path end to end — disk
-// process, descriptor queue, UDP writes — on a memory-backed volume
-// through the live scheduler path. One op is one delivered packet;
-// allocations are amortized over the whole run, so a steady-state
-// zero-allocation path reports a small fraction per packet.
-func MeasureDelivery(sessions int) (BenchResult, error) {
-	if sessions < 1 {
-		sessions = 1
-	}
-	const packets = 8192
+// deliveryPackets is the title one delivery session plays: ~550 pages
+// of 64 KB.
+const deliveryPackets = 8192
+
+// newDeliveryBench ingests one flat-out title on a memory-backed volume
+// of an MSU with the given cache and opens a stream on it — the rig
+// under MeasureDelivery, BenchmarkPlayerDeliveryPath,
+// BenchmarkPlayerHotReplay and the allocation pins. With a cache the
+// title is played once, so every page of a measured session is a hit.
+// The returned func takes it all down.
+func newDeliveryBench(cache units.ByteSize) (*stream, func(), error) {
 	mem, err := blockdev.NewMem(64 * int64(units.MB))
 	if err != nil {
-		return BenchResult{}, err
+		return nil, nil, err
 	}
 	vol, err := msufs.Format(mem, msufs.Options{BlockSize: 64 * 1024, MetaSize: 256 * 1024})
 	if err != nil {
-		return BenchResult{}, err
+		return nil, nil, err
 	}
-	m, err := newBenchMSU(false, vol)
+	m, err := newBenchMSU(cache, false, vol)
 	if err != nil {
-		return BenchResult{}, err
+		return nil, nil, err
 	}
-	defer m.Close() //nolint:errcheck // bench teardown
-	if err := Ingest(m.stores[0], "title", "mpeg1", flatPackets(packets)); err != nil {
-		return BenchResult{}, err
+	if err := Ingest(m.stores[0], "title", "mpeg1", flatPackets(deliveryPackets)); err != nil {
+		m.Close() //nolint:errcheck // bench teardown
+		return nil, nil, err
 	}
 	s, cleanup, err := openBenchStream(m, 0, 1, "title")
 	if err != nil {
-		return BenchResult{}, err
+		m.Close() //nolint:errcheck // bench teardown
+		return nil, nil, err
 	}
-	defer cleanup()
-	defer s.stopPlayer()
+	closeBench := func() {
+		s.stopPlayer()
+		cleanup()
+		m.Close() //nolint:errcheck // bench teardown
+	}
+	if cache >= 0 {
+		if err := playSession([]*stream{s}); err != nil {
+			closeBench()
+			return nil, nil, err
+		}
+	}
+	return s, closeBench, nil
+}
+
+// measureDelivery times whole sessions of a newDeliveryBench stream.
+// One op is one delivered packet; allocations are amortized over the
+// whole run, so a steady-state zero-allocation path reports a small
+// fraction per packet (per-session set-up, and the scheduler's per-round
+// bookkeeping).
+func measureDelivery(name string, s *stream, sessions int) (BenchResult, error) {
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
@@ -265,11 +287,27 @@ func MeasureDelivery(sessions int) (BenchResult, error) {
 	}
 	elapsed := time.Since(start)
 	runtime.ReadMemStats(&after)
-	total := float64(packets * sessions)
+	total := float64(deliveryPackets * sessions)
 	return BenchResult{
-		Name:        "delivery/zero-copy",
+		Name:        name,
 		PktsPerSec:  total / elapsed.Seconds(),
 		NsPerOp:     float64(elapsed.Nanoseconds()) / total,
 		AllocsPerOp: float64(after.Mallocs-before.Mallocs) / total,
 	}, nil
+}
+
+// MeasureDelivery times the zero-copy delivery path end to end — disk
+// process, prefetch ring, descriptor queue, UDP writes — on a
+// memory-backed volume with caching off, so every page goes through
+// the scheduler.
+func MeasureDelivery(sessions int) (BenchResult, error) {
+	if sessions < 1 {
+		sessions = 1
+	}
+	s, closeBench, err := newDeliveryBench(-1)
+	if err != nil {
+		return BenchResult{}, err
+	}
+	defer closeBench()
+	return measureDelivery("delivery/zero-copy", s, sessions)
 }

@@ -76,10 +76,6 @@ type Config struct {
 	// streams). Zero selects DefaultCacheBytes; negative disables
 	// caching.
 	CacheBytes units.ByteSize
-	// IODepth bounds in-flight transfers per physical volume in the
-	// I/O scheduler. 0 or 1 is the paper's one-I/O-per-disk invariant
-	// (§2.2.1); raise it for devices with useful internal queueing.
-	IODepth int
 	// ReconnectInterval is the base of the re-registration backoff
 	// after the Coordinator connection drops (attempts space out
 	// exponentially with jitter, capped at BackoffCap).
@@ -116,16 +112,15 @@ type MSU struct {
 	// stores; entries are nil when caching is disabled or the budget
 	// is below one page.
 	caches []*cache.Cache
-	// scheds holds one I/O scheduler per physical volume: every
-	// player's page read on that volume flows through its scheduler, so
-	// the per-disk C-SCAN rounds see the whole MSU's demand. Built once
-	// in New, immutable after; nil only on a fixture not built by New.
+	// scheds holds one I/O scheduler per physical volume: every read of
+	// a store file on that volume flows through its scheduler
+	// (submitRead), so the per-disk C-SCAN rounds see the whole MSU's
+	// demand. Built once in New, immutable after.
 	scheds map[*msufs.Volume]*iosched.Scheduler
 	// storeVols lists the member volumes behind each logical disk,
 	// indexed like stores, for per-disk scheduler stat aggregation.
 	storeVols [][]*msufs.Volume
-	// obs holds the MSU's metrics handles (obs.go); zero-valued (all
-	// nil, every update a no-op) on an MSU not built by New.
+	// obs holds the MSU's metrics handles (obs.go).
 	obs msuMetrics
 
 	// contents holds the one shared handle per opened content file
@@ -197,6 +192,7 @@ func New(cfg Config) (*MSU, error) {
 		stores:    stores,
 		storeVols: storeVols,
 		caches:    buildCaches(cfg.CacheBytes, stores),
+		contents:  make(map[contentKey]*content),
 		streams:   make(map[core.StreamID]*stream),
 		groups:    make(map[uint64]*group),
 		quit:      make(chan struct{}),
@@ -204,7 +200,7 @@ func New(cfg Config) (*MSU, error) {
 	m.obs = newMSUMetrics(obs.New(obs.Options{Now: time.Now}))
 	m.scheds = make(map[*msufs.Volume]*iosched.Scheduler, len(cfg.Volumes))
 	for _, v := range cfg.Volumes {
-		m.scheds[v] = iosched.New(v.Device(), iosched.Options{Depth: cfg.IODepth, Now: time.Now})
+		m.scheds[v] = iosched.New(v.Device(), iosched.Options{Now: time.Now})
 	}
 	return m, nil
 }
@@ -243,23 +239,15 @@ func (m *MSU) cacheFor(disk int) *cache.Cache {
 	return m.caches[disk]
 }
 
-// schedFor returns the I/O scheduler owning a physical volume. scheds
-// is immutable after New, so no lock.
-func (m *MSU) schedFor(v *msufs.Volume) *iosched.Scheduler {
-	return m.scheds[v]
-}
-
 // ioStats aggregates scheduler counters across one logical disk's
 // member volumes.
 func (m *MSU) ioStats(disk int) trace.IOSchedStats {
 	var total trace.IOSchedStats
-	if m.scheds == nil || disk < 0 || disk >= len(m.storeVols) {
+	if disk < 0 || disk >= len(m.storeVols) {
 		return total
 	}
 	for _, v := range m.storeVols[disk] {
-		if s := m.scheds[v]; s != nil {
-			total = total.Add(s.Stats())
-		}
+		total = total.Add(m.scheds[v].Stats())
 	}
 	return total
 }
@@ -273,13 +261,10 @@ func (m *MSU) reportCache(disk int) {
 	if c == nil && io.Requests == 0 {
 		return
 	}
-	report := wire.CacheReport{Disk: disk, IO: io}
-	if m.obs.reg != nil {
-		// Piggyback the MSU's cumulative metrics snapshot; the
-		// Coordinator diffs it against the last one it merged.
-		snap := m.obs.reg.Snapshot()
-		report.Obs = &snap
-	}
+	// Piggyback the MSU's cumulative metrics snapshot; the Coordinator
+	// diffs it against the last one it merged.
+	snap := m.obs.reg.Snapshot()
+	report := wire.CacheReport{Disk: disk, IO: io, Obs: &snap}
 	if c != nil {
 		report.Stats = c.Stats()
 		for _, cov := range c.Coverage() {

@@ -4,14 +4,10 @@ import (
 	"calliope/internal/obs"
 )
 
-// msuMetrics holds the MSU's pre-registered instrument handles. It is
-// a value field on MSU holding only pointers: a zero-value MSU (as
-// BenchmarkPlayerDeliveryPath constructs) has nil handles, and every
-// obs method is a no-op on nil — so the delivery hot path carries the
-// instrumentation at zero cost when observability is off, and a single
-// atomic update when on. Per DESIGN.md §3i the per-packet path must
-// stay 0 allocs/op: only these pre-registered atomics, never a map
-// lookup, interface or lock.
+// msuMetrics holds the MSU's pre-registered instrument handles, built
+// once in New. Per DESIGN.md §3i the per-packet path must stay
+// 0 allocs/op with them switched on: it touches only these atomics,
+// never a map lookup, interface or lock.
 type msuMetrics struct {
 	// reg is the MSU-local registry; reportCache ships its cumulative
 	// snapshot to the Coordinator, which merges deltas cluster-wide.

@@ -361,15 +361,13 @@ type descriptor struct {
 type player struct {
 	s    *stream
 	tree *ibtree.Tree
-	// file backs tree on the store; nil when the tree is not a store
-	// file (test fixtures). Non-nil file plus live schedulers selects
-	// the prefetch-ring read path (fetcher); otherwise the disk process
-	// reads synchronously through the cursor.
+	// file backs tree on the store: the prefetch ring (fetcher) reads its
+	// pages through the volumes' schedulers.
 	file     msufs.StoreFile
 	speed    core.Speed
 	startPos time.Duration
 	// cache is the disk's shared RAM interval cache (nil when off):
-	// the disk process consults it before every page read, and a hit
+	// the ring consults it before every page read, and a hit
 	// delivers straight out of the cached page with no disk I/O and no
 	// copy. cname is the cache key prefix — the file being read — and
 	// id identifies this player in the cache's interval tracking.
@@ -409,21 +407,14 @@ func (p *player) stop() {
 }
 
 func (p *player) start() {
-	poolPages := readAheadPages
-	if p.file != nil && len(p.s.m.scheds) > 0 {
-		// The prefetch ring stages up to readAheadPages pages while the
-		// page just taken off the ring is still being cut into
-		// descriptors, so the scheduler path needs one more.
-		poolPages++
-	}
-	pool, err := queue.NewPagePool(p.tree.PageSize(), poolPages)
+	// The prefetch ring stages up to readAheadPages pages while the page
+	// just taken off the ring is still being cut into descriptors: one
+	// more.
+	pool, err := queue.NewPagePool(p.tree.PageSize(), readAheadPages+1)
 	if err != nil { // impossible: Open rejects non-positive page sizes
 		panic(err)
 	}
 	p.pool = pool
-	if p.cache != nil && p.cache.PageSize() != p.tree.PageSize() {
-		p.cache = nil // mismatched geometry (not a store file): no caching
-	}
 	if p.cache != nil {
 		p.cache.PlayerStart(p.cname, p.id, p.tree.Meta().Pages)
 	}
@@ -465,14 +456,12 @@ func (p *player) diskLoop(q *queue.SPSC[descriptor], diskDone chan struct{}) {
 		enqueue(descriptor{eof: true}) // t=0: error EOF is reported immediately
 		return
 	}
-	// The prefetch ring (nil on the direct path) pipelines page reads
-	// through the per-volume I/O schedulers. Its abort runs before
-	// diskDone closes (defer LIFO), so in-flight device transfers are
-	// waited out before netLoop's drain proceeds.
+	// The prefetch ring pipelines page reads through the per-volume I/O
+	// schedulers. Its abort runs before diskDone closes (defer LIFO), so
+	// in-flight device transfers are waited out before netLoop's drain
+	// proceeds.
 	f := newFetcher(p)
-	if f != nil {
-		defer f.abort()
-	}
+	defer f.abort()
 	// lastT/gap place the EOF marker on the delivery timeline one
 	// packet interval after the final packet, so the network goroutine
 	// paces the EOF notification like any other item instead of racing
@@ -488,12 +477,7 @@ func (p *player) diskLoop(q *queue.SPSC[descriptor], diskDone chan struct{}) {
 			enqueue(descriptor{t: lastT + slack, eof: true})
 			return
 		}
-		var page *queue.PageRef
-		if f != nil {
-			page, err = f.nextPage(cur, next)
-		} else {
-			page, err = p.loadNextPage(cur, next)
-		}
+		page, err := f.nextPage(cur, next)
 		if err != nil {
 			p.s.m.logf("stream %d: read: %v", p.s.spec.Stream, err)
 			enqueue(descriptor{eof: true}) // t=0: error EOF is reported immediately
@@ -541,57 +525,6 @@ func (p *player) diskLoop(q *queue.SPSC[descriptor], diskDone chan struct{}) {
 	}
 }
 
-// loadNextPage produces the page NextPage announced, preferring the
-// disk's RAM cache. A hit pins the cached page and attaches its bytes
-// to the cursor — zero disk I/O, zero copy, zero allocation. A miss
-// reads from disk, into a cache page when one is allocatable (the page
-// is then inserted for every later player) or into the player's
-// private read-ahead pool when the cache is fully pinned. Returns
-// (nil, nil) only when cancelled while waiting for a private page.
-func (p *player) loadNextPage(cur *ibtree.PageCursor, next int64) (*queue.PageRef, error) {
-	if p.cache != nil {
-		if hit := p.cache.Lookup(p.cname, next); hit != nil {
-			ok, err := cur.AttachPage(hit.Bytes())
-			if err == nil && ok {
-				p.s.m.obs.cacheHits.Inc()
-				return hit, nil
-			}
-			// The entry failed page verification (or the cursor is past
-			// the end, which NextPage already excluded): purge it and
-			// fall back to the disk read.
-			hit.Release()
-			p.cache.Invalidate(p.cname, next)
-			p.s.m.logf("stream %d: cached page %d invalid: %v", p.s.spec.Stream, next, err)
-		}
-	}
-	var page *queue.PageRef
-	insert := false
-	if p.cache != nil {
-		if page = p.cache.Alloc(); page != nil {
-			insert = true
-		}
-	}
-	if page == nil {
-		if page = p.pool.Get(p.cancel); page == nil {
-			return nil, nil
-		}
-	}
-	ok, err := cur.LoadPage(page.Bytes())
-	if err != nil {
-		page.Release()
-		return nil, err
-	}
-	if !ok { // impossible: NextPage said this page exists
-		page.Release()
-		return nil, fmt.Errorf("msu: page %d vanished mid-read", next)
-	}
-	p.s.m.obs.pagesRead.Inc()
-	if insert {
-		p.cache.Insert(p.cname, next, page)
-	}
-	return page, nil
-}
-
 // netLoop is the network process: it dequeues descriptors and sends
 // each packet at its scheduled time, writing straight out of the page
 // buffer. One timer paces every packet of the session; an empty queue
@@ -628,8 +561,7 @@ func (p *player) netLoop(q *queue.SPSC[descriptor], diskDone chan struct{}) {
 		<-timer.C
 	}
 	// om aliases the MSU's pre-registered handles: the per-packet path
-	// below touches only these atomics (nil-safe no-ops on a zero-value
-	// MSU), keeping the loop at 0 allocs/op.
+	// below touches only these atomics, keeping the loop at 0 allocs/op.
 	om := &p.s.m.obs
 	started := false
 	epoch := time.Now()

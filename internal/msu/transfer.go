@@ -171,13 +171,7 @@ func (m *MSU) sourceFile(blockSize int, f msufs.StoreFile) replicate.SourceFile 
 			if n <= 0 {
 				return 0, fmt.Errorf("block %d out of range", i)
 			}
-			vol, off, err := f.Locate(i)
-			if err == nil {
-				if sched := m.schedFor(vol); sched != nil {
-					return n, schedRead(sched, off, p[:blockSize], time.Now().Add(transferReadLag))
-				}
-			}
-			return n, f.ReadBlock(i, p[:blockSize])
+			return n, m.readBlock(f, i, p[:blockSize], time.Now().Add(transferReadLag))
 		},
 	}
 }

@@ -16,8 +16,7 @@
 //     hold pre-registered *Counter / *Histogram pointers and update a
 //     single atomic — no map lookups, no interface boxing, no locks.
 //     All instrument methods are no-ops on a nil receiver, so a
-//     zero-value MSU (as constructed by BenchmarkPlayerDeliveryPath)
-//     delivers with zero instrumentation overhead and zero allocations.
+//     zero-value host skips instrumentation.
 //
 // The package is in the walltime analyzer's DeterministicPkgs list: it
 // never calls time.Now itself; callers inject a clock (the Coordinator

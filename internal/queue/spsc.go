@@ -11,7 +11,6 @@
 package queue
 
 import (
-	"fmt"
 	"sync"
 	"sync/atomic"
 )
@@ -150,46 +149,4 @@ func (q *Mutexed[T]) Dequeue() (T, bool) {
 	q.head = (q.head + 1) % len(q.buf)
 	q.n--
 	return v, true
-}
-
-// BufferPool recycles the MSU's large data buffers (256 KB by default)
-// between the disk and network processes without allocation on the data
-// path. It is the "leaky bucket" free-list pattern: Get allocates when
-// the pool is empty and Put drops buffers when it is full.
-type BufferPool struct {
-	size int
-	free chan []byte
-}
-
-// NewBufferPool returns a pool of count buffers of size bytes each.
-func NewBufferPool(size, count int) (*BufferPool, error) {
-	if size <= 0 || count <= 0 {
-		return nil, fmt.Errorf("queue: invalid buffer pool size %d x %d", size, count)
-	}
-	return &BufferPool{size: size, free: make(chan []byte, count)}, nil
-}
-
-// BufferSize reports the size of buffers in this pool.
-func (p *BufferPool) BufferSize() int { return p.size }
-
-// Get returns a full-length buffer, allocating if none is free.
-func (p *BufferPool) Get() []byte {
-	select {
-	case b := <-p.free:
-		return b[:p.size]
-	default:
-		return make([]byte, p.size)
-	}
-}
-
-// Put returns a buffer to the pool. Buffers of the wrong capacity and
-// overflow beyond the pool's bound are discarded.
-func (p *BufferPool) Put(b []byte) {
-	if cap(b) < p.size {
-		return
-	}
-	select {
-	case p.free <- b[:p.size]:
-	default:
-	}
 }

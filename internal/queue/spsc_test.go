@@ -267,49 +267,6 @@ func TestMutexedBasic(t *testing.T) {
 	}
 }
 
-func TestBufferPool(t *testing.T) {
-	p, err := NewBufferPool(4096, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.BufferSize() != 4096 {
-		t.Fatalf("BufferSize = %d", p.BufferSize())
-	}
-	b1 := p.Get()
-	if len(b1) != 4096 {
-		t.Fatalf("Get returned len %d", len(b1))
-	}
-	b1[0] = 0xAB
-	p.Put(b1)
-	b2 := p.Get()
-	if &b1[0] != &b2[0] {
-		t.Error("pool did not recycle the buffer")
-	}
-	// Undersized buffers are rejected, not resliced into the pool.
-	p.Put(make([]byte, 16))
-	b3 := p.Get()
-	if len(b3) != 4096 {
-		t.Fatalf("Get after bad Put returned len %d", len(b3))
-	}
-}
-
-func TestBufferPoolInvalid(t *testing.T) {
-	if _, err := NewBufferPool(0, 1); err == nil {
-		t.Error("zero size accepted")
-	}
-	if _, err := NewBufferPool(1, 0); err == nil {
-		t.Error("zero count accepted")
-	}
-}
-
-func TestBufferPoolOverflowDropped(t *testing.T) {
-	p, _ := NewBufferPool(8, 1)
-	p.Put(make([]byte, 8))
-	p.Put(make([]byte, 8)) // dropped silently
-	p.Get()
-	p.Get() // allocates fresh; must not block or panic
-}
-
 func BenchmarkSPSCPingPong(b *testing.B) {
 	q := NewSPSC[int](1024)
 	done := make(chan struct{})
