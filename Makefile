@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint test race faults leakcheck replicate obs bench bench-smoke bench-path bench-cache bench-iosched bench-e2e bench-e2e-smoke repro examples clean
+.PHONY: all build vet lint test race faults fuzz-smoke leakcheck replicate obs bench bench-smoke bench-path bench-cache bench-iosched bench-e2e bench-e2e-smoke repro examples clean
 
 all: build vet lint test
 
@@ -33,10 +33,20 @@ leakcheck:
 # Failure-recovery tests under deterministic fault injection
 # (internal/faultinject; see DESIGN.md, "Failure handling"), including
 # the Coordinator crash–restart scenarios backed by internal/admindb,
-# the admission core's plan/rollback and ledger-conservation tests, and
-# the MSU's quit-acknowledgement and stop-drains-the-sink regressions.
+# the restart-equivalence walk (a restart replays to the live tables),
+# the failed-commit and idempotent-replay tests, the admission core's
+# plan/rollback and ledger-conservation tests, and the MSU's
+# quit-acknowledgement and stop-drains-the-sink regressions.
 faults:
-	$(GO) test -race -timeout 120s -run 'Fault|Failover|Redispatch|Reconnect|MSUDown|Lost|Restart|Orphan|Corrupt|PlanStep|LedgerConservation|RecordPlacement|QueuedPlayWakes|CutAll|QuitIsAcknowledged|StopKeeps' . ./internal/coordinator ./internal/client ./internal/msu ./internal/faultinject ./internal/admindb
+	$(GO) test -race -timeout 120s -run 'Fault|Failover|Redispatch|Reconnect|MSUDown|Lost|Restart|FailedCommit|ReplayIdempotent|ReplayUnstamped|PR15Fixture|Orphan|Corrupt|PlanStep|LedgerConservation|RecordPlacement|QueuedPlayWakes|CutAll|QuitIsAcknowledged|StopKeeps' . ./internal/coordinator ./internal/client ./internal/msu ./internal/faultinject ./internal/admindb
+
+# Three seconds of each fuzz target (go test takes one -fuzz target and
+# one package per run): journal replay and snapshot decoding never
+# panic on arbitrary bytes and keep only what replays to the same
+# tables.
+fuzz-smoke:
+	$(GO) test -run=NONE -fuzz='^FuzzReplayJournal$$' -fuzztime=3s ./internal/admindb
+	$(GO) test -run=NONE -fuzz='^FuzzSnapshotDecode$$' -fuzztime=3s ./internal/admindb
 
 # The demand-driven replication subsystem: copy-engine framing, the
 # MSU transfer path, the Coordinator placement policy, and the

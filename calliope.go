@@ -242,7 +242,7 @@ type Cluster struct {
 	msuCfgs []msu.Config
 	// store is the Coordinator's durable administrative database when
 	// ClusterConfig.StateDir was set; the Cluster owns its lifecycle.
-	store    *admindb.FileStore
+	store    *admindb.DB
 	stateDir string
 	// coordCfg is kept so RestartCoordinator can rebuild the
 	// Coordinator against the same store and address.
@@ -276,7 +276,7 @@ func StartCluster(cfg ClusterConfig) (*Cluster, error) {
 		Replication:  cfg.Replication,
 		Logger:       cfg.Logger,
 	}
-	var store *admindb.FileStore
+	var store *admindb.DB
 	if cfg.StateDir != "" {
 		var err error
 		store, err = admindb.Open(admindb.Options{Dir: cfg.StateDir, Logger: cfg.Logger})

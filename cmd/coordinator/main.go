@@ -53,7 +53,7 @@ func main() {
 		QueueTimeout: *queueTimeout,
 		Logger:       logger,
 	}
-	var store *admindb.FileStore
+	var store *admindb.DB
 	if *state != "" {
 		var err error
 		store, err = admindb.Open(admindb.Options{Dir: *state, Logger: logger})

@@ -13,7 +13,7 @@ import (
 // fixedNow is the injected clock for snapshot timestamps.
 var fixedNow = time.Date(2026, 1, 2, 3, 4, 5, 0, time.UTC)
 
-func openTest(t *testing.T, dir string, compactAfter int) *FileStore {
+func openTest(t *testing.T, dir string, compactAfter int) *DB {
 	t.Helper()
 	s, err := Open(Options{
 		Dir:          dir,
@@ -426,7 +426,7 @@ func TestJournalRejectsOversizeLength(t *testing.T) {
 	// A corrupted length field must not drive a huge allocation.
 	var hdr [journalHeaderSize]byte
 	binary.LittleEndian.PutUint32(hdr[0:4], uint32(maxRecordSize+1))
-	st := newState()
+	st := newTables()
 	good, records := replayJournal(hdr[:], st)
 	if good != 0 || records != 0 {
 		t.Fatalf("replay = (%d, %d), want (0, 0)", good, records)

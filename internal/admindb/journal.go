@@ -39,12 +39,12 @@ func appendFrame(buf []byte, m Mutation) ([]byte, error) {
 	return append(buf, payload...), nil
 }
 
-// replayJournal applies every intact record in data to st, in order,
+// replayJournal applies every intact record in data to t, in order,
 // and returns the offset just past the last good record plus the
 // number of records applied. Damage (truncation, bad CRC, undecodable
 // payload) ends the replay at the preceding record — everything
 // committed before the damage survives.
-func replayJournal(data []byte, st *state) (good int64, records int) {
+func replayJournal(data []byte, t *tables) (good int64, records int) {
 	off := 0
 	for {
 		if len(data)-off < journalHeaderSize {
@@ -63,7 +63,7 @@ func replayJournal(data []byte, st *state) (good int64, records int) {
 		if err := json.Unmarshal(payload, &m); err != nil {
 			return int64(off), records
 		}
-		st.apply(m)
+		t.apply(m)
 		off += journalHeaderSize + n
 		records++
 	}

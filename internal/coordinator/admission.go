@@ -3,6 +3,7 @@ package coordinator
 import (
 	"sort"
 
+	"calliope/internal/admindb"
 	"calliope/internal/core"
 	"calliope/internal/schedule"
 	"calliope/internal/units"
@@ -118,17 +119,17 @@ func (c *Coordinator) liveMSUsLocked() []*msuState {
 // Plan tries each in turn, so a play refused bandwidth on the primary
 // falls over to any other replica — including one the replication
 // policy just created.
-func (c *Coordinator) playCandidatesLocked(parts []*contentRec) []candidate {
+func (c *Coordinator) playCandidatesLocked(parts []*admindb.ContentRecord) []candidate {
 	var out []candidate
 next:
-	for _, id := range parts[0].holders() {
-		m := c.msus[id]
+	for _, home := range parts[0].Holders() {
+		m := c.msus[home.MSU]
 		if m == nil || !m.alive {
 			continue
 		}
 		disks := make([]int, len(parts))
 		for i, p := range parts {
-			loc, ok := p.locate(id)
+			loc, ok := p.Locate(home.MSU)
 			if !ok || loc.N < 0 || loc.N >= len(m.disks) {
 				continue next
 			}
@@ -312,22 +313,22 @@ func (c *Coordinator) endReplicationLocked(r *replication, aborted bool) {
 // bandwidth and NIC, destination disk bandwidth and space — as one
 // grant at the idle-bandwidth rate. It returns the planned transfer for
 // the caller to order, or nil.
-func (c *Coordinator) planReplicaLocked(rec *contentRec) *replication {
+func (c *Coordinator) planReplicaLocked(rec *admindb.ContentRecord) *replication {
 	if c.cfg.Replication.Disable || c.closed || rec == nil {
 		return nil
 	}
-	t, ok := c.types[rec.info.Type]
+	t, ok := c.db.Type(rec.Info.Type)
 	if !ok || t.Composite() {
 		return nil // composite parents replicate through their children
 	}
-	if len(rec.locations) >= c.maxReplicas() || c.replicationFor(rec.info.Name) != nil {
+	if len(rec.Locations) >= c.maxReplicas() || c.replicationFor(rec.Info.Name) != nil {
 		return nil
 	}
-	srcM, ok := c.pickSourceLocked(rec)
+	srcM, srcDisk, ok := c.pickSourceLocked(rec)
 	if !ok {
 		return nil
 	}
-	srcD := srcM.disks[rec.locations[srcM.id].N]
+	srcD := srcM.disks[srcDisk]
 	dstM, dstDisk, ok := c.pickDestinationLocked(rec, srcD.blockSize)
 	if !ok {
 		return nil
@@ -350,12 +351,12 @@ func (c *Coordinator) planReplicaLocked(rec *contentRec) *replication {
 	c.nextRepl++
 	g, ok := takeGrant(replKeyBase+c.nextRepl,
 		claim{srcD.bw, rate}, claim{srcM.net, rate},
-		claim{dstD.bw, rate}, claim{dstD.space, blocksFor(rec.info.Size, dstD.blockSize)})
+		claim{dstD.bw, rate}, claim{dstD.space, blocksFor(rec.Info.Size, dstD.blockSize)})
 	if !ok {
 		return nil
 	}
 	r := &replication{
-		id: c.nextRepl, content: rec.info.Name, rate: rate,
+		id: c.nextRepl, content: rec.Info.Name, rate: rate,
 		srcM: srcM, dstM: dstM, dstDisk: dstDisk, grant: g,
 	}
 	c.replications[r.id] = r
@@ -364,32 +365,32 @@ func (c *Coordinator) planReplicaLocked(rec *contentRec) *replication {
 	return r
 }
 
-// pickSourceLocked finds a live holder able to serve transfers,
-// primary first then MSU id order.
-func (c *Coordinator) pickSourceLocked(rec *contentRec) (*msuState, bool) {
-	for _, id := range rec.holders() {
-		m, loc := c.msus[id], rec.locations[id]
+// pickSourceLocked finds a live holder able to serve transfers, and the
+// disk its replica is on, primary first then MSU id order.
+func (c *Coordinator) pickSourceLocked(rec *admindb.ContentRecord) (*msuState, int, bool) {
+	for _, loc := range rec.Holders() {
+		m := c.msus[loc.MSU]
 		if m != nil && m.alive && m.transferAddr != "" && loc.N >= 0 && loc.N < len(m.disks) {
-			return m, true
+			return m, loc.N, true
 		}
 	}
-	return nil, false
+	return nil, 0, false
 }
 
 // pickDestinationLocked finds the best MSU not yet holding rec: alive,
 // a disk with the same block size (IB-tree pages are block-sized, so
 // replicas cannot change geometry) and the most free blocks, with room
 // for the whole item.
-func (c *Coordinator) pickDestinationLocked(rec *contentRec, blockSize int) (*msuState, int, bool) {
+func (c *Coordinator) pickDestinationLocked(rec *admindb.ContentRecord, blockSize int) (*msuState, int, bool) {
 	var bestM *msuState
 	bestDisk, bestFree := -1, int64(-1)
 	for _, m := range c.liveMSUsLocked() {
-		if _, holds := rec.locations[m.id]; holds {
+		if _, holds := rec.Locate(m.id); holds {
 			continue
 		}
 		for di, d := range m.disks {
 			free := d.space.Available()
-			if d.blockSize == blockSize && free >= blocksFor(rec.info.Size, blockSize) && free > bestFree {
+			if d.blockSize == blockSize && free >= blocksFor(rec.Info.Size, blockSize) && free > bestFree {
 				bestM, bestDisk, bestFree = m, di, free
 			}
 		}

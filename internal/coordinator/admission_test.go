@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"calliope/internal/admindb"
 	"calliope/internal/core"
 	"calliope/internal/schedule"
 	"calliope/internal/units"
@@ -51,38 +52,59 @@ func addMSU(t *testing.T, c *Coordinator, id core.MSUID, netBW, diskBW int64, fr
 
 // addContent declares an mpeg1-sized title (1500 Kbps unless typ says
 // otherwise) held on disk 0 of each listed MSU, the first one primary.
-func addContent(c *Coordinator, name, typ string, holders ...core.MSUID) *contentRec {
-	rec := &contentRec{info: core.ContentInfo{Name: name, Type: typ, Size: 640 * units.KB}}
+func addContent(c *Coordinator, name, typ string, holders ...core.MSUID) *admindb.ContentRecord {
+	rec := admindb.ContentRecord{Info: core.ContentInfo{Name: name, Type: typ, Size: 640 * units.KB}}
 	for _, id := range holders {
-		rec.setLocation(core.DiskID{MSU: id})
+		rec.Locations = append(rec.Locations, admindb.Location{MSU: id})
 	}
-	c.contents[name] = rec
-	return rec
+	if len(holders) > 0 {
+		rec.Info.Disk = core.DiskID{MSU: holders[0]}
+	}
+	if err := c.db.Apply(admindb.PutContent(rec)); err != nil {
+		panic(err)
+	}
+	return c.db.Content(name)
+}
+
+// issueIDs takes one group ID and n stream IDs off the counters.
+func issueIDs(c *Coordinator, n uint64) (group uint64, firstStream core.StreamID) {
+	ids := c.db.Counters()
+	firstStream = core.StreamID(ids.NextStream + 1)
+	ids.NextGroup++
+	ids.NextStream += n
+	if err := c.db.Apply(admindb.SetCounters(ids)); err != nil {
+		panic(err)
+	}
+	return ids.NextGroup, firstStream
+}
+
+func typeRate(c *Coordinator, name string) units.BitRate {
+	t, _ := c.db.Type(name)
+	return t.Bandwidth
 }
 
 // playDemands builds one play stream per part, the way play does.
-func playDemands(c *Coordinator, parts ...*contentRec) []demand {
-	c.nextGroup++
+func playDemands(c *Coordinator, parts ...*admindb.ContentRecord) []demand {
+	group, id := issueIDs(c, uint64(len(parts)))
 	var out []demand
 	for _, part := range parts {
-		c.nextStream++
 		out = append(out, demand{a: &activeStream{
-			id: c.nextStream, group: c.nextGroup, content: part.info.Name, typ: part.info.Type,
-			spec: core.StreamSpec{Stream: c.nextStream, Group: c.nextGroup, Content: part.info.Name,
-				Rate: c.types[part.info.Type].Bandwidth},
+			id: id, group: group, content: part.Info.Name, typ: part.Info.Type,
+			spec: core.StreamSpec{Stream: id, Group: group, Content: part.Info.Name,
+				Rate: typeRate(c, part.Info.Type)},
 		}})
+		id++
 	}
 	return out
 }
 
 // recordDemand builds one mpeg1 record stream needing the given blocks.
 func recordDemand(c *Coordinator, name string, blocks int64) []demand {
-	c.nextGroup++
-	c.nextStream++
+	group, id := issueIDs(c, 1)
 	return []demand{{
-		a: &activeStream{id: c.nextStream, group: c.nextGroup, content: name, typ: "mpeg1", record: true,
-			spec: core.StreamSpec{Stream: c.nextStream, Group: c.nextGroup, Content: name, Record: true,
-				Rate: c.types["mpeg1"].Bandwidth}},
+		a: &activeStream{id: id, group: group, content: name, typ: "mpeg1", record: true,
+			spec: core.StreamSpec{Stream: id, Group: group, Content: name, Record: true,
+				Rate: typeRate(c, "mpeg1")}},
 		blocks: func(int) int64 { return blocks },
 	}}
 }
@@ -138,7 +160,7 @@ func TestPlanStep(t *testing.T) {
 			if p := c.planLocked(playDemands(c, rec), nil); p != nil {
 				t.Fatal("placed with no candidates")
 			}
-			p := c.planLocked(playDemands(c, rec), c.playCandidatesLocked([]*contentRec{rec}))
+			p := c.planLocked(playDemands(c, rec), c.playCandidatesLocked([]*admindb.ContentRecord{rec}))
 			if p == nil || p.m != m || m.net.Reserved() != mpeg || m.disks[0].bw.Reserved() != mpeg {
 				t.Fatalf("placement %+v, net %d disk %d", p, m.net.Reserved(), m.disks[0].bw.Reserved())
 			}
@@ -151,7 +173,7 @@ func TestPlanStep(t *testing.T) {
 			rec := addContent(c, "movie", "mpeg1", "m1")
 			m.disks[0].coverage = map[string]wire.ContentCoverage{"movie": {Name: "movie", CachedPages: 10, TotalPages: 10}}
 			for i := 0; i < 3; i++ { // three plays on a one-slot disk
-				if p := c.planLocked(playDemands(c, rec), c.playCandidatesLocked([]*contentRec{rec})); p == nil {
+				if p := c.planLocked(playDemands(c, rec), c.playCandidatesLocked([]*admindb.ContentRecord{rec})); p == nil {
 					t.Fatalf("warm play %d refused", i)
 				}
 			}
@@ -163,7 +185,7 @@ func TestPlanStep(t *testing.T) {
 			video, audio := 3000*kbps, 128*kbps
 			small := addMSU(t, c, "m1", video+audio-1, 10*mpeg, 100) // the NIC fits the video, not both
 			big := addMSU(t, c, "m2", video+audio, 10*mpeg, 100)
-			parts := []*contentRec{addContent(c, "talk/v", "rtp-video", "m1", "m2"), addContent(c, "talk/a", "vat-audio", "m1", "m2")}
+			parts := []*admindb.ContentRecord{addContent(c, "talk/v", "rtp-video", "m1", "m2"), addContent(c, "talk/a", "vat-audio", "m1", "m2")}
 			p := c.planLocked(playDemands(c, parts...), c.playCandidatesLocked(parts))
 			if p == nil || p.m != big || len(p.streams) != 2 {
 				t.Fatalf("placement %+v, want both parts on m2", p)
@@ -208,7 +230,7 @@ func TestPlanStep(t *testing.T) {
 			addMSU(t, c, "m1", mpeg, mpeg, 100)
 			m2 := addMSU(t, c, "m2", mpeg, mpeg, 100)
 			rec := addContent(c, "movie", "mpeg1", "m1", "m2")
-			cands := c.playCandidatesLocked([]*contentRec{rec})
+			cands := c.playCandidatesLocked([]*admindb.ContentRecord{rec})
 			if len(cands) != 2 || cands[0].m.id != "m1" {
 				t.Fatalf("candidates %+v, want the primary first", cands)
 			}
@@ -225,7 +247,7 @@ func TestPlanStep(t *testing.T) {
 			m1 := addMSU(t, c, "m1", 2*mpeg, 2*mpeg, 100)
 			m2 := addMSU(t, c, "m2", 2*mpeg, 2*mpeg, 100)
 			rec := addContent(c, "movie", "mpeg1", "m1")
-			cands := c.playCandidatesLocked([]*contentRec{rec})
+			cands := c.playCandidatesLocked([]*admindb.ContentRecord{rec})
 			if c.planLocked(playDemands(c, rec), cands) == nil {
 				t.Fatal("first play refused")
 			}
@@ -288,7 +310,7 @@ func TestPlanStep(t *testing.T) {
 		{"rollback frees and wakes the queue; commit sees a lost MSU", func(t *testing.T, c *Coordinator) {
 			m := addMSU(t, c, "m1", 10*mpeg, 10*mpeg, 100)
 			rec := addContent(c, "movie", "mpeg1", "m1")
-			cands := c.playCandidatesLocked([]*contentRec{rec})
+			cands := c.playCandidatesLocked([]*admindb.ContentRecord{rec})
 			p := c.planLocked(playDemands(c, rec), cands)
 			woke := c.release
 			c.rollbackLocked(p)
@@ -324,10 +346,10 @@ func TestPlanStep(t *testing.T) {
 			addMSU(t, c, "m1", 10*mpeg, 10*mpeg, 100)
 			rec := addContent(c, "movie", "mpeg1", "m1")
 			dm := playDemands(c, rec)
-			old := c.planLocked(dm, c.playCandidatesLocked([]*contentRec{rec}))
+			old := c.planLocked(dm, c.playCandidatesLocked([]*admindb.ContentRecord{rec}))
 			c.releaseStreamLocked(old.streams[0]) // msuDown
 			fresh := addMSU(t, c, "m1", 10*mpeg, 10*mpeg, 100)
-			again := c.planLocked(dm, c.playCandidatesLocked([]*contentRec{rec}))
+			again := c.planLocked(dm, c.playCandidatesLocked([]*admindb.ContentRecord{rec}))
 			if again == nil || again.m != fresh {
 				t.Fatalf("re-placement %+v", again)
 			}
@@ -390,7 +412,7 @@ func TestLedgerConservationRandomized(t *testing.T) {
 	for _, id := range ids {
 		up(id)
 	}
-	var titles []*contentRec
+	var titles []*admindb.ContentRecord
 	for i := 0; i < 6; i++ {
 		typ := []string{"mpeg1", "rtp-video", "vat-audio"}[i%3]
 		titles = append(titles, addContent(c, fmt.Sprintf("t%d", i), typ, ids[i%3], ids[(i+1)%3]))
@@ -411,7 +433,7 @@ func TestLedgerConservationRandomized(t *testing.T) {
 		switch op := rng.Intn(10); {
 		case op < 3:
 			what = "plan play"
-			parts := []*contentRec{titles[rng.Intn(len(titles))]}
+			parts := []*admindb.ContentRecord{titles[rng.Intn(len(titles))]}
 			if rng.Intn(3) == 0 {
 				parts = append(parts, titles[rng.Intn(len(titles))])
 			}

@@ -9,15 +9,18 @@
 // are detected by broken TCP connections; a returning MSU re-registers
 // and is restored to the scheduling database.
 //
-// The paper's Calliope "does not recover from Coordinator failures";
-// ours does, when Config.Store is set: every administrative mutation
-// (content, replica locations, content types, ID counters, in-flight
-// recordings) is journaled durably before the request is acknowledged
-// (internal/admindb), and a restarted Coordinator reloads that state,
-// lets MSUs re-register and clients reconnect, and reports recordings
-// the crash interrupted. Sessions, ports, queued requests and the live
-// bandwidth/space ledgers are deliberately not persisted — they are
-// rebuilt by the reconnect and re-registration traffic.
+// The administrative database itself lives in internal/admindb, one
+// copy of it: the Coordinator reads the tables through the database's
+// accessors and changes them only through apply — journal, fsync, then
+// the tables — so nothing here can drift from what a restart would
+// replay. The paper's Calliope "does not recover from Coordinator
+// failures"; ours does, when Config.Store is a database opened on a
+// state directory: a restarted Coordinator finds the tables as the last
+// acknowledged request left them, lets MSUs re-register and clients
+// reconnect, and reports recordings the crash interrupted. Sessions,
+// ports, queued requests and the live bandwidth/space ledgers are
+// deliberately not persisted — they are rebuilt by the reconnect and
+// re-registration traffic.
 //
 // One TCP listener serves both clients and MSUs; the first message on
 // a connection (hello vs msu-hello) decides the role.
@@ -28,7 +31,6 @@ import (
 	"fmt"
 	"log"
 	"net"
-	"sort"
 	"sync"
 	"time"
 
@@ -37,6 +39,7 @@ import (
 	"calliope/internal/obs"
 	"calliope/internal/schedule"
 	"calliope/internal/trace"
+	"calliope/internal/units"
 	"calliope/internal/wire"
 )
 
@@ -56,7 +59,9 @@ const (
 type Config struct {
 	// Addr is the TCP listen address, e.g. "127.0.0.1:0".
 	Addr string
-	// Types seeds the content-type table.
+	// Types seeds the content-type table: each is put into the database
+	// at every start, so the configuration stays the authority for the
+	// names it lists.
 	Types []core.ContentType
 	// Users is the customer database: user name → role. Empty means an
 	// open installation where every user is an admin (the tests' and
@@ -73,11 +78,12 @@ type Config struct {
 	// fault-injection tests pass an injector-wrapped listener here
 	// (internal/faultinject).
 	Listen func(network, address string) (net.Listener, error)
-	// Store persists the administrative database across Coordinator
-	// restarts (admindb.Open for a file-backed store, admindb.NewMem for
-	// tests). Nil means in-memory only — a restart forgets everything,
-	// as in the paper. The Coordinator does not close the store; its
-	// owner does, after the Coordinator shuts down.
+	// Store is the administrative database: admindb.Open's survives a
+	// Coordinator restart, admindb.NewMem's lets a test hand one database
+	// to two Coordinators in turn. Nil means a NewMem of the
+	// Coordinator's own — a restart forgets everything, as in the paper.
+	// The Coordinator does not close the database; its owner does, after
+	// the Coordinator shuts down.
 	Store admindb.Store
 	// Replication tunes the demand-driven content replication policy
 	// (internal/replicate); the zero value enables it with defaults.
@@ -91,9 +97,11 @@ type Coordinator struct {
 	cfg Config
 	ln  net.Listener
 
-	mu       sync.Mutex
-	types    map[string]core.ContentType
-	contents map[string]*contentRec
+	mu sync.Mutex
+	// db is the administrative database. It is read and (through apply)
+	// changed under mu, which is what lets the Coordinator hold on to the
+	// records it hands out.
+	db       *admindb.DB
 	msus     map[core.MSUID]*msuState
 	sessions map[core.SessionID]*session
 	active   map[core.StreamID]*activeStream
@@ -103,13 +111,8 @@ type Coordinator struct {
 	// redispatching marks orphaned groups that already have a recovery
 	// goroutine; a cascading MSU failure must not spawn a second one.
 	redispatching map[uint64]bool
-	// recPending mirrors the store's in-flight recording entries: group
-	// → component content names not yet committed. An entry settles
-	// (DeleteRecording is journaled) when every component commits, when
-	// the group's last record stream ends, or when its MSU dies.
-	recPending map[uint64]map[string]bool
 	// lostRecordings counts in-flight recordings a Coordinator crash
-	// interrupted, discovered in the store at startup.
+	// interrupted, discovered in the database at startup.
 	lostRecordings int
 	// replications tracks in-flight MSU-to-MSU content transfers by
 	// order ID; each holds ledger reservations on both ends.
@@ -126,12 +129,8 @@ type Coordinator struct {
 	// plays, recordings and re-dispatches alike (the queued_plays gauge).
 	parked int
 
-	nextSession core.SessionID
-	nextStream  core.StreamID
-	nextGroup   uint64
-	nextPort    core.PortID
-	nextRepl    uint64
-	requests    int64
+	nextRepl uint64
+	requests int64
 
 	// release is closed and replaced whenever resources free up, so
 	// queued requests can retry.
@@ -139,78 +138,6 @@ type Coordinator struct {
 
 	closed bool
 	wg     sync.WaitGroup
-}
-
-type contentRec struct {
-	info     core.ContentInfo
-	children []string // component content names for composite items
-	// locations maps each MSU holding a replica to the disk it lives
-	// on. info.Disk is the primary (preferred) location; the others are
-	// the re-dispatch candidates when an MSU fails (§2.2).
-	locations map[core.MSUID]core.DiskID
-}
-
-// locate reports the disk a replica lives on at the given MSU.
-func (r *contentRec) locate(id core.MSUID) (core.DiskID, bool) {
-	d, ok := r.locations[id]
-	return d, ok
-}
-
-// holders lists the MSUs holding a replica: the primary first, then
-// MSU id order — the order placement, transfer sourcing and listings
-// all prefer.
-func (r *contentRec) holders() []core.MSUID {
-	ids := make([]core.MSUID, 0, len(r.locations))
-	for id := range r.locations {
-		ids = append(ids, id)
-	}
-	primary := r.info.Disk.MSU
-	sort.Slice(ids, func(i, j int) bool {
-		if (ids[i] == primary) != (ids[j] == primary) {
-			return ids[i] == primary
-		}
-		return ids[i] < ids[j]
-	})
-	return ids
-}
-
-// setLocation records a replica; the first location becomes primary.
-func (r *contentRec) setLocation(d core.DiskID) {
-	if r.locations == nil {
-		r.locations = make(map[core.MSUID]core.DiskID)
-	}
-	r.locations[d.MSU] = d
-	if r.info.Disk == (core.DiskID{}) || r.info.Disk.MSU == d.MSU {
-		r.info.Disk = d
-	}
-}
-
-// replicaList freezes a record's replica locations for a listing.
-func replicaList(rec *contentRec) []core.DiskID {
-	var out []core.DiskID
-	for _, id := range rec.holders() {
-		out = append(out, rec.locations[id])
-	}
-	return out
-}
-
-// dropLocation forgets an MSU's replica, repointing the primary if
-// needed; reports whether any replica remains.
-func (r *contentRec) dropLocation(id core.MSUID) bool {
-	delete(r.locations, id)
-	if len(r.locations) == 0 {
-		return false
-	}
-	if r.info.Disk.MSU == id {
-		// Deterministic repoint: smallest surviving MSU id.
-		var ids []core.MSUID
-		for m := range r.locations {
-			ids = append(ids, m)
-		}
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-		r.info.Disk = r.locations[ids[0]]
-	}
-	return true
 }
 
 type pendingComposite struct {
@@ -221,6 +148,28 @@ type pendingComposite struct {
 	length  time.Duration
 	size    int64
 	disk    core.DiskID
+}
+
+// committed returns the composite with one more component in. The
+// receiver is left as it was, so a commit the journal refuses changes
+// nothing.
+func (pc pendingComposite) committed(req wire.RecordingDone, at core.DiskID) *pendingComposite {
+	waiting := make(map[string]bool, len(pc.waiting))
+	for name := range pc.waiting {
+		if name != req.Content {
+			waiting[name] = true
+		}
+	}
+	pc.waiting = waiting
+	pc.done = append(pc.done[:len(pc.done):len(pc.done)], req.Content)
+	if req.Length > pc.length {
+		pc.length = req.Length
+	}
+	pc.size += int64(req.Size)
+	if pc.disk == (core.DiskID{}) {
+		pc.disk = at
+	}
+	return &pc
 }
 
 type msuState struct {
@@ -303,136 +252,68 @@ func New(cfg Config) (*Coordinator, error) {
 	if cfg.Now == nil {
 		cfg.Now = time.Now
 	}
+	db := cfg.Store
+	if db == nil {
+		db = admindb.NewMem()
+	}
 	c := &Coordinator{
 		cfg:           cfg,
-		types:         make(map[string]core.ContentType),
-		contents:      make(map[string]*contentRec),
+		db:            db,
 		msus:          make(map[core.MSUID]*msuState),
 		sessions:      make(map[core.SessionID]*session),
 		active:        make(map[core.StreamID]*activeStream),
 		pending:       make(map[uint64]*pendingComposite),
 		redispatching: make(map[uint64]bool),
-		recPending:    make(map[uint64]map[string]bool),
 		replications:  make(map[uint64]*replication),
 		dereplicating: make(map[string]bool),
 		release:       make(chan struct{}),
 	}
 	c.obs = obs.New(obs.Options{Now: cfg.Now})
 	c.om = newCoordMetrics(c.obs)
+	var boot []admindb.Mutation
 	for _, t := range cfg.Types {
-		t := t
 		if err := t.Validate(); err != nil {
 			return nil, err
 		}
-		c.types[t.Name] = t
+		boot = append(boot, admindb.PutType(t))
 	}
-	if cfg.Store != nil {
-		if err := c.restore(); err != nil {
-			return nil, err
-		}
+	// In-flight recordings found in the database were interrupted by the
+	// crash this start follows; they are reported lost and settled.
+	for _, r := range db.Recordings() {
+		c.lostRecordings++
+		c.logf("recording group %d (%v on MSU %q) lost in Coordinator restart", r.Group, r.Contents, r.MSU)
+		boot = append(boot, admindb.DeleteRecording(r.Group))
+	}
+	if err := c.apply(boot...); err != nil {
+		return nil, err
 	}
 	return c, nil
 }
 
-// restore reloads the administrative database from the store: the
-// table of contents with replica locations, the content-type table
-// (persisted types overlay the Config seed), and the ID counters —
-// so a restarted Coordinator never re-issues a session, stream, group
-// or port ID that may still be live in the cluster. In-flight
-// recordings found in the store were interrupted by the crash; they
-// are reported lost and settled. Runs before Start, so no locking.
-func (c *Coordinator) restore() error {
-	st, err := c.cfg.Store.Load()
-	if err != nil {
-		return fmt.Errorf("coordinator: loading administrative database: %w", err)
-	}
-	for _, t := range st.Types {
-		c.types[t.Name] = t
-	}
-	for _, r := range st.Contents {
-		rec := &contentRec{info: r.Info, children: r.Children}
-		if rec.children == nil {
-			rec.children = r.Info.Children
-		}
-		for _, loc := range r.Locations {
-			d := core.DiskID{MSU: loc.MSU, N: loc.Disk}
-			if rec.locations == nil {
-				rec.locations = make(map[core.MSUID]core.DiskID)
-			}
-			rec.locations[d.MSU] = d
-		}
-		// Normalize the primary: the journal's location records do not
-		// track primary repoints, so re-derive it from the location set.
-		if len(rec.locations) > 0 {
-			if d, ok := rec.locations[rec.info.Disk.MSU]; ok {
-				rec.info.Disk = d
-			} else {
-				var ids []core.MSUID
-				for m := range rec.locations {
-					ids = append(ids, m)
-				}
-				sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-				rec.info.Disk = rec.locations[ids[0]]
-			}
-		}
-		c.contents[r.Info.Name] = rec
-	}
-	c.nextSession = core.SessionID(st.Counters.NextSession)
-	c.nextStream = core.StreamID(st.Counters.NextStream)
-	c.nextGroup = st.Counters.NextGroup
-	c.nextPort = core.PortID(st.Counters.NextPort)
-	var settle []admindb.Mutation
-	for _, r := range st.Recordings {
-		c.lostRecordings++
-		c.logf("recording group %d (%v on MSU %q) lost in Coordinator restart", r.Group, r.Contents, r.MSU)
-		settle = append(settle, admindb.DeleteRecording(r.Group))
-	}
-	if len(settle) > 0 {
-		if err := c.cfg.Store.Apply(settle...); err != nil {
-			return fmt.Errorf("coordinator: settling lost recordings: %w", err)
-		}
-	}
-	return nil
-}
-
-// persistLocked journals muts durably before the caller acknowledges
-// the request that caused them — the commit point of every
-// administrative mutation. No-op without a store. Callers hold c.mu.
-func (c *Coordinator) persistLocked(muts ...admindb.Mutation) error {
-	if c.cfg.Store == nil || len(muts) == 0 {
-		return nil
-	}
-	if err := c.cfg.Store.Apply(muts...); err != nil {
+// apply is the one way the Coordinator changes the administrative
+// database: admindb journals and fsyncs the mutations and only then
+// plays them into the tables, so on an error nothing has changed and the
+// caller refuses its request — ledger and bookkeeping side effects come
+// after a nil return. The handful of callers with no one to refuse drop
+// the error: it is counted and logged here. Callers hold c.mu (New runs
+// before Start and needs no lock).
+func (c *Coordinator) apply(muts ...admindb.Mutation) error {
+	if err := c.db.Apply(muts...); err != nil {
+		c.om.applyErrors.Inc()
 		c.logf("admindb: %v", err)
 		return fmt.Errorf("coordinator: persisting administrative state: %w", err)
 	}
 	return nil
 }
 
-// countersLocked snapshots the ID generators as a journal mutation.
-// Replay takes the element-wise max, so a stale record can never move
-// a counter backwards. Callers hold c.mu.
-func (c *Coordinator) countersLocked() admindb.Mutation {
-	return admindb.SetCounters(admindb.Counters{
-		NextSession: uint64(c.nextSession),
-		NextStream:  uint64(c.nextStream),
-		NextGroup:   c.nextGroup,
-		NextPort:    uint64(c.nextPort),
+// putContentAt builds the record of a content item whose first (and so
+// primary) replica is on disk d.
+func putContentAt(info core.ContentInfo, d core.DiskID) admindb.Mutation {
+	info.Disk = d
+	return admindb.PutContent(admindb.ContentRecord{
+		Info:      info,
+		Locations: []admindb.Location{{MSU: d.MSU, Disk: d.N}},
 	})
-}
-
-// contentMutation freezes a contentRec into its journal form.
-func contentMutation(rec *contentRec) admindb.Mutation {
-	out := admindb.ContentRecord{Info: rec.info, Children: rec.children}
-	var ids []core.MSUID
-	for id := range rec.locations {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		out.Locations = append(out.Locations, admindb.Location{MSU: id, Disk: rec.locations[id].N})
-	}
-	return admindb.PutContent(out)
 }
 
 // Start begins listening and serving.
@@ -688,12 +569,13 @@ func (ctx *connCtx) hello(req wire.Hello) (*wire.Welcome, error) {
 			return nil, fmt.Errorf("%w: unknown user %q", core.ErrPermission, req.User)
 		}
 	}
-	c.nextSession++
-	if err := c.persistLocked(c.countersLocked()); err != nil {
+	ids := c.db.Counters()
+	ids.NextSession++
+	if err := c.apply(admindb.SetCounters(ids)); err != nil {
 		return nil, err
 	}
 	s := &session{
-		id:    c.nextSession,
+		id:    core.SessionID(ids.NextSession),
 		user:  req.User,
 		role:  role,
 		peer:  ctx.peer,
@@ -743,24 +625,18 @@ func (c *Coordinator) listContent() *wire.ContentList {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	out := &wire.ContentList{}
-	for _, rec := range c.contents {
-		info := rec.info
-		info.Replicas = replicaList(rec)
+	for _, rec := range c.db.Contents() {
+		info := rec.Info
+		info.Replicas = rec.Holders()
 		out.Items = append(out.Items, info)
 	}
-	sortContent(out.Items)
 	return out
 }
 
 func (c *Coordinator) listTypes() *wire.TypeList {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := &wire.TypeList{}
-	for _, t := range c.types {
-		out.Types = append(out.Types, t)
-	}
-	sortTypes(out.Types)
-	return out
+	return &wire.TypeList{Types: c.db.Types()}
 }
 
 // status answers the legacy TypeStatus request. The v2 snapshot is the
@@ -832,19 +708,15 @@ func (c *Coordinator) addType(t core.ContentType) error {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if _, ok := c.types[t.Name]; ok {
+	if _, ok := c.db.Type(t.Name); ok {
 		return fmt.Errorf("%w: type %q", core.ErrDuplicateName, t.Name)
 	}
 	for _, comp := range t.Components {
-		if _, ok := c.types[comp]; !ok {
+		if _, ok := c.db.Type(comp); !ok {
 			return fmt.Errorf("%w: component type %q", core.ErrNoSuchType, comp)
 		}
 	}
-	if err := c.persistLocked(admindb.PutType(t)); err != nil {
-		return err
-	}
-	c.types[t.Name] = t
-	return nil
+	return c.apply(admindb.PutType(t))
 }
 
 // deleteContent removes an item that is not being played or recorded.
@@ -852,8 +724,8 @@ func (c *Coordinator) deleteContent(name string) error {
 	var aborts []replAbort
 	defer func() { sendAborts(aborts) }()
 	c.mu.Lock()
-	rec, ok := c.contents[name]
-	if !ok {
+	rec := c.db.Content(name)
+	if rec == nil {
 		c.mu.Unlock()
 		return fmt.Errorf("%w: %q", core.ErrNoSuchContent, name)
 	}
@@ -863,7 +735,7 @@ func (c *Coordinator) deleteContent(name string) error {
 			return fmt.Errorf("%w: %q", core.ErrContentInUse, name)
 		}
 	}
-	names := append([]string{name}, rec.children...)
+	names := append([]string{name}, rec.Info.Children...)
 	// An in-flight copy of anything being deleted dies first: the
 	// destination's partial files carry no attributes and self-clean on
 	// abort, and a commit racing the delete is refused in replicateDone.
@@ -880,27 +752,22 @@ func (c *Coordinator) deleteContent(name string) error {
 	type target struct {
 		peer *wire.Peer
 		name string
-		rec  *contentRec
+		size units.ByteSize
 		disk core.DiskID
 	}
 	var targets []target
 	for _, n := range names {
-		r, ok := c.contents[n]
-		if !ok {
+		r := c.db.Content(n)
+		if r == nil {
 			continue
 		}
-		var holders []core.MSUID
-		for id := range r.locations {
-			holders = append(holders, id)
-		}
-		sort.Slice(holders, func(i, j int) bool { return holders[i] < holders[j] })
-		for _, id := range holders {
-			m := c.msus[id]
+		for _, loc := range r.Locations {
+			m := c.msus[loc.MSU]
 			if m == nil || !m.alive {
 				c.mu.Unlock()
 				return fmt.Errorf("%w: holding %q", core.ErrMSUUnavailable, n)
 			}
-			targets = append(targets, target{peer: m.peer, name: n, rec: r, disk: r.locations[id]})
+			targets = append(targets, target{peer: m.peer, name: n, size: r.Info.Size, disk: loc.DiskID()})
 		}
 	}
 	c.mu.Unlock()
@@ -915,7 +782,7 @@ func (c *Coordinator) deleteContent(name string) error {
 	for _, t := range targets {
 		muts = append(muts, admindb.DeleteContent(t.name))
 	}
-	if err := c.persistLocked(muts...); err != nil {
+	if err := c.apply(muts...); err != nil {
 		// The MSUs already unlinked the files; the catalog entries stay
 		// until the next msuHello stale sweep reconciles them.
 		c.mu.Unlock()
@@ -924,9 +791,8 @@ func (c *Coordinator) deleteContent(name string) error {
 	for _, t := range targets {
 		// Return the replica's disk space to the free pool.
 		if d := c.diskState(t.disk); d != nil {
-			adjustCapacityLocked(d.space, blocksFor(t.rec.info.Size, d.blockSize))
+			adjustCapacityLocked(d.space, blocksFor(t.size, d.blockSize))
 		}
-		delete(c.contents, t.name)
 	}
 	c.signalRelease()
 	c.mu.Unlock()

@@ -31,6 +31,10 @@ type coordMetrics struct {
 	ended      *obs.Counter   // streams_ended_total
 	records    *obs.Counter   // records_started_total
 	queueWait  *obs.Histogram // queue_wait_seconds (requests admitted after parking)
+	// applyErrors counts mutations the administrative database refused
+	// (a failed journal write), whether the request was refused in turn
+	// or had no one to refuse.
+	applyErrors *obs.Counter // admindb_apply_errors_total
 }
 
 func newCoordMetrics(r *obs.Registry) coordMetrics {
@@ -44,6 +48,8 @@ func newCoordMetrics(r *obs.Registry) coordMetrics {
 		ended:      r.Counter("streams_ended_total"),
 		records:    r.Counter("records_started_total"),
 		queueWait:  r.Histogram("queue_wait_seconds", obs.DefaultLatencyBuckets),
+
+		applyErrors: r.Counter("admindb_apply_errors_total"),
 	}
 }
 
@@ -84,7 +90,7 @@ func (c *Coordinator) overlayLocked(s *obs.Snapshot) {
 	s.Gauges[wire.GaugeMSUsAvailable] = int64(available)
 	s.Gauges[wire.GaugeActiveStreams] = int64(len(c.active))
 	s.Gauges[wire.GaugeQueuedPlays] = int64(c.parked)
-	s.Gauges[wire.GaugeContents] = int64(len(c.contents))
+	s.Gauges[wire.GaugeContents] = int64(len(c.db.Contents()))
 	s.Gauges[wire.GaugeSessions] = int64(len(c.sessions))
 	s.Gauges[wire.GaugeLostRecs] = int64(c.lostRecordings)
 	s.Gauges[wire.GaugeReplActive] = c.replStats.Active

@@ -130,16 +130,16 @@ func (c *Coordinator) replicationFor(name string) *replication {
 // for rec, if it planned one (planReplicaLocked holds the policy and
 // takes the grant). The order goes out in the background. Callers hold
 // c.mu.
-func (c *Coordinator) planReplicationLocked(rec *contentRec) {
+func (c *Coordinator) planReplicationLocked(rec *admindb.ContentRecord) {
 	r := c.planReplicaLocked(rec)
 	if r == nil {
 		return
 	}
 	rate := units.BitRate(r.rate)
 	order := wire.Replicate{
-		ID: r.id, Content: r.content, Type: rec.info.Type, Disk: r.dstDisk,
+		ID: r.id, Content: r.content, Type: rec.Info.Type, Disk: r.dstDisk,
 		Source: r.srcM.transferAddr, Rate: rate,
-		Size: rec.info.Size, Length: rec.info.Length, HasFast: rec.info.HasFast,
+		Size: rec.Info.Size, Length: rec.Info.Length, HasFast: rec.Info.HasFast,
 	}
 	c.logf("replicating %q: %s → %s disk %d at %v", r.content, r.srcM.id, r.dstM.id, r.dstDisk, rate)
 	c.event(obs.Event{Kind: obs.EvReplPlan, MSU: string(r.dstM.id), Disk: r.dstDisk, Content: r.content,
@@ -172,7 +172,7 @@ func (c *Coordinator) maybeReplicateOnHeatLocked(d *diskState) {
 	sort.Strings(names)
 	for _, name := range names {
 		if d.coverage[name].Players >= c.hotPlayers() {
-			c.planReplicationLocked(c.contents[name])
+			c.planReplicationLocked(c.db.Content(name))
 		}
 	}
 }
@@ -228,8 +228,7 @@ func (ctx *connCtx) replicateDone(req wire.ReplicateDone) error {
 	if r != nil {
 		c.endReplicationLocked(r, false)
 	}
-	rec, ok := c.contents[req.Content]
-	if !ok {
+	if c.db.Content(req.Content) == nil {
 		// Deleted while the copy ran: refuse the location; the answer
 		// tells the destination to take the replica back out.
 		c.replStats.Aborted++
@@ -243,12 +242,9 @@ func (ctx *connCtx) replicateDone(req wire.ReplicateDone) error {
 		return fmt.Errorf("%w: disk %d", core.ErrBadRequest, req.Disk)
 	}
 	loc := core.DiskID{MSU: m.id, N: req.Disk}
-	rec.setLocation(loc)
-	if err := c.persistLocked(admindb.SetLocation(req.Content, admindb.Location{MSU: m.id, Disk: req.Disk})); err != nil {
-		// Not journaled ⇒ not committed: undo the catalog entry and
-		// reject, so the destination removes the replica and no
-		// unjournaled location lingers.
-		rec.dropLocation(m.id)
+	if err := c.apply(admindb.SetLocation(req.Content, admindb.Location{MSU: m.id, Disk: req.Disk})); err != nil {
+		// Not journaled ⇒ not committed: reject, so the destination
+		// removes the replica again.
 		c.replStats.Aborted++
 		c.signalRelease()
 		return err
@@ -307,18 +303,13 @@ func (c *Coordinator) dropColdReplicaLocked(m *msuState, diskIdx int) {
 	if float64(d.space.Available()) >= c.lowSpaceFrac()*float64(d.space.Capacity()) {
 		return // no space pressure
 	}
-	names := make([]string, 0, len(c.contents))
-	for name := range c.contents {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		rec := c.contents[name]
-		loc, held := rec.locations[m.id]
-		if !held || loc.N != diskIdx || len(rec.locations) < 2 {
+	for _, rec := range c.db.Contents() {
+		name := rec.Info.Name
+		loc, held := rec.Locate(m.id)
+		if !held || loc.N != diskIdx || len(rec.Locations) < 2 {
 			continue
 		}
-		if rec.info.Disk.MSU == m.id {
+		if rec.Info.Disk.MSU == m.id {
 			continue // never shed the primary
 		}
 		if c.dereplicating[name] || c.replicationFor(name) != nil {
@@ -340,14 +331,14 @@ func (c *Coordinator) dropColdReplicaLocked(m *msuState, diskIdx int) {
 		c.dereplicating[name] = true
 		c.logf("de-replicating cold %q from %s disk %d", name, m.id, diskIdx)
 		c.wg.Add(1) // under c.mu: Close sets closed before waiting
-		go c.executeDrop(m.peer, m, rec, name, diskIdx, blocksFor(rec.info.Size, d.blockSize))
+		go c.executeDrop(m.peer, m, rec, name, diskIdx, blocksFor(rec.Info.Size, d.blockSize))
 		return
 	}
 }
 
 // executeDrop deletes one cold replica on its MSU and, on success,
 // drops the journaled location and returns the blocks to the free pool.
-func (c *Coordinator) executeDrop(peer *wire.Peer, m *msuState, rec *contentRec, name string, diskIdx int, blocks int64) {
+func (c *Coordinator) executeDrop(peer *wire.Peer, m *msuState, rec *admindb.ContentRecord, name string, diskIdx int, blocks int64) {
 	defer c.wg.Done()
 	err := peer.CallTimeout(wire.TypeDeleteContent, wire.DeleteContent{Content: name}, nil, msuRPCTimeout)
 	c.mu.Lock()
@@ -358,11 +349,10 @@ func (c *Coordinator) executeDrop(peer *wire.Peer, m *msuState, rec *contentRec,
 		c.logf("de-replicating %q from %s: %v", name, m.id, err)
 		return
 	}
-	if c.contents[name] != rec || c.msus[m.id] != m {
+	if c.db.Content(name) != rec || c.msus[m.id] != m {
 		return // deleted or re-registered meanwhile; reconciliation owns it
 	}
-	rec.dropLocation(m.id)
-	c.persistLocked(admindb.DropLocation(name, m.id)) //nolint:errcheck // worst case the journal still lists it; the next msuHello sweep reconciles
+	c.apply(admindb.DropLocation(name, m.id)) //nolint:errcheck // counted and logged inside; the catalog, live and restarted alike, still lists the replica and the next msuHello sweep reconciles it
 	if d := c.diskState(core.DiskID{MSU: m.id, N: diskIdx}); d != nil {
 		adjustCapacityLocked(d.space, blocks)
 	}

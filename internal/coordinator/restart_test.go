@@ -50,11 +50,11 @@ func TestRestartPersistsCatalogCountersTypes(t *testing.T) {
 	// The catalog is there before any MSU has re-registered, with the
 	// replica location intact.
 	c2.mu.Lock()
-	rec := c2.contents["movie"]
+	rec := c2.db.Content("movie")
 	var loc core.DiskID
 	var hasLoc bool
 	if rec != nil {
-		loc, hasLoc = rec.locate("m1")
+		loc, hasLoc = rec.Locate("m1")
 	}
 	c2.mu.Unlock()
 	if rec == nil {
@@ -237,7 +237,7 @@ func TestOrphanRecordingDoneCommits(t *testing.T) {
 	c.Close()
 	c2 := startCoordinator(t, Config{Store: store})
 	c2.mu.Lock()
-	_, ok := c2.contents["across-restart"]
+	ok := c2.db.Content("across-restart") != nil
 	c2.mu.Unlock()
 	if !ok {
 		t.Fatal("orphan commit lost in restart")
@@ -271,7 +271,7 @@ func TestRestartStaleContentSwept(t *testing.T) {
 	c2.Close()
 	c3 := startCoordinator(t, Config{Store: store})
 	c3.mu.Lock()
-	_, stale := c3.contents["stale"]
+	stale := c3.db.Content("stale") != nil
 	c3.mu.Unlock()
 	if stale {
 		t.Fatal("stale-content sweep was not persisted")

@@ -20,14 +20,6 @@ import (
 // like any other unresponsive one.
 const msuRPCTimeout = 15 * time.Second
 
-func sortContent(items []core.ContentInfo) {
-	sort.Slice(items, func(i, j int) bool { return items[i].Name < items[j].Name })
-}
-
-func sortTypes(types []core.ContentType) {
-	sort.Slice(types, func(i, j int) bool { return types[i].Name < types[j].Name })
-}
-
 // msuHello (re)registers an MSU: rebuild its disk ledgers and merge its
 // content declarations into the table of contents.
 func (ctx *connCtx) msuHello(req wire.MSUHello) (*wire.MSUWelcome, error) {
@@ -90,21 +82,14 @@ func (ctx *connCtx) msuHello(req wire.MSUHello) (*wire.MSUWelcome, error) {
 		m.disks = append(m.disks, &diskState{blockSize: di.BlockSize, bw: bw, space: space, lastHitPct: -1})
 		for _, decl := range di.Contents {
 			declared[decl.Name] = true
-			rec := c.contents[decl.Name]
-			fresh := rec == nil
-			if fresh {
-				rec = &contentRec{info: core.ContentInfo{
+			if c.db.Content(decl.Name) == nil {
+				muts = append(muts, putContentAt(core.ContentInfo{
 					Name:    decl.Name,
 					Type:    decl.Type,
 					Length:  decl.Length,
 					Size:    decl.Size,
 					HasFast: decl.HasFast,
-				}}
-				c.contents[decl.Name] = rec
-			}
-			rec.setLocation(core.DiskID{MSU: req.ID, N: i})
-			if fresh {
-				muts = append(muts, contentMutation(rec))
+				}, core.DiskID{MSU: req.ID, N: i}))
 			} else {
 				muts = append(muts, admindb.SetLocation(decl.Name, admindb.Location{MSU: req.ID, Disk: i}))
 			}
@@ -130,16 +115,15 @@ func (ctx *connCtx) msuHello(req wire.MSUHello) (*wire.MSUWelcome, error) {
 	// content. Composite parents are Coordinator-side records, never
 	// declared by MSUs, so they are exempt; a parent with missing
 	// children fails at expandContent instead.
-	for name, rec := range c.contents {
-		if t, ok := c.types[rec.info.Type]; ok && t.Composite() {
-			rec.children = rec.info.Children // re-link reappeared children
+	for _, rec := range c.db.Contents() {
+		name := rec.Info.Name
+		if t, ok := c.db.Type(rec.Info.Type); ok && t.Composite() {
 			continue
 		}
-		if _, held := rec.locations[req.ID]; held && !declared[name] {
-			if rec.dropLocation(req.ID) {
+		if _, held := rec.Locate(req.ID); held && !declared[name] {
+			if len(rec.Locations) > 1 {
 				muts = append(muts, admindb.DropLocation(name, req.ID))
 			} else {
-				delete(c.contents, name)
 				muts = append(muts, admindb.DeleteContent(name))
 				c.logf("content %q dropped: MSU %q no longer declares it", name, req.ID)
 			}
@@ -148,7 +132,7 @@ func (ctx *connCtx) msuHello(req wire.MSUHello) (*wire.MSUWelcome, error) {
 	// The merged catalog must be durable before the MSU is told it is
 	// registered; a re-registration after a Coordinator restart is what
 	// reconciles the journal against reality.
-	if err := c.persistLocked(muts...); err != nil {
+	if err := c.apply(muts...); err != nil {
 		return nil, err
 	}
 	c.msus[req.ID] = m
@@ -242,15 +226,14 @@ func (c *Coordinator) msuDown(m *msuState) {
 			// A recording's data lives only on the failed MSU; there is
 			// nothing to migrate to.
 			lost = append(lost, g)
-			if _, ok := c.recPending[g.id]; ok {
-				delete(c.recPending, g.id)
+			if _, ok := c.db.Recording(g.id); ok {
 				settle = append(settle, admindb.DeleteRecording(g.id))
 			}
 		} else {
 			moved = append(moved, g)
 		}
 	}
-	c.persistLocked(settle...) //nolint:errcheck // logged inside; an unsettled entry is re-reported lost after the next restart
+	c.apply(settle...) //nolint:errcheck // counted and logged inside; an unsettled entry is re-reported lost after the next restart
 	if !c.closed {
 		// A group may already be mid-recovery: its redispatcher placed it
 		// on this MSU and the start-stream RPC was in flight when the MSU
@@ -310,10 +293,10 @@ func (c *Coordinator) redispatchGroup(g *failedGroup) {
 			return nil // client gone; no one to deliver to
 		}
 		demands := make([]demand, len(g.streams))
-		parts := make([]*contentRec, len(g.streams))
+		parts := make([]*admindb.ContentRecord, len(g.streams))
 		for i, a := range g.streams {
 			demands[i] = demand{a: a}
-			if parts[i] = c.contents[a.content]; parts[i] == nil {
+			if parts[i] = c.db.Content(a.content); parts[i] == nil {
 				return busy("content %q no longer registered", a.content)
 			}
 		}
@@ -407,7 +390,7 @@ func (c *Coordinator) streamEnded(req wire.StreamEnded) {
 // ended without committing (empty recordings never send
 // recording-done). Callers hold c.mu.
 func (c *Coordinator) settleRecordGroupLocked(group uint64) {
-	if _, ok := c.recPending[group]; !ok {
+	if _, ok := c.db.Recording(group); !ok {
 		return
 	}
 	for _, a := range c.active {
@@ -415,8 +398,7 @@ func (c *Coordinator) settleRecordGroupLocked(group uint64) {
 			return // a component stream is still running
 		}
 	}
-	delete(c.recPending, group)
-	c.persistLocked(admindb.DeleteRecording(group)) //nolint:errcheck // logged inside; an unsettled entry is re-reported lost after the next restart
+	c.apply(admindb.DeleteRecording(group)) //nolint:errcheck // counted and logged inside; an unsettled entry is re-reported lost after the next restart
 }
 
 // recordingDone commits a recording: the content enters the table of
@@ -444,59 +426,54 @@ func (ctx *connCtx) recordingDone(req wire.RecordingDone) error {
 	if d == nil {
 		return fmt.Errorf("%w: disk %d", core.ErrBadRequest, req.Disk)
 	}
-	a.grant.drop(d.space)
-	d.space.AddStanding(blocksFor(req.Size, d.blockSize)) //nolint:errcheck
-	rec := &contentRec{info: core.ContentInfo{
+	at := core.DiskID{MSU: m.id, N: req.Disk}
+	muts := []admindb.Mutation{putContentAt(core.ContentInfo{
 		Name:   req.Content,
 		Type:   req.Type,
 		Length: req.Length,
 		Size:   req.Size,
-	}}
-	rec.setLocation(core.DiskID{MSU: m.id, N: req.Disk})
-	c.contents[req.Content] = rec
-	muts := []admindb.Mutation{contentMutation(rec)}
+	}, at)}
 	// Composite recording: once every component has committed, publish
 	// the parent item.
-	if pc, ok := c.pending[a.group]; ok && pc.waiting[req.Content] {
-		delete(pc.waiting, req.Content)
-		pc.done = append(pc.done, req.Content)
-		if req.Length > pc.length {
-			pc.length = req.Length
-		}
-		pc.size += int64(req.Size)
-		if pc.disk == (core.DiskID{}) {
-			pc.disk = core.DiskID{MSU: m.id, N: req.Disk}
-		}
+	var pc *pendingComposite
+	if cur := c.pending[a.group]; cur != nil && cur.waiting[req.Content] {
+		pc = cur.committed(req, at)
 		if len(pc.waiting) == 0 {
-			delete(c.pending, a.group)
-			parent := &contentRec{
-				info: core.ContentInfo{
-					Name:     pc.parent,
-					Type:     pc.typ,
-					Length:   pc.length,
-					Size:     units.ByteSize(pc.size),
-					Children: pc.done,
-				},
-				children: pc.done,
-			}
-			parent.setLocation(pc.disk)
-			c.contents[pc.parent] = parent
-			muts = append(muts, contentMutation(parent))
-			c.logf("composite %q assembled from %v", pc.parent, pc.done)
+			muts = append(muts, putContentAt(core.ContentInfo{
+				Name:     pc.parent,
+				Type:     pc.typ,
+				Length:   pc.length,
+				Size:     units.ByteSize(pc.size),
+				Children: pc.done,
+			}, pc.disk))
 		}
 	}
 	// Once every component has committed, the recording is no longer
 	// in flight: a crash after this journal batch must not report it
 	// lost.
-	if pend, ok := c.recPending[a.group]; ok {
-		delete(pend, req.Content)
-		if len(pend) == 0 {
-			delete(c.recPending, a.group)
+	if pend, ok := c.db.Recording(a.group); ok {
+		left := 0
+		for _, name := range pend.Contents {
+			if name != req.Content && c.db.Content(name) == nil {
+				left++
+			}
+		}
+		if left == 0 {
 			muts = append(muts, admindb.DeleteRecording(a.group))
 		}
 	}
-	if err := c.persistLocked(muts...); err != nil {
+	if err := c.apply(muts...); err != nil {
 		return err
+	}
+	a.grant.drop(d.space)
+	d.space.AddStanding(blocksFor(req.Size, d.blockSize)) //nolint:errcheck
+	switch {
+	case pc == nil:
+	case len(pc.waiting) > 0:
+		c.pending[a.group] = pc
+	default:
+		delete(c.pending, a.group)
+		c.logf("composite %q assembled from %v", pc.parent, pc.done)
 	}
 	c.logf("recording %q committed: %v, %v", req.Content, req.Length, req.Size)
 	c.signalRelease()
@@ -518,17 +495,15 @@ func (c *Coordinator) orphanRecordingLocked(m *msuState, req wire.RecordingDone)
 	if d == nil {
 		return fmt.Errorf("%w: disk %d", core.ErrBadRequest, req.Disk)
 	}
-	if _, exists := c.contents[req.Content]; exists {
+	if c.db.Content(req.Content) != nil {
 		return fmt.Errorf("%w: content %q", core.ErrDuplicateName, req.Content)
 	}
-	rec := &contentRec{info: core.ContentInfo{
+	if err := c.apply(putContentAt(core.ContentInfo{
 		Name:   req.Content,
 		Type:   req.Type,
 		Length: req.Length,
 		Size:   req.Size,
-	}}
-	rec.setLocation(core.DiskID{MSU: m.id, N: req.Disk})
-	if err := c.persistLocked(contentMutation(rec)); err != nil {
+	}, core.DiskID{MSU: m.id, N: req.Disk})); err != nil {
 		return err
 	}
 	// Count the file against disk space. The MSU registered mid-write,
@@ -536,7 +511,6 @@ func (c *Coordinator) orphanRecordingLocked(m *msuState, req wire.RecordingDone)
 	// reservation too — a conservative double count that the next
 	// re-registration's fresh ledgers correct.
 	d.space.AddStanding(blocksFor(req.Size, d.blockSize)) //nolint:errcheck
-	c.contents[req.Content] = rec
 	c.logf("recording %q committed by MSU %q across a restart (stream %d unknown)", req.Content, m.id, req.Stream)
 	c.signalRelease()
 	return nil
@@ -551,7 +525,7 @@ func (ctx *connCtx) registerPort(req wire.RegisterPort) (*wire.PortOK, error) {
 	c := ctx.c
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	t, ok := c.types[req.Type]
+	t, ok := c.db.Type(req.Type)
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", core.ErrNoSuchType, req.Type)
 	}
@@ -577,12 +551,14 @@ func (ctx *connCtx) registerPort(req wire.RegisterPort) (*wire.PortOK, error) {
 	} else if req.Addr == "" {
 		return nil, fmt.Errorf("%w: atomic port needs a data address", core.ErrBadRequest)
 	}
-	c.nextPort++
-	if err := c.persistLocked(c.countersLocked()); err != nil {
+	ids := c.db.Counters()
+	ids.NextPort++
+	if err := c.apply(admindb.SetCounters(ids)); err != nil {
 		return nil, err
 	}
+	id := core.PortID(ids.NextPort)
 	s.ports[req.Name] = &core.DisplayPort{
-		ID:         c.nextPort,
+		ID:         id,
 		Session:    s.id,
 		Name:       req.Name,
 		Type:       req.Type,
@@ -590,7 +566,7 @@ func (ctx *connCtx) registerPort(req wire.RegisterPort) (*wire.PortOK, error) {
 		Control:    req.Control,
 		Components: req.Components,
 	}
-	return &wire.PortOK{Port: c.nextPort}, nil
+	return &wire.PortOK{Port: id}, nil
 }
 
 func (ctx *connCtx) unregisterPort(req wire.UnregisterPort) error {
@@ -610,22 +586,22 @@ func (ctx *connCtx) unregisterPort(req wire.UnregisterPort) error {
 
 // expandContent returns the atomic items behind a content name:
 // composite items expand to their children.
-func (c *Coordinator) expandContent(name string) (*contentRec, []*contentRec, error) {
-	rec, ok := c.contents[name]
-	if !ok {
+func (c *Coordinator) expandContent(name string) (*admindb.ContentRecord, []*admindb.ContentRecord, error) {
+	rec := c.db.Content(name)
+	if rec == nil {
 		return nil, nil, fmt.Errorf("%w: %q", core.ErrNoSuchContent, name)
 	}
-	t, ok := c.types[rec.info.Type]
+	t, ok := c.db.Type(rec.Info.Type)
 	if !ok {
-		return nil, nil, fmt.Errorf("%w: %q", core.ErrNoSuchType, rec.info.Type)
+		return nil, nil, fmt.Errorf("%w: %q", core.ErrNoSuchType, rec.Info.Type)
 	}
 	if !t.Composite() {
-		return rec, []*contentRec{rec}, nil
+		return rec, []*admindb.ContentRecord{rec}, nil
 	}
-	var parts []*contentRec
-	for _, child := range rec.children {
-		cr, ok := c.contents[child]
-		if !ok {
+	var parts []*admindb.ContentRecord
+	for _, child := range rec.Info.Children {
+		cr := c.db.Content(child)
+		if cr == nil {
 			return nil, nil, fmt.Errorf("%w: component %q", core.ErrNoSuchContent, child)
 		}
 		parts = append(parts, cr)
@@ -736,7 +712,7 @@ func (c *Coordinator) waitQueue(wait bool, who obs.Event, pass func() error) err
 // msuDown has already taken over the group's recovery.
 func (c *Coordinator) dispatchLocked(p *placement, muts ...admindb.Mutation) (replies []wire.StartStreamOK, standing bool, err error) {
 	aborts := c.abortNoticesLocked(p.preempted, "preempted by a stream")
-	err = c.persistLocked(muts...)
+	err = c.apply(muts...)
 	peer := p.m.peer
 	c.mu.Unlock()
 	sendAborts(aborts)
@@ -777,9 +753,9 @@ func (ctx *connCtx) play(req wire.Play) (*wire.PlayOK, error) {
 		}
 		// "Calliope checks that the port and the content have the same
 		// type" (§2.1).
-		if port.Type != rec.info.Type {
+		if port.Type != rec.Info.Type {
 			return fmt.Errorf("%w: content %q is %q, port %q is %q",
-				core.ErrTypeMismatch, req.Content, rec.info.Type, port.Name, port.Type)
+				core.ErrTypeMismatch, req.Content, rec.Info.Type, port.Name, port.Type)
 		}
 		if req.ControlAddr == "" {
 			return fmt.Errorf("%w: play needs a control address", core.ErrBadRequest)
@@ -788,28 +764,31 @@ func (ctx *connCtx) play(req wire.Play) (*wire.PlayOK, error) {
 		if len(cands) == 0 {
 			return busy("%w: no live MSU holds %q", core.ErrMSUUnavailable, req.Content)
 		}
-		parent = rec.info
-		c.nextGroup++
+		parent = rec.Info
+		// The IDs are issued by the counters record dispatch journals; a
+		// pass that stops short of it has issued none.
+		ids := c.db.Counters()
+		ids.NextGroup++
 		demands := make([]demand, len(parts))
 		for i, part := range parts {
-			t, ok := c.types[part.info.Type]
+			t, ok := c.db.Type(part.Info.Type)
 			if !ok {
-				return fmt.Errorf("%w: %q", core.ErrNoSuchType, part.info.Type)
+				return fmt.Errorf("%w: %q", core.ErrNoSuchType, part.Info.Type)
 			}
-			data, ctrl, err := portForType(s, port, part.info.Type)
+			data, ctrl, err := portForType(s, port, part.Info.Type)
 			if err != nil {
 				return err
 			}
-			c.nextStream++
+			ids.NextStream++
 			demands[i] = demand{a: &activeStream{
-				id: c.nextStream, group: c.nextGroup, session: s.id,
-				content: part.info.Name, typ: part.info.Type,
+				id: core.StreamID(ids.NextStream), group: ids.NextGroup, session: s.id,
+				content: part.Info.Name, typ: part.Info.Type,
 				spec: core.StreamSpec{
-					Stream:    c.nextStream,
-					Group:     c.nextGroup,
+					Stream:    core.StreamID(ids.NextStream),
+					Group:     ids.NextGroup,
 					GroupSize: len(parts),
-					Content:   part.info.Name,
-					Type:      part.info.Type,
+					Content:   part.Info.Name,
+					Type:      part.Info.Type,
 					Protocol:  t.Protocol,
 					Class:     t.Class,
 					Rate:      t.Bandwidth,
@@ -830,7 +809,7 @@ func (ctx *connCtx) play(req wire.Play) (*wire.PlayOK, error) {
 		}
 		// A fresh play does not queue behind a failed start: the client
 		// hears of it and decides.
-		if _, _, err := c.dispatchLocked(p, c.countersLocked()); err != nil {
+		if _, _, err := c.dispatchLocked(p, admindb.SetCounters(ids)); err != nil {
 			return fmt.Errorf("coordinator: starting stream on %q: %w", p.m.id, err)
 		}
 		return nil
@@ -876,14 +855,14 @@ func (ctx *connCtx) record(req wire.Record) (*wire.RecordOK, error) {
 		if !ok {
 			return fmt.Errorf("%w: %q", core.ErrNoSuchPort, req.Port)
 		}
-		t, ok := c.types[req.Type]
+		t, ok := c.db.Type(req.Type)
 		if !ok {
 			return fmt.Errorf("%w: %q", core.ErrNoSuchType, req.Type)
 		}
 		if port.Type != req.Type {
 			return fmt.Errorf("%w: port %q is %q, recording %q", core.ErrTypeMismatch, port.Name, port.Type, req.Type)
 		}
-		if _, exists := c.contents[req.Content]; exists {
+		if c.db.Content(req.Content) != nil {
 			return fmt.Errorf("%w: content %q", core.ErrDuplicateName, req.Content)
 		}
 		// An in-flight recording of the same name also blocks reuse.
@@ -897,14 +876,15 @@ func (ctx *connCtx) record(req wire.Record) (*wire.RecordOK, error) {
 		if t.Composite() {
 			types = t.Components
 		}
-		c.nextGroup++
-		group := c.nextGroup
+		ids := c.db.Counters()
+		ids.NextGroup++
+		group := ids.NextGroup
 		demands := make([]demand, len(types))
 		names := make([]string, len(types))
 		for i, typ := range types {
 			ct, name := t, req.Content
 			if t.Composite() {
-				if ct, ok = c.types[typ]; !ok {
+				if ct, ok = c.db.Type(typ); !ok {
 					return fmt.Errorf("%w: component type %q", core.ErrNoSuchType, typ)
 				}
 				name = req.Content + "/" + typ
@@ -914,14 +894,14 @@ func (ctx *connCtx) record(req wire.Record) (*wire.RecordOK, error) {
 			if _, _, err := portForType(s, port, typ); err != nil {
 				return err
 			}
-			c.nextStream++
+			ids.NextStream++
 			names[i] = name
 			demands[i] = demand{
 				a: &activeStream{
-					id: c.nextStream, group: group, session: s.id,
+					id: core.StreamID(ids.NextStream), group: group, session: s.id,
 					content: name, typ: typ, record: true,
 					spec: core.StreamSpec{
-						Stream:    c.nextStream,
+						Stream:    core.StreamID(ids.NextStream),
 						Group:     group,
 						GroupSize: len(types),
 						Content:   name,
@@ -940,21 +920,23 @@ func (ctx *connCtx) record(req wire.Record) (*wire.RecordOK, error) {
 		if p = c.planLocked(demands, c.recordCandidatesLocked()); p == nil {
 			return busy("%w: no MSU with bandwidth and space", core.ErrNoResources)
 		}
-		// Journal the recording as in flight: a Coordinator that crashes
-		// from here until the last component commits finds the entry at
-		// restart and reports the recording lost. msuDown settles the entry
-		// through recPending, so it is set before c.mu drops.
-		c.recPending[group] = nameSet(names)
 		if t.Composite() {
 			// Once every component commits, the parent is published.
-			c.pending[group] = &pendingComposite{parent: req.Content, typ: req.Type, waiting: nameSet(names)}
+			waiting := make(map[string]bool, len(names))
+			for _, n := range names {
+				waiting[n] = true
+			}
+			c.pending[group] = &pendingComposite{parent: req.Content, typ: req.Type, waiting: waiting}
 		}
-		replies, _, err = c.dispatchLocked(p, c.countersLocked(),
+		// Journal the recording as in flight: a Coordinator that crashes
+		// from here until the last component commits finds the entry at
+		// restart and reports the recording lost. The entry is in the
+		// database before dispatch drops c.mu, where msuDown settles it.
+		replies, _, err = c.dispatchLocked(p, admindb.SetCounters(ids),
 			admindb.PutRecording(admindb.PendingRecording{Group: group, MSU: p.m.id, Contents: names}))
 		if err != nil {
-			delete(c.recPending, group)
 			delete(c.pending, group)
-			c.persistLocked(admindb.DeleteRecording(group)) //nolint:errcheck // logged inside; an unsettled entry is re-reported lost after the next restart
+			c.apply(admindb.DeleteRecording(group)) //nolint:errcheck // counted and logged inside; an unsettled entry is re-reported lost after the next restart
 			return fmt.Errorf("coordinator: starting recording on %q: %w", p.m.id, err)
 		}
 		return nil
@@ -972,15 +954,6 @@ func (ctx *connCtx) record(req wire.Record) (*wire.RecordOK, error) {
 		out.Reserved += spec.Reserved
 	}
 	return out, nil
-}
-
-// nameSet is the "still waiting for" set of a recording's components.
-func nameSet(names []string) map[string]bool {
-	set := make(map[string]bool, len(names))
-	for _, n := range names {
-		set[n] = true
-	}
-	return set
 }
 
 // blocksForEstimate converts a recording-length estimate into a block
