@@ -18,8 +18,11 @@ vet:
 lint:
 	$(GO) run ./cmd/calliope-vet ./...
 
+# 180 s a package (the root suite takes ~60 s): a shutdown stall — a
+# request left parked until its 30 s queue timeout — fails the build
+# instead of quietly adding half a minute.
 test:
-	$(GO) test ./...
+	$(GO) test -timeout 180s ./...
 
 race:
 	$(GO) test -race ./...
@@ -35,18 +38,20 @@ leakcheck:
 # the Coordinator crash–restart scenarios backed by internal/admindb,
 # the restart-equivalence walk (a restart replays to the live tables),
 # the failed-commit and idempotent-replay tests, the admission core's
-# plan/rollback and ledger-conservation tests, and the MSU's
-# quit-acknowledgement and stop-drains-the-sink regressions.
+# plan/rollback and ledger-conservation tests, the Close-wakes-the-queue
+# tests, and the MSU's quit-acknowledgement and stop-drains-the-sink
+# regressions.
 faults:
-	$(GO) test -race -timeout 120s -run 'Fault|Failover|Redispatch|Reconnect|MSUDown|Lost|Restart|FailedCommit|ReplayIdempotent|ReplayUnstamped|PR15Fixture|Orphan|Corrupt|PlanStep|LedgerConservation|RecordPlacement|QueuedPlayWakes|CutAll|QuitIsAcknowledged|StopKeeps' . ./internal/coordinator ./internal/client ./internal/msu ./internal/faultinject ./internal/admindb
+	$(GO) test -race -timeout 120s -run 'Fault|Failover|Redispatch|Reconnect|MSUDown|Lost|Restart|FailedCommit|ReplayIdempotent|ReplayUnstamped|PR15Fixture|Orphan|Corrupt|PlanStep|LedgerConservation|RecordPlacement|QueuedPlayWakes|CloseWakes|CutAll|QuitIsAcknowledged|StopKeeps' . ./internal/coordinator ./internal/client ./internal/msu ./internal/faultinject ./internal/admindb
 
 # Three seconds of each fuzz target (go test takes one -fuzz target and
 # one package per run): journal replay and snapshot decoding never
 # panic on arbitrary bytes and keep only what replays to the same
-# tables.
+# tables; a control-message frame is refused or survives re-encoding.
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz='^FuzzReplayJournal$$' -fuzztime=3s ./internal/admindb
 	$(GO) test -run=NONE -fuzz='^FuzzSnapshotDecode$$' -fuzztime=3s ./internal/admindb
+	$(GO) test -run=NONE -fuzz='^FuzzReadMessage$$' -fuzztime=3s ./internal/wire
 
 # The demand-driven replication subsystem: copy-engine framing, the
 # MSU transfer path, the Coordinator placement policy, and the
@@ -56,8 +61,9 @@ replicate:
 	$(GO) test -race -timeout 180s -run 'Replicat' . ./internal/coordinator ./internal/msu
 
 # The cluster observability subsystem: the metrics registry and event
-# ring, the Coordinator's StatusV2/events RPCs and scrape endpoint, and
-# the root play→crash→migrate→EOF timeline test, under -race.
+# ring, the Coordinator's StatusV2/events RPCs and scrape endpoint, the
+# `calliope-client status` golden text, and the root
+# play→crash→migrate→EOF timeline test, under -race.
 obs:
 	$(GO) test -race -timeout 120s ./internal/obs
 	$(GO) test -race -timeout 120s -run 'Obs|StatusV2|Events|ProtoVersion' . ./internal/coordinator ./internal/wire

@@ -58,10 +58,8 @@ type (
 	Stream = client.Stream
 	// Recording is a record-session handle.
 	Recording = client.Recording
-	// Status is the legacy flat Coordinator load report.
-	Status = wire.Status
-	// StatusV2 is the versioned cluster status: the merged metrics
-	// snapshot plus per-disk coverage and per-MSU network load.
+	// StatusV2 is the cluster status: the merged metrics snapshot plus
+	// per-disk coverage and per-MSU network load.
 	StatusV2 = wire.StatusV2
 	// Event is one entry on the Coordinator's cluster event timeline.
 	Event = obs.Event
@@ -197,8 +195,8 @@ type ClusterConfig struct {
 	QueueTimeout time.Duration
 	// Replication tunes the Coordinator's demand-driven content
 	// replication policy (hot titles earn extra MSU copies over the
-	// MSU-to-MSU transfer path); the zero value enables it with
-	// defaults. Set Replication.Disable to switch the policy off.
+	// MSU-to-MSU transfer path): the copies a title may have and the
+	// rate of one transfer; the zero value is the defaults.
 	Replication coordinator.ReplicationConfig
 	// StateDir, if set, gives the Coordinator a durable administrative
 	// database (internal/admindb) in that directory, and enables

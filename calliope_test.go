@@ -128,11 +128,11 @@ func TestPlayEndToEnd(t *testing.T) {
 	// The Coordinator frees the stream.
 	deadline := time.Now().Add(3 * time.Second)
 	for {
-		st, err := c.Status()
+		st, err := c.StatusV2()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if st.ActiveStreams == 0 {
+		if st.Snapshot.Gauge("active_streams") == 0 {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -622,11 +622,11 @@ func TestMSUFailureAndRecovery(t *testing.T) {
 	cluster.MSUs[0].Close()
 	deadline := time.Now().Add(3 * time.Second)
 	for {
-		st, err := c.Status()
+		st, err := c.StatusV2()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if st.MSUsAvailable == 0 {
+		if st.Snapshot.Gauge("msus_available") == 0 {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -647,8 +647,8 @@ func TestMSUFailureAndRecovery(t *testing.T) {
 	defer m2.Close()
 	deadline = time.Now().Add(3 * time.Second)
 	for {
-		st, _ := c.Status()
-		if st.MSUsAvailable == 1 {
+		st, _ := c.StatusV2()
+		if st.Snapshot.Gauge("msus_available") == 1 {
 			break
 		}
 		if time.Now().After(deadline) {

@@ -10,6 +10,12 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"calliope/internal/core"
+	"calliope/internal/obs"
+	"calliope/internal/trace"
+	"calliope/internal/units"
+	"calliope/internal/wire"
 )
 
 // TestCLIEndToEnd builds the real binaries and drives the full
@@ -153,6 +159,74 @@ func TestCLIEndToEnd(t *testing.T) {
 	out = run("calliope-client", "-coordinator", addr, "list")
 	if strings.Contains(out, "short") {
 		t.Fatalf("short survived deletion:\n%s", out)
+	}
+}
+
+// TestCLIStatusV2Golden pins `calliope-client status` byte for byte. The
+// expected text was printed by the Status v1 renderer (the commit before
+// v1 was deleted) from the same report, so the lines an operator reads
+// did not move when the command switched to StatusV2.
+func TestCLIStatusV2Golden(t *testing.T) {
+	st := wire.StatusV2{
+		Version: wire.ProtoVersion,
+		Snapshot: obs.Snapshot{
+			Gauges: map[string]int64{
+				"msus": 2, "msus_available": 1, "active_streams": 3, "queued_plays": 1,
+				"contents": 5, "sessions": 4, "lost_recordings": 0, "repl_active": 1,
+			},
+			Counters: map[string]int64{
+				"requests_total": 1234, "repl_planned_total": 4, "repl_completed_total": 2,
+				"repl_aborted_total": 1, "repl_dropped_total": 1, "repl_bytes_copied_total": 150 << 20,
+			},
+		},
+		Net: []wire.NetUsage{
+			{MSU: "msu0", Alive: true, Used: 4500 * units.Kbps, Cap: 48 * units.Mbps},
+			{MSU: "msu1", Alive: false, Used: 0, Cap: 24 * units.Mbps},
+		},
+		Disks: []wire.DiskUsage{
+			{
+				Disk: core.DiskID{MSU: "msu0", N: 0}, Alive: true,
+				BandwidthUsed: 3000 * units.Kbps, BandwidthCap: 24 * units.Mbps,
+				SpaceUsed: 700 * units.MB, SpaceCap: 2 * units.GB,
+				Cache: trace.CacheStats{Hits: 900, Misses: 100, Inserts: 100, Evictions: 36},
+				IO: trace.IOSchedStats{Requests: 100, Rounds: 40, Reads: 90, Coalesced: 10,
+					SeekBytes: 512 << 20, QueuePeak: 7, Late: 2, MaxLateMs: 14},
+				Cached: []wire.ContentCoverage{
+					{Name: "movie", CachedPages: 36, TotalPages: 40, Players: 2},
+					{Name: "news \"at ten\"", CachedPages: 1, TotalPages: 12, Players: 0},
+				},
+			},
+			{
+				Disk: core.DiskID{MSU: "msu0", N: 1}, Alive: true,
+				BandwidthCap: 24 * units.Mbps, SpaceCap: 2 * units.GB,
+				Cache: trace.CacheStats{Evictions: 3},
+			},
+			{
+				Disk: core.DiskID{MSU: "msu1", N: 0}, Alive: false,
+				BandwidthCap: 24 * units.Mbps, SpaceUsed: 1536 * units.MB, SpaceCap: 2 * units.GB,
+			},
+		},
+	}
+	const want = `MSUs: 2 (1 available)  streams: 3  contents: 5  sessions: 4  requests: 1234
+  repl active 1 planned 4 completed 2 aborted 1 dropped 1 copied 150MB
+  msu0           up    net 4.50Mbit/s of 48.00Mbit/s
+  msu1           DOWN  net 0bit/s of 24.00Mbit/s
+  msu0/disk0     up    bandwidth 3.00Mbit/s of 24.00Mbit/s   space 700.00MB of 2.00GB
+                       cache hits 900 misses 100 (90.0% hit) inserts 100 evictions 36
+                       io reqs 100 rounds 40 (2.5/round) reads 90 coalesced 10 seek 512MB peak 7 late 2 (max 14ms)
+                       cached "movie" 36/40 pages, 2 players
+                       cached "news \"at ten\"" 1/12 pages, 0 players
+  msu0/disk1     up    bandwidth 0bit/s of 24.00Mbit/s   space 0B of 2.00GB
+                       cache hits 0 misses 0 (0.0% hit) inserts 0 evictions 3
+  msu1/disk0     DOWN  bandwidth 0bit/s of 24.00Mbit/s   space 1.50GB of 2.00GB
+`
+	if got := st.Text(); got != want {
+		t.Fatalf("status text:\n%s\nwant:\n%s", got, want)
+	}
+	// A cluster that has replicated nothing prints no repl line.
+	const idle = "MSUs: 0 (0 available)  streams: 0  contents: 0  sessions: 0  requests: 0\n"
+	if got := (wire.StatusV2{}).Text(); got != idle {
+		t.Fatalf("idle status text %q, want %q", got, idle)
 	}
 }
 

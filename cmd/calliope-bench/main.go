@@ -552,16 +552,17 @@ func replicateXfer() {
 			}()
 			var copyStart, copyEnd time.Time
 			for copyEnd.IsZero() {
-				st, err := admin.Status()
+				st, err := admin.StatusV2()
 				if err != nil {
 					fatal(err)
 				}
-				if copyStart.IsZero() && st.Repl.Active >= 1 {
+				s := st.Snapshot
+				if copyStart.IsZero() && s.Gauge("repl_active") >= 1 {
 					copyStart = time.Now()
 				}
-				if st.Repl.Completed >= 1 {
+				if s.Counter("repl_completed_total") >= 1 {
 					copyEnd = time.Now()
-					copied = st.Repl.BytesCopied
+					copied = s.Counter("repl_bytes_copied_total")
 				}
 				if time.Since(start) > 30*time.Second {
 					fatal(fmt.Errorf("replication never completed"))

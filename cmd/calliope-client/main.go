@@ -13,9 +13,10 @@
 //	calliope-client -coordinator 127.0.0.1:4160 record <name> <type> <duration>
 //	calliope-client -coordinator 127.0.0.1:4160 delete <content>
 //
-// watch polls the versioned status every interval (default 2s) and
-// prints one line per tick with the cluster gauges plus delivery and
-// cache rates derived from successive snapshots. events prints the
+// status prints the Coordinator's status report (StatusV2.Text). watch
+// polls the same report every interval (default 2s) and prints one line
+// per tick with the cluster gauges plus delivery and cache rates derived
+// from successive snapshots. events prints the
 // Coordinator's structured event timeline (admissions, dispatches,
 // migrations, replication, EOFs); --follow long-polls for new events
 // and --stream filters to one stream's life.
@@ -84,40 +85,11 @@ func main() {
 				t.Name, t.Class, t.Bandwidth, t.Storage, t.Protocol, strings.Join(t.Components, "+"))
 		}
 	case "status":
-		st, err := c.Status()
+		st, err := c.StatusV2()
 		if err != nil {
 			fail(err)
 		}
-		fmt.Printf("MSUs: %d (%d available)  streams: %d  contents: %d  sessions: %d  requests: %d\n",
-			st.MSUs, st.MSUsAvailable, st.ActiveStreams, st.Contents, st.Sessions, st.Requests)
-		if r := st.Repl; r.Planned > 0 || r.Completed > 0 || r.Aborted > 0 || r.Dropped > 0 || r.Active > 0 {
-			fmt.Printf("  repl %s\n", r)
-		}
-		for _, n := range st.Net {
-			state := "up"
-			if !n.Alive {
-				state = "DOWN"
-			}
-			fmt.Printf("  %-14s %-5s net %s of %s\n", n.MSU, state, n.Used, n.Cap)
-		}
-		for _, d := range st.Disks {
-			state := "up"
-			if !d.Alive {
-				state = "DOWN"
-			}
-			fmt.Printf("  %-14s %-5s bandwidth %s of %s   space %s of %s\n",
-				d.Disk, state, d.BandwidthUsed, d.BandwidthCap, d.SpaceUsed, d.SpaceCap)
-			if cs := d.Cache; cs.Lookups() > 0 || cs.Evictions > 0 {
-				fmt.Printf("  %-14s       cache %s\n", "", cs)
-			}
-			if io := d.IO; io.Requests > 0 {
-				fmt.Printf("  %-14s       io %s\n", "", io)
-			}
-			for _, cov := range d.Cached {
-				fmt.Printf("  %-14s       cached %q %d/%d pages, %d players\n",
-					"", cov.Name, cov.CachedPages, cov.TotalPages, cov.Players)
-			}
-		}
+		fmt.Print(st.Text())
 	case "watch":
 		interval := 2 * time.Second
 		if len(args) >= 2 {

@@ -199,7 +199,7 @@ func hotReplay(movie []calliope.Packet, cached bool) (reads int64, delta trace.C
 
 // cacheStats sums the per-disk cache counters out of a status report.
 func cacheStats(c *calliope.Client) trace.CacheStats {
-	st, err := c.Status()
+	st, err := c.StatusV2()
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -214,7 +214,7 @@ func cacheStats(c *calliope.Client) trace.CacheStats {
 // makes the title warm — the point where plays stop needing disk slots.
 func waitWarm(c *calliope.Client, name string) {
 	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); {
-		st, err := c.Status()
+		st, err := c.StatusV2()
 		if err != nil {
 			log.Fatal(err)
 		}

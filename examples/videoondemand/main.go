@@ -109,9 +109,10 @@ func main() {
 	wg.Wait()
 	fmt.Printf("all %d viewers served; %d had to queue for a slot\n", viewers, queuedOrLate.Load())
 
-	st, err := admin.Status()
+	st, err := admin.StatusV2()
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("coordinator handled %d requests; %d streams remain\n", st.Requests, st.ActiveStreams)
+	fmt.Printf("coordinator handled %d requests; %d streams remain\n",
+		st.Snapshot.Counter("requests_total"), st.Snapshot.Gauge("active_streams"))
 }

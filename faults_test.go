@@ -8,6 +8,7 @@ import (
 	"calliope/internal/blockdev"
 	"calliope/internal/faultinject"
 	"calliope/internal/msufs"
+	"calliope/internal/obs"
 	"calliope/internal/wire"
 )
 
@@ -157,13 +158,13 @@ func TestFaultStreamLostWithoutReplica(t *testing.T) {
 // old connection's death and reconnecting) gets a status answer. Any
 // answer necessarily comes from the restarted Coordinator: the old one
 // finished shutting down before RestartCoordinator returned.
-func waitStatus(t *testing.T, c *Client) wire.Status {
+func waitStatus(t *testing.T, c *Client) obs.Snapshot {
 	t.Helper()
 	deadline := time.Now().Add(15 * time.Second)
 	for {
-		st, err := c.Status()
+		st, err := c.StatusV2()
 		if err == nil {
-			return st
+			return st.Snapshot
 		}
 		if time.Now().After(deadline) {
 			t.Fatalf("no status from restarted Coordinator: %v", err)
@@ -178,12 +179,12 @@ func waitMSUsAvailable(t *testing.T, c *Client, want int) {
 	t.Helper()
 	deadline := time.Now().Add(15 * time.Second)
 	for {
-		st, err := c.Status()
-		if err == nil && st.MSUsAvailable == want {
+		st, err := c.StatusV2()
+		if err == nil && st.Snapshot.Gauge(wire.GaugeMSUsAvailable) == int64(want) {
 			return
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("MSUsAvailable never reached %d (last status %+v, err %v)", want, st, err)
+			t.Fatalf("msus_available never reached %d (last gauges %v, err %v)", want, st.Snapshot.Gauges, err)
 		}
 		time.Sleep(50 * time.Millisecond)
 	}
@@ -239,8 +240,8 @@ func TestFaultCoordinatorRestartMidPlay(t *testing.T) {
 	// the recovered catalog — replica locations intact — while zero
 	// MSUs have managed to re-register.
 	st := waitStatus(t, c)
-	if st.MSUsAvailable != 0 {
-		t.Fatalf("MSUsAvailable = %d before healing the partition, want 0", st.MSUsAvailable)
+	if n := st.Gauge(wire.GaugeMSUsAvailable); n != 0 {
+		t.Fatalf("msus_available = %d before healing the partition, want 0", n)
 	}
 	contents, err := c.ListContent()
 	if err != nil {
@@ -335,8 +336,8 @@ func TestFaultCoordinatorRestartMidRecord(t *testing.T) {
 	// The in-flight recording was journaled before its ack, so the
 	// restarted Coordinator reports it lost; it is not in the catalog.
 	st := waitStatus(t, c)
-	if st.LostRecordings != 1 {
-		t.Fatalf("LostRecordings = %d after mid-record crash, want 1", st.LostRecordings)
+	if n := st.Gauge(wire.GaugeLostRecs); n != 1 {
+		t.Fatalf("lost_recordings = %d after mid-record crash, want 1", n)
 	}
 	contents, err := c.ListContent()
 	if err != nil {

@@ -482,16 +482,8 @@ func (c *Client) ListTypes() ([]core.ContentType, error) {
 	return resp.Types, nil
 }
 
-// Status fetches the legacy flat Coordinator load counters. New code
-// should prefer StatusV2, which carries the full metrics snapshot.
-func (c *Client) Status() (wire.Status, error) {
-	var resp wire.Status
-	err := c.call(context.Background(), wire.TypeStatus, struct{}{}, &resp)
-	return resp, err
-}
-
-// StatusV2 fetches the versioned cluster status: the merged metrics
-// snapshot plus per-disk coverage and per-MSU network load.
+// StatusV2 fetches the cluster status: the merged metrics snapshot
+// plus per-disk coverage and per-MSU network load.
 func (c *Client) StatusV2() (wire.StatusV2, error) {
 	return c.StatusV2Context(context.Background())
 }
@@ -615,16 +607,17 @@ func (c *Client) WaitStreamsIdleContext(ctx context.Context) error {
 	t := time.NewTimer(waitPollInterval)
 	defer t.Stop()
 	for {
-		var resp wire.Status
-		if err := c.call(ctx, wire.TypeStatus, struct{}{}, &resp); err != nil {
+		st, err := c.StatusV2Context(ctx)
+		if err != nil {
 			return err
 		}
-		if resp.ActiveStreams == 0 {
+		active := st.Snapshot.Gauge(wire.GaugeActiveStreams)
+		if active == 0 {
 			return nil
 		}
 		select {
 		case <-ctx.Done():
-			return fmt.Errorf("calliope: %d streams still active: %v", resp.ActiveStreams, ctx.Err())
+			return fmt.Errorf("calliope: %d streams still active: %v", active, ctx.Err())
 		case <-t.C:
 			t.Reset(waitPollInterval)
 		}

@@ -9,6 +9,7 @@ import (
 	"calliope/internal/core"
 	"calliope/internal/faultinject"
 	"calliope/internal/units"
+	"calliope/internal/wire"
 )
 
 func startCoordinator(t *testing.T) *coordinator.Coordinator {
@@ -54,12 +55,12 @@ func TestDialAndSession(t *testing.T) {
 	if len(items) != 0 {
 		t.Fatalf("content = %+v", items)
 	}
-	st, err := c.Status()
+	st, err := c.StatusV2()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Sessions != 1 {
-		t.Fatalf("sessions = %d", st.Sessions)
+	if n := st.Snapshot.Gauge(wire.GaugeSessions); n != 1 {
+		t.Fatalf("sessions = %d", n)
 	}
 }
 
@@ -123,11 +124,11 @@ func TestSessionDropDeallocatesPorts(t *testing.T) {
 	defer c2.Close()
 	deadline := time.Now().Add(2 * time.Second)
 	for {
-		st, err := c2.Status()
+		st, err := c2.StatusV2()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if st.Sessions == 1 {
+		if st.Snapshot.Gauge(wire.GaugeSessions) == 1 {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -237,12 +238,12 @@ func TestClientReconnectsAfterCoordinatorCut(t *testing.T) {
 	if err := c.RegisterPort("tv", "mpeg1", "127.0.0.1:1", ""); err == nil {
 		t.Fatal("port not re-registered on new session")
 	}
-	st, err := c.Status()
+	st, err := c.StatusV2()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Sessions != 1 {
-		t.Fatalf("sessions = %d, want the dead one dropped", st.Sessions)
+	if n := st.Snapshot.Gauge(wire.GaugeSessions); n != 1 {
+		t.Fatalf("sessions = %d, want the dead one dropped", n)
 	}
 }
 

@@ -239,7 +239,7 @@ func (c *Coordinator) planLocked(demands []demand, cands []candidate) *placement
 		}
 		if p := c.placeLocked(demands, cand); p != nil {
 			for _, r := range victims {
-				c.endReplicationLocked(r, true)
+				c.endReplicationLocked(r)
 			}
 			p.preempted = victims
 			return p
@@ -298,14 +298,10 @@ func (c *Coordinator) releaseStreamLocked(a *activeStream) {
 }
 
 // endReplicationLocked frees a transfer's grant and forgets the
-// transfer, counting it aborted unless it committed.
-func (c *Coordinator) endReplicationLocked(r *replication, aborted bool) {
+// transfer.
+func (c *Coordinator) endReplicationLocked(r *replication) {
 	r.grant.release()
 	delete(c.replications, r.id)
-	c.replStats.Active--
-	if aborted {
-		c.replStats.Aborted++
-	}
 }
 
 // planReplicaLocked decides whether content deserves another replica
@@ -314,7 +310,7 @@ func (c *Coordinator) endReplicationLocked(r *replication, aborted bool) {
 // grant at the idle-bandwidth rate. It returns the planned transfer for
 // the caller to order, or nil.
 func (c *Coordinator) planReplicaLocked(rec *admindb.ContentRecord) *replication {
-	if c.cfg.Replication.Disable || c.closed || rec == nil {
+	if c.closed || rec == nil {
 		return nil
 	}
 	t, ok := c.db.Type(rec.Info.Type)
@@ -360,8 +356,6 @@ func (c *Coordinator) planReplicaLocked(rec *admindb.ContentRecord) *replication
 		srcM: srcM, dstM: dstM, dstDisk: dstDisk, grant: g,
 	}
 	c.replications[r.id] = r
-	c.replStats.Planned++
-	c.replStats.Active++
 	return r
 }
 

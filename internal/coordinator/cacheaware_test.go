@@ -24,7 +24,7 @@ func fakeMSUPeerNet(t *testing.T, c *Coordinator, id core.MSUID, contents []wire
 		}
 		return nil, nil
 	})
-	hello := wire.MSUHello{ID: id, NetBandwidth: netBW, Disks: []wire.DiskInfo{{
+	hello := wire.MSUHello{ProtoVersion: wire.ProtoVersion, ID: id, NetBandwidth: netBW, Disks: []wire.DiskInfo{{
 		BlockSize:   64 * 1024,
 		TotalBlocks: 1000,
 		FreeBlocks:  900,
@@ -53,15 +53,6 @@ func reportWarm(t *testing.T, mp *wire.Peer, name string, players int) {
 	}
 }
 
-func playStatus(t *testing.T, p *wire.Peer) wire.Status {
-	t.Helper()
-	var st wire.Status
-	if err := p.Call(wire.TypeStatus, struct{}{}, &st); err != nil {
-		t.Fatal(err)
-	}
-	return st
-}
-
 // TestWarmPlaySkipsDiskSlot: once content is warmly cached, plays stop
 // consuming disk bandwidth — the NIC ledger becomes the binding limit.
 func TestWarmPlaySkipsDiskSlot(t *testing.T) {
@@ -87,7 +78,7 @@ func TestWarmPlaySkipsDiskSlot(t *testing.T) {
 	if err := play(); err == nil {
 		t.Fatal("fourth play exceeded NIC bandwidth but was admitted")
 	}
-	st := playStatus(t, p)
+	st := status(t, p)
 	if st.Disks[0].BandwidthUsed != 0 {
 		t.Fatalf("warm plays consumed disk bandwidth: %v", st.Disks[0].BandwidthUsed)
 	}
@@ -123,7 +114,7 @@ func TestColdPlayStillDiskLimited(t *testing.T) {
 	if err := play(); err == nil {
 		t.Fatal("third cold play admitted past disk bandwidth")
 	}
-	st := playStatus(t, p)
+	st := status(t, p)
 	if st.Disks[0].BandwidthUsed != 3000*units.Kbps {
 		t.Fatalf("cold plays must hold disk slots: %v", st.Disks[0].BandwidthUsed)
 	}
@@ -166,7 +157,7 @@ func TestCacheReportAdmitsQueuedPlay(t *testing.T) {
 	case <-time.After(3 * time.Second):
 		t.Fatal("queued play not admitted after cache report")
 	}
-	st := playStatus(t, p)
+	st := status(t, p)
 	if st.Disks[0].BandwidthUsed != 1500*units.Kbps {
 		t.Fatalf("disk usage = %v, want only the cold play's slot", st.Disks[0].BandwidthUsed)
 	}
@@ -190,15 +181,15 @@ func TestWarmPlayReleaseAccounting(t *testing.T) {
 	if err := p.Call(wire.TypePlay, wire.Play{Content: "movie", Port: "tv", ControlAddr: "127.0.0.1:9"}, &resp); err != nil {
 		t.Fatal(err)
 	}
-	st := playStatus(t, p)
+	st := status(t, p)
 	if st.Disks[0].BandwidthUsed != 0 || st.Net[0].Used != 1500*units.Kbps {
 		t.Fatalf("after warm play: disk=%v net=%v", st.Disks[0].BandwidthUsed, st.Net[0].Used)
 	}
 	if err := mp.Call(wire.TypeStreamEnded, wire.StreamEnded{Stream: resp.Streams[0].Stream, Cause: "test"}, nil); err != nil {
 		t.Fatal(err)
 	}
-	st = playStatus(t, p)
-	if st.ActiveStreams != 0 || st.Disks[0].BandwidthUsed != 0 || st.Net[0].Used != 0 {
-		t.Fatalf("after release: streams=%d disk=%v net=%v", st.ActiveStreams, st.Disks[0].BandwidthUsed, st.Net[0].Used)
+	st = status(t, p)
+	if st.Snapshot.Gauge(wire.GaugeActiveStreams) != 0 || st.Disks[0].BandwidthUsed != 0 || st.Net[0].Used != 0 {
+		t.Fatalf("after release: streams=%d disk=%v net=%v", st.Snapshot.Gauge(wire.GaugeActiveStreams), st.Disks[0].BandwidthUsed, st.Net[0].Used)
 	}
 }

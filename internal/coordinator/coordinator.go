@@ -86,7 +86,7 @@ type Config struct {
 	// the Coordinator shuts down.
 	Store admindb.Store
 	// Replication tunes the demand-driven content replication policy
-	// (internal/replicate); the zero value enables it with defaults.
+	// (internal/replicate); the zero value is the defaults.
 	Replication ReplicationConfig
 	// Logger receives operational messages; nil disables logging.
 	Logger *log.Logger
@@ -111,26 +111,19 @@ type Coordinator struct {
 	// redispatching marks orphaned groups that already have a recovery
 	// goroutine; a cascading MSU failure must not spawn a second one.
 	redispatching map[uint64]bool
-	// lostRecordings counts in-flight recordings a Coordinator crash
-	// interrupted, discovered in the database at startup.
-	lostRecordings int
 	// replications tracks in-flight MSU-to-MSU content transfers by
 	// order ID; each holds ledger reservations on both ends.
 	replications map[uint64]*replication
 	// dereplicating marks contents with a cold-replica drop in flight,
 	// so one space-pressure report cannot plan the same drop twice.
 	dereplicating map[string]bool
-	replStats     trace.ReplStats
 	// obs is the cluster metrics registry and event timeline (DESIGN.md
-	// §3i); om holds the pre-registered admission-path handles.
+	// §3i); om holds the Coordinator's pre-registered handles, the one
+	// place it counts anything.
 	obs *obs.Registry
 	om  coordMetrics
-	// parked counts requests currently waiting on the pending queue —
-	// plays, recordings and re-dispatches alike (the queued_plays gauge).
-	parked int
 
 	nextRepl uint64
-	requests int64
 
 	// release is closed and replaced whenever resources free up, so
 	// queued requests can retry.
@@ -280,7 +273,7 @@ func New(cfg Config) (*Coordinator, error) {
 	// In-flight recordings found in the database were interrupted by the
 	// crash this start follows; they are reported lost and settled.
 	for _, r := range db.Recordings() {
-		c.lostRecordings++
+		c.om.lostRecordings.Add(1)
 		c.logf("recording group %d (%v on MSU %q) lost in Coordinator restart", r.Group, r.Contents, r.MSU)
 		boot = append(boot, admindb.DeleteRecording(r.Group))
 	}
@@ -340,10 +333,12 @@ func (c *Coordinator) Addr() string {
 	return c.ln.Addr().String()
 }
 
-// Close shuts the Coordinator down.
+// Close shuts the Coordinator down. Requests parked on the pending
+// queue are woken to see it closed; Close waits for them.
 func (c *Coordinator) Close() error {
 	c.mu.Lock()
 	c.closed = true
+	c.signalRelease()
 	ln := c.ln
 	var peers []*wire.Peer
 	for _, m := range c.msus {
@@ -424,9 +419,7 @@ func (ctx *connCtx) down(error) {
 // handle dispatches one inbound message.
 func (ctx *connCtx) handle(msgType string, body json.RawMessage) (any, error) {
 	c := ctx.c
-	c.mu.Lock()
-	c.requests++
-	c.mu.Unlock()
+	c.om.requests.Inc()
 
 	decode := func(v any) error {
 		if len(body) == 0 {
@@ -455,8 +448,6 @@ func (ctx *connCtx) handle(msgType string, body json.RawMessage) (any, error) {
 		return c.listContent(), nil
 	case wire.TypeListTypes:
 		return c.listTypes(), nil
-	case wire.TypeStatus:
-		return c.status(), nil
 	case wire.TypeStatusV2:
 		return c.statusV2(), nil
 	case wire.TypeEvents:
@@ -549,10 +540,10 @@ func (ctx *connCtx) handle(msgType string, body json.RawMessage) (any, error) {
 // customer database.
 func (ctx *connCtx) hello(req wire.Hello) (*wire.Welcome, error) {
 	c := ctx.c
-	// A peer that predates protocol versioning sends 0 and is admitted
-	// as-is; an explicitly versioned peer must match exactly, and the
-	// error names both sides so the operator knows which end to upgrade.
-	if req.ProtoVersion != 0 && req.ProtoVersion != wire.ProtoVersion {
+	// One protocol generation: the peer must speak ours exactly (a hello
+	// without the field reads as 0), and the error names both sides so the
+	// operator knows which end to upgrade.
+	if req.ProtoVersion != wire.ProtoVersion {
 		return nil, fmt.Errorf("%w: client speaks protocol v%d, coordinator speaks v%d; upgrade the older side",
 			core.ErrBadRequest, req.ProtoVersion, wire.ProtoVersion)
 	}
@@ -637,14 +628,6 @@ func (c *Coordinator) listTypes() *wire.TypeList {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return &wire.TypeList{Types: c.db.Types()}
-}
-
-// status answers the legacy TypeStatus request. The v2 snapshot is the
-// source of truth; the compatibility shim reconstructs the old scalar
-// grab-bag from its named gauges and counters.
-func (c *Coordinator) status() *wire.Status {
-	st := c.statusV2().Legacy()
-	return &st
 }
 
 // cacheReport records one disk's advertised cache heat and wakes the

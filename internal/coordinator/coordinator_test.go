@@ -59,7 +59,7 @@ func fakeMSUPeer(t *testing.T, c *Coordinator, id core.MSUID, contents []wire.Co
 		}
 		return nil, nil
 	})
-	hello := wire.MSUHello{ID: id, Disks: []wire.DiskInfo{{
+	hello := wire.MSUHello{ID: id, ProtoVersion: wire.ProtoVersion, Disks: []wire.DiskInfo{{
 		BlockSize:   64 * 1024,
 		TotalBlocks: 1000,
 		FreeBlocks:  900,
@@ -77,10 +77,20 @@ func clientPeer(t *testing.T, c *Coordinator) *wire.Peer {
 	t.Helper()
 	p := dialPeer(t, c, nil)
 	var w wire.Welcome
-	if err := p.Call(wire.TypeHello, wire.Hello{User: "t"}, &w); err != nil {
+	if err := p.Call(wire.TypeHello, wire.Hello{ProtoVersion: wire.ProtoVersion, User: "t"}, &w); err != nil {
 		t.Fatal(err)
 	}
 	return p
+}
+
+// status fetches the Coordinator's status report.
+func status(t *testing.T, p *wire.Peer) wire.StatusV2 {
+	t.Helper()
+	var st wire.StatusV2
+	if err := p.Call(wire.TypeStatusV2, struct{}{}, &st); err != nil {
+		t.Fatal(err)
+	}
+	return st
 }
 
 func TestSessionRequired(t *testing.T) {
@@ -193,11 +203,11 @@ func TestMSUHelloValidation(t *testing.T) {
 	if err := p.Call(wire.TypeMSUHello, wire.MSUHello{}, nil); err == nil {
 		t.Error("MSU without id accepted")
 	}
-	bad := wire.MSUHello{ID: "m", Disks: []wire.DiskInfo{{BlockSize: 0, TotalBlocks: 10}}}
+	bad := wire.MSUHello{ProtoVersion: wire.ProtoVersion, ID: "m", Disks: []wire.DiskInfo{{BlockSize: 0, TotalBlocks: 10}}}
 	if err := p.Call(wire.TypeMSUHello, bad, nil); err == nil {
 		t.Error("bad disk geometry accepted")
 	}
-	worse := wire.MSUHello{ID: "m", Disks: []wire.DiskInfo{{BlockSize: 64, TotalBlocks: 10, FreeBlocks: 20}}}
+	worse := wire.MSUHello{ProtoVersion: wire.ProtoVersion, ID: "m", Disks: []wire.DiskInfo{{BlockSize: 64, TotalBlocks: 10, FreeBlocks: 20}}}
 	if err := p.Call(wire.TypeMSUHello, worse, nil); err == nil {
 		t.Error("free > total accepted")
 	}
@@ -207,7 +217,7 @@ func TestDuplicateLiveMSURejected(t *testing.T) {
 	c := startCoordinator(t, Config{})
 	fakeMSUPeer(t, c, "m1", nil, 0)
 	p2 := dialPeer(t, c, nil)
-	err := p2.Call(wire.TypeMSUHello, wire.MSUHello{ID: "m1", Disks: []wire.DiskInfo{{BlockSize: 64, TotalBlocks: 10}}}, nil)
+	err := p2.Call(wire.TypeMSUHello, wire.MSUHello{ProtoVersion: wire.ProtoVersion, ID: "m1", Disks: []wire.DiskInfo{{BlockSize: 64, TotalBlocks: 10}}}, nil)
 	if err == nil || !strings.Contains(err.Error(), "already registered") {
 		t.Fatalf("duplicate live MSU: %v", err)
 	}
@@ -234,11 +244,8 @@ func TestPlaySchedulingAndBandwidth(t *testing.T) {
 	if err := play(); err == nil {
 		t.Fatal("third play exceeded disk bandwidth but was admitted")
 	}
-	var st wire.Status
-	if err := p.Call(wire.TypeStatus, struct{}{}, &st); err != nil {
-		t.Fatal(err)
-	}
-	if st.ActiveStreams != 2 || st.MSUsAvailable != 1 || st.Contents != 1 {
+	st := status(t, p)
+	if st.Snapshot.Gauge(wire.GaugeActiveStreams) != 2 || st.Snapshot.Gauge(wire.GaugeMSUsAvailable) != 1 || st.Snapshot.Gauge(wire.GaugeContents) != 1 {
 		t.Fatalf("status = %+v", st)
 	}
 }
@@ -329,7 +336,7 @@ func TestMSUDownReleasesStreams(t *testing.T) {
 		}
 		return nil, nil
 	})
-	if err := p.Call(wire.TypeHello, wire.Hello{User: "t"}, &wire.Welcome{}); err != nil {
+	if err := p.Call(wire.TypeHello, wire.Hello{ProtoVersion: wire.ProtoVersion, User: "t"}, &wire.Welcome{}); err != nil {
 		t.Fatal(err)
 	}
 	p.Call(wire.TypeRegisterPort, wire.RegisterPort{Name: "tv", Type: "mpeg1", Addr: "a:1"}, nil) //nolint:errcheck
@@ -339,11 +346,8 @@ func TestMSUDownReleasesStreams(t *testing.T) {
 	mp.Close()
 	deadline := time.Now().Add(2 * time.Second)
 	for {
-		var st wire.Status
-		if err := p.Call(wire.TypeStatus, struct{}{}, &st); err != nil {
-			t.Fatal(err)
-		}
-		if st.MSUsAvailable == 0 && st.ActiveStreams == 0 {
+		st := status(t, p)
+		if st.Snapshot.Gauge(wire.GaugeMSUsAvailable) == 0 && st.Snapshot.Gauge(wire.GaugeActiveStreams) == 0 {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -411,7 +415,7 @@ func TestRecordSchedulingSpace(t *testing.T) {
 	p0 := dialPeer(t, c, func(msgType string, body json.RawMessage) (any, error) {
 		return &wire.StartStreamOK{DataAddr: "127.0.0.1:9"}, nil
 	})
-	hello := wire.MSUHello{ID: "m1", Disks: []wire.DiskInfo{{
+	hello := wire.MSUHello{ProtoVersion: wire.ProtoVersion, ID: "m1", Disks: []wire.DiskInfo{{
 		BlockSize: 64 * 1024, TotalBlocks: 100, FreeBlocks: 100, Bandwidth: 100 * units.Mbps,
 	}}}
 	if err := p0.Call(wire.TypeMSUHello, hello, nil); err != nil {
@@ -471,12 +475,12 @@ func TestAuthentication(t *testing.T) {
 	}})
 	// Unknown users are rejected at hello.
 	p := dialPeer(t, c, nil)
-	if err := p.Call(wire.TypeHello, wire.Hello{User: "stranger"}, nil); err == nil {
+	if err := p.Call(wire.TypeHello, wire.Hello{ProtoVersion: wire.ProtoVersion, User: "stranger"}, nil); err == nil {
 		t.Fatal("unknown user admitted")
 	}
 	// Viewers can browse and register ports but not administrate.
 	v := dialPeer(t, c, nil)
-	if err := v.Call(wire.TypeHello, wire.Hello{User: "viewer"}, &wire.Welcome{}); err != nil {
+	if err := v.Call(wire.TypeHello, wire.Hello{ProtoVersion: wire.ProtoVersion, User: "viewer"}, &wire.Welcome{}); err != nil {
 		t.Fatal(err)
 	}
 	if err := v.Call(wire.TypeListContent, struct{}{}, &wire.ContentList{}); err != nil {
@@ -494,7 +498,7 @@ func TestAuthentication(t *testing.T) {
 	}
 	// Admins can.
 	a := dialPeer(t, c, nil)
-	if err := a.Call(wire.TypeHello, wire.Hello{User: "operator"}, &wire.Welcome{}); err != nil {
+	if err := a.Call(wire.TypeHello, wire.Hello{ProtoVersion: wire.ProtoVersion, User: "operator"}, &wire.Welcome{}); err != nil {
 		t.Fatal(err)
 	}
 	if err := a.Call(wire.TypeAddType, wire.AddType{Type: newType}, nil); err != nil {
@@ -520,10 +524,7 @@ func TestStatusDiskUsage(t *testing.T) {
 	if err := p.Call(wire.TypePlay, wire.Play{Content: "movie", Port: "tv", ControlAddr: "a:9"}, nil); err != nil {
 		t.Fatal(err)
 	}
-	var st wire.Status
-	if err := p.Call(wire.TypeStatus, struct{}{}, &st); err != nil {
-		t.Fatal(err)
-	}
+	st := status(t, p)
 	if len(st.Disks) != 1 {
 		t.Fatalf("disks = %+v", st.Disks)
 	}
@@ -547,7 +548,7 @@ func TestRecordQueuesForSpace(t *testing.T) {
 	p0 := dialPeer(t, c, func(msgType string, body json.RawMessage) (any, error) {
 		return &wire.StartStreamOK{DataAddr: "127.0.0.1:9"}, nil
 	})
-	hello := wire.MSUHello{ID: "m1", Disks: []wire.DiskInfo{{
+	hello := wire.MSUHello{ProtoVersion: wire.ProtoVersion, ID: "m1", Disks: []wire.DiskInfo{{
 		BlockSize: 64 * 1024, TotalBlocks: 60, FreeBlocks: 60, Bandwidth: 100 * units.Mbps,
 	}}}
 	if err := p0.Call(wire.TypeMSUHello, hello, nil); err != nil {
@@ -596,10 +597,10 @@ func TestCompositePlacementNeedsSingleMSU(t *testing.T) {
 	// in favour of one that fits both.
 	c := startCoordinator(t, Config{})
 	// m1: tiny bandwidth (fits vat only). m2: room for both.
-	small := wire.MSUHello{ID: "m1", Disks: []wire.DiskInfo{{
+	small := wire.MSUHello{ProtoVersion: wire.ProtoVersion, ID: "m1", Disks: []wire.DiskInfo{{
 		BlockSize: 64 * 1024, TotalBlocks: 1000, FreeBlocks: 1000, Bandwidth: 200 * units.Kbps,
 	}}}
-	big := wire.MSUHello{ID: "m2", Disks: []wire.DiskInfo{{
+	big := wire.MSUHello{ProtoVersion: wire.ProtoVersion, ID: "m2", Disks: []wire.DiskInfo{{
 		BlockSize: 64 * 1024, TotalBlocks: 1000, FreeBlocks: 1000, Bandwidth: 10 * units.Mbps,
 	}}}
 	mk := func(h wire.MSUHello) {

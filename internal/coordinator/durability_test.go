@@ -46,7 +46,7 @@ func registerWalkMSU(t *testing.T, c *Coordinator, old *wire.Peer, id core.MSUID
 	for _, n := range names {
 		decl = append(decl, wire.ContentDecl{Name: n, Type: "mpeg1", Length: time.Minute, Size: 640 * units.KB})
 	}
-	hello := wire.MSUHello{ID: id, TransferAddr: "transfer:" + string(id), Disks: []wire.DiskInfo{{
+	hello := wire.MSUHello{ProtoVersion: wire.ProtoVersion, ID: id, TransferAddr: "transfer:" + string(id), Disks: []wire.DiskInfo{{
 		BlockSize: 64 * 1024, TotalBlocks: 1000, FreeBlocks: free, Bandwidth: 30000 * units.Kbps, Contents: decl,
 	}}}
 	if err := conn.Call(wire.TypeMSUHello, hello, &wire.MSUWelcome{}); err != nil {
@@ -274,10 +274,10 @@ func TestRestartEquivalence(t *testing.T) {
 
 	// The walk is only worth its name if it went everywhere it claims to.
 	c.mu.Lock()
-	st, stats := c.db.Counters(), c.replStats
+	st := c.db.Counters()
 	c.mu.Unlock()
-	if st.NextStream == 0 || st.NextSession < 2 || stats.Completed == 0 || stats.Dropped == 0 {
-		t.Fatalf("walk too tame: counters %+v, replication %+v", st, stats)
+	if st.NextStream == 0 || st.NextSession < 2 || c.om.replDone.Load() == 0 || c.om.replDropped.Load() == 0 {
+		t.Fatalf("walk too tame: counters %+v, metrics %+v", st, c.ObsSnapshot().Counters)
 	}
 }
 
@@ -366,7 +366,7 @@ func TestFailedCommitChangesNothing(t *testing.T) {
 		call func() error
 	}{
 		{"msu-hello with new content", func() error {
-			return m3.Call(wire.TypeMSUHello, wire.MSUHello{ID: "m3", Disks: []wire.DiskInfo{{
+			return m3.Call(wire.TypeMSUHello, wire.MSUHello{ProtoVersion: wire.ProtoVersion, ID: "m3", Disks: []wire.DiskInfo{{
 				BlockSize: 64 * 1024, TotalBlocks: 1000, FreeBlocks: 900,
 				Contents: []wire.ContentDecl{{Name: "fresh", Type: "mpeg1", Length: time.Minute, Size: units.MB}},
 			}}}, &wire.MSUWelcome{})
@@ -376,7 +376,9 @@ func TestFailedCommitChangesNothing(t *testing.T) {
 			return m2.Call(wire.TypeReplicateDone, wire.ReplicateDone{ID: 7, Content: "movie", Disk: 0,
 				Size: 640 * units.KB, Bytes: int64(640 * units.KB)}, nil)
 		}},
-		{"hello", func() error { return newcomer.Call(wire.TypeHello, wire.Hello{User: "t"}, &wire.Welcome{}) }},
+		{"hello", func() error {
+			return newcomer.Call(wire.TypeHello, wire.Hello{ProtoVersion: wire.ProtoVersion, User: "t"}, &wire.Welcome{})
+		}},
 		{"register-port", func() error {
 			return client.Call(wire.TypeRegisterPort, wire.RegisterPort{Name: "tv", Type: "mpeg1", Addr: "a:1"}, &wire.PortOK{})
 		}},

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"calliope/internal/core"
+	"calliope/internal/leakcheck"
 	"calliope/internal/units"
 	"calliope/internal/wire"
 )
@@ -40,7 +41,7 @@ func newNotedClient(t *testing.T, c *Coordinator) *notedClient {
 		}
 		return nil, nil
 	})
-	if err := nc.peer.Call(wire.TypeHello, wire.Hello{User: "t"}, &wire.Welcome{}); err != nil {
+	if err := nc.peer.Call(wire.TypeHello, wire.Hello{ProtoVersion: wire.ProtoVersion, User: "t"}, &wire.Welcome{}); err != nil {
 		t.Fatal(err)
 	}
 	return nc
@@ -59,7 +60,7 @@ func recordingMSUPeer(t *testing.T, c *Coordinator, id core.MSUID, contents []wi
 		}
 		return nil, nil
 	})
-	hello := wire.MSUHello{ID: id, Disks: []wire.DiskInfo{{
+	hello := wire.MSUHello{ProtoVersion: wire.ProtoVersion, ID: id, Disks: []wire.DiskInfo{{
 		BlockSize:   64 * 1024,
 		TotalBlocks: 1000,
 		FreeBlocks:  900,
@@ -112,12 +113,9 @@ func TestRedispatchToReplica(t *testing.T) {
 		t.Fatal("replacement MSU never saw start-stream")
 	}
 	// The stream stays active, now accounted against m2.
-	var st wire.Status
-	if err := nc.peer.Call(wire.TypeStatus, struct{}{}, &st); err != nil {
-		t.Fatal(err)
-	}
-	if st.ActiveStreams != 1 {
-		t.Fatalf("active streams = %d, want 1", st.ActiveStreams)
+	st := status(t, nc.peer)
+	if n := st.Snapshot.Gauge(wire.GaugeActiveStreams); n != 1 {
+		t.Fatalf("active streams = %d, want 1", n)
 	}
 	for _, d := range st.Disks {
 		if d.Disk.MSU == "m2" && d.BandwidthUsed != 1500*units.Kbps {
@@ -169,7 +167,7 @@ func TestRedispatchSingleOwnerOnCascadingFailure(t *testing.T) {
 		}
 		return nil, nil
 	})
-	hello := wire.MSUHello{ID: "m2", Disks: []wire.DiskInfo{{
+	hello := wire.MSUHello{ProtoVersion: wire.ProtoVersion, ID: "m2", Disks: []wire.DiskInfo{{
 		BlockSize:   64 * 1024,
 		TotalBlocks: 1000,
 		FreeBlocks:  900,
@@ -207,12 +205,9 @@ func TestRedispatchSingleOwnerOnCascadingFailure(t *testing.T) {
 		t.Fatalf("stream-migrated after lost: %+v", m)
 	case <-time.After(300 * time.Millisecond):
 	}
-	var st wire.Status
-	if err := nc.peer.Call(wire.TypeStatus, struct{}{}, &st); err != nil {
-		t.Fatal(err)
-	}
-	if st.ActiveStreams != 0 {
-		t.Fatalf("active streams = %d after lost group", st.ActiveStreams)
+	st := status(t, nc.peer)
+	if n := st.Snapshot.Gauge(wire.GaugeActiveStreams); n != 0 {
+		t.Fatalf("active streams = %d after lost group", n)
 	}
 }
 
@@ -242,12 +237,9 @@ func TestRecordingLostOnMSUDown(t *testing.T) {
 	// Re-registration starts from clean ledgers: full bandwidth, only
 	// the standing space, no leaked stream reservations.
 	fakeMSUPeer(t, c, "m1", nil, 3000*units.Kbps)
-	var st wire.Status
-	if err := nc.peer.Call(wire.TypeStatus, struct{}{}, &st); err != nil {
-		t.Fatal(err)
-	}
-	if st.ActiveStreams != 0 {
-		t.Fatalf("active streams = %d after recording lost", st.ActiveStreams)
+	st := status(t, nc.peer)
+	if n := st.Snapshot.Gauge(wire.GaugeActiveStreams); n != 0 {
+		t.Fatalf("active streams = %d after recording lost", n)
 	}
 	for _, d := range st.Disks {
 		if d.Disk.MSU != "m1" {
@@ -319,11 +311,8 @@ func TestClientDownFreesPorts(t *testing.T) {
 	p2 := clientPeer(t, c)
 	deadline := time.Now().Add(2 * time.Second)
 	for {
-		var st wire.Status
-		if err := p2.Call(wire.TypeStatus, struct{}{}, &st); err != nil {
-			t.Fatal(err)
-		}
-		if st.Sessions == 1 {
+		st := status(t, p2)
+		if st.Snapshot.Gauge(wire.GaugeSessions) == 1 {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -413,7 +402,7 @@ func TestQueuedPlayWakesOnFailedDispatch(t *testing.T) {
 		}
 		return &wire.StartStreamOK{}, nil
 	})
-	hello := wire.MSUHello{ID: "m1", Disks: []wire.DiskInfo{{
+	hello := wire.MSUHello{ProtoVersion: wire.ProtoVersion, ID: "m1", Disks: []wire.DiskInfo{{
 		BlockSize: 64 * 1024, TotalBlocks: 1000, FreeBlocks: 900,
 		Bandwidth: 1500 * units.Kbps, Contents: decl, // one mpeg1 slot
 	}}}
@@ -473,7 +462,7 @@ func TestRedispatchDoesNotSpinOnFailingReplica(t *testing.T) {
 		}
 		return nil, nil
 	})
-	hello := wire.MSUHello{ID: "m2", Disks: []wire.DiskInfo{{
+	hello := wire.MSUHello{ProtoVersion: wire.ProtoVersion, ID: "m2", Disks: []wire.DiskInfo{{
 		BlockSize: 64 * 1024, TotalBlocks: 1000, FreeBlocks: 900,
 		Bandwidth: 1500 * units.Kbps, Contents: decl,
 	}}}
@@ -507,5 +496,115 @@ func TestRedispatchDoesNotSpinOnFailingReplica(t *testing.T) {
 	}
 	if n := c.ObsSnapshot().Gauge(wire.GaugeActiveStreams); n != 0 {
 		t.Fatalf("%d streams still active after the group was lost", n)
+	}
+}
+
+// TestCloseWakesParkedRequests: Close must not wait out the pending
+// queue. A Wait-ing play and an orphaned group's re-dispatch are both
+// parked with thirty seconds to run; Close wakes them, each sees the
+// Coordinator closed — the play is refused, the orphan's client hears
+// nothing — and no goroutine is left behind.
+func TestCloseWakesParkedRequests(t *testing.T) {
+	c := startCoordinator(t, Config{QueueTimeout: 30 * time.Second})
+	decl := []wire.ContentDecl{{Name: "movie", Type: "mpeg1"}}
+	mp := fakeMSUPeer(t, c, "m1", decl, 1500*units.Kbps) // one slot
+	holder, waiter := newNotedClient(t, c), newNotedClient(t, c)
+	for _, nc := range []*notedClient{holder, waiter} {
+		if err := nc.peer.Call(wire.TypeRegisterPort, wire.RegisterPort{Name: "tv", Type: "mpeg1", Addr: "a:1"}, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	play := wire.Play{Content: "movie", Port: "tv", ControlAddr: "a:9"}
+	if err := holder.peer.Call(wire.TypePlay, play, nil); err != nil {
+		t.Fatal(err)
+	}
+	queued := make(chan error, 1)
+	play.Wait = true
+	go func() { queued <- waiter.peer.Call(wire.TypePlay, play, nil) }()
+	// The MSU dies: the holder's group is orphaned and parks beside the
+	// queued play, neither with anywhere to go.
+	mp.Close()
+	for deadline := time.Now().Add(5 * time.Second); c.ObsSnapshot().Gauge(wire.GaugeQueuedPlays) != 2; {
+		if time.Now().After(deadline) {
+			t.Fatalf("queued gauge = %d, want the play and the orphaned group", c.ObsSnapshot().Gauge(wire.GaugeQueuedPlays))
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	start := time.Now()
+	c.Close()
+	if took := time.Since(start); took > time.Second {
+		t.Fatalf("Close took %v with two requests parked", took)
+	}
+	// The refusal races the connection teardown to the client; either
+	// way it is not a queue-deadline verdict.
+	if err := <-queued; err == nil || strings.Contains(err.Error(), "deadline") ||
+		!(errors.Is(err, wire.ErrClosed) || strings.Contains(err.Error(), core.ErrSessionClosed.Error())) {
+		t.Fatalf("queued play across Close: %v", err)
+	}
+	holder.peer.Close()
+	waiter.peer.Close()
+	select {
+	case l := <-holder.lost:
+		t.Fatalf("orphaned group reported lost on shutdown: %+v", l)
+	case m := <-holder.migrated:
+		t.Fatalf("orphaned group reported migrated on shutdown: %+v", m)
+	default:
+	}
+	if s := c.ObsSnapshot(); s.Gauge(wire.GaugeQueuedPlays) != 0 || s.Counter("admission_rejected_total") != 0 || s.Counter("groups_lost_total") != 0 {
+		t.Fatalf("after Close: queued gauge %d, counters %v", s.Gauge(wire.GaugeQueuedPlays), s.Counters)
+	}
+	if leaked := leakcheck.Check(5 * time.Second); len(leaked) > 0 {
+		t.Fatalf("%d goroutines outlive Close:\n%s", len(leaked), strings.Join(leaked, "\n\n"))
+	}
+}
+
+// TestCloseWakesRedispatchMidStart: Close lands while an orphaned group's
+// pass has dropped c.mu to start the group on its replica. The start
+// fails with the closing connection; the pass must not then park on the
+// wake-up Close has already spent.
+func TestCloseWakesRedispatchMidStart(t *testing.T) {
+	c := startCoordinator(t, Config{QueueTimeout: 30 * time.Second})
+	decl := []wire.ContentDecl{{Name: "movie", Type: "mpeg1"}}
+	m1 := fakeMSUPeer(t, c, "m1", decl, 1500*units.Kbps)
+	entered, release := make(chan struct{}), make(chan struct{})
+	defer close(release)
+	m2 := dialPeer(t, c, func(msgType string, _ json.RawMessage) (any, error) {
+		if msgType == wire.TypeStartStream {
+			close(entered)
+			<-release
+		}
+		return nil, nil
+	})
+	hello := wire.MSUHello{ProtoVersion: wire.ProtoVersion, ID: "m2", Disks: []wire.DiskInfo{{
+		BlockSize: 64 * 1024, TotalBlocks: 1000, FreeBlocks: 900, Bandwidth: 1500 * units.Kbps, Contents: decl,
+	}}}
+	if err := m2.Call(wire.TypeMSUHello, hello, nil); err != nil {
+		t.Fatal(err)
+	}
+	holder := newNotedClient(t, c)
+	if err := holder.peer.Call(wire.TypeRegisterPort, wire.RegisterPort{Name: "tv", Type: "mpeg1", Addr: "a:1"}, nil); err != nil {
+		t.Fatal(err)
+	}
+	var ok wire.PlayOK
+	if err := holder.peer.Call(wire.TypePlay, wire.Play{Content: "movie", Port: "tv", ControlAddr: "a:9"}, &ok); err != nil || ok.MSU != "m1" {
+		t.Fatalf("play on %q: %v, want m1", ok.MSU, err)
+	}
+	m1.Close()
+	select {
+	case <-entered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("orphaned group never re-dispatched to m2")
+	}
+	start := time.Now()
+	c.Close()
+	if took := time.Since(start); took > time.Second {
+		t.Fatalf("Close took %v with a re-dispatch mid-start", took)
+	}
+	holder.peer.Close()
+	select {
+	case l := <-holder.lost:
+		t.Fatalf("orphaned group reported lost on shutdown: %+v", l)
+	default:
 	}
 }

@@ -12,16 +12,19 @@ import (
 )
 
 // Observability (DESIGN.md §3i). The Coordinator owns the cluster's
-// metrics registry and event timeline: its own admission/recovery/
-// replication instruments live here, and every MSU's delivery counters
+// metrics registry and event timeline, and counts one way: everything it
+// counts is a pre-registered handle below, bumped beside the event or
+// log line of the thing counted, and every MSU's delivery counters
 // arrive as snapshot deltas piggybacked on cache reports (cacheReport
-// merges them). Scalars that already exist as authoritative state —
-// session counts, ledger totals, replication stats — are overlaid at
-// snapshot time rather than double-booked as live gauges.
+// merges them). Only what is the size of a table the scheduler already
+// keeps — MSUs, sessions, active streams, contents, transfers in flight
+// — is overlaid at snapshot time rather than double-booked as a live
+// gauge. StatusV2 is the one report of all of it.
 
-// coordMetrics holds the Coordinator's pre-registered handles so the
-// admission path never does a name lookup.
+// coordMetrics holds the Coordinator's pre-registered handles so no
+// request path does a name lookup or takes c.mu to count.
 type coordMetrics struct {
+	requests   *obs.Counter   // requests_total (every inbound message)
 	admitted   *obs.Counter   // admission_admitted_total
 	dispatched *obs.Counter   // dispatch_total (streams started, group members counted singly)
 	queued     *obs.Counter   // admission_queued_total
@@ -35,10 +38,25 @@ type coordMetrics struct {
 	// (a failed journal write), whether the request was refused in turn
 	// or had no one to refuse.
 	applyErrors *obs.Counter // admindb_apply_errors_total
+	// parked is the requests waiting on the pending queue right now —
+	// plays, recordings and re-dispatches alike.
+	parked *obs.Gauge // queued_plays
+	// lostRecordings is the in-flight recordings a Coordinator crash
+	// interrupted, found in the database at start.
+	lostRecordings *obs.Gauge // lost_recordings
+	// The replication policy's transfers: ordered, committed, torn down
+	// before commit (MSU failure, delete, preemption, transfer error, a
+	// refused commit), cold replicas shed, and payload bytes committed.
+	replPlanned *obs.Counter // repl_planned_total
+	replDone    *obs.Counter // repl_completed_total
+	replAborted *obs.Counter // repl_aborted_total
+	replDropped *obs.Counter // repl_dropped_total
+	replBytes   *obs.Counter // repl_bytes_copied_total
 }
 
 func newCoordMetrics(r *obs.Registry) coordMetrics {
 	return coordMetrics{
+		requests:   r.Counter(wire.CounterRequests),
 		admitted:   r.Counter("admission_admitted_total"),
 		dispatched: r.Counter("dispatch_total"),
 		queued:     r.Counter("admission_queued_total"),
@@ -49,7 +67,14 @@ func newCoordMetrics(r *obs.Registry) coordMetrics {
 		records:    r.Counter("records_started_total"),
 		queueWait:  r.Histogram("queue_wait_seconds", obs.DefaultLatencyBuckets),
 
-		applyErrors: r.Counter("admindb_apply_errors_total"),
+		applyErrors:    r.Counter("admindb_apply_errors_total"),
+		parked:         r.Gauge(wire.GaugeQueuedPlays),
+		lostRecordings: r.Gauge(wire.GaugeLostRecs),
+		replPlanned:    r.Counter(wire.CounterReplPlanned),
+		replDone:       r.Counter(wire.CounterReplDone),
+		replAborted:    r.Counter(wire.CounterReplAborted),
+		replDropped:    r.Counter(wire.CounterReplDropped),
+		replBytes:      r.Counter(wire.CounterReplBytes),
 	}
 }
 
@@ -59,10 +84,9 @@ func (c *Coordinator) event(ev obs.Event) {
 	c.obs.Events().Append(ev)
 }
 
-// ObsSnapshot flattens the cluster's metrics: the registry's counters
-// and histograms (Coordinator instruments plus merged MSU deltas),
-// overlaid with the authoritative live gauges derived from scheduler
-// state under c.mu.
+// ObsSnapshot flattens the cluster's metrics: the registry's
+// instruments (the Coordinator's own plus merged MSU deltas), overlaid
+// with the gauges derived from the scheduler's tables under c.mu.
 func (c *Coordinator) ObsSnapshot() obs.Snapshot {
 	s := c.obs.Snapshot()
 	c.mu.Lock()
@@ -71,15 +95,9 @@ func (c *Coordinator) ObsSnapshot() obs.Snapshot {
 	return s
 }
 
-// overlayLocked writes the derived gauges and counters into s. Callers
-// hold c.mu.
+// overlayLocked writes the gauges that are the sizes of the scheduler's
+// tables into s. Callers hold c.mu.
 func (c *Coordinator) overlayLocked(s *obs.Snapshot) {
-	if s.Gauges == nil {
-		s.Gauges = make(map[string]int64)
-	}
-	if s.Counters == nil {
-		s.Counters = make(map[string]int64)
-	}
 	available := 0
 	for _, m := range c.msus {
 		if m.alive {
@@ -89,17 +107,9 @@ func (c *Coordinator) overlayLocked(s *obs.Snapshot) {
 	s.Gauges[wire.GaugeMSUs] = int64(len(c.msus))
 	s.Gauges[wire.GaugeMSUsAvailable] = int64(available)
 	s.Gauges[wire.GaugeActiveStreams] = int64(len(c.active))
-	s.Gauges[wire.GaugeQueuedPlays] = int64(c.parked)
 	s.Gauges[wire.GaugeContents] = int64(len(c.db.Contents()))
 	s.Gauges[wire.GaugeSessions] = int64(len(c.sessions))
-	s.Gauges[wire.GaugeLostRecs] = int64(c.lostRecordings)
-	s.Gauges[wire.GaugeReplActive] = c.replStats.Active
-	s.Counters[wire.CounterRequests] = c.requests
-	s.Counters[wire.CounterReplPlanned] = c.replStats.Planned
-	s.Counters[wire.CounterReplDone] = c.replStats.Completed
-	s.Counters[wire.CounterReplAborted] = c.replStats.Aborted
-	s.Counters[wire.CounterReplDropped] = c.replStats.Dropped
-	s.Counters[wire.CounterReplBytes] = c.replStats.BytesCopied
+	s.Gauges[wire.GaugeReplActive] = int64(len(c.replications))
 }
 
 // statusV2 answers TypeStatusV2: the snapshot plus the structured

@@ -1,6 +1,7 @@
 package coordinator
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -10,40 +11,40 @@ import (
 	"calliope/internal/wire"
 )
 
-// A client or MSU announcing an explicit protocol revision other than
-// ours must be turned away with an error naming both versions; a
-// legacy peer omitting the field (version 0) is still accepted.
+// One protocol generation: a client or MSU announcing any revision other
+// than ours — 0, a hello without the field, included — is turned away
+// with an error naming both versions.
 func TestProtoVersionMismatch(t *testing.T) {
 	c := startCoordinator(t, Config{})
-
-	p := dialPeer(t, c, nil)
-	err := p.Call(wire.TypeHello, wire.Hello{User: "t", ProtoVersion: 1}, nil)
-	if err == nil || !strings.Contains(err.Error(), "protocol v1") {
-		t.Fatalf("v1 client hello: %v", err)
+	disks := []wire.DiskInfo{{BlockSize: 64, TotalBlocks: 10}}
+	for _, v := range []int{0, 1, wire.ProtoVersion + 1} {
+		named := fmt.Sprintf("protocol v%d, coordinator speaks v%d", v, wire.ProtoVersion)
+		err := dialPeer(t, c, nil).Call(wire.TypeHello, wire.Hello{User: "t", ProtoVersion: v}, nil)
+		if err == nil || !strings.Contains(err.Error(), named) {
+			t.Fatalf("v%d client hello: %v", v, err)
+		}
+		err = dialPeer(t, c, nil).Call(wire.TypeMSUHello, wire.MSUHello{ID: "m1", ProtoVersion: v, Disks: disks}, nil)
+		if err == nil || !strings.Contains(err.Error(), named) {
+			t.Fatalf("v%d MSU hello: %v", v, err)
+		}
 	}
-
-	p2 := dialPeer(t, c, nil)
-	hello := wire.MSUHello{ID: "m1", ProtoVersion: 1, Disks: []wire.DiskInfo{{BlockSize: 64, TotalBlocks: 10}}}
-	err = p2.Call(wire.TypeMSUHello, hello, nil)
-	if err == nil || !strings.Contains(err.Error(), "protocol v1") {
-		t.Fatalf("v1 MSU hello: %v", err)
-	}
-
-	// Legacy peers (no ProtoVersion field) and current peers both pass.
-	p3 := dialPeer(t, c, nil)
-	if err := p3.Call(wire.TypeHello, wire.Hello{User: "t"}, &wire.Welcome{}); err != nil {
-		t.Fatalf("legacy hello rejected: %v", err)
-	}
-	p4 := dialPeer(t, c, nil)
-	if err := p4.Call(wire.TypeHello, wire.Hello{User: "t", ProtoVersion: wire.ProtoVersion}, &wire.Welcome{}); err != nil {
+	if err := dialPeer(t, c, nil).Call(wire.TypeHello, wire.Hello{User: "t", ProtoVersion: wire.ProtoVersion}, &wire.Welcome{}); err != nil {
 		t.Fatalf("current hello rejected: %v", err)
+	}
+	if err := dialPeer(t, c, nil).Call(wire.TypeMSUHello, wire.MSUHello{ID: "m1", ProtoVersion: wire.ProtoVersion, Disks: disks}, nil); err != nil {
+		t.Fatalf("current MSU hello rejected: %v", err)
+	}
+	// The v1 status request went with v1.
+	if err := clientPeer(t, c).Call("status", struct{}{}, nil); err == nil || !strings.Contains(err.Error(), "unknown message") {
+		t.Fatalf("v1 status request: %v", err)
 	}
 }
 
-// StatusV2 must carry the overlaid scheduler gauges and admission
-// counters, and its Legacy() view must agree with the old TypeStatus
-// answer.
-func TestStatusV2SnapshotAndLegacyAgree(t *testing.T) {
+// StatusV2 is the one status report: the gauges overlaid from the
+// scheduler's tables, the Coordinator's own counters under the names the
+// harness and /metrics read (registered, so present at zero), and the
+// per-disk and per-NIC ledger detail.
+func TestStatusV2Snapshot(t *testing.T) {
 	c := startCoordinator(t, Config{})
 	decl := []wire.ContentDecl{{Name: "movie", Type: "mpeg1", Length: time.Minute, Size: 10 * units.MB}}
 	fakeMSUPeer(t, c, "m1", decl, 3000*units.Kbps)
@@ -55,29 +56,34 @@ func TestStatusV2SnapshotAndLegacyAgree(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var v2 wire.StatusV2
-	if err := p.Call(wire.TypeStatusV2, struct{}{}, &v2); err != nil {
-		t.Fatal(err)
-	}
+	v2 := status(t, p)
 	if v2.Version != wire.ProtoVersion {
 		t.Fatalf("version = %d, want %d", v2.Version, wire.ProtoVersion)
 	}
 	s := v2.Snapshot
-	if s.Gauge(wire.GaugeMSUs) != 1 || s.Gauge(wire.GaugeActiveStreams) != 1 || s.Gauge(wire.GaugeSessions) != 1 {
-		t.Fatalf("gauges = %+v", s.Gauges)
+	for name, want := range map[string]int64{
+		wire.GaugeMSUs: 1, wire.GaugeMSUsAvailable: 1, wire.GaugeActiveStreams: 1, wire.GaugeContents: 1,
+		wire.GaugeSessions: 1, wire.GaugeQueuedPlays: 0, wire.GaugeLostRecs: 0, wire.GaugeReplActive: 0,
+	} {
+		if got, ok := s.Gauges[name]; !ok || got != want {
+			t.Errorf("gauge %s = %d (present %v), want %d", name, got, ok, want)
+		}
 	}
-	if s.Counter("admission_admitted_total") != 1 || s.Counter("dispatch_total") != 1 {
-		t.Fatalf("admission counters = %+v", s.Counters)
+	// msu-hello, hello, register-port, play and this status-v2.
+	for name, want := range map[string]int64{
+		wire.CounterRequests: 5, "admission_admitted_total": 1, "dispatch_total": 1,
+		wire.CounterReplPlanned: 0, wire.CounterReplDone: 0, wire.CounterReplAborted: 0,
+		wire.CounterReplDropped: 0, wire.CounterReplBytes: 0,
+	} {
+		if got, ok := s.Counters[name]; !ok || got != want {
+			t.Errorf("counter %s = %d (present %v), want %d", name, got, ok, want)
+		}
 	}
-
-	var legacy wire.Status
-	if err := p.Call(wire.TypeStatus, struct{}{}, &legacy); err != nil {
-		t.Fatal(err)
+	if len(v2.Disks) != 1 || len(v2.Net) != 1 || v2.Net[0].Used != 1500*units.Kbps {
+		t.Fatalf("ledger detail: disks %+v net %+v", v2.Disks, v2.Net)
 	}
-	want := v2.Legacy()
-	if legacy.MSUs != want.MSUs || legacy.ActiveStreams != want.ActiveStreams ||
-		legacy.Contents != want.Contents || legacy.Sessions != want.Sessions {
-		t.Fatalf("legacy status %+v disagrees with StatusV2.Legacy() %+v", legacy, want)
+	if got := c.ObsSnapshot(); got.Counter(wire.CounterRequests) != 5 || got.Gauge(wire.GaugeActiveStreams) != 1 {
+		t.Fatalf("/metrics snapshot disagrees with StatusV2: %+v", got)
 	}
 }
 

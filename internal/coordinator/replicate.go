@@ -31,15 +31,8 @@ import (
 //   - A stream that needs the bandwidth preempts the copy (the paper's
 //     rule that background work uses idle capacity only).
 
-// ReplicationConfig tunes the policy. The zero value enables
-// replication with the defaults below.
+// ReplicationConfig tunes the policy; the zero value is the defaults.
 type ReplicationConfig struct {
-	// Disable turns the policy off entirely (the copy engine stays
-	// dormant; nothing plans transfers).
-	Disable bool
-	// HotPlayers is how many concurrent players of one title on one
-	// disk mark it hot (default 2).
-	HotPlayers int
 	// MaxReplicas bounds copies of one title, primary included
 	// (default 2).
 	MaxReplicas int
@@ -47,16 +40,17 @@ type ReplicationConfig struct {
 	// type's delivery rate. The actual grant also never exceeds the
 	// idle bandwidth on either end.
 	Rate units.BitRate
-	// LowSpaceFrac is the free-space fraction under which a disk
-	// sheds cold extra replicas (default 0.10).
-	LowSpaceFrac float64
 }
 
-// Policy defaults and floors.
+// Policy constants, defaults and floors.
 const (
-	defaultHotPlayers   = 2
-	defaultMaxReplicas  = 2
-	defaultLowSpaceFrac = 0.10
+	// hotPlayers is how many concurrent players of one title on one disk
+	// mark it hot.
+	hotPlayers         = 2
+	defaultMaxReplicas = 2
+	// lowSpaceFrac is the free-space fraction under which a disk sheds
+	// cold extra replicas.
+	lowSpaceFrac = 0.10
 	// minReplRate is the slowest transfer worth starting; below this
 	// the plan waits for idle bandwidth instead.
 	minReplRate = 64 * units.Kbps
@@ -93,26 +87,12 @@ func sendAborts(aborts []replAbort) {
 	}
 }
 
-// hotPlayers/maxReplicas/lowSpaceFrac resolve config defaults.
-func (c *Coordinator) hotPlayers() int {
-	if n := c.cfg.Replication.HotPlayers; n > 0 {
-		return n
-	}
-	return defaultHotPlayers
-}
-
+// maxReplicas resolves the config default.
 func (c *Coordinator) maxReplicas() int {
 	if n := c.cfg.Replication.MaxReplicas; n > 0 {
 		return n
 	}
 	return defaultMaxReplicas
-}
-
-func (c *Coordinator) lowSpaceFrac() float64 {
-	if f := c.cfg.Replication.LowSpaceFrac; f > 0 {
-		return f
-	}
-	return defaultLowSpaceFrac
 }
 
 // replicationFor reports whether a transfer of name is in flight.
@@ -142,6 +122,7 @@ func (c *Coordinator) planReplicationLocked(rec *admindb.ContentRecord) {
 		Size: rec.Info.Size, Length: rec.Info.Length, HasFast: rec.Info.HasFast,
 	}
 	c.logf("replicating %q: %s → %s disk %d at %v", r.content, r.srcM.id, r.dstM.id, r.dstDisk, rate)
+	c.om.replPlanned.Inc()
 	c.event(obs.Event{Kind: obs.EvReplPlan, MSU: string(r.dstM.id), Disk: r.dstDisk, Content: r.content,
 		Detail: fmt.Sprintf("from %s at %v", r.srcM.id, rate)})
 	c.wg.Add(1) // under c.mu: Close sets closed before waiting
@@ -159,9 +140,6 @@ func (c *Coordinator) planReplicationLocked(rec *admindb.ContentRecord) {
 // bandwidth ledger is mostly committed earns a second home. Callers
 // hold c.mu.
 func (c *Coordinator) maybeReplicateOnHeatLocked(d *diskState) {
-	if c.cfg.Replication.Disable {
-		return
-	}
 	if d.bw.Reserved()*hotDiskDen < d.bw.Capacity()*hotDiskNum {
 		return // the disk is not under bandwidth pressure
 	}
@@ -171,7 +149,7 @@ func (c *Coordinator) maybeReplicateOnHeatLocked(d *diskState) {
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		if d.coverage[name].Players >= c.hotPlayers() {
+		if d.coverage[name].Players >= hotPlayers {
 			c.planReplicationLocked(c.db.Content(name))
 		}
 	}
@@ -183,7 +161,7 @@ func (c *Coordinator) abortReplicationsLocked(why string, match func(*replicatio
 	var victims []*replication
 	for _, r := range c.replications {
 		if match(r) {
-			c.endReplicationLocked(r, true)
+			c.endReplicationLocked(r)
 			victims = append(victims, r)
 		}
 	}
@@ -191,9 +169,9 @@ func (c *Coordinator) abortReplicationsLocked(why string, match func(*replicatio
 }
 
 // abortNoticesLocked publishes transfers the admission core has already
-// torn down: an event each, and an abort for every destination still
-// alive to hear it (its attribute-less partial files self-clean).
-// Callers hold c.mu.
+// torn down: counted aborted with an event each, and an abort for every
+// destination still alive to hear it (its attribute-less partial files
+// self-clean). Callers hold c.mu.
 func (c *Coordinator) abortNoticesLocked(victims []*replication, why string) []replAbort {
 	var aborts []replAbort
 	for _, r := range victims {
@@ -201,6 +179,7 @@ func (c *Coordinator) abortNoticesLocked(victims []*replication, why string) []r
 			aborts = append(aborts, replAbort{peer: r.dstM.peer, id: r.id})
 		}
 		c.logf("replication %d (%q) aborted: %s", r.id, r.content, why)
+		c.om.replAborted.Inc()
 		c.event(obs.Event{Kind: obs.EvReplAbort, MSU: string(r.dstM.id), Disk: r.dstDisk,
 			Content: r.content, Detail: why})
 	}
@@ -226,28 +205,29 @@ func (ctx *connCtx) replicateDone(req wire.ReplicateDone) error {
 	defer c.mu.Unlock()
 	r := c.replications[req.ID]
 	if r != nil {
-		c.endReplicationLocked(r, false)
+		c.endReplicationLocked(r)
+	}
+	// A refused commit counts as an aborted transfer, and the
+	// reservations freed above wake the queue either way.
+	refuse := func(err error) error {
+		c.om.replAborted.Inc()
+		c.signalRelease()
+		return err
 	}
 	if c.db.Content(req.Content) == nil {
 		// Deleted while the copy ran: refuse the location; the answer
 		// tells the destination to take the replica back out.
-		c.replStats.Aborted++
-		c.signalRelease() // the reservations freed above
-		return fmt.Errorf("%w: %q", core.ErrNoSuchContent, req.Content)
+		return refuse(fmt.Errorf("%w: %q", core.ErrNoSuchContent, req.Content))
 	}
 	d := c.diskState(core.DiskID{MSU: m.id, N: req.Disk})
 	if d == nil {
-		c.replStats.Aborted++
-		c.signalRelease()
-		return fmt.Errorf("%w: disk %d", core.ErrBadRequest, req.Disk)
+		return refuse(fmt.Errorf("%w: disk %d", core.ErrBadRequest, req.Disk))
 	}
 	loc := core.DiskID{MSU: m.id, N: req.Disk}
 	if err := c.apply(admindb.SetLocation(req.Content, admindb.Location{MSU: m.id, Disk: req.Disk})); err != nil {
 		// Not journaled ⇒ not committed: reject, so the destination
 		// removes the replica again.
-		c.replStats.Aborted++
-		c.signalRelease()
-		return err
+		return refuse(err)
 	}
 	// The replica now occupies real blocks: stored content is standing
 	// space (mirrors recordingDone). With live transfer state the
@@ -256,8 +236,8 @@ func (ctx *connCtx) replicateDone(req wire.ReplicateDone) error {
 	// commit) adds conservatively, corrected by the MSU's next
 	// re-registration.
 	d.space.AddStanding(blocksFor(req.Size, d.blockSize)) //nolint:errcheck
-	c.replStats.Completed++
-	c.replStats.BytesCopied += req.Bytes
+	c.om.replDone.Inc()
+	c.om.replBytes.Add(req.Bytes)
 	c.event(obs.Event{Kind: obs.EvReplCommit, MSU: string(m.id), Disk: req.Disk,
 		Content: req.Content, Detail: fmt.Sprintf("%d bytes", req.Bytes)})
 	if r == nil {
@@ -283,8 +263,9 @@ func (c *Coordinator) replicationFailed(id uint64, reason string) {
 	if r == nil {
 		return // already preempted, aborted, or committed
 	}
-	c.endReplicationLocked(r, true)
+	c.endReplicationLocked(r)
 	c.logf("replication %d (%q) failed on %s: %s", id, r.content, r.dstM.id, reason)
+	c.om.replAborted.Inc()
 	c.event(obs.Event{Kind: obs.EvReplAbort, MSU: string(r.dstM.id), Disk: r.dstDisk,
 		Content: r.content, Detail: reason})
 	c.signalRelease()
@@ -296,11 +277,11 @@ func (c *Coordinator) replicationFailed(id uint64, reason string) {
 // elsewhere, not the primary), shed it. At most one drop is planned per
 // report; the delete RPC runs in the background. Callers hold c.mu.
 func (c *Coordinator) dropColdReplicaLocked(m *msuState, diskIdx int) {
-	if c.cfg.Replication.Disable || c.closed {
+	if c.closed {
 		return
 	}
 	d := m.disks[diskIdx]
-	if float64(d.space.Available()) >= c.lowSpaceFrac()*float64(d.space.Capacity()) {
+	if float64(d.space.Available()) >= lowSpaceFrac*float64(d.space.Capacity()) {
 		return // no space pressure
 	}
 	for _, rec := range c.db.Contents() {
@@ -356,6 +337,6 @@ func (c *Coordinator) executeDrop(peer *wire.Peer, m *msuState, rec *admindb.Con
 	if d := c.diskState(core.DiskID{MSU: m.id, N: diskIdx}); d != nil {
 		adjustCapacityLocked(d.space, blocks)
 	}
-	c.replStats.Dropped++
+	c.om.replDropped.Inc()
 	c.signalRelease()
 }

@@ -49,7 +49,7 @@ func newReplMSUPeer(t *testing.T, c *Coordinator, id core.MSUID, contents []wire
 		}
 		return nil, nil
 	})
-	hello := wire.MSUHello{ID: id, TransferAddr: transferAddr, Disks: []wire.DiskInfo{{
+	hello := wire.MSUHello{ProtoVersion: wire.ProtoVersion, ID: id, TransferAddr: transferAddr, Disks: []wire.DiskInfo{{
 		BlockSize:   64 * 1024,
 		TotalBlocks: 1000,
 		FreeBlocks:  900,
@@ -136,12 +136,9 @@ func TestReplicateQueuePressurePlansCopyAndAdmits(t *testing.T) {
 	}
 	<-m2.specs
 
-	var st wire.Status
-	if err := nc.peer.Call(wire.TypeStatus, struct{}{}, &st); err != nil {
-		t.Fatal(err)
-	}
-	if st.Repl.Completed != 1 || st.Repl.Active != 0 || st.Repl.BytesCopied != int64(plan.Size) {
-		t.Fatalf("repl stats = %+v", st.Repl)
+	st := status(t, nc.peer)
+	if st.Snapshot.Counter(wire.CounterReplDone) != 1 || st.Snapshot.Gauge(wire.GaugeReplActive) != 0 || st.Snapshot.Counter(wire.CounterReplBytes) != int64(plan.Size) {
+		t.Fatalf("repl stats: gauges %v counters %v", st.Snapshot.Gauges, st.Snapshot.Counters)
 	}
 	var list wire.ContentList
 	if err := nc.peer.Call(wire.TypeListContent, struct{}{}, &list); err != nil {
@@ -204,12 +201,9 @@ func TestReplicateAbortOnSourceDown(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("queued play never resolved")
 	}
-	var st wire.Status
-	if err := nc.peer.Call(wire.TypeStatus, struct{}{}, &st); err != nil {
-		t.Fatal(err)
-	}
-	if st.Repl.Active != 0 || st.Repl.Aborted < 1 || st.Repl.Completed != 0 {
-		t.Fatalf("repl stats = %+v", st.Repl)
+	st := status(t, nc.peer)
+	if st.Snapshot.Gauge(wire.GaugeReplActive) != 0 || st.Snapshot.Counter(wire.CounterReplAborted) < 1 || st.Snapshot.Counter(wire.CounterReplDone) != 0 {
+		t.Fatalf("repl stats: gauges %v counters %v", st.Snapshot.Gauges, st.Snapshot.Counters)
 	}
 	var list wire.ContentList
 	if err := nc.peer.Call(wire.TypeListContent, struct{}{}, &list); err != nil {

@@ -29,7 +29,7 @@ func TestRestartPersistsCatalogCountersTypes(t *testing.T) {
 
 	p := dialPeer(t, c1, nil)
 	var w1 wire.Welcome
-	if err := p.Call(wire.TypeHello, wire.Hello{User: "t"}, &w1); err != nil {
+	if err := p.Call(wire.TypeHello, wire.Hello{ProtoVersion: wire.ProtoVersion, User: "t"}, &w1); err != nil {
 		t.Fatal(err)
 	}
 	newType := core.ContentType{Name: "jpeg", Class: core.ConstantRate, Bandwidth: units.Mbps, Storage: units.Mbps, Protocol: "cbr"}
@@ -66,7 +66,7 @@ func TestRestartPersistsCatalogCountersTypes(t *testing.T) {
 
 	p2 := dialPeer(t, c2, nil)
 	var w2 wire.Welcome
-	if err := p2.Call(wire.TypeHello, wire.Hello{User: "t"}, &w2); err != nil {
+	if err := p2.Call(wire.TypeHello, wire.Hello{ProtoVersion: wire.ProtoVersion, User: "t"}, &w2); err != nil {
 		t.Fatal(err)
 	}
 	if w2.Session <= w1.Session {
@@ -145,26 +145,20 @@ func TestRestartReportsRecordingLost(t *testing.T) {
 
 	c2 := startCoordinator(t, Config{Store: store})
 	p2 := clientPeer(t, c2)
-	var st wire.Status
-	if err := p2.Call(wire.TypeStatus, struct{}{}, &st); err != nil {
-		t.Fatal(err)
+	st := status(t, p2)
+	if n := st.Snapshot.Gauge(wire.GaugeLostRecs); n != 1 {
+		t.Fatalf("LostRecordings = %d, want 1", n)
 	}
-	if st.LostRecordings != 1 {
-		t.Fatalf("LostRecordings = %d, want 1", st.LostRecordings)
-	}
-	if st.Contents != 0 {
+	if st.Snapshot.Gauge(wire.GaugeContents) != 0 {
 		t.Fatalf("uncommitted recording appeared in the catalog: %+v", st)
 	}
 	c2.Close()
 
 	c3 := startCoordinator(t, Config{Store: store})
 	p3 := clientPeer(t, c3)
-	var st3 wire.Status
-	if err := p3.Call(wire.TypeStatus, struct{}{}, &st3); err != nil {
-		t.Fatal(err)
-	}
-	if st3.LostRecordings != 0 {
-		t.Fatalf("settled recording reported lost again: %d", st3.LostRecordings)
+	st3 := status(t, p3)
+	if n := st3.Snapshot.Gauge(wire.GaugeLostRecs); n != 0 {
+		t.Fatalf("settled recording reported lost again: %d", n)
 	}
 }
 
@@ -188,12 +182,9 @@ func TestRestartCommittedRecordingNotLost(t *testing.T) {
 
 	c2 := startCoordinator(t, Config{Store: store})
 	p2 := clientPeer(t, c2)
-	var st wire.Status
-	if err := p2.Call(wire.TypeStatus, struct{}{}, &st); err != nil {
-		t.Fatal(err)
-	}
-	if st.LostRecordings != 0 {
-		t.Fatalf("committed recording reported lost: %d", st.LostRecordings)
+	st := status(t, p2)
+	if n := st.Snapshot.Gauge(wire.GaugeLostRecs); n != 0 {
+		t.Fatalf("committed recording reported lost: %d", n)
 	}
 	var cl wire.ContentList
 	if err := p2.Call(wire.TypeListContent, struct{}{}, &cl); err != nil {

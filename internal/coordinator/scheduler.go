@@ -26,8 +26,7 @@ func (ctx *connCtx) msuHello(req wire.MSUHello) (*wire.MSUWelcome, error) {
 	if req.ID == "" {
 		return nil, fmt.Errorf("%w: MSU has no id", core.ErrBadRequest)
 	}
-	if req.ProtoVersion != 0 && req.ProtoVersion != wire.ProtoVersion {
-		// 0 is a peer that predates versioning; anything else must match.
+	if req.ProtoVersion != wire.ProtoVersion {
 		return nil, fmt.Errorf("%w: MSU %q speaks protocol v%d, coordinator speaks v%d; upgrade the older side",
 			core.ErrBadRequest, req.ID, req.ProtoVersion, wire.ProtoVersion)
 	}
@@ -647,9 +646,10 @@ func busy(format string, args ...any) error {
 // passes. pass runs with c.mu held, and the wake-up channel is read
 // under that same hold: a release after the refusal is never missed,
 // and what the pass itself gave back (a failed start's rollback) does
-// not wake it. Every kind of request parks here, so the queue's gauge,
-// counters, wait histogram and event (stamped from who) are kept in
-// this one place.
+// not wake it. Close wakes every parked request, and a request that
+// finds the Coordinator closed ends with ErrSessionClosed. Every kind of
+// request parks here, so the queue's gauge, counters, wait histogram and
+// event (stamped from who) are kept in this one place.
 func (c *Coordinator) waitQueue(wait bool, who obs.Event, pass func() error) error {
 	start := c.cfg.Now()
 	deadline := start.Add(c.cfg.QueueTimeout)
@@ -657,14 +657,11 @@ func (c *Coordinator) waitQueue(wait bool, who obs.Event, pass func() error) err
 	c.mu.Lock()
 	defer func() {
 		if parked {
-			c.parked--
+			c.om.parked.Add(-1)
 		}
 		c.mu.Unlock()
 	}()
-	for {
-		if c.closed {
-			return core.ErrSessionClosed
-		}
+	for !c.closed {
 		err := pass()
 		if err == nil {
 			if parked {
@@ -681,9 +678,12 @@ func (c *Coordinator) waitQueue(wait bool, who obs.Event, pass func() error) err
 			c.om.rejected.Inc()
 			return err
 		}
+		if c.closed {
+			break // Close ran while the pass had dropped c.mu to dispatch; its wake-up is spent
+		}
 		if !parked {
 			parked = true
-			c.parked++
+			c.om.parked.Add(1)
 			c.om.queued.Inc()
 			who.Kind, who.Disk, who.Detail = obs.EvQueue, -1, err.Error()
 			c.event(who)
@@ -698,6 +698,7 @@ func (c *Coordinator) waitQueue(wait bool, who obs.Event, pass func() error) err
 		}
 		c.mu.Lock()
 	}
+	return core.ErrSessionClosed
 }
 
 // dispatchLocked carries a planned placement out. Callers hold c.mu.

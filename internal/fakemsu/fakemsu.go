@@ -149,7 +149,7 @@ func newDriver(coordinator string, bytes *atomic.Int64, contents []string, conte
 	d := &driver{}
 	d.peer = wire.NewPeer(&countingConn{Conn: conn, bytes: bytes}, nil, nil)
 	var welcome wire.Welcome
-	if err := d.peer.Call(wire.TypeHello, wire.Hello{User: "load"}, &welcome); err != nil {
+	if err := d.peer.Call(wire.TypeHello, wire.Hello{User: "load", ProtoVersion: wire.ProtoVersion}, &welcome); err != nil {
 		return nil, err
 	}
 	// One port per content item; addresses are never dialled by fakes.

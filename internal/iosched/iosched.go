@@ -9,10 +9,11 @@
 // degenerate to random-order, unbounded-concurrency I/O.
 //
 // Service proceeds in rounds. Each round takes the pending requests
-// whose deadlines fall within Slack of the earliest pending deadline —
-// the most urgent requests bound the round, so a tight-deadline arrival
-// waits at most one round — and serves them in C-SCAN order by device
-// offset (ascending from the current head position, wrapping once).
+// whose deadlines fall within DefaultSlack of the earliest pending
+// deadline — the most urgent requests bound the round, so a
+// tight-deadline arrival waits at most one round — and serves them in
+// C-SCAN order by device offset (ascending from the current head
+// position, wrapping once).
 // Device-adjacent requests coalesce into a single larger transfer
 // (blockdev.VectorReader) that scatters into each request's own
 // buffer, preserving the zero-copy contract. At most Depth transfers
@@ -39,12 +40,12 @@ import (
 // shuts down, and any request submitted after.
 var ErrClosed = errors.New("iosched: scheduler closed")
 
-// DefaultSlack is the round's deadline band when Options leaves Slack
-// zero: requests due within this much of the most urgent pending
-// request ride the same elevator sweep. One 256 KB page of 1.5 Mbit/s
-// video plays for ~1.4 s, so a quarter second groups the read-ahead of
-// concurrently admitted streams without letting a lagging stream's
-// page queue behind a full sweep of comfortable ones.
+// DefaultSlack is the round's deadline band: requests due within this
+// much of the most urgent pending request ride the same elevator
+// sweep. One 256 KB page of 1.5 Mbit/s video plays for ~1.4 s, so a
+// quarter second groups the read-ahead of concurrently admitted streams
+// without letting a lagging stream's page queue behind a full sweep of
+// comfortable ones.
 const DefaultSlack = 250 * time.Millisecond
 
 // A Request is one page read: fill Buf from the device at Off, wanted
@@ -74,9 +75,6 @@ type Options struct {
 	// one-I/O-per-disk invariant; raise it for devices (arrays, SSDs)
 	// that benefit from internal queueing.
 	Depth int
-	// Slack is the deadline band grouping one round; 0 means
-	// DefaultSlack.
-	Slack time.Duration
 	// Now supplies the clock for deadline-lateness accounting; nil
 	// disables it (ordering and round bounds never need the clock).
 	Now func() time.Time
@@ -117,9 +115,6 @@ type issueItem struct {
 func New(dev blockdev.BlockDevice, opts Options) *Scheduler {
 	if opts.Depth < 1 {
 		opts.Depth = 1
-	}
-	if opts.Slack <= 0 {
-		opts.Slack = DefaultSlack
 	}
 	return &Scheduler{
 		dev:   dev,
@@ -225,8 +220,8 @@ func (s *Scheduler) loop() {
 	}
 }
 
-// takeRound extracts the requests within Slack of the earliest pending
-// deadline — the round the most urgent requests bound.
+// takeRound extracts the requests within DefaultSlack of the earliest
+// pending deadline — the round the most urgent requests bound.
 func (s *Scheduler) takeRound() []*Request {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -239,7 +234,7 @@ func (s *Scheduler) takeRound() []*Request {
 			min = r.Deadline
 		}
 	}
-	limit := min.Add(s.opts.Slack)
+	limit := min.Add(DefaultSlack)
 	var round []*Request
 	var rest *Request
 	for r := s.pending; r != nil; {

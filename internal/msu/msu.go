@@ -78,11 +78,8 @@ type Config struct {
 	CacheBytes units.ByteSize
 	// ReconnectInterval is the base of the re-registration backoff
 	// after the Coordinator connection drops (attempts space out
-	// exponentially with jitter, capped at BackoffCap).
+	// exponentially with jitter, capped at wire.DefaultBackoffCap).
 	ReconnectInterval time.Duration
-	// BackoffCap bounds the re-registration backoff; zero means the
-	// wire default.
-	BackoffCap time.Duration
 	// Dial supplies the TCP dialer for both the Coordinator connection
 	// and per-group client control connections; nil means a net.Dial
 	// with a 5 s timeout. Fault-injection tests pass an injector here
@@ -394,7 +391,7 @@ func (m *MSU) reconnect() {
 	m.mu.Unlock()
 	go func() {
 		defer m.wg.Done()
-		b := wire.Backoff{Base: m.cfg.ReconnectInterval, Cap: m.cfg.BackoffCap}
+		b := wire.Backoff{Base: m.cfg.ReconnectInterval}
 		for {
 			t := time.NewTimer(b.Next())
 			select {

@@ -36,13 +36,11 @@ type Options struct {
 	// time.Now (a value reference; deterministic tests inject their
 	// simulated clock instead).
 	Now func() time.Time
-	// EventCap bounds the event ring; 0 means DefaultEventCap.
-	EventCap int
 }
 
-// DefaultEventCap is the event-ring bound when Options.EventCap is 0:
-// large enough to hold a full play→migrate→EOF lifecycle for every
-// admissible stream on a big MSU, small enough to be a fixed cost.
+// DefaultEventCap is the registry's event-ring bound: large enough to
+// hold a full play→migrate→EOF lifecycle for every admissible stream on
+// a big MSU, small enough to be a fixed cost.
 const DefaultEventCap = 4096
 
 // Registry owns a set of named instruments and an event ring.
@@ -63,13 +61,9 @@ func New(opts Options) *Registry {
 	if now == nil {
 		now = time.Now
 	}
-	cap := opts.EventCap
-	if cap <= 0 {
-		cap = DefaultEventCap
-	}
 	return &Registry{
 		now:      now,
-		ring:     NewRing(cap, now),
+		ring:     NewRing(DefaultEventCap, now),
 		counters: make(map[string]*Counter),
 		gauges:   make(map[string]*Gauge),
 		hists:    make(map[string]*Histogram),

@@ -1,6 +1,8 @@
 package wire
 
 import (
+	"fmt"
+	"strings"
 	"time"
 
 	"calliope/internal/core"
@@ -9,13 +11,14 @@ import (
 	"calliope/internal/units"
 )
 
-// ProtoVersion is the control-protocol revision this build speaks.
-// Both hellos carry it, so a mixed-version pairing fails at
-// registration with an error naming both versions instead of limping
-// along on silently zero-valued fields.
+// ProtoVersion is the control-protocol revision this build speaks, and
+// the only one the Coordinator admits. Both hellos carry it, so a
+// mixed-version pairing fails at registration with an error naming both
+// versions instead of limping along on silently zero-valued fields; a
+// hello without the field (version 0, a build older than the field) is
+// refused the same way.
 //
-//	1 — the unversioned protocol (peers that predate the field send 0,
-//	    which is treated as 1)
+//	1 — the unversioned protocol: flat Status scalars, no events
 //	2 — obs snapshots: StatusV2, cache-report piggybacked deltas, the
 //	    events RPC
 const ProtoVersion = 2
@@ -32,7 +35,6 @@ const (
 	TypeRecord         = "record"
 	TypeDeleteContent  = "delete-content"
 	TypeAddType        = "add-type"
-	TypeStatus         = "status"
 	TypeStatusV2       = "status-v2"
 	TypeEvents         = "events"
 
@@ -73,8 +75,7 @@ const (
 type Hello struct {
 	User string `json:"user"`
 	// ProtoVersion is the protocol revision the client speaks (the
-	// package constant); 0 means a pre-versioning build and is read
-	// as 1.
+	// package constant); the Coordinator refuses any other.
 	ProtoVersion int `json:"protoVersion,omitempty"`
 }
 
@@ -180,34 +181,13 @@ type AddType struct {
 	Type core.ContentType `json:"type"`
 }
 
-// Status reports Coordinator load, used by the scalability experiment
-// and operator tooling.
-type Status struct {
-	MSUs          int `json:"msus"`
-	MSUsAvailable int `json:"msusAvailable"`
-	ActiveStreams int `json:"activeStreams"`
-	QueuedPlays   int `json:"queuedPlays"`
-	Contents      int `json:"contents"`
-	Sessions      int `json:"sessions"`
-	// LostRecordings counts recordings that were in flight when the
-	// Coordinator last crashed: a restarted Coordinator finds them in
-	// its durable administrative database and reports them lost.
-	LostRecordings int         `json:"lostRecordings,omitempty"`
-	Requests       int64       `json:"requests"`
-	Disks          []DiskUsage `json:"disks,omitempty"`
-	Net            []NetUsage  `json:"net,omitempty"`
-	// Repl aggregates the content-replication subsystem's transfer
-	// counters (in-flight copies, commits, aborts, bytes moved).
-	Repl trace.ReplStats `json:"repl,omitzero"`
-}
-
-// StatusV2 answers TypeStatusV2: the versioned replacement for the
-// grab-bag Status scalars. Everything countable lives in one mergeable
-// obs.Snapshot (gauges like sessions/active_streams, counters like
+// StatusV2 answers TypeStatusV2, the Coordinator's one status report
+// (§2.2: it "keeps track of load by processor and disk"). Everything
+// countable lives in one mergeable obs.Snapshot (gauges like
+// sessions/active_streams, counters like
 // requests_total/repl_planned_total, the MSU-shipped delivery metrics
 // and lateness histograms); only the structured per-disk and per-NIC
-// ledger detail keeps dedicated fields. Old callers keep TypeStatus —
-// the Coordinator derives the legacy blob via Legacy().
+// ledger detail keeps dedicated fields.
 type StatusV2 struct {
 	Version  int          `json:"version"` // ProtoVersion of the answering Coordinator
 	Snapshot obs.Snapshot `json:"snapshot"`
@@ -215,7 +195,8 @@ type StatusV2 struct {
 	Net      []NetUsage   `json:"net,omitempty"`
 }
 
-// Gauge and counter names StatusV2 uses for the former Status scalars.
+// Gauge and counter names of the Coordinator's own load figures in
+// StatusV2.Snapshot.
 const (
 	GaugeMSUs          = "msus"
 	GaugeMSUsAvailable = "msus_available"
@@ -223,7 +204,7 @@ const (
 	GaugeQueuedPlays   = "queued_plays"
 	GaugeContents      = "contents"
 	GaugeSessions      = "sessions"
-	GaugeLostRecs      = "lost_recordings"
+	GaugeLostRecs      = "lost_recordings" // in flight when the Coordinator last crashed
 	GaugeReplActive    = "repl_active"
 	CounterRequests    = "requests_total"
 	CounterReplPlanned = "repl_planned_total"
@@ -233,32 +214,41 @@ const (
 	CounterReplBytes   = "repl_bytes_copied_total"
 )
 
-// Legacy is the compatibility shim: it reconstructs the v1 Status blob
-// from the snapshot's named gauges and counters, so the old TypeStatus
-// call (and every tool built on it) keeps working against a v2
-// Coordinator.
-func (v StatusV2) Legacy() Status {
+// Text renders the report the way `calliope-client status` prints it: a
+// summary line, a repl line once the replication policy has done
+// anything, then one line per NIC and per disk, with the disk's cache,
+// scheduler and per-content coverage beneath it when it has any.
+func (v StatusV2) Text() string {
+	var b strings.Builder
 	s := v.Snapshot
-	return Status{
-		MSUs:           int(s.Gauge(GaugeMSUs)),
-		MSUsAvailable:  int(s.Gauge(GaugeMSUsAvailable)),
-		ActiveStreams:  int(s.Gauge(GaugeActiveStreams)),
-		QueuedPlays:    int(s.Gauge(GaugeQueuedPlays)),
-		Contents:       int(s.Gauge(GaugeContents)),
-		Sessions:       int(s.Gauge(GaugeSessions)),
-		LostRecordings: int(s.Gauge(GaugeLostRecs)),
-		Requests:       s.Counter(CounterRequests),
-		Disks:          v.Disks,
-		Net:            v.Net,
-		Repl: trace.ReplStats{
-			Active:      s.Gauge(GaugeReplActive),
-			Planned:     s.Counter(CounterReplPlanned),
-			Completed:   s.Counter(CounterReplDone),
-			Aborted:     s.Counter(CounterReplAborted),
-			Dropped:     s.Counter(CounterReplDropped),
-			BytesCopied: s.Counter(CounterReplBytes),
-		},
+	fmt.Fprintf(&b, "MSUs: %d (%d available)  streams: %d  contents: %d  sessions: %d  requests: %d\n",
+		s.Gauge(GaugeMSUs), s.Gauge(GaugeMSUsAvailable), s.Gauge(GaugeActiveStreams),
+		s.Gauge(GaugeContents), s.Gauge(GaugeSessions), s.Counter(CounterRequests))
+	active, planned, done := s.Gauge(GaugeReplActive), s.Counter(CounterReplPlanned), s.Counter(CounterReplDone)
+	aborted, dropped := s.Counter(CounterReplAborted), s.Counter(CounterReplDropped)
+	if active > 0 || planned > 0 || done > 0 || aborted > 0 || dropped > 0 {
+		fmt.Fprintf(&b, "  repl active %d planned %d completed %d aborted %d dropped %d copied %dMB\n",
+			active, planned, done, aborted, dropped, s.Counter(CounterReplBytes)>>20)
 	}
+	state := map[bool]string{true: "up", false: "DOWN"}
+	for _, n := range v.Net {
+		fmt.Fprintf(&b, "  %-14s %-5s net %s of %s\n", n.MSU, state[n.Alive], n.Used, n.Cap)
+	}
+	for _, d := range v.Disks {
+		fmt.Fprintf(&b, "  %-14s %-5s bandwidth %s of %s   space %s of %s\n",
+			d.Disk, state[d.Alive], d.BandwidthUsed, d.BandwidthCap, d.SpaceUsed, d.SpaceCap)
+		if cs := d.Cache; cs.Lookups() > 0 || cs.Evictions > 0 {
+			fmt.Fprintf(&b, "  %-14s       cache %s\n", "", cs)
+		}
+		if io := d.IO; io.Requests > 0 {
+			fmt.Fprintf(&b, "  %-14s       io %s\n", "", io)
+		}
+		for _, cov := range d.Cached {
+			fmt.Fprintf(&b, "  %-14s       cached %q %d/%d pages, %d players\n",
+				"", cov.Name, cov.CachedPages, cov.TotalPages, cov.Players)
+		}
+	}
+	return b.String()
 }
 
 // EventsRequest pages through the Coordinator's event timeline
@@ -340,8 +330,7 @@ type MSUHello struct {
 	// cannot serve as a replication source.
 	TransferAddr string `json:"transferAddr,omitempty"`
 	// ProtoVersion is the protocol revision the MSU speaks (the
-	// package constant); 0 means a pre-versioning build and is read
-	// as 1.
+	// package constant); the Coordinator refuses any other.
 	ProtoVersion int `json:"protoVersion,omitempty"`
 }
 

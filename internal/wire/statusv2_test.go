@@ -5,54 +5,57 @@ import (
 	"encoding/json"
 	"errors"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
 	"calliope/internal/obs"
 )
 
-// TestStatusV2LegacyShim pins the compatibility mapping: a v2 snapshot
-// must reconstruct every v1 Status scalar, including the nested
-// replication stats.
-func TestStatusV2LegacyShim(t *testing.T) {
-	v2 := StatusV2{
-		Version: ProtoVersion,
-		Snapshot: obs.Snapshot{
-			Gauges: map[string]int64{
-				GaugeMSUs:          3,
-				GaugeMSUsAvailable: 2,
-				GaugeActiveStreams: 7,
-				GaugeQueuedPlays:   1,
-				GaugeContents:      12,
-				GaugeSessions:      4,
-				GaugeLostRecs:      1,
-				GaugeReplActive:    2,
-			},
-			Counters: map[string]int64{
-				CounterRequests:    99,
-				CounterReplPlanned: 5,
-				CounterReplDone:    3,
-				CounterReplAborted: 1,
-				CounterReplDropped: 1,
-				CounterReplBytes:   1 << 20,
-			},
-		},
-		Disks: []DiskUsage{{Alive: true}},
-		Net:   []NetUsage{{MSU: "m0", Alive: true}},
+// TestStatusV2OnTheWire pins the report's contract with its readers:
+// every Coordinator load figure travels under its published name and is
+// read back through Snapshot.Gauge / Snapshot.Counter, and the per-disk
+// and per-NIC detail survives the trip.
+func TestStatusV2OnTheWire(t *testing.T) {
+	gauges := map[string]int64{
+		GaugeMSUs: 3, GaugeMSUsAvailable: 2, GaugeActiveStreams: 7, GaugeQueuedPlays: 1,
+		GaugeContents: 12, GaugeSessions: 4, GaugeLostRecs: 1, GaugeReplActive: 2,
 	}
-	st := v2.Legacy()
-	if st.MSUs != 3 || st.MSUsAvailable != 2 || st.ActiveStreams != 7 || st.QueuedPlays != 1 {
-		t.Fatalf("scheduling scalars wrong: %+v", st)
+	counters := map[string]int64{
+		CounterRequests: 99, CounterReplPlanned: 5, CounterReplDone: 3,
+		CounterReplAborted: 1, CounterReplDropped: 1, CounterReplBytes: 1 << 20,
 	}
-	if st.Contents != 12 || st.Sessions != 4 || st.LostRecordings != 1 || st.Requests != 99 {
-		t.Fatalf("session scalars wrong: %+v", st)
+	raw, err := json.Marshal(StatusV2{
+		Version:  ProtoVersion,
+		Snapshot: obs.Snapshot{Gauges: gauges, Counters: counters},
+		Disks:    []DiskUsage{{Alive: true}},
+		Net:      []NetUsage{{MSU: "m0", Alive: true}},
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if st.Repl.Planned != 5 || st.Repl.Active != 2 || st.Repl.Completed != 3 ||
-		st.Repl.Aborted != 1 || st.Repl.Dropped != 1 || st.Repl.BytesCopied != 1<<20 {
-		t.Fatalf("repl stats wrong: %+v", st.Repl)
+	for _, name := range []string{`"msus_available":2`, `"queued_plays":1`, `"lost_recordings":1`, `"repl_active":2`,
+		`"requests_total":99`, `"repl_bytes_copied_total":1048576`} {
+		if !strings.Contains(string(raw), name) {
+			t.Errorf("encoded report lacks %s: %s", name, raw)
+		}
 	}
-	if len(st.Disks) != 1 || len(st.Net) != 1 {
-		t.Fatalf("structured fields lost: %+v", st)
+	var got StatusV2
+	if err := json.Unmarshal(raw, &got); err != nil {
+		t.Fatal(err)
+	}
+	if got.Version != ProtoVersion || len(got.Disks) != 1 || len(got.Net) != 1 || got.Net[0].MSU != "m0" {
+		t.Fatalf("structured fields lost: %+v", got)
+	}
+	for name, want := range gauges {
+		if got.Snapshot.Gauge(name) != want {
+			t.Errorf("gauge %s = %d, want %d", name, got.Snapshot.Gauge(name), want)
+		}
+	}
+	for name, want := range counters {
+		if got.Snapshot.Counter(name) != want {
+			t.Errorf("counter %s = %d, want %d", name, got.Snapshot.Counter(name), want)
+		}
 	}
 }
 

@@ -196,69 +196,28 @@ var ErrTimeout = errors.New("wire: call timed out")
 // Call sends a request and decodes the response into resp (which may
 // be nil). A remote-side error arrives as ErrRemote with the message.
 func (p *Peer) Call(msgType string, req, resp any) error {
-	return p.CallTimeout(msgType, req, resp, 0)
+	return p.CallContext(context.Background(), msgType, req, resp)
 }
 
-// CallTimeout is Call with a deadline; zero means wait indefinitely. A
-// timed-out call abandons its pending slot — a late response is
-// discarded, and the connection stays usable.
+// CallTimeout is Call with a deadline, reported as ErrTimeout; zero
+// means wait indefinitely.
 func (p *Peer) CallTimeout(msgType string, req, resp any, timeout time.Duration) error {
-	body, err := json.Marshal(req)
-	if err != nil {
-		return fmt.Errorf("wire: encoding %s request: %w", msgType, err)
+	if timeout <= 0 {
+		return p.Call(msgType, req, resp)
 	}
-	id := p.nextID.Add(1)
-	ch := make(chan *Envelope, 1)
-
-	p.mu.Lock()
-	if p.closed {
-		err := p.err
-		p.mu.Unlock()
-		return fmt.Errorf("%w: %v", ErrClosed, err)
+	ctx, cancel := context.WithTimeout(context.Background(), timeout)
+	defer cancel()
+	err := p.CallContext(ctx, msgType, req, resp)
+	if errors.Is(err, context.DeadlineExceeded) {
+		return fmt.Errorf("%w: %s after %v", ErrTimeout, msgType, timeout)
 	}
-	p.pending[id] = ch
-	p.mu.Unlock()
-
-	if err := p.send(&Envelope{Kind: KindRequest, ID: id, Type: msgType, Body: body}); err != nil {
-		p.mu.Lock()
-		delete(p.pending, id)
-		p.mu.Unlock()
-		return err
-	}
-
-	var e *Envelope
-	var ok bool
-	if timeout > 0 {
-		t := time.NewTimer(timeout)
-		defer t.Stop()
-		select {
-		case e, ok = <-ch:
-		case <-t.C:
-			p.mu.Lock()
-			delete(p.pending, id)
-			p.mu.Unlock()
-			return fmt.Errorf("%w: %s after %v", ErrTimeout, msgType, timeout)
-		}
-	} else {
-		e, ok = <-ch
-	}
-	if !ok || e == nil {
-		return fmt.Errorf("%w while awaiting %s", ErrClosed, msgType)
-	}
-	if e.Kind == KindError {
-		return fmt.Errorf("%w: %s", ErrRemote, e.Err)
-	}
-	if resp != nil {
-		return e.Decode(resp)
-	}
-	return nil
+	return err
 }
 
 // CallContext is Call bounded by a context: cancellation or deadline
-// expiry abandons the pending slot exactly like CallTimeout — a late
-// response is discarded and the connection stays usable. The context's
-// error is returned verbatim so callers can distinguish cancellation
-// from a deadline.
+// expiry abandons the pending slot — a late response is discarded and
+// the connection stays usable. The context's error is returned verbatim
+// so callers can distinguish cancellation from a deadline.
 func (p *Peer) CallContext(ctx context.Context, msgType string, req, resp any) error {
 	if err := ctx.Err(); err != nil {
 		return fmt.Errorf("wire: %s: %w", msgType, err)

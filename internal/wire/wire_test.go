@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -11,6 +12,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"calliope/internal/obs"
 )
 
 func TestMessageRoundTrip(t *testing.T) {
@@ -52,6 +55,82 @@ func TestReadMessageRejectsGarbage(t *testing.T) {
 	if _, err := ReadMessage(&buf); !errors.Is(err, ErrBadMessage) {
 		t.Fatalf("garbage body: %v", err)
 	}
+}
+
+// FuzzReadMessage feeds ReadMessage arbitrary bytes, the way a socket
+// would: it must never panic, must refuse a length above MaxMessage on
+// the strength of the header alone (nothing read past it, so nothing
+// allocated for it), and whatever it accepts must re-encode through
+// WriteMessage to a frame that decodes to the same envelope and encodes
+// to the same bytes again.
+func FuzzReadMessage(f *testing.F) {
+	frame := func(kind Kind, msgType string, body any) []byte {
+		raw, err := json.Marshal(body)
+		if err != nil {
+			f.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := WriteMessage(&buf, &Envelope{Kind: kind, ID: 7, Type: msgType, Body: raw}); err != nil {
+			f.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	hello := frame(KindRequest, TypeHello, Hello{User: "alice", ProtoVersion: ProtoVersion})
+	status := frame(KindResponse, TypeStatusV2, StatusV2{
+		Version: ProtoVersion,
+		Snapshot: obs.Snapshot{
+			Gauges:   map[string]int64{GaugeMSUs: 1, GaugeActiveStreams: 2},
+			Counters: map[string]int64{CounterRequests: 40},
+		},
+		Disks: []DiskUsage{{Alive: true, Cached: []ContentCoverage{{Name: "<movie>", CachedPages: 3, TotalPages: 4}}}},
+		Net:   []NetUsage{{MSU: "msu0", Alive: true}},
+	})
+	f.Add(hello)
+	f.Add(status)
+	f.Add(status[:len(status)/2])                                     // truncated mid-body
+	f.Add(hello[:3])                                                  // truncated mid-header
+	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, '{', '}'})                   // length above MaxMessage
+	f.Add([]byte{0, 0, 0, 3, '{', '{', '{'})                          // not JSON
+	f.Add(append([]byte{0, 0, 0, 22}, `{"kind":"err","err":1}`...))   // wrong field type
+	f.Add(append([]byte{0, 0, 0, 24}, `{"type":"x","body":null}`...)) // null body
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		in := bytes.NewReader(data)
+		e, err := ReadMessage(in)
+		if len(data) >= 4 && binary.BigEndian.Uint32(data) > MaxMessage {
+			if !errors.Is(err, ErrTooLarge) || in.Len() != len(data)-4 {
+				t.Fatalf("oversize header: err %v, %d of %d bytes consumed", err, len(data)-in.Len(), len(data))
+			}
+		}
+		if err != nil {
+			if e != nil {
+				t.Fatalf("envelope %+v returned beside error %v", e, err)
+			}
+			return
+		}
+		var first bytes.Buffer
+		if err := WriteMessage(&first, e); err != nil {
+			if errors.Is(err, ErrTooLarge) {
+				return // escaping grew an envelope already at the limit
+			}
+			t.Fatalf("accepted envelope %+v does not re-encode: %v", e, err)
+		}
+		frame1 := append([]byte(nil), first.Bytes()...)
+		again, err := ReadMessage(&first)
+		if err != nil {
+			t.Fatalf("re-encoded frame %q does not decode: %v", frame1, err)
+		}
+		if again.Kind != e.Kind || again.ID != e.ID || again.Type != e.Type || again.Err != e.Err {
+			t.Fatalf("envelope changed in transit: %+v became %+v", e, again)
+		}
+		var second bytes.Buffer
+		if err := WriteMessage(&second, again); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(frame1, second.Bytes()) {
+			t.Fatalf("body changed in transit: %q became %q", frame1, second.Bytes())
+		}
+	})
 }
 
 // peerPair builds two connected peers over a real TCP loopback socket.

@@ -15,6 +15,7 @@ import (
 	"calliope/internal/core"
 	"calliope/internal/faultinject"
 	"calliope/internal/msufs"
+	"calliope/internal/obs"
 	"calliope/internal/units"
 	"calliope/internal/wire"
 )
@@ -103,19 +104,18 @@ func saturate(t *testing.T, c *Client) [2]*Stream {
 	return streams
 }
 
-// waitRepl polls the Coordinator status until pred holds.
-func waitRepl(t *testing.T, c *Client, what string, timeout time.Duration, pred func(wire.Status) bool) wire.Status {
+// waitRepl polls the Coordinator's status snapshot until pred holds.
+func waitRepl(t *testing.T, c *Client, what string, timeout time.Duration, pred func(obs.Snapshot) bool) obs.Snapshot {
 	t.Helper()
 	deadline := time.Now().Add(timeout)
-	var st wire.Status
 	for {
-		var err error
-		st, err = c.Status()
-		if err == nil && pred(st) {
-			return st
+		st, err := c.StatusV2()
+		if err == nil && pred(st.Snapshot) {
+			return st.Snapshot
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("%s: never happened (last status err %v, repl %+v)", what, err, st.Repl)
+			t.Fatalf("%s: never happened (last status err %v, gauges %v, counters %v)",
+				what, err, st.Snapshot.Gauges, st.Snapshot.Counters)
 		}
 		time.Sleep(25 * time.Millisecond)
 	}
@@ -202,11 +202,15 @@ func TestReplicateHotContentUnderLoad(t *testing.T) {
 		t.Errorf("replica delivered %d packets, want %d", recv.Count(), want)
 	}
 
-	st := waitRepl(t, admin, "transfer completion counted", 5*time.Second, func(st wire.Status) bool {
-		return st.Repl.Completed >= 1
+	s := waitRepl(t, admin, "transfer completion counted", 5*time.Second, func(s obs.Snapshot) bool {
+		return s.Counter(wire.CounterReplDone) >= 1
 	})
-	if st.Repl.BytesCopied == 0 {
-		t.Errorf("repl stats count no copied bytes: %+v", st.Repl)
+	// The names the harness and /metrics read, counted by the handles
+	// beside the plan and commit events.
+	if s.Counter(wire.CounterReplPlanned) < 1 || s.Counter(wire.CounterReplDone) != 1 ||
+		s.Counter(wire.CounterReplBytes) <= 0 || s.Counter(wire.CounterRequests) <= 0 ||
+		s.Gauge(wire.GaugeReplActive) != 0 {
+		t.Errorf("status after one committed copy: counters %v gauges %v", s.Counters, s.Gauges)
 	}
 	info := findContent(t, admin, "movie")
 	if len(info.Replicas) != 2 {
@@ -276,8 +280,8 @@ func TestReplicateDeleteRaceAbortsCopy(t *testing.T) {
 		errCh <- err
 	}()
 
-	waitRepl(t, admin, "copy in flight", 10*time.Second, func(st wire.Status) bool {
-		return st.Repl.Active >= 1
+	waitRepl(t, admin, "copy in flight", 10*time.Second, func(s obs.Snapshot) bool {
+		return s.Gauge(wire.GaugeReplActive) >= 1
 	})
 	waitCond(t, "destination allocated partial blocks", 10*time.Second, func() bool {
 		return cluster.Volume(1, 0).FreeBlocks() < free0
@@ -297,8 +301,8 @@ func TestReplicateDeleteRaceAbortsCopy(t *testing.T) {
 	case <-time.After(20 * time.Second):
 		t.Fatal("queued play never resolved after the delete")
 	}
-	waitRepl(t, admin, "transfer aborted", 10*time.Second, func(st wire.Status) bool {
-		return st.Repl.Active == 0 && st.Repl.Aborted >= 1
+	waitRepl(t, admin, "transfer aborted", 10*time.Second, func(s obs.Snapshot) bool {
+		return s.Gauge(wire.GaugeReplActive) == 0 && s.Counter(wire.CounterReplAborted) >= 1
 	})
 	waitCond(t, "partial replica reclaimed on the destination", 10*time.Second, func() bool {
 		return cluster.Volume(1, 0).FreeBlocks() == free0
@@ -371,8 +375,8 @@ func replicateCrashTest(t *testing.T, victim int) (*Cluster, []*faultinject.Inje
 		errCh <- err
 	}()
 
-	waitRepl(t, admin, "copy in flight", 10*time.Second, func(st wire.Status) bool {
-		return st.Repl.Active >= 1
+	waitRepl(t, admin, "copy in flight", 10*time.Second, func(s obs.Snapshot) bool {
+		return s.Gauge(wire.GaugeReplActive) >= 1
 	})
 	waitCond(t, "destination allocated partial blocks", 10*time.Second, func() bool {
 		return cluster.Volume(1, 0).FreeBlocks() < free0
@@ -383,8 +387,8 @@ func replicateCrashTest(t *testing.T, victim int) (*Cluster, []*faultinject.Inje
 	// The Coordinator notices the dead MSU and aborts the transfer; the
 	// destination (told to abort, or alone with its failing pulls)
 	// reclaims the partial replica on its own.
-	waitRepl(t, admin, "transfer aborted after crash", 15*time.Second, func(st wire.Status) bool {
-		return st.Repl.Active == 0 && st.Repl.Aborted >= 1
+	waitRepl(t, admin, "transfer aborted after crash", 15*time.Second, func(s obs.Snapshot) bool {
+		return s.Gauge(wire.GaugeReplActive) == 0 && s.Counter(wire.CounterReplAborted) >= 1
 	})
 	waitCond(t, "partial replica reclaimed on the destination", 15*time.Second, func() bool {
 		return cluster.Volume(1, 0).FreeBlocks() == free0
