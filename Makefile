@@ -39,19 +39,24 @@ leakcheck:
 # the restart-equivalence walk (a restart replays to the live tables),
 # the failed-commit and idempotent-replay tests, the admission core's
 # plan/rollback and ledger-conservation tests, the Close-wakes-the-queue
-# tests, and the MSU's quit-acknowledgement and stop-drains-the-sink
-# regressions.
+# tests, the MSU's quit-acknowledgement and stop-drains-the-sink
+# regressions, and the content lifecycle's crash half: a recording whose
+# publish fails is aborted (TestFaultRecorderPublishFailureAborts), a
+# start-up sweeps what crashes leave (TestSweepOnStartup), and a
+# corrupt superblock is refused (TestMountRejectsCorruptSuperblock).
 faults:
-	$(GO) test -race -timeout 120s -run 'Fault|Failover|Redispatch|Reconnect|MSUDown|Lost|Restart|FailedCommit|ReplayIdempotent|ReplayUnstamped|PR15Fixture|Orphan|Corrupt|PlanStep|LedgerConservation|RecordPlacement|QueuedPlayWakes|CloseWakes|CutAll|QuitIsAcknowledged|StopKeeps' . ./internal/coordinator ./internal/client ./internal/msu ./internal/faultinject ./internal/admindb
+	$(GO) test -race -timeout 120s -run 'Fault|Failover|Redispatch|Reconnect|MSUDown|Lost|Restart|FailedCommit|ReplayIdempotent|ReplayUnstamped|PR15Fixture|Orphan|Corrupt|PlanStep|LedgerConservation|RecordPlacement|QueuedPlayWakes|CloseWakes|CutAll|QuitIsAcknowledged|StopKeeps|SweepOnStartup' . ./internal/coordinator ./internal/client ./internal/msu ./internal/msufs ./internal/faultinject ./internal/admindb
 
 # Three seconds of each fuzz target (go test takes one -fuzz target and
 # one package per run): journal replay and snapshot decoding never
 # panic on arbitrary bytes and keep only what replays to the same
-# tables; a control-message frame is refused or survives re-encoding.
+# tables; a control-message frame is refused or survives re-encoding; a
+# disk's metadata region is refused or mounts with every block owned once.
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz='^FuzzReplayJournal$$' -fuzztime=3s ./internal/admindb
 	$(GO) test -run=NONE -fuzz='^FuzzSnapshotDecode$$' -fuzztime=3s ./internal/admindb
 	$(GO) test -run=NONE -fuzz='^FuzzReadMessage$$' -fuzztime=3s ./internal/wire
+	$(GO) test -run=NONE -fuzz='^FuzzMount$$' -fuzztime=3s ./internal/msufs
 
 # The demand-driven replication subsystem: copy-engine framing, the
 # MSU transfer path, the Coordinator placement policy, and the

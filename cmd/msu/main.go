@@ -69,7 +69,7 @@ func main() {
 		} else {
 			vol, err = msufs.Mount(dev)
 			if errors.Is(err, msufs.ErrNotFormatted) {
-				fmt.Fprintf(os.Stderr, "msu: %s is not formatted (use -format)\n", path)
+				fmt.Fprintf(os.Stderr, "msu: %s: %v (-format makes it an empty volume)\n", path, err)
 				os.Exit(1)
 			}
 		}

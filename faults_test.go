@@ -7,6 +7,7 @@ import (
 
 	"calliope/internal/blockdev"
 	"calliope/internal/faultinject"
+	"calliope/internal/msu"
 	"calliope/internal/msufs"
 	"calliope/internal/obs"
 	"calliope/internal/wire"
@@ -355,13 +356,39 @@ func TestFaultCoordinatorRestartMidRecord(t *testing.T) {
 	// dispatched the stream.
 	inj[0].Partition(false)
 	waitMSUsAvailable(t, c, 1)
+	// The MSU's hello declared what it holds, and a file still being
+	// recorded is not content: the catalog must not list it yet.
+	contents, err = c.ListContent()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, info := range contents {
+		if info.Name == "take" {
+			t.Fatalf("the re-registered MSU declared a recording still under way: %+v", info)
+		}
+	}
 	send(50)
 	time.Sleep(300 * time.Millisecond) // let the MSU drain the socket
 	if err := rec.Stop(); err != nil {
 		t.Fatalf("stop across Coordinator restart: %v", err)
 	}
-	if _, err := c.WaitForContent("take", 10*time.Second); err != nil {
+	info, err := c.WaitForContent("take", 10*time.Second)
+	if err != nil {
 		t.Fatalf("recording never committed across restart: %v", err)
+	}
+	onDisk, err := cluster.Volume(0, 0).Stat("take")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.Length <= 0 || int64(info.Size) != onDisk.Size || !onDisk.Committed {
+		t.Fatalf("catalog lists %+v for a committed file of %d bytes (committed=%v)", info, onDisk.Size, onDisk.Committed)
+	}
+	got, err := msu.ReadBack(msufs.NewStore(cluster.Volume(0, 0)), "take")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) <= 100 {
+		t.Fatalf("the recording holds %d packets: nothing of the second burst", len(got))
 	}
 
 	// Fresh recordings get IDs strictly above the pre-crash ones.

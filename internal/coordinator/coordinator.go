@@ -720,8 +720,8 @@ func (c *Coordinator) deleteContent(name string) error {
 	}
 	names := append([]string{name}, rec.Info.Children...)
 	// An in-flight copy of anything being deleted dies first: the
-	// destination's partial files carry no attributes and self-clean on
-	// abort, and a commit racing the delete is refused in replicateDone.
+	// destination removes its unpublished files when told to abort, and
+	// a commit racing the delete is refused in replicateDone.
 	aborts = c.abortReplicationsLocked("content deleted", func(r *replication) bool {
 		for _, n := range names {
 			if r.content == n {

@@ -170,8 +170,8 @@ func (c *Coordinator) abortReplicationsLocked(why string, match func(*replicatio
 
 // abortNoticesLocked publishes transfers the admission core has already
 // torn down: counted aborted with an event each, and an abort for every
-// destination still alive to hear it (its attribute-less partial files
-// self-clean). Callers hold c.mu.
+// destination still alive to hear it (it removes the files it created;
+// one that is not sweeps them when it next starts). Callers hold c.mu.
 func (c *Coordinator) abortNoticesLocked(victims []*replication, why string) []replAbort {
 	var aborts []replAbort
 	for _, r := range victims {

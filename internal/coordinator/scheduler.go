@@ -191,9 +191,9 @@ func (c *Coordinator) msuDown(m *msuState) {
 	m.alive = false
 	// Transfers sourcing from or landing on the dead MSU cannot finish;
 	// tear down their reservations now so nothing leaks if the MSU never
-	// returns. A surviving destination is told to abandon its pull (its
-	// attribute-less partial files self-clean); a dead destination
-	// discards its own state when it restarts.
+	// returns. A surviving destination is told to abandon its pull and
+	// removes the files it had created; a dead destination's are not
+	// content (nothing published them) and its next start sweeps them.
 	replAborts := c.abortReplicationsLocked("endpoint failed", func(r *replication) bool {
 		return r.srcM == m || r.dstM == m
 	})

@@ -107,7 +107,17 @@ func newReadLogVolume(t *testing.T) (*msufs.Volume, *readLog) {
 func newVCRRig(t *testing.T) *vcrRig {
 	t.Helper()
 	vol, dev := newReadLogVolume(t)
-	m, err := New(Config{ID: "rig", Coordinator: "127.0.0.1:1", Volumes: []*msufs.Volume{vol}})
+	r := newVCRRigOn(t, Config{Volumes: []*msufs.Volume{vol}})
+	r.dev = dev
+	return r
+}
+
+// newVCRRigOn is newVCRRig over the caller's volumes (and whatever else
+// cfg sets); such a rig has no readLog to count device reads with.
+func newVCRRigOn(t *testing.T, cfg Config) *vcrRig {
+	t.Helper()
+	cfg.ID, cfg.Coordinator = "rig", "127.0.0.1:1"
+	m, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +131,7 @@ func newVCRRig(t *testing.T) *vcrRig {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := &vcrRig{t: t, m: m, dev: dev, sink: sink, ln: ln, vcrs: make(chan *wire.Peer, 1)}
+	r := &vcrRig{t: t, m: m, sink: sink, ln: ln, vcrs: make(chan *wire.Peer, 1)}
 	accepted := make(chan struct{})
 	go func() {
 		defer close(accepted)
@@ -242,7 +252,7 @@ func (r *vcrRig) rootOffset(name string) int64 {
 	if err != nil {
 		r.t.Fatal(err)
 	}
-	tree, err := treeFromAttrs(f, r.m.stores[0].BlockSize())
+	tree, err := treeFromAttrs(f, f.Attrs(), r.m.stores[0].BlockSize())
 	if err != nil {
 		r.t.Fatal(err)
 	}

@@ -244,7 +244,6 @@ func (g *group) quit(cause string) {
 
 	g.vcrMu.Lock() // a command already under way starts its players first
 	for _, s := range members {
-		s.finishRecording()
 		s.teardown()
 		g.m.notifyCoordinator(wire.TypeStreamEnded, wire.StreamEnded{Stream: s.spec.Stream, Cause: cause})
 	}

@@ -1,11 +1,9 @@
 package msu
 
 import (
-	"encoding/json"
 	"fmt"
 	"strconv"
 
-	"calliope/internal/ibtree"
 	"calliope/internal/media"
 	"calliope/internal/msufs"
 	"calliope/internal/protocol"
@@ -21,54 +19,39 @@ import (
 // Ingest writes a packet stream into vol as content named name with
 // the given content type. Packets must be in delivery-time order.
 func Ingest(vol msufs.Store, name, contentType string, pkts []media.Packet) error {
-	if len(pkts) == 0 {
-		return fmt.Errorf("msu: ingest %q: empty stream", name)
+	set := &fileSet{store: vol}
+	err := set.ingest(name, contentType, pkts, nil)
+	if err != nil {
+		set.abort() //nolint:errcheck // the ingest error is the one to report
 	}
+	return err
+}
+
+// ingest writes and publishes one file; the caller aborts the set on error.
+func (s *fileSet) ingest(name, contentType string, pkts []media.Packet, extra map[string]string) error {
 	var bytes int64
 	for _, p := range pkts {
 		bytes += int64(len(p.Payload)) + 32
 	}
-	file, err := vol.Create(name, bytes, map[string]string{AttrType: contentType})
+	w, err := s.packets(name, bytes)
 	if err != nil {
 		return err
-	}
-	cleanup := func(err error) error {
-		vol.Remove(name) //nolint:errcheck
-		return err
-	}
-	builder, err := ibtree.NewBuilder(file, vol.BlockSize(), 0)
-	if err != nil {
-		return cleanup(err)
 	}
 	for i, p := range pkts {
-		stored := protocol.EncodeStored(protocol.Data, p.Payload)
-		if err := builder.Append(ibtree.Packet{Time: p.Time, Payload: stored}); err != nil {
-			return cleanup(fmt.Errorf("msu: ingest %q packet %d: %w", name, i, err))
+		if err := w.append(p.Time, protocol.Data, p.Payload); err != nil {
+			return fmt.Errorf("msu: ingest %q packet %d: %w", name, i, err)
 		}
 	}
-	meta, err := builder.Finalize()
-	if err != nil {
-		return cleanup(err)
-	}
-	rawMeta, err := json.Marshal(meta)
-	if err != nil {
-		return cleanup(err)
-	}
-	if err := file.Commit(); err != nil {
-		return cleanup(err)
-	}
-	if err := vol.SetAttr(name, AttrTree, string(rawMeta)); err != nil {
-		return cleanup(err)
-	}
-	if err := vol.SetAttr(name, AttrLength, strconv.FormatInt(int64(meta.Length), 10)); err != nil {
-		return cleanup(err)
+	if _, err = w.publish(contentType, extra); err != nil {
+		return fmt.Errorf("msu: ingest %q: %w", name, err)
 	}
 	return nil
 }
 
 // IngestFast produces and loads the fast-forward and fast-backward
 // companion files for already-ingested content packets, linking them
-// to the normal-rate item so VCR speed switches find them.
+// to the normal-rate item so VCR speed switches find them. A companion
+// is published as one, and the links are one write on the title.
 func IngestFast(vol msufs.Store, name, contentType string, pkts []media.Packet, every int) error {
 	if every <= 0 {
 		every = media.DefaultFilterEvery
@@ -85,28 +68,18 @@ func IngestFast(vol msufs.Store, name, contentType string, pkts []media.Packet, 
 		return fmt.Errorf("msu: filtering %q backward: %w", name, err)
 	}
 	ffName, fbName := name+".ff", name+".fb"
-	if err := Ingest(vol, ffName, contentType, ff); err != nil {
-		return err
+	companion := map[string]string{AttrFastRole: "companion"}
+	set := &fileSet{store: vol}
+	if err = set.ingest(ffName, contentType, ff, companion); err == nil {
+		err = set.ingest(fbName, contentType, fb, companion)
 	}
-	if err := Ingest(vol, fbName, contentType, fb); err != nil {
-		vol.Remove(ffName) //nolint:errcheck
-		return err
+	if err == nil {
+		err = vol.SetAttrs(name, map[string]string{AttrFastFwd: ffName, AttrFastBack: fbName, AttrEvery: strconv.Itoa(every)})
 	}
-	for _, link := range []struct{ k, v string }{
-		{AttrFastFwd, ffName},
-		{AttrFastBack, fbName},
-		{AttrEvery, strconv.Itoa(every)},
-	} {
-		if err := vol.SetAttr(name, link.k, link.v); err != nil {
-			return err
-		}
+	if err != nil {
+		set.abort() //nolint:errcheck // the ingest error is the one to report
 	}
-	for _, n := range []string{ffName, fbName} {
-		if err := vol.SetAttr(n, AttrFastRole, "companion"); err != nil {
-			return err
-		}
-	}
-	return nil
+	return err
 }
 
 // ReadBack scans ingested or recorded content into memory — the
@@ -117,7 +90,7 @@ func ReadBack(vol msufs.Store, name string) ([]media.Packet, error) {
 	if err != nil {
 		return nil, err
 	}
-	tree, err := treeFromAttrs(file, vol.BlockSize())
+	tree, err := treeFromAttrs(file, file.Attrs(), vol.BlockSize())
 	if err != nil {
 		return nil, err
 	}

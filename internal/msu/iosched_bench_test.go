@@ -54,8 +54,7 @@ func openTestStream(tb testing.TB, m *MSU, disk int, id core.StreamID, name stri
 	if err != nil {
 		tb.Fatal(err)
 	}
-	tb.Cleanup(cleanup)
-	tb.Cleanup(s.stopPlayer) // stop stragglers if the test bails mid-session
+	tb.Cleanup(cleanup) // stops stragglers too, if the test bails mid-session
 	return s
 }
 

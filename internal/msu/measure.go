@@ -73,35 +73,21 @@ func newBenchMSU(cache units.ByteSize, striped bool, vols ...*msufs.Volume) (*MS
 	})
 }
 
-// openBenchStream wires a play stream for already-ingested content to
-// a throwaway localhost UDP sink, bypassing the group/RPC machinery.
-// The returned cleanup closes both sockets.
+// openBenchStream opens a play stream the way startStream would, outside
+// any group, aimed at a throwaway UDP sink; cleanup closes both sockets.
 func openBenchStream(m *MSU, disk int, id core.StreamID, name string) (*stream, func(), error) {
-	c, err := m.openContent(disk, name)
-	if err != nil {
-		return nil, nil, err
-	}
 	sink, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
 	if err != nil {
 		return nil, nil, err
 	}
-	conn, err := net.DialUDP("udp", nil, sink.LocalAddr().(*net.UDPAddr))
+	spec := core.StreamSpec{Stream: id, Disk: disk, Content: name, DestAddr: sink.LocalAddr().String()}
+	s, err := m.newPlayStream(spec, m.stores[disk])
 	if err != nil {
 		sink.Close() //nolint:errcheck
 		return nil, nil, err
 	}
-	s := &stream{
-		m:        m,
-		spec:     core.StreamSpec{Stream: id, Disk: disk, Content: name},
-		vol:      m.stores[disk],
-		tree:     c.tree,
-		file:     c.file,
-		length:   c.tree.Length(),
-		speed:    core.Normal,
-		dataConn: conn,
-	}
 	cleanup := func() {
-		conn.Close() //nolint:errcheck
+		s.teardown()
 		sink.Close() //nolint:errcheck
 	}
 	return s, cleanup, nil
@@ -170,10 +156,7 @@ func newIOBench(readers, packetsPerTitle int, scale float64) (*ioBench, error) {
 }
 
 func (ib *ioBench) close() {
-	for _, s := range ib.streams {
-		s.stopPlayer()
-	}
-	for _, f := range ib.cleanup {
+	for _, f := range ib.cleanup { // each tears its stream down, player first
 		f()
 	}
 	ib.m.Close() //nolint:errcheck // bench teardown
@@ -257,7 +240,6 @@ func newDeliveryBench(cache units.ByteSize) (*stream, func(), error) {
 		return nil, nil, err
 	}
 	closeBench := func() {
-		s.stopPlayer()
 		cleanup()
 		m.Close() //nolint:errcheck // bench teardown
 	}

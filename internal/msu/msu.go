@@ -199,6 +199,9 @@ func New(cfg Config) (*MSU, error) {
 	for _, v := range cfg.Volumes {
 		m.scheds[v] = iosched.New(v.Device(), iosched.Options{Now: time.Now})
 	}
+	for disk := range m.stores {
+		m.sweep(disk)
+	}
 	return m, nil
 }
 
@@ -321,6 +324,10 @@ func (m *MSU) Close() error {
 	for _, g := range m.groups {
 		groups = append(groups, g)
 	}
+	jobs := make([]*replJob, 0, len(m.repl))
+	for _, j := range m.repl {
+		jobs = append(jobs, j)
+	}
 	m.mu.Unlock()
 	if ln != nil {
 		ln.Close() //nolint:errcheck // stops the accept loop
@@ -328,7 +335,9 @@ func (m *MSU) Close() error {
 	for _, c := range conns {
 		c.Close() //nolint:errcheck // severs in-flight copy-outs
 	}
-	m.abortAllReplications()
+	for _, j := range jobs {
+		j.abort() // severs an inbound copy; its job cleans up
+	}
 	for _, g := range groups {
 		g.quit("msu shutdown")
 	}
@@ -359,12 +368,7 @@ func (m *MSU) connectOnce() error {
 		return fmt.Errorf("msu: dialing coordinator: %w", err)
 	}
 	peer := wire.NewPeer(conn, m.handle, func(error) { m.reconnect() })
-	hello, err := m.buildHello()
-	if err != nil {
-		peer.Close() //nolint:errcheck // best-effort cleanup; the hello error is what matters
-		return err
-	}
-	if err := peer.Call(wire.TypeMSUHello, hello, &wire.MSUWelcome{}); err != nil {
+	if err := peer.Call(wire.TypeMSUHello, m.buildHello(), &wire.MSUWelcome{}); err != nil {
 		peer.Close() //nolint:errcheck // best-effort cleanup; the registration error is what matters
 		return fmt.Errorf("msu: registering: %w", err)
 	}
@@ -408,7 +412,7 @@ func (m *MSU) reconnect() {
 }
 
 // buildHello assembles the registration message from the volumes.
-func (m *MSU) buildHello() (*wire.MSUHello, error) {
+func (m *MSU) buildHello() *wire.MSUHello {
 	hello := &wire.MSUHello{ID: m.cfg.ID, NetBandwidth: m.cfg.NetBandwidth, ProtoVersion: wire.ProtoVersion}
 	m.mu.Lock()
 	if m.transferLn != nil {
@@ -425,9 +429,9 @@ func (m *MSU) buildHello() (*wire.MSUHello, error) {
 			Bandwidth: m.cfg.DiskBandwidth * units.BitRate(store.Width()),
 		}
 		for _, fi := range store.List() {
-			typ := fi.Attrs[AttrType]
-			if typ == "" || fi.Attrs[AttrFastRole] != "" {
-				continue // not content, or a fast-scan companion
+			typ := contentType(fi)
+			if typ == "" {
+				continue
 			}
 			length, _ := strconv.ParseInt(fi.Attrs[AttrLength], 10, 64)
 			di.Contents = append(di.Contents, wire.ContentDecl{
@@ -440,7 +444,7 @@ func (m *MSU) buildHello() (*wire.MSUHello, error) {
 		}
 		hello.Disks = append(hello.Disks, di)
 	}
-	return hello, nil
+	return hello
 }
 
 // notifyCoordinator sends a notification, tolerating a down link (the
@@ -510,26 +514,10 @@ func (m *MSU) deleteContent(name string) error {
 		if err != nil {
 			continue
 		}
-		for _, companion := range []string{st.Attrs[AttrFastFwd], st.Attrs[AttrFastBack]} {
-			if companion != "" {
-				store.Remove(companion) //nolint:errcheck // best effort
-				m.forgetFile(disk, companion)
-			}
-		}
-		err = store.Remove(name)
-		m.forgetFile(disk, name)
-		return err
+		// Title first: cut short, the companions left are swept at next start.
+		return (&fileSet{m: m, disk: disk, store: store, names: itemFiles(st)}).abort()
 	}
 	return fmt.Errorf("%w: %q", core.ErrNoSuchContent, name)
-}
-
-// forgetFile drops what RAM holds of a file that was just removed: its
-// cached pages and its shared handle with the resident index.
-func (m *MSU) forgetFile(disk int, name string) {
-	if c := m.cacheFor(disk); c != nil {
-		c.Drop(name)
-	}
-	m.dropContent(disk, name)
 }
 
 // startStream admits one stream (play or record) and attaches it to

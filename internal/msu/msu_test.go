@@ -210,10 +210,7 @@ func TestBuildHelloSkipsCompanions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hello, err := m.buildHello()
-	if err != nil {
-		t.Fatal(err)
-	}
+	hello := m.buildHello()
 	if len(hello.Disks) != 1 {
 		t.Fatalf("disks = %d", len(hello.Disks))
 	}

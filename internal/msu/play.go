@@ -21,7 +21,6 @@ import (
 type stream struct {
 	m     *MSU
 	spec  core.StreamSpec
-	vol   msufs.Store
 	group *group
 
 	// Playback state.
@@ -50,19 +49,16 @@ type stream struct {
 // newPlayStream opens content and the client-facing sockets; delivery
 // starts when the group's control connection is up (begin).
 func (m *MSU) newPlayStream(spec core.StreamSpec, vol msufs.Store) (*stream, error) {
+	st, err := vol.Stat(spec.Content)
+	if err != nil || contentType(st) == "" {
+		return nil, fmt.Errorf("%w: %q", core.ErrNoSuchContent, spec.Content)
+	}
 	c, err := m.openContent(spec.Disk, spec.Content)
 	if err != nil {
 		return nil, err
 	}
-	attrs := c.file.Attrs()
-	length := c.tree.Length()
-	if raw, ok := attrs[AttrLength]; ok {
-		if ns, err := strconv.ParseInt(raw, 10, 64); err == nil {
-			length = time.Duration(ns)
-		}
-	}
 	every := media.DefaultFilterEvery
-	if raw, ok := attrs[AttrEvery]; ok {
+	if raw, ok := st.Attrs[AttrEvery]; ok {
 		if n, err := strconv.Atoi(raw); err == nil && n > 0 {
 			every = n
 		}
@@ -70,13 +66,12 @@ func (m *MSU) newPlayStream(spec core.StreamSpec, vol msufs.Store) (*stream, err
 	s := &stream{
 		m:      m,
 		spec:   spec,
-		vol:    vol,
 		tree:   c.tree,
 		file:   c.file,
-		length: length,
+		length: c.tree.Length(), // what the one writer put in AttrLength
 		every:  every,
-		ffName: attrs[AttrFastFwd],
-		fbName: attrs[AttrFastBack],
+		ffName: st.Attrs[AttrFastFwd],
+		fbName: st.Attrs[AttrFastBack],
 		speed:  core.Normal,
 	}
 	dest, err := net.ResolveUDPAddr("udp", spec.DestAddr)
@@ -110,11 +105,11 @@ func (s *stream) begin() error {
 	return s.playAt(core.Normal, 0)
 }
 
-// teardown stops all activity and closes sockets.
+// teardown stops all activity, settles a recording and closes sockets.
 func (s *stream) teardown() {
 	s.stopPlayer()
 	if s.rec != nil {
-		s.rec.stop()
+		s.rec.finish()
 	}
 	if s.dataConn != nil {
 		s.dataConn.Close()

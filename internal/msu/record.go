@@ -1,16 +1,13 @@
 package msu
 
 import (
-	"encoding/json"
 	"fmt"
 	"net"
-	"strconv"
 	"sync"
 	"syscall"
 	"time"
 
 	"calliope/internal/core"
-	"calliope/internal/ibtree"
 	"calliope/internal/msufs"
 	"calliope/internal/protocol"
 	"calliope/internal/units"
@@ -23,20 +20,17 @@ import (
 // protocol timestamp when available), control traffic is interleaved
 // with the data, and everything lands in an IB-tree on disk.
 type recorder struct {
-	s    *stream
-	file msufs.StoreFile
-	ext  protocol.Extension
+	s   *stream
+	ext protocol.Extension
+	w   *packetWriter // the content file, unpublished until finish
 
 	dataConn *net.UDPConn
 	ctrlConn *net.UDPConn
 
 	mu       sync.Mutex
-	builder  *ibtree.Builder
 	started  bool
 	epoch    time.Time
 	lastTime time.Duration
-	packets  int64
-	stopped  bool
 
 	wg sync.WaitGroup
 }
@@ -48,31 +42,21 @@ func (m *MSU) newRecordStream(spec core.StreamSpec, vol msufs.Store) (*stream, *
 	if err != nil {
 		return nil, nil, err
 	}
-	file, err := vol.Create(spec.Content, int64(spec.Reserved), map[string]string{
-		AttrType: spec.Type,
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	builder, err := ibtree.NewBuilder(file, vol.BlockSize(), 0)
-	if err != nil {
-		vol.Remove(spec.Content) //nolint:errcheck
-		return nil, nil, err
-	}
-
-	s := &stream{m: m, spec: spec, vol: vol, speed: core.Normal}
-	rec := &recorder{s: s, file: file, ext: ext, builder: builder}
+	s := &stream{m: m, spec: spec, speed: core.Normal}
+	rec := &recorder{s: s, ext: ext}
 	s.rec = rec
-
+	set := &fileSet{m: m, disk: spec.Disk, store: vol}
 	fail := func(err error) (*stream, *wire.StartStreamOK, error) {
-		if rec.dataConn != nil {
-			rec.dataConn.Close()
+		for _, c := range []*net.UDPConn{rec.dataConn, rec.ctrlConn} {
+			if c != nil {
+				c.Close() //nolint:errcheck // never handed out
+			}
 		}
-		if rec.ctrlConn != nil {
-			rec.ctrlConn.Close()
-		}
-		vol.Remove(spec.Content) //nolint:errcheck
+		set.abort() //nolint:errcheck // the refusal is the error to report
 		return nil, nil, err
+	}
+	if rec.w, err = set.packets(spec.Content, int64(spec.Reserved)); err != nil {
+		return fail(err)
 	}
 
 	rec.dataConn, err = net.ListenUDP("udp", &net.UDPAddr{IP: net.ParseIP(m.cfg.Host)})
@@ -166,25 +150,14 @@ func (r *recorder) append(ch protocol.Channel, payload []byte, now time.Time) {
 		dt = r.lastTime
 	}
 	r.lastTime = dt
-	if err := r.builder.Append(ibtree.Packet{Time: dt, Payload: protocol.EncodeStored(ch, payload)}); err != nil {
+	if err := r.w.append(dt, ch, payload); err != nil {
 		r.s.m.logf("stream %d: append: %v", r.s.spec.Stream, err)
-		return
 	}
-	r.packets++
 }
 
-// stop ends reception without committing (finishRecording commits; a
-// teardown after it, or an abort, finds the recorder already stopped):
-// the readers are woken and waited out, what the sockets still hold is
-// appended, and only then are the sockets closed.
+// stop ends reception: the readers are woken and waited out, what the
+// sockets still hold is appended, and only then are the sockets closed.
 func (r *recorder) stop() {
-	r.mu.Lock()
-	if r.stopped {
-		r.mu.Unlock()
-		return
-	}
-	r.stopped = true
-	r.mu.Unlock()
 	type sink struct {
 		conn *net.UDPConn
 		ch   protocol.Channel
@@ -203,47 +176,17 @@ func (r *recorder) stop() {
 	}
 }
 
-// finishRecording commits a recorder stream; a no-op for players.
-// Empty recordings are deleted rather than committed.
-func (s *stream) finishRecording() {
-	if s.rec == nil {
-		return
-	}
-	r := s.rec
-	r.stop()
-	r.mu.Lock()
-	packets := r.packets
-	builder := r.builder
-	r.mu.Unlock()
-
-	if packets == 0 {
-		s.vol.Remove(s.spec.Content) //nolint:errcheck
-		s.m.logf("stream %d: empty recording %q discarded", s.spec.Stream, s.spec.Content)
-		return
-	}
-	meta, err := builder.Finalize()
+// finish settles the recording, once, at teardown: what arrived is
+// published; an empty recording (ibtree.ErrEmpty) or a failed publish is
+// aborted — file removed, reservation back.
+func (r *recorder) finish() {
+	s := r.s
+	r.stop() // nothing appends after this
+	meta, err := r.w.publish(s.spec.Type, nil)
 	if err != nil {
-		s.m.logf("stream %d: finalize: %v", s.spec.Stream, err)
-		s.vol.Remove(s.spec.Content) //nolint:errcheck
+		rmErr := r.w.set.abort()
+		s.m.logf("stream %d: recording %q discarded: %v (removal: %v)", s.spec.Stream, s.spec.Content, err, rmErr)
 		return
-	}
-	rawMeta, err := json.Marshal(meta)
-	if err != nil {
-		s.m.logf("stream %d: encoding metadata: %v", s.spec.Stream, err)
-		return
-	}
-	if err := r.file.Commit(); err != nil {
-		s.m.logf("stream %d: commit: %v", s.spec.Stream, err)
-		return
-	}
-	for k, v := range map[string]string{
-		AttrTree:   string(rawMeta),
-		AttrLength: strconv.FormatInt(int64(meta.Length), 10),
-	} {
-		if err := s.vol.SetAttr(s.spec.Content, k, v); err != nil {
-			s.m.logf("stream %d: attr %s: %v", s.spec.Stream, k, err)
-			return
-		}
 	}
 	s.m.notifyCoordinator(wire.TypeRecordingDone, wire.RecordingDone{
 		Stream:  s.spec.Stream,
@@ -251,7 +194,7 @@ func (s *stream) finishRecording() {
 		Type:    s.spec.Type,
 		Disk:    s.spec.Disk,
 		Length:  meta.Length,
-		Size:    units.ByteSize(r.file.Size()),
+		Size:    units.ByteSize(r.w.file.Size()),
 	})
-	s.m.logf("stream %d: recording %q committed (%d packets, %v)", s.spec.Stream, s.spec.Content, packets, meta.Length)
+	s.m.logf("stream %d: recording %q committed (%d packets, %v)", s.spec.Stream, s.spec.Content, meta.Packets, meta.Length)
 }

@@ -1,12 +1,10 @@
 package msu
 
 import (
-	"net"
 	"testing"
 	"time"
 
 	"calliope/internal/core"
-	"calliope/internal/units"
 	"calliope/internal/wire"
 )
 
@@ -17,31 +15,11 @@ import (
 func TestStopKeepsWhatTheSinkHolds(t *testing.T) {
 	r := newVCRRig(t)
 	const packets = 40 // 40 KB: well inside the kernel's default receive buffer
-	r.next++
-	ok, err := r.m.startStream(core.StreamSpec{
-		Stream: core.StreamID(r.next), Group: r.next, GroupSize: 1, Record: true,
-		Content: "take", Type: "mpeg1", Protocol: "cbr", Class: core.ConstantRate,
-		Rate: 1500 * units.Kbps, Estimate: time.Second, Reserved: units.MB,
-		ClientTCP: r.ln.Addr().String(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	vcr := <-r.vcrs
+	conn, vcr := r.record("take")
 	defer vcr.Close() //nolint:errcheck // the MSU closes its end too
 	r.m.mu.Lock()
 	rec := r.m.streams[core.StreamID(r.next)].rec
 	r.m.mu.Unlock()
-
-	sink, err := net.ResolveUDPAddr("udp", ok.DataAddr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	conn, err := net.DialUDP("udp", nil, sink)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close() //nolint:errcheck
 	rec.mu.Lock()
 	payload := make([]byte, 1000)
 	for i := 0; i < packets; i++ {
@@ -51,7 +29,7 @@ func TestStopKeepsWhatTheSinkHolds(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	err = vcr.Call(wire.TypeVCR, wire.VCR{Op: "quit"}, &wire.VCRAck{})
+	err := vcr.Call(wire.TypeVCR, wire.VCR{Op: "quit"}, &wire.VCRAck{})
 	// The pass does not hang on this: it only gives the teardown time to
 	// reach the recorder, so that a stop that drops the backlog shows.
 	time.Sleep(20 * time.Millisecond)

@@ -17,11 +17,11 @@ import (
 // replicate order spawns a background pull job that dials the source's
 // transfer port, writes the content through msufs into freshly
 // allocated blocks, survives dropped connections by resuming at the
-// next needed block, and commits only after the whole file set is
-// verified. The partial copy carries no attributes at all until that
-// commit, so registration (buildHello) and delivery can never see a
+// next needed block, and publishes only after the whole file set is
+// verified. The copy is a fileSet like any other write (content.go): no
+// file carries an attribute until then, so nothing ever sees a
 // half-replica; an abort — Coordinator order, content deletion, or MSU
-// shutdown — frees every partially written block.
+// shutdown — removes every file, a crash leaves them to the next sweep.
 
 // replAttempts bounds transfer (re)dials before the job reports
 // failure; replRetryBase spaces them.
@@ -36,26 +36,25 @@ var errReplAborted = errors.New("msu: replication aborted")
 
 // replJob is one inbound copy.
 type replJob struct {
-	m     *MSU
-	req   wire.Replicate
-	store msufs.Store
+	m   *MSU
+	req wire.Replicate
 
 	mu      sync.Mutex
 	conn    net.Conn // live transfer connection, nil between dials
 	aborted bool
 	abortCh chan struct{} // closed on abort; interrupts retry sleeps
 
-	// files tracks every file this job created, by name, in arrival
-	// order. Only the job goroutine touches the map once run starts.
+	// set holds every file this job created, in arrival order, files
+	// their copy state. Only the job goroutine touches them once run starts.
+	set   fileSet
 	files map[string]*replFile
-	order []string
 	bytes int64 // payload bytes written across all attempts
 }
 
 // replFile is one destination file mid-copy.
 type replFile struct {
 	file     msufs.StoreFile
-	hdr      replicate.FileHeader // attrs withheld until commit
+	hdr      replicate.FileHeader // attrs withheld until publish
 	next     int64                // next block needed (resume point)
 	complete bool
 }
@@ -67,11 +66,11 @@ func (m *MSU) handleReplicate(req wire.Replicate) error {
 		return fmt.Errorf("%w: disk %d of %d", core.ErrBadRequest, req.Disk, len(m.stores))
 	}
 	store := m.stores[req.Disk]
-	if st, err := store.Stat(req.Content); err == nil && st.Attrs[AttrType] != "" {
+	if st, err := store.Stat(req.Content); err == nil && contentType(st) != "" {
 		return fmt.Errorf("%w: %q already stored here", core.ErrBadRequest, req.Content)
 	}
 	job := &replJob{
-		m: m, req: req, store: store,
+		m: m, req: req, set: fileSet{m: m, disk: req.Disk, store: store},
 		abortCh: make(chan struct{}),
 		files:   make(map[string]*replFile),
 	}
@@ -102,20 +101,6 @@ func (m *MSU) abortReplication(id uint64) {
 	m.mu.Unlock()
 	if job != nil {
 		job.abort()
-	}
-}
-
-// abortAllReplications severs every in-flight copy; Close calls it
-// before waiting on the work group.
-func (m *MSU) abortAllReplications() {
-	m.mu.Lock()
-	jobs := make([]*replJob, 0, len(m.repl))
-	for _, j := range m.repl {
-		jobs = append(jobs, j)
-	}
-	m.mu.Unlock()
-	for _, j := range jobs {
-		j.abort()
 	}
 }
 
@@ -168,7 +153,7 @@ func (j *replJob) run() {
 		j.report()
 		return
 	}
-	j.cleanup()
+	j.set.abort() //nolint:errcheck // best effort; a racing delete already removed it
 	if errors.Is(err, errReplAborted) {
 		m.logf("replication %d (%q): aborted, partial blocks freed", j.req.ID, j.req.Content)
 		return
@@ -223,7 +208,7 @@ func (j *replJob) attempt() error {
 		conn.Close() //nolint:errcheck // second close after abort is fine
 	}()
 	req := replicate.Request{Content: j.req.Content, Rate: int64(j.req.Rate)}
-	for _, name := range j.order {
+	for _, name := range j.set.names {
 		req.Resume = append(req.Resume, replicate.FileOffset{Name: name, NextBlock: j.files[name].next})
 	}
 	if err := replicate.WriteRequest(conn, req); err != nil {
@@ -238,7 +223,7 @@ func (j *replJob) attempt() error {
 	if main == nil || !main.complete {
 		return fmt.Errorf("source finished without sending %q", j.req.Content)
 	}
-	for _, name := range j.order {
+	for _, name := range j.set.names {
 		if !j.files[name].complete {
 			return fmt.Errorf("source finished with %q incomplete", name)
 		}
@@ -247,33 +232,30 @@ func (j *replJob) attempt() error {
 }
 
 // openFile is the Receive sink factory: first sight of a file allocates
-// it (with no attributes — invisible to registration until commit); a
-// resumed file must pick up exactly at its next needed block.
+// it in the job's set; a resumed file must pick up exactly at its next
+// needed block.
 func (j *replJob) openFile(h replicate.FileHeader) (replicate.Sink, error) {
-	if h.BlockSize != j.store.BlockSize() {
-		return nil, fmt.Errorf("source block size %d, destination %d", h.BlockSize, j.store.BlockSize())
+	if bs := j.set.store.BlockSize(); h.BlockSize != bs {
+		return nil, fmt.Errorf("source block size %d, destination %d", h.BlockSize, bs)
 	}
 	rf := j.files[h.Name]
 	if rf == nil {
-		f, err := j.store.Create(h.Name, h.Blocks*int64(h.BlockSize), nil)
+		f, err := j.set.create(h.Name, h.Blocks*int64(h.BlockSize))
 		if err != nil {
 			return nil, fmt.Errorf("allocating %q: %w", h.Name, err)
 		}
 		rf = &replFile{file: f, hdr: h}
 		j.files[h.Name] = rf
-		j.order = append(j.order, h.Name)
 	}
 	if h.StartBlock != rf.next {
 		return nil, fmt.Errorf("%q resumes at block %d, need %d", h.Name, h.StartBlock, rf.next)
 	}
 	rf.hdr.Attrs = h.Attrs // latest attrs win on resume
-	return (*replSink)(rf), nil
+	return rf, nil
 }
 
-// replSink adapts a replFile to the copy engine's Sink.
-type replSink replFile
-
-func (s *replSink) WriteBlock(i int64, p []byte) error {
+// WriteBlock and Close make a replFile the copy engine's Sink.
+func (s *replFile) WriteBlock(i int64, p []byte) error {
 	if err := s.file.WriteBlock(i, p); err != nil {
 		return err
 	}
@@ -281,59 +263,49 @@ func (s *replSink) WriteBlock(i int64, p []byte) error {
 	return nil
 }
 
-func (s *replSink) Close() error {
+func (s *replFile) Close() error {
 	s.complete = true
 	return nil
 }
 
-// commit makes the replica durable and visible: trim and flush every
-// file, re-open the main file's IB-tree from disk as the verification
-// read-back, link the attributes, and set the content-type attribute
-// last — the point at which registration starts declaring the replica.
+// commit makes the replica durable and visible. What can refuse it runs
+// first, on the blocks as written: sizes against what the source sent,
+// and a read-back the way a player would open the title — the IB-tree
+// metadata must parse and its first page come back off the fresh blocks,
+// through the volume's scheduler like any read beside live streams. Then
+// the set is published, companions first: the title's own publishing
+// write is where hello, plays and copies start seeing the replica.
 func (j *replJob) commit() error {
-	for _, name := range j.order {
-		rf := j.files[name]
-		if rf.file.Size() != rf.hdr.Size {
+	for _, name := range j.set.names {
+		if rf := j.files[name]; rf.file.Size() != rf.hdr.Size {
 			return fmt.Errorf("%q has %d bytes, source sent %d", name, rf.file.Size(), rf.hdr.Size)
 		}
-		if err := rf.file.Commit(); err != nil {
-			return fmt.Errorf("committing %q: %w", name, err)
-		}
 	}
-	for _, name := range j.order {
-		rf := j.files[name]
-		for k, v := range rf.hdr.Attrs {
-			if name == j.req.Content && k == AttrType {
-				continue // the visibility bit comes last
-			}
-			if err := j.store.SetAttr(name, k, v); err != nil {
-				return fmt.Errorf("attr %q on %q: %w", k, name, err)
-			}
-		}
+	title := j.files[j.req.Content]
+	// Would publishing what the source sent make the title content?
+	if contentType(msufs.FileInfo{Committed: true, Attrs: title.hdr.Attrs}) == "" {
+		return fmt.Errorf("source sent %q without a content type", j.req.Content)
 	}
-	// Verification: open the replica the way a player would — the
-	// IB-tree metadata must parse and its first page must read back from
-	// the freshly written blocks, through the volume's scheduler like
-	// any other read beside live streams.
-	c, err := j.m.openContent(j.req.Disk, j.req.Content)
+	blockSize := j.set.store.BlockSize()
+	tree, err := treeFromAttrs(schedFile{title.file, j.m}, title.hdr.Attrs, blockSize)
 	if err != nil {
 		return fmt.Errorf("verify: %w", err)
 	}
-	cur, err := c.tree.PageCursorAt(0)
+	cur, err := tree.PageCursorAt(0)
 	if err != nil {
 		return fmt.Errorf("verify: seek: %w", err)
 	}
-	if ok, err := cur.LoadPage(make([]byte, j.store.BlockSize())); err != nil || !ok {
+	if ok, err := cur.LoadPage(make([]byte, blockSize)); err != nil || !ok {
 		return fmt.Errorf("verify: first page unreadable (ok=%v): %w", ok, err)
 	}
-	typ := j.files[j.req.Content].hdr.Attrs[AttrType]
-	if typ == "" {
-		return fmt.Errorf("source sent %q without a content type", j.req.Content)
+	for _, name := range j.set.names {
+		if name != j.req.Content {
+			if err := j.set.publish(j.files[name].file, j.files[name].hdr.Attrs); err != nil {
+				return err
+			}
+		}
 	}
-	if err := j.store.SetAttr(j.req.Content, AttrType, typ); err != nil {
-		return fmt.Errorf("typing %q: %w", j.req.Content, err)
-	}
-	return nil
+	return j.set.publish(title.file, title.hdr.Attrs)
 }
 
 // report tells the Coordinator the replica is committed. The answer is
@@ -363,17 +335,8 @@ func (j *replJob) report() {
 		// The Coordinator refused the location — the content was
 		// deleted while we copied. Take the replica back out.
 		m.logf("replication %d (%q): rejected (%v), removing replica", j.req.ID, j.req.Content, err)
-		j.cleanup()
+		j.set.abort() //nolint:errcheck // best effort; a racing delete already removed it
 	default:
 		m.logf("replication %d (%q): committed; done report lost (%v)", j.req.ID, j.req.Content, err)
-	}
-}
-
-// cleanup removes every file the job created, freeing its blocks, and
-// purges what RAM holds of them.
-func (j *replJob) cleanup() {
-	for _, name := range j.order {
-		j.store.Remove(name) //nolint:errcheck // best effort; a racing delete already removed it
-		j.m.forgetFile(j.req.Disk, name)
 	}
 }

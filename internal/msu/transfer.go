@@ -133,17 +133,11 @@ func (m *MSU) serveTransfer(conn net.Conn) error {
 func (m *MSU) sourceFiles(content string) ([]replicate.SourceFile, error) {
 	for _, store := range m.stores {
 		st, err := store.Stat(content)
-		if err != nil || st.Attrs[AttrType] == "" {
-			continue // absent here, or an uncommitted partial
+		if err != nil || contentType(st) == "" {
+			continue // absent here, or not (yet) content
 		}
-		names := []string{content}
-		for _, companion := range []string{st.Attrs[AttrFastFwd], st.Attrs[AttrFastBack]} {
-			if companion != "" {
-				names = append(names, companion)
-			}
-		}
-		files := make([]replicate.SourceFile, 0, len(names))
-		for _, name := range names {
+		var files []replicate.SourceFile
+		for _, name := range itemFiles(st) {
 			f, err := store.Open(name)
 			if err != nil {
 				return nil, fmt.Errorf("transfer: open %q: %w", name, err)

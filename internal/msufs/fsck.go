@@ -40,7 +40,7 @@ func (v *Volume) Fsck() []FsckIssue {
 			switch {
 			case e.Count <= 0:
 				issues = append(issues, FsckIssue{File: name, Desc: fmt.Sprintf("empty extent at block %d", e.Start)})
-			case e.Start < 0 || e.Start+e.Count > v.nblocks:
+			case e.Start < 0 || e.Count > v.nblocks-e.Start: // not Start+Count: Mount runs this on untrusted numbers
 				issues = append(issues, FsckIssue{File: name, Desc: fmt.Sprintf("extent [%d,%d) outside volume of %d blocks", e.Start, e.Start+e.Count, v.nblocks)})
 			default:
 				spans = append(spans, span{start: e.Start, end: e.Start + e.Count, file: name})

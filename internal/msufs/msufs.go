@@ -37,6 +37,7 @@ const (
 	magic         = uint64(0xCA11109E_0001)
 	defaultMetaSz = int64(1 * units.MB)
 	metaHeaderLen = 16 // 8 bytes magic + 8 bytes JSON length
+	minBlockSize  = 4096
 )
 
 // Package errors.
@@ -121,7 +122,7 @@ func Format(dev blockdev.BlockDevice, opts Options) (*Volume, error) {
 	if bs == 0 {
 		bs = DefaultBlockSize
 	}
-	if bs < 4096 {
+	if bs < minBlockSize {
 		return nil, fmt.Errorf("msufs: block size %d too small", bs)
 	}
 	ms := opts.MetaSize
@@ -149,7 +150,9 @@ func Format(dev blockdev.BlockDevice, opts Options) (*Volume, error) {
 	return v, nil
 }
 
-// Mount loads an existing volume from dev.
+// Mount loads an existing volume from dev. The superblock is untrusted
+// input: a geometry that does not fit the device, a hole or a repeated
+// name in the file table, and anything Fsck reports refuse the mount.
 func Mount(dev blockdev.BlockDevice) (*Volume, error) {
 	hdr := make([]byte, metaHeaderLen)
 	if err := dev.ReadAt(hdr, 0); err != nil {
@@ -159,7 +162,7 @@ func Mount(dev blockdev.BlockDevice) (*Volume, error) {
 		return nil, ErrNotFormatted
 	}
 	n := int64(binary.BigEndian.Uint64(hdr[8:16]))
-	if n <= 0 || n > dev.Size() {
+	if n <= 0 || n > dev.Size()-metaHeaderLen {
 		return nil, fmt.Errorf("%w: corrupt metadata length %d", ErrNotFormatted, n)
 	}
 	raw := make([]byte, n)
@@ -168,10 +171,15 @@ func Mount(dev blockdev.BlockDevice) (*Volume, error) {
 	}
 	var sb superblock
 	if err := json.Unmarshal(raw, &sb); err != nil {
-		return nil, fmt.Errorf("msufs: decoding metadata: %w", err)
+		return nil, fmt.Errorf("%w: decoding metadata: %v", ErrNotFormatted, err)
 	}
-	if sb.Magic != magic {
+	switch {
+	case sb.Magic != magic:
 		return nil, ErrNotFormatted
+	case sb.BlockSize < minBlockSize:
+		return nil, fmt.Errorf("%w: block size %d", ErrNotFormatted, sb.BlockSize)
+	case sb.MetaSize < metaHeaderLen+n || sb.MetaSize > dev.Size()-int64(sb.BlockSize):
+		return nil, fmt.Errorf("%w: metadata region of %d bytes on a %d-byte device", ErrNotFormatted, sb.MetaSize, dev.Size())
 	}
 	v := &Volume{
 		dev:       dev,
@@ -181,11 +189,17 @@ func Mount(dev blockdev.BlockDevice) (*Volume, error) {
 		files:     make(map[string]*fileMeta, len(sb.Files)),
 	}
 	used := make([]Extent, 0, len(sb.Files))
-	for _, f := range sb.Files {
+	for i, f := range sb.Files {
+		if f == nil || f.Name == "" || v.files[f.Name] != nil {
+			return nil, fmt.Errorf("%w: file table entry %d is empty, unnamed or repeated", ErrNotFormatted, i)
+		}
 		v.files[f.Name] = f
 		used = append(used, f.Extents...)
 	}
 	v.freeByLen = complementExtents(used, v.nblocks)
+	if issues := v.Fsck(); len(issues) > 0 {
+		return nil, fmt.Errorf("%w: %v", ErrNotFormatted, issues[0])
+	}
 	return v, nil
 }
 
@@ -396,11 +410,19 @@ func (v *Volume) Stat(name string) (FileInfo, error) {
 }
 
 func infoOf(m *fileMeta) FileInfo {
-	attrs := make(map[string]string, len(m.Attrs))
-	for k, val := range m.Attrs {
-		attrs[k] = val
+	return FileInfo{Name: m.Name, Size: m.Size, Blocks: m.blocks(), Committed: m.Committed, Attrs: withAttrs(m.Attrs, nil)}
+}
+
+// withAttrs returns a copy of attrs with set laid over it.
+func withAttrs(attrs, set map[string]string) map[string]string {
+	out := make(map[string]string, len(attrs)+len(set))
+	for k, val := range attrs {
+		out[k] = val
 	}
-	return FileInfo{Name: m.Name, Size: m.Size, Blocks: m.blocks(), Committed: m.Committed, Attrs: attrs}
+	for k, val := range set {
+		out[k] = val
+	}
+	return out
 }
 
 // List reports all files, sorted by name.
@@ -415,19 +437,22 @@ func (v *Volume) List() []FileInfo {
 	return out
 }
 
-// SetAttr updates one attribute of a file and persists metadata.
-func (v *Volume) SetAttr(name, key, value string) error {
+// SetAttrs lays attrs over a file's attributes and persists metadata in
+// one write: all of them land or, the write failing, none.
+func (v *Volume) SetAttrs(name string, attrs map[string]string) error {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	m, ok := v.files[name]
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrNotFound, name)
 	}
-	if m.Attrs == nil {
-		m.Attrs = make(map[string]string)
+	old := m.Attrs
+	m.Attrs = withAttrs(old, attrs)
+	err := v.flushLocked()
+	if err != nil {
+		m.Attrs = old
 	}
-	m.Attrs[key] = value
-	return v.flushLocked()
+	return err
 }
 
 // File is a handle on one file. Block indices are file-relative.
@@ -546,13 +571,17 @@ func (f *File) Locate(i int64) (*Volume, int64, error) {
 func (f *File) BlockLen(i int64) int {
 	f.v.mu.Lock()
 	defer f.v.mu.Unlock()
-	start := i * int64(f.v.blockSize)
-	if start >= f.m.Size {
+	return validLen(f.m.Size, f.v.blockSize, i)
+}
+
+// validLen reports how many of a file's size valid bytes block i holds.
+func validLen(size int64, blockSize int, i int64) int {
+	n := size - i*int64(blockSize)
+	if n <= 0 {
 		return 0
 	}
-	n := f.m.Size - start
-	if n > int64(f.v.blockSize) {
-		n = int64(f.v.blockSize)
+	if n > int64(blockSize) {
+		n = int64(blockSize)
 	}
 	return int(n)
 }
@@ -598,9 +627,5 @@ func (f *File) Commit() error {
 func (f *File) Attrs() map[string]string {
 	f.v.mu.Lock()
 	defer f.v.mu.Unlock()
-	out := make(map[string]string, len(f.m.Attrs))
-	for k, val := range f.m.Attrs {
-		out[k] = val
-	}
-	return out
+	return withAttrs(f.m.Attrs, nil)
 }

@@ -246,19 +246,57 @@ func TestMountRejectsUnformatted(t *testing.T) {
 
 func TestSetAttr(t *testing.T) {
 	v := testVolume(t, 8)
-	v.Create("f", 0, nil)
-	if err := v.SetAttr("f", "fastfwd", "f.ff"); err != nil {
+	v.Create("f", 0, map[string]string{"kept": "k", "fastfwd": "old"}) //nolint:errcheck
+	if err := v.SetAttrs("f", map[string]string{"fastfwd": "f.ff", "fastback": "f.fb"}); err != nil {
 		t.Fatal(err)
 	}
 	st, err := v.Stat("f")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Attrs["fastfwd"] != "f.ff" {
+	if st.Attrs["fastfwd"] != "f.ff" || st.Attrs["fastback"] != "f.fb" || st.Attrs["kept"] != "k" {
 		t.Fatalf("attr = %v", st.Attrs)
 	}
-	if err := v.SetAttr("missing", "k", "v"); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("SetAttr on missing file: %v", err)
+	if err := v.SetAttrs("missing", map[string]string{"k": "v"}); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("SetAttrs on missing file: %v", err)
+	}
+}
+
+// TestSetAttrsIsOneWriteAndAllOrNothing: however many attributes, the
+// device sees one metadata write; when that write fails the file's
+// attributes are what they were, in RAM and on a fresh mount.
+func TestSetAttrsIsOneWriteAndAllOrNothing(t *testing.T) {
+	mem, _ := blockdev.NewMem(8 * 64 * 1024)
+	counting := blockdev.NewCounting(mem)
+	dev := blockdev.NewFaulty(counting)
+	v, err := Format(dev, Options{BlockSize: 64 * 1024, MetaSize: 64 * 1024})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := v.Create("f", 0, map[string]string{"a": "1"}); err != nil {
+		t.Fatal(err)
+	}
+	before := counting.Stats().Writes
+	if err := v.SetAttrs("f", map[string]string{"b": "2", "c": "3", "d": "4"}); err != nil {
+		t.Fatal(err)
+	}
+	if n := counting.Stats().Writes - before; n != 1 {
+		t.Fatalf("three attributes took %d device writes, want 1", n)
+	}
+	dev.FailWritesAfter(0)
+	if err := v.SetAttrs("f", map[string]string{"a": "changed", "e": "5"}); err == nil {
+		t.Fatal("SetAttrs succeeded on a device that refuses writes")
+	}
+	dev.Heal()
+	remounted, err := Mount(dev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, vol := range []*Volume{v, remounted} {
+		st, _ := vol.Stat("f")
+		if len(st.Attrs) != 4 || st.Attrs["a"] != "1" || st.Attrs["e"] != "" {
+			t.Fatalf("attributes after a failed write = %v", st.Attrs)
+		}
 	}
 }
 

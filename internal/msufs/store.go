@@ -13,7 +13,7 @@ type Store interface {
 	Open(name string) (StoreFile, error)
 	Remove(name string) error
 	Stat(name string) (FileInfo, error)
-	SetAttr(name, key, value string) error
+	SetAttrs(name string, attrs map[string]string) error
 	List() []FileInfo
 	// Width reports the number of physical disks behind the store.
 	Width() int
@@ -48,11 +48,13 @@ func (s volumeStore) Width() int         { return 1 }
 func (s volumeStore) Create(name string, reserveBytes int64, attrs map[string]string) (StoreFile, error) {
 	return s.v.Create(name, reserveBytes, attrs)
 }
-func (s volumeStore) Open(name string) (StoreFile, error)   { return s.v.Open(name) }
-func (s volumeStore) Remove(name string) error              { return s.v.Remove(name) }
-func (s volumeStore) Stat(name string) (FileInfo, error)    { return s.v.Stat(name) }
-func (s volumeStore) SetAttr(name, key, value string) error { return s.v.SetAttr(name, key, value) }
-func (s volumeStore) List() []FileInfo                      { return s.v.List() }
+func (s volumeStore) Open(name string) (StoreFile, error) { return s.v.Open(name) }
+func (s volumeStore) Remove(name string) error            { return s.v.Remove(name) }
+func (s volumeStore) Stat(name string) (FileInfo, error)  { return s.v.Stat(name) }
+func (s volumeStore) List() []FileInfo                    { return s.v.List() }
+func (s volumeStore) SetAttrs(name string, attrs map[string]string) error {
+	return s.v.SetAttrs(name, attrs)
+}
 
 // stripeStore adapts a StripeSet.
 type stripeStore struct{ s *StripeSet }
@@ -107,8 +109,8 @@ func (s stripeStore) Stat(name string) (FileInfo, error) {
 	return fi, nil
 }
 
-func (s stripeStore) SetAttr(name, key, value string) error {
-	return s.s.vols[0].SetAttr(name, key, value)
+func (s stripeStore) SetAttrs(name string, attrs map[string]string) error {
+	return s.s.vols[0].SetAttrs(name, attrs)
 }
 
 // List enumerates the stripe's files via the anchor volume (which

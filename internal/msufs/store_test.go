@@ -184,7 +184,7 @@ func TestStripedStoreRemoveAndList(t *testing.T) {
 	if len(l) != 1 || l[0].Name != "a" || l[0].Attrs["k"] != "v" {
 		t.Fatalf("List = %+v", l)
 	}
-	if err := s.SetAttr("a", "k2", "v2"); err != nil {
+	if err := s.SetAttrs("a", map[string]string{"k2": "v2"}); err != nil {
 		t.Fatal(err)
 	}
 	st, err := s.Stat("a")

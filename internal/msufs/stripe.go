@@ -154,17 +154,7 @@ func (f *StripedFile) Locate(i int64) (*Volume, int64, error) {
 
 // BlockLen reports how many valid bytes logical block i holds.
 func (f *StripedFile) BlockLen(i int64) int {
-	bs := int64(f.set.BlockSize())
-	size := f.size.Load()
-	start := i * bs
-	if start >= size {
-		return 0
-	}
-	n := size - start
-	if n > bs {
-		n = bs
-	}
-	return int(n)
+	return validLen(f.size.Load(), f.set.BlockSize(), i)
 }
 
 // Attrs returns the logical file's attributes, which live on the
@@ -180,5 +170,5 @@ func (f *StripedFile) Commit() error {
 			return fmt.Errorf("msufs: striped commit on volume %d: %w", i, err)
 		}
 	}
-	return f.set.vols[0].SetAttr(f.name, stripeSizeAttr, strconv.FormatInt(f.size.Load(), 10))
+	return f.set.vols[0].SetAttrs(f.name, map[string]string{stripeSizeAttr: strconv.FormatInt(f.size.Load(), 10)})
 }
