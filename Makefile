@@ -86,9 +86,11 @@ bench-smoke:
 # The §2.3 delivery-path microbenches: allocs/op and packets/sec from
 # scheduler read to UDP write on an MSU built by New, plus the
 # page-granular ibtree cursor and what positioning it costs from the
-# start, through the resident index and cold (DESIGN.md §3d).
+# start, through the resident index and cold (DESIGN.md §3d), and what
+# the disk scheduler's re-pick between two transfers costs at queue
+# depths 1, 32 and 256 (§3g; 0 allocs/op).
 bench-path:
-	$(GO) test -run=NONE -bench='PlayerDeliveryPath|PageCursorNext|CursorNext|SeekTime|PageCursorAt' -benchmem ./internal/msu ./internal/ibtree
+	$(GO) test -run=NONE -bench='PlayerDeliveryPath|PageCursorNext|CursorNext|SeekTime|PageCursorAt|SchedulerPick' -benchmem ./internal/msu ./internal/ibtree ./internal/iosched
 
 # The §3e RAM interval cache: hot-replay disk-read savings and the
 # allocation-free cache-hit delivery path, plus the cache's own
@@ -96,7 +98,7 @@ bench-path:
 bench-cache:
 	$(GO) test -run='HotReplay' -bench='HotReplay|Cache' -benchmem ./internal/msu ./internal/cache
 
-# The §2.2.1/§2.3.3 live-path I/O scheduler: C-SCAN rounds on a
+# The §2.2.1/§2.3.3 live-path I/O scheduler: C-SCAN service on a
 # mechanically-modelled Sim volume, 24 readers (two sessions; CI's
 # bench-smoke runs one).
 bench-iosched:

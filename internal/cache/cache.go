@@ -349,6 +349,21 @@ func (c *Cache) Len() int {
 	return len(c.entries)
 }
 
+// Pinned reports how many of the cache's pages readers hold right now:
+// pages handed out by Alloc that are still being read into, and cached
+// pages with a hit outstanding. With every stream idle it is zero.
+func (c *Cache) Pinned() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	n := c.pool.Cap() - c.pool.Free()
+	for _, e := range c.entries {
+		if e.ref.Refs() == 1 {
+			n-- // resident, held by the cache alone
+		}
+	}
+	return n
+}
+
 // Coverage is one content's cache footprint, as advertised to the
 // Coordinator: CachedPages of TotalPages resident, Players active.
 type Coverage struct {

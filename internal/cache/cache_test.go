@@ -51,7 +51,18 @@ func TestLookupHitPinsAndAliases(t *testing.T) {
 	if ref.Refs() != 2 { // cache pin + our hit
 		t.Fatalf("refs = %d, want 2", ref.Refs())
 	}
+	if c.Pinned() != 1 {
+		t.Fatalf("Pinned() = %d with one hit outstanding, want 1", c.Pinned())
+	}
 	ref.Release()
+	if alloc := c.Alloc(); c.Pinned() != 1 {
+		t.Fatalf("Pinned() = %d with one page being read into, want 1", c.Pinned())
+	} else {
+		alloc.Release()
+	}
+	if c.Pinned() != 0 {
+		t.Fatalf("Pinned() = %d with one resident page and no reader, want 0", c.Pinned())
+	}
 	st := c.Stats()
 	if st.Hits != 1 || st.Misses != 1 || st.Inserts != 1 {
 		t.Fatalf("stats = %+v", st)

@@ -1,34 +1,33 @@
 // Package iosched is the MSU's per-disk I/O scheduler (§2.3.3, §2.2.1).
 //
-// The paper's MSU owns its disks and schedules block I/O itself: a
-// round-based duty cycle with one I/O in flight per disk, and elevator
-// ordering inside each round measured at ~6% over round-robin. This
-// package brings that discipline to the live delivery path: every
-// player's page read is submitted to the volume's Scheduler instead of
-// hitting the device directly, so N concurrent players no longer
-// degenerate to random-order, unbounded-concurrency I/O.
+// The paper's MSU owns its disks and schedules block I/O itself: a duty
+// cycle with one I/O in flight per disk, and elevator ordering measured
+// at ~6% over round-robin. This package brings that discipline to the
+// live delivery path: every player's page read is submitted to the
+// volume's Scheduler instead of hitting the device directly, so N
+// concurrent players no longer degenerate to random-order,
+// unbounded-concurrency I/O.
 //
-// Service proceeds in rounds. Each round takes the pending requests
-// whose deadlines fall within DefaultSlack of the earliest pending
-// deadline — the most urgent requests bound the round, so a
-// tight-deadline arrival waits at most one round — and serves them in
-// C-SCAN order by device offset (ascending from the current head
-// position, wrapping once).
-// Device-adjacent requests coalesce into a single larger transfer
-// (blockdev.VectorReader) that scatters into each request's own
-// buffer, preserving the zero-copy contract. At most Depth transfers
-// are in flight at once; the default of 1 is the paper's
-// one-I/O-per-disk invariant.
+// One goroutine issues one transfer at a time and picks again after
+// each. The pick looks only at the pending requests whose deadlines fall
+// within DefaultSlack of the earliest pending deadline — the band the
+// most urgent requests bound — and takes the next of them in C-SCAN
+// order by device offset (ascending from the current head position,
+// wrapping to the lowest offset when nothing lies ahead). Because the
+// band is recomputed per transfer, an urgent arrival waits for the one
+// transfer in flight and never for a sweep of comfortable read-ahead.
+// Device-adjacent requests of the band coalesce into a single larger
+// transfer (blockdev.VectorReader) that scatters into each request's
+// own buffer, preserving the zero-copy contract.
 //
 // The scheduler is deterministic-time: it never reads the wall clock
 // itself (deadline lateness uses the injected Options.Now) and it uses
 // no timers — the loop is work-conserving, woken by submissions, and
-// deadlines only order and bound rounds.
+// deadlines only order service.
 package iosched
 
 import (
 	"errors"
-	"sort"
 	"sync"
 	"time"
 
@@ -40,11 +39,11 @@ import (
 // shuts down, and any request submitted after.
 var ErrClosed = errors.New("iosched: scheduler closed")
 
-// DefaultSlack is the round's deadline band: requests due within this
-// much of the most urgent pending request ride the same elevator
-// sweep. One 256 KB page of 1.5 Mbit/s video plays for ~1.4 s, so a
-// quarter second groups the read-ahead of concurrently admitted streams
-// without letting a lagging stream's page queue behind a full sweep of
+// DefaultSlack is the deadline band: requests due within this much of
+// the most urgent pending request ride the same elevator sweep. One
+// 256 KB page of 1.5 Mbit/s video plays for ~1.4 s, so a quarter second
+// groups the read-ahead of concurrently admitted streams without
+// letting a lagging stream's page queue behind a full sweep of
 // comfortable ones.
 const DefaultSlack = 250 * time.Millisecond
 
@@ -66,17 +65,16 @@ type Request struct {
 	C        chan *Request
 	Err      error
 
-	next *Request // intrusive pending list; scheduler-owned
+	// due records that Deadline had already passed at Submit (a stream's
+	// first page is wanted "now"): such a request is urgent, and no
+	// service time could have made it punctual, so it is not counted late.
+	due bool
 }
 
 // Options configures a Scheduler.
 type Options struct {
-	// Depth bounds in-flight device transfers. 0 or 1 is the paper's
-	// one-I/O-per-disk invariant; raise it for devices (arrays, SSDs)
-	// that benefit from internal queueing.
-	Depth int
 	// Now supplies the clock for deadline-lateness accounting; nil
-	// disables it (ordering and round bounds never need the clock).
+	// disables it (ordering never needs the clock).
 	Now func() time.Time
 }
 
@@ -87,42 +85,31 @@ type Scheduler struct {
 	dev  blockdev.BlockDevice
 	opts Options
 
-	mu       sync.Mutex
-	pending  *Request
-	npending int64
-	closed   bool
-	started  bool
-	stats    trace.IOSchedStats
+	mu      sync.Mutex
+	pending []*Request
+	closed  bool
+	started bool
+	stats   trace.IOSchedStats
 
-	head int64 // device offset after the last transfer; loop-owned
-
-	wake  chan struct{}
-	issue chan issueItem
-	quit  chan struct{}
-	done  chan struct{}
-	once  sync.Once
-}
-
-// issueItem is one coalesced transfer handed from the round loop to a
-// worker; wg is the round barrier.
-type issueItem struct {
+	// Loop-owned: the device offset after the last transfer, and the
+	// transfer being assembled (reused, so a pick allocates nothing).
+	head  int64
 	group []*Request
-	wg    *sync.WaitGroup
+
+	wake chan struct{}
+	quit chan struct{}
+	done chan struct{}
 }
 
-// New builds a scheduler over dev. Goroutines start lazily on the
+// New builds a scheduler over dev. Its goroutine starts lazily on the
 // first Submit; an idle scheduler costs nothing.
 func New(dev blockdev.BlockDevice, opts Options) *Scheduler {
-	if opts.Depth < 1 {
-		opts.Depth = 1
-	}
 	return &Scheduler{
-		dev:   dev,
-		opts:  opts,
-		wake:  make(chan struct{}, 1),
-		issue: make(chan issueItem),
-		quit:  make(chan struct{}),
-		done:  make(chan struct{}),
+		dev:  dev,
+		opts: opts,
+		wake: make(chan struct{}, 1),
+		quit: make(chan struct{}),
+		done: make(chan struct{}),
 	}
 }
 
@@ -132,6 +119,8 @@ func (s *Scheduler) Submit(r *Request) {
 	if r.C == nil || cap(r.C) == 0 {
 		panic("iosched: Request.C must be a buffered channel")
 	}
+	r.Err = nil
+	r.due = s.opts.Now != nil && !r.Deadline.IsZero() && !s.opts.Now().Before(r.Deadline)
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
@@ -142,17 +131,11 @@ func (s *Scheduler) Submit(r *Request) {
 	if !s.started {
 		s.started = true
 		go s.loop()
-		for i := 0; i < s.opts.Depth; i++ {
-			go s.worker()
-		}
 	}
-	r.Err = nil
-	r.next = s.pending
-	s.pending = r
-	s.npending++
+	s.pending = append(s.pending, r)
 	s.stats.Requests++
-	if s.npending > s.stats.QueuePeak {
-		s.stats.QueuePeak = s.npending
+	if n := int64(len(s.pending)); n > s.stats.QueuePeak {
+		s.stats.QueuePeak = n
 	}
 	s.mu.Unlock()
 	select {
@@ -161,26 +144,21 @@ func (s *Scheduler) Submit(r *Request) {
 	}
 }
 
-// Close stops the scheduler: the in-flight round finishes, every
-// still-pending request completes with ErrClosed, and the goroutines
-// exit before Close returns. Safe to call more than once.
+// Close stops the scheduler: the transfer in flight finishes, every
+// still-pending request completes with ErrClosed, and the goroutine
+// exits before Close returns. Safe to call more than once.
 func (s *Scheduler) Close() error {
 	s.mu.Lock()
-	if s.closed {
-		started := s.started
-		s.mu.Unlock()
-		if started {
-			<-s.done
-		}
-		return nil
-	}
+	first := !s.closed
 	s.closed = true
 	started := s.started
 	s.mu.Unlock()
 	if !started {
 		return nil // never ran; nothing pending by construction
 	}
-	close(s.quit)
+	if first {
+		close(s.quit)
+	}
 	<-s.done
 	return nil
 }
@@ -192,133 +170,125 @@ func (s *Scheduler) Stats() trace.IOSchedStats {
 	return s.stats
 }
 
-// loop is the duty cycle: wait for work, then serve round after round
-// until the queue drains or the scheduler closes.
+// loop is the duty cycle: pick, transfer, pick again, parking only
+// when nothing is pending.
 func (s *Scheduler) loop() {
 	defer close(s.done)
-	defer close(s.issue) // workers exit when the round pipeline closes
 	for {
 		select {
 		case <-s.quit:
 			s.failPending()
 			return
-		case <-s.wake:
+		default:
 		}
-		for {
+		group := s.pick()
+		if group == nil {
 			select {
 			case <-s.quit:
 				s.failPending()
 				return
-			default:
+			case <-s.wake:
 			}
-			round := s.takeRound()
-			if round == nil {
-				break
-			}
-			s.serve(round)
+			continue
 		}
+		s.transfer(group)
 	}
 }
 
-// takeRound extracts the requests within DefaultSlack of the earliest
-// pending deadline — the round the most urgent requests bound.
-func (s *Scheduler) takeRound() []*Request {
+// pick takes the next transfer off the queue: among the requests
+// within DefaultSlack of the earliest pending deadline, the one at the
+// lowest offset at or past the head — or, with none ahead, the lowest
+// of all, which starts a new sweep — extended over every request of
+// the band that continues it on the device. Returns nil on an empty
+// queue.
+func (s *Scheduler) pick() []*Request {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.pending == nil {
+	if len(s.pending) == 0 {
 		return nil
 	}
-	min := s.pending.Deadline
-	for r := s.pending.next; r != nil; r = r.next {
+	min := s.pending[0].Deadline
+	for _, r := range s.pending[1:] {
 		if r.Deadline.Before(min) {
 			min = r.Deadline
 		}
 	}
 	limit := min.Add(DefaultSlack)
-	var round []*Request
-	var rest *Request
-	for r := s.pending; r != nil; {
-		next := r.next
-		r.next = nil
+	ahead, lowest := -1, -1
+	for i, r := range s.pending {
 		if r.Deadline.After(limit) {
-			r.next = rest
-			rest = r
-		} else {
-			round = append(round, r)
+			continue
 		}
-		r = next
+		if lowest < 0 || r.Off < s.pending[lowest].Off {
+			lowest = i
+		}
+		if r.Off >= s.head && (ahead < 0 || r.Off < s.pending[ahead].Off) {
+			ahead = i
+		}
 	}
-	s.pending = rest
-	s.npending -= int64(len(round))
-	s.stats.Rounds++
-	return round
+	first := ahead
+	if first < 0 {
+		first = lowest
+	}
+	if ahead < 0 || s.stats.Reads == 0 {
+		s.stats.Rounds++ // a sweep begins: the first transfer, or a wrap of the head
+	}
+	seek := s.pending[first].Off - s.head
+	if seek < 0 {
+		seek = -seek
+	}
+	s.group = s.group[:0]
+	for i := first; i >= 0; i = s.continues(limit) {
+		r := s.pending[i]
+		last := len(s.pending) - 1
+		s.pending[i] = s.pending[last]
+		s.pending[last] = nil
+		s.pending = s.pending[:last]
+		s.group = append(s.group, r)
+		s.head = r.Off + int64(len(r.Buf))
+	}
+	s.stats.Reads++
+	s.stats.Coalesced += int64(len(s.group) - 1)
+	s.stats.SeekBytes += seek
+	return s.group
 }
 
-// serve runs one round: C-SCAN order from the current head, coalesce
-// adjacent requests into single transfers, at most Depth in flight,
-// and a barrier before the next round begins.
-func (s *Scheduler) serve(round []*Request) {
-	sort.Slice(round, func(i, j int) bool { return round[i].Off < round[j].Off })
-	// One ascending sweep starting at the head, wrapping once to the
-	// lowest offsets (C-SCAN: the return seek is not used for service).
-	k := sort.Search(len(round), func(i int) bool { return round[i].Off >= s.head })
-	ordered := make([]*Request, 0, len(round))
-	ordered = append(ordered, round[k:]...)
-	ordered = append(ordered, round[:k]...)
-
-	var wg sync.WaitGroup
-	for i := 0; i < len(ordered); {
-		j := i + 1
-		for j < len(ordered) && ordered[j].Off == ordered[j-1].Off+int64(len(ordered[j-1].Buf)) {
-			j++
+// continues finds a pending request of the band that starts exactly
+// where the transfer being assembled ends, or -1.
+func (s *Scheduler) continues(limit time.Time) int {
+	for i, r := range s.pending {
+		if r.Off == s.head && !r.Deadline.After(limit) {
+			return i
 		}
-		group := ordered[i:j]
-		last := group[len(group)-1]
-		seek := group[0].Off - s.head
-		if seek < 0 {
-			seek = -seek
-		}
-		s.head = last.Off + int64(len(last.Buf))
-		s.mu.Lock()
-		s.stats.Reads++
-		s.stats.Coalesced += int64(len(group) - 1)
-		s.stats.SeekBytes += seek
-		s.mu.Unlock()
-		wg.Add(1)
-		s.issue <- issueItem{group: group, wg: &wg}
-		i = j
 	}
-	wg.Wait()
+	return -1
 }
 
-// worker services coalesced transfers until the round pipeline closes.
-func (s *Scheduler) worker() {
-	for it := range s.issue {
-		var err error
-		if len(it.group) == 1 {
-			r := it.group[0]
-			err = s.dev.ReadAt(r.Buf, r.Off)
-		} else {
-			bufs := make([][]byte, len(it.group))
-			for i, r := range it.group {
-				bufs[i] = r.Buf
-			}
-			// A coalesced transfer shares one fate: a device error fails
-			// every rider (the fallback path in ReadVector stops at the
-			// first failing buffer).
-			err = blockdev.ReadVector(s.dev, it.group[0].Off, bufs...)
+// transfer services one coalesced group and completes its requests.
+func (s *Scheduler) transfer(group []*Request) {
+	var err error
+	if len(group) == 1 {
+		err = s.dev.ReadAt(group[0].Buf, group[0].Off)
+	} else {
+		bufs := make([][]byte, len(group))
+		for i, r := range group {
+			bufs[i] = r.Buf
 		}
-		for _, r := range it.group {
-			s.complete(r, err)
-		}
-		it.wg.Done()
+		// A coalesced transfer shares one fate: a device error fails
+		// every rider (the fallback path in ReadVector stops at the
+		// first failing buffer).
+		err = blockdev.ReadVector(s.dev, group[0].Off, bufs...)
+	}
+	for i, r := range group {
+		group[i] = nil // the request, and the page under it, are the caller's again
+		s.complete(r, err)
 	}
 }
 
 // complete finishes one request: lateness accounting, then hand the
 // request back on its channel.
 func (s *Scheduler) complete(r *Request, err error) {
-	if s.opts.Now != nil && !r.Deadline.IsZero() {
+	if s.opts.Now != nil && !r.Deadline.IsZero() && !r.due {
 		if late := s.opts.Now().Sub(r.Deadline); late > 0 {
 			s.mu.Lock()
 			s.stats.Late++
@@ -336,15 +306,11 @@ func (s *Scheduler) complete(r *Request, err error) {
 // submitter is left waiting across shutdown.
 func (s *Scheduler) failPending() {
 	s.mu.Lock()
-	p := s.pending
+	pending := s.pending
 	s.pending = nil
-	s.npending = 0
 	s.mu.Unlock()
-	for p != nil {
-		next := p.next
-		p.next = nil
-		p.Err = ErrClosed
-		p.C <- p
-		p = next
+	for _, r := range pending {
+		r.Err = ErrClosed
+		r.C <- r
 	}
 }

@@ -3,7 +3,9 @@ package iosched_test
 import (
 	"errors"
 	"math/rand"
+	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -14,10 +16,11 @@ import (
 const bs = 4096 // test block size
 
 // gateDev wraps a device, recording the order reads arrive and
-// optionally holding every read at a gate until it opens. Submitting a
-// "plug" request and holding it at the gate parks the scheduler's
-// round barrier, so everything submitted meanwhile lands in one later
-// round — the deterministic way to observe round composition.
+// optionally holding every read at a gate: a send on the gate lets one
+// read through, closing it lets them all. Submitting a "plug" request
+// and holding it at the gate keeps the scheduler's one transfer in
+// flight, so everything submitted meanwhile is pending together when it
+// picks again — the deterministic way to observe service order.
 //
 // gateDev deliberately does not implement blockdev.VectorReader, so a
 // coalesced transfer falls back to per-buffer reads here and the
@@ -81,7 +84,7 @@ func collect(t *testing.T, c chan *iosched.Request, n int) []*iosched.Request {
 	return out
 }
 
-// TestCSCANOrder verifies one round is served in C-SCAN order: a single
+// TestCSCANOrder verifies one band is served in C-SCAN order: a single
 // ascending sweep from the head position, wrapping once to the lowest
 // offsets.
 func TestCSCANOrder(t *testing.T) {
@@ -93,7 +96,7 @@ func TestCSCANOrder(t *testing.T) {
 	done := make(chan *iosched.Request, 8)
 	plug := &iosched.Request{Off: 5 * bs, Buf: make([]byte, bs), C: done}
 	s.Submit(plug)
-	<-d.started // the plug is on the device; the loop is parked at its round barrier
+	<-d.started // the plug is on the device; the loop picks again when it is done
 
 	// Head after the plug sits at block 6. Blocks 6, 8, 10, 14 are at
 	// or above it; block 2 is below and must be served after the wrap.
@@ -115,11 +118,11 @@ func TestCSCANOrder(t *testing.T) {
 	}
 	st := s.Stats()
 	if st.Requests != 6 || st.Rounds != 2 {
-		t.Fatalf("stats %+v: want 6 requests in 2 rounds", st)
+		t.Fatalf("stats %+v: want 6 requests in 2 sweeps (one wrap of the head)", st)
 	}
 }
 
-// TestCoalesce verifies device-adjacent requests in one round become a
+// TestCoalesce verifies device-adjacent requests of one band become a
 // single device transfer that scatters into each request's own buffer.
 func TestCoalesce(t *testing.T) {
 	inner := mem(t, 64)
@@ -171,9 +174,9 @@ func TestCoalesce(t *testing.T) {
 }
 
 // TestDeadlineBoundsRound verifies a tight-deadline arrival is never
-// parked behind a full elevator sweep of comfortable requests: the
-// round is bounded by the most urgent deadline plus Slack, so the far
-// requests wait for the next round.
+// parked behind a full elevator sweep of comfortable requests: a pick
+// is bounded by the most urgent deadline plus Slack, so the far
+// requests are served after it, in their own ascending sweep.
 func TestDeadlineBoundsRound(t *testing.T) {
 	gate := make(chan struct{})
 	d := &gateDev{inner: mem(t, 64), gate: gate, started: make(chan int64, 64)}
@@ -195,12 +198,46 @@ func TestDeadlineBoundsRound(t *testing.T) {
 	close(gate)
 	collect(t, done, 10)
 
-	got := d.order()
-	if got[1] != 50*bs {
-		t.Fatalf("service order %v: tight-deadline block 50 must be served first after the plug", got)
+	want := []int64{0, 50 * bs}
+	for blk := int64(1); blk <= 8; blk++ {
+		want = append(want, blk*bs)
 	}
-	if st := s.Stats(); st.Rounds != 3 {
-		t.Fatalf("stats %+v: want 3 rounds (plug, tight, comfortable)", st)
+	if got := d.order(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("service order %v, want %v (the plug, the tight block 50, then the comfortable ones ascending)", got, want)
+	}
+}
+
+// TestUrgentCutsIn verifies the scheduler picks again after every
+// transfer: a request that is already due when it arrives waits for the
+// one transfer in flight, not for the sweep of comfortable read-ahead
+// that was queued before it.
+func TestUrgentCutsIn(t *testing.T) {
+	gate := make(chan struct{})
+	d := &gateDev{inner: mem(t, 64), gate: gate, started: make(chan int64, 64)}
+	s := iosched.New(d, iosched.Options{})
+	defer s.Close()
+
+	base := time.Unix(1500, 0)
+	comfortable := base.Add(10 * time.Second)
+	done := make(chan *iosched.Request, 8)
+	s.Submit(&iosched.Request{Off: 0, Buf: make([]byte, bs), C: done, Deadline: comfortable})
+	<-d.started
+	// Five comfortable requests of one band, pending together.
+	for _, blk := range []int64{10, 20, 30, 40, 50} {
+		s.Submit(&iosched.Request{Off: blk * bs, Buf: make([]byte, bs), C: done, Deadline: comfortable})
+	}
+	gate <- struct{}{} // the plug completes
+	if off := <-d.started; off != 10*bs {
+		t.Fatalf("first of the band in service is block %d, want 10", off/bs)
+	}
+	// Block 10 is on the device when a stream's first page arrives.
+	s.Submit(&iosched.Request{Off: 5 * bs, Buf: make([]byte, bs), C: done, Deadline: base})
+	close(gate)
+	collect(t, done, 7)
+
+	want := []int64{0, 10 * bs, 5 * bs, 20 * bs, 30 * bs, 40 * bs, 50 * bs}
+	if got := d.order(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("service order %v, want %v: the urgent block 5 must be the transfer after the one in flight", got, want)
 	}
 }
 
@@ -208,7 +245,7 @@ func TestDeadlineBoundsRound(t *testing.T) {
 // random offsets and deadlines; every request must complete.
 func TestNoStarvation(t *testing.T) {
 	d := mem(t, 256)
-	s := iosched.New(d, iosched.Options{Depth: 2})
+	s := iosched.New(d, iosched.Options{})
 	defer s.Close()
 
 	const submitters, perSubmitter = 8, 32
@@ -242,17 +279,33 @@ func TestNoStarvation(t *testing.T) {
 }
 
 // TestLateness verifies deadline-lateness accounting against the
-// injected clock.
+// injected clock: read-ahead that completes after its deadline is late;
+// a request that was already due when it was submitted (every stream's
+// first page) is urgent, not late, however long it then takes.
 func TestLateness(t *testing.T) {
 	base := time.Unix(3000, 0)
-	s := iosched.New(mem(t, 8), iosched.Options{Now: func() time.Time { return base.Add(2 * time.Second) }})
+	var elapsed atomic.Int64
+	gate := make(chan struct{})
+	d := &gateDev{inner: mem(t, 8), gate: gate, started: make(chan int64, 8)}
+	s := iosched.New(d, iosched.Options{Now: func() time.Time { return base.Add(time.Duration(elapsed.Load())) }})
 	defer s.Close()
 	done := make(chan *iosched.Request, 1)
-	s.Submit(&iosched.Request{Off: 0, Buf: make([]byte, bs), C: done, Deadline: base})
-	collect(t, done, 1)
-	st := s.Stats()
-	if st.Late != 1 || st.MaxLateMs != 2000 {
+	// serve submits one request and lets its transfer finish at base+finish.
+	serve := func(deadline time.Time, finish time.Duration) {
+		s.Submit(&iosched.Request{Off: 0, Buf: make([]byte, bs), C: done, Deadline: deadline})
+		<-d.started
+		elapsed.Store(int64(finish))
+		gate <- struct{}{}
+		collect(t, done, 1)
+	}
+	serve(base.Add(time.Second), 3*time.Second) // due in 1 s, done at 3 s
+	if st := s.Stats(); st.Late != 1 || st.MaxLateMs != 2000 {
 		t.Fatalf("stats %+v: want 1 late completion, 2000ms max", st)
+	}
+	serve(base, 9*time.Second)                      // due 3 s before it was submitted
+	serve(base.Add(20*time.Second), 10*time.Second) // done with 10 s to spare
+	if st := s.Stats(); st.Requests != 3 || st.Late != 1 || st.MaxLateMs != 2000 {
+		t.Fatalf("stats %+v: an already-due request and an early one must not count as late", st)
 	}
 }
 

@@ -1,0 +1,298 @@
+package msu
+
+import (
+	"fmt"
+	"sync"
+	"testing"
+	"time"
+
+	"calliope/internal/blockdev"
+	"calliope/internal/cache"
+	"calliope/internal/media"
+	"calliope/internal/msufs"
+	"calliope/internal/units"
+)
+
+// gatedDev is the device under the budget test's volume: it counts the
+// reads that reach it and, while held, parks each one until the test
+// lets it through. It deliberately does not implement
+// blockdev.VectorReader, so every page read is one ReadAt.
+type gatedDev struct {
+	blockdev.BlockDevice
+
+	mu     sync.Mutex
+	reads  int
+	parked int           // reads waiting at the gate
+	gate   chan struct{} // non-nil while held: a send lets one read through, close all
+}
+
+func (d *gatedDev) ReadAt(p []byte, off int64) error {
+	d.mu.Lock()
+	d.reads++
+	g := d.gate
+	if g != nil {
+		d.parked++
+	}
+	d.mu.Unlock()
+	if g != nil {
+		<-g
+		d.mu.Lock()
+		d.parked--
+		d.mu.Unlock()
+	}
+	return d.BlockDevice.ReadAt(p, off)
+}
+
+func (d *gatedDev) hold() {
+	d.mu.Lock()
+	d.gate = make(chan struct{})
+	d.mu.Unlock()
+}
+
+// open lets every held read through; it is a no-op on an open gate, so
+// a failing test's cleanup can call it whatever state it died in.
+func (d *gatedDev) open() {
+	d.mu.Lock()
+	if d.gate != nil {
+		close(d.gate)
+		d.gate = nil
+	}
+	d.mu.Unlock()
+}
+
+func (d *gatedDev) count() int {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.reads
+}
+
+// budgetRig is a vcrRig over a gatedDev with what the budget test
+// watches: the device, the disk's cache (nil when off) and the player
+// whose pages are being counted.
+type budgetRig struct {
+	*vcrRig
+	dev   *gatedDev
+	cache *cache.Cache
+}
+
+// held is how many pages the player pins, counted without its own
+// ledger: its pool's pages that are out, plus the cache's pages that a
+// reader holds (the rig runs one stream at a time, so they are its).
+func (r *budgetRig) held(p *player) int {
+	n := p.pool.Cap() - p.pool.Free()
+	if r.cache != nil {
+		n += r.cache.Pinned()
+	}
+	return n
+}
+
+// player waits for the rig's one stream to have a player other than
+// prev, and returns it.
+func (r *budgetRig) player(prev *player) *player {
+	r.t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		r.m.mu.Lock()
+		var s *stream
+		for _, s = range r.m.streams {
+		}
+		r.m.mu.Unlock()
+		if s != nil {
+			s.mu.Lock()
+			p := s.player
+			s.mu.Unlock()
+			if p != nil && p != prev {
+				return p
+			}
+		}
+		if time.Now().After(deadline) {
+			r.t.Fatal("the stream never got its player")
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// firstReadHeld waits for a read to be parked at the gate and checks
+// what the player has asked of the disk by then: one page.
+func (r *budgetRig) firstReadHeld(p *player, requestsBefore int64, when string) {
+	r.t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		r.dev.mu.Lock()
+		parked := r.dev.parked
+		r.dev.mu.Unlock()
+		if parked > 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			r.t.Fatalf("%s: no read reached the device", when)
+		}
+	}
+	// The disk process is parked on this read's completion, so nothing
+	// below can change until the gate lets it through.
+	if n := r.m.ioStats(0).Requests - requestsBefore; n != 1 {
+		r.t.Errorf("%s: %d page reads submitted before the first page is in RAM, want 1", when, n)
+	}
+	if got, held := p.pinned.Load(), r.held(p); got != 1 || held != 1 {
+		r.t.Errorf("%s: the player counts %d pinned pages and holds %d before the first page is in RAM, want 1", when, got, held)
+	}
+}
+
+// allBack checks nothing of p's, the rig's only player, is pinned any
+// more.
+func (r *budgetRig) allBack(p *player, when string) {
+	r.t.Helper()
+	if free, cap := p.pool.Free(), p.pool.Cap(); free != cap {
+		r.t.Errorf("%s: %d of the pool's %d pages are back", when, free, cap)
+	}
+	if n := p.pinned.Load(); n != 0 {
+		r.t.Errorf("%s: the player still counts %d pinned pages", when, n)
+	}
+	if r.cache != nil {
+		if n := r.cache.Pinned(); n != 0 {
+			r.t.Errorf("%s: %d cache pages still pinned", when, n)
+		}
+	}
+	if n := r.m.obs.pinned.Load(); n != 0 {
+		r.t.Errorf("%s: readahead_pinned_pages = %d, want 0", when, n)
+	}
+}
+
+// TestPageBudgetAndRamp pins the one bound on a player's lead. On an
+// MSU built by New, over a real VCR connection, for packets from 4 KB
+// to 512 B and with the cache on and off: one page is read before the
+// first datagram leaves; a play that is quit right after its first
+// packet has read at most two; the pages a player pins never exceed
+// pageBudget and its reads never lead what it has sent in full by more
+// than two pages plus one for each page sent; a seek starts again at one
+// page; and at EOF, after a Quit and after a cancel in mid-read every
+// page is back.
+func TestPageBudgetAndRamp(t *testing.T) {
+	for _, pktSize := range []int{4096, 1024, 512} {
+		for _, cacheBytes := range []units.ByteSize{DefaultCacheBytes, -1} {
+			name := fmt.Sprintf("%dB/cache=%v", pktSize, cacheBytes > 0)
+			t.Run(name, func(t *testing.T) { testPageBudget(t, pktSize, cacheBytes) })
+		}
+	}
+}
+
+func testPageBudget(t *testing.T, pktSize int, cacheBytes units.ByteSize) {
+	const blockSize = 64 * 1024
+	mem, err := blockdev.NewMem(32 * int64(units.MB))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dev := &gatedDev{BlockDevice: mem}
+	vol, err := msufs.Format(dev, msufs.Options{BlockSize: blockSize})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := &budgetRig{vcrRig: newVCRRigOn(t, Config{Volumes: []*msufs.Volume{vol}, CacheBytes: cacheBytes}), dev: dev}
+	r.cache = r.m.cacheFor(0)
+	t.Cleanup(dev.open) // runs before the rig closes its MSU, which waits for reads in flight
+	// 6 Mbit/s: a 64 KB page plays for ~85 ms, so the ramp opens within
+	// the test's patience and no page is sent in full within a quit's.
+	for title, dur := range map[string]time.Duration{"quit": 2 * time.Second, "ramp": 8 * time.Second, "eof": 500 * time.Millisecond, "cancel": 2 * time.Second} {
+		pkts, err := media.GenerateCBR(media.CBRConfig{Rate: 6 * units.Mbps, PacketSize: pktSize, FPS: 30, GOP: 15, Duration: dur})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := Ingest(r.m.stores[0], title, "mpeg1", pkts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	datagram := func(when string) {
+		t.Helper()
+		buf := make([]byte, 8192)
+		r.sink.SetReadDeadline(time.Now().Add(5 * time.Second)) //nolint:errcheck
+		if _, _, err := r.sink.ReadFromUDP(buf); err != nil {
+			t.Fatalf("%s: no datagram: %v", when, err)
+		}
+	}
+
+	// One page is enough for the first datagram, and a play quit right
+	// after it has read at most two.
+	dev.hold()
+	before, reads := r.m.ioStats(0).Requests, dev.count()
+	peer := r.play("quit")
+	p := r.player(nil)
+	r.firstReadHeld(p, before, "play")
+	dev.gate <- struct{}{}
+	datagram("with one page read")
+	r.vcr(peer, "quit", 0)
+	dev.open()
+	peer.Close() //nolint:errcheck // the MSU closes its end too
+	r.drained()
+	if n := dev.count() - reads; n > 2 {
+		t.Errorf("a play quit right after its first packet read %d pages, want at most 2", n)
+	}
+	r.allBack(p, "after a quit")
+
+	// The bound and the ramp, sampled while four pages go out in full.
+	reads = dev.count()
+	peer = r.play("ramp")
+	p = r.player(nil)
+	deadline := time.Now().Add(10 * time.Second)
+	for sent := int32(0); sent < 4; {
+		caused := dev.count() - reads // before sent: sent only grows
+		sent = p.sent.Load()
+		if lead := caused - int(sent); lead > 2+int(sent) {
+			t.Fatalf("%d pages read with %d sent in full: the ramp allows a lead of two pages plus one for each page sent", caused, sent)
+		}
+		if got, held := p.pinned.Load(), r.held(p); got > pageBudget || held > pageBudget {
+			t.Fatalf("the player counts %d pinned pages and holds %d, over the budget of %d", got, held, pageBudget)
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d pages sent in full", sent)
+		}
+		time.Sleep(200 * time.Microsecond)
+	}
+	if caused := dev.count() - reads; caused < 3 {
+		t.Errorf("%d pages read after four were sent in full: the ramp never opened", caused)
+	}
+
+	// A seek is a fresh player: its ramp starts again at one page. The
+	// first seek leaves the index resident, so the second reads only
+	// data, and the pause leaves no read of the old player's to be held.
+	r.vcr(peer, "seek", 3*time.Second)
+	p = r.player(p)
+	for p.sent.Load() < 1 {
+		if time.Now().After(deadline) {
+			t.Fatal("nothing sent after the first seek")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	r.vcr(peer, "pause", 0)
+	r.allBack(p, "after a pause")
+	dev.hold()
+	before = r.m.ioStats(0).Requests
+	r.vcr(peer, "seek", 6*time.Second)
+	seeker := r.player(p)
+	r.firstReadHeld(seeker, before, "seek")
+	dev.open()
+	r.quit(peer)
+	r.allBack(seeker, "after a seek and a quit")
+
+	// A title played to its end.
+	peer = r.play("eof")
+	p = r.player(nil)
+	for !p.s.atEOF() {
+		if time.Now().After(deadline) {
+			t.Fatal("no EOF")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	r.allBack(p, "at EOF")
+	r.quit(peer)
+
+	// A cancel while the first page is still on the disk.
+	dev.hold()
+	before = r.m.ioStats(0).Requests
+	peer = r.play("cancel")
+	p = r.player(nil)
+	r.firstReadHeld(p, before, "play before a cancel")
+	r.vcr(peer, "quit", 0)
+	dev.open()
+	peer.Close() //nolint:errcheck // the MSU closes its end too
+	r.drained()
+	r.allBack(p, "after a cancel in mid-read")
+}

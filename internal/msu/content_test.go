@@ -187,6 +187,13 @@ func (r *vcrRig) quit(p *wire.Peer) {
 	r.t.Helper()
 	r.vcr(p, "quit", 0)
 	p.Close() //nolint:errcheck // the MSU closes its end too
+	r.drained()
+}
+
+// drained is the second half of quit: the wait for the MSU to have torn
+// every stream down, and the emptying of the sink.
+func (r *vcrRig) drained() {
+	r.t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		r.m.mu.Lock()

@@ -11,18 +11,21 @@ import (
 
 // fetcher pipelines a player's page reads through the per-volume I/O
 // schedulers (§2.2.1, §2.3.3): it keeps up to readAheadPages requests
-// staged ahead of the cursor, each tagged with the delivery deadline of
-// the page's first packet, so the per-disk elevator can order and
-// coalesce across every concurrent player's demand. On striped content
-// consecutive pages land on adjacent volumes, so the staged requests
-// fan out across min(readAheadPages, width) disks in parallel.
+// staged ahead of the cursor, as far as the player's page budget allows,
+// each tagged with the delivery deadline of the page's first packet, so
+// the per-disk elevator can order and coalesce across every concurrent
+// player's demand. On striped content consecutive pages land on
+// adjacent volumes, so the staged requests fan out across
+// min(readAheadPages, width) disks in parallel.
 type fetcher struct {
 	p     *player
 	pages int64 // total pages in the tree
 	next  int64 // next page index to stage
+	// primed is set once the first page is in RAM (see budget).
+	primed bool
 	// pageDur approximates one page's play time, for deadlines; epoch
 	// anchors them to the delivery timeline (an estimate of netLoop's
-	// epoch — deadlines order and bound scheduler rounds, they are not
+	// epoch — deadlines order scheduler service, they are not
 	// hard real-time).
 	pageDur time.Duration
 	epoch   time.Time
@@ -74,10 +77,25 @@ func (f *fetcher) deadline(idx int64) time.Time {
 	return f.epoch.Add(d)
 }
 
+// budget is how many pages the player may pin right now. It is ramped
+// by what has been sent, not by what could be read: one page until the
+// first is in RAM (nothing queues behind the page a new viewer is
+// waiting for), two until a page has gone out in full, one more for
+// each page sent after that, up to pageBudget. A seek, resume or speed
+// change is a fresh player and starts again at one, so a stream that is
+// moved or dropped early has read one or two pages, not a ring of them.
+func (f *fetcher) budget() int32 {
+	if !f.primed {
+		return 1
+	}
+	return min(pageBudget, 2+f.p.sent.Load())
+}
+
 // nextPage produces the page NextPage announced: it restarts the
 // pipeline if the cursor moved, tops the ring up, waits for the head
-// slot's device completion, and attaches the page to the cursor.
-// Returns (nil, nil) only when cancelled.
+// slot's device completion, and attaches the page to the cursor. The
+// page it returns stays pinned against the budget: the caller unpins it
+// or hands that on. Returns (nil, nil) only when cancelled.
 func (f *fetcher) nextPage(cur *ibtree.PageCursor, want int64) (*queue.PageRef, error) {
 	p := f.p
 	if f.n == 0 || f.slots[f.head].idx != want {
@@ -88,8 +106,15 @@ func (f *fetcher) nextPage(cur *ibtree.PageCursor, want int64) (*queue.PageRef, 
 		f.next = want
 	}
 	f.fill()
-	if f.n == 0 {
-		return nil, nil // cancelled while waiting for a free page
+	for f.n == 0 {
+		// The budget is spent on pages still being sent: park until the
+		// network process gives one back.
+		select {
+		case <-p.cancel:
+			return nil, nil
+		case <-p.space:
+		}
+		f.fill()
 	}
 	slot := &f.slots[f.head]
 	if slot.pending {
@@ -110,12 +135,12 @@ func (f *fetcher) nextPage(cur *ibtree.PageCursor, want int64) (*queue.PageRef, 
 	f.head = (f.head + 1) % len(f.slots)
 	f.n--
 	if err != nil {
-		page.Release()
+		p.unpin(page)
 		return nil, err
 	}
 	ok, aerr := cur.AttachPage(page.Bytes())
 	if aerr != nil || !ok {
-		page.Release()
+		p.unpin(page)
 		if hit {
 			// The cached entry failed verification: purge it and go round
 			// again. The ring's head is now past want, so it restages from
@@ -137,76 +162,53 @@ func (f *fetcher) nextPage(cur *ibtree.PageCursor, want int64) (*queue.PageRef, 
 	if insert {
 		p.cache.Insert(p.cname, want, page)
 	}
+	f.primed = true
 	return page, nil
 }
 
-// fill tops up the ring. The first request blocks for a destination
-// page when the ring is empty — the player cannot advance without it —
-// while read-ahead beyond that takes only pages that are free right
-// now, so prefetch never waits on buffers the network side is still
-// draining.
+// fill tops up the ring as far as the budget has room.
 func (f *fetcher) fill() {
-	for f.n < len(f.slots) && f.next < f.pages {
-		if !f.issueOne(f.n == 0) {
-			return
-		}
+	for f.n < len(f.slots) && f.next < f.pages && f.p.pinned.Load() < f.budget() {
+		f.issueOne()
 	}
 }
 
-// issueOne stages the next page into the ring's tail slot: a cache hit
-// pins the cached page outright; a miss acquires a destination page
-// (from the cache when allocatable, so later players share the read,
-// else the private pool) and submits the read to the owning volume's
-// scheduler. block selects whether a pool page is worth waiting for.
-// Returns false without staging when no page is available or the wait
-// was cancelled.
-func (f *fetcher) issueOne(block bool) bool {
+// issueOne stages the next page into the ring's tail slot and pins it
+// against the budget: a cache hit takes the cached page outright; a
+// miss acquires a destination page (from the cache when allocatable, so
+// later players share the read, else the private pool) and submits the
+// read to the owning volume's scheduler.
+func (f *fetcher) issueOne() {
 	p := f.p
 	idx := f.next
 	slot := &f.slots[(f.head+f.n)%len(f.slots)]
-	slot.idx = idx
-	slot.hit = false
-	slot.insert = false
-	slot.pending = false
-	slot.err = nil
-	if p.cache != nil {
-		if hit := p.cache.Lookup(p.cname, idx); hit != nil {
-			slot.page = hit
-			slot.hit = true
-			f.next++
-			f.n++
-			return true
-		}
-	}
-	var page *queue.PageRef
-	if p.cache != nil {
-		if page = p.cache.Alloc(); page != nil {
-			slot.insert = true
-		}
-	}
-	if page == nil {
-		if block {
-			page = p.pool.Get(p.cancel)
-		} else {
-			page = p.pool.TryGet()
-		}
-		if page == nil {
-			slot.insert = false
-			return false
-		}
-	}
-	slot.page = page
-	slot.req = iosched.Request{Buf: page.Bytes(), Deadline: f.deadline(idx), C: slot.c}
-	slot.err = p.s.m.submitRead(p.file, idx, &slot.req)
-	slot.pending = slot.err == nil
+	*slot = fetchSlot{idx: idx, c: slot.c}
 	f.next++
 	f.n++
-	return true
+	p.pin()
+	if p.cache != nil {
+		if slot.page = p.cache.Lookup(p.cname, idx); slot.page != nil {
+			slot.hit = true
+			return
+		}
+		slot.page = p.cache.Alloc()
+		slot.insert = slot.page != nil
+	}
+	if slot.page == nil {
+		// Every pool page out is counted in pinned and the pool holds
+		// pageBudget of them, so room in the budget is a page here.
+		if slot.page = p.pool.TryGet(); slot.page == nil {
+			panic("msu: page budget has room but the player's pool is empty")
+		}
+	}
+	slot.req = iosched.Request{Buf: slot.page.Bytes(), Deadline: f.deadline(idx), C: slot.c}
+	slot.err = p.s.m.submitRead(p.file, idx, &slot.req)
+	slot.pending = slot.err == nil
 }
 
 // abort unwinds the ring: it waits out any in-flight scheduler request
 // (the destination page is not reusable until the device is done with
-// it) and releases every staged page.
+// it) and unpins every staged page.
 func (f *fetcher) abort() {
 	for f.n > 0 {
 		slot := &f.slots[f.head]
@@ -214,10 +216,9 @@ func (f *fetcher) abort() {
 			<-slot.c
 			slot.pending = false
 		}
-		if slot.page != nil {
-			slot.page.Release()
-			slot.page = nil
-		}
+		p := slot.page
+		slot.page = nil
+		f.p.unpin(p)
 		f.head = (f.head + 1) % len(f.slots)
 		f.n--
 	}

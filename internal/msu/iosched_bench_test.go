@@ -67,7 +67,7 @@ func runSession(tb testing.TB, streams []*stream) {
 	}
 }
 
-// BenchmarkIOSched measures scheduler rounds at 24 concurrent readers.
+// BenchmarkIOSched measures scheduler service at 24 concurrent readers.
 // One op is one full session: every reader plays its own title end to
 // end. Alongside ns/op it reports the Sim's head travel per session —
 // the deterministic quantity C-SCAN shrinks.

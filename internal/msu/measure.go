@@ -188,7 +188,7 @@ func (ib *ioBench) measure(name string, sessions int) (BenchResult, error) {
 }
 
 // MeasureIOSched runs BenchmarkIOSched's measurement outside the
-// testing framework: scheduler rounds for 24 concurrent readers over
+// testing framework: scheduler service for 24 concurrent readers over
 // one mechanically-modelled volume, the given number of sessions. One
 // op is one full session; the result is the single "iosched/sched" row.
 func MeasureIOSched(sessions int) ([]BenchResult, error) {
@@ -255,8 +255,8 @@ func newDeliveryBench(cache units.ByteSize) (*stream, func(), error) {
 // measureDelivery times whole sessions of a newDeliveryBench stream.
 // One op is one delivered packet; allocations are amortized over the
 // whole run, so a steady-state zero-allocation path reports a small
-// fraction per packet (per-session set-up, and the scheduler's per-round
-// bookkeeping).
+// fraction per packet (per-session set-up, and the scheduler's vector
+// for a coalesced transfer).
 func measureDelivery(name string, s *stream, sessions int) (BenchResult, error) {
 	var before, after runtime.MemStats
 	runtime.GC()

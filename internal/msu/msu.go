@@ -111,7 +111,7 @@ type MSU struct {
 	caches []*cache.Cache
 	// scheds holds one I/O scheduler per physical volume: every read of
 	// a store file on that volume flows through its scheduler
-	// (submitRead), so the per-disk C-SCAN rounds see the whole MSU's
+	// (submitRead), so the per-disk C-SCAN picks see the whole MSU's
 	// demand. Built once in New, immutable after.
 	scheds map[*msufs.Volume]*iosched.Scheduler
 	// storeVols lists the member volumes behind each logical disk,

@@ -20,6 +20,7 @@ type msuMetrics struct {
 
 	pagesRead *obs.Counter // disk_pages_read_total (IB-tree pages from disk)
 	cacheHits *obs.Counter // cache_page_hits_total (pages served from RAM)
+	pinned    *obs.Gauge   // readahead_pinned_pages (pages held against all players' budgets)
 
 	streams     *obs.Counter // msu_streams_started_total
 	eofs        *obs.Counter // delivery_eof_total
@@ -35,6 +36,7 @@ func newMSUMetrics(r *obs.Registry) msuMetrics {
 		startup:     r.Histogram("delivery_startup_seconds", obs.DefaultLatencyBuckets),
 		pagesRead:   r.Counter("disk_pages_read_total"),
 		cacheHits:   r.Counter("cache_page_hits_total"),
+		pinned:      r.Gauge("readahead_pinned_pages"),
 		streams:     r.Counter("msu_streams_started_total"),
 		eofs:        r.Counter("delivery_eof_total"),
 		transferOut: r.Counter("transfer_bytes_out_total"),

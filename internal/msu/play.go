@@ -335,8 +335,10 @@ func (s *stream) playerEOF(p *player) {
 // payload is page.Bytes()[off : off+n], aliasing the refcounted page
 // buffer the disk goroutine read the whole IB-tree page into. Each
 // descriptor holds one reference on its page; the network goroutine
-// releases it after the send, so the page returns to the pool when the
-// last packet cut from it has left the socket.
+// releases it after the send. A page's packets are followed by one done
+// descriptor carrying the disk process's own hold on it, so the page
+// returns to its pool, and to the player's page budget, when the last
+// packet cut from it has left the socket.
 type descriptor struct {
 	t    time.Duration
 	ch   protocol.Channel
@@ -344,6 +346,7 @@ type descriptor struct {
 	off  int
 	n    int
 	eof  bool
+	done bool // no packet: page has been cut and sent in full
 }
 
 // player runs one delivery session, mirroring §2.3's MSU: a disk
@@ -378,19 +381,35 @@ type player struct {
 	pool   *queue.PagePool
 	// wake and space park the two processes instead of polling: the
 	// producer nudges wake after an enqueue into an empty-observed
-	// queue window, the consumer nudges space after freeing a slot.
-	// Both are 1-buffered, so a nudge is never lost and never blocks.
+	// queue window, the consumer nudges space after freeing a slot or
+	// giving a page back to the budget. Both are 1-buffered, so a nudge
+	// is never lost and never blocks.
 	wake  chan struct{}
 	space chan struct{}
+	// pinned counts the pages held against pageBudget; sent counts the
+	// pages that have gone out in full, which is what opens the budget
+	// (fetcher.budget). The disk process pins, either process unpins,
+	// only the network process counts a page sent.
+	pinned atomic.Int32
+	sent   atomic.Int32
 }
 
 // queueDepth is the SPSC capacity between the disk and network sides.
 const queueDepth = 512
 
-// readAheadPages bounds the disk process's lead over the network
-// process — the paper's double-buffered read-ahead, with two extra
-// pages of slack so a page drained mid-iteration never stalls the read.
+// readAheadPages is the depth of the prefetch ring: how many page reads
+// one player keeps staged at the schedulers at most.
 const readAheadPages = 4
+
+// pageBudget bounds the disk process's lead over the network process in
+// pages, whatever the packet size: every page a player pins — staged in
+// the ring, being cut, or still referenced from the descriptor queue;
+// pool page, cache.Alloc page or cache hit alike — counts against it.
+// It is the paper's double buffer (the page being cut and the page
+// being sent) plus the ring, and the player's pool is this size, so the
+// budget having room means a destination page is to hand even when the
+// cache can spare none.
+const pageBudget = readAheadPages + 2
 
 // playerIDs distinguishes players in the cache's interval tracking;
 // a stream spawns a fresh player on every VCR transition.
@@ -401,11 +420,45 @@ func (p *player) stop() {
 	<-p.done
 }
 
+// pin counts one more page against the player's budget.
+func (p *player) pin() {
+	p.pinned.Add(1)
+	p.s.m.obs.pinned.Add(1)
+}
+
+// unpin drops the hold that pin counted — the page first, so that room
+// in the budget always means room in the pool — and nudges the disk
+// process, which may be parked on a spent budget.
+func (p *player) unpin(page *queue.PageRef) {
+	page.Release()
+	p.pinned.Add(-1)
+	p.s.m.obs.pinned.Add(-1)
+	p.nudgeSpace()
+}
+
+// nudgeSpace wakes the disk process if it is parked on a full queue or
+// a spent budget.
+func (p *player) nudgeSpace() {
+	select {
+	case p.space <- struct{}{}:
+	default:
+	}
+}
+
+// drop gives back what a descriptor that will not be sent holds.
+func (p *player) drop(d descriptor) {
+	switch {
+	case d.done:
+		p.unpin(d.page)
+	case d.page != nil:
+		d.page.Release()
+	}
+}
+
 func (p *player) start() {
-	// The prefetch ring stages up to readAheadPages pages while the page
-	// just taken off the ring is still being cut into descriptors: one
-	// more.
-	pool, err := queue.NewPagePool(p.tree.PageSize(), readAheadPages+1)
+	// Pages are created on first use, so a player that is stopped after
+	// one page has paid for one.
+	pool, err := queue.NewPagePool(p.tree.PageSize(), pageBudget)
 	if err != nil { // impossible: Open rejects non-positive page sizes
 		panic(err)
 	}
@@ -424,17 +477,15 @@ func (p *player) start() {
 // diskLoop is the disk process: it reads whole IB-tree pages into
 // pooled refcounted buffers and queues packet descriptors that alias
 // the page memory (read-ahead / double buffering). It blocks — parked
-// on a channel, not polling — when the queue is full or every pool
-// page is still in flight.
+// on a channel, not polling — when the queue is full or the page budget
+// is spent.
 func (p *player) diskLoop(q *queue.SPSC[descriptor], diskDone chan struct{}) {
 	defer close(diskDone)
 	enqueue := func(d descriptor) bool {
 		for !q.Enqueue(d) {
 			select {
 			case <-p.cancel:
-				if d.page != nil {
-					d.page.Release()
-				}
+				p.drop(d)
 				return false
 			case <-p.space:
 			}
@@ -479,7 +530,7 @@ func (p *player) diskLoop(q *queue.SPSC[descriptor], diskDone chan struct{}) {
 			return
 		}
 		if page == nil {
-			return // cancelled while waiting for a free page
+			return // cancelled while waiting for the page or for the budget
 		}
 		if p.cache != nil {
 			p.cache.PlayerAt(p.cname, p.id, next)
@@ -487,7 +538,7 @@ func (p *player) diskLoop(q *queue.SPSC[descriptor], diskDone chan struct{}) {
 		for {
 			span, ok, err := cur.Next()
 			if err != nil {
-				page.Release()
+				p.unpin(page)
 				p.s.m.logf("stream %d: read: %v", p.s.spec.Stream, err)
 				enqueue(descriptor{eof: true})
 				return
@@ -506,7 +557,7 @@ func (p *player) diskLoop(q *queue.SPSC[descriptor], diskDone chan struct{}) {
 			}
 			page.Retain() // the descriptor's reference
 			if !enqueue(descriptor{t: span.Time, ch: ch, page: page, off: off, n: n}) {
-				page.Release() // drop the disk process's own hold too
+				p.unpin(page) // drop the disk process's own hold too
 				return
 			}
 			if d := span.Time - lastT; d > 0 {
@@ -514,9 +565,12 @@ func (p *player) diskLoop(q *queue.SPSC[descriptor], diskDone chan struct{}) {
 			}
 			lastT = span.Time
 		}
-		// Drop the disk process's hold; outstanding descriptors keep the
-		// page alive until the network process sends the last of them.
-		page.Release()
+		// The disk process's hold follows the page's packets through the
+		// queue: the network process drops it, and with it the page's
+		// place in the budget, when it has sent the last of them.
+		if !enqueue(descriptor{page: page, done: true}) {
+			return
+		}
 	}
 }
 
@@ -536,7 +590,7 @@ func (p *player) netLoop(q *queue.SPSC[descriptor], diskDone chan struct{}) {
 		}()
 	}
 	// drain releases the page references still queued when the session
-	// ends, so every pool page is accounted for at teardown.
+	// ends, so every page is accounted for at teardown.
 	drain := func() {
 		<-diskDone // the disk process exits promptly once cancel closes
 		for {
@@ -544,9 +598,7 @@ func (p *player) netLoop(q *queue.SPSC[descriptor], diskDone chan struct{}) {
 			if !ok {
 				return
 			}
-			if d.page != nil {
-				d.page.Release()
-			}
+			p.drop(d)
 		}
 	}
 	// The session's single pacing timer, armed per packet that needs
@@ -571,10 +623,12 @@ func (p *player) netLoop(q *queue.SPSC[descriptor], diskDone chan struct{}) {
 				continue
 			}
 		}
-		select {
-		case p.space <- struct{}{}:
-		default:
+		if d.done {
+			p.sent.Add(1)
+			p.unpin(d.page) // nudges space for the slot and the page alike
+			continue
 		}
+		p.nudgeSpace()
 		// Pace first — EOF descriptors carry a timestamp just past the
 		// final packet, so end-of-stream is announced on the delivery
 		// timeline, never before the last datagram has been sent.
@@ -587,9 +641,7 @@ func (p *player) netLoop(q *queue.SPSC[descriptor], diskDone chan struct{}) {
 				if !timer.Stop() {
 					<-timer.C
 				}
-				if d.page != nil {
-					d.page.Release()
-				}
+				p.drop(d)
 				drain()
 				return
 			case <-timer.C:

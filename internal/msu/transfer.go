@@ -13,7 +13,7 @@ import (
 // dedicated TCP transfer listener accepts pull requests from peer MSUs
 // and streams committed content files block by block. Reads ride the
 // per-volume I/O schedulers with a deadline transferReadLag behind now,
-// so in the deadline-banded C-SCAN rounds every live stream's read
+// so in the deadline-banded C-SCAN service every live stream's read
 // sorts ahead of the copy — the copy consumes idle disk time only
 // (bounded by the scheduler's staleness guarantee, so it still makes
 // progress under sustained load).

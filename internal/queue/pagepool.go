@@ -9,12 +9,18 @@ import (
 // MSU's "does its own memory management" store (§2.3). The disk process
 // fills whole pages from the IB-tree; the network process transmits
 // packets straight out of those pages; the page returns to the pool when
-// the last reference drops. The pool never grows: Get blocks when all
-// pages are in flight, which is exactly the bounded read-ahead (double
-// buffering) the paper's disk process runs under.
+// the last reference drops. The pool never grows past its count: Get
+// blocks when all pages are in flight. A player's pool is sized to its
+// page budget (msu.pageBudget), so it can always hold the bounded
+// read-ahead (double buffering) the paper's disk process runs under,
+// whatever the cache can spare.
 type PagePool struct {
 	size int
 	free chan *PageRef
+	// made counts the pages created so far, at most cap(free): a page's
+	// memory is allocated the first time the pool is found empty, so a
+	// stream that ends after one page never pays for the rest.
+	made atomic.Int32
 }
 
 // PageRef is one reference-counted page buffer. A Get hands it out with
@@ -29,17 +35,14 @@ type PageRef struct {
 	refs atomic.Int32
 }
 
-// NewPagePool returns a pool of count pages of size bytes each, all
-// allocated up front so the steady-state data path never allocates.
+// NewPagePool returns a pool of up to count pages of size bytes each.
+// Pages are created on first use and recycled from then on, so the
+// steady-state data path never allocates.
 func NewPagePool(size, count int) (*PagePool, error) {
 	if size <= 0 || count <= 0 {
 		return nil, fmt.Errorf("queue: invalid page pool size %d x %d", size, count)
 	}
-	p := &PagePool{size: size, free: make(chan *PageRef, count)}
-	for i := 0; i < count; i++ {
-		p.free <- &PageRef{pool: p, buf: make([]byte, size)}
-	}
-	return p, nil
+	return &PagePool{size: size, free: make(chan *PageRef, count)}, nil
 }
 
 // PageSize reports the size of each page in the pool.
@@ -48,20 +51,18 @@ func (p *PagePool) PageSize() int { return p.size }
 // Cap reports the pool's total page count.
 func (p *PagePool) Cap() int { return cap(p.free) }
 
-// Free reports how many pages are currently idle in the pool. Pages
-// held by callers (including long-lived cache pins) are not free.
-func (p *PagePool) Free() int { return len(p.free) }
+// Free reports how many pages a caller could take right now: idle ones
+// and those not created yet. Pages held by callers (including
+// long-lived cache pins) are not free.
+func (p *PagePool) Free() int { return cap(p.free) - int(p.made.Load()) + len(p.free) }
 
 // Get returns a page with one reference, blocking until a page is free
 // or cancel is closed (nil on cancel). This block is the read-ahead
 // bound: a disk process can run at most the pool's page count ahead of
 // the network process.
 func (p *PagePool) Get(cancel <-chan struct{}) *PageRef {
-	select {
-	case r := <-p.free:
-		r.refs.Store(1)
+	if r := p.TryGet(); r != nil {
 		return r
-	default:
 	}
 	select {
 	case r := <-p.free:
@@ -79,8 +80,15 @@ func (p *PagePool) TryGet() *PageRef {
 		r.refs.Store(1)
 		return r
 	default:
-		return nil
 	}
+	for n := p.made.Load(); int(n) < cap(p.free); n = p.made.Load() {
+		if p.made.CompareAndSwap(n, n+1) {
+			r := &PageRef{pool: p, buf: make([]byte, p.size)}
+			r.refs.Store(1)
+			return r
+		}
+	}
+	return nil
 }
 
 // Bytes returns the page buffer. The caller must hold a reference.

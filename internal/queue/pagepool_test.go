@@ -131,3 +131,45 @@ func TestPagePoolConcurrentRefs(t *testing.T) {
 		}
 	}
 }
+
+// TestPagePoolCreatesOnFirstUse exercises the creation edge under
+// -race: a fresh pool owns no page memory, concurrent TryGet/Release
+// never have more than Cap pages out or in existence, and every page
+// created is back when they are done.
+func TestPagePoolCreatesOnFirstUse(t *testing.T) {
+	const pages, workers, rounds = 3, 8, 500
+	p, _ := NewPagePool(64, pages)
+	if p.Free() != pages || p.Cap() != pages || len(p.free) != 0 {
+		t.Fatalf("fresh pool: Free %d Cap %d, %d pages created; want %d, %d, 0", p.Free(), p.Cap(), len(p.free), pages, pages)
+	}
+	var wg sync.WaitGroup
+	var mu sync.Mutex
+	seen := make(map[*PageRef]bool)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				r := p.TryGet()
+				if r == nil {
+					continue
+				}
+				if free := p.Free(); free < 0 || free >= pages {
+					t.Errorf("Free() = %d with a page out of a pool of %d", free, pages)
+				}
+				r.Bytes()[0]++ // -race: no two holders of one page
+				mu.Lock()
+				seen[r] = true
+				mu.Unlock()
+				r.Release()
+			}
+		}()
+	}
+	wg.Wait()
+	if len(seen) == 0 || len(seen) > pages {
+		t.Fatalf("%d distinct pages handed out of a pool of %d", len(seen), pages)
+	}
+	if p.Free() != pages || len(p.free) != len(seen) {
+		t.Fatalf("after the run: Free %d, %d idle pages; want %d, %d", p.Free(), len(p.free), pages, len(seen))
+	}
+}

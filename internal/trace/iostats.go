@@ -4,15 +4,16 @@ import "fmt"
 
 // IOSchedStats is a point-in-time snapshot of one volume's I/O
 // scheduler counters (internal/iosched): how many page requests were
-// served, how they grouped into C-SCAN rounds, how much head travel the
-// elevator ordering spent, and how the deadlines fared. The MSU ships
+// served, in how many C-SCAN sweeps, how much head travel the elevator
+// ordering spent, and how the deadlines fared. The MSU ships
 // these to the Coordinator alongside cache reports; calliope-client
 // status prints them per disk.
 type IOSchedStats struct {
 	// Requests counts page reads submitted to the scheduler.
 	Requests int64 `json:"requests"`
-	// Rounds counts C-SCAN service rounds; Requests/Rounds is the mean
-	// round size.
+	// Rounds counts C-SCAN sweeps: the first transfer and every wrap of
+	// the head back to a lower offset. Requests/Rounds is the mean
+	// number of requests served per sweep.
 	Rounds int64 `json:"rounds"`
 	// Reads counts device transfers issued; Requests-Reads requests
 	// were coalesced into a neighbouring transfer.
@@ -25,8 +26,10 @@ type IOSchedStats struct {
 	SeekBytes int64 `json:"seekBytes"`
 	// QueuePeak is the deepest pending queue observed.
 	QueuePeak int64 `json:"queuePeak"`
-	// Late counts requests completed after their deadline; MaxLateMs is
-	// the worst lateness observed, in milliseconds.
+	// Late counts read-ahead that under-ran: requests completed after a
+	// deadline that was still ahead when they were submitted (a request
+	// already due at submission — a stream's first page — is urgent, not
+	// late). MaxLateMs is the worst such lateness, in milliseconds.
 	Late      int64 `json:"late"`
 	MaxLateMs int64 `json:"maxLateMs"`
 }
@@ -69,7 +72,7 @@ func (s IOSchedStats) Add(o IOSchedStats) IOSchedStats {
 	return out
 }
 
-// RoundSize reports the mean requests per round, 0 with no rounds.
+// RoundSize reports the mean requests per sweep, 0 with no sweeps.
 func (s IOSchedStats) RoundSize() float64 {
 	if s.Rounds > 0 {
 		return float64(s.Requests) / float64(s.Rounds)

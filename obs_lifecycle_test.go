@@ -91,6 +91,12 @@ func TestObservabilityLifecycle(t *testing.T) {
 		}
 	}
 
+	// readahead_pinned_pages is the MSUs' page-budget ledger: with every
+	// stream ended, a page still counted there is a page a player leaked.
+	if v, ok := metrics["readahead_pinned_pages"]; !ok || v != 0 {
+		t.Errorf("readahead_pinned_pages = %d (present: %v) with the streams idle, want 0", v, ok)
+	}
+
 	// The stream's timeline: admitted, dispatched, migrated, ended —
 	// in sequence order.
 	streamID := uint64(stream.Info().Streams[0].Stream)
