@@ -51,12 +51,15 @@ faults:
 # one package per run): journal replay and snapshot decoding never
 # panic on arbitrary bytes and keep only what replays to the same
 # tables; a control-message frame is refused or survives re-encoding; a
-# disk's metadata region is refused or mounts with every block owned once.
+# disk's metadata region is refused or mounts with every block owned once;
+# a data page is refused or cut into spans that lie inside it, the same
+# through LoadPage and AttachPage.
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz='^FuzzReplayJournal$$' -fuzztime=3s ./internal/admindb
 	$(GO) test -run=NONE -fuzz='^FuzzSnapshotDecode$$' -fuzztime=3s ./internal/admindb
 	$(GO) test -run=NONE -fuzz='^FuzzReadMessage$$' -fuzztime=3s ./internal/wire
 	$(GO) test -run=NONE -fuzz='^FuzzMount$$' -fuzztime=3s ./internal/msufs
+	$(GO) test -run=NONE -fuzz='^FuzzAttachPage$$' -fuzztime=3s ./internal/ibtree
 
 # The demand-driven replication subsystem: copy-engine framing, the
 # MSU transfer path, the Coordinator placement policy, and the
@@ -88,7 +91,8 @@ bench-smoke:
 # page-granular ibtree cursor and what positioning it costs from the
 # start, through the resident index and cold (DESIGN.md §3d), and what
 # the disk scheduler's re-pick between two transfers costs at queue
-# depths 1, 32 and 256 (§3g; 0 allocs/op).
+# depths 1, 32 and 256, and a pick that joins a ring of four with its
+# scatter list (`adjacent`) (§3g; 0 allocs/op each).
 bench-path:
 	$(GO) test -run=NONE -bench='PlayerDeliveryPath|PageCursorNext|CursorNext|SeekTime|PageCursorAt|SchedulerPick' -benchmem ./internal/msu ./internal/ibtree ./internal/iosched
 
@@ -98,9 +102,10 @@ bench-path:
 bench-cache:
 	$(GO) test -run='HotReplay' -bench='HotReplay|Cache' -benchmem ./internal/msu ./internal/cache
 
-# The §2.2.1/§2.3.3 live-path I/O scheduler: C-SCAN service on a
-# mechanically-modelled Sim volume, 24 readers (two sessions; CI's
-# bench-smoke runs one).
+# The §2.2.1/§2.3.3 live-path I/O scheduler on a mechanically-modelled
+# Sim volume, 24 readers: `sched` flat out on the sped-up disk (C-SCAN,
+# one band), `backlog` paced on a disk that cannot keep up (rings queue
+# and ride as runs). Two sessions each, ~7 s; CI's bench-smoke runs one.
 bench-iosched:
 	$(GO) test -run=NONE -bench='IOSched' -benchtime=2x -benchmem ./internal/msu
 

@@ -43,7 +43,7 @@ func (m *memFile) BlockLen(i int64) int {
 
 // buildTree appends n packets at the given interval with payloads
 // identifying their index.
-func buildTree(t *testing.T, f BlockFile, pageSize, maxKeys, n int, interval time.Duration, payloadLen int) Meta {
+func buildTree(t testing.TB, f BlockFile, pageSize, maxKeys, n int, interval time.Duration, payloadLen int) Meta {
 	t.Helper()
 	b, err := NewBuilder(f, pageSize, maxKeys)
 	if err != nil {

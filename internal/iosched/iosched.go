@@ -16,9 +16,14 @@
 // wrapping to the lowest offset when nothing lies ahead). Because the
 // band is recomputed per transfer, an urgent arrival waits for the one
 // transfer in flight and never for a sweep of comfortable read-ahead.
-// Device-adjacent requests of the band coalesce into a single larger
-// transfer (blockdev.VectorReader) that scatters into each request's
-// own buffer, preserving the zero-copy contract.
+// A pending request that starts exactly where the transfer ends rides it
+// as one vectored read (blockdev.VectorReader) scattered into each
+// request's own buffer, up to maxRun requests: always when it is of the
+// band, and whatever its deadline when the disk is contended — more are
+// waiting than one transfer can carry, so the positioning time a longer
+// transfer saves goes to someone still in line. A disk that keeps up
+// has one page a stream pending and nothing to join; one that is behind
+// holds each stream's ring and reads runs, not pages.
 //
 // The scheduler is deterministic-time: it never reads the wall clock
 // itself (deadline lateness uses the injected Options.Now) and it uses
@@ -46,6 +51,10 @@ var ErrClosed = errors.New("iosched: scheduler closed")
 // letting a lagging stream's page queue behind a full sweep of
 // comfortable ones.
 const DefaultSlack = 250 * time.Millisecond
+
+// maxRun caps one transfer: a player's whole read-ahead ring (1 MB of
+// 256 KB pages), which is also the longest an urgent arrival waits.
+const maxRun = 4
 
 // A Request is one page read: fill Buf from the device at Off, wanted
 // by Deadline (the delivery time of the page's first packet; the zero
@@ -92,9 +101,11 @@ type Scheduler struct {
 	stats   trace.IOSchedStats
 
 	// Loop-owned: the device offset after the last transfer, and the
-	// transfer being assembled (reused, so a pick allocates nothing).
+	// transfer being assembled with its scatter list (reused, so a pick
+	// and a transfer allocate nothing).
 	head  int64
 	group []*Request
+	bufs  [maxRun][]byte
 
 	wake chan struct{}
 	quit chan struct{}
@@ -198,8 +209,8 @@ func (s *Scheduler) loop() {
 // pick takes the next transfer off the queue: among the requests
 // within DefaultSlack of the earliest pending deadline, the one at the
 // lowest offset at or past the head — or, with none ahead, the lowest
-// of all, which starts a new sweep — extended over every request of
-// the band that continues it on the device. Returns nil on an empty
+// of all, which starts a new sweep — extended over the requests that
+// continue it on the device (see continues). Returns nil on an empty
 // queue.
 func (s *Scheduler) pick() []*Request {
 	s.mu.Lock()
@@ -238,7 +249,8 @@ func (s *Scheduler) pick() []*Request {
 		seek = -seek
 	}
 	s.group = s.group[:0]
-	for i := first; i >= 0; i = s.continues(limit) {
+	contended := len(s.pending) > maxRun // whatever this transfer takes, someone is still in line
+	for i := first; i >= 0; i = s.continues(limit, contended) {
 		r := s.pending[i]
 		last := len(s.pending) - 1
 		s.pending[i] = s.pending[last]
@@ -253,11 +265,18 @@ func (s *Scheduler) pick() []*Request {
 	return s.group
 }
 
-// continues finds a pending request of the band that starts exactly
-// where the transfer being assembled ends, or -1.
-func (s *Scheduler) continues(limit time.Time) int {
+// continues finds a pending request that starts exactly where the
+// transfer being assembled ends and may ride it, or -1: one of the
+// band, or on a contended disk any — there the arm time saved goes to
+// whoever is in line, while an idle or lightly loaded disk keeps
+// one-page transfers and so the cut-in latency of a new viewer's first
+// page.
+func (s *Scheduler) continues(limit time.Time, contended bool) int {
+	if len(s.group) == maxRun {
+		return -1
+	}
 	for i, r := range s.pending {
-		if r.Off == s.head && !r.Deadline.After(limit) {
+		if r.Off == s.head && (contended || !r.Deadline.After(limit)) {
 			return i
 		}
 	}
@@ -270,7 +289,7 @@ func (s *Scheduler) transfer(group []*Request) {
 	if len(group) == 1 {
 		err = s.dev.ReadAt(group[0].Buf, group[0].Off)
 	} else {
-		bufs := make([][]byte, len(group))
+		bufs := s.bufs[:len(group)]
 		for i, r := range group {
 			bufs[i] = r.Buf
 		}
@@ -278,6 +297,7 @@ func (s *Scheduler) transfer(group []*Request) {
 		// every rider (the fallback path in ReadVector stops at the
 		// first failing buffer).
 		err = blockdev.ReadVector(s.dev, group[0].Off, bufs...)
+		clear(bufs) // retain no page memory between transfers
 	}
 	for i, r := range group {
 		group[i] = nil // the request, and the page under it, are the caller's again

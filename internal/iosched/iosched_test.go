@@ -125,18 +125,8 @@ func TestCSCANOrder(t *testing.T) {
 // TestCoalesce verifies device-adjacent requests of one band become a
 // single device transfer that scatters into each request's own buffer.
 func TestCoalesce(t *testing.T) {
-	inner := mem(t, 64)
-	for blk := int64(0); blk < 64; blk++ {
-		buf := make([]byte, bs)
-		for i := range buf {
-			buf[i] = byte(blk)
-		}
-		if err := inner.WriteAt(buf, blk*bs); err != nil {
-			t.Fatal(err)
-		}
-	}
 	gate := make(chan struct{})
-	gd := &gateDev{inner: inner, gate: gate, started: make(chan int64, 64)}
+	gd := &gateDev{inner: numbered(t, 64), gate: gate, started: make(chan int64, 64)}
 	counting := blockdev.NewCounting(gd)
 	s := iosched.New(counting, iosched.Options{})
 	defer s.Close()

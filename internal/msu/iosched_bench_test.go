@@ -2,7 +2,7 @@ package msu
 
 // BenchmarkIOSched measures the per-disk I/O scheduler on the live
 // delivery path (§2.2.1): 24 concurrent players over one Sim-backed
-// volume, reading through scheduler rounds (C-SCAN + coalescing via the
+// volume, reading through the scheduler (C-SCAN + coalescing via the
 // prefetch ring). The Sim device serializes transfers on one mechanical
 // model — seek curve, rotational latency, media rate — scaled down by
 // TimeScale. The unscheduled path this once ran beside is gone; its
@@ -13,9 +13,11 @@ package msu
 import (
 	"fmt"
 	"testing"
+	"time"
 
 	"calliope/internal/blockdev"
 	"calliope/internal/core"
+	"calliope/internal/media"
 	"calliope/internal/msufs"
 	"calliope/internal/units"
 )
@@ -34,6 +36,11 @@ const (
 	// seek-vs-transfer proportions — and the elevator's win — survive
 	// the scaling.
 	benchSimScale = 100
+	// benchBacklogPackets and benchBacklogInterval are the backlog case's
+	// titles: 128 packets of 4 KB, one every 20 ms — ~1.6 Mbit/s, ~9
+	// pages of 320 ms, 2.6 s of content.
+	benchBacklogPackets  = 128
+	benchBacklogInterval = 20 * time.Millisecond
 )
 
 // newTestMSU is newBenchMSU with test lifecycle management.
@@ -69,16 +76,34 @@ func runSession(tb testing.TB, streams []*stream) {
 
 // BenchmarkIOSched measures scheduler service at 24 concurrent readers.
 // One op is one full session: every reader plays its own title end to
-// end. Alongside ns/op it reports the Sim's head travel per session —
-// the deterministic quantity C-SCAN shrinks.
+// end. Alongside ns/op and MB/s it reports the Sim's transfers and head
+// travel per session — the quantities coalescing and C-SCAN shrink.
+//
+// sched plays flat out on the disk sped up a hundredfold: every page is
+// due at once, one band, and no queue outlives a sweep. backlog is the
+// contended disk: the 1996 mechanism at its own speed (~16 ms a 64 KB
+// page, ~4 MB/s page by page) under 24 paced readers of ~1.6 Mbit/s —
+// ~4.9 MB/s, with a title's pages 320 ms, more than a deadline band,
+// apart. The disk falls behind, each reader's ring queues, and what a
+// session takes is what the scheduler makes of that queue.
 func BenchmarkIOSched(b *testing.B) {
-	vol, err := newSimVolume(64*int64(units.MB), benchSimScale)
+	b.Run("sched", func(b *testing.B) { benchIOSched(b, benchSimScale, flatPackets(benchPacketsPerTitle)) })
+	b.Run("backlog", func(b *testing.B) {
+		pkts := flatPackets(benchBacklogPackets)
+		for i := range pkts {
+			pkts[i].Time = time.Duration(i) * benchBacklogInterval
+		}
+		benchIOSched(b, 1, pkts)
+	})
+}
+
+func benchIOSched(b *testing.B, scale float64, pkts []media.Packet) {
+	vol, err := newSimVolume(64*int64(units.MB), scale)
 	if err != nil {
 		b.Fatal(err)
 	}
 	sim := vol.Device().(*blockdev.Sim)
 	m := newTestMSU(b, -1, false, vol)
-	pkts := flatPackets(benchPacketsPerTitle)
 	streams := make([]*stream, benchReaders)
 	for i := range streams {
 		name := fmt.Sprintf("title-%02d", i)
@@ -88,7 +113,7 @@ func BenchmarkIOSched(b *testing.B) {
 		streams[i] = openTestStream(b, m, 0, core.StreamID(i+1), name)
 	}
 	seekBase, opsBase := sim.SeekBytes(), sim.Ops()
-	b.SetBytes(int64(benchReaders) * benchPacketsPerTitle * 4096)
+	b.SetBytes(int64(benchReaders) * int64(len(pkts)) * 4096)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		runSession(b, streams)

@@ -255,8 +255,7 @@ func newDeliveryBench(cache units.ByteSize) (*stream, func(), error) {
 // measureDelivery times whole sessions of a newDeliveryBench stream.
 // One op is one delivered packet; allocations are amortized over the
 // whole run, so a steady-state zero-allocation path reports a small
-// fraction per packet (per-session set-up, and the scheduler's vector
-// for a coalesced transfer).
+// fraction per packet (per-session set-up).
 func measureDelivery(name string, s *stream, sessions int) (BenchResult, error) {
 	var before, after runtime.MemStats
 	runtime.GC()

@@ -1,5 +1,7 @@
 package msufs
 
+import "sort"
+
 // Store abstracts one *logical* disk as the MSU sees it: either a
 // single Volume (the paper's layout — every file on one disk) or a
 // StripeSet (the §2.3.3 alternative — consecutive blocks on adjacent
@@ -113,15 +115,28 @@ func (s stripeStore) SetAttrs(name string, attrs map[string]string) error {
 	return s.s.vols[0].SetAttrs(name, attrs)
 }
 
-// List enumerates the stripe's files via the anchor volume (which
-// holds the attributes), with logical sizes.
+// List enumerates the stripe's files with logical sizes: the union of
+// the members' names, because a create or a remove cut short between
+// members leaves a name on some of them only. Such a name does not Stat
+// as a whole striped file and is listed as what it is — uncommitted,
+// without attributes — so nothing takes it for content and the MSU's
+// start-up sweep removes what there is of it.
 func (s stripeStore) List() []FileInfo {
-	base := s.s.vols[0].List()
-	out := make([]FileInfo, 0, len(base))
-	for _, fi := range base {
-		if full, err := s.Stat(fi.Name); err == nil {
+	seen := make(map[string]bool)
+	var out []FileInfo
+	for _, v := range s.s.vols {
+		for _, fi := range v.List() {
+			if seen[fi.Name] {
+				continue
+			}
+			seen[fi.Name] = true
+			full, err := s.Stat(fi.Name)
+			if err != nil {
+				full = FileInfo{Name: fi.Name}
+			}
 			out = append(out, full)
 		}
 	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
 }

@@ -2,6 +2,7 @@ package msufs
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"testing"
 	"testing/quick"
@@ -199,5 +200,53 @@ func TestStripedStoreRemoveAndList(t *testing.T) {
 	}
 	if len(s.List()) != 0 {
 		t.Fatal("file survived remove")
+	}
+}
+
+// TestStripedStoreListsHalfMadeFiles: a striped create or remove cut
+// short between members leaves a name on some volumes only. List shows
+// it — bare, so no rule takes it for content, whatever the part on the
+// anchor claims — and Remove gives back the blocks it holds.
+func TestStripedStoreListsHalfMadeFiles(t *testing.T) {
+	s := newStripedStoreN(t, 2)
+	vols := s.(stripeStore).s.vols
+	f, err := s.Create("whole", 2*64*1024, map[string]string{"k": "v"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	free := s.FreeBlocks()
+	head, err := vols[0].Create("head", 2*64*1024, map[string]string{"type": "mpeg1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := head.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := vols[1].Create("tail", 2*64*1024, nil); err != nil {
+		t.Fatal(err)
+	}
+
+	l := s.List()
+	if len(l) != 3 || l[0].Name != "head" || l[1].Name != "tail" || l[2].Name != "whole" {
+		t.Fatalf("List = %+v, want head, tail and whole", l)
+	}
+	for _, fi := range l[:2] {
+		if fi.Committed || len(fi.Attrs) != 0 {
+			t.Errorf("half-made %q listed as %+v, want it uncommitted and without attributes", fi.Name, fi)
+		}
+	}
+	if !l[2].Committed || l[2].Attrs["k"] != "v" {
+		t.Errorf("whole file listed as %+v", l[2])
+	}
+	for _, name := range []string{"head", "tail"} {
+		if err := s.Remove(name); err != nil && !errors.Is(err, ErrNotFound) {
+			t.Fatal(err)
+		}
+	}
+	if got := s.FreeBlocks(); got != free || len(s.List()) != 1 {
+		t.Fatalf("%d free blocks and %d files after removing the halves, want %d and 1", got, len(s.List()), free)
 	}
 }
