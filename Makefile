@@ -47,19 +47,22 @@ leakcheck:
 faults:
 	$(GO) test -race -timeout 120s -run 'Fault|Failover|Redispatch|Reconnect|MSUDown|Lost|Restart|FailedCommit|ReplayIdempotent|ReplayUnstamped|PR15Fixture|Orphan|Corrupt|PlanStep|LedgerConservation|RecordPlacement|QueuedPlayWakes|CloseWakes|CutAll|QuitIsAcknowledged|StopKeeps|SweepOnStartup' . ./internal/coordinator ./internal/client ./internal/msu ./internal/msufs ./internal/faultinject ./internal/admindb
 
-# Three seconds of each fuzz target (go test takes one -fuzz target and
+# Three seconds of each of the six fuzz targets (go test takes one -fuzz target and
 # one package per run): journal replay and snapshot decoding never
 # panic on arbitrary bytes and keep only what replays to the same
 # tables; a control-message frame is refused or survives re-encoding; a
 # disk's metadata region is refused or mounts with every block owned once;
 # a data page is refused or cut into spans that lie inside it, the same
-# through LoadPage and AttachPage.
+# through LoadPage, AttachPage and — head first, at any valid mark —
+# AttachHead and Raise; an index node is refused or decodes to what it
+# serializes back to.
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz='^FuzzReplayJournal$$' -fuzztime=3s ./internal/admindb
 	$(GO) test -run=NONE -fuzz='^FuzzSnapshotDecode$$' -fuzztime=3s ./internal/admindb
 	$(GO) test -run=NONE -fuzz='^FuzzReadMessage$$' -fuzztime=3s ./internal/wire
 	$(GO) test -run=NONE -fuzz='^FuzzMount$$' -fuzztime=3s ./internal/msufs
 	$(GO) test -run=NONE -fuzz='^FuzzAttachPage$$' -fuzztime=3s ./internal/ibtree
+	$(GO) test -run=NONE -fuzz='^FuzzReadNode$$' -fuzztime=3s ./internal/ibtree
 
 # The demand-driven replication subsystem: copy-engine framing, the
 # MSU transfer path, the Coordinator placement policy, and the
@@ -106,8 +109,12 @@ bench-cache:
 # Sim volume, 24 readers: `sched` flat out on the sped-up disk (C-SCAN,
 # one band), `backlog` paced on a disk that cannot keep up (rings queue
 # and ride as runs). Two sessions each, ~7 s; CI's bench-smoke runs one.
+# FirstPacket is the other end of the same disk: Play → first datagram
+# for a cold viewer, ms/op, on the disk idle and beside page writes made
+# outside the scheduler (head first: ~11 and ~22; a whole page: ~41, ~54).
 bench-iosched:
 	$(GO) test -run=NONE -bench='IOSched' -benchtime=2x -benchmem ./internal/msu
+	$(GO) test -run=NONE -bench='FirstPacket' -benchtime=20x ./internal/msu
 
 # The viewer-side benchmark BENCHMARK.json declares (bench/README.md):
 # every workload against a real Coordinator, MSU and receivers, rows to

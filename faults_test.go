@@ -20,6 +20,13 @@ import (
 // enabling Cluster.RestartCoordinator.
 func faultCluster(t *testing.T, n int, dur, queueTimeout time.Duration, stateDir string) (*Cluster, []*faultinject.Injector) {
 	t.Helper()
+	return faultClusterOn(t, n, dur, queueTimeout, stateDir, nil)
+}
+
+// faultClusterOn is faultCluster with every disk's device wrapped by wrap
+// (nil for none) before it is formatted.
+func faultClusterOn(t *testing.T, n int, dur, queueTimeout time.Duration, stateDir string, wrap func(msuIdx, diskIdx int, dev blockdev.BlockDevice) blockdev.BlockDevice) (*Cluster, []*faultinject.Injector) {
+	t.Helper()
 	pkts := shortMovie(t, dur)
 	inj := make([]*faultinject.Injector, n)
 	for i := range inj {
@@ -30,6 +37,7 @@ func faultCluster(t *testing.T, n int, dur, queueTimeout time.Duration, stateDir
 		BlockSize:    64 * 1024,
 		QueueTimeout: queueTimeout,
 		StateDir:     stateDir,
+		WrapDevice:   wrap,
 		MSUDial: func(i int) func(network, address string) (net.Conn, error) {
 			return inj[i].Dial(nil)
 		},

@@ -6,10 +6,12 @@ package coordinator
 
 import (
 	"encoding/json"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"calliope/internal/core"
+	"calliope/internal/obs"
 	"calliope/internal/trace"
 	"calliope/internal/units"
 	"calliope/internal/wire"
@@ -37,11 +39,16 @@ func fakeMSUPeerNet(t *testing.T, c *Coordinator, id core.MSUID, contents []wire
 	return p
 }
 
+// reportSeq numbers the cache reports the tests' hand-rolled MSUs send:
+// one counter for all of them keeps each one's reports in order.
+var reportSeq atomic.Uint64
+
 // reportWarm advertises the content as fully cached on disk 0. Sent as
 // a Call so the test proceeds only after the Coordinator applied it.
 func reportWarm(t *testing.T, mp *wire.Peer, name string, players int) {
 	t.Helper()
 	err := mp.Call(wire.TypeCacheReport, wire.CacheReport{
+		Seq:   reportSeq.Add(1),
 		Disk:  0,
 		Stats: trace.CacheStats{Hits: 10, Misses: 1, Inserts: 1},
 		Coverage: []wire.ContentCoverage{
@@ -191,5 +198,43 @@ func TestWarmPlayReleaseAccounting(t *testing.T) {
 	st = status(t, p)
 	if st.Snapshot.Gauge(wire.GaugeActiveStreams) != 0 || st.Disks[0].BandwidthUsed != 0 || st.Net[0].Used != 0 {
 		t.Fatalf("after release: streams=%d disk=%v net=%v", st.Snapshot.Gauge(wire.GaugeActiveStreams), st.Disks[0].BandwidthUsed, st.Net[0].Used)
+	}
+}
+
+// TestStaleCacheReportDropped: two players stopping at once can put an
+// MSU's cumulative snapshots on the wire out of order. The older one,
+// arriving second, is dropped — differenced against the newer it would
+// read as a counter reset and its packets would be counted again — and
+// the report after it is differenced against the newest merged.
+func TestStaleCacheReportDropped(t *testing.T) {
+	c := startCoordinator(t, Config{})
+	mp := fakeMSUPeerNet(t, c, "m1", nil, 1500*units.Kbps, 4500*units.Kbps)
+	report := func(seq uint64, packets int64, hits int64) {
+		t.Helper()
+		snap := obs.Snapshot{Counters: map[string]int64{"delivery_packets_total": packets}}
+		err := mp.Call(wire.TypeCacheReport, wire.CacheReport{Seq: seq, Disk: 0, Obs: &snap, Stats: trace.CacheStats{Hits: hits}}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	merged := func() int64 { return c.ObsSnapshot().Counter("delivery_packets_total") }
+	base := reportSeq.Add(3) - 3
+	report(base+2, 500, 50) // taken second, arrives first
+	if n := merged(); n != 500 {
+		t.Fatalf("delivery_packets_total = %d after the first report, want 500", n)
+	}
+	report(base+1, 300, 30) // taken first, arrives second
+	if n := merged(); n != 500 {
+		t.Errorf("delivery_packets_total = %d after a stale report of 300, want 500 still", n)
+	}
+	c.mu.Lock()
+	hits := c.msus["m1"].disks[0].cache.Hits
+	c.mu.Unlock()
+	if hits != 50 {
+		t.Errorf("the disk's cache figures are the stale report's (%d hits), want the newer one's 50", hits)
+	}
+	report(base+3, 650, 65)
+	if n := merged(); n != 650 {
+		t.Errorf("delivery_packets_total = %d after the next report of 650, want 650", n)
 	}
 }

@@ -175,8 +175,11 @@ type msuState struct {
 	disks        []*diskState
 	// lastObs is the MSU's last cumulative metrics snapshot; cacheReport
 	// merges only the delta since it into the cluster registry, so lost
-	// reports and MSU restarts never double-count.
-	lastObs obs.Snapshot
+	// reports and MSU restarts never double-count. lastReport is the
+	// sequence number of the last report taken from this registration of
+	// the MSU (a restarted MSU registers afresh and numbers from 1 again).
+	lastObs    obs.Snapshot
+	lastReport uint64
 	// net is the MSU's NIC delivery budget. Every play stream reserves
 	// from it; warmly cached plays reserve ONLY from it, so the RAM
 	// cache multiplies capacity past the disks' duty-cycle limit.
@@ -646,6 +649,13 @@ func (ctx *connCtx) cacheReport(req wire.CacheReport) {
 	if c.msus[m.id] != m || req.Disk < 0 || req.Disk >= len(m.disks) {
 		return
 	}
+	if req.Seq <= m.lastReport {
+		// Overtaken on the wire by a report taken after it: its cumulative
+		// figures are older than what is already merged, and differencing
+		// against them would read as a counter reset.
+		return
+	}
+	m.lastReport = req.Seq
 	d := m.disks[req.Disk]
 	d.cache = req.Stats
 	d.io = req.IO

@@ -239,7 +239,7 @@ func TestRestartEquivalence(t *testing.T) {
 				Disk: 0, Size: 640 * units.KB, Bytes: int64(640 * units.KB)})
 		case k == 7:
 			what = "cache report"
-			if err := liveMSU().Call(wire.TypeCacheReport, wire.CacheReport{Disk: 0}, nil); err != nil {
+			if err := liveMSU().Call(wire.TypeCacheReport, wire.CacheReport{Seq: reportSeq.Add(1), Disk: 0}, nil); err != nil {
 				t.Fatal(err)
 			}
 			waitFor(t, "cold-replica drop", func() bool {

@@ -104,3 +104,80 @@ func TestAttachPageRejectsGarbage(t *testing.T) {
 		t.Fatalf("LoadPage after refusals: %v %v", ok, err)
 	}
 }
+
+// TestAttachHeadMatchesAttachPage walks every page of a tree head first,
+// at marks from the page header to the page's end: what comes out below
+// the mark and after it is raised is what AttachPage yields, no span
+// yielded before the raise reaches past the mark, and the bytes above it
+// — not the page's until then — are never read.
+func TestAttachHeadMatchesAttachPage(t *testing.T) {
+	const pageSize = 4096
+	f := newMemFile(pageSize)
+	meta := buildTree(t, f, pageSize, 4, 3000, time.Millisecond, 64)
+	tr, err := Open(f, pageSize, meta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, mark := range []int{pageHdrLen, pageHdrLen + 1, pageHdrLen + packetHdrLen, 100, pageSize / 8, pageSize - 1, pageSize} {
+		whole, err := tr.PageCursorAt(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		head, err := tr.PageCursorAt(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf := make([]byte, pageSize)
+		arriving := make([]byte, pageSize)
+		for {
+			ok, err := whole.LoadPage(buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			copy(arriving, buf[:mark])
+			clear(arriving[mark:])
+			hok, err := head.AttachHead(arriving, mark)
+			if err != nil || hok != ok {
+				t.Fatalf("mark %d: AttachHead = %v, %v; LoadPage = %v", mark, hok, err, ok)
+			}
+			if !ok {
+				break
+			}
+			raised := mark == pageSize
+			for {
+				hs, hok, herr := head.Next()
+				if herr == nil && !hok && head.Short() {
+					if raised {
+						t.Fatalf("mark %d, page %d: short of a mark at the page's end", mark, head.Page())
+					}
+					raised = true
+					copy(arriving[mark:], buf[mark:])
+					head.Raise(pageSize)
+					hs, hok, herr = head.Next()
+				}
+				ws, wok, werr := whole.Next()
+				if werr != nil || herr != nil {
+					t.Fatalf("mark %d: Next: %v / %v", mark, werr, herr)
+				}
+				if ws != hs || wok != hok {
+					t.Fatalf("mark %d, page %d: %+v, %v head first, %+v, %v whole", mark, head.Page(), hs, hok, ws, wok)
+				}
+				if !wok {
+					break
+				}
+				if !raised && hs.Start+hs.Len > mark {
+					t.Fatalf("mark %d: span %+v reaches past it", mark, hs)
+				}
+			}
+		}
+	}
+	pc, err := tr.PageCursorAt(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, mark := range []int{-1, pageHdrLen - 1, pageSize + 1} {
+		if ok, err := pc.AttachHead(make([]byte, pageSize), mark); ok || err == nil {
+			t.Errorf("AttachHead took a valid mark of %d", mark)
+		}
+	}
+}

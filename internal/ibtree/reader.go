@@ -298,7 +298,10 @@ type PageCursor struct {
 	cur  int64  // currently/most recently loaded page; -1 before the first
 	buf  []byte // caller's buffer holding the current page; nil between pages
 	off  int
-	skip time.Duration // suppress packets with Time < skip (seek tail)
+	// valid is the mark below which buf holds the page: all of it, except
+	// while a page attached head first (AttachHead) is still arriving.
+	valid int
+	skip  time.Duration // suppress packets with Time < skip (seek tail)
 }
 
 // PageCursorAt returns a page cursor positioned so that the first span
@@ -346,6 +349,7 @@ func (c *PageCursor) LoadPage(buf []byte) (bool, error) {
 	}
 	c.buf = buf
 	c.off = pageHdrLen
+	c.valid = len(buf)
 	c.cur = c.next
 	c.next++
 	return true, nil
@@ -373,8 +377,20 @@ func (c *PageCursor) NextPage() int64 {
 // re-verified so a mis-keyed cache entry surfaces as corruption
 // instead of garbage spans. Returns false past the last page.
 func (c *PageCursor) AttachPage(buf []byte) (bool, error) {
+	return c.AttachHead(buf, len(buf))
+}
+
+// AttachHead is AttachPage for a page that is still arriving: buf is
+// the whole page's buffer, of which only the first valid bytes are in
+// yet. Next yields the spans that lie wholly below that mark and then
+// stops short (see Short) without losing its place; Raise moves the
+// mark as more of the page lands. Nothing above the mark is looked at.
+func (c *PageCursor) AttachHead(buf []byte, valid int) (bool, error) {
 	if len(buf) != c.t.pageSize {
 		return false, fmt.Errorf("ibtree: AttachPage buffer is %d bytes, page size is %d", len(buf), c.t.pageSize)
+	}
+	if valid < pageHdrLen || valid > len(buf) {
+		return false, fmt.Errorf("ibtree: valid mark %d outside a page of %d bytes", valid, len(buf))
 	}
 	c.buf = nil
 	if c.next >= c.t.meta.Pages {
@@ -385,31 +401,52 @@ func (c *PageCursor) AttachPage(buf []byte) (bool, error) {
 	}
 	c.buf = buf
 	c.off = pageHdrLen
+	c.valid = valid
 	c.cur = c.next
 	c.next++
 	return true, nil
 }
 
+// Raise moves the valid mark of the page attached with AttachHead up to
+// valid (the page's length once all of it is in); Next carries on from
+// the record it stopped short of.
+func (c *PageCursor) Raise(valid int) {
+	if c.buf != nil && valid > c.valid {
+		c.valid = min(valid, len(c.buf))
+	}
+}
+
+// Short reports, after Next has said there is no span, whether that is
+// because the next record reaches past the valid mark — the page is not
+// finished, Raise and ask again — and not because the page is done.
+func (c *PageCursor) Short() bool { return c.buf != nil }
+
 // Next yields the next packet span within the currently loaded page.
-// ok == false means the page is exhausted: LoadPage the next one.
-// Embedded internal pages are read past without being interpreted, as
-// the paper's sequential scan does.
+// ok == false means the page is exhausted: LoadPage the next one (or,
+// on a page attached head first, that the valid mark is reached: see
+// Short). Embedded internal pages are read past without being
+// interpreted, as the paper's sequential scan does.
 func (c *PageCursor) Next() (span PacketSpan, ok bool, err error) {
 	for c.buf != nil {
-		if c.off+1 > len(c.buf) || c.buf[c.off] == kindEnd {
-			c.buf = nil // page exhausted; spans already yielded stay valid
+		if c.off+1 > c.valid {
+			if c.valid == len(c.buf) {
+				c.buf = nil // page exhausted; spans already yielded stay valid
+			}
 			return PacketSpan{}, false, nil
 		}
 		switch c.buf[c.off] {
+		case kindEnd:
+			c.buf = nil // page exhausted; spans already yielded stay valid
+			return PacketSpan{}, false, nil
 		case kindPacket:
-			if c.off+packetHdrLen > len(c.buf) {
-				return PacketSpan{}, false, fmt.Errorf("%w: truncated packet header on page %d", ErrCorrupt, c.cur)
+			if c.off+packetHdrLen > c.valid {
+				return PacketSpan{}, false, c.past("truncated packet header")
 			}
 			n := int(binary.BigEndian.Uint32(c.buf[c.off+4 : c.off+8]))
 			tm := time.Duration(binary.BigEndian.Uint64(c.buf[c.off+8 : c.off+16]))
 			start := c.off + packetHdrLen
-			if start+n > len(c.buf) {
-				return PacketSpan{}, false, fmt.Errorf("%w: packet overruns page %d", ErrCorrupt, c.cur)
+			if start+n > c.valid {
+				return PacketSpan{}, false, c.past("packet overruns the page")
 			}
 			c.off = start + n
 			if tm < c.skip {
@@ -418,8 +455,8 @@ func (c *PageCursor) Next() (span PacketSpan, ok bool, err error) {
 			c.skip = 0
 			return PacketSpan{Time: tm, Start: start, Len: n}, true, nil
 		case kindInternal:
-			if c.off+embedHdrLen > len(c.buf) {
-				return PacketSpan{}, false, fmt.Errorf("%w: truncated embed header on page %d", ErrCorrupt, c.cur)
+			if c.off+embedHdrLen > c.valid {
+				return PacketSpan{}, false, c.past("truncated embed header")
 			}
 			n := int(binary.BigEndian.Uint32(c.buf[c.off+4 : c.off+8]))
 			c.off += embedHdrLen + n
@@ -428,4 +465,15 @@ func (c *PageCursor) Next() (span PacketSpan, ok bool, err error) {
 		}
 	}
 	return PacketSpan{}, false, nil
+}
+
+// past is Next's answer to a record that reaches beyond the valid mark.
+// While the page is still arriving that is no error: the cursor stays on
+// the record, and it is read again once Raise has moved the mark. On a
+// whole page it is the corruption it always was.
+func (c *PageCursor) past(what string) error {
+	if c.valid < len(c.buf) {
+		return nil
+	}
+	return fmt.Errorf("%w: %s on page %d", ErrCorrupt, what, c.cur)
 }

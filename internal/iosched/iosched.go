@@ -25,6 +25,13 @@
 // has one page a stream pending and nothing to join; one that is behind
 // holds each stream's ring and reads runs, not pages.
 //
+// A request may ask to be read head first (Request.Head): the transfer
+// it leads is then two back-to-back device calls — its first Head bytes,
+// a signal to the submitter, then the rest of it and whatever rides —
+// with no pick in between, so the arm moves exactly as it would have for
+// one call and a viewer's first packets leave while the rest of the page
+// is still coming off the platter.
+//
 // The scheduler is deterministic-time: it never reads the wall clock
 // itself (deadline lateness uses the injected Options.Now) and it uses
 // no timers — the loop is work-conserving, woken by submissions, and
@@ -74,10 +81,22 @@ type Request struct {
 	C        chan *Request
 	Err      error
 
+	// Head, when between 0 and len(Buf), asks for the read to be made
+	// head first: Buf[:Head] in one device call, then HeadC is told (nil,
+	// or the error that is about to fail the request), then the rest.
+	// HeadC must be buffered and gets exactly one value before C does,
+	// whatever becomes of the request; a request that rides another's
+	// transfer instead of leading its own is read whole and hears on
+	// HeadC when it completes. Buf stays the scheduler's until C.
+	Head  int
+	HeadC chan error
+
 	// due records that Deadline had already passed at Submit (a stream's
 	// first page is wanted "now"): such a request is urgent, and no
 	// service time could have made it punctual, so it is not counted late.
 	due bool
+	// told records that HeadC has had its value.
+	told bool
 }
 
 // Options configures a Scheduler.
@@ -130,13 +149,16 @@ func (s *Scheduler) Submit(r *Request) {
 	if r.C == nil || cap(r.C) == 0 {
 		panic("iosched: Request.C must be a buffered channel")
 	}
+	if r.headed() && cap(r.HeadC) == 0 {
+		panic("iosched: Request.HeadC must be a buffered channel")
+	}
 	r.Err = nil
+	r.told = false
 	r.due = s.opts.Now != nil && !r.Deadline.IsZero() && !s.opts.Now().Before(r.Deadline)
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
-		r.Err = ErrClosed
-		r.C <- r
+		r.finish(ErrClosed)
 		return
 	}
 	if !s.started {
@@ -283,22 +305,58 @@ func (s *Scheduler) continues(limit time.Time, contended bool) int {
 	return -1
 }
 
-// transfer services one coalesced group and completes its requests.
+// headed reports whether r asks to be read head first.
+func (r *Request) headed() bool { return r.Head > 0 && r.Head < len(r.Buf) }
+
+// tellHead gives HeadC its one value, if r asked to be read head first
+// and has not heard yet.
+func (r *Request) tellHead(err error) {
+	if r.headed() && !r.told {
+		r.told = true
+		r.HeadC <- err
+	}
+}
+
+// finish hands r back with err: on HeadC if that is still owed, then on C.
+func (r *Request) finish(err error) {
+	r.tellHead(err)
+	r.Err = err
+	r.C <- r
+}
+
+// transfer services one coalesced group and completes its requests: one
+// device call, or two when the request leading it is read head first.
 func (s *Scheduler) transfer(group []*Request) {
+	lead := group[0]
+	bufs := s.bufs[:len(group)]
+	for i, r := range group {
+		bufs[i] = r.Buf
+	}
+	off := lead.Off
 	var err error
-	if len(group) == 1 {
-		err = s.dev.ReadAt(group[0].Buf, group[0].Off)
-	} else {
-		bufs := s.bufs[:len(group)]
-		for i, r := range group {
-			bufs[i] = r.Buf
+	if lead.headed() {
+		// The rest starts where the head ended, so the device positions
+		// once; nothing is picked in between, so nothing moves the arm.
+		if err = s.dev.ReadAt(lead.Buf[:lead.Head], off); err == nil {
+			s.mu.Lock()
+			s.stats.Reads++ // the second device call, about to be made
+			s.mu.Unlock()
 		}
+		lead.tellHead(err)
+		bufs[0] = lead.Buf[lead.Head:]
+		off += int64(lead.Head)
+	}
+	switch {
+	case err != nil: // the head failed: the transfer ends there
+	case len(bufs) == 1:
+		err = s.dev.ReadAt(bufs[0], off)
+	default:
 		// A coalesced transfer shares one fate: a device error fails
 		// every rider (the fallback path in ReadVector stops at the
 		// first failing buffer).
-		err = blockdev.ReadVector(s.dev, group[0].Off, bufs...)
-		clear(bufs) // retain no page memory between transfers
+		err = blockdev.ReadVector(s.dev, off, bufs...)
 	}
+	clear(bufs) // retain no page memory between transfers
 	for i, r := range group {
 		group[i] = nil // the request, and the page under it, are the caller's again
 		s.complete(r, err)
@@ -306,7 +364,7 @@ func (s *Scheduler) transfer(group []*Request) {
 }
 
 // complete finishes one request: lateness accounting, then hand the
-// request back on its channel.
+// request back on its channels.
 func (s *Scheduler) complete(r *Request, err error) {
 	if s.opts.Now != nil && !r.Deadline.IsZero() && !r.due {
 		if late := s.opts.Now().Sub(r.Deadline); late > 0 {
@@ -318,8 +376,7 @@ func (s *Scheduler) complete(r *Request, err error) {
 			s.mu.Unlock()
 		}
 	}
-	r.Err = err
-	r.C <- r
+	r.finish(err)
 }
 
 // failPending completes everything still queued with ErrClosed, so no
@@ -330,7 +387,6 @@ func (s *Scheduler) failPending() {
 	s.pending = nil
 	s.mu.Unlock()
 	for _, r := range pending {
-		r.Err = ErrClosed
-		r.C <- r
+		r.finish(ErrClosed)
 	}
 }

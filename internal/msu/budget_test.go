@@ -1,6 +1,7 @@
 package msu
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -14,22 +15,31 @@ import (
 )
 
 // gatedDev is the device under the budget test's volume: it counts the
-// reads that reach it and, while held, parks each one until the test
-// lets it through. It deliberately does not implement
-// blockdev.VectorReader, so every page read is one ReadAt.
+// pages asked of it — the device calls that begin on a block, so a page
+// read head first is one, like any other — and, while held, parks each
+// call until the test lets it through. It deliberately does not
+// implement blockdev.VectorReader, so every page read whole is one
+// ReadAt.
 type gatedDev struct {
 	blockdev.BlockDevice
+	blockSize int64 // blocks start on its multiples: the metadata region is a whole number of them
 
 	mu     sync.Mutex
-	reads  int
-	parked int           // reads waiting at the gate
-	gate   chan struct{} // non-nil while held: a send lets one read through, close all
+	pages  int
+	parked int           // calls waiting at the gate
+	gate   chan struct{} // non-nil while held: a send lets one call through, close all
+	bad    int64         // a call at this offset fails, once through the gate; 0 for none
 }
+
+var errGatedMedia = errors.New("media error")
 
 func (d *gatedDev) ReadAt(p []byte, off int64) error {
 	d.mu.Lock()
-	d.reads++
+	if off%d.blockSize == 0 {
+		d.pages++
+	}
 	g := d.gate
+	fail := off == d.bad
 	if g != nil {
 		d.parked++
 	}
@@ -40,7 +50,18 @@ func (d *gatedDev) ReadAt(p []byte, off int64) error {
 		d.parked--
 		d.mu.Unlock()
 	}
+	if fail {
+		return errGatedMedia
+	}
 	return d.BlockDevice.ReadAt(p, off)
+}
+
+// failAt makes every call at off fail; 0 (the superblock, which no
+// player reads) makes none.
+func (d *gatedDev) failAt(off int64) {
+	d.mu.Lock()
+	d.bad = off
+	d.mu.Unlock()
 }
 
 func (d *gatedDev) hold() {
@@ -63,7 +84,23 @@ func (d *gatedDev) open() {
 func (d *gatedDev) count() int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.reads
+	return d.pages
+}
+
+// awaitParked waits for a call to be parked at the gate.
+func (d *gatedDev) awaitParked(t *testing.T, when string) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		d.mu.Lock()
+		parked := d.parked
+		d.mu.Unlock()
+		if parked > 0 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%s: no read reached the device", when)
+		}
+	}
 }
 
 // budgetRig is a vcrRig over a gatedDev with what the budget test
@@ -73,6 +110,41 @@ type budgetRig struct {
 	*vcrRig
 	dev   *gatedDev
 	cache *cache.Cache
+}
+
+// newBudgetRig is an MSU built by New over one gated, page-counting
+// volume of 64 KB blocks, with the cache on or off.
+func newBudgetRig(t *testing.T, cacheBytes units.ByteSize) *budgetRig {
+	t.Helper()
+	const blockSize = 64 * 1024
+	mem, err := blockdev.NewMem(32 * int64(units.MB))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dev := &gatedDev{BlockDevice: mem, blockSize: blockSize}
+	vol, err := msufs.Format(dev, msufs.Options{BlockSize: blockSize})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := &budgetRig{vcrRig: newVCRRigOn(t, Config{Volumes: []*msufs.Volume{vol}, CacheBytes: cacheBytes}), dev: dev}
+	r.cache = r.m.cacheFor(0)
+	t.Cleanup(dev.open) // runs before the rig closes its MSU, which waits for reads in flight
+	return r
+}
+
+// ingest stores one 6 Mbit/s title for each name: a 64 KB page plays for
+// ~85 ms.
+func (r *budgetRig) ingest(pktSize int, titles map[string]time.Duration) {
+	r.t.Helper()
+	for title, dur := range titles {
+		pkts, err := media.GenerateCBR(media.CBRConfig{Rate: 6 * units.Mbps, PacketSize: pktSize, FPS: 30, GOP: 15, Duration: dur})
+		if err != nil {
+			r.t.Fatal(err)
+		}
+		if err := Ingest(r.m.stores[0], title, "mpeg1", pkts); err != nil {
+			r.t.Fatal(err)
+		}
+	}
 }
 
 // held is how many pages the player pins, counted without its own
@@ -116,19 +188,10 @@ func (r *budgetRig) player(prev *player) *player {
 // what the player has asked of the disk by then: one page.
 func (r *budgetRig) firstReadHeld(p *player, requestsBefore int64, when string) {
 	r.t.Helper()
-	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
-		r.dev.mu.Lock()
-		parked := r.dev.parked
-		r.dev.mu.Unlock()
-		if parked > 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			r.t.Fatalf("%s: no read reached the device", when)
-		}
-	}
-	// The disk process is parked on this read's completion, so nothing
-	// below can change until the gate lets it through.
+	r.dev.awaitParked(r.t, when)
+	// The disk process is parked on this read — on its head, or with the
+	// head cut on its tail — so nothing below can change until the gate
+	// lets it through.
 	if n := r.m.ioStats(0).Requests - requestsBefore; n != 1 {
 		r.t.Errorf("%s: %d page reads submitted before the first page is in RAM, want 1", when, n)
 	}
@@ -160,7 +223,8 @@ func (r *budgetRig) allBack(p *player, when string) {
 // TestPageBudgetAndRamp pins the one bound on a player's lead. On an
 // MSU built by New, over a real VCR connection, for packets from 4 KB
 // to 512 B and with the cache on and off: one page is read before the
-// first datagram leaves; a play that is quit right after its first
+// first datagram leaves, and of that page only the head — the rest is
+// still held at the device; a play that is quit right after its first
 // packet has read at most two; the pages a player pins never exceed
 // pageBudget and its reads never lead what it has sent in full by more
 // than two pages plus one for each page sent; a seek starts again at one
@@ -176,30 +240,11 @@ func TestPageBudgetAndRamp(t *testing.T) {
 }
 
 func testPageBudget(t *testing.T, pktSize int, cacheBytes units.ByteSize) {
-	const blockSize = 64 * 1024
-	mem, err := blockdev.NewMem(32 * int64(units.MB))
-	if err != nil {
-		t.Fatal(err)
-	}
-	dev := &gatedDev{BlockDevice: mem}
-	vol, err := msufs.Format(dev, msufs.Options{BlockSize: blockSize})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := &budgetRig{vcrRig: newVCRRigOn(t, Config{Volumes: []*msufs.Volume{vol}, CacheBytes: cacheBytes}), dev: dev}
-	r.cache = r.m.cacheFor(0)
-	t.Cleanup(dev.open) // runs before the rig closes its MSU, which waits for reads in flight
+	r := newBudgetRig(t, cacheBytes)
+	dev := r.dev
 	// 6 Mbit/s: a 64 KB page plays for ~85 ms, so the ramp opens within
 	// the test's patience and no page is sent in full within a quit's.
-	for title, dur := range map[string]time.Duration{"quit": 2 * time.Second, "ramp": 8 * time.Second, "eof": 500 * time.Millisecond, "cancel": 2 * time.Second} {
-		pkts, err := media.GenerateCBR(media.CBRConfig{Rate: 6 * units.Mbps, PacketSize: pktSize, FPS: 30, GOP: 15, Duration: dur})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := Ingest(r.m.stores[0], title, "mpeg1", pkts); err != nil {
-			t.Fatal(err)
-		}
-	}
+	r.ingest(pktSize, map[string]time.Duration{"quit": 2 * time.Second, "ramp": 8 * time.Second, "eof": 500 * time.Millisecond, "cancel": 2 * time.Second})
 	datagram := func(when string) {
 		t.Helper()
 		buf := make([]byte, 8192)
@@ -209,15 +254,20 @@ func testPageBudget(t *testing.T, pktSize int, cacheBytes units.ByteSize) {
 		}
 	}
 
-	// One page is enough for the first datagram, and a play quit right
-	// after it has read at most two.
+	// The head of one page is enough for the first datagram — the rest of
+	// the page is still at the gate, and nothing more has been asked for —
+	// and a play quit right after it has read at most two pages.
 	dev.hold()
 	before, reads := r.m.ioStats(0).Requests, dev.count()
 	peer := r.play("quit")
 	p := r.player(nil)
 	r.firstReadHeld(p, before, "play")
 	dev.gate <- struct{}{}
-	datagram("with one page read")
+	datagram("with the head of one page read")
+	r.firstReadHeld(p, before, "play, the head let through")
+	if n := dev.count() - reads; n != 1 {
+		t.Errorf("%d pages asked of the device with the first page's tail held, want 1", n)
+	}
 	r.vcr(peer, "quit", 0)
 	dev.open()
 	peer.Close() //nolint:errcheck // the MSU closes its end too

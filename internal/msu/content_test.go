@@ -17,22 +17,29 @@ import (
 	"calliope/internal/wire"
 )
 
-// readLog is the device under a test volume: it counts the transfers
-// that reach it (a coalesced read is one) and which blocks each covered.
+// readLog is the device under a test volume: it counts the device calls
+// that reach it (a coalesced read is one; a page read head first is two,
+// of which only the first begins on a block) and which blocks each began.
+// Blocks start on multiples of blockSize: the volume's metadata region is
+// a whole number of them.
 type readLog struct {
 	blockdev.BlockDevice
 	blockSize int64
 
 	mu    sync.Mutex
 	reads int64
-	at    map[int64]int // device offset of a block → transfers that read it
+	begun int64         // calls that began on a block: transfers, not the tail halves of them
+	at    map[int64]int // device offset of a block → calls that read it from its first byte
 }
 
 func (d *readLog) log(off, n int64) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.reads++
-	for o := off; o < off+n; o += d.blockSize {
+	if off%d.blockSize == 0 {
+		d.begun++
+	}
+	for o := (off + d.blockSize - 1) / d.blockSize * d.blockSize; o < off+n; o += d.blockSize {
 		d.at[o]++
 	}
 }
@@ -55,6 +62,13 @@ func (d *readLog) total() int64 {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return d.reads
+}
+
+// transfers is how many of those calls began a transfer.
+func (d *readLog) transfers() int64 {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.begun
 }
 
 // blocksRead is how many blocks those transfers covered between them.
@@ -200,17 +214,23 @@ func (r *vcrRig) drained() {
 		n := len(r.m.streams)
 		r.m.mu.Unlock()
 		if n == 0 {
-			buf := make([]byte, 4096)
-			for err := error(nil); err == nil; {
-				r.sink.SetReadDeadline(time.Now().Add(5 * time.Millisecond)) //nolint:errcheck
-				_, _, err = r.sink.ReadFromUDP(buf)
-			}
+			r.emptySink()
 			return
 		}
 		if time.Now().After(deadline) {
 			r.t.Fatalf("%d streams linger after quit", n)
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// emptySink reads off what the MSU has already sent; call it once no
+// player is sending.
+func (r *vcrRig) emptySink() {
+	buf := make([]byte, 4096)
+	for err := error(nil); err == nil; {
+		r.sink.SetReadDeadline(time.Now().Add(5 * time.Millisecond)) //nolint:errcheck
+		_, _, err = r.sink.ReadFromUDP(buf)
 	}
 }
 

@@ -21,8 +21,11 @@ type fetcher struct {
 	p     *player
 	pages int64 // total pages in the tree
 	next  int64 // next page index to stage
-	// primed is set once the first page is in RAM (see budget).
+	// primed is set once the first page is in RAM, all of it (see budget).
 	primed bool
+	// half is set while the ring's one slot is a first page whose head is
+	// in and attached and whose tail is still on the device (see tail).
+	half bool
 	// pageDur approximates one page's play time, for deadlines; epoch
 	// anchors them to the delivery timeline (an estimate of netLoop's
 	// epoch — deadlines order scheduler service, they are not
@@ -79,8 +82,8 @@ func (f *fetcher) deadline(idx int64) time.Time {
 
 // budget is how many pages the player may pin right now. It is ramped
 // by what has been sent, not by what could be read: one page until the
-// first is in RAM (nothing queues behind the page a new viewer is
-// waiting for), two until a page has gone out in full, one more for
+// first is in RAM, tail and all (nothing queues behind the page a new
+// viewer is waiting for), two until a page has gone out in full, one more for
 // each page sent after that, up to pageBudget. A seek, resume or speed
 // change is a fresh player and starts again at one, so a stream that is
 // moved or dropped early has read one or two pages, not a ring of them.
@@ -117,6 +120,29 @@ func (f *fetcher) nextPage(cur *ibtree.PageCursor, want int64) (*queue.PageRef, 
 		f.fill()
 	}
 	slot := &f.slots[f.head]
+	if slot.pending && slot.req.HeadC != nil {
+		select {
+		case <-p.cancel:
+			return nil, nil
+		case herr := <-slot.req.HeadC:
+			// A head that failed has its completion right behind it.
+			f.half = herr == nil
+		}
+	}
+	if f.half {
+		// The head of the first page is in and the rest is on its way:
+		// cut what is here. The slot stays staged, and the page stays the
+		// ring's, until tail has taken the completion: on any way out
+		// before that, abort waits for the device and then unpins.
+		ok, aerr := cur.AttachHead(slot.page.Bytes(), slot.req.Head)
+		if aerr == nil && !ok { // impossible: NextPage said this page exists
+			aerr = fmt.Errorf("msu: page %d vanished mid-read", want)
+		}
+		if aerr != nil {
+			return nil, aerr
+		}
+		return slot.page, nil
+	}
 	if slot.pending {
 		select {
 		case <-p.cancel:
@@ -128,12 +154,7 @@ func (f *fetcher) nextPage(cur *ibtree.PageCursor, want int64) (*queue.PageRef, 
 			slot.err = req.Err
 		}
 	}
-	page := slot.page
-	err := slot.err
-	hit, insert := slot.hit, slot.insert
-	slot.page = nil
-	f.head = (f.head + 1) % len(f.slots)
-	f.n--
+	page, hit, insert, err := f.pop()
 	if err != nil {
 		p.unpin(page)
 		return nil, err
@@ -154,16 +175,63 @@ func (f *fetcher) nextPage(cur *ibtree.PageCursor, want int64) (*queue.PageRef, 
 		}
 		return nil, aerr
 	}
+	f.landed(page, want, hit, insert)
+	return page, nil
+}
+
+// pop takes the ring's head slot, whose read is done with, off the ring.
+// The pin on its page is the caller's now.
+func (f *fetcher) pop() (page *queue.PageRef, hit, insert bool, err error) {
+	slot := &f.slots[f.head]
+	page, slot.page = slot.page, nil
+	f.head = (f.head + 1) % len(f.slots)
+	f.n--
+	return page, slot.hit, slot.insert, slot.err
+}
+
+// landed books a page that is in RAM whole and attached: the counters,
+// the cache (so a follower never finds half a page there) and the step
+// up in budget.
+func (f *fetcher) landed(page *queue.PageRef, idx int64, hit, insert bool) {
+	p := f.p
 	if hit {
 		p.s.m.obs.cacheHits.Inc()
 	} else {
 		p.s.m.obs.pagesRead.Inc()
 	}
 	if insert {
-		p.cache.Insert(p.cname, want, page)
+		p.cache.Insert(p.cname, idx, page)
 	}
 	f.primed = true
-	return page, nil
+}
+
+// tail waits for the rest of the first page, whose head nextPage
+// attached, and lets the cursor at it. From here the page is the
+// caller's to unpin or hand on, as after nextPage — on an error too.
+// It does not watch for a cancel: the page is the scheduler's until the
+// device is done with it, and abort would have to wait just as long.
+func (f *fetcher) tail(cur *ibtree.PageCursor) error {
+	slot := &f.slots[f.head]
+	req := <-slot.c
+	slot.pending = false
+	slot.err = req.Err
+	f.half = false
+	page, _, insert, err := f.pop()
+	if err != nil {
+		return err
+	}
+	cur.Raise(len(page.Bytes()))
+	f.landed(page, slot.idx, false, insert)
+	return nil
+}
+
+// giveBack unpins a page the disk process got from nextPage and will not
+// queue — unless it is a first page still arriving, which is the ring's
+// (and, under it, the scheduler's) until abort.
+func (f *fetcher) giveBack(page *queue.PageRef) {
+	if !f.half {
+		f.p.unpin(page)
+	}
 }
 
 // fill tops up the ring as far as the budget has room.
@@ -202,6 +270,11 @@ func (f *fetcher) issueOne() {
 		}
 	}
 	slot.req = iosched.Request{Buf: slot.page.Bytes(), Deadline: f.deadline(idx), C: slot.c}
+	if !f.primed {
+		// The page a viewer is waiting on: head first, so its first
+		// packets leave while the rest is still coming off the platter.
+		slot.req.Head, slot.req.HeadC = len(slot.req.Buf)/headFraction, make(chan error, 1)
+	}
 	slot.err = p.s.m.submitRead(p.file, idx, &slot.req)
 	slot.pending = slot.err == nil
 }
@@ -216,10 +289,8 @@ func (f *fetcher) abort() {
 			<-slot.c
 			slot.pending = false
 		}
-		p := slot.page
-		slot.page = nil
-		f.p.unpin(p)
-		f.head = (f.head + 1) % len(f.slots)
-		f.n--
+		page, _, _, _ := f.pop()
+		f.p.unpin(page)
 	}
+	f.half = false
 }

@@ -119,6 +119,10 @@ type MSU struct {
 	storeVols [][]*msufs.Volume
 	// obs holds the MSU's metrics handles (obs.go).
 	obs msuMetrics
+	// reportMu orders cache reports: reportSeq and the cumulative figures
+	// a report carries are taken together under it (reportCache). A leaf.
+	reportMu  sync.Mutex
+	reportSeq uint64
 
 	// contents holds the one shared handle per opened content file
 	// (content.go). contentMu is a leaf: nothing is called under it but
@@ -257,14 +261,20 @@ func (m *MSU) ioStats(disk int) trace.IOSchedStats {
 // every report. Sent when heat changes: a player reaches EOF or stops.
 func (m *MSU) reportCache(disk int) {
 	c := m.cacheFor(disk)
+	// The number is taken with the figures, so a report with a higher one
+	// never carries older counters; the send is outside the lock, and the
+	// Coordinator drops what arrives out of order.
+	m.reportMu.Lock()
 	io := m.ioStats(disk)
 	if c == nil && io.Requests == 0 {
+		m.reportMu.Unlock()
 		return
 	}
+	m.reportSeq++
 	// Piggyback the MSU's cumulative metrics snapshot; the Coordinator
 	// diffs it against the last one it merged.
 	snap := m.obs.reg.Snapshot()
-	report := wire.CacheReport{Disk: disk, IO: io, Obs: &snap}
+	report := wire.CacheReport{Seq: m.reportSeq, Disk: disk, IO: io, Obs: &snap}
 	if c != nil {
 		report.Stats = c.Stats()
 		for _, cov := range c.Coverage() {
@@ -276,6 +286,7 @@ func (m *MSU) reportCache(disk int) {
 			})
 		}
 	}
+	m.reportMu.Unlock()
 	m.notifyCoordinator(wire.TypeCacheReport, report)
 }
 

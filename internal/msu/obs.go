@@ -1,6 +1,8 @@
 package msu
 
 import (
+	"time"
+
 	"calliope/internal/obs"
 )
 
@@ -27,13 +29,40 @@ type msuMetrics struct {
 	transferOut *obs.Counter // transfer_bytes_out_total (replication copy-outs)
 }
 
+// startupBuckets are delivery_startup_seconds' edges. What separates one
+// start from another is what it waited for on the disk: nothing (a cached
+// page: ~1 ms), one positioning and the head of a page (~15 ms on the
+// disk the bench models), a whole page (~45), a neighbour's transfer
+// ahead of that. obs.DefaultLatencyBuckets steps from 10 ms to 50 and
+// puts all but the first in one bucket; these step by a page transfer or
+// less across that range.
+var startupBuckets = []time.Duration{
+	100 * time.Microsecond,
+	500 * time.Microsecond,
+	time.Millisecond,
+	2 * time.Millisecond,
+	5 * time.Millisecond,
+	10 * time.Millisecond,
+	15 * time.Millisecond,
+	20 * time.Millisecond,
+	30 * time.Millisecond,
+	40 * time.Millisecond,
+	50 * time.Millisecond,
+	75 * time.Millisecond,
+	100 * time.Millisecond,
+	250 * time.Millisecond,
+	500 * time.Millisecond,
+	time.Second,
+	5 * time.Second,
+}
+
 func newMSUMetrics(r *obs.Registry) msuMetrics {
 	return msuMetrics{
 		reg:         r,
 		packets:     r.Counter("delivery_packets_total"),
 		bytes:       r.Counter("delivery_bytes_total"),
 		lateness:    r.Histogram("delivery_lateness_seconds", obs.DefaultLatencyBuckets),
-		startup:     r.Histogram("delivery_startup_seconds", obs.DefaultLatencyBuckets),
+		startup:     r.Histogram("delivery_startup_seconds", startupBuckets),
 		pagesRead:   r.Counter("disk_pages_read_total"),
 		cacheHits:   r.Counter("cache_page_hits_total"),
 		pinned:      r.Gauge("readahead_pinned_pages"),

@@ -350,7 +350,8 @@ type descriptor struct {
 }
 
 // player runs one delivery session, mirroring §2.3's MSU: a disk
-// process reading whole 256 KB blocks into buffers it manages itself, a
+// process reading whole 256 KB blocks into buffers it manages itself (the
+// first one head first: fetcher.tail), a
 // network process transmitting packets straight out of those buffers,
 // and a shared-memory queue of descriptors between them. Pages recycle
 // through a fixed refcounted pool and payloads are never copied, so the
@@ -410,6 +411,14 @@ const readAheadPages = 4
 // budget having room means a destination page is to hand even when the
 // cache can spare none.
 const pageBudget = readAheadPages + 2
+
+// headFraction is how much of a player's first page is read ahead of the
+// rest of it (fetcher.issueOne, fetcher.tail): an eighth, which at the
+// rates served plays for longer than the other seven take to follow it
+// off the platter (a 256 KB page at 6 Mbit/s: 32 KB play for 44 ms,
+// 224 KB transfer in 29), so the network process does not run dry in
+// between.
+const headFraction = 8
 
 // playerIDs distinguishes players in the cache's interval tracking;
 // a stream spawns a fresh player on every VCR transition.
@@ -537,8 +546,17 @@ func (p *player) diskLoop(q *queue.SPSC[descriptor], diskDone chan struct{}) {
 		}
 		for {
 			span, ok, err := cur.Next()
+			if err == nil && !ok && f.half {
+				// A first page, cut as far as its head reaches (or, a short
+				// last page, to its end inside the head): what was cut is
+				// on its way out, and the rest of the page follows — the
+				// page is not the disk process's to hand on until it has.
+				if err = f.tail(cur); err == nil {
+					continue
+				}
+			}
 			if err != nil {
-				p.unpin(page)
+				f.giveBack(page)
 				p.s.m.logf("stream %d: read: %v", p.s.spec.Stream, err)
 				enqueue(descriptor{eof: true})
 				return
@@ -557,7 +575,7 @@ func (p *player) diskLoop(q *queue.SPSC[descriptor], diskDone chan struct{}) {
 			}
 			page.Retain() // the descriptor's reference
 			if !enqueue(descriptor{t: span.Time, ch: ch, page: page, off: off, n: n}) {
-				p.unpin(page) // drop the disk process's own hold too
+				f.giveBack(page) // drop the disk process's own hold too
 				return
 			}
 			if d := span.Time - lastT; d > 0 {

@@ -15,8 +15,9 @@ type IOSchedStats struct {
 	// the head back to a lower offset. Requests/Rounds is the mean
 	// number of requests served per sweep.
 	Rounds int64 `json:"rounds"`
-	// Reads counts device transfers issued; Requests-Reads requests
-	// were coalesced into a neighbouring transfer.
+	// Reads counts the device calls issued: one a transfer, two for a
+	// transfer whose leading request was read head first. It is what a
+	// counting device under the scheduler must read too.
 	Reads int64 `json:"reads"`
 	// Coalesced counts requests that rode an adjacent request's
 	// transfer instead of issuing their own.

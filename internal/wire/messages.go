@@ -350,6 +350,12 @@ type ContentCoverage struct {
 // reaching EOF or tearing down). The Coordinator re-evaluates its
 // admission queue on every report.
 type CacheReport struct {
+	// Seq numbers the MSU's reports, all disks together, from 1 in the
+	// order their cumulative figures were taken. Two players stopping at
+	// once can put reports on the wire out of that order: the Coordinator
+	// drops one that is not newer than the last it took, instead of
+	// reading its smaller counters as a restart.
+	Seq      uint64            `json:"seq"`
 	Disk     int               `json:"disk"`
 	Stats    trace.CacheStats  `json:"stats"`
 	Coverage []ContentCoverage `json:"coverage,omitempty"`

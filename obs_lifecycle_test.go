@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"calliope/internal/blockdev"
 	"calliope/internal/obs"
 )
 
@@ -18,14 +19,52 @@ import (
 // Coordinator's HTTP endpoint: /metrics must expose non-zero admission
 // and delivery counters (the latter arrive as MSU deltas piggybacked
 // on cache reports), and /events must carry the stream's admit,
-// dispatch, migrate and EOF entries in order.
+// dispatch, migrate and EOF entries in order. The disks take 25 ms a
+// read, so a start that waits for one and a start out of the cache must
+// show in different buckets of delivery_startup_seconds.
 func TestObservabilityLifecycle(t *testing.T) {
-	cluster, inj := faultCluster(t, 2, 2*time.Second, 0, "")
+	cluster, inj := faultClusterOn(t, 2, 2*time.Second, 0, "", func(_, _ int, dev blockdev.BlockDevice) blockdev.BlockDevice {
+		return slowReads{dev, 25 * time.Millisecond}
+	})
+	srv := httptest.NewServer(cluster.Coordinator.HTTPHandler())
+	defer srv.Close()
 	c, err := Dial(cluster.Addr(), "olive")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
+
+	// A cold start and then a cached one, each on a port of its own. Ten
+	// packets are more than the head of the first page holds, so by then
+	// the page is whole and in the cache; each player's stop ships its
+	// start to the Coordinator, and both are waited for, because the MSU
+	// they ran on is about to crash.
+	for i, port := range []string{"cold", "cached"} {
+		early, err := NewReceiver("")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer early.Close()
+		if err := c.RegisterPort(port, "mpeg1", early.Addr(), ""); err != nil {
+			t.Fatal(err)
+		}
+		s, err := c.Play("movie", port, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !early.WaitCount(10, 5*time.Second) {
+			t.Fatalf("the %s stream never started", port)
+		}
+		if err := s.Quit(); err != nil {
+			t.Fatal(err)
+		}
+		for deadline := time.Now().Add(5 * time.Second); scrape(t, srv.URL)["delivery_startup_seconds_count"] <= int64(i); time.Sleep(20 * time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("the %s start never reached the Coordinator", port)
+			}
+		}
+	}
+
 	recv, err := NewReceiver("")
 	if err != nil {
 		t.Fatal(err)
@@ -57,24 +96,15 @@ func TestObservabilityLifecycle(t *testing.T) {
 	}
 	stream.Quit() //nolint:errcheck // the group may already be torn down at EOF
 
-	srv := httptest.NewServer(cluster.Coordinator.HTTPHandler())
-	defer srv.Close()
-
 	// Delivery counters reach the Coordinator asynchronously (deltas
 	// ride the surviving MSU's cache reports, and the EOF triggers
 	// one), and so does the end of the stream (the MSU acknowledges the
 	// Quit, then tears down and reports stream-ended), so poll the
 	// scrape until all three are visible.
-	metricRe := regexp.MustCompile(`(?m)^calliope_(\w+) (\d+)$`)
 	var metrics map[string]int64
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		body := httpGet(t, srv.URL+"/metrics")
-		metrics = make(map[string]int64)
-		for _, m := range metricRe.FindAllStringSubmatch(body, -1) {
-			v, _ := strconv.ParseInt(m[2], 10, 64)
-			metrics[m[1]] = v
-		}
+		metrics = scrape(t, srv.URL)
 		if metrics["admission_admitted_total"] > 0 && metrics["delivery_packets_total"] > 0 && metrics["streams_ended_total"] > 0 {
 			break
 		}
@@ -89,6 +119,15 @@ func TestObservabilityLifecycle(t *testing.T) {
 		if metrics[name] <= 0 {
 			t.Errorf("%s = %d, want > 0", name, metrics[name])
 		}
+	}
+
+	// The cached start took no read and the cold ones (the first play, and
+	// the migrated stream's on the other MSU) at least one of 25 ms: they
+	// lie either side of the 20 ms edge, which the default latency buckets
+	// (…10 ms, 50 ms…) do not have.
+	fast, ok := metrics[`delivery_startup_seconds_bucket{le="0.02"}`]
+	if slow := metrics["delivery_startup_seconds_count"] - fast; !ok || fast < 1 || slow < 1 {
+		t.Errorf("delivery_startup_seconds: %d starts within 20 ms (edge present: %v), %d over; want the cached start on one side and the cold ones on the other", fast, ok, slow)
 	}
 
 	// readahead_pinned_pages is the MSUs' page-budget ledger: with every
@@ -139,6 +178,31 @@ func TestObservabilityLifecycle(t *testing.T) {
 	if admits == 0 {
 		t.Errorf("no admit events on the timeline")
 	}
+}
+
+// slowReads delays every read call by d.
+type slowReads struct {
+	blockdev.BlockDevice
+	d time.Duration
+}
+
+func (s slowReads) ReadAt(p []byte, off int64) error {
+	time.Sleep(s.d)
+	return s.BlockDevice.ReadAt(p, off)
+}
+
+var metricRe = regexp.MustCompile(`(?m)^calliope_(\w+(?:\{[^}]*\})?) (\d+)$`)
+
+// scrape reads the Coordinator's /metrics: every integer sample by name,
+// a histogram's buckets with their label.
+func scrape(t *testing.T, url string) map[string]int64 {
+	t.Helper()
+	metrics := make(map[string]int64)
+	for _, m := range metricRe.FindAllStringSubmatch(httpGet(t, url+"/metrics"), -1) {
+		v, _ := strconv.ParseInt(m[2], 10, 64)
+		metrics[m[1]] = v
+	}
+	return metrics
 }
 
 func httpGet(t *testing.T, url string) string {
