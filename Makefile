@@ -47,7 +47,7 @@ leakcheck:
 faults:
 	$(GO) test -race -timeout 120s -run 'Fault|Failover|Redispatch|Reconnect|MSUDown|Lost|Restart|FailedCommit|ReplayIdempotent|ReplayUnstamped|PR15Fixture|Orphan|Corrupt|PlanStep|LedgerConservation|RecordPlacement|QueuedPlayWakes|CloseWakes|CutAll|QuitIsAcknowledged|StopKeeps|SweepOnStartup' . ./internal/coordinator ./internal/client ./internal/msu ./internal/msufs ./internal/faultinject ./internal/admindb
 
-# Three seconds of each of the six fuzz targets (go test takes one -fuzz target and
+# Three seconds of each of the seven fuzz targets (go test takes one -fuzz target and
 # one package per run): journal replay and snapshot decoding never
 # panic on arbitrary bytes and keep only what replays to the same
 # tables; a control-message frame is refused or survives re-encoding; a
@@ -55,7 +55,8 @@ faults:
 # a data page is refused or cut into spans that lie inside it, the same
 # through LoadPage, AttachPage and — head first, at any valid mark —
 # AttachHead and Raise; an index node is refused or decodes to what it
-# serializes back to.
+# serializes back to; a replication stream is refused or hands its sinks
+# only blocks that passed their CRC, in order.
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz='^FuzzReplayJournal$$' -fuzztime=3s ./internal/admindb
 	$(GO) test -run=NONE -fuzz='^FuzzSnapshotDecode$$' -fuzztime=3s ./internal/admindb
@@ -63,6 +64,7 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz='^FuzzMount$$' -fuzztime=3s ./internal/msufs
 	$(GO) test -run=NONE -fuzz='^FuzzAttachPage$$' -fuzztime=3s ./internal/ibtree
 	$(GO) test -run=NONE -fuzz='^FuzzReadNode$$' -fuzztime=3s ./internal/ibtree
+	$(GO) test -run=NONE -fuzz='^FuzzReceive$$' -fuzztime=3s ./internal/replicate
 
 # The demand-driven replication subsystem: copy-engine framing, the
 # MSU transfer path, the Coordinator placement policy, and the
@@ -111,10 +113,13 @@ bench-cache:
 # and ride as runs). Two sessions each, ~7 s; CI's bench-smoke runs one.
 # FirstPacket is the other end of the same disk: Play → first datagram
 # for a cold viewer, ms/op, on the disk idle and beside page writes made
-# outside the scheduler (head first: ~11 and ~22; a whole page: ~41, ~54).
+# outside the scheduler (head first: ~11 and ~22; a whole page: ~41, ~54),
+# and `resident`, from the title's head in RAM (~0.3). LoadHeads is what
+# that moved to start-up: New over 16 and 64 titles, ms/title (~11).
 bench-iosched:
 	$(GO) test -run=NONE -bench='IOSched' -benchtime=2x -benchmem ./internal/msu
 	$(GO) test -run=NONE -bench='FirstPacket' -benchtime=20x ./internal/msu
+	$(GO) test -run=NONE -bench='LoadHeads' -benchtime=5x ./internal/msu
 
 # The viewer-side benchmark BENCHMARK.json declares (bench/README.md):
 # every workload against a real Coordinator, MSU and receivers, rows to

@@ -356,6 +356,7 @@ func StartCluster(cfg ClusterConfig) (*Cluster, error) {
 			return nil, err
 		}
 		if err := m.Start(); err != nil {
+			m.Close() //nolint:errcheck // the Start error is the one reported
 			cl.Close()
 			return nil, err
 		}
@@ -405,6 +406,7 @@ func (c *Cluster) RestartMSU(idx int) (*msu.MSU, error) {
 		return nil, err
 	}
 	if err := m.Start(); err != nil {
+		m.Close() //nolint:errcheck // the Start error is the one reported
 		return nil, err
 	}
 	c.MSUs[idx] = m

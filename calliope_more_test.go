@@ -375,6 +375,7 @@ func newFaultyMSU(cluster *Cluster, vol *msufs.Volume) (*msu.MSU, error) {
 		return nil, err
 	}
 	if err := m.Start(); err != nil {
+		m.Close() //nolint:errcheck // the Start error is the one reported
 		return nil, err
 	}
 	return m, nil

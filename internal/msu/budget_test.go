@@ -26,15 +26,23 @@ type gatedDev struct {
 
 	mu     sync.Mutex
 	pages  int
+	calls  []devCall     // every call, in the order they arrived
 	parked int           // calls waiting at the gate
 	gate   chan struct{} // non-nil while held: a send lets one call through, close all
 	bad    int64         // a call at this offset fails, once through the gate; 0 for none
+}
+
+// devCall is one read as the device was asked for it.
+type devCall struct {
+	off int64
+	n   int
 }
 
 var errGatedMedia = errors.New("media error")
 
 func (d *gatedDev) ReadAt(p []byte, off int64) error {
 	d.mu.Lock()
+	d.calls = append(d.calls, devCall{off, len(p)})
 	if off%d.blockSize == 0 {
 		d.pages++
 	}
@@ -87,6 +95,13 @@ func (d *gatedDev) count() int {
 	return d.pages
 }
 
+// callLog is every call the device has been asked for.
+func (d *gatedDev) callLog() []devCall {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return append([]devCall(nil), d.calls...)
+}
+
 // awaitParked waits for a call to be parked at the gate.
 func (d *gatedDev) awaitParked(t *testing.T, when string) {
 	t.Helper()
@@ -116,15 +131,24 @@ type budgetRig struct {
 // volume of 64 KB blocks, with the cache on or off.
 func newBudgetRig(t *testing.T, cacheBytes units.ByteSize) *budgetRig {
 	t.Helper()
-	const blockSize = 64 * 1024
-	mem, err := blockdev.NewMem(32 * int64(units.MB))
+	return newBudgetRigOn(t, cacheBytes, 64*1024, 32*int64(units.MB), nil)
+}
+
+// newBudgetRigOn is newBudgetRig with the volume's geometry chosen and,
+// where preload is given, content on the store before New looks at it.
+func newBudgetRigOn(t *testing.T, cacheBytes units.ByteSize, blockSize int, devSize int64, preload func(msufs.Store)) *budgetRig {
+	t.Helper()
+	mem, err := blockdev.NewMem(devSize)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dev := &gatedDev{BlockDevice: mem, blockSize: blockSize}
+	dev := &gatedDev{BlockDevice: mem, blockSize: int64(blockSize)}
 	vol, err := msufs.Format(dev, msufs.Options{BlockSize: blockSize})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if preload != nil {
+		preload(msufs.NewStore(vol))
 	}
 	r := &budgetRig{vcrRig: newVCRRigOn(t, Config{Volumes: []*msufs.Volume{vol}, CacheBytes: cacheBytes}), dev: dev}
 	r.cache = r.m.cacheFor(0)
@@ -136,13 +160,18 @@ func newBudgetRig(t *testing.T, cacheBytes units.ByteSize) *budgetRig {
 // ~85 ms.
 func (r *budgetRig) ingest(pktSize int, titles map[string]time.Duration) {
 	r.t.Helper()
+	ingestCBR(r.t, r.m.stores[0], pktSize, titles)
+}
+
+func ingestCBR(t *testing.T, store msufs.Store, pktSize int, titles map[string]time.Duration) {
+	t.Helper()
 	for title, dur := range titles {
 		pkts, err := media.GenerateCBR(media.CBRConfig{Rate: 6 * units.Mbps, PacketSize: pktSize, FPS: 30, GOP: 15, Duration: dur})
 		if err != nil {
-			r.t.Fatal(err)
+			t.Fatal(err)
 		}
-		if err := Ingest(r.m.stores[0], title, "mpeg1", pkts); err != nil {
-			r.t.Fatal(err)
+		if err := Ingest(store, title, "mpeg1", pkts); err != nil {
+			t.Fatal(err)
 		}
 	}
 }

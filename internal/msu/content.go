@@ -7,6 +7,7 @@ import (
 	"strconv"
 	"time"
 
+	"calliope/internal/cache"
 	"calliope/internal/core"
 	"calliope/internal/ibtree"
 	"calliope/internal/iosched"
@@ -138,6 +139,28 @@ func (w *packetWriter) publish(typ string, extra map[string]string) (ibtree.Meta
 	return meta, w.set.publish(w.file, attrs)
 }
 
+// checkLayout refuses volumes that were written under the other layout
+// than the one they are about to be served under, naming a file that shows
+// it. Served per volume, a striped title's anchor parts would pass for a
+// title (every other page of it) and the sweep would remove the rest;
+// served striped, titles written per volume would list without their
+// attributes and the sweep would remove them whole. So New asks before
+// the sweep touches anything.
+func checkLayout(vols []*msufs.Volume, striped bool) error {
+	for i, v := range vols {
+		for _, fi := range v.List() {
+			_, part := fi.Attrs[msufs.AttrStripeSize]
+			switch {
+			case part && !striped:
+				return fmt.Errorf("msu: volume %d holds %q, a part of a striped file: serve the stripe's volumes together, with Striped set", i, fi.Name)
+			case striped && !part && contentType(fi) != "":
+				return fmt.Errorf("msu: volume %d holds %q, written to that volume alone: serve it without Striped", i, fi.Name)
+			}
+		}
+	}
+	return nil
+}
+
 // sweep clears a store of what is not content and no content links to (a
 // crashed recording's reservation, a partial replica, orphaned companions).
 // New runs it before anything registers, opens or writes: what it finds
@@ -204,28 +227,158 @@ func (m *MSU) openContent(disk int, name string) (*content, error) {
 	return c, nil
 }
 
-// forgetFile drops what RAM holds of a file just removed, cached pages and
-// shared index handle: what that name holds next is different bytes.
+// forgetFile drops what RAM holds of a file just removed, cached pages,
+// shared index handle and head: what that name holds next is different
+// bytes.
 func (m *MSU) forgetFile(disk int, name string) {
 	if c := m.cacheFor(disk); c != nil {
 		c.Drop(name)
 	}
 	m.contentMu.Lock()
 	delete(m.contents, contentKey{disk, name})
+	m.heads[disk].drop(&m.obs, name)
 	m.contentMu.Unlock()
 }
 
-// submitRead is how a block of a store file reaches RAM on this MSU: it
-// is located on its physical volume and queued on that volume's
-// scheduler. Buf, Deadline and C are the caller's; the request comes
-// back on C when the device is done with Buf. An error means nothing
-// was queued.
-func (m *MSU) submitRead(f msufs.StoreFile, block int64, req *iosched.Request) error {
+// The other thing kept beside the handles is the head of each title: the
+// first eighth of its data page 0 (headFraction), which is what a viewer's
+// first packets are cut from. A player starting at page 0 of a title whose
+// head is resident copies it into its first page and asks the disk for the
+// rest only (fetcher.issueOne), so its start waits for no arm. New loads
+// the heads of what is published; a title that arrives later (a recording,
+// a replica, an offline ingest) starts head first once and leaves its head
+// behind when its page 0 is first in RAM whole (keepHead). A file with a
+// player is never removed (deleteContent), so the bytes kept under a name
+// are the bytes of the file that has it.
+
+// headSet is one logical disk's resident heads, guarded by contentMu.
+type headSet struct {
+	size int // bytes in a head
+	// max bounds the set with no knob: a quarter of the disk's cache
+	// budget, on top of it, and nothing with the cache off. Over it the
+	// title least recently started from loses its head, and starts head
+	// first like a title that never had one.
+	max    int
+	tick   uint64
+	byName map[string]*head
+}
+
+type head struct {
+	bytes   []byte // not written once stored: a start copies from it unlocked
+	started uint64 // the set's tick when it was kept or last started from
+}
+
+// buildHeads sizes each disk's head set from its cache.
+func buildHeads(stores []msufs.Store, caches []*cache.Cache) []headSet {
+	sets := make([]headSet, len(stores))
+	for i, store := range stores {
+		sets[i] = headSet{size: store.BlockSize() / headFraction, byName: make(map[string]*head)}
+		if c := caches[i]; c != nil {
+			sets[i].max = c.Pages() * c.PageSize() / 4 / sets[i].size
+		}
+	}
+	return sets
+}
+
+func (hs *headSet) drop(om *msuMetrics, name string) {
+	if hs.byName[name] != nil {
+		delete(hs.byName, name)
+		om.heads.Add(-1)
+		om.headBytes.Add(-int64(hs.size))
+	}
+}
+
+// residentHead is the head of a title a player is about to start from, or
+// nil when the title has none.
+func (m *MSU) residentHead(disk int, name string) []byte {
+	hs := &m.heads[disk]
+	m.contentMu.Lock()
+	defer m.contentMu.Unlock()
+	h := hs.byName[name]
+	if h == nil {
+		return nil
+	}
+	hs.tick++
+	h.started = hs.tick
+	return h.bytes
+}
+
+// keepHead keeps the head of a title that has none, off its page 0.
+func (m *MSU) keepHead(disk int, name string, page0 []byte) {
+	hs := &m.heads[disk]
+	if hs.max == 0 {
+		return
+	}
+	m.contentMu.Lock()
+	defer m.contentMu.Unlock()
+	if hs.byName[name] != nil {
+		return
+	}
+	if len(hs.byName) >= hs.max {
+		var oldest string
+		for n, h := range hs.byName {
+			if oldest == "" || h.started < hs.byName[oldest].started {
+				oldest = n
+			}
+		}
+		hs.drop(&m.obs, oldest)
+	}
+	hs.tick++
+	hs.byName[name] = &head{bytes: append([]byte(nil), page0[:hs.size]...), started: hs.tick}
+	m.obs.heads.Add(1)
+	m.obs.headBytes.Add(int64(hs.size))
+}
+
+// loadHeads reads the head of every title published on a disk, as far as
+// the set has room, so that what the MSU is about to declare it can start
+// from RAM. The reads are queued together: the elevator sorts them.
+func (m *MSU) loadHeads(disk int) {
+	hs := &m.heads[disk]
+	var names []string
+	for _, fi := range m.stores[disk].List() {
+		if len(names) == hs.max {
+			break
+		}
+		if contentType(fi) != "" {
+			names = append(names, fi.Name)
+		}
+	}
+	reqs := make([]iosched.Request, len(names))
+	done := make(chan *iosched.Request, len(names)) // one completion a title
+	for i, name := range names {
+		reqs[i] = iosched.Request{Buf: make([]byte, hs.size), C: done}
+		f, err := m.stores[disk].Open(name)
+		if err == nil {
+			err = m.submitRead(f, 0, 0, &reqs[i])
+		}
+		if err != nil {
+			reqs[i].Err = err
+			done <- &reqs[i]
+		}
+	}
+	for range names {
+		<-done
+	}
+	for i, name := range names {
+		if err := reqs[i].Err; err != nil {
+			m.logf("disk %d: head of %q: %v", disk, name, err)
+			continue
+		}
+		m.keepHead(disk, name, reqs[i].Buf)
+	}
+}
+
+// submitRead is how a block of a store file reaches RAM on this MSU — or
+// the rest of it from skip bytes in: it is located on its physical volume
+// and queued on that volume's scheduler. Buf, Deadline and C are the
+// caller's; the request comes back on C when the device is done with Buf.
+// An error means nothing was queued.
+func (m *MSU) submitRead(f msufs.StoreFile, block int64, skip int, req *iosched.Request) error {
 	vol, off, err := f.Locate(block)
 	if err != nil {
 		return err
 	}
-	req.Off = off
+	req.Off = off + int64(skip)
 	m.scheds[vol].Submit(req)
 	return nil
 }
@@ -233,7 +386,7 @@ func (m *MSU) submitRead(f msufs.StoreFile, block int64, req *iosched.Request) e
 // readBlock is submitRead, waited for.
 func (m *MSU) readBlock(f msufs.StoreFile, block int64, buf []byte, deadline time.Time) error {
 	req := iosched.Request{Buf: buf, Deadline: deadline, C: make(chan *iosched.Request, 1)}
-	if err := m.submitRead(f, block, &req); err != nil {
+	if err := m.submitRead(f, block, 0, &req); err != nil {
 		return err
 	}
 	<-req.C

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"calliope/internal/core"
 	"calliope/internal/ibtree"
 	"calliope/internal/iosched"
 	"calliope/internal/queue"
@@ -24,7 +25,8 @@ type fetcher struct {
 	// primed is set once the first page is in RAM, all of it (see budget).
 	primed bool
 	// half is set while the ring's one slot is a first page whose head is
-	// in and attached and whose tail is still on the device (see tail).
+	// in — read, or copied from the title's resident head — and whose tail
+	// is still on the device (see tail).
 	half bool
 	// pageDur approximates one page's play time, for deadlines; epoch
 	// anchors them to the delivery timeline (an estimate of netLoop's
@@ -134,7 +136,8 @@ func (f *fetcher) nextPage(cur *ibtree.PageCursor, want int64) (*queue.PageRef, 
 		// cut what is here. The slot stays staged, and the page stays the
 		// ring's, until tail has taken the completion: on any way out
 		// before that, abort waits for the device and then unpins.
-		ok, aerr := cur.AttachHead(slot.page.Bytes(), slot.req.Head)
+		buf := slot.page.Bytes()
+		ok, aerr := cur.AttachHead(buf, len(buf)/headFraction)
 		if aerr == nil && !ok { // impossible: NextPage said this page exists
 			aerr = fmt.Errorf("msu: page %d vanished mid-read", want)
 		}
@@ -202,6 +205,9 @@ func (f *fetcher) landed(page *queue.PageRef, idx int64, hit, insert bool) {
 	if insert {
 		p.cache.Insert(p.cname, idx, page)
 	}
+	if f.startsTitle(idx) {
+		p.s.m.keepHead(p.s.spec.Disk, p.cname, page.Bytes())
+	}
 	f.primed = true
 }
 
@@ -245,7 +251,9 @@ func (f *fetcher) fill() {
 // against the budget: a cache hit takes the cached page outright; a
 // miss acquires a destination page (from the cache when allocatable, so
 // later players share the read, else the private pool) and submits the
-// read to the owning volume's scheduler.
+// read to the owning volume's scheduler. The page a viewer is waiting on
+// arrives by what RAM holds of it: all (a hit), its head (the rest is
+// read), or nothing (it is read head first).
 func (f *fetcher) issueOne() {
 	p := f.p
 	idx := f.next
@@ -261,6 +269,9 @@ func (f *fetcher) issueOne() {
 		}
 		slot.page = p.cache.Alloc()
 		slot.insert = slot.page != nil
+		if !slot.insert {
+			p.s.m.obs.allocPinned.Inc()
+		}
 	}
 	if slot.page == nil {
 		// Every pool page out is counted in pinned and the pool holds
@@ -270,13 +281,35 @@ func (f *fetcher) issueOne() {
 		}
 	}
 	slot.req = iosched.Request{Buf: slot.page.Bytes(), Deadline: f.deadline(idx), C: slot.c}
+	skip := 0
 	if !f.primed {
-		// The page a viewer is waiting on: head first, so its first
-		// packets leave while the rest is still coming off the platter.
-		slot.req.Head, slot.req.HeadC = len(slot.req.Buf)/headFraction, make(chan error, 1)
+		var head []byte
+		if f.startsTitle(idx) {
+			head = p.s.m.residentHead(p.s.spec.Disk, p.cname)
+		}
+		if head != nil {
+			// The head is in RAM: one copy a start, and the disk is asked
+			// for the other half of the same buffer.
+			skip = copy(slot.req.Buf, head)
+			slot.req.Buf = slot.req.Buf[skip:]
+		} else {
+			// Head first, so the first packets leave while the rest is
+			// still coming off the platter.
+			slot.req.Head, slot.req.HeadC = len(slot.req.Buf)/headFraction, make(chan error, 1)
+		}
 	}
-	slot.err = p.s.m.submitRead(p.file, idx, &slot.req)
+	slot.err = p.s.m.submitRead(p.file, idx, skip, &slot.req)
 	slot.pending = slot.err == nil
+	if skip > 0 && slot.pending {
+		f.half = true
+		p.s.m.obs.headStarts.Inc()
+	}
+}
+
+// startsTitle reports whether page idx is the one whose head the MSU
+// keeps: the first page of the title itself, not of a companion.
+func (f *fetcher) startsTitle(idx int64) bool {
+	return idx == 0 && f.p.speed == core.Normal
 }
 
 // abort unwinds the ring: it waits out any in-flight scheduler request

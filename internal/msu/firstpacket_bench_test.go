@@ -3,11 +3,19 @@ package msu
 // BenchmarkFirstPacket measures what a cold viewer waits for on the MSU:
 // from the stream being told to play to its first datagram at the
 // receiver, on the 1996 mechanism at its own speed (blockdev.Sim,
-// TimeScale 1) with the paper's 256 KB pages and the cache off, so every
-// start goes to the disk. idle has the disk to itself; beside-writers
+// TimeScale 1) with the paper's 256 KB pages. idle and beside-writers run
+// with the cache off, so there are no resident heads and every start goes
+// to the disk, head first: idle has the disk to itself; beside-writers
 // shares it with page writes made outside the scheduler, the way
-// recordings reach the disk today (ROADMAP item 2). One op is one start;
+// recordings reach the disk today (ROADMAP item 2). resident is idle with
+// the cache on, so New kept every title's head and a start waits for no
+// read (page 0 itself is never cached: each start is stopped at its first
+// datagram, long before the rest of the page is in). One op is one start;
 // ms/op is the figure.
+//
+// BenchmarkLoadHeads is what resident costs and where: New over a disk of
+// 16 and of 64 titles, one head read each through the scheduler, on the
+// same mechanism. One op is one New; ms/title is the figure.
 
 import (
 	"fmt"
@@ -24,27 +32,66 @@ import (
 )
 
 func BenchmarkFirstPacket(b *testing.B) {
-	b.Run("idle", func(b *testing.B) { benchFirstPacket(b, 0) })
+	b.Run("idle", func(b *testing.B) { benchFirstPacket(b, 0, -1) })
 	// Eight 1.5 Mbit/s recordings fill a 256 KB page every ~170 ms
 	// between them.
-	b.Run("beside-writers", func(b *testing.B) { benchFirstPacket(b, 170*time.Millisecond) })
+	b.Run("beside-writers", func(b *testing.B) { benchFirstPacket(b, 170*time.Millisecond, -1) })
+	b.Run("resident", func(b *testing.B) { benchFirstPacket(b, 0, 0) })
 }
 
-func benchFirstPacket(b *testing.B, writeEvery time.Duration) {
-	const titles = 8
+// simVolume is a volume of the 1996 mechanism at its own speed holding n
+// titles of dur each, written before the mechanism is put under it.
+func simVolume(b *testing.B, n int, dur time.Duration) *msufs.Volume {
+	b.Helper()
 	mem, err := blockdev.NewMem(64 * int64(units.MB))
 	if err != nil {
 		b.Fatal(err)
 	}
-	vol, err := msufs.Format(blockdev.NewSim(mem, blockdev.DefaultSimConfig()), msufs.Options{})
+	vol, err := msufs.Format(mem, msufs.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
-	m := newTestMSU(b, -1, false, vol)
-	pkts, err := media.GenerateCBR(media.CBRConfig{Rate: 1500 * units.Kbps, PacketSize: 1024, FPS: 30, GOP: 15, Duration: 4 * time.Second})
+	pkts, err := media.GenerateCBR(media.CBRConfig{Rate: 1500 * units.Kbps, PacketSize: 1024, FPS: 30, GOP: 15, Duration: dur})
 	if err != nil {
 		b.Fatal(err)
 	}
+	for i := 0; i < n; i++ {
+		if err := Ingest(msufs.NewStore(vol), fmt.Sprintf("title-%d", i), "mpeg1", pkts); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if vol, err = msufs.Mount(blockdev.NewSim(mem, blockdev.DefaultSimConfig())); err != nil {
+		b.Fatal(err)
+	}
+	return vol
+}
+
+func BenchmarkLoadHeads(b *testing.B) {
+	for _, titles := range []int{16, 64} {
+		b.Run(fmt.Sprintf("titles=%d", titles), func(b *testing.B) {
+			vol := simVolume(b, titles, 2*time.Second)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				m, err := newBenchMSU(0, false, vol)
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.StopTimer()
+				if n := m.obs.heads.Load(); n != int64(titles) {
+					b.Fatalf("New kept %d heads of %d titles", n, titles)
+				}
+				m.Close() //nolint:errcheck // Close never fails without a Coordinator link
+				b.StartTimer()
+			}
+			b.ReportMetric(float64(b.Elapsed().Microseconds())/1e3/float64(b.N*titles), "ms/title")
+		})
+	}
+}
+
+func benchFirstPacket(b *testing.B, writeEvery time.Duration, cache units.ByteSize) {
+	const titles = 8
+	vol := simVolume(b, titles, 4*time.Second)
+	m := newTestMSU(b, cache, false, vol)
 	sink, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
 	if err != nil {
 		b.Fatal(err)
@@ -53,9 +100,6 @@ func benchFirstPacket(b *testing.B, writeEvery time.Duration) {
 	streams := make([]*stream, titles)
 	for i := range streams {
 		name := fmt.Sprintf("title-%d", i)
-		if err := Ingest(m.stores[0], name, "mpeg1", pkts); err != nil {
-			b.Fatal(err)
-		}
 		spec := core.StreamSpec{Stream: core.StreamID(i + 1), Content: name, DestAddr: sink.LocalAddr().String()}
 		if streams[i], err = m.newPlayStream(spec, m.stores[0]); err != nil {
 			b.Fatal(err)

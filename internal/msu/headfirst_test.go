@@ -69,6 +69,40 @@ func (r *budgetRig) received(want []sentPacket, when string) {
 	}
 }
 
+// cached reports whether page 0 of title is in the cache, asking the way
+// a second viewer would.
+func (r *budgetRig) cached(title string) bool {
+	if r.cache == nil {
+		return false
+	}
+	ref := r.cache.Lookup(title, 0)
+	if ref == nil {
+		return false
+	}
+	ref.Release()
+	return true
+}
+
+func (r *budgetRig) await(what string, cond func() bool) {
+	r.t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			r.t.Fatalf("timed out waiting for %s", what)
+		}
+	}
+}
+
+// finish quits a stream whatever it still has at the gate, and checks
+// everything of its player's is back.
+func (r *budgetRig) finish(peer *wire.Peer, p *player, when string) {
+	r.t.Helper()
+	r.vcr(peer, "quit", 0)
+	r.dev.open()
+	peer.Close() //nolint:errcheck // the MSU closes its end too
+	r.drained()
+	r.allBack(p, when)
+}
+
 // inserts is how many pages the cache has taken in, 0 with the cache off.
 func (r *budgetRig) inserts() int64 {
 	if r.cache == nil {
@@ -102,40 +136,13 @@ func testHeadFirst(t *testing.T, pktSize int, cacheBytes units.ByteSize) {
 	r := newBudgetRig(t, cacheBytes)
 	dev := r.dev
 	r.ingest(pktSize, map[string]time.Duration{"cold": 2 * time.Second, "fail": 2 * time.Second, "quit": 2 * time.Second, "seek": 2 * time.Second})
-	// cached reports whether page 0 of title is in the cache, asking the
-	// way a second viewer would.
-	cached := func(title string) bool {
-		if r.cache == nil {
-			return false
-		}
-		ref := r.cache.Lookup(title, 0)
-		if ref == nil {
-			return false
-		}
-		ref.Release()
-		return true
-	}
-	await := func(what string, cond func() bool) {
-		t.Helper()
-		for deadline := time.Now().Add(5 * time.Second); !cond(); time.Sleep(time.Millisecond) {
-			if time.Now().After(deadline) {
-				t.Fatalf("timed out waiting for %s", what)
-			}
-		}
-	}
 	// headOnly plays title against the held device and lets the head of
 	// its first page through, alone. It returns with the head's packets
 	// received and checked and the tail parked at the gate; rest is what
 	// the page holds beyond them.
 	headOnly := func(title string, page []sentPacket) (peer *wire.Peer, p *player, rest []sentPacket) {
 		t.Helper()
-		k := 0
-		for k < len(page) && page[k].inHead {
-			k++
-		}
-		if k == 0 || k == len(page) {
-			t.Fatalf("page 0 of %q has %d of its %d packets in the head: the test needs some on each side", title, k, len(page))
-		}
+		k := split(t, title, page)
 		dev.hold()
 		requests, inserts, sent := r.m.ioStats(0).Requests, r.inserts(), r.m.obs.packets.Load()
 		peer = r.play(title)
@@ -147,27 +154,18 @@ func testHeadFirst(t *testing.T, pktSize int, cacheBytes units.ByteSize) {
 		// Every packet cut has been sent and counted once the last of them
 		// is: a record cut from beyond the mark would show here, or as the
 		// wrong bytes above.
-		await("the head's packets to be counted", func() bool { return r.m.obs.packets.Load()-sent >= int64(k) })
+		r.await("the head's packets to be counted", func() bool { return r.m.obs.packets.Load()-sent >= int64(k) })
 		if n := r.m.obs.packets.Load() - sent; n != int64(k) {
 			t.Errorf("%s: %d packets sent with the tail on the device, want the %d that lie inside the head", title, n, k)
 		}
 		if n := r.m.obs.pinned.Load(); n != 1 {
 			t.Errorf("%s: readahead_pinned_pages = %d with the tail on the device, want 1", title, n)
 		}
-		if cached(title) || r.inserts() != inserts {
+		if r.cached(title) || r.inserts() != inserts {
 			t.Errorf("%s: the first page is in the cache with only its head read", title)
 		}
 		return peer, p, page[k:]
 	}
-	finish := func(peer *wire.Peer, p *player, when string) {
-		t.Helper()
-		r.vcr(peer, "quit", 0)
-		dev.open()
-		peer.Close() //nolint:errcheck // the MSU closes its end too
-		r.drained()
-		r.allBack(p, when)
-	}
-
 	// Head, then tail: the rest of the page goes out, the page goes into
 	// the cache, and page 1 is asked for — only now.
 	page, _ := r.pagePackets("cold", 0)
@@ -175,11 +173,11 @@ func testHeadFirst(t *testing.T, pktSize int, cacheBytes units.ByteSize) {
 	peer, p, rest := headOnly("cold", page)
 	dev.gate <- struct{}{}
 	r.received(rest, "cold: with the tail in")
-	await("page 1 to be asked for", func() bool { return r.m.ioStats(0).Requests == requests+2 })
-	if r.cache != nil && (!cached("cold") || r.inserts() != inserts+1) {
+	r.await("page 1 to be asked for", func() bool { return r.m.ioStats(0).Requests == requests+2 })
+	if r.cache != nil && (!r.cached("cold") || r.inserts() != inserts+1) {
 		t.Errorf("the first page went into the cache %d times once whole, want 1", r.inserts()-inserts)
 	}
-	finish(peer, p, "after a head-first start and a quit")
+	r.finish(peer, p, "after a head-first start and a quit")
 
 	// The tail fails: the stream ends, with nothing cached and nothing
 	// pinned.
@@ -188,13 +186,13 @@ func testHeadFirst(t *testing.T, pktSize int, cacheBytes units.ByteSize) {
 	dev.failAt(off + int64(p.tree.PageSize()/headFraction))
 	peer, p, _ = headOnly("fail", page)
 	dev.gate <- struct{}{}
-	await("the stream to end", p.s.atEOF)
-	if cached("fail") || r.inserts() != inserts {
+	r.await("the stream to end", p.s.atEOF)
+	if r.cached("fail") || r.inserts() != inserts {
 		t.Error("a first page whose tail failed went into the cache")
 	}
 	r.allBack(p, "after a failed tail")
 	dev.failAt(0)
-	finish(peer, p, "after a failed tail and a quit")
+	r.finish(peer, p, "after a failed tail and a quit")
 
 	// A Quit with the tail on the device: the page is the device's until
 	// it lets go.
@@ -240,9 +238,9 @@ func testHeadFirst(t *testing.T, pktSize int, cacheBytes units.ByteSize) {
 		t.Error("a title declared at its end with its page still on the device")
 	}
 	dev.open() // the tail, and the page the builder closed the index in
-	await("the tiny title to end", p.s.atEOF)
+	r.await("the tiny title to end", p.s.atEOF)
 	r.allBack(p, "after a title that ends inside the head")
-	finish(peer, p, "after a title that ends inside the head, and a quit")
+	r.finish(peer, p, "after a title that ends inside the head, and a quit")
 
 	// A seek that lands past the head of its page: nothing goes out until
 	// the tail is in, and then the packet asked for. The first seek leaves
@@ -262,7 +260,7 @@ func testHeadFirst(t *testing.T, pktSize int, cacheBytes units.ByteSize) {
 	p = r.player(nil)
 	r.vcr(peer, "seek", 100*time.Millisecond)
 	p = r.player(p)
-	await("a page to be sent after the first seek", func() bool { return p.sent.Load() >= 1 })
+	r.await("a page to be sent after the first seek", func() bool { return p.sent.Load() >= 1 })
 	r.vcr(peer, "pause", 0)
 	r.allBack(p, "after a pause")
 	r.emptySink()
@@ -278,5 +276,5 @@ func testHeadFirst(t *testing.T, pktSize int, cacheBytes units.ByteSize) {
 	}
 	dev.gate <- struct{}{}
 	r.received([]sentPacket{target}, "seek: with the tail in")
-	finish(peer, seeker, "after a seek past the head and a quit")
+	r.finish(peer, seeker, "after a seek past the head and a quit")
 }

@@ -5,6 +5,7 @@ import (
 	"net"
 	"reflect"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -311,6 +312,78 @@ func TestSweepOnStartup(t *testing.T) {
 				}
 			}
 			r.quit(p)
+		})
+	}
+}
+
+// TestLayoutMismatchRefused serves two volumes under the other layout
+// than they were written under, both ways round. New refuses, naming the
+// title, and has removed nothing: every block is still allocated and the
+// title still reads back under the layout it was written in.
+func TestLayoutMismatchRefused(t *testing.T) {
+	for _, written := range []bool{false, true} {
+		name := map[bool]string{false: "written per volume, served striped", true: "written striped, served per volume"}[written]
+		t.Run(name, func(t *testing.T) {
+			vols := make([]*msufs.Volume, 2)
+			for i := range vols {
+				mem, err := blockdev.NewMem(8 * int64(units.MB))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if vols[i], err = msufs.Format(mem, msufs.Options{BlockSize: 64 * 1024}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			store := msufs.NewStore(vols[1]) // not the anchor: every member is looked at
+			if written {
+				set, err := msufs.NewStripeSet(vols...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				store = msufs.NewStripedStore(set)
+			}
+			pkts := testStream(t, 2*time.Second)
+			if err := Ingest(store, "movie", "mpeg1", pkts); err != nil {
+				t.Fatal(err)
+			}
+			if err := IngestFast(store, "movie", "mpeg1", pkts, 15); err != nil {
+				t.Fatal(err)
+			}
+			free := []int64{vols[0].FreeBlocks(), vols[1].FreeBlocks()}
+
+			m, err := New(Config{ID: "m", Coordinator: "127.0.0.1:1", Volumes: vols, Striped: !written})
+			if err == nil {
+				m.Close() //nolint:errcheck
+				t.Fatal("New served the volumes under the layout they were not written in")
+			}
+			if !strings.Contains(err.Error(), `"movie"`) {
+				t.Errorf("the refusal does not name the file: %v", err)
+			}
+			for i, v := range vols {
+				if got := v.FreeBlocks(); got != free[i] {
+					t.Errorf("volume %d has %d free blocks after the refusal, %d before", i, got, free[i])
+				}
+			}
+			back, err := ReadBack(store, "movie")
+			if err != nil || len(back) != len(pkts) {
+				t.Errorf("the title reads back %d of %d packets after the refusal: %v", len(back), len(pkts), err)
+			}
+
+			// Served as written, the same volumes are accepted whole.
+			m, err = New(Config{ID: "m", Coordinator: "127.0.0.1:1", Volumes: vols, Striped: written})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer m.Close() //nolint:errcheck
+			var got []string
+			for _, d := range m.buildHello().Disks {
+				for _, c := range d.Contents {
+					got = append(got, c.Name)
+				}
+			}
+			if !reflect.DeepEqual(got, []string{"movie"}) {
+				t.Errorf("served as written the hello declares %q, want the movie", got)
+			}
 		})
 	}
 }

@@ -74,7 +74,10 @@ type Config struct {
 	// CacheBytes sizes each logical disk's RAM interval cache (§2.3's
 	// buffer memory, spent on whole IB-tree pages shared across
 	// streams). Zero selects DefaultCacheBytes; negative disables
-	// caching.
+	// caching. A quarter as much again, on top of it, goes to the resident
+	// heads of the disk's titles (content.go): 32 KB a title at the
+	// default page size, so 64 titles by default, and none with caching
+	// disabled.
 	CacheBytes units.ByteSize
 	// ReconnectInterval is the base of the re-registration backoff
 	// after the Coordinator connection drops (attempts space out
@@ -125,10 +128,12 @@ type MSU struct {
 	reportSeq uint64
 
 	// contents holds the one shared handle per opened content file
-	// (content.go). contentMu is a leaf: nothing is called under it but
-	// the store's in-memory open.
+	// (content.go) and heads the resident heads of each logical disk's
+	// titles, indexed like stores. contentMu is a leaf: nothing is called
+	// under it but the store's in-memory open.
 	contentMu sync.Mutex
 	contents  map[contentKey]*content
+	heads     []headSet
 
 	mu      sync.Mutex
 	peer    *wire.Peer
@@ -175,7 +180,11 @@ func New(cfg Config) (*MSU, error) {
 	}
 	var stores []msufs.Store
 	var storeVols [][]*msufs.Volume
-	if cfg.Striped && len(cfg.Volumes) > 1 {
+	striped := cfg.Striped && len(cfg.Volumes) > 1
+	if err := checkLayout(cfg.Volumes, striped); err != nil {
+		return nil, err
+	}
+	if striped {
 		set, err := msufs.NewStripeSet(cfg.Volumes...)
 		if err != nil {
 			return nil, err
@@ -203,8 +212,10 @@ func New(cfg Config) (*MSU, error) {
 	for _, v := range cfg.Volumes {
 		m.scheds[v] = iosched.New(v.Device(), iosched.Options{Now: time.Now})
 	}
+	m.heads = buildHeads(stores, m.caches)
 	for disk := range m.stores {
 		m.sweep(disk)
+		m.loadHeads(disk)
 	}
 	return m, nil
 }

@@ -187,6 +187,7 @@ func TestNewValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer m.Close() //nolint:errcheck
 	if m.cfg.Host == "" || m.cfg.Registry == nil || m.cfg.ReconnectInterval <= 0 {
 		t.Error("defaults not applied")
 	}
@@ -210,6 +211,7 @@ func TestBuildHelloSkipsCompanions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer m.Close() //nolint:errcheck
 	hello := m.buildHello()
 	if len(hello.Disks) != 1 {
 		t.Fatalf("disks = %d", len(hello.Disks))

@@ -23,6 +23,13 @@ type msuMetrics struct {
 	pagesRead *obs.Counter // disk_pages_read_total (IB-tree pages from disk)
 	cacheHits *obs.Counter // cache_page_hits_total (pages served from RAM)
 	pinned    *obs.Gauge   // readahead_pinned_pages (pages held against all players' budgets)
+	// cache_alloc_pinned_total: a miss found every page of the cache pinned
+	// by a reader, so its page was read into the player's own pool and
+	// never cached, and every follower reads it again.
+	allocPinned *obs.Counter
+	headStarts  *obs.Counter // delivery_head_starts_total (players started from a resident head)
+	heads       *obs.Gauge   // resident_heads (titles whose head is in RAM)
+	headBytes   *obs.Gauge   // resident_head_bytes
 
 	streams     *obs.Counter // msu_streams_started_total
 	eofs        *obs.Counter // delivery_eof_total
@@ -31,7 +38,7 @@ type msuMetrics struct {
 
 // startupBuckets are delivery_startup_seconds' edges. What separates one
 // start from another is what it waited for on the disk: nothing (a cached
-// page: ~1 ms), one positioning and the head of a page (~15 ms on the
+// page or a resident head: ~1 ms), one positioning and the head of a page (~15 ms on the
 // disk the bench models), a whole page (~45), a neighbour's transfer
 // ahead of that. obs.DefaultLatencyBuckets steps from 10 ms to 50 and
 // puts all but the first in one bucket; these step by a page transfer or
@@ -66,6 +73,10 @@ func newMSUMetrics(r *obs.Registry) msuMetrics {
 		pagesRead:   r.Counter("disk_pages_read_total"),
 		cacheHits:   r.Counter("cache_page_hits_total"),
 		pinned:      r.Gauge("readahead_pinned_pages"),
+		allocPinned: r.Counter("cache_alloc_pinned_total"),
+		headStarts:  r.Counter("delivery_head_starts_total"),
+		heads:       r.Gauge("resident_heads"),
+		headBytes:   r.Gauge("resident_head_bytes"),
 		streams:     r.Counter("msu_streams_started_total"),
 		eofs:        r.Counter("delivery_eof_total"),
 		transferOut: r.Counter("transfer_bytes_out_total"),

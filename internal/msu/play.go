@@ -351,7 +351,7 @@ type descriptor struct {
 
 // player runs one delivery session, mirroring §2.3's MSU: a disk
 // process reading whole 256 KB blocks into buffers it manages itself (the
-// first one head first: fetcher.tail), a
+// first one from its head on: fetcher.issueOne, fetcher.tail), a
 // network process transmitting packets straight out of those buffers,
 // and a shared-memory queue of descriptors between them. Pages recycle
 // through a fixed refcounted pool and payloads are never copied, so the
@@ -412,12 +412,13 @@ const readAheadPages = 4
 // cache can spare none.
 const pageBudget = readAheadPages + 2
 
-// headFraction is how much of a player's first page is read ahead of the
-// rest of it (fetcher.issueOne, fetcher.tail): an eighth, which at the
-// rates served plays for longer than the other seven take to follow it
-// off the platter (a 256 KB page at 6 Mbit/s: 32 KB play for 44 ms,
-// 224 KB transfer in 29), so the network process does not run dry in
-// between.
+// headFraction is how much of a player's first page is in RAM ahead of the
+// rest of it — read first, or kept there as the title's head (content.go)
+// — and cut while the rest arrives (fetcher.issueOne, fetcher.tail): an
+// eighth, which at the rates served plays for longer than the other seven
+// take to follow it off the platter (a 256 KB page at 6 Mbit/s: 32 KB
+// play for 44 ms, 224 KB transfer in 29), so the network process does not
+// run dry in between.
 const headFraction = 8
 
 // playerIDs distinguishes players in the cache's interval tracking;

@@ -295,7 +295,8 @@ func (j *replJob) commit() error {
 	if err != nil {
 		return fmt.Errorf("verify: seek: %w", err)
 	}
-	if ok, err := cur.LoadPage(make([]byte, blockSize)); err != nil || !ok {
+	page0 := make([]byte, blockSize)
+	if ok, err := cur.LoadPage(page0); err != nil || !ok {
 		return fmt.Errorf("verify: first page unreadable (ok=%v): %w", ok, err)
 	}
 	for _, name := range j.set.names {
@@ -305,7 +306,11 @@ func (j *replJob) commit() error {
 			}
 		}
 	}
-	return j.set.publish(title.file, title.hdr.Attrs)
+	if err := j.set.publish(title.file, title.hdr.Attrs); err != nil {
+		return err
+	}
+	j.m.keepHead(j.set.disk, j.req.Content, page0) // its first viewer starts from RAM
+	return nil
 }
 
 // report tells the Coordinator the replica is committed. The answer is

@@ -16,7 +16,10 @@ type StripeSet struct {
 	vols []*Volume
 }
 
-const stripeSizeAttr = "stripe.size"
+// AttrStripeSize is the attribute a committed striped file carries on its
+// anchor volume: the logical size. A file written to one volume never has
+// it, which is how a server tells the two layouts apart.
+const AttrStripeSize = "stripe.size"
 
 // NewStripeSet groups volumes into a striped layout. All volumes must
 // share a block size.
@@ -82,7 +85,7 @@ func (s *StripeSet) Open(name string) (*StripedFile, error) {
 		parts[i] = f
 	}
 	sf := &StripedFile{set: s, name: name, parts: parts}
-	if raw, ok := parts[0].Attrs()[stripeSizeAttr]; ok {
+	if raw, ok := parts[0].Attrs()[AttrStripeSize]; ok {
 		n, err := strconv.ParseInt(raw, 10, 64)
 		if err != nil {
 			return nil, fmt.Errorf("msufs: corrupt stripe size attr %q: %w", raw, err)
@@ -170,5 +173,5 @@ func (f *StripedFile) Commit() error {
 			return fmt.Errorf("msufs: striped commit on volume %d: %w", i, err)
 		}
 	}
-	return f.set.vols[0].SetAttrs(f.name, map[string]string{stripeSizeAttr: strconv.FormatInt(f.size.Load(), 10)})
+	return f.set.vols[0].SetAttrs(f.name, map[string]string{AttrStripeSize: strconv.FormatInt(f.size.Load(), 10)})
 }

@@ -34,12 +34,17 @@ func TestObservabilityLifecycle(t *testing.T) {
 	}
 	defer c.Close()
 
-	// A cold start and then a cached one, each on a port of its own. Ten
-	// packets are more than the head of the first page holds, so by then
-	// the page is whole and in the cache; each player's stop ships its
-	// start to the Coordinator, and both are waited for, because the MSU
-	// they ran on is about to crash.
-	for i, port := range []string{"cold", "cached"} {
+	// A start from the beginning, which leaves from the title's resident
+	// head and waits for no read; a seek from there to the far end of the
+	// title, whose page is neither cached nor anybody's head, so it waits
+	// for the disk; and, on a port of its own, a start out of the cache.
+	// Ten packets are more than the head of the first page holds, so by
+	// then the page is whole and in the cache, and the read-ahead is pages
+	// short of where the seek lands. Each player's stop ships its start to
+	// the Coordinator, and all are waited for, because the MSU they ran on
+	// is about to crash.
+	starts := int64(0)
+	for _, port := range []string{"head", "cached"} {
 		early, err := NewReceiver("")
 		if err != nil {
 			t.Fatal(err)
@@ -55,12 +60,24 @@ func TestObservabilityLifecycle(t *testing.T) {
 		if !early.WaitCount(10, 5*time.Second) {
 			t.Fatalf("the %s stream never started", port)
 		}
+		starts++
+		if port == "head" {
+			if _, err := s.Seek(1700 * time.Millisecond); err != nil {
+				t.Fatal(err)
+			}
+			// The old player had stopped before the seek was acknowledged:
+			// at most a packet or two of its are still on their way here.
+			if !early.WaitCount(early.Count()+5, 5*time.Second) {
+				t.Fatal("nothing came after the seek")
+			}
+			starts++
+		}
 		if err := s.Quit(); err != nil {
 			t.Fatal(err)
 		}
-		for deadline := time.Now().Add(5 * time.Second); scrape(t, srv.URL)["delivery_startup_seconds_count"] <= int64(i); time.Sleep(20 * time.Millisecond) {
+		for deadline := time.Now().Add(5 * time.Second); scrape(t, srv.URL)["delivery_startup_seconds_count"] < starts; time.Sleep(20 * time.Millisecond) {
 			if time.Now().After(deadline) {
-				t.Fatalf("the %s start never reached the Coordinator", port)
+				t.Fatalf("the %s stream's starts never reached the Coordinator", port)
 			}
 		}
 	}
@@ -121,13 +138,15 @@ func TestObservabilityLifecycle(t *testing.T) {
 		}
 	}
 
-	// The cached start took no read and the cold ones (the first play, and
-	// the migrated stream's on the other MSU) at least one of 25 ms: they
-	// lie either side of the 20 ms edge, which the default latency buckets
-	// (…10 ms, 50 ms…) do not have.
+	// The starts from the head and out of the cache waited for no read and
+	// the seek for at least one of 25 ms: they lie either side of the 20 ms
+	// edge, which the default latency buckets (…10 ms, 50 ms…) do not have.
 	fast, ok := metrics[`delivery_startup_seconds_bucket{le="0.02"}`]
-	if slow := metrics["delivery_startup_seconds_count"] - fast; !ok || fast < 1 || slow < 1 {
-		t.Errorf("delivery_startup_seconds: %d starts within 20 ms (edge present: %v), %d over; want the cached start on one side and the cold ones on the other", fast, ok, slow)
+	if slow := metrics["delivery_startup_seconds_count"] - fast; !ok || fast < 2 || slow < 1 {
+		t.Errorf("delivery_startup_seconds: %d starts within 20 ms (edge present: %v), %d over; want the starts from RAM on one side and the seek on the other", fast, ok, slow)
+	}
+	if n := metrics["delivery_head_starts_total"]; n < 1 {
+		t.Errorf("delivery_head_starts_total = %d after a play from the start of a title no cache held, want at least 1", n)
 	}
 
 	// readahead_pinned_pages is the MSUs' page-budget ledger: with every
