@@ -12,6 +12,12 @@
 // The builder requires keys (delivery-time offsets from the start of
 // the recording) to be non-decreasing, which is exactly how a recording
 // session produces them.
+//
+// A writer hands the builder a packet either whole (Append, which copies
+// it) or as a length (Reserve, which places the record header and returns
+// the page bytes for the writer to frame its payload into). Either way the
+// builder owns one page for its whole life and rewrites it in place, so
+// writing content allocates nothing per packet or per page.
 package ibtree
 
 import (
@@ -53,6 +59,9 @@ var (
 
 // BlockFile is the storage an IB-tree lives in: a file of fixed-size
 // blocks. msufs.File and msufs.StripedFile both satisfy it.
+//
+// WriteBlock must not retain p after it returns (io.WriterAt's rule): a
+// Builder rewrites its one page in place for the next block.
 type BlockFile interface {
 	WriteBlock(i int64, p []byte) error
 	ReadBlock(i int64, p []byte) error
@@ -139,12 +148,16 @@ func deserializeNode(p []byte) (*node, error) {
 // order. It buffers one data page in memory; each full page is written
 // with a single WriteBlock — the single-transfer property the paper's
 // disk duty cycle depends on.
+//
+// The page is allocated once and rewritten in place for every block, so
+// a writer that frames its records with Reserve copies each payload byte
+// once, into the page, and allocates nothing per packet or per page.
 type Builder struct {
 	f        BlockFile
 	pageSize int
 	maxKeys  int
 
-	page          []byte // current data page under construction
+	page          []byte // the data page under construction, reused for every block
 	pageUsed      int
 	pageIdx       int64
 	pageHasPacket bool
@@ -177,17 +190,29 @@ func NewBuilder(f BlockFile, pageSize, maxKeys int) (*Builder, error) {
 	if nodeHdrLen+maxKeys*entryLen+embedHdrLen > pageSize-pageHdrLen {
 		return nil, fmt.Errorf("ibtree: %d-key internal pages do not fit %d-byte data pages", maxKeys, pageSize)
 	}
-	b := &Builder{f: f, pageSize: pageSize, maxKeys: maxKeys}
+	b := &Builder{f: f, pageSize: pageSize, maxKeys: maxKeys, page: make([]byte, pageSize)}
+	binary.BigEndian.PutUint32(b.page[0:4], pageMagic) // the header never changes
 	b.resetPage()
 	return b, nil
 }
 
 func (b *Builder) resetPage() {
-	b.page = make([]byte, b.pageSize)
-	binary.BigEndian.PutUint32(b.page[0:4], pageMagic)
 	b.pageUsed = pageHdrLen
 	b.pageHasPacket = false
 	b.pageHasNode = false
+}
+
+// writePage writes the page under construction as block pageIdx. What the
+// previous block left past pageUsed is cleared first, so the block reads
+// as if the page were fresh: on a full page that is less than one record.
+// A failed write leaves the page as it was, for the retry to write again.
+func (b *Builder) writePage() error {
+	clear(b.page[b.pageUsed:])
+	if err := b.f.WriteBlock(b.pageIdx, b.page); err != nil {
+		return err
+	}
+	b.meta.Pages++
+	return nil
 }
 
 // MaxPacket reports the largest payload one page can hold.
@@ -195,40 +220,53 @@ func (b *Builder) MaxPacket() int { return b.pageSize - pageHdrLen - packetHdrLe
 
 // Append adds one packet. Its time must be ≥ the previous packet's.
 func (b *Builder) Append(pkt Packet) error {
+	dst, err := b.Reserve(pkt.Time, len(pkt.Payload))
+	if err == nil {
+		copy(dst, pkt.Payload)
+	}
+	return err
+}
+
+// Reserve places a packet record of n payload bytes at delivery time t,
+// under the rules Append keeps, and returns the page bytes its payload
+// goes in. The caller writes all n of them before its next call to the
+// builder: the slice is the builder's own page, and it is overwritten
+// once that page has been written out.
+func (b *Builder) Reserve(t time.Duration, n int) ([]byte, error) {
 	if b.finalized {
-		return ErrFinalized
+		return nil, ErrFinalized
 	}
-	if b.started && pkt.Time < b.lastTime {
-		return fmt.Errorf("%w: %v after %v", ErrKeyOrder, pkt.Time, b.lastTime)
+	if b.started && t < b.lastTime {
+		return nil, fmt.Errorf("%w: %v after %v", ErrKeyOrder, t, b.lastTime)
 	}
-	need := packetHdrLen + len(pkt.Payload)
-	if need > b.pageSize-pageHdrLen {
-		return fmt.Errorf("%w: %d bytes into %d-byte pages", ErrTooLarge, len(pkt.Payload), b.pageSize)
+	if n < 0 || n > b.MaxPacket() {
+		return nil, fmt.Errorf("%w: %d bytes into %d-byte pages", ErrTooLarge, n, b.pageSize)
 	}
+	need := packetHdrLen + n
 	// Closing a page can cascade full internal pages into the fresh one;
 	// when they leave too little room for this packet, that page goes out
 	// holding index only and the packet opens the next.
 	for b.pageUsed+need > b.pageSize {
 		if err := b.closeDataPage(); err != nil {
-			return err
+			return nil, err
 		}
 	}
 	if !b.pageHasPacket {
 		b.pageHasPacket = true
-		b.pageFirstTime = pkt.Time
+		b.pageFirstTime = t
 	}
-	p := b.page[b.pageUsed:]
-	p[0] = kindPacket
-	binary.BigEndian.PutUint32(p[4:8], uint32(len(pkt.Payload)))
-	binary.BigEndian.PutUint64(p[8:16], uint64(pkt.Time))
-	copy(p[packetHdrLen:], pkt.Payload)
+	end := b.pageUsed + need
+	p := b.page[b.pageUsed:end:end]
+	p[0], p[1], p[2], p[3] = kindPacket, 0, 0, 0
+	binary.BigEndian.PutUint32(p[4:8], uint32(n))
+	binary.BigEndian.PutUint64(p[8:16], uint64(t))
 	b.pageUsed += need
 	b.started = true
-	b.lastTime = pkt.Time
+	b.lastTime = t
 	b.meta.Packets++
-	b.meta.Length = pkt.Time
-	b.meta.DataBytes += int64(len(pkt.Payload))
-	return nil
+	b.meta.Length = t
+	b.meta.DataBytes += int64(n)
+	return p[packetHdrLen:], nil
 }
 
 // closeDataPage flushes the current page and, if it held packets,
@@ -242,10 +280,9 @@ func (b *Builder) closeDataPage() error {
 	hadPacket := b.pageHasPacket
 	firstTime := b.pageFirstTime
 	idx := b.pageIdx
-	if err := b.f.WriteBlock(idx, b.page); err != nil {
+	if err := b.writePage(); err != nil {
 		return err
 	}
-	b.meta.Pages++
 	b.pageIdx++
 	b.resetPage()
 	if hadPacket {
@@ -298,7 +335,7 @@ func (b *Builder) placeNode(n *node) (Ptr, error) {
 	}
 	loc := Ptr{Page: b.pageIdx, Offset: int32(b.pageUsed + embedHdrLen)}
 	p := b.page[b.pageUsed:]
-	p[0] = kindInternal
+	p[0], p[1], p[2], p[3] = kindInternal, 0, 0, 0
 	binary.BigEndian.PutUint32(p[4:8], uint32(len(raw)))
 	copy(p[embedHdrLen:], raw)
 	b.pageUsed += need
@@ -346,10 +383,9 @@ func (b *Builder) Finalize() (Meta, error) {
 	}
 	// Flush the page holding the root (and any trailing embeds).
 	if b.pageUsed > pageHdrLen {
-		if err := b.f.WriteBlock(b.pageIdx, b.page); err != nil {
+		if err := b.writePage(); err != nil {
 			return Meta{}, err
 		}
-		b.meta.Pages++
 	}
 	return b.meta, nil
 }

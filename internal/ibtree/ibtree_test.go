@@ -481,6 +481,7 @@ func BenchmarkBuilderAppend4K(b *testing.B) {
 	bl, _ := NewBuilder(f, int(256*units.KB), DefaultMaxKeys)
 	payload := make([]byte, 4096)
 	b.SetBytes(4096)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := bl.Append(Packet{Time: time.Duration(i) * time.Millisecond, Payload: payload}); err != nil {

@@ -118,8 +118,14 @@ func (s *fileSet) packets(name string, reserve int64) (*packetWriter, error) {
 }
 
 // append stores one packet at delivery time t; times must not decrease.
+// The record is framed in the builder's page, so the payload is copied
+// once on its way to the device and nothing is allocated.
 func (w *packetWriter) append(t time.Duration, ch protocol.Channel, payload []byte) error {
-	return w.b.Append(ibtree.Packet{Time: t, Payload: protocol.EncodeStored(ch, payload)})
+	rec, err := w.b.Reserve(t, 1+len(payload))
+	if err == nil {
+		protocol.PutStored(rec, ch, payload)
+	}
+	return err
 }
 
 // publish closes the tree and publishes the file as content of type typ.

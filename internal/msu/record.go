@@ -31,6 +31,11 @@ type recorder struct {
 	started  bool
 	epoch    time.Time
 	lastTime time.Duration
+	// dropped counts the packets lost since the last append that
+	// succeeded: a full page that cannot be written stays put and every
+	// later packet retries it, so a sick device is logged when it starts
+	// failing and when it recovers, not once a packet.
+	dropped int
 
 	wg sync.WaitGroup
 }
@@ -150,8 +155,16 @@ func (r *recorder) append(ch protocol.Channel, payload []byte, now time.Time) {
 		dt = r.lastTime
 	}
 	r.lastTime = dt
-	if err := r.w.append(dt, ch, payload); err != nil {
-		r.s.m.logf("stream %d: append: %v", r.s.spec.Stream, err)
+	err := r.w.append(dt, ch, payload)
+	switch {
+	case err != nil:
+		if r.dropped == 0 {
+			r.s.m.logf("stream %d: append: %v (dropping packets until a write succeeds)", r.s.spec.Stream, err)
+		}
+		r.dropped++
+	case r.dropped > 0:
+		r.s.m.logf("stream %d: appending again after %d dropped packets", r.s.spec.Stream, r.dropped)
+		r.dropped = 0
 	}
 }
 
@@ -182,6 +195,12 @@ func (r *recorder) stop() {
 func (r *recorder) finish() {
 	s := r.s
 	r.stop() // nothing appends after this
+	r.mu.Lock()
+	dropped := r.dropped
+	r.mu.Unlock()
+	if dropped > 0 {
+		s.m.logf("stream %d: recording ends with its last %d packets dropped", s.spec.Stream, dropped)
+	}
 	meta, err := r.w.publish(s.spec.Type, nil)
 	if err != nil {
 		rmErr := r.w.set.abort()

@@ -155,11 +155,19 @@ var Default = func() *Registry {
 // [1 channel byte][payload]. RTP's control traffic is interleaved with
 // the data this way during recording and split back out on playback.
 
-// EncodeStored prefixes a payload with its channel tag.
+// PutStored frames a payload into dst, which holds exactly
+// 1+len(payload) bytes: the channel tag, then the payload. A content
+// writer frames straight into the page it is building this way.
+func PutStored(dst []byte, ch Channel, payload []byte) {
+	dst[0] = byte(ch)
+	copy(dst[1:], payload)
+}
+
+// EncodeStored returns a payload framed with its channel tag in a fresh
+// buffer.
 func EncodeStored(ch Channel, payload []byte) []byte {
 	out := make([]byte, 1+len(payload))
-	out[0] = byte(ch)
-	copy(out[1:], payload)
+	PutStored(out, ch, payload)
 	return out
 }
 
