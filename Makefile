@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint test race faults fuzz-smoke leakcheck replicate obs bench bench-smoke bench-path bench-write bench-cache bench-iosched bench-e2e bench-e2e-smoke repro examples clean
+.PHONY: all build vet lint test race faults fuzz-smoke leakcheck replicate obs bench bench-smoke bench-path bench-write bench-control bench-cache bench-iosched bench-e2e bench-e2e-smoke repro examples clean
 
 all: build vet lint test
 
@@ -118,6 +118,16 @@ bench-write:
 	$(GO) test -run=NONE -bench='Ingest' -benchtime=50x -benchmem ./internal/msu
 	$(GO) test -run=NONE -bench='RecordAppend' -benchmem ./internal/msu
 	$(GO) test -run=NONE -bench='BuilderAppend4K' -benchmem ./internal/ibtree
+
+# The control plane end to end (DESIGN.md, "Admission path"): one client's
+# play → first packet → seek → first packet → quit against a real
+# Coordinator and MSU on a warm memory disk, ns and allocs per cycle.
+# Expected on a 2-core x86 box at 1,000 cycles: ~0.43–0.53 ms and ~598
+# allocs a cycle. With the group dialling the client before its members
+# began, a cache report at every VCR command and an event ring that
+# shifted on every append it was ~0.51–0.62 ms and ~771 allocs.
+bench-control:
+	$(GO) test -run=NONE -bench='PlayCycle' -benchtime=1000x -benchmem .
 
 # The §3e RAM interval cache: hot-replay disk-read savings and the
 # allocation-free cache-hit delivery path, plus the cache's own

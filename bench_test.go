@@ -21,9 +21,13 @@ package calliope
 // calliope/internal/msu, and the page-granular cursor
 // benches (BenchmarkPageCursorNext vs BenchmarkCursorNext) in
 // calliope/internal/ibtree. `make bench-path` runs just those.
+//
+// BenchmarkPlayCycle is the control plane end to end: a client's play,
+// seek and quit against a real Coordinator and MSU (`make bench-control`).
 
 import (
 	"fmt"
+	"net"
 	"testing"
 	"time"
 
@@ -31,6 +35,7 @@ import (
 	"calliope/internal/fakemsu"
 	"calliope/internal/ibtree"
 	"calliope/internal/media"
+	"calliope/internal/msufs"
 	"calliope/internal/protocol"
 	"calliope/internal/schedule"
 	"calliope/internal/simhw"
@@ -432,5 +437,98 @@ func BenchmarkStripingHotContent(b *testing.B) {
 			}
 			b.ReportMetric(res.Recorder.PercentWithin(50*time.Millisecond), "%≤50ms")
 		})
+	}
+}
+
+// BenchmarkPlayCycle is one viewer's control cycle on a warm cluster of
+// one MSU over a memory disk: play, wait for the first packet, seek,
+// wait for the first packet from the new position, quit. An op is the
+// whole cycle: two starts, each through the Coordinator and the MSU's
+// group or player set-up, and one teardown. The receiver is a bare UDP
+// socket read by the benchmark itself, so the wait for a packet ends
+// when the packet does.
+func BenchmarkPlayCycle(b *testing.B) {
+	const fps = 30
+	pkts, err := media.GenerateCBR(media.CBRConfig{Rate: 1500 * units.Kbps, PacketSize: 1024, FPS: fps, GOP: 15, Duration: 10 * time.Second})
+	if err != nil {
+		b.Fatal(err)
+	}
+	// Admission has room to spare: a quit returns on its acknowledgement
+	// and the stream is released when the MSU's stream-ended arrives, which
+	// a client cycling this fast can outrun by a few streams.
+	cluster, err := StartCluster(ClusterConfig{
+		BlockSize:     64 * 1024,
+		DiskBandwidth: 1000 * units.Mbps,
+		Preload: func(_, _ int, vol *msufs.Volume) error {
+			return Ingest(vol, "movie", "mpeg1", pkts)
+		},
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer cluster.Close()
+	c, err := Dial(cluster.Addr(), "bench")
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer c.Close()
+	sink, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer sink.Close()
+	if err := c.RegisterPort("tv", "mpeg1", sink.LocalAddr().String(), ""); err != nil {
+		b.Fatal(err)
+	}
+
+	// A seek lands on the first packet at or after 5 s, so its first
+	// packet is due at once and the wait measures the start, not the
+	// pacing. What the sink holds from before a start is read past by
+	// frame number: a play from 0 waits for a frame from before 4 s, and
+	// the seek for one from after.
+	seekTo := pkts[len(pkts)/2].Time
+	for _, p := range pkts {
+		if p.Time >= 5*time.Second {
+			seekTo = p.Time
+			break
+		}
+	}
+	const mark = 4 * fps
+	buf := make([]byte, 4096)
+	firstPacket := func(from bool) {
+		sink.SetReadDeadline(time.Now().Add(5 * time.Second)) //nolint:errcheck
+		for {
+			n, _, err := sink.ReadFromUDP(buf)
+			if err != nil {
+				b.Fatalf("no first packet: %v", err)
+			}
+			h, err := media.ParseHeader(buf[:n])
+			if err != nil {
+				b.Fatal(err)
+			}
+			if (h.Frame >= mark) == from {
+				return
+			}
+		}
+	}
+	cycle := func() {
+		stream, err := c.Play("movie", "tv", false)
+		if err != nil {
+			b.Fatal(err)
+		}
+		firstPacket(false)
+		if _, err := stream.Seek(seekTo); err != nil {
+			b.Fatal(err)
+		}
+		firstPacket(true)
+		if err := stream.Quit(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	cycle() // warm: the title's head and first pages in RAM
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cycle()
 	}
 }

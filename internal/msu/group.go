@@ -71,14 +71,23 @@ func (g *group) length() time.Duration {
 // with our dial) gets a few chances before the group is abandoned.
 const clientDialAttempts = 4
 
-// connectClient opens the VCR control connection to the client, sends
-// the hello, and starts every member — playback members begin
-// delivering, recorders begin accepting. The dial is retried a few
-// times with short backoff; one dropped SYN must not kill a stream
-// group that the Coordinator already reserved resources for.
+// connectClient starts every member — playback members begin
+// delivering, recorders begin accepting — and then opens the VCR control
+// connection to the client and sends the hello. The first packet does
+// not wait for the dial: the connection only carries VCR commands, and
+// none can arrive before it exists, by which time every member has
+// begun. The StartStream reply still waits for it, so a client that
+// cannot be reached fails the start, its caller quits the group (which
+// stops the players already running) and the Coordinator rolls back.
+// The dial is retried a few times with short backoff; one dropped SYN
+// must not kill a stream group that the Coordinator already reserved
+// resources for.
 func (g *group) connectClient() error {
+	members, err := g.begin()
+	if err != nil {
+		return err
+	}
 	var conn net.Conn
-	var err error
 	b := wire.Backoff{Base: 50 * time.Millisecond, Cap: time.Second}
 	for {
 		conn, err = g.m.cfg.Dial("tcp", g.clientTCP)
@@ -104,31 +113,53 @@ func (g *group) connectClient() error {
 		// Coordinator then reclaims the resources.
 		g.quit("client control connection lost")
 	})
-	g.mu.Lock()
-	g.vcr = peer
-	members := append([]*stream(nil), g.members...)
-	g.mu.Unlock()
-	peer.Start()
-
 	hello := wire.VCRHello{Group: g.id, Length: g.length()}
 	for _, s := range members {
 		hello.Streams = append(hello.Streams, wire.StreamInfo{
 			Stream: s.spec.Stream, Content: s.spec.Content, Type: s.spec.Type,
 		})
 	}
+	// The hello goes out before the peer is attached, so it is the first
+	// thing on the connection even if a member reaches EOF meanwhile.
 	if err := peer.Notify(wire.TypeVCRHello, hello); err != nil {
+		conn.Close() //nolint:errcheck // the send already failed
 		return err
 	}
-	// The client may answer the hello with a command before the members
-	// have begun.
+	g.mu.Lock()
+	if g.quitted {
+		// Quit while the dial was in flight (MSU shutdown, a Coordinator
+		// stop): the members are torn down, and a peer attached now would
+		// be one nobody closes.
+		g.mu.Unlock()
+		conn.Close() //nolint:errcheck // never served
+		return fmt.Errorf("group %d: %w", g.id, core.ErrStreamTerminated)
+	}
+	g.vcr = peer
+	g.mu.Unlock()
+	peer.Start()
+	g.memberEOF() // an end of content reached before the connection existed
+	return nil
+}
+
+// begin starts every member of a group that has not been quit, and
+// returns them. It holds vcrMu, so a quit that comes meanwhile waits to
+// stop the players it starts.
+func (g *group) begin() ([]*stream, error) {
 	g.vcrMu.Lock()
 	defer g.vcrMu.Unlock()
+	g.mu.Lock()
+	quitted := g.quitted
+	members := append([]*stream(nil), g.members...)
+	g.mu.Unlock()
+	if quitted {
+		return nil, fmt.Errorf("group %d: %w", g.id, core.ErrStreamTerminated)
+	}
 	for _, s := range members {
 		if err := s.begin(); err != nil {
-			return fmt.Errorf("starting stream %d: %w", s.spec.Stream, err)
+			return nil, fmt.Errorf("starting stream %d: %w", s.spec.Stream, err)
 		}
 	}
-	return nil
+	return members, nil
 }
 
 // handleVCR serves the client's VCR commands; every command applies to
@@ -191,14 +222,14 @@ func (g *group) handleVCR(msgType string, body json.RawMessage) (any, error) {
 	return &wire.VCRAck{Pos: members[0].position(), Speed: members[0].speedName()}, nil
 }
 
-// memberEOF records one member reaching end of content; when all have,
-// the client is told (§2.1's play flow ends here, but resources stay
+// memberEOF is called when a member reaches end of content; once all
+// have, the client is told (§2.1's play flow ends here, but resources stay
 // allocated until quit so the client can seek back).
-func (g *group) memberEOF(s *stream) {
+func (g *group) memberEOF() {
 	g.mu.Lock()
-	if g.eofSent || g.quitted {
+	if g.eofSent || g.quitted || g.vcr == nil {
 		g.mu.Unlock()
-		return
+		return // sent, torn down, or left to connectClient
 	}
 	allDone := true
 	for _, m := range g.members {

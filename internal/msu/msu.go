@@ -269,7 +269,9 @@ func (m *MSU) ioStats(disk int) trace.IOSchedStats {
 
 // reportCache advertises one disk's cache heat and I/O-scheduler
 // counters to the Coordinator, which re-evaluates queued admissions on
-// every report. Sent when heat changes: a player reaches EOF or stops.
+// every report. Sent when heat changes for good: a player reaches EOF,
+// or a play stream ends (stream.teardown) — not when a VCR command
+// replaces one player with the next.
 func (m *MSU) reportCache(disk int) {
 	c := m.cacheFor(disk)
 	// The number is taken with the figures, so a report with a higher one

@@ -47,7 +47,7 @@ type stream struct {
 }
 
 // newPlayStream opens content and the client-facing sockets; delivery
-// starts when the group's control connection is up (begin).
+// starts when the group is complete (begin).
 func (m *MSU) newPlayStream(spec core.StreamSpec, vol msufs.Store) (*stream, error) {
 	st, err := vol.Stat(spec.Content)
 	if err != nil || contentType(st) == "" {
@@ -97,7 +97,8 @@ func (m *MSU) newPlayStream(spec core.StreamSpec, vol msufs.Store) (*stream, err
 	return s, nil
 }
 
-// begin starts delivery (or recording) once the group is connected.
+// begin starts delivery (or recording) once the group is complete, ahead
+// of its control connection (group.connectClient).
 func (s *stream) begin() error {
 	if s.spec.Record {
 		return nil // recorders run as soon as packets arrive
@@ -106,10 +107,17 @@ func (s *stream) begin() error {
 }
 
 // teardown stops all activity, settles a recording and closes sockets.
+// A play stream sends its one cache report here, after its last player
+// has stopped, so the report counts every packet the stream sent and
+// leaves before the group's StreamEnded, which the Coordinator's merge
+// relies on.
 func (s *stream) teardown() {
 	s.stopPlayer()
 	if s.rec != nil {
 		s.rec.finish()
+	}
+	if !s.spec.Record {
+		s.m.reportCache(s.spec.Disk)
 	}
 	if s.dataConn != nil {
 		s.dataConn.Close()
@@ -326,7 +334,7 @@ func (s *stream) playerEOF(p *player) {
 	// Coordinator so queued plays of now-warm content can admit.
 	s.m.reportCache(s.spec.Disk)
 	if s.group != nil {
-		s.group.memberEOF(s)
+		s.group.memberEOF()
 	}
 }
 
@@ -601,12 +609,10 @@ func (p *player) netLoop(q *queue.SPSC[descriptor], diskDone chan struct{}) {
 	defer close(p.done)
 	if p.cache != nil {
 		// Deregister from the cache's interval tracking when the session
-		// ends, and advertise the heat change. Runs before done closes;
-		// no MSU lock is held while stop() waits, so the notify is safe.
-		defer func() {
-			p.cache.PlayerStop(p.cname, p.id)
-			p.s.m.reportCache(p.s.spec.Disk)
-		}()
+		// ends. Runs before done closes. The heat change is advertised by
+		// the stream's teardown, not by every player a VCR command
+		// replaces.
+		defer p.cache.PlayerStop(p.cname, p.id)
 	}
 	// drain releases the page references still queued when the session
 	// ends, so every page is accounted for at teardown.

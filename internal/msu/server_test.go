@@ -24,7 +24,11 @@ type fakeCoordinator struct {
 	regs     int
 	ended    []wire.StreamEnded
 	recorded []wire.RecordingDone
-	wg       sync.WaitGroup
+	reports  []wire.CacheReport
+	// order lists the cache reports and stream-ended notifications in
+	// the order they arrived: "report" or "ended".
+	order []string
+	wg    sync.WaitGroup
 }
 
 func startFakeCoordinator(t *testing.T, addr string) *fakeCoordinator {
@@ -64,6 +68,15 @@ func (fc *fakeCoordinator) accept() {
 				json.Unmarshal(body, &se) //nolint:errcheck
 				fc.mu.Lock()
 				fc.ended = append(fc.ended, se)
+				fc.order = append(fc.order, "ended")
+				fc.mu.Unlock()
+				return nil, nil
+			case wire.TypeCacheReport:
+				var cr wire.CacheReport
+				json.Unmarshal(body, &cr) //nolint:errcheck
+				fc.mu.Lock()
+				fc.reports = append(fc.reports, cr)
+				fc.order = append(fc.order, "report")
 				fc.mu.Unlock()
 				return nil, nil
 			case wire.TypeRecordingDone:

@@ -10,18 +10,18 @@ import (
 // an operator can reconstruct a single stream's life — admit, queue,
 // dispatch, migrate, EOF — or a piece of content's replication story.
 const (
-	EvAdmit      = "admit"           // session's play admitted; per-stream dispatch follows
-	EvQueue      = "queue"           // play blocked waiting for resources (§2.2 queueing)
-	EvDispatch   = "dispatch"        // one stream placed on an MSU disk
-	EvMigrate    = "migrate"         // stream re-dispatched after an MSU failure
-	EvLost       = "lost"            // group lost: no surviving replica to migrate to
-	EvEOF        = "eof"             // stream ended (cause in Detail)
-	EvCacheRatio = "cache-ratio"     // a disk's cache hit ratio moved materially
-	EvReplPlan   = "replicate-plan"  // replication planner reserved resources for a copy
+	EvAdmit      = "admit"            // session's play admitted; per-stream dispatch follows
+	EvQueue      = "queue"            // play blocked waiting for resources (§2.2 queueing)
+	EvDispatch   = "dispatch"         // one stream placed on an MSU disk
+	EvMigrate    = "migrate"          // stream re-dispatched after an MSU failure
+	EvLost       = "lost"             // group lost: no surviving replica to migrate to
+	EvEOF        = "eof"              // stream ended (cause in Detail)
+	EvCacheRatio = "cache-ratio"      // a disk's cache hit ratio moved materially
+	EvReplPlan   = "replicate-plan"   // replication planner reserved resources for a copy
 	EvReplCommit = "replicate-commit" // replica committed and entered the ledger
-	EvReplAbort  = "replicate-abort" // replication aborted (preempted, failed, or shutdown)
-	EvMSUDown    = "msu-down"        // MSU connection lost
-	EvMSUUp      = "msu-up"          // MSU registered (or re-registered)
+	EvReplAbort  = "replicate-abort"  // replication aborted (preempted, failed, or shutdown)
+	EvMSUDown    = "msu-down"         // MSU connection lost
+	EvMSUUp      = "msu-up"           // MSU registered (or re-registered)
 )
 
 // An Event is one structured entry on the timeline.
@@ -40,14 +40,18 @@ type Event struct {
 
 // A Ring is a bounded, ordered event buffer. Appends assign strictly
 // increasing sequence numbers; once full, the oldest event is
-// overwritten. Readers page through with Since, and can long-poll on
-// Updated for the `events --follow` tail.
+// overwritten in place, so an append costs the same at any capacity.
+// Readers page through with Since, and can long-poll on Updated for the
+// `events --follow` tail.
 type Ring struct {
 	now func() time.Time
 
-	mu      sync.Mutex
-	buf     []Event // fixed capacity, circular
-	next    uint64  // seq the next append will get (first is 1)
+	mu   sync.Mutex
+	buf  []Event // fills to its capacity, then circular: buf[head] is the oldest
+	head int
+	next uint64 // seq the next append will get (first is 1)
+	// updated is closed by the next Append; made only when someone waits,
+	// so an append with nobody following allocates nothing.
 	updated chan struct{}
 }
 
@@ -61,10 +65,9 @@ func NewRing(cap int, now func() time.Time) *Ring {
 		now = time.Now
 	}
 	return &Ring{
-		now:     now,
-		buf:     make([]Event, 0, cap),
-		next:    1,
-		updated: make(chan struct{}),
+		now:  now,
+		buf:  make([]Event, 0, cap),
+		next: 1,
 	}
 }
 
@@ -82,13 +85,13 @@ func (r *Ring) Append(ev Event) uint64 {
 	if len(r.buf) < cap(r.buf) {
 		r.buf = append(r.buf, ev)
 	} else {
-		// Overwrite the slot the evicted (oldest) event occupies:
-		// the buffer is kept in seq order by rotating on eviction.
-		copy(r.buf, r.buf[1:])
-		r.buf[len(r.buf)-1] = ev
+		r.buf[r.head] = ev
+		r.head = (r.head + 1) % len(r.buf)
 	}
-	close(r.updated)
-	r.updated = make(chan struct{})
+	if r.updated != nil {
+		close(r.updated)
+		r.updated = nil
+	}
 	r.mu.Unlock()
 	return ev.Seq
 }
@@ -98,7 +101,15 @@ func (r *Ring) Append(ev Event) uint64 {
 func (r *Ring) Updated() <-chan struct{} {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	if r.updated == nil {
+		r.updated = make(chan struct{})
+	}
 	return r.updated
+}
+
+// at returns the i-th oldest event held. Callers hold mu.
+func (r *Ring) at(i int) *Event {
+	return &r.buf[(r.head+i)%len(r.buf)]
 }
 
 // Since returns up to max events with Seq > seq (all of them when max
@@ -111,15 +122,18 @@ func (r *Ring) Since(seq uint64, stream uint64, max int) ([]Event, uint64) {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	// Sequence numbers held are contiguous, oldest first: start at seq+1.
+	start := 0
+	if oldest := r.next - uint64(len(r.buf)); seq >= oldest {
+		start = int(min(seq-oldest+1, uint64(len(r.buf))))
+	}
 	var out []Event
-	for _, ev := range r.buf {
-		if ev.Seq <= seq {
-			continue
-		}
+	for i := start; i < len(r.buf); i++ {
+		ev := r.at(i)
 		if stream != 0 && ev.Stream != stream {
 			continue
 		}
-		out = append(out, ev)
+		out = append(out, *ev)
 		if max > 0 && len(out) == max {
 			break
 		}
@@ -127,7 +141,7 @@ func (r *Ring) Since(seq uint64, stream uint64, max int) ([]Event, uint64) {
 	return out, r.next - 1
 }
 
-// Tail returns the most recent n events (all when n <= 0).
+// Tail returns the most recent n events (all when n <= 0), oldest first.
 func (r *Ring) Tail(n int) []Event {
 	if r == nil {
 		return nil
@@ -138,5 +152,9 @@ func (r *Ring) Tail(n int) []Event {
 	if n > 0 && len(r.buf) > n {
 		start = len(r.buf) - n
 	}
-	return append([]Event(nil), r.buf[start:]...)
+	out := make([]Event, 0, len(r.buf)-start)
+	for i := start; i < len(r.buf); i++ {
+		out = append(out, *r.at(i))
+	}
+	return out
 }
