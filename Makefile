@@ -122,10 +122,13 @@ bench-write:
 # The control plane end to end (DESIGN.md, "Admission path"): one client's
 # play → first packet → seek → first packet → quit against a real
 # Coordinator and MSU on a warm memory disk, ns and allocs per cycle.
-# Expected on a 2-core x86 box at 1,000 cycles: ~0.43–0.53 ms and ~598
-# allocs a cycle. With the group dialling the client before its members
+# Expected on a 2-core x86 box at 1,000 cycles: ~0.40–0.43 ms, ~83 KB and
+# ~572 allocs a cycle, a stream's players sharing one descriptor ring and
+# one set of fetch slots and taking pages from the disk's one pool. With a
+# fresh ring, fetch slots and page pool for every player it was ~113 KB and
+# ~598 allocs; with the group dialling the client before its members
 # began, a cache report at every VCR command and an event ring that
-# shifted on every append it was ~0.51–0.62 ms and ~771 allocs.
+# shifted on every append, ~0.51–0.62 ms and ~771 allocs.
 bench-control:
 	$(GO) test -run=NONE -bench='PlayCycle' -benchtime=1000x -benchmem .
 
@@ -138,7 +141,13 @@ bench-cache:
 # The §2.2.1/§2.3.3 live-path I/O scheduler on a mechanically-modelled
 # Sim volume, 24 readers: `sched` flat out on the sped-up disk (C-SCAN,
 # one band), `backlog` paced on a disk that cannot keep up (rings queue
-# and ride as runs). Two sessions each, ~7 s; CI's bench-smoke runs one.
+# and ride as runs), both with the cache off, and `backlog-cached` over
+# the default cache, whose pages are lent to readers past their
+# reservations. Two sessions each, ~12 s; CI's bench-smoke runs one. On a
+# 2-core x86 box, xfers/op and seekMB/op: sched 192 and ~372, backlog 122
+# and ~98, backlog-cached 108 and ~106; with the start-up ramp on every
+# disk, contended or not, and nothing to lend, sched was 240 and ~488 and
+# backlog 147 and ~129.
 # FirstPacket is the other end of the same disk: Play → first datagram
 # for a cold viewer, ms/op, on the disk idle and beside page writes made
 # outside the scheduler (head first: ~11 and ~22; a whole page: ~41, ~54),

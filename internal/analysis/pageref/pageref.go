@@ -1,7 +1,7 @@
 // Package pageref checks the resource lifetime of refcounted pages
 // (§2.3: pages pinned on the pipelined disk→cache→network path must be
 // released exactly once). Every acquisition of a page pin —
-// queue.PagePool.Get/TryGet, cache.Cache.Alloc/Lookup, or an explicit
+// queue.PagePool.Get/TryGet/TryReuse, cache.Cache.Alloc/Reuse/Lookup, or an explicit
 // PageRef.Retain — must reach a Release or an explicit hand-off on
 // every path out of the acquiring function.
 //
@@ -36,7 +36,7 @@ import (
 // Analyzer is the pageref check.
 var Analyzer = &framework.Analyzer{
 	Name: "pageref",
-	Doc:  "detect page pins (PagePool.Get, Cache.Alloc/Lookup, PageRef.Retain) that miss a Release or hand-off on some path",
+	Doc:  "detect page pins (PagePool.Get, Cache.Alloc/Reuse/Lookup, PageRef.Retain) that miss a Release or hand-off on some path",
 	Run:  run,
 }
 
@@ -242,11 +242,11 @@ func (u *unitScan) acquireName(call *ast.CallExpr) string {
 		return ""
 	}
 	switch sel.Sel.Name {
-	case "Get", "TryGet":
+	case "Get", "TryGet", "TryReuse":
 		if u.recvIs(sel, "PagePool", "queue") {
 			return "PagePool." + sel.Sel.Name
 		}
-	case "Alloc", "Lookup":
+	case "Alloc", "Reuse", "Lookup":
 		if u.recvIs(sel, "Cache", "cache") {
 			return "Cache." + sel.Sel.Name
 		}

@@ -57,6 +57,18 @@ func neverReleased(c *cache.Cache) {
 	_ = page.Bytes()
 }
 
+// Shape 4b: the other hand-outs pin too — a page reused for a start, or
+// an idle one, leaked on the way out like any other.
+func reusedLeak(c *cache.Cache, pool *queue.PagePool, cond bool) error {
+	pool.TryReuse() // want `result of PagePool.TryReuse is dropped`
+	page := c.Reuse()
+	if cond {
+		return errors.New("no start") // want `page from Cache.Reuse .* not released or handed off on this return path`
+	}
+	sinkRef(page)
+	return nil
+}
+
 // Shape 5: defer registered after the leaky return.
 func deferTooLate(pool *queue.PagePool, cond bool) {
 	page := pool.Get(nil)

@@ -9,5 +9,6 @@ type Cache struct{}
 
 func (c *Cache) Lookup(name string, block int64) *queue.PageRef    { return nil }
 func (c *Cache) Alloc() *queue.PageRef                             { return nil }
+func (c *Cache) Reuse() *queue.PageRef                             { return nil }
 func (c *Cache) Insert(name string, block int64, r *queue.PageRef) {}
 func (c *Cache) Invalidate(name string, block int64)               {}

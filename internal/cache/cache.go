@@ -11,14 +11,16 @@
 // Coordinator learns per-content coverage from MSU cache reports and
 // stops charging disk slots for warmly cached titles.
 //
-// Pages live in a queue.PagePool the cache shares with its readers.
-// A cached page is an ordinary PageRef on which the cache holds one
-// long-lived reference; a hit retains it again and hands it to the
-// disk goroutine, whose descriptors alias the page memory all the way
-// to the UDP write — the zero-copy contract of internal/queue is
-// preserved end to end. When every pool page is pinned, Alloc evicts
-// (interval-aware, then LRU-by-content-heat) before reusing a page;
-// pages still referenced by in-flight descriptors are never victims.
+// Pages live in the disk's one queue.PagePool, which the cache shares
+// with its readers: the pool's own pages are the cache's, and each
+// reader's reservation rides on top. A cached page is an ordinary PageRef
+// on which the cache holds one long-lived reference; a hit retains it
+// again and hands it to the disk goroutine, whose descriptors alias the
+// page memory all the way to the UDP write — the zero-copy contract of
+// internal/queue is preserved end to end. When the pool has no idle page
+// and may make none, Alloc evicts (interval-aware, then
+// LRU-by-content-heat) and reuses the victim; pages still referenced by
+// in-flight descriptors are never victims.
 package cache
 
 import (
@@ -70,7 +72,7 @@ type Cache struct {
 	stats    trace.CacheStats
 }
 
-// New builds a cache over pool. The pool's pages are the cache's RAM
+// New builds a cache over pool. The pool's own pages are the cache's RAM
 // budget; the cache never allocates page memory of its own. The pool
 // may be shared with direct Get/TryGet callers — their pages simply
 // stay out of the cache until released.
@@ -85,8 +87,8 @@ func New(pool *queue.PagePool) *Cache {
 // PageSize reports the size of the pages the cache stores.
 func (c *Cache) PageSize() int { return c.pool.PageSize() }
 
-// Pages reports the cache's page budget (the pool size).
-func (c *Cache) Pages() int { return c.pool.Cap() }
+// Pages reports the cache's page budget: the pool's own pages.
+func (c *Cache) Pages() int { return c.pool.Own() }
 
 // Lookup returns the cached page for (name, page) with one extra
 // reference — the caller releases it when its descriptors are done —
@@ -109,26 +111,64 @@ func (c *Cache) Lookup(name string, page int64) *queue.PageRef {
 	return e.ref
 }
 
-// Alloc returns a page for a miss read: a free pool page, or a freshly
-// evicted one. Returns nil when every page is pinned by in-flight
-// readers (the caller then falls back to its private read-ahead pool).
-// The returned page carries one reference, exactly like PagePool.Get.
+// Alloc returns a page for a miss read: an idle pool page, a new one
+// while the pool may make one, or a freshly evicted one. It returns nil
+// only when every page is pinned and the pool is at its bound — never to
+// a reader below its reservation (queue.PagePool). The returned page
+// carries one reference, exactly like PagePool.Get.
 func (c *Cache) Alloc() *queue.PageRef {
+	// A new page is made outside the lock, so no hit waits for the memory.
 	if r := c.pool.TryGet(); r != nil {
 		return r
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	// A page may have been released between TryGet and the lock.
+	c.shedLocked()
+	return c.allocLocked()
+}
+
+// Reuse is Alloc for a page a viewer is waiting on: it makes a page only
+// when none is idle or evictable, so a start never waits for new memory.
+func (c *Cache) Reuse() *queue.PageRef {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.shedLocked()
+	if r := c.pool.TryReuse(); r != nil {
+		return r
+	}
+	if r := c.evictLocked(); r != nil {
+		return r
+	}
+	return c.allocLocked()
+}
+
+// allocLocked takes a page from the pool, else evicts one. The order is
+// what makes a page certain for a reader below its reservation: once the
+// pool has none to give, an evictable page exists, and only calls that
+// hold c.mu take those.
+func (c *Cache) allocLocked() *queue.PageRef {
 	if r := c.pool.TryGet(); r != nil {
 		return r
 	}
 	return c.evictLocked()
 }
 
+// shedLocked evicts what the pool holds past its capacity, which closed
+// reservations leave for the next hand-out to drop.
+func (c *Cache) shedLocked() {
+	for n := c.pool.Surplus(); n > 0; n-- {
+		r := c.evictLocked()
+		if r == nil {
+			return
+		}
+		r.Release() // over capacity: the pool drops it
+	}
+}
+
 // Insert caches a page the caller just read into a pool page obtained
-// from Alloc (or from this cache's pool directly). The cache takes its
-// own reference; the caller keeps its one and releases it as usual.
+// from Alloc or Reuse (or from this cache's pool directly). The cache
+// takes its own reference; the caller keeps its one and releases it as
+// usual.
 // Returns false — taking no reference — if the page is already cached
 // (a concurrent reader raced the same miss) or the content is unknown
 // to the cache (no PlayerStart registered it).
@@ -349,13 +389,14 @@ func (c *Cache) Len() int {
 	return len(c.entries)
 }
 
-// Pinned reports how many of the cache's pages readers hold right now:
-// pages handed out by Alloc that are still being read into, and cached
-// pages with a hit outstanding. With every stream idle it is zero.
+// Pinned reports how many of the pool's pages readers hold right now:
+// pages handed out by Alloc that are still being read into or sent from,
+// and cached pages with a hit outstanding. With every stream idle it is
+// zero.
 func (c *Cache) Pinned() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	n := c.pool.Cap() - c.pool.Free()
+	n := c.pool.Held()
 	for _, e := range c.entries {
 		if e.ref.Refs() == 1 {
 			n-- // resident, held by the cache alone

@@ -263,7 +263,7 @@ func TestConcurrentPlayersShareCache(t *testing.T) {
 				ref := c.Lookup("movie", p)
 				if ref == nil {
 					if ref = c.Alloc(); ref == nil {
-						continue // all pinned: a real reader would use its own pool
+						continue // all pinned: these readers reserve nothing in the pool
 					}
 					c.Insert("movie", p, ref)
 				}

@@ -41,6 +41,7 @@ package iosched
 import (
 	"errors"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"calliope/internal/blockdev"
@@ -118,6 +119,9 @@ type Scheduler struct {
 	closed  bool
 	started bool
 	stats   trace.IOSchedStats
+	// outstanding counts the requests submitted and not yet completed:
+	// pending, or in the transfer under way (Contended).
+	outstanding atomic.Int32
 
 	// Loop-owned: the device offset after the last transfer, and the
 	// transfer being assembled with its scatter list (reused, so a pick
@@ -166,6 +170,7 @@ func (s *Scheduler) Submit(r *Request) {
 		go s.loop()
 	}
 	s.pending = append(s.pending, r)
+	s.outstanding.Add(1)
 	s.stats.Requests++
 	if n := int64(len(s.pending)); n > s.stats.QueuePeak {
 		s.stats.QueuePeak = n
@@ -195,6 +200,14 @@ func (s *Scheduler) Close() error {
 	<-s.done
 	return nil
 }
+
+// Contended reports, without taking the scheduler's lock, whether the
+// requests not yet completed — pending, or in the transfer under way —
+// are more than one transfer can carry: the run rule's test (pick) as the
+// pick that started the transfer under way made it, with what has
+// arrived since. Under it read-ahead rides whatever its deadline, and a
+// player may stage past its ramp (msu's fetcher.budget).
+func (s *Scheduler) Contended() bool { return s.outstanding.Load() > maxRun }
 
 // Stats snapshots the scheduler's counters.
 func (s *Scheduler) Stats() trace.IOSchedStats {
@@ -357,6 +370,7 @@ func (s *Scheduler) transfer(group []*Request) {
 		err = blockdev.ReadVector(s.dev, off, bufs...)
 	}
 	clear(bufs) // retain no page memory between transfers
+	s.outstanding.Add(-int32(len(group)))
 	for i, r := range group {
 		group[i] = nil // the request, and the page under it, are the caller's again
 		s.complete(r, err)
@@ -385,6 +399,7 @@ func (s *Scheduler) failPending() {
 	s.mu.Lock()
 	pending := s.pending
 	s.pending = nil
+	s.outstanding.Add(-int32(len(pending)))
 	s.mu.Unlock()
 	for _, r := range pending {
 		r.finish(ErrClosed)

@@ -263,3 +263,32 @@ func TestRunSharesFate(t *testing.T) {
 		t.Fatalf("device saw %v, want %v: the transfer stops at its first failing buffer", got, want)
 	}
 }
+
+// TestContended: the lock-free read of the run rule counts every request
+// not yet completed, the one on the device among them. Behind a plug, a
+// disk with four requests in all is not contended, with five it is, and
+// once they are served it is not again.
+func TestContended(t *testing.T) {
+	gd, _, open := gated(mem(t, 64))
+	s := iosched.New(gd, iosched.Options{})
+	defer s.Close()
+	defer open()
+
+	base := time.Unix(7000, 0)
+	done := make(chan *iosched.Request, 8)
+	s.Submit(&iosched.Request{Off: 0, Buf: make([]byte, bs), C: done, Deadline: base})
+	onDevice(t, gd, 0)
+	stream(s, done, 10, 3, base)
+	if s.Contended() {
+		t.Fatal("contended with four requests outstanding, the plug among them")
+	}
+	stream(s, done, 20, 1, base)
+	if !s.Contended() {
+		t.Fatal("not contended with five requests outstanding")
+	}
+	open()
+	collect(t, done, 5)
+	if s.Contended() {
+		t.Fatal("contended with every request served")
+	}
+}

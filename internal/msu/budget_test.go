@@ -9,6 +9,7 @@ import (
 
 	"calliope/internal/blockdev"
 	"calliope/internal/cache"
+	"calliope/internal/iosched"
 	"calliope/internal/media"
 	"calliope/internal/msufs"
 	"calliope/internal/units"
@@ -177,14 +178,14 @@ func ingestCBR(t *testing.T, store msufs.Store, pktSize int, titles map[string]t
 }
 
 // held is how many pages the player pins, counted without its own
-// ledger: its pool's pages that are out, plus the cache's pages that a
-// reader holds (the rig runs one stream at a time, so they are its).
+// ledger: the disk's pool pages that readers hold — with the cache on,
+// those of its pages that are not just cached — (the rig runs one stream
+// at a time, so they are its).
 func (r *budgetRig) held(p *player) int {
-	n := p.pool.Cap() - p.pool.Free()
 	if r.cache != nil {
-		n += r.cache.Pinned()
+		return r.cache.Pinned()
 	}
-	return n
+	return p.pool.Held()
 }
 
 // player waits for the rig's one stream to have a player other than
@@ -224,28 +225,30 @@ func (r *budgetRig) firstReadHeld(p *player, requestsBefore int64, when string) 
 	if n := r.m.ioStats(0).Requests - requestsBefore; n != 1 {
 		r.t.Errorf("%s: %d page reads submitted before the first page is in RAM, want 1", when, n)
 	}
-	if got, held := p.pinned.Load(), r.held(p); got != 1 || held != 1 {
+	if got, held := p.res.Pinned(), r.held(p); got != 1 || held != 1 {
 		r.t.Errorf("%s: the player counts %d pinned pages and holds %d before the first page is in RAM, want 1", when, got, held)
 	}
 }
 
 // allBack checks nothing of p's, the rig's only player, is pinned any
-// more.
+// more, and, if it has stopped, that its reservation is back.
 func (r *budgetRig) allBack(p *player, when string) {
 	r.t.Helper()
-	if free, cap := p.pool.Free(), p.pool.Cap(); free != cap {
-		r.t.Errorf("%s: %d of the pool's %d pages are back", when, free, cap)
+	if n := r.held(p); n != 0 {
+		r.t.Errorf("%s: %d of the pool's pages still held", when, n)
 	}
-	if n := p.pinned.Load(); n != 0 {
+	select {
+	case <-p.done:
+		if cap, own := p.pool.Cap(), p.pool.Own(); cap != own {
+			r.t.Errorf("%s: the pool's capacity is %d, want its own %d pages once the player has stopped", when, cap, own)
+		}
+	default: // at EOF: parked until a command stops it
+	}
+	if n := p.res.Pinned(); n != 0 {
 		r.t.Errorf("%s: the player still counts %d pinned pages", when, n)
 	}
-	if r.cache != nil {
-		if n := r.cache.Pinned(); n != 0 {
-			r.t.Errorf("%s: %d cache pages still pinned", when, n)
-		}
-	}
-	if n := r.m.obs.pinned.Load(); n != 0 {
-		r.t.Errorf("%s: readahead_pinned_pages = %d, want 0", when, n)
+	if n, lent := r.m.obs.pinned.Load(), r.m.obs.lent.Load(); n != 0 || lent != 0 {
+		r.t.Errorf("%s: readahead_pinned_pages = %d, readahead_lent_pages = %d, want 0", when, n, lent)
 	}
 }
 
@@ -259,12 +262,146 @@ func (r *budgetRig) allBack(p *player, when string) {
 // than two pages plus one for each page sent; a seek starts again at one
 // page; and at EOF, after a Quit and after a cancel in mid-read every
 // page is back.
+//
+// Those subtests run on a disk that is never contended: one player's
+// reads, one at a time. On a contended one the ramp yields and a player
+// may pin lendPages past its reservation (testContendedBudget).
 func TestPageBudgetAndRamp(t *testing.T) {
 	for _, pktSize := range []int{4096, 1024, 512} {
 		for _, cacheBytes := range []units.ByteSize{DefaultCacheBytes, -1} {
 			name := fmt.Sprintf("%dB/cache=%v", pktSize, cacheBytes > 0)
 			t.Run(name, func(t *testing.T) { testPageBudget(t, pktSize, cacheBytes) })
 		}
+	}
+	t.Run("contended", testContendedBudget)
+}
+
+// testContendedBudget holds the device behind more than maxRun reads of
+// nobody's, due an hour from now — never in a player's deadline band, so
+// they stay queued while the player's pages go past them — and lets the
+// player's reads through one device call at a time, and one of those
+// fillers only when it is on the device with a read of the player's
+// queued behind it. The disk is then contended throughout: once its first
+// page is in, the player stages its whole ring, and while the network
+// process holds its reserved pages for pacing it pins up to lendPages
+// more, lent by the disk's pool out of the cache's share, and never more
+// than that. After a quit every page is back and nothing is lent.
+func testContendedBudget(t *testing.T) {
+	r := newBudgetRig(t, DefaultCacheBytes)
+	dev := r.dev
+	r.ingest(4096, map[string]time.Duration{"lend": 4 * time.Second})
+	dev.hold()
+	sched := r.m.diskScheds[0][0]
+	filler := make([]iosched.Request, 16)
+	done := make(chan *iosched.Request, len(filler))
+	for i := range filler {
+		filler[i] = iosched.Request{Buf: make([]byte, 4096), Deadline: time.Now().Add(time.Hour), C: done}
+		sched.Submit(&filler[i])
+	}
+	dev.awaitParked(t, "the filler")
+	if !r.m.contended(0) {
+		t.Fatalf("%d reads queued on a held disk, and it does not read as contended", len(filler)-1)
+	}
+
+	// step lets the read on the device through: the player's, or a filler
+	// with one of the player's reads queued behind it.
+	released := 0 // calls let through so far, the filler parked first among them
+	step := func() {
+		calls := dev.callLog()
+		var served int64 // the player's pages, each read from its first byte
+		for _, c := range calls {
+			if c.off != 0 && c.off%dev.blockSize == 0 {
+				served++
+			}
+		}
+		switch {
+		case len(calls) == released: // the last call let through, or none, is on the device
+		case calls[released].off == 0 && r.m.ioStats(0).Requests-int64(len(filler)) == served:
+			// A filler: the player is cutting a page, its next read is coming.
+		default:
+			dev.gate <- struct{}{}
+			released++
+			return
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+
+	peer := r.play("lend")
+	p := r.player(nil)
+	// Up to the ceiling, and on for a while: it holds.
+	var peak int32
+	var over time.Time
+	for deadline := time.Now().Add(10 * time.Second); over.IsZero() || time.Now().Before(over); {
+		step()
+		got, held := p.res.Pinned(), r.held(p)
+		if got > pageBudget+lendPages || held > pageBudget+lendPages {
+			t.Fatalf("the player counts %d pinned pages and holds %d, over its reservation of %d plus %d lent", got, held, pageBudget, lendPages)
+		}
+		if lent := p.pool.Lent(); lent > r.cache.Pages() {
+			t.Fatalf("%d pages lent out of a cache of %d", lent, r.cache.Pages())
+		}
+		if !r.m.contended(0) {
+			t.Fatal("the disk stopped reading as contended: the filler was served")
+		}
+		if peak = max(peak, got); peak == pageBudget+lendPages && over.IsZero() {
+			if n := r.m.obs.lent.Load(); n != lendPages {
+				t.Errorf("readahead_lent_pages = %d with the player at its ceiling, want %d", n, lendPages)
+			}
+			over = time.Now().Add(20 * time.Millisecond)
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("the player pinned at most %d pages on a contended disk, want its reservation of %d plus %d lent", peak, pageBudget, lendPages)
+		}
+	}
+	r.vcr(peer, "quit", 0)
+	dev.open()
+	peer.Close() //nolint:errcheck // the MSU closes its end too
+	r.drained()
+	for range filler {
+		<-done
+	}
+	r.allBack(p, "after a quit on a contended disk")
+}
+
+// TestWarmStartMakesNoPage holds that pages recycle through a disk's
+// pool: once an MSU has played a title through, a play and a quit, a seek
+// and a pause cost no new page, with the cache on or off. A start takes an
+// idle page or evicts one, and a later page is made only while the pool
+// holds fewer than its own pages plus one a pin, which a warm pool does
+// not.
+func TestWarmStartMakesNoPage(t *testing.T) {
+	for _, cacheBytes := range []units.ByteSize{8 * 64 * 1024, -1} {
+		t.Run(fmt.Sprintf("cache=%v", cacheBytes > 0), func(t *testing.T) {
+			r := newBudgetRig(t, cacheBytes)
+			r.ingest(4096, map[string]time.Duration{"warm": time.Second, "a": 2 * time.Second, "b": 2 * time.Second})
+			pool := r.m.pools[0]
+			peer := r.play("warm")
+			deadline := time.Now().Add(10 * time.Second)
+			for p := r.player(nil); !p.s.atEOF(); time.Sleep(time.Millisecond) {
+				if time.Now().After(deadline) {
+					t.Fatal("no EOF")
+				}
+			}
+			r.quit(peer)
+			made := pool.Made()
+			if made == 0 || made > pool.Own()+pageBudget {
+				t.Fatalf("a title played through made %d pages, want 1 to %d", made, pool.Own()+pageBudget)
+			}
+			for _, title := range []string{"a", "b", "a"} {
+				peer := r.play(title)
+				r.frame(0)
+				r.vcr(peer, "seek", time.Second)
+				r.frame(0)
+				r.vcr(peer, "pause", 0)
+				r.quit(peer)
+				if n := pool.Made(); n != made {
+					t.Fatalf("a start, a seek and a quit on %q took the pool from %d pages made to %d", title, made, n)
+				}
+			}
+			if n := pool.Held(); r.cache == nil && n != 0 {
+				t.Errorf("%d pages held with the cache off and nothing playing", n)
+			}
+		})
 	}
 }
 
@@ -317,7 +454,7 @@ func testPageBudget(t *testing.T, pktSize int, cacheBytes units.ByteSize) {
 		if lead := caused - int(sent); lead > 2+int(sent) {
 			t.Fatalf("%d pages read with %d sent in full: the ramp allows a lead of two pages plus one for each page sent", caused, sent)
 		}
-		if got, held := p.pinned.Load(), r.held(p); got > pageBudget || held > pageBudget {
+		if got, held := p.res.Pinned(), r.held(p); got > pageBudget || held > pageBudget {
 			t.Fatalf("the player counts %d pinned pages and holds %d, over the budget of %d", got, held, pageBudget)
 		}
 		if time.Now().After(deadline) {

@@ -45,27 +45,34 @@ type fetchSlot struct {
 	idx     int64
 	page    *queue.PageRef
 	hit     bool // satisfied from the RAM cache, no I/O issued
-	insert  bool // page came from cache.Alloc: insert after verify
 	pending bool // submitted to a scheduler, completion not yet taken
 	err     error
 	req     iosched.Request
 	c       chan *iosched.Request
 }
 
-// newFetcher builds the player's prefetch ring.
+// newFetchSlots makes a stream's fetch slots, with their completion
+// channels; its players take turns with them (stream.slots).
+func newFetchSlots() []fetchSlot {
+	slots := make([]fetchSlot, readAheadPages)
+	for i := range slots {
+		slots[i].c = make(chan *iosched.Request, 1)
+	}
+	return slots
+}
+
+// newFetcher builds the player's prefetch ring over its stream's slots,
+// which the previous player left empty (abort).
 func newFetcher(p *player) *fetcher {
 	pages := p.tree.Meta().Pages
 	f := &fetcher{
 		p:     p,
 		pages: pages,
 		epoch: time.Now(),
-		slots: make([]fetchSlot, readAheadPages),
+		slots: p.s.slots,
 	}
 	if pages > 0 {
 		f.pageDur = p.tree.Length() / time.Duration(pages)
-	}
-	for i := range f.slots {
-		f.slots[i].c = make(chan *iosched.Request, 1)
 	}
 	return f
 }
@@ -89,11 +96,20 @@ func (f *fetcher) deadline(idx int64) time.Time {
 // each page sent after that, up to pageBudget. A seek, resume or speed
 // change is a fresh player and starts again at one, so a stream that is
 // moved or dropped early has read one or two pages, not a ring of them.
+// The ramp yields to contention: on a disk with more requests
+// outstanding than one transfer carries, where staged read-ahead rides
+// as runs (iosched.Scheduler.Contended), a primed player may stage its
+// whole ring at once and pin lendPages past its reservation, if its pool
+// has them to lend (fill).
 func (f *fetcher) budget() int32 {
-	if !f.primed {
+	p := f.p
+	switch {
+	case !f.primed:
 		return 1
+	case p.s.m.contended(p.s.spec.Disk):
+		return pageBudget + lendPages
 	}
-	return min(pageBudget, 2+f.p.sent.Load())
+	return min(pageBudget, 2+p.sent.Load())
 }
 
 // nextPage produces the page NextPage announced: it restarts the
@@ -157,7 +173,7 @@ func (f *fetcher) nextPage(cur *ibtree.PageCursor, want int64) (*queue.PageRef, 
 			slot.err = req.Err
 		}
 	}
-	page, hit, insert, err := f.pop()
+	page, hit, err := f.pop()
 	if err != nil {
 		p.unpin(page)
 		return nil, err
@@ -178,32 +194,33 @@ func (f *fetcher) nextPage(cur *ibtree.PageCursor, want int64) (*queue.PageRef, 
 		}
 		return nil, aerr
 	}
-	f.landed(page, want, hit, insert)
+	f.landed(page, want, hit)
 	return page, nil
 }
 
 // pop takes the ring's head slot, whose read is done with, off the ring.
 // The pin on its page is the caller's now.
-func (f *fetcher) pop() (page *queue.PageRef, hit, insert bool, err error) {
+func (f *fetcher) pop() (page *queue.PageRef, hit bool, err error) {
 	slot := &f.slots[f.head]
 	page, slot.page = slot.page, nil
 	f.head = (f.head + 1) % len(f.slots)
 	f.n--
-	return page, slot.hit, slot.insert, slot.err
+	return page, slot.hit, slot.err
 }
 
 // landed books a page that is in RAM whole and attached: the counters,
-// the cache (so a follower never finds half a page there) and the step
-// up in budget.
-func (f *fetcher) landed(page *queue.PageRef, idx int64, hit, insert bool) {
+// the cache — every page read is one of the cache's pool's, and goes in
+// now, so a follower never finds half a page there — and the step up in
+// budget.
+func (f *fetcher) landed(page *queue.PageRef, idx int64, hit bool) {
 	p := f.p
 	if hit {
 		p.s.m.obs.cacheHits.Inc()
 	} else {
 		p.s.m.obs.pagesRead.Inc()
-	}
-	if insert {
-		p.cache.Insert(p.cname, idx, page)
+		if p.cache != nil {
+			p.cache.Insert(p.cname, idx, page)
+		}
 	}
 	if f.startsTitle(idx) {
 		p.s.m.keepHead(p.s.spec.Disk, p.cname, page.Bytes())
@@ -222,12 +239,12 @@ func (f *fetcher) tail(cur *ibtree.PageCursor) error {
 	slot.pending = false
 	slot.err = req.Err
 	f.half = false
-	page, _, insert, err := f.pop()
+	page, _, err := f.pop()
 	if err != nil {
 		return err
 	}
 	cur.Raise(len(page.Bytes()))
-	f.landed(page, slot.idx, false, insert)
+	f.landed(page, slot.idx, false)
 	return nil
 }
 
@@ -240,45 +257,48 @@ func (f *fetcher) giveBack(page *queue.PageRef) {
 	}
 }
 
-// fill tops up the ring as far as the budget has room.
+// fill tops up the ring as far as the budget has room — past the
+// player's reservation, as far as its disk's pool lends.
 func (f *fetcher) fill() {
-	for f.n < len(f.slots) && f.next < f.pages && f.p.pinned.Load() < f.budget() {
-		f.issueOne()
+	for f.n < len(f.slots) && f.next < f.pages && f.p.res.Pinned() < f.budget() {
+		if !f.issueOne() {
+			return
+		}
 	}
 }
 
-// issueOne stages the next page into the ring's tail slot and pins it
-// against the budget: a cache hit takes the cached page outright; a
-// miss acquires a destination page (from the cache when allocatable, so
-// later players share the read, else the private pool) and submits the
-// read to the owning volume's scheduler. The page a viewer is waiting on
-// arrives by what RAM holds of it: all (a hit), its head (the rest is
-// read), or nothing (it is read head first).
-func (f *fetcher) issueOne() {
+// issueOne pins the next page and stages it into the ring's tail slot,
+// or reports false if the pin was past the reservation and the pool had
+// nothing to lend. A cache hit takes the cached page outright; a miss
+// takes a page of the disk's pool — through the cache when there is one,
+// so later players share the read — and submits the read to the owning
+// volume's scheduler. Room in the budget is always a page (queue.PagePool),
+// and a player's first page is an idle one wherever one is (cache.Reuse).
+// The page a viewer is waiting on arrives by what RAM holds of it: all (a
+// hit), its head (the rest is read), or nothing (it is read head first).
+func (f *fetcher) issueOne() bool {
 	p := f.p
+	if !p.pin() {
+		return false
+	}
 	idx := f.next
 	slot := &f.slots[(f.head+f.n)%len(f.slots)]
 	*slot = fetchSlot{idx: idx, c: slot.c}
 	f.next++
 	f.n++
-	p.pin()
 	if p.cache != nil {
 		if slot.page = p.cache.Lookup(p.cname, idx); slot.page != nil {
 			slot.hit = true
-			return
-		}
-		slot.page = p.cache.Alloc()
-		slot.insert = slot.page != nil
-		if !slot.insert {
-			p.s.m.obs.allocPinned.Inc()
+			return true
 		}
 	}
-	if slot.page == nil {
-		// Every pool page out is counted in pinned and the pool holds
-		// pageBudget of them, so room in the budget is a page here.
-		if slot.page = p.pool.TryGet(); slot.page == nil {
-			panic("msu: page budget has room but the player's pool is empty")
-		}
+	switch {
+	case p.cache == nil:
+		slot.page = p.pool.TryGet()
+	case f.primed:
+		slot.page = p.cache.Alloc()
+	default:
+		slot.page = p.cache.Reuse()
 	}
 	slot.req = iosched.Request{Buf: slot.page.Bytes(), Deadline: f.deadline(idx), C: slot.c}
 	skip := 0
@@ -304,6 +324,7 @@ func (f *fetcher) issueOne() {
 		f.half = true
 		p.s.m.obs.headStarts.Inc()
 	}
+	return true
 }
 
 // startsTitle reports whether page idx is the one whose head the MSU
@@ -322,7 +343,7 @@ func (f *fetcher) abort() {
 			<-slot.c
 			slot.pending = false
 		}
-		page, _, _, _ := f.pop()
+		page, _, _ := f.pop()
 		f.p.unpin(page)
 	}
 	f.half = false

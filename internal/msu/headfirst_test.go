@@ -205,7 +205,7 @@ func testHeadFirst(t *testing.T, pktSize int, cacheBytes units.ByteSize) {
 		t.Error("a player stopped with its first page's tail still on the device")
 	default:
 	}
-	if got, held := p.pinned.Load(), r.held(p); got != 1 || held != 1 {
+	if got, held := p.res.Pinned(), r.held(p); got != 1 || held != 1 {
 		t.Errorf("a quit player counts %d pinned pages and holds %d with the tail on the device, want 1", got, held)
 	}
 	dev.open()

@@ -108,18 +108,21 @@ type MSU struct {
 	// stores are the logical disks: one per volume, or a single
 	// striped store over all volumes.
 	stores []msufs.Store
-	// caches are the per-store RAM interval caches, indexed like
-	// stores; entries are nil when caching is disabled or the budget
-	// is below one page.
+	// pools are the logical disks' page pools, indexed like stores: every
+	// page a player reads or pins is one of its disk's pool's (buildPools).
+	pools []*queue.PagePool
+	// caches are the per-store RAM interval caches over those pools,
+	// indexed like stores; entries are nil when caching is disabled or the
+	// budget is below one page.
 	caches []*cache.Cache
 	// scheds holds one I/O scheduler per physical volume: every read of
 	// a store file on that volume flows through its scheduler
 	// (submitRead), so the per-disk C-SCAN picks see the whole MSU's
 	// demand. Built once in New, immutable after.
 	scheds map[*msufs.Volume]*iosched.Scheduler
-	// storeVols lists the member volumes behind each logical disk,
-	// indexed like stores, for per-disk scheduler stat aggregation.
-	storeVols [][]*msufs.Volume
+	// diskScheds lists the schedulers of the member volumes behind each
+	// logical disk, indexed like stores: its stats and its contention.
+	diskScheds [][]*iosched.Scheduler
 	// obs holds the MSU's metrics handles (obs.go).
 	obs msuMetrics
 	// reportMu orders cache reports: reportSeq and the cumulative figures
@@ -178,40 +181,50 @@ func New(cfg Config) (*MSU, error) {
 			return net.DialTimeout(network, address, 5*time.Second)
 		}
 	}
-	var stores []msufs.Store
-	var storeVols [][]*msufs.Volume
 	striped := cfg.Striped && len(cfg.Volumes) > 1
 	if err := checkLayout(cfg.Volumes, striped); err != nil {
 		return nil, err
 	}
+	// A scheduler's goroutine starts on its first read, so one built here
+	// costs nothing if New fails below.
+	scheds := make(map[*msufs.Volume]*iosched.Scheduler, len(cfg.Volumes))
+	var all []*iosched.Scheduler
+	for _, v := range cfg.Volumes {
+		scheds[v] = iosched.New(v.Device(), iosched.Options{Now: time.Now})
+		all = append(all, scheds[v])
+	}
+	var stores []msufs.Store
+	var diskScheds [][]*iosched.Scheduler
 	if striped {
 		set, err := msufs.NewStripeSet(cfg.Volumes...)
 		if err != nil {
 			return nil, err
 		}
 		stores = []msufs.Store{msufs.NewStripedStore(set)}
-		storeVols = [][]*msufs.Volume{cfg.Volumes}
+		diskScheds = [][]*iosched.Scheduler{all}
 	} else {
 		for _, v := range cfg.Volumes {
 			stores = append(stores, msufs.NewStore(v))
-			storeVols = append(storeVols, []*msufs.Volume{v})
+			diskScheds = append(diskScheds, []*iosched.Scheduler{scheds[v]})
 		}
 	}
+	pools, caches, err := buildPools(cfg.CacheBytes, stores)
+	if err != nil {
+		return nil, err
+	}
 	m := &MSU{
-		cfg:       cfg,
-		stores:    stores,
-		storeVols: storeVols,
-		caches:    buildCaches(cfg.CacheBytes, stores),
-		contents:  make(map[contentKey]*content),
-		streams:   make(map[core.StreamID]*stream),
-		groups:    make(map[uint64]*group),
-		quit:      make(chan struct{}),
+		cfg:        cfg,
+		stores:     stores,
+		pools:      pools,
+		caches:     caches,
+		scheds:     scheds,
+		diskScheds: diskScheds,
+		contents:   make(map[contentKey]*content),
+		streams:    make(map[core.StreamID]*stream),
+		groups:     make(map[uint64]*group),
+		quit:       make(chan struct{}),
 	}
 	m.obs = newMSUMetrics(obs.New(obs.Options{Now: time.Now}))
-	m.scheds = make(map[*msufs.Volume]*iosched.Scheduler, len(cfg.Volumes))
-	for _, v := range cfg.Volumes {
-		m.scheds[v] = iosched.New(v.Device(), iosched.Options{Now: time.Now})
-	}
 	m.heads = buildHeads(stores, m.caches)
 	for disk := range m.stores {
 		m.sweep(disk)
@@ -220,29 +233,31 @@ func New(cfg Config) (*MSU, error) {
 	return m, nil
 }
 
-// buildCaches sizes one RAM interval cache per logical disk. The page
-// size is the store's block size, so cached pages alias directly into
-// the zero-copy delivery path.
-func buildCaches(budget units.ByteSize, stores []msufs.Store) []*cache.Cache {
-	caches := make([]*cache.Cache, len(stores))
-	if budget < 0 {
-		return caches
-	}
+// buildPools gives each logical disk its one page pool and, over it, its
+// RAM interval cache. The pool owns the cache's budget in pages of the
+// store's block size, so cached pages alias directly into the zero-copy
+// delivery path, and every player reserves its page budget on top
+// (player.start). With caching off, or a budget below one page, the pool
+// owns nothing and there is no cache: the players' reservations are all
+// of it.
+func buildPools(budget units.ByteSize, stores []msufs.Store) ([]*queue.PagePool, []*cache.Cache, error) {
 	if budget == 0 {
 		budget = DefaultCacheBytes
 	}
+	pools := make([]*queue.PagePool, len(stores))
+	caches := make([]*cache.Cache, len(stores))
 	for i, store := range stores {
-		pages := int(int64(budget) / int64(store.BlockSize()))
-		if pages < 1 {
-			continue
-		}
-		pool, err := queue.NewPagePool(store.BlockSize(), pages)
+		own := int(max(0, int64(budget)/int64(store.BlockSize())))
+		pool, err := queue.NewPagePool(store.BlockSize(), own)
 		if err != nil {
-			continue // impossible: both dimensions are positive
+			return nil, nil, err
 		}
-		caches[i] = cache.New(pool)
+		pools[i] = pool
+		if own > 0 {
+			caches[i] = cache.New(pool)
+		}
 	}
-	return caches
+	return pools, caches, nil
 }
 
 // cacheFor returns the RAM cache for one logical disk, or nil when
@@ -258,13 +273,25 @@ func (m *MSU) cacheFor(disk int) *cache.Cache {
 // member volumes.
 func (m *MSU) ioStats(disk int) trace.IOSchedStats {
 	var total trace.IOSchedStats
-	if disk < 0 || disk >= len(m.storeVols) {
+	if disk < 0 || disk >= len(m.diskScheds) {
 		return total
 	}
-	for _, v := range m.storeVols[disk] {
-		total = total.Add(m.scheds[v].Stats())
+	for _, s := range m.diskScheds[disk] {
+		total = total.Add(s.Stats())
 	}
 	return total
+}
+
+// contended reports whether one of a logical disk's schedulers has more
+// requests pending than one transfer can carry (iosched's run rule). It
+// takes no lock: the fetcher asks it page by page.
+func (m *MSU) contended(disk int) bool {
+	for _, s := range m.diskScheds[disk] {
+		if s.Contended() {
+			return true
+		}
+	}
+	return false
 }
 
 // reportCache advertises one disk's cache heat and I/O-scheduler

@@ -23,13 +23,12 @@ type msuMetrics struct {
 	pagesRead *obs.Counter // disk_pages_read_total (IB-tree pages from disk)
 	cacheHits *obs.Counter // cache_page_hits_total (pages served from RAM)
 	pinned    *obs.Gauge   // readahead_pinned_pages (pages held against all players' budgets)
-	// cache_alloc_pinned_total: a miss found every page of the cache pinned
-	// by a reader, so its page was read into the player's own pool and
-	// never cached, and every follower reads it again.
-	allocPinned *obs.Counter
-	headStarts  *obs.Counter // delivery_head_starts_total (players started from a resident head)
-	heads       *obs.Gauge   // resident_heads (titles whose head is in RAM)
-	headBytes   *obs.Gauge   // resident_head_bytes
+	// readahead_lent_pages: the pages of those pinned past the players'
+	// reservations, lent by their disks' pools on a contended disk.
+	lent       *obs.Gauge
+	headStarts *obs.Counter // delivery_head_starts_total (players started from a resident head)
+	heads      *obs.Gauge   // resident_heads (titles whose head is in RAM)
+	headBytes  *obs.Gauge   // resident_head_bytes
 
 	streams     *obs.Counter // msu_streams_started_total
 	eofs        *obs.Counter // delivery_eof_total
@@ -73,7 +72,7 @@ func newMSUMetrics(r *obs.Registry) msuMetrics {
 		pagesRead:   r.Counter("disk_pages_read_total"),
 		cacheHits:   r.Counter("cache_page_hits_total"),
 		pinned:      r.Gauge("readahead_pinned_pages"),
-		allocPinned: r.Counter("cache_alloc_pinned_total"),
+		lent:        r.Gauge("readahead_lent_pages"),
 		headStarts:  r.Counter("delivery_head_starts_total"),
 		heads:       r.Gauge("resident_heads"),
 		headBytes:   r.Gauge("resident_head_bytes"),

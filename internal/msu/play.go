@@ -41,6 +41,12 @@ type stream struct {
 	pos    time.Duration // position in normal-rate coordinates
 	player *player
 	eof    bool
+	// ring and slots are the descriptor queue and the fetch slots of the
+	// stream's player. Its players run one at a time (group.vcrMu, and a
+	// stop waits out both of a player's processes), so the first makes
+	// them and every VCR command's player after it reuses them.
+	ring  *queue.SPSC[descriptor]
+	slots []fetchSlot
 
 	// Recording state.
 	rec *recorder
@@ -278,6 +284,7 @@ func (s *stream) playAt(sp core.Speed, normalPos time.Duration) error {
 		file:     file,
 		speed:    sp,
 		startPos: treePos,
+		pool:     s.m.pools[s.spec.Disk],
 		cache:    s.m.cacheFor(s.spec.Disk),
 		cname:    cname,
 		id:       playerIDs.Add(1),
@@ -362,8 +369,8 @@ type descriptor struct {
 // first one from its head on: fetcher.issueOne, fetcher.tail), a
 // network process transmitting packets straight out of those buffers,
 // and a shared-memory queue of descriptors between them. Pages recycle
-// through a fixed refcounted pool and payloads are never copied, so the
-// steady-state path from disk read to UDP write performs zero copies
+// through the disk's refcounted pool and payloads are never copied, so
+// the steady-state path from disk read to UDP write performs zero copies
 // and zero allocations.
 type player struct {
 	s    *stream
@@ -373,8 +380,12 @@ type player struct {
 	file     msufs.StoreFile
 	speed    core.Speed
 	startPos time.Duration
-	// cache is the disk's shared RAM interval cache (nil when off):
-	// the ring consults it before every page read, and a hit
+	// pool is the disk's page pool, which every page the player reads or
+	// pins comes from, and res the player's share of it (pageBudget).
+	pool *queue.PagePool
+	res  queue.Reservation
+	// cache is the disk's shared RAM interval cache over pool (nil when
+	// off): the ring consults it before every page read, and a hit
 	// delivers straight out of the cached page with no disk I/O and no
 	// copy. cname is the cache key prefix — the file being read — and
 	// id identifies this player in the cache's interval tracking.
@@ -387,7 +398,6 @@ type player struct {
 	born   time.Time
 	cancel chan struct{}
 	done   chan struct{}
-	pool   *queue.PagePool
 	// wake and space park the two processes instead of polling: the
 	// producer nudges wake after an enqueue into an empty-observed
 	// queue window, the consumer nudges space after freeing a slot or
@@ -395,12 +405,11 @@ type player struct {
 	// is never lost and never blocks.
 	wake  chan struct{}
 	space chan struct{}
-	// pinned counts the pages held against pageBudget; sent counts the
-	// pages that have gone out in full, which is what opens the budget
-	// (fetcher.budget). The disk process pins, either process unpins,
-	// only the network process counts a page sent.
-	pinned atomic.Int32
-	sent   atomic.Int32
+	// sent counts the pages that have gone out in full, which is what
+	// opens the budget (fetcher.budget); res counts the pages held. The
+	// disk process pins, either process unpins, only the network process
+	// counts a page sent.
+	sent atomic.Int32
 }
 
 // queueDepth is the SPSC capacity between the disk and network sides.
@@ -413,12 +422,18 @@ const readAheadPages = 4
 // pageBudget bounds the disk process's lead over the network process in
 // pages, whatever the packet size: every page a player pins — staged in
 // the ring, being cut, or still referenced from the descriptor queue;
-// pool page, cache.Alloc page or cache hit alike — counts against it.
-// It is the paper's double buffer (the page being cut and the page
-// being sent) plus the ring, and the player's pool is this size, so the
-// budget having room means a destination page is to hand even when the
-// cache can spare none.
+// read or cache hit alike — counts against it. It is the paper's double
+// buffer (the page being cut and the page being sent) plus the ring, and
+// it is what a player reserves in its disk's pool, so the budget having
+// room means a destination page is to hand (queue.PagePool).
 const pageBudget = readAheadPages + 2
+
+// lendPages is how far past its reservation a player may pin on a
+// contended disk, with pages its disk's pool lends out of the cache's
+// share (fetcher.budget): while the network process holds the pages the
+// reservation covers for pacing, the elevator still finds the player's
+// next pages queued behind the one it takes, and reads them as a run.
+const lendPages = 2
 
 // headFraction is how much of a player's first page is in RAM ahead of the
 // rest of it — read first, or kept there as the title's head (content.go)
@@ -438,10 +453,18 @@ func (p *player) stop() {
 	<-p.done
 }
 
-// pin counts one more page against the player's budget.
-func (p *player) pin() {
-	p.pinned.Add(1)
+// pin counts one more page against the player's budget: within its
+// reservation always, past it only if the disk's pool lends one.
+func (p *player) pin() bool {
+	lent, ok := p.res.Pin()
+	if !ok {
+		return false
+	}
 	p.s.m.obs.pinned.Add(1)
+	if lent {
+		p.s.m.obs.lent.Add(1)
+	}
+	return true
 }
 
 // unpin drops the hold that pin counted — the page first, so that room
@@ -449,7 +472,9 @@ func (p *player) pin() {
 // process, which may be parked on a spent budget.
 func (p *player) unpin(page *queue.PageRef) {
 	page.Release()
-	p.pinned.Add(-1)
+	if p.res.Unpin() {
+		p.s.m.obs.lent.Add(-1)
+	}
 	p.s.m.obs.pinned.Add(-1)
 	p.nudgeSpace()
 }
@@ -474,22 +499,20 @@ func (p *player) drop(d descriptor) {
 }
 
 func (p *player) start() {
-	// Pages are created on first use, so a player that is stopped after
-	// one page has paid for one.
-	pool, err := queue.NewPagePool(p.tree.PageSize(), pageBudget)
-	if err != nil { // impossible: Open rejects non-positive page sizes
-		panic(err)
-	}
-	p.pool = pool
+	p.pool.Reserve(&p.res, pageBudget) // closed by netLoop, after the drain
 	if p.cache != nil {
 		p.cache.PlayerStart(p.cname, p.id, p.tree.Meta().Pages)
 	}
 	p.wake = make(chan struct{}, 1)
 	p.space = make(chan struct{}, 1)
-	q := queue.NewSPSC[descriptor](queueDepth)
+	s := p.s
+	if s.ring == nil {
+		s.ring = queue.NewSPSC[descriptor](queueDepth)
+		s.slots = newFetchSlots()
+	}
 	diskDone := make(chan struct{})
-	go p.diskLoop(q, diskDone)
-	go p.netLoop(q, diskDone)
+	go p.diskLoop(s.ring, diskDone)
+	go p.netLoop(s.ring, diskDone)
 }
 
 // diskLoop is the disk process: it reads whole IB-tree pages into
@@ -607,6 +630,7 @@ func (p *player) diskLoop(q *queue.SPSC[descriptor], diskDone chan struct{}) {
 // parks the goroutine on the wake channel instead of spinning.
 func (p *player) netLoop(q *queue.SPSC[descriptor], diskDone chan struct{}) {
 	defer close(p.done)
+	defer p.res.Close() // every path out drains first: nothing is pinned by then
 	if p.cache != nil {
 		// Deregister from the cache's interval tracking when the session
 		// ends. Runs before done closes. The heat change is advertised by

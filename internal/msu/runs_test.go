@@ -13,22 +13,25 @@ import (
 )
 
 // TestBackloggedDiskReadsRuns is the live half of the scheduler's run
-// rule. On an MSU built by New, six viewers of six cold 1.5 Mbit/s
+// rule. On an MSU built by New, seven viewers of seven cold 1.5 Mbit/s
 // titles — a 64 KB page plays for ~350 ms, more than the scheduler's
-// deadline band — are walked up their ramps against a held device, so
-// that each has contiguous read-ahead queued when the device is let go.
-// That backlog must reach the device in fewer transfers than pages,
-// every device call issued by a scheduler (a first page, read head
-// first, is one transfer in two calls), and leave nothing pinned. On
-// a 2-wide stripe pages i and i+2 of a title are neighbours on one
-// member, so each member carries its own runs while both stay busy.
+// deadline band — start against a held device. Their seven first pages
+// queue behind the one on the device, more than a transfer carries, so
+// the disk is contended from the first pick to the last of this test:
+// each player, once its first page is in, stages its whole ring at once
+// instead of walking up the ramp, and that backlog must reach the device
+// in fewer transfers than pages, every device call issued by a scheduler
+// (a first page, read head first, is one transfer in two calls), and
+// leave nothing pinned or lent. On a 2-wide stripe pages i and i+2 of a
+// title are neighbours on one member, so each member carries its own runs
+// while both stay busy.
 func TestBackloggedDiskReadsRuns(t *testing.T) {
 	t.Run("volume", func(t *testing.T) { testBacklogRuns(t, 1) })
 	t.Run("striped", func(t *testing.T) { testBacklogRuns(t, 2) })
 }
 
 func testBacklogRuns(t *testing.T, width int) {
-	const blockSize, viewers = 64 * 1024, 6
+	const blockSize, viewers = 64 * 1024, 7
 	vols := make([]*msufs.Volume, width)
 	logs := make([]*readLog, width)
 	gates := make([]*gatedDev, width)
@@ -75,20 +78,6 @@ func testBacklogRuns(t *testing.T, width int) {
 		t.Helper()
 		await(fmt.Sprintf("%d page reads to be submitted", n), func() bool { return r.m.ioStats(0).Requests == n })
 	}
-	// pass lets page idx of every viewer off its member: while a member
-	// is held its queue serves the most urgent band first, and a title's
-	// pages lie more than a band apart, so the next transfers are that
-	// page of each title — one transfer each, nothing rides yet. A
-	// title's first page is two device calls, its head and the rest.
-	pass := func(idx int) {
-		calls := viewers
-		if idx == 0 {
-			calls *= 2
-		}
-		for i := 0; i < calls; i++ {
-			gates[idx%width].gate <- struct{}{}
-		}
-	}
 
 	for _, g := range gates {
 		g.hold()
@@ -97,54 +86,33 @@ func testBacklogRuns(t *testing.T, width int) {
 	for i := range peers {
 		peers[i] = r.play(fmt.Sprint("title-", i))
 	}
-	submitted(viewers) // budget 1: the first page, alone
-	pass(0)
-	submitted(2 * viewers) // budget 2: page 1 behind page 0 going out
-	pass(1)
-	// Page 0 has gone out in full: budget 3, pages 2 and 3 behind page 1.
-	total := int64(4 * viewers)
-	submitted(total)
-	if width == 2 {
-		// Pages 2 and 3 are on different members. Two more steps up the
-		// ramp, letting go of one member at a time, queue page 5 beside
-		// page 3 on member 1 and then page 6 beside page 4 on member 0.
-		sent := func(n int32) {
-			t.Helper()
-			await(fmt.Sprintf("%d pages of every title to be sent in full", n), func() bool {
-				r.m.mu.Lock()
-				defer r.m.mu.Unlock()
-				for _, s := range r.m.streams {
-					s.mu.Lock()
-					p := s.player
-					s.mu.Unlock()
-					if p == nil || p.sent.Load() < n {
-						return false
-					}
-				}
-				return true
-			})
-		}
-		sent(2) // budget 4
-		pass(2)
-		total += 2 * viewers // pages 4 and 5 behind page 2
-		submitted(total)
-		// TestStripedReadOverlap's claim, at rest: both spindles are busy.
-		await("a read parked on each member", func() bool {
-			for _, g := range gates {
-				g.mu.Lock()
-				parked := g.parked
-				g.mu.Unlock()
-				if parked == 0 {
-					return false
-				}
-			}
-			return true
-		})
-		sent(3) // budget 5
-		gates[1].open()
-		total += 2 * viewers // pages 6 and 7 behind page 3
-		submitted(total)
+	submitted(viewers) // budget 1: the first page, alone, contended or not
+	if !r.m.contended(0) {
+		t.Fatalf("%d first pages queued on a held disk, and it does not read as contended", viewers)
 	}
+	// Let the first pages off member 0 one at a time, head and rest: they
+	// are the most urgent band, so nothing else is picked before them.
+	// Each player then finds the disk contended — the first pages still
+	// queued, and the rings of those before it — and stages a full ring
+	// behind its first page, where on an idle disk it would stage one.
+	for k := 1; k <= viewers; k++ {
+		gates[0].gate <- struct{}{}
+		gates[0].gate <- struct{}{}
+		submitted(int64(viewers + k*readAheadPages))
+	}
+	total := int64(viewers * (1 + readAheadPages))
+	// TestStripedReadOverlap's claim, at rest: every spindle is busy.
+	await("a read parked on each member", func() bool {
+		for _, g := range gates {
+			g.mu.Lock()
+			parked := g.parked
+			g.mu.Unlock()
+			if parked == 0 {
+				return false
+			}
+		}
+		return true
+	})
 	for _, g := range gates {
 		g.open()
 	}
@@ -180,13 +148,14 @@ func testBacklogRuns(t *testing.T, width int) {
 	if pages != io.Requests {
 		t.Errorf("the devices read %d pages, the viewers asked for %d", pages, io.Requests)
 	}
-	// Whichever read was on the device when a gate shut, eleven or so
-	// were queued behind it, five whole runs of two among them, and runs
-	// ride while more than a transfer's worth is waiting.
-	if transfers >= pages || io.Coalesced < 3 {
+	// Every title's ring was queued behind the held device, contiguous on
+	// its member — a run of four, or two on each of two — and runs ride
+	// while more than a transfer's worth is waiting: at least one rider a
+	// title.
+	if transfers >= pages || io.Coalesced < viewers {
 		t.Errorf("%d pages in %d transfers, %d coalesced: contiguous read-ahead queued behind a held disk must ride", pages, transfers, io.Coalesced)
 	}
-	if n := r.m.obs.pinned.Load(); n != 0 {
-		t.Errorf("readahead_pinned_pages = %d at idle, want 0", n)
+	if n, lent := r.m.obs.pinned.Load(), r.m.obs.lent.Load(); n != 0 || lent != 0 {
+		t.Errorf("readahead_pinned_pages = %d, readahead_lent_pages = %d at idle, want 0", n, lent)
 	}
 }

@@ -2,25 +2,47 @@ package queue
 
 import (
 	"fmt"
+	"sync"
 	"sync/atomic"
 )
 
-// PagePool is a fixed-size pool of reference-counted page buffers — the
-// MSU's "does its own memory management" store (§2.3). The disk process
-// fills whole pages from the IB-tree; the network process transmits
-// packets straight out of those pages; the page returns to the pool when
-// the last reference drops. The pool never grows past its count: Get
-// blocks when all pages are in flight. A player's pool is sized to its
-// page budget (msu.pageBudget), so it can always hold the bounded
-// read-ahead (double buffering) the paper's disk process runs under,
-// whatever the cache can spare.
+// PagePool is one disk's page memory — the MSU's "does its own memory
+// management" store (§2.3) — shared by the disk's cache and every reader
+// of the disk. The disk process fills whole pages from the IB-tree; the
+// network process transmits packets straight out of those pages; a page
+// returns to the pool when the last reference drops, and is handed out
+// again from there.
+//
+// The pool owns a number of pages of its own (the cache's share) and
+// grows by what its readers reserve: its capacity is its own pages plus
+// every open Reservation. A page is made only while the pool holds fewer
+// than its own pages plus one for each page pinned within the
+// reservations, so RAM follows what readers hold and never passes
+// capacity; otherwise an idle page is reused, and when none is idle the
+// caller's cache evicts one. Closing a reservation is O(1): a pool left
+// over capacity sheds the surplus when it next hands a page out.
+//
+// A reader pins past its reservation only with a page the pool lends,
+// and the pool lends at most its own pages. So the pages readers hold
+// are at most Σ reservations − 1 + lent ≤ capacity − 1 while any reader
+// is below its reservation: that reader always finds an idle page, an
+// evictable one or room to make one, and never waits.
 type PagePool struct {
 	size int
-	free chan *PageRef
-	// made counts the pages created so far, at most cap(free): a page's
-	// memory is allocated the first time the pool is found empty, so a
-	// stream that ends after one page never pays for the rest.
-	made atomic.Int32
+	own  int
+	// pins counts the pages pinned through reservations, lent ones
+	// included; lent counts those past their reservations, and runs ahead
+	// of them by a loan being taken (Reservation.Pin).
+	pins atomic.Int32
+	lent atomic.Int32
+
+	mu       sync.Mutex
+	free     []*PageRef // idle pages, most recently released last
+	made     int        // pages in existence: held, cached or idle
+	reserved int
+	// waiting is closed by the next release, to wake the Gets parked on
+	// an empty pool; nil while none is.
+	waiting chan struct{}
 }
 
 // PageRef is one reference-counted page buffer. A Get hands it out with
@@ -35,60 +57,240 @@ type PageRef struct {
 	refs atomic.Int32
 }
 
-// NewPagePool returns a pool of up to count pages of size bytes each.
+// NewPagePool returns a pool of pages of size bytes that owns count of
+// them (none is fine: its readers' reservations are then all of it).
 // Pages are created on first use and recycled from then on, so the
 // steady-state data path never allocates.
 func NewPagePool(size, count int) (*PagePool, error) {
-	if size <= 0 || count <= 0 {
+	if size <= 0 || count < 0 {
 		return nil, fmt.Errorf("queue: invalid page pool size %d x %d", size, count)
 	}
-	return &PagePool{size: size, free: make(chan *PageRef, count)}, nil
+	return &PagePool{size: size, own: count}, nil
 }
 
 // PageSize reports the size of each page in the pool.
 func (p *PagePool) PageSize() int { return p.size }
 
-// Cap reports the pool's total page count.
-func (p *PagePool) Cap() int { return cap(p.free) }
+// Own reports the pages the pool owns beyond its reservations.
+func (p *PagePool) Own() int { return p.own }
+
+// Cap reports the pool's capacity: its own pages plus every reservation.
+func (p *PagePool) Cap() int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.capLocked()
+}
+
+func (p *PagePool) capLocked() int { return p.own + p.reserved }
+
+// Made reports how many pages exist: held, cached or idle.
+func (p *PagePool) Made() int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.made
+}
 
 // Free reports how many pages a caller could take right now: idle ones
-// and those not created yet. Pages held by callers (including
+// and those the pool may still make. Pages held by callers (including
 // long-lived cache pins) are not free.
-func (p *PagePool) Free() int { return cap(p.free) - int(p.made.Load()) + len(p.free) }
+func (p *PagePool) Free() int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return max(0, p.roomLocked()) + len(p.free)
+}
 
-// Get returns a page with one reference, blocking until a page is free
-// or cancel is closed (nil on cancel). This block is the read-ahead
-// bound: a disk process can run at most the pool's page count ahead of
-// the network process.
+// Held reports the pages held outside the pool: by readers, or cached.
+func (p *PagePool) Held() int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.made - len(p.free)
+}
+
+// roomLocked is how many more pages the pool may make: up to its own
+// pages plus one for each page pinned within the reservations.
+func (p *PagePool) roomLocked() int {
+	return p.own + min(p.reserved, int(p.pins.Load())) - p.made
+}
+
+// Surplus reports how many pages the pool holds past its capacity: what
+// closed reservations left behind, to be shed at the next hand-out.
+func (p *PagePool) Surplus() int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.made - p.capLocked()
+}
+
+// Lent reports the pages pinned past their reservations.
+func (p *PagePool) Lent() int { return int(p.lent.Load()) }
+
+// Get returns a page with one reference, blocking until one is idle or
+// may be made, or until cancel is closed (nil on cancel).
 func (p *PagePool) Get(cancel <-chan struct{}) *PageRef {
-	if r := p.TryGet(); r != nil {
-		return r
-	}
-	select {
-	case r := <-p.free:
-		r.refs.Store(1)
-		return r
-	case <-cancel:
-		return nil
+	for {
+		p.mu.Lock()
+		r, grow := p.takeLocked(true)
+		var wait chan struct{}
+		if r == nil && !grow {
+			if p.waiting == nil {
+				p.waiting = make(chan struct{})
+			}
+			wait = p.waiting
+		}
+		p.mu.Unlock()
+		if wait == nil {
+			return p.handOut(r, grow)
+		}
+		select {
+		case <-wait:
+		case <-cancel:
+			return nil
+		}
 	}
 }
 
-// TryGet returns a page with one reference, or nil if none is free.
-func (p *PagePool) TryGet() *PageRef {
-	select {
-	case r := <-p.free:
-		r.refs.Store(1)
-		return r
-	default:
+// TryGet returns a page with one reference: an idle one, or a new one
+// while the pool may make one; nil if neither.
+func (p *PagePool) TryGet() *PageRef { return p.tryGet(true) }
+
+// TryReuse is TryGet that makes no page: an idle page, or nil.
+func (p *PagePool) TryReuse() *PageRef { return p.tryGet(false) }
+
+func (p *PagePool) tryGet(grow bool) *PageRef {
+	p.mu.Lock()
+	r, grow := p.takeLocked(grow)
+	p.mu.Unlock()
+	return p.handOut(r, grow)
+}
+
+// takeLocked sheds idle pages past capacity and takes the most recently
+// released of the rest; with none, it reports whether the caller may
+// make a page, and counts it made.
+func (p *PagePool) takeLocked(grow bool) (*PageRef, bool) {
+	for len(p.free) > 0 {
+		n := len(p.free) - 1
+		r := p.free[n]
+		p.free[n] = nil
+		p.free = p.free[:n]
+		if p.made <= p.capLocked() {
+			return r, false
+		}
+		p.made-- // past capacity: left to the collector
 	}
-	for n := p.made.Load(); int(n) < cap(p.free); n = p.made.Load() {
-		if p.made.CompareAndSwap(n, n+1) {
-			r := &PageRef{pool: p, buf: make([]byte, p.size)}
-			r.refs.Store(1)
-			return r
+	if grow && p.roomLocked() > 0 {
+		p.made++
+		return nil, true
+	}
+	return nil, false
+}
+
+// handOut gives the caller r, or the page takeLocked let it make.
+func (p *PagePool) handOut(r *PageRef, grow bool) *PageRef {
+	if grow {
+		r = &PageRef{pool: p, buf: make([]byte, p.size)}
+	}
+	if r != nil {
+		r.refs.Store(1)
+	}
+	return r
+}
+
+// put takes back a page whose last reference has dropped: idle, or
+// dropped if the pool is over capacity.
+func (p *PagePool) put(r *PageRef) {
+	p.mu.Lock()
+	if p.made > p.capLocked() {
+		p.made--
+	} else {
+		p.free = append(p.free, r)
+	}
+	p.wakeLocked()
+	p.mu.Unlock()
+}
+
+// wakeLocked lets the parked Gets look again.
+func (p *PagePool) wakeLocked() {
+	if p.waiting != nil {
+		close(p.waiting)
+		p.waiting = nil
+	}
+}
+
+// A Reservation is one reader's share of a pool: pages it may always pin,
+// and past them pages the pool lends while it has any to lend. Pin and
+// Unpin count the pages the reader holds; nothing else does.
+type Reservation struct {
+	pool   *PagePool
+	n      int32
+	pinned atomic.Int32
+}
+
+// Reserve raises the pool's capacity by n pages and makes r the share
+// that holds them, until r.Close. r must not be open.
+func (p *PagePool) Reserve(r *Reservation, n int) {
+	r.pool, r.n = p, int32(n)
+	r.pinned.Store(0)
+	p.mu.Lock()
+	p.reserved += n
+	p.mu.Unlock()
+}
+
+// Close gives the reservation's pages back, in O(1): whatever they leave
+// the pool holding past its capacity is shed at its next hand-out. The
+// reader must hold no page by then.
+func (r *Reservation) Close() {
+	p := r.pool
+	p.mu.Lock()
+	p.reserved -= int(r.n)
+	p.mu.Unlock()
+}
+
+// Pinned reports the pages the reader holds.
+func (r *Reservation) Pinned() int32 { return r.pinned.Load() }
+
+// Pin counts one more page against the reservation, ahead of the reader
+// taking it from the pool or a cache over it, and reports whether the
+// page is lent. Within the reservation it always succeeds; past it, only
+// while the pool has a page to lend (ok is false and nothing is counted
+// otherwise). One goroutine pins; any may unpin.
+func (r *Reservation) Pin() (lent, ok bool) {
+	p := r.pool
+	if r.pinned.Load() < r.n {
+		// Only unpins can race this, and they only lower the count.
+		p.pins.Add(1)
+		r.pinned.Add(1)
+		return false, true
+	}
+	if !p.borrow() {
+		return false, false
+	}
+	p.pins.Add(1)
+	if r.pinned.Add(1) > r.n {
+		return true, true
+	}
+	p.lent.Add(-1) // an unpin got in first: the page is within the reservation after all
+	return false, true
+}
+
+// Unpin drops what Pin counted, once the page is released, and reports
+// whether it was a lent page.
+func (r *Reservation) Unpin() (lent bool) {
+	p := r.pool
+	p.pins.Add(-1)
+	if r.pinned.Add(-1) >= r.n {
+		p.lent.Add(-1)
+		return true
+	}
+	return false
+}
+
+// borrow takes one page of the pool's own on loan, if it has one to lend.
+func (p *PagePool) borrow() bool {
+	for n := p.lent.Load(); n < int32(p.own); n = p.lent.Load() {
+		if p.lent.CompareAndSwap(n, n+1) {
+			return true
 		}
 	}
-	return nil
+	return false
 }
 
 // Bytes returns the page buffer. The caller must hold a reference.
@@ -118,6 +320,6 @@ func (r *PageRef) Release() {
 		panic("queue: PageRef.Release on a released page (double put)")
 	}
 	if n == 0 {
-		r.pool.free <- r // cannot block: at most count refs exist
+		r.pool.put(r)
 	}
 }

@@ -1,6 +1,7 @@
 package queue
 
 import (
+	"math/rand"
 	"sync"
 	"testing"
 )
@@ -9,8 +10,17 @@ func TestPagePoolInvalid(t *testing.T) {
 	if _, err := NewPagePool(0, 1); err == nil {
 		t.Fatal("size 0 accepted")
 	}
-	if _, err := NewPagePool(1, 0); err == nil {
-		t.Fatal("count 0 accepted")
+	if _, err := NewPagePool(1, -1); err == nil {
+		t.Fatal("count -1 accepted")
+	}
+	// A pool that owns no page is a cacheless disk's: its readers'
+	// reservations are all of it.
+	p, err := NewPagePool(1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.TryGet() != nil {
+		t.Fatal("a pool with no pages and no reservation handed one out")
 	}
 }
 
@@ -171,5 +181,70 @@ func TestPagePoolCreatesOnFirstUse(t *testing.T) {
 	}
 	if p.Free() != pages || len(p.free) != len(seen) {
 		t.Fatalf("after the run: Free %d, %d idle pages; want %d, %d", p.Free(), len(p.free), pages, len(seen))
+	}
+}
+
+// TestReservationsConcurrent races readers that reserve, pin within their
+// reservations and past them on loan, unpin and close, over one pool with
+// a few pages of its own, under -race: a reader below its reservation
+// always gets a page at once, no more pages are lent than the pool owns
+// or made than every reservation could hold, and at the end every page is
+// idle, nothing is lent, and the capacity is the pool's own again.
+func TestReservationsConcurrent(t *testing.T) {
+	const own, readers, reserve, lend, rounds = 4, 6, 6, 2, 300
+	p, _ := NewPagePool(64, own)
+	var wg sync.WaitGroup
+	for w := 0; w < readers; w++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(seed))
+			var res Reservation
+			for i := 0; i < rounds; i++ {
+				p.Reserve(&res, reserve)
+				var held []*PageRef
+				for j := rng.Intn(3 * reserve); j > 0; j-- {
+					if len(held) > 0 && rng.Intn(3) == 0 {
+						held[0].Release()
+						held = held[1:]
+						res.Unpin()
+						continue
+					}
+					below := res.Pinned() < reserve
+					if !below && res.Pinned() >= reserve+lend {
+						continue
+					}
+					if _, ok := res.Pin(); !ok {
+						if below {
+							t.Error("a reader below its reservation could not pin")
+							return
+						}
+						continue
+					}
+					r := p.TryGet()
+					if r == nil {
+						t.Errorf("a reader holding %d of %d reserved pages got no page", len(held), reserve)
+						return
+					}
+					r.Bytes()[0]++ // -race: no two holders of one page
+					held = append(held, r)
+					if lent := p.Lent(); lent > own {
+						t.Errorf("%d pages lent out of the pool's own %d", lent, own)
+					}
+					if made := p.Made(); made > own+readers*reserve {
+						t.Errorf("%d pages made, over every reservation and the pool's own", made)
+					}
+				}
+				for _, r := range held {
+					r.Release()
+					res.Unpin()
+				}
+				res.Close()
+			}
+		}(int64(w))
+	}
+	wg.Wait()
+	if held, lent, cap := p.Held(), p.Lent(), p.Cap(); held != 0 || lent != 0 || cap != own {
+		t.Fatalf("at the end: %d pages held, %d lent, capacity %d; want 0, 0, %d", held, lent, cap, own)
 	}
 }

@@ -150,9 +150,12 @@ func TestObservabilityLifecycle(t *testing.T) {
 	}
 
 	// readahead_pinned_pages is the MSUs' page-budget ledger: with every
-	// stream ended, a page still counted there is a page a player leaked.
-	if v, ok := metrics["readahead_pinned_pages"]; !ok || v != 0 {
-		t.Errorf("readahead_pinned_pages = %d (present: %v) with the streams idle, want 0", v, ok)
+	// stream ended, a page still counted there is a page a player leaked,
+	// and one counted in readahead_lent_pages a loan never repaid.
+	for _, name := range []string{"readahead_pinned_pages", "readahead_lent_pages"} {
+		if v, ok := metrics[name]; !ok || v != 0 {
+			t.Errorf("%s = %d (present: %v) with the streams idle, want 0", name, v, ok)
+		}
 	}
 
 	// The stream's timeline: admitted, dispatched, migrated, ended —
