@@ -12,10 +12,12 @@ build:
 vet:
 	$(GO) vet ./...
 
-# Calliope's own analyzers: spscrole, walltime, atomiccopy, errdropped,
-# pageref, lockorder, goroleak (see DESIGN.md, "Static analysis &
-# invariants").
+# gofmt, then Calliope's own analyzers: spscrole, walltime, atomiccopy,
+# errdropped, pageref, lockorder, goroleak (see DESIGN.md, "Static
+# analysis & invariants"). A file gofmt would change fails the target,
+# named.
 lint:
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then echo "gofmt -l:"; echo "$$unformatted"; exit 1; fi
 	$(GO) run ./cmd/calliope-vet ./...
 
 # 180 s a package (the root suite takes ~60 s): a shutdown stall — a
@@ -124,7 +126,10 @@ bench-write:
 # Coordinator and MSU on a warm memory disk, ns and allocs per cycle.
 # Expected on a 2-core x86 box at 1,000 cycles: ~0.40–0.43 ms, ~83 KB and
 # ~572 allocs a cycle, a stream's players sharing one descriptor ring and
-# one set of fetch slots and taking pages from the disk's one pool. With a
+# one set of fetch slots and taking pages from the disk's one pool. Both
+# starts leave from RAM (the play from the title's head, the seek from a
+# cached page), so none reads head first; a stream that does makes its
+# head's completion channel once, not once a start. With a
 # fresh ring, fetch slots and page pool for every player it was ~113 KB and
 # ~598 allocs; with the group dialling the client before its members
 # began, a cache report at every VCR command and an event ring that
@@ -149,10 +154,14 @@ bench-cache:
 # disk, contended or not, and nothing to lend, sched was 240 and ~488 and
 # backlog 147 and ~129.
 # FirstPacket is the other end of the same disk: Play → first datagram
-# for a cold viewer, ms/op, on the disk idle and beside page writes made
-# outside the scheduler (head first: ~11 and ~22; a whole page: ~41, ~54),
-# and `resident`, from the title's head in RAM (~0.3). LoadHeads is what
-# that moved to start-up: New over 16 and 64 titles, ms/title (~11).
+# for a cold viewer, ms/op, on the disk idle, beside page writes made
+# outside the scheduler, and from mid-title (`seek`, a packet inside its
+# page's head), each read head first: 11.1–11.6, 23–30 (noisy) and
+# 10.8–10.9 with the head a transfer of its own, against 11.1–11.2,
+# 28–30 and 10.8–11.2 with the rest as the second device call of the
+# head's transfer, and ~40, ~59 and ~40 with the page arriving whole.
+# `resident` starts from the title's head in RAM (~0.3). LoadHeads is
+# what that moved to start-up: New over 16 and 64 titles, ms/title (~11).
 bench-iosched:
 	$(GO) test -run=NONE -bench='IOSched' -benchtime=2x -benchmem ./internal/msu
 	$(GO) test -run=NONE -bench='FirstPacket' -benchtime=20x ./internal/msu

@@ -69,16 +69,16 @@ func main() {
 		args = []string{"all"}
 	}
 	experiments := map[string]func(){
-		"table1":   table1,
-		"graph1":   graph1,
-		"graph2":   graph2,
-		"hbastall": hbaStall,
-		"mempath":  memPath,
-		"scale":    scale,
-		"elevator": elevator,
-		"ibtree":   ibtreeOverhead,
-		"jitter":   jitterBound,
-		"striping": striping,
+		"table1":    table1,
+		"graph1":    graph1,
+		"graph2":    graph2,
+		"hbastall":  hbaStall,
+		"mempath":   memPath,
+		"scale":     scale,
+		"elevator":  elevator,
+		"ibtree":    ibtreeOverhead,
+		"jitter":    jitterBound,
+		"striping":  striping,
 		"iosched":   ioschedLive,
 		"delivery":  deliveryPath,
 		"replicate": replicateXfer,

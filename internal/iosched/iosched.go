@@ -23,14 +23,12 @@
 // waiting than one transfer can carry, so the positioning time a longer
 // transfer saves goes to someone still in line. A disk that keeps up
 // has one page a stream pending and nothing to join; one that is behind
-// holds each stream's ring and reads runs, not pages.
-//
-// A request may ask to be read head first (Request.Head): the transfer
-// it leads is then two back-to-back device calls — its first Head bytes,
-// a signal to the submitter, then the rest of it and whatever rides —
-// with no pick in between, so the arm moves exactly as it would have for
-// one call and a viewer's first packets leave while the rest of the page
-// is still coming off the platter.
+// holds each stream's ring and reads runs, not pages. A request marked
+// Alone is a transfer by itself, leading no riders and riding no one's:
+// a page read head first is its head, Alone, submitted together with the
+// rest, so the head completes as soon as its own bytes are in and the
+// rest — as urgent, and starting where the head ended — is the next pick
+// unless a request more than DefaultSlack more urgent is pending.
 //
 // The scheduler is deterministic-time: it never reads the wall clock
 // itself (deadline lateness uses the injected Options.Now) and it uses
@@ -64,40 +62,32 @@ const DefaultSlack = 250 * time.Millisecond
 // 256 KB pages), which is also the longest an urgent arrival waits.
 const maxRun = 4
 
-// A Request is one page read: fill Buf from the device at Off, wanted
-// by Deadline (the delivery time of the page's first packet; the zero
-// Deadline means "no deadline" and sorts most urgent, keeping
-// deadline-less traffic unstarved). The scheduler reads directly into
-// Buf — callers point it at PageRef/cache page memory and must keep
-// that memory pinned until completion.
+// A Request is one read — a page, or part of one: fill Buf from the
+// device at Off, wanted by Deadline (the delivery time of the page's
+// first packet; the zero Deadline means "no deadline" and sorts most
+// urgent, keeping deadline-less traffic unstarved). The scheduler reads
+// directly into Buf — callers point it at PageRef/cache page memory and
+// must keep that memory pinned until completion.
 //
 // C receives the request itself back when service completes, with Err
-// set. It must be buffered (capacity ≥ 1): the scheduler never blocks
-// on completion delivery. Requests are caller-owned and reusable after
-// completion, so a steady-state player allocates none.
+// set. It must be buffered, with room for every request that completes
+// on it: the scheduler never blocks on completion delivery. Requests are
+// caller-owned and reusable after completion, so a steady-state player
+// allocates none.
 type Request struct {
 	Off      int64
 	Buf      []byte
 	Deadline time.Time
 	C        chan *Request
 	Err      error
-
-	// Head, when between 0 and len(Buf), asks for the read to be made
-	// head first: Buf[:Head] in one device call, then HeadC is told (nil,
-	// or the error that is about to fail the request), then the rest.
-	// HeadC must be buffered and gets exactly one value before C does,
-	// whatever becomes of the request; a request that rides another's
-	// transfer instead of leading its own is read whole and hears on
-	// HeadC when it completes. Buf stays the scheduler's until C.
-	Head  int
-	HeadC chan error
+	// Alone keeps the request's transfer to itself: it leads no riders
+	// and rides no one's, so it completes once its own bytes are in.
+	Alone bool
 
 	// due records that Deadline had already passed at Submit (a stream's
 	// first page is wanted "now"): such a request is urgent, and no
 	// service time could have made it punctual, so it is not counted late.
 	due bool
-	// told records that HeadC has had its value.
-	told bool
 }
 
 // Options configures a Scheduler.
@@ -147,31 +137,32 @@ func New(dev blockdev.BlockDevice, opts Options) *Scheduler {
 	}
 }
 
-// Submit queues one request. It never blocks: completion (including
-// the immediate ErrClosed after Close) arrives on r.C.
-func (s *Scheduler) Submit(r *Request) {
-	if r.C == nil || cap(r.C) == 0 {
-		panic("iosched: Request.C must be a buffered channel")
+// Submit queues requests, together: the next pick sees all of them or
+// none. It never blocks: completion (including the immediate ErrClosed
+// after Close) arrives on each request's C.
+func (s *Scheduler) Submit(rs ...*Request) {
+	for _, r := range rs {
+		if r.C == nil || cap(r.C) == 0 {
+			panic("iosched: Request.C must be a buffered channel")
+		}
+		r.Err = nil
+		r.due = s.opts.Now != nil && !r.Deadline.IsZero() && !s.opts.Now().Before(r.Deadline)
 	}
-	if r.headed() && cap(r.HeadC) == 0 {
-		panic("iosched: Request.HeadC must be a buffered channel")
-	}
-	r.Err = nil
-	r.told = false
-	r.due = s.opts.Now != nil && !r.Deadline.IsZero() && !s.opts.Now().Before(r.Deadline)
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
-		r.finish(ErrClosed)
+		for _, r := range rs {
+			r.finish(ErrClosed)
+		}
 		return
 	}
 	if !s.started {
 		s.started = true
 		go s.loop()
 	}
-	s.pending = append(s.pending, r)
-	s.outstanding.Add(1)
-	s.stats.Requests++
+	s.pending = append(s.pending, rs...)
+	s.outstanding.Add(int32(len(rs)))
+	s.stats.Requests += int64(len(rs))
 	if n := int64(len(s.pending)); n > s.stats.QueuePeak {
 		s.stats.QueuePeak = n
 	}
@@ -305,70 +296,36 @@ func (s *Scheduler) pick() []*Request {
 // band, or on a contended disk any — there the arm time saved goes to
 // whoever is in line, while an idle or lightly loaded disk keeps
 // one-page transfers and so the cut-in latency of a new viewer's first
-// page.
+// page. A transfer led by an Alone request takes no riders, and an Alone
+// request rides no one's.
 func (s *Scheduler) continues(limit time.Time, contended bool) int {
-	if len(s.group) == maxRun {
+	if len(s.group) == maxRun || s.group[0].Alone {
 		return -1
 	}
 	for i, r := range s.pending {
-		if r.Off == s.head && (contended || !r.Deadline.After(limit)) {
+		if r.Off == s.head && !r.Alone && (contended || !r.Deadline.After(limit)) {
 			return i
 		}
 	}
 	return -1
 }
 
-// headed reports whether r asks to be read head first.
-func (r *Request) headed() bool { return r.Head > 0 && r.Head < len(r.Buf) }
-
-// tellHead gives HeadC its one value, if r asked to be read head first
-// and has not heard yet.
-func (r *Request) tellHead(err error) {
-	if r.headed() && !r.told {
-		r.told = true
-		r.HeadC <- err
-	}
-}
-
-// finish hands r back with err: on HeadC if that is still owed, then on C.
+// finish hands r back with err.
 func (r *Request) finish(err error) {
-	r.tellHead(err)
 	r.Err = err
 	r.C <- r
 }
 
-// transfer services one coalesced group and completes its requests: one
-// device call, or two when the request leading it is read head first.
+// transfer services one coalesced group in one device call and completes
+// its requests. A coalesced transfer shares one fate: a device error
+// fails every rider (the fallback path in ReadVector stops at the first
+// failing buffer).
 func (s *Scheduler) transfer(group []*Request) {
-	lead := group[0]
 	bufs := s.bufs[:len(group)]
 	for i, r := range group {
 		bufs[i] = r.Buf
 	}
-	off := lead.Off
-	var err error
-	if lead.headed() {
-		// The rest starts where the head ended, so the device positions
-		// once; nothing is picked in between, so nothing moves the arm.
-		if err = s.dev.ReadAt(lead.Buf[:lead.Head], off); err == nil {
-			s.mu.Lock()
-			s.stats.Reads++ // the second device call, about to be made
-			s.mu.Unlock()
-		}
-		lead.tellHead(err)
-		bufs[0] = lead.Buf[lead.Head:]
-		off += int64(lead.Head)
-	}
-	switch {
-	case err != nil: // the head failed: the transfer ends there
-	case len(bufs) == 1:
-		err = s.dev.ReadAt(bufs[0], off)
-	default:
-		// A coalesced transfer shares one fate: a device error fails
-		// every rider (the fallback path in ReadVector stops at the
-		// first failing buffer).
-		err = blockdev.ReadVector(s.dev, off, bufs...)
-	}
+	err := blockdev.ReadVector(s.dev, group[0].Off, bufs...)
 	clear(bufs) // retain no page memory between transfers
 	s.outstanding.Add(-int32(len(group)))
 	for i, r := range group {
@@ -378,7 +335,7 @@ func (s *Scheduler) transfer(group []*Request) {
 }
 
 // complete finishes one request: lateness accounting, then hand the
-// request back on its channels.
+// request back on its channel.
 func (s *Scheduler) complete(r *Request, err error) {
 	if s.opts.Now != nil && !r.Deadline.IsZero() && !r.due {
 		if late := s.opts.Now().Sub(r.Deadline); late > 0 {

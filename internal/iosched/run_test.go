@@ -199,6 +199,97 @@ func TestIdleDiskKeepsPages(t *testing.T) {
 	}
 }
 
+// callAt waits for the next read to reach the device and checks it starts
+// at off, which need not be a block's first byte.
+func callAt(t *testing.T, d *gateDev, off int64) {
+	t.Helper()
+	w := time.NewTimer(10 * time.Second)
+	defer w.Stop()
+	select {
+	case got := <-d.started:
+		if got != off {
+			t.Fatalf("a read at %d reached the device, want one at %d", got, off)
+		}
+	case <-w.C:
+		t.Fatalf("timed out waiting for the read at %d to reach the device", off)
+	}
+}
+
+// TestAlone: an Alone request is a transfer by itself. On a contended
+// disk, block 10 is read head first — its first eighth Alone, the rest an
+// ordinary request submitted with it. The head rides no one's transfer,
+// not block 9's, which ends where it begins; it takes no riders, not the
+// rest, which begins where it ends; and it completes before the rest is
+// read. The rest, in the head's band, is the next pick — ahead of block 20,
+// of the same band — and leads a transfer of four with the stream queued
+// behind it.
+func TestAlone(t *testing.T) {
+	gd, gate, open := gated(numbered(t, 64))
+	counting := blockdev.NewCounting(gd)
+	s := iosched.New(counting, iosched.Options{})
+	defer s.Close()
+	defer open()
+
+	const headLen = bs / 8
+	base := time.Unix(9100, 0)
+	done := make(chan *iosched.Request, 16)
+	headDone := make(chan *iosched.Request, 1)
+	s.Submit(&iosched.Request{Off: 0, Buf: make([]byte, bs), C: done, Deadline: base})
+	onDevice(t, gd, 0)
+	stream(s, done, 9, 1, base)
+	head := &iosched.Request{Off: 10 * bs, Buf: make([]byte, headLen), Deadline: base, C: headDone, Alone: true}
+	rest := &iosched.Request{Off: 10*bs + headLen, Buf: make([]byte, bs-headLen), Deadline: base, C: done}
+	s.Submit(head, rest)
+	stream(s, done, 11, 5, base.Add(time.Second))
+	stream(s, done, 20, 1, base)
+	for _, blk := range []int64{30, 35, 40, 45, 50} { // the others in line, comfortable and scattered
+		s.Submit(&iosched.Request{Off: blk * bs, Buf: make([]byte, bs), C: done, Deadline: base.Add(time.Minute)})
+	}
+
+	// Counting adds a transfer's bytes before its first buffer reaches the
+	// gate, so with the loop held there the sizes read exactly.
+	gate <- struct{}{} // the plug
+	onDevice(t, gd, 9)
+	if got := counting.BytesRead.Load(); got != 2*bs {
+		t.Fatalf("%d bytes issued with block 9 on the device, want the plug and block 9: the head rode its transfer", got)
+	}
+	gate <- struct{}{} // block 9
+	onDevice(t, gd, 10)
+	if got := counting.BytesRead.Load(); got != 2*bs+headLen {
+		t.Fatalf("%d bytes issued with the head on the device, want 2 blocks and the head alone", got)
+	}
+	gate <- struct{}{} // the head
+	callAt(t, gd, 10*bs+headLen)
+	if len(headDone) != 1 {
+		t.Fatal("the rest was read before the head completed")
+	}
+	if got := counting.BytesRead.Load(); got != 2*bs+headLen+(bs-headLen)+3*bs {
+		t.Fatalf("%d bytes issued with the rest on the device, want it to lead three riders", got)
+	}
+	open()
+	collect(t, done, 14)
+
+	// The plug; block 9; the head; the rest with 11–13; block 20, the band's
+	// last; 14 and 15, a run; the five comfortable ones.
+	want := []int64{0, 9 * bs, 10 * bs, 10*bs + headLen, 11 * bs, 12 * bs, 13 * bs, 20 * bs, 14 * bs, 15 * bs, 30 * bs, 35 * bs, 40 * bs, 45 * bs, 50 * bs}
+	if got := gd.order(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("service order %v, want %v", got, want)
+	}
+	if st := s.Stats(); st.Reads != 11 || st.Coalesced != 4 || counting.Reads.Load() != st.Reads {
+		t.Fatalf("stats %+v, device calls %d: want 11 transfers, one call each, 4 coalesced", st, counting.Reads.Load())
+	}
+	for _, r := range []*iosched.Request{<-headDone, rest} {
+		if r.Err != nil {
+			t.Fatalf("read at %d: %v", r.Off, r.Err)
+		}
+		for _, b := range r.Buf {
+			if b != 10 {
+				t.Fatalf("the read at %d holds block %d's bytes, want block 10's", r.Off, b)
+			}
+		}
+	}
+}
+
 // failAt fails every read of one offset.
 type failAt struct {
 	blockdev.BlockDevice

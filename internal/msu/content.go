@@ -376,16 +376,21 @@ func (m *MSU) loadHeads(disk int) {
 
 // submitRead is how a block of a store file reaches RAM on this MSU — or
 // the rest of it from skip bytes in: it is located on its physical volume
-// and queued on that volume's scheduler. Buf, Deadline and C are the
-// caller's; the request comes back on C when the device is done with Buf.
-// An error means nothing was queued.
-func (m *MSU) submitRead(f msufs.StoreFile, block int64, skip int, req *iosched.Request) error {
+// and queued on that volume's scheduler, as reqs laid end to end from
+// there and submitted together. Buf, Deadline and C are the caller's; a
+// request comes back on its C when the device is done with its Buf. An
+// error means nothing was queued.
+func (m *MSU) submitRead(f msufs.StoreFile, block int64, skip int, reqs ...*iosched.Request) error {
 	vol, off, err := f.Locate(block)
 	if err != nil {
 		return err
 	}
-	req.Off = off + int64(skip)
-	m.scheds[vol].Submit(req)
+	off += int64(skip)
+	for _, r := range reqs {
+		r.Off = off
+		off += int64(len(r.Buf))
+	}
+	m.scheds[vol].Submit(reqs...)
 	return nil
 }
 

@@ -18,17 +18,16 @@ import (
 )
 
 // readLog is the device under a test volume: it counts the device calls
-// that reach it (a coalesced read is one; a page read head first is two,
-// of which only the first begins on a block) and which blocks each began.
-// Blocks start on multiples of blockSize: the volume's metadata region is
-// a whole number of them.
+// that reach it — one a scheduler transfer, a coalesced one too — and the
+// blocks each read from their first byte (a page read head first is two
+// calls, and only its head begins on a block). Blocks start on multiples
+// of blockSize: the volume's metadata region is a whole number of them.
 type readLog struct {
 	blockdev.BlockDevice
 	blockSize int64
 
 	mu    sync.Mutex
 	reads int64
-	begun int64         // calls that began on a block: transfers, not the tail halves of them
 	at    map[int64]int // device offset of a block → calls that read it from its first byte
 }
 
@@ -36,9 +35,6 @@ func (d *readLog) log(off, n int64) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.reads++
-	if off%d.blockSize == 0 {
-		d.begun++
-	}
 	for o := (off + d.blockSize - 1) / d.blockSize * d.blockSize; o < off+n; o += d.blockSize {
 		d.at[o]++
 	}
@@ -64,14 +60,7 @@ func (d *readLog) total() int64 {
 	return d.reads
 }
 
-// transfers is how many of those calls began a transfer.
-func (d *readLog) transfers() int64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.begun
-}
-
-// blocksRead is how many blocks those transfers covered between them.
+// blocksRead is how many blocks those calls covered between them.
 func (d *readLog) blocksRead() int64 {
 	d.mu.Lock()
 	defer d.mu.Unlock()

@@ -24,6 +24,10 @@ type fetcher struct {
 	next  int64 // next page index to stage
 	// primed is set once the first page is in RAM, all of it (see budget).
 	primed bool
+	// heading is set while the ring's one slot is a first page read head
+	// first whose head has not completed: headReq, on the stream's headC.
+	heading bool
+	headReq iosched.Request
 	// half is set while the ring's one slot is a first page whose head is
 	// in — read, or copied from the title's resident head — and whose tail
 	// is still on the device (see tail).
@@ -114,9 +118,11 @@ func (f *fetcher) budget() int32 {
 
 // nextPage produces the page NextPage announced: it restarts the
 // pipeline if the cursor moved, tops the ring up, waits for the head
-// slot's device completion, and attaches the page to the cursor. The
-// page it returns stays pinned against the budget: the caller unpins it
-// or hands that on. Returns (nil, nil) only when cancelled.
+// slot's device completion, and attaches the page to the cursor. A first
+// page whose head is in RAM — copied, or read head first and completed —
+// is attached as far as its head, and tail takes the rest. The page it
+// returns stays pinned against the budget: the caller unpins it or hands
+// that on. Returns (nil, nil) only when cancelled.
 func (f *fetcher) nextPage(cur *ibtree.PageCursor, want int64) (*queue.PageRef, error) {
 	p := f.p
 	if f.n == 0 || f.slots[f.head].idx != want {
@@ -138,13 +144,15 @@ func (f *fetcher) nextPage(cur *ibtree.PageCursor, want int64) (*queue.PageRef, 
 		f.fill()
 	}
 	slot := &f.slots[f.head]
-	if slot.pending && slot.req.HeadC != nil {
+	if f.heading {
 		select {
 		case <-p.cancel:
 			return nil, nil
-		case herr := <-slot.req.HeadC:
-			// A head that failed has its completion right behind it.
-			f.half = herr == nil
+		case req := <-p.s.headC:
+			// A head that failed fails the page, once its rest is done.
+			f.heading = false
+			slot.err = req.Err
+			f.half = req.Err == nil
 		}
 	}
 	if f.half {
@@ -170,7 +178,9 @@ func (f *fetcher) nextPage(cur *ibtree.PageCursor, want int64) (*queue.PageRef, 
 			return nil, nil
 		case req := <-slot.c:
 			slot.pending = false
-			slot.err = req.Err
+			if slot.err == nil {
+				slot.err = req.Err
+			}
 		}
 	}
 	page, hit, err := f.pop()
@@ -275,7 +285,8 @@ func (f *fetcher) fill() {
 // volume's scheduler. Room in the budget is always a page (queue.PagePool),
 // and a player's first page is an idle one wherever one is (cache.Reuse).
 // The page a viewer is waiting on arrives by what RAM holds of it: all (a
-// hit), its head (the rest is read), or nothing (it is read head first).
+// hit), its head (the rest is read), or nothing (it is read head first:
+// the head, then the rest, as two requests).
 func (f *fetcher) issueOne() bool {
 	p := f.p
 	if !p.pin() {
@@ -300,30 +311,38 @@ func (f *fetcher) issueOne() bool {
 	default:
 		slot.page = p.cache.Reuse()
 	}
-	slot.req = iosched.Request{Buf: slot.page.Bytes(), Deadline: f.deadline(idx), C: slot.c}
-	skip := 0
-	if !f.primed {
-		var head []byte
-		if f.startsTitle(idx) {
-			head = p.s.m.residentHead(p.s.spec.Disk, p.cname)
-		}
-		if head != nil {
-			// The head is in RAM: one copy a start, and the disk is asked
-			// for the other half of the same buffer.
-			skip = copy(slot.req.Buf, head)
-			slot.req.Buf = slot.req.Buf[skip:]
-		} else {
-			// Head first, so the first packets leave while the rest is
-			// still coming off the platter.
-			slot.req.Head, slot.req.HeadC = len(slot.req.Buf)/headFraction, make(chan error, 1)
-		}
+	buf := slot.page.Bytes()
+	slot.req = iosched.Request{Buf: buf, Deadline: f.deadline(idx), C: slot.c}
+	var head []byte
+	if !f.primed && f.startsTitle(idx) {
+		head = p.s.m.residentHead(p.s.spec.Disk, p.cname)
 	}
-	slot.err = p.s.m.submitRead(p.file, idx, skip, &slot.req)
+	n := len(buf) / headFraction
+	switch {
+	case f.primed:
+		slot.err = p.s.m.submitRead(p.file, idx, 0, &slot.req)
+	case head != nil:
+		// The head is in RAM: one copy a start, and the disk is asked for
+		// the rest of the same buffer.
+		copy(buf, head)
+		slot.req.Buf = buf[n:]
+		slot.err = p.s.m.submitRead(p.file, idx, n, &slot.req)
+		if f.half = slot.err == nil; f.half {
+			p.s.m.obs.headStarts.Inc()
+		}
+	default:
+		// Head first, so the first packets leave while the rest is still
+		// coming off the platter: the head is a transfer of its own, and the
+		// rest, submitted with it, is the slot's request as after a copy.
+		if p.s.headC == nil {
+			p.s.headC = make(chan *iosched.Request, 1)
+		}
+		f.headReq = iosched.Request{Buf: buf[:n], Deadline: slot.req.Deadline, C: p.s.headC, Alone: true}
+		slot.req.Buf = buf[n:]
+		slot.err = p.s.m.submitRead(p.file, idx, 0, &f.headReq, &slot.req)
+		f.heading = slot.err == nil
+	}
 	slot.pending = slot.err == nil
-	if skip > 0 && slot.pending {
-		f.half = true
-		p.s.m.obs.headStarts.Inc()
-	}
 	return true
 }
 
@@ -337,6 +356,10 @@ func (f *fetcher) startsTitle(idx int64) bool {
 // (the destination page is not reusable until the device is done with
 // it) and unpins every staged page.
 func (f *fetcher) abort() {
+	if f.heading {
+		<-f.p.s.headC
+		f.heading = false
+	}
 	for f.n > 0 {
 		slot := &f.slots[f.head]
 		if slot.pending {

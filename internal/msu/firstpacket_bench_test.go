@@ -7,11 +7,14 @@ package msu
 // with the cache off, so there are no resident heads and every start goes
 // to the disk, head first: idle has the disk to itself; beside-writers
 // shares it with page writes made outside the scheduler, the way
-// recordings reach the disk today (ROADMAP item 2). resident is idle with
-// the cache on, so New kept every title's head and a start waits for no
-// read (page 0 itself is never cached: each start is stopped at its first
-// datagram, long before the rest of the page is in). One op is one start;
-// ms/op is the figure.
+// recordings reach the disk today (ROADMAP item 2). seek is idle with the
+// start moved to mid-title: a play from a packet of page 2 that lies
+// wholly inside the page's head, so its first datagram leaves as soon as
+// the head is in (its index is resident before timing, so a start reads
+// only data). resident is idle with the cache on, so New kept every
+// title's head and a start waits for no read (page 0 itself is never
+// cached: each start is stopped at its first datagram, long before the
+// rest of the page is in). One op is one start; ms/op is the figure.
 //
 // BenchmarkLoadHeads is what resident costs and where: New over a disk of
 // 16 and of 64 titles, one head read each through the scheduler, on the
@@ -32,11 +35,27 @@ import (
 )
 
 func BenchmarkFirstPacket(b *testing.B) {
-	b.Run("idle", func(b *testing.B) { benchFirstPacket(b, 0, -1) })
+	b.Run("idle", func(b *testing.B) { benchFirstPacket(b, 0, -1, false) })
 	// Eight 1.5 Mbit/s recordings fill a 256 KB page every ~170 ms
 	// between them.
-	b.Run("beside-writers", func(b *testing.B) { benchFirstPacket(b, 170*time.Millisecond, -1) })
-	b.Run("resident", func(b *testing.B) { benchFirstPacket(b, 0, 0) })
+	b.Run("beside-writers", func(b *testing.B) { benchFirstPacket(b, 170*time.Millisecond, -1, false) })
+	b.Run("seek", func(b *testing.B) { benchFirstPacket(b, 0, -1, true) })
+	b.Run("resident", func(b *testing.B) { benchFirstPacket(b, 0, 0, false) })
+}
+
+// inHeadStart is where seek starts its plays: the first packet at least
+// ten into page 2 that lies wholly inside the page's head and begins a
+// delivery time, so a play from there sends it first.
+func inHeadStart(b *testing.B, m *MSU, title string) time.Duration {
+	b.Helper()
+	page, _ := pagePackets(b, m, title, 2)
+	for i := 10; i < len(page) && page[i].inHead; i++ {
+		if page[i].t > page[i-1].t {
+			return page[i].t
+		}
+	}
+	b.Fatalf("no packet ten or more into page 2 of %q begins a delivery time inside the head", title)
+	return 0
 }
 
 // simVolume is a volume of the 1996 mechanism at its own speed holding n
@@ -88,7 +107,7 @@ func BenchmarkLoadHeads(b *testing.B) {
 	}
 }
 
-func benchFirstPacket(b *testing.B, writeEvery time.Duration, cache units.ByteSize) {
+func benchFirstPacket(b *testing.B, writeEvery time.Duration, cache units.ByteSize, seek bool) {
 	const titles = 8
 	vol := simVolume(b, titles, 4*time.Second)
 	m := newTestMSU(b, cache, false, vol)
@@ -97,6 +116,10 @@ func benchFirstPacket(b *testing.B, writeEvery time.Duration, cache units.ByteSi
 		b.Fatal(err)
 	}
 	defer sink.Close() //nolint:errcheck
+	var pos time.Duration
+	if seek {
+		pos = inHeadStart(b, m, "title-0") // every title holds the same packets
+	}
 	streams := make([]*stream, titles)
 	for i := range streams {
 		name := fmt.Sprintf("title-%d", i)
@@ -105,6 +128,9 @@ func benchFirstPacket(b *testing.B, writeEvery time.Duration, cache units.ByteSi
 			b.Fatal(err)
 		}
 		b.Cleanup(streams[i].teardown)
+		if _, err := streams[i].tree.PageCursorAt(pos); err != nil {
+			b.Fatal(err)
+		}
 	}
 	if writeEvery > 0 {
 		scratch, err := vol.Create("scratch", 16*int64(vol.BlockSize()), nil)
@@ -140,7 +166,7 @@ func benchFirstPacket(b *testing.B, writeEvery time.Duration, cache units.ByteSi
 		s := streams[i%titles]
 		sink.SetReadDeadline(time.Now().Add(10 * time.Second)) //nolint:errcheck
 		start := time.Now()
-		if err := s.playAt(core.Normal, 0); err != nil {
+		if err := s.playAt(core.Normal, pos); err != nil {
 			b.Fatal(err)
 		}
 		if _, _, err := sink.ReadFromUDP(buf); err != nil {

@@ -276,12 +276,16 @@ func (g *group) quit(cause string) {
 	g.vcrMu.Lock() // a command already under way starts its players first
 	for _, s := range members {
 		s.teardown()
+	}
+	// Forgotten before the Coordinator hears they ended, so what it then
+	// allows — deleting their content — does not find them still here.
+	g.m.dropGroup(g)
+	for _, s := range members {
 		g.m.notifyCoordinator(wire.TypeStreamEnded, wire.StreamEnded{Stream: s.spec.Stream, Cause: cause})
 	}
 	g.vcrMu.Unlock()
 	if vcr != nil {
 		vcr.Close() //nolint:errcheck // teardown: the client is gone or leaving; nothing to report to
 	}
-	g.m.dropGroup(g)
 	g.m.logf("group %d terminated: %s", g.id, cause)
 }

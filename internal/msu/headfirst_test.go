@@ -19,29 +19,29 @@ type sentPacket struct {
 	inHead bool // its record ends at or below the page's head mark
 }
 
-// pagePackets reads page idx of title the plain way — whole, through the
-// tree's own file — and returns its packets, with where on the device the
-// page starts.
-func (r *budgetRig) pagePackets(title string, idx int) (pkts []sentPacket, off int64) {
-	r.t.Helper()
-	c, err := r.m.openContent(0, title)
+// pagePackets reads page idx of title on m's disk 0 the plain way — whole,
+// through the tree's own file — and returns its packets, with where on the
+// device the page starts.
+func pagePackets(tb testing.TB, m *MSU, title string, idx int) (pkts []sentPacket, off int64) {
+	tb.Helper()
+	c, err := m.openContent(0, title)
 	if err != nil {
-		r.t.Fatal(err)
+		tb.Fatal(err)
 	}
 	cur, err := c.tree.PageCursorAt(0)
 	if err != nil {
-		r.t.Fatal(err)
+		tb.Fatal(err)
 	}
 	buf := make([]byte, c.tree.PageSize())
 	for i := 0; i <= idx; i++ {
 		if ok, err := cur.LoadPage(buf); err != nil || !ok {
-			r.t.Fatalf("page %d of %q: %v, %v", i, title, ok, err)
+			tb.Fatalf("page %d of %q: %v, %v", i, title, ok, err)
 		}
 	}
 	for {
 		span, ok, err := cur.Next()
 		if err != nil {
-			r.t.Fatal(err)
+			tb.Fatal(err)
 		}
 		if !ok {
 			break
@@ -53,7 +53,7 @@ func (r *budgetRig) pagePackets(title string, idx int) (pkts []sentPacket, off i
 		pkts = append(pkts, sentPacket{t: span.Time, data: append([]byte(nil), data...), inHead: span.Start+span.Len <= len(buf)/headFraction})
 	}
 	if _, off, err = c.file.Locate(int64(idx)); err != nil {
-		r.t.Fatal(err)
+		tb.Fatal(err)
 	}
 	return pkts, off
 }
@@ -116,7 +116,8 @@ func (r *budgetRig) inserts() int64 {
 // (each of which leaves a packet straddling the head mark) and with the
 // cache on and off: the head of the first page, let through alone, sends
 // exactly the packets that lie wholly inside it, with one page pinned,
-// one asked for and none in the cache; the tail sends the rest, puts the
+// one asked for — as two reads, the head and the tail, the tail still at
+// the gate — and none in the cache; the tail sends the rest, puts the
 // page in the cache once and only then lets page 1 be asked for; a tail
 // that fails ends the stream with nothing cached and nothing pinned; a
 // Quit with the tail on the device keeps the page out until the device
@@ -147,10 +148,10 @@ func testHeadFirst(t *testing.T, pktSize int, cacheBytes units.ByteSize) {
 		requests, inserts, sent := r.m.ioStats(0).Requests, r.inserts(), r.m.obs.packets.Load()
 		peer = r.play(title)
 		p = r.player(nil)
-		r.firstReadHeld(p, requests, title+": play")
+		r.firstReadHeld(p, requests, startHeadFirst, title+": play")
 		dev.gate <- struct{}{}
 		r.received(page[:k], title+": with the head in")
-		r.firstReadHeld(p, requests, title+": the head let through")
+		r.firstReadHeld(p, requests, startHeadFirst, title+": the head let through")
 		// Every packet cut has been sent and counted once the last of them
 		// is: a record cut from beyond the mark would show here, or as the
 		// wrong bytes above.
@@ -168,12 +169,12 @@ func testHeadFirst(t *testing.T, pktSize int, cacheBytes units.ByteSize) {
 	}
 	// Head, then tail: the rest of the page goes out, the page goes into
 	// the cache, and page 1 is asked for — only now.
-	page, _ := r.pagePackets("cold", 0)
+	page, _ := pagePackets(r.t, r.m, "cold", 0)
 	requests, inserts := r.m.ioStats(0).Requests, r.inserts()
 	peer, p, rest := headOnly("cold", page)
 	dev.gate <- struct{}{}
 	r.received(rest, "cold: with the tail in")
-	r.await("page 1 to be asked for", func() bool { return r.m.ioStats(0).Requests == requests+2 })
+	r.await("page 1 to be asked for", func() bool { return r.m.ioStats(0).Requests == requests+startHeadFirst+1 })
 	if r.cache != nil && (!r.cached("cold") || r.inserts() != inserts+1) {
 		t.Errorf("the first page went into the cache %d times once whole, want 1", r.inserts()-inserts)
 	}
@@ -181,7 +182,7 @@ func testHeadFirst(t *testing.T, pktSize int, cacheBytes units.ByteSize) {
 
 	// The tail fails: the stream ends, with nothing cached and nothing
 	// pinned.
-	page, off := r.pagePackets("fail", 0)
+	page, off := pagePackets(r.t, r.m, "fail", 0)
 	inserts = r.inserts()
 	dev.failAt(off + int64(p.tree.PageSize()/headFraction))
 	peer, p, _ = headOnly("fail", page)
@@ -196,7 +197,7 @@ func testHeadFirst(t *testing.T, pktSize int, cacheBytes units.ByteSize) {
 
 	// A Quit with the tail on the device: the page is the device's until
 	// it lets go.
-	page, _ = r.pagePackets("quit", 0)
+	page, _ = pagePackets(r.t, r.m, "quit", 0)
 	peer, p, _ = headOnly("quit", page)
 	r.vcr(peer, "quit", 0)
 	<-p.cancel
@@ -222,7 +223,7 @@ func testHeadFirst(t *testing.T, pktSize int, cacheBytes units.ByteSize) {
 	if err := Ingest(r.m.stores[0], "tiny", "mpeg1", tiny); err != nil {
 		t.Fatal(err)
 	}
-	page, _ = r.pagePackets("tiny", 0)
+	page, _ = pagePackets(r.t, r.m, "tiny", 0)
 	if len(page) != len(tiny) || !page[len(page)-1].inHead {
 		t.Fatalf("the tiny title has %d packets in page 0, the last inside the head: %v; want all %d inside", len(page), page[len(page)-1].inHead, len(tiny))
 	}
@@ -230,10 +231,10 @@ func testHeadFirst(t *testing.T, pktSize int, cacheBytes units.ByteSize) {
 	requests = r.m.ioStats(0).Requests
 	peer = r.play("tiny")
 	p = r.player(nil)
-	r.firstReadHeld(p, requests, "tiny: play")
+	r.firstReadHeld(p, requests, startHeadFirst, "tiny: play")
 	dev.gate <- struct{}{}
 	r.received(page, "tiny: with the head in")
-	r.firstReadHeld(p, requests, "tiny: the head let through")
+	r.firstReadHeld(p, requests, startHeadFirst, "tiny: the head let through")
 	if p.s.atEOF() {
 		t.Error("a title declared at its end with its page still on the device")
 	}
@@ -246,7 +247,7 @@ func testHeadFirst(t *testing.T, pktSize int, cacheBytes units.ByteSize) {
 	// the tail is in, and then the packet asked for. The first seek leaves
 	// the index resident, so the second reads only data.
 	var target sentPacket
-	page, _ = r.pagePackets("seek", 12)
+	page, _ = pagePackets(r.t, r.m, "seek", 12)
 	for i := 1; i < len(page); i++ {
 		if !page[i].inHead && !page[i-1].inHead && page[i].t > page[i-1].t {
 			target = page[i]
@@ -268,9 +269,9 @@ func testHeadFirst(t *testing.T, pktSize int, cacheBytes units.ByteSize) {
 	requests, sent := r.m.ioStats(0).Requests, r.m.obs.packets.Load()
 	r.vcr(peer, "seek", target.t)
 	seeker := r.player(p)
-	r.firstReadHeld(seeker, requests, "seek")
+	r.firstReadHeld(seeker, requests, startHeadFirst, "seek")
 	dev.gate <- struct{}{}
-	r.firstReadHeld(seeker, requests, "seek, the head let through")
+	r.firstReadHeld(seeker, requests, startHeadFirst, "seek, the head let through")
 	if n := r.m.obs.packets.Load() - sent; n != 0 {
 		t.Errorf("%d packets sent after a seek past the head with the tail on the device, want 0", n)
 	}

@@ -11,6 +11,7 @@ import (
 	"calliope/internal/cache"
 	"calliope/internal/core"
 	"calliope/internal/ibtree"
+	"calliope/internal/iosched"
 	"calliope/internal/media"
 	"calliope/internal/msufs"
 	"calliope/internal/protocol"
@@ -44,9 +45,12 @@ type stream struct {
 	// ring and slots are the descriptor queue and the fetch slots of the
 	// stream's player. Its players run one at a time (group.vcrMu, and a
 	// stop waits out both of a player's processes), so the first makes
-	// them and every VCR command's player after it reuses them.
+	// them and every VCR command's player after it reuses them. headC
+	// completes the head of a first page read head first; the first player
+	// to read one makes it (fetcher.issueOne).
 	ring  *queue.SPSC[descriptor]
 	slots []fetchSlot
+	headC chan *iosched.Request
 
 	// Recording state.
 	rec *recorder

@@ -69,14 +69,14 @@ func split(t *testing.T, title string, page []sentPacket) int {
 // head's packets.
 func (r *headRig) fromHead(title string) (peer *wire.Peer, p *player, rest []sentPacket) {
 	r.t.Helper()
-	page, off := r.pagePackets(title, 0)
+	page, off := pagePackets(r.t, r.m, title, 0)
 	k := split(r.t, title, page)
 	r.dev.hold()
 	requests, inserts, sent, starts := r.m.ioStats(0).Requests, r.inserts(), r.m.obs.packets.Load(), r.m.obs.headStarts.Load()
 	peer = r.play(title)
 	p = r.player(nil)
 	r.received(page[:k], title+": with every read held")
-	r.firstReadHeld(p, requests, title+": started from its head")
+	r.firstReadHeld(p, requests, startFromHead, title+": started from its head")
 	if c := r.parkedCall(title); c != (devCall{off + int64(r.head), r.page - r.head}) {
 		r.t.Errorf("%s: the read on order is %d bytes at %d, want the rest of page 0: %d at %d", title, c.n, c.off, r.page-r.head, off+int64(r.head))
 	}
@@ -106,7 +106,7 @@ func (r *headRig) headFirst(title string) (*wire.Peer, *player) {
 	requests, starts := r.m.ioStats(0).Requests, r.m.obs.headStarts.Load()
 	peer := r.play(title)
 	p := r.player(nil)
-	r.firstReadHeld(p, requests, title+": no head to start from")
+	r.firstReadHeld(p, requests, startHeadFirst, title+": no head to start from")
 	if c := r.parkedCall(title); c != (devCall{off, r.head}) {
 		r.t.Errorf("%s: the first read is %d bytes at %d, want the head of page 0: %d at %d", title, c.n, c.off, r.head, off)
 	}
@@ -224,13 +224,13 @@ func testResidentHead(t *testing.T, pktSize int) {
 	r.vcr(peer, "pause", 0)
 	r.allBack(p, "after a pause")
 	r.emptySink()
-	page, off := r.pagePackets("seek", 12)
+	page, off := pagePackets(r.t, r.m, "seek", 12)
 	target := page[len(page)-1].t // a delivery time that begins on this page
 	dev.hold()
 	requests, headStarts := r.m.ioStats(0).Requests, r.m.obs.headStarts.Load()
 	r.vcr(peer, "seek", target)
 	seeker := r.player(p)
-	r.firstReadHeld(seeker, requests, "seek")
+	r.firstReadHeld(seeker, requests, startHeadFirst, "seek")
 	if c := r.parkedCall("seek"); c != (devCall{off, r.head}) {
 		t.Errorf("a seek's first read is %d bytes at %d, want the head of the page it lands on: %d at %d", c.n, c.off, r.head, off)
 	}
@@ -265,7 +265,7 @@ func testResidentHead(t *testing.T, pktSize int) {
 
 	// The same name, other bytes: the head of the deleted title is gone with
 	// it, and the new one's first viewers get the new one's packets.
-	old, _ := r.pagePackets("again", 0)
+	old, _ := pagePackets(r.t, r.m, "again", 0)
 	if err := r.m.deleteContent("again"); err != nil {
 		t.Fatal(err)
 	}
@@ -279,7 +279,7 @@ func testResidentHead(t *testing.T, pktSize int) {
 	if err := Ingest(r.m.stores[0], "again", "mpeg1", other); err != nil {
 		t.Fatal(err)
 	}
-	page, _ = r.pagePackets("again", 0)
+	page, _ = pagePackets(r.t, r.m, "again", 0)
 	if bytes.Equal(page[0].data, old[0].data) {
 		t.Fatal("the re-ingested title begins with the deleted one's first packet; the test cannot tell them apart")
 	}

@@ -54,13 +54,13 @@ func TestHistogramBucketBoundaries(t *testing.T) {
 	r := New(Options{})
 	h := r.Histogram("lat", bounds)
 
-	h.Observe(time.Millisecond)        // exactly bound 0 → bucket 0
-	h.Observe(time.Millisecond + 1)    // just above → bucket 1
-	h.Observe(-time.Second)            // clamps to 0 → bucket 0
-	h.Observe(10 * time.Millisecond)   // exactly bound 1 → bucket 1
-	h.Observe(100 * time.Millisecond)  // exactly bound 2 → bucket 2
-	h.Observe(101 * time.Millisecond)  // past last bound → +Inf
-	h.Observe(time.Hour)               // far past → +Inf
+	h.Observe(time.Millisecond)       // exactly bound 0 → bucket 0
+	h.Observe(time.Millisecond + 1)   // just above → bucket 1
+	h.Observe(-time.Second)           // clamps to 0 → bucket 0
+	h.Observe(10 * time.Millisecond)  // exactly bound 1 → bucket 1
+	h.Observe(100 * time.Millisecond) // exactly bound 2 → bucket 2
+	h.Observe(101 * time.Millisecond) // past last bound → +Inf
+	h.Observe(time.Hour)              // far past → +Inf
 
 	hs := r.Snapshot().Hists["lat"]
 	want := []int64{2, 2, 1, 2}

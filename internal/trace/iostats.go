@@ -9,14 +9,14 @@ import "fmt"
 // these to the Coordinator alongside cache reports; calliope-client
 // status prints them per disk.
 type IOSchedStats struct {
-	// Requests counts page reads submitted to the scheduler.
+	// Requests counts reads submitted to the scheduler: one a page, two
+	// for a page read head first (its head, then the rest).
 	Requests int64 `json:"requests"`
 	// Rounds counts C-SCAN sweeps: the first transfer and every wrap of
 	// the head back to a lower offset. Requests/Rounds is the mean
 	// number of requests served per sweep.
 	Rounds int64 `json:"rounds"`
-	// Reads counts the device calls issued: one a transfer, two for a
-	// transfer whose leading request was read head first. It is what a
+	// Reads counts the transfers issued, one device call each: what a
 	// counting device under the scheduler must read too.
 	Reads int64 `json:"reads"`
 	// Coalesced counts requests that rode an adjacent request's

@@ -117,12 +117,13 @@ func TestObservabilityLifecycle(t *testing.T) {
 	// ride the surviving MSU's cache reports, and the EOF triggers
 	// one), and so does the end of the stream (the MSU acknowledges the
 	// Quit, then tears down and reports stream-ended), so poll the
-	// scrape until all three are visible.
+	// scrape until all three are visible: this stream's end is the third,
+	// after the two played before the crash.
 	var metrics map[string]int64
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		metrics = scrape(t, srv.URL)
-		if metrics["admission_admitted_total"] > 0 && metrics["delivery_packets_total"] > 0 && metrics["streams_ended_total"] > 0 {
+		if metrics["admission_admitted_total"] > 0 && metrics["delivery_packets_total"] > 0 && metrics["streams_ended_total"] >= 3 {
 			break
 		}
 		if time.Now().After(deadline) {
