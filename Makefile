@@ -45,9 +45,12 @@ leakcheck:
 # regressions, and the content lifecycle's crash half: a recording whose
 # publish fails is aborted (TestFaultRecorderPublishFailureAborts), a
 # start-up sweeps what crashes leave (TestSweepOnStartup), and a
-# corrupt superblock is refused (TestMountRejectsCorruptSuperblock).
+# corrupt superblock is refused (TestMountRejectsCorruptSuperblock). The
+# MSU's command path rides along: VCR commands pipelined down one
+# connection, a stream's goroutines across a hundred of them, a quit
+# during the control dial and the report cadence.
 faults:
-	$(GO) test -race -timeout 120s -run 'Fault|Failover|Redispatch|Reconnect|MSUDown|Lost|Restart|FailedCommit|ReplayIdempotent|ReplayUnstamped|PR15Fixture|Orphan|Corrupt|PlanStep|LedgerConservation|RecordPlacement|QueuedPlayWakes|CloseWakes|CutAll|QuitIsAcknowledged|StopKeeps|SweepOnStartup' . ./internal/coordinator ./internal/client ./internal/msu ./internal/msufs ./internal/faultinject ./internal/admindb
+	$(GO) test -race -timeout 120s -run 'Fault|Failover|Redispatch|Reconnect|MSUDown|Lost|Restart|FailedCommit|ReplayIdempotent|ReplayUnstamped|PR15Fixture|Orphan|Corrupt|PlanStep|LedgerConservation|RecordPlacement|QueuedPlayWakes|CloseWakes|CutAll|QuitIsAcknowledged|StopKeeps|SweepOnStartup|PipelinedVCR|GoroutinesPerStream|QuitDuringControlDial|OneCacheReportPerStream' . ./internal/coordinator ./internal/client ./internal/msu ./internal/msufs ./internal/faultinject ./internal/admindb
 
 # Three seconds of each of the eight fuzz targets (go test takes one -fuzz target and
 # one package per run): journal replay and snapshot decoding never
@@ -124,16 +127,19 @@ bench-write:
 # The control plane end to end (DESIGN.md, "Admission path"): one client's
 # play → first packet → seek → first packet → quit against a real
 # Coordinator and MSU on a warm memory disk, ns and allocs per cycle.
-# Expected on a 2-core x86 box at 1,000 cycles: ~0.40–0.43 ms, ~83 KB and
-# ~572 allocs a cycle, a stream's players sharing one descriptor ring and
-# one set of fetch slots and taking pages from the disk's one pool. Both
-# starts leave from RAM (the play from the title's head, the seek from a
-# cached page), so none reads head first; a stream that does makes its
-# head's completion channel once, not once a start. With a
-# fresh ring, fetch slots and page pool for every player it was ~113 KB and
-# ~598 allocs; with the group dialling the client before its members
-# began, a cache report at every VCR command and an event ring that
-# shifted on every append, ~0.51–0.62 ms and ~771 allocs.
+# Expected on a 2-core x86 box at 1,000 cycles: ~82 KB and ~557 allocs a
+# cycle (ns/op is noisy on a shared box: 0.52–0.70 ms, against 0.55–0.65
+# for the commit before in the same session; ~0.40–0.43 ms on a quiet
+# one). A stream is one disk process with one descriptor ring, one set of
+# fetch slots and one reservation in the disk's pool from its play to its
+# quit, and the seek is a message to it. Both starts leave from RAM (the
+# play from the title's head, the seek from a cached page), so none reads
+# head first. With two goroutines, a reservation and a cache registration
+# for every command's player it was ~83 KB and ~572 allocs; with a fresh
+# ring, fetch slots and page pool for every player ~113 KB and ~598
+# allocs; with the group dialling the client before its members began, a
+# cache report at every VCR command and an event ring that shifted on
+# every append, ~0.51–0.62 ms and ~771 allocs.
 bench-control:
 	$(GO) test -run=NONE -bench='PlayCycle' -benchtime=1000x -benchmem .
 

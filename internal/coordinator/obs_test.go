@@ -42,8 +42,8 @@ func TestProtoVersionMismatch(t *testing.T) {
 
 // StatusV2 is the one status report: the gauges overlaid from the
 // scheduler's tables, the Coordinator's own counters under the names the
-// harness and /metrics read (registered, so present at zero), and the
-// per-disk and per-NIC ledger detail.
+// harness and /metrics read (registered, so present at zero), the Go
+// runtime's figures, and the per-disk and per-NIC ledger detail.
 func TestStatusV2Snapshot(t *testing.T) {
 	c := startCoordinator(t, Config{})
 	decl := []wire.ContentDecl{{Name: "movie", Type: "mpeg1", Length: time.Minute, Size: 10 * units.MB}}
@@ -77,6 +77,14 @@ func TestStatusV2Snapshot(t *testing.T) {
 	} {
 		if got, ok := s.Counters[name]; !ok || got != want {
 			t.Errorf("counter %s = %d (present %v), want %d", name, got, ok, want)
+		}
+	}
+	if s.Gauges[obs.RuntimeGoroutines] < 1 || s.Counters[obs.RuntimeHeapAllocs] < 1 {
+		t.Errorf("runtime figures: %s = %d, %s = %d", obs.RuntimeGoroutines, s.Gauges[obs.RuntimeGoroutines], obs.RuntimeHeapAllocs, s.Counters[obs.RuntimeHeapAllocs])
+	}
+	for _, name := range []string{obs.RuntimeSchedLatency, obs.RuntimeGCPauses} {
+		if h, ok := s.Hists[name]; !ok || len(h.Bounds) != len(obs.RuntimeBuckets) {
+			t.Errorf("histogram %s = %+v (present %v), want one on obs.RuntimeBuckets", name, h, ok)
 		}
 	}
 	if len(v2.Disks) != 1 || len(v2.Net) != 1 || v2.Net[0].Used != 1500*units.Kbps {

@@ -66,7 +66,7 @@ func (d *gatedDev) ReadAt(p []byte, off int64) error {
 }
 
 // failAt makes every call at off fail; 0 (the superblock, which no
-// player reads) makes none.
+// stream reads) makes none.
 func (d *gatedDev) failAt(off int64) {
 	d.mu.Lock()
 	d.bad = off
@@ -120,7 +120,7 @@ func (d *gatedDev) awaitParked(t *testing.T, when string) {
 }
 
 // budgetRig is a vcrRig over a gatedDev with what the budget test
-// watches: the device, the disk's cache (nil when off) and the player
+// watches: the device, the disk's cache (nil when off) and the stream
 // whose pages are being counted.
 type budgetRig struct {
 	*vcrRig
@@ -177,40 +177,39 @@ func ingestCBR(t *testing.T, store msufs.Store, pktSize int, titles map[string]t
 	}
 }
 
-// held is how many pages the player pins, counted without its own
+// held is how many pages the rig's stream pins, counted without its own
 // ledger: the disk's pool pages that readers hold — with the cache on,
 // those of its pages that are not just cached — (the rig runs one stream
 // at a time, so they are its).
-func (r *budgetRig) held(p *player) int {
+func (r *budgetRig) held() int {
 	if r.cache != nil {
 		return r.cache.Pinned()
 	}
-	return p.pool.Held()
+	return r.m.pools[0].Held()
 }
 
-// player waits for the rig's one stream to have a player other than
-// prev, and returns it.
-func (r *budgetRig) player(prev *player) *player {
+// stream is the rig's one stream: the one the last play started, which
+// every VCR command after it repositions.
+func (r *budgetRig) stream() *stream {
 	r.t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		r.m.mu.Lock()
-		var s *stream
-		for _, s = range r.m.streams {
-		}
-		r.m.mu.Unlock()
-		if s != nil {
-			s.mu.Lock()
-			p := s.player
-			s.mu.Unlock()
-			if p != nil && p != prev {
-				return p
-			}
-		}
-		if time.Now().After(deadline) {
-			r.t.Fatal("the stream never got its player")
-		}
-		time.Sleep(time.Millisecond)
+	r.m.mu.Lock()
+	defer r.m.mu.Unlock()
+	if len(r.m.streams) != 1 {
+		r.t.Fatalf("%d streams on the rig, want 1", len(r.m.streams))
+	}
+	for _, s := range r.m.streams {
+		return s
+	}
+	return nil
+}
+
+// awaitEnd waits for the stream to reach the end of what it plays.
+func (r *budgetRig) awaitEnd(s *stream, what string) {
+	r.t.Helper()
+	select {
+	case <-s.ended():
+	case <-time.After(10 * time.Second):
+		r.t.Fatalf("no end of content: %s", what)
 	}
 }
 
@@ -223,9 +222,9 @@ const (
 )
 
 // firstReadHeld waits for a read to be parked at the gate and checks
-// what the player has asked of the disk by then: one page, in reads
+// what the stream has asked of the disk by then: one page, in reads
 // requests (startFromHead or startHeadFirst).
-func (r *budgetRig) firstReadHeld(p *player, requestsBefore, reads int64, when string) {
+func (r *budgetRig) firstReadHeld(s *stream, requestsBefore, reads int64, when string) {
 	r.t.Helper()
 	r.dev.awaitParked(r.t, when)
 	// The disk process is parked on this read — on the head, or with the
@@ -234,46 +233,51 @@ func (r *budgetRig) firstReadHeld(p *player, requestsBefore, reads int64, when s
 	if n := r.m.ioStats(0).Requests - requestsBefore; n != reads {
 		r.t.Errorf("%s: %d reads submitted before the first page is in RAM, want %d", when, n, reads)
 	}
-	if got, held := p.res.Pinned(), r.held(p); got != 1 || held != 1 {
-		r.t.Errorf("%s: the player counts %d pinned pages and holds %d before the first page is in RAM, want 1", when, got, held)
+	if got, held := s.res.Pinned(), r.held(); got != 1 || held != 1 {
+		r.t.Errorf("%s: the stream counts %d pinned pages and holds %d before the first page is in RAM, want 1", when, got, held)
 	}
 }
 
-// allBack checks nothing of p's, the rig's only player, is pinned any
-// more, and, if it has stopped, that its reservation is back.
-func (r *budgetRig) allBack(p *player, when string) {
+// allBack checks nothing of s's, the rig's only stream, is pinned any
+// more, and, if it has ended, that its reservation is back. A paused
+// stream, or one at its end, keeps its reservation until it is quit.
+func (r *budgetRig) allBack(s *stream, when string) {
 	r.t.Helper()
-	if n := r.held(p); n != 0 {
+	if n := r.held(); n != 0 {
 		r.t.Errorf("%s: %d of the pool's pages still held", when, n)
 	}
+	pool := r.m.pools[0]
 	select {
-	case <-p.done:
-		if cap, own := p.pool.Cap(), p.pool.Own(); cap != own {
-			r.t.Errorf("%s: the pool's capacity is %d, want its own %d pages once the player has stopped", when, cap, own)
+	case <-s.done:
+		if cap, own := pool.Cap(), pool.Own(); cap != own {
+			r.t.Errorf("%s: the pool's capacity is %d, want its own %d pages once the stream has ended", when, cap, own)
 		}
-	default: // at EOF: parked until a command stops it
+	default:
+		if cap, want := pool.Cap(), pool.Own()+pageBudget; cap != want {
+			r.t.Errorf("%s: the pool's capacity is %d, want its own pages and the stream's reservation, %d", when, cap, want)
+		}
 	}
-	if n := p.res.Pinned(); n != 0 {
-		r.t.Errorf("%s: the player still counts %d pinned pages", when, n)
+	if n := s.res.Pinned(); n != 0 {
+		r.t.Errorf("%s: the stream still counts %d pinned pages", when, n)
 	}
 	if n, lent := r.m.obs.pinned.Load(), r.m.obs.lent.Load(); n != 0 || lent != 0 {
 		r.t.Errorf("%s: readahead_pinned_pages = %d, readahead_lent_pages = %d, want 0", when, n, lent)
 	}
 }
 
-// TestPageBudgetAndRamp pins the one bound on a player's lead. On an
+// TestPageBudgetAndRamp pins the one bound on a stream's lead. On an
 // MSU built by New, over a real VCR connection, for packets from 4 KB
 // to 512 B and with the cache on and off: one page is read before the
 // first datagram leaves, and of that page only the head — the rest is
 // still held at the device; a play that is quit right after its first
-// packet has read at most two; the pages a player pins never exceed
+// packet has read at most two; the pages a stream pins never exceed
 // pageBudget and its reads never lead what it has sent in full by more
 // than two pages plus one for each page sent; a seek starts again at one
-// page; and at EOF, after a Quit and after a cancel in mid-read every
-// page is back.
+// page; and at EOF, after a pause, after a Quit and after a cancel in
+// mid-read every page is back — the stream's reservation at the Quit.
 //
-// Those subtests run on a disk that is never contended: one player's
-// reads, one at a time. On a contended one the ramp yields and a player
+// Those subtests run on a disk that is never contended: one stream's
+// reads, one at a time. On a contended one the ramp yields and a stream
 // may pin lendPages past its reservation (testContendedBudget).
 func TestPageBudgetAndRamp(t *testing.T) {
 	for _, pktSize := range []int{4096, 1024, 512} {
@@ -286,13 +290,13 @@ func TestPageBudgetAndRamp(t *testing.T) {
 }
 
 // testContendedBudget holds the device behind more than maxRun reads of
-// nobody's, due an hour from now — never in a player's deadline band, so
-// they stay queued while the player's pages go past them — and lets the
-// player's reads through one device call at a time, and one of those
-// fillers only when it is on the device with a read of the player's
+// nobody's, due an hour from now — never in a stream's deadline band, so
+// they stay queued while the stream's pages go past them — and lets the
+// stream's reads through one device call at a time, and one of those
+// fillers only when it is on the device with a read of the stream's
 // queued behind it. The disk is then contended throughout: once its first
-// page is in, the player stages its whole ring, and while the network
-// process holds its reserved pages for pacing it pins up to lendPages
+// page is in, the stream stages its whole ring, and while the sender
+// holds its reserved pages for pacing it pins up to lendPages
 // more, lent by the disk's pool out of the cache's share, and never more
 // than that. After a quit every page is back and nothing is lent.
 func testContendedBudget(t *testing.T) {
@@ -312,8 +316,8 @@ func testContendedBudget(t *testing.T) {
 		t.Fatalf("%d reads queued on a held disk, and it does not read as contended", len(filler)-1)
 	}
 
-	// step lets the read on the device through: the player's, or a filler
-	// with one of the player's reads queued behind it.
+	// step lets the read on the device through: the stream's, or a filler
+	// with one of the stream's reads queued behind it.
 	released := 0 // calls let through so far, the filler parked first among them
 	step := func() {
 		calls := dev.callLog()
@@ -326,7 +330,7 @@ func testContendedBudget(t *testing.T) {
 		switch {
 		case len(calls) == released: // the last call let through, or none, is on the device
 		case calls[released].off == 0 && r.m.ioStats(0).Requests-int64(len(filler)) == served:
-			// A filler: the player is cutting a page, its next read is coming.
+			// A filler: the stream is cutting a page, its next read is coming.
 		default:
 			dev.gate <- struct{}{}
 			released++
@@ -336,17 +340,17 @@ func testContendedBudget(t *testing.T) {
 	}
 
 	peer := r.play("lend")
-	p := r.player(nil)
+	s := r.stream()
 	// Up to the ceiling, and on for a while: it holds.
 	var peak int32
 	var over time.Time
 	for deadline := time.Now().Add(10 * time.Second); over.IsZero() || time.Now().Before(over); {
 		step()
-		got, held := p.res.Pinned(), r.held(p)
+		got, held := s.res.Pinned(), r.held()
 		if got > pageBudget+lendPages || held > pageBudget+lendPages {
-			t.Fatalf("the player counts %d pinned pages and holds %d, over its reservation of %d plus %d lent", got, held, pageBudget, lendPages)
+			t.Fatalf("the stream counts %d pinned pages and holds %d, over its reservation of %d plus %d lent", got, held, pageBudget, lendPages)
 		}
-		if lent := p.pool.Lent(); lent > r.cache.Pages() {
+		if lent := r.m.pools[0].Lent(); lent > r.cache.Pages() {
 			t.Fatalf("%d pages lent out of a cache of %d", lent, r.cache.Pages())
 		}
 		if !r.m.contended(0) {
@@ -354,12 +358,12 @@ func testContendedBudget(t *testing.T) {
 		}
 		if peak = max(peak, got); peak == pageBudget+lendPages && over.IsZero() {
 			if n := r.m.obs.lent.Load(); n != lendPages {
-				t.Errorf("readahead_lent_pages = %d with the player at its ceiling, want %d", n, lendPages)
+				t.Errorf("readahead_lent_pages = %d with the stream at its ceiling, want %d", n, lendPages)
 			}
 			over = time.Now().Add(20 * time.Millisecond)
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("the player pinned at most %d pages on a contended disk, want its reservation of %d plus %d lent", peak, pageBudget, lendPages)
+			t.Fatalf("the stream pinned at most %d pages on a contended disk, want its reservation of %d plus %d lent", peak, pageBudget, lendPages)
 		}
 	}
 	r.vcr(peer, "quit", 0)
@@ -369,7 +373,7 @@ func testContendedBudget(t *testing.T) {
 	for range filler {
 		<-done
 	}
-	r.allBack(p, "after a quit on a contended disk")
+	r.allBack(s, "after a quit on a contended disk")
 }
 
 // TestWarmStartMakesNoPage holds that pages recycle through a disk's
@@ -385,12 +389,7 @@ func TestWarmStartMakesNoPage(t *testing.T) {
 			r.ingest(4096, map[string]time.Duration{"warm": time.Second, "a": 2 * time.Second, "b": 2 * time.Second})
 			pool := r.m.pools[0]
 			peer := r.play("warm")
-			deadline := time.Now().Add(10 * time.Second)
-			for p := r.player(nil); !p.s.atEOF(); time.Sleep(time.Millisecond) {
-				if time.Now().After(deadline) {
-					t.Fatal("no EOF")
-				}
-			}
+			r.awaitEnd(r.stream(), "a title played through")
 			r.quit(peer)
 			made := pool.Made()
 			if made == 0 || made > pool.Own()+pageBudget {
@@ -435,11 +434,11 @@ func testPageBudget(t *testing.T, pktSize int, cacheBytes units.ByteSize) {
 	dev.hold()
 	before, reads := r.m.ioStats(0).Requests, dev.count()
 	peer := r.play("quit")
-	p := r.player(nil)
-	r.firstReadHeld(p, before, startHeadFirst, "play")
+	s := r.stream()
+	r.firstReadHeld(s, before, startHeadFirst, "play")
 	dev.gate <- struct{}{}
 	datagram("with the head of one page read")
-	r.firstReadHeld(p, before, startHeadFirst, "play, the head let through")
+	r.firstReadHeld(s, before, startHeadFirst, "play, the head let through")
 	if n := dev.count() - reads; n != 1 {
 		t.Errorf("%d pages asked of the device with the first page's tail held, want 1", n)
 	}
@@ -450,21 +449,21 @@ func testPageBudget(t *testing.T, pktSize int, cacheBytes units.ByteSize) {
 	if n := dev.count() - reads; n > 2 {
 		t.Errorf("a play quit right after its first packet read %d pages, want at most 2", n)
 	}
-	r.allBack(p, "after a quit")
+	r.allBack(s, "after a quit")
 
 	// The bound and the ramp, sampled while four pages go out in full.
 	reads = dev.count()
 	peer = r.play("ramp")
-	p = r.player(nil)
+	s = r.stream()
 	deadline := time.Now().Add(10 * time.Second)
 	for sent := int32(0); sent < 4; {
 		caused := dev.count() - reads // before sent: sent only grows
-		sent = p.sent.Load()
+		sent = s.sent.Load()
 		if lead := caused - int(sent); lead > 2+int(sent) {
 			t.Fatalf("%d pages read with %d sent in full: the ramp allows a lead of two pages plus one for each page sent", caused, sent)
 		}
-		if got, held := p.res.Pinned(), r.held(p); got > pageBudget || held > pageBudget {
-			t.Fatalf("the player counts %d pinned pages and holds %d, over the budget of %d", got, held, pageBudget)
+		if got, held := s.res.Pinned(), r.held(); got > pageBudget || held > pageBudget {
+			t.Fatalf("the stream counts %d pinned pages and holds %d, over the budget of %d", got, held, pageBudget)
 		}
 		if time.Now().After(deadline) {
 			t.Fatalf("only %d pages sent in full", sent)
@@ -475,49 +474,41 @@ func testPageBudget(t *testing.T, pktSize int, cacheBytes units.ByteSize) {
 		t.Errorf("%d pages read after four were sent in full: the ramp never opened", caused)
 	}
 
-	// A seek is a fresh player: its ramp starts again at one page. The
-	// first seek leaves the index resident, so the second reads only
-	// data, and the pause leaves no read of the old player's to be held.
+	// A seek restarts the ramp at one page: at the command's ack the old
+	// position's pages are given back and none is counted sent at the new
+	// one. The first seek leaves the index resident, so the second reads
+	// only data, and the pause leaves no read of the old position's held.
 	r.vcr(peer, "seek", 3*time.Second)
-	p = r.player(p)
-	for p.sent.Load() < 1 {
-		if time.Now().After(deadline) {
-			t.Fatal("nothing sent after the first seek")
-		}
-		time.Sleep(time.Millisecond)
+	if n := s.sent.Load(); n != 0 {
+		t.Errorf("%d pages counted sent at a seek's ack, want 0", n)
 	}
+	r.await("a page to be sent after the first seek", func() bool { return s.sent.Load() >= 1 })
 	r.vcr(peer, "pause", 0)
-	r.allBack(p, "after a pause")
+	r.allBack(s, "after a pause")
 	dev.hold()
 	before = r.m.ioStats(0).Requests
 	r.vcr(peer, "seek", 6*time.Second)
-	seeker := r.player(p)
-	r.firstReadHeld(seeker, before, startHeadFirst, "seek")
+	r.firstReadHeld(s, before, startHeadFirst, "seek")
 	dev.open()
 	r.quit(peer)
-	r.allBack(seeker, "after a seek and a quit")
+	r.allBack(s, "after a seek and a quit")
 
 	// A title played to its end.
 	peer = r.play("eof")
-	p = r.player(nil)
-	for !p.s.atEOF() {
-		if time.Now().After(deadline) {
-			t.Fatal("no EOF")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	r.allBack(p, "at EOF")
+	s = r.stream()
+	r.awaitEnd(s, "a title played through")
+	r.allBack(s, "at EOF")
 	r.quit(peer)
 
 	// A cancel while the first page is still on the disk.
 	dev.hold()
 	before = r.m.ioStats(0).Requests
 	peer = r.play("cancel")
-	p = r.player(nil)
-	r.firstReadHeld(p, before, startHeadFirst, "play before a cancel")
+	s = r.stream()
+	r.firstReadHeld(s, before, startHeadFirst, "play before a cancel")
 	r.vcr(peer, "quit", 0)
 	dev.open()
 	peer.Close() //nolint:errcheck // the MSU closes its end too
 	r.drained()
-	r.allBack(p, "after a cancel in mid-read")
+	r.allBack(s, "after a cancel in mid-read")
 }

@@ -497,9 +497,9 @@ func TestCorruptCachedPageRereadThroughScheduler(t *testing.T) {
 // TestPipelinedVCRCommandsLeaveOnePlayer sends seeks two at a time down
 // one control connection, as a client that does not wait for answers
 // would. The connection serves each request on its own goroutine; the
-// group must still apply them one after the other, or two of them each
-// start a player and only one is ever stopped. Afterwards the sink must
-// see one frame sequence and, after quit, no goroutine may be left.
+// group must still hand them to the stream's disk process one after the
+// other. Afterwards the sink must see one frame sequence and, after quit,
+// no goroutine may be left.
 func TestPipelinedVCRCommandsLeaveOnePlayer(t *testing.T) {
 	r := newVCRRig(t)
 	ingestMovie(t, r.m.stores[0], "movie", 20*time.Second, 30)

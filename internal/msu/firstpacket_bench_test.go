@@ -174,7 +174,7 @@ func benchFirstPacket(b *testing.B, writeEvery time.Duration, cache units.ByteSi
 		}
 		waited += time.Since(start)
 		b.StopTimer()
-		s.stopPlayer()
+		s.vcr("pause", 0)                    //nolint:errcheck // a play stream always pauses
 		for err := error(nil); err == nil; { // what was sent before the stop
 			sink.SetReadDeadline(time.Now().Add(time.Millisecond)) //nolint:errcheck
 			_, _, err = sink.ReadFromUDP(buf)

@@ -22,12 +22,10 @@ type group struct {
 	size      int
 	clientTCP string
 
-	// vcrMu serialises what replaces a member's player: the first start,
-	// each VCR command and the teardown. The control connection runs every
-	// request on its own goroutine, and a command is stop-the-old-player
-	// then start-a-new-one; two of them interleaved would each start one
-	// and leave the first playing with nothing to stop it. Taken before
-	// mu, never under it.
+	// vcrMu serialises what a member's disk process is told: the first
+	// start, each VCR command and the teardown. The control connection
+	// runs every request on its own goroutine, and a stream takes one
+	// command at a time (stream.command). Taken before mu, never under it.
 	vcrMu sync.Mutex
 
 	mu      sync.Mutex
@@ -78,7 +76,7 @@ const clientDialAttempts = 4
 // none can arrive before it exists, by which time every member has
 // begun. The StartStream reply still waits for it, so a client that
 // cannot be reached fails the start, its caller quits the group (which
-// stops the players already running) and the Coordinator rolls back.
+// stops the members already playing) and the Coordinator rolls back.
 // The dial is retried a few times with short backoff; one dropped SYN
 // must not kill a stream group that the Coordinator already reserved
 // resources for.
@@ -141,9 +139,9 @@ func (g *group) connectClient() error {
 	return nil
 }
 
-// begin starts every member of a group that has not been quit, and
-// returns them. It holds vcrMu, so a quit that comes meanwhile waits to
-// stop the players it starts.
+// begin starts every member of a group that has not been quit, ahead of
+// its control connection, and returns them. It holds vcrMu, so a quit that
+// comes meanwhile waits to stop the members it starts.
 func (g *group) begin() ([]*stream, error) {
 	g.vcrMu.Lock()
 	defer g.vcrMu.Unlock()
@@ -155,7 +153,10 @@ func (g *group) begin() ([]*stream, error) {
 		return nil, fmt.Errorf("group %d: %w", g.id, core.ErrStreamTerminated)
 	}
 	for _, s := range members {
-		if err := s.begin(); err != nil {
+		if s.spec.Record {
+			continue // recorders run as soon as packets arrive
+		}
+		if err := s.playAt(core.Normal, 0); err != nil {
 			return nil, fmt.Errorf("starting stream %d: %w", s.spec.Stream, err)
 		}
 	}
@@ -174,7 +175,7 @@ func (g *group) handleVCR(msgType string, body json.RawMessage) (any, error) {
 	}
 	// Held until the command has been applied to every member. A quit
 	// that got in first is seen here; one that comes after waits in
-	// group.quit for this command's players before it stops them.
+	// group.quit for this command before it stops the members.
 	g.vcrMu.Lock()
 	defer g.vcrMu.Unlock()
 	g.mu.Lock()
@@ -185,39 +186,18 @@ func (g *group) handleVCR(msgType string, body json.RawMessage) (any, error) {
 	members := append([]*stream(nil), g.members...)
 	g.mu.Unlock()
 
-	apply := func(f func(*stream) error) error {
-		for _, s := range members {
-			if err := f(s); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
-	var err error
-	switch cmd.Op {
-	case "pause":
-		err = apply(func(s *stream) error { return s.pause() })
-	case "play":
-		err = apply(func(s *stream) error { return s.resume() })
-	case "seek":
-		err = apply(func(s *stream) error { return s.seek(cmd.Pos) })
-	case "fast-forward":
-		err = apply(func(s *stream) error { return s.setSpeed(core.FastForward) })
-	case "fast-backward":
-		err = apply(func(s *stream) error { return s.setSpeed(core.FastBackward) })
-	case "quit":
+	if cmd.Op == "quit" {
 		// The ack goes onto the wire first, then this request's goroutine
 		// tears the group down; the connection dies with us.
 		return wire.Reply{
 			Body: &wire.VCRAck{Pos: members[0].position(), Speed: core.Normal.String()},
 			Then: func() { g.quit("client quit") },
 		}, nil
-	default:
-		return nil, fmt.Errorf("%w: vcr op %q", core.ErrBadRequest, cmd.Op)
 	}
-	if err != nil {
-		return nil, err
+	for _, s := range members {
+		if err := s.vcr(cmd.Op, cmd.Pos); err != nil {
+			return nil, err
+		}
 	}
 	return &wire.VCRAck{Pos: members[0].position(), Speed: members[0].speedName()}, nil
 }
@@ -258,7 +238,7 @@ func (g *group) clearEOF() {
 	g.mu.Unlock()
 }
 
-// quit terminates the whole group: recordings commit, players stop,
+// quit terminates the whole group: recordings commit, streams stop,
 // the Coordinator hears stream-ended for every member (§2.2: "After a
 // 'quit' command from the client, the MSU informs the coordinator that
 // the stream has been terminated").
@@ -273,7 +253,7 @@ func (g *group) quit(cause string) {
 	vcr := g.vcr
 	g.mu.Unlock()
 
-	g.vcrMu.Lock() // a command already under way starts its players first
+	g.vcrMu.Lock() // a command already under way is applied first
 	for _, s := range members {
 		s.teardown()
 	}

@@ -92,15 +92,25 @@ func (r *budgetRig) await(what string, cond func() bool) {
 	}
 }
 
+// quitting waits for the quit of s's group to be under way.
+func (r *budgetRig) quitting(s *stream) {
+	r.t.Helper()
+	r.await("the quit to begin", func() bool {
+		s.group.mu.Lock()
+		defer s.group.mu.Unlock()
+		return s.group.quitted
+	})
+}
+
 // finish quits a stream whatever it still has at the gate, and checks
-// everything of its player's is back.
-func (r *budgetRig) finish(peer *wire.Peer, p *player, when string) {
+// everything of the stream's is back.
+func (r *budgetRig) finish(peer *wire.Peer, s *stream, when string) {
 	r.t.Helper()
 	r.vcr(peer, "quit", 0)
 	r.dev.open()
 	peer.Close() //nolint:errcheck // the MSU closes its end too
 	r.drained()
-	r.allBack(p, when)
+	r.allBack(s, when)
 }
 
 // inserts is how many pages the cache has taken in, 0 with the cache off.
@@ -141,17 +151,17 @@ func testHeadFirst(t *testing.T, pktSize int, cacheBytes units.ByteSize) {
 	// its first page through, alone. It returns with the head's packets
 	// received and checked and the tail parked at the gate; rest is what
 	// the page holds beyond them.
-	headOnly := func(title string, page []sentPacket) (peer *wire.Peer, p *player, rest []sentPacket) {
+	headOnly := func(title string, page []sentPacket) (peer *wire.Peer, s *stream, rest []sentPacket) {
 		t.Helper()
 		k := split(t, title, page)
 		dev.hold()
 		requests, inserts, sent := r.m.ioStats(0).Requests, r.inserts(), r.m.obs.packets.Load()
 		peer = r.play(title)
-		p = r.player(nil)
-		r.firstReadHeld(p, requests, startHeadFirst, title+": play")
+		s = r.stream()
+		r.firstReadHeld(s, requests, startHeadFirst, title+": play")
 		dev.gate <- struct{}{}
 		r.received(page[:k], title+": with the head in")
-		r.firstReadHeld(p, requests, startHeadFirst, title+": the head let through")
+		r.firstReadHeld(s, requests, startHeadFirst, title+": the head let through")
 		// Every packet cut has been sent and counted once the last of them
 		// is: a record cut from beyond the mark would show here, or as the
 		// wrong bytes above.
@@ -165,54 +175,54 @@ func testHeadFirst(t *testing.T, pktSize int, cacheBytes units.ByteSize) {
 		if r.cached(title) || r.inserts() != inserts {
 			t.Errorf("%s: the first page is in the cache with only its head read", title)
 		}
-		return peer, p, page[k:]
+		return peer, s, page[k:]
 	}
 	// Head, then tail: the rest of the page goes out, the page goes into
 	// the cache, and page 1 is asked for — only now.
 	page, _ := pagePackets(r.t, r.m, "cold", 0)
 	requests, inserts := r.m.ioStats(0).Requests, r.inserts()
-	peer, p, rest := headOnly("cold", page)
+	peer, s, rest := headOnly("cold", page)
 	dev.gate <- struct{}{}
 	r.received(rest, "cold: with the tail in")
 	r.await("page 1 to be asked for", func() bool { return r.m.ioStats(0).Requests == requests+startHeadFirst+1 })
 	if r.cache != nil && (!r.cached("cold") || r.inserts() != inserts+1) {
 		t.Errorf("the first page went into the cache %d times once whole, want 1", r.inserts()-inserts)
 	}
-	r.finish(peer, p, "after a head-first start and a quit")
+	r.finish(peer, s, "after a head-first start and a quit")
 
 	// The tail fails: the stream ends, with nothing cached and nothing
 	// pinned.
 	page, off := pagePackets(r.t, r.m, "fail", 0)
 	inserts = r.inserts()
-	dev.failAt(off + int64(p.tree.PageSize()/headFraction))
-	peer, p, _ = headOnly("fail", page)
+	dev.failAt(off + int64(s.tree.PageSize()/headFraction))
+	peer, s, _ = headOnly("fail", page)
 	dev.gate <- struct{}{}
-	r.await("the stream to end", p.s.atEOF)
+	r.await("the stream to end", s.atEOF)
 	if r.cached("fail") || r.inserts() != inserts {
 		t.Error("a first page whose tail failed went into the cache")
 	}
-	r.allBack(p, "after a failed tail")
+	r.allBack(s, "after a failed tail")
 	dev.failAt(0)
-	r.finish(peer, p, "after a failed tail and a quit")
+	r.finish(peer, s, "after a failed tail and a quit")
 
 	// A Quit with the tail on the device: the page is the device's until
 	// it lets go.
 	page, _ = pagePackets(r.t, r.m, "quit", 0)
-	peer, p, _ = headOnly("quit", page)
+	peer, s, _ = headOnly("quit", page)
 	r.vcr(peer, "quit", 0)
-	<-p.cancel
+	r.quitting(s)
 	select {
-	case <-p.done:
-		t.Error("a player stopped with its first page's tail still on the device")
+	case <-s.done:
+		t.Error("a stream ended with its first page's tail still on the device")
 	default:
 	}
-	if got, held := p.res.Pinned(), r.held(p); got != 1 || held != 1 {
-		t.Errorf("a quit player counts %d pinned pages and holds %d with the tail on the device, want 1", got, held)
+	if got, held := s.res.Pinned(), r.held(); got != 1 || held != 1 {
+		t.Errorf("a quit stream counts %d pinned pages and holds %d with the tail on the device, want 1", got, held)
 	}
 	dev.open()
 	peer.Close() //nolint:errcheck // the MSU closes its end too
 	r.drained()
-	r.allBack(p, "after a quit with the tail on the device")
+	r.allBack(s, "after a quit with the tail on the device")
 
 	// A title that ends inside the head: all of it goes out with the tail
 	// on the device, and the page is still the device's until that is in.
@@ -230,18 +240,18 @@ func testHeadFirst(t *testing.T, pktSize int, cacheBytes units.ByteSize) {
 	dev.hold()
 	requests = r.m.ioStats(0).Requests
 	peer = r.play("tiny")
-	p = r.player(nil)
-	r.firstReadHeld(p, requests, startHeadFirst, "tiny: play")
+	s = r.stream()
+	r.firstReadHeld(s, requests, startHeadFirst, "tiny: play")
 	dev.gate <- struct{}{}
 	r.received(page, "tiny: with the head in")
-	r.firstReadHeld(p, requests, startHeadFirst, "tiny: the head let through")
-	if p.s.atEOF() {
+	r.firstReadHeld(s, requests, startHeadFirst, "tiny: the head let through")
+	if s.atEOF() {
 		t.Error("a title declared at its end with its page still on the device")
 	}
 	dev.open() // the tail, and the page the builder closed the index in
-	r.await("the tiny title to end", p.s.atEOF)
-	r.allBack(p, "after a title that ends inside the head")
-	r.finish(peer, p, "after a title that ends inside the head, and a quit")
+	r.await("the tiny title to end", s.atEOF)
+	r.allBack(s, "after a title that ends inside the head")
+	r.finish(peer, s, "after a title that ends inside the head, and a quit")
 
 	// A seek that lands past the head of its page: nothing goes out until
 	// the tail is in, and then the packet asked for. The first seek leaves
@@ -258,24 +268,22 @@ func testHeadFirst(t *testing.T, pktSize int, cacheBytes units.ByteSize) {
 		t.Fatal("no packet of page 12 starts a new delivery time past the head")
 	}
 	peer = r.play("seek")
-	p = r.player(nil)
+	s = r.stream()
 	r.vcr(peer, "seek", 100*time.Millisecond)
-	p = r.player(p)
-	r.await("a page to be sent after the first seek", func() bool { return p.sent.Load() >= 1 })
+	r.await("a page to be sent after the first seek", func() bool { return s.sent.Load() >= 1 })
 	r.vcr(peer, "pause", 0)
-	r.allBack(p, "after a pause")
+	r.allBack(s, "after a pause")
 	r.emptySink()
 	dev.hold()
 	requests, sent := r.m.ioStats(0).Requests, r.m.obs.packets.Load()
 	r.vcr(peer, "seek", target.t)
-	seeker := r.player(p)
-	r.firstReadHeld(seeker, requests, startHeadFirst, "seek")
+	r.firstReadHeld(s, requests, startHeadFirst, "seek")
 	dev.gate <- struct{}{}
-	r.firstReadHeld(seeker, requests, startHeadFirst, "seek, the head let through")
+	r.firstReadHeld(s, requests, startHeadFirst, "seek, the head let through")
 	if n := r.m.obs.packets.Load() - sent; n != 0 {
 		t.Errorf("%d packets sent after a seek past the head with the tail on the device, want 0", n)
 	}
 	dev.gate <- struct{}{}
 	r.received([]sentPacket{target}, "seek: with the tail in")
-	r.finish(peer, seeker, "after a seek past the head and a quit")
+	r.finish(peer, s, "after a seek past the head and a quit")
 }

@@ -35,7 +35,7 @@ type BenchResult struct {
 	XfersPerOp  float64 `json:"xfers_op,omitempty"`
 }
 
-// flatPackets builds 4 KB packets all at delivery time zero, so players
+// flatPackets builds 4 KB packets all at delivery time zero, so streams
 // run flat out and a measurement exercises the disk path, not pacing.
 func flatPackets(n int) []media.Packet {
 	pkts := make([]media.Packet, n)
@@ -94,97 +94,43 @@ func openBenchStream(m *MSU, disk int, id core.StreamID, name string) (*stream, 
 }
 
 // playSession plays every stream from the start to EOF concurrently,
-// then stops the players.
+// then pauses them.
 func playSession(streams []*stream) error {
 	for _, s := range streams {
 		if err := s.playAt(core.Normal, 0); err != nil {
 			return err
 		}
 	}
-	deadline := time.Now().Add(60 * time.Second)
+	timeout := time.NewTimer(60 * time.Second)
+	defer timeout.Stop()
 	for _, s := range streams {
-		for !s.atEOF() {
-			if time.Now().After(deadline) {
-				return fmt.Errorf("msu: measurement session never reached EOF")
-			}
-			time.Sleep(100 * time.Microsecond)
+		select {
+		case <-s.ended():
+		case <-timeout.C:
+			return fmt.Errorf("msu: measurement session never reached EOF")
 		}
 	}
 	for _, s := range streams {
-		s.stopPlayer()
+		s.vcr("pause", 0) //nolint:errcheck // a play stream always pauses
 	}
 	return nil
 }
 
-// ioBench is one configured I/O measurement: an MSU over a Sim-backed
-// volume with per-reader titles ingested and streams opened.
-type ioBench struct {
-	m       *MSU
-	sim     *blockdev.Sim
-	streams []*stream
-	cleanup []func()
-	packets int // per session
-}
-
-// newIOBench assembles the 24-reader harness over one Sim volume.
-func newIOBench(readers, packetsPerTitle int, scale float64) (*ioBench, error) {
-	vol, err := newSimVolume(64*int64(units.MB), scale)
-	if err != nil {
-		return nil, err
-	}
-	m, err := newBenchMSU(-1, false, vol)
-	if err != nil {
-		return nil, err
-	}
-	ib := &ioBench{m: m, sim: vol.Device().(*blockdev.Sim), packets: readers * packetsPerTitle}
-	pkts := flatPackets(packetsPerTitle)
-	for i := 0; i < readers; i++ {
-		name := fmt.Sprintf("title-%02d", i)
-		if err := Ingest(m.stores[0], name, "mpeg1", pkts); err != nil {
-			ib.close()
-			return nil, err
-		}
-		s, cleanup, err := openBenchStream(m, 0, core.StreamID(i+1), name)
-		if err != nil {
-			ib.close()
-			return nil, err
-		}
-		ib.streams = append(ib.streams, s)
-		ib.cleanup = append(ib.cleanup, cleanup)
-	}
-	return ib, nil
-}
-
-func (ib *ioBench) close() {
-	for _, f := range ib.cleanup { // each tears its stream down, player first
-		f()
-	}
-	ib.m.Close() //nolint:errcheck // bench teardown
-}
-
-// measure times the given number of sessions and assembles the entry.
-func (ib *ioBench) measure(name string, sessions int) (BenchResult, error) {
-	seekBase, opsBase := ib.sim.SeekBytes(), ib.sim.Ops()
+// runSessions plays n sessions of streams and reports how long they took
+// and how many allocations they made.
+func runSessions(streams []*stream, n int) (time.Duration, float64, error) {
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
 	start := time.Now()
-	for i := 0; i < sessions; i++ {
-		if err := playSession(ib.streams); err != nil {
-			return BenchResult{}, err
+	for i := 0; i < n; i++ {
+		if err := playSession(streams); err != nil {
+			return 0, 0, err
 		}
 	}
 	elapsed := time.Since(start)
 	runtime.ReadMemStats(&after)
-	n := float64(sessions)
-	return BenchResult{
-		Name:        name,
-		PktsPerSec:  float64(ib.packets) * n / elapsed.Seconds(),
-		NsPerOp:     float64(elapsed.Nanoseconds()) / n,
-		AllocsPerOp: float64(after.Mallocs-before.Mallocs) / n,
-		SeekMBPerOp: float64(ib.sim.SeekBytes()-seekBase) / n / 1e6,
-		XfersPerOp:  float64(ib.sim.Ops()-opsBase) / n,
-	}, nil
+	return elapsed, float64(after.Mallocs - before.Mallocs), nil
 }
 
 // MeasureIOSched runs BenchmarkIOSched's measurement outside the
@@ -192,19 +138,46 @@ func (ib *ioBench) measure(name string, sessions int) (BenchResult, error) {
 // one mechanically-modelled volume, the given number of sessions. One
 // op is one full session; the result is the single "iosched/sched" row.
 func MeasureIOSched(sessions int) ([]BenchResult, error) {
-	if sessions < 1 {
-		sessions = 1
-	}
-	ib, err := newIOBench(24, 256, 100)
+	const readers, packets = 24, 256
+	sessions = max(sessions, 1)
+	vol, err := newSimVolume(64*int64(units.MB), 100)
 	if err != nil {
 		return nil, err
 	}
-	defer ib.close()
-	res, err := ib.measure("iosched/sched", sessions)
+	m, err := newBenchMSU(-1, false, vol)
 	if err != nil {
 		return nil, err
 	}
-	return []BenchResult{res}, nil
+	defer m.Close() //nolint:errcheck // bench teardown
+	streams := make([]*stream, readers)
+	pkts := flatPackets(packets)
+	for i := range streams {
+		name := fmt.Sprintf("title-%02d", i)
+		if err := Ingest(m.stores[0], name, "mpeg1", pkts); err != nil {
+			return nil, err
+		}
+		s, cleanup, err := openBenchStream(m, 0, core.StreamID(i+1), name)
+		if err != nil {
+			return nil, err
+		}
+		defer cleanup() // each tears its stream down before the MSU closes
+		streams[i] = s
+	}
+	sim := vol.Device().(*blockdev.Sim)
+	seekBase, opsBase := sim.SeekBytes(), sim.Ops()
+	elapsed, allocs, err := runSessions(streams, sessions)
+	if err != nil {
+		return nil, err
+	}
+	n := float64(sessions)
+	return []BenchResult{{
+		Name:        "iosched/sched",
+		PktsPerSec:  readers * packets * n / elapsed.Seconds(),
+		NsPerOp:     float64(elapsed.Nanoseconds()) / n,
+		AllocsPerOp: allocs / n,
+		SeekMBPerOp: float64(sim.SeekBytes()-seekBase) / n / 1e6,
+		XfersPerOp:  float64(sim.Ops()-opsBase) / n,
+	}}, nil
 }
 
 // deliveryPackets is the title one delivery session plays: ~550 pages
@@ -257,23 +230,16 @@ func newDeliveryBench(cache units.ByteSize) (*stream, func(), error) {
 // whole run, so a steady-state zero-allocation path reports a small
 // fraction per packet (per-session set-up).
 func measureDelivery(name string, s *stream, sessions int) (BenchResult, error) {
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	start := time.Now()
-	for i := 0; i < sessions; i++ {
-		if err := playSession([]*stream{s}); err != nil {
-			return BenchResult{}, err
-		}
+	elapsed, allocs, err := runSessions([]*stream{s}, sessions)
+	if err != nil {
+		return BenchResult{}, err
 	}
-	elapsed := time.Since(start)
-	runtime.ReadMemStats(&after)
 	total := float64(deliveryPackets * sessions)
 	return BenchResult{
 		Name:        name,
 		PktsPerSec:  total / elapsed.Seconds(),
 		NsPerOp:     float64(elapsed.Nanoseconds()) / total,
-		AllocsPerOp: float64(after.Mallocs-before.Mallocs) / total,
+		AllocsPerOp: allocs / total,
 	}, nil
 }
 
@@ -282,9 +248,7 @@ func measureDelivery(name string, s *stream, sessions int) (BenchResult, error) 
 // memory-backed volume with caching off, so every page goes through
 // the scheduler.
 func MeasureDelivery(sessions int) (BenchResult, error) {
-	if sessions < 1 {
-		sessions = 1
-	}
+	sessions = max(sessions, 1)
 	s, closeBench, err := newDeliveryBench(-1)
 	if err != nil {
 		return BenchResult{}, err

@@ -5,10 +5,12 @@
 // (internal/msufs) with IB-tree content files (internal/ibtree), and
 // processes VCR commands arriving on a per-group TCP control
 // connection it opens to the client. A central handler takes RPCs from
-// the Coordinator; per-stream disk and network goroutines — the
-// analogue of the paper's per-device processes — move data through a
-// lock-free shared-memory queue (internal/queue) with double
-// buffering. MSUs never talk to each other.
+// the Coordinator. As in the paper, the data moves between processes
+// joined by lock-free shared-memory queues (internal/queue): each playing
+// stream has one disk process, which reads its pages with double
+// buffering and takes its VCR commands as messages, and the MSU has one
+// network process, the sender, which paces every stream's packets onto
+// the wire. MSUs never talk to each other.
 //
 // On startup (and after any disconnection) the MSU registers with the
 // Coordinator, reporting its disks, free space, and stored content;
@@ -109,7 +111,7 @@ type MSU struct {
 	// striped store over all volumes.
 	stores []msufs.Store
 	// pools are the logical disks' page pools, indexed like stores: every
-	// page a player reads or pins is one of its disk's pool's (buildPools).
+	// page a stream reads or pins is one of its disk's pool's (buildPools).
 	pools []*queue.PagePool
 	// caches are the per-store RAM interval caches over those pools,
 	// indexed like stores; entries are nil when caching is disabled or the
@@ -124,7 +126,8 @@ type MSU struct {
 	// logical disk, indexed like stores: its stats and its contention.
 	diskScheds [][]*iosched.Scheduler
 	// obs holds the MSU's metrics handles (obs.go).
-	obs msuMetrics
+	obs  msuMetrics
+	send *sender // the network process (send.go), from New to Close
 	// reportMu orders cache reports: reportSeq and the cumulative figures
 	// a report carries are taken together under it (reportCache). A leaf.
 	reportMu  sync.Mutex
@@ -230,15 +233,17 @@ func New(cfg Config) (*MSU, error) {
 		m.sweep(disk)
 		m.loadHeads(disk)
 	}
+	m.send = newSender()
+	go m.send.run()
 	return m, nil
 }
 
 // buildPools gives each logical disk its one page pool and, over it, its
 // RAM interval cache. The pool owns the cache's budget in pages of the
 // store's block size, so cached pages alias directly into the zero-copy
-// delivery path, and every player reserves its page budget on top
-// (player.start). With caching off, or a budget below one page, the pool
-// owns nothing and there is no cache: the players' reservations are all
+// delivery path, and every playing stream reserves its page budget on top
+// (stream.run). With caching off, or a budget below one page, the pool
+// owns nothing and there is no cache: the streams' reservations are all
 // of it.
 func buildPools(budget units.ByteSize, stores []msufs.Store) ([]*queue.PagePool, []*cache.Cache, error) {
 	if budget == 0 {
@@ -296,9 +301,8 @@ func (m *MSU) contended(disk int) bool {
 
 // reportCache advertises one disk's cache heat and I/O-scheduler
 // counters to the Coordinator, which re-evaluates queued admissions on
-// every report. Sent when heat changes for good: a player reaches EOF,
-// or a play stream ends (stream.teardown) — not when a VCR command
-// replaces one player with the next.
+// every report. Sent when heat changes for good: a stream reaches EOF,
+// or a play stream ends (stream.teardown) — not at every VCR command.
 func (m *MSU) reportCache(disk int) {
 	c := m.cacheFor(disk)
 	// The number is taken with the figures, so a report with a higher one
@@ -313,7 +317,7 @@ func (m *MSU) reportCache(disk int) {
 	m.reportSeq++
 	// Piggyback the MSU's cumulative metrics snapshot; the Coordinator
 	// diffs it against the last one it merged.
-	snap := m.obs.reg.Snapshot()
+	snap := m.obs.reg.Portable()
 	report := wire.CacheReport{Seq: m.reportSeq, Disk: disk, IO: io, Obs: &snap}
 	if c != nil {
 		report.Stats = c.Stats()
@@ -397,7 +401,9 @@ func (m *MSU) Close() error {
 		err = peer.Close()
 	}
 	m.wg.Wait()
-	// Schedulers close after every player has drained: a scheduler
+	close(m.send.quit)
+	<-m.send.done
+	// Schedulers close after every stream has drained: a scheduler
 	// completes its pending requests with ErrClosed, so any straggler
 	// fetch unblocks rather than hanging.
 	for _, s := range m.scheds {

@@ -18,15 +18,15 @@ type msuMetrics struct {
 	packets  *obs.Counter   // delivery_packets_total
 	bytes    *obs.Counter   // delivery_bytes_total
 	lateness *obs.Histogram // delivery_lateness_seconds (send time vs pacing target)
-	startup  *obs.Histogram // delivery_startup_seconds (a player told to play → its first datagram written)
+	startup  *obs.Histogram // delivery_startup_seconds (a stream told to play → its first datagram written)
 
 	pagesRead *obs.Counter // disk_pages_read_total (IB-tree pages from disk)
 	cacheHits *obs.Counter // cache_page_hits_total (pages served from RAM)
-	pinned    *obs.Gauge   // readahead_pinned_pages (pages held against all players' budgets)
-	// readahead_lent_pages: the pages of those pinned past the players'
+	pinned    *obs.Gauge   // readahead_pinned_pages (pages held against all streams' budgets)
+	// readahead_lent_pages: the pages of those pinned past the streams'
 	// reservations, lent by their disks' pools on a contended disk.
 	lent       *obs.Gauge
-	headStarts *obs.Counter // delivery_head_starts_total (players started from a resident head)
+	headStarts *obs.Counter // delivery_head_starts_total (cues started from a resident head)
 	heads      *obs.Gauge   // resident_heads (titles whose head is in RAM)
 	headBytes  *obs.Gauge   // resident_head_bytes
 

@@ -67,16 +67,16 @@ func split(t *testing.T, title string, page []sentPacket) int {
 // cached, and the one read on order is the rest of page 0. It returns
 // with that read still parked; rest is what the page holds beyond the
 // head's packets.
-func (r *headRig) fromHead(title string) (peer *wire.Peer, p *player, rest []sentPacket) {
+func (r *headRig) fromHead(title string) (peer *wire.Peer, s *stream, rest []sentPacket) {
 	r.t.Helper()
 	page, off := pagePackets(r.t, r.m, title, 0)
 	k := split(r.t, title, page)
 	r.dev.hold()
 	requests, inserts, sent, starts := r.m.ioStats(0).Requests, r.inserts(), r.m.obs.packets.Load(), r.m.obs.headStarts.Load()
 	peer = r.play(title)
-	p = r.player(nil)
+	s = r.stream()
 	r.received(page[:k], title+": with every read held")
-	r.firstReadHeld(p, requests, startFromHead, title+": started from its head")
+	r.firstReadHeld(s, requests, startFromHead, title+": started from its head")
 	if c := r.parkedCall(title); c != (devCall{off + int64(r.head), r.page - r.head}) {
 		r.t.Errorf("%s: the read on order is %d bytes at %d, want the rest of page 0: %d at %d", title, c.n, c.off, r.page-r.head, off+int64(r.head))
 	}
@@ -93,27 +93,27 @@ func (r *headRig) fromHead(title string) (peer *wire.Peer, p *player, rest []sen
 	if n := r.m.obs.headStarts.Load() - starts; n != 1 {
 		r.t.Errorf("%s: delivery_head_starts_total moved by %d, want 1", title, n)
 	}
-	return peer, p, page[k:]
+	return peer, s, page[k:]
 }
 
 // headFirst plays title against the held device and checks it starts the
 // way a title without a head does: the first read on order is the head of
 // page 0, off the disk. It returns with that read parked.
-func (r *headRig) headFirst(title string) (*wire.Peer, *player) {
+func (r *headRig) headFirst(title string) (*wire.Peer, *stream) {
 	r.t.Helper()
 	off := r.pageOff(title, 0)
 	r.dev.hold()
 	requests, starts := r.m.ioStats(0).Requests, r.m.obs.headStarts.Load()
 	peer := r.play(title)
-	p := r.player(nil)
-	r.firstReadHeld(p, requests, startHeadFirst, title+": no head to start from")
+	s := r.stream()
+	r.firstReadHeld(s, requests, startHeadFirst, title+": no head to start from")
 	if c := r.parkedCall(title); c != (devCall{off, r.head}) {
 		r.t.Errorf("%s: the first read is %d bytes at %d, want the head of page 0: %d at %d", title, c.n, c.off, r.head, off)
 	}
 	if n := r.m.obs.headStarts.Load() - starts; n != 0 {
 		r.t.Errorf("%s: delivery_head_starts_total moved by %d for a title with no head", title, n)
 	}
-	return peer, p
+	return peer, s
 }
 
 func (r *headRig) heads() (titles, bytes int64) {
@@ -171,7 +171,7 @@ func testResidentHead(t *testing.T, pktSize int) {
 
 	// From the head, then the rest: the remainder of the page goes out, the
 	// page goes into the cache, and page 1 is asked for — only now.
-	peer, p, rest := r.fromHead("cold")
+	peer, s, rest := r.fromHead("cold")
 	requests, inserts := r.m.ioStats(0).Requests, r.inserts() // with the rest of page 0 on order
 	dev.gate <- struct{}{}
 	r.received(rest, "cold: with the rest in")
@@ -179,65 +179,63 @@ func testResidentHead(t *testing.T, pktSize int) {
 	if !r.cached("cold") || r.inserts() != inserts+1 {
 		t.Errorf("the first page went into the cache %d times once whole, want 1", r.inserts()-inserts)
 	}
-	r.finish(peer, p, "after a start from the head and a quit")
+	r.finish(peer, s, "after a start from the head and a quit")
 
 	// The rest fails: the stream ends, with nothing cached and nothing
 	// pinned.
 	inserts = r.inserts()
 	dev.failAt(r.pageOff("fail", 0) + int64(r.head))
-	peer, p, _ = r.fromHead("fail")
+	peer, s, _ = r.fromHead("fail")
 	dev.gate <- struct{}{}
-	r.await("the stream to end", p.s.atEOF)
+	r.await("the stream to end", s.atEOF)
 	if r.cached("fail") || r.inserts() != inserts {
 		t.Error("a first page whose rest failed went into the cache")
 	}
-	r.allBack(p, "after a failed rest")
+	r.allBack(s, "after a failed rest")
 	dev.failAt(0)
-	r.finish(peer, p, "after a failed rest and a quit")
+	r.finish(peer, s, "after a failed rest and a quit")
 
 	// A Quit with the rest on the device: the page is the device's until it
 	// lets go.
-	peer, p, _ = r.fromHead("quit")
+	peer, s, _ = r.fromHead("quit")
 	r.vcr(peer, "quit", 0)
-	<-p.cancel
+	r.quitting(s)
 	select {
-	case <-p.done:
-		t.Error("a player stopped with the rest of its first page still on the device")
+	case <-s.done:
+		t.Error("a stream ended with the rest of its first page still on the device")
 	default:
 	}
-	if got, held := p.res.Pinned(), r.held(p); got != 1 || held != 1 {
-		t.Errorf("a quit player counts %d pinned pages and holds %d with the rest on the device, want 1", got, held)
+	if got, held := s.res.Pinned(), r.held(); got != 1 || held != 1 {
+		t.Errorf("a quit stream counts %d pinned pages and holds %d with the rest on the device, want 1", got, held)
 	}
 	dev.open()
 	peer.Close() //nolint:errcheck // the MSU closes its end too
 	r.drained()
-	r.allBack(p, "after a quit with the rest on the device")
+	r.allBack(s, "after a quit with the rest on the device")
 
 	// A seek into the middle of a title whose head is resident is read head
 	// first, like any page a viewer waits on that is not page 0. The first
 	// seek leaves the index resident, so the second reads only data.
 	peer = r.play("seek")
-	p = r.player(nil)
+	s = r.stream()
 	r.vcr(peer, "seek", 100*time.Millisecond)
-	p = r.player(p)
-	r.await("a page to be sent after the first seek", func() bool { return p.sent.Load() >= 1 })
+	r.await("a page to be sent after the first seek", func() bool { return s.sent.Load() >= 1 })
 	r.vcr(peer, "pause", 0)
-	r.allBack(p, "after a pause")
+	r.allBack(s, "after a pause")
 	r.emptySink()
 	page, off := pagePackets(r.t, r.m, "seek", 12)
 	target := page[len(page)-1].t // a delivery time that begins on this page
 	dev.hold()
 	requests, headStarts := r.m.ioStats(0).Requests, r.m.obs.headStarts.Load()
 	r.vcr(peer, "seek", target)
-	seeker := r.player(p)
-	r.firstReadHeld(seeker, requests, startHeadFirst, "seek")
+	r.firstReadHeld(s, requests, startHeadFirst, "seek")
 	if c := r.parkedCall("seek"); c != (devCall{off, r.head}) {
 		t.Errorf("a seek's first read is %d bytes at %d, want the head of the page it lands on: %d at %d", c.n, c.off, r.head, off)
 	}
 	if n := r.m.obs.headStarts.Load() - headStarts; n != 0 {
 		t.Errorf("delivery_head_starts_total moved by %d for a seek into the middle", n)
 	}
-	r.finish(peer, seeker, "after a seek into the middle and a quit")
+	r.finish(peer, s, "after a seek into the middle and a quit")
 
 	// A title recorded after New has no head yet: it starts head first
 	// once, and leaves its head behind when its first page has landed.
@@ -252,16 +250,16 @@ func testResidentHead(t *testing.T, pktSize int) {
 	})
 	r.quit(vcr)
 	heads, _ := r.heads()
-	peer, p = r.headFirst("take")
+	peer, s = r.headFirst("take")
 	dev.open()
 	r.await("the recording's first page to land", func() bool { return r.cached("take") })
 	if n, _ := r.heads(); n != heads+1 {
 		t.Errorf("resident_heads = %d after a recording's first play, want %d", n, heads+1)
 	}
-	r.finish(peer, p, "after a recording's first play")
+	r.finish(peer, s, "after a recording's first play")
 	r.cache.Invalidate("take", 0) // as eviction would: the head outlives the page
-	peer, p, _ = r.fromHead("take")
-	r.finish(peer, p, "after a recording's second play")
+	peer, s, _ = r.fromHead("take")
+	r.finish(peer, s, "after a recording's second play")
 
 	// The same name, other bytes: the head of the deleted title is gone with
 	// it, and the new one's first viewers get the new one's packets.
@@ -283,15 +281,15 @@ func testResidentHead(t *testing.T, pktSize int) {
 	if bytes.Equal(page[0].data, old[0].data) {
 		t.Fatal("the re-ingested title begins with the deleted one's first packet; the test cannot tell them apart")
 	}
-	peer, p = r.headFirst("again")
+	peer, s = r.headFirst("again")
 	dev.open()
 	r.received(page, "again: the first play after the re-ingest")
-	r.finish(peer, p, "after the re-ingested title's first play")
+	r.finish(peer, s, "after the re-ingested title's first play")
 	r.cache.Invalidate("again", 0)
-	peer, p, rest = r.fromHead("again") // checks the head's packets are the new title's
+	peer, s, rest = r.fromHead("again") // checks the head's packets are the new title's
 	dev.gate <- struct{}{}
 	r.received(rest, "again: from its head, with the rest in")
-	r.finish(peer, p, "after the re-ingested title's second play")
+	r.finish(peer, s, "after the re-ingested title's second play")
 }
 
 // testNoHeadsWithoutCache: with the cache off New reads nothing and keeps
@@ -303,13 +301,13 @@ func testNoHeadsWithoutCache(t *testing.T) {
 	if calls, io := r.dev.callLog(), r.m.ioStats(0); len(calls) != 0 || io.Requests != 0 {
 		t.Errorf("New read %d times (%d requests) with the cache off, want none", len(calls), io.Requests)
 	}
-	peer, p := r.headFirst("cold")
+	peer, s := r.headFirst("cold")
 	r.dev.open()
 	r.await("the first page to be read", func() bool { return r.m.obs.pagesRead.Load() >= 1 })
 	if n, b := r.heads(); n != 0 || b != 0 {
 		t.Errorf("resident_heads = %d (%d bytes) with the cache off, want none", n, b)
 	}
-	r.finish(peer, p, "after a play with the cache off")
+	r.finish(peer, s, "after a play with the cache off")
 }
 
 // testHeadBound: a default store (256 KB pages, 8 MB of cache) keeps 64
@@ -354,17 +352,17 @@ func testHeadBound(t *testing.T) {
 	}
 	starts := r.m.obs.headStarts.Load()
 	peer := r.play(first)
-	p := r.player(nil)
-	r.await("the title to end", p.s.atEOF)
+	s := r.stream()
+	r.await("the title to end", s.atEOF)
 	if n := r.m.obs.headStarts.Load() - starts; n != 1 {
 		t.Errorf("delivery_head_starts_total moved by %d for a title whose head New loaded", n)
 	}
-	r.finish(peer, p, "after a start from a loaded head")
+	r.finish(peer, s, "after a start from a loaded head")
 
-	peer, p = r.headFirst(out)
+	peer, s = r.headFirst(out)
 	r.dev.open()
-	r.await("the title to end", p.s.atEOF)
-	r.finish(peer, p, "after the 65th title's first play")
+	r.await("the title to end", s.atEOF)
+	r.finish(peer, s, "after the 65th title's first play")
 	if n, b := r.heads(); n != bound || b != 2<<20 {
 		t.Errorf("resident_heads = %d (%d bytes) after the 65th title was played, want %d still", n, b, bound)
 	}
@@ -372,8 +370,8 @@ func testHeadBound(t *testing.T) {
 		t.Errorf("after the 65th title's play: its head resident %v, the just-started title's %v, the least recently started one's %v; want true, true, false",
 			resident(out), resident(first), resident(second))
 	}
-	peer, p = r.headFirst(second)
+	peer, s = r.headFirst(second)
 	r.dev.open()
-	r.await("the title to end", p.s.atEOF)
-	r.finish(peer, p, "after the displaced title's play")
+	r.await("the title to end", s.atEOF)
+	r.finish(peer, s, "after the displaced title's play")
 }

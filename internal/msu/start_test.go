@@ -238,7 +238,7 @@ func TestFirstPacketBeforeControlDial(t *testing.T) {
 }
 
 // TestControlDialFailureEndsGroup: a client whose control port refuses
-// every dial fails the start, and the players that began before the dial
+// every dial fails the start, and the streams that began before the dial
 // are stopped — the Coordinator hears the final report and stream-ended,
 // and no packet follows.
 func TestControlDialFailureEndsGroup(t *testing.T) {
@@ -260,9 +260,9 @@ func TestControlDialFailureEndsGroup(t *testing.T) {
 }
 
 // TestOneCacheReportPerStream pins the report cadence: VCR commands
-// replace players without reporting, and the stream's one report at its
-// end counts every packet it sent and leads its stream-ended. A player
-// that reaches EOF still reports.
+// reposition the stream without reporting, and the stream's one report at
+// its end counts every packet it sent and leads its stream-ended. A
+// stream that reaches EOF still reports.
 func TestOneCacheReportPerStream(t *testing.T) {
 	t.Run("vcr", func(t *testing.T) {
 		var vcr *vcrEndpoint
@@ -371,14 +371,17 @@ func TestQuitDuringControlDial(t *testing.T) {
 	if _, err := io.Copy(io.Discard, conn); err != nil {
 		t.Errorf("the control connection was left open: %v", err)
 	}
-	s.mu.Lock()
-	p := s.player
-	s.mu.Unlock()
+	ended := false
+	select {
+	case <-s.done:
+		ended = true
+	default:
+	}
 	s.group.mu.Lock()
 	attached := s.group.vcr != nil
 	s.group.mu.Unlock()
-	if p != nil || attached {
-		t.Errorf("after the quit: player %v, peer attached %v", p != nil, attached)
+	if !ended || attached {
+		t.Errorf("after the quit: disk process ended %v, peer attached %v", ended, attached)
 	}
 	r.ended(1)
 }

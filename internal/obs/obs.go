@@ -24,6 +24,7 @@
 package obs
 
 import (
+	"runtime/metrics"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -53,6 +54,7 @@ type Registry struct {
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
+	runtime  []metrics.Sample // the Go runtime's figures (runtime.go)
 }
 
 // New builds an empty registry.
@@ -67,6 +69,7 @@ func New(opts Options) *Registry {
 		counters: make(map[string]*Counter),
 		gauges:   make(map[string]*Gauge),
 		hists:    make(map[string]*Histogram),
+		runtime:  newRuntimeSamples(),
 	}
 }
 
@@ -112,8 +115,20 @@ func (r *Registry) Histogram(name string, bounds []time.Duration) *Histogram {
 	return h
 }
 
-// Snapshot flattens every instrument into a mergeable value.
+// Snapshot flattens every instrument into a mergeable value, and the Go
+// runtime's figures beside them (runtime.go).
 func (r *Registry) Snapshot() Snapshot {
+	s := r.Portable()
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	readRuntime(r.runtime, &s)
+	return s
+}
+
+// Portable is Snapshot without the runtime's figures, which describe only
+// the process that takes it: what a registry ships for another to merge
+// (an MSU's cache reports).
+func (r *Registry) Portable() Snapshot {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	s := Snapshot{

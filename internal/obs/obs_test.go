@@ -2,6 +2,7 @@ package obs
 
 import (
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -165,6 +166,9 @@ func TestRegistryMerge(t *testing.T) {
 	}
 }
 
+// TestWritePrometheusGolden pins the exposition text of a registry's
+// snapshot. The runtime's figures are the test process's own, so their
+// values are masked (N); their names, types and edges are pinned.
 func TestWritePrometheusGolden(t *testing.T) {
 	r := New(Options{})
 	r.Counter("admission_admitted_total").Add(5)
@@ -179,23 +183,109 @@ func TestWritePrometheusGolden(t *testing.T) {
 	if err := WritePrometheus(&b, "calliope", r.Snapshot()); err != nil {
 		t.Fatal(err)
 	}
+	lines := strings.SplitAfter(b.String(), "\n")
+	for i, l := range lines {
+		if strings.HasPrefix(l, "calliope_runtime_") {
+			lines[i] = l[:strings.LastIndexByte(l, ' ')] + " N\n"
+		}
+	}
+	got := strings.Join(lines, "")
 	want := `# TYPE calliope_admission_admitted_total counter
 calliope_admission_admitted_total 5
 # TYPE calliope_requests_total counter
 calliope_requests_total 12
+# TYPE calliope_runtime_heap_alloc_bytes_total counter
+calliope_runtime_heap_alloc_bytes_total N
 # TYPE calliope_active_streams gauge
 calliope_active_streams 3
+# TYPE calliope_runtime_goroutines gauge
+calliope_runtime_goroutines N
 # TYPE calliope_queue_wait histogram
 calliope_queue_wait_bucket{le="0.001"} 1
 calliope_queue_wait_bucket{le="1"} 2
 calliope_queue_wait_bucket{le="+Inf"} 3
 calliope_queue_wait_sum 2.0025
 calliope_queue_wait_count 3
+# TYPE calliope_runtime_gc_pause_seconds histogram
+calliope_runtime_gc_pause_seconds_bucket{le="0.000001"} N
+calliope_runtime_gc_pause_seconds_bucket{le="0.00001"} N
+calliope_runtime_gc_pause_seconds_bucket{le="0.0001"} N
+calliope_runtime_gc_pause_seconds_bucket{le="0.0005"} N
+calliope_runtime_gc_pause_seconds_bucket{le="0.001"} N
+calliope_runtime_gc_pause_seconds_bucket{le="0.005"} N
+calliope_runtime_gc_pause_seconds_bucket{le="0.01"} N
+calliope_runtime_gc_pause_seconds_bucket{le="0.02"} N
+calliope_runtime_gc_pause_seconds_bucket{le="0.05"} N
+calliope_runtime_gc_pause_seconds_bucket{le="0.1"} N
+calliope_runtime_gc_pause_seconds_bucket{le="1"} N
+calliope_runtime_gc_pause_seconds_bucket{le="+Inf"} N
+calliope_runtime_gc_pause_seconds_sum N
+calliope_runtime_gc_pause_seconds_count N
+# TYPE calliope_runtime_sched_latency_seconds histogram
+calliope_runtime_sched_latency_seconds_bucket{le="0.000001"} N
+calliope_runtime_sched_latency_seconds_bucket{le="0.00001"} N
+calliope_runtime_sched_latency_seconds_bucket{le="0.0001"} N
+calliope_runtime_sched_latency_seconds_bucket{le="0.0005"} N
+calliope_runtime_sched_latency_seconds_bucket{le="0.001"} N
+calliope_runtime_sched_latency_seconds_bucket{le="0.005"} N
+calliope_runtime_sched_latency_seconds_bucket{le="0.01"} N
+calliope_runtime_sched_latency_seconds_bucket{le="0.02"} N
+calliope_runtime_sched_latency_seconds_bucket{le="0.05"} N
+calliope_runtime_sched_latency_seconds_bucket{le="0.1"} N
+calliope_runtime_sched_latency_seconds_bucket{le="1"} N
+calliope_runtime_sched_latency_seconds_bucket{le="+Inf"} N
+calliope_runtime_sched_latency_seconds_sum N
+calliope_runtime_sched_latency_seconds_count N
 `
-	if b.String() != want {
-		t.Fatalf("prometheus output mismatch:\ngot:\n%s\nwant:\n%s", b.String(), want)
+	if got != want {
+		t.Fatalf("prometheus output mismatch:\ngot:\n%s\nwant:\n%s", got, want)
 	}
 }
+
+// TestRuntimeFigures: every snapshot carries the Go runtime's scheduler
+// latencies and GC pauses as histograms on RuntimeBuckets, its heap
+// allocation as a counter and its goroutines as a gauge, and across two
+// snapshots none of the cumulative ones goes back.
+func TestRuntimeFigures(t *testing.T) {
+	r := New(Options{})
+	a := r.Snapshot()
+	sink = make([]byte, 1<<20)
+	runtime.GC()
+	b := r.Snapshot()
+	for _, s := range []Snapshot{a, b} {
+		if _, ok := s.Counters[RuntimeHeapAllocs]; !ok {
+			t.Fatalf("no %s in %v", RuntimeHeapAllocs, s.Counters)
+		}
+		if n := s.Gauges[RuntimeGoroutines]; n < 1 {
+			t.Errorf("%s = %d", RuntimeGoroutines, n)
+		}
+		for _, name := range []string{RuntimeSchedLatency, RuntimeGCPauses} {
+			if h, ok := s.Hists[name]; !ok || len(h.Counts) != len(RuntimeBuckets)+1 {
+				t.Fatalf("%s: %+v (present %v), want %d buckets", name, h, ok, len(RuntimeBuckets)+1)
+			}
+		}
+	}
+	if b.Counter(RuntimeHeapAllocs) < a.Counter(RuntimeHeapAllocs)+1<<20 {
+		t.Errorf("%s went %d → %d across a 1 MB allocation", RuntimeHeapAllocs, a.Counter(RuntimeHeapAllocs), b.Counter(RuntimeHeapAllocs))
+	}
+	for _, name := range []string{RuntimeSchedLatency, RuntimeGCPauses} {
+		ha, hb := a.Hists[name], b.Hists[name]
+		for i := range ha.Counts {
+			if hb.Counts[i] < ha.Counts[i] {
+				t.Errorf("%s bucket %d went %d → %d", name, i, ha.Counts[i], hb.Counts[i])
+			}
+		}
+		if hb.Count < ha.Count || hb.Sum < ha.Sum {
+			t.Errorf("%s went from %d observations (sum %g) to %d (%g)", name, ha.Count, ha.Sum, hb.Count, hb.Sum)
+		}
+	}
+	if b.Hists[RuntimeGCPauses].Count <= a.Hists[RuntimeGCPauses].Count {
+		t.Errorf("a GC between the snapshots added no pause to %s", RuntimeGCPauses)
+	}
+}
+
+// sink keeps TestRuntimeFigures' allocation on the heap.
+var sink []byte
 
 func TestMetricNameSanitized(t *testing.T) {
 	if got := metricName("calliope", "cache hit-ratio.d0"); got != "calliope_cache_hit_ratio_d0" {
