@@ -7,6 +7,7 @@ import (
 
 	"calliope/internal/blockdev"
 	"calliope/internal/coordinator"
+	"calliope/internal/faultinject"
 	"calliope/internal/msu"
 	"calliope/internal/msufs"
 	"calliope/internal/units"
@@ -305,7 +306,10 @@ func TestDiskFaultDuringPlayback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	faulty := blockdev.NewFaulty(dev)
+	faulty, err := faultinject.NewDevice(dev, 64*1024)
+	if err != nil {
+		t.Fatal(err)
+	}
 	vol, err := msufs.Format(faulty, msufs.Options{BlockSize: 64 * 1024})
 	if err != nil {
 		t.Fatal(err)
@@ -353,7 +357,7 @@ func TestDiskFaultDuringPlayback(t *testing.T) {
 	}
 	// Arm the fault: the next page read fails; the player reports EOF
 	// instead of wedging, and the group still answers VCR commands.
-	faulty.FailReadsAfter(0)
+	faulty.FailReads(0, dev.Size()/(64*1024)) // the whole device
 	select {
 	case <-stream.EOF():
 	case <-time.After(10 * time.Second):

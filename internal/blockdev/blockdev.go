@@ -158,58 +158,6 @@ func (d *File) Size() int64 { return d.size }
 // Close implements BlockDevice.
 func (d *File) Close() error { return d.f.Close() }
 
-// Faulty wraps a device and fails I/Os on demand, for failure-injection
-// tests of the file system and MSU.
-type Faulty struct {
-	BlockDevice
-	// failReadAfter / failWriteAfter: number of successful operations
-	// before every subsequent one fails. Negative means never fail.
-	failReadAfter  atomic.Int64
-	failWriteAfter atomic.Int64
-	reads          atomic.Int64
-	writes         atomic.Int64
-}
-
-// NewFaulty wraps dev; initially no faults are armed.
-func NewFaulty(dev BlockDevice) *Faulty {
-	f := &Faulty{BlockDevice: dev}
-	f.failReadAfter.Store(-1)
-	f.failWriteAfter.Store(-1)
-	return f
-}
-
-// FailReadsAfter arms read failures after n more successful reads.
-func (f *Faulty) FailReadsAfter(n int64) { f.failReadAfter.Store(f.reads.Load() + n) }
-
-// FailWritesAfter arms write failures after n more successful writes.
-func (f *Faulty) FailWritesAfter(n int64) { f.failWriteAfter.Store(f.writes.Load() + n) }
-
-// Heal disarms all failures.
-func (f *Faulty) Heal() {
-	f.failReadAfter.Store(-1)
-	f.failWriteAfter.Store(-1)
-}
-
-// ReadAt implements BlockDevice with fault injection.
-func (f *Faulty) ReadAt(p []byte, off int64) error {
-	limit := f.failReadAfter.Load()
-	if limit >= 0 && f.reads.Load() >= limit {
-		return fmt.Errorf("%w: read at %d", ErrInjected, off)
-	}
-	f.reads.Add(1)
-	return f.BlockDevice.ReadAt(p, off)
-}
-
-// WriteAt implements BlockDevice with fault injection.
-func (f *Faulty) WriteAt(p []byte, off int64) error {
-	limit := f.failWriteAfter.Load()
-	if limit >= 0 && f.writes.Load() >= limit {
-		return fmt.Errorf("%w: write at %d", ErrInjected, off)
-	}
-	f.writes.Add(1)
-	return f.BlockDevice.WriteAt(p, off)
-}
-
 // IOStats is a point-in-time snapshot of a device's operation and
 // byte counters. Tests and benches take one before and one after a
 // workload and diff them — e.g. to assert how many disk reads the RAM

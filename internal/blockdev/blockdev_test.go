@@ -119,46 +119,6 @@ func TestMemClosed(t *testing.T) {
 	}
 }
 
-func TestFaultyInjection(t *testing.T) {
-	base, _ := NewMem(1024)
-	dev := NewFaulty(base)
-
-	// No faults armed: I/O passes through.
-	if err := dev.WriteAt([]byte{1, 2, 3}, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := dev.ReadAt(make([]byte, 3), 0); err != nil {
-		t.Fatal(err)
-	}
-
-	dev.FailReadsAfter(2)
-	for i := 0; i < 2; i++ {
-		if err := dev.ReadAt(make([]byte, 1), 0); err != nil {
-			t.Fatalf("read %d should succeed: %v", i, err)
-		}
-	}
-	if err := dev.ReadAt(make([]byte, 1), 0); !errors.Is(err, ErrInjected) {
-		t.Fatalf("read 3: got %v, want ErrInjected", err)
-	}
-	// Writes unaffected.
-	if err := dev.WriteAt([]byte{9}, 0); err != nil {
-		t.Fatalf("write during read faults: %v", err)
-	}
-
-	dev.FailWritesAfter(0)
-	if err := dev.WriteAt([]byte{9}, 0); !errors.Is(err, ErrInjected) {
-		t.Fatalf("immediate write fault: got %v", err)
-	}
-
-	dev.Heal()
-	if err := dev.ReadAt(make([]byte, 1), 0); err != nil {
-		t.Fatalf("read after Heal: %v", err)
-	}
-	if err := dev.WriteAt([]byte{1}, 0); err != nil {
-		t.Fatalf("write after Heal: %v", err)
-	}
-}
-
 func TestCounting(t *testing.T) {
 	base, _ := NewMem(1024)
 	dev := NewCounting(base)

@@ -15,8 +15,8 @@ type VectorReader interface {
 // off, as a single transfer when dev implements VectorReader and as
 // sequential ReadAt calls otherwise. The fallback keeps per-buffer
 // fault injection working: a wrapper that fails individual reads (e.g.
-// Faulty) deliberately does not implement VectorReader, so each
-// coalesced request still passes through its fault check.
+// faultinject.Device) deliberately does not implement VectorReader, so
+// each coalesced request still passes through its fault check.
 func ReadVector(dev BlockDevice, off int64, bufs ...[]byte) error {
 	if vr, ok := dev.(VectorReader); ok {
 		return vr.ReadAtv(off, bufs...)

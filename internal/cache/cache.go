@@ -115,7 +115,7 @@ func (c *Cache) Lookup(name string, page int64) *queue.PageRef {
 // while the pool may make one, or a freshly evicted one. It returns nil
 // only when every page is pinned and the pool is at its bound — never to
 // a reader below its reservation (queue.PagePool). The returned page
-// carries one reference, exactly like PagePool.Get.
+// carries one reference, exactly like PagePool.TryGet.
 func (c *Cache) Alloc() *queue.PageRef {
 	// A new page is made outside the lock, so no hit waits for the memory.
 	if r := c.pool.TryGet(); r != nil {

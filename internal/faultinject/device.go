@@ -8,10 +8,10 @@ import (
 )
 
 // Device wraps a block device and fails reads/writes that touch armed
-// block ranges — a dying disk region under the MSU file system, as
-// opposed to blockdev.Faulty's count-based total failure. Faults
-// surface as blockdev.ErrInjected so msufs and the MSU treat them like
-// any other I/O error.
+// block ranges — a dying disk region under the MSU file system, or,
+// armed over every block, a whole disk that has died. Faults surface as
+// blockdev.ErrInjected so msufs and the MSU treat them like any other
+// I/O error.
 type Device struct {
 	blockdev.BlockDevice
 	blockSize int64

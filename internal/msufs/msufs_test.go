@@ -8,6 +8,7 @@ import (
 	"testing/quick"
 
 	"calliope/internal/blockdev"
+	"calliope/internal/faultinject"
 	"calliope/internal/units"
 )
 
@@ -268,7 +269,10 @@ func TestSetAttr(t *testing.T) {
 func TestSetAttrsIsOneWriteAndAllOrNothing(t *testing.T) {
 	mem, _ := blockdev.NewMem(8 * 64 * 1024)
 	counting := blockdev.NewCounting(mem)
-	dev := blockdev.NewFaulty(counting)
+	dev, err := faultinject.NewDevice(counting, 64*1024)
+	if err != nil {
+		t.Fatal(err)
+	}
 	v, err := Format(dev, Options{BlockSize: 64 * 1024, MetaSize: 64 * 1024})
 	if err != nil {
 		t.Fatal(err)
@@ -283,7 +287,7 @@ func TestSetAttrsIsOneWriteAndAllOrNothing(t *testing.T) {
 	if n := counting.Stats().Writes - before; n != 1 {
 		t.Fatalf("three attributes took %d device writes, want 1", n)
 	}
-	dev.FailWritesAfter(0)
+	dev.FailWrites(0, 8) // the whole device
 	if err := v.SetAttrs("f", map[string]string{"a": "changed", "e": "5"}); err == nil {
 		t.Fatal("SetAttrs succeeded on a device that refuses writes")
 	}
@@ -315,7 +319,11 @@ func TestList(t *testing.T) {
 
 func TestFailedDeviceSurfacesError(t *testing.T) {
 	dev, _ := blockdev.NewMem(8 * int64(units.MB))
-	faulty := blockdev.NewFaulty(dev)
+	faulty, err := faultinject.NewDevice(dev, 64*1024)
+	if err != nil {
+		t.Fatal(err)
+	}
+	whole := dev.Size() / (64 * 1024)
 	v, err := Format(faulty, Options{BlockSize: 64 * 1024, MetaSize: 256 * 1024})
 	if err != nil {
 		t.Fatal(err)
@@ -324,7 +332,7 @@ func TestFailedDeviceSurfacesError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	faulty.FailWritesAfter(0)
+	faulty.FailWrites(0, whole)
 	if err := f.WriteBlock(0, make([]byte, 100)); !errors.Is(err, blockdev.ErrInjected) {
 		t.Fatalf("injected write fault not surfaced: %v", err)
 	}
@@ -332,7 +340,7 @@ func TestFailedDeviceSurfacesError(t *testing.T) {
 	if err := f.WriteBlock(0, make([]byte, 100)); err != nil {
 		t.Fatalf("write after heal: %v", err)
 	}
-	faulty.FailReadsAfter(0)
+	faulty.FailReads(0, whole)
 	if err := f.ReadBlock(0, make([]byte, 100)); !errors.Is(err, blockdev.ErrInjected) {
 		t.Fatalf("injected read fault not surfaced: %v", err)
 	}

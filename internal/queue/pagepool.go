@@ -40,12 +40,9 @@ type PagePool struct {
 	free     []*PageRef // idle pages, most recently released last
 	made     int        // pages in existence: held, cached or idle
 	reserved int
-	// waiting is closed by the next release, to wake the Gets parked on
-	// an empty pool; nil while none is.
-	waiting chan struct{}
 }
 
-// PageRef is one reference-counted page buffer. A Get hands it out with
+// PageRef is one reference-counted page buffer. The pool hands it out with
 // a reference count of one; Retain/Release adjust it, and the final
 // Release returns the buffer to its pool. Misuse panics: releasing a
 // free page (double put) and reading a free page (use after put) are
@@ -123,31 +120,6 @@ func (p *PagePool) Surplus() int {
 // Lent reports the pages pinned past their reservations.
 func (p *PagePool) Lent() int { return int(p.lent.Load()) }
 
-// Get returns a page with one reference, blocking until one is idle or
-// may be made, or until cancel is closed (nil on cancel).
-func (p *PagePool) Get(cancel <-chan struct{}) *PageRef {
-	for {
-		p.mu.Lock()
-		r, grow := p.takeLocked(true)
-		var wait chan struct{}
-		if r == nil && !grow {
-			if p.waiting == nil {
-				p.waiting = make(chan struct{})
-			}
-			wait = p.waiting
-		}
-		p.mu.Unlock()
-		if wait == nil {
-			return p.handOut(r, grow)
-		}
-		select {
-		case <-wait:
-		case <-cancel:
-			return nil
-		}
-	}
-}
-
 // TryGet returns a page with one reference: an idle one, or a new one
 // while the pool may make one; nil if neither.
 func (p *PagePool) TryGet() *PageRef { return p.tryGet(true) }
@@ -203,16 +175,7 @@ func (p *PagePool) put(r *PageRef) {
 	} else {
 		p.free = append(p.free, r)
 	}
-	p.wakeLocked()
 	p.mu.Unlock()
-}
-
-// wakeLocked lets the parked Gets look again.
-func (p *PagePool) wakeLocked() {
-	if p.waiting != nil {
-		close(p.waiting)
-		p.waiting = nil
-	}
 }
 
 // A Reservation is one reader's share of a pool: pages it may always pin,

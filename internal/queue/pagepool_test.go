@@ -56,33 +56,6 @@ func TestPagePoolRecycles(t *testing.T) {
 	b.Release()
 }
 
-func TestPagePoolGetBlocksUntilRelease(t *testing.T) {
-	p, _ := NewPagePool(16, 1)
-	a := p.TryGet()
-	cancel := make(chan struct{})
-	got := make(chan *PageRef)
-	go func() { got <- p.Get(cancel) }()
-	a.Release()
-	if r := <-got; r != a {
-		t.Fatal("Get did not return the freed page")
-	}
-}
-
-func TestPagePoolGetCancel(t *testing.T) {
-	p, _ := NewPagePool(16, 1)
-	a := p.TryGet()
-	cancel := make(chan struct{})
-	close(cancel)
-	if r := p.Get(cancel); r != nil {
-		t.Fatal("Get returned a page after cancel with the pool empty")
-	}
-	a.Release()
-	// With a page free, Get succeeds even when cancel is already closed.
-	if r := p.Get(cancel); r == nil {
-		t.Fatal("Get ignored a free page because cancel was closed")
-	}
-}
-
 func mustPanic(t *testing.T, what string, f func()) {
 	t.Helper()
 	defer func() {
@@ -117,7 +90,7 @@ func TestPagePoolConcurrentRefs(t *testing.T) {
 	const consumers = 4
 	p, _ := NewPagePool(64, 2)
 	for i := 0; i < rounds; i++ {
-		r := p.Get(nil)
+		r := p.TryGet()
 		if r == nil {
 			t.Fatal("pool ran dry")
 		}
@@ -134,7 +107,7 @@ func TestPagePoolConcurrentRefs(t *testing.T) {
 		}
 		r.Release() // drop the producer's hold; consumers finish the page
 		wg.Wait()
-		if got := p.Get(nil); got == nil {
+		if got := p.TryGet(); got == nil {
 			t.Fatal("page did not return to the pool after final release")
 		} else {
 			got.Release()
