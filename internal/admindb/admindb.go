@@ -106,6 +106,11 @@ type PendingRecording struct {
 	Group    uint64     `json:"group"`
 	MSU      core.MSUID `json:"msu"`
 	Contents []string   `json:"contents"`
+	// Parent and Type name a composite recording's item and its type:
+	// Contents are its components, in component order, and the last
+	// one's commit publishes the parent.
+	Parent string `json:"parent,omitempty"`
+	Type   string `json:"type,omitempty"`
 }
 
 // Counters are the Coordinator's ID generators. Persisting them is

@@ -288,13 +288,6 @@ func frozen(t *testing.T, c *Coordinator) string {
 	st := c.statusV2()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	var pending []string
-	for group, pc := range c.pending {
-		pending = append(pending, fmt.Sprintf("%d:%+v", group, *pc))
-	}
-	if len(pending) > 1 {
-		t.Fatal("frozen prints one pending composite at most")
-	}
 	var msus []core.MSUID
 	for _, id := range []core.MSUID{"m1", "m2", "m3"} {
 		if c.msus[id] != nil {
@@ -309,7 +302,7 @@ func frozen(t *testing.T, c *Coordinator) string {
 	}
 	raw, err := json.Marshal(map[string]any{
 		"contents": contents, "types": c.db.Types(), "counters": c.db.Counters(), "recordings": c.db.Recordings(),
-		"disks": st.Disks, "net": st.Net, "pending": pending, "msus": msus, "sessions": len(c.sessions),
+		"disks": st.Disks, "net": st.Net, "msus": msus, "sessions": len(c.sessions),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -417,7 +410,7 @@ func TestFailedCommitChangesNothing(t *testing.T) {
 		t.Fatalf("catalog after the retries = %v\nwant %s", names, want)
 	}
 	c.mu.Lock()
-	pending := len(c.pending)
+	pending := len(c.db.Recordings())
 	c.mu.Unlock()
 	if pending != 0 {
 		t.Fatalf("composite still pending after its last component committed")
