@@ -40,7 +40,8 @@ leakcheck:
 # the Coordinator crash–restart scenarios backed by internal/admindb,
 # the restart-equivalence walk (a restart replays to the live tables),
 # the failed-commit and idempotent-replay tests, the admission core's
-# plan/rollback and ledger-conservation tests, the Close-wakes-the-queue
+# plan/rollback and ledger-conservation tests, the Coordinator core's
+# socket-free sequence tests (TestCore*), the Close-wakes-the-queue
 # tests, the MSU's quit-acknowledgement and stop-drains-the-sink
 # regressions, and the content lifecycle's crash half: a recording whose
 # publish fails is aborted (TestFaultRecorderPublishFailureAborts), a
@@ -50,7 +51,7 @@ leakcheck:
 # connection, a stream's goroutines across a hundred of them, a quit
 # during the control dial and the report cadence.
 faults:
-	$(GO) test -race -timeout 120s -run 'Fault|Failover|Redispatch|Reconnect|MSUDown|Lost|Restart|FailedCommit|ReplayIdempotent|ReplayUnstamped|PR15Fixture|Orphan|Corrupt|PlanStep|LedgerConservation|RecordPlacement|QueuedPlayWakes|CloseWakes|CutAll|QuitIsAcknowledged|StopKeeps|SweepOnStartup|PipelinedVCR|GoroutinesPerStream|QuitDuringControlDial|OneCacheReportPerStream' . ./internal/coordinator ./internal/client ./internal/msu ./internal/msufs ./internal/faultinject ./internal/admindb
+	$(GO) test -race -timeout 120s -run 'Fault|Failover|Redispatch|Reconnect|MSUDown|Lost|Restart|FailedCommit|ReplayIdempotent|ReplayUnstamped|PR15Fixture|Orphan|Corrupt|PlanStep|LedgerConservation|Core|RecordPlacement|QueuedPlayWakes|CloseWakes|CutAll|QuitIsAcknowledged|StopKeeps|SweepOnStartup|PipelinedVCR|GoroutinesPerStream|QuitDuringControlDial|OneCacheReportPerStream' . ./internal/coordinator ./internal/client ./internal/msu ./internal/msufs ./internal/faultinject ./internal/admindb
 
 # Three seconds of each of the eight fuzz targets (go test takes one -fuzz target and
 # one package per run): journal replay and snapshot decoding never
