@@ -97,7 +97,7 @@ func (r *Ring) Append(ev Event) uint64 {
 }
 
 // Updated returns a channel closed at the next Append; callers grab a
-// fresh one per wait (the c.release idiom).
+// fresh one per wait.
 func (r *Ring) Updated() <-chan struct{} {
 	r.mu.Lock()
 	defer r.mu.Unlock()
