@@ -255,10 +255,10 @@ func (c *engine) standingLocked(p *placement, a *activeStream) bool {
 	return c.active[a.id] == a && c.msus[a.msu] == p.m
 }
 
-// commitLocked is the verdict after a successful dispatch: whether
+// commitLocked is the verdict after a successful re-dispatch: whether
 // every stream of the placement still stands. When it does not, the MSU
-// died after answering, its msuDown has already released the streams,
-// and the start counts as failed.
+// died after answering, or a stream ended, its release is done, and the
+// start counts as failed.
 func (c *engine) commitLocked(p *placement) bool {
 	for _, a := range p.streams {
 		if !c.standingLocked(p, a) {

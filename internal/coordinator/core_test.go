@@ -470,3 +470,75 @@ func walkInputs(t *testing.T, seed int64, steps int) string {
 	}
 	return log.String()
 }
+
+// (f) A fresh play's StartStream outcome is its own verdict: a
+// stream-ended, or its MSU going down, taken before the outcome does not
+// turn a stream the MSU started into a refusal. The client hears PlayOK,
+// the MSU no StopStream, the ledger is released once and nothing counts
+// as rejected; a group its MSU's failure released is re-homed like any
+// orphan.
+func TestCoreEndedBeforeStartOutcome(t *testing.T) {
+	// startedAfter plays movie on conn 3, feeds between before the start's
+	// outcome, and checks the outcome's verdict.
+	startedAfter := func(t *testing.T, r *coreRig, between func(core.StreamID)) effects {
+		t.Helper()
+		tk, fx := r.play(3, "movie", "tv", false)
+		cl := startFor(fx, tk)
+		if cl == nil {
+			t.Fatalf("play ordered no start: %+v", fx)
+		}
+		id := cl.req.(wire.StartStream).Spec.Stream
+		rejected := r.c.om.rejected.Load()
+		r.in(func() { between(id) })
+		fx = r.started(cl, nil)
+		a, ok := answerFor(fx, tk)
+		if !ok || a.err != nil || a.v.(*wire.PlayOK).Streams[0].Stream != id {
+			t.Fatalf("the start's outcome answered %+v, want PlayOK for stream %d", a, id)
+		}
+		if n := notesOf(fx, wire.TypeStopStream); len(n) != 0 {
+			t.Fatalf("a started stream was stopped: %+v", n)
+		}
+		if n := r.c.om.rejected.Load(); n != rejected {
+			t.Fatalf("admission_rejected_total went from %d to %d", rejected, n)
+		}
+		return fx
+	}
+	t.Run("stream-ended", func(t *testing.T) {
+		r := newCoreRig(t, Config{})
+		r.msu(1, "m1", 1500*units.Kbps, 900, movie) // one mpeg1 slot
+		r.client(3)
+		m := r.c.msus["m1"]
+		startedAfter(t, r, func(id core.StreamID) {
+			r.c.streamEnded(wire.StreamEnded{Stream: id, Cause: "eof"})
+		})
+		checkConservation(t, r.c, msuLedgers(m), "after the outcome")
+		if m.net.Reserved() != 0 || m.disks[0].bw.Reserved() != 0 {
+			t.Fatalf("net %d, disk %d reserved after the stream ended", m.net.Reserved(), m.disks[0].bw.Reserved())
+		}
+		// The slot came back once: one play fits, the next does not.
+		r.admit(3, "movie", "tv")
+		tk, fx := r.play(3, "movie", "tv", false)
+		if a, ok := answerFor(fx, tk); !ok || a.err == nil {
+			t.Fatalf("a play past the one slot: %+v", fx)
+		}
+	})
+	t.Run("msu-down", func(t *testing.T) {
+		r := newCoreRig(t, Config{})
+		r.msu(1, "m1", 1500*units.Kbps, 900, movie)
+		r.msu(2, "m2", 1500*units.Kbps, 900, movie)
+		r.client(3)
+		// m1 goes first: the play lands there.
+		var id core.StreamID
+		fx := startedAfter(t, r, func(s core.StreamID) {
+			id = s
+			r.c.connDown(r.now, 1)
+		})
+		cl := startFor(fx, 0)
+		if cl == nil || cl.to != 2 || cl.req.(wire.StartStream).Spec.Stream != id {
+			t.Fatalf("the outcome decided %+v, want stream %d re-homed on m2", fx, id)
+		}
+		if n := notesOf(r.started(cl, nil), wire.TypeStreamMigrated); len(n) != 1 || n[0].to != 3 {
+			t.Fatalf("the start on m2 told the client %+v, want migrated", n)
+		}
+	})
+}

@@ -26,9 +26,9 @@ type engine struct {
 	sessions map[core.SessionID]*session
 	bound    map[connID]any // what each connection said hello as: *session or *msuState
 	active   map[core.StreamID]*activeStream
-	// starting marks the groups whose StartStreams are out: an MSU failing
-	// under one leaves its recovery to the start's outcome.
-	starting map[uint64]bool
+	// starting holds the dispatches whose StartStreams are out, by group:
+	// an MSU failing under one leaves its recovery to the start's outcome.
+	starting map[uint64]*dispatch
 	// replications tracks in-flight MSU-to-MSU content transfers by
 	// order ID; each holds ledger reservations on both ends.
 	replications map[uint64]*replication
@@ -129,7 +129,7 @@ func newEngine(cfg Config, reg *obs.Registry) (*engine, error) {
 		sessions:      make(map[core.SessionID]*session),
 		bound:         make(map[connID]any),
 		active:        make(map[core.StreamID]*activeStream),
-		starting:      make(map[uint64]bool),
+		starting:      make(map[uint64]*dispatch),
 		replications:  make(map[uint64]*replication),
 		dereplicating: make(map[string]bool),
 		obs:           reg,

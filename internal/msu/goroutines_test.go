@@ -16,9 +16,10 @@ const (
 )
 
 // goroutineRoots counts the goroutines running now by the function each
-// was started with, leaving out the control connections' own: their read
-// loops and request handlers start and end with the connections and their
-// requests, a moment either side of what the MSU does.
+// was started with, leaving out the control connections' own and the
+// report clock's tick: read loops and request handlers start and end with
+// the connections and their requests, and a tick with its reports, a
+// moment either side of what the MSU does.
 func goroutineRoots() map[string]int {
 	buf := make([]byte, 1<<20)
 	buf = buf[:runtime.Stack(buf, true)]
@@ -40,7 +41,7 @@ func goroutineRoots() map[string]int {
 		}
 	}
 	for fn := range roots {
-		if strings.HasPrefix(fn, "calliope/internal/wire.") {
+		if strings.HasPrefix(fn, "calliope/internal/wire.") || strings.Contains(fn, ".reportTick") {
 			delete(roots, fn)
 		}
 	}

@@ -258,8 +258,11 @@ func (g *group) quit(cause string) {
 		s.teardown()
 	}
 	// Forgotten before the Coordinator hears they ended, so what it then
-	// allows — deleting their content — does not find them still here.
-	g.m.dropGroup(g)
+	// allows — deleting their content — does not find them still here. A
+	// disk this leaves idle reports now, counting every packet sent.
+	for _, disk := range g.m.dropGroup(g) {
+		g.m.reportCache(disk)
+	}
 	for _, s := range members {
 		g.m.notifyCoordinator(wire.TypeStreamEnded, wire.StreamEnded{Stream: s.spec.Stream, Cause: cause})
 	}

@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"log"
 	"net"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -128,8 +129,8 @@ type MSU struct {
 	// obs holds the MSU's metrics handles (obs.go).
 	obs  msuMetrics
 	send *sender // the network process (send.go), from New to Close
-	// reportMu orders cache reports: reportSeq and the cumulative figures
-	// a report carries are taken together under it (reportCache). A leaf.
+	// reportMu orders cache reports: reportSeq, the cumulative figures a
+	// report carries and its send go together under it (reportCache).
 	reportMu  sync.Mutex
 	reportSeq uint64
 
@@ -145,6 +146,9 @@ type MSU struct {
 	peer    *wire.Peer
 	streams map[core.StreamID]*stream
 	groups  map[uint64]*group
+	// playing counts each disk's play streams; the report clock runs while any do.
+	playing []int
+	clock   *time.Timer
 	// transferLn accepts MSU-to-MSU replication transfers; its address
 	// travels in MSUHello. transferConns tracks live copy-out
 	// connections so Close can sever them; repl tracks inbound copy
@@ -225,6 +229,7 @@ func New(cfg Config) (*MSU, error) {
 		contents:   make(map[contentKey]*content),
 		streams:    make(map[core.StreamID]*stream),
 		groups:     make(map[uint64]*group),
+		playing:    make([]int, len(stores)),
 		quit:       make(chan struct{}),
 	}
 	m.obs = newMSUMetrics(obs.New(obs.Options{Now: time.Now}))
@@ -299,19 +304,47 @@ func (m *MSU) contended(disk int) bool {
 	return false
 }
 
+// reportEvery is the report clock's period while a disk plays.
+const reportEvery = 250 * time.Millisecond
+
+// armClockLocked arms the report clock, which holds a count on m.wg until
+// its tick has run or Close has stopped it. Callers hold m.mu.
+func (m *MSU) armClockLocked() {
+	if m.clock == nil && !m.closed {
+		m.wg.Add(1)
+		m.clock = time.AfterFunc(reportEvery, m.reportTick)
+	}
+}
+
+// reportTick is the report clock's tick: a report for each disk playing.
+func (m *MSU) reportTick() {
+	defer m.wg.Done()
+	m.mu.Lock()
+	m.clock = nil
+	playing := slices.Clone(m.playing)
+	if slices.Max(playing) > 0 {
+		m.armClockLocked()
+	}
+	m.mu.Unlock()
+	for disk, n := range playing {
+		if n > 0 {
+			m.reportCache(disk)
+		}
+	}
+}
+
 // reportCache advertises one disk's cache heat and I/O-scheduler
 // counters to the Coordinator, which re-evaluates queued admissions on
-// every report. Sent when heat changes for good: a stream reaches EOF,
-// or a play stream ends (stream.teardown) — not at every VCR command.
+// every report. The report clock sends it while the disk plays, and
+// group.quit when the disk's last play stream ends.
 func (m *MSU) reportCache(disk int) {
 	c := m.cacheFor(disk)
-	// The number is taken with the figures, so a report with a higher one
-	// never carries older counters; the send is outside the lock, and the
-	// Coordinator drops what arrives out of order.
+	// The number is taken with the figures and sent under the same lock: a
+	// report with a higher one never carries older counters or comes first.
 	m.reportMu.Lock()
+	defer m.reportMu.Unlock()
 	io := m.ioStats(disk)
 	if c == nil && io.Requests == 0 {
-		m.reportMu.Unlock()
 		return
 	}
 	m.reportSeq++
@@ -330,7 +363,6 @@ func (m *MSU) reportCache(disk int) {
 			})
 		}
 	}
-	m.reportMu.Unlock()
 	m.notifyCoordinator(wire.TypeCacheReport, report)
 }
 
@@ -369,6 +401,9 @@ func (m *MSU) Close() error {
 	}
 	m.closed = true
 	close(m.quit)
+	if m.clock != nil && m.clock.Stop() {
+		m.wg.Done() // a tick that will not run; one running is waited out below
+	}
 	peer := m.peer
 	ln := m.transferLn
 	conns := make([]net.Conn, 0, len(m.transferConns))
@@ -618,6 +653,10 @@ func (m *MSU) startStream(spec core.StreamSpec) (*wire.StartStreamOK, error) {
 		m.groups[spec.Group] = g
 	}
 	m.streams[spec.Stream] = s
+	if !spec.Record {
+		m.playing[spec.Disk]++
+		m.armClockLocked()
+	}
 	s.group = g
 	complete := g.addMember(s)
 	m.mu.Unlock()
@@ -645,12 +684,18 @@ func (m *MSU) stopStream(id core.StreamID, cause string) {
 	s.group.quit(cause)
 }
 
-// dropGroup forgets a finished group and its members.
-func (m *MSU) dropGroup(g *group) {
+// dropGroup forgets a finished group and returns the disks it leaves idle.
+func (m *MSU) dropGroup(g *group) (idle []int) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for _, s := range g.members {
 		delete(m.streams, s.spec.Stream)
+		if d := s.spec.Disk; !s.spec.Record {
+			if m.playing[d]--; m.playing[d] == 0 {
+				idle = append(idle, d)
+			}
+		}
 	}
 	delete(m.groups, g.id)
+	return idle
 }

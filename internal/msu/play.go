@@ -133,9 +133,7 @@ func (m *MSU) newPlayStream(spec core.StreamSpec, vol msufs.Store) (*stream, err
 }
 
 // teardown stops all activity, settles a recording and closes sockets.
-// A play stream sends its one cache report here, once its disk process
-// has ended, so the report counts every packet it sent and leaves before
-// the group's StreamEnded, which the Coordinator's merge relies on.
+// Then every packet it sent is counted, for group.quit's cache report.
 func (s *stream) teardown() {
 	if s.done != nil {
 		s.cmds <- command{op: opQuit}
@@ -143,9 +141,6 @@ func (s *stream) teardown() {
 	}
 	if s.rec != nil {
 		s.rec.finish()
-	}
-	if !s.spec.Record {
-		s.m.reportCache(s.spec.Disk)
 	}
 	if s.dataConn != nil {
 		s.dataConn.Close()
@@ -355,9 +350,6 @@ func (s *stream) playerEOF() {
 	}
 	s.mu.Unlock()
 	s.m.obs.eofs.Inc()
-	// A finished viewer changes the content's heat: tell the
-	// Coordinator so queued plays of now-warm content can admit.
-	s.m.reportCache(s.spec.Disk)
 	if s.group != nil {
 		s.group.memberEOF()
 	}

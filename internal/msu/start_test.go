@@ -151,25 +151,43 @@ func (r *startRig) messages() ([]wire.CacheReport, []string) {
 	return append([]wire.CacheReport(nil), r.fc.reports...), append([]string(nil), r.fc.order...)
 }
 
-// ended checks what the Coordinator hears once a stream has ended: its
-// final cache report, and then stream-ended, with nothing after; the
-// report counts every datagram the client received, and the MSU holds
-// no stream, group or pinned page any more.
-func (r *startRig) ended(wantReports int) {
+// finalReport is the last cache report the Coordinator heard before its
+// last stream-ended, given what it heard (messages).
+func finalReport(t *testing.T, reports []wire.CacheReport, order []string) wire.CacheReport {
+	t.Helper()
+	last, n := -1, 0
+	for _, o := range order {
+		switch o {
+		case "report":
+			n++
+		case "ended":
+			last = n - 1
+		}
+	}
+	if last < 0 {
+		t.Fatalf("no cache report before the last stream-ended: %v", order)
+	}
+	if reports[last].Obs == nil {
+		t.Fatal("final cache report carries no metrics snapshot")
+	}
+	return reports[last]
+}
+
+// ended checks what the Coordinator hears once n streams in all have
+// ended: reports numbered upwards in the order they arrive, and before
+// the last stream-ended one that counts every datagram the client
+// received; the MSU holds no stream, group or pinned page any more.
+func (r *startRig) ended(n int) {
 	r.t.Helper()
-	r.await("stream-ended", func() bool { return r.fc.endedCount() == 1 })
-	reports, order := r.messages()
-	if len(reports) != wantReports {
-		r.t.Errorf("%d cache reports, want %d (order %v)", len(reports), wantReports, order)
-	}
-	if len(order) < 2 || order[len(order)-2] != "report" || order[len(order)-1] != "ended" {
-		r.t.Fatalf("the stream's final cache report does not lead its stream-ended: %v", order)
-	}
-	final := reports[len(reports)-1]
-	if final.Obs == nil {
-		r.t.Fatal("final cache report carries no metrics snapshot")
-	}
+	r.await("stream-ended", func() bool { return r.fc.endedCount() == n })
 	got := r.settled()
+	reports, order := r.messages()
+	for i := 1; i < len(reports); i++ {
+		if reports[i].Seq <= reports[i-1].Seq {
+			r.t.Errorf("report %d arrived after report %d", reports[i].Seq, reports[i-1].Seq)
+		}
+	}
+	final := finalReport(r.t, reports, order)
 	if sent := final.Obs.Counters["delivery_packets_total"]; sent != got {
 		r.t.Errorf("final report counts %d packets sent, the client received %d", sent, got)
 	}
@@ -259,17 +277,20 @@ func TestControlDialFailureEndsGroup(t *testing.T) {
 	r.ended(1)
 }
 
-// TestOneCacheReportPerStream pins the report cadence: VCR commands
-// reposition the stream without reporting, and the stream's one report at
-// its end counts every packet it sent and leads its stream-ended. A
-// stream that reaches EOF still reports.
-func TestOneCacheReportPerStream(t *testing.T) {
+// TestReportCadence pins when a disk reports: on the report clock while
+// a stream plays, at most one report a reportEvery, VCR commands sending
+// none of their own, and at a stream's end, once the disk goes idle, a
+// report that counts every packet sent; idle, the clock stops. A stream
+// paused at its end still plays for the clock, so the Coordinator hears
+// it finished.
+func TestReportCadence(t *testing.T) {
 	t.Run("vcr", func(t *testing.T) {
 		var vcr *vcrEndpoint
 		r := newStartRig(t, map[string]time.Duration{"movie": 10 * time.Second}, func(network, _ string) (net.Conn, error) {
 			return net.Dial(network, vcr.ln.Addr().String())
 		})
 		vcr = startVCREndpoint(t)
+		began := time.Now()
 		if err := <-r.start(r.spec(1, "movie")); err != nil {
 			t.Fatal(err)
 		}
@@ -286,18 +307,28 @@ func TestOneCacheReportPerStream(t *testing.T) {
 				r.await(op+"'s first packet", func() bool { return r.got.Load() > before })
 			}
 		}
-		for _, pos := range []time.Duration{3 * time.Second, time.Second, 6 * time.Second} {
-			cmd("seek", pos)
+		for i := range 20 {
+			cmd("seek", time.Duration(i%7)*time.Second)
 		}
 		cmd("pause", 0)
 		cmd("play", 0)
-		if reports, _ := r.messages(); len(reports) != 0 {
-			t.Fatalf("%d cache reports before the stream ended, want 0", len(reports))
+		r.await("two reports on the clock", func() bool {
+			reports, _ := r.messages()
+			return len(reports) >= 2
+		})
+		reports, _ := r.messages()
+		if most := int(time.Since(began) / reportEvery); len(reports) > most {
+			t.Fatalf("%d cache reports in %v of play, want at most one a %v", len(reports), time.Since(began), reportEvery)
 		}
 		if err := p.Call(wire.TypeVCR, wire.VCR{Op: "quit"}, &wire.VCRAck{}); err != nil {
 			t.Fatalf("quit: %v", err)
 		}
 		r.ended(1)
+		idle, _ := r.messages()
+		time.Sleep(3 * reportEvery)
+		if later, _ := r.messages(); len(later) != len(idle) {
+			t.Errorf("%d cache reports from an idle MSU", len(later)-len(idle))
+		}
 	})
 	t.Run("eof", func(t *testing.T) {
 		var vcr *vcrEndpoint
@@ -310,15 +341,63 @@ func TestOneCacheReportPerStream(t *testing.T) {
 		}
 		p := <-vcr.peer
 		defer p.Close() //nolint:errcheck
-		r.await("the report at EOF", func() bool {
+		r.m.mu.Lock()
+		s := r.m.streams[1]
+		r.m.mu.Unlock()
+		r.await("the end of the title", s.atEOF)
+		all := r.settled()
+		r.await("a report of the whole title", func() bool {
 			reports, _ := r.messages()
-			return len(reports) == 1
+			return len(reports) > 0 && reports[len(reports)-1].Obs.Counters["delivery_packets_total"] == all
 		})
 		if err := p.Call(wire.TypeVCR, wire.VCR{Op: "quit"}, &wire.VCRAck{}); err != nil {
 			t.Fatalf("quit: %v", err)
 		}
-		r.ended(2)
+		r.ended(1)
 	})
+}
+
+// TestLastReportCountsConcurrentQuits: two groups on one disk quit at
+// once. The later of them to go sees the disk idle and reports after both
+// teardowns, so the last report before the second stream-ended counts
+// both streams' packets.
+func TestLastReportCountsConcurrentQuits(t *testing.T) {
+	var wg sync.WaitGroup
+	t.Cleanup(wg.Wait) // after the MSU's Close: every control connection is closed by then
+	r := newStartRig(t, map[string]time.Duration{"movie": 10 * time.Second}, func(string, string) (net.Conn, error) {
+		mine, theirs := net.Pipe()
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			io.Copy(io.Discard, theirs) //nolint:errcheck // ends when the MSU closes its end
+		}()
+		return mine, nil
+	})
+	for i := range 50 {
+		ids := []core.StreamID{core.StreamID(2*i + 1), core.StreamID(2*i + 2)}
+		for _, id := range ids {
+			if err := <-r.start(r.spec(id, "movie")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		before := r.got.Load()
+		r.await("both streams delivering", func() bool { return r.got.Load() > before+4 })
+		var quits sync.WaitGroup
+		for _, id := range ids {
+			quits.Add(1)
+			go func() {
+				defer quits.Done()
+				r.peer.Call(wire.TypeStopStream, wire.StopStream{Stream: id}, nil) //nolint:errcheck // stream-ended is what is checked
+			}()
+		}
+		quits.Wait()
+		r.await("both stream-ended", func() bool { return r.fc.endedCount() == 2*(i+1) })
+		got := r.settled()
+		reports, order := r.messages()
+		if sent := finalReport(t, reports, order).Obs.Counters["delivery_packets_total"]; sent != got {
+			t.Fatalf("iteration %d: the report before the second stream-ended counts %d packets sent, the client received %d", i, sent, got)
+		}
+	}
 }
 
 // TestQuitDuringControlDial: a group quit while its control dial is in

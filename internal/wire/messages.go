@@ -346,15 +346,14 @@ type ContentCoverage struct {
 }
 
 // CacheReport advertises one disk's interval-cache state (MSU →
-// Coordinator notification, sent when content heat changes — a player
-// reaching EOF or tearing down). The Coordinator re-evaluates its
-// admission queue on every report.
+// Coordinator notification, sent on the MSU's report clock while the
+// disk plays and once when its last play stream ends). The Coordinator
+// re-evaluates its admission queue on every report.
 type CacheReport struct {
 	// Seq numbers the MSU's reports, all disks together, from 1 in the
-	// order their cumulative figures were taken. Two players stopping at
-	// once can put reports on the wire out of that order: the Coordinator
-	// drops one that is not newer than the last it took, instead of
-	// reading its smaller counters as a restart.
+	// order their cumulative figures were taken. The Coordinator drops one
+	// that is not newer than the last it took, instead of reading its
+	// smaller counters as a restart.
 	Seq      uint64            `json:"seq"`
 	Disk     int               `json:"disk"`
 	Stats    trace.CacheStats  `json:"stats"`

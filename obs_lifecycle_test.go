@@ -12,6 +12,7 @@ import (
 
 	"calliope/internal/blockdev"
 	"calliope/internal/obs"
+	"calliope/internal/wire"
 )
 
 // TestObservabilityLifecycle drives a full play → MSU crash → migrate
@@ -114,8 +115,9 @@ func TestObservabilityLifecycle(t *testing.T) {
 	stream.Quit() //nolint:errcheck // the group may already be torn down at EOF
 
 	// Delivery counters reach the Coordinator asynchronously (deltas
-	// ride the surviving MSU's cache reports, and the EOF triggers
-	// one), and so does the end of the stream (the MSU acknowledges the
+	// ride the surviving MSU's cache reports, which its report clock
+	// sends while the stream plays), and so does the end of the stream
+	// (the MSU acknowledges the
 	// Quit, then tears down and reports stream-ended), so poll the
 	// scrape until all three are visible: this stream's end is the third,
 	// after the two played before the crash.
@@ -200,6 +202,72 @@ func TestObservabilityLifecycle(t *testing.T) {
 	}
 	if admits == 0 {
 		t.Errorf("no admit events on the timeline")
+	}
+}
+
+// TestReportsWhilePlaying: a stream that plays and never ends still
+// reaches the Coordinator. Within a few of the MSU's report periods
+// (250 ms) its merged delivery_packets_total and the title's cache
+// coverage move, and they keep moving while it plays.
+func TestReportsWhilePlaying(t *testing.T) {
+	cluster := movieCluster(t, 10*time.Second)
+	c, err := Dial(cluster.Addr(), "rita")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	recv, err := NewReceiver("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer recv.Close()
+	if err := c.RegisterPort("tv", "mpeg1", recv.Addr(), ""); err != nil {
+		t.Fatal(err)
+	}
+	stream, err := c.Play("movie", "tv", false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stream.Quit() //nolint:errcheck // the check is done by then
+	// seen reads the merged packet count and the title's coverage.
+	seen := func() (int64, wire.ContentCoverage) {
+		t.Helper()
+		st, err := c.StatusV2()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var cov wire.ContentCoverage
+		for _, d := range st.Disks {
+			for _, cc := range d.Cached {
+				if cc.Name == "movie" {
+					cov = cc
+				}
+			}
+		}
+		return st.Snapshot.Counter("delivery_packets_total"), cov
+	}
+	await := func(what string, moved func(int64, wire.ContentCoverage) bool) int64 {
+		t.Helper()
+		for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(20 * time.Millisecond) {
+			packets, cov := seen()
+			if moved(packets, cov) {
+				return packets
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: delivery_packets_total %d, coverage %+v", what, packets, cov)
+			}
+		}
+	}
+	first := await("nothing reported while the stream plays", func(packets int64, cov wire.ContentCoverage) bool {
+		return packets > 0 && cov.Players == 1 && cov.CachedPages > 0
+	})
+	await("the counter stopped while the stream plays", func(packets int64, _ wire.ContentCoverage) bool {
+		return packets > first
+	})
+	select {
+	case <-stream.EOF():
+		t.Fatal("the stream ended during the check")
+	default:
 	}
 }
 
