@@ -54,11 +54,13 @@ leakcheck:
 faults:
 	$(GO) test -race -timeout 120s -run 'Fault|Failover|Redispatch|Reconnect|MSUDown|Lost|Restart|FailedCommit|ReplayIdempotent|ReplayUnstamped|PR15Fixture|Orphan|Corrupt|PlanStep|LedgerConservation|Core|RecordPlacement|QueuedPlayWakes|CloseWakes|CutAll|QuitIsAcknowledged|StopKeeps|SweepOnStartup|PipelinedVCR|GoroutinesPerStream|QuitDuringControlDial|ReportCadence|ReportsWhilePlaying|LastReportCountsConcurrentQuits' . ./internal/coordinator ./internal/client ./internal/msu ./internal/msufs ./internal/faultinject ./internal/admindb
 
-# Three seconds of each of the eight fuzz targets (go test takes one -fuzz target and
+# Three seconds of each of the nine fuzz targets (go test takes one -fuzz target and
 # one package per run): journal replay and snapshot decoding never
 # panic on arbitrary bytes and keep only what replays to the same
-# tables; a control-message frame is refused or survives re-encoding; a
-# disk's metadata region is refused or mounts with every block owned once;
+# tables; a control-message frame is refused, or read as json.Unmarshal
+# reads it and survives re-encoding; the hand-written framing of any
+# envelope is byte-for-byte json.Marshal(Envelope) behind its length and
+# reads back as json.Unmarshal reads it; a disk's metadata region is refused or mounts with every block owned once;
 # a data page is refused or cut into spans that lie inside it, the same
 # through LoadPage, AttachPage and — head first, at any valid mark —
 # AttachHead and Raise; an index node is refused or decodes to what it
@@ -70,6 +72,7 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz='^FuzzReplayJournal$$' -fuzztime=3s ./internal/admindb
 	$(GO) test -run=NONE -fuzz='^FuzzSnapshotDecode$$' -fuzztime=3s ./internal/admindb
 	$(GO) test -run=NONE -fuzz='^FuzzReadMessage$$' -fuzztime=3s ./internal/wire
+	$(GO) test -run=NONE -fuzz='^FuzzFrameEnvelope$$' -fuzztime=3s ./internal/wire
 	$(GO) test -run=NONE -fuzz='^FuzzMount$$' -fuzztime=3s ./internal/msufs
 	$(GO) test -run=NONE -fuzz='^FuzzAttachPage$$' -fuzztime=3s ./internal/ibtree
 	$(GO) test -run=NONE -fuzz='^FuzzReadNode$$' -fuzztime=3s ./internal/ibtree
@@ -129,10 +132,9 @@ bench-write:
 # The control plane end to end (DESIGN.md, "Admission path"): one client's
 # play → first packet → seek → first packet → quit against a real
 # Coordinator and MSU on a warm memory disk, ns and allocs per cycle.
-# Expected on a 2-core x86 box at 1,000 cycles: ~82 KB and ~557 allocs a
-# cycle (ns/op is noisy on a shared box: 0.52–0.70 ms, against 0.55–0.65
-# for the commit before in the same session; ~0.40–0.43 ms on a quiet
-# one). A stream is one disk process with one descriptor ring, one set of
+# Expected on a 2-core x86 box at 1,000 cycles: 63–68 KB and 410–460
+# allocs a cycle (three runs; ns/op is noisy on a shared box: 0.41–0.57
+# ms, against 0.58–0.68 for the commit before in the same session). A stream is one disk process with one descriptor ring, one set of
 # fetch slots and one reservation in the disk's pool from its play to its
 # quit, and the seek is a message to it. Both starts leave from RAM (the
 # play from the title's head, the seek from a cached page), so none reads
@@ -141,9 +143,14 @@ bench-write:
 # ring, fetch slots and page pool for every player ~113 KB and ~598
 # allocs; with the group dialling the client before its members began, a
 # cache report at every VCR command and an event ring that shifted on
-# every append, ~0.51–0.62 ms and ~771 allocs.
+# every append, ~0.51–0.62 ms and ~771 allocs; with every control
+# envelope marshalled and unmarshalled whole, ~82 KB and ~557 allocs.
+# BenchmarkCall is one of that cycle's RPCs alone, a loopback Call with
+# both peers counted: ~1.3 KB and 27 allocs (TestCallAllocations holds
+# the count), against ~1.9 KB and 43 with the envelopes whole.
 bench-control:
 	$(GO) test -run=NONE -bench='PlayCycle' -benchtime=1000x -benchmem .
+	$(GO) test -run=NONE -bench=Call -benchmem ./internal/wire
 
 # The §3e RAM interval cache: hot-replay disk-read savings and the
 # allocation-free cache-hit delivery path, plus the cache's own

@@ -7,7 +7,6 @@ import (
 	"net"
 	"strings"
 	"testing"
-	"time"
 
 	"calliope/internal/obs"
 )
@@ -67,9 +66,10 @@ func TestCallContextCancel(t *testing.T) {
 	defer a.Close()
 	defer b.Close()
 
-	release := make(chan struct{})
+	held, release := make(chan struct{}), make(chan struct{})
 	server := NewPeer(b, func(msgType string, _ json.RawMessage) (any, error) {
 		if msgType == "slow" {
+			close(held)
 			<-release
 		}
 		return map[string]string{"ok": "yes"}, nil
@@ -80,7 +80,7 @@ func TestCallContextCancel(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
-		time.Sleep(20 * time.Millisecond)
+		<-held // the call is on the server: cancel it mid-flight
 		cancel()
 	}()
 	err := client.CallContext(ctx, "slow", struct{}{}, nil)

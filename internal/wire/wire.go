@@ -1,6 +1,13 @@
 // Package wire is Calliope's control-plane messaging: length-prefixed
 // JSON messages over TCP, with a small RPC layer on top.
 //
+// A frame is a 4-byte big-endian length, then exactly the bytes
+// json.Marshal(Envelope) writes. Both ends handle that one canonical
+// layout by hand: a sender writes the envelope's fields around a body
+// json.Marshal already produced, and a reader walks the fields in that
+// order, validates the body once and aliases it into the frame. Any
+// other layout is ErrBadMessage.
+//
 // The paper's control plane (§2) is TCP everywhere: clients talk to the
 // Coordinator over TCP, the Coordinator talks to MSUs over TCP (the
 // intra-server network), and each MSU opens a TCP control connection to
@@ -22,9 +29,12 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
+	"unicode/utf8"
 )
 
 // MaxMessage bounds a single control message.
@@ -69,27 +79,82 @@ func (e *Envelope) Decode(v any) error {
 	return nil
 }
 
-// WriteMessage frames and writes one envelope.
+// WriteMessage frames and writes one envelope: the frame is
+// byte-for-byte what json.Marshal(e) writes, behind its length. A body
+// is compacted and escaped as json.Marshal would, and an invalid one is
+// refused.
 func WriteMessage(w io.Writer, e *Envelope) error {
-	raw, err := json.Marshal(e)
+	canon := *e
+	if len(e.Body) > 0 {
+		body, err := json.Marshal(e.Body)
+		if err != nil {
+			return fmt.Errorf("wire: encoding %s: %w", e.Type, err)
+		}
+		canon.Body = body
+	}
+	f, err := frame(&canon)
 	if err != nil {
-		return fmt.Errorf("wire: encoding %s: %w", e.Type, err)
+		return err
 	}
-	if len(raw) > MaxMessage {
-		return fmt.Errorf("%w: %d bytes", ErrTooLarge, len(raw))
-	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(raw)))
-	if _, err := w.Write(hdr[:]); err != nil {
+	if _, err := w.Write(f); err != nil {
 		return fmt.Errorf("wire: writing frame: %w", err)
-	}
-	if _, err := w.Write(raw); err != nil {
-		return fmt.Errorf("wire: writing body: %w", err)
 	}
 	return nil
 }
 
-// ReadMessage reads one framed envelope.
+// frameOverhead is a frame's size beyond its kind, type, body and err
+// when no string needs escaping: the length, keys, quotes and the
+// longest ID.
+const frameOverhead = 4 + len(`{"kind":"","id":,"type":"","body":,"err":""}`) + 20
+
+// frame builds e's frame in one buffer: its length, then the fields in
+// json.Marshal's order under its omitempty rules. e.Body is copied as it
+// stands, so it must already be what json.Marshal makes of it: valid,
+// compact and HTML-escaped, as json.Marshal's own output is.
+func frame(e *Envelope) ([]byte, error) {
+	dst := make([]byte, 4, frameOverhead+len(e.Kind)+len(e.Type)+len(e.Body)+len(e.Err))
+	dst = append(dst, `{"kind":`...)
+	dst = appendString(dst, string(e.Kind))
+	if e.ID != 0 {
+		dst = append(dst, `,"id":`...)
+		dst = strconv.AppendUint(dst, e.ID, 10)
+	}
+	dst = append(dst, `,"type":`...)
+	dst = appendString(dst, e.Type)
+	if len(e.Body) > 0 {
+		dst = append(dst, `,"body":`...)
+		dst = append(dst, e.Body...)
+	}
+	if e.Err != "" {
+		dst = append(dst, `,"err":`...)
+		dst = appendString(dst, e.Err)
+	}
+	dst = append(dst, '}')
+	n := len(dst) - 4
+	if n > MaxMessage {
+		return nil, fmt.Errorf("%w: %d bytes", ErrTooLarge, n)
+	}
+	binary.BigEndian.PutUint32(dst, uint32(n))
+	return dst, nil
+}
+
+// appendString appends s quoted as json.Marshal quotes it. A string of
+// printable ASCII with nothing to escape is copied; any other goes
+// through json.Marshal itself.
+func appendString(dst []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c >= utf8.RuneSelf || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			quoted, _ := json.Marshal(s) // a string always marshals
+			return append(dst, quoted...)
+		}
+	}
+	dst = append(dst, '"')
+	dst = append(dst, s...)
+	return append(dst, '"')
+}
+
+// ReadMessage reads one framed envelope in the layout frame writes;
+// any other layout is ErrBadMessage.
 func ReadMessage(r io.Reader) (*Envelope, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -103,11 +168,144 @@ func ReadMessage(r io.Reader) (*Envelope, error) {
 	if _, err := io.ReadFull(r, raw); err != nil {
 		return nil, err
 	}
+	p := frameParser{b: raw}
 	var e Envelope
-	if err := json.Unmarshal(raw, &e); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadMessage, err)
+	p.expect(`{"kind":`)
+	e.Kind = Kind(p.string())
+	if p.next(`,"id":`) {
+		e.ID = p.id()
+	}
+	p.expect(`,"type":`)
+	e.Type = p.string()
+	if p.next(`,"body":`) {
+		e.Body = p.value()
+	}
+	if p.next(`,"err":`) {
+		e.Err = p.string()
+	}
+	p.expect(`}`)
+	if p.bad || len(p.b) != 0 {
+		return nil, fmt.Errorf("%w: not the canonical envelope layout", ErrBadMessage)
 	}
 	return &e, nil
+}
+
+// frameParser walks a frame in frame's layout. The first step that
+// does not fit sets bad, and every later step is a no-op.
+type frameParser struct {
+	b   []byte
+	bad bool
+}
+
+// next consumes lit if the frame continues with it.
+func (p *frameParser) next(lit string) bool {
+	if p.bad || len(p.b) < len(lit) || string(p.b[:len(lit)]) != lit {
+		return false
+	}
+	p.b = p.b[len(lit):]
+	return true
+}
+
+func (p *frameParser) expect(lit string) {
+	if !p.next(lit) {
+		p.bad = true
+	}
+}
+
+// string reads a JSON string. One with escapes or bytes outside
+// printable ASCII is decoded by json.Unmarshal, as the whole frame's
+// decode would.
+func (p *frameParser) string() string {
+	if p.bad || len(p.b) == 0 || p.b[0] != '"' {
+		p.bad = true
+		return ""
+	}
+	plain := true
+	for i := 1; i < len(p.b); i++ {
+		switch c := p.b[i]; {
+		case c == '"':
+			tok := p.b[:i+1]
+			p.b = p.b[i+1:]
+			if plain {
+				return string(tok[1:i])
+			}
+			var s string
+			if json.Unmarshal(tok, &s) != nil {
+				p.bad = true
+			}
+			return s
+		case c == '\\':
+			plain = false
+			i++
+		case c < 0x20 || c >= utf8.RuneSelf:
+			plain = false
+		}
+	}
+	p.bad = true
+	return ""
+}
+
+// id reads a nonzero decimal ID, as frame writes it: no sign,
+// fraction, exponent or leading zero.
+func (p *frameParser) id() uint64 {
+	n := 0
+	for n < len(p.b) && '0' <= p.b[n] && p.b[n] <= '9' {
+		n++
+	}
+	if p.bad || n == 0 || p.b[0] == '0' {
+		p.bad = true
+		return 0
+	}
+	id, err := strconv.ParseUint(string(p.b[:n]), 10, 64)
+	p.b = p.b[n:]
+	p.bad = err != nil
+	return id
+}
+
+// value reads one JSON value, validated by json.Valid and aliased into
+// the frame.
+func (p *frameParser) value() json.RawMessage {
+	n := valueLen(p.b)
+	if p.bad || n == 0 || n > len(p.b) || !json.Valid(p.b[:n]) {
+		p.bad = true
+		return nil
+	}
+	v := p.b[:n:n]
+	p.b = p.b[n:]
+	return v
+}
+
+// valueLen is the length of the JSON value b starts with, found by
+// brackets and quotes alone; json.Valid judges the rest. A number or
+// literal runs to the first byte none contains, so no whitespace can
+// surround the value. More than len(b) means the value is unterminated.
+func valueLen(b []byte) int {
+	depth := 0
+	for i := 0; i < len(b); i++ {
+		switch c := b[i]; {
+		case c == '"':
+			for i++; i < len(b) && b[i] != '"'; i++ {
+				if b[i] == '\\' {
+					i++
+				}
+			}
+		case c == '{' || c == '[':
+			depth++
+		case c == '}' || c == ']':
+			depth--
+		case depth == 0:
+			for i < len(b) && ('0' <= b[i] && b[i] <= '9' || 'a' <= b[i] && b[i] <= 'z' || strings.IndexByte("-+.E", b[i]) >= 0) {
+				i++
+			}
+			return i
+		default:
+			continue
+		}
+		if depth <= 0 {
+			return i + 1
+		}
+	}
+	return len(b) + 1
 }
 
 // Handler serves one inbound request or notification. For requests the
@@ -130,7 +328,6 @@ type Reply struct {
 // Call/Notify from any goroutine.
 type Peer struct {
 	conn    net.Conn
-	bw      *bufio.Writer
 	writeMu sync.Mutex
 
 	handler Handler
@@ -161,7 +358,6 @@ func NewPeer(conn net.Conn, handler Handler, onDown func(error)) *Peer {
 func NewPeerStopped(conn net.Conn, handler Handler, onDown func(error)) *Peer {
 	return &Peer{
 		conn:    conn,
-		bw:      bufio.NewWriter(conn),
 		handler: handler,
 		pending: make(map[uint64]chan *Envelope),
 		onDown:  onDown,
@@ -180,13 +376,19 @@ func (p *Peer) RemoteAddr() net.Addr { return p.conn.RemoteAddr() }
 // LocalAddr reports the local end's address.
 func (p *Peer) LocalAddr() net.Addr { return p.conn.LocalAddr() }
 
+// send writes e as one frame with one Write. e.Body comes straight from
+// json.Marshal, so frame can take it as it stands.
 func (p *Peer) send(e *Envelope) error {
-	p.writeMu.Lock()
-	defer p.writeMu.Unlock()
-	if err := WriteMessage(p.bw, e); err != nil {
+	f, err := frame(e)
+	if err != nil {
 		return err
 	}
-	return p.bw.Flush()
+	p.writeMu.Lock()
+	defer p.writeMu.Unlock()
+	if _, err := p.conn.Write(f); err != nil {
+		return fmt.Errorf("wire: writing frame: %w", err)
+	}
+	return nil
 }
 
 // ErrTimeout reports a CallTimeout deadline expiring before the

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"strings"
 	"sync"
@@ -57,10 +58,16 @@ func TestReadMessageRejectsGarbage(t *testing.T) {
 	}
 }
 
+// rawFrame puts a length in front of a hand-written envelope.
+func rawFrame(envelope string) []byte {
+	return append(binary.BigEndian.AppendUint32(nil, uint32(len(envelope))), envelope...)
+}
+
 // FuzzReadMessage feeds ReadMessage arbitrary bytes, the way a socket
 // would: it must never panic, must refuse a length above MaxMessage on
 // the strength of the header alone (nothing read past it, so nothing
-// allocated for it), and whatever it accepts must re-encode through
+// allocated for it), whatever it accepts json.Unmarshal must read as the
+// same envelope, body bytes included, and it must re-encode through
 // WriteMessage to a frame that decodes to the same envelope and encodes
 // to the same bytes again.
 func FuzzReadMessage(f *testing.F) {
@@ -93,6 +100,12 @@ func FuzzReadMessage(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 3, '{', '{', '{'})                          // not JSON
 	f.Add(append([]byte{0, 0, 0, 22}, `{"kind":"err","err":1}`...))   // wrong field type
 	f.Add(append([]byte{0, 0, 0, 24}, `{"type":"x","body":null}`...)) // null body
+	f.Add(rawFrame(`{"kind":"err","id":3,"type":"p\u006cay","err":"bad \"x\" \u003c\ud800"}`))
+	f.Add(rawFrame(`{"kind":"ntf","type":"x","body":[1, {"a" : "}\""}]}`)) // spaces inside the body
+	f.Add(rawFrame(`{"kind":"res","id":1,"type":"x","body":-1.5E3}`))
+	f.Add(rawFrame(`{"kind":"res","id":1,"type":"x","body":1 }`)) // space after the body
+	f.Add(rawFrame(`{"kind":"res","id":07,"type":"x"}`))          // leading zero
+	f.Add(rawFrame(`{"type":"x","kind":"res"}`))                  // fields out of order
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		in := bytes.NewReader(data)
@@ -107,6 +120,13 @@ func FuzzReadMessage(f *testing.F) {
 				t.Fatalf("envelope %+v returned beside error %v", e, err)
 			}
 			return
+		}
+		var ref Envelope
+		if err := json.Unmarshal(data[4:4+binary.BigEndian.Uint32(data)], &ref); err != nil {
+			t.Fatalf("accepted frame %q is not an envelope to json.Unmarshal: %v", data, err)
+		}
+		if ref.Kind != e.Kind || ref.ID != e.ID || ref.Type != e.Type || ref.Err != e.Err || !bytes.Equal(ref.Body, e.Body) {
+			t.Fatalf("frame %q read as %+v, json.Unmarshal reads %+v", data, e, ref)
 		}
 		var first bytes.Buffer
 		if err := WriteMessage(&first, e); err != nil {
@@ -133,8 +153,132 @@ func FuzzReadMessage(f *testing.F) {
 	})
 }
 
+// FuzzFrameEnvelope holds the hand-written framing to its reference:
+// for any kind, ID, type and err string and a body json.Marshal
+// produced, frame (what a Peer sends) and WriteMessage write
+// exactly json.Marshal(Envelope) behind its length, and ReadMessage
+// reads that frame back as json.Unmarshal does.
+func FuzzFrameEnvelope(f *testing.F) {
+	f.Add(string(KindRequest), uint64(7), TypePlay, "", "movie", uint8(2))
+	f.Add(string(KindError), uint64(1)<<63, "play", "no \"such\" <title> & more\n\u2028é", "", uint8(0))
+	f.Add(string(KindNotify), uint64(0), TypeCacheReport, "", "\xff\xfe", uint8(3))
+	f.Add("", uint64(0), "", "\x00\x1f\x7f\\", "</script>", uint8(1))
+	f.Add("<ntf", uint64(10), "a&b", "é", "\u2029", uint8(1))
+	f.Fuzz(func(t *testing.T, kind string, id uint64, msgType, errMsg, text string, shape uint8) {
+		e := Envelope{Kind: Kind(kind), ID: id, Type: msgType, Err: errMsg}
+		var body any
+		switch shape % 4 {
+		case 1:
+			body = text
+		case 2:
+			body = Hello{User: text, ProtoVersion: int(shape)}
+		case 3:
+			body = map[string]any{text: []any{id, text, nil, true, -1.5}}
+		}
+		if body != nil {
+			raw, err := json.Marshal(body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			e.Body = raw
+		}
+		ref, err := json.Marshal(&e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := rawFrame(string(ref))
+		got, err := frame(&e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("framed %+v as\n%q, json.Marshal writes\n%q", e, got, want)
+		}
+		var buf bytes.Buffer
+		if err := WriteMessage(&buf, &e); err != nil || !bytes.Equal(buf.Bytes(), want) {
+			t.Fatalf("WriteMessage wrote %q (%v), want %q", buf.Bytes(), err, want)
+		}
+		back, err := ReadMessage(bytes.NewReader(got))
+		if err != nil {
+			t.Fatalf("frame %q does not read back: %v", got, err)
+		}
+		var dec Envelope
+		if err := json.Unmarshal(ref, &dec); err != nil {
+			t.Fatal(err)
+		}
+		if back.Kind != dec.Kind || back.ID != dec.ID || back.Type != dec.Type || back.Err != dec.Err || !bytes.Equal(back.Body, dec.Body) {
+			t.Fatalf("frame %q read back as %+v, json.Unmarshal reads %+v", got, back, dec)
+		}
+	})
+}
+
+// TestFramesAreJSONMarshal sends a request, a response, an error whose
+// message needs escaping and a notification through a Peer, and reads
+// each frame off the other end of the pipe: every one is the length and
+// then json.Marshal of the same envelope.
+func TestFramesAreJSONMarshal(t *testing.T) {
+	a, b := net.Pipe()
+	defer b.Close()
+	const failure = `no "such" <title> & more` + "\n\té\u2028\xff"
+	peer := NewPeer(a, func(msgType string, body json.RawMessage) (any, error) {
+		if msgType == "fail" {
+			return nil, errors.New(failure)
+		}
+		return Welcome{Session: 9}, nil
+	}, nil)
+	defer peer.Close()
+
+	marshal := func(v any) json.RawMessage {
+		raw, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return raw
+	}
+	check := func(what string, want Envelope) {
+		t.Helper()
+		got := make([]byte, 4)
+		if _, err := io.ReadFull(b, got); err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		got = append(got, make([]byte, binary.BigEndian.Uint32(got))...)
+		if _, err := io.ReadFull(b, got[4:]); err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		if ref := rawFrame(string(marshal(&want))); !bytes.Equal(got, ref) {
+			t.Fatalf("%s: frame\n%q, json.Marshal writes\n%q", what, got, ref)
+		}
+	}
+	play := Play{Content: "<movie> & \"more\"", Port: "p0", ControlAddr: "127.0.0.1:1"}
+	called := make(chan error, 1)
+	go func() { called <- peer.Call(TypePlay, play, nil) }()
+	check("request", Envelope{Kind: KindRequest, ID: 1, Type: TypePlay, Body: marshal(play)})
+	if err := WriteMessage(b, &Envelope{Kind: KindResponse, ID: 1, Type: TypePlay, Body: json.RawMessage(`{}`)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-called; err != nil {
+		t.Fatal(err)
+	}
+
+	if err := WriteMessage(b, &Envelope{Kind: KindRequest, ID: 40, Type: "ok"}); err != nil {
+		t.Fatal(err)
+	}
+	check("response", Envelope{Kind: KindResponse, ID: 40, Type: "ok", Body: marshal(Welcome{Session: 9})})
+	if err := WriteMessage(b, &Envelope{Kind: KindRequest, ID: 41, Type: "fail"}); err != nil {
+		t.Fatal(err)
+	}
+	check("error", Envelope{Kind: KindError, ID: 41, Type: "fail", Err: failure})
+
+	end := StreamEnded{Stream: 7, Cause: "quit <eof>"}
+	go func() { called <- peer.Notify(TypeStreamEnded, end) }()
+	check("notification", Envelope{Kind: KindNotify, Type: TypeStreamEnded, Body: marshal(end)})
+	if err := <-called; err != nil {
+		t.Fatal(err)
+	}
+}
+
 // peerPair builds two connected peers over a real TCP loopback socket.
-func peerPair(t *testing.T, serverHandler Handler) (client, server *Peer) {
+func peerPair(t testing.TB, serverHandler Handler) (client, server *Peer) {
 	t.Helper()
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -381,29 +525,45 @@ func TestCallTimeout(t *testing.T) {
 	}
 }
 
+// pingPair is BenchmarkCall's and TestCallAllocations' loopback pair: a
+// server that answers every request with a one-field object.
+func pingPair(tb testing.TB) *Peer {
+	client, _ := peerPair(tb, func(string, json.RawMessage) (any, error) {
+		return map[string]bool{"ok": true}, nil
+	})
+	return client
+}
+
 func BenchmarkCall(b *testing.B) {
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer l.Close()
-	done := make(chan *Peer, 1)
-	go func() {
-		c, _ := l.Accept()
-		done <- NewPeer(c, func(msgType string, body json.RawMessage) (any, error) {
-			return map[string]bool{"ok": true}, nil
-		}, nil)
-	}()
-	cc, _ := net.Dial("tcp", l.Addr().String())
-	client := NewPeer(cc, nil, nil)
-	server := <-done
-	defer client.Close()
-	defer server.Close()
+	client := pingPair(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := client.Call("ping", map[string]int{"n": i}, nil); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// callAllocs is what one loopback Call costs in allocations, both peers'
+// counted, as BenchmarkCall's allocs/op reports it.
+const callAllocs = 27
+
+// TestCallAllocations pins callAllocs: a frame is built in one buffer
+// and read with one pass over its fields.
+func TestCallAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's own allocations would be counted")
+	}
+	client := pingPair(t)
+	n := 0
+	allocs := testing.AllocsPerRun(200, func() {
+		n++
+		if err := client.Call("ping", map[string]int{"n": n}, nil); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > callAllocs {
+		t.Fatalf("a loopback Call makes %.0f allocations, want at most %d", allocs, callAllocs)
 	}
 }
 
