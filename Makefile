@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint test race faults fuzz-smoke leakcheck replicate obs bench bench-smoke bench-path bench-write bench-control bench-cache bench-iosched bench-e2e bench-e2e-smoke repro examples clean
+.PHONY: all build vet lint test race faults fuzz-smoke leakcheck replicate obs bench bench-path bench-write bench-control bench-cache bench-iosched bench-e2e bench-e2e-smoke repro examples clean
 
 all: build vet lint test
 
@@ -95,14 +95,10 @@ obs:
 	$(GO) test -race -timeout 120s -run 'Obs|StatusV2|Events|ProtoVersion' . ./internal/coordinator ./internal/wire
 	$(GO) test -run=NONE -bench='PlayerDeliveryPath$$' -benchmem ./internal/msu
 
-# One measurement per table/figure, as Go benchmarks.
+# Compile and run every benchmark in the module exactly once so they
+# cannot rot (CI runs this on every push).
 bench:
-	$(GO) test -bench . -benchmem -benchtime 1x -run xxx ./...
-
-# Compile and run every benchmark exactly once so they cannot rot
-# (CI runs this on every push).
-bench-smoke:
-	$(GO) test -run=NONE -bench=. -benchtime=1x ./...
+	$(GO) test -run=NONE -bench=. -benchtime=1x -benchmem ./...
 
 # The §2.3 delivery-path microbenches: allocs/op and packets/sec from
 # scheduler read to UDP write on an MSU built by New, plus the
@@ -163,7 +159,7 @@ bench-cache:
 # one band), `backlog` paced on a disk that cannot keep up (rings queue
 # and ride as runs), both with the cache off, and `backlog-cached` over
 # the default cache, whose pages are lent to readers past their
-# reservations. Two sessions each, ~12 s; CI's bench-smoke runs one. On a
+# reservations. Two sessions each, ~12 s; CI's `make bench` runs one. On a
 # 2-core x86 box, xfers/op and seekMB/op: sched 192 and ~372, backlog 122
 # and ~98, backlog-cached 108 and ~106; with the start-up ramp on every
 # disk, contended or not, and nothing to lend, sched was 240 and ~488 and
@@ -192,9 +188,13 @@ bench-e2e:
 bench-e2e-smoke:
 	$(GO) test ./bench
 
-# Regenerate every table and figure in the paper's layout.
+# Regenerate every table and figure in the paper's evaluation, each
+# beside the paper's value (bench_test.go; EXPERIMENTS.md records the
+# output). -v because Go prints a parent benchmark's log, where Graphs
+# 1 and 2 are drawn, only under it, and trims other benchmark logs to
+# ten lines without it.
 repro:
-	$(GO) run ./cmd/calliope-bench all
+	$(GO) test -v -run=NONE -bench='Table1|Graph|HBAStall|MemoryPath|CoordinatorScale|DiskScheduling|JitterBound|TimestampVsArrival|IBTreeOverhead|Strip' -benchtime=1x .
 
 examples:
 	$(GO) run ./examples/quickstart

@@ -9,17 +9,40 @@ import (
 	"calliope/internal/units"
 )
 
-// SimConfig calibrates a Sim device's disk mechanism: a seek curve
-// (settle plus full-span time scaled by the square root of the
-// distance fraction), rotational latency, and media transfer rate —
-// the same model internal/simhw uses for the paper's 2 GB Barracudas,
-// here applied to real wall-clock sleeps so the live MSU delivery path
-// can be benchmarked against mechanical disk behavior.
-type SimConfig struct {
+// Mechanism is one disk's calibrated mechanics: a seek curve (settle
+// plus full-span time scaled by the square root of the distance
+// fraction), rotational latency, and media transfer rate. Both disk
+// models use it: Sim here, against wall-clock sleeps, and
+// internal/simhw's discrete-event Disk. Each computes its own distance
+// fraction and rotation draw.
+type Mechanism struct {
 	SeekSettle     time.Duration // head settle per repositioning
 	SeekFullSpan   time.Duration // seek across the whole device, scaled by sqrt of fraction
 	RotationPeriod time.Duration // one revolution; latency is uniform in [0, period)
 	MediaRate      units.BitRate // platter transfer rate
+}
+
+// Barracuda is the paper's 2 GB Seagate Barracuda, calibrated so that
+// simhw lands near Table 1.
+func Barracuda() Mechanism {
+	return Mechanism{
+		SeekSettle:     1500 * time.Microsecond,
+		SeekFullSpan:   8 * time.Millisecond,
+		RotationPeriod: 8333 * time.Microsecond, // 7200 rpm
+		MediaRate:      64 * units.Mbps,         // 8 MB/s platter rate
+	}
+}
+
+// Seek is the arm's time across frac of the device (0 < frac ≤ 1).
+func (m Mechanism) Seek(frac float64) time.Duration {
+	return m.SeekSettle + time.Duration(float64(m.SeekFullSpan)*math.Sqrt(frac))
+}
+
+// SimConfig calibrates a Sim device: its mechanism, here applied to
+// real wall-clock sleeps so the live MSU delivery path can be
+// benchmarked against mechanical disk behavior.
+type SimConfig struct {
+	Mechanism
 	// TimeScale divides every mechanical delay, so benches can replay
 	// the seek-vs-transfer proportions without 1996 wall-clock times.
 	// Zero means 1 (real time).
@@ -27,18 +50,9 @@ type SimConfig struct {
 	Seed      int64
 }
 
-// DefaultSimConfig mirrors simhw.DefaultConfig's disk constants (the
-// calibration simhw's tests pin against Table 1); sim_test.go asserts
-// the two stay in sync.
+// DefaultSimConfig is the Barracuda in real time.
 func DefaultSimConfig() SimConfig {
-	return SimConfig{
-		SeekSettle:     1500 * time.Microsecond,
-		SeekFullSpan:   8 * time.Millisecond,
-		RotationPeriod: 8333 * time.Microsecond, // 7200 rpm
-		MediaRate:      64 * units.Mbps,         // 8 MB/s platter rate
-		TimeScale:      1,
-		Seed:           1,
-	}
+	return SimConfig{Mechanism: Barracuda(), TimeScale: 1, Seed: 1}
 }
 
 // Sim wraps a backing device (usually Mem) with the mechanical timing
@@ -46,8 +60,7 @@ func DefaultSimConfig() SimConfig {
 // on an internal mutex and each sleeps for its modelled seek + rotation
 // + media time (divided by TimeScale) before the backing I/O runs.
 // Concurrent callers therefore contend exactly the way unscheduled
-// readers contend for a real spindle, which is what BenchmarkIOSched's
-// direct-read ablation measures against the C-SCAN rounds.
+// readers contend for a real spindle.
 type Sim struct {
 	dev BlockDevice
 	cfg SimConfig
@@ -79,7 +92,7 @@ func (s *Sim) occupy(off, total int64) {
 	var cost time.Duration
 	if dist > 0 {
 		frac := float64(dist) / float64(s.dev.Size())
-		cost += s.cfg.SeekSettle + time.Duration(float64(s.cfg.SeekFullSpan)*math.Sqrt(frac))
+		cost += s.cfg.Seek(frac)
 		if s.cfg.RotationPeriod > 0 {
 			cost += time.Duration(s.rng.Int63n(int64(s.cfg.RotationPeriod)))
 		}

@@ -6,30 +6,7 @@ import (
 	"time"
 
 	"calliope/internal/blockdev"
-	"calliope/internal/simhw"
 )
-
-// TestDefaultSimConfigMatchesSimhw pins the Sim device's mechanical
-// calibration to simhw.DefaultConfig's disk constants: the wall-clock
-// bench device and the discrete-event model must describe the same
-// 1996 Barracuda, or E6 (simulated elevator gain) and BenchmarkIOSched
-// (live-path elevator gain) stop being comparable.
-func TestDefaultSimConfigMatchesSimhw(t *testing.T) {
-	got := blockdev.DefaultSimConfig()
-	want := simhw.DefaultConfig()
-	if got.SeekSettle != want.SeekSettle {
-		t.Errorf("SeekSettle %v, simhw has %v", got.SeekSettle, want.SeekSettle)
-	}
-	if got.SeekFullSpan != want.SeekFullSpan {
-		t.Errorf("SeekFullSpan %v, simhw has %v", got.SeekFullSpan, want.SeekFullSpan)
-	}
-	if got.RotationPeriod != want.RotationPeriod {
-		t.Errorf("RotationPeriod %v, simhw has %v", got.RotationPeriod, want.RotationPeriod)
-	}
-	if got.MediaRate != want.MediaRate {
-		t.Errorf("MediaRate %v, simhw has %v", got.MediaRate, want.MediaRate)
-	}
-}
 
 // fastSim builds a Sim over fresh memory with mechanical delays scaled
 // down to keep the test quick but nonzero.

@@ -70,8 +70,8 @@ func TestScalabilityRunSmall(t *testing.T) {
 	// The rate control should land near the target. Bounds are loose:
 	// the whole test suite may be hammering this host in parallel, so
 	// wall-clock behaviour degrades even though scheduling is cheap
-	// (the precise numbers come from BenchmarkCoordinatorScale and
-	// calliope-bench, run in isolation).
+	// (the precise numbers come from BenchmarkCoordinatorScale, run in
+	// isolation).
 	if res.AchievedRate < cfg.Rate*0.3 || res.AchievedRate > cfg.Rate*1.3 {
 		t.Errorf("achieved %.1f req/s, target %.1f", res.AchievedRate, cfg.Rate)
 	}

@@ -7,8 +7,7 @@ package msu
 // model — seek curve, rotational latency, media rate — scaled down by
 // TimeScale. The unscheduled path this once ran beside is gone; its
 // numbers are in BENCH_8.json (7.6k vs 23.9k pkts/s). The session
-// harness lives in measure.go, shared with cmd/calliope-bench's -json
-// output.
+// harness lives in measure.go, shared with bench/'s MSU probe.
 
 import (
 	"fmt"

@@ -4,8 +4,7 @@ package msu
 // session harness BenchmarkIOSched, BenchmarkPlayerDeliveryPath and
 // BenchmarkPlayerHotReplay run in-package — an MSU built by New, its
 // streams on the prefetch ring, instrumentation on — is exposed here so
-// cmd/calliope-bench and bench/ measure the same path (-json,
-// BENCH_8.json).
+// bench/ measures the same path.
 
 import (
 	"fmt"
@@ -20,19 +19,14 @@ import (
 	"calliope/internal/units"
 )
 
-// BenchResult is one machine-readable benchmark entry — the schema
-// cmd/calliope-bench's -json flag emits. What one "op" is depends on
-// the benchmark: a delivered packet for delivery, a full multi-reader
+// BenchResult is one measurement. What one "op" is depends on the
+// benchmark: a delivered packet for delivery, a full multi-reader
 // session for iosched (PktsPerSec is comparable across both).
 type BenchResult struct {
-	Name        string  `json:"name"`
-	PktsPerSec  float64 `json:"pkts_s"`
-	NsPerOp     float64 `json:"ns_op"`
-	AllocsPerOp float64 `json:"allocs_op"`
-	// Mechanical counters from the Sim-backed volume, per op; absent
-	// for memory-backed measurements.
-	SeekMBPerOp float64 `json:"seek_mb_op,omitempty"`
-	XfersPerOp  float64 `json:"xfers_op,omitempty"`
+	Name        string
+	PktsPerSec  float64
+	NsPerOp     float64
+	AllocsPerOp float64
 }
 
 // flatPackets builds 4 KB packets all at delivery time zero, so streams
@@ -163,8 +157,6 @@ func MeasureIOSched(sessions int) ([]BenchResult, error) {
 		defer cleanup() // each tears its stream down before the MSU closes
 		streams[i] = s
 	}
-	sim := vol.Device().(*blockdev.Sim)
-	seekBase, opsBase := sim.SeekBytes(), sim.Ops()
 	elapsed, allocs, err := runSessions(streams, sessions)
 	if err != nil {
 		return nil, err
@@ -175,8 +167,6 @@ func MeasureIOSched(sessions int) ([]BenchResult, error) {
 		PktsPerSec:  readers * packets * n / elapsed.Seconds(),
 		NsPerOp:     float64(elapsed.Nanoseconds()) / n,
 		AllocsPerOp: allocs / n,
-		SeekMBPerOp: float64(sim.SeekBytes()-seekBase) / n / 1e6,
-		XfersPerOp:  float64(sim.Ops()-opsBase) / n,
 	}}, nil
 }
 

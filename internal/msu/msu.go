@@ -32,7 +32,6 @@ import (
 	"calliope/internal/iosched"
 	"calliope/internal/msufs"
 	"calliope/internal/obs"
-	"calliope/internal/protocol"
 	"calliope/internal/queue"
 	"calliope/internal/trace"
 	"calliope/internal/units"
@@ -63,9 +62,6 @@ type Config struct {
 	// alternative layout): the MSU then advertises one logical disk
 	// whose capacity and bandwidth are the sum of its members.
 	Striped bool
-	// Registry supplies protocol extension modules; nil selects
-	// protocol.Default.
-	Registry *protocol.Registry
 	// DiskBandwidth is the per-disk delivery budget advertised to the
 	// Coordinator. Zero lets the Coordinator pick its default.
 	DiskBandwidth units.BitRate
@@ -176,9 +172,6 @@ func New(cfg Config) (*MSU, error) {
 	}
 	if cfg.Host == "" {
 		cfg.Host = "127.0.0.1"
-	}
-	if cfg.Registry == nil {
-		cfg.Registry = protocol.Default
 	}
 	if cfg.ReconnectInterval <= 0 {
 		cfg.ReconnectInterval = 500 * time.Millisecond

@@ -188,7 +188,7 @@ func TestNewValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer m.Close() //nolint:errcheck
-	if m.cfg.Host == "" || m.cfg.Registry == nil || m.cfg.ReconnectInterval <= 0 {
+	if m.cfg.Host == "" || m.cfg.ReconnectInterval <= 0 {
 		t.Error("defaults not applied")
 	}
 	// Start against a dead coordinator fails cleanly.

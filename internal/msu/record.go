@@ -43,7 +43,7 @@ type recorder struct {
 // newRecordStream creates the content file, reserves the estimate, and
 // opens the receive sockets.
 func (m *MSU) newRecordStream(spec core.StreamSpec, vol msufs.Store) (*stream, *wire.StartStreamOK, error) {
-	ext, err := m.cfg.Registry.New(spec.Protocol, protocol.Config{Rate: spec.Rate})
+	ext, err := protocol.Default.New(spec.Protocol, protocol.Config{Rate: spec.Rate})
 	if err != nil {
 		return nil, nil, err
 	}

@@ -32,6 +32,7 @@ import (
 	"math/rand"
 	"time"
 
+	"calliope/internal/blockdev"
 	"calliope/internal/sim"
 	"calliope/internal/units"
 )
@@ -39,11 +40,8 @@ import (
 // Config holds the machine's calibration constants.
 type Config struct {
 	// Disk mechanism.
-	SeekSettle     time.Duration // head settle per repositioning
-	SeekFullSpan   time.Duration // seek time across the whole disk (scaled by sqrt of fraction)
-	RotationPeriod time.Duration // one revolution (7200 rpm → 8.33 ms)
-	MediaRate      units.BitRate // platter transfer rate
-	DiskBlocks     int64         // addressable span used for seek distances
+	blockdev.Mechanism
+	DiskBlocks int64 // addressable span used for seek distances
 
 	// SCSI bus (per HBA).
 	BusRate        units.BitRate // burst rate disk buffer → host
@@ -80,11 +78,8 @@ type Config struct {
 // §3.1–3.2.3 measurements.
 func DefaultConfig() Config {
 	return Config{
-		SeekSettle:     1500 * time.Microsecond,
-		SeekFullSpan:   8 * time.Millisecond,
-		RotationPeriod: 8333 * time.Microsecond, // 7200 rpm
-		MediaRate:      64 * units.Mbps,         // 8 MB/s platter rate
-		DiskBlocks:     8192,                    // 2 GB in 256 KB blocks
+		Mechanism:  blockdev.Barracuda(),
+		DiskBlocks: 8192, // 2 GB in 256 KB blocks
 
 		BusRate:        80 * units.Mbps, // 10 MB/s fast SCSI
 		BusArbitration: time.Millisecond,
@@ -378,8 +373,8 @@ func (d *Disk) pick() diskReq {
 	return r
 }
 
-// seekTime models the seek curve: settle + full-span seek scaled by the
-// square root of the fractional distance (arm acceleration).
+// seekTime is the mechanism's seek curve over the fraction of
+// DiskBlocks the arm travels, clamped at the full span.
 func (d *Disk) seekTime(from, to int64) time.Duration {
 	if from == to {
 		return 0
@@ -392,7 +387,7 @@ func (d *Disk) seekTime(from, to int64) time.Duration {
 	if frac > 1 {
 		frac = 1
 	}
-	return d.m.cfg.SeekSettle + time.Duration(float64(d.m.cfg.SeekFullSpan)*math.Sqrt(frac))
+	return d.m.cfg.Seek(frac)
 }
 
 // dispatch starts the next queued request if the mechanism is idle.

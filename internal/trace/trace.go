@@ -56,18 +56,6 @@ func (r *Recorder) MaxLateness() time.Duration {
 	return sorted[len(sorted)-1]
 }
 
-// Mean reports the average lateness.
-func (r *Recorder) Mean() time.Duration {
-	if len(r.lateness) == 0 {
-		return 0
-	}
-	var sum time.Duration
-	for _, l := range r.lateness {
-		sum += l
-	}
-	return sum / time.Duration(len(r.lateness))
-}
-
 // Percentile reports the p-th percentile lateness (0 < p ≤ 100).
 func (r *Recorder) Percentile(p float64) time.Duration {
 	if len(r.lateness) == 0 || p <= 0 {
@@ -116,16 +104,6 @@ func (r *Recorder) CDF(maxMs int) []float64 {
 		out[i] = 100 * float64(cum) / total
 	}
 	return out
-}
-
-// Beyond reports how many packets were delivered more than maxMs
-// milliseconds late — the tail a CDF(maxMs) plot leaves off the right
-// edge (its last bin tops out below 100% by exactly these packets).
-func (r *Recorder) Beyond(maxMs int) int {
-	sorted := r.sortedLateness()
-	return len(sorted) - sort.Search(len(sorted), func(i int) bool {
-		return int(sorted[i]/time.Millisecond) > maxMs
-	})
 }
 
 // Series is one labelled CDF curve, e.g. "22 1.5 Mbit/s streams".

@@ -28,14 +28,11 @@ func TestRecordAndPercentWithin(t *testing.T) {
 	if got := r.MaxLateness(); got != 200*time.Millisecond {
 		t.Errorf("MaxLateness = %v", got)
 	}
-	if got := r.Mean(); got != 57500*time.Microsecond {
-		t.Errorf("Mean = %v", got)
-	}
 }
 
 func TestEmptyRecorder(t *testing.T) {
 	var r Recorder
-	if r.PercentWithin(time.Second) != 0 || r.MaxLateness() != 0 || r.Mean() != 0 || r.Percentile(99) != 0 {
+	if r.PercentWithin(time.Second) != 0 || r.MaxLateness() != 0 || r.Percentile(99) != 0 {
 		t.Error("empty recorder should report zeros")
 	}
 	cdf := r.CDF(10)
@@ -119,32 +116,6 @@ func TestPercentileCacheInvalidation(t *testing.T) {
 	}
 	if got := r.Percentile(100); got != 199*time.Millisecond {
 		t.Fatalf("P100 after growth = %v, want 199ms", got)
-	}
-}
-
-// TestBeyond pins the tail count a CDF(maxMs) plot leaves off the
-// right edge, matching CDF's millisecond binning exactly.
-func TestBeyond(t *testing.T) {
-	var r Recorder
-	// Lateness: 0, 5ms, 10.4ms (bin 10), 11ms, 500ms.
-	for _, late := range []time.Duration{0, 5 * time.Millisecond, 10400 * time.Microsecond, 11 * time.Millisecond, 500 * time.Millisecond} {
-		r.Record(0, late)
-	}
-	if got := r.Beyond(10); got != 2 {
-		t.Errorf("Beyond(10) = %d, want 2 (11ms and 500ms)", got)
-	}
-	if got := r.Beyond(500); got != 0 {
-		t.Errorf("Beyond(500) = %d, want 0", got)
-	}
-	// Beyond accounts for every packet the CDF's last bin does not.
-	cdf := r.CDF(10)
-	counted := cdf[10] / 100 * float64(r.Count())
-	if int(counted+0.5)+r.Beyond(10) != r.Count() {
-		t.Errorf("CDF(10) end %.1f%% + Beyond(10) %d ≠ Count %d", cdf[10], r.Beyond(10), r.Count())
-	}
-	var empty Recorder
-	if empty.Beyond(10) != 0 {
-		t.Error("empty recorder should report zero Beyond")
 	}
 }
 
