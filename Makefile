@@ -40,8 +40,8 @@ leakcheck:
 # the Coordinator crash–restart scenarios backed by internal/admindb,
 # the restart-equivalence walk (a restart replays to the live tables),
 # the failed-commit and idempotent-replay tests, the admission core's
-# plan/rollback and ledger-conservation tests, the Coordinator core's
-# socket-free sequence tests (TestCore*), the Close-wakes-the-queue
+# plan/rollback and ledger-conservation tests, the Coordinator's and the
+# MSU's socket-free core tests and seeded walks (TestCore*), the Close-wakes-the-queue
 # tests, the MSU's quit-acknowledgement and stop-drains-the-sink
 # regressions, and the content lifecycle's crash half: a recording whose
 # publish fails is aborted (TestFaultRecorderPublishFailureAborts), a

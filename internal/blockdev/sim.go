@@ -56,11 +56,13 @@ func DefaultSimConfig() SimConfig {
 }
 
 // Sim wraps a backing device (usually Mem) with the mechanical timing
-// of one disk. The mechanism is a single resource: transfers serialize
-// on an internal mutex and each sleeps for its modelled seek + rotation
-// + media time (divided by TimeScale) before the backing I/O runs.
-// Concurrent callers therefore contend exactly the way unscheduled
-// readers contend for a real spindle.
+// of one disk. The mechanism is a single resource: each transfer books
+// it, in the order transfers take an internal mutex, for its modelled
+// seek + rotation + media time (divided by TimeScale) from when the one
+// booked before it ends, and sleeps to the end of its booking — outside
+// the mutex — before the backing I/O runs. Concurrent callers therefore
+// contend exactly the way unscheduled readers contend for a real
+// spindle, and the counters answer while a transfer is in flight.
 type Sim struct {
 	dev BlockDevice
 	cfg SimConfig
@@ -71,6 +73,7 @@ type Sim struct {
 	ops       int64
 	seekBytes int64
 	busy      time.Duration // unscaled mechanical time
+	free      time.Time     // when the last transfer booked ends
 }
 
 // NewSim wraps dev with the mechanical model.
@@ -81,10 +84,12 @@ func NewSim(dev BlockDevice, cfg SimConfig) *Sim {
 	return &Sim{dev: dev, cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed))}
 }
 
-// occupy holds the mechanism for one transfer of total bytes at off:
-// it accounts the seek, sleeps the scaled mechanical time, and leaves
-// the head at the transfer's end. Callers hold s.mu.
-func (s *Sim) occupy(off, total int64) {
+// occupy books the mechanism for one transfer of total bytes at off: it
+// accounts the seek, leaves the head at the transfer's end, and returns
+// when the transfer ends — the scaled mechanical time after the later of
+// now and the end of the transfer booked before it. Callers hold s.mu,
+// and sleep until the end after unlocking it (transfer).
+func (s *Sim) occupy(off, total int64) time.Time {
 	dist := off - s.head
 	if dist < 0 {
 		dist = -dist
@@ -102,14 +107,26 @@ func (s *Sim) occupy(off, total int64) {
 	s.ops++
 	s.seekBytes += dist
 	s.busy += cost
-	time.Sleep(time.Duration(float64(cost) / s.cfg.TimeScale))
+	start := time.Now()
+	if s.free.After(start) {
+		start = s.free
+	}
+	s.free = start.Add(time.Duration(float64(cost) / s.cfg.TimeScale))
+	return s.free
+}
+
+// transfer books the mechanism for total bytes at off and waits out the
+// booking.
+func (s *Sim) transfer(off, total int64) {
+	s.mu.Lock()
+	end := s.occupy(off, total)
+	s.mu.Unlock()
+	time.Sleep(time.Until(end))
 }
 
 // ReadAt implements BlockDevice with mechanical timing.
 func (s *Sim) ReadAt(p []byte, off int64) error {
-	s.mu.Lock()
-	s.occupy(off, int64(len(p)))
-	s.mu.Unlock()
+	s.transfer(off, int64(len(p)))
 	return s.dev.ReadAt(p, off)
 }
 
@@ -121,17 +138,13 @@ func (s *Sim) ReadAtv(off int64, bufs ...[]byte) error {
 	for _, b := range bufs {
 		total += int64(len(b))
 	}
-	s.mu.Lock()
-	s.occupy(off, total)
-	s.mu.Unlock()
+	s.transfer(off, total)
 	return ReadVector(s.dev, off, bufs...)
 }
 
 // WriteAt implements BlockDevice with mechanical timing.
 func (s *Sim) WriteAt(p []byte, off int64) error {
-	s.mu.Lock()
-	s.occupy(off, int64(len(p)))
-	s.mu.Unlock()
+	s.transfer(off, int64(len(p)))
 	return s.dev.WriteAt(p, off)
 }
 

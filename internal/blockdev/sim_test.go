@@ -2,10 +2,12 @@ package blockdev_test
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 	"time"
 
 	"calliope/internal/blockdev"
+	"calliope/internal/units"
 )
 
 // fastSim builds a Sim over fresh memory with mechanical delays scaled
@@ -136,5 +138,50 @@ func TestSimTimeScale(t *testing.T) {
 	}
 	if busy := s.BusyTime(); busy < cfg.MediaRate.Duration(64*1024) {
 		t.Fatalf("BusyTime %v below the unscaled transfer time", busy)
+	}
+}
+
+// TestSimSleepsOutsideItsLock: a transfer sleeps out its mechanical time
+// without holding the Sim's lock, so Ops answers while a long one is in
+// flight; and the mechanism is still one resource, so two concurrent
+// transfers finish no earlier than the sum of their costs.
+func TestSimSleepsOutsideItsLock(t *testing.T) {
+	m, err := blockdev.NewMem(1 << 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := blockdev.DefaultSimConfig()
+	cfg.SeekSettle, cfg.SeekFullSpan, cfg.RotationPeriod = 0, 0, 0 // media time alone
+	cfg.MediaRate = units.Mbps
+	const n = 37500 // 300 ms at 1 Mbit/s
+	cost := cfg.MediaRate.Duration(n)
+	s := blockdev.NewSim(m, cfg)
+	read := func(done chan<- time.Time) {
+		if err := s.ReadAt(make([]byte, n), 0); err != nil {
+			t.Error(err)
+		}
+		done <- time.Now()
+	}
+
+	start := time.Now()
+	done := make(chan time.Time, 2)
+	go read(done)
+	for s.Ops() == 0 {
+		runtime.Gosched()
+	}
+	if took := time.Since(start); took > cost/2 {
+		t.Fatalf("Ops saw the transfer after %v: it waited for the %v transfer", took, cost)
+	}
+	<-done
+
+	start = time.Now()
+	go read(done)
+	go read(done)
+	<-done
+	if last := <-done; last.Sub(start) < 2*cost {
+		t.Fatalf("two concurrent %v transfers both done after %v", cost, last.Sub(start))
+	}
+	if got := s.Ops(); got != 3 {
+		t.Fatalf("Ops = %d, want 3", got)
 	}
 }

@@ -103,14 +103,18 @@ func (d *gatedDev) callLog() []devCall {
 	return append([]devCall(nil), d.calls...)
 }
 
+// waiting is how many calls are parked at the gate.
+func (d *gatedDev) waiting() int {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.parked
+}
+
 // awaitParked waits for a call to be parked at the gate.
 func (d *gatedDev) awaitParked(t *testing.T, when string) {
 	t.Helper()
 	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
-		d.mu.Lock()
-		parked := d.parked
-		d.mu.Unlock()
-		if parked > 0 {
+		if d.waiting() > 0 {
 			return
 		}
 		if time.Now().After(deadline) {
@@ -192,15 +196,16 @@ func (r *budgetRig) held() int {
 // every VCR command after it repositions.
 func (r *budgetRig) stream() *stream {
 	r.t.Helper()
-	r.m.mu.Lock()
-	defer r.m.mu.Unlock()
-	if len(r.m.streams) != 1 {
-		r.t.Fatalf("%d streams on the rig, want 1", len(r.m.streams))
+	var all []*stream
+	r.m.inspect(func(e *engine) {
+		for _, m := range e.streams {
+			all = append(all, m.s)
+		}
+	})
+	if len(all) != 1 {
+		r.t.Fatalf("%d streams on the rig, want 1", len(all))
 	}
-	for _, s := range r.m.streams {
-		return s
-	}
-	return nil
+	return all[0]
 }
 
 // awaitEnd waits for the stream to reach the end of what it plays.

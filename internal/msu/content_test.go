@@ -199,9 +199,7 @@ func (r *vcrRig) drained() {
 	r.t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		r.m.mu.Lock()
-		n := len(r.m.streams)
-		r.m.mu.Unlock()
+		n, _ := r.m.live()
 		if n == 0 {
 			r.emptySink()
 			return

@@ -127,7 +127,8 @@ func benchFirstPacket(b *testing.B, writeEvery time.Duration, cache units.ByteSi
 		if streams[i], err = m.newPlayStream(spec, m.stores[0]); err != nil {
 			b.Fatal(err)
 		}
-		b.Cleanup(streams[i].teardown)
+		s := streams[i]
+		b.Cleanup(func() { s.teardown() })
 		if _, err := streams[i].tree.PageCursorAt(pos); err != nil {
 			b.Fatal(err)
 		}
@@ -166,7 +167,7 @@ func benchFirstPacket(b *testing.B, writeEvery time.Duration, cache units.ByteSi
 		s := streams[i%titles]
 		sink.SetReadDeadline(time.Now().Add(10 * time.Second)) //nolint:errcheck
 		start := time.Now()
-		if err := s.playAt(core.Normal, pos); err != nil {
+		if err := s.playAt(core.Normal, pos, 0); err != nil {
 			b.Fatal(err)
 		}
 		if _, _, err := sink.ReadFromUDP(buf); err != nil {
@@ -174,7 +175,7 @@ func benchFirstPacket(b *testing.B, writeEvery time.Duration, cache units.ByteSi
 		}
 		waited += time.Since(start)
 		b.StopTimer()
-		s.vcr("pause", 0)                    //nolint:errcheck // a play stream always pauses
+		s.vcr("pause", 0, 0)                 //nolint:errcheck // a play stream always pauses
 		for err := error(nil); err == nil; { // what was sent before the stop
 			sink.SetReadDeadline(time.Now().Add(time.Millisecond)) //nolint:errcheck
 			_, _, err = sink.ReadFromUDP(buf)

@@ -96,9 +96,12 @@ func (r *budgetRig) await(what string, cond func() bool) {
 func (r *budgetRig) quitting(s *stream) {
 	r.t.Helper()
 	r.await("the quit to begin", func() bool {
-		s.group.mu.Lock()
-		defer s.group.mu.Unlock()
-		return s.group.quitted
+		quit := false
+		r.m.inspect(func(e *engine) {
+			g := e.groups[s.spec.Group]
+			quit = g == nil || g.cause != ""
+		})
+		return quit
 	})
 }
 

@@ -91,7 +91,7 @@ func openBenchStream(m *MSU, disk int, id core.StreamID, name string) (*stream, 
 // then pauses them.
 func playSession(streams []*stream) error {
 	for _, s := range streams {
-		if err := s.playAt(core.Normal, 0); err != nil {
+		if err := s.playAt(core.Normal, 0, 0); err != nil {
 			return err
 		}
 	}
@@ -105,7 +105,7 @@ func playSession(streams []*stream) error {
 		}
 	}
 	for _, s := range streams {
-		s.vcr("pause", 0) //nolint:errcheck // a play stream always pauses
+		s.vcr("pause", 0, 0) //nolint:errcheck // a play stream always pauses
 	}
 	return nil
 }

@@ -4,13 +4,18 @@
 // data, manages its disks through the user-level file system
 // (internal/msufs) with IB-tree content files (internal/ibtree), and
 // processes VCR commands arriving on a per-group TCP control
-// connection it opens to the client. A central handler takes RPCs from
-// the Coordinator. As in the paper, the data moves between processes
-// joined by lock-free shared-memory queues (internal/queue): each playing
-// stream has one disk process, which reads its pages with double
-// buffering and takes its VCR commands as messages, and the MSU has one
-// network process, the sender, which paces every stream's packets onto
-// the wire. MSUs never talk to each other.
+// connection it opens to the client. A central RPC process serves the
+// Coordinator and those connections. It is a core and a shell, as the
+// Coordinator is: the core (engine.go) owns the control state and takes
+// no lock, reads no clock and touches no socket, each input one method
+// and its decisions an ordered list; the shell (control.go) feeds it one
+// input at a time under MSU.mu and carries the decisions out, a blocking
+// one's outcome fed back as the next input. As in the paper, the data
+// moves between processes joined by lock-free shared-memory queues
+// (internal/queue): each playing stream has one disk process, which reads
+// its pages with double buffering and takes its VCR commands as messages,
+// and the MSU has one network process, the sender, which paces every
+// stream's packets onto the wire. MSUs never talk to each other.
 //
 // On startup (and after any disconnection) the MSU registers with the
 // Coordinator, reporting its disks, free space, and stored content;
@@ -18,11 +23,10 @@
 package msu
 
 import (
-	"encoding/json"
+	"context"
 	"fmt"
 	"log"
 	"net"
-	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -125,10 +129,6 @@ type MSU struct {
 	// obs holds the MSU's metrics handles (obs.go).
 	obs  msuMetrics
 	send *sender // the network process (send.go), from New to Close
-	// reportMu orders cache reports: reportSeq, the cumulative figures a
-	// report carries and its send go together under it (reportCache).
-	reportMu  sync.Mutex
-	reportSeq uint64
 
 	// contents holds the one shared handle per opened content file
 	// (content.go) and heads the resident heads of each logical disk's
@@ -138,23 +138,30 @@ type MSU struct {
 	contents  map[contentKey]*content
 	heads     []headSet
 
-	mu      sync.Mutex
-	peer    *wire.Peer
-	streams map[core.StreamID]*stream
-	groups  map[uint64]*group
-	// playing counts each disk's play streams; the report clock runs while any do.
-	playing []int
-	clock   *time.Timer
+	// mu is the shell's lock (step): it is held around one input to the
+	// core and its take, and guards the fields below. ctls are the groups'
+	// control connections, and waiters the channels of the requests the core
+	// has yet to answer; fifo holds the messages decided and not yet sent,
+	// draining whether a goroutine is sending them. clock is the report
+	// clock's timer, and drained closes when Close has seen every group go.
+	mu       sync.Mutex
+	eng      *engine
+	peer     *wire.Peer
+	ctls     map[uint64]*wire.Peer
+	waiters  map[uint64]chan action
+	tickets  uint64
+	fifo     []message
+	spare    []message
+	draining bool
+	clock    *time.Timer
+	drained  chan struct{}
 	// transferLn accepts MSU-to-MSU replication transfers; its address
-	// travels in MSUHello. transferConns tracks live copy-out
-	// connections so Close can sever them; repl tracks inbound copy
-	// jobs by Coordinator-assigned transfer id.
-	transferLn    net.Listener
-	transferConns map[net.Conn]struct{}
-	repl          map[uint64]*replJob
-	closed        bool
-	// quit interrupts reconnect backoff sleeps on Close.
-	quit chan struct{}
+	// travels in MSUHello.
+	transferLn net.Listener
+	// ctx ends at Close (cancel): it cuts the redial waits short and severs
+	// the copy-outs in flight.
+	ctx    context.Context
+	cancel context.CancelFunc
 
 	wg sync.WaitGroup
 }
@@ -220,11 +227,12 @@ func New(cfg Config) (*MSU, error) {
 		scheds:     scheds,
 		diskScheds: diskScheds,
 		contents:   make(map[contentKey]*content),
-		streams:    make(map[core.StreamID]*stream),
-		groups:     make(map[uint64]*group),
-		playing:    make([]int, len(stores)),
-		quit:       make(chan struct{}),
+		eng:        newEngine(len(stores)),
+		ctls:       make(map[uint64]*wire.Peer),
+		waiters:    make(map[uint64]chan action),
+		drained:    make(chan struct{}),
 	}
+	m.ctx, m.cancel = context.WithCancel(context.Background())
 	m.obs = newMSUMetrics(obs.New(obs.Options{Now: time.Now}))
 	m.heads = buildHeads(stores, m.caches)
 	for disk := range m.stores {
@@ -297,54 +305,21 @@ func (m *MSU) contended(disk int) bool {
 	return false
 }
 
-// reportEvery is the report clock's period while a disk plays.
-const reportEvery = 250 * time.Millisecond
-
-// armClockLocked arms the report clock, which holds a count on m.wg until
-// its tick has run or Close has stopped it. Callers hold m.mu.
-func (m *MSU) armClockLocked() {
-	if m.clock == nil && !m.closed {
-		m.wg.Add(1)
-		m.clock = time.AfterFunc(reportEvery, m.reportTick)
-	}
-}
-
-// reportTick is the report clock's tick: a report for each disk playing.
-func (m *MSU) reportTick() {
-	defer m.wg.Done()
-	m.mu.Lock()
-	m.clock = nil
-	playing := slices.Clone(m.playing)
-	if slices.Max(playing) > 0 {
-		m.armClockLocked()
-	}
-	m.mu.Unlock()
-	for disk, n := range playing {
-		if n > 0 {
-			m.reportCache(disk)
-		}
-	}
-}
-
 // reportCache advertises one disk's cache heat and I/O-scheduler
 // counters to the Coordinator, which re-evaluates queued admissions on
-// every report. The report clock sends it while the disk plays, and
-// group.quit when the disk's last play stream ends.
-func (m *MSU) reportCache(disk int) {
+// every report. The core numbers the reports (engine.report) and they
+// leave in that order, so one with a higher number never carries older
+// figures or comes first.
+func (m *MSU) reportCache(peer *wire.Peer, disk int, seq uint64) {
 	c := m.cacheFor(disk)
-	// The number is taken with the figures and sent under the same lock: a
-	// report with a higher one never carries older counters or comes first.
-	m.reportMu.Lock()
-	defer m.reportMu.Unlock()
 	io := m.ioStats(disk)
-	if c == nil && io.Requests == 0 {
+	if peer == nil || c == nil && io.Requests == 0 {
 		return
 	}
-	m.reportSeq++
 	// Piggyback the MSU's cumulative metrics snapshot; the Coordinator
 	// diffs it against the last one it merged.
 	snap := m.obs.reg.Portable()
-	report := wire.CacheReport{Seq: m.reportSeq, Disk: disk, IO: io, Obs: &snap}
+	report := wire.CacheReport{Seq: seq, Disk: disk, IO: io, Obs: &snap}
 	if c != nil {
 		report.Stats = c.Stats()
 		for _, cov := range c.Coverage() {
@@ -356,7 +331,7 @@ func (m *MSU) reportCache(disk int) {
 			})
 		}
 	}
-	m.notifyCoordinator(wire.TypeCacheReport, report)
+	peer.Notify(wire.TypeCacheReport, report) //nolint:errcheck // link loss handled by reconnect
 }
 
 // Start connects to the Coordinator and begins serving. It keeps
@@ -387,43 +362,27 @@ func (m *MSU) Start() error {
 
 // Close stops the MSU and all its streams.
 func (m *MSU) Close() error {
-	m.mu.Lock()
-	if m.closed {
-		m.mu.Unlock()
+	first := false
+	var peer *wire.Peer
+	var ln net.Listener
+	m.step(func(time.Time) {
+		if first = !m.eng.closed; !first {
+			return
+		}
+		m.eng.close() // inbound copies abort, every group is quit
+		m.cancel()
+		if m.clock != nil && m.clock.Stop() {
+			m.wg.Done() // a tick that will not run; one running is waited out below
+		}
+		peer, ln = m.peer, m.transferLn
+	})
+	if !first {
 		return nil
 	}
-	m.closed = true
-	close(m.quit)
-	if m.clock != nil && m.clock.Stop() {
-		m.wg.Done() // a tick that will not run; one running is waited out below
-	}
-	peer := m.peer
-	ln := m.transferLn
-	conns := make([]net.Conn, 0, len(m.transferConns))
-	for c := range m.transferConns {
-		conns = append(conns, c)
-	}
-	groups := make([]*group, 0, len(m.groups))
-	for _, g := range m.groups {
-		groups = append(groups, g)
-	}
-	jobs := make([]*replJob, 0, len(m.repl))
-	for _, j := range m.repl {
-		jobs = append(jobs, j)
-	}
-	m.mu.Unlock()
 	if ln != nil {
 		ln.Close() //nolint:errcheck // stops the accept loop
 	}
-	for _, c := range conns {
-		c.Close() //nolint:errcheck // severs in-flight copy-outs
-	}
-	for _, j := range jobs {
-		j.abort() // severs an inbound copy; its job cleans up
-	}
-	for _, g := range groups {
-		g.quit("msu shutdown")
-	}
+	<-m.drained // a group with a command in flight is torn down when it returns
 	var err error
 	if peer != nil {
 		err = peer.Close()
@@ -471,7 +430,7 @@ func (m *MSU) connectOnce() error {
 // hammered by its whole MSU fleet at once.
 func (m *MSU) reconnect() {
 	m.mu.Lock()
-	if m.closed {
+	if m.eng.closed {
 		m.mu.Unlock()
 		return
 	}
@@ -484,7 +443,7 @@ func (m *MSU) reconnect() {
 		for {
 			t := time.NewTimer(b.Next())
 			select {
-			case <-m.quit:
+			case <-m.ctx.Done():
 				t.Stop()
 				return
 			case <-t.C:
@@ -530,165 +489,4 @@ func (m *MSU) buildHello() *wire.MSUHello {
 		hello.Disks = append(hello.Disks, di)
 	}
 	return hello
-}
-
-// notifyCoordinator sends a notification, tolerating a down link (the
-// reconnect path re-registers state).
-func (m *MSU) notifyCoordinator(msgType string, v any) {
-	m.mu.Lock()
-	peer := m.peer
-	m.mu.Unlock()
-	if peer == nil {
-		return
-	}
-	peer.Notify(msgType, v) //nolint:errcheck // link loss handled by reconnect
-}
-
-// handle serves Coordinator RPCs.
-func (m *MSU) handle(msgType string, body json.RawMessage) (any, error) {
-	switch msgType {
-	case wire.TypeStartStream:
-		var req wire.StartStream
-		if err := json.Unmarshal(body, &req); err != nil {
-			return nil, fmt.Errorf("%w: %v", core.ErrBadRequest, err)
-		}
-		return m.startStream(req.Spec)
-	case wire.TypeStopStream:
-		var req wire.StopStream
-		if err := json.Unmarshal(body, &req); err != nil {
-			return nil, fmt.Errorf("%w: %v", core.ErrBadRequest, err)
-		}
-		m.stopStream(req.Stream, "coordinator stop")
-		return nil, nil
-	case wire.TypeDeleteContent:
-		var req wire.DeleteContent
-		if err := json.Unmarshal(body, &req); err != nil {
-			return nil, fmt.Errorf("%w: %v", core.ErrBadRequest, err)
-		}
-		return nil, m.deleteContent(req.Content)
-	case wire.TypeReplicate:
-		var req wire.Replicate
-		if err := json.Unmarshal(body, &req); err != nil {
-			return nil, fmt.Errorf("%w: %v", core.ErrBadRequest, err)
-		}
-		return nil, m.handleReplicate(req)
-	case wire.TypeReplicateAbort:
-		var req wire.ReplicateAbort
-		if err := json.Unmarshal(body, &req); err != nil {
-			return nil, fmt.Errorf("%w: %v", core.ErrBadRequest, err)
-		}
-		m.abortReplication(req.ID)
-		return nil, nil
-	default:
-		return nil, fmt.Errorf("%w: unknown message %q", core.ErrBadRequest, msgType)
-	}
-}
-
-// deleteContent removes an item and its fast-scan companions.
-func (m *MSU) deleteContent(name string) error {
-	m.mu.Lock()
-	for _, s := range m.streams {
-		if s.spec.Content == name {
-			m.mu.Unlock()
-			return fmt.Errorf("%w: %q", core.ErrContentInUse, name)
-		}
-	}
-	m.mu.Unlock()
-	for disk, store := range m.stores {
-		st, err := store.Stat(name)
-		if err != nil {
-			continue
-		}
-		// Title first: cut short, the companions left are swept at next start.
-		return (&fileSet{m: m, disk: disk, store: store, names: itemFiles(st)}).abort()
-	}
-	return fmt.Errorf("%w: %q", core.ErrNoSuchContent, name)
-}
-
-// startStream admits one stream (play or record) and attaches it to
-// its group.
-func (m *MSU) startStream(spec core.StreamSpec) (*wire.StartStreamOK, error) {
-	if err := spec.Validate(); err != nil {
-		return nil, err
-	}
-	if spec.Disk >= len(m.stores) {
-		return nil, fmt.Errorf("%w: disk %d of %d", core.ErrBadRequest, spec.Disk, len(m.stores))
-	}
-	vol := m.stores[spec.Disk]
-
-	var s *stream
-	var resp *wire.StartStreamOK
-	var err error
-	if spec.Record {
-		s, resp, err = m.newRecordStream(spec, vol)
-	} else {
-		s, err = m.newPlayStream(spec, vol)
-		resp = &wire.StartStreamOK{}
-	}
-	if err != nil {
-		return nil, err
-	}
-
-	m.mu.Lock()
-	if m.closed {
-		m.mu.Unlock()
-		s.teardown()
-		return nil, core.ErrSessionClosed
-	}
-	if _, dup := m.streams[spec.Stream]; dup {
-		m.mu.Unlock()
-		s.teardown()
-		return nil, fmt.Errorf("%w: stream %d", core.ErrDuplicateName, spec.Stream)
-	}
-	g := m.groups[spec.Group]
-	if g == nil {
-		g = newGroup(m, spec.Group, spec.GroupSize, spec.ClientTCP)
-		m.groups[spec.Group] = g
-	}
-	m.streams[spec.Stream] = s
-	if !spec.Record {
-		m.playing[spec.Disk]++
-		m.armClockLocked()
-	}
-	s.group = g
-	complete := g.addMember(s)
-	m.mu.Unlock()
-
-	if complete {
-		if err := g.connectClient(); err != nil {
-			m.logf("group %d: client control connection failed: %v", spec.Group, err)
-			g.quit("client unreachable")
-			return nil, fmt.Errorf("msu: connecting client control: %w", err)
-		}
-	}
-	m.obs.streams.Inc()
-	m.logf("stream %d (%s %q) started", spec.Stream, map[bool]string{true: "record", false: "play"}[spec.Record], spec.Content)
-	return resp, nil
-}
-
-// stopStream force-terminates one stream's whole group.
-func (m *MSU) stopStream(id core.StreamID, cause string) {
-	m.mu.Lock()
-	s := m.streams[id]
-	m.mu.Unlock()
-	if s == nil || s.group == nil {
-		return
-	}
-	s.group.quit(cause)
-}
-
-// dropGroup forgets a finished group and returns the disks it leaves idle.
-func (m *MSU) dropGroup(g *group) (idle []int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for _, s := range g.members {
-		delete(m.streams, s.spec.Stream)
-		if d := s.spec.Disk; !s.spec.Record {
-			if m.playing[d]--; m.playing[d] == 0 {
-				idle = append(idle, d)
-			}
-		}
-	}
-	delete(m.groups, g.id)
-	return idle
 }

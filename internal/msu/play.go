@@ -14,13 +14,13 @@ import (
 	"calliope/internal/msufs"
 	"calliope/internal/protocol"
 	"calliope/internal/queue"
+	"calliope/internal/wire"
 )
 
 // stream is one active play or record stream on the MSU.
 type stream struct {
-	m     *MSU
-	spec  core.StreamSpec
-	group *group
+	m    *MSU
+	spec core.StreamSpec
 
 	// Playback state.
 	tree     *ibtree.Tree
@@ -60,9 +60,11 @@ type stream struct {
 }
 
 // command is what a stream's disk process is told: play a cue — a file,
-// from a position in its own time — pause, or end.
+// from a position in its own time — pause, or end. A cue carries its
+// group's number for it (engine.group.cues), which its end reports.
 type command struct {
 	op     int
+	n      uint64
 	tree   *ibtree.Tree
 	file   msufs.StoreFile
 	cname  string // the cache's key: the name of the file read
@@ -133,14 +135,15 @@ func (m *MSU) newPlayStream(spec core.StreamSpec, vol msufs.Store) (*stream, err
 }
 
 // teardown stops all activity, settles a recording and closes sockets.
-// Then every packet it sent is counted, for group.quit's cache report.
-func (s *stream) teardown() {
+// Then every packet it sent is counted, for the report its disk sends if
+// the stream leaves it idle. A recording it publishes is returned.
+func (s *stream) teardown() (done *wire.RecordingDone) {
 	if s.done != nil {
 		s.cmds <- command{op: opQuit}
 		<-s.done
 	}
 	if s.rec != nil {
-		s.rec.finish()
+		done = s.rec.finish()
 	}
 	if s.dataConn != nil {
 		s.dataConn.Close()
@@ -148,6 +151,7 @@ func (s *stream) teardown() {
 	if s.ctrlConn != nil {
 		s.ctrlConn.Close()
 	}
+	return done
 }
 
 // position reports the stream's normal-rate position.
@@ -186,9 +190,15 @@ func (s *stream) ended() <-chan struct{} {
 // vcr applies one VCR command (§2.1): pause keeps the position, play
 // resumes normal-rate delivery from it, seek repositions at the current
 // speed, and a scan switches to the fast-forward or fast-backward
-// companion file at the current frame (§2.3.1).
-func (s *stream) vcr(op string, pos time.Duration) error {
-	if s.spec.Record {
+// companion file at the current frame (§2.3.1). A cue it starts is cue n.
+// "begin" is a group's first start: a player plays from 0.
+func (s *stream) vcr(op string, pos time.Duration, n uint64) error {
+	switch {
+	case op == "begin" && s.spec.Record:
+		return nil // a recorder runs as soon as packets arrive
+	case op == "begin":
+		return s.playAt(core.Normal, 0, n)
+	case s.spec.Record:
 		return fmt.Errorf("%w: cannot %s a recording", core.ErrBadRequest, op)
 	}
 	s.mu.Lock()
@@ -209,13 +219,13 @@ func (s *stream) vcr(op string, pos time.Duration) error {
 	default:
 		return fmt.Errorf("%w: vcr op %q", core.ErrBadRequest, op)
 	}
-	return s.playAt(speed, at)
+	return s.playAt(speed, at, n)
 }
 
-// playAt has the disk process play at the given speed from the given
+// playAt has the disk process play cue n at the given speed from the given
 // normal-rate position; a scan with no companion is refused first.
-func (s *stream) playAt(sp core.Speed, normalPos time.Duration) error {
-	c := command{op: opPlay, tree: s.tree, file: s.file, cname: s.spec.Content, speed: sp, from: normalPos, normal: normalPos}
+func (s *stream) playAt(sp core.Speed, normalPos time.Duration, n uint64) error {
+	c := command{op: opPlay, n: n, tree: s.tree, file: s.file, cname: s.spec.Content, speed: sp, from: normalPos, normal: normalPos}
 	if sp != core.Normal {
 		// The cache indexes pages by the name of the file actually being
 		// read: the companion here.
@@ -238,7 +248,8 @@ func (s *stream) playAt(sp core.Speed, normalPos time.Duration) error {
 
 // command hands c to the stream's disk process — starting it with c, the
 // first time — and waits for the ack, by which the sender holds nothing of
-// what was playing. Commands come one at a time (group.vcrMu).
+// what was playing. Commands come one at a time: the MSU's core has a
+// group's members take one at a time (engine.run).
 func (s *stream) command(c command) {
 	if s.done == nil {
 		s.done = make(chan struct{})
@@ -307,9 +318,6 @@ func (s *stream) reposition(c command, f *fetcher) {
 	}
 	s.speed, s.pos, s.eof = c.speed, c.normal, false
 	s.mu.Unlock()
-	if s.group != nil {
-		s.group.clearEOF()
-	}
 	f.restart()
 }
 
@@ -350,9 +358,7 @@ func (s *stream) playerEOF() {
 	}
 	s.mu.Unlock()
 	s.m.obs.eofs.Inc()
-	if s.group != nil {
-		s.group.memberEOF()
-	}
+	s.m.step(func(time.Time) { s.m.eng.ended(s.spec.Stream, s.cue.n) })
 }
 
 // descriptor flows through the shared-memory queue from a stream's disk

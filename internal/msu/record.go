@@ -190,9 +190,10 @@ func (r *recorder) stop() {
 }
 
 // finish settles the recording, once, at teardown: what arrived is
-// published; an empty recording (ibtree.ErrEmpty) or a failed publish is
-// aborted — file removed, reservation back.
-func (r *recorder) finish() {
+// published, and the Coordinator is to hear of it (done); an empty
+// recording (ibtree.ErrEmpty) or a failed publish is aborted — file
+// removed, reservation back.
+func (r *recorder) finish() (done *wire.RecordingDone) {
 	s := r.s
 	r.stop() // nothing appends after this
 	r.mu.Lock()
@@ -205,15 +206,15 @@ func (r *recorder) finish() {
 	if err != nil {
 		rmErr := r.w.set.abort()
 		s.m.logf("stream %d: recording %q discarded: %v (removal: %v)", s.spec.Stream, s.spec.Content, err, rmErr)
-		return
+		return nil
 	}
-	s.m.notifyCoordinator(wire.TypeRecordingDone, wire.RecordingDone{
+	s.m.logf("stream %d: recording %q committed (%d packets, %v)", s.spec.Stream, s.spec.Content, meta.Packets, meta.Length)
+	return &wire.RecordingDone{
 		Stream:  s.spec.Stream,
 		Content: s.spec.Content,
 		Type:    s.spec.Type,
 		Disk:    s.spec.Disk,
 		Length:  meta.Length,
 		Size:    units.ByteSize(r.w.file.Size()),
-	})
-	s.m.logf("stream %d: recording %q committed (%d packets, %v)", s.spec.Stream, s.spec.Content, meta.Packets, meta.Length)
+	}
 }

@@ -70,9 +70,7 @@ func TestFaultRecorderWriteFailureLogsOnce(t *testing.T) {
 	r := newVCRRigOn(t, Config{Volumes: []*msufs.Volume{vol}, Logger: log.New(&logs, "", 0)})
 	free := r.m.stores[0].FreeBlocks()
 	_, vcr := r.record("take")
-	r.m.mu.Lock()
-	rec := r.m.streams[core.StreamID(r.next)].rec
-	r.m.mu.Unlock()
+	rec := r.m.streamByID(core.StreamID(r.next)).rec
 	appendLog := fmt.Sprintf("stream %d: append", r.next)
 
 	// 1000-byte packets, 64 records to a 64 KB page: packet 64 closes
@@ -142,9 +140,7 @@ func TestFaultRecorderWriteFailureLogsOnce(t *testing.T) {
 	// finish, the recording is discarded and its reservation comes back.
 	free = r.m.stores[0].FreeBlocks()
 	_, vcr = r.record("take2")
-	r.m.mu.Lock()
-	rec = r.m.streams[core.StreamID(r.next)].rec
-	r.m.mu.Unlock()
+	rec = r.m.streamByID(core.StreamID(r.next)).rec
 	if _, off, err = rec.w.file.Locate(0); err != nil {
 		t.Fatal(err)
 	}
@@ -176,9 +172,7 @@ func TestStopKeepsWhatTheSinkHolds(t *testing.T) {
 	const packets = 40 // 40 KB: well inside the kernel's default receive buffer
 	conn, vcr := r.record("take")
 	defer vcr.Close() //nolint:errcheck // the MSU closes its end too
-	r.m.mu.Lock()
-	rec := r.m.streams[core.StreamID(r.next)].rec
-	r.m.mu.Unlock()
+	rec := r.m.streamByID(core.StreamID(r.next)).rec
 	rec.mu.Lock()
 	payload := make([]byte, 1000)
 	for i := 0; i < packets; i++ {

@@ -1,10 +1,9 @@
 package msu
 
 import (
+	"context"
 	"errors"
 	"fmt"
-	"net"
-	"sync"
 	"time"
 
 	"calliope/internal/core"
@@ -38,11 +37,10 @@ var errReplAborted = errors.New("msu: replication aborted")
 type replJob struct {
 	m   *MSU
 	req wire.Replicate
-
-	mu      sync.Mutex
-	conn    net.Conn // live transfer connection, nil between dials
-	aborted bool
-	abortCh chan struct{} // closed on abort; interrupts retry sleeps
+	// ctx ends when the job is aborted (cancel): the transfer connection is
+	// severed, which unblocks the Receive loop, and a retry's wait cut short.
+	ctx    context.Context
+	cancel context.CancelFunc
 
 	// set holds every file this job created, in arrival order, files
 	// their copy state. Only the job goroutine touches them once run starts.
@@ -59,8 +57,8 @@ type replFile struct {
 	complete bool
 }
 
-// handleReplicate acks a Coordinator replicate order and runs the copy
-// in the background.
+// handleReplicate acks a Coordinator replicate order; the core has the
+// copy run in the background.
 func (m *MSU) handleReplicate(req wire.Replicate) error {
 	if req.Disk < 0 || req.Disk >= len(m.stores) {
 		return fmt.Errorf("%w: disk %d of %d", core.ErrBadRequest, req.Disk, len(m.stores))
@@ -69,72 +67,14 @@ func (m *MSU) handleReplicate(req wire.Replicate) error {
 	if st, err := store.Stat(req.Content); err == nil && contentType(st) != "" {
 		return fmt.Errorf("%w: %q already stored here", core.ErrBadRequest, req.Content)
 	}
-	job := &replJob{
-		m: m, req: req, set: fileSet{m: m, disk: req.Disk, store: store},
-		abortCh: make(chan struct{}),
-		files:   make(map[string]*replFile),
+	job := &replJob{m: m, req: req, set: fileSet{m: m, disk: req.Disk, store: store}, files: make(map[string]*replFile)}
+	job.ctx, job.cancel = context.WithCancel(context.Background())
+	var err error
+	m.step(func(time.Time) { err = m.eng.replicate(job) })
+	if err != nil {
+		job.cancel()
 	}
-	m.mu.Lock()
-	if m.closed {
-		m.mu.Unlock()
-		return core.ErrSessionClosed
-	}
-	if m.repl == nil {
-		m.repl = make(map[uint64]*replJob)
-	}
-	if _, dup := m.repl[req.ID]; dup {
-		m.mu.Unlock()
-		return fmt.Errorf("%w: replication %d already running", core.ErrBadRequest, req.ID)
-	}
-	m.repl[req.ID] = job
-	m.wg.Add(1)
-	m.mu.Unlock()
-	go job.run()
-	return nil
-}
-
-// abortReplication tears down one job (or silently ignores an unknown
-// id: the job may just have finished).
-func (m *MSU) abortReplication(id uint64) {
-	m.mu.Lock()
-	job := m.repl[id]
-	m.mu.Unlock()
-	if job != nil {
-		job.abort()
-	}
-}
-
-// abort flags the job and severs its current transfer connection, which
-// unblocks the Receive loop with a read error.
-func (j *replJob) abort() {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.aborted {
-		return
-	}
-	j.aborted = true
-	close(j.abortCh)
-	if j.conn != nil {
-		j.conn.Close() //nolint:errcheck // severing; the job cleans up
-	}
-}
-
-func (j *replJob) isAborted() bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.aborted
-}
-
-// setConn swaps in the current transfer connection; false means the job
-// was aborted while dialing and the caller must close conn itself.
-func (j *replJob) setConn(conn net.Conn) bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.aborted {
-		return false
-	}
-	j.conn = conn
-	return true
+	return err
 }
 
 // run drives the copy to commit or cleanup, then reports to the
@@ -142,26 +82,25 @@ func (j *replJob) setConn(conn net.Conn) bool {
 func (j *replJob) run() {
 	m := j.m
 	defer m.wg.Done()
+	defer j.cancel()
 	err := j.pull()
 	if err == nil {
 		err = j.commit()
 	}
-	m.mu.Lock()
-	delete(m.repl, j.req.ID)
-	m.mu.Unlock()
+	var failed *wire.ReplicateFailed
+	if err != nil {
+		j.set.abort() //nolint:errcheck // best effort; a racing delete already removed it
+		if errors.Is(err, errReplAborted) {
+			m.logf("replication %d (%q): aborted, partial blocks freed", j.req.ID, j.req.Content)
+		} else {
+			m.logf("replication %d (%q): %v", j.req.ID, j.req.Content, err)
+			failed = &wire.ReplicateFailed{ID: j.req.ID, Content: j.req.Content, Reason: err.Error(), Bytes: j.bytes}
+		}
+	}
+	m.step(func(time.Time) { m.eng.replicated(j.req.ID, failed) })
 	if err == nil {
 		j.report()
-		return
 	}
-	j.set.abort() //nolint:errcheck // best effort; a racing delete already removed it
-	if errors.Is(err, errReplAborted) {
-		m.logf("replication %d (%q): aborted, partial blocks freed", j.req.ID, j.req.Content)
-		return
-	}
-	m.logf("replication %d (%q): %v", j.req.ID, j.req.Content, err)
-	m.notifyCoordinator(wire.TypeReplicateFailed, wire.ReplicateFailed{
-		ID: j.req.ID, Content: j.req.Content, Reason: err.Error(), Bytes: j.bytes,
-	})
 }
 
 // pull runs transfer attempts until the file set is fully received.
@@ -171,10 +110,7 @@ func (j *replJob) pull() error {
 		if attempt > 0 {
 			t := time.NewTimer(replRetryBase << (attempt - 1))
 			select {
-			case <-j.abortCh:
-				t.Stop()
-				return errReplAborted
-			case <-j.m.quit:
+			case <-j.ctx.Done():
 				t.Stop()
 				return errReplAborted
 			case <-t.C:
@@ -183,7 +119,7 @@ func (j *replJob) pull() error {
 		if err = j.attempt(); err == nil {
 			return nil
 		}
-		if j.isAborted() {
+		if j.ctx.Err() != nil {
 			return errReplAborted
 		}
 	}
@@ -199,12 +135,9 @@ func (j *replJob) attempt() error {
 	if err != nil {
 		return fmt.Errorf("dialing source %s: %w", j.req.Source, err)
 	}
-	if !j.setConn(conn) {
-		conn.Close() //nolint:errcheck // aborted while dialing
-		return errReplAborted
-	}
+	sever := context.AfterFunc(j.ctx, func() { conn.Close() }) //nolint:errcheck // severing; the job cleans up
 	defer func() {
-		j.setConn(nil)
+		sever()
 		conn.Close() //nolint:errcheck // second close after abort is fine
 	}()
 	req := replicate.Request{Content: j.req.Content, Rate: int64(j.req.Rate)}

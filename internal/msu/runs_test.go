@@ -105,10 +105,7 @@ func testBacklogRuns(t *testing.T, width int) {
 	// TestStripedReadOverlap's claim, at rest: every spindle is busy.
 	await("a read parked on each member", func() bool {
 		for _, g := range gates {
-			g.mu.Lock()
-			parked := g.parked
-			g.mu.Unlock()
-			if parked == 0 {
+			if g.waiting() == 0 {
 				return false
 			}
 		}

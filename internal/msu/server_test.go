@@ -418,9 +418,7 @@ func TestGroupClientDialGivesUp(t *testing.T) {
 	// The failed group must not linger.
 	deadline := time.Now().Add(3 * time.Second)
 	for {
-		m.mu.Lock()
-		n := len(m.groups)
-		m.mu.Unlock()
+		_, n := m.live()
 		if n == 0 {
 			break
 		}

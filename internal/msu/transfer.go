@@ -1,6 +1,7 @@
 package msu
 
 import (
+	"context"
 	"fmt"
 	"net"
 	"time"
@@ -39,7 +40,7 @@ func (m *MSU) startTransferListener() error {
 		return fmt.Errorf("msu: transfer listener: %w", err)
 	}
 	m.mu.Lock()
-	if m.closed {
+	if m.eng.closed {
 		m.mu.Unlock()
 		ln.Close() //nolint:errcheck // already shutting down
 		return nil
@@ -60,41 +61,19 @@ func (m *MSU) acceptTransfers(ln net.Listener) {
 		if err != nil {
 			return // listener closed by Close
 		}
-		if !m.trackConn(conn) {
-			conn.Close() //nolint:errcheck // shutting down
-			return
-		}
 		m.wg.Add(1)
 		go func() {
 			defer m.wg.Done()
-			defer m.untrackConn(conn)
+			sever := context.AfterFunc(m.ctx, func() { conn.Close() }) //nolint:errcheck // Close severs a copy-out
+			defer func() {
+				sever()
+				conn.Close() //nolint:errcheck // double-close after a sever is fine
+			}()
 			if err := m.serveTransfer(conn); err != nil {
 				m.logf("transfer: %v", err)
 			}
 		}()
 	}
-}
-
-// trackConn registers a live transfer connection so Close can sever it;
-// false means the MSU is already shutting down.
-func (m *MSU) trackConn(conn net.Conn) bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.closed {
-		return false
-	}
-	if m.transferConns == nil {
-		m.transferConns = make(map[net.Conn]struct{})
-	}
-	m.transferConns[conn] = struct{}{}
-	return true
-}
-
-func (m *MSU) untrackConn(conn net.Conn) {
-	conn.Close() //nolint:errcheck // double-close on the abort path is fine
-	m.mu.Lock()
-	delete(m.transferConns, conn)
-	m.mu.Unlock()
 }
 
 // serveTransfer answers one pull: read the request, resolve the content
