@@ -20,7 +20,7 @@ lint:
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then echo "gofmt -l:"; echo "$$unformatted"; exit 1; fi
 	$(GO) run ./cmd/calliope-vet ./...
 
-# 180 s a package (the root suite takes ~60 s): a shutdown stall — a
+# 180 s a package (the root suite takes ~55 s): a shutdown stall — a
 # request left parked until its 30 s queue timeout — fails the build
 # instead of quietly adding half a minute.
 test:

@@ -10,6 +10,7 @@ import (
 	"calliope/internal/faultinject"
 	"calliope/internal/msu"
 	"calliope/internal/msufs"
+	"calliope/internal/obs"
 	"calliope/internal/units"
 )
 
@@ -185,7 +186,7 @@ func TestClientDisconnectTerminatesStreams(t *testing.T) {
 	}
 	// Delivery stops shortly after.
 	n := recv.Count()
-	time.Sleep(300 * time.Millisecond)
+	time.Sleep(300 * time.Millisecond) // a negative check: the window an ended group must send nothing in
 	if after := recv.Count(); after > n+3 {
 		t.Fatalf("packets still flowing after client death: %d → %d", n, after)
 	}
@@ -602,15 +603,13 @@ func TestStripedRecording(t *testing.T) {
 			t.Fatal(err)
 		}
 		sent = append(sent, pkt)
-		time.Sleep(300 * time.Microsecond)
+		time.Sleep(300 * time.Microsecond) // the source's packet spacing: a burst of 1 KB packets would overflow the recorder's socket buffer
 	}
-	time.Sleep(300 * time.Millisecond)
+	since := cursor(t, c)
 	if err := rec.Stop(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.WaitForContent("take", 5*time.Second); err != nil {
-		t.Fatal(err)
-	}
+	awaitEvent(t, c, since, obs.Event{Kind: obs.EvRecCommit, Content: "take"})
 	// Blocks spread across member volumes.
 	spread := 0
 	for d := 0; d < 3; d++ {

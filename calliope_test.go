@@ -9,6 +9,7 @@ import (
 
 	"calliope/internal/media"
 	"calliope/internal/msufs"
+	"calliope/internal/obs"
 	"calliope/internal/protocol"
 	"calliope/internal/units"
 	"calliope/internal/wire"
@@ -126,19 +127,8 @@ func TestPlayEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The Coordinator frees the stream.
-	deadline := time.Now().Add(3 * time.Second)
-	for {
-		st, err := c.StatusV2()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st.Snapshot.Gauge("active_streams") == 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("streams still active: %+v", st)
-		}
-		time.Sleep(10 * time.Millisecond)
+	if err := c.WaitStreamsIdle(3 * time.Second); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -175,7 +165,7 @@ func TestVCRPauseResumeSeek(t *testing.T) {
 	}
 	// While paused, delivery stops.
 	n1 := recv.Count()
-	time.Sleep(300 * time.Millisecond)
+	time.Sleep(300 * time.Millisecond) // a negative check: the window a paused stream must send nothing in
 	n2 := recv.Count()
 	if n2 > n1+2 { // allow in-flight straggler
 		t.Fatalf("packets kept flowing while paused: %d → %d", n1, n2)
@@ -307,7 +297,7 @@ func TestRecordThenPlayRTP(t *testing.T) {
 			t.Fatal(err)
 		}
 		sent = append(sent, pkt)
-		time.Sleep(500 * time.Microsecond) // fast: ~66x real time
+		time.Sleep(500 * time.Microsecond) // the source's packet spacing, ~66x real time: the length must come from the timestamps
 	}
 	// Interleave a control message too.
 	ctrlConn, err := net.Dial("udp", ctrl)
@@ -318,34 +308,15 @@ func TestRecordThenPlayRTP(t *testing.T) {
 	if _, err := ctrlConn.Write([]byte("RTCP-SR")); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(200 * time.Millisecond) // let the MSU drain the socket
+	since := cursor(t, c)
 	if err := rec.Stop(); err != nil {
 		t.Fatal(err)
 	}
 
 	// The recording appears in the table of contents with ~3s length
 	// (90 frames × 33ms from timestamps, NOT the ~45ms arrival span).
-	var info ContentInfo
-	deadline := time.Now().Add(3 * time.Second)
-	for {
-		items, err := c.ListContent()
-		if err != nil {
-			t.Fatal(err)
-		}
-		found := false
-		for _, it := range items {
-			if it.Name == "talk" {
-				info, found = it, true
-			}
-		}
-		if found {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("recording never committed: %+v", items)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+	awaitEvent(t, c, since, obs.Event{Kind: obs.EvRecCommit, Content: "talk"})
+	info := findContent(t, c, "talk")
 	wantLen := 89 * 3000 * time.Second / 90000
 	if info.Length < wantLen-50*time.Millisecond || info.Length > wantLen+50*time.Millisecond {
 		t.Fatalf("recorded length %v, want ~%v (timestamp-derived)", info.Length, wantLen)
@@ -444,28 +415,22 @@ func TestSeminarCompositeGroup(t *testing.T) {
 	for i := 0; i < 30; i++ {
 		vConn.Write(protocol.EncodeRTP(protocol.RTPHeader{Timestamp: uint32(i * 3000)}, []byte{1, byte(i)})) //nolint:errcheck
 		aConn.Write(protocol.EncodeVAT(protocol.VATHeader{Timestamp: uint32(i * 160)}, []byte{2, byte(i)}))  //nolint:errcheck
-		time.Sleep(time.Millisecond)
 	}
-	time.Sleep(200 * time.Millisecond)
+	since := cursor(t, c)
 	if err := rec.Stop(); err != nil {
 		t.Fatal(err)
 	}
 
-	// The composite parent and both children are in the table.
-	deadline := time.Now().Add(3 * time.Second)
-	for {
-		items, _ := c.ListContent()
-		names := map[string]bool{}
-		for _, it := range items {
-			names[it.Name] = true
-		}
-		if names["talk1"] && names["talk1/rtp-video"] && names["talk1/vat-audio"] {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("composite content incomplete: %v", names)
-		}
-		time.Sleep(10 * time.Millisecond)
+	// The composite parent and both children are in the table: the
+	// parent commits with the last of them.
+	awaitEvent(t, c, since, obs.Event{Kind: obs.EvRecCommit, Content: "talk1"})
+	items, _ := c.ListContent()
+	names := map[string]bool{}
+	for _, it := range items {
+		names[it.Name] = true
+	}
+	if !names["talk1"] || !names["talk1/rtp-video"] || !names["talk1/vat-audio"] {
+		t.Fatalf("composite content incomplete: %v", names)
 	}
 
 	// Play the seminar through the composite port: one group, both
@@ -484,7 +449,7 @@ func TestSeminarCompositeGroup(t *testing.T) {
 		t.Fatal(err)
 	}
 	nv, na := vRecv.Count(), aRecv.Count()
-	time.Sleep(200 * time.Millisecond)
+	time.Sleep(200 * time.Millisecond) // a negative check: the window a paused group must send nothing in
 	if vRecv.Count() > nv+2 || aRecv.Count() > na+2 {
 		t.Fatal("pause did not stop both group members")
 	}
@@ -548,6 +513,7 @@ func TestAdmissionControlAndQueueing(t *testing.T) {
 	}
 
 	// With Wait, the request queues and succeeds once a slot frees.
+	since := cursor(t, c)
 	done := make(chan error, 1)
 	go func() {
 		s, err := c.Play("movie", "tv3", true)
@@ -556,7 +522,7 @@ func TestAdmissionControlAndQueueing(t *testing.T) {
 		}
 		done <- err
 	}()
-	time.Sleep(300 * time.Millisecond) // let it queue
+	awaitEvent(t, c, since, obs.Event{Kind: obs.EvQueue})
 	if err := streams[0].Quit(); err != nil {
 		t.Fatal(err)
 	}
@@ -619,43 +585,22 @@ func TestMSUFailureAndRecovery(t *testing.T) {
 
 	// Kill the MSU: the Coordinator notices via the broken TCP
 	// connection and marks it unavailable.
+	since := cursor(t, c)
 	cluster.MSUs[0].Close()
-	deadline := time.Now().Add(3 * time.Second)
-	for {
-		st, err := c.StatusV2()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st.Snapshot.Gauge("msus_available") == 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("coordinator never noticed the dead MSU")
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+	awaitEvent(t, c, since, obs.Event{Kind: obs.EvMSUDown, MSU: "msu0"})
 	if _, err := c.Play("movie", "tv", false); err == nil {
 		t.Fatal("play succeeded against a dead MSU")
 	}
 
 	// Bring a replacement up on the same volumes: it re-registers and
 	// service resumes (§2.2).
+	since = cursor(t, c)
 	m2, err := cluster.RestartMSU(0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer m2.Close()
-	deadline = time.Now().Add(3 * time.Second)
-	for {
-		st, _ := c.StatusV2()
-		if st.Snapshot.Gauge("msus_available") == 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("MSU never restored")
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+	awaitEvent(t, c, since, obs.Event{Kind: obs.EvMSUUp, MSU: "msu0"})
 	stream, err := c.Play("movie", "tv", false)
 	if err != nil {
 		t.Fatalf("play after recovery: %v", err)
@@ -705,26 +650,12 @@ func TestRecordingOverestimateReclaimed(t *testing.T) {
 		defer conn.Close()
 		for i := 0; i < 20; i++ {
 			conn.Write(make([]byte, 1024)) //nolint:errcheck
-			time.Sleep(time.Millisecond)
 		}
-		time.Sleep(200 * time.Millisecond)
+		since := cursor(t, c)
 		if err := rec.Stop(); err != nil {
 			t.Fatal(err)
 		}
-		// Wait for commit.
-		deadline := time.Now().Add(3 * time.Second)
-		for {
-			items, _ := c.ListContent()
-			for _, it := range items {
-				if it.Name == name {
-					return
-				}
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("%s never committed", name)
-			}
-			time.Sleep(10 * time.Millisecond)
-		}
+		awaitEvent(t, c, since, obs.Event{Kind: obs.EvRecCommit, Content: name})
 	}
 	record("take1")
 	record("take2")

@@ -8,9 +8,11 @@ import (
 	"os/exec"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"calliope/internal/await"
 	"calliope/internal/core"
 	"calliope/internal/obs"
 	"calliope/internal/trace"
@@ -90,17 +92,14 @@ func TestCLIEndToEnd(t *testing.T) {
 	defer func() { msuProc.Process.Kill(); msuProc.Wait() }() //nolint:errcheck
 
 	// Client: wait until the MSU has registered.
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		out = run("calliope-client", "-coordinator", addr, "status")
-		if strings.Contains(out, "MSUs: 1 (1 available)") {
-			break
+	t.Cleanup(func() {
+		if t.Failed() {
+			t.Logf("msu output:\n%s", msuOut.String())
 		}
-		if time.Now().After(deadline) {
-			t.Fatalf("MSU never registered: %s\nmsu output: %s", out, msuOut.String())
-		}
-		time.Sleep(100 * time.Millisecond)
-	}
+	})
+	await.Until(t, "the MSU to register", func() bool {
+		return strings.Contains(run("calliope-client", "-coordinator", addr, "status"), "MSUs: 1 (1 available)")
+	})
 
 	out = run("calliope-client", "-coordinator", addr, "list")
 	if !strings.Contains(out, "movie") || !strings.Contains(out, "mpeg1") {
@@ -114,30 +113,34 @@ func TestCLIEndToEnd(t *testing.T) {
 		t.Fatalf("client types:\n%s", out)
 	}
 
-	// Play with VCR commands on stdin: let it run briefly, pause, ff,
-	// quit. The client prints a final packet count.
+	// Play with VCR commands on stdin, each after the CLI's prompt:
+	// pause, play, ff, quit. The client prints a final packet count.
 	play := exec.Command(filepath.Join(bin, "calliope-client"), "-coordinator", addr, "play", "short")
 	stdin, err := play.StdinPipe()
 	if err != nil {
 		t.Fatal(err)
 	}
-	var playOut bytes.Buffer
-	play.Stdout, play.Stderr = &playOut, &playOut
+	// One prompt held is enough: a command sent early waits in stdin.
+	playOut := &promptWriter{prompt: make(chan struct{}, 1)}
+	play.Stdout, play.Stderr = playOut, playOut
 	if err := play.Start(); err != nil {
 		t.Fatal(err)
 	}
+	done, exited := make(chan error, 1), make(chan struct{})
 	go func() {
-		time.Sleep(500 * time.Millisecond)
-		fmt.Fprintln(stdin, "pause")
-		time.Sleep(100 * time.Millisecond)
-		fmt.Fprintln(stdin, "play")
-		time.Sleep(200 * time.Millisecond)
-		fmt.Fprintln(stdin, "ff")
-		time.Sleep(200 * time.Millisecond)
-		fmt.Fprintln(stdin, "quit")
+		for _, cmd := range []string{"pause", "play", "ff", "quit"} {
+			select {
+			case <-playOut.prompt:
+			case <-exited:
+				return
+			}
+			fmt.Fprintln(stdin, cmd)
+		}
 	}()
-	done := make(chan error, 1)
-	go func() { done <- play.Wait() }()
+	go func() {
+		done <- play.Wait()
+		close(exited)
+	}()
 	select {
 	case err := <-done:
 		if err != nil {
@@ -242,16 +245,39 @@ func freePort(t *testing.T) int {
 
 func waitTCP(t *testing.T, addr string) {
 	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for {
+	await.Until(t, addr+" to come up", func() bool {
 		conn, err := net.DialTimeout("tcp", addr, 200*time.Millisecond)
 		if err == nil {
 			conn.Close()
-			return
 		}
-		if time.Now().After(deadline) {
-			t.Fatalf("%s never came up", addr)
+		return err == nil
+	})
+}
+
+// promptWriter collects an interactive CLI's output and signals each
+// "> " prompt it prints.
+type promptWriter struct {
+	mu     sync.Mutex
+	out    bytes.Buffer
+	seen   int
+	prompt chan struct{}
+}
+
+func (w *promptWriter) Write(p []byte) (int, error) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	w.out.Write(p)
+	for n := strings.Count(w.out.String(), "> "); w.seen < n; w.seen++ {
+		select {
+		case w.prompt <- struct{}{}:
+		default: // a prompt is already pending
 		}
-		time.Sleep(50 * time.Millisecond)
 	}
+	return len(p), nil
+}
+
+func (w *promptWriter) String() string {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.out.String()
 }

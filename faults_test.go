@@ -1,10 +1,12 @@
 package calliope
 
 import (
+	"context"
 	"net"
 	"testing"
 	"time"
 
+	"calliope/internal/await"
 	"calliope/internal/blockdev"
 	"calliope/internal/faultinject"
 	"calliope/internal/msu"
@@ -163,39 +165,53 @@ func TestFaultStreamLostWithoutReplica(t *testing.T) {
 	}
 }
 
-// waitStatus polls until the client (which may still be noticing the
-// old connection's death and reconnecting) gets a status answer. Any
-// answer necessarily comes from the restarted Coordinator: the old one
-// finished shutting down before RestartCoordinator returned.
-func waitStatus(t *testing.T, c *Client) obs.Snapshot {
-	t.Helper()
-	deadline := time.Now().Add(15 * time.Second)
-	for {
+// statusHolds reports whether the client gets a status answer whose
+// snapshot satisfies pred (nil: any answer). The client may still be
+// noticing a restarted Coordinator and reconnecting; any answer after
+// RestartCoordinator comes from the new one, since the old one finished
+// shutting down before RestartCoordinator returned.
+func statusHolds(c *Client, pred func(obs.Snapshot) bool) func() bool {
+	return func() bool {
 		st, err := c.StatusV2()
-		if err == nil {
-			return st.Snapshot
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("no status from restarted Coordinator: %v", err)
-		}
-		time.Sleep(50 * time.Millisecond)
+		return err == nil && (pred == nil || pred(st.Snapshot))
 	}
 }
 
-// waitMSUsAvailable polls the Coordinator's status until the given
-// number of MSUs have (re-)registered.
-func waitMSUsAvailable(t *testing.T, c *Client, want int) {
+// msusAvailable reports whether want MSUs have (re-)registered.
+func msusAvailable(c *Client, want int64) func() bool {
+	return statusHolds(c, func(s obs.Snapshot) bool { return s.Gauge(wire.GaugeMSUsAvailable) == want })
+}
+
+// cursor is the newest sequence number on the Coordinator's timeline:
+// taken before an action, it is where awaitEvent looks for what the
+// action causes. A cursor does not survive RestartCoordinator; after a
+// restart, wait on state or take a new one.
+func cursor(t *testing.T, c *Client) uint64 {
 	t.Helper()
-	deadline := time.Now().Add(15 * time.Second)
+	page, err := c.Events(wire.EventsRequest{Max: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return page.Next
+}
+
+// awaitEvent long-polls the timeline past since for an event of want's
+// kind, about want's MSU and content where those are set.
+func awaitEvent(t *testing.T, c *Client, since uint64, want obs.Event) {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), await.Deadline)
+	defer cancel()
 	for {
-		st, err := c.StatusV2()
-		if err == nil && st.Snapshot.Gauge(wire.GaugeMSUsAvailable) == int64(want) {
-			return
+		page, err := c.EventsContext(ctx, wire.EventsRequest{Since: since, WaitMillis: int(await.Deadline / time.Millisecond)})
+		if err != nil {
+			t.Fatalf("waiting for a %s event (%s %s): %v", want.Kind, want.MSU, want.Content, err)
 		}
-		if time.Now().After(deadline) {
-			t.Fatalf("msus_available never reached %d (last gauges %v, err %v)", want, st.Snapshot.Gauges, err)
+		for _, ev := range page.Events {
+			if ev.Kind == want.Kind && (want.MSU == "" || ev.MSU == want.MSU) && (want.Content == "" || ev.Content == want.Content) {
+				return
+			}
 		}
-		time.Sleep(50 * time.Millisecond)
+		since = page.Next
 	}
 }
 
@@ -248,7 +264,8 @@ func TestFaultCoordinatorRestartMidPlay(t *testing.T) {
 	// The client reconnects (replaying its port registrations) and sees
 	// the recovered catalog — replica locations intact — while zero
 	// MSUs have managed to re-register.
-	st := waitStatus(t, c)
+	var st obs.Snapshot
+	await.Until(t, "a status answer from the restarted Coordinator", statusHolds(c, func(s obs.Snapshot) bool { st = s; return true }))
 	if n := st.Gauge(wire.GaugeMSUsAvailable); n != 0 {
 		t.Fatalf("msus_available = %d before healing the partition, want 0", n)
 	}
@@ -267,7 +284,7 @@ func TestFaultCoordinatorRestartMidPlay(t *testing.T) {
 	for _, in := range inj {
 		in.Partition(false)
 	}
-	waitMSUsAvailable(t, c, 2)
+	await.Until(t, "both MSUs to re-register", msusAvailable(c, 2))
 
 	play2, err := c.Play("movie", "tv", false)
 	if err != nil {
@@ -333,7 +350,7 @@ func TestFaultCoordinatorRestartMidRecord(t *testing.T) {
 			if _, err := conn.Write(pkt); err != nil {
 				t.Fatal(err)
 			}
-			time.Sleep(300 * time.Microsecond)
+			time.Sleep(300 * time.Microsecond) // the source's packet spacing: a burst of 1 KB packets would overflow the recorder's socket buffer
 		}
 	}
 	send(100)
@@ -344,7 +361,8 @@ func TestFaultCoordinatorRestartMidRecord(t *testing.T) {
 	}
 	// The in-flight recording was journaled before its ack, so the
 	// restarted Coordinator reports it lost; it is not in the catalog.
-	st := waitStatus(t, c)
+	var st obs.Snapshot
+	await.Until(t, "a status answer from the restarted Coordinator", statusHolds(c, func(s obs.Snapshot) bool { st = s; return true }))
 	if n := st.Gauge(wire.GaugeLostRecs); n != 1 {
 		t.Fatalf("lost_recordings = %d after mid-record crash, want 1", n)
 	}
@@ -363,7 +381,7 @@ func TestFaultCoordinatorRestartMidRecord(t *testing.T) {
 	// restarted Coordinator, which admits it even though it never
 	// dispatched the stream.
 	inj[0].Partition(false)
-	waitMSUsAvailable(t, c, 1)
+	await.Until(t, "the MSU to re-register", msusAvailable(c, 1))
 	// The MSU's hello declared what it holds, and a file still being
 	// recorded is not content: the catalog must not list it yet.
 	contents, err = c.ListContent()
@@ -376,14 +394,12 @@ func TestFaultCoordinatorRestartMidRecord(t *testing.T) {
 		}
 	}
 	send(50)
-	time.Sleep(300 * time.Millisecond) // let the MSU drain the socket
+	since := cursor(t, c)
 	if err := rec.Stop(); err != nil {
 		t.Fatalf("stop across Coordinator restart: %v", err)
 	}
-	info, err := c.WaitForContent("take", 10*time.Second)
-	if err != nil {
-		t.Fatalf("recording never committed across restart: %v", err)
-	}
+	awaitEvent(t, c, since, obs.Event{Kind: obs.EvRecCommit, Content: "take"})
+	info := findContent(t, c, "take")
 	onDisk, err := cluster.Volume(0, 0).Stat("take")
 	if err != nil {
 		t.Fatal(err)

@@ -71,7 +71,7 @@ func TestPinBackpressureStress(t *testing.T) {
 			}
 		}()
 	}
-	time.Sleep(200 * time.Millisecond)
+	time.Sleep(200 * time.Millisecond) // the churn's length: how long the pinners and pool users interleave
 	close(stop)
 	wg.Wait()
 	// Every page must be recoverable: drop all cache pins and count.

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"calliope/internal/await"
 	"calliope/internal/coordinator"
 	"calliope/internal/core"
 	"calliope/internal/faultinject"
@@ -122,20 +123,13 @@ func TestSessionDropDeallocatesPorts(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c2.Close()
-	deadline := time.Now().Add(2 * time.Second)
-	for {
+	await.Until(t, "the dropped session to go", func() bool {
 		st, err := c2.StatusV2()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if st.Snapshot.Gauge(wire.GaugeSessions) == 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("dropped session lingers: %+v", st)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+		return st.Snapshot.Gauge(wire.GaugeSessions) == 1
+	})
 }
 
 func TestReceiverCountsAndCaptures(t *testing.T) {

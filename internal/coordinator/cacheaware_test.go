@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"calliope/internal/await"
 	"calliope/internal/core"
 	"calliope/internal/obs"
 	"calliope/internal/trace"
@@ -148,10 +149,11 @@ func TestCacheReportAdmitsQueuedPlay(t *testing.T) {
 		var resp wire.PlayOK
 		done <- p.Call(wire.TypePlay, wire.Play{Content: "movie", Port: "tv", ControlAddr: "127.0.0.1:9", Wait: true}, &resp)
 	}()
+	await.Until(t, "the second play to queue", queueHolds(c, 1))
 	select {
 	case err := <-done:
 		t.Fatalf("queued play returned early: %v", err)
-	case <-time.After(100 * time.Millisecond):
+	default:
 	}
 	// The MSU reports the title warm; the queued play must now admit
 	// with NIC bandwidth alone.

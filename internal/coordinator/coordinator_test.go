@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"calliope/internal/await"
 	"calliope/internal/core"
 	"calliope/internal/units"
 	"calliope/internal/wire"
@@ -20,6 +21,11 @@ func paperTypes() []core.ContentType {
 		{Name: "vat-audio", Class: core.VariableRate, Bandwidth: 128 * units.Kbps, Storage: 80 * units.Kbps, Protocol: "vat"},
 		{Name: "seminar", Components: []string{"rtp-video", "vat-audio"}},
 	}
+}
+
+// queueHolds reports whether n requests are parked on c's pending queue.
+func queueHolds(c *Coordinator, n int64) func() bool {
+	return func() bool { return c.ObsSnapshot().Gauge(wire.GaugeQueuedPlays) == n }
 }
 
 func startCoordinator(t *testing.T, cfg Config) *Coordinator {
@@ -306,7 +312,7 @@ func TestQueuedPlayProceedsOnRelease(t *testing.T) {
 	go func() {
 		done <- p.Call(wire.TypePlay, wire.Play{Content: "movie", Port: "tv", ControlAddr: "a:9", Wait: true}, nil)
 	}()
-	time.Sleep(100 * time.Millisecond)
+	await.Until(t, "the play to queue", queueHolds(c, 1))
 	// Free the slot by ending the first stream (as the MSU would).
 	c.step(func(time.Time) { c.streamEnded(wire.StreamEnded{Stream: first.Streams[0].Stream, Cause: "test"}) })
 	select {
@@ -343,17 +349,10 @@ func TestMSUDownReleasesStreams(t *testing.T) {
 		t.Fatal(err)
 	}
 	mp.Close()
-	deadline := time.Now().Add(2 * time.Second)
-	for {
+	await.Until(t, "the MSU's death to be cleaned up", func() bool {
 		st := status(t, p)
-		if st.Snapshot.Gauge(wire.GaugeMSUsAvailable) == 0 && st.Snapshot.Gauge(wire.GaugeActiveStreams) == 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("MSU death not cleaned up: %+v", st)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+		return st.Snapshot.Gauge(wire.GaugeMSUsAvailable) == 0 && st.Snapshot.Gauge(wire.GaugeActiveStreams) == 0
+	})
 	// Plays now fail as unavailable.
 	if err := p.Call(wire.TypePlay, wire.Play{Content: "movie", Port: "tv", ControlAddr: "a:9"}, nil); err == nil {
 		t.Fatal("play against dead MSU accepted")
@@ -577,7 +576,7 @@ func TestRecordQueuesForSpace(t *testing.T) {
 			ControlAddr: "a:9", Wait: true,
 		}, nil)
 	}()
-	time.Sleep(100 * time.Millisecond)
+	await.Until(t, "the recording to queue", queueHolds(c, 1))
 	c.step(func(time.Time) { c.streamEnded(wire.StreamEnded{Stream: first.Streams[0].Stream, Cause: "abort"}) })
 	select {
 	case err := <-done:

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"calliope/internal/core"
+	"calliope/internal/obs"
 	"calliope/internal/schedule"
 	"calliope/internal/units"
 	"calliope/internal/wire"
@@ -541,4 +542,73 @@ func TestCoreEndedBeforeStartOutcome(t *testing.T) {
 			t.Fatalf("the start on m2 told the client %+v, want migrated", n)
 		}
 	})
+}
+
+// A recording's commit names each content entry it adds on the
+// timeline: a component as it lands, and a composite's parent with its
+// last component.
+func TestCoreRecordCommitEvents(t *testing.T) {
+	r := newCoreRig(t, Config{})
+	r.msu(1, "m1", 20*units.Mbps, 900)
+	r.client(3)
+	for _, p := range []wire.RegisterPort{{Name: "a", Type: "vat-audio", Addr: "a:3"}, {Name: "sem", Type: "seminar", Components: map[string]string{"rtp-video": "v", "vat-audio": "a"}}} {
+		if _, err := r.c.registerPort(3, p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tk := r.ticket()
+	fx := r.in(func() {
+		r.c.record(r.now, tk, 3, wire.Record{Content: "talk", Type: "seminar", Port: "sem", Estimate: time.Minute, ControlAddr: "a:9"})
+	})
+	for cl := startFor(fx, tk); cl != nil; cl = startFor(fx, tk) {
+		fx = r.started(cl, nil)
+	}
+	a, ok := answerFor(fx, tk)
+	if !ok || a.err != nil {
+		t.Fatalf("record answered %v, %+v", ok, a)
+	}
+	streams := a.v.(*wire.RecordOK).Streams
+	if len(streams) != 2 {
+		t.Fatalf("a seminar recording started %d streams, want 2", len(streams))
+	}
+	// commit feeds stream i's recording-done and returns the
+	// record-commit events it appended.
+	commit := func(i int) []obs.Event {
+		t.Helper()
+		_, since := r.c.Events(0, 0, 0)
+		s := streams[i]
+		var err error
+		r.in(func() {
+			err = r.c.recordingDone(1, wire.RecordingDone{Stream: s.Stream, Content: s.Content, Type: s.Type, Disk: 0,
+				Length: time.Duration(i+2) * time.Second, Size: units.ByteSize(i+1) * 100 * units.KB})
+		})
+		if err != nil {
+			t.Fatalf("recording-done of %s: %v", s.Content, err)
+		}
+		evs, _ := r.c.Events(since, 0, 0)
+		var out []obs.Event
+		for _, ev := range evs {
+			if ev.Kind == obs.EvRecCommit {
+				out = append(out, ev)
+			}
+		}
+		return out
+	}
+	want := func(ev obs.Event, content, detail string) {
+		t.Helper()
+		if ev.Content != content || ev.MSU != "m1" || ev.Disk != 0 || ev.Detail != detail {
+			t.Errorf("record-commit event %+v, want %s on m1 disk 0 with %q", ev, content, detail)
+		}
+	}
+	evs := commit(0)
+	if len(evs) != 1 {
+		t.Fatalf("the first component's commit appended %d record-commit events, want 1: %+v", len(evs), evs)
+	}
+	want(evs[0], streams[0].Content, fmt.Sprintf("size %v, length 2s", 100*units.KB))
+	evs = commit(1)
+	if len(evs) != 2 {
+		t.Fatalf("the last component's commit appended %d record-commit events, want 2 (it and the parent): %+v", len(evs), evs)
+	}
+	want(evs[0], streams[1].Content, fmt.Sprintf("size %v, length 3s", 200*units.KB))
+	want(evs[1], "talk", fmt.Sprintf("size %v, length 3s", 300*units.KB))
 }

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"calliope/internal/admindb"
+	"calliope/internal/await"
 	"calliope/internal/core"
 	"calliope/internal/units"
 	"calliope/internal/wire"
@@ -30,7 +31,7 @@ func registerWalkMSU(t *testing.T, c *Coordinator, old *wire.Peer, id core.MSUID
 	t.Helper()
 	if old != nil {
 		old.Close() //nolint:errcheck // the old registration is being dropped on purpose
-		waitFor(t, "MSU "+string(id)+" down", func() bool {
+		await.Until(t, "MSU "+string(id)+" down", func() bool {
 			c.mu.Lock()
 			defer c.mu.Unlock()
 			return !c.msus[id].alive
@@ -53,18 +54,6 @@ func registerWalkMSU(t *testing.T, c *Coordinator, old *wire.Peer, id core.MSUID
 		t.Fatal(err)
 	}
 	return conn
-}
-
-// waitFor polls cond, which takes whatever lock it needs.
-func waitFor(t *testing.T, what string, cond func() bool) {
-	t.Helper()
-	for i := 0; i < 5000; i++ {
-		if cond() {
-			return
-		}
-		time.Sleep(time.Millisecond)
-	}
-	t.Fatalf("timed out waiting for %s", what)
 }
 
 // TestRestartEquivalence walks the catalog through every event that
@@ -242,7 +231,7 @@ func TestRestartEquivalence(t *testing.T) {
 			if err := liveMSU().Call(wire.TypeCacheReport, wire.CacheReport{Seq: reportSeq.Add(1), Disk: 0}, nil); err != nil {
 				t.Fatal(err)
 			}
-			waitFor(t, "cold-replica drop", func() bool {
+			await.Until(t, "cold-replica drop", func() bool {
 				c.mu.Lock()
 				defer c.mu.Unlock()
 				return len(c.dereplicating) == 0

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"calliope/internal/await"
 	"calliope/internal/core"
 	"calliope/internal/leakcheck"
 	"calliope/internal/units"
@@ -203,7 +204,7 @@ func TestRedispatchSingleOwnerOnCascadingFailure(t *testing.T) {
 		t.Fatalf("duplicate stream-lost: %+v", l)
 	case m := <-nc.migrated:
 		t.Fatalf("stream-migrated after lost: %+v", m)
-	case <-time.After(300 * time.Millisecond):
+	case <-time.After(300 * time.Millisecond): // a negative check: the window a second verdict would arrive in
 	}
 	st := status(t, nc.peer)
 	if n := st.Snapshot.Gauge(wire.GaugeActiveStreams); n != 0 {
@@ -279,15 +280,16 @@ func TestQueuedPlayAdmittedAfterMSUFailure(t *testing.T) {
 	go func() {
 		done <- p2.Call(wire.TypePlay, wire.Play{Content: "movie", Port: "tv", ControlAddr: "a:9", Wait: true}, nil)
 	}()
+	await.Until(t, "the play to queue", queueHolds(c, 1))
 	select {
 	case err := <-done:
 		t.Fatalf("play admitted with no bandwidth: %v", err)
-	case <-time.After(100 * time.Millisecond):
+	default:
 	}
 	// MSU fails and returns; the dead session's stream is dropped, so
 	// the queued play gets the freed slot.
 	m1.Close()
-	time.Sleep(50 * time.Millisecond)
+	await.Until(t, "the Coordinator to mark m1 down", func() bool { return c.ObsSnapshot().Gauge(wire.GaugeMSUsAvailable) == 0 })
 	fakeMSUPeer(t, c, "m1", decl, 1500*units.Kbps)
 	select {
 	case err := <-done:
@@ -309,17 +311,7 @@ func TestClientDownFreesPorts(t *testing.T) {
 	}
 	p1.Close()
 	p2 := clientPeer(t, c)
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		st := status(t, p2)
-		if st.Snapshot.Gauge(wire.GaugeSessions) == 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("dead session lingers: %+v", st)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+	await.Until(t, "the dead session to go", func() bool { return status(t, p2).Snapshot.Gauge(wire.GaugeSessions) == 1 })
 }
 
 // TestReregisterDropsStaleContent: an MSU that re-registers without an
@@ -423,12 +415,7 @@ func TestQueuedPlayWakesOnFailedDispatch(t *testing.T) {
 	doomed := play(false)
 	<-inFlight
 	queued := play(true)
-	for deadline := time.Now().Add(5 * time.Second); c.ObsSnapshot().Gauge(wire.GaugeQueuedPlays) != 1; {
-		if time.Now().After(deadline) {
-			t.Fatal("second play never queued behind the in-flight one")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	await.Until(t, "the second play to queue behind the in-flight one", queueHolds(c, 1))
 	close(fail)
 	if err := <-doomed; err == nil || !strings.Contains(err.Error(), "disk refused") {
 		t.Fatalf("first play: %v, want the MSU's refusal", err)
@@ -524,12 +511,7 @@ func TestCloseWakesParkedRequests(t *testing.T) {
 	// The MSU dies: the holder's group is orphaned and parks beside the
 	// queued play, neither with anywhere to go.
 	mp.Close()
-	for deadline := time.Now().Add(5 * time.Second); c.ObsSnapshot().Gauge(wire.GaugeQueuedPlays) != 2; {
-		if time.Now().After(deadline) {
-			t.Fatalf("queued gauge = %d, want the play and the orphaned group", c.ObsSnapshot().Gauge(wire.GaugeQueuedPlays))
-		}
-		time.Sleep(time.Millisecond)
-	}
+	await.Until(t, "the play and the orphaned group to queue", queueHolds(c, 2))
 
 	start := time.Now()
 	c.Close()

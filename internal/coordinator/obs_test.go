@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"calliope/internal/await"
 	"calliope/internal/obs"
 	"calliope/internal/units"
 	"calliope/internal/wire"
@@ -158,7 +159,7 @@ func TestEventsRPC(t *testing.T) {
 	select {
 	case r := <-got:
 		t.Fatalf("long poll returned early: %+v %v", r.rep, r.err)
-	case <-time.After(50 * time.Millisecond):
+	case <-time.After(50 * time.Millisecond): // a negative check: the window the parked poll must not answer in
 	}
 	if err := p.Call(wire.TypePlay, wire.Play{Content: "movie", Port: "tv", ControlAddr: "127.0.0.1:9"}, &wire.PlayOK{}); err != nil {
 		t.Fatal(err)
@@ -215,12 +216,7 @@ func TestQueueInstrumentsCoverEveryRequestKind(t *testing.T) {
 		errs <- p.Call(wire.TypeRecord, wire.Record{Content: "clip", Type: "mpeg1", Port: "tv",
 			Estimate: time.Second, ControlAddr: "127.0.0.1:9", Wait: true}, nil)
 	}(session())
-	for deadline := time.Now().Add(5 * time.Second); c.ObsSnapshot().Gauge(wire.GaugeQueuedPlays) != 2; {
-		if time.Now().After(deadline) {
-			t.Fatalf("queued gauge = %d, want the play and the recording", c.ObsSnapshot().Gauge(wire.GaugeQueuedPlays))
-		}
-		time.Sleep(time.Millisecond)
-	}
+	await.Until(t, "the play and the recording to queue", queueHolds(c, 2))
 	for i := 0; i < 2; i++ {
 		if err := <-errs; err == nil || !strings.Contains(err.Error(), "deadline") {
 			t.Fatalf("queued request: %v, want a deadline refusal", err)

@@ -585,11 +585,16 @@ func (c *engine) recordingDone(conn connID, req wire.RecordingDone) error {
 	}
 	info := core.ContentInfo{Name: req.Content, Type: req.Type, Length: req.Length, Size: req.Size, Disk: at}
 	muts := []admindb.Mutation{putContentAt(info, at)}
+	added := []core.ContentInfo{info}
 	// Once every component has committed, the recording is no longer
 	// in flight: a crash after this journal batch must not report it
 	// lost.
 	if pend, ok := c.db.Recording(a.group); ok {
-		muts = append(muts, c.settled(pend, info)...)
+		settled, parent := c.settled(pend, info)
+		muts = append(muts, settled...)
+		if parent != nil {
+			added = append(added, *parent)
+		}
 	}
 	if err := c.apply(muts...); err != nil {
 		return err
@@ -597,6 +602,10 @@ func (c *engine) recordingDone(conn connID, req wire.RecordingDone) error {
 	a.grant.drop(d.space)
 	d.space.AddStanding(blocksFor(req.Size, d.blockSize)) //nolint:errcheck
 	c.logf("recording %q committed by MSU %q (stream %d known: %v): %v, %v", req.Content, m.id, req.Stream, known, req.Length, req.Size)
+	for _, in := range added {
+		c.event(obs.Event{Kind: obs.EvRecCommit, MSU: string(in.Disk.MSU), Disk: in.Disk.N,
+			Content: in.Name, Detail: fmt.Sprintf("size %v, length %v", in.Size, in.Length)})
+	}
 	c.release()
 	return nil
 }
@@ -604,8 +613,9 @@ func (c *engine) recordingDone(conn connID, req wire.RecordingDone) error {
 // settled is what committing last adds to the batch when it is the
 // last of pend's components: the end of the in-flight entry and, for a
 // composite, its parent — its longest child's length, all their sizes,
-// its children in component order, on the first one's disk.
-func (c *engine) settled(pend admindb.PendingRecording, last core.ContentInfo) []admindb.Mutation {
+// its children in component order, on the first one's disk — which it
+// also returns.
+func (c *engine) settled(pend admindb.PendingRecording, last core.ContentInfo) ([]admindb.Mutation, *core.ContentInfo) {
 	parent := core.ContentInfo{Name: pend.Parent, Type: pend.Type, Children: append([]string(nil), pend.Contents...)}
 	var disk core.DiskID
 	for i, name := range pend.Contents {
@@ -613,7 +623,7 @@ func (c *engine) settled(pend admindb.PendingRecording, last core.ContentInfo) [
 		if name != last.Name {
 			rec := c.db.Content(name)
 			if rec == nil {
-				return nil // a component has yet to commit
+				return nil, nil // a component has yet to commit
 			}
 			child = rec.Info
 		}
@@ -624,10 +634,11 @@ func (c *engine) settled(pend admindb.PendingRecording, last core.ContentInfo) [
 		parent.Size += child.Size
 	}
 	if pend.Parent == "" {
-		return []admindb.Mutation{admindb.DeleteRecording(pend.Group)}
+		return []admindb.Mutation{admindb.DeleteRecording(pend.Group)}, nil
 	}
 	c.logf("composite %q assembled from %v", pend.Parent, pend.Contents)
-	return []admindb.Mutation{putContentAt(parent, disk), admindb.DeleteRecording(pend.Group)}
+	parent.Disk = disk
+	return []admindb.Mutation{putContentAt(parent, disk), admindb.DeleteRecording(pend.Group)}, &parent
 }
 
 // registerPort validates and stores a display port (§2.1).

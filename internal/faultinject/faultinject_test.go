@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"calliope/internal/await"
 	"calliope/internal/blockdev"
 )
 
@@ -155,17 +156,10 @@ func TestDelayedCloseOnInjectedClock(t *testing.T) {
 	}
 
 	tick <- time.Time{} // fire the scripted timer
-	deadline := time.Now().Add(2 * time.Second)
-	for {
+	await.Until(t, "the connection to be severed after the delayed close fired", func() bool {
 		_, err := client.Write([]byte("b"))
-		if errors.Is(err, ErrInjected) {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("connection never severed after delayed close fired")
-		}
-		time.Sleep(time.Millisecond)
-	}
+		return errors.Is(err, ErrInjected)
+	})
 }
 
 func TestCutAllAndLive(t *testing.T) {

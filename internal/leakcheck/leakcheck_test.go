@@ -41,7 +41,7 @@ func TestCheckDetectsBlockedGoroutine(t *testing.T) {
 func TestCheckWaitsForSettle(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
-		time.Sleep(100 * time.Millisecond)
+		time.Sleep(100 * time.Millisecond) // a goroutine that drains late: alive when Check starts
 		close(done)
 	}()
 	// The goroutine is alive when Check starts but exits well inside

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"calliope/internal/await"
 	"calliope/internal/blockdev"
 	"calliope/internal/cache"
 	"calliope/internal/iosched"
@@ -110,18 +111,8 @@ func (d *gatedDev) waiting() int {
 	return d.parked
 }
 
-// awaitParked waits for a call to be parked at the gate.
-func (d *gatedDev) awaitParked(t *testing.T, when string) {
-	t.Helper()
-	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
-		if d.waiting() > 0 {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("%s: no read reached the device", when)
-		}
-	}
-}
+// holding reports whether a call is parked at the gate.
+func (d *gatedDev) holding() bool { return d.waiting() > 0 }
 
 // budgetRig is a vcrRig over a gatedDev with what the budget test
 // watches: the device, the disk's cache (nil when off) and the stream
@@ -231,7 +222,7 @@ const (
 // requests (startFromHead or startHeadFirst).
 func (r *budgetRig) firstReadHeld(s *stream, requestsBefore, reads int64, when string) {
 	r.t.Helper()
-	r.dev.awaitParked(r.t, when)
+	await.Until(r.t, when+": a read at the gate", r.dev.holding)
 	// The disk process is parked on this read — on the head, or with the
 	// head cut on the rest — so nothing below can change until the gate
 	// lets it through.
@@ -316,7 +307,7 @@ func testContendedBudget(t *testing.T) {
 		filler[i] = iosched.Request{Buf: make([]byte, 4096), Deadline: time.Now().Add(time.Hour), C: done}
 		sched.Submit(&filler[i])
 	}
-	dev.awaitParked(t, "the filler")
+	await.Until(t, "the filler at the gate", dev.holding)
 	if !r.m.contended(0) {
 		t.Fatalf("%d reads queued on a held disk, and it does not read as contended", len(filler)-1)
 	}
@@ -339,9 +330,7 @@ func testContendedBudget(t *testing.T) {
 		default:
 			dev.gate <- struct{}{}
 			released++
-			return
 		}
-		time.Sleep(100 * time.Microsecond)
 	}
 
 	peer := r.play("lend")
@@ -349,7 +338,7 @@ func testContendedBudget(t *testing.T) {
 	// Up to the ceiling, and on for a while: it holds.
 	var peak int32
 	var over time.Time
-	for deadline := time.Now().Add(10 * time.Second); over.IsZero() || time.Now().Before(over); {
+	await.Until(t, "the stream to pin its reservation plus the lent pages on a contended disk, and hold there", func() bool {
 		step()
 		got, held := s.res.Pinned(), r.held()
 		if got > pageBudget+lendPages || held > pageBudget+lendPages {
@@ -367,10 +356,8 @@ func testContendedBudget(t *testing.T) {
 			}
 			over = time.Now().Add(20 * time.Millisecond)
 		}
-		if time.Now().After(deadline) {
-			t.Fatalf("the stream pinned at most %d pages on a contended disk, want its reservation of %d plus %d lent", peak, pageBudget, lendPages)
-		}
-	}
+		return !over.IsZero() && !time.Now().Before(over)
+	})
 	r.vcr(peer, "quit", 0)
 	dev.open()
 	peer.Close() //nolint:errcheck // the MSU closes its end too
@@ -460,21 +447,17 @@ func testPageBudget(t *testing.T, pktSize int, cacheBytes units.ByteSize) {
 	reads = dev.count()
 	peer = r.play("ramp")
 	s = r.stream()
-	deadline := time.Now().Add(10 * time.Second)
-	for sent := int32(0); sent < 4; {
+	await.Until(t, "four pages to be sent in full", func() bool {
 		caused := dev.count() - reads // before sent: sent only grows
-		sent = s.sent.Load()
+		sent := s.sent.Load()
 		if lead := caused - int(sent); lead > 2+int(sent) {
 			t.Fatalf("%d pages read with %d sent in full: the ramp allows a lead of two pages plus one for each page sent", caused, sent)
 		}
 		if got, held := s.res.Pinned(), r.held(); got > pageBudget || held > pageBudget {
 			t.Fatalf("the stream counts %d pinned pages and holds %d, over the budget of %d", got, held, pageBudget)
 		}
-		if time.Now().After(deadline) {
-			t.Fatalf("only %d pages sent in full", sent)
-		}
-		time.Sleep(200 * time.Microsecond)
-	}
+		return sent >= 4
+	})
 	if caused := dev.count() - reads; caused < 3 {
 		t.Errorf("%d pages read after four were sent in full: the ramp never opened", caused)
 	}
@@ -487,7 +470,7 @@ func testPageBudget(t *testing.T, pktSize int, cacheBytes units.ByteSize) {
 	if n := s.sent.Load(); n != 0 {
 		t.Errorf("%d pages counted sent at a seek's ack, want 0", n)
 	}
-	r.await("a page to be sent after the first seek", func() bool { return s.sent.Load() >= 1 })
+	await.Until(r.t, "a page to be sent after the first seek", func() bool { return s.sent.Load() >= 1 })
 	r.vcr(peer, "pause", 0)
 	r.allBack(s, "after a pause")
 	dev.hold()

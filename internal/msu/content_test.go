@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"calliope/internal/await"
 	"calliope/internal/blockdev"
 	"calliope/internal/core"
 	"calliope/internal/media"
@@ -197,18 +198,11 @@ func (r *vcrRig) quit(p *wire.Peer) {
 // every stream down, and the emptying of the sink.
 func (r *vcrRig) drained() {
 	r.t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
+	await.Until(r.t, "every stream to be torn down after quit", func() bool {
 		n, _ := r.m.live()
-		if n == 0 {
-			r.emptySink()
-			return
-		}
-		if time.Now().After(deadline) {
-			r.t.Fatalf("%d streams linger after quit", n)
-		}
-		time.Sleep(time.Millisecond)
-	}
+		return n == 0
+	})
+	r.emptySink()
 }
 
 // emptySink reads off what the MSU has already sent; call it once no
@@ -391,16 +385,10 @@ func TestReplicaReadBackThroughScheduler(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		if st, err := dst.m.stores[0].Stat("movie"); err == nil && st.Attrs[AttrType] != "" {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("the replica never committed")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	await.Until(t, "the replica to commit", func() bool {
+		st, err := dst.m.stores[0].Stat("movie")
+		return err == nil && st.Attrs[AttrType] != ""
+	})
 	if dst.dev.total() == 0 {
 		t.Error("the commit read nothing back")
 	}
@@ -543,12 +531,5 @@ func TestPipelinedVCRCommandsLeaveOnePlayer(t *testing.T) {
 		last = h.Frame
 	}
 	r.quit(p)
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > idle {
-		if time.Now().After(deadline) {
-			b := make([]byte, 1<<16)
-			t.Fatalf("%d goroutines after quit, %d before the play\n%s", runtime.NumGoroutine(), idle, b[:runtime.Stack(b, true)])
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	await.Until(t, "the goroutines to fall back to as many as before the play", func() bool { return runtime.NumGoroutine() <= idle })
 }

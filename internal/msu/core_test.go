@@ -28,6 +28,16 @@ func (m *MSU) live() (streams, groups int) {
 	return streams, groups
 }
 
+// atEnd reports whether the core has s standing at the end of the cue
+// its group plays.
+func (m *MSU) atEnd(s *stream) (end bool) {
+	m.inspect(func(e *engine) {
+		mem := e.streams[s.spec.Stream]
+		end = mem.g != nil && mem.eof != 0 && mem.eof == mem.g.cue
+	})
+	return end
+}
+
 // streamByID is stream id, or nil.
 func (m *MSU) streamByID(id core.StreamID) (s *stream) {
 	m.inspect(func(e *engine) { s = e.streams[id].s })

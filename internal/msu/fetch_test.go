@@ -30,7 +30,7 @@ func (d *gaugeDev) ReadAt(p []byte, off int64) error {
 			break
 		}
 	}
-	time.Sleep(2 * time.Millisecond)
+	time.Sleep(2 * time.Millisecond) // the device-latency model: every read takes 2 ms
 	err := d.BlockDevice.ReadAt(p, off)
 	d.cur.Add(-1)
 	return err

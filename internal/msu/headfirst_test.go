@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"calliope/internal/await"
 	"calliope/internal/media"
 	"calliope/internal/protocol"
 	"calliope/internal/units"
@@ -83,19 +84,10 @@ func (r *budgetRig) cached(title string) bool {
 	return true
 }
 
-func (r *budgetRig) await(what string, cond func() bool) {
-	r.t.Helper()
-	for deadline := time.Now().Add(5 * time.Second); !cond(); time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
-			r.t.Fatalf("timed out waiting for %s", what)
-		}
-	}
-}
-
 // quitting waits for the quit of s's group to be under way.
 func (r *budgetRig) quitting(s *stream) {
 	r.t.Helper()
-	r.await("the quit to begin", func() bool {
+	await.Until(r.t, "the quit to begin", func() bool {
 		quit := false
 		r.m.inspect(func(e *engine) {
 			g := e.groups[s.spec.Group]
@@ -168,7 +160,7 @@ func testHeadFirst(t *testing.T, pktSize int, cacheBytes units.ByteSize) {
 		// Every packet cut has been sent and counted once the last of them
 		// is: a record cut from beyond the mark would show here, or as the
 		// wrong bytes above.
-		r.await("the head's packets to be counted", func() bool { return r.m.obs.packets.Load()-sent >= int64(k) })
+		await.Until(r.t, "the head's packets to be counted", func() bool { return r.m.obs.packets.Load()-sent >= int64(k) })
 		if n := r.m.obs.packets.Load() - sent; n != int64(k) {
 			t.Errorf("%s: %d packets sent with the tail on the device, want the %d that lie inside the head", title, n, k)
 		}
@@ -187,7 +179,7 @@ func testHeadFirst(t *testing.T, pktSize int, cacheBytes units.ByteSize) {
 	peer, s, rest := headOnly("cold", page)
 	dev.gate <- struct{}{}
 	r.received(rest, "cold: with the tail in")
-	r.await("page 1 to be asked for", func() bool { return r.m.ioStats(0).Requests == requests+startHeadFirst+1 })
+	await.Until(r.t, "page 1 to be asked for", func() bool { return r.m.ioStats(0).Requests == requests+startHeadFirst+1 })
 	if r.cache != nil && (!r.cached("cold") || r.inserts() != inserts+1) {
 		t.Errorf("the first page went into the cache %d times once whole, want 1", r.inserts()-inserts)
 	}
@@ -200,7 +192,7 @@ func testHeadFirst(t *testing.T, pktSize int, cacheBytes units.ByteSize) {
 	dev.failAt(off + int64(s.tree.PageSize()/headFraction))
 	peer, s, _ = headOnly("fail", page)
 	dev.gate <- struct{}{}
-	r.await("the stream to end", s.atEOF)
+	await.Until(r.t, "the stream to end", func() bool { return r.m.atEnd(s) })
 	if r.cached("fail") || r.inserts() != inserts {
 		t.Error("a first page whose tail failed went into the cache")
 	}
@@ -248,11 +240,11 @@ func testHeadFirst(t *testing.T, pktSize int, cacheBytes units.ByteSize) {
 	dev.gate <- struct{}{}
 	r.received(page, "tiny: with the head in")
 	r.firstReadHeld(s, requests, startHeadFirst, "tiny: the head let through")
-	if s.atEOF() {
+	if r.m.atEnd(s) {
 		t.Error("a title declared at its end with its page still on the device")
 	}
 	dev.open() // the tail, and the page the builder closed the index in
-	r.await("the tiny title to end", s.atEOF)
+	await.Until(r.t, "the tiny title to end", func() bool { return r.m.atEnd(s) })
 	r.allBack(s, "after a title that ends inside the head")
 	r.finish(peer, s, "after a title that ends inside the head, and a quit")
 
@@ -273,7 +265,7 @@ func testHeadFirst(t *testing.T, pktSize int, cacheBytes units.ByteSize) {
 	peer = r.play("seek")
 	s = r.stream()
 	r.vcr(peer, "seek", 100*time.Millisecond)
-	r.await("a page to be sent after the first seek", func() bool { return s.sent.Load() >= 1 })
+	await.Until(r.t, "a page to be sent after the first seek", func() bool { return s.sent.Load() >= 1 })
 	r.vcr(peer, "pause", 0)
 	r.allBack(s, "after a pause")
 	r.emptySink()

@@ -86,10 +86,9 @@ func TestFaultRecorderPublishFailureAborts(t *testing.T) {
 		if _, err := conn.Write(make([]byte, 1024)); err != nil {
 			t.Fatal(err)
 		}
-		time.Sleep(100 * time.Microsecond)
+		time.Sleep(100 * time.Microsecond) // the source's packet spacing: a burst of 1 KB packets would overflow the recorder's socket buffer
 	}
-	time.Sleep(50 * time.Millisecond) // let the recorder take them off the socket
-	dev.FailWrites(0, 4)              // the metadata region
+	dev.FailWrites(0, 4) // the metadata region
 	r.quit(vcr)
 
 	if got := r.m.stores[0].FreeBlocks(); got != free {

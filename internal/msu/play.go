@@ -167,12 +167,6 @@ func (s *stream) speedName() string {
 	return s.speed.String()
 }
 
-func (s *stream) atEOF() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.eof
-}
-
 // ended returns a channel closed once the stream is at the end of a cue
 // (playerEOF): the one playing, or, paused at its end, the last.
 func (s *stream) ended() <-chan struct{} {

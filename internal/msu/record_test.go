@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"calliope/internal/await"
 	"calliope/internal/blockdev"
 	"calliope/internal/core"
 	"calliope/internal/faultinject"
@@ -185,22 +186,16 @@ func TestStopKeepsWhatTheSinkHolds(t *testing.T) {
 	err := vcr.Call(wire.TypeVCR, wire.VCR{Op: "quit"}, &wire.VCRAck{})
 	// The pass does not hang on this: it only gives the teardown time to
 	// reach the recorder, so that a stop that drops the backlog shows.
-	time.Sleep(20 * time.Millisecond)
+	time.Sleep(20 * time.Millisecond) // the mutation window: the teardown reaches the recorder while it holds the backlog
 	rec.mu.Unlock()
 	if err != nil {
 		t.Fatalf("stop: %v", err)
 	}
 
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if st, err := r.m.stores[0].Stat("take"); err == nil && st.Attrs[AttrTree] != "" {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("the recording never committed")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	await.Until(t, "the recording to commit", func() bool {
+		st, err := r.m.stores[0].Stat("take")
+		return err == nil && st.Attrs[AttrTree] != ""
+	})
 	got, err := ReadBack(r.m.stores[0], "take")
 	if err != nil {
 		t.Fatal(err)

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"calliope/internal/await"
 	"calliope/internal/media"
 	"calliope/internal/msufs"
 	"calliope/internal/units"
@@ -43,7 +44,7 @@ func (r *headRig) pageOff(title string, idx int64) int64 {
 // was asked for, since it is asked for one at a time.
 func (r *headRig) parkedCall(when string) devCall {
 	r.t.Helper()
-	r.dev.awaitParked(r.t, when)
+	await.Until(r.t, when+": a read at the gate", r.dev.holding)
 	calls := r.dev.callLog()
 	return calls[len(calls)-1]
 }
@@ -80,7 +81,7 @@ func (r *headRig) fromHead(title string) (peer *wire.Peer, s *stream, rest []sen
 	if c := r.parkedCall(title); c != (devCall{off + int64(r.head), r.page - r.head}) {
 		r.t.Errorf("%s: the read on order is %d bytes at %d, want the rest of page 0: %d at %d", title, c.n, c.off, r.page-r.head, off+int64(r.head))
 	}
-	r.await("the head's packets to be counted", func() bool { return r.m.obs.packets.Load()-sent >= int64(k) })
+	await.Until(r.t, "the head's packets to be counted", func() bool { return r.m.obs.packets.Load()-sent >= int64(k) })
 	if n := r.m.obs.packets.Load() - sent; n != int64(k) {
 		r.t.Errorf("%s: %d packets sent with the rest on the device, want the %d that lie inside the head", title, n, k)
 	}
@@ -175,7 +176,7 @@ func testResidentHead(t *testing.T, pktSize int) {
 	requests, inserts := r.m.ioStats(0).Requests, r.inserts() // with the rest of page 0 on order
 	dev.gate <- struct{}{}
 	r.received(rest, "cold: with the rest in")
-	r.await("page 1 to be asked for", func() bool { return r.m.ioStats(0).Requests == requests+1 })
+	await.Until(r.t, "page 1 to be asked for", func() bool { return r.m.ioStats(0).Requests == requests+1 })
 	if !r.cached("cold") || r.inserts() != inserts+1 {
 		t.Errorf("the first page went into the cache %d times once whole, want 1", r.inserts()-inserts)
 	}
@@ -187,7 +188,7 @@ func testResidentHead(t *testing.T, pktSize int) {
 	dev.failAt(r.pageOff("fail", 0) + int64(r.head))
 	peer, s, _ = r.fromHead("fail")
 	dev.gate <- struct{}{}
-	r.await("the stream to end", s.atEOF)
+	await.Until(r.t, "the stream to end", func() bool { return r.m.atEnd(s) })
 	if r.cached("fail") || r.inserts() != inserts {
 		t.Error("a first page whose rest failed went into the cache")
 	}
@@ -219,7 +220,7 @@ func testResidentHead(t *testing.T, pktSize int) {
 	peer = r.play("seek")
 	s = r.stream()
 	r.vcr(peer, "seek", 100*time.Millisecond)
-	r.await("a page to be sent after the first seek", func() bool { return s.sent.Load() >= 1 })
+	await.Until(r.t, "a page to be sent after the first seek", func() bool { return s.sent.Load() >= 1 })
 	r.vcr(peer, "pause", 0)
 	r.allBack(s, "after a pause")
 	r.emptySink()
@@ -241,7 +242,7 @@ func testResidentHead(t *testing.T, pktSize int) {
 	// once, and leaves its head behind when its first page has landed.
 	conn, vcr := r.record("take")
 	pkt := bytes.Repeat([]byte{0x5a}, 1024)
-	r.await("two pages of the recording to reach the disk", func() bool {
+	await.Until(r.t, "two pages of the recording to reach the disk", func() bool {
 		if _, err := conn.Write(pkt); err != nil {
 			t.Fatal(err)
 		}
@@ -252,7 +253,12 @@ func testResidentHead(t *testing.T, pktSize int) {
 	heads, _ := r.heads()
 	peer, s = r.headFirst("take")
 	dev.open()
-	r.await("the recording's first page to land", func() bool { return r.cached("take") })
+	// The page lands in the cache before keepHead counts its head: await
+	// the gauge, then check it moved by one.
+	await.Until(r.t, "the recording's first page to land and leave its head", func() bool {
+		n, _ := r.heads()
+		return r.cached("take") && n != heads
+	})
 	if n, _ := r.heads(); n != heads+1 {
 		t.Errorf("resident_heads = %d after a recording's first play, want %d", n, heads+1)
 	}
@@ -303,7 +309,7 @@ func testNoHeadsWithoutCache(t *testing.T) {
 	}
 	peer, s := r.headFirst("cold")
 	r.dev.open()
-	r.await("the first page to be read", func() bool { return r.m.obs.pagesRead.Load() >= 1 })
+	await.Until(r.t, "the first page to be read", func() bool { return r.m.obs.pagesRead.Load() >= 1 })
 	if n, b := r.heads(); n != 0 || b != 0 {
 		t.Errorf("resident_heads = %d (%d bytes) with the cache off, want none", n, b)
 	}
@@ -353,7 +359,7 @@ func testHeadBound(t *testing.T) {
 	starts := r.m.obs.headStarts.Load()
 	peer := r.play(first)
 	s := r.stream()
-	r.await("the title to end", s.atEOF)
+	await.Until(r.t, "the title to end", func() bool { return r.m.atEnd(s) })
 	if n := r.m.obs.headStarts.Load() - starts; n != 1 {
 		t.Errorf("delivery_head_starts_total moved by %d for a title whose head New loaded", n)
 	}
@@ -361,7 +367,7 @@ func testHeadBound(t *testing.T) {
 
 	peer, s = r.headFirst(out)
 	r.dev.open()
-	r.await("the title to end", s.atEOF)
+	await.Until(r.t, "the title to end", func() bool { return r.m.atEnd(s) })
 	r.finish(peer, s, "after the 65th title's first play")
 	if n, b := r.heads(); n != bound || b != 2<<20 {
 		t.Errorf("resident_heads = %d (%d bytes) after the 65th title was played, want %d still", n, b, bound)
@@ -372,6 +378,6 @@ func testHeadBound(t *testing.T) {
 	}
 	peer, s = r.headFirst(second)
 	r.dev.open()
-	r.await("the title to end", s.atEOF)
+	await.Until(r.t, "the title to end", func() bool { return r.m.atEnd(s) })
 	r.finish(peer, s, "after the displaced title's play")
 }

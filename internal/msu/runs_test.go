@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"calliope/internal/await"
 	"calliope/internal/blockdev"
 	"calliope/internal/media"
 	"calliope/internal/msufs"
@@ -65,18 +66,10 @@ func testBacklogRuns(t *testing.T, width int) {
 		}
 	}
 
-	await := func(what string, cond func() bool) {
-		t.Helper()
-		for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(time.Millisecond) {
-			if time.Now().After(deadline) {
-				t.Fatalf("timed out waiting for %s (scheduler: %v)", what, r.m.ioStats(0))
-			}
-		}
-	}
 	// submitted waits until the viewers have submitted n reads in all.
 	submitted := func(n int64) {
 		t.Helper()
-		await(fmt.Sprintf("%d reads to be submitted", n), func() bool { return r.m.ioStats(0).Requests == n })
+		await.Until(t, fmt.Sprintf("%d reads to be submitted", n), func() bool { return r.m.ioStats(0).Requests == n })
 	}
 
 	for _, g := range gates {
@@ -103,7 +96,7 @@ func testBacklogRuns(t *testing.T, width int) {
 	}
 	total := int64(viewers * (1 + readAheadPages))
 	// TestStripedReadOverlap's claim, at rest: every spindle is busy.
-	await("a read parked on each member", func() bool {
+	await.Until(t, "a read parked on each member", func() bool {
 		for _, g := range gates {
 			if g.waiting() == 0 {
 				return false
@@ -114,7 +107,7 @@ func testBacklogRuns(t *testing.T, width int) {
 	for _, g := range gates {
 		g.open()
 	}
-	await("the backlog to be served", func() bool {
+	await.Until(t, "the backlog to be served", func() bool {
 		var pages int64
 		for _, l := range logs {
 			pages += l.blocksRead()

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"calliope/internal/await"
 	"calliope/internal/core"
 	"calliope/internal/faultinject"
 	"calliope/internal/msufs"
@@ -97,19 +98,14 @@ func (fc *fakeCoordinator) Addr() string { return fc.ln.Addr().String() }
 
 func (fc *fakeCoordinator) peer(t *testing.T) *wire.Peer {
 	t.Helper()
-	deadline := time.Now().Add(3 * time.Second)
-	for {
+	var p *wire.Peer
+	await.Until(t, "the MSU to register", func() bool {
 		fc.mu.Lock()
-		p := fc.msuPeer
-		fc.mu.Unlock()
-		if p != nil {
-			return p
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("MSU never registered")
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+		defer fc.mu.Unlock()
+		p = fc.msuPeer
+		return p != nil
+	})
+	return p
 }
 
 func (fc *fakeCoordinator) registrations() int {
@@ -212,13 +208,7 @@ func TestStopStreamFromCoordinator(t *testing.T) {
 	if err := peer.Notify(wire.TypeStopStream, wire.StopStream{Stream: 7}); err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(3 * time.Second)
-	for fc.endedCount() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("stream-ended never reported after stop-stream")
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+	await.Until(t, "stream-ended after stop-stream", func() bool { return fc.endedCount() > 0 })
 	// A second stop for an unknown stream is a harmless no-op.
 	if err := peer.Notify(wire.TypeStopStream, wire.StopStream{Stream: 99}); err != nil {
 		t.Fatal(err)
@@ -292,15 +282,17 @@ func TestMSUReconnectsAfterCoordinatorRestart(t *testing.T) {
 
 	// Coordinator dies; a replacement comes up on the same address.
 	fc.Close()
-	time.Sleep(100 * time.Millisecond) // let the MSU notice and start retrying
+	await.Until(t, "the MSU to drop the dead Coordinator and start retrying", m.disconnected)
 	fc2 := startFakeCoordinator(t, addr)
-	deadline := time.Now().Add(5 * time.Second)
-	for fc2.registrations() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("MSU never re-registered")
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
+	await.Until(t, "the MSU to re-register", func() bool { return fc2.registrations() > 0 })
+}
+
+// disconnected reports whether the MSU has dropped its Coordinator
+// connection: its reconnect loop is under way.
+func (m *MSU) disconnected() bool {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.peer == nil
 }
 
 func TestMSUReconnectBackoffStopsOnClose(t *testing.T) {
@@ -323,7 +315,7 @@ func TestMSUReconnectBackoffStopsOnClose(t *testing.T) {
 	// return promptly, interrupting the backoff sleep.
 	in.Partition(true)
 	in.CutAll()
-	time.Sleep(50 * time.Millisecond) // let the reconnect loop start
+	await.Until(t, "the reconnect loop to start", m.disconnected)
 	done := make(chan error, 1)
 	go func() { done <- m.Close() }()
 	select {
@@ -416,15 +408,8 @@ func TestGroupClientDialGivesUp(t *testing.T) {
 		t.Fatal("start-stream succeeded with an unreachable client")
 	}
 	// The failed group must not linger.
-	deadline := time.Now().Add(3 * time.Second)
-	for {
+	await.Until(t, "the failed group to go", func() bool {
 		_, n := m.live()
-		if n == 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("%d groups linger after dial failure", n)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+		return n == 0
+	})
 }

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"calliope/internal/await"
 	"calliope/internal/core"
 	"calliope/internal/msufs"
 	"calliope/internal/units"
@@ -117,24 +118,12 @@ func (r *startRig) awaitFirstPacket(when string) {
 	}
 }
 
-// await polls cond until it holds.
-func (r *startRig) await(what string, cond func() bool) {
-	r.t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for !cond() {
-		if time.Now().After(deadline) {
-			r.t.Fatalf("timed out waiting for %s", what)
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
 // settled waits for the sink's count to stop moving and returns it.
 func (r *startRig) settled() int64 {
 	r.t.Helper()
 	n := r.got.Load()
 	for {
-		time.Sleep(50 * time.Millisecond)
+		time.Sleep(50 * time.Millisecond) // a negative check: the window in which the count must not move
 		m := r.got.Load()
 		if m == n {
 			return n
@@ -179,7 +168,7 @@ func finalReport(t *testing.T, reports []wire.CacheReport, order []string) wire.
 // received; the MSU holds no stream, group or pinned page any more.
 func (r *startRig) ended(n int) {
 	r.t.Helper()
-	r.await("stream-ended", func() bool { return r.fc.endedCount() == n })
+	await.Until(r.t, "stream-ended", func() bool { return r.fc.endedCount() == n })
 	got := r.settled()
 	reports, order := r.messages()
 	for i := 1; i < len(reports); i++ {
@@ -200,7 +189,7 @@ func (r *startRig) ended(n int) {
 	if c := r.m.cacheFor(0); c != nil && c.Pinned() != 0 {
 		r.t.Errorf("%d cache pages still pinned", c.Pinned())
 	}
-	time.Sleep(100 * time.Millisecond)
+	time.Sleep(100 * time.Millisecond) // a negative check: the window an ended stream must send nothing in
 	if n := r.got.Load(); n != got {
 		r.t.Errorf("%d datagrams arrived after the stream ended", n-got)
 	}
@@ -303,7 +292,7 @@ func TestReportCadence(t *testing.T) {
 				t.Fatalf("%s: %v", op, err)
 			}
 			if op != "pause" {
-				r.await(op+"'s first packet", func() bool { return r.got.Load() > before })
+				await.Until(r.t, op+"'s first packet", func() bool { return r.got.Load() > before })
 			}
 		}
 		for i := range 20 {
@@ -311,7 +300,7 @@ func TestReportCadence(t *testing.T) {
 		}
 		cmd("pause", 0)
 		cmd("play", 0)
-		r.await("two reports on the clock", func() bool {
+		await.Until(r.t, "two reports on the clock", func() bool {
 			reports, _ := r.messages()
 			return len(reports) >= 2
 		})
@@ -336,9 +325,9 @@ func TestReportCadence(t *testing.T) {
 		p := <-vcr.peer
 		defer p.Close() //nolint:errcheck
 		s := r.m.streamByID(1)
-		r.await("the end of the title", s.atEOF)
+		await.Until(r.t, "the end of the title", func() bool { return r.m.atEnd(s) })
 		all := r.settled()
-		r.await("a report of the whole title", func() bool {
+		await.Until(r.t, "a report of the whole title", func() bool {
 			reports, _ := r.messages()
 			return len(reports) > 0 && reports[len(reports)-1].Obs.Counters["delivery_packets_total"] == all
 		})
@@ -373,7 +362,7 @@ func TestLastReportCountsConcurrentQuits(t *testing.T) {
 			}
 		}
 		before := r.got.Load()
-		r.await("both streams delivering", func() bool { return r.got.Load() > before+4 })
+		await.Until(r.t, "both streams delivering", func() bool { return r.got.Load() > before+4 })
 		var quits sync.WaitGroup
 		for _, id := range ids {
 			quits.Add(1)
@@ -383,7 +372,7 @@ func TestLastReportCountsConcurrentQuits(t *testing.T) {
 			}()
 		}
 		quits.Wait()
-		r.await("both stream-ended", func() bool { return r.fc.endedCount() == 2*(i+1) })
+		await.Until(r.t, "both stream-ended", func() bool { return r.fc.endedCount() == 2*(i+1) })
 		got := r.settled()
 		reports, order := r.messages()
 		if sent := finalReport(t, reports, order).Obs.Counters["delivery_packets_total"]; sent != got {
@@ -428,7 +417,7 @@ func TestQuitDuringControlDial(t *testing.T) {
 		close(release)
 		t.Fatal(err)
 	}
-	r.await("stream-ended", func() bool { return r.fc.endedCount() == 1 })
+	await.Until(r.t, "stream-ended", func() bool { return r.fc.endedCount() == 1 })
 	close(release)
 	if err := <-replied; err == nil {
 		t.Fatal("start-stream succeeded for a group quit during its dial")

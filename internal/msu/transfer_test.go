@@ -26,7 +26,7 @@ func TestReplicateRatePacer(t *testing.T) {
 	// not let the next writes burst to "catch up".
 	pace = ratePacer(1000 * 1000)
 	pace(8 * 1024)
-	time.Sleep(300 * time.Millisecond) // simulated scheduler stall
+	time.Sleep(300 * time.Millisecond) // the stall model: a scheduler that stops pacing for 300 ms
 	start = time.Now()
 	for i := 0; i < 4; i++ {
 		pace(8 * 1024) // 32 KB → ~262 ms at the grant

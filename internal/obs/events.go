@@ -20,6 +20,7 @@ const (
 	EvReplPlan   = "replicate-plan"   // replication planner reserved resources for a copy
 	EvReplCommit = "replicate-commit" // replica committed and entered the ledger
 	EvReplAbort  = "replicate-abort"  // replication aborted (preempted, failed, or shutdown)
+	EvRecCommit  = "record-commit"    // a recording's content entered the catalog (size, length in Detail)
 	EvMSUDown    = "msu-down"         // MSU connection lost
 	EvMSUUp      = "msu-up"           // MSU registered (or re-registered)
 )

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"calliope/internal/await"
 	"calliope/internal/blockdev"
 	"calliope/internal/obs"
 	"calliope/internal/wire"
@@ -76,11 +77,9 @@ func TestObservabilityLifecycle(t *testing.T) {
 		if err := s.Quit(); err != nil {
 			t.Fatal(err)
 		}
-		for deadline := time.Now().Add(5 * time.Second); scrape(t, srv.URL)["delivery_startup_seconds_count"] < starts; time.Sleep(20 * time.Millisecond) {
-			if time.Now().After(deadline) {
-				t.Fatalf("the %s stream's starts never reached the Coordinator", port)
-			}
-		}
+		await.Until(t, "the "+port+" stream's starts to reach the Coordinator", func() bool {
+			return scrape(t, srv.URL)["delivery_startup_seconds_count"] >= starts
+		})
 	}
 
 	recv, err := NewReceiver("")
@@ -122,17 +121,10 @@ func TestObservabilityLifecycle(t *testing.T) {
 	// scrape until all three are visible: this stream's end is the third,
 	// after the two played before the crash.
 	var metrics map[string]int64
-	deadline := time.Now().Add(5 * time.Second)
-	for {
+	await.Until(t, "metrics to show admission, delivery and the stream's end", func() bool {
 		metrics = scrape(t, srv.URL)
-		if metrics["admission_admitted_total"] > 0 && metrics["delivery_packets_total"] > 0 && metrics["streams_ended_total"] >= 3 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("metrics never showed admission, delivery and the stream's end: %v", metrics)
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
+		return metrics["admission_admitted_total"] > 0 && metrics["delivery_packets_total"] > 0 && metrics["streams_ended_total"] >= 3
+	})
 	// delivery_startup_seconds is the MSU's start-up histogram, one
 	// observation per player, merged like the delivery counters.
 	for _, name := range []string{"dispatch_total", "migrations_total", "delivery_bytes_total", "streams_ended_total", "delivery_startup_seconds_count"} {
@@ -246,24 +238,25 @@ func TestReportsWhilePlaying(t *testing.T) {
 		}
 		return st.Snapshot.Counter("delivery_packets_total"), cov
 	}
-	await := func(what string, moved func(int64, wire.ContentCoverage) bool) int64 {
-		t.Helper()
-		for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(20 * time.Millisecond) {
-			packets, cov := seen()
-			if moved(packets, cov) {
-				return packets
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("%s: delivery_packets_total %d, coverage %+v", what, packets, cov)
-			}
-		}
-	}
-	first := await("nothing reported while the stream plays", func(packets int64, cov wire.ContentCoverage) bool {
+	// Each move must show within a few report periods of the last.
+	start := time.Now()
+	var first int64
+	await.Until(t, "a report while the stream plays", func() bool {
+		packets, cov := seen()
+		first = packets
 		return packets > 0 && cov.Players == 1 && cov.CachedPages > 0
 	})
-	await("the counter stopped while the stream plays", func(packets int64, _ wire.ContentCoverage) bool {
+	if waited := time.Since(start); waited > 2*time.Second {
+		t.Fatalf("the first report while the stream plays took %v", waited)
+	}
+	start = time.Now()
+	await.Until(t, "the counter to move while the stream plays", func() bool {
+		packets, _ := seen()
 		return packets > first
 	})
+	if waited := time.Since(start); waited > 2*time.Second {
+		t.Fatalf("the counter took %v to move while the stream plays", waited)
+	}
 	select {
 	case <-stream.EOF():
 		t.Fatal("the stream ended during the check")
@@ -278,7 +271,7 @@ type slowReads struct {
 }
 
 func (s slowReads) ReadAt(p []byte, off int64) error {
-	time.Sleep(s.d)
+	time.Sleep(s.d) // the device-latency model: every read takes d
 	return s.BlockDevice.ReadAt(p, off)
 }
 

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"calliope/internal/await"
 	"calliope/internal/coordinator"
 	"calliope/internal/core"
 	"calliope/internal/faultinject"
@@ -104,35 +105,6 @@ func saturate(t *testing.T, c *Client) [2]*Stream {
 	return streams
 }
 
-// waitRepl polls the Coordinator's status snapshot until pred holds.
-func waitRepl(t *testing.T, c *Client, what string, timeout time.Duration, pred func(obs.Snapshot) bool) obs.Snapshot {
-	t.Helper()
-	deadline := time.Now().Add(timeout)
-	for {
-		st, err := c.StatusV2()
-		if err == nil && pred(st.Snapshot) {
-			return st.Snapshot
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("%s: never happened (last status err %v, gauges %v, counters %v)",
-				what, err, st.Snapshot.Gauges, st.Snapshot.Counters)
-		}
-		time.Sleep(25 * time.Millisecond)
-	}
-}
-
-// waitCond polls an arbitrary condition.
-func waitCond(t *testing.T, what string, timeout time.Duration, cond func() bool) {
-	t.Helper()
-	deadline := time.Now().Add(timeout)
-	for !cond() {
-		if time.Now().After(deadline) {
-			t.Fatalf("%s: never happened", what)
-		}
-		time.Sleep(25 * time.Millisecond)
-	}
-}
-
 // findContent returns the table-of-contents entry for name, or fails.
 func findContent(t *testing.T, c *Client, name string) ContentInfo {
 	t.Helper()
@@ -202,9 +174,11 @@ func TestReplicateHotContentUnderLoad(t *testing.T) {
 		t.Errorf("replica delivered %d packets, want %d", recv.Count(), want)
 	}
 
-	s := waitRepl(t, admin, "transfer completion counted", 5*time.Second, func(s obs.Snapshot) bool {
+	var s obs.Snapshot
+	await.Until(t, "transfer completion counted", statusHolds(admin, func(snap obs.Snapshot) bool {
+		s = snap
 		return s.Counter(wire.CounterReplDone) >= 1
-	})
+	}))
 	// The names the harness and /metrics read, counted by the handles
 	// beside the plan and commit events.
 	if s.Counter(wire.CounterReplPlanned) < 1 || s.Counter(wire.CounterReplDone) != 1 ||
@@ -280,10 +254,10 @@ func TestReplicateDeleteRaceAbortsCopy(t *testing.T) {
 		errCh <- err
 	}()
 
-	waitRepl(t, admin, "copy in flight", 10*time.Second, func(s obs.Snapshot) bool {
+	await.Until(t, "copy in flight", statusHolds(admin, func(s obs.Snapshot) bool {
 		return s.Gauge(wire.GaugeReplActive) >= 1
-	})
-	waitCond(t, "destination allocated partial blocks", 10*time.Second, func() bool {
+	}))
+	await.Until(t, "destination allocated partial blocks", func() bool {
 		return cluster.Volume(1, 0).FreeBlocks() < free0
 	})
 
@@ -301,10 +275,10 @@ func TestReplicateDeleteRaceAbortsCopy(t *testing.T) {
 	case <-time.After(20 * time.Second):
 		t.Fatal("queued play never resolved after the delete")
 	}
-	waitRepl(t, admin, "transfer aborted", 10*time.Second, func(s obs.Snapshot) bool {
+	await.Until(t, "transfer aborted", statusHolds(admin, func(s obs.Snapshot) bool {
 		return s.Gauge(wire.GaugeReplActive) == 0 && s.Counter(wire.CounterReplAborted) >= 1
-	})
-	waitCond(t, "partial replica reclaimed on the destination", 10*time.Second, func() bool {
+	}))
+	await.Until(t, "partial replica reclaimed on the destination", func() bool {
 		return cluster.Volume(1, 0).FreeBlocks() == free0
 	})
 
@@ -323,7 +297,7 @@ func TestReplicateDeleteRaceAbortsCopy(t *testing.T) {
 	if err := cluster.RestartCoordinator(); err != nil {
 		t.Fatal(err)
 	}
-	waitStatus(t, admin)
+	await.Until(t, "a status answer from the restarted Coordinator", statusHolds(admin, nil))
 	items, err = admin.ListContent()
 	if err != nil {
 		t.Fatal(err)
@@ -375,10 +349,10 @@ func replicateCrashTest(t *testing.T, victim int) (*Cluster, []*faultinject.Inje
 		errCh <- err
 	}()
 
-	waitRepl(t, admin, "copy in flight", 10*time.Second, func(s obs.Snapshot) bool {
+	await.Until(t, "copy in flight", statusHolds(admin, func(s obs.Snapshot) bool {
 		return s.Gauge(wire.GaugeReplActive) >= 1
-	})
-	waitCond(t, "destination allocated partial blocks", 10*time.Second, func() bool {
+	}))
+	await.Until(t, "destination allocated partial blocks", func() bool {
 		return cluster.Volume(1, 0).FreeBlocks() < free0
 	})
 
@@ -387,10 +361,10 @@ func replicateCrashTest(t *testing.T, victim int) (*Cluster, []*faultinject.Inje
 	// The Coordinator notices the dead MSU and aborts the transfer; the
 	// destination (told to abort, or alone with its failing pulls)
 	// reclaims the partial replica on its own.
-	waitRepl(t, admin, "transfer aborted after crash", 15*time.Second, func(s obs.Snapshot) bool {
+	await.Until(t, "transfer aborted after crash", statusHolds(admin, func(s obs.Snapshot) bool {
 		return s.Gauge(wire.GaugeReplActive) == 0 && s.Counter(wire.CounterReplAborted) >= 1
-	})
-	waitCond(t, "partial replica reclaimed on the destination", 15*time.Second, func() bool {
+	}))
+	await.Until(t, "partial replica reclaimed on the destination", func() bool {
 		return cluster.Volume(1, 0).FreeBlocks() == free0
 	})
 	// The queued play resolves with an error: the copy never committed,
@@ -409,7 +383,7 @@ func replicateCrashTest(t *testing.T, victim int) (*Cluster, []*faultinject.Inje
 	if err := cluster.RestartCoordinator(); err != nil {
 		t.Fatal(err)
 	}
-	waitStatus(t, admin)
+	await.Until(t, "a status answer from the restarted Coordinator", statusHolds(admin, nil))
 	info := findContent(t, admin, "movie")
 	if len(info.Replicas) != 1 || info.Replicas[0] != (core.DiskID{MSU: "msu0", N: 0}) {
 		t.Fatalf("after restart movie replicas = %v, want exactly [msu0/disk0]", info.Replicas)
@@ -425,7 +399,7 @@ func TestFaultReplicateSourceCrashMidCopy(t *testing.T) {
 	cluster, inj, admin := replicateCrashTest(t, 0)
 
 	inj[0].Partition(false)
-	waitMSUsAvailable(t, admin, 2)
+	await.Until(t, "both MSUs to re-register", msusAvailable(admin, 2))
 	info := findContent(t, admin, "movie")
 	if len(info.Replicas) != 1 {
 		t.Fatalf("healed source re-registered with ghost replicas: %v", info.Replicas)
@@ -441,7 +415,7 @@ func TestFaultReplicateDestMSUCrashMidCopy(t *testing.T) {
 	cluster, inj, admin := replicateCrashTest(t, 1)
 
 	inj[1].Partition(false)
-	waitMSUsAvailable(t, admin, 2)
+	await.Until(t, "both MSUs to re-register", msusAvailable(admin, 2))
 	info := findContent(t, admin, "movie")
 	if len(info.Replicas) != 1 || info.Replicas[0] != (core.DiskID{MSU: "msu0", N: 0}) {
 		t.Fatalf("healed destination re-registered a partial replica: %v", info.Replicas)
@@ -468,18 +442,11 @@ func playMovieAfterRecovery(t *testing.T, cluster *Cluster) {
 	}
 	// The hogs from the load phase may still hold bandwidth (they run
 	// hogDur from test start); retry until the play is admitted.
-	deadline := time.Now().Add(hogDur + 15*time.Second)
 	var stream *Stream
-	for {
+	await.Until(t, "movie admitted after recovery", func() bool {
 		stream, err = c.Play("movie", "tv", false)
-		if err == nil {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("movie never admitted after recovery: %v", err)
-		}
-		time.Sleep(100 * time.Millisecond)
-	}
+		return err == nil
+	})
 	if !recv.WaitCount(3, 10*time.Second) {
 		t.Fatal("no packets from the recovered cluster")
 	}
