@@ -48,11 +48,13 @@ leakcheck:
 # start-up sweeps what crashes leave (TestSweepOnStartup), and a
 # corrupt superblock is refused (TestMountRejectsCorruptSuperblock). The
 # MSU's command path rides along: VCR commands pipelined down one
-# connection, a stream's goroutines across a hundred of them, a quit
-# during the control dial, and the report clock: its cadence, reports
-# while a stream plays, and the last report when two groups quit at once.
+# connection, a stream's goroutines across a hundred of them, each ack's
+# position while a title plays through seeks, pauses and scans, a group's
+# command moving all of its members or none, a quit during the control
+# dial, and the report clock: its cadence, reports while a stream plays,
+# and the last report when two groups quit at once.
 faults:
-	$(GO) test -race -timeout 120s -run 'Fault|Failover|Redispatch|Reconnect|MSUDown|Lost|Restart|FailedCommit|ReplayIdempotent|ReplayUnstamped|PR15Fixture|Orphan|Corrupt|PlanStep|LedgerConservation|Core|RecordPlacement|QueuedPlayWakes|CloseWakes|CutAll|QuitIsAcknowledged|StopKeeps|SweepOnStartup|PipelinedVCR|GoroutinesPerStream|QuitDuringControlDial|ReportCadence|ReportsWhilePlaying|LastReportCountsConcurrentQuits' . ./internal/coordinator ./internal/client ./internal/msu ./internal/msufs ./internal/faultinject ./internal/admindb
+	$(GO) test -race -timeout 120s -run 'Fault|Failover|Redispatch|Reconnect|MSUDown|Lost|Restart|FailedCommit|ReplayIdempotent|ReplayUnstamped|PR15Fixture|Orphan|Corrupt|PlanStep|LedgerConservation|Core|RecordPlacement|QueuedPlayWakes|CloseWakes|CutAll|QuitIsAcknowledged|StopKeeps|SweepOnStartup|PipelinedVCR|GoroutinesPerStream|VCRAckPositions|GroupVCRMovesAllOrNone|QuitDuringControlDial|ReportCadence|ReportsWhilePlaying|LastReportCountsConcurrentQuits' . ./internal/coordinator ./internal/client ./internal/msu ./internal/msufs ./internal/faultinject ./internal/admindb
 
 # Three seconds of each of the nine fuzz targets (go test takes one -fuzz target and
 # one package per run): journal replay and snapshot decoding never

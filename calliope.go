@@ -376,16 +376,6 @@ func (c *Cluster) Addr() string { return c.Coordinator.Addr() }
 // restart the MSU.
 func (c *Cluster) Volume(m, d int) *msufs.Volume { return c.vols[m][d] }
 
-// StripedStore returns a striped logical store over MSU m's disks, for
-// preloading content into a Striped cluster.
-func (c *Cluster) StripedStore(m int) (msufs.Store, error) {
-	set, err := msufs.NewStripeSet(c.vols[m]...)
-	if err != nil {
-		return nil, err
-	}
-	return msufs.NewStripedStore(set), nil
-}
-
 // IngestStore loads content through any logical store — a volume store
 // or a striped store.
 func IngestStore(store msufs.Store, name, contentType string, pkts []Packet) error {

@@ -37,6 +37,7 @@ import (
 	"calliope"
 	"calliope/internal/media"
 	"calliope/internal/units"
+	"calliope/internal/wire"
 )
 
 func main() {
@@ -293,11 +294,11 @@ func play(c *calliope.Client, content string) {
 		}
 		var err error
 		switch fields[0] {
-		case "pause":
+		case wire.VCRPause:
 			_, err = stream.Pause()
-		case "play":
+		case wire.VCRPlay:
 			_, err = stream.Resume()
-		case "seek":
+		case wire.VCRSeek:
 			if len(fields) < 2 {
 				err = fmt.Errorf("seek needs a duration")
 				break
@@ -310,7 +311,7 @@ func play(c *calliope.Client, content string) {
 			_, err = stream.FastForward()
 		case "fb":
 			_, err = stream.FastBackward()
-		case "quit":
+		case wire.VCRQuit:
 			if err := stream.Quit(); err != nil {
 				fail(err)
 			}

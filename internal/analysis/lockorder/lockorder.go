@@ -1,11 +1,11 @@
 // Package lockorder builds a tree-wide mutex acquisition graph and
 // reports lock-order cycles — the deadlock class Calliope risks between
-// the MSU's control lock, its stream and content locks, the wire peers'
+// the MSU's control lock, its recorder and content locks, the wire peers'
 // locks and cache eviction (§2.2/§2.3: scheduling and delivery touch
 // shared state from many goroutines).
 //
 // Mutexes are grouped into classes by declaration site: a field
-// mutex's class is Pkg.Type.field (every instance of msu.stream.mu is
+// mutex's class is Pkg.Type.field (every instance of msu.recorder.mu is
 // one class), a package-level or local mutex is its own class. The
 // analyzer scans every function, tracking the set of held classes:
 //

@@ -417,7 +417,7 @@ func (c *Client) registerVCR(group uint64, st *vcrState) {
 			// Resume from the last delivered offset on the new MSU.
 			go func() {
 				var ack wire.VCRAck
-				st.peer.Call(wire.TypeVCR, wire.VCR{Op: "seek", Pos: pos}, &ack) //nolint:errcheck // the stream still plays from 0 if the seek races a dying conn
+				st.peer.Call(wire.TypeVCR, wire.VCR{Op: wire.VCRSeek, Pos: pos}, &ack) //nolint:errcheck // the stream still plays from 0 if the seek races a dying conn
 			}()
 		}
 	}
@@ -739,23 +739,23 @@ func (s *Stream) command(op string, pos time.Duration) (wire.VCRAck, error) {
 }
 
 // Pause halts delivery, keeping position.
-func (s *Stream) Pause() (wire.VCRAck, error) { return s.command("pause", 0) }
+func (s *Stream) Pause() (wire.VCRAck, error) { return s.command(wire.VCRPause, 0) }
 
 // Resume restarts normal-rate delivery.
-func (s *Stream) Resume() (wire.VCRAck, error) { return s.command("play", 0) }
+func (s *Stream) Resume() (wire.VCRAck, error) { return s.command(wire.VCRPlay, 0) }
 
 // Seek repositions playback to pos (an offset from the start).
-func (s *Stream) Seek(pos time.Duration) (wire.VCRAck, error) { return s.command("seek", pos) }
+func (s *Stream) Seek(pos time.Duration) (wire.VCRAck, error) { return s.command(wire.VCRSeek, pos) }
 
 // FastForward switches to the fast-forward companion file.
-func (s *Stream) FastForward() (wire.VCRAck, error) { return s.command("fast-forward", 0) }
+func (s *Stream) FastForward() (wire.VCRAck, error) { return s.command(wire.VCRFastForward, 0) }
 
 // FastBackward switches to the fast-backward companion file.
-func (s *Stream) FastBackward() (wire.VCRAck, error) { return s.command("fast-backward", 0) }
+func (s *Stream) FastBackward() (wire.VCRAck, error) { return s.command(wire.VCRFastBackward, 0) }
 
 // Quit terminates the stream group and frees its server resources.
 func (s *Stream) Quit() error {
-	_, err := s.command("quit", 0)
+	_, err := s.command(wire.VCRQuit, 0)
 	return err
 }
 
@@ -821,5 +821,5 @@ func (r *Recording) Lost() <-chan wire.StreamLost {
 // over-estimated space.
 func (r *Recording) Stop() error {
 	var ack wire.VCRAck
-	return r.vcr.peer.Call(wire.TypeVCR, wire.VCR{Op: "quit"}, &ack)
+	return r.vcr.peer.Call(wire.TypeVCR, wire.VCR{Op: wire.VCRQuit}, &ack)
 }

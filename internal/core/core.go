@@ -1,7 +1,7 @@
 // Package core holds the domain model shared by every Calliope
 // component: content types (atomic and composite), content metadata,
-// stream and session identifiers, VCR commands, and the errors the
-// control plane reports. It has no I/O of its own.
+// stream and session identifiers, and the errors the control plane
+// reports. It has no I/O of its own.
 package core
 
 import (
@@ -25,7 +25,6 @@ var (
 	ErrDuplicateName    = errors.New("calliope: name already in use")
 	ErrPermission       = errors.New("calliope: permission denied")
 	ErrMSUUnavailable   = errors.New("calliope: MSU unavailable")
-	ErrNotRecording     = errors.New("calliope: stream is not a recording")
 	ErrBadRequest       = errors.New("calliope: malformed request")
 	ErrContentInUse     = errors.New("calliope: content is in use")
 	ErrNoFastFile       = errors.New("calliope: no fast-forward/backward file loaded")
@@ -163,46 +162,6 @@ type ContentInfo struct {
 	// on table-of-contents listings only; the catalog's durable record
 	// keeps locations separately.
 	Replicas []DiskID
-}
-
-// VCROp is a VCR command a client sends on the per-stream control
-// connection directly to the MSU (§2.1).
-type VCROp int
-
-const (
-	VCRPlay VCROp = iota
-	VCRPause
-	VCRSeek
-	VCRFastForward
-	VCRFastBackward
-	VCRQuit
-)
-
-func (op VCROp) String() string {
-	switch op {
-	case VCRPlay:
-		return "play"
-	case VCRPause:
-		return "pause"
-	case VCRSeek:
-		return "seek"
-	case VCRFastForward:
-		return "fast-forward"
-	case VCRFastBackward:
-		return "fast-backward"
-	case VCRQuit:
-		return "quit"
-	default:
-		return fmt.Sprintf("vcr(%d)", int(op))
-	}
-}
-
-// VCRCommand carries a VCR operation and its argument. Seek positions
-// are offsets from the start of the recording, matching the relative
-// delivery times stored in schedules.
-type VCRCommand struct {
-	Op  VCROp
-	Pos time.Duration // for VCRSeek
 }
 
 // PortID identifies a registered display port within a session.

@@ -131,12 +131,6 @@ func TestStreamSpecValidate(t *testing.T) {
 }
 
 func TestStringers(t *testing.T) {
-	if got := VCRFastForward.String(); got != "fast-forward" {
-		t.Errorf("VCRFastForward = %q", got)
-	}
-	if got := VCROp(99).String(); got != "vcr(99)" {
-		t.Errorf("unknown op = %q", got)
-	}
 	if got := FastBackward.String(); got != "fast-backward" {
 		t.Errorf("FastBackward = %q", got)
 	}

@@ -202,11 +202,7 @@ func (r *budgetRig) stream() *stream {
 // awaitEnd waits for the stream to reach the end of what it plays.
 func (r *budgetRig) awaitEnd(s *stream, what string) {
 	r.t.Helper()
-	select {
-	case <-s.ended():
-	case <-time.After(10 * time.Second):
-		r.t.Fatalf("no end of content: %s", what)
-	}
+	await.Until(r.t, "the end of content: "+what, func() bool { return r.m.atEnd(s) })
 }
 
 // The requests a start submits for its one first page: the rest of it,

@@ -157,16 +157,26 @@ func newVCRRigOn(t *testing.T, cfg Config) *vcrRig {
 // play starts a stream of content from 0 and returns its control peer.
 func (r *vcrRig) play(content string) *wire.Peer {
 	r.t.Helper()
-	r.next++
-	_, err := r.m.startStream(core.StreamSpec{
-		Stream: core.StreamID(r.next), Group: r.next, GroupSize: 1,
-		Content: content, Type: "mpeg1", Protocol: "cbr", Class: core.ConstantRate,
-		Rate:      1500 * units.Kbps,
-		DestAddr:  r.sink.LocalAddr().String(),
-		ClientTCP: r.ln.Addr().String(),
-	})
-	if err != nil {
-		r.t.Fatalf("start-stream %q: %v", content, err)
+	return r.playGroup(content)
+}
+
+// playGroup starts one group whose members play contents from 0, in that
+// order, and returns its control peer.
+func (r *vcrRig) playGroup(contents ...string) *wire.Peer {
+	r.t.Helper()
+	gid := r.next + 1
+	for _, content := range contents {
+		r.next++
+		_, err := r.m.startStream(core.StreamSpec{
+			Stream: core.StreamID(r.next), Group: gid, GroupSize: len(contents),
+			Content: content, Type: "mpeg1", Protocol: "cbr", Class: core.ConstantRate,
+			Rate:      1500 * units.Kbps,
+			DestAddr:  r.sink.LocalAddr().String(),
+			ClientTCP: r.ln.Addr().String(),
+		})
+		if err != nil {
+			r.t.Fatalf("start-stream %q: %v", content, err)
+		}
 	}
 	select {
 	case p := <-r.vcrs:

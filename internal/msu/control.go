@@ -101,16 +101,16 @@ func (m *MSU) handleVCR(gid uint64, msgType string, body json.RawMessage) (any, 
 	}
 	return serve(body, func(cmd wire.VCR) (any, error) {
 		a := m.wait(func(_ time.Time, tk uint64) { m.eng.vcr(tk, gid, cmd.Op, cmd.Pos) })
-		switch s := a.ss; {
+		switch {
 		case a.err != nil:
 			return nil, a.err
 		case a.quit:
 			return wire.Reply{
-				Body: &wire.VCRAck{Pos: s[0].position(), Speed: core.Normal.String()},
+				Body: &wire.VCRAck{Pos: a.ss[0].position(), Speed: core.Normal.String()},
 				Then: func() { m.step(func(time.Time) { m.eng.quitAcked(gid, "client quit") }) },
 			}, nil
 		default:
-			return &wire.VCRAck{Pos: s[0].position(), Speed: s[0].speedName()}, nil
+			return a.body, nil // the ack step read
 		}
 	})
 }
@@ -149,6 +149,11 @@ func (m *MSU) step(in func(now time.Time)) {
 				m.wg.Add(1) // until the tick has run, or Close has stopped it
 				m.clock = time.AfterFunc(a.at.Sub(now), m.reportTick)
 			case actAnswer:
+				if a.ss != nil && !a.quit && a.err == nil {
+					// A VCR command's ack, read before the members can take
+					// the next command.
+					a.body = &wire.VCRAck{Pos: a.ss[0].position(), Speed: a.ss[0].cue.speed.String()}
+				}
 				m.waiters[a.tk] <- *a // buffered for its one answer
 				delete(m.waiters, a.tk)
 			case actAttach, actEOF, actCloseCtl:
@@ -252,12 +257,7 @@ func (m *MSU) carry(msg *message) bool {
 		msg.peer, a.err = m.dial(a)
 		return true
 	case actCommand:
-		for _, s := range a.ss {
-			if err := s.vcr(a.op, a.pos, a.cue); err != nil {
-				a.err = fmt.Errorf("stream %d: %w", s.spec.Stream, err)
-				break
-			}
-		}
+		a.err = vcr(a.ss, a.op, a.pos, a.cue)
 		return true
 	case actTeardown:
 		var commits []wire.RecordingDone

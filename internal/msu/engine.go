@@ -37,7 +37,7 @@ type group struct {
 	clientTCP string
 	members   []*stream // fixed once the group is complete
 	ctl       bool      // its control connection is attached
-	// busy is a command with the members — their first start ("begin"), a
+	// busy is a command with the members — their first start (beginOp), a
 	// VCR command, their teardown, or a quit whose acknowledgement is not
 	// yet on the wire (acking) — and queue the requests behind it.
 	busy, acking bool
@@ -96,7 +96,7 @@ type action struct {
 	disk  int
 	seq   uint64
 	typ   string
-	body  any
+	body  any // a note's; the shell puts a VCR command's ack in its answer
 	at    time.Time
 	job   *replJob
 }
@@ -152,7 +152,7 @@ func (e *engine) start(now time.Time, tk uint64, s *stream) {
 		e.answer(tk, nil)
 		return
 	}
-	e.run(g, action{tk: tk, op: "begin"})
+	e.run(g, action{tk: tk, op: beginOp})
 }
 
 // clientDialAttempts bounds the control-connection retries: a client that
@@ -187,7 +187,7 @@ func (e *engine) dialed(gid, tk uint64, n int, err error) {
 func (e *engine) vcr(tk, gid uint64, op string, pos time.Duration) {
 	r := action{tk: tk, op: op, pos: pos}
 	switch g := e.groups[gid]; {
-	case op == "begin": // the members' first start, not a client's
+	case op == beginOp: // the members' first start, not a client's
 		e.answer(tk, fmt.Errorf("%w: vcr op %q", core.ErrBadRequest, op))
 	case g == nil || g.cause != "":
 		e.answer(tk, core.ErrStreamTerminated)
@@ -204,13 +204,13 @@ func (e *engine) vcr(tk, gid uint64, op string, pos time.Duration) {
 // and commanded its outcome.
 func (e *engine) run(g *group, r action) {
 	g.busy = true
-	if r.op == "quit" {
+	if r.op == wire.VCRQuit {
 		g.acking = true
 		e.emit(action{kind: actAnswer, tk: r.tk, ss: g.members[:1], quit: true})
 		return
 	}
 	g.next = 0
-	if r.op != "pause" {
+	if r.op != wire.VCRPause {
 		g.cues++
 		g.next = g.cues
 	}

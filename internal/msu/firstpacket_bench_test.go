@@ -32,6 +32,7 @@ import (
 	"calliope/internal/media"
 	"calliope/internal/msufs"
 	"calliope/internal/units"
+	"calliope/internal/wire"
 )
 
 func BenchmarkFirstPacket(b *testing.B) {
@@ -167,7 +168,7 @@ func benchFirstPacket(b *testing.B, writeEvery time.Duration, cache units.ByteSi
 		s := streams[i%titles]
 		sink.SetReadDeadline(time.Now().Add(10 * time.Second)) //nolint:errcheck
 		start := time.Now()
-		if err := s.playAt(core.Normal, pos, 0); err != nil {
+		if err := vcr([]*stream{s}, wire.VCRSeek, pos, 0); err != nil {
 			b.Fatal(err)
 		}
 		if _, _, err := sink.ReadFromUDP(buf); err != nil {
@@ -175,8 +176,8 @@ func benchFirstPacket(b *testing.B, writeEvery time.Duration, cache units.ByteSi
 		}
 		waited += time.Since(start)
 		b.StopTimer()
-		s.vcr("pause", 0, 0)                 //nolint:errcheck // a play stream always pauses
-		for err := error(nil); err == nil; { // what was sent before the stop
+		vcr([]*stream{s}, wire.VCRPause, 0, 0) //nolint:errcheck // a play stream always pauses
+		for err := error(nil); err == nil; {   // what was sent before the stop
 			sink.SetReadDeadline(time.Now().Add(time.Millisecond)) //nolint:errcheck
 			_, _, err = sink.ReadFromUDP(buf)
 		}

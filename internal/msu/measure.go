@@ -17,6 +17,7 @@ import (
 	"calliope/internal/media"
 	"calliope/internal/msufs"
 	"calliope/internal/units"
+	"calliope/internal/wire"
 )
 
 // BenchResult is one measurement. What one "op" is depends on the
@@ -69,6 +70,7 @@ func newBenchMSU(cache units.ByteSize, striped bool, vols ...*msufs.Volume) (*MS
 
 // openBenchStream opens a play stream the way startStream would, outside
 // any group, aimed at a throwaway UDP sink; cleanup closes both sockets.
+// With no group to tell, its cues' ends are nudged on its ends.
 func openBenchStream(m *MSU, disk int, id core.StreamID, name string) (*stream, func(), error) {
 	sink, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
 	if err != nil {
@@ -80,6 +82,7 @@ func openBenchStream(m *MSU, disk int, id core.StreamID, name string) (*stream, 
 		sink.Close() //nolint:errcheck
 		return nil, nil, err
 	}
+	s.ends = make(chan struct{}, 1)
 	cleanup := func() {
 		s.teardown()
 		sink.Close() //nolint:errcheck
@@ -90,8 +93,8 @@ func openBenchStream(m *MSU, disk int, id core.StreamID, name string) (*stream, 
 // playSession plays every stream from the start to EOF concurrently,
 // then pauses them.
 func playSession(streams []*stream) error {
-	for _, s := range streams {
-		if err := s.playAt(core.Normal, 0, 0); err != nil {
+	for i := range streams {
+		if err := vcr(streams[i:i+1], beginOp, 0, 0); err != nil {
 			return err
 		}
 	}
@@ -99,13 +102,13 @@ func playSession(streams []*stream) error {
 	defer timeout.Stop()
 	for _, s := range streams {
 		select {
-		case <-s.ended():
+		case <-s.ends:
 		case <-timeout.C:
 			return fmt.Errorf("msu: measurement session never reached EOF")
 		}
 	}
-	for _, s := range streams {
-		s.vcr("pause", 0, 0) //nolint:errcheck // a play stream always pauses
+	for i := range streams {
+		vcr(streams[i:i+1], wire.VCRPause, 0, 0) //nolint:errcheck // a play stream always pauses
 	}
 	return nil
 }

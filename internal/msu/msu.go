@@ -15,7 +15,9 @@
 // (internal/queue): each playing stream has one disk process, which reads
 // its pages with double buffering and takes its VCR commands as messages,
 // and the MSU has one network process, the sender, which paces every
-// stream's packets onto the wire. MSUs never talk to each other.
+// stream's packets onto the wire. Neither takes a lock per packet: a
+// stream's position is one atomic, and its cue is handed over with the
+// ring. MSUs never talk to each other.
 //
 // On startup (and after any disconnection) the MSU registers with the
 // Coordinator, reporting its disks, free space, and stored content;

@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"net"
 	"strconv"
-	"sync"
+	"sync/atomic"
 	"time"
 
 	"calliope/internal/cache"
@@ -35,18 +35,22 @@ type stream struct {
 	// a hit delivers straight out of the cached page.
 	cache *cache.Cache
 
-	mu    sync.Mutex
-	speed core.Speed
-	pos   time.Duration // position in normal-rate coordinates
-	eof   bool
-	endC  chan struct{} // closed at the cue's end (ended)
+	// pos is the position in normal-rate coordinates: the sender stores it
+	// as packets leave, the disk process at a cue's start and end, each
+	// after the other has handed the stream over (reposition, playerEOF).
+	pos atomic.Int64
+	// ends is nudged at each cue's end; nil but for a measurement stream,
+	// which has no group to tell (openBenchStream).
+	ends chan struct{}
 
 	// flow is what the stream shares with the MSU's sender. The rest of
 	// delivery is the stream's disk process (run), from the first cue to
 	// teardown: it takes the VCR commands on cmds and acks each on acked,
 	// and done closes when it ends. The fields after done are its own: the
-	// cue playing, a command that cut it short, and the name the cache
-	// tracks the stream under ("" while it does not).
+	// cue playing (which the sender reads after taking the cue's
+	// descriptors off the ring, and the shell after the command's ack), a
+	// command that cut it short, and the name the cache tracks the stream
+	// under ("" while it does not).
 	flow
 	cmds    chan command
 	acked   chan struct{}
@@ -74,7 +78,8 @@ type command struct {
 }
 
 const (
-	opPlay = iota
+	opNone = iota // nothing to do: a recorder's begin
+	opPlay
 	opPause
 	opQuit
 )
@@ -106,7 +111,6 @@ func (m *MSU) newPlayStream(spec core.StreamSpec, vol msufs.Store) (*stream, err
 		ffName: st.Attrs[AttrFastFwd],
 		fbName: st.Attrs[AttrFastBack],
 		cache:  m.cacheFor(spec.Disk),
-		speed:  core.Normal,
 		cmds:   make(chan command),
 		acked:  make(chan struct{}),
 	}
@@ -155,70 +159,68 @@ func (s *stream) teardown() (done *wire.RecordingDone) {
 }
 
 // position reports the stream's normal-rate position.
-func (s *stream) position() time.Duration {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.pos
-}
+func (s *stream) position() time.Duration { return time.Duration(s.pos.Load()) }
 
-func (s *stream) speedName() string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.speed.String()
-}
+// beginOp is a group's first start, which no client sends: a player plays
+// from 0, and a recorder runs as soon as packets arrive.
+const beginOp = "begin"
 
-// ended returns a channel closed once the stream is at the end of a cue
-// (playerEOF): the one playing, or, paused at its end, the last.
-func (s *stream) ended() <-chan struct{} {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.endC == nil {
-		s.endC = make(chan struct{})
-		if s.eof {
-			close(s.endC)
+// vcr applies VCR op to a group's members, to all of them or to none:
+// each member's command is resolved before any is given, so a member that
+// refuses the op leaves every member as it was. A cue it starts is cue n.
+func vcr(ss []*stream, op string, pos time.Duration, n uint64) error {
+	var buf [4]command
+	cs := buf[:0]
+	for _, s := range ss {
+		c, err := s.resolve(op, pos, n)
+		if err != nil {
+			return fmt.Errorf("stream %d: %w", s.spec.Stream, err)
+		}
+		cs = append(cs, c)
+	}
+	for i, s := range ss {
+		if cs[i].op != opNone {
+			s.command(cs[i])
 		}
 	}
-	return s.endC
+	return nil
 }
 
-// vcr applies one VCR command (§2.1): pause keeps the position, play
-// resumes normal-rate delivery from it, seek repositions at the current
-// speed, and a scan switches to the fast-forward or fast-backward
-// companion file at the current frame (§2.3.1). A cue it starts is cue n.
-// "begin" is a group's first start: a player plays from 0.
-func (s *stream) vcr(op string, pos time.Duration, n uint64) error {
+// resolve turns one VCR command (§2.1) into what the stream's disk process
+// is told: pause keeps the position, play resumes normal-rate delivery
+// from it, seek repositions at the current speed, and a scan switches to
+// the fast-forward or fast-backward companion file at the current frame
+// (§2.3.1). The cue it reads was set before the last command's ack.
+func (s *stream) resolve(op string, pos time.Duration, n uint64) (command, error) {
 	switch {
-	case op == "begin" && s.spec.Record:
-		return nil // a recorder runs as soon as packets arrive
-	case op == "begin":
+	case op == beginOp && s.spec.Record:
+		return command{}, nil // opNone: a recorder runs as soon as packets arrive
+	case op == beginOp:
 		return s.playAt(core.Normal, 0, n)
 	case s.spec.Record:
-		return fmt.Errorf("%w: cannot %s a recording", core.ErrBadRequest, op)
+		return command{}, fmt.Errorf("%w: cannot %s a recording", core.ErrBadRequest, op)
 	}
-	s.mu.Lock()
-	speed, at := s.speed, s.pos
-	s.mu.Unlock()
+	speed, at := s.cue.speed, s.position()
 	switch op {
-	case "pause":
-		s.command(command{op: opPause})
-		return nil
-	case "play":
+	case wire.VCRPause:
+		return command{op: opPause}, nil
+	case wire.VCRPlay:
 		speed = core.Normal
-	case "seek":
+	case wire.VCRSeek:
 		at = min(max(pos, 0), s.length)
-	case "fast-forward":
+	case wire.VCRFastForward:
 		speed = core.FastForward
-	case "fast-backward":
+	case wire.VCRFastBackward:
 		speed = core.FastBackward
 	default:
-		return fmt.Errorf("%w: vcr op %q", core.ErrBadRequest, op)
+		return command{}, fmt.Errorf("%w: vcr op %q", core.ErrBadRequest, op)
 	}
 	return s.playAt(speed, at, n)
 }
 
-// playAt has the disk process play cue n at the given speed from the given
-// normal-rate position; a scan with no companion is refused first.
-func (s *stream) playAt(sp core.Speed, normalPos time.Duration, n uint64) error {
+// playAt is cue n at the given speed from the given normal-rate position;
+// a scan with no companion is refused.
+func (s *stream) playAt(sp core.Speed, normalPos time.Duration, n uint64) (command, error) {
 	c := command{op: opPlay, n: n, tree: s.tree, file: s.file, cname: s.spec.Content, speed: sp, from: normalPos, normal: normalPos}
 	if sp != core.Normal {
 		// The cache indexes pages by the name of the file actually being
@@ -228,27 +230,26 @@ func (s *stream) playAt(sp core.Speed, normalPos time.Duration, n uint64) error 
 			c.cname, c.from = s.fbName, media.MapPositionBackward(normalPos, s.length, s.every)
 		}
 		if c.cname == "" {
-			return fmt.Errorf("%w: %q", core.ErrNoFastFile, s.spec.Content)
+			return command{}, fmt.Errorf("%w: %q", core.ErrNoFastFile, s.spec.Content)
 		}
 		ct, err := s.m.openContent(s.spec.Disk, c.cname)
 		if err != nil {
-			return fmt.Errorf("%w: companion %q: %v", core.ErrNoFastFile, c.cname, err)
+			return command{}, fmt.Errorf("%w: companion %q: %v", core.ErrNoFastFile, c.cname, err)
 		}
 		c.tree, c.file = ct.tree, ct.file
 	}
-	s.command(c)
-	return nil
+	return c, nil
 }
 
-// command hands c to the stream's disk process — starting it with c, the
-// first time — and waits for the ack, by which the sender holds nothing of
-// what was playing. Commands come one at a time: the MSU's core has a
-// group's members take one at a time (engine.run).
+// command hands c to the stream's disk process — starting it, the first
+// time — and waits for the ack, by which the disk process has set up what
+// c plays and the sender holds nothing of what played before. Commands
+// come one at a time: the MSU's core has a group's members take one at a
+// time (engine.run).
 func (s *stream) command(c command) {
 	if s.done == nil {
 		s.done = make(chan struct{})
-		go s.run(c)
-		return
+		go s.run()
 	}
 	s.cmds <- c
 	<-s.acked
@@ -259,12 +260,13 @@ func (s *stream) command(c command) {
 // and unpinned, the sender drops what is queued — before it is acked. One
 // reservation in the disk's pool and one cache registration, keyed by the
 // stream, serve every cue.
-func (s *stream) run(c command) {
+func (s *stream) run() {
 	defer close(s.done)
 	s.m.pools[s.spec.Disk].Reserve(&s.res, pageBudget)
 	f := newFetcher(s)
 	playing := false
-	for ack := false; ; ack = true {
+	c := <-s.cmds
+	for {
 		if playing {
 			f.abort()
 			s.m.send.flush(&s.flow)
@@ -284,9 +286,7 @@ func (s *stream) run(c command) {
 			s.res.Close() // nothing is pinned: the fetcher and the ring are empty
 			return
 		}
-		if ack {
-			s.acked <- struct{}{}
-		}
+		s.acked <- struct{}{}
 		if playing {
 			c = s.deliver(f)
 		} else {
@@ -301,17 +301,12 @@ func (s *stream) reposition(c command, f *fetcher) {
 	s.cue = c
 	s.epoch, s.from = time.Now(), c.from
 	s.sent.Store(0)
+	s.pos.Store(int64(c.normal))
 	if s.cache != nil && s.tracked != c.cname {
 		s.untrack()
 		s.cache.PlayerStart(c.cname, uint64(s.spec.Stream), c.tree.Meta().Pages)
 		s.tracked = c.cname
 	}
-	s.mu.Lock()
-	if s.eof {
-		s.endC = nil // closed at the last cue's end
-	}
-	s.speed, s.pos, s.eof = c.speed, c.normal, false
-	s.mu.Unlock()
 	f.restart()
 }
 
@@ -324,33 +319,29 @@ func (s *stream) untrack() {
 }
 
 // updatePos converts a delivery time in the file being read to a
-// normal-rate position and stores it.
+// normal-rate position and stores it. The sender's: it reads the cue after
+// taking the cue's descriptors off the ring.
 func (s *stream) updatePos(treeTime time.Duration) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	switch s.speed {
+	pos := treeTime
+	switch s.cue.speed {
 	case core.FastForward:
-		s.pos = media.MapPosition(treeTime, s.every, false)
+		pos = media.MapPosition(treeTime, s.every, false)
 	case core.FastBackward:
-		s.pos = max(0, s.length-treeTime*time.Duration(s.every))
-	default:
-		s.pos = treeTime
+		pos = max(0, s.length-treeTime*time.Duration(s.every))
 	}
+	s.pos.Store(int64(pos))
 }
 
-// playerEOF marks end-of-content, which the sender has reached.
+// playerEOF marks end-of-content, which the sender has reached and handed
+// back: a scan stands at the end it ran to.
 func (s *stream) playerEOF() {
-	s.mu.Lock()
-	s.eof = true
-	if s.speed == core.FastForward {
-		s.pos = s.length
-	} else if s.speed == core.FastBackward {
-		s.pos = 0
+	switch s.cue.speed {
+	case core.FastForward:
+		s.pos.Store(int64(s.length))
+	case core.FastBackward:
+		s.pos.Store(0)
 	}
-	if s.endC != nil {
-		close(s.endC)
-	}
-	s.mu.Unlock()
+	nudge(s.ends)
 	s.m.obs.eofs.Inc()
 	s.m.step(func(time.Time) { s.m.eng.ended(s.spec.Stream, s.cue.n) })
 }

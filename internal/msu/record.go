@@ -43,11 +43,11 @@ type recorder struct {
 // newRecordStream creates the content file, reserves the estimate, and
 // opens the receive sockets.
 func (m *MSU) newRecordStream(spec core.StreamSpec, vol msufs.Store) (*stream, *wire.StartStreamOK, error) {
-	ext, err := protocol.Default.New(spec.Protocol, protocol.Config{Rate: spec.Rate})
+	ext, err := protocol.New(spec.Protocol, protocol.Config{Rate: spec.Rate})
 	if err != nil {
 		return nil, nil, err
 	}
-	s := &stream{m: m, spec: spec, speed: core.Normal}
+	s := &stream{m: m, spec: spec}
 	rec := &recorder{s: s, ext: ext}
 	s.rec = rec
 	set := &fileSet{m: m, disk: spec.Disk, store: vol}

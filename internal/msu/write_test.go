@@ -82,7 +82,7 @@ func TestIngestGolden(t *testing.T) {
 // the sockets.
 func newTestRecorder(tb testing.TB, store msufs.Store, name string) *recorder {
 	tb.Helper()
-	ext, err := protocol.Default.New("cbr", protocol.Config{Rate: 1500 * units.Kbps})
+	ext, err := protocol.New("cbr", protocol.Config{Rate: 1500 * units.Kbps})
 	if err != nil {
 		tb.Fatal(err)
 	}

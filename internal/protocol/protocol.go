@@ -15,15 +15,13 @@
 //     derive it from a protocol timestamp instead, which "does not
 //     include the effects of network-induced jitter".
 //
-// Modules are looked up by name in a registry; content types name the
-// module that handles their packets.
+// Modules are looked up by name in a fixed table (New); content types
+// name the module that handles their packets.
 package protocol
 
 import (
 	"errors"
 	"fmt"
-	"sort"
-	"sync"
 	"time"
 
 	"calliope/internal/units"
@@ -32,7 +30,6 @@ import (
 // Package errors.
 var (
 	ErrUnknownProtocol = errors.New("protocol: unknown protocol")
-	ErrDuplicate       = errors.New("protocol: protocol already registered")
 	ErrBadPacket       = errors.New("protocol: malformed packet")
 	ErrBadConfig       = errors.New("protocol: bad configuration")
 )
@@ -71,7 +68,7 @@ type Config struct {
 // Extension is one per-stream protocol instance. Instances are used by
 // a single recording goroutine and need not be safe for concurrent use.
 type Extension interface {
-	// Name reports the module's registry name.
+	// Name reports the module's name, its key in New's table.
 	Name() string
 	// DeliveryTime derives the delivery time to store for a packet
 	// that arrived at the given offset from the start of the session.
@@ -83,73 +80,24 @@ type Extension interface {
 	HasControlChannel() bool
 }
 
-// Factory builds a per-stream extension instance.
-type Factory func(cfg Config) (Extension, error)
-
-// Registry maps protocol names to factories.
-type Registry struct {
-	mu        sync.RWMutex
-	factories map[string]Factory
+// modules are the protocols the paper's MSU supports: RTP, VAT audio,
+// and the raw constant-rate module that covers "any protocol and/or
+// encoding which can be handled by transmitting fixed sized packets at
+// a constant rate".
+var modules = map[string]func(Config) (Extension, error){
+	"rtp": NewRTP,
+	"vat": NewVAT,
+	"cbr": NewCBR,
 }
 
-// NewRegistry returns an empty registry.
-func NewRegistry() *Registry {
-	return &Registry{factories: make(map[string]Factory)}
-}
-
-// Register adds a protocol; duplicate names are an error.
-func (r *Registry) Register(name string, f Factory) error {
-	if name == "" || f == nil {
-		return fmt.Errorf("%w: empty name or nil factory", ErrBadConfig)
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, ok := r.factories[name]; ok {
-		return fmt.Errorf("%w: %s", ErrDuplicate, name)
-	}
-	r.factories[name] = f
-	return nil
-}
-
-// New instantiates a per-stream extension.
-func (r *Registry) New(name string, cfg Config) (Extension, error) {
-	r.mu.RLock()
-	f, ok := r.factories[name]
-	r.mu.RUnlock()
+// New instantiates a per-stream extension of the module named.
+func New(name string, cfg Config) (Extension, error) {
+	f, ok := modules[name]
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownProtocol, name)
 	}
 	return f(cfg)
 }
-
-// Names lists registered protocols, sorted.
-func (r *Registry) Names() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]string, 0, len(r.factories))
-	for n := range r.factories {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Default is the registry pre-loaded with the protocols the paper's
-// MSU supports: RTP, VAT audio, and the raw constant-rate module that
-// covers "any protocol and/or encoding which can be handled by
-// transmitting fixed sized packets at a constant rate".
-var Default = func() *Registry {
-	r := NewRegistry()
-	must := func(err error) {
-		if err != nil {
-			panic(err)
-		}
-	}
-	must(r.Register("rtp", NewRTP))
-	must(r.Register("vat", NewVAT))
-	must(r.Register("cbr", NewCBR))
-	return r
-}()
 
 // Stored-record framing: each record written into the IB-tree is
 // [1 channel byte][payload]. RTP's control traffic is interleaved with

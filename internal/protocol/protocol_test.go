@@ -10,42 +10,20 @@ import (
 	"calliope/internal/units"
 )
 
-func TestRegistryRegisterAndNew(t *testing.T) {
-	r := NewRegistry()
-	if err := r.Register("x", NewCBR); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Register("x", NewCBR); !errors.Is(err, ErrDuplicate) {
-		t.Errorf("duplicate register: %v", err)
-	}
-	if err := r.Register("", NewCBR); !errors.Is(err, ErrBadConfig) {
-		t.Errorf("empty name: %v", err)
-	}
-	if err := r.Register("y", nil); !errors.Is(err, ErrBadConfig) {
-		t.Errorf("nil factory: %v", err)
-	}
-	if _, err := r.New("missing", Config{}); !errors.Is(err, ErrUnknownProtocol) {
-		t.Errorf("unknown protocol: %v", err)
-	}
-	ext, err := r.New("x", Config{Rate: units.Mbps})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ext.Name() != "cbr" {
-		t.Errorf("Name = %q", ext.Name())
-	}
-}
-
-func TestDefaultRegistryHasPaperProtocols(t *testing.T) {
-	names := Default.Names()
-	want := []string{"cbr", "rtp", "vat"}
-	if len(names) != 3 {
-		t.Fatalf("Names = %v", names)
-	}
-	for i := range want {
-		if names[i] != want[i] {
-			t.Fatalf("Names = %v, want %v", names, want)
+// TestNewHasPaperProtocols: New builds each of the paper's three
+// modules under its own name and knows no other.
+func TestNewHasPaperProtocols(t *testing.T) {
+	for _, name := range []string{"cbr", "rtp", "vat"} {
+		ext, err := New(name, Config{Rate: units.Mbps})
+		if err != nil {
+			t.Fatalf("New(%q): %v", name, err)
 		}
+		if ext.Name() != name {
+			t.Errorf("New(%q).Name() = %q", name, ext.Name())
+		}
+	}
+	if _, err := New("missing", Config{}); !errors.Is(err, ErrUnknownProtocol) {
+		t.Errorf("unknown protocol: %v", err)
 	}
 }
 

@@ -418,9 +418,19 @@ type VCRHello struct {
 
 // VCR carries one VCR command; all members of a stream group obey it.
 type VCR struct {
-	Op  string        `json:"op"` // play, pause, seek, fast-forward, fast-backward, quit
+	Op  string        `json:"op"` // one of the VCR ops below
 	Pos time.Duration `json:"pos,omitempty"`
 }
+
+// The VCR ops (VCR.Op). Pos is a seek's target.
+const (
+	VCRPlay         = "play"
+	VCRPause        = "pause"
+	VCRSeek         = "seek"
+	VCRFastForward  = "fast-forward"
+	VCRFastBackward = "fast-backward"
+	VCRQuit         = "quit"
+)
 
 // VCRAck answers VCR with the group's current position.
 type VCRAck struct {
