@@ -52,7 +52,10 @@ leakcheck:
 # position while a title plays through seeks, pauses and scans, a group's
 # command moving all of its members or none, a quit during the control
 # dial, and the report clock: its cadence, reports while a stream plays,
-# and the last report when two groups quit at once.
+# and the last report when two groups quit at once. Two regressions ride
+# the same patterns: a delete in flight fences its title
+# (TestCoreDeleteFencesItsTitle), and a stored record that does not
+# decode ends the cue without being sent (TestCorruptRecordEndsTheCue).
 faults:
 	$(GO) test -race -timeout 120s -run 'Fault|Failover|Redispatch|Reconnect|MSUDown|Lost|Restart|FailedCommit|ReplayIdempotent|ReplayUnstamped|PR15Fixture|Orphan|Corrupt|PlanStep|LedgerConservation|Core|RecordPlacement|QueuedPlayWakes|CloseWakes|CutAll|QuitIsAcknowledged|StopKeeps|SweepOnStartup|PipelinedVCR|GoroutinesPerStream|VCRAckPositions|GroupVCRMovesAllOrNone|QuitDuringControlDial|ReportCadence|ReportsWhilePlaying|LastReportCountsConcurrentQuits' . ./internal/coordinator ./internal/client ./internal/msu ./internal/msufs ./internal/faultinject ./internal/admindb
 
@@ -110,7 +113,7 @@ bench:
 # depths 1, 32 and 256, and a pick that joins a ring of four with its
 # scatter list (`adjacent`) (§3g; 0 allocs/op each).
 bench-path:
-	$(GO) test -run=NONE -bench='PlayerDeliveryPath|PageCursorNext|CursorNext|SeekTime|PageCursorAt|SchedulerPick' -benchmem ./internal/msu ./internal/ibtree ./internal/iosched
+	$(GO) test -run=NONE -bench='PlayerDeliveryPath|PageCursorNext|SeekTime|PageCursorAt|SchedulerPick' -benchmem ./internal/msu ./internal/ibtree ./internal/iosched
 
 # The content write path (DESIGN.md, "Content lifecycle"): Ingest of a
 # 4,800-packet title into a memory volume of 256 KB blocks, a received

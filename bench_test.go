@@ -19,8 +19,8 @@ package calliope
 // The real-binary delivery path (§2.3: disk process → shared-memory
 // queue → network process) is benchmarked in-package where the player
 // lives: BenchmarkPlayerDeliveryPath and BenchmarkPlayerHotReplay in
-// calliope/internal/msu, and the page-granular cursor
-// benches (BenchmarkPageCursorNext vs BenchmarkCursorNext) in
+// calliope/internal/msu, and the page-granular cursor's
+// (BenchmarkPageCursorNext, BenchmarkPageCursorAt) in
 // calliope/internal/ibtree. `make bench-path` runs just those.
 //
 // BenchmarkPlayCycle is the control plane end to end: a client's play,

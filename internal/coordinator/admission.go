@@ -304,7 +304,7 @@ func (c *engine) endReplicationLocked(r *replication) {
 // grant at the idle-bandwidth rate. It returns the planned transfer for
 // the caller to order, or nil.
 func (c *engine) planReplicaLocked(rec *admindb.ContentRecord) *replication {
-	if c.closed || rec == nil {
+	if c.closed || rec == nil || c.deleting[rec.Info.Name] {
 		return nil
 	}
 	t, ok := c.db.Type(rec.Info.Type)

@@ -262,6 +262,49 @@ func TestCoreMSUDown(t *testing.T) {
 	})
 }
 
+// A delete in flight fences its title. While m1's DeleteContent is out,
+// a play of the title is refused and starts nothing. When m2 then refuses
+// its own, the catalog drops the replica m1 removed, and only that one,
+// and m1's disk gets its space back.
+func TestCoreDeleteFencesItsTitle(t *testing.T) {
+	r := newCoreRig(t, Config{})
+	r.msu(1, "m1", 1500*units.Kbps, 900, movie)
+	r.msu(2, "m2", 1500*units.Kbps, 900, movie)
+	r.client(3)
+	space := r.c.msus["m1"].disks[0].space
+	free := space.Available()
+	del := r.ticket()
+	fx := r.in(func() { r.c.deleteContent(del, 3, "movie") })
+	if len(fx.calls) != 1 || fx.calls[0].typ != wire.TypeDeleteContent || fx.calls[0].to != 1 {
+		t.Fatalf("the delete decided %+v, want m1's DeleteContent", fx)
+	}
+	onM1 := fx.calls[0]
+	tk, fx := r.play(3, "movie", "tv", true)
+	if a, ok := answerFor(fx, tk); startFor(fx, tk) != nil || !ok || !errors.Is(a.err, core.ErrNoSuchContent) {
+		t.Fatalf("a play during the delete decided %+v, want it refused", fx)
+	}
+	fx = r.started(&onM1, nil)
+	if len(fx.calls) != 1 || fx.calls[0].typ != wire.TypeDeleteContent || fx.calls[0].to != 2 {
+		t.Fatalf("m1's delete done decided %+v, want m2's DeleteContent", fx)
+	}
+	fx = r.started(&fx.calls[0], errors.New("refused"))
+	if a, ok := answerFor(fx, del); !ok || a.err == nil {
+		t.Fatalf("m2 refused its delete and the client heard %v, %+v", ok, a)
+	}
+	rec := r.c.db.Content("movie")
+	if rec == nil || fmt.Sprint(rec.Holders()) != "[m2/disk0]" {
+		t.Fatalf("the catalog lists %v after m1's replica went, want only m2's", rec)
+	}
+	if got, want := space.Available(), free+blocksFor(movie.Size, 64*1024); got != want {
+		t.Fatalf("m1's disk has %d blocks free, want %d with the title's back", got, want)
+	}
+	// The fence is down: the title plays from m2.
+	tk, fx = r.play(3, "movie", "tv", false)
+	if cl := startFor(fx, tk); cl == nil || cl.to != 2 {
+		t.Fatalf("a play after the delete decided %+v, want it started on m2", fx)
+	}
+}
+
 // (d) A hello under a name still registered waits for the old
 // registration's msu-down, or its grace.
 func TestCoreReregistration(t *testing.T) {

@@ -35,7 +35,10 @@ type engine struct {
 	// dereplicating marks contents with a cold-replica drop in flight,
 	// so one space-pressure report cannot plan the same drop twice.
 	dereplicating map[string]bool
-	nextRepl      uint64
+	// deleting fences the names an administrative delete is removing,
+	// while its chain of DeleteContents runs (deleteContent).
+	deleting map[string]bool
+	nextRepl uint64
 	// queue is the pending queue (§2.2: the Coordinator "queues requests
 	// that cannot be satisfied"), in arrival order. releases counts the
 	// times resources came free: a waiting request is tried again only
@@ -132,6 +135,7 @@ func newEngine(cfg Config, reg *obs.Registry) (*engine, error) {
 		starting:      make(map[uint64]*dispatch),
 		replications:  make(map[uint64]*replication),
 		dereplicating: make(map[string]bool),
+		deleting:      make(map[string]bool),
 		obs:           reg,
 		om:            newCoordMetrics(reg),
 	}

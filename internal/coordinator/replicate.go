@@ -253,7 +253,7 @@ func (c *engine) dropColdReplicaLocked(m *msuState, diskIdx int) {
 		if rec.Info.Disk.MSU == m.id {
 			continue // never shed the primary
 		}
-		if c.dereplicating[name] || c.replicationFor(name) != nil {
+		if c.dereplicating[name] || c.deleting[name] || c.replicationFor(name) != nil {
 			continue
 		}
 		if cov, ok := d.coverage[name]; ok && cov.Players > 0 {

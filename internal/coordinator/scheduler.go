@@ -2,6 +2,7 @@ package coordinator
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -140,29 +141,40 @@ type doomed struct {
 
 // deleteContent removes an item that is not being played or recorded:
 // every replica on every MSU, one DeleteContent at a time, then the
-// catalog entries. owner hears the outcome.
+// catalog entries. Until the chain ends the item and its children are
+// fenced (engine.deleting): no play starts on them and no replica of
+// them is planned or shed. owner hears the outcome.
 func (c *engine) deleteContent(owner uint64, conn connID, name string) {
-	if targets, err := c.doomedReplicas(conn, name); err != nil {
+	names, targets, err := c.doomedReplicas(conn, name)
+	if err != nil {
 		c.answer(owner, nil, err)
-	} else {
-		c.deleteNext(owner, targets, 0)
+		return
 	}
+	for _, n := range names {
+		c.deleting[n] = true
+	}
+	c.deleteNext(owner, names, targets, 0)
 }
 
-func (c *engine) doomedReplicas(conn connID, name string) ([]doomed, error) {
+func (c *engine) doomedReplicas(conn connID, name string) ([]string, []doomed, error) {
 	if err := c.requireAdmin(conn); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	rec := c.db.Content(name)
 	if rec == nil {
-		return nil, fmt.Errorf("%w: %q", core.ErrNoSuchContent, name)
-	}
-	for _, a := range c.active {
-		if a.content == name {
-			return nil, fmt.Errorf("%w: %q", core.ErrContentInUse, name)
-		}
+		return nil, nil, fmt.Errorf("%w: %q", core.ErrNoSuchContent, name)
 	}
 	names := append([]string{name}, rec.Info.Children...)
+	for _, a := range c.active {
+		if a.content == name {
+			return nil, nil, fmt.Errorf("%w: %q", core.ErrContentInUse, name)
+		}
+	}
+	for _, n := range names {
+		if c.deleting[n] {
+			return nil, nil, fmt.Errorf("%w: %q is being deleted", core.ErrContentInUse, n)
+		}
+	}
 	// An in-flight copy of anything being deleted dies first: the
 	// destination removes its unpublished files when told to abort, and
 	// a commit racing the delete is refused in replicateDone.
@@ -185,46 +197,71 @@ func (c *engine) doomedReplicas(conn connID, name string) ([]doomed, error) {
 		for _, loc := range r.Locations {
 			m := c.msus[loc.MSU]
 			if m == nil || !m.alive {
-				return nil, fmt.Errorf("%w: holding %q", core.ErrMSUUnavailable, n)
+				return nil, nil, fmt.Errorf("%w: holding %q", core.ErrMSUUnavailable, n)
 			}
 			targets = append(targets, doomed{conn: m.conn, name: n, size: r.Info.Size, disk: loc.DiskID()})
 		}
 	}
-	return targets, nil
+	return names, targets, nil
 }
 
 // deleteNext orders target i's DeleteContent, or, with every replica
-// gone, drops the catalog entries and returns the space.
-func (c *engine) deleteNext(owner uint64, targets []doomed, i int) {
-	if i < len(targets) {
-		t := targets[i]
-		c.rpc(owner, t.conn, wire.TypeDeleteContent, wire.DeleteContent{Content: t.name}, nil, func(_ time.Time, err error) {
-			if err != nil {
-				c.answer(owner, nil, fmt.Errorf("coordinator: deleting %q on MSU: %w", t.name, err))
-				return
-			}
-			c.deleteNext(owner, targets, i+1)
-		})
+// gone, ends the delete. A refusal ends it too, with what the MSUs
+// before it removed.
+func (c *engine) deleteNext(owner uint64, names []string, targets []doomed, i int) {
+	if i == len(targets) {
+		c.answer(owner, nil, c.deleted(names, targets))
 		return
 	}
+	t := targets[i]
+	c.rpc(owner, t.conn, wire.TypeDeleteContent, wire.DeleteContent{Content: t.name}, nil, func(_ time.Time, err error) {
+		if err != nil {
+			c.deleted(names, targets[:i]) //nolint:errcheck // the refusal is the error to report; a failed commit is counted and logged inside
+			c.answer(owner, nil, fmt.Errorf("coordinator: deleting %q on MSU: %w", t.name, err))
+			return
+		}
+		c.deleteNext(owner, names, targets, i+1)
+	})
+}
+
+// deleted ends a delete: its names are no longer fenced, and the
+// replicas the MSUs removed (gone) leave the catalog in one batch — a
+// name none of whose replicas is left goes whole — and give their space
+// back.
+func (c *engine) deleted(names []string, gone []doomed) error {
 	var muts []admindb.Mutation
-	for _, t := range targets {
-		muts = append(muts, admindb.DeleteContent(t.name))
+	for _, n := range names {
+		delete(c.deleting, n)
+		rec := c.db.Content(n)
+		if rec == nil {
+			continue
+		}
+		var drops []admindb.Mutation
+		for _, loc := range rec.Locations {
+			if slices.ContainsFunc(gone, func(t doomed) bool { return t.name == n && t.disk.MSU == loc.MSU }) {
+				drops = append(drops, admindb.DropLocation(n, loc.MSU))
+			}
+		}
+		if len(drops) == len(rec.Locations) {
+			drops = []admindb.Mutation{admindb.DeleteContent(n)}
+		}
+		muts = append(muts, drops...)
 	}
 	if err := c.apply(muts...); err != nil {
 		// The MSUs already unlinked the files; the catalog entries stay
 		// until the next msuHello stale sweep reconciles them.
-		c.answer(owner, nil, err)
-		return
+		return err
 	}
-	for _, t := range targets {
+	for _, t := range gone {
 		// Return the replica's disk space to the free pool.
 		if d := c.diskState(t.disk); d != nil {
 			adjustCapacityLocked(d.space, blocksFor(t.size, d.blockSize))
 		}
 	}
-	c.release()
-	c.answer(owner, nil, nil)
+	if len(gone) > 0 {
+		c.release()
+	}
+	return nil
 }
 
 // cacheReport records one disk's advertised cache heat and lets the
@@ -710,6 +747,9 @@ func (c *engine) expandContent(name string) (*admindb.ContentRecord, []*admindb.
 	if rec == nil {
 		return nil, nil, fmt.Errorf("%w: %q", core.ErrNoSuchContent, name)
 	}
+	if c.deleting[name] {
+		return nil, nil, fmt.Errorf("%w: %q is being deleted", core.ErrNoSuchContent, name)
+	}
 	t, ok := c.db.Type(rec.Info.Type)
 	if !ok {
 		return nil, nil, fmt.Errorf("%w: %q", core.ErrNoSuchType, rec.Info.Type)
@@ -722,6 +762,9 @@ func (c *engine) expandContent(name string) (*admindb.ContentRecord, []*admindb.
 		cr := c.db.Content(child)
 		if cr == nil {
 			return nil, nil, fmt.Errorf("%w: component %q", core.ErrNoSuchContent, child)
+		}
+		if c.deleting[child] {
+			return nil, nil, fmt.Errorf("%w: component %q is being deleted", core.ErrNoSuchContent, child)
 		}
 		parts = append(parts, cr)
 	}

@@ -32,28 +32,6 @@ func benchTree(b *testing.B, n int) *Tree {
 	return tr
 }
 
-// BenchmarkCursorNext measures the classic per-packet cursor: one
-// *Packet allocation per read (the pre-zero-copy read path).
-func BenchmarkCursorNext(b *testing.B) {
-	const n = 1 << 14
-	tr := benchTree(b, n)
-	b.ReportAllocs()
-	b.ResetTimer()
-	var c *Cursor
-	for i := 0; i < b.N; i++ {
-		if i%n == 0 {
-			var err error
-			if c, err = tr.Begin(); err != nil {
-				b.Fatal(err)
-			}
-		}
-		pkt, err := c.Next()
-		if err != nil || pkt == nil {
-			b.Fatalf("Next: %v, %v", pkt, err)
-		}
-	}
-}
-
 // BenchmarkPageCursorNext measures the page-granular cursor the
 // zero-copy delivery path runs on: whole pages into a caller-owned
 // buffer, value spans out — 0 allocs per packet.

@@ -80,18 +80,16 @@ func TestRoundTripSequentialScan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := tr.Begin()
+	c, err := tr.PageCursorAt(0)
+	pkts, err := scan(c, err)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < n; i++ {
-		pkt, err := c.Next()
-		if err != nil {
-			t.Fatalf("Next(%d): %v", i, err)
-		}
-		if pkt == nil {
-			t.Fatalf("stream ended early at %d", i)
-		}
+	if len(pkts) != n {
+		t.Fatalf("scan yielded %d packets, want %d", len(pkts), n)
+	}
+	for i := range pkts {
+		pkt := &pkts[i]
 		if got := pktIndex(pkt); got != i {
 			t.Fatalf("packet %d has index %d", i, got)
 		}
@@ -102,11 +100,14 @@ func TestRoundTripSequentialScan(t *testing.T) {
 			t.Fatalf("packet %d len %d", i, len(pkt.Payload))
 		}
 	}
-	if pkt, err := c.Next(); err != nil || pkt != nil {
-		t.Fatalf("after end: %v, %v", pkt, err)
-	}
-	if pkt, err := c.Next(); err != nil || pkt != nil {
-		t.Fatalf("idempotent end: %v, %v", pkt, err)
+	buf := make([]byte, tr.PageSize())
+	for _, when := range []string{"after end", "idempotent end"} {
+		if ok, err := c.LoadPage(buf); err != nil || ok {
+			t.Fatalf("%s: LoadPage = %v, %v", when, ok, err)
+		}
+		if _, ok, err := c.Next(); err != nil || ok {
+			t.Fatalf("%s: Next = %v, %v", when, ok, err)
+		}
 	}
 }
 
@@ -132,15 +133,11 @@ func TestSeekExactAndBetween(t *testing.T) {
 		{9990 * time.Millisecond, 999},
 		{time.Hour, 999}, // beyond end: last packet
 	} {
-		c, err := tr.SeekTime(tc.seek)
-		if err != nil {
-			t.Fatalf("SeekTime(%v): %v", tc.seek, err)
+		pkts, err := scan(tr.SeekTime(tc.seek))
+		if err != nil || len(pkts) == 0 {
+			t.Fatalf("SeekTime(%v): %d packets, %v", tc.seek, len(pkts), err)
 		}
-		pkt, err := c.Next()
-		if err != nil || pkt == nil {
-			t.Fatalf("SeekTime(%v).Next: %v, %v", tc.seek, pkt, err)
-		}
-		if got := pktIndex(pkt); got != tc.want {
+		if got := pktIndex(&pkts[0]); got != tc.want {
 			t.Errorf("SeekTime(%v) = packet %d, want %d", tc.seek, got, tc.want)
 		}
 	}
@@ -151,16 +148,15 @@ func TestSeekThenSequential(t *testing.T) {
 	const n = 300
 	meta := buildTree(t, f, 4096, 3, n, time.Second, 80)
 	tr, _ := Open(f, 4096, meta)
-	c, err := tr.SeekTime(100 * time.Second)
+	pkts, err := scan(tr.SeekTime(100 * time.Second))
 	if err != nil {
 		t.Fatal(err)
 	}
+	if len(pkts) != n-100 {
+		t.Fatalf("scan from packet 100 yielded %d packets, want %d", len(pkts), n-100)
+	}
 	for i := 100; i < n; i++ {
-		pkt, err := c.Next()
-		if err != nil || pkt == nil {
-			t.Fatalf("Next at %d: %v, %v", i, pkt, err)
-		}
-		if got := pktIndex(pkt); got != i {
+		if got := pktIndex(&pkts[i-100]); got != i {
 			t.Fatalf("at %d got %d", i, got)
 		}
 	}
@@ -182,13 +178,12 @@ func TestDuplicateTimesAllowed(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr, _ := Open(f, 4096, meta)
-	c, _ := tr.Begin()
-	for i := 0; i < 50; i++ {
-		pkt, err := c.Next()
-		if err != nil || pkt == nil {
-			t.Fatalf("Next(%d): %v %v", i, pkt, err)
-		}
-		if got := pktIndex(pkt); got != i {
+	pkts, err := scan(tr.PageCursorAt(0))
+	if err != nil || len(pkts) != 50 {
+		t.Fatalf("scan: %d packets, %v", len(pkts), err)
+	}
+	for i := range pkts {
+		if got := pktIndex(&pkts[i]); got != i {
 			t.Fatalf("order violated at %d: got %d", i, got)
 		}
 	}
@@ -274,7 +269,11 @@ func TestCorruptPageDetected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tr.Begin(); !errors.Is(err, ErrCorrupt) {
+	c, err := tr.PageCursorAt(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.LoadPage(make([]byte, tr.PageSize())); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("corrupt page: %v", err)
 	}
 }
@@ -352,15 +351,11 @@ func TestDeepTree(t *testing.T) {
 		t.Fatalf("RootLevel = %d, expected a tall tree", meta.RootLevel)
 	}
 	for i := 0; i < 400; i += 37 {
-		c, err := tr.SeekTime(time.Duration(i) * time.Second)
-		if err != nil {
-			t.Fatalf("SeekTime(%d): %v", i, err)
+		pkts, err := scan(tr.SeekTime(time.Duration(i) * time.Second))
+		if err != nil || len(pkts) == 0 {
+			t.Fatalf("SeekTime(%d): %d packets, %v", i, len(pkts), err)
 		}
-		pkt, err := c.Next()
-		if err != nil || pkt == nil {
-			t.Fatalf("Next after seek %d: %v %v", i, pkt, err)
-		}
-		if got := pktIndex(pkt); got != i {
+		if got := pktIndex(&pkts[0]); got != i {
 			t.Fatalf("seek %d landed on %d", i, got)
 		}
 	}
@@ -402,27 +397,19 @@ func TestScanAndSeekProperty(t *testing.T) {
 			return false
 		}
 		// Full scan.
-		c, err := tr.Begin()
-		if err != nil {
+		pkts, err := scan(tr.PageCursorAt(0))
+		if err != nil || len(pkts) != n {
 			return false
 		}
-		for i := 0; i < n; i++ {
-			pkt, err := c.Next()
-			if err != nil || pkt == nil || pktIndex(pkt) != i || pkt.Time != times[i] {
+		for i := range pkts {
+			if pktIndex(&pkts[i]) != i || pkts[i].Time != times[i] {
 				return false
 			}
-		}
-		if pkt, err := c.Next(); err != nil || pkt != nil {
-			return false
 		}
 		// Seeks at every distinct time and between times.
 		for probe := time.Duration(0); probe <= times[n-1]+time.Millisecond; probe += 2 * time.Millisecond {
-			c, err := tr.SeekTime(probe)
-			if err != nil {
-				return false
-			}
-			pkt, err := c.Next()
-			if err != nil || pkt == nil {
+			pkts, err := scan(tr.SeekTime(probe))
+			if err != nil || len(pkts) == 0 {
 				return false
 			}
 			// Expected: first index with times[i] >= probe; past the
@@ -438,7 +425,7 @@ func TestScanAndSeekProperty(t *testing.T) {
 					break
 				}
 			}
-			if pktIndex(pkt) != want {
+			if pktIndex(&pkts[0]) != want || len(pkts) != n-want {
 				return false
 			}
 		}
@@ -462,12 +449,11 @@ func TestPayloadIntegrityAcrossPages(t *testing.T) {
 	}
 	meta, _ := b.Finalize()
 	tr, _ := Open(f, 1024, meta)
-	c, _ := tr.Begin()
-	for i := 0; i < n; i++ {
-		pkt, err := c.Next()
-		if err != nil || pkt == nil {
-			t.Fatalf("Next(%d): %v %v", i, pkt, err)
-		}
+	pkts, err := scan(tr.PageCursorAt(0))
+	if err != nil || len(pkts) != n {
+		t.Fatalf("scan: %d packets, %v", len(pkts), err)
+	}
+	for i, pkt := range pkts {
 		for j := 2; j < 300; j++ {
 			if pkt.Payload[j] != byte(i) {
 				t.Fatalf("packet %d corrupted at byte %d", i, j)
@@ -486,29 +472,6 @@ func BenchmarkBuilderAppend4K(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if err := bl.Append(Packet{Time: time.Duration(i) * time.Millisecond, Payload: payload}); err != nil {
 			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkSequentialScan(b *testing.B) {
-	f := newMemFile(int(256 * units.KB))
-	bl, _ := NewBuilder(f, int(256*units.KB), DefaultMaxKeys)
-	payload := make([]byte, 4096)
-	for i := 0; i < 20000; i++ {
-		bl.Append(Packet{Time: time.Duration(i) * time.Millisecond, Payload: payload})
-	}
-	meta, _ := bl.Finalize()
-	tr, _ := Open(f, int(256*units.KB), meta)
-	b.SetBytes(4096)
-	b.ResetTimer()
-	c, _ := tr.Begin()
-	for i := 0; i < b.N; i++ {
-		pkt, err := c.Next()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if pkt == nil {
-			c, _ = tr.Begin()
 		}
 	}
 }

@@ -3,10 +3,13 @@ package ibtree
 import (
 	"math/rand"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"calliope/internal/await"
 )
 
 // countingFile counts the block reads that reach the file under a Tree.
@@ -80,25 +83,13 @@ func wantFirst(times []time.Duration, tm time.Duration) int {
 	return len(times) - 1
 }
 
-// firstSpan loads pages until the cursor yields a packet and returns its
-// index (stamped in the payload) and delivery time.
-func firstSpan(pc *PageCursor, buf []byte) (int, time.Duration, error) {
-	for {
-		ok, err := pc.LoadPage(buf)
-		if err != nil {
-			return 0, 0, err
-		}
-		if !ok {
-			return -1, 0, nil
-		}
-		span, ok, err := pc.Next()
-		if err != nil {
-			return 0, 0, err
-		}
-		if ok {
-			return int(buf[span.Start]) | int(buf[span.Start+1])<<8, span.Time, nil
-		}
+// first is the index (stamped in the payload) and delivery time of the
+// first packet a scan yielded, -1 if it yielded none.
+func first(pkts []Packet, err error) (int, time.Duration, error) {
+	if err != nil || len(pkts) == 0 {
+		return -1, 0, err
 	}
+	return pktIndex(&pkts[0]), pkts[0].Time, nil
 }
 
 // randomProbe draws a seek position: mostly inside the content, but also
@@ -126,7 +117,6 @@ func TestPageCursorAtMemoProperty(t *testing.T) {
 	for seed := int64(1); seed <= 12; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		f, pageSize, meta, times := randomTree(t, rng)
-		buf := make([]byte, pageSize)
 		for probe := 0; probe < 40; probe++ {
 			tm := randomProbe(rng, meta.Length)
 			want := wantFirst(times, tm)
@@ -148,7 +138,7 @@ func TestPageCursorAtMemoProperty(t *testing.T) {
 				if tm <= 0 && reads != 0 {
 					t.Fatalf("seed %d: PageCursorAt(%v) read %d blocks, want no descent", seed, tm, reads)
 				}
-				got, gotTime, err := firstSpan(pc, buf)
+				got, gotTime, err := first(scan(pc, nil))
 				if err != nil {
 					t.Fatalf("seed %d: PageCursorAt(%v) %s: %v", seed, tm, memo, err)
 				}
@@ -156,16 +146,12 @@ func TestPageCursorAtMemoProperty(t *testing.T) {
 					t.Fatalf("seed %d: PageCursorAt(%v) %s = packet %d at %v, want %d at %v", seed, tm, memo, got, gotTime, want, times[want])
 				}
 			}
-			c, err := tr.SeekTime(tm)
+			got, gotTime, err := first(scan(tr.SeekTime(tm)))
 			if err != nil {
 				t.Fatalf("seed %d: SeekTime(%v): %v", seed, tm, err)
 			}
-			pkt, err := c.Next()
-			if err != nil || pkt == nil {
-				t.Fatalf("seed %d: SeekTime(%v).Next: %v, %v", seed, tm, pkt, err)
-			}
-			if pktIndex(pkt) != want || pkt.Time != times[want] {
-				t.Fatalf("seed %d: SeekTime(%v) = packet %d at %v, want %d at %v", seed, tm, pktIndex(pkt), pkt.Time, want, times[want])
+			if got != want || gotTime != times[want] {
+				t.Fatalf("seed %d: SeekTime(%v) = packet %d at %v, want %d at %v", seed, tm, got, gotTime, want, times[want])
 			}
 		}
 	}
@@ -213,10 +199,9 @@ func TestPageCursorAtSharedTree(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			buf := make([]byte, pageSize)
 			for _, l := range results[g] {
 				want := wantFirst(times, l.tm)
-				got, gotTime, err := firstSpan(l.pc, buf)
+				got, gotTime, err := first(scan(l.pc, nil))
 				if err != nil {
 					t.Errorf("PageCursorAt(%v): %v", l.tm, err)
 					return
@@ -281,6 +266,82 @@ func TestPageCursorAtAllocatesLessThanAPage(t *testing.T) {
 		runtime.ReadMemStats(&after)
 		if perOp := (after.TotalAlloc - before.TotalAlloc) / n; perOp >= uint64(tr.PageSize()) {
 			t.Errorf("%s: PageCursorAt allocates %d bytes a call, a page is %d", name, perOp, tr.PageSize())
+		}
+	}
+}
+
+// gatedFile holds every block read at its gate until the test closes the
+// gate; reads counts the reads that arrived, let through or not.
+type gatedFile struct {
+	*memFile
+	gate  chan struct{}
+	reads atomic.Int64
+}
+
+func (f *gatedFile) ReadBlock(i int64, p []byte) error {
+	f.reads.Add(1)
+	<-f.gate
+	return f.memFile.ReadBlock(i, p)
+}
+
+// memoWaiters counts the goroutines parked in memoised on another seek's
+// read of a node: blocked on a channel, with memoised the frame on top.
+func memoWaiters() int {
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	n := 0
+	for _, g := range strings.Split(string(buf), "\n\n") {
+		lines := strings.SplitN(g, "\n", 3)
+		if len(lines) > 1 && strings.Contains(lines[0], "[chan receive") &&
+			strings.HasPrefix(lines[1], "calliope/internal/ibtree.(*Tree).memoised(") {
+			n++
+		}
+	}
+	return n
+}
+
+// TestMemoColdNodeReadOnce has 8 goroutines seek one cold Tree to the
+// same position at once (run it under -race). The first to miss reads
+// the root, which the device holds; the other seven wait for that read
+// on a channel, not in a lock (a goroutine waiting on a lock stops
+// virtual time). When the read lands, the eight seeks have cost one
+// device read between them, and each lands where the oracle says.
+func TestMemoColdNodeReadOnce(t *testing.T) {
+	f := &gatedFile{memFile: newMemFile(4096), gate: make(chan struct{})}
+	const n = 200
+	meta := buildTree(t, f.memFile, 4096, 64, n, 10*time.Millisecond, 64)
+	if meta.RootLevel != 1 {
+		t.Fatalf("root level %d: the seek must read exactly one node", meta.RootLevel)
+	}
+	tr, err := Open(f, 4096, meta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const goroutines = 8
+	tm := 1230 * time.Millisecond
+	cursors := make([]*PageCursor, goroutines)
+	errs := make([]error, goroutines)
+	var wg sync.WaitGroup
+	for g := range cursors {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			cursors[g], errs[g] = tr.PageCursorAt(tm)
+		}()
+	}
+	await.Until(t, "one seek reading the root and the rest waiting on it", func() bool {
+		return f.reads.Load() == 1 && memoWaiters() == goroutines-1
+	})
+	close(f.gate)
+	wg.Wait()
+	if reads := f.reads.Load(); reads != 1 {
+		t.Fatalf("%d seeks to one cold node read %d blocks, want 1", goroutines, reads)
+	}
+	want := int(tm / (10 * time.Millisecond))
+	for g, pc := range cursors {
+		got, _, err := first(scan(pc, errs[g]))
+		if err != nil || got != want {
+			t.Fatalf("seek %d landed on packet %d (%v), want %d", g, got, err, want)
 		}
 	}
 }

@@ -6,25 +6,25 @@ import (
 	"time"
 )
 
-// collectSpans drains the page cursor with a single reused buffer,
+// scan drains a page cursor across pages with one reused buffer,
 // copying each span's payload out (the copy is what the contract says a
-// caller must do if it wants bytes to outlive the page).
-func collectSpans(t *testing.T, tr *Tree, c *PageCursor) []Packet {
-	t.Helper()
-	buf := make([]byte, tr.PageSize())
+// caller must do if it wants bytes to outlive the page). It takes a
+// positioning call's results whole: scan(tr.PageCursorAt(tm)).
+func scan(c *PageCursor, err error) ([]Packet, error) {
+	if err != nil {
+		return nil, err
+	}
+	buf := make([]byte, c.t.pageSize)
 	var out []Packet
 	for {
 		ok, err := c.LoadPage(buf)
-		if err != nil {
-			t.Fatalf("LoadPage: %v", err)
-		}
-		if !ok {
-			return out
+		if err != nil || !ok {
+			return out, err
 		}
 		for {
 			span, ok, err := c.Next()
 			if err != nil {
-				t.Fatalf("Next: %v", err)
+				return out, err
 			}
 			if !ok {
 				break
@@ -36,10 +36,10 @@ func collectSpans(t *testing.T, tr *Tree, c *PageCursor) []Packet {
 	}
 }
 
-// TestPageCursorMatchesCursor checks the page-granular path yields the
-// exact packet sequence the classic cursor does, over a tree deep
-// enough to have multiple internal levels.
-func TestPageCursorMatchesCursor(t *testing.T) {
+// TestPageCursorYieldsWhatWasAppended checks the page-granular path
+// yields exactly the packets the builder was given, in order, over a
+// tree deep enough to have multiple internal levels.
+func TestPageCursorYieldsWhatWasAppended(t *testing.T) {
 	f := newMemFile(4096)
 	const n = 5000
 	meta := buildTree(t, f, 4096, 4, n, time.Millisecond, 64)
@@ -47,40 +47,28 @@ func TestPageCursorMatchesCursor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pc, err := tr.PageCursorAt(0)
+	if meta.RootLevel < 2 {
+		t.Fatalf("tree too shallow to embed internal pages between packets: level %d", meta.RootLevel)
+	}
+	got, err := scan(tr.PageCursorAt(0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := collectSpans(t, tr, pc)
-	c, err := tr.Begin()
-	if err != nil {
-		t.Fatal(err)
+	if len(got) != n {
+		t.Fatalf("page cursor yielded %d packets, the builder was given %d", len(got), n)
 	}
-	var want []Packet
-	for {
-		pkt, err := c.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if pkt == nil {
-			break
-		}
-		payload := make([]byte, len(pkt.Payload))
-		copy(payload, pkt.Payload)
-		want = append(want, Packet{Time: pkt.Time, Payload: payload})
-	}
-	if len(got) != len(want) {
-		t.Fatalf("page cursor yielded %d packets, cursor %d", len(got), len(want))
-	}
+	want := make([]byte, 64)
 	for i := range got {
-		if got[i].Time != want[i].Time || !bytes.Equal(got[i].Payload, want[i].Payload) {
-			t.Fatalf("packet %d differs: %v vs %v", i, got[i], want[i])
+		want[0], want[1] = byte(i), byte(i>>8)
+		if got[i].Time != time.Duration(i)*time.Millisecond || !bytes.Equal(got[i].Payload, want) {
+			t.Fatalf("packet %d is %v %x, want %v %x", i, got[i].Time, got[i].Payload, time.Duration(i)*time.Millisecond, want)
 		}
 	}
 }
 
 // TestPageCursorAtSeeks checks PageCursorAt agrees with SeekTime for
-// in-range, between-packet, boundary and beyond-the-end positions.
+// in-range, between-packet, boundary and beyond-the-end positions: the
+// same packets from the seek point to the end of content.
 func TestPageCursorAtSeeks(t *testing.T) {
 	f := newMemFile(4096)
 	const n = 3000
@@ -98,28 +86,26 @@ func TestPageCursorAtSeeks(t *testing.T) {
 		time.Hour, // beyond the end
 	}
 	for _, tm := range probes {
-		want, err := tr.SeekTime(tm)
+		want, err := scan(tr.SeekTime(tm))
 		if err != nil {
 			t.Fatalf("SeekTime(%v): %v", tm, err)
 		}
-		wpkt, err := want.Next()
-		if err != nil || wpkt == nil {
-			t.Fatalf("SeekTime(%v).Next: %v, %v", tm, wpkt, err)
+		if len(want) == 0 {
+			t.Fatalf("SeekTime(%v) yielded nothing", tm)
 		}
-		pc, err := tr.PageCursorAt(tm)
+		got, err := scan(tr.PageCursorAt(tm))
 		if err != nil {
 			t.Fatalf("PageCursorAt(%v): %v", tm, err)
 		}
-		got := collectSpans(t, tr, pc)
 		if len(got) == 0 {
 			t.Fatalf("PageCursorAt(%v) yielded nothing", tm)
 		}
-		if got[0].Time != wpkt.Time || !bytes.Equal(got[0].Payload, wpkt.Payload) {
-			t.Fatalf("PageCursorAt(%v) first packet %v ≠ SeekTime's %v", tm, got[0].Time, wpkt.Time)
+		if got[0].Time != want[0].Time || !bytes.Equal(got[0].Payload, want[0].Payload) {
+			t.Fatalf("PageCursorAt(%v) first packet %v ≠ SeekTime's %v", tm, got[0].Time, want[0].Time)
 		}
 		// The tail from the seek point must run to the end of content.
-		if wantTail := n - pktIndex(wpkt); len(got) != wantTail {
-			t.Fatalf("PageCursorAt(%v) yielded %d packets, want %d", tm, len(got), wantTail)
+		if wantTail := n - pktIndex(&want[0]); len(got) != wantTail || len(want) != wantTail {
+			t.Fatalf("PageCursorAt(%v) yielded %d packets, SeekTime %d, want %d", tm, len(got), len(want), wantTail)
 		}
 	}
 }

@@ -25,11 +25,12 @@ type Tree struct {
 	nodes map[Ptr]*memoNode
 }
 
-// memoNode is one memoised node. once serialises the first load, so
-// concurrent seeks that miss on the same node cost one read between
-// them.
+// memoNode is one memoised node: n once it is loaded, and until then
+// done, which the seek loading it closes when the load lands. Concurrent
+// seeks that miss on the same node wait on done, so they cost one read
+// between them.
 type memoNode struct {
-	once sync.Once
+	done chan struct{}
 	n    *node
 	err  error
 }
@@ -45,7 +46,7 @@ func Open(f BlockFile, pageSize int, meta Meta) (*Tree, error) {
 	if !meta.Root.valid(pageSize) || meta.Root.Page >= meta.Pages {
 		return nil, fmt.Errorf("%w: root %v with %d pages", ErrBadPointer, meta.Root, meta.Pages)
 	}
-	return &Tree{f: f, pageSize: pageSize, meta: meta}, nil
+	return &Tree{f: f, pageSize: pageSize, meta: meta, nodes: make(map[Ptr]*memoNode)}, nil
 }
 
 // Meta returns the tree's metadata.
@@ -97,24 +98,29 @@ func (t *Tree) readNode(p Ptr, buf []byte) (*node, error) {
 // remembered: the device may answer the next one.
 func (t *Tree) memoised(p Ptr) (*node, error) {
 	t.mu.Lock()
-	e := t.nodes[p]
-	if e == nil {
-		if t.nodes == nil {
-			t.nodes = make(map[Ptr]*memoNode)
-		}
-		e = &memoNode{}
+	e, found := t.nodes[p]
+	if found && e.n != nil {
+		t.mu.Unlock()
+		return e.n, nil
+	}
+	if !found {
+		e = &memoNode{done: make(chan struct{})}
 		t.nodes[p] = e
 	}
 	t.mu.Unlock()
-	e.once.Do(func() {
-		e.n, e.err = t.readNode(p, make([]byte, t.pageSize))
-		if e.err != nil {
-			t.mu.Lock()
-			delete(t.nodes, p)
-			t.mu.Unlock()
-		}
-	})
-	return e.n, e.err
+	if found {
+		<-e.done // another seek's read of the node is in flight
+		return e.n, e.err
+	}
+	n, err := t.readNode(p, make([]byte, t.pageSize))
+	t.mu.Lock()
+	e.n, e.err = n, err
+	if err != nil {
+		delete(t.nodes, p)
+	}
+	t.mu.Unlock()
+	close(e.done)
+	return n, err
 }
 
 // descend walks the embedded internal pages from the root down to the
@@ -148,129 +154,25 @@ func (t *Tree) descend(tm time.Duration, load func(Ptr) (*node, error)) (Ptr, er
 	return ptr, nil
 }
 
-// SeekTime positions a cursor at the first packet with delivery time
-// ≥ tm (or at the last packet if tm is beyond the end). It traverses
-// the embedded internal pages "in the usual way" (§2.2.1), reading each
-// off the file through one scratch page: the number of pages it touches
-// is the tree height + 1. It shares nothing with the memo PageCursorAt
-// descends through, which is what makes it the reference the memo is
-// tested against.
-func (t *Tree) SeekTime(tm time.Duration) (*Cursor, error) {
-	if tm > t.meta.Length {
-		tm = t.meta.Length // beyond the end: deliver the final packet
-	}
+// SeekTime positions a page cursor as PageCursorAt(tm) does, found the
+// un-memoised way: it traverses the embedded internal pages "in the
+// usual way" (§2.2.1), reading each off the file through one scratch
+// page, even from the start. It shares nothing with the memo
+// PageCursorAt descends through, which is what makes it the reference
+// the memo is tested against.
+func (t *Tree) SeekTime(tm time.Duration) (*PageCursor, error) {
+	tm = t.clamp(tm)
 	scratch := make([]byte, t.pageSize)
 	ptr, err := t.descend(tm, func(p Ptr) (*node, error) { return t.readNode(p, scratch) })
 	if err != nil {
 		return nil, err
 	}
-	c := &Cursor{t: t, page: make([]byte, t.pageSize), pageIdx: -1}
-	if err := c.loadPage(ptr.Page); err != nil {
-		return nil, err
-	}
-	// Scan forward within (and past) the leaf page to the first packet
-	// with time ≥ tm.
-	for {
-		pkt, err := c.Next()
-		if err != nil {
-			return nil, err
-		}
-		if pkt == nil {
-			// Unreachable after clamping unless the index is corrupt:
-			// the last packet's time equals meta.Length.
-			return nil, fmt.Errorf("%w: no packet at or after %v", ErrCorrupt, tm)
-		}
-		if pkt.Time >= tm {
-			c.pushback(pkt)
-			return c, nil
-		}
-	}
+	return &PageCursor{t: t, next: ptr.Page, cur: -1, skip: tm}, nil
 }
 
-// Begin positions a cursor at the first packet.
-func (t *Tree) Begin() (*Cursor, error) {
-	c := &Cursor{t: t, page: make([]byte, t.pageSize), pageIdx: -1}
-	if err := c.loadPage(0); err != nil {
-		return nil, err
-	}
-	return c, nil
-}
-
-// Cursor iterates packets in delivery order. Sequential reads load
-// whole data pages and skip embedded internal pages without
-// interpreting them, as the paper's MSU does.
-type Cursor struct {
-	t       *Tree
-	page    []byte
-	pageIdx int64
-	off     int
-	held    *Packet // pushback slot
-	done    bool
-}
-
-func (c *Cursor) loadPage(i int64) error {
-	if err := c.t.readPage(i, c.page); err != nil {
-		return err
-	}
-	c.pageIdx = i
-	c.off = pageHdrLen
-	return nil
-}
-
-func (c *Cursor) pushback(p *Packet) { c.held = p }
-
-// Next returns the next packet, or nil at end of stream. The returned
-// payload aliases the cursor's page buffer and is valid until the next
-// call.
-func (c *Cursor) Next() (*Packet, error) {
-	if c.held != nil {
-		p := c.held
-		c.held = nil
-		return p, nil
-	}
-	if c.done {
-		return nil, nil
-	}
-	for {
-		// End of page (or end marker): advance to the next page.
-		if c.off+1 > len(c.page) || c.page[c.off] == kindEnd {
-			if c.pageIdx+1 >= c.t.meta.Pages {
-				c.done = true
-				return nil, nil
-			}
-			if err := c.loadPage(c.pageIdx + 1); err != nil {
-				return nil, err
-			}
-			continue
-		}
-		switch c.page[c.off] {
-		case kindPacket:
-			if c.off+packetHdrLen > len(c.page) {
-				return nil, fmt.Errorf("%w: truncated packet header on page %d", ErrCorrupt, c.pageIdx)
-			}
-			n := int(binary.BigEndian.Uint32(c.page[c.off+4 : c.off+8]))
-			tm := time.Duration(binary.BigEndian.Uint64(c.page[c.off+8 : c.off+16]))
-			start := c.off + packetHdrLen
-			if start+n > len(c.page) {
-				return nil, fmt.Errorf("%w: packet overruns page %d", ErrCorrupt, c.pageIdx)
-			}
-			c.off = start + n
-			return &Packet{Time: tm, Payload: c.page[start : start+n]}, nil
-		case kindInternal:
-			// Part of the search tree: read past it without touching it.
-			if c.off+embedHdrLen > len(c.page) {
-				return nil, fmt.Errorf("%w: truncated embed header on page %d", ErrCorrupt, c.pageIdx)
-			}
-			n := int(binary.BigEndian.Uint32(c.page[c.off+4 : c.off+8]))
-			c.off += embedHdrLen + n
-		default:
-			return nil, fmt.Errorf("%w: unknown record kind %d on page %d", ErrCorrupt, c.page[c.off], c.pageIdx)
-		}
-	}
-}
-
-// Page reports the index of the data page the cursor currently reads.
-func (c *Cursor) Page() int64 { return c.pageIdx }
+// clamp brings a seek position inside the content: before the start is
+// the first packet, beyond the end the final one.
+func (t *Tree) clamp(tm time.Duration) time.Duration { return min(max(tm, 0), t.meta.Length) }
 
 // PacketSpan locates one packet's payload inside a page buffer the
 // caller loaded with PageCursor.LoadPage: Payload-equivalent bytes are
@@ -283,7 +185,8 @@ type PacketSpan struct {
 }
 
 // PageCursor is the block-granular read path the paper's disk process
-// runs (§2.3): it loads whole data pages into caller-owned buffers and
+// runs (§2.3), and the package's one reader of data pages, whatever the
+// caller: it loads whole data pages into caller-owned buffers and
 // yields packet *descriptors* whose payloads alias the page memory —
 // no per-packet allocation and no payload copy. The caller owns buffer
 // lifetime: a span is valid exactly as long as the buffer it was
@@ -315,14 +218,8 @@ type PageCursor struct {
 // so only a node no seek has visited before is read, and once a title's
 // index is resident a seek touches no page but the one it lands on.
 func (t *Tree) PageCursorAt(tm time.Duration) (*PageCursor, error) {
-	if tm < 0 {
-		tm = 0
-	}
-	if tm > t.meta.Length {
-		tm = t.meta.Length // beyond the end: deliver the final packet
-	}
-	if tm <= 0 {
-		return &PageCursor{t: t, cur: -1, skip: tm}, nil
+	if tm = t.clamp(tm); tm == 0 {
+		return &PageCursor{t: t, cur: -1}, nil
 	}
 	ptr, err := t.descend(tm, t.memoised)
 	if err != nil {

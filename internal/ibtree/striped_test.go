@@ -74,29 +74,21 @@ func TestTreeOverStripedFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := tree.Begin()
-	if err != nil {
-		t.Fatal(err)
+	pkts, err := scan(tree.PageCursorAt(0))
+	if err != nil || len(pkts) != n {
+		t.Fatalf("scan: %d packets, %v", len(pkts), err)
 	}
-	for i := 0; i < n; i++ {
-		pkt, err := c.Next()
-		if err != nil || pkt == nil {
-			t.Fatalf("Next(%d): %v %v", i, pkt, err)
-		}
-		if got := int(pkt.Payload[0]) | int(pkt.Payload[1])<<8; got != i {
+	for i := range pkts {
+		if got := pktIndex(&pkts[i]); got != i {
 			t.Fatalf("packet %d carries %d", i, got)
 		}
 	}
 	for _, probe := range []int{0, 777, 1999, 3999} {
-		cur, err := tree.SeekTime(time.Duration(probe) * 10 * time.Millisecond)
-		if err != nil {
-			t.Fatalf("seek %d: %v", probe, err)
+		pkts, err := scan(tree.SeekTime(time.Duration(probe) * 10 * time.Millisecond))
+		if err != nil || len(pkts) == 0 {
+			t.Fatalf("seek %d: %d packets, %v", probe, len(pkts), err)
 		}
-		pkt, err := cur.Next()
-		if err != nil || pkt == nil {
-			t.Fatalf("seek %d next: %v %v", probe, pkt, err)
-		}
-		if got := int(pkt.Payload[0]) | int(pkt.Payload[1])<<8; got != probe {
+		if got := pktIndex(&pkts[0]); got != probe {
 			t.Fatalf("seek %d landed on %d", probe, got)
 		}
 	}

@@ -3,8 +3,10 @@ package msu
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"net"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -12,8 +14,10 @@ import (
 	"calliope/internal/await"
 	"calliope/internal/blockdev"
 	"calliope/internal/core"
+	"calliope/internal/ibtree"
 	"calliope/internal/media"
 	"calliope/internal/msufs"
+	"calliope/internal/protocol"
 	"calliope/internal/units"
 	"calliope/internal/wire"
 )
@@ -303,6 +307,45 @@ func ingestMovie(t *testing.T, store msufs.Store, name string, dur time.Duration
 	}
 	if err := IngestFast(store, name, "mpeg1", pkts, 0); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCorruptRecordEndsTheCue: every writer frames its records, so a
+// record that protocol.DecodeStored refuses was damaged. Play ends the
+// cue at it, as at a read error, and sends none of it, nor anything
+// after it; ReadBack refuses the title too.
+func TestCorruptRecordEndsTheCue(t *testing.T) {
+	r := newVCRRig(t)
+	const n, bad = 10, 5
+	recs := make([]ibtree.Packet, n)
+	for i := range recs {
+		recs[i] = ibtree.Packet{Time: time.Duration(i) * 10 * time.Millisecond, Payload: protocol.EncodeStored(protocol.Data, []byte{'o', 'k', byte(i)})}
+	}
+	recs[bad].Payload = []byte{0xEE, 'r', 'o', 't'} // 0xEE is no channel
+	ingestRecords(t, r.m.stores[0], "rotted", recs, nil)
+
+	r.play("rotted")
+	s := r.m.streamByID(core.StreamID(r.next))
+	await.Until(t, "the cue to end", func() bool { return r.m.atEnd(s) })
+	var got []string
+	buf := make([]byte, 64)
+	for {
+		r.sink.SetReadDeadline(time.Now().Add(50 * time.Millisecond)) //nolint:errcheck
+		k, _, err := r.sink.ReadFromUDP(buf)
+		if err != nil {
+			break // the cue has ended, so all it sent is in the socket
+		}
+		got = append(got, string(buf[:k]))
+	}
+	var want []string
+	for i := 0; i < bad; i++ {
+		want = append(want, string([]byte{'o', 'k', byte(i)}))
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("the sink got %q, want the %d records before the damaged one", got, bad)
+	}
+	if _, err := ReadBack(r.m.stores[0], "rotted"); !errors.Is(err, protocol.ErrBadPacket) {
+		t.Errorf("ReadBack of the damaged title: %v, want %v", err, protocol.ErrBadPacket)
 	}
 }
 

@@ -1,6 +1,7 @@
 package msu
 
 import (
+	"bytes"
 	"fmt"
 	"strconv"
 
@@ -84,7 +85,9 @@ func IngestFast(vol msufs.Store, name, contentType string, pkts []media.Packet, 
 
 // ReadBack scans ingested or recorded content into memory — the
 // offline half of the fast-scan filter pipeline (read the recorded
-// stream, filter, re-load) and a convenient test hook.
+// stream, filter, re-load) and a convenient test hook. It reads through
+// the page cursor the play path cuts pages with, and refuses a record
+// that play would refuse.
 func ReadBack(vol msufs.Store, name string) ([]media.Packet, error) {
 	file, err := vol.Open(name)
 	if err != nil {
@@ -94,28 +97,36 @@ func ReadBack(vol msufs.Store, name string) ([]media.Packet, error) {
 	if err != nil {
 		return nil, err
 	}
-	cur, err := tree.Begin()
+	cur, err := tree.PageCursorAt(0)
 	if err != nil {
 		return nil, err
 	}
+	page := make([]byte, tree.PageSize())
 	var out []media.Packet
 	for {
-		pkt, err := cur.Next()
+		ok, err := cur.LoadPage(page)
 		if err != nil {
 			return nil, err
 		}
-		if pkt == nil {
+		if !ok {
 			return out, nil
 		}
-		ch, payload, err := protocol.DecodeStored(pkt.Payload)
-		if err != nil {
-			return nil, err
+		for {
+			span, ok, err := cur.Next()
+			if err != nil {
+				return nil, err
+			}
+			if !ok {
+				break
+			}
+			ch, payload, err := protocol.DecodeStored(page[span.Start : span.Start+span.Len])
+			if err != nil {
+				return nil, err
+			}
+			if ch != protocol.Data {
+				continue // control traffic is not media
+			}
+			out = append(out, media.Packet{Time: span.Time, Payload: bytes.Clone(payload)})
 		}
-		if ch != protocol.Data {
-			continue // control traffic is not media
-		}
-		cp := make([]byte, len(payload))
-		copy(cp, payload)
-		out = append(out, media.Packet{Time: pkt.Time, Payload: cp})
 	}
 }

@@ -130,7 +130,18 @@ func TestFaultRecorderPublishFailureAborts(t *testing.T) {
 // already on people's disks.
 func ingestParentWay(t *testing.T, store msufs.Store, name string, pkts []media.Packet, later map[string]string) {
 	t.Helper()
-	f, err := store.Create(name, int64(len(pkts))*1100, map[string]string{AttrType: "mpeg1"})
+	recs := make([]ibtree.Packet, len(pkts))
+	for i, p := range pkts {
+		recs[i] = ibtree.Packet{Time: p.Time, Payload: protocol.EncodeStored(protocol.Data, p.Payload)}
+	}
+	ingestRecords(t, store, name, recs, later)
+}
+
+// ingestRecords is ingestParentWay for records the caller has framed (or
+// not) itself.
+func ingestRecords(t *testing.T, store msufs.Store, name string, recs []ibtree.Packet, later map[string]string) {
+	t.Helper()
+	f, err := store.Create(name, int64(len(recs))*1100, map[string]string{AttrType: "mpeg1"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,8 +149,8 @@ func ingestParentWay(t *testing.T, store msufs.Store, name string, pkts []media.
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, p := range pkts {
-		if err := b.Append(ibtree.Packet{Time: p.Time, Payload: protocol.EncodeStored(protocol.Data, p.Payload)}); err != nil {
+	for _, rec := range recs {
+		if err := b.Append(rec); err != nil {
 			t.Fatal(err)
 		}
 	}

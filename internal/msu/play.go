@@ -467,17 +467,17 @@ func (s *stream) deliver(f *fetcher) command {
 			if !ok {
 				break // page fully cut into descriptors
 			}
-			buf := page.Bytes()
-			off, n := span.Start, span.Len
-			ch, _, derr := protocol.DecodeStored(buf[off : off+n])
-			if derr == nil {
-				off, n = off+1, n-1 // skip the stored channel byte
-			} else {
-				// Content predating the channel framing: treat as data.
-				ch = protocol.Data
+			// Every writer frames its records (packetWriter.append), so
+			// one that does not decode was damaged: the cue ends there,
+			// as on a read error, and none of the record is sent.
+			ch, _, err := protocol.DecodeStored(page.Bytes()[span.Start : span.Start+span.Len])
+			if err != nil {
+				f.giveBack(page)
+				return fail(fmt.Sprintf("record at %v", span.Time), err)
 			}
 			page.Retain() // the descriptor's reference
-			if !s.enqueue(descriptor{t: span.Time, ch: ch, page: page, off: off, n: n}) {
+			// The descriptor skips the stored channel byte.
+			if !s.enqueue(descriptor{t: span.Time, ch: ch, page: page, off: span.Start + 1, n: span.Len - 1}) {
 				f.giveBack(page) // drop the disk process's own hold too
 				return s.next
 			}
