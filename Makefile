@@ -52,10 +52,15 @@ leakcheck:
 # position while a title plays through seeks, pauses and scans, a group's
 # command moving all of its members or none, a quit during the control
 # dial, and the report clock: its cadence, reports while a stream plays,
-# and the last report when two groups quit at once. Two regressions ride
+# and the last report when two groups quit at once. Regressions ride
 # the same patterns: a delete in flight fences its title
-# (TestCoreDeleteFencesItsTitle), and a stored record that does not
-# decode ends the cue without being sent (TestCorruptRecordEndsTheCue).
+# (TestCoreDeleteFencesItsTitle) and gains and sheds no replica
+# (TestCoreDeleteFencesReplicas); a delete during a cold-replica drop is
+# refused as in use (TestCoreDeleteDuringColdDrop); a play never starts
+# on a replica being shed (TestCorePlaySkipsReplicaBeingShed); a drop
+# that takes a title's last replica removes the title
+# (TestCoreDropAfterReregisterTakesLastReplica); and a stored record that
+# does not decode ends the cue without being sent (TestCorruptRecordEndsTheCue).
 faults:
 	$(GO) test -race -timeout 120s -run 'Fault|Failover|Redispatch|Reconnect|MSUDown|Lost|Restart|FailedCommit|ReplayIdempotent|ReplayUnstamped|PR15Fixture|Orphan|Corrupt|PlanStep|LedgerConservation|Core|RecordPlacement|QueuedPlayWakes|CloseWakes|CutAll|QuitIsAcknowledged|StopKeeps|SweepOnStartup|PipelinedVCR|GoroutinesPerStream|VCRAckPositions|GroupVCRMovesAllOrNone|QuitDuringControlDial|ReportCadence|ReportsWhilePlaying|LastReportCountsConcurrentQuits' . ./internal/coordinator ./internal/client ./internal/msu ./internal/msufs ./internal/faultinject ./internal/admindb
 

@@ -111,10 +111,10 @@ func (c *engine) liveMSUsLocked() []*msuState {
 }
 
 // playCandidatesLocked lists every live MSU holding a replica of every
-// part, the first part's primary location first, then MSU id order.
-// Plan tries each in turn, so a play refused bandwidth on the primary
-// falls over to any other replica — including one the replication
-// policy just created.
+// part, the first part's primary location first, then MSU id order,
+// skipping a replica a removal is taking. Plan tries each in turn, so a
+// play refused bandwidth on the primary falls over to any other replica
+// — including one the replication policy just created.
 func (c *engine) playCandidatesLocked(parts []*admindb.ContentRecord) []candidate {
 	var out []candidate
 next:
@@ -126,7 +126,7 @@ next:
 		disks := make([]int, len(parts))
 		for i, p := range parts {
 			loc, ok := p.Locate(home.MSU)
-			if !ok || loc.N < 0 || loc.N >= len(m.disks) {
+			if !ok || loc.N < 0 || loc.N >= len(m.disks) || c.leaving(p.Info.Name, home.MSU) {
 				continue next
 			}
 			disks[i] = loc.N
@@ -304,14 +304,14 @@ func (c *engine) endReplicationLocked(r *replication) {
 // grant at the idle-bandwidth rate. It returns the planned transfer for
 // the caller to order, or nil.
 func (c *engine) planReplicaLocked(rec *admindb.ContentRecord) *replication {
-	if c.closed || rec == nil || c.deleting[rec.Info.Name] {
+	if c.closed || rec == nil || c.removals[rec.Info.Name] != nil {
 		return nil
 	}
 	t, ok := c.db.Type(rec.Info.Type)
 	if !ok || t.Composite() {
 		return nil // composite parents replicate through their children
 	}
-	if len(rec.Locations) >= c.maxReplicas() || c.replicationFor(rec.Info.Name) != nil {
+	if len(rec.Locations) >= c.cfg.Replication.MaxReplicas || c.replicationFor(rec.Info.Name) != nil {
 		return nil
 	}
 	srcM, srcDisk, ok := c.pickSourceLocked(rec)

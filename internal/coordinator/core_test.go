@@ -9,6 +9,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -305,6 +306,156 @@ func TestCoreDeleteFencesItsTitle(t *testing.T) {
 	}
 }
 
+// shed feeds a cache report from the MSU on conn, whose disk is under
+// 10 % free, and returns the cold-replica drop it ordered.
+func (r *coreRig) shed(conn connID) *call {
+	r.t.Helper()
+	fx := r.in(func() { r.c.cacheReport(conn, wire.CacheReport{Seq: 1, Disk: 0}) })
+	if len(fx.calls) != 1 || fx.calls[0].typ != wire.TypeDeleteContent || fx.calls[0].to != conn {
+		r.t.Fatalf("a cache report from a disk under 10 %% free decided %+v, want one DeleteContent to it", fx)
+	}
+	return &fx.calls[0]
+}
+
+// An administrative delete of a title whose cold-replica drop is out is
+// refused as in use and sends nothing. Made after the drop lands, it
+// removes the replica left, and each disk gets the title's blocks back
+// once.
+func TestCoreDeleteDuringColdDrop(t *testing.T) {
+	r := newCoreRig(t, Config{})
+	r.msu(1, "m1", 1500*units.Kbps, 900, movie)
+	r.msu(2, "m2", 1500*units.Kbps, 50, movie)
+	r.client(3)
+	space1, space2 := r.c.msus["m1"].disks[0].space, r.c.msus["m2"].disks[0].space
+	free1, free2 := space1.Available(), space2.Available()
+	drop := r.shed(2)
+	del := r.ticket()
+	fx := r.in(func() { r.c.deleteContent(del, 3, "movie") })
+	if a, ok := answerFor(fx, del); !ok || !errors.Is(a.err, core.ErrContentInUse) || len(fx.calls) != 0 {
+		t.Fatalf("a delete during the drop decided %+v, want it refused as in use at once", fx)
+	}
+	r.started(drop, nil)
+	del = r.ticket()
+	fx = r.in(func() { r.c.deleteContent(del, 3, "movie") })
+	if len(fx.calls) != 1 || fx.calls[0].typ != wire.TypeDeleteContent || fx.calls[0].to != 1 {
+		t.Fatalf("a delete after the drop decided %+v, want m1's DeleteContent", fx)
+	}
+	if a, ok := answerFor(r.started(&fx.calls[0], nil), del); !ok || a.err != nil {
+		t.Fatalf("the delete after the drop answered %v, %+v", ok, a)
+	}
+	if rec := r.c.db.Content("movie"); rec != nil {
+		t.Fatalf("the catalog still lists %v", rec.Holders())
+	}
+	blocks := blocksFor(movie.Size, 64*1024)
+	if got1, got2 := space1.Available(), space2.Available(); got1 != free1+blocks || got2 != free2+blocks {
+		t.Fatalf("free blocks m1 %d, m2 %d; want %d, %d with the title's back once on each", got1, got2, free1+blocks, free2+blocks)
+	}
+}
+
+// A title being deleted gains and sheds no replica: while m1's
+// DeleteContent is out, a cache report from m2's full disk orders no
+// drop and a copy's commit on m3 is refused, so the delete's end leaves
+// nothing listed.
+func TestCoreDeleteFencesReplicas(t *testing.T) {
+	r := newCoreRig(t, Config{})
+	r.msu(1, "m1", 1500*units.Kbps, 900, movie)
+	r.msu(2, "m2", 1500*units.Kbps, 50, movie)
+	r.msu(4, "m3", 1500*units.Kbps, 900)
+	r.client(3)
+	del := r.ticket()
+	fx := r.in(func() { r.c.deleteContent(del, 3, "movie") })
+	if len(fx.calls) != 1 || fx.calls[0].to != 1 {
+		t.Fatalf("the delete decided %+v, want m1's DeleteContent", fx)
+	}
+	onM1 := fx.calls[0]
+	if fx := r.in(func() { r.c.cacheReport(2, wire.CacheReport{Seq: 1, Disk: 0}) }); len(fx.calls) != 0 {
+		t.Fatalf("m2's cache report during the delete decided %+v, want no drop", fx)
+	}
+	var err error
+	r.in(func() { err = r.c.replicateDone(4, wire.ReplicateDone{ID: 99, Content: "movie", Size: movie.Size}) })
+	if !errors.Is(err, core.ErrNoSuchContent) {
+		t.Fatalf("a commit on m3 during the delete answered %v, want it refused", err)
+	}
+	fx = r.started(&onM1, nil)
+	if len(fx.calls) != 1 || fx.calls[0].to != 2 {
+		t.Fatalf("m1's delete done decided %+v, want m2's DeleteContent", fx)
+	}
+	if a, ok := answerFor(r.started(&fx.calls[0], nil), del); !ok || a.err != nil {
+		t.Fatalf("the delete answered %v, %+v", ok, a)
+	}
+	if rec := r.c.db.Content("movie"); rec != nil {
+		t.Fatalf("the catalog still lists movie on %v", rec.Holders())
+	}
+}
+
+// A play never starts on a replica being shed: with m1's one slot busy
+// and m2's drop out, it waits, before the drop lands and after.
+func TestCorePlaySkipsReplicaBeingShed(t *testing.T) {
+	r := newCoreRig(t, Config{})
+	r.msu(1, "m1", 1500*units.Kbps, 900, movie) // one mpeg1 slot
+	r.msu(2, "m2", 1500*units.Kbps, 50, movie)
+	r.client(3)
+	r.admit(3, "movie", "tv")
+	drop := r.shed(2)
+	tk, fx := r.play(3, "movie", "tv", true)
+	if len(fx.calls)+len(fx.answers) != 0 {
+		t.Fatalf("a play during m2's drop decided %+v, want it waiting for m1", fx)
+	}
+	if fx = r.started(drop, nil); startFor(fx, tk) != nil || len(r.c.queue) != 1 {
+		t.Fatalf("the drop landing decided %+v, want the play still waiting", fx)
+	}
+}
+
+// A drop that lands after the title's other holder re-registered without
+// it takes the last replica, and the title leaves the catalog.
+func TestCoreDropAfterReregisterTakesLastReplica(t *testing.T) {
+	r := newCoreRig(t, Config{})
+	r.msu(1, "m1", 1500*units.Kbps, 900, movie)
+	r.msu(2, "m2", 1500*units.Kbps, 50, movie)
+	drop := r.shed(2)
+	r.in(func() { r.c.connDown(r.now, 1) })
+	r.msu(4, "m1", 1500*units.Kbps, 900) // back without movie
+	r.started(drop, nil)
+	if rec := r.c.db.Content("movie"); rec != nil {
+		t.Fatalf("movie is still listed on %v with replicas %v", rec.Info.Disk, rec.Holders())
+	}
+}
+
+// Every replica that leaves the catalog is one replica-drop event, with
+// its MSU, disk and title and, in Detail, why it left.
+func TestCoreReplicaDropEvents(t *testing.T) {
+	r := newCoreRig(t, Config{})
+	clip := wire.ContentDecl{Name: "clip", Type: "rtp-video", Size: 640 * units.KB}
+	r.msu(1, "m1", 1500*units.Kbps, 900, movie, clip)
+	r.msu(2, "m2", 1500*units.Kbps, 50, movie)
+	r.client(3)
+	_, since := r.c.Events(0, 0, 0)
+	r.started(r.shed(2), nil)
+	del := r.ticket()
+	fx := r.in(func() { r.c.deleteContent(del, 3, "movie") })
+	if len(fx.calls) != 1 {
+		t.Fatalf("the delete decided %+v, want m1's DeleteContent", fx)
+	}
+	r.started(&fx.calls[0], nil)
+	r.in(func() { r.c.connDown(r.now, 1) })
+	r.msu(4, "m1", 1500*units.Kbps, 900) // back without clip
+	evs, _ := r.c.Events(since, 0, 0)
+	var got []string
+	for _, ev := range evs {
+		if ev.Kind == obs.EvReplDrop {
+			got = append(got, fmt.Sprintf("%s/%d %s: %s", ev.MSU, ev.Disk, ev.Content, ev.Detail))
+		}
+	}
+	want := []string{
+		"m2/0 movie: cold on a disk under 10 % free",
+		"m1/0 movie: deleted",
+		"m1/0 clip: no longer declared by the MSU",
+	}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("replica-drop events %q, want %q", got, want)
+	}
+}
+
 // (d) A hello under a name still registered waits for the old
 // registration's msu-down, or its grace.
 func TestCoreReregistration(t *testing.T) {
@@ -367,11 +518,13 @@ func TestCoreQueuedPlayPreemptsCopy(t *testing.T) {
 
 // walkInputs drives the core with seed's random sequence of inputs —
 // play, record, stream-ended, msu-down, msu-hello, start outcome (and
-// the other calls' outcomes), cache report and tick — and checks after
-// every one of them that each ledger's reserved total equals its live
-// grants, that every active stream's MSU is registered and alive, and
-// that running the queue again places nothing. It returns a transcript
-// of every decision, so two walks from one seed can be compared.
+// the other calls' outcomes), cache report, administrative delete and
+// tick — and checks after every one of them that each ledger's reserved
+// total equals its live grants, that every active stream's MSU is
+// registered and alive, that every listed title has a replica, that
+// every removal in flight targets a replica the catalog lists and no
+// stream runs on, and that running the queue again places nothing. It returns a transcript of
+// every decision, so two walks from one seed can be compared.
 func walkInputs(t *testing.T, seed int64, steps int) string {
 	r := newCoreRig(t, Config{QueueTimeout: 20 * time.Second, Replication: ReplicationConfig{MaxReplicas: 3}})
 	c := r.c
@@ -383,6 +536,9 @@ func walkInputs(t *testing.T, seed int64, steps int) string {
 	next := connID(100)
 	var calls []call
 	var retired []*schedule.Ledger
+	// deletes holds the administrative deletes' tickets, and outcomes
+	// what they were answered: "ok" or "in use".
+	deletes, outcomes := map[uint64]bool{}, map[string]bool{}
 	up := func(id core.MSUID) effects {
 		next++
 		conns[id] = next
@@ -413,7 +569,7 @@ func walkInputs(t *testing.T, seed int64, steps int) string {
 	}
 	for step := 0; step < steps; step++ {
 		var what string
-		switch op := rng.Intn(16); {
+		switch op := rng.Intn(17); {
 		case op < 4:
 			title := titles[rng.Intn(len(titles))]
 			port := map[string]string{"mpeg1": "tv", "rtp-video": "v", "vat-audio": "a"}[title.Type]
@@ -473,6 +629,12 @@ func walkInputs(t *testing.T, seed int64, steps int) string {
 				cov = append(cov, wire.ContentCoverage{Name: d.Name, CachedPages: int64(rng.Intn(11)), TotalPages: 10, Players: rng.Intn(3)})
 			}
 			fx = r.in(func() { c.cacheReport(conns[id], wire.CacheReport{Seq: uint64(step + 1), Disk: 0, Coverage: cov}) })
+		case op < 15:
+			title := titles[rng.Intn(len(titles))]
+			what = "delete " + title.Name
+			tk := r.ticket()
+			deletes[tk] = true
+			fx = r.in(func() { c.deleteContent(tk, connID(1+rng.Intn(4)), title.Name) })
 		default:
 			what = "tick"
 			fx = r.advance(time.Duration(rng.Intn(8)) * time.Second)
@@ -487,6 +649,13 @@ func walkInputs(t *testing.T, seed int64, steps int) string {
 		}
 		for _, a := range fx.answers {
 			fmt.Fprintf(&log, " answer %d %v;", a.owner, a.err)
+			switch {
+			case !deletes[a.owner]:
+			case a.err == nil:
+				outcomes["ok"] = true
+			case errors.Is(a.err, core.ErrContentInUse):
+				outcomes["in use"] = true
+			}
 		}
 		fmt.Fprintf(&log, " wake %v\n", fx.wake)
 
@@ -503,6 +672,23 @@ func walkInputs(t *testing.T, seed int64, steps int) string {
 				t.Fatalf("%s: stream %d active on %s, which is not up", when, a.id, a.msu)
 			}
 		}
+		for _, rec := range c.db.Contents() {
+			if typ, _ := c.db.Type(rec.Info.Type); !typ.Composite() && len(rec.Locations) == 0 {
+				t.Fatalf("%s: %s is listed with no replica", when, rec.Info.Name)
+			}
+		}
+		for name, rm := range c.removals {
+			for _, tg := range append(slices.Clone(rm.targets), rm.gone...) {
+				if rec := c.db.Content(tg.name); rec == nil || !slices.Contains(rec.Holders(), core.DiskID{MSU: tg.m.id, N: tg.n}) {
+					t.Fatalf("%s: the removal of %s targets %s on %s/%d, which the catalog does not list", when, name, tg.name, tg.m.id, tg.n)
+				}
+				for _, a := range c.active {
+					if a.content == tg.name && a.msu == tg.m.id {
+						t.Fatalf("%s: stream %d runs %s on %s, a replica being removed", when, a.id, a.content, a.msu)
+					}
+				}
+			}
+		}
 		if again := c.take(r.now); len(again.calls)+len(again.notes)+len(again.answers) != 0 {
 			t.Fatalf("%s: the queue run again decided %+v", when, again)
 		}
@@ -510,6 +696,11 @@ func walkInputs(t *testing.T, seed int64, steps int) string {
 	for _, want := range []string{wire.TypeStreamMigrated, wire.TypeStreamLost, wire.TypeStopStream, wire.TypeReplicateAbort, wire.TypeDeleteContent, "deadline"} {
 		if !strings.Contains(log.String(), want) {
 			t.Fatalf("walk too tame: no %s in %d steps", want, steps)
+		}
+	}
+	for _, want := range []string{"ok", "in use"} {
+		if !outcomes[want] {
+			t.Fatalf("walk too tame: no delete answered %s in %d steps", want, steps)
 		}
 	}
 	return log.String()

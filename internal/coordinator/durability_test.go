@@ -234,7 +234,7 @@ func TestRestartEquivalence(t *testing.T) {
 			await.Until(t, "cold-replica drop", func() bool {
 				c.mu.Lock()
 				defer c.mu.Unlock()
-				return len(c.dereplicating) == 0
+				return len(c.removals) == 0
 			})
 		case k == 8:
 			name := anyName()

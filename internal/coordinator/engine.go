@@ -32,12 +32,10 @@ type engine struct {
 	// replications tracks in-flight MSU-to-MSU content transfers by
 	// order ID; each holds ledger reservations on both ends.
 	replications map[uint64]*replication
-	// dereplicating marks contents with a cold-replica drop in flight,
-	// so one space-pressure report cannot plan the same drop twice.
-	dereplicating map[string]bool
-	// deleting fences the names an administrative delete is removing,
-	// while its chain of DeleteContents runs (deleteContent).
-	deleting map[string]bool
+	// removals holds the replica removals in flight — administrative
+	// deletes and cold-replica drops — under each title they remove;
+	// every fence on a title leaving reads it (removal).
+	removals map[string]*removal
 	nextRepl uint64
 	// queue is the pending queue (§2.2: the Coordinator "queues requests
 	// that cannot be satisfied"), in arrival order. releases counts the
@@ -121,23 +119,25 @@ func newEngine(cfg Config, reg *obs.Registry) (*engine, error) {
 	if cfg.QueueTimeout == 0 {
 		cfg.QueueTimeout = 30 * time.Second
 	}
+	if cfg.Replication.MaxReplicas <= 0 {
+		cfg.Replication.MaxReplicas = defaultMaxReplicas
+	}
 	db := cfg.Store
 	if db == nil {
 		db = admindb.NewMem()
 	}
 	c := &engine{
-		cfg:           cfg,
-		db:            db,
-		msus:          make(map[core.MSUID]*msuState),
-		sessions:      make(map[core.SessionID]*session),
-		bound:         make(map[connID]any),
-		active:        make(map[core.StreamID]*activeStream),
-		starting:      make(map[uint64]*dispatch),
-		replications:  make(map[uint64]*replication),
-		dereplicating: make(map[string]bool),
-		deleting:      make(map[string]bool),
-		obs:           reg,
-		om:            newCoordMetrics(reg),
+		cfg:          cfg,
+		db:           db,
+		msus:         make(map[core.MSUID]*msuState),
+		sessions:     make(map[core.SessionID]*session),
+		bound:        make(map[connID]any),
+		active:       make(map[core.StreamID]*activeStream),
+		starting:     make(map[uint64]*dispatch),
+		replications: make(map[uint64]*replication),
+		removals:     make(map[string]*removal),
+		obs:          reg,
+		om:           newCoordMetrics(reg),
 	}
 	var boot []admindb.Mutation
 	for _, t := range cfg.Types {
@@ -267,13 +267,6 @@ func (c *engine) diskState(id core.DiskID) *diskState {
 		return nil
 	}
 	return m.disks[id.N]
-}
-
-// adjustCapacityLocked returns delta blocks of stored-content space to
-// the free pool by shrinking the disk's standing reservation (stored
-// content is modelled as a keyless baseline reservation; see msuHello).
-func adjustCapacityLocked(l *schedule.Ledger, delta int64) {
-	l.AddStanding(-delta) //nolint:errcheck // clamped at zero
 }
 
 // waiting is one request on the pending queue: refused as busy, it

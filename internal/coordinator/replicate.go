@@ -66,14 +66,6 @@ type replication struct {
 	grant   grant
 }
 
-// maxReplicas resolves the config default.
-func (c *engine) maxReplicas() int {
-	if n := c.cfg.Replication.MaxReplicas; n > 0 {
-		return n
-	}
-	return defaultMaxReplicas
-}
-
 // replicationFor reports whether a transfer of name is in flight.
 func (c *engine) replicationFor(name string) *replication {
 	for _, r := range c.replications {
@@ -181,16 +173,16 @@ func (c *engine) replicateDone(conn connID, req wire.ReplicateDone) error {
 		c.release()
 		return err
 	}
-	if c.db.Content(req.Content) == nil {
+	if c.db.Content(req.Content) == nil || c.deleting(req.Content) {
 		// Deleted while the copy ran: refuse the location; the answer
 		// tells the destination to take the replica back out.
 		return refuse(fmt.Errorf("%w: %q", core.ErrNoSuchContent, req.Content))
 	}
-	d := c.diskState(core.DiskID{MSU: m.id, N: req.Disk})
+	loc := core.DiskID{MSU: m.id, N: req.Disk}
+	d := c.diskState(loc)
 	if d == nil {
 		return refuse(fmt.Errorf("%w: disk %d", core.ErrBadRequest, req.Disk))
 	}
-	loc := core.DiskID{MSU: m.id, N: req.Disk}
 	if err := c.apply(admindb.SetLocation(req.Content, admindb.Location{MSU: m.id, Disk: req.Disk})); err != nil {
 		// Not journaled ⇒ not committed: reject, so the destination
 		// removes the replica again.
@@ -235,7 +227,7 @@ func (c *engine) replicationFailed(id uint64, reason string) {
 // after its cache report: if the disk is low on space and holds a cold
 // extra copy (no players here, no active streams here, other replicas
 // elsewhere, not the primary), shed it. At most one drop is ordered per
-// report; its outcome is dropped.
+// report; it is a removal of that one replica.
 func (c *engine) dropColdReplicaLocked(m *msuState, diskIdx int) {
 	if c.closed {
 		return
@@ -244,58 +236,27 @@ func (c *engine) dropColdReplicaLocked(m *msuState, diskIdx int) {
 	if float64(d.space.Available()) >= lowSpaceFrac*float64(d.space.Capacity()) {
 		return // no space pressure
 	}
+next:
 	for _, rec := range c.db.Contents() {
 		name := rec.Info.Name
 		loc, held := rec.Locate(m.id)
 		if !held || loc.N != diskIdx || len(rec.Locations) < 2 {
 			continue
 		}
-		if rec.Info.Disk.MSU == m.id {
-			continue // never shed the primary
+		if rec.Info.Disk.MSU == m.id || c.removals[name] != nil || c.replicationFor(name) != nil {
+			continue // never the primary, nor a title already being copied or removed
 		}
-		if c.dereplicating[name] || c.deleting[name] || c.replicationFor(name) != nil {
-			continue
-		}
-		if cov, ok := d.coverage[name]; ok && cov.Players > 0 {
+		if d.coverage[name].Players > 0 {
 			continue // warm here: someone is watching this copy
 		}
-		inUse := false
 		for _, a := range c.active {
 			if a.msu == m.id && a.content == name {
-				inUse = true
-				break
+				continue next
 			}
 		}
-		if inUse {
-			continue
-		}
-		c.dereplicating[name] = true
 		c.logf("de-replicating cold %q from %s disk %d", name, m.id, diskIdx)
-		blocks := blocksFor(rec.Info.Size, d.blockSize)
-		c.rpc(0, m.conn, wire.TypeDeleteContent, wire.DeleteContent{Content: name}, nil, func(_ time.Time, err error) {
-			c.dropped(m, rec, diskIdx, blocks, err)
-		})
+		c.remove(&removal{why: "cold on a disk under 10 % free", names: []string{name},
+			targets: []*replica{{name: name, size: rec.Info.Size, m: m, n: diskIdx}}})
 		return
 	}
-}
-
-// dropped takes a cold-replica drop's outcome: on success the journaled
-// location goes and the blocks return to the free pool.
-func (c *engine) dropped(m *msuState, rec *admindb.ContentRecord, diskIdx int, blocks int64, err error) {
-	name := rec.Info.Name
-	delete(c.dereplicating, name)
-	if err != nil {
-		// In use after all, or the MSU died; the replica stays.
-		c.logf("de-replicating %q from %s: %v", name, m.id, err)
-		return
-	}
-	if c.db.Content(name) != rec || c.msus[m.id] != m {
-		return // deleted or re-registered meanwhile; reconciliation owns it
-	}
-	c.apply(admindb.DropLocation(name, m.id)) //nolint:errcheck // counted and logged inside; the catalog, live and restarted alike, still lists the replica and the next msuHello sweep reconciles it
-	if d := c.diskState(core.DiskID{MSU: m.id, N: diskIdx}); d != nil {
-		adjustCapacityLocked(d.space, blocks)
-	}
-	c.om.replDropped.Inc()
-	c.release()
 }

@@ -1,6 +1,7 @@
 package coordinator
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"sort"
@@ -131,137 +132,185 @@ func (c *engine) addType(conn connID, t core.ContentType) error {
 	return c.apply(admindb.PutType(t))
 }
 
-// doomed is one replica an administrative delete removes.
-type doomed struct {
-	conn connID
+// A removal is replicas leaving the catalog: an administrative delete
+// (whole: every replica of a title and its children) or a cold-replica
+// drop (one replica). Each target's DeleteContent goes out in turn, and
+// removed ends it. While it is in the table, a title going whole plays
+// nowhere, a replica going starts no play, and the title gets no other
+// removal and no replica planned or shed.
+type removal struct {
+	owner   uint64 // the delete's ticket; 0 for a drop
+	whole   bool
+	why     string     // the replica-drop events' Detail
+	names   []string   // its keys in engine.removals
+	targets []*replica // still to go; the first one's DeleteContent may be out
+	gone    []*replica // removed by their MSUs
+}
+
+// A replica is one title's copy on disk n of one MSU registration.
+type replica struct {
 	name string
 	size units.ByteSize
-	disk core.DiskID
+	m    *msuState
+	n    int
 }
 
 // deleteContent removes an item that is not being played or recorded:
-// every replica on every MSU, one DeleteContent at a time, then the
-// catalog entries. Until the chain ends the item and its children are
-// fenced (engine.deleting): no play starts on them and no replica of
-// them is planned or shed. owner hears the outcome.
+// every replica on every MSU, then the catalog entries. owner hears the
+// outcome.
 func (c *engine) deleteContent(owner uint64, conn connID, name string) {
-	names, targets, err := c.doomedReplicas(conn, name)
-	if err != nil {
+	if err := c.deletion(owner, conn, name); err != nil {
 		c.answer(owner, nil, err)
-		return
 	}
-	for _, n := range names {
-		c.deleting[n] = true
-	}
-	c.deleteNext(owner, names, targets, 0)
 }
 
-func (c *engine) doomedReplicas(conn connID, name string) ([]string, []doomed, error) {
+func (c *engine) deletion(owner uint64, conn connID, name string) error {
 	if err := c.requireAdmin(conn); err != nil {
-		return nil, nil, err
+		return err
 	}
 	rec := c.db.Content(name)
 	if rec == nil {
-		return nil, nil, fmt.Errorf("%w: %q", core.ErrNoSuchContent, name)
+		return fmt.Errorf("%w: %q", core.ErrNoSuchContent, name)
 	}
 	names := append([]string{name}, rec.Info.Children...)
 	for _, a := range c.active {
 		if a.content == name {
-			return nil, nil, fmt.Errorf("%w: %q", core.ErrContentInUse, name)
+			return fmt.Errorf("%w: %q", core.ErrContentInUse, name)
 		}
 	}
 	for _, n := range names {
-		if c.deleting[n] {
-			return nil, nil, fmt.Errorf("%w: %q is being deleted", core.ErrContentInUse, n)
+		if c.removals[n] != nil {
+			return fmt.Errorf("%w: %q is being removed", core.ErrContentInUse, n)
 		}
 	}
 	// An in-flight copy of anything being deleted dies first: the
 	// destination removes its unpublished files when told to abort, and
 	// a commit racing the delete is refused in replicateDone.
 	c.abortReplicationsLocked("content deleted", func(r *replication) bool {
-		for _, n := range names {
-			if r.content == n {
-				return true
-			}
-		}
-		return false
+		return slices.Contains(names, r.content)
 	})
 	// Every replica on every MSU must go; any holder being down fails
 	// the delete (the returning MSU would re-declare the item).
-	var targets []doomed
+	r := &removal{owner: owner, whole: true, why: "deleted", names: names}
 	for _, n := range names {
-		r := c.db.Content(n)
-		if r == nil {
-			continue
-		}
-		for _, loc := range r.Locations {
-			m := c.msus[loc.MSU]
-			if m == nil || !m.alive {
-				return nil, nil, fmt.Errorf("%w: holding %q", core.ErrMSUUnavailable, n)
-			}
-			targets = append(targets, doomed{conn: m.conn, name: n, size: r.Info.Size, disk: loc.DiskID()})
-		}
-	}
-	return names, targets, nil
-}
-
-// deleteNext orders target i's DeleteContent, or, with every replica
-// gone, ends the delete. A refusal ends it too, with what the MSUs
-// before it removed.
-func (c *engine) deleteNext(owner uint64, names []string, targets []doomed, i int) {
-	if i == len(targets) {
-		c.answer(owner, nil, c.deleted(names, targets))
-		return
-	}
-	t := targets[i]
-	c.rpc(owner, t.conn, wire.TypeDeleteContent, wire.DeleteContent{Content: t.name}, nil, func(_ time.Time, err error) {
-		if err != nil {
-			c.deleted(names, targets[:i]) //nolint:errcheck // the refusal is the error to report; a failed commit is counted and logged inside
-			c.answer(owner, nil, fmt.Errorf("coordinator: deleting %q on MSU: %w", t.name, err))
-			return
-		}
-		c.deleteNext(owner, names, targets, i+1)
-	})
-}
-
-// deleted ends a delete: its names are no longer fenced, and the
-// replicas the MSUs removed (gone) leave the catalog in one batch — a
-// name none of whose replicas is left goes whole — and give their space
-// back.
-func (c *engine) deleted(names []string, gone []doomed) error {
-	var muts []admindb.Mutation
-	for _, n := range names {
-		delete(c.deleting, n)
 		rec := c.db.Content(n)
 		if rec == nil {
 			continue
 		}
-		var drops []admindb.Mutation
 		for _, loc := range rec.Locations {
-			if slices.ContainsFunc(gone, func(t doomed) bool { return t.name == n && t.disk.MSU == loc.MSU }) {
-				drops = append(drops, admindb.DropLocation(n, loc.MSU))
+			m := c.msus[loc.MSU]
+			if m == nil || !m.alive {
+				return fmt.Errorf("%w: holding %q", core.ErrMSUUnavailable, n)
 			}
+			r.targets = append(r.targets, &replica{name: n, size: rec.Info.Size, m: m, n: loc.Disk})
 		}
-		if len(drops) == len(rec.Locations) {
-			drops = []admindb.Mutation{admindb.DeleteContent(n)}
-		}
-		muts = append(muts, drops...)
 	}
-	if err := c.apply(muts...); err != nil {
-		// The MSUs already unlinked the files; the catalog entries stay
-		// until the next msuHello stale sweep reconciles them.
+	c.remove(r)
+	return nil
+}
+
+// remove enters r in the table under each of its names and starts its
+// chain.
+func (c *engine) remove(r *removal) {
+	for _, n := range r.names {
+		c.removals[n] = r
+	}
+	c.removeNext(r)
+}
+
+// removeNext orders the next target's DeleteContent or, with none left,
+// ends r. A refusal ends it too, with what the MSUs before it removed.
+// A target that left the catalog meanwhile (unlist) is settled whatever
+// its outcome.
+func (c *engine) removeNext(r *removal) {
+	if len(r.targets) == 0 {
+		c.removed(r, nil)
+		return
+	}
+	t := r.targets[0]
+	c.rpc(r.owner, t.m.conn, wire.TypeDeleteContent, wire.DeleteContent{Content: t.name}, nil, func(_ time.Time, err error) {
+		if i := slices.Index(r.targets, t); i >= 0 {
+			if err != nil {
+				c.removed(r, fmt.Errorf("coordinator: deleting %q on MSU %s: %w", t.name, t.m.id, err))
+				return
+			}
+			r.targets = slices.Delete(r.targets, i, i+1)
+			r.gone = append(r.gone, t)
+		}
+		c.removeNext(r)
+	})
+}
+
+// removed ends r: its titles leave the table, the replicas the MSUs
+// removed leave the catalog and give their blocks back to the
+// registration that removed them, and the queue runs again. A delete's
+// owner hears err; a drop that removed its replica is counted.
+func (c *engine) removed(r *removal, err error) {
+	for _, n := range r.names {
+		delete(c.removals, n)
+	}
+	for _, t := range r.gone {
+		if uerr := c.unlist(t, r.why); uerr != nil {
+			// The MSU already unlinked the files; the catalog entry stays
+			// until the next msuHello sweep reconciles it.
+			err = cmp.Or(err, uerr)
+			continue
+		}
+		// Stored content is the disk's standing reservation (admitMSU).
+		d := t.m.disks[t.n]
+		d.space.AddStanding(-blocksFor(t.size, d.blockSize)) //nolint:errcheck // clamped at zero
+	}
+	c.release()
+	switch {
+	case r.whole:
+		c.answer(r.owner, nil, err)
+	case err != nil:
+		c.logf("de-replicating %q: %v", r.names[0], err)
+	case len(r.gone) > 0:
+		c.om.replDropped.Inc()
+	}
+}
+
+// unlist is the one way a replica leaves the catalog: its location goes
+// or, when it was the title's last, the title. It is a replica-drop
+// event with why, and a removal in flight of the title no longer
+// targets it.
+func (c *engine) unlist(t *replica, why string) error {
+	rec := c.db.Content(t.name)
+	if rec == nil {
+		return nil
+	}
+	if _, ok := rec.Locate(t.m.id); !ok {
+		return nil
+	}
+	mut := admindb.DropLocation(t.name, t.m.id)
+	if len(rec.Locations) == 1 {
+		mut = admindb.DeleteContent(t.name)
+	}
+	if err := c.apply(mut); err != nil {
 		return err
 	}
-	for _, t := range gone {
-		// Return the replica's disk space to the free pool.
-		if d := c.diskState(t.disk); d != nil {
-			adjustCapacityLocked(d.space, blocksFor(t.size, d.blockSize))
-		}
+	if r := c.removals[t.name]; r != nil {
+		same := func(u *replica) bool { return u.name == t.name && u.m.id == t.m.id }
+		r.targets, r.gone = slices.DeleteFunc(r.targets, same), slices.DeleteFunc(r.gone, same)
 	}
-	if len(gone) > 0 {
-		c.release()
-	}
+	c.logf("replica of %q on %s disk %d unlisted: %s", t.name, t.m.id, t.n, why)
+	c.event(obs.Event{Kind: obs.EvReplDrop, MSU: string(t.m.id), Disk: t.n, Content: t.name, Detail: why})
 	return nil
+}
+
+// deleting reports whether an administrative delete is removing name.
+func (c *engine) deleting(name string) bool {
+	r := c.removals[name]
+	return r != nil && r.whole
+}
+
+// leaving reports whether a removal in flight takes name's replica on
+// MSU id.
+func (c *engine) leaving(name string, id core.MSUID) bool {
+	r := c.removals[name]
+	on := func(t *replica) bool { return t.name == name && t.m.id == id }
+	return r != nil && (slices.ContainsFunc(r.targets, on) || slices.ContainsFunc(r.gone, on))
 }
 
 // cacheReport records one disk's advertised cache heat and lets the
@@ -405,16 +454,12 @@ func (c *engine) admitMSU(w *waiting, req *wire.MSUHello) error {
 	// declared by MSUs, so they are exempt; a parent with missing
 	// children fails at expandContent instead.
 	for _, rec := range c.db.Contents() {
-		name := rec.Info.Name
 		if t, ok := c.db.Type(rec.Info.Type); ok && t.Composite() {
 			continue
 		}
-		if _, held := rec.Locate(req.ID); held && !declared[name] {
-			if len(rec.Locations) > 1 {
-				muts = append(muts, admindb.DropLocation(name, req.ID))
-			} else {
-				muts = append(muts, admindb.DeleteContent(name))
-				c.logf("content %q dropped: MSU %q no longer declares it", name, req.ID)
+		if loc, held := rec.Locate(req.ID); held && !declared[rec.Info.Name] {
+			if err := c.unlist(&replica{name: rec.Info.Name, m: m, n: loc.N}, "no longer declared by the MSU"); err != nil {
+				return err
 			}
 		}
 	}
@@ -747,7 +792,7 @@ func (c *engine) expandContent(name string) (*admindb.ContentRecord, []*admindb.
 	if rec == nil {
 		return nil, nil, fmt.Errorf("%w: %q", core.ErrNoSuchContent, name)
 	}
-	if c.deleting[name] {
+	if c.deleting(name) {
 		return nil, nil, fmt.Errorf("%w: %q is being deleted", core.ErrNoSuchContent, name)
 	}
 	t, ok := c.db.Type(rec.Info.Type)
@@ -763,7 +808,7 @@ func (c *engine) expandContent(name string) (*admindb.ContentRecord, []*admindb.
 		if cr == nil {
 			return nil, nil, fmt.Errorf("%w: component %q", core.ErrNoSuchContent, child)
 		}
-		if c.deleting[child] {
+		if c.deleting(child) {
 			return nil, nil, fmt.Errorf("%w: component %q is being deleted", core.ErrNoSuchContent, child)
 		}
 		parts = append(parts, cr)

@@ -475,20 +475,3 @@ func BenchmarkBuilderAppend4K(b *testing.B) {
 		}
 	}
 }
-
-func BenchmarkSeek(b *testing.B) {
-	f := newMemFile(int(256 * units.KB))
-	bl, _ := NewBuilder(f, int(256*units.KB), DefaultMaxKeys)
-	payload := make([]byte, 4096)
-	for i := 0; i < 50000; i++ {
-		bl.Append(Packet{Time: time.Duration(i) * time.Millisecond, Payload: payload})
-	}
-	meta, _ := bl.Finalize()
-	tr, _ := Open(f, int(256*units.KB), meta)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := tr.SeekTime(time.Duration(i%50000) * time.Millisecond); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

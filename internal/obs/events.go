@@ -19,6 +19,7 @@ const (
 	EvCacheRatio = "cache-ratio"      // a disk's cache hit ratio moved materially
 	EvReplPlan   = "replicate-plan"   // replication planner reserved resources for a copy
 	EvReplCommit = "replicate-commit" // replica committed and entered the ledger
+	EvReplDrop   = "replica-drop"     // a replica left the catalog (why in Detail: deleted, cold, no longer declared)
 	EvReplAbort  = "replicate-abort"  // replication aborted (preempted, failed, or shutdown)
 	EvRecCommit  = "record-commit"    // a recording's content entered the catalog (size, length in Detail)
 	EvMSUDown    = "msu-down"         // MSU connection lost
