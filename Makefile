@@ -59,10 +59,15 @@ leakcheck:
 # refused as in use (TestCoreDeleteDuringColdDrop); a play never starts
 # on a replica being shed (TestCorePlaySkipsReplicaBeingShed); a drop
 # that takes a title's last replica removes the title
-# (TestCoreDropAfterReregisterTakesLastReplica); and a stored record that
-# does not decode ends the cue without being sent (TestCorruptRecordEndsTheCue).
+# (TestCoreDropAfterReregisterTakesLastReplica); a delete reaches an MSU
+# that re-registered while it ran (TestCoreDeleteReachesReregisteredMSU);
+# a composite title holds no location of its own
+# (TestCompositeHoldsNoLocations), is refused deletion while it plays
+# (TestCoreDeleteCompositeInUse) and deletes whole once it is not
+# (TestSeminarCompositeGroup); and a stored record that does not decode
+# ends the cue without being sent (TestCorruptRecordEndsTheCue).
 faults:
-	$(GO) test -race -timeout 120s -run 'Fault|Failover|Redispatch|Reconnect|MSUDown|Lost|Restart|FailedCommit|ReplayIdempotent|ReplayUnstamped|PR15Fixture|Orphan|Corrupt|PlanStep|LedgerConservation|Core|RecordPlacement|QueuedPlayWakes|CloseWakes|CutAll|QuitIsAcknowledged|StopKeeps|SweepOnStartup|PipelinedVCR|GoroutinesPerStream|VCRAckPositions|GroupVCRMovesAllOrNone|QuitDuringControlDial|ReportCadence|ReportsWhilePlaying|LastReportCountsConcurrentQuits' . ./internal/coordinator ./internal/client ./internal/msu ./internal/msufs ./internal/faultinject ./internal/admindb
+	$(GO) test -race -timeout 120s -run 'Fault|Failover|Redispatch|Reconnect|MSUDown|Lost|Restart|FailedCommit|ReplayIdempotent|CompositeHoldsNoLocations|PR15Fixture|Orphan|Corrupt|PlanStep|LedgerConservation|Core|SeminarCompositeGroup|RecordPlacement|QueuedPlayWakes|CloseWakes|CutAll|QuitIsAcknowledged|StopKeeps|SweepOnStartup|PipelinedVCR|GoroutinesPerStream|VCRAckPositions|GroupVCRMovesAllOrNone|QuitDuringControlDial|ReportCadence|ReportsWhilePlaying|LastReportCountsConcurrentQuits' . ./internal/coordinator ./internal/client ./internal/msu ./internal/msufs ./internal/faultinject ./internal/admindb
 
 # Three seconds of each of the nine fuzz targets (go test takes one -fuzz target and
 # one package per run): journal replay and snapshot decoding never

@@ -491,23 +491,45 @@ func BenchmarkStripingHotContent(b *testing.B) {
 // whole cycle: two starts, each through the Coordinator and the MSU's
 // group or player set-up, and one teardown. The receiver is a bare UDP
 // socket read by the benchmark itself, so the wait for a packet ends
-// when the packet does.
+// when the packet does. It runs twice: "mem", the Coordinator's
+// administrative database in memory, and "durable", journaled to a state
+// directory as a Coordinator run with -state is, so every hello, port
+// registration and play pays its journal write.
 func BenchmarkPlayCycle(b *testing.B) {
 	const fps = 30
 	pkts, err := media.GenerateCBR(media.CBRConfig{Rate: 1500 * units.Kbps, PacketSize: 1024, FPS: fps, GOP: 15, Duration: 10 * time.Second})
 	if err != nil {
 		b.Fatal(err)
 	}
-	// Admission has room to spare: a quit returns on its acknowledgement
-	// and the stream is released when the MSU's stream-ended arrives, which
-	// a client cycling this fast can outrun by a few streams.
-	cluster, err := StartCluster(ClusterConfig{
-		BlockSize:     64 * 1024,
-		DiskBandwidth: 1000 * units.Mbps,
-		Preload: func(_, _ int, vol *msufs.Volume) error {
-			return Ingest(vol, "movie", "mpeg1", pkts)
-		},
-	})
+	for _, mode := range []struct {
+		name    string
+		durable bool
+	}{{"mem", false}, {"durable", true}} {
+		mode := mode
+		b.Run(mode.name, func(b *testing.B) {
+			// Admission has room to spare: a quit returns on its
+			// acknowledgement and the stream is released when the MSU's
+			// stream-ended arrives, which a client cycling this fast can
+			// outrun by a few streams.
+			cfg := ClusterConfig{
+				BlockSize:     64 * 1024,
+				DiskBandwidth: 1000 * units.Mbps,
+				Preload: func(_, _ int, vol *msufs.Volume) error {
+					return Ingest(vol, "movie", "mpeg1", pkts)
+				},
+			}
+			if mode.durable {
+				cfg.StateDir = b.TempDir()
+			}
+			playCycle(b, cfg, pkts, fps)
+		})
+	}
+}
+
+// playCycle runs BenchmarkPlayCycle's cycle on a cluster built from cfg
+// with pkts, a fps-frame title, preloaded as "movie".
+func playCycle(b *testing.B, cfg ClusterConfig, pkts []media.Packet, fps int) {
+	cluster, err := StartCluster(cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -538,7 +560,7 @@ func BenchmarkPlayCycle(b *testing.B) {
 			break
 		}
 	}
-	const mark = 4 * fps
+	mark := uint32(4 * fps)
 	buf := make([]byte, 4096)
 	firstPacket := func(from bool) {
 		sink.SetReadDeadline(time.Now().Add(5 * time.Second)) //nolint:errcheck

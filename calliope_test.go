@@ -453,8 +453,32 @@ func TestSeminarCompositeGroup(t *testing.T) {
 	if vRecv.Count() > nv+2 || aRecv.Count() > na+2 {
 		t.Fatal("pause did not stop both group members")
 	}
+	since = cursor(t, c)
 	if err := stream.Quit(); err != nil {
 		t.Fatal(err)
+	}
+
+	// Once both members have ended, the seminar deletes whole: its
+	// children's replicas leave the MSU and all three entries the table.
+	for _, child := range []string{"talk1/rtp-video", "talk1/vat-audio"} {
+		awaitEvent(t, c, since, obs.Event{Kind: obs.EvEOF, Content: child})
+	}
+	if err := c.DeleteContent("talk1"); err != nil {
+		t.Fatal(err)
+	}
+	items, err = c.ListContent()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, it := range items {
+		if strings.HasPrefix(it.Name, "talk1") {
+			t.Errorf("%q is still listed after the delete", it.Name)
+		}
+	}
+	for _, fi := range cluster.Volume(0, 0).List() {
+		if strings.HasPrefix(fi.Name, "talk1") {
+			t.Errorf("file %q survived the delete", fi.Name)
+		}
 	}
 }
 

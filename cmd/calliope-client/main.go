@@ -67,13 +67,17 @@ func main() {
 		}
 		fmt.Printf("%-24s %-12s %-12s %-10s %-6s %s\n", "NAME", "TYPE", "LENGTH", "SIZE", "FAST", "REPLICAS")
 		for _, it := range items {
-			locs := make([]string, len(it.Replicas))
-			for i, d := range it.Replicas {
-				locs[i] = d.String()
+			// A composite title holds no replica: its children do.
+			where := "of " + strings.Join(it.Children, " ")
+			if len(it.Children) == 0 {
+				locs := make([]string, len(it.Replicas))
+				for i, d := range it.Replicas {
+					locs[i] = d.String()
+				}
+				where = fmt.Sprintf("%d: %s", len(it.Replicas), strings.Join(locs, " "))
 			}
-			fmt.Printf("%-24s %-12s %-12s %-10s %-6v %d: %s\n",
-				it.Name, it.Type, it.Length.Round(time.Millisecond), it.Size, it.HasFast,
-				len(it.Replicas), strings.Join(locs, " "))
+			fmt.Printf("%-24s %-12s %-12s %-10s %-6v %s\n",
+				it.Name, it.Type, it.Length.Round(time.Millisecond), it.Size, it.HasFast, where)
 		}
 	case "types":
 		types, err := c.ListTypes()

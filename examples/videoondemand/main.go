@@ -57,7 +57,7 @@ func main() {
 	}
 	fmt.Println("catalogue:")
 	for _, it := range items {
-		fmt.Printf("  %-12s on %v\n", it.Name, it.Disk)
+		fmt.Printf("  %-12s on %v\n", it.Name, it.Replicas)
 	}
 
 	// Sixteen viewers want the same four titles: four more than the

@@ -2,6 +2,7 @@ package calliope
 
 import (
 	"context"
+	"fmt"
 	"net"
 	"testing"
 	"time"
@@ -86,7 +87,7 @@ func TestFaultMSUCrashMigratesStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	if stream.Info().MSU != "msu0" {
-		t.Fatalf("play placed on %q, want the primary msu0", stream.Info().MSU)
+		t.Fatalf("play placed on %q, want msu0, the first holder in MSU id order", stream.Info().MSU)
 	}
 	if !recv.WaitCount(3, 5*time.Second) {
 		t.Fatal("stream never started")
@@ -276,8 +277,8 @@ func TestFaultCoordinatorRestartMidPlay(t *testing.T) {
 	if len(contents) != 1 || contents[0].Name != "movie" {
 		t.Fatalf("catalog after restart = %+v, want just movie", contents)
 	}
-	if contents[0].Disk.MSU == "" {
-		t.Fatal("replica location lost in Coordinator restart")
+	if got := fmt.Sprint(contents[0].Replicas); got != "[msu0/disk0 msu1/disk0]" {
+		t.Fatalf("replicas after restart = %s, want both MSUs' locations", got)
 	}
 
 	// Heal: MSUs re-register with their content declarations.

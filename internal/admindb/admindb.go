@@ -1,8 +1,8 @@
 // Package admindb is the Coordinator's administrative database (§2.2:
-// content types, the table of contents with every replica location and
-// the primary, in-flight recordings, the ID counters) — the only copy
-// of it. The Coordinator reads the tables through DB's accessors and
-// changes them through DB.Apply and nothing else.
+// content types, the table of contents with every replica location,
+// in-flight recordings, the ID counters) — the only copy of it. The
+// Coordinator reads the tables through DB's accessors and changes them
+// through DB.Apply and nothing else.
 //
 // The paper's Calliope "does not recover from Coordinator failures";
 // a DB opened on a state directory is the missing half of the
@@ -24,9 +24,8 @@
 //   - When the journal grows past a threshold the database compacts:
 //     the tables are written as a new snapshot (atomic tmp+rename) and
 //     the journal is truncated. Journal records are idempotent — each
-//     carries absolute values, the primary included — so a crash
-//     between the snapshot rename and the journal truncation merely
-//     replays already-applied records.
+//     carries absolute values — so a crash between the snapshot rename
+//     and the journal truncation merely replays already-applied records.
 //
 // NewMem is the same database with no journal behind it: the identical
 // Apply, minus the encoding and the fsync.
@@ -58,11 +57,11 @@ type Location struct {
 // DiskID names the disk the replica lives on.
 func (l Location) DiskID() core.DiskID { return core.DiskID{MSU: l.MSU, N: l.Disk} }
 
-// ContentRecord is one table-of-contents entry. Info.Disk is the
-// primary (preferred) location, always one of Locations while any
-// replica exists; the others are the re-dispatch candidates when an
-// MSU fails (§2.2). Info.Children names a composite item's components.
-// Locations is kept in MSU id order.
+// ContentRecord is one table-of-contents entry. Locations are its
+// replicas, in MSU id order and of equal standing: each is a place to
+// play from and a re-dispatch candidate when an MSU fails (§2.2).
+// Info.Children names a composite item's components; a record with
+// children holds no locations, its components hold them.
 //
 // A record handed out by DB.Content is the database's own: read it
 // while excluding Apply (the Coordinator's lock does), never write it.
@@ -81,18 +80,12 @@ func (r *ContentRecord) Locate(id core.MSUID) (core.DiskID, bool) {
 	return core.DiskID{}, false
 }
 
-// Holders lists the disks holding a replica: the primary first, then
-// MSU id order — the order placement, transfer sourcing and listings
-// all prefer.
+// Holders lists the disks holding a replica, in MSU id order — the
+// order placement, transfer sourcing and listings all try them in.
 func (r *ContentRecord) Holders() []core.DiskID {
 	out := make([]core.DiskID, 0, len(r.Locations))
-	if len(r.Locations) > 0 {
-		out = append(out, r.Info.Disk)
-	}
 	for _, l := range r.Locations {
-		if l.MSU != r.Info.Disk.MSU {
-			out = append(out, l.DiskID())
-		}
+		out = append(out, l.DiskID())
 	}
 	return out
 }
@@ -151,16 +144,12 @@ const (
 // Mutation is one journal record. Build them with the constructor
 // functions; the zero Mutation is invalid.
 type Mutation struct {
-	Op       string            `json:"op"`
-	Type     *core.ContentType `json:"type,omitempty"`
-	Content  *ContentRecord    `json:"content,omitempty"`
-	Name     string            `json:"name,omitempty"`
-	Location *Location         `json:"location,omitempty"`
-	MSU      core.MSUID        `json:"msuId,omitempty"`
-	// Primary is where a location record moved the primary, stamped by
-	// Apply when it moves one (see stamp). Journals written before the
-	// stamp existed lack it and replay by the smallest-id rule.
-	Primary   core.MSUID        `json:"primary,omitempty"`
+	Op        string            `json:"op"`
+	Type      *core.ContentType `json:"type,omitempty"`
+	Content   *ContentRecord    `json:"content,omitempty"`
+	Name      string            `json:"name,omitempty"`
+	Location  *Location         `json:"location,omitempty"`
+	MSU       core.MSUID        `json:"msuId,omitempty"`
 	Counters  *Counters         `json:"counters,omitempty"`
 	Recording *PendingRecording `json:"recording,omitempty"`
 	Group     uint64            `json:"group,omitempty"`
@@ -181,14 +170,12 @@ func DeleteContent(name string) Mutation {
 	return Mutation{Op: opDeleteContent, Name: name}
 }
 
-// SetLocation records one replica of a content item; the first
-// location becomes the primary.
+// SetLocation records one replica of a content item.
 func SetLocation(name string, loc Location) Mutation {
 	return Mutation{Op: opSetLocation, Name: name, Location: &loc}
 }
 
-// DropLocation forgets an MSU's replica of a content item, repointing
-// the primary if that was it.
+// DropLocation forgets an MSU's replica of a content item.
 func DropLocation(name string, msu core.MSUID) Mutation {
 	return Mutation{Op: opDropLocation, Name: name, MSU: msu}
 }
@@ -311,17 +298,16 @@ func (t *tables) apply(m Mutation) {
 }
 
 // applyLocation is the location half of apply: it sets or drops one
-// replica (a put only puts Locations in MSU id order) and then settles
-// the primary. The primary goes where the record says it moved; failing
-// that it stays while its MSU still holds a replica; failing that it
-// falls to the smallest MSU id — the first location becomes primary,
-// a dropped primary repoints deterministically — and to none with the
-// last replica.
+// replica, keeping Locations in MSU id order (a put only sorts them). A
+// record with children holds none, whatever an older journal or
+// snapshot says.
 func (r *ContentRecord) applyLocation(m Mutation) {
 	at := func(id core.MSUID) int {
 		return sort.Search(len(r.Locations), func(i int) bool { return r.Locations[i].MSU >= id })
 	}
 	switch {
+	case len(r.Info.Children) > 0:
+		r.Locations = nil
 	case m.Op == opPutContent:
 		sort.SliceStable(r.Locations, func(i, j int) bool { return r.Locations[i].MSU < r.Locations[j].MSU })
 	case m.Op == opSetLocation && m.Location != nil:
@@ -335,39 +321,6 @@ func (r *ContentRecord) applyLocation(m Mutation) {
 		if i := at(m.MSU); i < len(r.Locations) && r.Locations[i].MSU == m.MSU {
 			r.Locations = append(r.Locations[:i], r.Locations[i+1:]...)
 		}
-	}
-	for _, id := range []core.MSUID{m.Primary, r.Info.Disk.MSU} {
-		if d, ok := r.Locate(id); ok {
-			r.Info.Disk = d
-			return
-		}
-	}
-	r.Info.Disk = core.DiskID{}
-	if len(r.Locations) > 0 {
-		r.Info.Disk = r.Locations[0].DiskID()
-	}
-}
-
-// stamp makes a location record absolute before it is journaled: it
-// plays the record on a copy of the entry, and if that moves the
-// primary the record is told where to. Deriving the move at replay
-// time instead would depend on history — a journal suffix replayed
-// over a snapshot that already contains it could then end on a
-// different primary. The entry is read as it stands before the batch,
-// which is exact while a batch holds at most one location record per
-// content, as every batch the Coordinator builds does.
-func (t *tables) stamp(m *Mutation) {
-	if m.Op != opSetLocation && m.Op != opDropLocation {
-		return
-	}
-	rec := t.contents[m.Name]
-	if rec == nil {
-		return
-	}
-	probe := cloneRecord(*rec)
-	probe.applyLocation(*m)
-	if probe.Info.Disk.MSU != rec.Info.Disk.MSU {
-		m.Primary = probe.Info.Disk.MSU
 	}
 }
 

@@ -221,12 +221,12 @@ func (db *DB) Load() (*State, error) {
 	return db.t.snapshot(), nil
 }
 
-// Apply is the one way the tables change. It stamps the batch (see
-// stamp), journals it, in order, and fsyncs — the commit point — and
-// only then plays it into the tables, through the apply function
-// journal replay runs. On an error nothing has changed in memory. A
-// crash mid-batch keeps a prefix of the batch (each record is
-// individually CRC-framed). Without a journal the batch is just played.
+// Apply is the one way the tables change. It journals the batch, in
+// order, and fsyncs — the commit point — and only then plays it into
+// the tables, through the apply function journal replay runs. On an
+// error nothing has changed in memory. A crash mid-batch keeps a prefix
+// of the batch (each record is individually CRC-framed). Without a
+// journal the batch is just played.
 func (db *DB) Apply(muts ...Mutation) error {
 	if len(muts) == 0 {
 		return nil
@@ -235,9 +235,6 @@ func (db *DB) Apply(muts ...Mutation) error {
 	defer db.mu.Unlock()
 	if db.closed {
 		return fmt.Errorf("admindb: store closed")
-	}
-	for i := range muts {
-		db.t.stamp(&muts[i])
 	}
 	if db.journal != nil {
 		var buf []byte

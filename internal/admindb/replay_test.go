@@ -3,6 +3,7 @@ package admindb
 import (
 	"encoding/binary"
 	"encoding/json"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -12,15 +13,11 @@ import (
 	"calliope/internal/core"
 )
 
-// contentWith is a title held on disk 0 of each listed MSU, the first
-// one primary.
+// contentWith is a title held on disk 0 of each listed MSU.
 func contentWith(name string, holders ...core.MSUID) Mutation {
 	rec := testContent(name)
 	for _, id := range holders {
 		rec.Locations = append(rec.Locations, Location{MSU: id})
-	}
-	if len(holders) > 0 {
-		rec.Info.Disk = core.DiskID{MSU: holders[0]}
 	}
 	return PutContent(rec)
 }
@@ -65,41 +62,44 @@ func replayOver(t *testing.T, st *State, journal []byte) *State {
 	return tb.snapshot()
 }
 
-func primaries(st *State) map[string]core.MSUID {
-	out := make(map[string]core.MSUID)
+// holders maps each title to the MSUs holding it, in the catalog's
+// order.
+func holders(st *State) map[string][]core.MSUID {
+	out := make(map[string][]core.MSUID)
 	for _, rec := range st.Contents {
-		out[rec.Info.Name] = rec.Info.Disk.MSU
+		out[rec.Info.Name] = nil
+		for _, d := range rec.Holders() {
+			out[rec.Info.Name] = append(out[rec.Info.Name], d.MSU)
+		}
 	}
 	return out
 }
 
 // TestReplayIdempotent: a journal suffix replayed over a snapshot that
 // already contains it — the crash between the snapshot rename and the
-// journal truncation — is a no-op, the primary included. The first case
-// is the counter-example to deriving the primary from history at replay
-// time: live it ends {A★, B}; the same four records replayed over
-// {A★, B} by the smallest-id rule alone would end {B★, A}.
+// journal truncation — is a no-op. Each case drops a replica that
+// returns later in the same suffix.
 func TestReplayIdempotent(t *testing.T) {
 	cases := []struct {
 		name    string
 		start   []Mutation
 		muts    []Mutation
-		primary core.MSUID
+		holders string
 	}{
 		{"drop-primary-twice", []Mutation{contentWith("x", "A", "C")},
-			[]Mutation{drop("x", "A"), set("x", "A"), set("x", "B"), drop("x", "C")}, "A"},
+			[]Mutation{drop("x", "A"), set("x", "A"), set("x", "B"), drop("x", "C")}, "[A B]"},
 		{"first-location-after-empty", []Mutation{contentWith("x", "M", "Q")},
-			[]Mutation{drop("x", "M"), drop("x", "Q"), set("x", "M"), set("x", "Z")}, "M"},
+			[]Mutation{drop("x", "M"), drop("x", "Q"), set("x", "M"), set("x", "Z")}, "[M Z]"},
 		{"set-into-empty-put", []Mutation{contentWith("x")},
-			[]Mutation{set("x", "B"), set("x", "A"), drop("x", "B"), set("x", "B")}, "A"},
+			[]Mutation{set("x", "B"), set("x", "A"), drop("x", "B"), set("x", "B")}, "[A B]"},
 		{"delete-and-recreate", []Mutation{contentWith("x", "B", "A")},
-			[]Mutation{drop("x", "B"), DeleteContent("x"), contentWith("x", "C", "A"), drop("x", "A")}, "C"},
+			[]Mutation{drop("x", "B"), DeleteContent("x"), contentWith("x", "C", "A"), drop("x", "A")}, "[C]"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			journal, live := journalOf(t, tc.start, tc.muts)
-			if got := primaries(live)["x"]; got != tc.primary {
-				t.Fatalf("live primary = %q, want %q", got, tc.primary)
+			if got := fmt.Sprint(holders(live)["x"]); got != tc.holders {
+				t.Fatalf("live holders = %s, want %s", got, tc.holders)
 			}
 			if again := replayOver(t, live, journal); !reflect.DeepEqual(again, live) {
 				t.Fatalf("replaying the journal over its own result changed it:\n got %+v\nwant %+v", again.Contents, live.Contents)
@@ -134,32 +134,31 @@ func TestReplayIdempotent(t *testing.T) {
 	}
 }
 
-// TestReplayUnstampedJournal: location records written before the
-// primary stamp existed replay by the smallest-id rule.
-func TestReplayUnstampedJournal(t *testing.T) {
-	var journal []byte
-	for _, m := range []Mutation{contentWith("x", "C", "B", "A"), drop("x", "C"), drop("x", "A"), set("x", "A")} {
-		var err error
-		if journal, err = appendFrame(journal, m); err != nil {
-			t.Fatal(err)
-		}
+// TestCompositeHoldsNoLocations: a record with children keeps no
+// location, whether its put names one or a location record names it
+// later.
+func TestCompositeHoldsNoLocations(t *testing.T) {
+	db := NewMem()
+	talk := testContent("talk", Location{MSU: "m1"})
+	talk.Info.Children = []string{"talk/v", "talk/a"}
+	if err := db.Apply(PutContent(talk), SetLocation("talk", Location{MSU: "m2"})); err != nil {
+		t.Fatal(err)
 	}
-	st := replayOver(t, &State{}, journal)
-	want := ContentRecord{Info: testContent("x").Info, Locations: []Location{{MSU: "A"}, {MSU: "B"}}}
-	want.Info.Disk = core.DiskID{MSU: "B"}
-	if len(st.Contents) != 1 || !reflect.DeepEqual(st.Contents[0], want) {
-		t.Fatalf("contents = %+v, want %+v", st.Contents, want)
+	if rec := db.Content("talk"); rec == nil || len(rec.Locations) != 0 {
+		t.Fatalf("composite record = %+v, want it listed with no locations", rec)
 	}
 }
 
 // TestOpenPR15Fixture opens a state directory the commit before the
 // one-copy database wrote (its Coordinator driving its file store):
-// a snapshot whose clip entry still names a primary that was dropped
-// before the snapshot, journal records that repoint movie and news
-// without saying where to, a composite with the old "children" key, a
-// recording in flight, non-zero counters and a torn final write. The
-// frame layout, the op names and the snapshot keys are unchanged, so
-// it must open to the tables that Coordinator had, and keep appending.
+// a snapshot whose entries still carry the "Disk" key of the primary
+// replica the catalog no longer keeps, journal records that drop and
+// add replicas of movie and news, a composite with the old "children"
+// key and a location on its first child's disk, a recording in flight,
+// non-zero counters and a torn final write. The frame layout and the op
+// names are unchanged and the old keys are ignored, so it must open to
+// that Coordinator's replicas, the composite holding none of its own,
+// and keep appending.
 func TestOpenPR15Fixture(t *testing.T) {
 	dir := t.TempDir()
 	for _, f := range []string{snapshotFile, journalFile} {
@@ -175,25 +174,20 @@ func TestOpenPR15Fixture(t *testing.T) {
 	st := mustLoad(t, db)
 
 	type row struct {
-		primary  core.MSUID
 		holders  []core.MSUID
 		children []string
 	}
 	want := map[string]row{
-		"clip":           {"m2", []core.MSUID{"m2"}, nil},
-		"movie":          {"m2", []core.MSUID{"m2", "m3"}, nil},
-		"news":           {"m2", []core.MSUID{"m2"}, nil},
-		"talk":           {"m1", []core.MSUID{"m1"}, []string{"talk/rtp-video", "talk/vat-audio"}},
-		"talk/rtp-video": {"m1", []core.MSUID{"m1"}, nil},
-		"talk/vat-audio": {"m1", []core.MSUID{"m1"}, nil},
+		"clip":           {[]core.MSUID{"m2"}, nil},
+		"movie":          {[]core.MSUID{"m2", "m3"}, nil},
+		"news":           {[]core.MSUID{"m2"}, nil},
+		"talk":           {nil, []string{"talk/rtp-video", "talk/vat-audio"}},
+		"talk/rtp-video": {[]core.MSUID{"m1"}, nil},
+		"talk/vat-audio": {[]core.MSUID{"m1"}, nil},
 	}
 	got := make(map[string]row)
 	for _, rec := range st.Contents {
-		r := row{primary: rec.Info.Disk.MSU, children: rec.Info.Children}
-		for _, d := range rec.Holders() {
-			r.holders = append(r.holders, d.MSU)
-		}
-		got[rec.Info.Name] = r
+		got[rec.Info.Name] = row{holders: holders(st)[rec.Info.Name], children: rec.Info.Children}
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("contents = %+v\nwant %+v", got, want)
@@ -224,8 +218,8 @@ func TestOpenPR15Fixture(t *testing.T) {
 	if again := mustLoad(t, db2); !reflect.DeepEqual(again, live) {
 		t.Fatalf("reopened fixture = %+v\nwant %+v", again, live)
 	}
-	if p := primaries(live)["movie"]; p != "m3" || len(live.Recordings) != 0 {
-		t.Fatalf("after appending: movie primary %q, recordings %+v", p, live.Recordings)
+	if h := holders(live)["movie"]; fmt.Sprint(h) != "[m3]" || len(live.Recordings) != 0 {
+		t.Fatalf("after appending: movie held by %v, recordings %+v", h, live.Recordings)
 	}
 }
 

@@ -111,10 +111,10 @@ func (c *engine) liveMSUsLocked() []*msuState {
 }
 
 // playCandidatesLocked lists every live MSU holding a replica of every
-// part, the first part's primary location first, then MSU id order,
-// skipping a replica a removal is taking. Plan tries each in turn, so a
-// play refused bandwidth on the primary falls over to any other replica
-// — including one the replication policy just created.
+// part, in MSU id order, skipping a replica a removal is taking. Plan
+// tries each in turn, so a play refused bandwidth on one replica falls
+// over to any other — including one the replication policy just
+// created.
 func (c *engine) playCandidatesLocked(parts []*admindb.ContentRecord) []candidate {
 	var out []candidate
 next:
@@ -308,10 +308,7 @@ func (c *engine) planReplicaLocked(rec *admindb.ContentRecord) *replication {
 		return nil
 	}
 	t, ok := c.db.Type(rec.Info.Type)
-	if !ok || t.Composite() {
-		return nil // composite parents replicate through their children
-	}
-	if len(rec.Locations) >= c.cfg.Replication.MaxReplicas || c.replicationFor(rec.Info.Name) != nil {
+	if !ok || len(rec.Locations) >= c.cfg.Replication.MaxReplicas || c.replicationFor(rec.Info.Name) != nil {
 		return nil
 	}
 	srcM, srcDisk, ok := c.pickSourceLocked(rec)
@@ -354,7 +351,7 @@ func (c *engine) planReplicaLocked(rec *admindb.ContentRecord) *replication {
 }
 
 // pickSourceLocked finds a live holder able to serve transfers, and the
-// disk its replica is on, primary first then MSU id order.
+// disk its replica is on, trying them in MSU id order.
 func (c *engine) pickSourceLocked(rec *admindb.ContentRecord) (*msuState, int, bool) {
 	for _, loc := range rec.Holders() {
 		m := c.msus[loc.MSU]

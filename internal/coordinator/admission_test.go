@@ -51,14 +51,11 @@ func addMSU(t *testing.T, c *Coordinator, id core.MSUID, netBW, diskBW int64, fr
 }
 
 // addContent declares an mpeg1-sized title (1500 Kbps unless typ says
-// otherwise) held on disk 0 of each listed MSU, the first one primary.
+// otherwise) held on disk 0 of each listed MSU.
 func addContent(c *Coordinator, name, typ string, holders ...core.MSUID) *admindb.ContentRecord {
 	rec := admindb.ContentRecord{Info: core.ContentInfo{Name: name, Type: typ, Size: 640 * units.KB}}
 	for _, id := range holders {
 		rec.Locations = append(rec.Locations, admindb.Location{MSU: id})
-	}
-	if len(holders) > 0 {
-		rec.Info.Disk = core.DiskID{MSU: holders[0]}
 	}
 	if err := c.db.Apply(admindb.PutContent(rec)); err != nil {
 		panic(err)
@@ -232,7 +229,7 @@ func TestPlanStep(t *testing.T) {
 			rec := addContent(c, "movie", "mpeg1", "m1", "m2")
 			cands := c.playCandidatesLocked([]*admindb.ContentRecord{rec})
 			if len(cands) != 2 || cands[0].m.id != "m1" {
-				t.Fatalf("candidates %+v, want the primary first", cands)
+				t.Fatalf("candidates %+v, want m1 first, in MSU id order", cands)
 			}
 			first := c.planLocked(playDemands(c, rec), cands)
 			second := c.planLocked(playDemands(c, rec), cands)
@@ -510,7 +507,7 @@ func TestLedgerConservationRandomized(t *testing.T) {
 	// The same conservation, driven through the core's inputs instead of
 	// its admission functions (walkInputs, core_test.go), and a walk
 	// repeats bit for bit from its seed.
-	if a, b := walkInputs(t, 13, 4000), walkInputs(t, 13, 4000); a != b {
+	if a, b := walkInputs(t, 13, 8000), walkInputs(t, 13, 8000); a != b {
 		t.Fatal("two walks from one seed decided differently")
 	}
 }

@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"calliope/internal/admindb"
 	"calliope/internal/core"
 	"calliope/internal/obs"
 	"calliope/internal/schedule"
@@ -72,14 +73,16 @@ func (r *coreRig) msu(conn connID, id core.MSUID, bw units.BitRate, free int64, 
 	return fx
 }
 
-// client opens a session on conn with an mpeg1 port "tv" and an
-// rtp-video port "v".
+// client opens a session on conn with an mpeg1 port "tv", an rtp-video
+// port "v", a vat-audio port "a" and a seminar port "sem" of the last
+// two.
 func (r *coreRig) client(conn connID) {
 	r.t.Helper()
 	if _, err := r.c.hello(conn, wire.Hello{ProtoVersion: wire.ProtoVersion, User: "t"}); err != nil {
 		r.t.Fatal(err)
 	}
-	for _, p := range []wire.RegisterPort{{Name: "tv", Type: "mpeg1", Addr: "a:1"}, {Name: "v", Type: "rtp-video", Addr: "a:2"}} {
+	for _, p := range []wire.RegisterPort{{Name: "tv", Type: "mpeg1", Addr: "a:1"}, {Name: "v", Type: "rtp-video", Addr: "a:2"},
+		{Name: "a", Type: "vat-audio", Addr: "a:3"}, {Name: "sem", Type: "seminar", Components: map[string]string{"rtp-video": "v", "vat-audio": "a"}}} {
 		if _, err := r.c.registerPort(conn, p); err != nil {
 			r.t.Fatal(err)
 		}
@@ -91,6 +94,17 @@ func (r *coreRig) play(conn connID, content, port string, wait bool) (uint64, ef
 	return tk, r.in(func() {
 		r.c.play(r.now, tk, conn, wire.Play{Content: content, Port: port, ControlAddr: "a:9", Wait: wait})
 	})
+}
+
+// seminar lists "seminar", a seminar title of clip and talk, as a
+// composite recording's last commit publishes it: with no location of
+// its own.
+func (r *coreRig) seminar() {
+	r.t.Helper()
+	info := core.ContentInfo{Name: "seminar", Type: "seminar", Children: []string{clip.Name, talk.Name}}
+	if err := r.c.apply(admindb.PutContent(admindb.ContentRecord{Info: info})); err != nil {
+		r.t.Fatal(err)
+	}
 }
 
 // started answers call cl and takes what that decided.
@@ -141,7 +155,11 @@ func notesOf(fx effects, typ string) []note {
 	return out
 }
 
-var movie = wire.ContentDecl{Name: "movie", Type: "mpeg1", Size: 640 * units.KB}
+var (
+	movie = wire.ContentDecl{Name: "movie", Type: "mpeg1", Size: 640 * units.KB}
+	clip  = wire.ContentDecl{Name: "clip", Type: "rtp-video", Size: 640 * units.KB}
+	talk  = wire.ContentDecl{Name: "talk", Type: "vat-audio", Size: 64 * units.KB}
+)
 
 // (a) A play queues on a full disk, a stream-ended places it, and a tick
 // past QueueTimeout refuses the one behind it.
@@ -182,7 +200,6 @@ func TestCoreQueueReleaseAndDeadline(t *testing.T) {
 // behind it.
 func TestCoreQueueNoHeadOfLineBlocking(t *testing.T) {
 	r := newCoreRig(t, Config{})
-	clip := wire.ContentDecl{Name: "clip", Type: "rtp-video", Size: 640 * units.KB}
 	r.msu(1, "m1", 3000*units.Kbps, 900, movie, clip) // two mpeg1 slots or one rtp-video
 	r.client(2)
 	held := r.admit(2, "movie", "tv")
@@ -417,7 +434,79 @@ func TestCoreDropAfterReregisterTakesLastReplica(t *testing.T) {
 	r.msu(4, "m1", 1500*units.Kbps, 900) // back without movie
 	r.started(drop, nil)
 	if rec := r.c.db.Content("movie"); rec != nil {
-		t.Fatalf("movie is still listed on %v with replicas %v", rec.Info.Disk, rec.Holders())
+		t.Fatalf("movie is still listed with replicas %v", rec.Holders())
+	}
+}
+
+// A delete's next DeleteContent goes to its MSU's registration of the
+// moment: m2 re-registers on a new connection while m1's call is out,
+// and the delete still reaches m2, answers OK, leaves nothing listed and
+// gives the blocks back to the registration that removed them.
+func TestCoreDeleteReachesReregisteredMSU(t *testing.T) {
+	r := newCoreRig(t, Config{})
+	r.msu(1, "m1", 1500*units.Kbps, 900, movie)
+	r.msu(2, "m2", 1500*units.Kbps, 900, movie)
+	r.client(3)
+	del := r.ticket()
+	fx := r.in(func() { r.c.deleteContent(del, 3, "movie") })
+	if len(fx.calls) != 1 || fx.calls[0].to != 1 {
+		t.Fatalf("the delete decided %+v, want m1's DeleteContent", fx)
+	}
+	onM1 := fx.calls[0]
+	r.in(func() { r.c.connDown(r.now, 2) })
+	r.msu(5, "m2", 1500*units.Kbps, 900, movie)
+	fx = r.started(&onM1, nil)
+	if len(fx.calls) != 1 || fx.calls[0].typ != wire.TypeDeleteContent || fx.calls[0].to != 5 {
+		t.Fatalf("m1's delete done decided %+v, want m2's DeleteContent on its new connection", fx)
+	}
+	if a, ok := answerFor(r.started(&fx.calls[0], nil), del); !ok || a.err != nil {
+		t.Fatalf("the delete answered %v, %+v", ok, a)
+	}
+	if rec := r.c.db.Content("movie"); rec != nil {
+		t.Fatalf("the catalog still lists movie on %v", rec.Holders())
+	}
+	if got, want := r.c.msus["m2"].disks[0].space.Available(), 900+blocksFor(movie.Size, 64*1024); got != want {
+		t.Fatalf("m2's new registration has %d blocks free, want %d with the title's back", got, want)
+	}
+}
+
+// A composite title plays under its children's names: a delete of it
+// while it plays is refused as in use and sends nothing. Once the play
+// ends, the delete removes the children's replicas and all three
+// entries leave the catalog.
+func TestCoreDeleteCompositeInUse(t *testing.T) {
+	r := newCoreRig(t, Config{})
+	r.msu(1, "m1", 20*units.Mbps, 900, clip, talk)
+	r.client(3)
+	r.seminar()
+	tk, fx := r.play(3, "seminar", "sem", false)
+	for cl := startFor(fx, tk); cl != nil; cl = startFor(fx, tk) {
+		fx = r.started(cl, nil)
+	}
+	a, ok := answerFor(fx, tk)
+	if !ok || a.err != nil {
+		t.Fatalf("the seminar's play answered %v, %+v", ok, a)
+	}
+	del := r.ticket()
+	fx = r.in(func() { r.c.deleteContent(del, 3, "seminar") })
+	if a, ok := answerFor(fx, del); !ok || !errors.Is(a.err, core.ErrContentInUse) || len(fx.calls) != 0 {
+		t.Fatalf("a delete of the playing seminar decided %+v, want it refused as in use at once", fx)
+	}
+	for _, s := range a.v.(*wire.PlayOK).Streams {
+		r.in(func() { r.c.streamEnded(wire.StreamEnded{Stream: s.Stream, Cause: "eof"}) })
+	}
+	del = r.ticket()
+	fx = r.in(func() { r.c.deleteContent(del, 3, "seminar") })
+	var removed []string
+	for len(fx.calls) == 1 && fx.calls[0].typ == wire.TypeDeleteContent {
+		removed = append(removed, fx.calls[0].req.(wire.DeleteContent).Content)
+		fx = r.started(&fx.calls[0], nil)
+	}
+	if a, ok := answerFor(fx, del); !ok || a.err != nil || fmt.Sprint(removed) != "[clip talk]" {
+		t.Fatalf("the delete removed %v and answered %v, %+v; want clip and talk removed and OK", removed, ok, a)
+	}
+	if list := r.c.listContent(); len(list.Items) != 0 {
+		t.Fatalf("the catalog still lists %+v", list.Items)
 	}
 }
 
@@ -425,7 +514,6 @@ func TestCoreDropAfterReregisterTakesLastReplica(t *testing.T) {
 // its MSU, disk and title and, in Detail, why it left.
 func TestCoreReplicaDropEvents(t *testing.T) {
 	r := newCoreRig(t, Config{})
-	clip := wire.ContentDecl{Name: "clip", Type: "rtp-video", Size: 640 * units.KB}
 	r.msu(1, "m1", 1500*units.Kbps, 900, movie, clip)
 	r.msu(2, "m2", 1500*units.Kbps, 50, movie)
 	r.client(3)
@@ -489,7 +577,6 @@ func TestCoreReregistration(t *testing.T) {
 // (e) A queued play preempts a copy only when the preemption admits it.
 func TestCoreQueuedPlayPreemptsCopy(t *testing.T) {
 	r := newCoreRig(t, Config{})
-	clip := wire.ContentDecl{Name: "clip", Type: "rtp-video", Size: 640 * units.KB}
 	r.msu(1, "m1", 3000*units.Kbps, 900, movie, clip)
 	r.msu(2, "m2", 3000*units.Kbps, 900)
 	r.client(3)
@@ -519,26 +606,31 @@ func TestCoreQueuedPlayPreemptsCopy(t *testing.T) {
 // walkInputs drives the core with seed's random sequence of inputs —
 // play, record, stream-ended, msu-down, msu-hello, start outcome (and
 // the other calls' outcomes), cache report, administrative delete and
-// tick — and checks after every one of them that each ledger's reserved
-// total equals its live grants, that every active stream's MSU is
-// registered and alive, that every listed title has a replica, that
-// every removal in flight targets a replica the catalog lists and no
-// stream runs on, and that running the queue again places nothing. It returns a transcript of
-// every decision, so two walks from one seed can be compared.
+// tick — over three titles and a seminar of two of them, listed again
+// at an MSU's hello once deleted. After every input it checks that each
+// ledger's reserved total equals its live grants, that every active
+// stream's MSU is registered and alive, that a listed title has
+// replicas if and only if it has no children, that every removal in
+// flight targets a replica the catalog lists and no stream runs on, and
+// that running the queue again places nothing. It returns a transcript
+// of every decision, so two walks from one seed can be compared.
 func walkInputs(t *testing.T, seed int64, steps int) string {
 	r := newCoreRig(t, Config{QueueTimeout: 20 * time.Second, Replication: ReplicationConfig{MaxReplicas: 3}})
 	c := r.c
 	rng := rand.New(rand.NewSource(seed))
 	var log strings.Builder
-	titles := []wire.ContentDecl{movie, {Name: "clip", Type: "rtp-video", Size: 640 * units.KB}, {Name: "talk", Type: "vat-audio", Size: 64 * units.KB}}
+	titles := []wire.ContentDecl{movie, clip, talk}
+	// named is what plays and deletes draw from: the titles MSUs declare
+	// and the seminar the Coordinator lists.
+	named := append(slices.Clone(titles), wire.ContentDecl{Name: "seminar", Type: "seminar"})
 	msus := []core.MSUID{"m1", "m2", "m3"}
 	conns := map[core.MSUID]connID{}
 	next := connID(100)
 	var calls []call
 	var retired []*schedule.Ledger
-	// deletes holds the administrative deletes' tickets, and outcomes
-	// what they were answered: "ok" or "in use".
-	deletes, outcomes := map[uint64]bool{}, map[string]bool{}
+	// deletes holds the administrative deletes' titles by ticket, and
+	// outcomes what they were answered: "ok", "composite ok" or "in use".
+	deletes, outcomes := map[uint64]string{}, map[string]bool{}
 	up := func(id core.MSUID) effects {
 		next++
 		conns[id] = next
@@ -562,17 +654,13 @@ func walkInputs(t *testing.T, seed int64, steps int) string {
 	for conn := connID(1); conn <= 4; conn++ {
 		r.client(conn)
 	}
-	for conn := connID(1); conn <= 4; conn++ {
-		if _, err := c.registerPort(conn, wire.RegisterPort{Name: "a", Type: "vat-audio", Addr: "a:3"}); err != nil {
-			t.Fatal(err)
-		}
-	}
+	r.seminar()
 	for step := 0; step < steps; step++ {
 		var what string
 		switch op := rng.Intn(17); {
 		case op < 4:
-			title := titles[rng.Intn(len(titles))]
-			port := map[string]string{"mpeg1": "tv", "rtp-video": "v", "vat-audio": "a"}[title.Type]
+			title := named[rng.Intn(len(named))]
+			port := map[string]string{"mpeg1": "tv", "rtp-video": "v", "vat-audio": "a", "seminar": "sem"}[title.Type]
 			what = "play " + title.Name
 			_, fx = r.play(connID(1+rng.Intn(4)), title.Name, port, rng.Intn(2) == 0)
 		case op < 5:
@@ -607,6 +695,9 @@ func walkInputs(t *testing.T, seed int64, steps int) string {
 			if c.msus[id].alive {
 				continue
 			}
+			if c.db.Content("seminar") == nil {
+				r.seminar()
+			}
 			fx = up(id)
 		case op < 13:
 			if len(calls) == 0 {
@@ -630,10 +721,10 @@ func walkInputs(t *testing.T, seed int64, steps int) string {
 			}
 			fx = r.in(func() { c.cacheReport(conns[id], wire.CacheReport{Seq: uint64(step + 1), Disk: 0, Coverage: cov}) })
 		case op < 15:
-			title := titles[rng.Intn(len(titles))]
+			title := named[rng.Intn(len(named))]
 			what = "delete " + title.Name
 			tk := r.ticket()
-			deletes[tk] = true
+			deletes[tk] = title.Name
 			fx = r.in(func() { c.deleteContent(tk, connID(1+rng.Intn(4)), title.Name) })
 		default:
 			what = "tick"
@@ -649,8 +740,10 @@ func walkInputs(t *testing.T, seed int64, steps int) string {
 		}
 		for _, a := range fx.answers {
 			fmt.Fprintf(&log, " answer %d %v;", a.owner, a.err)
-			switch {
-			case !deletes[a.owner]:
+			switch name := deletes[a.owner]; {
+			case name == "":
+			case a.err == nil && name == "seminar":
+				outcomes["composite ok"] = true
 			case a.err == nil:
 				outcomes["ok"] = true
 			case errors.Is(a.err, core.ErrContentInUse):
@@ -660,6 +753,7 @@ func walkInputs(t *testing.T, seed int64, steps int) string {
 		fmt.Fprintf(&log, " wake %v\n", fx.wake)
 
 		when := fmt.Sprintf("step %d (%s)", step, what)
+
 		var live []*schedule.Ledger
 		for _, m := range c.msus {
 			if m.alive {
@@ -673,8 +767,8 @@ func walkInputs(t *testing.T, seed int64, steps int) string {
 			}
 		}
 		for _, rec := range c.db.Contents() {
-			if typ, _ := c.db.Type(rec.Info.Type); !typ.Composite() && len(rec.Locations) == 0 {
-				t.Fatalf("%s: %s is listed with no replica", when, rec.Info.Name)
+			if (len(rec.Locations) > 0) == (len(rec.Info.Children) > 0) {
+				t.Fatalf("%s: %s is listed with replicas %v and children %v", when, rec.Info.Name, rec.Holders(), rec.Info.Children)
 			}
 		}
 		for name, rm := range c.removals {
@@ -698,7 +792,7 @@ func walkInputs(t *testing.T, seed int64, steps int) string {
 			t.Fatalf("walk too tame: no %s in %d steps", want, steps)
 		}
 	}
-	for _, want := range []string{"ok", "in use"} {
+	for _, want := range []string{"ok", "composite ok", "in use"} {
 		if !outcomes[want] {
 			t.Fatalf("walk too tame: no delete answered %s in %d steps", want, steps)
 		}
@@ -785,11 +879,6 @@ func TestCoreRecordCommitEvents(t *testing.T) {
 	r := newCoreRig(t, Config{})
 	r.msu(1, "m1", 20*units.Mbps, 900)
 	r.client(3)
-	for _, p := range []wire.RegisterPort{{Name: "a", Type: "vat-audio", Addr: "a:3"}, {Name: "sem", Type: "seminar", Components: map[string]string{"rtp-video": "v", "vat-audio": "a"}}} {
-		if _, err := r.c.registerPort(3, p); err != nil {
-			t.Fatal(err)
-		}
-	}
 	tk := r.ticket()
 	fx := r.in(func() {
 		r.c.record(r.now, tk, 3, wire.Record{Content: "talk", Type: "seminar", Port: "sem", Estimate: time.Minute, ControlAddr: "a:9"})

@@ -180,10 +180,9 @@ func (c *engine) logf(format string, args ...any) {
 	}
 }
 
-// putContentAt builds the record of a content item whose first (and so
-// primary) replica is on disk d.
+// putContentAt builds the record of a content item whose first replica
+// is on disk d.
 func putContentAt(info core.ContentInfo, d core.DiskID) admindb.Mutation {
-	info.Disk = d
 	return admindb.PutContent(admindb.ContentRecord{
 		Info:      info,
 		Locations: []admindb.Location{{MSU: d.MSU, Disk: d.N}},

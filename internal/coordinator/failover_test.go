@@ -89,7 +89,7 @@ func TestRedispatchToReplica(t *testing.T) {
 		t.Fatal(err)
 	}
 	if ok.MSU != "m1" {
-		t.Fatalf("play placed on %q, want primary m1", ok.MSU)
+		t.Fatalf("play placed on %q, want m1, the first holder in MSU id order", ok.MSU)
 	}
 	orig := <-specs1
 
@@ -186,7 +186,7 @@ func TestRedispatchSingleOwnerOnCascadingFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	if ok.MSU != "m1" {
-		t.Fatalf("play placed on %q, want primary m1", ok.MSU)
+		t.Fatalf("play placed on %q, want m1, the first holder in MSU id order", ok.MSU)
 	}
 
 	m1.Close()
@@ -463,7 +463,7 @@ func TestRedispatchDoesNotSpinOnFailingReplica(t *testing.T) {
 		t.Fatal(err)
 	}
 	if ok.MSU != "m1" {
-		t.Fatalf("play placed on %q, want primary m1", ok.MSU)
+		t.Fatalf("play placed on %q, want m1, the first holder in MSU id order", ok.MSU)
 	}
 	m1.Close()
 	select {

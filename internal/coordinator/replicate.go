@@ -24,8 +24,7 @@ import (
 
 // ReplicationConfig tunes the policy; the zero value is the defaults.
 type ReplicationConfig struct {
-	// MaxReplicas bounds copies of one title, primary included
-	// (default 2).
+	// MaxReplicas bounds copies of one title (default 2).
 	MaxReplicas int
 	// Rate caps one transfer's bandwidth; 0 derives 2× the content
 	// type's delivery rate. The actual grant also never exceeds the
@@ -226,8 +225,8 @@ func (c *engine) replicationFailed(id uint64, reason string) {
 // dropColdReplicaLocked runs the de-replication policy for one disk
 // after its cache report: if the disk is low on space and holds a cold
 // extra copy (no players here, no active streams here, other replicas
-// elsewhere, not the primary), shed it. At most one drop is ordered per
-// report; it is a removal of that one replica.
+// elsewhere), shed it. At most one drop is ordered per report; it is a
+// removal of that one replica, never a title's last.
 func (c *engine) dropColdReplicaLocked(m *msuState, diskIdx int) {
 	if c.closed {
 		return
@@ -243,8 +242,8 @@ next:
 		if !held || loc.N != diskIdx || len(rec.Locations) < 2 {
 			continue
 		}
-		if rec.Info.Disk.MSU == m.id || c.removals[name] != nil || c.replicationFor(name) != nil {
-			continue // never the primary, nor a title already being copied or removed
+		if c.removals[name] != nil || c.replicationFor(name) != nil {
+			continue // not a title already being copied or removed
 		}
 		if d.coverage[name].Players > 0 {
 			continue // warm here: someone is watching this copy

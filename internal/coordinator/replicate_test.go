@@ -148,7 +148,7 @@ func TestReplicateQueuePressurePlansCopyAndAdmits(t *testing.T) {
 		t.Fatalf("content list = %+v, want movie with 2 replicas", list.Items)
 	}
 	if list.Items[0].Replicas[0] != (core.DiskID{MSU: "m1", N: 0}) {
-		t.Fatalf("primary replica = %v, want m1/disk0 first", list.Items[0].Replicas[0])
+		t.Fatalf("first replica = %v, want m1/disk0, in MSU id order", list.Items[0].Replicas[0])
 	}
 }
 

@@ -172,9 +172,10 @@ func (c *engine) deletion(owner uint64, conn connID, name string) error {
 	if rec == nil {
 		return fmt.Errorf("%w: %q", core.ErrNoSuchContent, name)
 	}
+	// A composite title plays under its children's names.
 	names := append([]string{name}, rec.Info.Children...)
 	for _, a := range c.active {
-		if a.content == name {
+		if slices.Contains(names, a.content) {
 			return fmt.Errorf("%w: %q", core.ErrContentInUse, name)
 		}
 	}
@@ -219,16 +220,25 @@ func (c *engine) remove(r *removal) {
 }
 
 // removeNext orders the next target's DeleteContent or, with none left,
-// ends r. A refusal ends it too, with what the MSUs before it removed.
-// A target that left the catalog meanwhile (unlist) is settled whatever
-// its outcome.
+// ends r. The call goes to the target MSU's registration of the moment,
+// which may be newer than the one r was planned on, and that
+// registration gets the blocks back; with the MSU down, r ends refused.
+// A refusal ends it too, with what the MSUs before it removed. A target
+// that left the catalog meanwhile (unlist) is settled whatever its
+// outcome.
 func (c *engine) removeNext(r *removal) {
 	if len(r.targets) == 0 {
 		c.removed(r, nil)
 		return
 	}
 	t := r.targets[0]
-	c.rpc(r.owner, t.m.conn, wire.TypeDeleteContent, wire.DeleteContent{Content: t.name}, nil, func(_ time.Time, err error) {
+	m := c.msus[t.m.id]
+	if m == nil || !m.alive || t.n >= len(m.disks) {
+		c.removed(r, fmt.Errorf("%w: %s, holding %q", core.ErrMSUUnavailable, t.m.id, t.name))
+		return
+	}
+	t.m = m
+	c.rpc(r.owner, m.conn, wire.TypeDeleteContent, wire.DeleteContent{Content: t.name}, nil, func(_ time.Time, err error) {
 		if i := slices.Index(r.targets, t); i >= 0 {
 			if err != nil {
 				c.removed(r, fmt.Errorf("coordinator: deleting %q on MSU %s: %w", t.name, t.m.id, err))
@@ -243,8 +253,10 @@ func (c *engine) removeNext(r *removal) {
 
 // removed ends r: its titles leave the table, the replicas the MSUs
 // removed leave the catalog and give their blocks back to the
-// registration that removed them, and the queue runs again. A delete's
-// owner hears err; a drop that removed its replica is counted.
+// registration that removed them, and the queue runs again. A composite
+// title holds no replica to unlist: a delete of one that removed every
+// target takes its entry out itself. A delete's owner hears err; a drop
+// that removed its replica is counted.
 func (c *engine) removed(r *removal, err error) {
 	for _, n := range r.names {
 		delete(c.removals, n)
@@ -259,6 +271,9 @@ func (c *engine) removed(r *removal, err error) {
 		// Stored content is the disk's standing reservation (admitMSU).
 		d := t.m.disks[t.n]
 		d.space.AddStanding(-blocksFor(t.size, d.blockSize)) //nolint:errcheck // clamped at zero
+	}
+	if rec := c.db.Content(r.names[0]); r.whole && err == nil && rec != nil && len(rec.Info.Children) > 0 {
+		err = c.apply(admindb.DeleteContent(rec.Info.Name))
 	}
 	c.release()
 	switch {
@@ -450,13 +465,8 @@ func (c *engine) admitMSU(w *waiting, req *wire.MSUHello) error {
 	// Sweep stale declarations: anything this MSU used to hold but no
 	// longer declares (deleted while down, or a disk removed) must not
 	// stay schedulable — clients would be dispatched onto nonexistent
-	// content. Composite parents are Coordinator-side records, never
-	// declared by MSUs, so they are exempt; a parent with missing
-	// children fails at expandContent instead.
+	// content.
 	for _, rec := range c.db.Contents() {
-		if t, ok := c.db.Type(rec.Info.Type); ok && t.Composite() {
-			continue
-		}
 		if loc, held := rec.Locate(req.ID); held && !declared[rec.Info.Name] {
 			if err := c.unlist(&replica{name: rec.Info.Name, m: m, n: loc.N}, "no longer declared by the MSU"); err != nil {
 				return err
@@ -665,7 +675,7 @@ func (c *engine) recordingDone(conn connID, req wire.RecordingDone) error {
 	case !known && c.db.Content(req.Content) != nil:
 		return fmt.Errorf("%w: content %q", core.ErrDuplicateName, req.Content)
 	}
-	info := core.ContentInfo{Name: req.Content, Type: req.Type, Length: req.Length, Size: req.Size, Disk: at}
+	info := core.ContentInfo{Name: req.Content, Type: req.Type, Length: req.Length, Size: req.Size}
 	muts := []admindb.Mutation{putContentAt(info, at)}
 	added := []core.ContentInfo{info}
 	// Once every component has committed, the recording is no longer
@@ -685,7 +695,7 @@ func (c *engine) recordingDone(conn connID, req wire.RecordingDone) error {
 	d.space.AddStanding(blocksFor(req.Size, d.blockSize)) //nolint:errcheck
 	c.logf("recording %q committed by MSU %q (stream %d known: %v): %v, %v", req.Content, m.id, req.Stream, known, req.Length, req.Size)
 	for _, in := range added {
-		c.event(obs.Event{Kind: obs.EvRecCommit, MSU: string(in.Disk.MSU), Disk: in.Disk.N,
+		c.event(obs.Event{Kind: obs.EvRecCommit, MSU: string(m.id), Disk: req.Disk,
 			Content: in.Name, Detail: fmt.Sprintf("size %v, length %v", in.Size, in.Length)})
 	}
 	c.release()
@@ -695,12 +705,11 @@ func (c *engine) recordingDone(conn connID, req wire.RecordingDone) error {
 // settled is what committing last adds to the batch when it is the
 // last of pend's components: the end of the in-flight entry and, for a
 // composite, its parent — its longest child's length, all their sizes,
-// its children in component order, on the first one's disk — which it
-// also returns.
+// its children in component order, and no location of its own — which
+// it also returns.
 func (c *engine) settled(pend admindb.PendingRecording, last core.ContentInfo) ([]admindb.Mutation, *core.ContentInfo) {
 	parent := core.ContentInfo{Name: pend.Parent, Type: pend.Type, Children: append([]string(nil), pend.Contents...)}
-	var disk core.DiskID
-	for i, name := range pend.Contents {
+	for _, name := range pend.Contents {
 		child := last
 		if name != last.Name {
 			rec := c.db.Content(name)
@@ -709,9 +718,6 @@ func (c *engine) settled(pend admindb.PendingRecording, last core.ContentInfo) (
 			}
 			child = rec.Info
 		}
-		if i == 0 {
-			disk = child.Disk
-		}
 		parent.Length = max(parent.Length, child.Length)
 		parent.Size += child.Size
 	}
@@ -719,8 +725,7 @@ func (c *engine) settled(pend admindb.PendingRecording, last core.ContentInfo) (
 		return []admindb.Mutation{admindb.DeleteRecording(pend.Group)}, nil
 	}
 	c.logf("composite %q assembled from %v", pend.Parent, pend.Contents)
-	parent.Disk = disk
-	return []admindb.Mutation{putContentAt(parent, disk), admindb.DeleteRecording(pend.Group)}, &parent
+	return []admindb.Mutation{admindb.PutContent(admindb.ContentRecord{Info: parent}), admindb.DeleteRecording(pend.Group)}, &parent
 }
 
 // registerPort validates and stores a display port (§2.1).

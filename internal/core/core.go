@@ -155,12 +155,12 @@ type ContentInfo struct {
 	Type     string // content type name
 	Length   time.Duration
 	Size     units.ByteSize
-	Disk     DiskID
 	HasFast  bool // fast-forward/backward companion files loaded
 	Children []string
-	// Replicas lists every disk holding a copy, primary first. Filled
-	// on table-of-contents listings only; the catalog's durable record
-	// keeps locations separately.
+	// Replicas lists every disk holding a copy, in MSU id order; a
+	// composite item has none of its own (its Children hold them).
+	// Filled on table-of-contents listings only; the catalog's durable
+	// record keeps locations separately.
 	Replicas []DiskID
 }
 
