@@ -63,11 +63,16 @@ leakcheck:
 # that re-registered while it ran (TestCoreDeleteReachesReregisteredMSU);
 # a composite title holds no location of its own
 # (TestCompositeHoldsNoLocations), is refused deletion while it plays
-# (TestCoreDeleteCompositeInUse) and deletes whole once it is not
-# (TestSeminarCompositeGroup); and a stored record that does not decode
+# (TestCoreDeleteCompositeInUse), deletes whole once it is not
+# (TestSeminarCompositeGroup) and leaves the catalog with any of its
+# children, live and in journal replay (TestCoreDeleteChildUnlistsComposite,
+# TestCoreReregisterWithoutChildUnlistsComposite,
+# TestDeleteCascadesToComposites); a restarted Coordinator's IDs come
+# from one lease a start, above every earlier one, and a hello, port or
+# play writes no journal (TestRestartLeasesIDs); and a stored record that does not decode
 # ends the cue without being sent (TestCorruptRecordEndsTheCue).
 faults:
-	$(GO) test -race -timeout 120s -run 'Fault|Failover|Redispatch|Reconnect|MSUDown|Lost|Restart|FailedCommit|ReplayIdempotent|CompositeHoldsNoLocations|PR15Fixture|Orphan|Corrupt|PlanStep|LedgerConservation|Core|SeminarCompositeGroup|RecordPlacement|QueuedPlayWakes|CloseWakes|CutAll|QuitIsAcknowledged|StopKeeps|SweepOnStartup|PipelinedVCR|GoroutinesPerStream|VCRAckPositions|GroupVCRMovesAllOrNone|QuitDuringControlDial|ReportCadence|ReportsWhilePlaying|LastReportCountsConcurrentQuits' . ./internal/coordinator ./internal/client ./internal/msu ./internal/msufs ./internal/faultinject ./internal/admindb
+	$(GO) test -race -timeout 120s -run 'Fault|Failover|Redispatch|Reconnect|MSUDown|Lost|Restart|FailedCommit|ReplayIdempotent|CompositeHoldsNoLocations|DeleteCascades|PR15Fixture|Orphan|Corrupt|PlanStep|LedgerConservation|Core|SeminarCompositeGroup|RecordPlacement|QueuedPlayWakes|CloseWakes|CutAll|QuitIsAcknowledged|StopKeeps|SweepOnStartup|PipelinedVCR|GoroutinesPerStream|VCRAckPositions|GroupVCRMovesAllOrNone|QuitDuringControlDial|ReportCadence|ReportsWhilePlaying|LastReportCountsConcurrentQuits' . ./internal/coordinator ./internal/client ./internal/msu ./internal/msufs ./internal/faultinject ./internal/admindb
 
 # Three seconds of each of the nine fuzz targets (go test takes one -fuzz target and
 # one package per run): journal replay and snapshot decoding never

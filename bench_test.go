@@ -493,8 +493,9 @@ func BenchmarkStripingHotContent(b *testing.B) {
 // socket read by the benchmark itself, so the wait for a packet ends
 // when the packet does. It runs twice: "mem", the Coordinator's
 // administrative database in memory, and "durable", journaled to a state
-// directory as a Coordinator run with -state is, so every hello, port
-// registration and play pays its journal write.
+// directory as a Coordinator run with -state is. Neither journals
+// anything a cycle: a play's IDs come from the lease the Coordinator
+// journaled at its start.
 func BenchmarkPlayCycle(b *testing.B) {
 	const fps = 30
 	pkts, err := media.GenerateCBR(media.CBRConfig{Rate: 1500 * units.Kbps, PacketSize: 1024, FPS: fps, GOP: 15, Duration: 10 * time.Second})

@@ -41,6 +41,8 @@
 package admindb
 
 import (
+	"maps"
+	"slices"
 	"sort"
 	"time"
 
@@ -278,8 +280,10 @@ func (t *tables) apply(m Mutation) {
 			rec.applyLocation(m)
 			t.contents[rec.Info.Name] = &rec
 		}
-	case opDeleteContent:
-		delete(t.contents, m.Name)
+	case opDeleteContent: // and every composite the title is a child of
+		maps.DeleteFunc(t.contents, func(name string, rec *ContentRecord) bool {
+			return name == m.Name || slices.Contains(rec.Info.Children, m.Name)
+		})
 	case opSetLocation, opDropLocation:
 		if rec := t.contents[m.Name]; rec != nil {
 			rec.applyLocation(m)
@@ -325,19 +329,8 @@ func (r *ContentRecord) applyLocation(m Mutation) {
 }
 
 func maxCounters(a, b Counters) Counters {
-	if b.NextSession > a.NextSession {
-		a.NextSession = b.NextSession
-	}
-	if b.NextStream > a.NextStream {
-		a.NextStream = b.NextStream
-	}
-	if b.NextGroup > a.NextGroup {
-		a.NextGroup = b.NextGroup
-	}
-	if b.NextPort > a.NextPort {
-		a.NextPort = b.NextPort
-	}
-	return a
+	return Counters{NextSession: max(a.NextSession, b.NextSession), NextStream: max(a.NextStream, b.NextStream),
+		NextGroup: max(a.NextGroup, b.NextGroup), NextPort: max(a.NextPort, b.NextPort)}
 }
 
 func cloneRecord(rec ContentRecord) ContentRecord {

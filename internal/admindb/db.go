@@ -204,7 +204,7 @@ func (db *DB) Recordings() []PendingRecording {
 	return db.t.pending()
 }
 
-// Counters reports the ID generators' last issued values.
+// Counters reports the ID generators' lease mark: no ID above it is issued.
 func (db *DB) Counters() Counters {
 	db.mu.Lock()
 	defer db.mu.Unlock()

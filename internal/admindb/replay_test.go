@@ -149,6 +149,40 @@ func TestCompositeHoldsNoLocations(t *testing.T) {
 	}
 }
 
+// TestDeleteCascadesToComposites: a delete takes every composite that
+// names the deleted title among its children, live and in replay. The
+// journal here is one an earlier Coordinator wrote, whose delete of a
+// child left its composite listed: it opens without that composite, and
+// a composite of other children stays.
+func TestDeleteCascadesToComposites(t *testing.T) {
+	seminar, lecture := testContent("seminar"), testContent("lecture")
+	seminar.Info.Children = []string{"clip", "talk"}
+	lecture.Info.Children = []string{"talk"}
+	var journal []byte
+	for _, m := range []Mutation{contentWith("clip", "A"), contentWith("talk", "A"),
+		PutContent(seminar), PutContent(lecture), DeleteContent("clip")} {
+		var err error
+		if journal, err = appendFrame(journal, m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, journalFile), journal, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	db := openTest(t, dir, -1)
+	defer db.Close() //nolint:errcheck // test teardown
+	if got := fmt.Sprint(holders(mustLoad(t, db))); got != "map[lecture:[] talk:[A]]" {
+		t.Fatalf("the journal replayed to %s, want the seminar gone with clip", got)
+	}
+	if err := db.Apply(DeleteContent("talk")); err != nil {
+		t.Fatal(err)
+	}
+	if st := mustLoad(t, db); len(st.Contents) != 0 {
+		t.Fatalf("after talk's delete the catalog lists %+v", st.Contents)
+	}
+}
+
 // TestOpenPR15Fixture opens a state directory the commit before the
 // one-copy database wrote (its Coordinator driving its file store):
 // a snapshot whose entries still carry the "Disk" key of the primary

@@ -63,16 +63,12 @@ func addContent(c *Coordinator, name, typ string, holders ...core.MSUID) *admind
 	return c.db.Content(name)
 }
 
-// issueIDs takes one group ID and n stream IDs off the counters.
+// issueIDs takes one group ID and n stream IDs off the issued IDs.
 func issueIDs(c *Coordinator, n uint64) (group uint64, firstStream core.StreamID) {
-	ids := c.db.Counters()
-	firstStream = core.StreamID(ids.NextStream + 1)
-	ids.NextGroup++
-	ids.NextStream += n
-	if err := c.db.Apply(admindb.SetCounters(ids)); err != nil {
-		panic(err)
-	}
-	return ids.NextGroup, firstStream
+	firstStream = core.StreamID(c.ids.NextStream + 1)
+	c.ids.NextGroup++
+	c.ids.NextStream += n
+	return c.ids.NextGroup, firstStream
 }
 
 func typeRate(c *Coordinator, name string) units.BitRate {

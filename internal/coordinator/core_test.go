@@ -510,6 +510,50 @@ func TestCoreDeleteCompositeInUse(t *testing.T) {
 	}
 }
 
+// childLeaves, for a seminar listed over clip and talk on m1, runs leave —
+// clip's last replica leaving the catalog — and checks the seminar
+// went with it: unlisted, and a play of it refused as no such content.
+func childLeaves(t *testing.T, leave func(r *coreRig)) {
+	t.Helper()
+	r := newCoreRig(t, Config{})
+	r.msu(1, "m1", 20*units.Mbps, 900, clip, talk)
+	r.client(3)
+	r.seminar()
+	leave(r)
+	for _, item := range r.c.listContent().Items {
+		if item.Name == "seminar" {
+			t.Fatalf("the seminar is still listed over %v after clip left", item.Children)
+		}
+	}
+	tk, fx := r.play(3, "seminar", "sem", false)
+	if a, ok := answerFor(fx, tk); !ok || !errors.Is(a.err, core.ErrNoSuchContent) {
+		t.Fatalf("a play of the seminar decided %+v, want it refused as no such content", fx)
+	}
+}
+
+// A delete of a composite's child that answers OK unlists the composite.
+func TestCoreDeleteChildUnlistsComposite(t *testing.T) {
+	childLeaves(t, func(r *coreRig) {
+		del := r.ticket()
+		fx := r.in(func() { r.c.deleteContent(del, 3, clip.Name) })
+		if len(fx.calls) != 1 || fx.calls[0].typ != wire.TypeDeleteContent {
+			t.Fatalf("the delete of clip decided %+v, want one DeleteContent", fx)
+		}
+		if a, ok := answerFor(r.started(&fx.calls[0], nil), del); !ok || a.err != nil {
+			t.Fatalf("the delete of clip answered %v, %+v", ok, a)
+		}
+	})
+}
+
+// An MSU that re-registers without a composite's child unlists the
+// composite with the child's last replica.
+func TestCoreReregisterWithoutChildUnlistsComposite(t *testing.T) {
+	childLeaves(t, func(r *coreRig) {
+		r.in(func() { r.c.connDown(r.now, 1) })
+		r.msu(4, "m1", 20*units.Mbps, 900, talk)
+	})
+}
+
 // Every replica that leaves the catalog is one replica-drop event, with
 // its MSU, disk and title and, in Detail, why it left.
 func TestCoreReplicaDropEvents(t *testing.T) {
@@ -607,13 +651,15 @@ func TestCoreQueuedPlayPreemptsCopy(t *testing.T) {
 // play, record, stream-ended, msu-down, msu-hello, start outcome (and
 // the other calls' outcomes), cache report, administrative delete and
 // tick — over three titles and a seminar of two of them, listed again
-// at an MSU's hello once deleted. After every input it checks that each
-// ledger's reserved total equals its live grants, that every active
-// stream's MSU is registered and alive, that a listed title has
-// replicas if and only if it has no children, that every removal in
-// flight targets a replica the catalog lists and no stream runs on, and
-// that running the queue again places nothing. It returns a transcript
-// of every decision, so two walks from one seed can be compared.
+// at an MSU's hello once it is gone and both of its children are
+// listed. After every input it checks that each ledger's reserved total
+// equals its live grants, that every active stream's MSU is registered
+// and alive, that a listed title has replicas if and only if it has no
+// children, that every listed composite's children are listed, that
+// every removal in flight targets a replica the catalog lists and no
+// stream runs on, and that running the queue again places nothing. It
+// returns a transcript of every decision, so two walks from one seed
+// can be compared.
 func walkInputs(t *testing.T, seed int64, steps int) string {
 	r := newCoreRig(t, Config{QueueTimeout: 20 * time.Second, Replication: ReplicationConfig{MaxReplicas: 3}})
 	c := r.c
@@ -646,6 +692,11 @@ func walkInputs(t *testing.T, seed int64, steps int) string {
 				Disks: []wire.DiskInfo{{BlockSize: 64 * 1024, TotalBlocks: 400, FreeBlocks: 20 + int64(rng.Intn(100)), Bandwidth: 6000 * units.Kbps, Contents: decl}}})
 		})
 	}
+	seminar := func() {
+		if c.db.Content("seminar") == nil && c.db.Content(clip.Name) != nil && c.db.Content(talk.Name) != nil {
+			r.seminar()
+		}
+	}
 	var fx effects
 	for _, id := range msus {
 		fx = up(id)
@@ -654,7 +705,7 @@ func walkInputs(t *testing.T, seed int64, steps int) string {
 	for conn := connID(1); conn <= 4; conn++ {
 		r.client(conn)
 	}
-	r.seminar()
+	seminar()
 	for step := 0; step < steps; step++ {
 		var what string
 		switch op := rng.Intn(17); {
@@ -695,10 +746,8 @@ func walkInputs(t *testing.T, seed int64, steps int) string {
 			if c.msus[id].alive {
 				continue
 			}
-			if c.db.Content("seminar") == nil {
-				r.seminar()
-			}
 			fx = up(id)
+			seminar()
 		case op < 13:
 			if len(calls) == 0 {
 				continue
@@ -769,6 +818,11 @@ func walkInputs(t *testing.T, seed int64, steps int) string {
 		for _, rec := range c.db.Contents() {
 			if (len(rec.Locations) > 0) == (len(rec.Info.Children) > 0) {
 				t.Fatalf("%s: %s is listed with replicas %v and children %v", when, rec.Info.Name, rec.Holders(), rec.Info.Children)
+			}
+			for _, child := range rec.Info.Children {
+				if c.db.Content(child) == nil {
+					t.Fatalf("%s: composite %s is listed without its child %s", when, rec.Info.Name, child)
+				}
 			}
 		}
 		for name, rm := range c.removals {

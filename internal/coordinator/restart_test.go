@@ -1,6 +1,9 @@
 package coordinator
 
 import (
+	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -11,10 +14,13 @@ import (
 	"calliope/internal/wire"
 )
 
-// Restart tests drive a Coordinator against an in-memory admindb
-// store, "crash" it with Close (crash-equivalent at the storage layer:
-// every mutation is journaled before its ack, and Close writes
-// nothing), and hand the same store to a fresh Coordinator.
+// Restart tests drive a Coordinator against an admindb store, "crash"
+// it with Close (crash-equivalent at the storage layer: every catalog
+// mutation is journaled before its ack, and Close writes nothing), and
+// hand the same store to a fresh Coordinator. Its IDs come from the
+// lease it journals at its start: they skip past everything the last
+// start could issue, and a hello, port or play journals nothing
+// (TestRestartLeasesIDs, on a state directory).
 
 // TestRestartPersistsCatalogCountersTypes: the table of contents with
 // replica locations, admin-installed types, and every ID counter
@@ -109,6 +115,68 @@ func TestRestartPersistsCatalogCountersTypes(t *testing.T) {
 	}
 	if play2.Streams[0].Stream <= play1.Streams[0].Stream {
 		t.Fatalf("stream ID reissued: %d after %d", play2.Streams[0].Stream, play1.Streams[0].Stream)
+	}
+}
+
+// TestRestartLeasesIDs: three Coordinators in turn on one state
+// directory. Every session, port, group and stream ID a start issues is
+// above every one issued before it, and once a start is up, hello,
+// port, play and quit cycles leave journal.log byte for byte as it was:
+// the IDs come from the one lease the start journaled.
+func TestRestartLeasesIDs(t *testing.T) {
+	dir := t.TempDir()
+	decl := []wire.ContentDecl{{Name: "movie", Type: "mpeg1", Length: time.Minute, Size: 10 * units.MB}}
+	journal := func() []byte {
+		raw, err := os.ReadFile(filepath.Join(dir, "journal.log"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return raw
+	}
+	kinds := []string{"session", "port", "group", "stream"}
+	var before [4]uint64 // the highest ID of each kind issued by earlier starts
+	for start := 1; start <= 3; start++ {
+		db, err := admindb.Open(admindb.Options{Dir: dir, CompactAfter: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := startCoordinator(t, Config{Store: db})
+		m1 := fakeMSUPeer(t, c, "m1", decl, 30000*units.Kbps)
+		started := journal()
+		var issued [4]uint64
+		for cycle := 0; cycle < 5; cycle++ {
+			p := dialPeer(t, c, nil)
+			var w wire.Welcome
+			if err := p.Call(wire.TypeHello, wire.Hello{ProtoVersion: wire.ProtoVersion, User: "t"}, &w); err != nil {
+				t.Fatal(err)
+			}
+			var port wire.PortOK
+			if err := p.Call(wire.TypeRegisterPort, wire.RegisterPort{Name: "tv", Type: "mpeg1", Addr: "a:1"}, &port); err != nil {
+				t.Fatal(err)
+			}
+			var play wire.PlayOK
+			if err := p.Call(wire.TypePlay, wire.Play{Content: "movie", Port: "tv", ControlAddr: "a:9"}, &play); err != nil {
+				t.Fatal(err)
+			}
+			if err := m1.Call(wire.TypeStreamEnded, wire.StreamEnded{Stream: play.Streams[0].Stream, Cause: "quit"}, nil); err != nil {
+				t.Fatal(err)
+			}
+			p.Close() //nolint:errcheck // the session ends with its connection
+			for i, id := range []uint64{uint64(w.Session), uint64(port.Port), play.Group, uint64(play.Streams[0].Stream)} {
+				if id <= before[i] {
+					t.Fatalf("start %d issued %s ID %d, not above %d from an earlier start", start, kinds[i], id, before[i])
+				}
+				issued[i] = max(issued[i], id)
+			}
+		}
+		if !bytes.Equal(journal(), started) {
+			t.Fatalf("start %d: hello, port, play and quit cycles wrote to the journal", start)
+		}
+		before = issued
+		c.Close()
+		if err := db.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

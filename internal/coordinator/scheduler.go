@@ -41,12 +41,8 @@ func (c *engine) hello(conn connID, req wire.Hello) (*wire.Welcome, error) {
 			return nil, fmt.Errorf("%w: unknown user %q", core.ErrPermission, req.User)
 		}
 	}
-	ids := c.db.Counters()
-	ids.NextSession++
-	if err := c.apply(admindb.SetCounters(ids)); err != nil {
-		return nil, err
-	}
-	s := &session{id: core.SessionID(ids.NextSession), user: req.User, role: role, conn: conn, ports: make(map[string]*core.DisplayPort)}
+	c.ids.NextSession++
+	s := &session{id: core.SessionID(c.ids.NextSession), user: req.User, role: role, conn: conn, ports: make(map[string]*core.DisplayPort)}
 	c.sessions[s.id] = s
 	c.bound[conn] = s
 	c.logf("session %d opened for %q", s.id, req.User)
@@ -254,9 +250,8 @@ func (c *engine) removeNext(r *removal) {
 // removed ends r: its titles leave the table, the replicas the MSUs
 // removed leave the catalog and give their blocks back to the
 // registration that removed them, and the queue runs again. A composite
-// title holds no replica to unlist: a delete of one that removed every
-// target takes its entry out itself. A delete's owner hears err; a drop
-// that removed its replica is counted.
+// title goes with its children's last replicas. A delete's owner hears
+// err; a drop that removed its replica is counted.
 func (c *engine) removed(r *removal, err error) {
 	for _, n := range r.names {
 		delete(c.removals, n)
@@ -271,9 +266,6 @@ func (c *engine) removed(r *removal, err error) {
 		// Stored content is the disk's standing reservation (admitMSU).
 		d := t.m.disks[t.n]
 		d.space.AddStanding(-blocksFor(t.size, d.blockSize)) //nolint:errcheck // clamped at zero
-	}
-	if rec := c.db.Content(r.names[0]); r.whole && err == nil && rec != nil && len(rec.Info.Children) > 0 {
-		err = c.apply(admindb.DeleteContent(rec.Info.Name))
 	}
 	c.release()
 	switch {
@@ -760,12 +752,8 @@ func (c *engine) registerPort(conn connID, req wire.RegisterPort) (*wire.PortOK,
 	} else if req.Addr == "" {
 		return nil, fmt.Errorf("%w: atomic port needs a data address", core.ErrBadRequest)
 	}
-	ids := c.db.Counters()
-	ids.NextPort++
-	if err := c.apply(admindb.SetCounters(ids)); err != nil {
-		return nil, err
-	}
-	id := core.PortID(ids.NextPort)
+	c.ids.NextPort++
+	id := core.PortID(c.ids.NextPort)
 	s.ports[req.Name] = &core.DisplayPort{
 		ID:         id,
 		Session:    s.id,
@@ -881,9 +869,9 @@ func (c *engine) admitPlay(w *waiting, req *wire.Play) error {
 	if len(cands) == 0 {
 		return busy("%w: no live MSU holds %q", core.ErrMSUUnavailable, req.Content)
 	}
-	// The IDs are issued by the counters record journaled below; a pass
-	// that stops short of it has issued none.
-	ids := c.db.Counters()
+	// The IDs are issued once the group is placed; a pass that stops
+	// short of it has issued none.
+	ids := c.ids
 	ids.NextGroup++
 	demands := make([]demand, len(parts))
 	for i, part := range parts {
@@ -908,10 +896,7 @@ func (c *engine) admitPlay(w *waiting, req *wire.Play) error {
 		}
 		return busy("%w: no replica of %q has bandwidth", core.ErrNoResources, req.Content)
 	}
-	if err := c.apply(admindb.SetCounters(ids)); err != nil {
-		c.rollbackLocked(p)
-		return err
-	}
+	c.ids = ids
 	c.dispatch(&dispatch{placement: p, w: w, info: rec.Info})
 	return nil
 }
@@ -963,7 +948,7 @@ func (c *engine) admitRecord(w *waiting, req *wire.Record) error {
 		types = t.Components
 		pend.Parent, pend.Type = req.Content, req.Type
 	}
-	ids := c.db.Counters()
+	ids := c.ids
 	ids.NextGroup++
 	demands := make([]demand, len(types))
 	for i, typ := range types {
@@ -993,10 +978,11 @@ func (c *engine) admitRecord(w *waiting, req *wire.Record) error {
 	// restart and reports the recording lost; a composite's entry names
 	// the parent its last commit publishes.
 	pend.Group, pend.MSU = ids.NextGroup, p.m.id
-	if err := c.apply(admindb.SetCounters(ids), admindb.PutRecording(pend)); err != nil {
+	if err := c.apply(admindb.PutRecording(pend)); err != nil {
 		c.rollbackLocked(p)
 		return err
 	}
+	c.ids = ids
 	c.dispatch(&dispatch{placement: p, w: w})
 	return nil
 }
