@@ -69,8 +69,14 @@ leakcheck:
 # TestCoreReregisterWithoutChildUnlistsComposite,
 # TestDeleteCascadesToComposites); a restarted Coordinator's IDs come
 # from one lease a start, above every earlier one, and a hello, port or
-# play writes no journal (TestRestartLeasesIDs); and a stored record that does not decode
-# ends the cue without being sent (TestCorruptRecordEndsTheCue).
+# play writes no journal (TestRestartLeasesIDs), nor does an unchanged
+# MSU re-registration (TestRestartUnchangedHelloWritesNothing); a copy
+# on a down MSU counts for nothing: a title whose other holder is down
+# earns a copy (TestCoreDownHolderEarnsACopy, and end to end with both
+# holders crashed in turn, TestFaultCopyReplacesDownHolder) and its last
+# live copy is never shed (TestCoreColdDropSparesLastLiveCopy); and a
+# stored record that does not decode ends the cue without being sent
+# (TestCorruptRecordEndsTheCue).
 faults:
 	$(GO) test -race -timeout 120s -run 'Fault|Failover|Redispatch|Reconnect|MSUDown|Lost|Restart|FailedCommit|ReplayIdempotent|CompositeHoldsNoLocations|DeleteCascades|PR15Fixture|Orphan|Corrupt|PlanStep|LedgerConservation|Core|SeminarCompositeGroup|RecordPlacement|QueuedPlayWakes|CloseWakes|CutAll|QuitIsAcknowledged|StopKeeps|SweepOnStartup|PipelinedVCR|GoroutinesPerStream|VCRAckPositions|GroupVCRMovesAllOrNone|QuitDuringControlDial|ReportCadence|ReportsWhilePlaying|LastReportCountsConcurrentQuits' . ./internal/coordinator ./internal/client ./internal/msu ./internal/msufs ./internal/faultinject ./internal/admindb
 
@@ -164,9 +170,14 @@ bench-write:
 # BenchmarkCall is one of that cycle's RPCs alone, a loopback Call with
 # both peers counted: ~1.3 KB and 27 allocs (TestCallAllocations holds
 # the count), against ~1.9 KB and 43 with the envelopes whole.
+# BenchmarkHello is an unchanged MSU re-registration declaring 10,000
+# titles, fed to the Coordinator's core: ~5.5–6.2 ms and 100 allocs in
+# memory and on a state directory alike, against ~10.6–11.8 ms and
+# ~68–74 ms when every hello journaled every location (and compacted).
 bench-control:
 	$(GO) test -run=NONE -bench='PlayCycle' -benchtime=1000x -benchmem .
 	$(GO) test -run=NONE -bench=Call -benchmem ./internal/wire
+	$(GO) test -run=NONE -bench=Hello -benchtime=20x -benchmem ./internal/coordinator
 
 # The §3e RAM interval cache: hot-replay disk-read savings and the
 # allocation-free cache-hit delivery path, plus the cache's own

@@ -1,6 +1,7 @@
 package coordinator
 
 import (
+	"slices"
 	"sort"
 
 	"calliope/internal/admindb"
@@ -110,28 +111,24 @@ func (c *engine) liveMSUsLocked() []*msuState {
 	return out
 }
 
-// playCandidatesLocked lists every live MSU holding a replica of every
-// part, in MSU id order, skipping a replica a removal is taking. Plan
-// tries each in turn, so a play refused bandwidth on one replica falls
-// over to any other — including one the replication policy just
-// created.
+// playCandidatesLocked lists every MSU holding a live replica of every
+// part (liveReplicasLocked), in MSU id order. Plan tries each in turn,
+// so a play refused bandwidth on one replica falls over to any other —
+// including one the replication policy just created.
 func (c *engine) playCandidatesLocked(parts []*admindb.ContentRecord) []candidate {
 	var out []candidate
 next:
-	for _, home := range parts[0].Holders() {
-		m := c.msus[home.MSU]
-		if m == nil || !m.alive {
-			continue
-		}
-		disks := make([]int, len(parts))
-		for i, p := range parts {
-			loc, ok := p.Locate(home.MSU)
-			if !ok || loc.N < 0 || loc.N >= len(m.disks) || c.leaving(p.Info.Name, home.MSU) {
+	for _, home := range c.liveReplicasLocked(parts[0]) {
+		disks := append(make([]int, 0, len(parts)), home.n)
+		for _, p := range parts[1:] {
+			live := c.liveReplicasLocked(p)
+			j := slices.IndexFunc(live, func(r replica) bool { return r.m == home.m })
+			if j < 0 {
 				continue next
 			}
-			disks[i] = loc.N
+			disks = append(disks, live[j].n)
 		}
-		out = append(out, candidate{m: m, disks: disks})
+		out = append(out, candidate{m: home.m, disks: disks})
 	}
 	return out
 }
@@ -301,21 +298,20 @@ func (c *engine) endReplicationLocked(r *replication) {
 // planReplicaLocked decides whether content deserves another replica
 // right now and, if so, takes the transfer's four claims — source disk
 // bandwidth and NIC, destination disk bandwidth and space — as one
-// grant at the idle-bandwidth rate. It returns the planned transfer for
-// the caller to order, or nil.
+// grant at the idle-bandwidth rate, from the first live replica whose
+// MSU serves transfers. It returns the planned transfer, or nil.
 func (c *engine) planReplicaLocked(rec *admindb.ContentRecord) *replication {
 	if c.closed || rec == nil || c.removals[rec.Info.Name] != nil {
 		return nil
 	}
+	live := c.liveReplicasLocked(rec)
+	src := slices.IndexFunc(live, func(r replica) bool { return r.m.transferAddr != "" })
 	t, ok := c.db.Type(rec.Info.Type)
-	if !ok || len(rec.Locations) >= c.cfg.Replication.MaxReplicas || c.replicationFor(rec.Info.Name) != nil {
+	if !ok || src < 0 || len(live) >= c.cfg.Replication.MaxReplicas || c.replicationFor(rec.Info.Name) != nil {
 		return nil
 	}
-	srcM, srcDisk, ok := c.pickSourceLocked(rec)
-	if !ok {
-		return nil
-	}
-	srcD := srcM.disks[srcDisk]
+	srcM := live[src].m
+	srcD := srcM.disks[live[src].n]
 	dstM, dstDisk, ok := c.pickDestinationLocked(rec, srcD.blockSize)
 	if !ok {
 		return nil
@@ -348,18 +344,6 @@ func (c *engine) planReplicaLocked(rec *admindb.ContentRecord) *replication {
 	}
 	c.replications[r.id] = r
 	return r
-}
-
-// pickSourceLocked finds a live holder able to serve transfers, and the
-// disk its replica is on, trying them in MSU id order.
-func (c *engine) pickSourceLocked(rec *admindb.ContentRecord) (*msuState, int, bool) {
-	for _, loc := range rec.Holders() {
-		m := c.msus[loc.MSU]
-		if m != nil && m.alive && m.transferAddr != "" && loc.N >= 0 && loc.N < len(m.disks) {
-			return m, loc.N, true
-		}
-	}
-	return nil, 0, false
 }
 
 // pickDestinationLocked finds the best MSU not yet holding rec: alive,

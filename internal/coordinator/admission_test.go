@@ -502,8 +502,10 @@ func TestLedgerConservationRandomized(t *testing.T) {
 	}
 	// The same conservation, driven through the core's inputs instead of
 	// its admission functions (walkInputs, core_test.go), and a walk
-	// repeats bit for bit from its seed.
-	if a, b := walkInputs(t, 13, 8000), walkInputs(t, 13, 8000); a != b {
+	// repeats bit for bit from its seed. It runs long enough for seed 13
+	// to answer a composite delete OK: a seminar stays in use while any
+	// of its children's streams runs.
+	if a, b := walkInputs(t, 13, 30000), walkInputs(t, 13, 30000); a != b {
 		t.Fatal("two walks from one seed decided differently")
 	}
 }

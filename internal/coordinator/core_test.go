@@ -323,15 +323,55 @@ func TestCoreDeleteFencesItsTitle(t *testing.T) {
 	}
 }
 
+// report feeds a cache report from disk 0 of the MSU on conn, numbered
+// past its registration's last, and takes what it decided.
+func (r *coreRig) report(conn connID) effects {
+	seq := r.c.bound[conn].(*msuState).lastReport + 1
+	return r.in(func() { r.c.cacheReport(conn, wire.CacheReport{Seq: seq, Disk: 0}) })
+}
+
 // shed feeds a cache report from the MSU on conn, whose disk is under
 // 10 % free, and returns the cold-replica drop it ordered.
 func (r *coreRig) shed(conn connID) *call {
 	r.t.Helper()
-	fx := r.in(func() { r.c.cacheReport(conn, wire.CacheReport{Seq: 1, Disk: 0}) })
+	fx := r.report(conn)
 	if len(fx.calls) != 1 || fx.calls[0].typ != wire.TypeDeleteContent || fx.calls[0].to != conn {
 		r.t.Fatalf("a cache report from a disk under 10 %% free decided %+v, want one DeleteContent to it", fx)
 	}
 	return &fx.calls[0]
+}
+
+// A down holder's copy is no copy: with movie on m1 and on m2, which is
+// down, a second play queued on m1's full disk orders one copy from m1
+// onto the empty m3.
+func TestCoreDownHolderEarnsACopy(t *testing.T) {
+	r := newCoreRig(t, Config{})
+	r.msu(1, "m1", 2000*units.Kbps, 900, movie) // one mpeg1 slot, 500 Kbps idle
+	r.msu(2, "m2", 2000*units.Kbps, 900, movie)
+	r.msu(4, "m3", 2000*units.Kbps, 900)
+	r.in(func() { r.c.connDown(r.now, 2) })
+	r.client(3)
+	r.admit(3, "movie", "tv")
+	_, fx := r.play(3, "movie", "tv", true)
+	if len(fx.calls) != 1 || fx.calls[0].typ != wire.TypeReplicate || fx.calls[0].to != 4 ||
+		fx.calls[0].req.(wire.Replicate).Source != "transfer:m1" {
+		t.Fatalf("a play queued while m2 is down decided %+v, want one copy from m1 to m3", fx)
+	}
+}
+
+// A disk under 10 % free never sheds a title's last live copy: with
+// movie on m1's full disk and on m2, m1's cache report orders no drop
+// while m2 is down, and one once m2 is back.
+func TestCoreColdDropSparesLastLiveCopy(t *testing.T) {
+	r := newCoreRig(t, Config{})
+	r.msu(1, "m1", 1500*units.Kbps, 50, movie)
+	r.msu(2, "m2", 1500*units.Kbps, 900, movie)
+	r.in(func() { r.c.connDown(r.now, 2) })
+	if fx := r.report(1); len(fx.calls) != 0 {
+		t.Fatalf("m1's cache report with m2 down decided %+v, want no drop", fx)
+	}
+	r.msu(4, "m2", 1500*units.Kbps, 900, movie)
+	r.shed(1)
 }
 
 // An administrative delete of a title whose cold-replica drop is out is
@@ -656,6 +696,8 @@ func TestCoreQueuedPlayPreemptsCopy(t *testing.T) {
 // equals its live grants, that every active stream's MSU is registered
 // and alive, that a listed title has replicas if and only if it has no
 // children, that every listed composite's children are listed, that
+// every location on a live registration names one of its disks, that a
+// drop leaves its title another live holder when it is ordered, that
 // every removal in flight targets a replica the catalog lists and no
 // stream runs on, and that running the queue again places nothing. It
 // returns a transcript of every decision, so two walks from one seed
@@ -677,6 +719,7 @@ func walkInputs(t *testing.T, seed int64, steps int) string {
 	// deletes holds the administrative deletes' titles by ticket, and
 	// outcomes what they were answered: "ok", "composite ok" or "in use".
 	deletes, outcomes := map[uint64]string{}, map[string]bool{}
+	ordered := map[*removal]bool{} // the drops already checked
 	up := func(id core.MSUID) effects {
 		next++
 		conns[id] = next
@@ -825,7 +868,26 @@ func walkInputs(t *testing.T, seed int64, steps int) string {
 				}
 			}
 		}
+		for _, rec := range c.db.Contents() {
+			for _, loc := range rec.Locations {
+				if m := c.msus[loc.MSU]; m != nil && m.alive && (loc.Disk < 0 || loc.Disk >= len(m.disks)) {
+					t.Fatalf("%s: %s is listed on %s/%d, and that registration has %d disks", when, rec.Info.Name, loc.MSU, loc.Disk, len(m.disks))
+				}
+			}
+		}
 		for name, rm := range c.removals {
+			// A drop is checked at the input that ordered it: a holder may go
+			// down after that, as it may under any copy.
+			if rec := c.db.Content(name); !rm.whole && !ordered[rm] {
+				others := slices.ContainsFunc(rec.Locations, func(loc admindb.Location) bool {
+					m := c.msus[loc.MSU]
+					return m != nil && m.alive && !slices.ContainsFunc(rm.targets, func(tg *replica) bool { return tg.m.id == loc.MSU })
+				})
+				if !others {
+					t.Fatalf("%s: the drop of %s on %s leaves it no live copy (holders %v)", when, name, rm.targets[0].m.id, rec.Holders())
+				}
+				ordered[rm] = true
+			}
 			for _, tg := range append(slices.Clone(rm.targets), rm.gone...) {
 				if rec := c.db.Content(tg.name); rec == nil || !slices.Contains(rec.Holders(), core.DiskID{MSU: tg.m.id, N: tg.n}) {
 					t.Fatalf("%s: the removal of %s targets %s on %s/%d, which the catalog does not list", when, name, tg.name, tg.m.id, tg.n)

@@ -24,7 +24,8 @@ import (
 
 // ReplicationConfig tunes the policy; the zero value is the defaults.
 type ReplicationConfig struct {
-	// MaxReplicas bounds copies of one title (default 2).
+	// MaxReplicas is the live copies of one title at which planning
+	// stops (default 2); a holder that returns may leave a title above it.
 	MaxReplicas int
 	// Rate caps one transfer's bandwidth; 0 derives 2× the content
 	// type's delivery rate. The actual grant also never exceeds the
@@ -224,9 +225,9 @@ func (c *engine) replicationFailed(id uint64, reason string) {
 
 // dropColdReplicaLocked runs the de-replication policy for one disk
 // after its cache report: if the disk is low on space and holds a cold
-// extra copy (no players here, no active streams here, other replicas
-// elsewhere), shed it. At most one drop is ordered per report; it is a
-// removal of that one replica, never a title's last.
+// extra copy (no players here, no active streams here, another live
+// replica elsewhere), shed it. At most one drop is ordered per report;
+// it is a removal of that one replica, never a title's last live copy.
 func (c *engine) dropColdReplicaLocked(m *msuState, diskIdx int) {
 	if c.closed {
 		return
@@ -238,12 +239,11 @@ func (c *engine) dropColdReplicaLocked(m *msuState, diskIdx int) {
 next:
 	for _, rec := range c.db.Contents() {
 		name := rec.Info.Name
-		loc, held := rec.Locate(m.id)
-		if !held || loc.N != diskIdx || len(rec.Locations) < 2 {
+		if loc, held := rec.Locate(m.id); !held || loc.N != diskIdx {
 			continue
 		}
-		if c.removals[name] != nil || c.replicationFor(name) != nil {
-			continue // not a title already being copied or removed
+		if c.removals[name] != nil || c.replicationFor(name) != nil || len(c.liveReplicasLocked(rec)) < 2 {
+			continue // a title being copied or removed, or its last live copy
 		}
 		if d.coverage[name].Players > 0 {
 			continue // warm here: someone is watching this copy

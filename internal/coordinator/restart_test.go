@@ -2,6 +2,7 @@ package coordinator
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -177,6 +178,87 @@ func TestRestartLeasesIDs(t *testing.T) {
 		if err := db.Close(); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// TestRestartUnchangedHelloWritesNothing: an MSU re-registering with the
+// titles the restarted Coordinator's catalog already places on it
+// leaves journal.log and the snapshot byte for byte as they were; a
+// hello journals only the locations that changed.
+func TestRestartUnchangedHelloWritesNothing(t *testing.T) {
+	dir := t.TempDir()
+	decl := []wire.ContentDecl{
+		{Name: "movie", Type: "mpeg1", Length: time.Minute, Size: units.MB},
+		{Name: "clip", Type: "rtp-video", Length: time.Minute, Size: units.MB},
+	}
+	read := func(name string) []byte {
+		raw, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return raw
+	}
+	for start := 1; start <= 2; start++ {
+		db, err := admindb.Open(admindb.Options{Dir: dir, CompactAfter: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := startCoordinator(t, Config{Store: db})
+		if err := db.Compact(); err != nil {
+			t.Fatal(err)
+		}
+		journal, snapshot := read("journal.log"), read("snapshot.json")
+		fakeMSUPeer(t, c, "m1", decl, 3000*units.Kbps)
+		if start == 2 && (!bytes.Equal(read("journal.log"), journal) || !bytes.Equal(read("snapshot.json"), snapshot)) {
+			t.Fatal("an unchanged re-registration wrote to the state directory")
+		}
+		c.Close()
+		if err := db.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkHello is one unchanged re-registration of an MSU declaring
+// 10,000 titles on one disk, fed to the core by hand: its old
+// connection's down and its hello, in memory and on a state directory
+// with the default compaction.
+func BenchmarkHello(b *testing.B) {
+	const titles = 10000
+	decl := make([]wire.ContentDecl, titles)
+	for i := range decl {
+		decl[i] = wire.ContentDecl{Name: fmt.Sprintf("t%05d", i), Type: "mpeg1", Size: 640 * units.KB}
+	}
+	now := time.Date(2026, 10, 1, 12, 0, 0, 0, time.UTC)
+	for _, store := range []string{"mem", "durable"} {
+		b.Run(fmt.Sprintf("titles=%d/%s", titles, store), func(b *testing.B) {
+			cfg := Config{Types: paperTypes(), Now: func() time.Time { return now }}
+			if store == "durable" {
+				db, err := admindb.Open(admindb.Options{Dir: b.TempDir()})
+				if err != nil {
+					b.Fatal(err)
+				}
+				defer db.Close() //nolint:errcheck // benchmark teardown
+				cfg.Store = db
+			}
+			c, err := New(cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			hello := func(conn connID) {
+				c.msuHello(now, uint64(conn), conn, wire.MSUHello{ProtoVersion: wire.ProtoVersion, ID: "m1",
+					Disks: []wire.DiskInfo{{BlockSize: 64 * 1024, TotalBlocks: 200000, FreeBlocks: 100000, Contents: decl}}})
+				if a, ok := answerFor(c.take(now), uint64(conn)); !ok || a.err != nil {
+					b.Fatalf("hello on conn %d answered %v, %+v", conn, ok, a)
+				}
+			}
+			hello(1)
+			b.ResetTimer()
+			for i := 1; i <= b.N; i++ {
+				c.connDown(now, connID(i))
+				hello(connID(i + 1))
+			}
+		})
 	}
 }
 

@@ -312,12 +312,21 @@ func (c *engine) deleting(name string) bool {
 	return r != nil && r.whole
 }
 
-// leaving reports whether a removal in flight takes name's replica on
-// MSU id.
-func (c *engine) leaving(name string, id core.MSUID) bool {
-	r := c.removals[name]
-	on := func(t *replica) bool { return t.name == name && t.m.id == id }
-	return r != nil && (slices.ContainsFunc(r.targets, on) || slices.ContainsFunc(r.gone, on))
+// liveReplicasLocked lists rec's live replicas in MSU id order: holders
+// on a live registration that no removal is taking. Plays, copy sources,
+// the copy cap and the cold drop count copies by it alone; a live
+// registration's locations name its own disks (admitMSU re-declares them).
+func (c *engine) liveReplicasLocked(rec *admindb.ContentRecord) []replica {
+	r := c.removals[rec.Info.Name]
+	var out []replica
+	for _, loc := range rec.Locations {
+		m := c.msus[loc.MSU]
+		on := func(t *replica) bool { return t.name == rec.Info.Name && t.m.id == loc.MSU }
+		if m != nil && m.alive && (r == nil || !slices.ContainsFunc(r.targets, on) && !slices.ContainsFunc(r.gone, on)) {
+			out = append(out, replica{name: rec.Info.Name, size: rec.Info.Size, m: m, n: loc.Disk})
+		}
+	}
+	return out
 }
 
 // cacheReport records one disk's advertised cache heat and lets the
@@ -432,10 +441,11 @@ func (c *engine) admitMSU(w *waiting, req *wire.MSUHello) error {
 		m.disks = append(m.disks, &diskState{blockSize: di.BlockSize, bw: bw, space: space, lastHitPct: -1})
 		for _, decl := range di.Contents {
 			declared[decl.Name] = true
-			if c.db.Content(decl.Name) == nil {
+			// Journal only what changed: an unchanged hello writes nothing.
+			if rec := c.db.Content(decl.Name); rec == nil {
 				info := core.ContentInfo{Name: decl.Name, Type: decl.Type, Length: decl.Length, Size: decl.Size, HasFast: decl.HasFast}
 				muts = append(muts, putContentAt(info, core.DiskID{MSU: req.ID, N: i}))
-			} else {
+			} else if loc, held := rec.Locate(req.ID); !held || loc.N != i {
 				muts = append(muts, admindb.SetLocation(decl.Name, admindb.Location{MSU: req.ID, Disk: i}))
 			}
 		}

@@ -201,24 +201,6 @@ func (l *Ledger) Reserve(key uint64, amount int64) error {
 	return nil
 }
 
-// Adjust shrinks (or grows, capacity permitting) an existing
-// reservation — the over-estimate reclamation path.
-func (l *Ledger) Adjust(key uint64, amount int64) error {
-	old, ok := l.reserved[key]
-	if !ok {
-		return fmt.Errorf("%w: key %d", ErrNoSuchEntry, key)
-	}
-	if amount < 0 {
-		return fmt.Errorf("schedule: negative reservation %d", amount)
-	}
-	if l.total-old+amount+l.standing > l.capacity {
-		return fmt.Errorf("%w: adjust to %d over capacity", ErrOverdrawn, amount)
-	}
-	l.reserved[key] = amount
-	l.total += amount - old
-	return nil
-}
-
 // Release frees a reservation.
 func (l *Ledger) Release(key uint64) error {
 	amount, ok := l.reserved[key]

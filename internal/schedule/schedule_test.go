@@ -159,30 +159,6 @@ func TestLedgerReserveRelease(t *testing.T) {
 	}
 }
 
-func TestLedgerAdjustReclaimsOverestimate(t *testing.T) {
-	// The record path: reserve from the client's estimate, shrink to
-	// actual use at commit.
-	l, _ := NewLedger(1000)
-	if err := l.Reserve(7, 900); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Adjust(7, 150); err != nil {
-		t.Fatal(err)
-	}
-	if l.Available() != 850 {
-		t.Fatalf("Available = %d, want 850", l.Available())
-	}
-	if err := l.Adjust(7, 2000); !errors.Is(err, ErrOverdrawn) {
-		t.Fatalf("grow past capacity: %v", err)
-	}
-	if err := l.Adjust(8, 1); !errors.Is(err, ErrNoSuchEntry) {
-		t.Fatalf("adjust unknown: %v", err)
-	}
-	if err := l.Adjust(7, -1); err == nil {
-		t.Fatal("negative adjust accepted")
-	}
-}
-
 func TestLedgerValidation(t *testing.T) {
 	if _, err := NewLedger(-1); err == nil {
 		t.Error("negative capacity accepted")
@@ -193,7 +169,7 @@ func TestLedgerValidation(t *testing.T) {
 	}
 }
 
-// Property: any sequence of reserve/adjust/release keeps
+// Property: any sequence of reserve/release keeps
 // 0 ≤ Reserved ≤ Capacity and Reserved == sum of live entries.
 func TestLedgerInvariantProperty(t *testing.T) {
 	f := func(ops []uint16) bool {
@@ -202,16 +178,12 @@ func TestLedgerInvariantProperty(t *testing.T) {
 		for i, op := range ops {
 			key := uint64(op % 8)
 			amount := int64(op % 3000)
-			switch (op / 8) % 3 {
+			switch (op / 8) % 2 {
 			case 0:
 				if err := l.Reserve(key, amount); err == nil {
 					live[key] = amount
 				}
 			case 1:
-				if err := l.Adjust(key, amount); err == nil {
-					live[key] = amount
-				}
-			case 2:
 				if err := l.Release(key); err == nil {
 					delete(live, key)
 				}

@@ -454,3 +454,111 @@ func playMovieAfterRecovery(t *testing.T, cluster *Cluster) {
 		t.Fatal(err)
 	}
 }
+
+// TestFaultCopyReplacesDownHolder: a copy on a down MSU is no copy.
+// movie is on msu0 and msu1, and hog on msu1 alone. With msu0 crashed
+// and msu1's disk budget taken by a hog play, a waiting movie play plans
+// a copy onto msu2 and is admitted there once the copy commits. With
+// msu1 crashed too, a play of movie delivers every byte from msu2.
+func TestFaultCopyReplacesDownHolder(t *testing.T) {
+	hog, movie := shortMovie(t, hogDur), shortMovie(t, movieDur)
+	inj := make([]*faultinject.Injector, 3)
+	for i := range inj {
+		inj[i] = faultinject.New(faultinject.Options{})
+	}
+	cluster, err := StartCluster(ClusterConfig{
+		MSUs:      3,
+		BlockSize: 64 * 1024,
+		// One 1500 Kbps play a disk: the 1400 Kbps it leaves idle carries
+		// a copy and admits no second play.
+		DiskBandwidth: 2900 * units.Kbps,
+		CacheBytes:    -1,
+		// Past the copy's few seconds: a play no copy serves fails here.
+		QueueTimeout: 15 * time.Second,
+		MSUDial: func(i int) func(network, address string) (net.Conn, error) {
+			return inj[i].Dial(nil)
+		},
+		Preload: func(m, d int, vol *msufs.Volume) error {
+			if m == 1 {
+				if err := Ingest(vol, "hog", "mpeg1", hog); err != nil {
+					return err
+				}
+			}
+			if m < 2 {
+				return Ingest(vol, "movie", "mpeg1", movie)
+			}
+			return nil
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(cluster.Close)
+	// dial opens a session with an mpeg1 port "tv" on a capturing receiver.
+	dial := func(user string) (*Client, *Receiver) {
+		c, err := Dial(cluster.Addr(), user)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { c.Close() })
+		recv, err := NewReceiver("")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { recv.Close() })
+		recv.SetCapture(true)
+		if err := c.RegisterPort("tv", "mpeg1", recv.Addr(), ""); err != nil {
+			t.Fatal(err)
+		}
+		return c, recv
+	}
+
+	admin, _ := dial("alice")
+	crash(inj[0])
+	await.Until(t, "msu0 seen down", msusAvailable(admin, 2))
+	if s, err := admin.Play("hog", "tv", false); err != nil || s.Info().MSU != "msu1" {
+		t.Fatalf("hog play: %v, want it on msu1", err)
+	}
+	viewer, _ := dial("bob")
+	queued, err := viewer.Play("movie", "tv", true)
+	if err != nil {
+		t.Fatalf("waiting movie play: %v", err)
+	}
+	if got := queued.Info().MSU; got != "msu2" {
+		t.Fatalf("the waiting play was admitted on %q, want msu2, where its copy landed", got)
+	}
+	select {
+	case <-queued.EOF():
+	case <-time.After(15 * time.Second):
+		t.Fatal("no EOF from the copy on msu2 within 15s")
+	}
+	if err := queued.Quit(); err != nil {
+		t.Fatal(err)
+	}
+
+	crash(inj[1])
+	await.Until(t, "msu1 seen down", msusAvailable(admin, 1))
+	last, recv := dial("carol")
+	stream, err := last.Play("movie", "tv", true)
+	if err != nil {
+		t.Fatalf("movie play with msu0 and msu1 down: %v", err)
+	}
+	if got := stream.Info().MSU; got != "msu2" {
+		t.Fatalf("movie played from %q, want msu2", got)
+	}
+	select {
+	case <-stream.EOF():
+	case <-time.After(15 * time.Second):
+		t.Fatal("no EOF from msu2 within 15s")
+	}
+	recv.WaitCount(len(movie), 2*time.Second)
+	got := recv.Packets()
+	if len(got) != len(movie) {
+		t.Fatalf("msu2 delivered %d packets, want %d", len(got), len(movie))
+	}
+	for i := range got {
+		if string(got[i].Payload) != string(movie[i].Payload) {
+			t.Fatalf("packet %d from msu2 differs from the title ingested", i)
+		}
+	}
+}
