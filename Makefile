@@ -74,9 +74,15 @@ leakcheck:
 # on a down MSU counts for nothing: a title whose other holder is down
 # earns a copy (TestCoreDownHolderEarnsACopy, and end to end with both
 # holders crashed in turn, TestFaultCopyReplacesDownHolder) and its last
-# live copy is never shed (TestCoreColdDropSparesLastLiveCopy); and a
-# stored record that does not decode ends the cue without being sent
-# (TestCorruptRecordEndsTheCue).
+# live copy is never shed (TestCoreColdDropSparesLastLiveCopy); an
+# orphaned group is placed, copied for and started as a fresh play is:
+# it earns a copy when its live holder is full (TestCoreOrphanEarnsACopy,
+# and end to end TestFaultOrphanMigratesOntoCopy), a re-dispatch's start
+# outcome is its verdict (TestCoreEndedBeforeStartOutcome), and an orphan
+# whose client is gone is lost (TestCoreOrphanOfGoneClientIsLost); a
+# group's copies land together (TestCoreCompositeCopiesLandTogether);
+# and a stored record that does not decode ends the cue without being
+# sent (TestCorruptRecordEndsTheCue).
 faults:
 	$(GO) test -race -timeout 120s -run 'Fault|Failover|Redispatch|Reconnect|MSUDown|Lost|Restart|FailedCommit|ReplayIdempotent|CompositeHoldsNoLocations|DeleteCascades|PR15Fixture|Orphan|Corrupt|PlanStep|LedgerConservation|Core|SeminarCompositeGroup|RecordPlacement|QueuedPlayWakes|CloseWakes|CutAll|QuitIsAcknowledged|StopKeeps|SweepOnStartup|PipelinedVCR|GoroutinesPerStream|VCRAckPositions|GroupVCRMovesAllOrNone|QuitDuringControlDial|ReportCadence|ReportsWhilePlaying|LastReportCountsConcurrentQuits' . ./internal/coordinator ./internal/client ./internal/msu ./internal/msufs ./internal/faultinject ./internal/admindb
 
@@ -174,10 +180,15 @@ bench-write:
 # titles, fed to the Coordinator's core: ~5.5–6.2 ms and 100 allocs in
 # memory and on a state directory alike, against ~10.6–11.8 ms and
 # ~68–74 ms when every hello journaled every location (and compacted).
+# BenchmarkRelease is one release while 10, 100 or 4,000 plays wait on
+# one title on a full disk: a stream-ended that admits one of them, or
+# a cache report that admits none. Every waiting play is tried again, so
+# it grows with the queue: ~0.03, ~0.3 and ~12–15 ms, 8 KB, 80 KB and
+# 3.2 MB, 19 allocs a waiting play (ROADMAP item 24(b) is its fix).
 bench-control:
 	$(GO) test -run=NONE -bench='PlayCycle' -benchtime=1000x -benchmem .
 	$(GO) test -run=NONE -bench=Call -benchmem ./internal/wire
-	$(GO) test -run=NONE -bench=Hello -benchtime=20x -benchmem ./internal/coordinator
+	$(GO) test -run=NONE -bench='Hello|Release' -benchtime=20x -benchmem ./internal/coordinator
 
 # The §3e RAM interval cache: hot-replay disk-read savings and the
 # allocation-free cache-hit delivery path, plus the cache's own

@@ -252,19 +252,6 @@ func (c *engine) standingLocked(p *placement, a *activeStream) bool {
 	return c.active[a.id] == a && c.msus[a.msu] == p.m
 }
 
-// commitLocked is the verdict after a successful re-dispatch: whether
-// every stream of the placement still stands. When it does not, the MSU
-// died after answering, or a stream ended, its release is done, and the
-// start counts as failed.
-func (c *engine) commitLocked(p *placement) bool {
-	for _, a := range p.streams {
-		if !c.standingLocked(p, a) {
-			return false
-		}
-	}
-	return true
-}
-
 // rollbackLocked undoes a placement that was not, or could not be,
 // dispatched: it releases every stream still standing, a release for
 // the pending queue if that frees anything.
@@ -299,8 +286,9 @@ func (c *engine) endReplicationLocked(r *replication) {
 // right now and, if so, takes the transfer's four claims — source disk
 // bandwidth and NIC, destination disk bandwidth and space — as one
 // grant at the idle-bandwidth rate, from the first live replica whose
-// MSU serves transfers. It returns the planned transfer, or nil.
-func (c *engine) planReplicaLocked(rec *admindb.ContentRecord) *replication {
+// MSU serves transfers. group is the play group rec is copied for, nil
+// for none. It returns the planned transfer, or nil.
+func (c *engine) planReplicaLocked(rec *admindb.ContentRecord, group []*admindb.ContentRecord) *replication {
 	if c.closed || rec == nil || c.removals[rec.Info.Name] != nil {
 		return nil
 	}
@@ -312,7 +300,7 @@ func (c *engine) planReplicaLocked(rec *admindb.ContentRecord) *replication {
 	}
 	srcM := live[src].m
 	srcD := srcM.disks[live[src].n]
-	dstM, dstDisk, ok := c.pickDestinationLocked(rec, srcD.blockSize)
+	dstM, dstDisk, ok := c.pickDestinationLocked(rec, srcD.blockSize, group)
 	if !ok {
 		return nil
 	}
@@ -348,19 +336,26 @@ func (c *engine) planReplicaLocked(rec *admindb.ContentRecord) *replication {
 
 // pickDestinationLocked finds the best MSU not yet holding rec: alive,
 // a disk with the same block size (IB-tree pages are block-sized, so
-// replicas cannot change geometry) and the most free blocks, with room
-// for the whole item.
-func (c *engine) pickDestinationLocked(rec *admindb.ContentRecord, blockSize int) (*msuState, int, bool) {
+// replicas cannot change geometry) with room for the whole item, on an
+// MSU holding or receiving another part of group if there is one (a
+// group plays from an MSU holding every part), and of those the disk
+// with the most free blocks.
+func (c *engine) pickDestinationLocked(rec *admindb.ContentRecord, blockSize int, group []*admindb.ContentRecord) (*msuState, int, bool) {
 	var bestM *msuState
-	bestDisk, bestFree := -1, int64(-1)
+	bestDisk, bestFree, bestNear := -1, int64(-1), false
 	for _, m := range c.liveMSUsLocked() {
 		if _, holds := rec.Locate(m.id); holds {
 			continue
 		}
+		near := slices.ContainsFunc(group, func(part *admindb.ContentRecord) bool {
+			_, holds := part.Locate(m.id)
+			r := c.replicationFor(part.Info.Name)
+			return holds || r != nil && r.dstM == m
+		})
 		for di, d := range m.disks {
 			free := d.space.Available()
-			if d.blockSize == blockSize && free >= blocksFor(rec.Info.Size, blockSize) && free > bestFree {
-				bestM, bestDisk, bestFree = m, di, free
+			if d.blockSize == blockSize && free >= blocksFor(rec.Info.Size, blockSize) && (near && !bestNear || near == bestNear && free > bestFree) {
+				bestM, bestDisk, bestFree, bestNear = m, di, free, near
 			}
 		}
 	}

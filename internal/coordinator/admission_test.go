@@ -1,7 +1,6 @@
 package coordinator
 
-// The admission core without sockets: plan / commit / rollback /
-// release called directly on a Coordinator that never listens and whose
+// The admission core without sockets: plan / rollback / release called directly on a Coordinator that never listens and whose
 // MSUs have no peers.
 
 import (
@@ -157,8 +156,8 @@ func TestPlanStep(t *testing.T) {
 			if p == nil || p.m != m || m.net.Reserved() != mpeg || m.disks[0].bw.Reserved() != mpeg {
 				t.Fatalf("placement %+v, net %d disk %d", p, m.net.Reserved(), m.disks[0].bw.Reserved())
 			}
-			if !c.commitLocked(p) || len(c.active) != 1 {
-				t.Fatalf("commit refused a standing placement (%d active)", len(c.active))
+			if !c.standingLocked(p, p.streams[0]) || len(c.active) != 1 {
+				t.Fatalf("a fresh placement does not stand (%d active)", len(c.active))
 			}
 		}},
 		{"warm play claims the NIC only", func(t *testing.T, c *Coordinator) {
@@ -244,7 +243,7 @@ func TestPlanStep(t *testing.T) {
 			if c.planLocked(playDemands(c, rec), cands) == nil {
 				t.Fatal("first play refused")
 			}
-			r := c.planReplicaLocked(rec)
+			r := c.planReplicaLocked(rec, nil)
 			if r == nil || r.rate != mpeg || r.dstM != m2 || m2.disks[0].space.Reserved() != 10 {
 				t.Fatalf("replica plan %+v", r)
 			}
@@ -256,11 +255,11 @@ func TestPlanStep(t *testing.T) {
 			checkConservation(t, c, msuLedgers(m1, m2), "after the preemption")
 			// m1 is now saturated by plays. A new copy finds no idle
 			// bandwidth, and tearing one down would not admit a third play.
-			if c.planReplicaLocked(rec) != nil {
+			if c.planReplicaLocked(rec, nil) != nil {
 				t.Fatal("copy planned with no idle bandwidth")
 			}
 			c.rollbackLocked(p)
-			r = c.planReplicaLocked(rec)
+			r = c.planReplicaLocked(rec, nil)
 			if r == nil {
 				t.Fatal("copy refused with a free slot")
 			}
@@ -279,7 +278,7 @@ func TestPlanStep(t *testing.T) {
 			m1 := addMSU(t, c, "m1", 2*mpeg, 2*mpeg, 100)
 			m2 := addMSU(t, c, "m2", 2*mpeg, mpeg, 12) // the copy's landing disk: one slot, 12 blocks
 			rec := addContent(c, "movie", "mpeg1", "m1")
-			r := c.planReplicaLocked(rec)
+			r := c.planReplicaLocked(rec, nil)
 			if r == nil || r.dstM != m2 || m2.disks[0].bw.Reserved() != mpeg || m2.disks[0].space.Reserved() != 10 {
 				t.Fatalf("replica plan %+v", r)
 			}
@@ -310,12 +309,12 @@ func TestPlanStep(t *testing.T) {
 			if len(c.active) != 0 || m.net.Reserved() != 0 || m.disks[0].bw.Reserved() != 0 {
 				t.Fatalf("rollback left %d active, net %d", len(c.active), m.net.Reserved())
 			}
-			// msuDown releases the streams of a placement in dispatch:
-			// commit reports it, and a late rollback frees nothing twice.
+			// msuDown releases the streams of a placement in dispatch: the
+			// stream no longer stands, and a late rollback frees nothing twice.
 			p = c.planLocked(playDemands(c, rec), cands)
 			c.releaseStreamLocked(p.streams[0])
-			if c.commitLocked(p) {
-				t.Fatal("commit accepted a placement whose stream is gone")
+			if c.standingLocked(p, p.streams[0]) {
+				t.Fatal("a placement whose stream is gone still stands")
 			}
 			woke = c.releases
 			c.rollbackLocked(p)
@@ -340,9 +339,10 @@ func TestPlanStep(t *testing.T) {
 				t.Fatalf("re-placement %+v", again)
 			}
 			c.rollbackLocked(old)
-			if c.commitLocked(old) || !c.commitLocked(again) || fresh.net.Reserved() != mpeg {
+			oldStands, newStands := c.standingLocked(old, old.streams[0]), c.standingLocked(again, again.streams[0])
+			if oldStands || !newStands || fresh.net.Reserved() != mpeg {
 				t.Fatalf("old rollback touched the new grant: old standing %v, new standing %v, net %d",
-					c.commitLocked(old), c.commitLocked(again), fresh.net.Reserved())
+					oldStands, newStands, fresh.net.Reserved())
 			}
 		}},
 	}
@@ -448,7 +448,7 @@ func TestLedgerConservationRandomized(t *testing.T) {
 			}
 		case op < 8:
 			what = "plan replica"
-			c.planReplicaLocked(titles[rng.Intn(len(titles))])
+			c.planReplicaLocked(titles[rng.Intn(len(titles))], nil)
 		case op < 9:
 			what = "end replica"
 			var oldest *replication

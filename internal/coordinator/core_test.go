@@ -24,13 +24,13 @@ import (
 )
 
 type coreRig struct {
-	t       *testing.T
+	t       testing.TB
 	c       *Coordinator
 	now     time.Time
 	tickets uint64
 }
 
-func newCoreRig(t *testing.T, cfg Config) *coreRig {
+func newCoreRig(t testing.TB, cfg Config) *coreRig {
 	t.Helper()
 	r := &coreRig{t: t, now: time.Date(2026, 10, 1, 12, 0, 0, 0, time.UTC)}
 	cfg.Types = paperTypes()
@@ -356,6 +356,120 @@ func TestCoreDownHolderEarnsACopy(t *testing.T) {
 	if len(fx.calls) != 1 || fx.calls[0].typ != wire.TypeReplicate || fx.calls[0].to != 4 ||
 		fx.calls[0].req.(wire.Replicate).Source != "transfer:m1" {
 		t.Fatalf("a play queued while m2 is down decided %+v, want one copy from m1 to m3", fx)
+	}
+}
+
+// An orphaned group earns a copy as a fresh play does: with movie on m1
+// and m2, each playing it once, m1 going down orders one copy from m2
+// onto the empty m3 and starts nothing.
+func TestCoreOrphanEarnsACopy(t *testing.T) {
+	r := newCoreRig(t, Config{})
+	r.msu(1, "m1", 2000*units.Kbps, 900, movie) // one mpeg1 slot, 500 Kbps idle
+	r.msu(2, "m2", 2000*units.Kbps, 900, movie)
+	r.msu(4, "m3", 2000*units.Kbps, 900)
+	r.client(3)
+	if ok := r.admit(3, "movie", "tv"); ok.MSU != "m1" {
+		t.Fatalf("the first play landed on %s, want m1", ok.MSU)
+	}
+	r.admit(3, "movie", "tv")
+	fx := r.in(func() { r.c.connDown(r.now, 1) })
+	if len(fx.calls) != 1 || fx.calls[0].typ != wire.TypeReplicate || fx.calls[0].to != 4 ||
+		fx.calls[0].req.(wire.Replicate).Source != "transfer:m2" {
+		t.Fatalf("m1 down with m2 full decided %+v, want one copy from m2 to m3", fx)
+	}
+}
+
+// A group's copies land together, on an MSU holding or receiving
+// another part of the group: with clip and talk on m1, a queued seminar
+// play copies clip to m2, and talk follows it there, not to m3, where
+// neither copy could serve the seminar.
+func TestCoreCompositeCopiesLandTogether(t *testing.T) {
+	// copies returns the copies fx ordered, as content→conn.
+	copies := func(fx effects) map[string]connID {
+		out := map[string]connID{}
+		for _, cl := range fx.calls {
+			if cl.typ == wire.TypeReplicate {
+				out[cl.req.(wire.Replicate).Content] = cl.to
+			}
+		}
+		return out
+	}
+	// rig lists the seminar over clip and talk on m1 (4000 Kbps, also
+	// holding movie), beside the empty m2 and m3.
+	rig := func(t *testing.T) *coreRig {
+		r := newCoreRig(t, Config{})
+		r.msu(1, "m1", 4000*units.Kbps, 900, clip, talk, movie)
+		r.msu(2, "m2", 4000*units.Kbps, 900)
+		r.msu(4, "m3", 4000*units.Kbps, 900)
+		r.client(3)
+		r.seminar()
+		return r
+	}
+	t.Run("holding", func(t *testing.T) {
+		// One seminar plays and leaves bandwidth for one copy at a time:
+		// talk is copied once clip's copy has committed on m2.
+		r := rig(t)
+		tk, fx := r.play(3, "seminar", "sem", false)
+		for cl := startFor(fx, tk); cl != nil; cl = startFor(fx, tk) {
+			fx = r.started(cl, nil)
+		}
+		if a, ok := answerFor(fx, tk); !ok || a.err != nil {
+			t.Fatalf("the first seminar play answered %v, %+v", ok, a)
+		}
+		_, fx = r.play(3, "seminar", "sem", true)
+		if got := copies(fx); len(got) != 1 || got[clip.Name] != 2 {
+			t.Fatalf("the queued seminar play ordered copies %v, want clip to m2 (conn 2)", got)
+		}
+		order := fx.calls[0].req.(wire.Replicate)
+		var err error
+		fx = r.in(func() {
+			err = r.c.replicateDone(2, wire.ReplicateDone{ID: order.ID, Content: clip.Name, Disk: 0, Size: clip.Size})
+		})
+		if err != nil {
+			t.Fatalf("clip's commit on m2: %v", err)
+		}
+		if got := copies(fx); len(got) != 1 || got[talk.Name] != 2 {
+			t.Fatalf("clip's commit ordered copies %v, want talk to m2 (conn 2), beside clip", got)
+		}
+	})
+	t.Run("receiving", func(t *testing.T) {
+		// Two movies leave bandwidth for clip's copy alone; once one ends,
+		// talk is copied while clip's copy is still in flight to m2.
+		r := rig(t)
+		first := r.admit(3, "movie", "tv")
+		r.admit(3, "movie", "tv")
+		_, fx := r.play(3, "seminar", "sem", true)
+		if got := copies(fx); len(got) != 1 || got[clip.Name] != 2 {
+			t.Fatalf("the queued seminar play ordered copies %v, want clip to m2 (conn 2)", got)
+		}
+		fx = r.in(func() { r.c.streamEnded(wire.StreamEnded{Stream: first.Streams[0].Stream, Cause: "eof"}) })
+		if got := copies(fx); len(got) != 1 || got[talk.Name] != 2 {
+			t.Fatalf("a movie's end ordered copies %v, want talk to m2 (conn 2), where clip is going", got)
+		}
+	})
+}
+
+// An orphan whose client is gone is refused, as lost with no one to
+// tell, and is not counted as admitted: queue_wait_seconds does not move.
+func TestCoreOrphanOfGoneClientIsLost(t *testing.T) {
+	r := newCoreRig(t, Config{})
+	r.msu(1, "m1", 1500*units.Kbps, 900, movie) // one mpeg1 slot each
+	r.msu(2, "m2", 1500*units.Kbps, 900, movie)
+	r.client(3)
+	r.client(4)
+	r.admit(3, "movie", "tv")
+	other := r.admit(4, "movie", "tv")
+	if fx := r.in(func() { r.c.connDown(r.now, 1) }); len(fx.calls) != 0 || len(r.c.queue) != 1 {
+		t.Fatalf("m1 down with m2 full decided %+v with %d waiting, want the group waiting", fx, len(r.c.queue))
+	}
+	r.in(func() { r.c.connDown(r.now, 3) })
+	lost := r.c.om.lost.Load()
+	fx := r.in(func() { r.c.streamEnded(wire.StreamEnded{Stream: other.Streams[0].Stream, Cause: "eof"}) })
+	if len(fx.calls)+len(fx.notes) != 0 || len(r.c.queue) != 0 || r.c.om.lost.Load() != lost+1 {
+		t.Fatalf("a release decided %+v with %d waiting, want the group lost and nothing sent", fx, len(r.c.queue))
+	}
+	if n := r.c.ObsSnapshot().Hists["queue_wait_seconds"].Count; n != 0 {
+		t.Fatalf("queue_wait_seconds observed %d waits for a group whose client was gone", n)
 	}
 }
 
@@ -717,8 +831,8 @@ func walkInputs(t *testing.T, seed int64, steps int) string {
 	var calls []call
 	var retired []*schedule.Ledger
 	// deletes holds the administrative deletes' titles by ticket, and
-	// outcomes what they were answered: "ok", "composite ok" or "in use".
-	deletes, outcomes := map[uint64]string{}, map[string]bool{}
+	// outcomes how many were answered "ok", "composite ok" or "in use".
+	deletes, outcomes := map[uint64]string{}, map[string]int{}
 	ordered := map[*removal]bool{} // the drops already checked
 	up := func(id core.MSUID) effects {
 		next++
@@ -813,7 +927,15 @@ func walkInputs(t *testing.T, seed int64, steps int) string {
 			}
 			fx = r.in(func() { c.cacheReport(conns[id], wire.CacheReport{Seq: uint64(step + 1), Disk: 0, Coverage: cov}) })
 		case op < 15:
-			title := named[rng.Intn(len(named))]
+			// A seminar delete is refused while a stream of its children
+			// runs, so the draw aims at the seminar when none does.
+			title, aim := named[rng.Intn(len(named))], true
+			for _, a := range c.active {
+				aim = aim && a.content != clip.Name && a.content != talk.Name
+			}
+			if aim {
+				title = named[len(named)-1]
+			}
 			what = "delete " + title.Name
 			tk := r.ticket()
 			deletes[tk] = title.Name
@@ -835,11 +957,11 @@ func walkInputs(t *testing.T, seed int64, steps int) string {
 			switch name := deletes[a.owner]; {
 			case name == "":
 			case a.err == nil && name == "seminar":
-				outcomes["composite ok"] = true
+				outcomes["composite ok"]++
 			case a.err == nil:
-				outcomes["ok"] = true
+				outcomes["ok"]++
 			case errors.Is(a.err, core.ErrContentInUse):
-				outcomes["in use"] = true
+				outcomes["in use"]++
 			}
 		}
 		fmt.Fprintf(&log, " wake %v\n", fx.wake)
@@ -909,19 +1031,20 @@ func walkInputs(t *testing.T, seed int64, steps int) string {
 		}
 	}
 	for _, want := range []string{"ok", "composite ok", "in use"} {
-		if !outcomes[want] {
+		if outcomes[want] == 0 {
 			t.Fatalf("walk too tame: no delete answered %s in %d steps", want, steps)
 		}
 	}
 	return log.String()
 }
 
-// (f) A fresh play's StartStream outcome is its own verdict: a
-// stream-ended, or its MSU going down, taken before the outcome does not
-// turn a stream the MSU started into a refusal. The client hears PlayOK,
-// the MSU no StopStream, the ledger is released once and nothing counts
-// as rejected; a group its MSU's failure released is re-homed like any
-// orphan.
+// (f) A StartStream outcome is its own verdict, for a fresh play and a
+// re-dispatch alike: a stream-ended, or its MSU going down, taken before
+// the outcome does not turn a stream the MSU started into a refusal. The
+// client hears PlayOK, or stream-migrated once, the MSU no StopStream,
+// the ledger is released once and nothing counts as rejected; a group
+// its MSU's failure released is re-homed like any orphan, and one that
+// ended is not started again.
 func TestCoreEndedBeforeStartOutcome(t *testing.T) {
 	// startedAfter plays movie on conn 3, feeds between before the start's
 	// outcome, and checks the outcome's verdict.
@@ -984,6 +1107,73 @@ func TestCoreEndedBeforeStartOutcome(t *testing.T) {
 		}
 		if n := notesOf(r.started(cl, nil), wire.TypeStreamMigrated); len(n) != 1 || n[0].to != 3 {
 			t.Fatalf("the start on m2 told the client %+v, want migrated", n)
+		}
+	})
+	// redispatchedAfter plays movie on m1 for conn 3, takes m1 down, feeds
+	// between before the re-dispatch's outcome on m2, then the outcome, an
+	// MSU's hello (a release) and the queue's deadline. The outcome counts
+	// nothing as rejected, the client hears stream-migrated once, the MSU
+	// no StopStream, and no second StartStream is ordered for the stream.
+	redispatchedAfter := func(t *testing.T, between func(r *coreRig, id core.StreamID)) (*coreRig, *msuState) {
+		t.Helper()
+		r := newCoreRig(t, Config{QueueTimeout: 5 * time.Second})
+		r.msu(1, "m1", 1500*units.Kbps, 900, movie) // one mpeg1 slot each
+		r.msu(2, "m2", 1500*units.Kbps, 900, movie)
+		r.client(3)
+		r.admit(3, "movie", "tv")
+		m2 := r.c.msus["m2"]
+		cl := startFor(r.in(func() { r.c.connDown(r.now, 1) }), 0)
+		if cl == nil || cl.to != 2 {
+			t.Fatal("m1 down started nothing on m2")
+		}
+		id := cl.req.(wire.StartStream).Spec.Stream
+		rejected := r.c.om.rejected.Load()
+		r.in(func() { between(r, id) })
+		fx := r.started(cl, nil)
+		if n := r.c.om.rejected.Load(); n != rejected {
+			t.Fatalf("admission_rejected_total went from %d to %d", rejected, n)
+		}
+		fxs := []effects{fx, r.msu(5, "m3", 1500*units.Kbps, 900), r.advance(5 * time.Second)}
+		var migrated int
+		for _, fx := range fxs {
+			migrated += len(notesOf(fx, wire.TypeStreamMigrated))
+			if n := notesOf(fx, wire.TypeStopStream); len(n) != 0 {
+				t.Fatalf("a started stream was stopped: %+v", n)
+			}
+			for _, c := range fx.calls {
+				if c.typ == wire.TypeStartStream && c.req.(wire.StartStream).Spec.Stream == id {
+					t.Fatalf("stream %d was started again, on conn %d", id, c.to)
+				}
+			}
+		}
+		if migrated != 1 {
+			t.Fatalf("the client heard stream-migrated %d times, want once", migrated)
+		}
+		checkConservation(t, r.c, msuLedgers(m2), "after the outcome")
+		return r, m2
+	}
+	t.Run("re-dispatch, stream-ended", func(t *testing.T) {
+		r, m2 := redispatchedAfter(t, func(r *coreRig, id core.StreamID) {
+			r.c.streamEnded(wire.StreamEnded{Stream: id, Cause: "quit"})
+		})
+		if m2.net.Reserved() != 0 || m2.disks[0].bw.Reserved() != 0 {
+			t.Fatalf("m2: net %d, disk %d reserved after the stream ended", m2.net.Reserved(), m2.disks[0].bw.Reserved())
+		}
+		// The slot came back once: one play fits on m2, the next does not.
+		if ok := r.admit(3, "movie", "tv"); ok.MSU != "m2" {
+			t.Fatalf("a play after the stream ended landed on %s, want m2", ok.MSU)
+		}
+		tk, fx := r.play(3, "movie", "tv", false)
+		if a, ok := answerFor(fx, tk); !ok || a.err == nil {
+			t.Fatalf("a play past m2's one slot: %+v", fx)
+		}
+	})
+	t.Run("re-dispatch, msu-down", func(t *testing.T) {
+		_, m2 := redispatchedAfter(t, func(r *coreRig, _ core.StreamID) { r.c.connDown(r.now, 2) })
+		for _, l := range msuLedgers(m2) {
+			if l.Reserved() != 0 {
+				t.Fatalf("m2's ledgers hold %d after it went down", l.Reserved())
+			}
 		}
 	})
 }
@@ -1050,4 +1240,46 @@ func TestCoreRecordCommitEvents(t *testing.T) {
 	}
 	want(evs[0], streams[1].Content, fmt.Sprintf("size %v, length 3s", 200*units.KB))
 	want(evs[1], "talk", fmt.Sprintf("size %v, length 3s", 300*units.KB))
+}
+
+// BenchmarkRelease is one release while plays wait on one title on a
+// full disk, whose one slot a running play holds: a stream-ended of that
+// play, which admits the first waiting one (its start is answered and a
+// play queued behind the rest outside the timer, so as many wait at the
+// next op), or a cache report from the disk, which admits none. Every
+// waiting play is tried again either way.
+func BenchmarkRelease(b *testing.B) {
+	for _, waiting := range []int{10, 100, 4000} {
+		for _, op := range []string{"ended", "report"} {
+			b.Run(fmt.Sprintf("waiting=%d/%s", waiting, op), func(b *testing.B) {
+				r := newCoreRig(b, Config{QueueTimeout: time.Hour})
+				r.msu(1, "m1", 1500*units.Kbps, 900, movie) // one mpeg1 slot
+				r.client(2)
+				running := r.admit(2, "movie", "tv").Streams[0].Stream
+				for i := 0; i < waiting; i++ {
+					r.play(2, "movie", "tv", true)
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if op == "report" {
+						r.report(1)
+						continue
+					}
+					fx := r.in(func() { r.c.streamEnded(wire.StreamEnded{Stream: running, Cause: "eof"}) })
+					b.StopTimer()
+					if len(fx.calls) != 1 || fx.calls[0].typ != wire.TypeStartStream {
+						b.Fatalf("a stream-ended with %d waiting decided %+v, want one start", waiting, fx)
+					}
+					running = fx.calls[0].req.(wire.StartStream).Spec.Stream
+					r.started(&fx.calls[0], nil)
+					r.play(2, "movie", "tv", true)
+					b.StartTimer()
+				}
+				if len(r.c.queue) != waiting {
+					b.Fatalf("%d plays waiting at the end, want %d", len(r.c.queue), waiting)
+				}
+			})
+		}
+	}
 }

@@ -335,12 +335,10 @@ func (c *engine) request(now time.Time, w *waiting) {
 // placed (or needs placing no more), a busy error to keep it waiting.
 func (c *engine) admit(w *waiting) error {
 	switch r := w.req.(type) {
-	case *wire.Play:
-		return c.admitPlay(w, r)
+	case *wire.Play, *orphan:
+		return c.admitGroup(w)
 	case *wire.Record:
 		return c.admitRecord(w, r)
-	case *orphan:
-		return c.admitOrphan(w, r)
 	default:
 		return c.admitMSU(w, r.(*wire.MSUHello))
 	}

@@ -77,10 +77,11 @@ func (c *engine) replicationFor(name string) *replication {
 }
 
 // planReplicationLocked orders the transfer the admission decision
-// planned for rec, if it planned one (planReplicaLocked holds the policy
-// and takes the grant). A failed order ends the transfer.
-func (c *engine) planReplicationLocked(rec *admindb.ContentRecord) {
-	r := c.planReplicaLocked(rec)
+// planned for rec, copied for play group group (nil for none), if it
+// planned one (planReplicaLocked holds the policy and takes the grant). A
+// failed order ends the transfer.
+func (c *engine) planReplicationLocked(rec *admindb.ContentRecord, group []*admindb.ContentRecord) {
+	r := c.planReplicaLocked(rec, group)
 	if r == nil {
 		return
 	}
@@ -116,7 +117,7 @@ func (c *engine) maybeReplicateOnHeatLocked(d *diskState) {
 	sort.Strings(names)
 	for _, name := range names {
 		if d.coverage[name].Players >= hotPlayers {
-			c.planReplicationLocked(c.db.Content(name))
+			c.planReplicationLocked(c.db.Content(name), nil)
 		}
 	}
 }

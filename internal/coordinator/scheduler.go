@@ -562,32 +562,6 @@ func (c *engine) orphanLocked(now time.Time, m core.MSUID, id uint64, streams []
 	return nil
 }
 
-// admitOrphan re-places an orphaned play group, keeping its stream and
-// group IDs, on a live MSU holding every part.
-func (c *engine) admitOrphan(w *waiting, g *orphan) error {
-	if c.sessions[w.session] == nil {
-		return nil // client gone; no one to deliver to
-	}
-	demands := make([]demand, len(g.streams))
-	parts := make([]*admindb.ContentRecord, len(g.streams))
-	for i, a := range g.streams {
-		demands[i] = demand{a: a}
-		if parts[i] = c.db.Content(a.content); parts[i] == nil {
-			return busy("content %q no longer registered", a.content)
-		}
-	}
-	cands := c.playCandidatesLocked(parts)
-	if len(cands) == 0 {
-		return busy("no live MSU holds a replica")
-	}
-	p := c.place(demands, cands)
-	if p == nil {
-		return busy("a replica exists but no MSU has bandwidth")
-	}
-	c.dispatch(&dispatch{placement: p, w: w})
-	return nil
-}
-
 // migrated tells the client of session its orphaned group has a new
 // home.
 func (c *engine) migrated(session core.SessionID, g *orphan, p *placement) {
@@ -852,63 +826,96 @@ func (c *engine) play(now time.Time, owner uint64, conn connID, req wire.Play) {
 	c.request(now, &waiting{owner: owner, session: c.sessionID(conn), req: &req, deadline: c.queueDeadline(now, req.Wait)})
 }
 
-// admitPlay is one pass of the admission path for a play.
-func (c *engine) admitPlay(w *waiting, req *wire.Play) error {
+// admitGroup is one pass of the admission path for a play group, a
+// fresh play's or one its MSU's failure orphaned: the two differ only in
+// how the group's demands are built (admitPlay, or the orphan's own
+// streams) and, in started, in the reply. The client's session must be
+// live; an orphan whose client is gone is lost, with no one to tell. The
+// group goes on the first live MSU holding every part with room for all
+// of it. With a holder but no room, each part earns a copy, and the
+// copy's commit runs the group again.
+func (c *engine) admitGroup(w *waiting) error {
 	s, err := c.liveSession(w.session)
 	if err != nil {
 		return err
 	}
+	// A play's IDs are issued once the group is placed; a pass that stops
+	// short of it has issued none.
+	ids, info := c.ids, core.ContentInfo{}
+	var parts []*admindb.ContentRecord
+	var demands []demand
+	if req, ok := w.req.(*wire.Play); ok {
+		if parts, demands, err = c.admitPlay(s, req, &ids, &info); err != nil {
+			return err
+		}
+	} else {
+		// An orphan keeps its stream and group IDs.
+		var names []string
+		for _, a := range w.req.(*orphan).streams {
+			rec := c.db.Content(a.content)
+			if rec == nil {
+				return busy("content %q no longer registered", a.content)
+			}
+			parts, demands, names = append(parts, rec), append(demands, demand{a: a}), append(names, a.content)
+		}
+		info.Name = strings.Join(names, "+")
+	}
+	cands := c.playCandidatesLocked(parts)
+	if len(cands) == 0 {
+		return busy("%w: no live MSU holds %q", core.ErrMSUUnavailable, info.Name)
+	}
+	p := c.place(demands, cands)
+	if p == nil {
+		// Every replica is out of bandwidth, background copies included.
+		// Plan another replica of each part: by the time it commits, this
+		// group runs again and finds the new candidate.
+		for _, part := range parts {
+			c.planReplicationLocked(part, parts)
+		}
+		return busy("%w: no replica of %q has bandwidth", core.ErrNoResources, info.Name)
+	}
+	c.ids = ids
+	c.dispatch(&dispatch{placement: p, w: w, info: info})
+	return nil
+}
+
+// admitPlay builds a fresh play's group: the title's parts and a demand
+// for each, numbered on ids and bound for the session's port, with the
+// title in info for the reply.
+func (c *engine) admitPlay(s *session, req *wire.Play, ids *admindb.Counters, info *core.ContentInfo) ([]*admindb.ContentRecord, []demand, error) {
 	port, ok := s.ports[req.Port]
 	if !ok {
-		return fmt.Errorf("%w: %q", core.ErrNoSuchPort, req.Port)
+		return nil, nil, fmt.Errorf("%w: %q", core.ErrNoSuchPort, req.Port)
 	}
 	rec, parts, err := c.expandContent(req.Content)
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
 	// "Calliope checks that the port and the content have the same
 	// type" (§2.1).
 	if port.Type != rec.Info.Type {
-		return fmt.Errorf("%w: content %q is %q, port %q is %q",
+		return nil, nil, fmt.Errorf("%w: content %q is %q, port %q is %q",
 			core.ErrTypeMismatch, req.Content, rec.Info.Type, port.Name, port.Type)
 	}
 	if req.ControlAddr == "" {
-		return fmt.Errorf("%w: play needs a control address", core.ErrBadRequest)
+		return nil, nil, fmt.Errorf("%w: play needs a control address", core.ErrBadRequest)
 	}
-	cands := c.playCandidatesLocked(parts)
-	if len(cands) == 0 {
-		return busy("%w: no live MSU holds %q", core.ErrMSUUnavailable, req.Content)
-	}
-	// The IDs are issued once the group is placed; a pass that stops
-	// short of it has issued none.
-	ids := c.ids
+	*info = rec.Info
 	ids.NextGroup++
 	demands := make([]demand, len(parts))
 	for i, part := range parts {
 		t, ok := c.db.Type(part.Info.Type)
 		if !ok {
-			return fmt.Errorf("%w: %q", core.ErrNoSuchType, part.Info.Type)
+			return nil, nil, fmt.Errorf("%w: %q", core.ErrNoSuchType, part.Info.Type)
 		}
 		data, ctrl, err := portForType(s, port, part.Info.Type)
 		if err != nil {
-			return err
+			return nil, nil, err
 		}
-		demands[i] = demand{a: newStream(&ids, s.id, len(parts), part.Info.Name, t, req.ControlAddr)}
+		demands[i] = demand{a: newStream(ids, s.id, len(parts), part.Info.Name, t, req.ControlAddr)}
 		demands[i].a.spec.DestAddr, demands[i].a.spec.CtrlAddr = data, ctrl
 	}
-	p := c.place(demands, cands)
-	if p == nil {
-		// Every replica is out of bandwidth, background copies included.
-		// Plan another replica: by the time it commits, this queued play
-		// runs again and finds the new candidate.
-		for _, part := range parts {
-			c.planReplicationLocked(part)
-		}
-		return busy("%w: no replica of %q has bandwidth", core.ErrNoResources, req.Content)
-	}
-	c.ids = ids
-	c.dispatch(&dispatch{placement: p, w: w, info: rec.Info})
-	return nil
+	return parts, demands, nil
 }
 
 // record schedules a recording: it needs an MSU with disk bandwidth and
@@ -1032,7 +1039,7 @@ func (c *engine) place(demands []demand, cands []candidate) *placement {
 type dispatch struct {
 	*placement
 	w       *waiting
-	info    core.ContentInfo // a play's title, for its reply
+	info    core.ContentInfo // a play's title, for its reply; an orphan's part names
 	sent    int              // StartStreams answered so far
 	replies []wire.StartStreamOK
 	down    []*activeStream // what its MSU's failure released meanwhile
@@ -1049,22 +1056,16 @@ func (c *engine) startNext(d *dispatch) {
 		func(now time.Time, err error) { c.started(now, d, err) })
 }
 
-// started takes one StartStream's outcome. A re-dispatched group is
-// committed by the last one if it still stands where it was placed (the
-// MSU may have died after answering); a fresh play or recording has
-// started whatever ended since, and what its MSU's failure released is
-// re-homed as msuDown would have. A failure stops what started and rolls
-// back: a request hears why, an orphaned group waits again for a release
-// later than its own rollback.
+// started takes one StartStream's outcome, the start's verdict for every
+// kind of group: what ended meanwhile was released as it ended, and what
+// its MSU's failure released is re-homed as msuDown would have. A
+// failure stops what started and rolls back: a request hears why, an
+// orphaned group waits again for a release later than its own rollback.
 func (c *engine) started(now time.Time, d *dispatch, err error) {
-	g, redispatch := d.w.req.(*orphan)
 	if err == nil {
 		if d.sent++; d.sent < len(d.specs) {
 			c.startNext(d)
 			return
-		}
-		if redispatch && !c.commitLocked(d.placement) {
-			err = fmt.Errorf("MSU %q failed during the start", d.m.id)
 		}
 	}
 	delete(c.starting, d.specs[0].Group)
@@ -1074,26 +1075,26 @@ func (c *engine) started(now time.Time, d *dispatch, err error) {
 		}
 		c.rollbackLocked(d.placement)
 	}
-	if redispatch {
-		if err == nil {
-			c.migrated(d.w.session, g, d.placement)
-		} else if !c.closed {
+	g, orphaned := d.w.req.(*orphan)
+	switch req, play := d.w.req.(*wire.Play); {
+	case err != nil && orphaned:
+		if !c.closed {
 			c.hold(d.w, busy("re-dispatch to %q failed: %v", d.m.id, err))
 			c.queue = append(c.queue, d.w)
 		}
 		return
-	}
-	if err != nil {
-		if _, rec := d.w.req.(*wire.Record); rec {
+	case err != nil:
+		if !play {
 			c.apply(admindb.DeleteRecording(d.specs[0].Group)) //nolint:errcheck // counted and logged inside; an unsettled entry is re-reported lost after the next restart
 		}
 		c.om.rejected.Inc()
 		c.answer(d.w.owner, nil, fmt.Errorf("coordinator: starting on %q: %w", d.m.id, err))
 		return
-	}
-	if req, ok := d.w.req.(*wire.Play); ok {
+	case orphaned:
+		c.migrated(d.w.session, g, d.placement)
+	case play:
 		c.playStarted(d, req)
-	} else {
+	default:
 		c.recordStarted(d)
 	}
 	if len(d.down) > 0 {

@@ -455,22 +455,20 @@ func playMovieAfterRecovery(t *testing.T, cluster *Cluster) {
 	}
 }
 
-// TestFaultCopyReplacesDownHolder: a copy on a down MSU is no copy.
-// movie is on msu0 and msu1, and hog on msu1 alone. With msu0 crashed
-// and msu1's disk budget taken by a hog play, a waiting movie play plans
-// a copy onto msu2 and is admitted there once the copy commits. With
-// msu1 crashed too, a play of movie delivers every byte from msu2.
-func TestFaultCopyReplacesDownHolder(t *testing.T) {
+// downHolderCluster starts three MSUs: movie on msu0 and msu1, hog on
+// msu1 alone, msu2 empty. A disk admits one 1500 Kbps play, and the 1400
+// Kbps it leaves idle carries a copy. dial opens a session with an mpeg1
+// port "tv" on a capturing receiver.
+func downHolderCluster(t *testing.T) (inj []*faultinject.Injector, movie []Packet, dial func(user string) (*Client, *Receiver)) {
+	t.Helper()
 	hog, movie := shortMovie(t, hogDur), shortMovie(t, movieDur)
-	inj := make([]*faultinject.Injector, 3)
+	inj = make([]*faultinject.Injector, 3)
 	for i := range inj {
 		inj[i] = faultinject.New(faultinject.Options{})
 	}
 	cluster, err := StartCluster(ClusterConfig{
-		MSUs:      3,
-		BlockSize: 64 * 1024,
-		// One 1500 Kbps play a disk: the 1400 Kbps it leaves idle carries
-		// a copy and admits no second play.
+		MSUs:          3,
+		BlockSize:     64 * 1024,
 		DiskBandwidth: 2900 * units.Kbps,
 		CacheBytes:    -1,
 		// Past the copy's few seconds: a play no copy serves fails here.
@@ -494,8 +492,7 @@ func TestFaultCopyReplacesDownHolder(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(cluster.Close)
-	// dial opens a session with an mpeg1 port "tv" on a capturing receiver.
-	dial := func(user string) (*Client, *Receiver) {
+	return inj, movie, func(user string) (*Client, *Receiver) {
 		c, err := Dial(cluster.Addr(), user)
 		if err != nil {
 			t.Fatal(err)
@@ -512,7 +509,15 @@ func TestFaultCopyReplacesDownHolder(t *testing.T) {
 		}
 		return c, recv
 	}
+}
 
+// TestFaultCopyReplacesDownHolder: a copy on a down MSU is no copy.
+// In downHolderCluster, with msu0 crashed and msu1's disk budget taken
+// by a hog play, a waiting movie play plans a copy onto msu2 and is
+// admitted there once the copy commits. With msu1 crashed too, a play of
+// movie delivers every byte from msu2.
+func TestFaultCopyReplacesDownHolder(t *testing.T) {
+	inj, movie, dial := downHolderCluster(t)
 	admin, _ := dial("alice")
 	crash(inj[0])
 	await.Until(t, "msu0 seen down", msusAvailable(admin, 2))
@@ -559,6 +564,64 @@ func TestFaultCopyReplacesDownHolder(t *testing.T) {
 	for i := range got {
 		if string(got[i].Payload) != string(movie[i].Payload) {
 			t.Fatalf("packet %d from msu2 differs from the title ingested", i)
+		}
+	}
+}
+
+// TestFaultOrphanMigratesOntoCopy: an orphaned group earns a copy as a
+// fresh play does. In downHolderCluster a viewer plays movie on msu0 and
+// a hog takes msu1's disk budget. When msu0 crashes, the group's one
+// live holder has no room, so the group waits while movie is copied onto
+// msu2, then migrates there, and the viewer's receiver gets the rest of
+// the title byte for byte.
+func TestFaultOrphanMigratesOntoCopy(t *testing.T) {
+	inj, movie, dial := downHolderCluster(t)
+	viewer, recv := dial("bob")
+	stream, err := viewer.Play("movie", "tv", false)
+	if err != nil || stream.Info().MSU != "msu0" {
+		t.Fatalf("movie play: %v, want it on msu0, the first holder", err)
+	}
+	admin, _ := dial("alice")
+	if s, err := admin.Play("hog", "tv", false); err != nil || s.Info().MSU != "msu1" {
+		t.Fatalf("hog play: %v, want it on msu1", err)
+	}
+	if !recv.WaitCount(3, 5*time.Second) {
+		t.Fatal("the movie never started on msu0")
+	}
+	crash(inj[0])
+	select {
+	case m := <-stream.Migrated():
+		if m.MSU != "msu2" {
+			t.Fatalf("migrated to %q, want msu2, where the copy landed", m.MSU)
+		}
+	case l := <-stream.Lost():
+		t.Fatalf("the orphaned group was lost (%q) instead of earning a copy", l.Reason)
+	case <-time.After(15 * time.Second):
+		t.Fatal("no migration within 15s of msu0's crash")
+	}
+	select {
+	case <-stream.EOF():
+	case <-time.After(15 * time.Second):
+		t.Fatal("no EOF from msu2 within 15s")
+	}
+	// Every packet is one of the title's, byte for byte, and the title's
+	// last one, which only msu2 could send, arrived.
+	want := make(map[string]bool, len(movie))
+	for _, p := range movie {
+		want[string(p.Payload)] = true
+	}
+	last := string(movie[len(movie)-1].Payload)
+	await.Until(t, "the title's last packet", func() bool {
+		for _, p := range recv.Packets() {
+			if string(p.Payload) == last {
+				return true
+			}
+		}
+		return false
+	})
+	for i, p := range recv.Packets() {
+		if !want[string(p.Payload)] {
+			t.Fatalf("packet %d (%d bytes) is none of the title's", i, len(p.Payload))
 		}
 	}
 }
