@@ -12,11 +12,12 @@ build:
 vet:
 	$(GO) vet ./...
 
-# gofmt, then Calliope's own analyzers: spscrole, walltime, atomiccopy,
-# errdropped, pageref, lockorder, goroleak (see DESIGN.md, "Static
-# analysis & invariants"). A file gofmt would change fails the target,
-# named.
-lint:
+# Every static rule: go vet (its copylocks check keeps the atomic
+# counters from being copied), gofmt, then Calliope's own analyzers:
+# spscrole, walltime, errdropped, pageref, lockorder, goroleak (see
+# DESIGN.md, "Static analysis & invariants"). A file gofmt would change
+# fails the target, named.
+lint: vet
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then echo "gofmt -l:"; echo "$$unformatted"; exit 1; fi
 	$(GO) run ./cmd/calliope-vet ./...
 
@@ -78,8 +79,11 @@ leakcheck:
 # orphaned group is placed, copied for and started as a fresh play is:
 # it earns a copy when its live holder is full (TestCoreOrphanEarnsACopy,
 # and end to end TestFaultOrphanMigratesOntoCopy), a re-dispatch's start
-# outcome is its verdict (TestCoreEndedBeforeStartOutcome), and an orphan
-# whose client is gone is lost (TestCoreOrphanOfGoneClientIsLost); a
+# outcome is its verdict, one whose member ended before the group
+# started is lost, not started again, and a stream-ended from another
+# MSU than the stream's is ignored (TestCoreEndedBeforeStartOutcome),
+# and an orphan whose client is gone is lost
+# (TestCoreOrphanOfGoneClientIsLost); a
 # group's copies land together (TestCoreCompositeCopiesLandTogether);
 # and a stored record that does not decode ends the cue without being
 # sent (TestCorruptRecordEndsTheCue).

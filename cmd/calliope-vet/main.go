@@ -1,11 +1,12 @@
 // Command calliope-vet is Calliope's custom static-analysis
 // multichecker. It runs the repo-specific analyzers — spscrole,
-// walltime, atomiccopy, errdropped, pageref, lockorder, goroleak —
-// over the packages named on the command line and exits non-zero if
-// any invariant is violated. Per-package checks run package by
-// package; cross-package checks (lockorder's acquisition graph,
-// goroleak's spawn-target resolution) run once over the whole load
-// set.
+// walltime, errdropped, pageref, lockorder, goroleak — over the
+// packages named on the command line and exits non-zero if any
+// invariant is violated. Per-package checks run package by package;
+// cross-package checks (lockorder's acquisition graph, goroleak's
+// spawn-target resolution) run once over the whole load set. That an
+// atomic counter is never copied is go vet's copylocks check, not
+// one of these.
 //
 // Usage:
 //
@@ -13,11 +14,13 @@
 //	go run ./cmd/calliope-vet ./internal/msu ./internal/coordinator
 //	go run ./cmd/calliope-vet -list
 //
-// Patterns are module-relative directories; the trailing /... wildcard
-// matches every package under a directory. The tool needs no network
-// and no GOPATH: module packages are resolved from the module root and
-// the standard library is type-checked from GOROOT source. Analyzer
-// diagnostics explain how to suppress false positives; see DESIGN.md
+// Patterns are go list's: `go list` names the module and those of its
+// packages with Go files that the patterns match (so `all` is the
+// module's packages, as `./...` is at its root), and patterns that
+// match none of them fail. The tool needs no network and no GOPATH:
+// module packages are parsed from the module root and the standard
+// library is type-checked from GOROOT source. Analyzer diagnostics
+// explain how to suppress false positives; see DESIGN.md
 // ("Static analysis & invariants").
 package main
 
@@ -25,12 +28,10 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"os/exec"
 	"path/filepath"
-	"regexp"
-	"sort"
 	"strings"
 
-	"calliope/internal/analysis/atomiccopy"
 	"calliope/internal/analysis/errdropped"
 	"calliope/internal/analysis/framework"
 	"calliope/internal/analysis/goroleak"
@@ -43,7 +44,6 @@ import (
 var analyzers = []*framework.Analyzer{
 	spscrole.Analyzer,
 	walltime.Analyzer,
-	atomiccopy.Analyzer,
 	errdropped.Analyzer,
 	pageref.Analyzer,
 	lockorder.Analyzer,
@@ -87,13 +87,19 @@ func main() {
 		patterns = []string{"./..."}
 	}
 
-	root, modPath, err := findModule()
+	mod, err := goList("-m", "-f", "{{.Path}}\n{{.Dir}}")
 	if err != nil {
 		fatalf("%v", err)
 	}
-	paths, err := expand(root, modPath, patterns)
+	modPath, root := mod[0], mod[1]
+	// Only the module's own packages: `all` names the standard library
+	// too, which the loader type-checks only as a dependency.
+	paths, err := goList(append([]string{"-f", "{{if and .GoFiles .Module .Module.Main}}{{.ImportPath}}{{end}}"}, patterns...)...)
 	if err != nil {
 		fatalf("%v", err)
+	}
+	if len(paths) == 0 {
+		fatalf("no package of the module matches %s", strings.Join(patterns, " "))
 	}
 
 	loader := framework.NewLoader()
@@ -131,126 +137,22 @@ func main() {
 	os.Exit(exit)
 }
 
-// findModule walks upward from the working directory to go.mod and
-// reads the module path.
-func findModule() (root, modPath string, err error) {
-	dir, err := os.Getwd()
+// goList runs go list with args and returns the lines it prints,
+// empty ones dropped; what it says on stderr passes through.
+func goList(args ...string) ([]string, error) {
+	cmd := exec.Command("go", append([]string{"list"}, args...)...)
+	cmd.Stderr = os.Stderr
+	out, err := cmd.Output()
 	if err != nil {
-		return "", "", err
+		return nil, fmt.Errorf("go list: %w", err)
 	}
-	for {
-		data, rerr := os.ReadFile(filepath.Join(dir, "go.mod"))
-		if rerr == nil {
-			m := regexp.MustCompile(`(?m)^module\s+(\S+)`).FindSubmatch(data)
-			if m == nil {
-				return "", "", fmt.Errorf("no module line in %s/go.mod", dir)
-			}
-			return dir, string(m[1]), nil
-		}
-		parent := filepath.Dir(dir)
-		if parent == dir {
-			return "", "", fmt.Errorf("no go.mod above the working directory")
-		}
-		dir = parent
-	}
-}
-
-// expand resolves command-line patterns to module import paths.
-func expand(root, modPath string, patterns []string) ([]string, error) {
-	seen := make(map[string]bool)
-	var out []string
-	add := func(p string) {
-		if !seen[p] {
-			seen[p] = true
-			out = append(out, p)
+	var lines []string
+	for _, line := range strings.Split(string(out), "\n") {
+		if line != "" {
+			lines = append(lines, line)
 		}
 	}
-	for _, pat := range patterns {
-		recursive := false
-		if pat == "all" {
-			pat = "./..."
-		}
-		if strings.HasSuffix(pat, "/...") || pat == "..." {
-			recursive = true
-			pat = strings.TrimSuffix(pat, "...")
-			pat = strings.TrimSuffix(pat, "/")
-			if pat == "" {
-				pat = "."
-			}
-		}
-		dir := pat
-		if strings.HasPrefix(pat, modPath) {
-			dir = "./" + strings.TrimPrefix(strings.TrimPrefix(pat, modPath), "/")
-		}
-		abs := dir
-		if !filepath.IsAbs(abs) {
-			abs = filepath.Join(root, dir)
-		}
-		if recursive {
-			if err := walkPackages(root, modPath, abs, add); err != nil {
-				return nil, err
-			}
-			continue
-		}
-		if p, ok := importPath(root, modPath, abs); ok {
-			add(p)
-		} else {
-			return nil, fmt.Errorf("no Go package at %s", pat)
-		}
-	}
-	sort.Strings(out)
-	return out, nil
-}
-
-// walkPackages adds every directory under base containing Go files.
-func walkPackages(root, modPath, base string, add func(string)) error {
-	return filepath.WalkDir(base, func(path string, d os.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if !d.IsDir() {
-			return nil
-		}
-		name := d.Name()
-		if path != base && (strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") || name == "testdata") {
-			return filepath.SkipDir
-		}
-		if p, ok := importPath(root, modPath, path); ok {
-			add(p)
-		}
-		return nil
-	})
-}
-
-// importPath maps a directory with Go files to its module import path.
-func importPath(root, modPath, dir string) (string, bool) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return "", false
-	}
-	hasGo := false
-	for _, e := range entries {
-		name := e.Name()
-		if !e.IsDir() && strings.HasSuffix(name, ".go") && !strings.HasSuffix(name, "_test.go") &&
-			!strings.HasPrefix(name, ".") && !strings.HasPrefix(name, "_") {
-			hasGo = true
-			break
-		}
-	}
-	if !hasGo {
-		return "", false
-	}
-	rel, err := filepath.Rel(root, dir)
-	if err != nil {
-		return "", false
-	}
-	if rel == "." {
-		return modPath, true
-	}
-	if strings.HasPrefix(rel, "..") {
-		return "", false
-	}
-	return modPath + "/" + filepath.ToSlash(rel), true
+	return lines, nil
 }
 
 type stringsFlag []string

@@ -68,7 +68,7 @@ func check(pass *framework.Pass, call *ast.CallExpr, how string) {
 	if fn == nil {
 		return
 	}
-	pass.Reportf(call.Pos(), "error from %s.%s %s: a dropped control-plane error hangs the peer — handle it or annotate //nolint:errcheck", pkgBase(fn), fn.Name(), how)
+	pass.Reportf(call.Pos(), "error from %s.%s %s: a dropped control-plane error hangs the peer — handle it or annotate //nolint:errcheck", framework.PkgBase(fn.Pkg()), fn.Name(), how)
 }
 
 // checkFuncLit reports a go/defer of a function literal whose own
@@ -122,14 +122,14 @@ func checkValueSpec(pass *framework.Pass, n *ast.ValueSpec) {
 			}
 			for j := 0; j < sig.Results().Len() && j < len(n.Names); j++ {
 				if isErrorType(sig.Results().At(j).Type()) && n.Names[j].Name == "_" {
-					pass.Reportf(n.Names[j].Pos(), "error from %s.%s assigned to _: a dropped control-plane error hangs the peer — handle it or annotate //nolint:errcheck", pkgBase(fn), fn.Name())
+					pass.Reportf(n.Names[j].Pos(), "error from %s.%s assigned to _: a dropped control-plane error hangs the peer — handle it or annotate //nolint:errcheck", framework.PkgBase(fn.Pkg()), fn.Name())
 				}
 			}
 			continue
 		}
 		if i < len(n.Names) && n.Names[i].Name == "_" {
 			if tv, ok := pass.TypesInfo.Types[call]; ok && isErrorType(tv.Type) {
-				pass.Reportf(n.Names[i].Pos(), "error from %s.%s assigned to _: a dropped control-plane error hangs the peer — handle it or annotate //nolint:errcheck", pkgBase(fn), fn.Name())
+				pass.Reportf(n.Names[i].Pos(), "error from %s.%s assigned to _: a dropped control-plane error hangs the peer — handle it or annotate //nolint:errcheck", framework.PkgBase(fn.Pkg()), fn.Name())
 			}
 		}
 	}
@@ -153,7 +153,7 @@ func checkAssign(pass *framework.Pass, n *ast.AssignStmt) {
 					continue
 				}
 				if id, ok := n.Lhs[i].(*ast.Ident); ok && id.Name == "_" {
-					pass.Reportf(n.Lhs[i].Pos(), "error from %s.%s assigned to _: a dropped control-plane error hangs the peer — handle it or annotate //nolint:errcheck", pkgBase(fn), fn.Name())
+					pass.Reportf(n.Lhs[i].Pos(), "error from %s.%s assigned to _: a dropped control-plane error hangs the peer — handle it or annotate //nolint:errcheck", framework.PkgBase(fn.Pkg()), fn.Name())
 				}
 			}
 			return
@@ -177,7 +177,7 @@ func checkAssign(pass *framework.Pass, n *ast.AssignStmt) {
 			continue
 		}
 		if tv, ok := pass.TypesInfo.Types[call]; ok && isErrorType(tv.Type) {
-			pass.Reportf(n.Lhs[i].Pos(), "error from %s.%s assigned to _: a dropped control-plane error hangs the peer — handle it or annotate //nolint:errcheck", pkgBase(fn), fn.Name())
+			pass.Reportf(n.Lhs[i].Pos(), "error from %s.%s assigned to _: a dropped control-plane error hangs the peer — handle it or annotate //nolint:errcheck", framework.PkgBase(fn.Pkg()), fn.Name())
 		}
 	}
 }
@@ -185,16 +185,7 @@ func checkAssign(pass *framework.Pass, n *ast.AssignStmt) {
 // target resolves call's callee to a *types.Func declared in a target
 // package whose signature returns an error; nil otherwise.
 func target(pass *framework.Pass, call *ast.CallExpr) *types.Func {
-	var obj types.Object
-	switch f := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		obj = pass.TypesInfo.Uses[f]
-	case *ast.SelectorExpr:
-		obj = pass.TypesInfo.Uses[f.Sel]
-	default:
-		return nil
-	}
-	fn, ok := obj.(*types.Func)
+	fn, ok := framework.Callee(pass.TypesInfo, call).(*types.Func)
 	if !ok || fn.Pkg() == nil || !targetPkg(fn.Pkg().Path()) {
 		return nil
 	}
@@ -222,11 +213,3 @@ func targetPkg(path string) bool {
 var errorType = types.Universe.Lookup("error").Type()
 
 func isErrorType(t types.Type) bool { return types.Identical(t, errorType) }
-
-func pkgBase(fn *types.Func) string {
-	path := fn.Pkg().Path()
-	if i := strings.LastIndex(path, "/"); i >= 0 {
-		return path[i+1:]
-	}
-	return path
-}

@@ -4,9 +4,11 @@
 //
 // Calliope's correctness rests on invariants the compiler cannot see:
 // the SPSC queue's single-producer/single-consumer contract (§2.3),
-// wall-clock-free deterministic packages, structs of atomic counters
-// that must never be copied, and control-plane errors that must never
-// be dropped. The analyzers under internal/analysis encode those
+// wall-clock-free deterministic packages, control-plane errors that
+// must never be dropped, pages released once, one lock order and a
+// shutdown edge for every goroutine. (That atomic counters are never
+// copied is go vet's copylocks check.) The analyzers under
+// internal/analysis encode those
 // invariants; this package gives them an x/tools-shaped API (Analyzer,
 // Pass, Diagnostic) plus a loader, so they read like standard go/vet
 // checkers while the tree stays dependency-free.
@@ -79,6 +81,9 @@ type ProjectPass struct {
 	Analyzer *Analyzer
 	Fset     *token.FileSet
 	Pkgs     []*Package
+	// Funcs indexes every function and method declared with a body in
+	// Pkgs by its object.
+	Funcs map[types.Object]*Func
 
 	diags *[]Diagnostic
 }
@@ -107,6 +112,7 @@ func RunProject(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 		return nil, nil
 	}
 	var diags []Diagnostic
+	var funcs map[types.Object]*Func
 	for _, a := range analyzers {
 		if a.Run != nil {
 			for _, pkg := range pkgs {
@@ -124,10 +130,14 @@ func RunProject(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 			}
 		}
 		if a.RunAll != nil {
+			if funcs == nil {
+				funcs = indexFuncs(pkgs)
+			}
 			pass := &ProjectPass{
 				Analyzer: a,
 				Fset:     pkgs[0].Fset,
 				Pkgs:     pkgs,
+				Funcs:    funcs,
 				diags:    &diags,
 			}
 			if err := a.RunAll(pass); err != nil {

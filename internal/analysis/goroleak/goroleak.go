@@ -23,7 +23,6 @@ package goroleak
 import (
 	"go/ast"
 	"go/token"
-	"go/types"
 
 	"calliope/internal/analysis/framework"
 )
@@ -36,20 +35,6 @@ var Analyzer = &framework.Analyzer{
 }
 
 func runAll(pass *framework.ProjectPass) error {
-	// Index every function declaration so named spawn targets resolve
-	// across packages.
-	decls := make(map[types.Object]*ast.FuncDecl)
-	for _, pkg := range pass.Pkgs {
-		for _, f := range pkg.Files {
-			for _, decl := range f.Decls {
-				if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
-					if obj := pkg.Info.Defs[fd.Name]; obj != nil {
-						decls[obj] = fd
-					}
-				}
-			}
-		}
-	}
 	for _, pkg := range pass.Pkgs {
 		for _, f := range pkg.Files {
 			info := pkg.Info
@@ -61,10 +46,8 @@ func runAll(pass *framework.ProjectPass) error {
 				var body *ast.BlockStmt
 				if lit, okL := g.Call.Fun.(*ast.FuncLit); okL {
 					body = lit.Body
-				} else if obj := calleeObj(info, g.Call); obj != nil {
-					if fd := decls[obj]; fd != nil {
-						body = fd.Body
-					}
+				} else if fn := pass.Funcs[framework.Callee(info, g.Call)]; fn != nil {
+					body = fn.Decl.Body
 				}
 				if body == nil {
 					return true
@@ -194,19 +177,4 @@ func isTerminalCall(call *ast.CallExpr) bool {
 		}
 	}
 	return false
-}
-
-// calleeObj resolves the spawned function/method to its object.
-func calleeObj(info *types.Info, call *ast.CallExpr) types.Object {
-	switch f := call.Fun.(type) {
-	case *ast.Ident:
-		if obj, ok := info.Uses[f].(*types.Func); ok {
-			return obj
-		}
-	case *ast.SelectorExpr:
-		if obj, ok := info.Uses[f.Sel].(*types.Func); ok {
-			return obj
-		}
-	}
-	return nil
 }

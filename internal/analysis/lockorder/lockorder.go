@@ -24,9 +24,10 @@
 // goroutines spawned with `go` start with an empty held set (they do
 // not inherit the spawner's locks), and a callee re-acquiring the
 // class the caller already holds is not an edge (the *Locked-suffix
-// convention, e.g. waitMSUReleaseLocked, drops and retakes the
-// caller's lock). Cycles that are provably unreachable can be
-// suppressed with //nolint:lockorder plus a justification.
+// convention: such a function runs under its caller's lock and may
+// drop and retake it, as testdata's waitTableLocked does). Cycles that
+// are provably unreachable can be suppressed with //nolint:lockorder
+// plus a justification.
 package lockorder
 
 import (
@@ -47,13 +48,6 @@ var Analyzer = &framework.Analyzer{
 	RunAll: runAll,
 }
 
-// funcInfo is one function declaration in the load set.
-type funcInfo struct {
-	decl *ast.FuncDecl
-	pkg  *framework.Package
-	name string
-}
-
 // heldLock is one acquisition currently in force during the scan.
 type heldLock struct {
 	class    string
@@ -71,7 +65,6 @@ type edge struct {
 
 type state struct {
 	pass  *framework.ProjectPass
-	funcs map[types.Object]*funcInfo
 	acq   map[types.Object]map[string]bool
 	edges map[string]map[string]*edge
 }
@@ -79,24 +72,8 @@ type state struct {
 func runAll(pass *framework.ProjectPass) error {
 	st := &state{
 		pass:  pass,
-		funcs: make(map[types.Object]*funcInfo),
 		acq:   make(map[types.Object]map[string]bool),
 		edges: make(map[string]map[string]*edge),
-	}
-	for _, pkg := range pass.Pkgs {
-		for _, f := range pkg.Files {
-			for _, decl := range f.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
-				}
-				obj := pkg.Info.Defs[fd.Name]
-				if obj == nil {
-					continue
-				}
-				st.funcs[obj] = &funcInfo{decl: fd, pkg: pkg, name: fd.Name.Name}
-			}
-		}
 	}
 	st.buildAcquireSets()
 	for _, fi := range st.sortedFuncs() {
@@ -108,12 +85,12 @@ func runAll(pass *framework.ProjectPass) error {
 
 // sortedFuncs returns the functions in file-position order so edge
 // witnesses (first edge wins) are deterministic.
-func (st *state) sortedFuncs() []*funcInfo {
-	out := make([]*funcInfo, 0, len(st.funcs))
-	for _, fi := range st.funcs {
+func (st *state) sortedFuncs() []*framework.Func {
+	out := make([]*framework.Func, 0, len(st.pass.Funcs))
+	for _, fi := range st.pass.Funcs {
 		out = append(out, fi)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].decl.Pos() < out[j].decl.Pos() })
+	sort.Slice(out, func(i, j int) bool { return out[i].Decl.Pos() < out[j].Decl.Pos() })
 	return out
 }
 
@@ -124,7 +101,7 @@ func (st *state) sortedFuncs() []*funcInfo {
 func (st *state) buildAcquireSets() {
 	direct := make(map[types.Object]map[string]bool)
 	callees := make(map[types.Object][]types.Object)
-	for obj, fi := range st.funcs {
+	for obj, fi := range st.pass.Funcs {
 		d := make(map[string]bool)
 		var calls []types.Object
 		var visit func(n ast.Node) bool
@@ -145,13 +122,13 @@ func (st *state) buildAcquireSets() {
 					}
 					return true
 				}
-				if callee := calleeObj(fi.pkg.Info, n); callee != nil {
+				if callee := framework.Callee(fi.Pkg.Info, n); callee != nil {
 					calls = append(calls, callee)
 				}
 			}
 			return true
 		}
-		ast.Inspect(fi.decl.Body, visit)
+		ast.Inspect(fi.Decl.Body, visit)
 		direct[obj] = d
 		callees[obj] = calls
 	}
@@ -164,7 +141,7 @@ func (st *state) buildAcquireSets() {
 	}
 	for changed := true; changed; {
 		changed = false
-		for obj := range st.funcs {
+		for obj := range st.pass.Funcs {
 			acc := st.acq[obj]
 			for _, callee := range callees[obj] {
 				for c := range st.acq[callee] {
@@ -180,11 +157,11 @@ func (st *state) buildAcquireSets() {
 
 // scanFunc walks one function body with a held-lock set, recording
 // ordering edges.
-func (st *state) scanFunc(fi *funcInfo) {
-	st.scanStmts(fi, fi.decl.Body.List, make(map[string]heldLock))
+func (st *state) scanFunc(fi *framework.Func) {
+	st.scanStmts(fi, fi.Decl.Body.List, make(map[string]heldLock))
 }
 
-func (st *state) scanStmts(fi *funcInfo, stmts []ast.Stmt, held map[string]heldLock) {
+func (st *state) scanStmts(fi *framework.Func, stmts []ast.Stmt, held map[string]heldLock) {
 	for _, s := range stmts {
 		st.scanStmt(fi, s, held)
 	}
@@ -198,7 +175,7 @@ func copyHeld(held map[string]heldLock) map[string]heldLock {
 	return out
 }
 
-func (st *state) scanStmt(fi *funcInfo, s ast.Stmt, held map[string]heldLock) {
+func (st *state) scanStmt(fi *framework.Func, s ast.Stmt, held map[string]heldLock) {
 	switch s := s.(type) {
 	case *ast.ExprStmt:
 		if call, ok := s.X.(*ast.CallExpr); ok {
@@ -310,7 +287,7 @@ func (st *state) scanStmt(fi *funcInfo, s ast.Stmt, held map[string]heldLock) {
 // scanCalls finds resolvable calls inside an expression or simple
 // statement and propagates the callee's transitive acquisitions as
 // edges from every held lock.
-func (st *state) scanCalls(fi *funcInfo, n ast.Node, held map[string]heldLock) {
+func (st *state) scanCalls(fi *framework.Func, n ast.Node, held map[string]heldLock) {
 	if n == nil || len(held) == 0 {
 		return
 	}
@@ -322,7 +299,7 @@ func (st *state) scanCalls(fi *funcInfo, n ast.Node, held map[string]heldLock) {
 			if op, _, _, _ := st.lockCall(fi, n); op != "" {
 				return true
 			}
-			callee := calleeObj(fi.pkg.Info, n)
+			callee := framework.Callee(fi.Pkg.Info, n)
 			if callee == nil {
 				return true
 			}
@@ -357,7 +334,7 @@ func (st *state) addEdge(h heldLock, to string, pos token.Pos, via string) {
 
 // lockCall classifies call as a mutex op: op is "lock"/"unlock" or ""
 // when it is not one.
-func (st *state) lockCall(fi *funcInfo, call *ast.CallExpr) (op, class, instance string, write bool) {
+func (st *state) lockCall(fi *framework.Func, call *ast.CallExpr) (op, class, instance string, write bool) {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
 		return "", "", "", false
@@ -371,23 +348,23 @@ func (st *state) lockCall(fi *funcInfo, call *ast.CallExpr) (op, class, instance
 		return "", "", "", false
 	}
 	write = sel.Sel.Name == "Lock" || sel.Sel.Name == "Unlock"
-	info := fi.pkg.Info
-	recv := unparen(sel.X)
+	info := fi.Pkg.Info
+	recv := ast.Unparen(sel.X)
 	tv, ok := info.Types[recv]
-	if !ok || !isSyncMutex(tv.Type) {
+	if !ok || !framework.IsNamed(tv.Type, "sync", "Mutex", "RWMutex") {
 		return "", "", "", false
 	}
 	class, ok = mutexClass(info, fi, recv)
 	if !ok {
 		return "", "", "", false
 	}
-	instance, _ = refKey(info, recv)
+	instance, _ = framework.RefKey(info, recv)
 	return op, class, instance, write
 }
 
 // mutexClass names the declaration-site class of a mutex expression.
-func mutexClass(info *types.Info, fi *funcInfo, e ast.Expr) (string, bool) {
-	switch x := unparen(e).(type) {
+func mutexClass(info *types.Info, fi *framework.Func, e ast.Expr) (string, bool) {
+	switch x := ast.Unparen(e).(type) {
 	case *ast.SelectorExpr:
 		// owner.field — class is OwnerType.field.
 		tv, ok := info.Types[x.X]
@@ -411,12 +388,12 @@ func mutexClass(info *types.Info, fi *funcInfo, e ast.Expr) (string, bool) {
 			return "", false
 		}
 		if obj.Pkg() != nil && obj.Parent() == obj.Pkg().Scope() {
-			return pkgDisplay(obj.Pkg()) + "." + obj.Name(), true
+			return framework.PkgBase(obj.Pkg()) + "." + obj.Name(), true
 		}
 		// Local or parameter mutex: a class of its own, keyed by its
 		// declaration so same-named locals in other functions stay
 		// distinct.
-		return fmt.Sprintf("%s.%s.%s", pkgDisplay(fi.pkg.Types), fi.name, obj.Name()), true
+		return fmt.Sprintf("%s.%s.%s", framework.PkgBase(fi.Pkg.Types), fi.Decl.Name.Name, obj.Name()), true
 	case *ast.StarExpr:
 		return mutexClass(info, fi, x.X)
 	case *ast.UnaryExpr:
@@ -431,21 +408,13 @@ func typeDisplay(obj *types.TypeName) string {
 	if obj.Pkg() == nil {
 		return obj.Name()
 	}
-	return pkgDisplay(obj.Pkg()) + "." + obj.Name()
-}
-
-func pkgDisplay(p *types.Package) string {
-	path := p.Path()
-	if i := strings.LastIndex(path, "/"); i >= 0 {
-		return path[i+1:]
-	}
-	return path
+	return framework.PkgBase(obj.Pkg()) + "." + obj.Name()
 }
 
 // reportCycles reports every edge that lies on a cycle.
 func (st *state) reportCycles() {
-	for _, from := range sortedKeys2(st.edges) {
-		for _, to := range sortedKeys3(st.edges[from]) {
+	for _, from := range sortedKeys(st.edges) {
+		for _, to := range sortedKeys(st.edges[from]) {
 			path := st.findPath(to, from)
 			if path == nil {
 				continue
@@ -481,7 +450,7 @@ func (st *state) findPath(from, to string) []string {
 			}
 			return path
 		}
-		for _, next := range sortedKeys3(st.edges[h.node]) {
+		for _, next := range sortedKeys(st.edges[h.node]) {
 			if !visited[next] {
 				visited[next] = true
 				queue = append(queue, &hop{node: next, prev: h})
@@ -489,41 +458,6 @@ func (st *state) findPath(from, to string) []string {
 		}
 	}
 	return nil
-}
-
-// calleeObj resolves the called function/method to its object.
-func calleeObj(info *types.Info, call *ast.CallExpr) types.Object {
-	switch f := unparen(call.Fun).(type) {
-	case *ast.Ident:
-		if obj, ok := info.Uses[f].(*types.Func); ok {
-			return obj
-		}
-	case *ast.SelectorExpr:
-		if obj, ok := info.Uses[f.Sel].(*types.Func); ok {
-			return obj
-		}
-	}
-	return nil
-}
-
-// isSyncMutex reports whether t is (a pointer to) sync.Mutex or
-// sync.RWMutex.
-func isSyncMutex(t types.Type) bool {
-	if t == nil {
-		return false
-	}
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	if obj == nil || obj.Pkg() == nil || obj.Pkg().Path() != "sync" {
-		return false
-	}
-	return obj.Name() == "Mutex" || obj.Name() == "RWMutex"
 }
 
 func sortedHeld(held map[string]heldLock) []heldLock {
@@ -535,69 +469,12 @@ func sortedHeld(held map[string]heldLock) []heldLock {
 	return out
 }
 
-func sortedKeys(m map[string]bool) []string {
+// sortedKeys returns m's keys in order, so witnesses are deterministic.
+func sortedKeys[V any](m map[string]V) []string {
 	out := make([]string, 0, len(m))
 	for k := range m {
 		out = append(out, k)
 	}
 	sort.Strings(out)
 	return out
-}
-
-func sortedKeys2(m map[string]map[string]*edge) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
-func sortedKeys3(m map[string]*edge) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
-func unparen(e ast.Expr) ast.Expr {
-	for {
-		p, ok := e.(*ast.ParenExpr)
-		if !ok {
-			return e
-		}
-		e = p.X
-	}
-}
-
-// refKey produces a stable instance key for a variable or field chain.
-func refKey(info *types.Info, e ast.Expr) (string, bool) {
-	switch x := e.(type) {
-	case *ast.Ident:
-		obj := info.Uses[x]
-		if obj == nil {
-			obj = info.Defs[x]
-		}
-		if obj == nil {
-			return "", false
-		}
-		return fmt.Sprintf("obj@%d", obj.Pos()), true
-	case *ast.ParenExpr:
-		return refKey(info, x.X)
-	case *ast.SelectorExpr:
-		base, ok := refKey(info, x.X)
-		if !ok {
-			return "", false
-		}
-		return base + "." + x.Sel.Name, true
-	case *ast.StarExpr:
-		return refKey(info, x.X)
-	case *ast.UnaryExpr:
-		if x.Op == token.AND {
-			return refKey(info, x.X)
-		}
-	}
-	return "", false
 }

@@ -24,11 +24,9 @@
 package pageref
 
 import (
-	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strings"
 
 	"calliope/internal/analysis/framework"
 )
@@ -64,7 +62,7 @@ func run(pass *framework.Pass) error {
 
 // acquire is one point where the function takes ownership of a pin.
 type acquire struct {
-	key  string // refKey of the variable holding the ref
+	key  string // RefKey of the variable holding the ref
 	what string // human name of the acquiring call
 	pos  token.Pos
 	path []ast.Node
@@ -177,7 +175,7 @@ func (u *unitScan) visit(n ast.Node, stack []ast.Node, depth int) {
 // hand-off stores at depth 0.
 func (u *unitScan) assign(n *ast.AssignStmt, stack []ast.Node) {
 	for i, rhs := range n.Rhs {
-		if call, ok := unparen(rhs).(*ast.CallExpr); ok {
+		if call, ok := ast.Unparen(rhs).(*ast.CallExpr); ok {
 			if what := u.acquireName(call); what != "" {
 				var lhs ast.Expr
 				switch {
@@ -189,7 +187,7 @@ func (u *unitScan) assign(n *ast.AssignStmt, stack []ast.Node) {
 				if lhs == nil {
 					continue
 				}
-				id, isIdent := unparen(lhs).(*ast.Ident)
+				id, isIdent := ast.Unparen(lhs).(*ast.Ident)
 				if isIdent && id.Name == "_" {
 					u.pass.Reportf(call.Pos(), "result of %s is dropped: the pinned page can never be released (assign the *PageRef and Release it, or hand it off)", what)
 					continue
@@ -200,7 +198,7 @@ func (u *unitScan) assign(n *ast.AssignStmt, stack []ast.Node) {
 				if !isIdent {
 					continue
 				}
-				if key, ok := refKey(u.pass.TypesInfo, lhs); ok {
+				if key, ok := framework.RefKey(u.pass.TypesInfo, lhs); ok {
 					u.acquires = append(u.acquires, acquire{key: key, what: what, pos: call.Pos(), path: clone(stack)})
 				}
 				continue
@@ -218,7 +216,7 @@ func (u *unitScan) assign(n *ast.AssignStmt, stack []ast.Node) {
 
 // exprStmt handles dropped acquire results and Retain pins.
 func (u *unitScan) exprStmt(n *ast.ExprStmt, stack []ast.Node) {
-	call, ok := unparen(n.X).(*ast.CallExpr)
+	call, ok := ast.Unparen(n.X).(*ast.CallExpr)
 	if !ok {
 		return
 	}
@@ -230,7 +228,7 @@ func (u *unitScan) exprStmt(n *ast.ExprStmt, stack []ast.Node) {
 	if !ok || sel.Sel.Name != "Retain" || !u.recvIs(sel, "PageRef", "queue") {
 		return
 	}
-	if key, ok := refKey(u.pass.TypesInfo, sel.X); ok {
+	if key, ok := framework.RefKey(u.pass.TypesInfo, sel.X); ok {
 		u.acquires = append(u.acquires, acquire{key: key, what: "PageRef.Retain", pos: call.Pos(), path: clone(stack)})
 	}
 }
@@ -258,22 +256,22 @@ func (u *unitScan) acquireName(call *ast.CallExpr) string {
 // the named type from the named package.
 func (u *unitScan) recvIs(sel *ast.SelectorExpr, name, pkg string) bool {
 	selection := u.pass.TypesInfo.Selections[sel]
-	return selection != nil && isNamed(selection.Recv(), name, pkg)
+	return selection != nil && framework.IsNamed(selection.Recv(), pkg, name)
 }
 
 // sinkIfRef records e as a hand-off sink when it is a trackable
 // *queue.PageRef expression.
 func (u *unitScan) sinkIfRef(e ast.Expr, stack []ast.Node) {
-	e = unparen(e)
+	e = ast.Unparen(e)
 	tv, ok := u.pass.TypesInfo.Types[e]
-	if !ok || !isNamed(tv.Type, "PageRef", "queue") {
+	if !ok || !framework.IsNamed(tv.Type, "queue", "PageRef") {
 		return
 	}
 	u.sinkExpr(e, stack)
 }
 
 func (u *unitScan) sinkExpr(e ast.Expr, stack []ast.Node) {
-	if key, ok := refKey(u.pass.TypesInfo, e); ok {
+	if key, ok := framework.RefKey(u.pass.TypesInfo, e); ok {
 		u.sinks = append(u.sinks, event{key: key, pos: e.Pos(), path: clone(stack)})
 	}
 }
@@ -381,7 +379,7 @@ func nilGuarded(path []ast.Node, key string, info *types.Info) bool {
 // condImpliesNil reports whether cond evaluating to val implies the
 // ref named key is nil.
 func condImpliesNil(cond ast.Expr, key string, val bool, info *types.Info) bool {
-	switch c := unparen(cond).(type) {
+	switch c := ast.Unparen(cond).(type) {
 	case *ast.BinaryExpr:
 		switch c.Op {
 		case token.LAND:
@@ -412,8 +410,8 @@ func condImpliesNil(cond ast.Expr, key string, val bool, info *types.Info) bool 
 // nilCompare reports whether b compares the ref named key against nil.
 func nilCompare(b *ast.BinaryExpr, key string, info *types.Info) bool {
 	for _, pair := range [2][2]ast.Expr{{b.X, b.Y}, {b.Y, b.X}} {
-		if id, ok := unparen(pair[1]).(*ast.Ident); ok && id.Name == "nil" {
-			if k, ok := refKey(info, pair[0]); ok && k == key {
+		if id, ok := ast.Unparen(pair[1]).(*ast.Ident); ok && id.Name == "nil" {
+			if k, ok := framework.RefKey(info, pair[0]); ok && k == key {
 				return true
 			}
 		}
@@ -423,66 +421,4 @@ func nilCompare(b *ast.BinaryExpr, key string, info *types.Info) bool {
 
 func clone(stack []ast.Node) []ast.Node {
 	return append([]ast.Node(nil), stack...)
-}
-
-func unparen(e ast.Expr) ast.Expr {
-	for {
-		p, ok := e.(*ast.ParenExpr)
-		if !ok {
-			return e
-		}
-		e = p.X
-	}
-}
-
-// isNamed reports whether t is (a pointer to) the named type from a
-// package whose path ends in pkg.
-func isNamed(t types.Type, name, pkg string) bool {
-	if t == nil {
-		return false
-	}
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	if obj == nil || obj.Name() != name || obj.Pkg() == nil {
-		return false
-	}
-	path := obj.Pkg().Path()
-	return path == pkg || strings.HasSuffix(path, "/"+pkg)
-}
-
-// refKey produces a stable key for a variable or field-chain
-// expression, so `p`, `s.page` and `(s.page)` alias correctly.
-func refKey(info *types.Info, e ast.Expr) (string, bool) {
-	switch x := e.(type) {
-	case *ast.Ident:
-		obj := info.Uses[x]
-		if obj == nil {
-			obj = info.Defs[x]
-		}
-		if obj == nil {
-			return "", false
-		}
-		return fmt.Sprintf("obj@%d", obj.Pos()), true
-	case *ast.ParenExpr:
-		return refKey(info, x.X)
-	case *ast.SelectorExpr:
-		base, ok := refKey(info, x.X)
-		if !ok {
-			return "", false
-		}
-		return base + "." + x.Sel.Name, true
-	case *ast.StarExpr:
-		return refKey(info, x.X)
-	case *ast.UnaryExpr:
-		if x.Op == token.AND {
-			return refKey(info, x.X)
-		}
-	}
-	return "", false
 }

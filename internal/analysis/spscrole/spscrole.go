@@ -26,8 +26,6 @@ import (
 	"fmt"
 	"go/ast"
 	"go/token"
-	"go/types"
-	"strings"
 
 	"calliope/internal/analysis/framework"
 )
@@ -160,10 +158,10 @@ func (w *walker) recordCall(call *ast.CallExpr, ctx, weight int) {
 		return
 	}
 	selection := w.pass.TypesInfo.Selections[sel]
-	if selection == nil || !isSPSC(selection.Recv()) {
+	if selection == nil || !framework.IsNamed(selection.Recv(), "queue", "SPSC") {
 		return
 	}
-	key, ok := refKey(w.pass.TypesInfo, sel.X)
+	key, ok := framework.RefKey(w.pass.TypesInfo, sel.X)
 	if !ok {
 		return
 	}
@@ -183,22 +181,22 @@ func (w *walker) recordCall(call *ast.CallExpr, ctx, weight int) {
 
 // recordSpawn notes `go F(..., q, ...)` for the duplicate-fan-out check.
 func (w *walker) recordSpawn(g *ast.GoStmt, weight int) {
-	key, name := calleeKey(w.pass.TypesInfo, g.Call)
-	if key == "" {
+	fn := framework.Callee(w.pass.TypesInfo, g.Call)
+	if fn == nil {
 		return
 	}
 	for _, arg := range g.Call.Args {
 		tv, ok := w.pass.TypesInfo.Types[arg]
-		if !ok || !isSPSC(tv.Type) {
+		if !ok || !framework.IsNamed(tv.Type, "queue", "SPSC") {
 			continue
 		}
-		qkey, ok := refKey(w.pass.TypesInfo, arg)
+		qkey, ok := framework.RefKey(w.pass.TypesInfo, arg)
 		if !ok {
 			continue
 		}
-		id := qkey + "→" + key
+		id := fmt.Sprintf("%s→%s@%d", qkey, fn.Name(), fn.Pos())
 		if _, seen := w.spawns[id]; seen || weight > 1 {
-			w.pass.Reportf(g.Pos(), "SPSC queue passed to multiple goroutines running %s: the single-role contract needs exactly one producer and one consumer", name)
+			w.pass.Reportf(g.Pos(), "SPSC queue passed to multiple goroutines running %s: the single-role contract needs exactly one producer and one consumer", fn.Name())
 		} else {
 			w.spawns[id] = use{pos: g.Pos(), weight: weight}
 		}
@@ -239,68 +237,4 @@ func (w *walker) reportMultiRole(m map[int]use, role, op string) {
 			w.pass.Reportf(last.pos, "SPSC queue has multiple %s (%d goroutine contexts call %s)", role, len(m), op)
 		}
 	}
-}
-
-// isSPSC reports whether t is (a pointer to) queue.SPSC.
-func isSPSC(t types.Type) bool {
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	if obj == nil || obj.Name() != "SPSC" || obj.Pkg() == nil {
-		return false
-	}
-	path := obj.Pkg().Path()
-	return path == "queue" || strings.HasSuffix(path, "/queue")
-}
-
-// refKey produces a stable key for a variable or field-chain
-// expression, so `q`, `p.q` and `(p.q)` alias correctly.
-func refKey(info *types.Info, e ast.Expr) (string, bool) {
-	switch x := e.(type) {
-	case *ast.Ident:
-		obj := info.Uses[x]
-		if obj == nil {
-			obj = info.Defs[x]
-		}
-		if obj == nil {
-			return "", false
-		}
-		return fmt.Sprintf("obj@%d", obj.Pos()), true
-	case *ast.SelectorExpr:
-		base, ok := refKey(info, x.X)
-		if !ok {
-			return "", false
-		}
-		return base + "." + x.Sel.Name, true
-	case *ast.ParenExpr:
-		return refKey(info, x.X)
-	case *ast.StarExpr:
-		return refKey(info, x.X)
-	case *ast.UnaryExpr:
-		if x.Op == token.AND {
-			return refKey(info, x.X)
-		}
-	}
-	return "", false
-}
-
-// calleeKey resolves the callee of a go statement to an
-// identity-bearing key and a printable name.
-func calleeKey(info *types.Info, call *ast.CallExpr) (key, name string) {
-	switch f := call.Fun.(type) {
-	case *ast.Ident:
-		if obj := info.Uses[f]; obj != nil {
-			return fmt.Sprintf("%s@%d", f.Name, obj.Pos()), f.Name
-		}
-	case *ast.SelectorExpr:
-		if obj := info.Uses[f.Sel]; obj != nil {
-			return fmt.Sprintf("%s@%d", f.Sel.Name, obj.Pos()), f.Sel.Name
-		}
-	}
-	return "", ""
 }

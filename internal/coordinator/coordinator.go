@@ -396,7 +396,7 @@ func (c *Coordinator) handle(id connID, msgType string, body json.RawMessage) (a
 	case wire.TypeCacheReport:
 		return input(c, body, func(_ time.Time, req wire.CacheReport) (any, error) { c.cacheReport(id, req); return nil, nil })
 	case wire.TypeStreamEnded:
-		return input(c, body, func(_ time.Time, req wire.StreamEnded) (any, error) { c.streamEnded(req); return nil, nil })
+		return input(c, body, func(_ time.Time, req wire.StreamEnded) (any, error) { c.streamEnded(id, req); return nil, nil })
 	case wire.TypeRecordingDone:
 		return input(c, body, func(_ time.Time, req wire.RecordingDone) (any, error) { return nil, c.recordingDone(id, req) })
 	case wire.TypeReplicateDone:

@@ -314,7 +314,7 @@ func TestQueuedPlayProceedsOnRelease(t *testing.T) {
 	}()
 	await.Until(t, "the play to queue", queueHolds(c, 1))
 	// Free the slot by ending the first stream (as the MSU would).
-	c.step(func(time.Time) { c.streamEnded(wire.StreamEnded{Stream: first.Streams[0].Stream, Cause: "test"}) })
+	c.step(func(time.Time) { endStream(c, first.Streams[0].Stream, "test") })
 	select {
 	case err := <-done:
 		if err != nil {
@@ -577,7 +577,7 @@ func TestRecordQueuesForSpace(t *testing.T) {
 		}, nil)
 	}()
 	await.Until(t, "the recording to queue", queueHolds(c, 1))
-	c.step(func(time.Time) { c.streamEnded(wire.StreamEnded{Stream: first.Streams[0].Stream, Cause: "abort"}) })
+	c.step(func(time.Time) { endStream(c, first.Streams[0].Stream, "abort") })
 	select {
 	case err := <-done:
 		if err != nil {

@@ -107,6 +107,16 @@ func (r *coreRig) seminar() {
 	}
 }
 
+// endStream feeds stream id's stream-ended from the connection of the
+// MSU it stands on, as that MSU would send it.
+func endStream(c *Coordinator, id core.StreamID, cause string) {
+	var conn connID
+	if a := c.active[id]; a != nil {
+		conn = c.msus[a.msu].conn
+	}
+	c.streamEnded(conn, wire.StreamEnded{Stream: id, Cause: cause})
+}
+
 // started answers call cl and takes what that decided.
 func (r *coreRig) started(cl *call, err error) effects {
 	return r.in(func() { cl.then(r.now, err) })
@@ -176,7 +186,7 @@ func TestCoreQueueReleaseAndDeadline(t *testing.T) {
 	}
 	r.now = r.now.Add(time.Second)
 	third, _ := r.play(4, "movie", "tv", true)
-	fx = r.in(func() { r.c.streamEnded(wire.StreamEnded{Stream: first.Streams[0].Stream, Cause: "eof"}) })
+	fx = r.in(func() { endStream(r.c, first.Streams[0].Stream, "eof") })
 	cl := startFor(fx, second)
 	if cl == nil || startFor(fx, third) != nil {
 		t.Fatalf("stream-ended decided %+v, want the first queued play started", fx)
@@ -206,7 +216,7 @@ func TestCoreQueueNoHeadOfLineBlocking(t *testing.T) {
 	r.admit(2, "movie", "tv")
 	big, _ := r.play(2, "clip", "v", true)
 	small, _ := r.play(2, "movie", "tv", true)
-	fx := r.in(func() { r.c.streamEnded(wire.StreamEnded{Stream: held.Streams[0].Stream, Cause: "eof"}) })
+	fx := r.in(func() { endStream(r.c, held.Streams[0].Stream, "eof") })
 	if startFor(fx, big) != nil || startFor(fx, small) == nil {
 		t.Fatalf("after one slot freed: %+v, want only the smaller play started", fx)
 	}
@@ -268,7 +278,7 @@ func TestCoreMSUDown(t *testing.T) {
 			t.Fatalf("a start that never succeeded stopped %+v", n)
 		}
 		// A release elsewhere is worth another try.
-		fx = r.in(func() { r.c.streamEnded(wire.StreamEnded{Stream: other.Streams[0].Stream, Cause: "eof"}) })
+		fx = r.in(func() { endStream(r.c, other.Streams[0].Stream, "eof") })
 		if cl = startFor(fx, 0); cl == nil {
 			t.Fatalf("a release decided %+v, want the group tried again", fx)
 		}
@@ -442,7 +452,7 @@ func TestCoreCompositeCopiesLandTogether(t *testing.T) {
 		if got := copies(fx); len(got) != 1 || got[clip.Name] != 2 {
 			t.Fatalf("the queued seminar play ordered copies %v, want clip to m2 (conn 2)", got)
 		}
-		fx = r.in(func() { r.c.streamEnded(wire.StreamEnded{Stream: first.Streams[0].Stream, Cause: "eof"}) })
+		fx = r.in(func() { endStream(r.c, first.Streams[0].Stream, "eof") })
 		if got := copies(fx); len(got) != 1 || got[talk.Name] != 2 {
 			t.Fatalf("a movie's end ordered copies %v, want talk to m2 (conn 2), where clip is going", got)
 		}
@@ -464,7 +474,7 @@ func TestCoreOrphanOfGoneClientIsLost(t *testing.T) {
 	}
 	r.in(func() { r.c.connDown(r.now, 3) })
 	lost := r.c.om.lost.Load()
-	fx := r.in(func() { r.c.streamEnded(wire.StreamEnded{Stream: other.Streams[0].Stream, Cause: "eof"}) })
+	fx := r.in(func() { endStream(r.c, other.Streams[0].Stream, "eof") })
 	if len(fx.calls)+len(fx.notes) != 0 || len(r.c.queue) != 0 || r.c.om.lost.Load() != lost+1 {
 		t.Fatalf("a release decided %+v with %d waiting, want the group lost and nothing sent", fx, len(r.c.queue))
 	}
@@ -647,7 +657,7 @@ func TestCoreDeleteCompositeInUse(t *testing.T) {
 		t.Fatalf("a delete of the playing seminar decided %+v, want it refused as in use at once", fx)
 	}
 	for _, s := range a.v.(*wire.PlayOK).Streams {
-		r.in(func() { r.c.streamEnded(wire.StreamEnded{Stream: s.Stream, Cause: "eof"}) })
+		r.in(func() { endStream(r.c, s.Stream, "eof") })
 	}
 	del = r.ticket()
 	fx = r.in(func() { r.c.deleteContent(del, 3, "seminar") })
@@ -792,7 +802,7 @@ func TestCoreQueuedPlayPreemptsCopy(t *testing.T) {
 		t.Fatalf("a useless preemption: %+v", fx)
 	}
 	// The movie ends: the copy's room plus the movie's admits the clip.
-	fx = r.in(func() { r.c.streamEnded(wire.StreamEnded{Stream: held.Streams[0].Stream, Cause: "eof"}) })
+	fx = r.in(func() { endStream(r.c, held.Streams[0].Stream, "eof") })
 	if n := notesOf(fx, wire.TypeReplicateAbort); len(n) != 1 || n[0].to != 2 || startFor(fx, queued) == nil {
 		t.Fatalf("after the movie ended: %+v, want the copy aborted and the clip started", fx)
 	}
@@ -813,7 +823,8 @@ func TestCoreQueuedPlayPreemptsCopy(t *testing.T) {
 // every location on a live registration names one of its disks, that a
 // drop leaves its title another live holder when it is ordered, that
 // every removal in flight targets a replica the catalog lists and no
-// stream runs on, and that running the queue again places nothing. It
+// stream runs on, that no StartStream names a stream whose stream-ended
+// the core took, and that running the queue again places nothing. It
 // returns a transcript of every decision, so two walks from one seed
 // can be compared.
 func walkInputs(t *testing.T, seed int64, steps int) string {
@@ -833,7 +844,8 @@ func walkInputs(t *testing.T, seed int64, steps int) string {
 	// deletes holds the administrative deletes' titles by ticket, and
 	// outcomes how many were answered "ok", "composite ok" or "in use".
 	deletes, outcomes := map[uint64]string{}, map[string]int{}
-	ordered := map[*removal]bool{} // the drops already checked
+	ordered := map[*removal]bool{}    // the drops already checked
+	ended := map[core.StreamID]bool{} // the streams whose stream-ended the core took
 	up := func(id core.MSUID) effects {
 		next++
 		conns[id] = next
@@ -889,7 +901,8 @@ func walkInputs(t *testing.T, seed int64, steps int) string {
 			}
 			sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 			id := ids[rng.Intn(len(ids))]
-			fx = r.in(func() { c.streamEnded(wire.StreamEnded{Stream: id, Cause: "eof"}) })
+			ended[id] = true
+			fx = r.in(func() { endStream(c, id, "eof") })
 		case op < 8:
 			id := msus[rng.Intn(len(msus))]
 			what = "msu-down " + string(id)
@@ -975,6 +988,11 @@ func walkInputs(t *testing.T, seed int64, steps int) string {
 			}
 		}
 		checkConservation(t, c, append(live, retired...), when)
+		for _, cl := range fx.calls {
+			if start, ok := cl.req.(wire.StartStream); ok && ended[start.Spec.Stream] {
+				t.Fatalf("%s: stream %d is started on conn %d after it ended", when, start.Spec.Stream, cl.to)
+			}
+		}
 		for _, a := range c.active {
 			if m := c.msus[a.msu]; m == nil || !m.alive {
 				t.Fatalf("%s: stream %d active on %s, which is not up", when, a.id, a.msu)
@@ -1077,7 +1095,7 @@ func TestCoreEndedBeforeStartOutcome(t *testing.T) {
 		r.client(3)
 		m := r.c.msus["m1"]
 		startedAfter(t, r, func(id core.StreamID) {
-			r.c.streamEnded(wire.StreamEnded{Stream: id, Cause: "eof"})
+			endStream(r.c, id, "eof")
 		})
 		checkConservation(t, r.c, msuLedgers(m), "after the outcome")
 		if m.net.Reserved() != 0 || m.disks[0].bw.Reserved() != 0 {
@@ -1154,7 +1172,7 @@ func TestCoreEndedBeforeStartOutcome(t *testing.T) {
 	}
 	t.Run("re-dispatch, stream-ended", func(t *testing.T) {
 		r, m2 := redispatchedAfter(t, func(r *coreRig, id core.StreamID) {
-			r.c.streamEnded(wire.StreamEnded{Stream: id, Cause: "quit"})
+			endStream(r.c, id, "quit")
 		})
 		if m2.net.Reserved() != 0 || m2.disks[0].bw.Reserved() != 0 {
 			t.Fatalf("m2: net %d, disk %d reserved after the stream ended", m2.net.Reserved(), m2.disks[0].bw.Reserved())
@@ -1173,6 +1191,118 @@ func TestCoreEndedBeforeStartOutcome(t *testing.T) {
 		for _, l := range msuLedgers(m2) {
 			if l.Reserved() != 0 {
 				t.Fatalf("m2's ledgers hold %d after it went down", l.Reserved())
+			}
+		}
+	})
+	// seminarRedispatched plays the seminar on m1 for conn 3, with to (on
+	// conn 2) holding both parts too, and takes m1 down: it returns the
+	// rig, to's registration and the re-dispatch's first StartStream.
+	seminarRedispatched := func(t *testing.T, to core.MSUID) (*coreRig, *msuState, *call) {
+		t.Helper()
+		r := newCoreRig(t, Config{QueueTimeout: 5 * time.Second})
+		r.msu(1, "m1", 20*units.Mbps, 900, clip, talk)
+		r.msu(2, to, 20*units.Mbps, 900, clip, talk)
+		r.seminar()
+		r.client(3)
+		tk, fx := r.play(3, "seminar", "sem", false)
+		for cl := startFor(fx, tk); cl != nil; cl = startFor(fx, tk) {
+			fx = r.started(cl, nil)
+		}
+		if a, ok := answerFor(fx, tk); !ok || a.err != nil || a.v.(*wire.PlayOK).MSU != "m1" {
+			t.Fatalf("the seminar's play answered %+v, want it on m1", a)
+		}
+		cl := startFor(r.in(func() { r.c.connDown(r.now, 1) }), 0)
+		if cl == nil || cl.to != 2 {
+			t.Fatalf("m1 down started nothing on %s", to)
+		}
+		return r, r.c.msus[to], cl
+	}
+	// overAfter feeds fxs' inputs' successors — an MSU's hello (a
+	// release) and the queue's deadline — and checks that a group with a
+	// member ended is over: no StartStream names the ended stream, the
+	// client hears stream-lost once, and m's ledgers are back to zero.
+	overAfter := func(t *testing.T, r *coreRig, m *msuState, ended core.StreamID, fxs ...effects) {
+		t.Helper()
+		fxs = append(fxs, r.msu(5, "m3", 1500*units.Kbps, 900), r.advance(5*time.Second))
+		var lost int
+		for _, fx := range fxs {
+			lost += len(notesOf(fx, wire.TypeStreamLost))
+			for _, c := range fx.calls {
+				if c.typ == wire.TypeStartStream && c.req.(wire.StartStream).Spec.Stream == ended {
+					t.Fatalf("ended stream %d was started again, on conn %d", ended, c.to)
+				}
+			}
+		}
+		if lost != 1 {
+			t.Fatalf("the client heard stream-lost %d times, want once", lost)
+		}
+		for _, l := range msuLedgers(m) {
+			if l.Reserved() != 0 {
+				t.Fatalf("%s's ledgers hold %d after the group ended", m.id, l.Reserved())
+			}
+		}
+	}
+	// A seminar re-dispatched to m2 whose first member ends before the
+	// second is refused is over: the ended member is not started again at
+	// the next release.
+	t.Run("re-dispatch, member ended, next refused", func(t *testing.T) {
+		r, m2, cl := seminarRedispatched(t, "m2")
+		ended := cl.req.(wire.StartStream).Spec.Stream
+		first := r.started(cl, nil)
+		next := startFor(first, 0)
+		if next == nil {
+			t.Fatalf("the first member's start ordered no second: %+v", first)
+		}
+		r.in(func() { endStream(r.c, ended, "quit") })
+		overAfter(t, r, m2, ended, first, r.started(next, errors.New("refused")))
+	})
+	// A member that ends before its StartStream is ordered ends the group
+	// at the outcome before it: that member is never started.
+	t.Run("re-dispatch, next member ended before its start", func(t *testing.T) {
+		r, m2, cl := seminarRedispatched(t, "m2")
+		g := r.c.starting[cl.req.(wire.StartStream).Spec.Group]
+		ended := g.specs[1].Stream
+		r.in(func() { endStream(r.c, ended, "quit") })
+		fx := r.started(cl, nil)
+		if n := notesOf(fx, wire.TypeStopStream); len(n) != 1 || n[0].to != 2 {
+			t.Fatalf("the outcome stopped %+v, want the started member on m2", n)
+		}
+		overAfter(t, r, m2, ended, fx)
+	})
+	// m3 stops the group's first member when the second is refused; its
+	// stream-ended for that member arrives after the group was placed
+	// again on m2, and is not m2's to send: it is ignored, and the group
+	// migrates to m2 with both members standing.
+	t.Run("re-dispatch, stream-ended crosses a StopStream", func(t *testing.T) {
+		r, _, cl := seminarRedispatched(t, "m3")
+		stale := cl.req.(wire.StartStream).Spec.Stream
+		next := startFor(r.started(cl, nil), 0)
+		if next == nil {
+			t.Fatal("the first member's start ordered no second")
+		}
+		second := next.req.(wire.StartStream).Spec.Stream
+		if n := notesOf(r.started(next, errors.New("refused")), wire.TypeStopStream); len(n) != 1 || n[0].to != 2 {
+			t.Fatalf("the refusal stopped %+v, want the started member on m3", n)
+		}
+		cl = startFor(r.msu(5, "m2", 20*units.Mbps, 900, clip, talk), 0)
+		if cl == nil || cl.to != 5 {
+			t.Fatal("m2's hello started nothing on it")
+		}
+		r.in(func() { r.c.streamEnded(2, wire.StreamEnded{Stream: stale, Cause: "quit"}) })
+		var migrated, lost int
+		for fx := r.started(cl, nil); ; fx = r.started(cl, nil) {
+			migrated += len(notesOf(fx, wire.TypeStreamMigrated))
+			lost += len(notesOf(fx, wire.TypeStreamLost))
+			if cl = startFor(fx, 0); cl == nil {
+				break
+			}
+		}
+		if migrated != 1 || lost != 0 {
+			t.Fatalf("the client heard stream-migrated %d times and stream-lost %d, want one migrated", migrated, lost)
+		}
+		for _, id := range []core.StreamID{stale, second} {
+			if a := r.c.active[id]; a == nil || a.msu != "m2" {
+				t.Fatalf("stream %d stands as %+v, want on m2", id, a)
 			}
 		}
 	})
@@ -1266,7 +1396,7 @@ func BenchmarkRelease(b *testing.B) {
 						r.report(1)
 						continue
 					}
-					fx := r.in(func() { r.c.streamEnded(wire.StreamEnded{Stream: running, Cause: "eof"}) })
+					fx := r.in(func() { endStream(r.c, running, "eof") })
 					b.StopTimer()
 					if len(fx.calls) != 1 || fx.calls[0].typ != wire.TypeStartStream {
 						b.Fatalf("a stream-ended with %d waiting decided %+v, want one start", waiting, fx)

@@ -2,6 +2,7 @@ package coordinator
 
 import (
 	"cmp"
+	"errors"
 	"fmt"
 	"slices"
 	"sort"
@@ -590,10 +591,13 @@ func (c *engine) lost(sess core.SessionID, group uint64, reason string) {
 	c.event(obs.Event{Kind: obs.EvLost, Session: uint64(sess), Group: group, Disk: -1, Detail: reason})
 }
 
-// streamEnded handles the MSU's termination notice.
-func (c *engine) streamEnded(req wire.StreamEnded) {
+// streamEnded handles the MSU's termination notice. Only the MSU the
+// stream stands on may end it: a notice from any other connection — one
+// an MSU sent for a stream a failed start stopped there, arriving after
+// the group was placed elsewhere — is stale.
+func (c *engine) streamEnded(conn connID, req wire.StreamEnded) {
 	a, ok := c.active[req.Stream]
-	if !ok {
+	if m, err := c.msuOf(conn); !ok || err != nil || c.msus[a.msu] != m {
 		return
 	}
 	c.releaseStreamLocked(a)
@@ -1061,25 +1065,38 @@ func (c *engine) startNext(d *dispatch) {
 // its MSU's failure released is re-homed as msuDown would have. A
 // failure stops what started and rolls back: a request hears why, an
 // orphaned group waits again for a release later than its own rollback.
+// A member that ended meanwhile ends the group instead: a member not yet
+// started fails the start, and a failed orphan is lost, not re-queued, so
+// no StartStream ever names a stream that ended.
 func (c *engine) started(now time.Time, d *dispatch, err error) {
 	if err == nil {
 		if d.sent++; d.sent < len(d.specs) {
-			c.startNext(d)
-			return
+			if !c.endedLocked(d, d.streams[d.sent:]) {
+				c.startNext(d)
+				return
+			}
+			err = errors.New("a member ended before the group started")
 		}
 	}
 	delete(c.starting, d.specs[0].Group)
+	g, orphaned := d.w.req.(*orphan)
+	// Asked before the rollback releases the rest.
+	over := err != nil && orphaned && c.endedLocked(d, d.streams)
 	if err != nil {
 		for _, spec := range d.specs[:d.sent] {
 			c.notify(d.m.conn, wire.TypeStopStream, wire.StopStream{Stream: spec.Stream})
 		}
 		c.rollbackLocked(d.placement)
 	}
-	g, orphaned := d.w.req.(*orphan)
 	switch req, play := d.w.req.(*wire.Play); {
 	case err != nil && orphaned:
-		if !c.closed {
-			c.hold(d.w, busy("re-dispatch to %q failed: %v", d.m.id, err))
+		why := busy("re-dispatch to %q failed: %v", d.m.id, err)
+		switch {
+		case c.closed:
+		case over:
+			c.refuse(d.w, why)
+		default:
+			c.hold(d.w, why)
 			c.queue = append(c.queue, d.w)
 		}
 		return
@@ -1100,6 +1117,14 @@ func (c *engine) started(now time.Time, d *dispatch, err error) {
 	if len(d.down) > 0 {
 		c.apply(c.orphanLocked(now, d.m.id, d.specs[0].Group, d.down)...) //nolint:errcheck // as in msuDown
 	}
+}
+
+// endedLocked reports whether one of d's streams ended: it no longer
+// stands, and its MSU's failure did not release it.
+func (c *engine) endedLocked(d *dispatch, streams []*activeStream) bool {
+	return slices.ContainsFunc(streams, func(a *activeStream) bool {
+		return !c.standingLocked(d.placement, a) && !slices.Contains(d.down, a)
+	})
 }
 
 func (c *engine) playStarted(d *dispatch, req *wire.Play) {
