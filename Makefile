@@ -52,9 +52,12 @@ leakcheck:
 # connection, a stream's goroutines across a hundred of them, each ack's
 # position while a title plays through seeks, pauses and scans, a group's
 # command moving all of its members or none, a quit during the control
-# dial, and the report clock: its cadence, reports while a stream plays,
-# and the last report when two groups quit at once. Regressions ride
-# the same patterns: a delete in flight fences its title
+# dial, a control dial that fails, and the report clock: its cadence,
+# reports while a stream plays, and the last report when two groups quit
+# at once. A start the MSU refuses sends no stream-ended, in the core
+# (TestCoreRefusedStartSendsNoStreamEnded) and end to end
+# (TestControlDialFailureEndsGroup, TestQuitDuringControlDial).
+# Regressions ride the same patterns: a delete in flight fences its title
 # (TestCoreDeleteFencesItsTitle) and gains and sheds no replica
 # (TestCoreDeleteFencesReplicas); a delete during a cold-replica drop is
 # refused as in use (TestCoreDeleteDuringColdDrop); a play never starts
@@ -79,16 +82,17 @@ leakcheck:
 # orphaned group is placed, copied for and started as a fresh play is:
 # it earns a copy when its live holder is full (TestCoreOrphanEarnsACopy,
 # and end to end TestFaultOrphanMigratesOntoCopy), a re-dispatch's start
-# outcome is its verdict, one whose member ended before the group
-# started is lost, not started again, and a stream-ended from another
-# MSU than the stream's is ignored (TestCoreEndedBeforeStartOutcome),
+# outcome is its verdict, one StartStream carries the whole group, a
+# refused one sends one StopStream, one with a member ended is lost, not
+# started again, and a stream-ended from another MSU than the stream's
+# is ignored (TestCoreEndedBeforeStartOutcome),
 # and an orphan whose client is gone is lost
 # (TestCoreOrphanOfGoneClientIsLost); a
 # group's copies land together (TestCoreCompositeCopiesLandTogether);
 # and a stored record that does not decode ends the cue without being
 # sent (TestCorruptRecordEndsTheCue).
 faults:
-	$(GO) test -race -timeout 120s -run 'Fault|Failover|Redispatch|Reconnect|MSUDown|Lost|Restart|FailedCommit|ReplayIdempotent|CompositeHoldsNoLocations|DeleteCascades|PR15Fixture|Orphan|Corrupt|PlanStep|LedgerConservation|Core|SeminarCompositeGroup|RecordPlacement|QueuedPlayWakes|CloseWakes|CutAll|QuitIsAcknowledged|StopKeeps|SweepOnStartup|PipelinedVCR|GoroutinesPerStream|VCRAckPositions|GroupVCRMovesAllOrNone|QuitDuringControlDial|ReportCadence|ReportsWhilePlaying|LastReportCountsConcurrentQuits' . ./internal/coordinator ./internal/client ./internal/msu ./internal/msufs ./internal/faultinject ./internal/admindb
+	$(GO) test -race -timeout 120s -run 'Fault|Failover|Redispatch|Reconnect|MSUDown|Lost|Restart|FailedCommit|ReplayIdempotent|CompositeHoldsNoLocations|DeleteCascades|PR15Fixture|Orphan|Corrupt|PlanStep|LedgerConservation|Core|SeminarCompositeGroup|RecordPlacement|QueuedPlayWakes|CloseWakes|CutAll|QuitIsAcknowledged|StopKeeps|SweepOnStartup|PipelinedVCR|GoroutinesPerStream|VCRAckPositions|GroupVCRMovesAllOrNone|QuitDuringControlDial|ControlDialFailure|ReportCadence|ReportsWhilePlaying|LastReportCountsConcurrentQuits' . ./internal/coordinator ./internal/client ./internal/msu ./internal/msufs ./internal/faultinject ./internal/admindb
 
 # Three seconds of each of the nine fuzz targets (go test takes one -fuzz target and
 # one package per run): journal replay and snapshot decoding never

@@ -23,7 +23,7 @@ func fakeMSUPeerNet(t *testing.T, c *Coordinator, id core.MSUID, contents []wire
 	t.Helper()
 	p := dialPeer(t, c, func(msgType string, body json.RawMessage) (any, error) {
 		if msgType == wire.TypeStartStream {
-			return &wire.StartStreamOK{}, nil
+			return startOK(body), nil
 		}
 		return nil, nil
 	})

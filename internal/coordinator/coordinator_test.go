@@ -56,12 +56,24 @@ func dialPeer(t *testing.T, c *Coordinator, handler wire.Handler) *wire.Peer {
 	return p
 }
 
+// startOK is an MSU's reply to StartStream body that starts every
+// member: one StartStreamOK per spec, with a recording's address.
+func startOK(body json.RawMessage) []wire.StartStreamOK {
+	var req wire.StartStream
+	json.Unmarshal(body, &req) //nolint:errcheck // a malformed body starts nothing
+	out := make([]wire.StartStreamOK, len(req.Specs))
+	for i := range out {
+		out[i].DataAddr = "127.0.0.1:9"
+	}
+	return out
+}
+
 // fakeMSUPeer registers a minimal MSU that acknowledges StartStream.
 func fakeMSUPeer(t *testing.T, c *Coordinator, id core.MSUID, contents []wire.ContentDecl, bw units.BitRate) *wire.Peer {
 	t.Helper()
 	p := dialPeer(t, c, func(msgType string, body json.RawMessage) (any, error) {
 		if msgType == wire.TypeStartStream {
-			return &wire.StartStreamOK{DataAddr: "127.0.0.1:9"}, nil
+			return startOK(body), nil
 		}
 		return nil, nil
 	})
@@ -411,7 +423,7 @@ func TestRecordSchedulingSpace(t *testing.T) {
 	// 100 free blocks of 64 KB = 6.4 MB; a 60 s MPEG recording needs
 	// 172 blocks → no space; 20 s needs 58 → fits.
 	p0 := dialPeer(t, c, func(msgType string, body json.RawMessage) (any, error) {
-		return &wire.StartStreamOK{DataAddr: "127.0.0.1:9"}, nil
+		return startOK(body), nil
 	})
 	hello := wire.MSUHello{ProtoVersion: wire.ProtoVersion, ID: "m1", Disks: []wire.DiskInfo{{
 		BlockSize: 64 * 1024, TotalBlocks: 100, FreeBlocks: 100, Bandwidth: 100 * units.Mbps,
@@ -544,7 +556,7 @@ func TestRecordQueuesForSpace(t *testing.T) {
 	// 60 free blocks: one 20s MPEG recording (58 blocks) fits, a
 	// second must wait for the first to release its reservation.
 	p0 := dialPeer(t, c, func(msgType string, body json.RawMessage) (any, error) {
-		return &wire.StartStreamOK{DataAddr: "127.0.0.1:9"}, nil
+		return startOK(body), nil
 	})
 	hello := wire.MSUHello{ProtoVersion: wire.ProtoVersion, ID: "m1", Disks: []wire.DiskInfo{{
 		BlockSize: 64 * 1024, TotalBlocks: 60, FreeBlocks: 60, Bandwidth: 100 * units.Mbps,
@@ -603,7 +615,7 @@ func TestCompositePlacementNeedsSingleMSU(t *testing.T) {
 	}}}
 	mk := func(h wire.MSUHello) {
 		peer := dialPeer(t, c, func(msgType string, body json.RawMessage) (any, error) {
-			return &wire.StartStreamOK{DataAddr: "127.0.0.1:9"}, nil
+			return startOK(body), nil
 		})
 		if err := peer.Call(wire.TypeMSUHello, h, nil); err != nil {
 			t.Fatal(err)

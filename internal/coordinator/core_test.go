@@ -117,8 +117,12 @@ func endStream(c *Coordinator, id core.StreamID, cause string) {
 	c.streamEnded(conn, wire.StreamEnded{Stream: id, Cause: cause})
 }
 
-// started answers call cl and takes what that decided.
+// started answers call cl and takes what that decided. A StartStream
+// answered OK replies for each of its streams, as an MSU does.
 func (r *coreRig) started(cl *call, err error) effects {
+	if start, ok := cl.req.(wire.StartStream); ok && err == nil {
+		*cl.resp.(*[]wire.StartStreamOK) = make([]wire.StartStreamOK, len(start.Specs))
+	}
 	return r.in(func() { cl.then(r.now, err) })
 }
 
@@ -238,7 +242,7 @@ func TestCoreMSUDown(t *testing.T) {
 		ok := r.admit(3, "movie", "tv")
 		fx := r.in(func() { r.c.connDown(r.now, 1) })
 		cl := startFor(fx, 0)
-		if cl == nil || cl.to != 2 || cl.req.(wire.StartStream).Spec.Stream != ok.Streams[0].Stream {
+		if cl == nil || cl.to != 2 || cl.req.(wire.StartStream).Specs[0].Stream != ok.Streams[0].Stream {
 			t.Fatalf("m1 down decided %+v, want the stream started on m2", fx)
 		}
 		fx = r.started(cl, nil)
@@ -270,12 +274,15 @@ func TestCoreMSUDown(t *testing.T) {
 		if cl == nil || cl.to != 2 {
 			t.Fatal("m1 down started nothing on m2")
 		}
+		id := cl.req.(wire.StartStream).Specs[0].Stream
 		fx := r.started(cl, errors.New("disk refused the stream"))
 		if startFor(fx, 0) != nil || len(r.c.queue) != 1 {
 			t.Fatalf("failed start decided %+v with %d waiting, want the group back on the queue untried", fx, len(r.c.queue))
 		}
-		if n := notesOf(fx, wire.TypeStopStream); len(n) != 0 {
-			t.Fatalf("a start that never succeeded stopped %+v", n)
+		// One StopStream quits whatever m2 began of the group; an MSU
+		// ignores one for a group it does not hold.
+		if n := notesOf(fx, wire.TypeStopStream); len(n) != 1 || n[0].to != 2 || n[0].body.(wire.StopStream).Stream != id {
+			t.Fatalf("the failed start stopped %+v, want stream %d on m2 once", n, id)
 		}
 		// A release elsewhere is worth another try.
 		fx = r.in(func() { endStream(r.c, other.Streams[0].Stream, "eof") })
@@ -823,10 +830,10 @@ func TestCoreQueuedPlayPreemptsCopy(t *testing.T) {
 // every location on a live registration names one of its disks, that a
 // drop leaves its title another live holder when it is ordered, that
 // every removal in flight targets a replica the catalog lists and no
-// stream runs on, that no StartStream names a stream whose stream-ended
-// the core took, and that running the queue again places nothing. It
-// returns a transcript of every decision, so two walks from one seed
-// can be compared.
+// stream runs on, that no spec of a StartStream names a stream whose
+// stream-ended the core took, and that running the queue again places
+// nothing. It returns a transcript of every decision, so two walks from
+// one seed can be compared.
 func walkInputs(t *testing.T, seed int64, steps int) string {
 	r := newCoreRig(t, Config{QueueTimeout: 20 * time.Second, Replication: ReplicationConfig{MaxReplicas: 3}})
 	c := r.c
@@ -842,8 +849,9 @@ func walkInputs(t *testing.T, seed int64, steps int) string {
 	var calls []call
 	var retired []*schedule.Ledger
 	// deletes holds the administrative deletes' titles by ticket, and
-	// outcomes how many were answered "ok", "composite ok" or "in use".
-	deletes, outcomes := map[uint64]string{}, map[string]int{}
+	// outcomes how many were answered "ok", "composite ok" or "in use";
+	// groups counts the two-stream StartStreams answered OK and refused.
+	deletes, outcomes, groups := map[uint64]string{}, map[string]int{}, map[bool]int{}
 	ordered := map[*removal]bool{}    // the drops already checked
 	ended := map[core.StreamID]bool{} // the streams whose stream-ended the core took
 	up := func(id core.MSUID) effects {
@@ -930,6 +938,9 @@ func walkInputs(t *testing.T, seed int64, steps int) string {
 				err = errors.New("refused")
 			}
 			what = fmt.Sprintf("%s outcome %v", cl.typ, err)
+			if start, ok := cl.req.(wire.StartStream); ok && len(start.Specs) == 2 {
+				groups[err == nil]++
+			}
 			fx = r.started(&cl, err)
 		case op < 14:
 			id := msus[rng.Intn(len(msus))]
@@ -989,8 +1000,11 @@ func walkInputs(t *testing.T, seed int64, steps int) string {
 		}
 		checkConservation(t, c, append(live, retired...), when)
 		for _, cl := range fx.calls {
-			if start, ok := cl.req.(wire.StartStream); ok && ended[start.Spec.Stream] {
-				t.Fatalf("%s: stream %d is started on conn %d after it ended", when, start.Spec.Stream, cl.to)
+			start, _ := cl.req.(wire.StartStream)
+			for _, spec := range start.Specs {
+				if ended[spec.Stream] {
+					t.Fatalf("%s: stream %d is started on conn %d after it ended", when, spec.Stream, cl.to)
+				}
 			}
 		}
 		for _, a := range c.active {
@@ -1053,6 +1067,9 @@ func walkInputs(t *testing.T, seed int64, steps int) string {
 			t.Fatalf("walk too tame: no delete answered %s in %d steps", want, steps)
 		}
 	}
+	if groups[true] == 0 || groups[false] == 0 {
+		t.Fatalf("walk too tame: two-stream StartStreams answered OK %d and refused %d times in %d steps", groups[true], groups[false], steps)
+	}
 	return log.String()
 }
 
@@ -1062,7 +1079,9 @@ func walkInputs(t *testing.T, seed int64, steps int) string {
 // client hears PlayOK, or stream-migrated once, the MSU no StopStream,
 // the ledger is released once and nothing counts as rejected; a group
 // its MSU's failure released is re-homed like any orphan, and one that
-// ended is not started again.
+// ended is not started again. A refused re-dispatch of a whole seminar
+// sends one StopStream and waits on the queue, unless a member ended
+// meanwhile, and then it is over.
 func TestCoreEndedBeforeStartOutcome(t *testing.T) {
 	// startedAfter plays movie on conn 3, feeds between before the start's
 	// outcome, and checks the outcome's verdict.
@@ -1073,7 +1092,7 @@ func TestCoreEndedBeforeStartOutcome(t *testing.T) {
 		if cl == nil {
 			t.Fatalf("play ordered no start: %+v", fx)
 		}
-		id := cl.req.(wire.StartStream).Spec.Stream
+		id := cl.req.(wire.StartStream).Specs[0].Stream
 		rejected := r.c.om.rejected.Load()
 		r.in(func() { between(id) })
 		fx = r.started(cl, nil)
@@ -1120,7 +1139,7 @@ func TestCoreEndedBeforeStartOutcome(t *testing.T) {
 			r.c.connDown(r.now, 1)
 		})
 		cl := startFor(fx, 0)
-		if cl == nil || cl.to != 2 || cl.req.(wire.StartStream).Spec.Stream != id {
+		if cl == nil || cl.to != 2 || cl.req.(wire.StartStream).Specs[0].Stream != id {
 			t.Fatalf("the outcome decided %+v, want stream %d re-homed on m2", fx, id)
 		}
 		if n := notesOf(r.started(cl, nil), wire.TypeStreamMigrated); len(n) != 1 || n[0].to != 3 {
@@ -1144,7 +1163,7 @@ func TestCoreEndedBeforeStartOutcome(t *testing.T) {
 		if cl == nil || cl.to != 2 {
 			t.Fatal("m1 down started nothing on m2")
 		}
-		id := cl.req.(wire.StartStream).Spec.Stream
+		id := cl.req.(wire.StartStream).Specs[0].Stream
 		rejected := r.c.om.rejected.Load()
 		r.in(func() { between(r, id) })
 		fx := r.started(cl, nil)
@@ -1159,7 +1178,7 @@ func TestCoreEndedBeforeStartOutcome(t *testing.T) {
 				t.Fatalf("a started stream was stopped: %+v", n)
 			}
 			for _, c := range fx.calls {
-				if c.typ == wire.TypeStartStream && c.req.(wire.StartStream).Spec.Stream == id {
+				if c.typ == wire.TypeStartStream && c.req.(wire.StartStream).Specs[0].Stream == id {
 					t.Fatalf("stream %d was started again, on conn %d", id, c.to)
 				}
 			}
@@ -1196,7 +1215,8 @@ func TestCoreEndedBeforeStartOutcome(t *testing.T) {
 	})
 	// seminarRedispatched plays the seminar on m1 for conn 3, with to (on
 	// conn 2) holding both parts too, and takes m1 down: it returns the
-	// rig, to's registration and the re-dispatch's first StartStream.
+	// rig, to's registration and the re-dispatch's StartStream. The play
+	// and the re-dispatch are each one StartStream naming both members.
 	seminarRedispatched := func(t *testing.T, to core.MSUID) (*coreRig, *msuState, *call) {
 		t.Helper()
 		r := newCoreRig(t, Config{QueueTimeout: 5 * time.Second})
@@ -1205,15 +1225,15 @@ func TestCoreEndedBeforeStartOutcome(t *testing.T) {
 		r.seminar()
 		r.client(3)
 		tk, fx := r.play(3, "seminar", "sem", false)
-		for cl := startFor(fx, tk); cl != nil; cl = startFor(fx, tk) {
-			fx = r.started(cl, nil)
+		if len(fx.calls) != 1 || len(fx.calls[0].req.(wire.StartStream).Specs) != 2 {
+			t.Fatalf("the seminar's play ordered %+v, want one StartStream of both members", fx.calls)
 		}
-		if a, ok := answerFor(fx, tk); !ok || a.err != nil || a.v.(*wire.PlayOK).MSU != "m1" {
+		if a, ok := answerFor(r.started(&fx.calls[0], nil), tk); !ok || a.err != nil || a.v.(*wire.PlayOK).MSU != "m1" {
 			t.Fatalf("the seminar's play answered %+v, want it on m1", a)
 		}
 		cl := startFor(r.in(func() { r.c.connDown(r.now, 1) }), 0)
-		if cl == nil || cl.to != 2 {
-			t.Fatalf("m1 down started nothing on %s", to)
+		if cl == nil || cl.to != 2 || len(cl.req.(wire.StartStream).Specs) != 2 {
+			t.Fatalf("m1 down ordered %+v, want one StartStream of both members on %s", cl, to)
 		}
 		return r, r.c.msus[to], cl
 	}
@@ -1228,7 +1248,7 @@ func TestCoreEndedBeforeStartOutcome(t *testing.T) {
 		for _, fx := range fxs {
 			lost += len(notesOf(fx, wire.TypeStreamLost))
 			for _, c := range fx.calls {
-				if c.typ == wire.TypeStartStream && c.req.(wire.StartStream).Spec.Stream == ended {
+				if c.typ == wire.TypeStartStream && slices.ContainsFunc(c.req.(wire.StartStream).Specs, func(s core.StreamSpec) bool { return s.Stream == ended }) {
 					t.Fatalf("ended stream %d was started again, on conn %d", ended, c.to)
 				}
 			}
@@ -1242,53 +1262,11 @@ func TestCoreEndedBeforeStartOutcome(t *testing.T) {
 			}
 		}
 	}
-	// A seminar re-dispatched to m2 whose first member ends before the
-	// second is refused is over: the ended member is not started again at
-	// the next release.
-	t.Run("re-dispatch, member ended, next refused", func(t *testing.T) {
-		r, m2, cl := seminarRedispatched(t, "m2")
-		ended := cl.req.(wire.StartStream).Spec.Stream
-		first := r.started(cl, nil)
-		next := startFor(first, 0)
-		if next == nil {
-			t.Fatalf("the first member's start ordered no second: %+v", first)
-		}
-		r.in(func() { endStream(r.c, ended, "quit") })
-		overAfter(t, r, m2, ended, first, r.started(next, errors.New("refused")))
-	})
-	// A member that ends before its StartStream is ordered ends the group
-	// at the outcome before it: that member is never started.
-	t.Run("re-dispatch, next member ended before its start", func(t *testing.T) {
-		r, m2, cl := seminarRedispatched(t, "m2")
-		g := r.c.starting[cl.req.(wire.StartStream).Spec.Group]
-		ended := g.specs[1].Stream
-		r.in(func() { endStream(r.c, ended, "quit") })
-		fx := r.started(cl, nil)
-		if n := notesOf(fx, wire.TypeStopStream); len(n) != 1 || n[0].to != 2 {
-			t.Fatalf("the outcome stopped %+v, want the started member on m2", n)
-		}
-		overAfter(t, r, m2, ended, fx)
-	})
-	// m3 stops the group's first member when the second is refused; its
-	// stream-ended for that member arrives after the group was placed
-	// again on m2, and is not m2's to send: it is ignored, and the group
-	// migrates to m2 with both members standing.
-	t.Run("re-dispatch, stream-ended crosses a StopStream", func(t *testing.T) {
-		r, _, cl := seminarRedispatched(t, "m3")
-		stale := cl.req.(wire.StartStream).Spec.Stream
-		next := startFor(r.started(cl, nil), 0)
-		if next == nil {
-			t.Fatal("the first member's start ordered no second")
-		}
-		second := next.req.(wire.StartStream).Spec.Stream
-		if n := notesOf(r.started(next, errors.New("refused")), wire.TypeStopStream); len(n) != 1 || n[0].to != 2 {
-			t.Fatalf("the refusal stopped %+v, want the started member on m3", n)
-		}
-		cl = startFor(r.msu(5, "m2", 20*units.Mbps, 900, clip, talk), 0)
-		if cl == nil || cl.to != 5 {
-			t.Fatal("m2's hello started nothing on it")
-		}
-		r.in(func() { r.c.streamEnded(2, wire.StreamEnded{Stream: stale, Cause: "quit"}) })
+	// migratedAfter runs a re-dispatch's StartStream cl, and any the queue
+	// orders after it, to success, and checks that the client heard
+	// stream-migrated once and no stream-lost, and that ids stand on m.
+	migratedAfter := func(t *testing.T, r *coreRig, cl *call, m core.MSUID, ids ...core.StreamID) {
+		t.Helper()
 		var migrated, lost int
 		for fx := r.started(cl, nil); ; fx = r.started(cl, nil) {
 			migrated += len(notesOf(fx, wire.TypeStreamMigrated))
@@ -1300,11 +1278,58 @@ func TestCoreEndedBeforeStartOutcome(t *testing.T) {
 		if migrated != 1 || lost != 0 {
 			t.Fatalf("the client heard stream-migrated %d times and stream-lost %d, want one migrated", migrated, lost)
 		}
-		for _, id := range []core.StreamID{stale, second} {
-			if a := r.c.active[id]; a == nil || a.msu != "m2" {
-				t.Fatalf("stream %d stands as %+v, want on m2", id, a)
+		for _, id := range ids {
+			if a := r.c.active[id]; a == nil || a.msu != m {
+				t.Fatalf("stream %d stands as %+v, want on %s", id, a, m)
 			}
 		}
+	}
+	// A seminar re-dispatched to m2 whose first member ends before m2
+	// refuses the group (say, a reply that timed out while m2 started it
+	// and the client quit) is over: the ended member is not started again
+	// at the next release.
+	t.Run("re-dispatch, member ended, group refused", func(t *testing.T) {
+		r, m2, cl := seminarRedispatched(t, "m2")
+		ended := cl.req.(wire.StartStream).Specs[0].Stream
+		r.in(func() { endStream(r.c, ended, "quit") })
+		overAfter(t, r, m2, ended, r.started(cl, errors.New("refused")))
+	})
+	// A seminar's re-dispatch that m2 refuses sends m2 one StopStream,
+	// for the group's first stream, and waits on the queue; the next
+	// release places it on m2 again, both members standing.
+	t.Run("re-dispatch, group refused, placed again", func(t *testing.T) {
+		r, _, cl := seminarRedispatched(t, "m2")
+		specs := cl.req.(wire.StartStream).Specs
+		fx := r.started(cl, errors.New("refused"))
+		if n := notesOf(fx, wire.TypeStopStream); len(n) != 1 || n[0].to != 2 || n[0].body.(wire.StopStream).Stream != specs[0].Stream {
+			t.Fatalf("the refusal stopped %+v, want stream %d on m2 once", n, specs[0].Stream)
+		}
+		if startFor(fx, 0) != nil || len(notesOf(fx, wire.TypeStreamLost)) != 0 || len(r.c.queue) != 1 {
+			t.Fatalf("the refusal decided %+v with %d waiting, want the group back on the queue", fx, len(r.c.queue))
+		}
+		cl = startFor(r.msu(5, "m3", 1500*units.Kbps, 900), 0)
+		if cl == nil || cl.to != 2 || !slices.Equal(cl.req.(wire.StartStream).Specs, specs) {
+			t.Fatalf("m3's hello ordered %+v, want the group started on m2 again", cl)
+		}
+		migratedAfter(t, r, cl, "m2", specs[0].Stream, specs[1].Stream)
+	})
+	// m3 refuses the group and is sent a StopStream for its first stream;
+	// a stream-ended m3 sends for that stream (say, for a start whose
+	// reply timed out) arrives after the group was placed again on m2,
+	// and is not m2's to send: it is ignored, and the group migrates to
+	// m2 with both members standing.
+	t.Run("re-dispatch, stream-ended crosses a StopStream", func(t *testing.T) {
+		r, _, cl := seminarRedispatched(t, "m3")
+		specs := cl.req.(wire.StartStream).Specs
+		if n := notesOf(r.started(cl, errors.New("refused")), wire.TypeStopStream); len(n) != 1 || n[0].to != 2 {
+			t.Fatalf("the refusal stopped %+v, want the group's first stream on m3", n)
+		}
+		cl = startFor(r.msu(5, "m2", 20*units.Mbps, 900, clip, talk), 0)
+		if cl == nil || cl.to != 5 {
+			t.Fatal("m2's hello started nothing on it")
+		}
+		r.in(func() { r.c.streamEnded(2, wire.StreamEnded{Stream: specs[0].Stream, Cause: "quit"}) })
+		migratedAfter(t, r, cl, "m2", specs[0].Stream, specs[1].Stream)
 	})
 }
 
@@ -1401,7 +1426,7 @@ func BenchmarkRelease(b *testing.B) {
 					if len(fx.calls) != 1 || fx.calls[0].typ != wire.TypeStartStream {
 						b.Fatalf("a stream-ended with %d waiting decided %+v, want one start", waiting, fx)
 					}
-					running = fx.calls[0].req.(wire.StartStream).Spec.Stream
+					running = fx.calls[0].req.(wire.StartStream).Specs[0].Stream
 					r.started(&fx.calls[0], nil)
 					r.play(2, "movie", "tv", true)
 					b.StartTimer()

@@ -37,9 +37,9 @@ func registerWalkMSU(t *testing.T, c *Coordinator, old *wire.Peer, id core.MSUID
 			return !c.msus[id].alive
 		})
 	}
-	conn := dialPeer(t, c, func(msgType string, _ json.RawMessage) (any, error) {
+	conn := dialPeer(t, c, func(msgType string, body json.RawMessage) (any, error) {
 		if msgType == wire.TypeStartStream {
-			return &wire.StartStreamOK{DataAddr: "127.0.0.1:9"}, nil
+			return startOK(body), nil
 		}
 		return nil, nil
 	})

@@ -26,7 +26,7 @@ type engine struct {
 	sessions map[core.SessionID]*session
 	bound    map[connID]any // what each connection said hello as: *session or *msuState
 	active   map[core.StreamID]*activeStream
-	// starting holds the dispatches whose StartStreams are out, by group:
+	// starting holds the dispatches whose StartStream is out, by group:
 	// an MSU failing under one leaves its recovery to the start's outcome.
 	starting map[uint64]*dispatch
 	// replications tracks in-flight MSU-to-MSU content transfers by

@@ -56,8 +56,10 @@ func recordingMSUPeer(t *testing.T, c *Coordinator, id core.MSUID, contents []wi
 		if msgType == wire.TypeStartStream {
 			var req wire.StartStream
 			json.Unmarshal(body, &req) //nolint:errcheck
-			specs <- req.Spec
-			return &wire.StartStreamOK{DataAddr: "127.0.0.1:9"}, nil
+			for _, spec := range req.Specs {
+				specs <- spec
+			}
+			return startOK(body), nil
 		}
 		return nil, nil
 	})
@@ -392,7 +394,7 @@ func TestQueuedPlayWakesOnFailedDispatch(t *testing.T) {
 			<-fail
 			return nil, errors.New("disk refused the stream")
 		}
-		return &wire.StartStreamOK{}, nil
+		return startOK(body), nil
 	})
 	hello := wire.MSUHello{ProtoVersion: wire.ProtoVersion, ID: "m1", Disks: []wire.DiskInfo{{
 		BlockSize: 64 * 1024, TotalBlocks: 1000, FreeBlocks: 900,

@@ -13,12 +13,12 @@ import (
 )
 
 // One protocol generation: a client or MSU announcing any revision other
-// than ours — 0, a hello without the field, included — is turned away
-// with an error naming both versions.
+// than ours — 0, a hello without the field, and the one before ours
+// included — is turned away with an error naming both versions.
 func TestProtoVersionMismatch(t *testing.T) {
 	c := startCoordinator(t, Config{})
 	disks := []wire.DiskInfo{{BlockSize: 64, TotalBlocks: 10}}
-	for _, v := range []int{0, 1, wire.ProtoVersion + 1} {
+	for _, v := range []int{0, 1, wire.ProtoVersion - 1, wire.ProtoVersion + 1} {
 		named := fmt.Sprintf("protocol v%d, coordinator speaks v%d", v, wire.ProtoVersion)
 		err := dialPeer(t, c, nil).Call(wire.TypeHello, wire.Hello{User: "t", ProtoVersion: v}, nil)
 		if err == nil || !strings.Contains(err.Error(), named) {

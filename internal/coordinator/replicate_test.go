@@ -36,8 +36,10 @@ func newReplMSUPeer(t *testing.T, c *Coordinator, id core.MSUID, contents []wire
 		case wire.TypeStartStream:
 			var req wire.StartStream
 			json.Unmarshal(body, &req) //nolint:errcheck
-			m.specs <- req.Spec
-			return &wire.StartStreamOK{DataAddr: "127.0.0.1:9"}, nil
+			for _, spec := range req.Specs {
+				m.specs <- spec
+			}
+			return startOK(body), nil
 		case wire.TypeReplicate:
 			var req wire.Replicate
 			json.Unmarshal(body, &req) //nolint:errcheck

@@ -2,7 +2,6 @@ package coordinator
 
 import (
 	"cmp"
-	"errors"
 	"fmt"
 	"slices"
 	"sort"
@@ -916,7 +915,7 @@ func (c *engine) admitPlay(s *session, req *wire.Play, ids *admindb.Counters, in
 		if err != nil {
 			return nil, nil, err
 		}
-		demands[i] = demand{a: newStream(ids, s.id, len(parts), part.Info.Name, t, req.ControlAddr)}
+		demands[i] = demand{a: newStream(ids, s.id, part.Info.Name, t, req.ControlAddr)}
 		demands[i].a.spec.DestAddr, demands[i].a.spec.CtrlAddr = data, ctrl
 	}
 	return parts, demands, nil
@@ -986,7 +985,7 @@ func (c *engine) admitRecord(w *waiting, req *wire.Record) error {
 			return err
 		}
 		pend.Contents = append(pend.Contents, name)
-		a := newStream(&ids, s.id, len(types), name, ct, req.ControlAddr)
+		a := newStream(&ids, s.id, name, ct, req.ControlAddr)
 		a.record, a.spec.Record, a.spec.Estimate = true, true, req.Estimate
 		demands[i] = demand{a: a, blocks: func(blockSize int) int64 { return blocksForEstimate(ct, req.Estimate, blockSize) }}
 	}
@@ -1009,12 +1008,12 @@ func (c *engine) admitRecord(w *waiting, req *wire.Record) error {
 }
 
 // newStream is a stream of the group ids issues, taking its next stream
-// ID: content name as type t, one of size members.
-func newStream(ids *admindb.Counters, sess core.SessionID, size int, name string, t core.ContentType, clientTCP string) *activeStream {
+// ID: content name as type t.
+func newStream(ids *admindb.Counters, sess core.SessionID, name string, t core.ContentType, clientTCP string) *activeStream {
 	ids.NextStream++
 	id := core.StreamID(ids.NextStream)
 	return &activeStream{id: id, group: ids.NextGroup, session: sess, content: name, typ: t.Name,
-		spec: core.StreamSpec{Stream: id, Group: ids.NextGroup, GroupSize: size, Content: name, Type: t.Name,
+		spec: core.StreamSpec{Stream: id, Group: ids.NextGroup, Content: name, Type: t.Name,
 			Protocol: t.Protocol, Class: t.Class, Rate: t.Bandwidth, ClientTCP: clientTCP}}
 }
 
@@ -1038,54 +1037,42 @@ func (c *engine) place(demands []demand, cands []candidate) *placement {
 	return p
 }
 
-// A dispatch is a placement on its way to its MSU: one StartStream at a
-// time, made on request w's goroutine, each outcome fed to started.
+// A dispatch is a placement on its way to its MSU: one StartStream with
+// every member's spec, made on request w's goroutine, its outcome fed to
+// started.
 type dispatch struct {
 	*placement
 	w       *waiting
 	info    core.ContentInfo // a play's title, for its reply; an orphan's part names
-	sent    int              // StartStreams answered so far
 	replies []wire.StartStreamOK
 	down    []*activeStream // what its MSU's failure released meanwhile
 }
 
 func (c *engine) dispatch(d *dispatch) {
-	d.replies = make([]wire.StartStreamOK, len(d.specs))
 	c.starting[d.specs[0].Group] = d
-	c.startNext(d)
-}
-
-func (c *engine) startNext(d *dispatch) {
-	c.rpc(d.w.owner, d.m.conn, wire.TypeStartStream, wire.StartStream{Spec: d.specs[d.sent]}, &d.replies[d.sent],
+	c.rpc(d.w.owner, d.m.conn, wire.TypeStartStream, wire.StartStream{Specs: d.specs}, &d.replies,
 		func(now time.Time, err error) { c.started(now, d, err) })
 }
 
-// started takes one StartStream's outcome, the start's verdict for every
-// kind of group: what ended meanwhile was released as it ended, and what
-// its MSU's failure released is re-homed as msuDown would have. A
-// failure stops what started and rolls back: a request hears why, an
-// orphaned group waits again for a release later than its own rollback.
-// A member that ended meanwhile ends the group instead: a member not yet
-// started fails the start, and a failed orphan is lost, not re-queued, so
-// no StartStream ever names a stream that ended.
+// started takes the StartStream's outcome, the verdict for every kind of
+// group: what ended meanwhile was released as it ended, and what its MSU's
+// failure released is re-homed as msuDown would have. A failure rolls back,
+// with one StopStream for whatever the MSU began of the group (a reply that
+// timed out may hide a start): a request hears why, and an orphan waits for
+// a later release, or is over if a member ended meanwhile.
 func (c *engine) started(now time.Time, d *dispatch, err error) {
-	if err == nil {
-		if d.sent++; d.sent < len(d.specs) {
-			if !c.endedLocked(d, d.streams[d.sent:]) {
-				c.startNext(d)
-				return
-			}
-			err = errors.New("a member ended before the group started")
-		}
+	if err == nil && len(d.replies) != len(d.specs) {
+		err = fmt.Errorf("%w: %d replies to %d streams", core.ErrBadRequest, len(d.replies), len(d.specs))
 	}
 	delete(c.starting, d.specs[0].Group)
 	g, orphaned := d.w.req.(*orphan)
-	// Asked before the rollback releases the rest.
-	over := err != nil && orphaned && c.endedLocked(d, d.streams)
+	// Asked before the rollback releases the rest: a member ended if it no
+	// longer stands and its MSU's failure did not release it.
+	over := err != nil && orphaned && slices.ContainsFunc(d.streams, func(a *activeStream) bool {
+		return !c.standingLocked(d.placement, a) && !slices.Contains(d.down, a)
+	})
 	if err != nil {
-		for _, spec := range d.specs[:d.sent] {
-			c.notify(d.m.conn, wire.TypeStopStream, wire.StopStream{Stream: spec.Stream})
-		}
+		c.notify(d.m.conn, wire.TypeStopStream, wire.StopStream{Stream: d.specs[0].Stream})
 		c.rollbackLocked(d.placement)
 	}
 	switch req, play := d.w.req.(*wire.Play); {
@@ -1117,14 +1104,6 @@ func (c *engine) started(now time.Time, d *dispatch, err error) {
 	if len(d.down) > 0 {
 		c.apply(c.orphanLocked(now, d.m.id, d.specs[0].Group, d.down)...) //nolint:errcheck // as in msuDown
 	}
-}
-
-// endedLocked reports whether one of d's streams ended: it no longer
-// stands, and its MSU's failure did not release it.
-func (c *engine) endedLocked(d *dispatch, streams []*activeStream) bool {
-	return slices.ContainsFunc(streams, func(a *activeStream) bool {
-		return !c.standingLocked(d.placement, a) && !slices.Contains(d.down, a)
-	})
 }
 
 func (c *engine) playStarted(d *dispatch, req *wire.Play) {

@@ -188,12 +188,12 @@ type DisplayPort struct {
 	Components map[string]string
 }
 
-// StreamSpec is everything an MSU needs to start one atomic stream.
-// The Coordinator sends one per stream-group member.
+// StreamSpec is everything an MSU needs to start one atomic stream, one
+// member of a stream group. The Coordinator starts a group in one
+// message that carries every member's spec.
 type StreamSpec struct {
 	Stream    StreamID
 	Group     uint64 // stream-group id; members share VCR control
-	GroupSize int    // total members in the group (set by the Coordinator)
 	Content   string
 	Type      string
 	Protocol  string

@@ -8,9 +8,10 @@
 //
 // The fake MSU registers like a real one (huge disk, huge bandwidth,
 // one content item per fake) and acknowledges StartStream immediately;
-// a timer then fires the stream-ended notification. Clients drive play
-// requests at a fixed rate straight over the wire protocol — they do
-// not wait for VCR connections, because fake MSUs never open one.
+// a timer then fires each member's stream-ended notification. Clients
+// drive play requests at a fixed rate straight over the wire protocol —
+// they do not wait for VCR connections, because fake MSUs never open
+// one.
 //
 // Results report the Coordinator's CPU utilization (process rusage
 // around the run) and intra-server network utilization (bytes on the
@@ -109,14 +110,16 @@ func (f *FakeMSU) handle(msgType string, body json.RawMessage) (any, error) {
 		f.mu.Lock()
 		if !f.closed {
 			t := time.AfterFunc(f.Delay, func() {
-				f.peer.Notify(wire.TypeStreamEnded, wire.StreamEnded{ //nolint:errcheck
-					Stream: req.Spec.Stream, Cause: "fake termination",
-				})
+				for _, spec := range req.Specs {
+					f.peer.Notify(wire.TypeStreamEnded, wire.StreamEnded{ //nolint:errcheck
+						Stream: spec.Stream, Cause: "fake termination",
+					})
+				}
 			})
 			f.timers = append(f.timers, t)
 		}
 		f.mu.Unlock()
-		return &wire.StartStreamOK{}, nil
+		return make([]wire.StartStreamOK, len(req.Specs)), nil
 	case wire.TypeStopStream:
 		return nil, nil
 	default:

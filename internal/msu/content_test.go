@@ -169,18 +169,19 @@ func (r *vcrRig) play(content string) *wire.Peer {
 func (r *vcrRig) playGroup(contents ...string) *wire.Peer {
 	r.t.Helper()
 	gid := r.next + 1
+	var specs []core.StreamSpec
 	for _, content := range contents {
 		r.next++
-		_, err := r.m.startStream(core.StreamSpec{
-			Stream: core.StreamID(r.next), Group: gid, GroupSize: len(contents),
+		specs = append(specs, core.StreamSpec{
+			Stream: core.StreamID(r.next), Group: gid,
 			Content: content, Type: "mpeg1", Protocol: "cbr", Class: core.ConstantRate,
 			Rate:      1500 * units.Kbps,
 			DestAddr:  r.sink.LocalAddr().String(),
 			ClientTCP: r.ln.Addr().String(),
 		})
-		if err != nil {
-			r.t.Fatalf("start-stream %q: %v", content, err)
-		}
+	}
+	if _, err := r.m.startStream(specs); err != nil {
+		r.t.Fatalf("start-stream %q: %v", contents, err)
 	}
 	select {
 	case p := <-r.vcrs:

@@ -27,7 +27,7 @@ func serve[T any](body json.RawMessage, f func(T) (any, error)) (any, error) {
 func (m *MSU) handle(msgType string, body json.RawMessage) (any, error) {
 	switch msgType {
 	case wire.TypeStartStream:
-		return serve(body, func(r wire.StartStream) (any, error) { return m.startStream(r.Spec) })
+		return serve(body, func(r wire.StartStream) (any, error) { return m.startStream(r.Specs) })
 	case wire.TypeStopStream:
 		return serve(body, func(r wire.StopStream) (any, error) {
 			m.step(func(time.Time) { m.eng.stop(r.Stream, "coordinator stop") })
@@ -63,33 +63,43 @@ func (m *MSU) deleteContent(name string) error {
 	return fmt.Errorf("%w: %q", core.ErrNoSuchContent, name)
 }
 
-// startStream admits one stream (play or record) to its group, once its
-// sockets and content are set up.
-func (m *MSU) startStream(spec core.StreamSpec) (*wire.StartStreamOK, error) {
-	if err := spec.Validate(); err != nil {
-		return nil, err
+// startStream starts a stream group (play or record): it builds every
+// member's sockets and content handles, then the core admits the whole
+// group in one input. A member that cannot be built, or a group the core
+// refuses, closes every member built, and the reply is one error.
+func (m *MSU) startStream(specs []core.StreamSpec) ([]wire.StartStreamOK, error) {
+	ss := make([]*stream, 0, len(specs))
+	resps := make([]wire.StartStreamOK, len(specs))
+	for i, spec := range specs {
+		s, err := m.newStream(spec, &resps[i])
+		if err != nil {
+			for _, s := range ss {
+				s.teardown()
+			}
+			return nil, err
+		}
+		ss = append(ss, s)
 	}
-	if spec.Disk >= len(m.stores) {
-		return nil, fmt.Errorf("%w: disk %d of %d", core.ErrBadRequest, spec.Disk, len(m.stores))
-	}
-	var s *stream
-	resp := &wire.StartStreamOK{}
-	var err error
-	if spec.Record {
-		s, resp, err = m.newRecordStream(spec, m.stores[spec.Disk])
-	} else {
-		s, err = m.newPlayStream(spec, m.stores[spec.Disk])
-	}
-	if err != nil {
-		return nil, err
-	}
-	if a := m.wait(func(now time.Time, tk uint64) { m.eng.start(now, tk, s) }); a.err != nil {
-		m.logf("stream %d: start failed: %v", spec.Stream, a.err)
+	if a := m.wait(func(now time.Time, tk uint64) { m.eng.start(now, tk, ss) }); a.err != nil {
+		m.logf("start of %d streams failed: %v", len(specs), a.err)
 		return nil, a.err
 	}
-	m.obs.streams.Inc()
-	m.logf("stream %d (%s %q) started", spec.Stream, map[bool]string{true: "record", false: "play"}[spec.Record], spec.Content)
-	return resp, nil
+	m.obs.streams.Add(int64(len(ss)))
+	m.logf("group %d started: %d streams, %q first", specs[0].Group, len(specs), specs[0].Content)
+	return resps, nil
+}
+
+// newStream builds one member; a recording's addresses go in resp.
+func (m *MSU) newStream(spec core.StreamSpec, resp *wire.StartStreamOK) (*stream, error) {
+	switch err := spec.Validate(); {
+	case err != nil:
+		return nil, err
+	case spec.Disk >= len(m.stores):
+		return nil, fmt.Errorf("%w: disk %d of %d", core.ErrBadRequest, spec.Disk, len(m.stores))
+	case spec.Record:
+		return m.newRecordStream(spec, m.stores[spec.Disk], resp)
+	}
+	return m.newPlayStream(spec, m.stores[spec.Disk])
 }
 
 // handleVCR serves the VCR requests on group gid's control connection,
@@ -270,7 +280,9 @@ func (m *MSU) carry(msg *message) bool {
 		m.logf("group %d terminated: %s", a.group, a.cause)
 		return true
 	case actDiscard:
-		a.ss[0].teardown()
+		for _, s := range a.ss {
+			s.teardown()
+		}
 	case actJob:
 		go a.job.run()
 	case actAbort:

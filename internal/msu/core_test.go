@@ -97,9 +97,9 @@ func (r *coreRig) advance(d time.Duration) []action {
 // begin and dial: it is playing, its control connection attached.
 func (r *coreRig) play(id core.StreamID, disk int) *stream {
 	r.t.Helper()
-	s := &stream{spec: core.StreamSpec{Stream: id, Group: uint64(id), GroupSize: 1, Disk: disk, Content: "movie", ClientTCP: "client"}}
+	s := &stream{spec: core.StreamSpec{Stream: id, Group: uint64(id), Disk: disk, Content: "movie", ClientTCP: "client"}}
 	tk := r.ticket()
-	begin := only(r.t, r.in(func() { r.e.start(r.now, tk, s) }), actCommand)
+	begin := only(r.t, r.in(func() { r.e.start(r.now, tk, []*stream{s}) }), actCommand)
 	dial := only(r.t, r.in(func() { r.e.commanded(begin.group, tk, nil) }), actDial)
 	if a := only(r.t, r.in(func() { r.e.dialed(dial.group, tk, 0, nil) }), actAnswer); a.err != nil {
 		r.t.Fatalf("start of %d: %v", id, a.err)
@@ -178,14 +178,45 @@ func TestCoreQuitWaitsForCommand(t *testing.T) {
 // and the start refused.
 func TestCoreDialAfterQuit(t *testing.T) {
 	r := newCoreRig(t)
-	s := &stream{spec: core.StreamSpec{Stream: 1, Group: 1, GroupSize: 1, Content: "movie", ClientTCP: "client"}}
+	s := &stream{spec: core.StreamSpec{Stream: 1, Group: 1, Content: "movie", ClientTCP: "client"}}
 	tk := r.ticket()
-	only(t, r.in(func() { r.e.start(r.now, tk, s) }), actCommand)
+	only(t, r.in(func() { r.e.start(r.now, tk, []*stream{s}) }), actCommand)
 	only(t, r.in(func() { r.e.commanded(1, tk, nil) }), actDial)
 	only(t, r.in(func() { r.e.stop(1, "coordinator stop") }), actTeardown)
 	out := r.in(func() { r.e.dialed(1, tk, 0, nil) })
 	if ks := kinds(out); !slices.Equal(ks, []actKind{actCloseCtl, actAnswer}) || out[1].err == nil {
 		t.Fatalf("a dial after the quit decided %v (answer %v), want the close and a refusal", ks, out[len(out)-1].err)
+	}
+}
+
+// TestCoreRefusedStartSendsNoStreamEnded: a two-member group whose control
+// dial fails on every attempt is refused and torn down. Its disk reports
+// once it is idle, but the Coordinator, which rolled the start back at
+// the refusal, hears no stream-ended: one could only release a later
+// start of the same streams.
+func TestCoreRefusedStartSendsNoStreamEnded(t *testing.T) {
+	r := newCoreRig(t)
+	ss := []*stream{
+		{spec: core.StreamSpec{Stream: 1, Group: 1, Content: "clip", ClientTCP: "client"}},
+		{spec: core.StreamSpec{Stream: 2, Group: 1, Content: "talk", ClientTCP: "client"}},
+	}
+	tk := r.ticket()
+	begin := only(t, r.in(func() { r.e.start(r.now, tk, ss) }), actCommand)
+	dial := only(t, r.in(func() { r.e.commanded(begin.group, tk, nil) }), actDial)
+	for dial.n+1 < clientDialAttempts {
+		dial = only(t, r.in(func() { r.e.dialed(1, tk, dial.n, errRefused) }), actDial)
+	}
+	out := r.in(func() { r.e.dialed(1, tk, dial.n, errRefused) })
+	if a := only(t, out, actAnswer); a.tk != tk || a.err == nil {
+		t.Fatalf("the last failed dial answered %+v, want the start refused", a)
+	}
+	teardown := only(t, out, actTeardown)
+	out = r.in(func() { r.e.tornDown(teardown.group, nil) })
+	if ks := kinds(out); !slices.Equal(ks, []actKind{actReport}) {
+		t.Fatalf("the refused group's teardown decided %v, want the idle disk's report alone", ks)
+	}
+	if streams, groups := len(r.e.streams), len(r.e.groups); streams+groups != 0 {
+		t.Fatalf("%d streams and %d groups linger", streams, groups)
 	}
 }
 
@@ -240,14 +271,17 @@ type walk struct {
 	work []action
 	acks []uint64
 	// The model: each admitted stream by id; each group's members, its
-	// commands out, whether its teardown is out, whether it is gone; the
-	// connections held, by group; the tickets not yet answered.
+	// commands out, whether its teardown is out, whether its start was
+	// answered OK; the connections held, by group; the tickets not yet
+	// answered, and by ticket the group each StartStream names.
 	streams   map[core.StreamID]*stream
 	members   map[uint64][]*stream
 	inflight  map[uint64]int
 	down      map[uint64]bool
+	ok        map[uint64]bool
 	ctls      map[uint64]bool
 	asked     map[uint64]bool
+	starts    map[uint64]uint64
 	teardowns map[*stream]int
 	applied   map[*stream]uint64 // the cue each stream's disk process plays
 	jobs      map[uint64]bool
@@ -257,7 +291,8 @@ type walk struct {
 }
 
 // walkInputs drives the core with seed's random sequence of inputs —
-// StartStream, StopStream, VCR requests and quits, the outcomes of the
+// StartStream (a whole group, now and then one the core must refuse),
+// StopStream, VCR requests and quits, the outcomes of the
 // begins, dials, commands and teardowns it hands out (taken in any order,
 // some failing), end-of-content reports, stale ones too, a lost control
 // connection, clock ticks, replication orders, aborts and ends, and Close
@@ -266,14 +301,16 @@ type walk struct {
 // and none after their teardown; every stream admitted is torn down once,
 // so its pool reservation has one owner; no connection outlives its group
 // and none is attached to a group quit; a disk left idle reports after
-// the teardowns that left it and before their stream-ended; every request
-// is answered once. It returns a transcript of every decision.
+// the teardowns that left it and before their stream-ended; every stream
+// of a group whose start was answered OK is reported ended, and none of
+// one answered with an error; every request is answered once. It returns
+// a transcript of every decision.
 func walkInputs(t *testing.T, seed int64, steps int) (string, error) {
 	w := &walk{
 		coreRig: newCoreRig(t), rng: rand.New(rand.NewSource(seed)),
 		streams: map[core.StreamID]*stream{}, members: map[uint64][]*stream{},
-		inflight: map[uint64]int{}, down: map[uint64]bool{}, ctls: map[uint64]bool{},
-		asked: map[uint64]bool{}, teardowns: map[*stream]int{}, applied: map[*stream]uint64{},
+		inflight: map[uint64]int{}, down: map[uint64]bool{}, ok: map[uint64]bool{}, ctls: map[uint64]bool{},
+		asked: map[uint64]bool{}, starts: map[uint64]uint64{}, teardowns: map[*stream]int{}, applied: map[*stream]uint64{},
 		jobs: map[uint64]bool{},
 	}
 	for step := 0; step < steps; step++ {
@@ -337,36 +374,40 @@ func (w *walk) step(closing bool) error {
 	}
 }
 
-// start sends a StartStream: a new group's first member, a member of a
-// group still gathering, or now and then a stream id already taken.
+// start sends a StartStream: a new group of one to three members, now and
+// then one naming a stream ID already taken or a group still being torn
+// down, which the core refuses whole.
 func (w *walk) start() error {
-	var spec core.StreamSpec
-	gathering := -1
-	for _, gid := range sortedKeys(w.members) {
-		if m := w.members[gid]; len(m) < m[0].spec.GroupSize && !w.down[gid] {
-			gathering = int(gid)
+	var tearing []uint64
+	for _, gid := range sortedKeys(w.e.groups) {
+		if w.down[gid] {
+			tearing = append(tearing, gid)
 		}
 	}
-	switch {
-	case gathering >= 0 && w.rng.Intn(2) == 0:
-		spec = w.members[uint64(gathering)][0].spec
-	default:
+	var gid uint64
+	if len(tearing) > 0 && w.rng.Intn(10) == 0 {
+		gid = tearing[w.rng.Intn(len(tearing))]
+	} else {
 		w.nextGroup++
-		spec = core.StreamSpec{Group: w.nextGroup, GroupSize: 1 + w.rng.Intn(3), ClientTCP: "client"}
+		gid = w.nextGroup
 	}
-	w.nextID++
-	spec.Stream = w.nextID
-	if w.rng.Intn(20) == 0 && w.nextID > 1 {
-		w.nextID--
-		spec.Stream = core.StreamID(1 + w.rng.Intn(int(w.nextID)))
+	ss := make([]*stream, 1+w.rng.Intn(3))
+	for i := range ss {
+		w.nextID++
+		spec := core.StreamSpec{Stream: w.nextID, Group: gid, ClientTCP: "client"}
+		if w.rng.Intn(20) == 0 && w.nextID > 1 {
+			w.nextID--
+			spec.Stream = core.StreamID(1 + w.rng.Intn(int(w.nextID)))
+		}
+		spec.Disk = w.rng.Intn(2)
+		spec.Record = w.rng.Intn(5) == 0
+		spec.Content = fmt.Sprintf("title%d", w.rng.Intn(3))
+		ss[i] = &stream{spec: spec}
 	}
-	spec.Disk = w.rng.Intn(2)
-	spec.Record = w.rng.Intn(5) == 0
-	spec.Content = fmt.Sprintf("title%d", w.rng.Intn(3))
-	s := &stream{spec: spec}
 	tk := w.ticket()
 	w.asked[tk] = true
-	return w.input(fmt.Sprintf("start %d in group %d", spec.Stream, spec.Group), func() { w.e.start(w.now, tk, s) })
+	w.starts[tk] = gid
+	return w.input(fmt.Sprintf("start %d streams in group %d", len(ss), gid), func() { w.e.start(w.now, tk, ss) })
 }
 
 // vcr sends a VCR request on a group's connection, or one the group has
@@ -493,12 +534,13 @@ func (w *walk) apply(a action) {
 // what it decided against the model.
 func (w *walk) input(what string, in func(), already ...action) error {
 	out := append(already, w.in(in)...)
-	// A stream the core keeps is admitted: start decided no discard.
-	for _, m := range w.e.streams {
-		if w.streams[m.s.spec.Stream] == nil {
-			w.streams[m.s.spec.Stream] = m.s
-			gid := m.s.spec.Group
-			w.members[gid] = append(w.members[gid], m.s)
+	// A group the core keeps is admitted: start decided no discard.
+	for _, gid := range sortedKeys(w.e.groups) {
+		if g := w.e.groups[gid]; w.members[gid] == nil && !w.down[gid] {
+			w.members[gid] = slices.Clone(g.members)
+			for _, s := range g.members {
+				w.streams[s.spec.Stream] = s
+			}
 		}
 	}
 	fmt.Fprintf(&w.log, "%s:", what)
@@ -512,6 +554,26 @@ func (w *walk) input(what string, in func(), already ...action) error {
 		}
 	}
 	w.log.WriteString("\n")
+	// A group gone from the core leaves the model: one whose start was
+	// answered OK at its members' stream-ended, any other here, with no
+	// stream-ended, and a disk it leaves idle reported all the same.
+	for _, gid := range sortedKeys(w.members) {
+		if w.e.groups[gid] != nil {
+			continue
+		}
+		if w.ok[gid] {
+			return fmt.Errorf("%s: group %d is gone without its streams' stream-ended", what, gid)
+		}
+		for _, s := range w.members[gid] {
+			delete(w.streams, s.spec.Stream)
+		}
+		for _, s := range w.members[gid] {
+			if !s.spec.Record && !reported[s.spec.Disk] && len(w.playStreams(s.spec.Disk)) == 0 {
+				return fmt.Errorf("%s: disk %d left idle by group %d without a report", what, s.spec.Disk, gid)
+			}
+		}
+		delete(w.members, gid)
+	}
 	for _, gid := range sortedKeys(w.ctls) {
 		if w.members[gid] == nil {
 			return fmt.Errorf("%s: a connection outlives group %d", what, gid)
@@ -547,14 +609,19 @@ func (w *walk) check(a action, reported map[int]bool) error {
 	case actDial:
 		w.work = append(w.work, a)
 	case actDiscard:
-		if w.streams[a.ss[0].spec.Stream] == a.ss[0] {
-			return fmt.Errorf("stream %d discarded once admitted", a.ss[0].spec.Stream)
+		for _, s := range a.ss {
+			if w.streams[s.spec.Stream] == s {
+				return fmt.Errorf("stream %d discarded once admitted", s.spec.Stream)
+			}
 		}
 	case actAnswer:
 		if !w.asked[a.tk] {
 			return fmt.Errorf("request %d answered twice, or never asked", a.tk)
 		}
 		delete(w.asked, a.tk)
+		if gid, ok := w.starts[a.tk]; ok && a.err == nil {
+			w.ok[gid] = true
+		}
 		if a.quit {
 			w.acks = append(w.acks, a.ss[0].spec.Group)
 		}
@@ -586,8 +653,11 @@ func (w *walk) check(a action, reported map[int]bool) error {
 // report its disk owes if it leaves the disk idle.
 func (w *walk) ended(id core.StreamID, reported map[int]bool) error {
 	s := w.streams[id]
-	if s == nil || !w.down[s.spec.Group] || w.inflight[s.spec.Group] != 0 {
+	switch {
+	case s == nil || !w.down[s.spec.Group] || w.inflight[s.spec.Group] != 0:
 		return fmt.Errorf("stream-ended for %d before its teardown came back", id)
+	case !w.ok[s.spec.Group]:
+		return fmt.Errorf("stream-ended for %d, whose start was not answered OK", id)
 	}
 	delete(w.streams, id)
 	if gid := s.spec.Group; len(w.members[gid]) == 1 {

@@ -32,11 +32,9 @@ type engine struct {
 // connection so that commands start and stop all members together. All
 // members live on this MSU — the Coordinator never splits a group.
 type group struct {
-	id        uint64
-	size      int
-	clientTCP string
-	members   []*stream // fixed once the group is complete
-	ctl       bool      // its control connection is attached
+	id      uint64
+	members []*stream // in the order StartStream named them
+	ctl     bool      // its control connection is attached: its start was answered OK
 	// busy is a command with the members — their first start (beginOp), a
 	// VCR command, their teardown, or a quit whose acknowledgement is not
 	// yet on the wire (acking) — and queue the requests behind it.
@@ -68,7 +66,7 @@ const (
 	actDial                    // attempt n at the client's control port (op), then the hello
 	actCommand                 // apply VCR op to every member; a cue is numbered cue
 	actTeardown                // tear the members down; recordings commit
-	actDiscard                 // close a stream that was not admitted
+	actDiscard                 // close the streams of a group that was not admitted
 	actJob                     // run a replication job
 	actAbort                   // abort one
 	actAttach                  // start serving the group's control connection
@@ -117,40 +115,40 @@ func (e *engine) emit(a action) { e.out = append(e.out, a) }
 
 func (e *engine) answer(tk uint64, err error) { e.emit(action{kind: actAnswer, tk: tk, err: err}) }
 
-// start admits stream s, built by the shell with its sockets and content
-// handles, to its group. StartStream tk is answered now, or, when s
-// completes its group, once the members have begun and the client's
-// control connection is attached.
-func (e *engine) start(now time.Time, tk uint64, s *stream) {
-	spec := s.spec
-	g := e.groups[spec.Group]
+// start admits a stream group the shell built, all of its members or
+// none: one of its stream IDs taken, or its group ID still in the table
+// (being torn down, say), refuses it. StartStream tk is answered once the
+// members have begun and the client's control connection is attached.
+func (e *engine) start(now time.Time, tk uint64, ss []*stream) {
 	var err error
 	switch {
 	case e.closed:
 		err = core.ErrSessionClosed
-	case e.streams[spec.Stream].s != nil:
-		err = fmt.Errorf("%w: stream %d", core.ErrDuplicateName, spec.Stream)
-	case g != nil && (g.cause != "" || len(g.members) == g.size):
-		err = fmt.Errorf("group %d: %w", g.id, core.ErrStreamTerminated)
+	case len(ss) == 0:
+		err = fmt.Errorf("%w: a start with no stream", core.ErrBadRequest)
+	case e.groups[ss[0].spec.Group] != nil:
+		err = fmt.Errorf("group %d: %w", ss[0].spec.Group, core.ErrStreamTerminated)
+	}
+	for i, s := range ss {
+		id := s.spec.Stream
+		taken := e.streams[id].s != nil || slices.ContainsFunc(ss[:i], func(o *stream) bool { return o.spec.Stream == id })
+		if err == nil && taken {
+			err = fmt.Errorf("%w: stream %d", core.ErrDuplicateName, id)
+		}
 	}
 	if err != nil {
 		e.answer(tk, err)
-		e.emit(action{kind: actDiscard, ss: []*stream{s}})
+		e.emit(action{kind: actDiscard, ss: ss})
 		return
 	}
-	if g == nil {
-		g = &group{id: spec.Group, size: max(spec.GroupSize, 1), clientTCP: spec.ClientTCP}
-		e.groups[g.id] = g
-	}
-	e.streams[spec.Stream] = member{s: s, g: g}
-	g.members = append(g.members, s)
-	if !spec.Record {
-		e.playing[spec.Disk]++
-		e.arm(now)
-	}
-	if len(g.members) < g.size {
-		e.answer(tk, nil)
-		return
+	g := &group{id: ss[0].spec.Group, members: ss}
+	e.groups[g.id] = g
+	for _, s := range ss {
+		e.streams[s.spec.Stream] = member{s: s, g: g}
+		if !s.spec.Record {
+			e.playing[s.spec.Disk]++
+			e.arm(now)
+		}
 	}
 	e.run(g, action{tk: tk, op: beginOp})
 }
@@ -176,7 +174,7 @@ func (e *engine) dialed(gid, tk uint64, n int, err error) {
 		e.emit(action{kind: actCloseCtl, group: gid})
 		e.answer(tk, fmt.Errorf("group %d: %w", gid, core.ErrStreamTerminated))
 	case live && n+1 < clientDialAttempts:
-		e.emit(action{kind: actDial, group: gid, tk: tk, ss: g.members, op: g.clientTCP, n: n + 1})
+		e.emit(action{kind: actDial, group: gid, tk: tk, ss: g.members, op: g.members[0].spec.ClientTCP, n: n + 1})
 	default:
 		e.answer(tk, fmt.Errorf("msu: connecting client control: %w", err))
 		e.quit(gid, "client unreachable")
@@ -231,7 +229,7 @@ func (e *engine) commanded(gid, tk uint64, err error) {
 		e.checkEOF(g) // a member may have reached the new cue's end already
 		e.resume(g)
 	case err == nil && g.cause == "":
-		e.emit(action{kind: actDial, group: gid, tk: tk, ss: g.members, op: g.clientTCP})
+		e.emit(action{kind: actDial, group: gid, tk: tk, ss: g.members, op: g.members[0].spec.ClientTCP})
 	default:
 		e.answer(tk, fmt.Errorf("msu: starting group %d: %w", gid, cmp.Or(err, core.ErrStreamTerminated)))
 		e.quit(gid, "client unreachable")
@@ -294,7 +292,8 @@ func (e *engine) teardown(g *group) {
 // recordings published. The group is forgotten before the Coordinator
 // hears its streams ended, so what that allows — deleting their content —
 // finds nothing of them here; a disk it leaves idle reports first,
-// counting every packet the streams sent.
+// counting every packet the streams sent. Only a group whose start was
+// answered OK is reported ended: the Coordinator rolled any other back.
 func (e *engine) tornDown(gid uint64, commits []wire.RecordingDone) {
 	g := e.groups[gid]
 	delete(e.groups, gid)
@@ -309,10 +308,10 @@ func (e *engine) tornDown(gid uint64, commits []wire.RecordingDone) {
 			}
 		}
 	}
-	for _, s := range g.members {
-		e.emit(action{kind: actNote, typ: wire.TypeStreamEnded, body: wire.StreamEnded{Stream: s.spec.Stream, Cause: g.cause}})
-	}
 	if g.ctl {
+		for _, s := range g.members {
+			e.emit(action{kind: actNote, typ: wire.TypeStreamEnded, body: wire.StreamEnded{Stream: s.spec.Stream, Cause: g.cause}})
+		}
 		e.emit(action{kind: actCloseCtl, group: gid})
 	}
 	if e.closed && len(e.groups) == 0 {

@@ -25,16 +25,16 @@ import (
 func (r *vcrRig) record(content string) (*net.UDPConn, *wire.Peer) {
 	r.t.Helper()
 	r.next++
-	ok, err := r.m.startStream(core.StreamSpec{
-		Stream: core.StreamID(r.next), Group: r.next, GroupSize: 1, Record: true,
+	ok, err := r.m.startStream([]core.StreamSpec{{
+		Stream: core.StreamID(r.next), Group: r.next, Record: true,
 		Content: content, Type: "mpeg1", Protocol: "cbr", Class: core.ConstantRate,
 		Rate: 1500 * units.Kbps, Estimate: time.Minute, Reserved: 12 * units.MB,
 		ClientTCP: r.ln.Addr().String(),
-	})
+	}})
 	if err != nil {
 		r.t.Fatal(err)
 	}
-	sink, err := net.ResolveUDPAddr("udp", ok.DataAddr)
+	sink, err := net.ResolveUDPAddr("udp", ok[0].DataAddr)
 	if err != nil {
 		r.t.Fatal(err)
 	}

@@ -41,24 +41,24 @@ type recorder struct {
 }
 
 // newRecordStream creates the content file, reserves the estimate, and
-// opens the receive sockets.
-func (m *MSU) newRecordStream(spec core.StreamSpec, vol msufs.Store) (*stream, *wire.StartStreamOK, error) {
+// opens the receive sockets, whose addresses it puts in resp.
+func (m *MSU) newRecordStream(spec core.StreamSpec, vol msufs.Store, resp *wire.StartStreamOK) (*stream, error) {
 	ext, err := protocol.New(spec.Protocol, protocol.Config{Rate: spec.Rate})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	s := &stream{m: m, spec: spec}
 	rec := &recorder{s: s, ext: ext}
 	s.rec = rec
 	set := &fileSet{m: m, disk: spec.Disk, store: vol}
-	fail := func(err error) (*stream, *wire.StartStreamOK, error) {
+	fail := func(err error) (*stream, error) {
 		for _, c := range []*net.UDPConn{rec.dataConn, rec.ctrlConn} {
 			if c != nil {
 				c.Close() //nolint:errcheck // never handed out
 			}
 		}
 		set.abort() //nolint:errcheck // the refusal is the error to report
-		return nil, nil, err
+		return nil, err
 	}
 	if rec.w, err = set.packets(spec.Content, int64(spec.Reserved)); err != nil {
 		return fail(err)
@@ -68,7 +68,7 @@ func (m *MSU) newRecordStream(spec core.StreamSpec, vol msufs.Store) (*stream, *
 	if err != nil {
 		return fail(fmt.Errorf("msu: opening record data socket: %w", err))
 	}
-	resp := &wire.StartStreamOK{DataAddr: rec.dataConn.LocalAddr().String()}
+	resp.DataAddr = rec.dataConn.LocalAddr().String()
 	if ext.HasControlChannel() {
 		rec.ctrlConn, err = net.ListenUDP("udp", &net.UDPAddr{IP: net.ParseIP(m.cfg.Host)})
 		if err != nil {
@@ -83,7 +83,7 @@ func (m *MSU) newRecordStream(spec core.StreamSpec, vol msufs.Store) (*stream, *
 		rec.wg.Add(1)
 		go rec.readLoop(rec.ctrlConn, protocol.Control)
 	}
-	return s, resp, nil
+	return s, nil
 }
 
 // readLoop receives packets on one channel until stop expires the

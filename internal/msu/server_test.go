@@ -182,13 +182,13 @@ func TestStopStreamFromCoordinator(t *testing.T) {
 	vcr := startVCREndpoint(t)
 
 	spec := core.StreamSpec{
-		Stream: 7, Group: 1, GroupSize: 1,
+		Stream: 7, Group: 1,
 		Content: "movie", Type: "mpeg1", Protocol: "cbr", Class: core.ConstantRate,
 		Rate: 1500 * units.Kbps, Disk: 0,
 		DestAddr:  sink.LocalAddr().String(),
 		ClientTCP: vcr.ln.Addr().String(),
 	}
-	if err := peer.Call(wire.TypeStartStream, wire.StartStream{Spec: spec}, nil); err != nil {
+	if err := peer.Call(wire.TypeStartStream, wire.StartStream{Specs: []core.StreamSpec{spec}}, nil); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -232,7 +232,7 @@ func TestStartStreamRejections(t *testing.T) {
 	peer := fc.peer(t)
 
 	base := core.StreamSpec{
-		Stream: 1, Group: 1, GroupSize: 1,
+		Stream: 1, Group: 1,
 		Content: "movie", Type: "mpeg1", Protocol: "cbr",
 		Rate: 1500 * units.Kbps, DestAddr: "127.0.0.1:9", ClientTCP: "127.0.0.1:9",
 	}
@@ -246,7 +246,7 @@ func TestStartStreamRejections(t *testing.T) {
 		spec := base
 		spec.Stream = core.StreamID(100 + i)
 		mut(&spec)
-		err := peer.Call(wire.TypeStartStream, wire.StartStream{Spec: spec}, nil)
+		err := peer.Call(wire.TypeStartStream, wire.StartStream{Specs: []core.StreamSpec{spec}}, nil)
 		if i == 2 {
 			continue // play path does not instantiate the protocol module
 		}
@@ -358,13 +358,13 @@ func TestGroupClientDialRetries(t *testing.T) {
 	// must retry instead of abandoning the reserved stream.
 	in.FailDials(2)
 	spec := core.StreamSpec{
-		Stream: 7, Group: 1, GroupSize: 1,
+		Stream: 7, Group: 1,
 		Content: "movie", Type: "mpeg1", Protocol: "cbr", Class: core.ConstantRate,
 		Rate: 1500 * units.Kbps, Disk: 0,
 		DestAddr:  sink.LocalAddr().String(),
 		ClientTCP: vcr.ln.Addr().String(),
 	}
-	if err := peer.Call(wire.TypeStartStream, wire.StartStream{Spec: spec}, nil); err != nil {
+	if err := peer.Call(wire.TypeStartStream, wire.StartStream{Specs: []core.StreamSpec{spec}}, nil); err != nil {
 		t.Fatalf("start-stream failed despite dial retries: %v", err)
 	}
 	select {
@@ -397,13 +397,13 @@ func TestGroupClientDialGivesUp(t *testing.T) {
 
 	in.FailDials(100) // exceeds the retry budget
 	spec := core.StreamSpec{
-		Stream: 8, Group: 2, GroupSize: 1,
+		Stream: 8, Group: 2,
 		Content: "movie", Type: "mpeg1", Protocol: "cbr", Class: core.ConstantRate,
 		Rate: 1500 * units.Kbps, Disk: 0,
 		DestAddr:  "127.0.0.1:9",
 		ClientTCP: "127.0.0.1:9",
 	}
-	err = peer.Call(wire.TypeStartStream, wire.StartStream{Spec: spec}, nil)
+	err = peer.Call(wire.TypeStartStream, wire.StartStream{Specs: []core.StreamSpec{spec}}, nil)
 	if err == nil {
 		t.Fatal("start-stream succeeded with an unreachable client")
 	}

@@ -93,7 +93,7 @@ func newStartRig(t *testing.T, titles map[string]time.Duration, clientDial func(
 // spec is a one-stream group playing title to the sink.
 func (r *startRig) spec(id core.StreamID, title string) core.StreamSpec {
 	return core.StreamSpec{
-		Stream: id, Group: uint64(id), GroupSize: 1,
+		Stream: id, Group: uint64(id),
 		Content: title, Type: "mpeg1", Protocol: "cbr", Class: core.ConstantRate,
 		Rate: 1500 * units.Kbps, Disk: 0,
 		DestAddr:  r.sink.LocalAddr().String(),
@@ -105,7 +105,9 @@ func (r *startRig) spec(id core.StreamID, title string) core.StreamSpec {
 // channel returned.
 func (r *startRig) start(spec core.StreamSpec) <-chan error {
 	replied := make(chan error, 1)
-	go func() { replied <- r.peer.Call(wire.TypeStartStream, wire.StartStream{Spec: spec}, nil) }()
+	go func() {
+		replied <- r.peer.Call(wire.TypeStartStream, wire.StartStream{Specs: []core.StreamSpec{spec}}, nil)
+	}()
 	return replied
 }
 
@@ -169,29 +171,68 @@ func finalReport(t *testing.T, reports []wire.CacheReport, order []string) wire.
 func (r *startRig) ended(n int) {
 	r.t.Helper()
 	await.Until(r.t, "stream-ended", func() bool { return r.fc.endedCount() == n })
+	r.quiet(n, func(int64) wire.CacheReport {
+		reports, order := r.messages()
+		return finalReport(r.t, reports, order)
+	})
+}
+
+// refused is ended for a rig whose one group's start was answered with
+// an error: the Coordinator hears no stream-ended (it has rolled the
+// start back), and the last report counts every datagram the client
+// received.
+func (r *startRig) refused() {
+	r.t.Helper()
+	await.Until(r.t, "the group gone", func() bool {
+		_, groups := r.m.live()
+		return groups == 0
+	})
+	r.quiet(0, func(got int64) wire.CacheReport {
+		var last wire.CacheReport
+		await.Until(r.t, "a report counting every datagram", func() bool {
+			reports, _ := r.messages()
+			if len(reports) == 0 || reports[len(reports)-1].Obs == nil {
+				return false
+			}
+			last = reports[len(reports)-1]
+			return last.Obs.Counters["delivery_packets_total"] == got
+		})
+		return last
+	})
+}
+
+// quiet is the rest of ended and refused, given how to pick the final
+// report once the client's count (got) has settled: reports arrive
+// numbered upwards, the final one counts every datagram, the Coordinator
+// has heard n stream-ended, and nothing lingers or is sent after.
+func (r *startRig) quiet(n int, final func(got int64) wire.CacheReport) {
+	r.t.Helper()
 	got := r.settled()
-	reports, order := r.messages()
+	last := final(got)
+	reports, _ := r.messages()
 	for i := 1; i < len(reports); i++ {
 		if reports[i].Seq <= reports[i-1].Seq {
 			r.t.Errorf("report %d arrived after report %d", reports[i].Seq, reports[i-1].Seq)
 		}
 	}
-	final := finalReport(r.t, reports, order)
-	if sent := final.Obs.Counters["delivery_packets_total"]; sent != got {
+	if sent := last.Obs.Counters["delivery_packets_total"]; sent != got {
 		r.t.Errorf("final report counts %d packets sent, the client received %d", sent, got)
 	}
 	if streams, groups := r.m.live(); streams != 0 || groups != 0 {
 		r.t.Errorf("%d streams and %d groups linger", streams, groups)
 	}
-	if n := r.m.obs.pinned.Load(); n != 0 {
-		r.t.Errorf("readahead_pinned_pages = %d, want 0", n)
+	if p := r.m.obs.pinned.Load(); p != 0 {
+		r.t.Errorf("readahead_pinned_pages = %d, want 0", p)
 	}
 	if c := r.m.cacheFor(0); c != nil && c.Pinned() != 0 {
 		r.t.Errorf("%d cache pages still pinned", c.Pinned())
 	}
 	time.Sleep(100 * time.Millisecond) // a negative check: the window an ended stream must send nothing in
-	if n := r.got.Load(); n != got {
-		r.t.Errorf("%d datagrams arrived after the stream ended", n-got)
+	if m := r.got.Load(); m != got {
+		r.t.Errorf("%d datagrams arrived after the stream ended", m-got)
+	}
+	if m := r.fc.endedCount(); m != n {
+		r.t.Errorf("the Coordinator heard %d stream-ended, want %d", m, n)
 	}
 }
 
@@ -243,8 +284,9 @@ func TestFirstPacketBeforeControlDial(t *testing.T) {
 
 // TestControlDialFailureEndsGroup: a client whose control port refuses
 // every dial fails the start, and the streams that began before the dial
-// are stopped — the Coordinator hears the final report and stream-ended,
-// and no packet follows.
+// are stopped — the Coordinator hears the final report but no
+// stream-ended, since it rolled the refused start back itself, and no
+// packet follows.
 func TestControlDialFailureEndsGroup(t *testing.T) {
 	var dials atomic.Int32
 	r := newStartRig(t, map[string]time.Duration{"movie": 10 * time.Second}, func(string, string) (net.Conn, error) {
@@ -260,7 +302,7 @@ func TestControlDialFailureEndsGroup(t *testing.T) {
 	// The members began before the first dial, and played through the
 	// retries' backoff.
 	r.awaitFirstPacket("dials failing")
-	r.ended(1)
+	r.refused()
 }
 
 // TestReportCadence pins when a disk reports: on the report clock while
@@ -417,7 +459,10 @@ func TestQuitDuringControlDial(t *testing.T) {
 		close(release)
 		t.Fatal(err)
 	}
-	await.Until(r.t, "stream-ended", func() bool { return r.fc.endedCount() == 1 })
+	await.Until(r.t, "the group quit and torn down", func() bool {
+		_, groups := r.m.live()
+		return groups == 0
+	})
 	close(release)
 	if err := <-replied; err == nil {
 		t.Fatal("start-stream succeeded for a group quit during its dial")
@@ -443,5 +488,5 @@ func TestQuitDuringControlDial(t *testing.T) {
 	if !ended || attached {
 		t.Errorf("after the quit: disk process ended %v, peer attached %v", ended, attached)
 	}
-	r.ended(1)
+	r.refused()
 }

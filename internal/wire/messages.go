@@ -21,7 +21,9 @@ import (
 //	1 — the unversioned protocol: flat Status scalars, no events
 //	2 — obs snapshots: StatusV2, cache-report piggybacked deltas, the
 //	    events RPC
-const ProtoVersion = 2
+//	3 — a stream group starts in one message: StartStream carries every
+//	    member's spec, and its reply is one StartStreamOK per spec
+const ProtoVersion = 3
 
 // Message type names. Grouped by relationship.
 const (
@@ -373,13 +375,15 @@ type CacheReport struct {
 // MSUWelcome answers MSUHello.
 type MSUWelcome struct{}
 
-// StartStream tells an MSU to begin one stream (play or record).
+// StartStream tells an MSU to begin one stream group (play or record):
+// its members in order, all of them or none. The reply is a list of
+// StartStreamOK, one per spec, in the same order.
 type StartStream struct {
-	Spec core.StreamSpec `json:"spec"`
+	Specs []core.StreamSpec `json:"specs"`
 }
 
-// StartStreamOK answers StartStream. For recordings it carries the UDP
-// addresses the client must send to.
+// StartStreamOK is one member's part of StartStream's reply. For a
+// recording it carries the UDP addresses the client must send to.
 type StartStreamOK struct {
 	DataAddr string `json:"dataAddr,omitempty"`
 	CtrlAddr string `json:"ctrlAddr,omitempty"`

@@ -8,12 +8,14 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"calliope/internal/core"
 	"calliope/internal/obs"
 )
 
@@ -478,12 +480,10 @@ func TestNoHandlerRejectsRequests(t *testing.T) {
 func TestMessagePayloadsSurviveJSON(t *testing.T) {
 	// Spot-check that representative payloads round-trip through the
 	// envelope layer without losing fields.
-	spec := StartStream{}
-	spec.Spec.Stream = 9
-	spec.Spec.Content = "movie"
-	spec.Spec.Rate = 1_500_000
-	spec.Spec.Record = true
-	spec.Spec.Estimate = time.Hour
+	spec := StartStream{Specs: []core.StreamSpec{
+		{Stream: 9, Group: 4, Content: "movie", Rate: 1_500_000, Record: true, Estimate: time.Hour},
+		{Stream: 10, Group: 4, Content: "talk", Rate: 64_000, DestAddr: "a:3"},
+	}}
 	raw, err := json.Marshal(spec)
 	if err != nil {
 		t.Fatal(err)
@@ -492,8 +492,8 @@ func TestMessagePayloadsSurviveJSON(t *testing.T) {
 	if err := json.Unmarshal(raw, &got); err != nil {
 		t.Fatal(err)
 	}
-	if got.Spec != spec.Spec {
-		t.Fatalf("StartStream mutated: %+v vs %+v", got.Spec, spec.Spec)
+	if !slices.Equal(got.Specs, spec.Specs) {
+		t.Fatalf("StartStream mutated: %+v vs %+v", got.Specs, spec.Specs)
 	}
 }
 
