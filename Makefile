@@ -168,9 +168,12 @@ bench-write:
 # The control plane end to end (DESIGN.md, "Admission path"): one client's
 # play → first packet → seek → first packet → quit against a real
 # Coordinator and MSU on a warm memory disk, ns and allocs per cycle.
-# Expected on a 2-core x86 box at 1,000 cycles: 63–68 KB and 410–460
-# allocs a cycle (three runs; ns/op is noisy on a shared box: 0.41–0.57
-# ms, against 0.58–0.68 for the commit before in the same session). A stream is one disk process with one descriptor ring, one set of
+# Expected on a 2-core x86 box at 1,000 cycles: 32.6–33.5 KB and 455–466
+# allocs a cycle, 0.18–0.21 ms (/mem and /durable alike; four runs, ns/op
+# noisy on a shared box), against 67.6–68.6 KB, 457–468 allocs and
+# 0.21–0.22 ms when each start made its stream's 24.5 KB descriptor
+# ring, its VCR connection's two 4 KB read buffers and a goroutine per
+# request (TestPlayCycleBytes holds the bytes under 38 KB). A stream is one disk process with one descriptor ring, one set of
 # fetch slots and one reservation in the disk's pool from its play to its
 # quit, and the seek is a message to it. Both starts leave from RAM (the
 # play from the title's head, the seek from a cached page), so none reads
@@ -182,8 +185,10 @@ bench-write:
 # every append, ~0.51–0.62 ms and ~771 allocs; with every control
 # envelope marshalled and unmarshalled whole, ~82 KB and ~557 allocs.
 # BenchmarkCall is one of that cycle's RPCs alone, a loopback Call with
-# both peers counted: ~1.3 KB and 27 allocs (TestCallAllocations holds
-# the count), against ~1.9 KB and 43 with the envelopes whole.
+# both peers counted: 10.8–11.7 µs, ~1.3 KB and 26 allocs
+# (TestCallAllocations holds the count), against 16.9–17.9 µs and 27
+# allocs with a goroutine per request, and ~1.9 KB and 43 allocs with
+# the envelopes whole.
 # BenchmarkHello is an unchanged MSU re-registration declaring 10,000
 # titles, fed to the Coordinator's core: ~5.5–6.2 ms and 100 allocs in
 # memory and on a state directory alike, against ~10.6–11.8 ms and

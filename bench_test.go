@@ -29,6 +29,7 @@ package calliope
 import (
 	"fmt"
 	"net"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -497,56 +498,91 @@ func BenchmarkStripingHotContent(b *testing.B) {
 // anything a cycle: a play's IDs come from the lease the Coordinator
 // journaled at its start.
 func BenchmarkPlayCycle(b *testing.B) {
-	const fps = 30
-	pkts, err := media.GenerateCBR(media.CBRConfig{Rate: 1500 * units.Kbps, PacketSize: 1024, FPS: fps, GOP: 15, Duration: 10 * time.Second})
-	if err != nil {
-		b.Fatal(err)
-	}
 	for _, mode := range []struct {
 		name    string
 		durable bool
 	}{{"mem", false}, {"durable", true}} {
 		mode := mode
 		b.Run(mode.name, func(b *testing.B) {
-			// Admission has room to spare: a quit returns on its
-			// acknowledgement and the stream is released when the MSU's
-			// stream-ended arrives, which a client cycling this fast can
-			// outrun by a few streams.
-			cfg := ClusterConfig{
-				BlockSize:     64 * 1024,
-				DiskBandwidth: 1000 * units.Mbps,
-				Preload: func(_, _ int, vol *msufs.Volume) error {
-					return Ingest(vol, "movie", "mpeg1", pkts)
-				},
+			cycle := newPlayCycle(b, mode.durable)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				cycle()
 			}
-			if mode.durable {
-				cfg.StateDir = b.TempDir()
-			}
-			playCycle(b, cfg, pkts, fps)
 		})
 	}
 }
 
-// playCycle runs BenchmarkPlayCycle's cycle on a cluster built from cfg
-// with pkts, a fps-frame title, preloaded as "movie".
-func playCycle(b *testing.B, cfg ClusterConfig, pkts []media.Packet, fps int) {
+// playCycleBytes bounds what one warm BenchmarkPlayCycle cycle allocates,
+// every goroutine of the process counted. A cycle allocates 30–34 KB
+// when its starts reuse the descriptor ring and the read buffers that the
+// cycle before it built; ≈ 42 KB when its VCR connection makes its two
+// read buffers, ≈ 58 KB when its stream makes its ring, and ≈ 68 KB
+// when it makes all three.
+const playCycleBytes = 38 << 10
+
+// TestPlayCycleBytes pins playCycleBytes: the bytes allocated over n warm
+// cycles, read from runtime.MemStats as the benchmark's B/op is.
+func TestPlayCycleBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's own allocations would be counted")
+	}
+	cycle := newPlayCycle(t, false)
+	const n = 200
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < n; i++ {
+		cycle()
+	}
+	runtime.ReadMemStats(&after)
+	per := (after.TotalAlloc - before.TotalAlloc) / n
+	t.Logf("a warm cycle allocates %d bytes", per)
+	if per > playCycleBytes {
+		t.Errorf("a warm play, seek and quit allocates %d bytes, want at most %d", per, playCycleBytes)
+	}
+}
+
+// newPlayCycle builds BenchmarkPlayCycle's cluster, its administrative
+// database in memory or durable, with a 10 s title preloaded as "movie",
+// and returns the cycle, run once to warm the cluster. The cluster goes
+// with tb.
+func newPlayCycle(tb testing.TB, durable bool) (cycle func()) {
+	const fps = 30
+	pkts, err := media.GenerateCBR(media.CBRConfig{Rate: 1500 * units.Kbps, PacketSize: 1024, FPS: fps, GOP: 15, Duration: 10 * time.Second})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	// Admission has room to spare: a quit returns on its acknowledgement
+	// and the stream is released when the MSU's stream-ended arrives,
+	// which a client cycling this fast can outrun by a few streams.
+	cfg := ClusterConfig{
+		BlockSize:     64 * 1024,
+		DiskBandwidth: 1000 * units.Mbps,
+		Preload: func(_, _ int, vol *msufs.Volume) error {
+			return Ingest(vol, "movie", "mpeg1", pkts)
+		},
+	}
+	if durable {
+		cfg.StateDir = tb.TempDir()
+	}
 	cluster, err := StartCluster(cfg)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	defer cluster.Close()
+	tb.Cleanup(func() { cluster.Close() })
 	c, err := Dial(cluster.Addr(), "bench")
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	defer c.Close()
+	tb.Cleanup(func() { c.Close() })
 	sink, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	defer sink.Close()
+	tb.Cleanup(func() { sink.Close() })
 	if err := c.RegisterPort("tv", "mpeg1", sink.LocalAddr().String(), ""); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 
 	// A seek lands on the first packet at or after 5 s, so its first
@@ -568,35 +604,31 @@ func playCycle(b *testing.B, cfg ClusterConfig, pkts []media.Packet, fps int) {
 		for {
 			n, _, err := sink.ReadFromUDP(buf)
 			if err != nil {
-				b.Fatalf("no first packet: %v", err)
+				tb.Fatalf("no first packet: %v", err)
 			}
 			h, err := media.ParseHeader(buf[:n])
 			if err != nil {
-				b.Fatal(err)
+				tb.Fatal(err)
 			}
 			if (h.Frame >= mark) == from {
 				return
 			}
 		}
 	}
-	cycle := func() {
+	cycle = func() {
 		stream, err := c.Play("movie", "tv", false)
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		firstPacket(false)
 		if _, err := stream.Seek(seekTo); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		firstPacket(true)
 		if err := stream.Quit(); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
 	cycle() // warm: the title's head and first pages in RAM
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cycle()
-	}
+	return cycle
 }

@@ -114,7 +114,6 @@ func (m *MSU) newPlayStream(spec core.StreamSpec, vol msufs.Store) (*stream, err
 		cmds:   make(chan command),
 		acked:  make(chan struct{}),
 	}
-	s.flow.init(s, m.send, &m.obs)
 	dest, err := net.ResolveUDPAddr("udp", spec.DestAddr)
 	if err != nil {
 		return nil, fmt.Errorf("%w: data address %q: %v", core.ErrBadRequest, spec.DestAddr, err)
@@ -135,6 +134,7 @@ func (m *MSU) newPlayStream(spec core.StreamSpec, vol msufs.Store) (*stream, err
 			return nil, fmt.Errorf("msu: opening control socket: %w", err)
 		}
 	}
+	s.flow.init(s, m.send, &m.obs)
 	return s, nil
 }
 
@@ -145,6 +145,12 @@ func (s *stream) teardown() (done *wire.RecordingDone) {
 	if s.done != nil {
 		s.cmds <- command{op: opQuit}
 		<-s.done
+	}
+	if s.ring != nil {
+		// Empty and out of the sender's heap: the quit flushed it, or no
+		// disk process ever ran to fill it.
+		rings.Put(s.ring)
+		s.ring = nil
 	}
 	if s.rec != nil {
 		done = s.rec.finish()

@@ -66,9 +66,15 @@ func newSender() *sender {
 	return &sender{kick: make(chan struct{}, 1), quit: make(chan struct{}), done: make(chan struct{})}
 }
 
+// rings holds empty descriptor rings between play streams: a ring is
+// queueDepth pointer-holding slots, zeroed whole when made. Dequeue
+// clears each slot it takes, so an empty ring holds nothing and needs no
+// reset.
+var rings = sync.Pool{New: func() any { return queue.NewSPSC[descriptor](queueDepth) }}
+
 func (f *flow) init(s *stream, x *sender, om *msuMetrics) {
 	f.s, f.x, f.om, f.idx = s, x, om, -1
-	f.ring = queue.NewSPSC[descriptor](queueDepth)
+	f.ring = rings.Get().(*queue.SPSC[descriptor])
 	f.space, f.atEnd, f.flushed = make(chan struct{}, 1), make(chan struct{}, 1), make(chan struct{}, 1)
 	f.dry.Store(true)
 }

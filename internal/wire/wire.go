@@ -340,7 +340,19 @@ type Peer struct {
 	nextID atomic.Uint64
 	onDown func(error)
 	wg     sync.WaitGroup
+
+	// requests hands a request to an idle worker: a send succeeds only
+	// while one waits on it. The read loop closes it as it ends, and
+	// idle counts the workers waiting.
+	requests chan *Envelope
+	idle     atomic.Int32
 }
+
+// maxIdle bounds the workers a peer keeps idle between requests: a
+// peer's requests come one or a few at a time (a client's play and its
+// VCR commands, the Coordinator's starts and stops to one MSU), so a few
+// grown stacks serve them, and a burst's extra goroutines end.
+const maxIdle = 4
 
 // NewPeer wraps conn and starts serving immediately. handler serves
 // inbound requests/notifications (nil rejects all). onDown, if
@@ -357,10 +369,11 @@ func NewPeer(conn net.Conn, handler Handler, onDown func(error)) *Peer {
 // (publish the peer, then Start).
 func NewPeerStopped(conn net.Conn, handler Handler, onDown func(error)) *Peer {
 	return &Peer{
-		conn:    conn,
-		handler: handler,
-		pending: make(map[uint64]chan *Envelope),
-		onDown:  onDown,
+		conn:     conn,
+		handler:  handler,
+		pending:  make(map[uint64]chan *Envelope),
+		onDown:   onDown,
+		requests: make(chan *Envelope),
 	}
 }
 
@@ -489,8 +502,12 @@ func (p *Peer) Close() error {
 	return err
 }
 
+// readers holds read loops' buffers between connections.
+var readers = sync.Pool{New: func() any { return bufio.NewReader(nil) }}
+
 func (p *Peer) readLoop() {
-	br := bufio.NewReader(p.conn)
+	br := readers.Get().(*bufio.Reader)
+	br.Reset(p.conn)
 	var readErr error
 	for {
 		e, err := ReadMessage(br)
@@ -508,9 +525,13 @@ func (p *Peer) readLoop() {
 				ch <- e
 			}
 		case KindRequest:
-			// Requests may block (queued plays), so they get their own
-			// goroutines.
-			go p.serve(e)
+			// Requests may block (queued plays), so none waits for
+			// another: an idle worker takes it, or a new one does.
+			select {
+			case p.requests <- e:
+			default:
+				go p.work(e)
+			}
 		case KindNotify:
 			// Notifications are processed inline so their relative
 			// order is preserved — the Coordinator depends on
@@ -521,6 +542,9 @@ func (p *Peer) readLoop() {
 			}
 		}
 	}
+	br.Reset(nil) // ReadMessage copied each frame out of it
+	readers.Put(br)
+	close(p.requests)
 	p.mu.Lock()
 	p.closed = true
 	p.err = readErr
@@ -537,6 +561,20 @@ func (p *Peer) readLoop() {
 	p.wg.Done()
 	if p.onDown != nil {
 		p.onDown(readErr)
+	}
+}
+
+// work serves e and then, while the peer keeps fewer than maxIdle idle
+// workers, waits for the next request, until the read loop ends.
+func (p *Peer) work(e *Envelope) {
+	for ok := true; ok; {
+		p.serve(e)
+		if p.idle.Add(1) > maxIdle {
+			p.idle.Add(-1)
+			return
+		}
+		e, ok = <-p.requests
+		p.idle.Add(-1)
 	}
 }
 

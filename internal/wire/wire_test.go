@@ -8,13 +8,16 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"runtime"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"calliope/internal/await"
 	"calliope/internal/core"
 	"calliope/internal/obs"
 )
@@ -546,7 +549,7 @@ func BenchmarkCall(b *testing.B) {
 
 // callAllocs is what one loopback Call costs in allocations, both peers'
 // counted, as BenchmarkCall's allocs/op reports it.
-const callAllocs = 27
+const callAllocs = 26
 
 // TestCallAllocations pins callAllocs: a frame is built in one buffer
 // and read with one pass over its fields.
@@ -601,4 +604,102 @@ func TestCloseFromOnDown(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("onDown calling Close deadlocked the read loop")
 	}
+}
+
+// TestResidentWorkers: a peer serves requests on workers it keeps
+// between them. A request blocked in its handler delays no other, a run
+// of sequential Calls is served by the same few goroutines, and every
+// worker ends once the peer is closed.
+func TestResidentWorkers(t *testing.T) {
+	var mu sync.Mutex
+	served := map[uint64]bool{} // the goroutines that ran the handler
+	entered := make(chan struct{}, maxIdle+1)
+	release := make(chan struct{})
+	client, server := peerPair(t, func(msgType string, _ json.RawMessage) (any, error) {
+		mu.Lock()
+		served[goroutineID()] = true
+		mu.Unlock()
+		if msgType == "block" {
+			entered <- struct{}{}
+			<-release
+		}
+		return struct{}{}, nil
+	})
+	distinct := func() int {
+		mu.Lock()
+		defer mu.Unlock()
+		return len(served)
+	}
+
+	for i := 0; i < 1000; i++ {
+		if err := client.Call("ping", struct{}{}, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := distinct(); n > maxIdle {
+		t.Errorf("1,000 sequential calls were served by %d goroutines, want at most maxIdle = %d", n, maxIdle)
+	}
+
+	// More requests block than the peer keeps idle workers: each still
+	// gets a goroutine, and a call behind them is answered at once.
+	blocked := make(chan error, maxIdle+1)
+	for i := 0; i < maxIdle+1; i++ {
+		go func() { blocked <- client.Call("block", struct{}{}, nil) }()
+	}
+	for i := 0; i < maxIdle+1; i++ {
+		<-entered
+	}
+	if err := client.CallTimeout("ping", struct{}{}, nil, await.Deadline); err != nil {
+		t.Fatalf("a call behind %d blocked requests: %v", maxIdle+1, err)
+	}
+	close(release)
+	for i := 0; i < maxIdle+1; i++ {
+		if err := <-blocked; err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	server.Close()
+	await.Until(t, "every worker to end after Close", func() bool {
+		live := liveGoroutines()
+		mu.Lock()
+		defer mu.Unlock()
+		for id := range served {
+			if live[id] {
+				return false
+			}
+		}
+		return true
+	})
+}
+
+// goroutineID is the calling goroutine's ID, from its stack's header
+// line, "goroutine N [running]:".
+func goroutineID() uint64 {
+	var buf [64]byte
+	b := bytes.TrimPrefix(buf[:runtime.Stack(buf[:], false)], []byte("goroutine "))
+	id, _ := strconv.ParseUint(string(b[:bytes.IndexByte(b, ' ')]), 10, 64)
+	return id
+}
+
+// liveGoroutines is the set of every running goroutine's ID.
+func liveGoroutines() map[uint64]bool {
+	buf := make([]byte, 1<<20)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			buf = buf[:n]
+			break
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+	live := map[uint64]bool{}
+	for _, line := range strings.Split(string(buf), "\n") {
+		if rest, ok := strings.CutPrefix(line, "goroutine "); ok {
+			if id, err := strconv.ParseUint(rest[:strings.IndexByte(rest, ' ')], 10, 64); err == nil {
+				live[id] = true
+			}
+		}
+	}
+	return live
 }
