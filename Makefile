@@ -14,9 +14,9 @@ vet:
 
 # Every static rule: go vet (its copylocks check keeps the atomic
 # counters from being copied), gofmt, then Calliope's own analyzers:
-# spscrole, walltime, errdropped, pageref, lockorder, goroleak (see
-# DESIGN.md, "Static analysis & invariants"). A file gofmt would change
-# fails the target, named.
+# spscrole, walltime, errdropped, pageref, lockorder, goroleak, testonly
+# (see DESIGN.md, "Static analysis & invariants"). A file gofmt would
+# change fails the target, named.
 lint: vet
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then echo "gofmt -l:"; echo "$$unformatted"; exit 1; fi
 	$(GO) run ./cmd/calliope-vet ./...

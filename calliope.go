@@ -91,11 +91,6 @@ const (
 // Dial connects to a Coordinator and opens a session.
 func Dial(coordinator, user string) (*Client, error) { return client.Dial(coordinator, user) }
 
-// DialOptions is Dial with failure-handling knobs.
-func DialOptions(coordinator, user string, opts Options) (*Client, error) {
-	return client.DialOptions(coordinator, user, opts)
-}
-
 // DialContext is Dial bounded by a context; see client.DialContext.
 func DialContext(ctx context.Context, coordinator, user string, opts Options) (*Client, error) {
 	return client.DialContext(ctx, coordinator, user, opts)
@@ -106,7 +101,7 @@ func NewReceiver(host string) (*Receiver, error) { return client.NewReceiver(hos
 
 // NewJitterBuffer creates a presentation buffer running delay behind
 // arrival.
-func NewJitterBuffer(delay time.Duration) (*JitterBuffer, error) {
+func NewJitterBuffer(delay time.Duration) (*JitterBuffer, error) { //nolint:testonly // §2.2.1's client buffer (E8): the constructor beside the re-exported type
 	return client.NewJitterBuffer(delay)
 }
 
@@ -199,9 +194,10 @@ type ClusterConfig struct {
 	// rate of one transfer; the zero value is the defaults.
 	Replication coordinator.ReplicationConfig
 	// StateDir, if set, gives the Coordinator a durable administrative
-	// database (internal/admindb) in that directory, and enables
-	// Cluster.RestartCoordinator: a crash–restart of the Coordinator
-	// keeps the content catalog, replica locations and ID counters.
+	// database (internal/admindb) in that directory, so a crash–restart
+	// of the Coordinator keeps the content catalog, replica locations
+	// and ID counters. The root tests' Cluster.RestartCoordinator
+	// (restart_test.go) drives that restart.
 	StateDir string
 	// Logger enables server logging.
 	Logger *log.Logger
@@ -234,15 +230,15 @@ type Cluster struct {
 	Coordinator *coordinator.Coordinator
 	MSUs        []*msu.MSU
 	vols        [][]*msufs.Volume
-	// msuCfgs keeps each MSU's original configuration so RestartMSU can
-	// bring the replacement up with the same dialers, listeners, layout
-	// and budgets.
+	// msuCfgs keeps each MSU's original configuration so the tests'
+	// RestartMSU can bring the replacement up with the same dialers,
+	// listeners, layout and budgets.
 	msuCfgs []msu.Config
 	// store is the Coordinator's durable administrative database when
 	// ClusterConfig.StateDir was set; the Cluster owns its lifecycle.
 	store    *admindb.DB
 	stateDir string
-	// coordCfg is kept so RestartCoordinator can rebuild the
+	// coordCfg is kept so the tests' RestartCoordinator can rebuild the
 	// Coordinator against the same store and address.
 	coordCfg coordinator.Config
 }
@@ -380,66 +376,6 @@ func (c *Cluster) Volume(m, d int) *msufs.Volume { return c.vols[m][d] }
 // or a striped store.
 func IngestStore(store msufs.Store, name, contentType string, pkts []Packet) error {
 	return msu.Ingest(store, name, contentType, pkts)
-}
-
-// RestartMSU replaces MSU idx with a fresh server process on the same
-// volumes — the recovery path of §2.2: the returning MSU contacts the
-// Coordinator and is restored to the scheduling database.
-func (c *Cluster) RestartMSU(idx int) (*msu.MSU, error) {
-	if idx < 0 || idx >= len(c.vols) {
-		return nil, fmt.Errorf("calliope: no MSU %d", idx)
-	}
-	mcfg := c.msuCfgs[idx]
-	mcfg.Coordinator = c.Addr() // the Coordinator may have restarted on a new port
-	m, err := msu.New(mcfg)
-	if err != nil {
-		return nil, err
-	}
-	if err := m.Start(); err != nil {
-		m.Close() //nolint:errcheck // the Start error is the one reported
-		return nil, err
-	}
-	c.MSUs[idx] = m
-	return m, nil
-}
-
-// RestartCoordinator kills the Coordinator and replaces it with a
-// fresh instance recovered from the state directory — the
-// crash–restart path. The administrative store is cut off before the
-// teardown so nothing the dying Coordinator writes on the way down
-// reaches disk (a real crash writes nothing either); the replacement
-// reopens the directory, replays snapshot + journal, and listens on
-// the same address so the existing reconnect machinery — MSU
-// re-registration with backoff, client reconnect + port replay —
-// converges on it. Active sessions and registrations drop, as in a
-// crash; the MSU→client data plane keeps flowing. Requires
-// ClusterConfig.StateDir.
-func (c *Cluster) RestartCoordinator() error {
-	if c.store == nil {
-		return fmt.Errorf("calliope: RestartCoordinator needs ClusterConfig.StateDir")
-	}
-	cfg := c.coordCfg
-	cfg.Addr = c.Coordinator.Addr() // keep the address MSUs and clients redial
-	c.store.Close()                 //nolint:errcheck // crash semantics: teardown writes are dropped
-	c.Coordinator.Close()
-	store, err := admindb.Open(admindb.Options{Dir: c.stateDir, Logger: cfg.Logger})
-	if err != nil {
-		return err
-	}
-	cfg.Store = store
-	coord, err := coordinator.New(cfg)
-	if err != nil {
-		store.Close() //nolint:errcheck // the New error is the one reported
-		return err
-	}
-	if err := coord.Start(); err != nil {
-		store.Close() //nolint:errcheck // the Start error is the one reported
-		return err
-	}
-	c.Coordinator = coord
-	c.store = store
-	c.coordCfg = cfg
-	return nil
 }
 
 // Close shuts the whole installation down.

@@ -1,12 +1,14 @@
 // Command calliope-vet is Calliope's custom static-analysis
 // multichecker. It runs the repo-specific analyzers — spscrole,
-// walltime, errdropped, pageref, lockorder, goroleak — over the
-// packages named on the command line and exits non-zero if any
+// walltime, errdropped, pageref, lockorder, goroleak, testonly — over
+// the packages named on the command line and exits non-zero if any
 // invariant is violated. Per-package checks run package by package;
 // cross-package checks (lockorder's acquisition graph, goroleak's
-// spawn-target resolution) run once over the whole load set. That an
-// atomic counter is never copied is go vet's copylocks check, not
-// one of these.
+// spawn-target resolution, testonly's references) run once over the
+// whole load set. testonly reports an exported function only when the
+// load set is every package ./... names at the module root, since
+// code outside a partial load set may call it. That an atomic counter
+// is never copied is go vet's copylocks check, not one of these.
 //
 // Usage:
 //
@@ -25,6 +27,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -38,6 +41,7 @@ import (
 	"calliope/internal/analysis/lockorder"
 	"calliope/internal/analysis/pageref"
 	"calliope/internal/analysis/spscrole"
+	"calliope/internal/analysis/testonly"
 	"calliope/internal/analysis/walltime"
 )
 
@@ -48,6 +52,7 @@ var analyzers = []*framework.Analyzer{
 	pageref.Analyzer,
 	lockorder.Analyzer,
 	goroleak.Analyzer,
+	testonly.Analyzer,
 }
 
 func main() {
@@ -86,20 +91,43 @@ func main() {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-
-	mod, err := goList("-m", "-f", "{{.Path}}\n{{.Dir}}")
+	findings, err := vet(".", patterns, selected)
+	for _, f := range findings {
+		fmt.Println(f)
+	}
 	if err != nil {
 		fatalf("%v", err)
+	}
+	if len(findings) > 0 {
+		os.Exit(1)
+	}
+}
+
+// vet runs analyzers over the module packages that patterns match, as
+// go list in dir reads them, and returns one line per diagnostic. A
+// package that fails to load is in the error; the rest are still
+// checked.
+func vet(dir string, patterns []string, analyzers []*framework.Analyzer) ([]string, error) {
+	mod, err := goList(dir, "-m", "-f", "{{.Path}}\n{{.Dir}}")
+	if err != nil {
+		return nil, err
 	}
 	modPath, root := mod[0], mod[1]
 	// Only the module's own packages: `all` names the standard library
 	// too, which the loader type-checks only as a dependency.
-	paths, err := goList(append([]string{"-f", "{{if and .GoFiles .Module .Module.Main}}{{.ImportPath}}{{end}}"}, patterns...)...)
+	const format = "{{if and .GoFiles .Module .Module.Main}}{{.ImportPath}}{{end}}"
+	paths, err := goList(dir, append([]string{"-f", format}, patterns...)...)
 	if err != nil {
-		fatalf("%v", err)
+		return nil, err
 	}
 	if len(paths) == 0 {
-		fatalf("no package of the module matches %s", strings.Join(patterns, " "))
+		return nil, fmt.Errorf("no package of the module matches %s", strings.Join(patterns, " "))
+	}
+	// The load set is the whole module when it holds every package
+	// ./... names at the root (both lists hold module packages only).
+	all, err := goList(dir, "-f", format, modPath+"/...")
+	if err != nil {
+		return nil, err
 	}
 
 	loader := framework.NewLoader()
@@ -109,38 +137,37 @@ func main() {
 	// Load the whole set first: cross-package analyzers (lockorder)
 	// need every package type-checked before they can build their
 	// tree-wide graphs.
-	exit := 0
+	var loadErrs []error
 	var pkgs []*framework.Package
 	for _, path := range paths {
 		pkg, err := loader.Load(path)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "calliope-vet: %v\n", err)
-			exit = 1
+			loadErrs = append(loadErrs, err)
 			continue
 		}
 		pkgs = append(pkgs, pkg)
 	}
-	diags, err := framework.RunProject(pkgs, selected)
+	diags, err := framework.RunProject(pkgs, len(paths) == len(all), analyzers)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "calliope-vet: %v\n", err)
-		os.Exit(1)
+		return nil, err
 	}
+	var findings []string
 	for _, d := range diags {
 		pos := loader.Fset.Position(d.Pos)
 		rel, rerr := filepath.Rel(root, pos.Filename)
 		if rerr != nil {
 			rel = pos.Filename
 		}
-		fmt.Printf("%s:%d:%d: [%s] %s\n", rel, pos.Line, pos.Column, d.Analyzer.Name, d.Message)
-		exit = 1
+		findings = append(findings, fmt.Sprintf("%s:%d:%d: [%s] %s", rel, pos.Line, pos.Column, d.Analyzer.Name, d.Message))
 	}
-	os.Exit(exit)
+	return findings, errors.Join(loadErrs...)
 }
 
-// goList runs go list with args and returns the lines it prints,
-// empty ones dropped; what it says on stderr passes through.
-func goList(args ...string) ([]string, error) {
+// goList runs go list in dir with args and returns the lines it
+// prints, empty ones dropped; what it says on stderr passes through.
+func goList(dir string, args ...string) ([]string, error) {
 	cmd := exec.Command("go", append([]string{"list"}, args...)...)
+	cmd.Dir = dir
 	cmd.Stderr = os.Stderr
 	out, err := cmd.Output()
 	if err != nil {

@@ -212,7 +212,7 @@ func (db *DB) Counters() Counters {
 }
 
 // Load freezes the whole database into a State the caller owns.
-func (db *DB) Load() (*State, error) {
+func (db *DB) Load() (*State, error) { //nolint:testonly // the coordinator's durability tests compare the replayed catalog
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	if db.closed {
@@ -267,7 +267,7 @@ func (db *DB) Apply(muts ...Mutation) error {
 
 // Compact writes the tables as a fresh snapshot and truncates the
 // journal. Without a journal there is nothing to do.
-func (db *DB) Compact() error {
+func (db *DB) Compact() error { //nolint:testonly // the coordinator's restart tests replay from a compacted snapshot
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	if db.closed {
@@ -344,7 +344,7 @@ func (db *DB) Close() error {
 
 // Reopen lets a closed NewMem database serve a restarted Coordinator;
 // one opened on a directory is reopened with Open.
-func (db *DB) Reopen() {
+func (db *DB) Reopen() { //nolint:testonly // the coordinator's restart tests restart on an in-memory store
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	db.closed = false

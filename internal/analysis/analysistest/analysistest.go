@@ -37,8 +37,8 @@ type expectation struct {
 
 // Run loads every package path from testdata/src into one load set,
 // applies the analyzer across it (per-package Run and cross-package
-// RunAll both fire), and diffs diagnostics against want comments in
-// any of the loaded packages.
+// RunAll both fire) as the whole tree (ProjectPass.Whole), and diffs
+// diagnostics against want comments in any of the loaded packages.
 func Run(t *testing.T, testdata string, a *framework.Analyzer, paths ...string) {
 	t.Helper()
 	loader := framework.NewLoader()
@@ -55,7 +55,7 @@ func Run(t *testing.T, testdata string, a *framework.Analyzer, paths ...string) 
 	if len(pkgs) == 0 {
 		return
 	}
-	diags, err := framework.RunProject(pkgs, []*framework.Analyzer{a})
+	diags, err := framework.RunProject(pkgs, true, []*framework.Analyzer{a})
 	if err != nil {
 		t.Errorf("running %s: %v", a.Name, err)
 		return

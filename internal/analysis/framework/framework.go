@@ -5,8 +5,9 @@
 // Calliope's correctness rests on invariants the compiler cannot see:
 // the SPSC queue's single-producer/single-consumer contract (§2.3),
 // wall-clock-free deterministic packages, control-plane errors that
-// must never be dropped, pages released once, one lock order and a
-// shutdown edge for every goroutine. (That atomic counters are never
+// must never be dropped, pages released once, one lock order, a
+// shutdown edge for every goroutine and no production code that only
+// tests reach. (That atomic counters are never
 // copied is go vet's copylocks check.) The analyzers under
 // internal/analysis encode those
 // invariants; this package gives them an x/tools-shaped API (Analyzer,
@@ -84,6 +85,9 @@ type ProjectPass struct {
 	// Funcs indexes every function and method declared with a body in
 	// Pkgs by its object.
 	Funcs map[types.Object]*Func
+	// Whole reports that Pkgs is every package of the module, so no
+	// code outside them refers to theirs.
+	Whole bool
 
 	diags *[]Diagnostic
 }
@@ -97,17 +101,12 @@ func (p *ProjectPass) Reportf(pos token.Pos, format string, args ...any) {
 	})
 }
 
-// Run executes the analyzers over one loaded package and returns the
-// surviving (non-suppressed) diagnostics in position order.
-func Run(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
-	return RunProject([]*Package{pkg}, analyzers)
-}
-
 // RunProject executes the analyzers over a whole load set: Run per
 // package, RunAll once across all of them. All packages must come from
-// one Loader (they share its FileSet). Diagnostics are
+// one Loader (they share its FileSet); whole says they are every
+// package of the module (ProjectPass.Whole). Diagnostics are
 // suppression-filtered and returned in position order.
-func RunProject(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
+func RunProject(pkgs []*Package, whole bool, analyzers []*Analyzer) ([]Diagnostic, error) {
 	if len(pkgs) == 0 {
 		return nil, nil
 	}
@@ -138,6 +137,7 @@ func RunProject(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 				Fset:     pkgs[0].Fset,
 				Pkgs:     pkgs,
 				Funcs:    funcs,
+				Whole:    whole,
 				diags:    &diags,
 			}
 			if err := a.RunAll(pass); err != nil {

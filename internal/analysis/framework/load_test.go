@@ -247,7 +247,7 @@ func TestRunProjectRegistration(t *testing.T) {
 			return nil
 		},
 	}
-	diags, err := RunProject([]*Package{pkg1, pkg2}, []*Analyzer{probe})
+	diags, err := RunProject([]*Package{pkg1, pkg2}, true, []*Analyzer{probe})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -94,15 +94,10 @@ func Dial(coordinator, user string) (*Client, error) {
 	return DialContext(context.Background(), coordinator, user, Options{})
 }
 
-// DialOptions is Dial with failure-handling knobs.
-func DialOptions(coordinator, user string, opts Options) (*Client, error) {
-	return DialContext(context.Background(), coordinator, user, opts)
-}
-
 // DialContext is the primary constructor: it connects to the
 // Coordinator and opens a session for user, abandoning the dial and
-// the hello round-trip when ctx is cancelled. Dial and DialOptions are
-// thin wrappers over it with a background context.
+// the hello round-trip when ctx is cancelled. Dial is a thin wrapper
+// over it with a background context and no options.
 func DialContext(ctx context.Context, coordinator, user string, opts Options) (*Client, error) {
 	c := &Client{
 		coordinator: coordinator,
@@ -274,7 +269,7 @@ func (c *Client) coordPeer() *wire.Peer {
 
 // WaitConnectedContext blocks until the Coordinator connection is up
 // (it returns immediately while connected) or ctx ends.
-func (c *Client) WaitConnectedContext(ctx context.Context) error {
+func (c *Client) WaitConnectedContext(ctx context.Context) error { //nolint:testonly // DESIGN.md's failure handling: how an application waits out a redial
 	c.mu.Lock()
 	ch := c.connCh
 	c.mu.Unlock()
@@ -284,24 +279,6 @@ func (c *Client) WaitConnectedContext(ctx context.Context) error {
 	case <-ctx.Done():
 		return fmt.Errorf("client: not reconnected to coordinator: %w", ctx.Err())
 	}
-}
-
-// WaitConnected is WaitConnectedContext with a timeout.
-func (c *Client) WaitConnected(timeout time.Duration) error {
-	ctx, cancel := context.WithTimeout(context.Background(), timeout)
-	defer cancel()
-	if err := c.WaitConnectedContext(ctx); err != nil {
-		return fmt.Errorf("client: not reconnected to coordinator after %v", timeout)
-	}
-	return nil
-}
-
-// Session reports the session identifier the Coordinator assigned (it
-// changes after a reconnect).
-func (c *Client) Session() core.SessionID {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.session
 }
 
 // ControlAddr is where MSUs dial this client's VCR connections.
@@ -432,9 +409,9 @@ func (g *groupState) notePos(mu *sync.Mutex, pos time.Duration) {
 	mu.Unlock()
 }
 
-// waitVCRContext blocks until the MSU's control connection for group
-// arrives or ctx ends.
-func (c *Client) waitVCRContext(ctx context.Context, group uint64) (*vcrState, error) {
+// waitVCR blocks until the MSU's control connection for group arrives,
+// for at most vcrWaitTimeout.
+func (c *Client) waitVCR(group uint64) (*vcrState, error) {
 	c.mu.Lock()
 	if g, ok := c.groups[group]; ok && g.vcr != nil {
 		st := g.vcr
@@ -444,11 +421,13 @@ func (c *Client) waitVCRContext(ctx context.Context, group uint64) (*vcrState, e
 	ch := make(chan *vcrState, 1)
 	c.vcrWait[group] = append(c.vcrWait[group], ch)
 	c.mu.Unlock()
+	t := time.NewTimer(vcrWaitTimeout)
+	defer t.Stop()
 	select {
 	case st := <-ch:
 		return st, nil
-	case <-ctx.Done():
-		return nil, fmt.Errorf("client: no control connection for group %d: %w", group, ctx.Err())
+	case <-t.C:
+		return nil, fmt.Errorf("client: no control connection for group %d after %v", group, vcrWaitTimeout)
 	}
 }
 
@@ -509,11 +488,6 @@ func (c *Client) EventsContext(ctx context.Context, req wire.EventsRequest) (wir
 	return resp, err
 }
 
-// AddType installs a content type (administrative).
-func (c *Client) AddType(t core.ContentType) error {
-	return c.call(context.Background(), wire.TypeAddType, wire.AddType{Type: t}, nil)
-}
-
 // DeleteContent removes a content item (administrative).
 func (c *Client) DeleteContent(name string) error {
 	return c.call(context.Background(), wire.TypeDeleteContent, wire.DeleteContent{Content: name}, nil)
@@ -547,7 +521,7 @@ func (c *Client) registerPort(req wire.RegisterPort) error {
 }
 
 // UnregisterPort drops a display port.
-func (c *Client) UnregisterPort(name string) error {
+func (c *Client) UnregisterPort(name string) error { //nolint:testonly // §1's port interface: the client half of the Coordinator's unregister-port request
 	if err := c.call(context.Background(), wire.TypeUnregisterPort, wire.UnregisterPort{Name: name}, nil); err != nil {
 		return err
 	}
@@ -643,53 +617,27 @@ type Stream struct {
 	vcr  *vcrState // the original control connection, for Down
 }
 
-// vcrWaitTimeout bounds how long the timeout-flavoured Play and Record
-// wait for the serving MSU's control connection to arrive.
+// vcrWaitTimeout bounds how long Play and Record wait for the serving
+// MSU's control connection to arrive.
 const vcrWaitTimeout = 10 * time.Second
 
 // Play asks Calliope to deliver content to the named display port. If
 // wait is set the request queues while resources are busy. The request
 // itself waits indefinitely (a queued play admits whenever resources
-// free up); use PlayContext to bound it.
+// free up).
 func (c *Client) Play(content, port string, wait bool) (*Stream, error) {
-	return c.play(context.Background(), content, port, wait, vcrWaitTimeout)
-}
-
-// PlayContext is Play bounded by ctx, covering both the admission
-// round-trip (which with wait set can queue indefinitely) and the wait
-// for the MSU's control connection.
-func (c *Client) PlayContext(ctx context.Context, content, port string, wait bool) (*Stream, error) {
-	return c.play(ctx, content, port, wait, 0)
-}
-
-func (c *Client) play(ctx context.Context, content, port string, wait bool, vcrTimeout time.Duration) (*Stream, error) {
 	var resp wire.PlayOK
-	err := c.call(ctx, wire.TypePlay, wire.Play{
+	err := c.call(context.Background(), wire.TypePlay, wire.Play{
 		Content: content, Port: port, ControlAddr: c.ControlAddr(), Wait: wait,
 	}, &resp)
 	if err != nil {
 		return nil, err
 	}
-	vcr, err := c.waitVCRBounded(ctx, resp.Group, vcrTimeout)
+	vcr, err := c.waitVCR(resp.Group)
 	if err != nil {
 		return nil, err
 	}
 	return &Stream{c: c, info: resp, g: c.group(resp.Group), vcr: vcr}, nil
-}
-
-// waitVCRBounded waits for the group's control connection under ctx,
-// additionally capped at timeout when nonzero.
-func (c *Client) waitVCRBounded(ctx context.Context, group uint64, timeout time.Duration) (*vcrState, error) {
-	if timeout > 0 {
-		bounded, cancel := context.WithTimeout(ctx, timeout)
-		defer cancel()
-		st, err := c.waitVCRContext(bounded, group)
-		if err != nil && ctx.Err() == nil {
-			return nil, fmt.Errorf("client: no control connection for group %d after %v", group, timeout)
-		}
-		return st, err
-	}
-	return c.waitVCRContext(ctx, group)
 }
 
 // Info reports the scheduling result.
@@ -704,7 +652,7 @@ func (s *Stream) EOF() <-chan wire.StreamEOF { return s.g.eof }
 // Down is closed if the MSU's control connection is lost. After a
 // migration the channel refers to the failed connection; use Migrated
 // and Lost to learn the group's fate.
-func (s *Stream) Down() <-chan struct{} { return s.vcr.down }
+func (s *Stream) Down() <-chan struct{} { return s.vcr.down } //nolint:testonly // §2.2's failure notice: the MSU's control connection broke
 
 // Migrated delivers a notice when the Coordinator re-dispatches this
 // group onto another MSU after a failure.
@@ -713,11 +661,6 @@ func (s *Stream) Migrated() <-chan wire.StreamMigrated { return s.g.migrated }
 // Lost delivers a notice when the Coordinator gives up on this group
 // after a failure (no replica, or the queue deadline passed).
 func (s *Stream) Lost() <-chan wire.StreamLost { return s.g.lost }
-
-// NotePosition records the furthest delivery offset the application
-// has consumed; after a migration the replacement stream resumes from
-// here.
-func (s *Stream) NotePosition(pos time.Duration) { s.g.notePos(&s.c.mu, pos) }
 
 // currentVCR is the live control connection for this stream's group.
 func (s *Stream) currentVCR() *vcrState {
@@ -771,24 +714,15 @@ type Recording struct {
 // media. estimate is the client's recording-length estimate, from
 // which the Coordinator reserves disk space.
 func (c *Client) Record(content, contentType, port string, estimate time.Duration, wait bool) (*Recording, error) {
-	return c.record(context.Background(), content, contentType, port, estimate, wait, vcrWaitTimeout)
-}
-
-// RecordContext is Record bounded by ctx.
-func (c *Client) RecordContext(ctx context.Context, content, contentType, port string, estimate time.Duration, wait bool) (*Recording, error) {
-	return c.record(ctx, content, contentType, port, estimate, wait, 0)
-}
-
-func (c *Client) record(ctx context.Context, content, contentType, port string, estimate time.Duration, wait bool, vcrTimeout time.Duration) (*Recording, error) {
 	var resp wire.RecordOK
-	err := c.call(ctx, wire.TypeRecord, wire.Record{
+	err := c.call(context.Background(), wire.TypeRecord, wire.Record{
 		Content: content, Type: contentType, Port: port,
 		Estimate: estimate, ControlAddr: c.ControlAddr(), Wait: wait,
 	}, &resp)
 	if err != nil {
 		return nil, err
 	}
-	vcr, err := c.waitVCRBounded(ctx, resp.Group, vcrTimeout)
+	vcr, err := c.waitVCR(resp.Group)
 	if err != nil {
 		return nil, err
 	}
@@ -799,7 +733,7 @@ func (c *Client) record(ctx context.Context, content, contentType, port string, 
 func (r *Recording) Info() wire.RecordOK { return r.info }
 
 // Sinks lists where to send each component's media.
-func (r *Recording) Sinks() []wire.RecordStream { return r.info.Streams }
+func (r *Recording) Sinks() []wire.RecordStream { return r.info.Streams } //nolint:testonly // §2.2's record interface: every component's sink at once
 
 // Sink returns the data address for a component type ("" if absent).
 func (r *Recording) Sink(contentType string) (data, ctrl string) {
@@ -813,7 +747,7 @@ func (r *Recording) Sink(contentType string) (data, ctrl string) {
 
 // Lost delivers a notice if the recording's MSU fails (recordings
 // cannot migrate: the data lives only on the failed MSU).
-func (r *Recording) Lost() <-chan wire.StreamLost {
+func (r *Recording) Lost() <-chan wire.StreamLost { //nolint:testonly // §2.2's failure notice: a recording cannot migrate
 	return r.c.group(r.info.Group).lost
 }
 

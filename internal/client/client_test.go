@@ -1,6 +1,7 @@
 package client
 
 import (
+	"context"
 	"net"
 	"testing"
 	"time"
@@ -27,6 +28,14 @@ func startCoordinator(t *testing.T) *coordinator.Coordinator {
 	}
 	t.Cleanup(func() { c.Close() })
 	return c
+}
+
+// Session reports the session identifier the Coordinator assigned (it
+// changes after a reconnect).
+func (c *Client) Session() core.SessionID {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.session
 }
 
 func TestDialAndSession(t *testing.T) {
@@ -203,7 +212,7 @@ func TestWaitCountTimeout(t *testing.T) {
 func TestClientReconnectsAfterCoordinatorCut(t *testing.T) {
 	coord := startCoordinator(t)
 	in := faultinject.New(faultinject.Options{})
-	c, err := DialOptions(coord.Addr(), "alice", Options{
+	c, err := DialContext(context.Background(), coord.Addr(), "alice", Options{
 		Dial:          in.Dial(nil),
 		ReconnectBase: 10 * time.Millisecond,
 		ReconnectCap:  50 * time.Millisecond,
@@ -220,7 +229,9 @@ func TestClientReconnectsAfterCoordinatorCut(t *testing.T) {
 	// Sever the session; a couple of redials fail before one lands.
 	in.FailDials(2)
 	in.CutAll()
-	if err := c.WaitConnected(5 * time.Second); err != nil {
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := c.WaitConnectedContext(ctx); err != nil {
 		t.Fatal(err)
 	}
 	if c.Session() == first {
@@ -244,7 +255,7 @@ func TestClientReconnectsAfterCoordinatorCut(t *testing.T) {
 func TestClientReconnectStopsOnClose(t *testing.T) {
 	coord := startCoordinator(t)
 	in := faultinject.New(faultinject.Options{})
-	c, err := DialOptions(coord.Addr(), "alice", Options{
+	c, err := DialContext(context.Background(), coord.Addr(), "alice", Options{
 		Dial:          in.Dial(nil),
 		ReconnectBase: 10 * time.Millisecond,
 	})

@@ -49,7 +49,7 @@ func NewReceiver(host string) (*Receiver, error) {
 
 // SetCapture toggles payload retention (off by default — media streams
 // are large).
-func (r *Receiver) SetCapture(on bool) {
+func (r *Receiver) SetCapture(on bool) { //nolint:testonly // capture for the root tests' end-to-end delivery checks
 	r.mu.Lock()
 	r.capture = on
 	r.mu.Unlock()
@@ -96,7 +96,7 @@ func (r *Receiver) Bytes() int64 {
 }
 
 // Packets snapshots what arrived so far.
-func (r *Receiver) Packets() []Packet {
+func (r *Receiver) Packets() []Packet { //nolint:testonly // capture for the root tests' end-to-end delivery checks
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	out := make([]Packet, len(r.arrivals))
@@ -111,7 +111,7 @@ func (r *Receiver) Packets() []Packet {
 
 // WaitCount blocks until at least n datagrams arrived or the timeout
 // passes, reporting success.
-func (r *Receiver) WaitCount(n int, timeout time.Duration) bool {
+func (r *Receiver) WaitCount(n int, timeout time.Duration) bool { //nolint:testonly // capture for the root tests' end-to-end delivery checks
 	deadline := time.Now().Add(timeout)
 	for {
 		if r.Count() >= n {
@@ -125,7 +125,7 @@ func (r *Receiver) WaitCount(n int, timeout time.Duration) bool {
 }
 
 // Span reports the time between the first and last arrivals.
-func (r *Receiver) Span() time.Duration {
+func (r *Receiver) Span() time.Duration { //nolint:testonly // capture for the root tests' end-to-end delivery checks
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if len(r.arrivals) < 2 {

@@ -181,7 +181,7 @@ type Config struct {
 }
 
 // DefaultConfig is the paper's §3.3 setup.
-func DefaultConfig() Config {
+func DefaultConfig() Config { //nolint:testonly // paper reproduction: E5's driver (root benchmark), §3.3
 	return Config{
 		MSUs:        2,
 		Clients:     2,
@@ -204,7 +204,7 @@ type Result struct {
 }
 
 // Run executes the experiment against a live Coordinator.
-func Run(coordinator string, cfg Config) (*Result, error) {
+func Run(coordinator string, cfg Config) (*Result, error) { //nolint:testonly // paper reproduction: E5's driver (root benchmark), §3.3
 	if cfg.MSUs < 1 || cfg.Clients < 1 || cfg.Requests < 1 || cfg.Rate <= 0 {
 		return nil, fmt.Errorf("fakemsu: invalid config %+v", cfg)
 	}
@@ -297,7 +297,7 @@ func rusageDelta(a, b *syscall.Rusage) time.Duration {
 // short as one minute, a large scale implementation of Calliope
 // serving 3000 simultaneous streams (150 MSUs at 20 streams each)
 // would need to service only 50 requests per second."
-func ExtrapolatedRequestRate(streams int, sessionLen time.Duration) float64 {
+func ExtrapolatedRequestRate(streams int, sessionLen time.Duration) float64 { //nolint:testonly // paper reproduction: E5's driver (root benchmark), §3.3
 	if sessionLen <= 0 {
 		return 0
 	}

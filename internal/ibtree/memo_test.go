@@ -345,3 +345,19 @@ func TestMemoColdNodeReadOnce(t *testing.T) {
 		}
 	}
 }
+
+// SeekTime positions a page cursor as PageCursorAt(tm) does, found the
+// un-memoised way: it traverses the embedded internal pages "in the
+// usual way" (§2.2.1), reading each off the file through one scratch
+// page, even from the start. It shares nothing with the memo
+// PageCursorAt descends through, which is what makes it the reference
+// the memo is tested against.
+func (t *Tree) SeekTime(tm time.Duration) (*PageCursor, error) {
+	tm = t.clamp(tm)
+	scratch := make([]byte, t.pageSize)
+	ptr, err := t.descend(tm, func(p Ptr) (*node, error) { return t.readNode(p, scratch) })
+	if err != nil {
+		return nil, err
+	}
+	return &PageCursor{t: t, next: ptr.Page, cur: -1, skip: tm}, nil
+}

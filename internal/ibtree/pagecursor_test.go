@@ -219,3 +219,12 @@ func TestPageCursorAliasingContract(t *testing.T) {
 		t.Fatal("reloading the buffer did not invalidate the old span (contract test is vacuous)")
 	}
 }
+
+// Page reports the index of the currently (or most recently) loaded
+// data page, -1 before the first LoadPage.
+func (c *PageCursor) Page() int64 { return c.cur }
+
+// Short reports, after Next has said there is no span, whether that is
+// because the next record reaches past the valid mark — the page is not
+// finished, Raise and ask again — and not because the page is done.
+func (c *PageCursor) Short() bool { return c.buf != nil }

@@ -154,22 +154,6 @@ func (t *Tree) descend(tm time.Duration, load func(Ptr) (*node, error)) (Ptr, er
 	return ptr, nil
 }
 
-// SeekTime positions a page cursor as PageCursorAt(tm) does, found the
-// un-memoised way: it traverses the embedded internal pages "in the
-// usual way" (§2.2.1), reading each off the file through one scratch
-// page, even from the start. It shares nothing with the memo
-// PageCursorAt descends through, which is what makes it the reference
-// the memo is tested against.
-func (t *Tree) SeekTime(tm time.Duration) (*PageCursor, error) {
-	tm = t.clamp(tm)
-	scratch := make([]byte, t.pageSize)
-	ptr, err := t.descend(tm, func(p Ptr) (*node, error) { return t.readNode(p, scratch) })
-	if err != nil {
-		return nil, err
-	}
-	return &PageCursor{t: t, next: ptr.Page, cur: -1, skip: tm}, nil
-}
-
 // clamp brings a seek position inside the content: before the start is
 // the first packet, beyond the end the final one.
 func (t *Tree) clamp(tm time.Duration) time.Duration { return min(max(tm, 0), t.meta.Length) }
@@ -252,10 +236,6 @@ func (c *PageCursor) LoadPage(buf []byte) (bool, error) {
 	return true, nil
 }
 
-// Page reports the index of the currently (or most recently) loaded
-// data page, -1 before the first LoadPage.
-func (c *PageCursor) Page() int64 { return c.cur }
-
 // NextPage reports the index of the data page the next LoadPage (or
 // AttachPage) would consume, or -1 when the cursor is past the last
 // page. A RAM cache keyed by page index asks this before deciding
@@ -312,11 +292,6 @@ func (c *PageCursor) Raise(valid int) {
 		c.valid = min(valid, len(c.buf))
 	}
 }
-
-// Short reports, after Next has said there is no span, whether that is
-// because the next record reaches past the valid mark — the page is not
-// finished, Raise and ask again — and not because the page is done.
-func (c *PageCursor) Short() bool { return c.buf != nil }
 
 // Next yields the next packet span within the currently loaded page.
 // ok == false means the page is exhausted: LoadPage the next one (or,

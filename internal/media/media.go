@@ -302,7 +302,7 @@ func AverageRate(pkts []Packet) units.BitRate {
 // PeakRate reports the maximum rate observed in any sliding window of
 // the given width — the measurement behind the paper's "peak rates of
 // the files ranged from 2.0 to 5.4 MBit/sec" over 50 ms windows.
-func PeakRate(pkts []Packet, window time.Duration) units.BitRate {
+func PeakRate(pkts []Packet, window time.Duration) units.BitRate { //nolint:testonly // ROADMAP item 6(c): the peak-rate admission edge
 	if len(pkts) == 0 || window <= 0 {
 		return 0
 	}

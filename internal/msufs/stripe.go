@@ -112,10 +112,6 @@ func (f *StripedFile) Name() string { return f.name }
 // Size reports the count of valid bytes.
 func (f *StripedFile) Size() int64 { return f.size.Load() }
 
-// Volume reports which volume index serves logical block i — the
-// round-robin schedule the striped duty cycle follows.
-func (f *StripedFile) Volume(i int64) int { return int(i % int64(len(f.parts))) }
-
 // WriteBlock writes p at logical block i.
 func (f *StripedFile) WriteBlock(i int64, p []byte) error {
 	if i < 0 {

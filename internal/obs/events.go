@@ -142,21 +142,3 @@ func (r *Ring) Since(seq uint64, stream uint64, max int) ([]Event, uint64) {
 	}
 	return out, r.next - 1
 }
-
-// Tail returns the most recent n events (all when n <= 0), oldest first.
-func (r *Ring) Tail(n int) []Event {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	start := 0
-	if n > 0 && len(r.buf) > n {
-		start = len(r.buf) - n
-	}
-	out := make([]Event, 0, len(r.buf)-start)
-	for i := start; i < len(r.buf); i++ {
-		out = append(out, *r.at(i))
-	}
-	return out
-}

@@ -286,14 +286,6 @@ func (h *Histogram) Observe(d time.Duration) {
 	h.count.Add(1)
 }
 
-// Count returns the number of observations (0 on nil).
-func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.count.Load()
-}
-
 func (h *Histogram) snapshot() HistSnapshot {
 	hs := HistSnapshot{
 		Bounds: make([]float64, len(h.bounds)),

@@ -292,3 +292,61 @@ func TestMetricNameSanitized(t *testing.T) {
 		t.Fatalf("metricName = %q", got)
 	}
 }
+
+// Count returns the number of observations (0 on nil).
+func (h *Histogram) Count() int64 {
+	if h == nil {
+		return 0
+	}
+	return h.count.Load()
+}
+
+// Add returns the merge s + o: counters and histogram buckets add;
+// gauges keep s's value where both define one (o fills the gaps).
+func (s Snapshot) Add(o Snapshot) Snapshot {
+	out := s.Clone()
+	if out.Counters == nil {
+		out.Counters = make(map[string]int64, len(o.Counters))
+	}
+	if out.Gauges == nil {
+		out.Gauges = make(map[string]int64, len(o.Gauges))
+	}
+	if out.Hists == nil {
+		out.Hists = make(map[string]HistSnapshot, len(o.Hists))
+	}
+	for name, v := range o.Counters {
+		out.Counters[name] += v
+	}
+	for name, v := range o.Gauges {
+		if _, ok := out.Gauges[name]; !ok {
+			out.Gauges[name] = v
+		}
+	}
+	for name, h := range o.Hists {
+		out.Hists[name] = out.Hists[name].add(h)
+	}
+	return out
+}
+
+// add is Add's merge of one histogram.
+func (h HistSnapshot) add(o HistSnapshot) HistSnapshot {
+	if len(h.Counts) == 0 {
+		return o.clone()
+	}
+	out := h.clone()
+	if len(o.Counts) == len(h.Counts) && equalBounds(o.Bounds, h.Bounds) {
+		for i := range out.Counts {
+			out.Counts[i] += o.Counts[i]
+		}
+	} else if len(o.Counts) > 0 {
+		// Layout mismatch: fold the other side into +Inf.
+		var total int64
+		for _, n := range o.Counts {
+			total += n
+		}
+		out.Counts[len(out.Counts)-1] += total
+	}
+	out.Sum += o.Sum
+	out.Count += o.Count
+	return out
+}

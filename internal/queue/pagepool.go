@@ -72,7 +72,7 @@ func (p *PagePool) PageSize() int { return p.size }
 func (p *PagePool) Own() int { return p.own }
 
 // Cap reports the pool's capacity: its own pages plus every reservation.
-func (p *PagePool) Cap() int {
+func (p *PagePool) Cap() int { //nolint:testonly // the pool proofs: the cache and msu tests check its page count
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.capLocked()
@@ -81,7 +81,7 @@ func (p *PagePool) Cap() int {
 func (p *PagePool) capLocked() int { return p.own + p.reserved }
 
 // Made reports how many pages exist: held, cached or idle.
-func (p *PagePool) Made() int {
+func (p *PagePool) Made() int { //nolint:testonly // the pool proofs: the cache and msu tests check its page count
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.made
@@ -90,7 +90,7 @@ func (p *PagePool) Made() int {
 // Free reports how many pages a caller could take right now: idle ones
 // and those the pool may still make. Pages held by callers (including
 // long-lived cache pins) are not free.
-func (p *PagePool) Free() int {
+func (p *PagePool) Free() int { //nolint:testonly // the pool proofs: the cache and msu tests check its page count
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return max(0, p.roomLocked()) + len(p.free)
@@ -118,7 +118,7 @@ func (p *PagePool) Surplus() int {
 }
 
 // Lent reports the pages pinned past their reservations.
-func (p *PagePool) Lent() int { return int(p.lent.Load()) }
+func (p *PagePool) Lent() int { return int(p.lent.Load()) } //nolint:testonly // the pool proofs: the cache and msu tests check its page count
 
 // TryGet returns a page with one reference: an idle one, or a new one
 // while the pool may make one; nil if neither.

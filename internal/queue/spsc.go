@@ -6,12 +6,11 @@
 // write instructions to produce atomic enqueue and dequeue operations"
 // instead of expensive semaphores. This package is the Go analogue:
 // exactly one goroutine enqueues and exactly one dequeues, coordinated
-// only by two atomic counters. A mutex-based equivalent is provided for
-// the ablation benchmark in DESIGN.md.
+// only by two atomic counters. The mutex-based equivalent the ablation
+// benchmark in DESIGN.md compares it with is a test type (Mutexed).
 package queue
 
 import (
-	"sync"
 	"sync/atomic"
 )
 
@@ -40,9 +39,6 @@ func NewSPSC[T any](capacity int) *SPSC[T] {
 	}
 	return &SPSC[T]{buf: make([]T, n), mask: uint64(n - 1)}
 }
-
-// Cap reports the queue's capacity.
-func (q *SPSC[T]) Cap() int { return len(q.buf) }
 
 // Len reports the number of queued items. It is exact when called by
 // the producer or the consumer, and a clamped snapshot in [0, Cap]
@@ -95,58 +91,4 @@ func (q *SPSC[T]) Peek() (T, bool) {
 		return zero, false
 	}
 	return q.buf[head&q.mask], true
-}
-
-// Mutexed is a mutex-protected bounded FIFO with the same interface as
-// SPSC, used as the baseline in the lock-free-vs-mutex ablation bench.
-type Mutexed[T any] struct {
-	mu   sync.Mutex
-	buf  []T
-	head int
-	n    int
-}
-
-// NewMutexed returns a mutex-based queue of exactly the given capacity.
-func NewMutexed[T any](capacity int) *Mutexed[T] {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &Mutexed[T]{buf: make([]T, capacity)}
-}
-
-// Cap reports the queue's capacity.
-func (q *Mutexed[T]) Cap() int { return len(q.buf) }
-
-// Len reports the number of queued items.
-func (q *Mutexed[T]) Len() int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.n
-}
-
-// Enqueue adds v and reports whether there was room.
-func (q *Mutexed[T]) Enqueue(v T) bool {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if q.n == len(q.buf) {
-		return false
-	}
-	q.buf[(q.head+q.n)%len(q.buf)] = v
-	q.n++
-	return true
-}
-
-// Dequeue removes and returns the oldest item.
-func (q *Mutexed[T]) Dequeue() (T, bool) {
-	var zero T
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if q.n == 0 {
-		return zero, false
-	}
-	v := q.buf[q.head]
-	q.buf[q.head] = zero
-	q.head = (q.head + 1) % len(q.buf)
-	q.n--
-	return v, true
 }

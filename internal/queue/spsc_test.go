@@ -3,6 +3,7 @@ package queue
 import (
 	"fmt"
 	"runtime"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -306,3 +307,60 @@ func BenchmarkMutexedPingPong(b *testing.B) {
 	}
 	<-done
 }
+
+// Mutexed is a mutex-protected bounded FIFO with the same interface as
+// SPSC, used as the baseline in the lock-free-vs-mutex ablation bench.
+type Mutexed[T any] struct {
+	mu   sync.Mutex
+	buf  []T
+	head int
+	n    int
+}
+
+// NewMutexed returns a mutex-based queue of exactly the given capacity.
+func NewMutexed[T any](capacity int) *Mutexed[T] {
+	if capacity < 1 {
+		capacity = 1
+	}
+	return &Mutexed[T]{buf: make([]T, capacity)}
+}
+
+// Cap reports the queue's capacity.
+func (q *Mutexed[T]) Cap() int { return len(q.buf) }
+
+// Len reports the number of queued items.
+func (q *Mutexed[T]) Len() int {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return q.n
+}
+
+// Enqueue adds v and reports whether there was room.
+func (q *Mutexed[T]) Enqueue(v T) bool {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if q.n == len(q.buf) {
+		return false
+	}
+	q.buf[(q.head+q.n)%len(q.buf)] = v
+	q.n++
+	return true
+}
+
+// Dequeue removes and returns the oldest item.
+func (q *Mutexed[T]) Dequeue() (T, bool) {
+	var zero T
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if q.n == 0 {
+		return zero, false
+	}
+	v := q.buf[q.head]
+	q.buf[q.head] = zero
+	q.head = (q.head + 1) % len(q.buf)
+	q.n--
+	return v, true
+}
+
+// Cap reports the queue's capacity.
+func (q *SPSC[T]) Cap() int { return len(q.buf) }

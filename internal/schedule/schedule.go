@@ -53,9 +53,6 @@ func NewDutyCycle(blockSize units.ByteSize, streamRate units.BitRate, slotTime t
 // Slots reports the cycle's capacity in streams.
 func (d *DutyCycle) Slots() int { return len(d.slots) }
 
-// SlotTime reports the per-slot duration.
-func (d *DutyCycle) SlotTime() time.Duration { return d.slotTime }
-
 // CycleLength reports the full cycle duration.
 func (d *DutyCycle) CycleLength() time.Duration {
 	return d.slotTime * time.Duration(len(d.slots))
@@ -64,12 +61,12 @@ func (d *DutyCycle) CycleLength() time.Duration {
 // MaxStartDelay reports the worst-case wait for a newly admitted stream
 // (or a VCR command): the client "must wait at most D−1 slots before
 // the MSU begins to deliver data".
-func (d *DutyCycle) MaxStartDelay() time.Duration {
+func (d *DutyCycle) MaxStartDelay() time.Duration { //nolint:testonly // paper reproduction: the root benchmarks' §2.2.1 start delay, until ROADMAP item 12
 	return d.slotTime * time.Duration(len(d.slots)-1)
 }
 
 // InUse reports the number of occupied slots.
-func (d *DutyCycle) InUse() int {
+func (d *DutyCycle) InUse() int { //nolint:testonly // §2.2.1's slot allocation, the duty-cycle model's own mechanism, kept with the reproductions until ROADMAP item 12
 	n := 0
 	for _, used := range d.slots {
 		if used {
@@ -80,7 +77,7 @@ func (d *DutyCycle) InUse() int {
 }
 
 // Allocate claims the lowest free slot.
-func (d *DutyCycle) Allocate() (int, error) {
+func (d *DutyCycle) Allocate() (int, error) { //nolint:testonly // §2.2.1's slot allocation, the duty-cycle model's own mechanism, kept with the reproductions until ROADMAP item 12
 	for i, used := range d.slots {
 		if !used {
 			d.slots[i] = true
@@ -91,7 +88,7 @@ func (d *DutyCycle) Allocate() (int, error) {
 }
 
 // Release frees a slot.
-func (d *DutyCycle) Release(slot int) error {
+func (d *DutyCycle) Release(slot int) error { //nolint:testonly // §2.2.1's slot allocation, the duty-cycle model's own mechanism, kept with the reproductions until ROADMAP item 12
 	if slot < 0 || slot >= len(d.slots) {
 		return fmt.Errorf("%w: %d of %d", ErrBadSlot, slot, len(d.slots))
 	}
@@ -104,7 +101,7 @@ func (d *DutyCycle) Release(slot int) error {
 
 // SlotStart reports when a slot's transfer begins within cycle number
 // cycle, as an offset from time zero.
-func (d *DutyCycle) SlotStart(slot int, cycle int64) (time.Duration, error) {
+func (d *DutyCycle) SlotStart(slot int, cycle int64) (time.Duration, error) { //nolint:testonly // §2.2.1's slot allocation, the duty-cycle model's own mechanism, kept with the reproductions until ROADMAP item 12
 	if slot < 0 || slot >= len(d.slots) {
 		return 0, fmt.Errorf("%w: %d of %d", ErrBadSlot, slot, len(d.slots))
 	}
@@ -114,7 +111,7 @@ func (d *DutyCycle) SlotStart(slot int, cycle int64) (time.Duration, error) {
 // NewStripedDutyCycle sizes the duty cycle for an N-disk striped layout
 // (§2.3.3): N times the slots of a single disk, and N times the
 // worst-case command delay.
-func NewStripedDutyCycle(blockSize units.ByteSize, streamRate units.BitRate, slotTime time.Duration, disks int) (*DutyCycle, error) {
+func NewStripedDutyCycle(blockSize units.ByteSize, streamRate units.BitRate, slotTime time.Duration, disks int) (*DutyCycle, error) { //nolint:testonly // paper reproduction: the root benchmarks' §2.2.1 start delay, until ROADMAP item 12
 	if disks < 1 {
 		return nil, fmt.Errorf("schedule: striped cycle needs ≥1 disk, got %d", disks)
 	}

@@ -34,7 +34,7 @@ func (r *Recorder) Record(deadline, actual time.Duration) {
 }
 
 // Count reports the number of recorded packets.
-func (r *Recorder) Count() int { return len(r.lateness) }
+func (r *Recorder) Count() int { return len(r.lateness) } //nolint:testonly // paper reproduction: Graphs 1 and 2 (root benchmarks), until ROADMAP item 12
 
 // PercentWithin reports the percentage of packets delivered no more
 // than d after their deadline.
@@ -57,7 +57,7 @@ func (r *Recorder) MaxLateness() time.Duration {
 }
 
 // Percentile reports the p-th percentile lateness (0 < p ≤ 100).
-func (r *Recorder) Percentile(p float64) time.Duration {
+func (r *Recorder) Percentile(p float64) time.Duration { //nolint:testonly // paper reproduction: Graphs 1 and 2 (root benchmarks), until ROADMAP item 12
 	if len(r.lateness) == 0 || p <= 0 {
 		return 0
 	}
@@ -114,7 +114,7 @@ type Series struct {
 
 // FormatGraph renders curves the way the paper's graphs tabulate them:
 // rows of cumulative percentages at selected lateness thresholds.
-func FormatGraph(title string, series []Series, thresholds []time.Duration) string {
+func FormatGraph(title string, series []Series, thresholds []time.Duration) string { //nolint:testonly // paper reproduction: Graphs 1 and 2 (root benchmarks), until ROADMAP item 12
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s\n", title)
 	fmt.Fprintf(&b, "%-28s", "milliseconds late ≤")
@@ -135,7 +135,7 @@ func FormatGraph(title string, series []Series, thresholds []time.Duration) stri
 // RenderASCII draws the cumulative distributions as a text plot in the
 // spirit of the paper's graphs: X is milliseconds late (0..maxMs), Y is
 // cumulative percent of packets. Each series gets a distinct marker.
-func RenderASCII(series []Series, maxMs, width, height int) string {
+func RenderASCII(series []Series, maxMs, width, height int) string { //nolint:testonly // paper reproduction: Graphs 1 and 2 (root benchmarks), until ROADMAP item 12
 	if width < 20 {
 		width = 20
 	}

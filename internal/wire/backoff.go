@@ -61,10 +61,6 @@ func (b *Backoff) Next() time.Duration {
 	return half + time.Duration(rnd()*float64(half))
 }
 
-// Attempts reports how many delays have been handed out since the last
-// Reset (capped delays stop counting — the curve is flat there).
-func (b *Backoff) Attempts() int { return b.attempt }
-
 // Reset rewinds the schedule to the base delay, for reuse after a
 // successful attempt.
 func (b *Backoff) Reset() { b.attempt = 0 }

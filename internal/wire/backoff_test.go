@@ -53,3 +53,7 @@ func TestBackoffDefaults(t *testing.T) {
 		}
 	}
 }
+
+// Attempts reports how many delays have been handed out since the last
+// Reset (capped delays stop counting — the curve is flat there).
+func (b *Backoff) Attempts() int { return b.attempt }
