@@ -85,7 +85,14 @@ leakcheck:
 # outcome is its verdict, one StartStream carries the whole group, a
 # refused one sends one StopStream, one with a member ended is lost, not
 # started again, and a stream-ended from another MSU than the stream's
-# is ignored (TestCoreEndedBeforeStartOutcome),
+# is ignored (TestCoreEndedBeforeStartOutcome), and a group placed
+# again takes new stream IDs, so a stale stream-ended of a start that
+# timed out on the same MSU, before or after the new start's reply, ends
+# none of them (TestCoreEndedBeforeStartOutcome's "re-dispatch timed
+# out" rows, and the late and stale notices of walkInputs, run by
+# TestLedgerConservationRandomized); the MSU admits a start of a group
+# whose earlier start a StopStream is still tearing down
+# (TestCoreStartAfterStop),
 # and an orphan whose client is gone is lost
 # (TestCoreOrphanOfGoneClientIsLost); a
 # group's copies land together (TestCoreCompositeCopiesLandTogether);

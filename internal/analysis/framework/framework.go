@@ -25,6 +25,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -89,7 +90,14 @@ type ProjectPass struct {
 	// code outside them refers to theirs.
 	Whole bool
 
-	diags *[]Diagnostic
+	diags  *[]Diagnostic
+	nolint nolints
+}
+
+// Suppressed reports whether pos's line carries a nolint comment that
+// silences this analyzer, so a diagnostic there would be dropped.
+func (p *ProjectPass) Suppressed(pos token.Pos) bool {
+	return p.nolint.silences(p.Fset, pos, p.Analyzer)
 }
 
 // Reportf records a diagnostic at pos.
@@ -112,6 +120,7 @@ func RunProject(pkgs []*Package, whole bool, analyzers []*Analyzer) ([]Diagnosti
 	}
 	var diags []Diagnostic
 	var funcs map[types.Object]*Func
+	nolint := nolintLines(pkgs)
 	for _, a := range analyzers {
 		if a.Run != nil {
 			for _, pkg := range pkgs {
@@ -139,22 +148,24 @@ func RunProject(pkgs []*Package, whole bool, analyzers []*Analyzer) ([]Diagnosti
 				Funcs:    funcs,
 				Whole:    whole,
 				diags:    &diags,
+				nolint:   nolint,
 			}
 			if err := a.RunAll(pass); err != nil {
 				return nil, fmt.Errorf("%s: analyzing project: %w", a.Name, err)
 			}
 		}
 	}
-	diags = filterSuppressed(pkgs, diags)
+	diags = slices.DeleteFunc(diags, func(d Diagnostic) bool { return nolint.silences(pkgs[0].Fset, d.Pos, d.Analyzer) })
 	sort.SliceStable(diags, func(i, j int) bool { return diags[i].Pos < diags[j].Pos })
 	return diags, nil
 }
 
-// filterSuppressed drops diagnostics whose source line carries a
-// matching nolint comment.
-func filterSuppressed(pkgs []*Package, diags []Diagnostic) []Diagnostic {
-	// file → line → set of nolint names on that line.
-	suppressed := make(map[string]map[int][]string)
+// nolints maps file → line → the nolint names on that line.
+type nolints map[string]map[int][]string
+
+// nolintLines collects every nolint comment in pkgs.
+func nolintLines(pkgs []*Package) nolints {
+	suppressed := make(nolints)
 	for _, pkg := range pkgs {
 		for _, f := range pkg.Files {
 			for _, cg := range f.Comments {
@@ -174,16 +185,13 @@ func filterSuppressed(pkgs []*Package, diags []Diagnostic) []Diagnostic {
 			}
 		}
 	}
-	fset := pkgs[0].Fset
-	out := diags[:0]
-	for _, d := range diags {
-		pos := fset.Position(d.Pos)
-		if lineSuppresses(suppressed[pos.Filename][pos.Line], d.Analyzer) {
-			continue
-		}
-		out = append(out, d)
-	}
-	return out
+	return suppressed
+}
+
+// silences reports whether pos's line carries a nolint comment naming a.
+func (n nolints) silences(fset *token.FileSet, pos token.Pos, a *Analyzer) bool {
+	at := fset.Position(pos)
+	return lineSuppresses(n[at.Filename][at.Line], a)
 }
 
 // nolintNames extracts the analyzer names from a "//nolint:a,b" text.

@@ -56,4 +56,12 @@ func (b *Box[E]) Get() E { return b.v }
 // IntBox reads a Box through an instantiation.
 func IntBox(b *Box[int]) int { return b.Get() }
 
-func kept() int { return 4 } //nolint:testonly // a reason, as every kept function gives
+func kept() int { return keptCallee() } //nolint:testonly // a reason, as every kept function gives
+
+// keptCallee is reached through kept, a root.
+func keptCallee() int { return 4 }
+
+// A chain that no root reaches is reported whole, both links in one run.
+func chainHead() int { return chainTail() } // want `a\.chainHead is reached only by tests`
+
+func chainTail() int { return 5 } // want `a\.chainTail is reached only by tests`

@@ -1,22 +1,25 @@
 // Package testonly reports production code that only tests reach: a
-// function or method with a body, in a non-test file, that no non-test
-// code outside its own body refers to.
+// function or method with a body, in a non-test file, that no root of the
+// production code reaches.
 //
 // The loader type-checks only non-test files, so every use it records
 // is a production use. A use is any reference to the function's object
-// — a call, a method value, a function value, a package-level var's
-// initializer — and a method of a generic type counts through its
-// instantiations. Never reported: main and init; a method whose name is
-// a method of an interface type declared in the load set or in a
-// package one of its packages imports, the standard library included,
-// or written in their code (String, Error, MarshalJSON, Len/Less/Swap,
-// Write, Import), since an interface call records no use of the
-// concrete method; and the packages in KeptPkgs.
+// — a call, a method value, a function value — and a method of a generic
+// type counts through its instantiations. A function reaches what its
+// body refers to; a use outside every function body (a package-level
+// var's initializer) is a root's. The roots are main and init; a method
+// whose name is a method of an interface type declared in the load set or
+// in a package one of its packages imports, the standard library
+// included, or written in their code (String, Error, MarshalJSON,
+// Len/Less/Swap, Write, Import), since an interface call records no use
+// of the concrete method; every function of the packages in KeptPkgs;
+// and every function kept with //nolint:testonly on the line of its
+// name. A chain no root reaches is reported whole, every link at once.
 //
 // An exported function may be called from a package outside the load
-// set, so exported names are reported only when the load set is the
-// whole module (ProjectPass.Whole); a partial load set reports only
-// unexported functions, whose every reader it holds.
+// set, so exported names are roots unless the load set is the whole
+// module (ProjectPass.Whole); a partial load set reports only unexported
+// functions, whose every reader it holds.
 //
 // A report has three ways out: delete the function, move it into a
 // _test.go file of its package, or keep it with
@@ -34,7 +37,7 @@ import (
 // Analyzer is the testonly check.
 var Analyzer = &framework.Analyzer{
 	Name:   "testonly",
-	Doc:    "report functions that no non-test code outside their own body refers to",
+	Doc:    "report functions that no root of the non-test code reaches",
 	RunAll: run,
 }
 
@@ -52,7 +55,17 @@ var KeptPkgs = []string{
 }
 
 func run(pass *framework.ProjectPass) error {
-	used := make(map[types.Object]bool)
+	ifaceMethods := interfaceMethods(pass.Pkgs)
+	reached := make(map[types.Object]bool)
+	var next []types.Object
+	reach := func(fn types.Object) {
+		if !reached[fn] {
+			reached[fn] = true
+			next = append(next, fn)
+		}
+	}
+	// refs holds what each function's body refers to.
+	refs := make(map[types.Object][]types.Object)
 	for _, pkg := range pass.Pkgs {
 		for _, f := range pkg.Files {
 			for _, decl := range f.Decls {
@@ -63,7 +76,11 @@ func run(pass *framework.ProjectPass) error {
 				ast.Inspect(decl, func(n ast.Node) bool {
 					if id, ok := n.(*ast.Ident); ok {
 						if fn, ok := pkg.Info.Uses[id].(*types.Func); ok && fn.Origin() != self {
-							used[fn.Origin()] = true
+							if self == nil {
+								reach(fn.Origin())
+							} else {
+								refs[self] = append(refs[self], fn.Origin())
+							}
 						}
 					}
 					return true
@@ -71,19 +88,28 @@ func run(pass *framework.ProjectPass) error {
 			}
 		}
 	}
-	ifaceMethods := interfaceMethods(pass.Pkgs)
 	for obj, fn := range pass.Funcs {
 		name := obj.Name()
 		switch {
-		case used[obj], name == "main", name == "init", name == "_",
+		case name == "main", name == "init", name == "_",
+			fn.Decl.Recv != nil && ifaceMethods[name],
 			kept(fn.Pkg.Path),
-			!pass.Whole && obj.Exported():
-			continue
+			!pass.Whole && obj.Exported(),
+			pass.Suppressed(fn.Decl.Name.Pos()):
+			reach(obj)
 		}
-		if fn.Decl.Recv != nil && ifaceMethods[name] {
-			continue
+	}
+	for len(next) > 0 {
+		fn := next[len(next)-1]
+		next = next[:len(next)-1]
+		for _, callee := range refs[fn] {
+			reach(callee)
 		}
-		pass.Reportf(fn.Decl.Name.Pos(), "%s is reached only by tests, or by nothing: delete it, move it into a _test.go file of its package, or keep it with //nolint:testonly // <reason> on this line", describe(obj))
+	}
+	for obj, fn := range pass.Funcs {
+		if !reached[obj] {
+			pass.Reportf(fn.Decl.Name.Pos(), "%s is reached only by tests, or by nothing: delete it, move it into a _test.go file of its package, or keep it with //nolint:testonly // <reason> on this line", describe(obj))
+		}
 	}
 	return nil
 }

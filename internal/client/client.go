@@ -22,6 +22,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net"
+	"slices"
 	"sync"
 	"time"
 
@@ -464,13 +465,8 @@ func (c *Client) ListTypes() ([]core.ContentType, error) {
 // StatusV2 fetches the cluster status: the merged metrics snapshot
 // plus per-disk coverage and per-MSU network load.
 func (c *Client) StatusV2() (wire.StatusV2, error) {
-	return c.StatusV2Context(context.Background())
-}
-
-// StatusV2Context is StatusV2 bounded by ctx.
-func (c *Client) StatusV2Context(ctx context.Context) (wire.StatusV2, error) {
 	var resp wire.StatusV2
-	err := c.call(ctx, wire.TypeStatusV2, struct{}{}, &resp)
+	err := c.call(context.Background(), wire.TypeStatusV2, struct{}{}, &resp)
 	return resp, err
 }
 
@@ -539,74 +535,53 @@ func (c *Client) UnregisterPort(name string) error { //nolint:testonly // §1's 
 // waitPollInterval spaces the WaitForContent / WaitStreamsIdle polls.
 const waitPollInterval = 10 * time.Millisecond
 
-// WaitForContentContext polls the table of contents until name appears
-// or ctx ends — recordings commit asynchronously after Stop, so a
-// client that wants to play what it just recorded waits here first.
-func (c *Client) WaitForContentContext(ctx context.Context, name string) (core.ContentInfo, error) {
+// poll runs try every waitPollInterval until it reports done or fails; a
+// failure once timeout has passed, or timeout passing first, is expired.
+func poll(timeout time.Duration, expired error, try func(ctx context.Context) (bool, error)) error {
+	ctx, cancel := context.WithTimeout(context.Background(), timeout)
+	defer cancel()
 	t := time.NewTimer(waitPollInterval)
 	defer t.Stop()
 	for {
-		items, err := c.ListContentContext(ctx)
-		if err != nil {
-			return core.ContentInfo{}, err
-		}
-		for _, it := range items {
-			if it.Name == name {
-				return it, nil
-			}
+		done, err := try(ctx)
+		switch {
+		case err != nil && ctx.Err() != nil:
+			return expired
+		case err != nil || done:
+			return err
 		}
 		select {
 		case <-ctx.Done():
-			return core.ContentInfo{}, fmt.Errorf("%w: %q not committed: %v", core.ErrNoSuchContent, name, ctx.Err())
+			return expired
 		case <-t.C:
 			t.Reset(waitPollInterval)
 		}
 	}
 }
 
-// WaitForContent is WaitForContentContext with a timeout.
-func (c *Client) WaitForContent(name string, timeout time.Duration) (core.ContentInfo, error) {
-	ctx, cancel := context.WithTimeout(context.Background(), timeout)
-	defer cancel()
-	info, err := c.WaitForContentContext(ctx, name)
-	if err != nil && ctx.Err() != nil {
-		return core.ContentInfo{}, fmt.Errorf("%w: %q not committed after %v", core.ErrNoSuchContent, name, timeout)
-	}
+// WaitForContent polls the table of contents until name appears or
+// timeout passes — recordings commit asynchronously after Stop, so a
+// client that wants to play what it just recorded waits here first.
+func (c *Client) WaitForContent(name string, timeout time.Duration) (info core.ContentInfo, err error) {
+	err = poll(timeout, fmt.Errorf("%w: %q not committed after %v", core.ErrNoSuchContent, name, timeout), func(ctx context.Context) (bool, error) {
+		items, err := c.ListContentContext(ctx)
+		i := slices.IndexFunc(items, func(it core.ContentInfo) bool { return it.Name == name })
+		if i >= 0 {
+			info = items[i]
+		}
+		return i >= 0, err
+	})
 	return info, err
 }
 
-// WaitStreamsIdleContext polls until the Coordinator reports no active
-// streams or ctx ends — stream teardown after Quit is asynchronous.
-func (c *Client) WaitStreamsIdleContext(ctx context.Context) error {
-	t := time.NewTimer(waitPollInterval)
-	defer t.Stop()
-	for {
-		st, err := c.StatusV2Context(ctx)
-		if err != nil {
-			return err
-		}
-		active := st.Snapshot.Gauge(wire.GaugeActiveStreams)
-		if active == 0 {
-			return nil
-		}
-		select {
-		case <-ctx.Done():
-			return fmt.Errorf("calliope: %d streams still active: %v", active, ctx.Err())
-		case <-t.C:
-			t.Reset(waitPollInterval)
-		}
-	}
-}
-
-// WaitStreamsIdle is WaitStreamsIdleContext with a timeout.
+// WaitStreamsIdle polls until the Coordinator reports no active streams
+// or timeout passes — stream teardown after Quit is asynchronous.
 func (c *Client) WaitStreamsIdle(timeout time.Duration) error {
-	ctx, cancel := context.WithTimeout(context.Background(), timeout)
-	defer cancel()
-	err := c.WaitStreamsIdleContext(ctx)
-	if err != nil && ctx.Err() != nil {
-		return fmt.Errorf("calliope: streams still active after %v", timeout)
-	}
-	return err
+	return poll(timeout, fmt.Errorf("calliope: streams still active after %v", timeout), func(ctx context.Context) (bool, error) {
+		var st wire.StatusV2
+		err := c.call(ctx, wire.TypeStatusV2, struct{}{}, &st)
+		return err == nil && st.Snapshot.Gauge(wire.GaugeActiveStreams) == 0, err
+	})
 }
 
 // Stream is a playback handle with VCR controls.
@@ -655,7 +630,8 @@ func (s *Stream) EOF() <-chan wire.StreamEOF { return s.g.eof }
 func (s *Stream) Down() <-chan struct{} { return s.vcr.down } //nolint:testonly // §2.2's failure notice: the MSU's control connection broke
 
 // Migrated delivers a notice when the Coordinator re-dispatches this
-// group onto another MSU after a failure.
+// group onto another MSU after a failure; it names the group's new stream
+// IDs.
 func (s *Stream) Migrated() <-chan wire.StreamMigrated { return s.g.migrated }
 
 // Lost delivers a notice when the Coordinator gives up on this group

@@ -243,13 +243,10 @@ func (c *engine) planLocked(demands []demand, cands []candidate) *placement {
 	return nil
 }
 
-// standingLocked reports whether stream a still stands where placement
-// p put it. Its MSU's msuDown may have released it meanwhile, and a
-// re-dispatch may since have placed it elsewhere — even on a fresh
-// registration under the same MSU id, so it is the registration that is
-// compared, not the id.
-func (c *engine) standingLocked(p *placement, a *activeStream) bool {
-	return c.active[a.id] == a && c.msus[a.msu] == p.m
+// standingLocked reports whether stream a, placed once, still stands: its
+// MSU's msuDown or its stream-ended may have released it since.
+func (c *engine) standingLocked(a *activeStream) bool {
+	return c.active[a.id] == a
 }
 
 // rollbackLocked undoes a placement that was not, or could not be,
@@ -258,7 +255,7 @@ func (c *engine) standingLocked(p *placement, a *activeStream) bool {
 func (c *engine) rollbackLocked(p *placement) {
 	freed := false
 	for _, a := range p.streams {
-		if c.standingLocked(p, a) {
+		if c.standingLocked(a) {
 			c.releaseStreamLocked(a)
 			freed = true
 		}

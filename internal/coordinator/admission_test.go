@@ -156,7 +156,7 @@ func TestPlanStep(t *testing.T) {
 			if p == nil || p.m != m || m.net.Reserved() != mpeg || m.disks[0].bw.Reserved() != mpeg {
 				t.Fatalf("placement %+v, net %d disk %d", p, m.net.Reserved(), m.disks[0].bw.Reserved())
 			}
-			if !c.standingLocked(p, p.streams[0]) || len(c.active) != 1 {
+			if !c.standingLocked(p.streams[0]) || len(c.active) != 1 {
 				t.Fatalf("a fresh placement does not stand (%d active)", len(c.active))
 			}
 		}},
@@ -313,7 +313,7 @@ func TestPlanStep(t *testing.T) {
 			// stream no longer stands, and a late rollback frees nothing twice.
 			p = c.planLocked(playDemands(c, rec), cands)
 			c.releaseStreamLocked(p.streams[0])
-			if c.standingLocked(p, p.streams[0]) {
+			if c.standingLocked(p.streams[0]) {
 				t.Fatal("a placement whose stream is gone still stands")
 			}
 			woke = c.releases
@@ -325,21 +325,20 @@ func TestPlanStep(t *testing.T) {
 		}},
 		{"a stream re-placed on a fresh registration is not the old placement's", func(t *testing.T, c *Coordinator) {
 			// The MSU dies mid-dispatch and re-registers under the same id;
-			// the re-dispatcher places the same stream there. The original
-			// dispatch then fails and rolls back: it must leave the new
-			// grant alone.
+			// the re-dispatcher places the group there again, as new
+			// streams. The original dispatch then fails and rolls back: it
+			// must leave the new grant alone.
 			addMSU(t, c, "m1", 10*mpeg, 10*mpeg, 100)
 			rec := addContent(c, "movie", "mpeg1", "m1")
-			dm := playDemands(c, rec)
-			old := c.planLocked(dm, c.playCandidatesLocked([]*admindb.ContentRecord{rec}))
+			old := c.planLocked(playDemands(c, rec), c.playCandidatesLocked([]*admindb.ContentRecord{rec}))
 			c.releaseStreamLocked(old.streams[0]) // msuDown
 			fresh := addMSU(t, c, "m1", 10*mpeg, 10*mpeg, 100)
-			again := c.planLocked(dm, c.playCandidatesLocked([]*admindb.ContentRecord{rec}))
+			again := c.planLocked(playDemands(c, rec), c.playCandidatesLocked([]*admindb.ContentRecord{rec}))
 			if again == nil || again.m != fresh {
 				t.Fatalf("re-placement %+v", again)
 			}
 			c.rollbackLocked(old)
-			oldStands, newStands := c.standingLocked(old, old.streams[0]), c.standingLocked(again, again.streams[0])
+			oldStands, newStands := c.standingLocked(old.streams[0]), c.standingLocked(again.streams[0])
 			if oldStands || !newStands || fresh.net.Reserved() != mpeg {
 				t.Fatalf("old rollback touched the new grant: old standing %v, new standing %v, net %d",
 					oldStands, newStands, fresh.net.Reserved())

@@ -242,12 +242,18 @@ func TestCoreMSUDown(t *testing.T) {
 		ok := r.admit(3, "movie", "tv")
 		fx := r.in(func() { r.c.connDown(r.now, 1) })
 		cl := startFor(fx, 0)
-		if cl == nil || cl.to != 2 || cl.req.(wire.StartStream).Specs[0].Stream != ok.Streams[0].Stream {
+		// The group keeps its ID; its stream is a new one.
+		if cl == nil || cl.to != 2 {
 			t.Fatalf("m1 down decided %+v, want the stream started on m2", fx)
 		}
+		spec := cl.req.(wire.StartStream).Specs[0]
+		if spec.Group != ok.Group || spec.Stream <= ok.Streams[0].Stream {
+			t.Fatalf("the re-dispatch names stream %d of group %d, want a stream after %d of group %d", spec.Stream, spec.Group, ok.Streams[0].Stream, ok.Group)
+		}
 		fx = r.started(cl, nil)
-		if n := notesOf(fx, wire.TypeStreamMigrated); len(n) != 1 || n[0].to != 3 || n[0].body.(wire.StreamMigrated).MSU != "m2" {
-			t.Fatalf("start on m2 decided %+v, want a migrated notice", fx)
+		n := notesOf(fx, wire.TypeStreamMigrated)
+		if len(n) != 1 || n[0].to != 3 || n[0].body.(wire.StreamMigrated).MSU != "m2" || n[0].body.(wire.StreamMigrated).Streams[0].Stream != spec.Stream {
+			t.Fatalf("start on m2 decided %+v, want a migrated notice naming stream %d", fx, spec.Stream)
 		}
 	})
 	t.Run("no replica", func(t *testing.T) {
@@ -819,7 +825,10 @@ func TestCoreQueuedPlayPreemptsCopy(t *testing.T) {
 }
 
 // walkInputs drives the core with seed's random sequence of inputs —
-// play, record, stream-ended, msu-down, msu-hello, start outcome (and
+// play, record, stream-ended (at once, or late: an MSU's notices for a
+// stream it stopped and for each member of a start it began whose outcome
+// failed wait in its outbox and are delivered in order from its
+// connection after later inputs), msu-down, msu-hello, start outcome (and
 // the other calls' outcomes), cache report, administrative delete and
 // tick — over three titles and a seminar of two of them, listed again
 // at an MSU's hello once it is gone and both of its children are
@@ -831,9 +840,10 @@ func TestCoreQueuedPlayPreemptsCopy(t *testing.T) {
 // drop leaves its title another live holder when it is ordered, that
 // every removal in flight targets a replica the catalog lists and no
 // stream runs on, that no spec of a StartStream names a stream whose
-// stream-ended the core took, and that running the queue again places
-// nothing. It returns a transcript of every decision, so two walks from
-// one seed can be compared.
+// stream-ended the core took, stale or not, and that running the queue
+// again places nothing. A walk in which no late notice ended a stream or
+// no stale one was dropped is too tame. It returns a transcript of every
+// decision, so two walks from one seed can be compared.
 func walkInputs(t *testing.T, seed int64, steps int) string {
 	r := newCoreRig(t, Config{QueueTimeout: 20 * time.Second, Replication: ReplicationConfig{MaxReplicas: 3}})
 	c := r.c
@@ -854,6 +864,14 @@ func walkInputs(t *testing.T, seed int64, steps int) string {
 	deletes, outcomes, groups := map[uint64]string{}, map[string]int{}, map[bool]int{}
 	ordered := map[*removal]bool{}    // the drops already checked
 	ended := map[core.StreamID]bool{} // the streams whose stream-ended the core took
+	// outbox holds each MSU's stream-ended notices not yet delivered, in
+	// the order its connection sends them: for a stream it stopped, and
+	// for each member of a start it began whose outcome failed (a reply
+	// that timed out). A connection that goes down delivers none of them.
+	// late counts the notices delivered from it that ended a stream, and
+	// stale those that ended nothing.
+	outbox := map[core.MSUID][]core.StreamID{}
+	late, stale := 0, 0
 	up := func(id core.MSUID) effects {
 		next++
 		conns[id] = next
@@ -885,7 +903,7 @@ func walkInputs(t *testing.T, seed int64, steps int) string {
 	seminar()
 	for step := 0; step < steps; step++ {
 		var what string
-		switch op := rng.Intn(17); {
+		switch op := rng.Intn(18); {
 		case op < 4:
 			title := named[rng.Intn(len(named))]
 			port := map[string]string{"mpeg1": "tv", "rtp-video": "v", "vat-audio": "a", "seminar": "sem"}[title.Type]
@@ -909,16 +927,39 @@ func walkInputs(t *testing.T, seed int64, steps int) string {
 			}
 			sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 			id := ids[rng.Intn(len(ids))]
+			if rng.Intn(2) == 0 {
+				// The MSU stopped the stream; its notice comes later.
+				what = fmt.Sprintf("stream %d stopped", id)
+				outbox[c.active[id].msu] = append(outbox[c.active[id].msu], id)
+				fx = effects{}
+				break
+			}
 			ended[id] = true
 			fx = r.in(func() { endStream(c, id, "eof") })
 		case op < 8:
+			id := msus[rng.Intn(len(msus))]
+			if len(outbox[id]) == 0 {
+				continue
+			}
+			s := outbox[id][0]
+			outbox[id] = outbox[id][1:]
+			what = fmt.Sprintf("late stream-ended %d from %s", s, id)
+			if a := c.active[s]; a != nil && a.msu == id {
+				late++
+			} else {
+				stale++
+			}
+			ended[s] = true
+			fx = r.in(func() { c.streamEnded(conns[id], wire.StreamEnded{Stream: s, Cause: "stop"}) })
+		case op < 9:
 			id := msus[rng.Intn(len(msus))]
 			what = "msu-down " + string(id)
 			if m := c.msus[id]; m.alive {
 				retired = append(retired, msuLedgers(m)...)
 			}
+			delete(outbox, id)
 			fx = r.in(func() { c.connDown(r.now, conns[id]) })
-		case op < 9:
+		case op < 10:
 			id := msus[rng.Intn(len(msus))]
 			what = "msu-hello " + string(id)
 			if c.msus[id].alive {
@@ -926,7 +967,7 @@ func walkInputs(t *testing.T, seed int64, steps int) string {
 			}
 			fx = up(id)
 			seminar()
-		case op < 13:
+		case op < 14:
 			if len(calls) == 0 {
 				continue
 			}
@@ -938,11 +979,18 @@ func walkInputs(t *testing.T, seed int64, steps int) string {
 				err = errors.New("refused")
 			}
 			what = fmt.Sprintf("%s outcome %v", cl.typ, err)
-			if start, ok := cl.req.(wire.StartStream); ok && len(start.Specs) == 2 {
+			start, ok := cl.req.(wire.StartStream)
+			if ok && len(start.Specs) == 2 {
 				groups[err == nil]++
 			}
+			if id := msus[rng.Intn(len(msus))]; ok && err != nil && conns[id] == cl.to && c.msus[id].alive && rng.Intn(2) == 0 {
+				// The MSU began the start: the StopStream tears it down.
+				for _, spec := range start.Specs {
+					outbox[id] = append(outbox[id], spec.Stream)
+				}
+			}
 			fx = r.started(&cl, err)
-		case op < 14:
+		case op < 15:
 			id := msus[rng.Intn(len(msus))]
 			what = "cache report " + string(id)
 			var cov []wire.ContentCoverage
@@ -950,7 +998,7 @@ func walkInputs(t *testing.T, seed int64, steps int) string {
 				cov = append(cov, wire.ContentCoverage{Name: d.Name, CachedPages: int64(rng.Intn(11)), TotalPages: 10, Players: rng.Intn(3)})
 			}
 			fx = r.in(func() { c.cacheReport(conns[id], wire.CacheReport{Seq: uint64(step + 1), Disk: 0, Coverage: cov}) })
-		case op < 15:
+		case op < 16:
 			// A seminar delete is refused while a stream of its children
 			// runs, so the draw aims at the seminar when none does.
 			title, aim := named[rng.Intn(len(named))], true
@@ -1070,6 +1118,9 @@ func walkInputs(t *testing.T, seed int64, steps int) string {
 	if groups[true] == 0 || groups[false] == 0 {
 		t.Fatalf("walk too tame: two-stream StartStreams answered OK %d and refused %d times in %d steps", groups[true], groups[false], steps)
 	}
+	if late == 0 || stale == 0 {
+		t.Fatalf("walk too tame: %d late stream-ended ended a stream and %d stale ones ended nothing in %d steps", late, stale, steps)
+	}
 	return log.String()
 }
 
@@ -1081,7 +1132,8 @@ func walkInputs(t *testing.T, seed int64, steps int) string {
 // its MSU's failure released is re-homed like any orphan, and one that
 // ended is not started again. A refused re-dispatch of a whole seminar
 // sends one StopStream and waits on the queue, unless a member ended
-// meanwhile, and then it is over.
+// meanwhile, and then it is over. A group placed again takes new stream
+// IDs, so a stale stream-ended of an earlier start ends none of them.
 func TestCoreEndedBeforeStartOutcome(t *testing.T) {
 	// startedAfter plays movie on conn 3, feeds between before the start's
 	// outcome, and checks the outcome's verdict.
@@ -1139,8 +1191,8 @@ func TestCoreEndedBeforeStartOutcome(t *testing.T) {
 			r.c.connDown(r.now, 1)
 		})
 		cl := startFor(fx, 0)
-		if cl == nil || cl.to != 2 || cl.req.(wire.StartStream).Specs[0].Stream != id {
-			t.Fatalf("the outcome decided %+v, want stream %d re-homed on m2", fx, id)
+		if cl == nil || cl.to != 2 || cl.req.(wire.StartStream).Specs[0].Stream <= id {
+			t.Fatalf("the outcome decided %+v, want stream %d's group re-homed on m2 as a new stream", fx, id)
 		}
 		if n := notesOf(r.started(cl, nil), wire.TypeStreamMigrated); len(n) != 1 || n[0].to != 3 {
 			t.Fatalf("the start on m2 told the client %+v, want migrated", n)
@@ -1296,7 +1348,7 @@ func TestCoreEndedBeforeStartOutcome(t *testing.T) {
 	})
 	// A seminar's re-dispatch that m2 refuses sends m2 one StopStream,
 	// for the group's first stream, and waits on the queue; the next
-	// release places it on m2 again, both members standing.
+	// release places the group on m2 again, as new streams, both standing.
 	t.Run("re-dispatch, group refused, placed again", func(t *testing.T) {
 		r, _, cl := seminarRedispatched(t, "m2")
 		specs := cl.req.(wire.StartStream).Specs
@@ -1308,16 +1360,22 @@ func TestCoreEndedBeforeStartOutcome(t *testing.T) {
 			t.Fatalf("the refusal decided %+v with %d waiting, want the group back on the queue", fx, len(r.c.queue))
 		}
 		cl = startFor(r.msu(5, "m3", 1500*units.Kbps, 900), 0)
-		if cl == nil || cl.to != 2 || !slices.Equal(cl.req.(wire.StartStream).Specs, specs) {
+		if cl == nil || cl.to != 2 {
 			t.Fatalf("m3's hello ordered %+v, want the group started on m2 again", cl)
 		}
-		migratedAfter(t, r, cl, "m2", specs[0].Stream, specs[1].Stream)
+		again := cl.req.(wire.StartStream).Specs
+		for i, spec := range again {
+			if spec.Group != specs[i].Group || spec.Content != specs[i].Content || spec.Stream <= specs[1].Stream {
+				t.Fatalf("the second start names %+v, want group %d's %s as a stream after %d", spec, specs[i].Group, specs[i].Content, specs[1].Stream)
+			}
+		}
+		migratedAfter(t, r, cl, "m2", again[0].Stream, again[1].Stream)
 	})
 	// m3 refuses the group and is sent a StopStream for its first stream;
-	// a stream-ended m3 sends for that stream (say, for a start whose
-	// reply timed out) arrives after the group was placed again on m2,
-	// and is not m2's to send: it is ignored, and the group migrates to
-	// m2 with both members standing.
+	// the group is placed on m2. A stream-ended m3 sends then (say, for a
+	// start whose reply timed out) names a stream that no longer stands,
+	// and one it sends for a stream on m2 is not its to send: both are
+	// ignored, and the group migrates to m2 with both members standing.
 	t.Run("re-dispatch, stream-ended crosses a StopStream", func(t *testing.T) {
 		r, _, cl := seminarRedispatched(t, "m3")
 		specs := cl.req.(wire.StartStream).Specs
@@ -1328,9 +1386,54 @@ func TestCoreEndedBeforeStartOutcome(t *testing.T) {
 		if cl == nil || cl.to != 5 {
 			t.Fatal("m2's hello started nothing on it")
 		}
-		r.in(func() { r.c.streamEnded(2, wire.StreamEnded{Stream: specs[0].Stream, Cause: "quit"}) })
-		migratedAfter(t, r, cl, "m2", specs[0].Stream, specs[1].Stream)
+		again := cl.req.(wire.StartStream).Specs
+		r.in(func() {
+			r.c.streamEnded(2, wire.StreamEnded{Stream: specs[0].Stream, Cause: "quit"})
+			r.c.streamEnded(2, wire.StreamEnded{Stream: again[0].Stream, Cause: "quit"})
+		})
+		migratedAfter(t, r, cl, "m2", again[0].Stream, again[1].Stream)
 	})
+	// A seminar's re-dispatch to m2 times out although m2 began it, and the
+	// next release places the group on m2 again. m2's stream-ended for the
+	// timed-out start, sent once the StopStream tore it down, arrives before
+	// or after the new start's reply: it names streams that no longer stand,
+	// so the new start's both stand on m2 and m2's ledgers hold their grants.
+	for _, when := range []string{"before", "after"} {
+		late := when == "after"
+		t.Run("re-dispatch timed out, placed again, stale stream-ended "+when+" the reply", func(t *testing.T) {
+			r, m2, cl := seminarRedispatched(t, "m2")
+			stale := cl.req.(wire.StartStream).Specs
+			r.started(cl, errors.New("call timed out"))
+			cl = startFor(r.msu(5, "m3", 1500*units.Kbps, 900), 0)
+			if cl == nil || cl.to != 2 {
+				t.Fatalf("m3's hello ordered %+v, want the group started on m2 again", cl)
+			}
+			again := cl.req.(wire.StartStream).Specs
+			ended := func() {
+				r.in(func() {
+					for _, spec := range stale {
+						r.c.streamEnded(2, wire.StreamEnded{Stream: spec.Stream, Cause: "coordinator stop"})
+					}
+				})
+			}
+			if !late {
+				ended()
+			}
+			migratedAfter(t, r, cl, "m2", again[0].Stream, again[1].Stream)
+			if late {
+				ended()
+			}
+			for _, spec := range again {
+				if a := r.c.active[spec.Stream]; a == nil || a.msu != "m2" {
+					t.Fatalf("stream %d stands as %+v, want on m2", spec.Stream, a)
+				}
+			}
+			checkConservation(t, r.c, msuLedgers(m2), "after the stale stream-ended")
+			if want := int64(again[0].Rate + again[1].Rate); m2.net.Reserved() != want {
+				t.Fatalf("m2's NIC ledger holds %d, want %d for the group's two streams", m2.net.Reserved(), want)
+			}
+		})
+	}
 }
 
 // A recording's commit names each content entry it adds on the

@@ -77,8 +77,9 @@ func recordingMSUPeer(t *testing.T, c *Coordinator, id core.MSUID, contents []wi
 }
 
 // TestRedispatchToReplica: a play stream whose MSU dies moves onto the
-// other MSU declaring the same content, keeping its stream ID, and the
-// client is told via stream-migrated (§2.2 fault tolerance).
+// other MSU declaring the same content, keeping its group ID under a
+// stream ID not used before, and the client is told via stream-migrated
+// (§2.2 fault tolerance).
 func TestRedispatchToReplica(t *testing.T) {
 	c := startCoordinator(t, Config{})
 	decl := []wire.ContentDecl{{Name: "movie", Type: "mpeg1"}}
@@ -96,18 +97,19 @@ func TestRedispatchToReplica(t *testing.T) {
 	orig := <-specs1
 
 	m1.Close()
+	var moved wire.StreamMigrated
 	select {
-	case m := <-nc.migrated:
-		if m.MSU != "m2" || m.Group != ok.Group {
-			t.Fatalf("migration notice: %+v", m)
+	case moved = <-nc.migrated:
+		if moved.MSU != "m2" || moved.Group != ok.Group || len(moved.Streams) != 1 {
+			t.Fatalf("migration notice: %+v", moved)
 		}
 	case <-time.After(3 * time.Second):
 		t.Fatal("no stream-migrated notification")
 	}
 	select {
 	case spec := <-specs2:
-		if spec.Stream != orig.Stream || spec.Group != orig.Group {
-			t.Fatalf("re-dispatched spec %+v, want same stream/group as %+v", spec, orig)
+		if spec.Group != orig.Group || spec.Stream <= orig.Stream || spec.Stream != moved.Streams[0].Stream {
+			t.Fatalf("re-dispatched spec %+v, want group %d under a stream ID after %d, the one the notice names", spec, orig.Group, orig.Stream)
 		}
 		if spec.Content != "movie" {
 			t.Fatalf("re-dispatched content %q", spec.Content)

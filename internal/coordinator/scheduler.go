@@ -591,9 +591,7 @@ func (c *engine) lost(sess core.SessionID, group uint64, reason string) {
 }
 
 // streamEnded handles the MSU's termination notice. Only the MSU the
-// stream stands on may end it: a notice from any other connection — one
-// an MSU sent for a stream a failed start stopped there, arriving after
-// the group was placed elsewhere — is stale.
+// stream stands on may end it: what an MSU sends is checked, not trusted.
 func (c *engine) streamEnded(conn connID, req wire.StreamEnded) {
 	a, ok := c.active[req.Stream]
 	if m, err := c.msuOf(conn); !ok || err != nil || c.msus[a.msu] != m {
@@ -842,7 +840,7 @@ func (c *engine) admitGroup(w *waiting) error {
 	if err != nil {
 		return err
 	}
-	// A play's IDs are issued once the group is placed; a pass that stops
+	// A pass's IDs are issued once the group is placed; a pass that stops
 	// short of it has issued none.
 	ids, info := c.ids, core.ContentInfo{}
 	var parts []*admindb.ContentRecord
@@ -852,14 +850,18 @@ func (c *engine) admitGroup(w *waiting) error {
 			return err
 		}
 	} else {
-		// An orphan keeps its stream and group IDs.
+		// An orphan keeps its group ID and spec; each pass numbers new
+		// streams, which no notice of an earlier start names.
 		var names []string
-		for _, a := range w.req.(*orphan).streams {
-			rec := c.db.Content(a.content)
+		for _, old := range w.req.(*orphan).streams {
+			rec := c.db.Content(old.content)
 			if rec == nil {
-				return busy("content %q no longer registered", a.content)
+				return busy("content %q no longer registered", old.content)
 			}
-			parts, demands, names = append(parts, rec), append(demands, demand{a: a}), append(names, a.content)
+			ids.NextStream++
+			a := *old
+			a.id, a.spec.Stream = core.StreamID(ids.NextStream), core.StreamID(ids.NextStream)
+			parts, demands, names = append(parts, rec), append(demands, demand{a: &a}), append(names, a.content)
 		}
 		info.Name = strings.Join(names, "+")
 	}
@@ -1069,7 +1071,7 @@ func (c *engine) started(now time.Time, d *dispatch, err error) {
 	// Asked before the rollback releases the rest: a member ended if it no
 	// longer stands and its MSU's failure did not release it.
 	over := err != nil && orphaned && slices.ContainsFunc(d.streams, func(a *activeStream) bool {
-		return !c.standingLocked(d.placement, a) && !slices.Contains(d.down, a)
+		return !c.standingLocked(a) && !slices.Contains(d.down, a)
 	})
 	if err != nil {
 		c.notify(d.m.conn, wire.TypeStopStream, wire.StopStream{Stream: d.specs[0].Stream})

@@ -105,7 +105,7 @@ func (m *MSU) newStream(spec core.StreamSpec, resp *wire.StartStreamOK) (*stream
 // handleVCR serves the VCR requests on group gid's control connection,
 // each on its own goroutine. A quit's acknowledgement is on the wire
 // before the teardown it starts closes the connection.
-func (m *MSU) handleVCR(gid uint64, msgType string, body json.RawMessage) (any, error) {
+func (m *MSU) handleVCR(gid core.StreamID, msgType string, body json.RawMessage) (any, error) {
 	if msgType != wire.TypeVCR {
 		return nil, fmt.Errorf("%w: unexpected %q on VCR connection", core.ErrBadRequest, msgType)
 	}
@@ -277,7 +277,7 @@ func (m *MSU) carry(msg *message) bool {
 			}
 		}
 		a.body = commits
-		m.logf("group %d terminated: %s", a.group, a.cause)
+		m.logf("group %d terminated: %s", a.ss[0].spec.Group, a.cause)
 		return true
 	case actDiscard:
 		for _, s := range a.ss {
@@ -290,7 +290,7 @@ func (m *MSU) carry(msg *message) bool {
 	case actAttach:
 		p.Start()
 	case actEOF:
-		p.Notify(wire.TypeStreamEOF, wire.StreamEOF{Group: a.group, Pos: a.ss[0].position()}) //nolint:errcheck // a lost client ends the group
+		p.Notify(wire.TypeStreamEOF, wire.StreamEOF{Group: a.ss[0].spec.Group, Pos: a.ss[0].position()}) //nolint:errcheck // a lost client ends the group
 	case actCloseCtl:
 		p.Close() //nolint:errcheck // teardown: the client is gone or leaving; nothing to report to
 	case actReport:
@@ -336,7 +336,7 @@ func (m *MSU) dial(a *action) (*wire.Peer, error) {
 		// reclaims the resources.
 		m.step(func(time.Time) { m.eng.quitAcked(gid, "client control connection lost") })
 	})
-	hello := wire.VCRHello{Group: gid}
+	hello := wire.VCRHello{Group: a.ss[0].spec.Group}
 	for _, s := range a.ss {
 		hello.Length = max(hello.Length, s.length)
 		hello.Streams = append(hello.Streams, wire.StreamInfo{Stream: s.spec.Stream, Content: s.spec.Content, Type: s.spec.Type})

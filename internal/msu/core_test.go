@@ -192,8 +192,8 @@ func TestCoreDialAfterQuit(t *testing.T) {
 // TestCoreRefusedStartSendsNoStreamEnded: a two-member group whose control
 // dial fails on every attempt is refused and torn down. Its disk reports
 // once it is idle, but the Coordinator, which rolled the start back at
-// the refusal, hears no stream-ended: one could only release a later
-// start of the same streams.
+// the refusal, hears no stream-ended: it would name streams that no
+// longer stand.
 func TestCoreRefusedStartSendsNoStreamEnded(t *testing.T) {
 	r := newCoreRig(t)
 	ss := []*stream{
@@ -217,6 +217,36 @@ func TestCoreRefusedStartSendsNoStreamEnded(t *testing.T) {
 	}
 	if streams, groups := len(r.e.streams), len(r.e.groups); streams+groups != 0 {
 		t.Fatalf("%d streams and %d groups linger", streams, groups)
+	}
+}
+
+// TestCoreStartAfterStop: a StopStream quits the start that named its
+// stream, and a start of the same group that comes before the teardown
+// returns (a re-dispatch placed here again) names new streams: it is
+// admitted and answered OK, and the old start's stream-ended names only
+// the old start's streams.
+func TestCoreStartAfterStop(t *testing.T) {
+	r := newCoreRig(t)
+	r.play(1, 0)
+	teardown := only(t, r.in(func() { r.e.stop(1, "coordinator stop") }), actTeardown)
+	again := &stream{spec: core.StreamSpec{Stream: 2, Group: 1, Disk: 0, Content: "movie", ClientTCP: "client"}}
+	tk := r.ticket()
+	begin := only(t, r.in(func() { r.e.start(r.now, tk, []*stream{again}) }), actCommand)
+	dial := only(t, r.in(func() { r.e.commanded(begin.group, tk, nil) }), actDial)
+	if a := only(t, r.in(func() { r.e.dialed(dial.group, tk, 0, nil) }), actAnswer); a.err != nil {
+		t.Fatalf("the start after the stop answered %v, want OK", a.err)
+	}
+	var ended []core.StreamID
+	for _, a := range r.in(func() { r.e.tornDown(teardown.group, nil) }) {
+		if n, ok := a.body.(wire.StreamEnded); ok {
+			ended = append(ended, n.Stream)
+		}
+	}
+	if !slices.Equal(ended, []core.StreamID{1}) {
+		t.Fatalf("the old start's teardown reported streams %v ended, want [1]", ended)
+	}
+	if r.e.streams[2].s != again || len(r.e.groups) != 1 {
+		t.Fatalf("after the old start's teardown: stream 2 is %+v, %d groups, want the new start alone", r.e.streams[2], len(r.e.groups))
 	}
 }
 
@@ -269,19 +299,21 @@ type walk struct {
 	// work holds the blocking actions out, and acks the groups whose quit
 	// acknowledgement is on its way.
 	work []action
-	acks []uint64
-	// The model: each admitted stream by id; each group's members, its
-	// commands out, whether its teardown is out, whether its start was
-	// answered OK; the connections held, by group; the tickets not yet
-	// answered, and by ticket the group each StartStream names.
+	acks []core.StreamID
+	// The model: each admitted stream by id, and the group it came in; each
+	// group's members, its commands out, whether its teardown is out,
+	// whether its start was answered OK; the connections held; the tickets
+	// not yet answered, and by ticket the group each StartStream names. A
+	// group is keyed as the core keys it, by its start's first stream.
 	streams   map[core.StreamID]*stream
-	members   map[uint64][]*stream
-	inflight  map[uint64]int
-	down      map[uint64]bool
-	ok        map[uint64]bool
-	ctls      map[uint64]bool
+	keys      map[*stream]core.StreamID
+	members   map[core.StreamID][]*stream
+	inflight  map[core.StreamID]int
+	down      map[core.StreamID]bool
+	ok        map[core.StreamID]bool
+	ctls      map[core.StreamID]bool
 	asked     map[uint64]bool
-	starts    map[uint64]uint64
+	starts    map[uint64]core.StreamID
 	teardowns map[*stream]int
 	applied   map[*stream]uint64 // the cue each stream's disk process plays
 	jobs      map[uint64]bool
@@ -291,10 +323,11 @@ type walk struct {
 }
 
 // walkInputs drives the core with seed's random sequence of inputs —
-// StartStream (a whole group, now and then one the core must refuse),
-// StopStream, VCR requests and quits, the outcomes of the
-// begins, dials, commands and teardowns it hands out (taken in any order,
-// some failing), end-of-content reports, stale ones too, a lost control
+// StartStream (a whole group; now and then one naming a stream ID already
+// taken, which the core must refuse, or the group ID of a group still
+// being torn down, which it must admit), StopStream, VCR requests and
+// quits, the outcomes of the begins, dials, commands and teardowns it
+// hands out (taken in any order, some failing), end-of-content reports, stale ones too, a lost control
 // connection, clock ticks, replication orders, aborts and ends, and Close
 // — and checks the invariants after every input: a disk with no play
 // stream arms no clock; a group's members have at most one command out
@@ -308,9 +341,9 @@ type walk struct {
 func walkInputs(t *testing.T, seed int64, steps int) (string, error) {
 	w := &walk{
 		coreRig: newCoreRig(t), rng: rand.New(rand.NewSource(seed)),
-		streams: map[core.StreamID]*stream{}, members: map[uint64][]*stream{},
-		inflight: map[uint64]int{}, down: map[uint64]bool{}, ok: map[uint64]bool{}, ctls: map[uint64]bool{},
-		asked: map[uint64]bool{}, starts: map[uint64]uint64{}, teardowns: map[*stream]int{}, applied: map[*stream]uint64{},
+		streams: map[core.StreamID]*stream{}, keys: map[*stream]core.StreamID{}, members: map[core.StreamID][]*stream{},
+		inflight: map[core.StreamID]int{}, down: map[core.StreamID]bool{}, ok: map[core.StreamID]bool{}, ctls: map[core.StreamID]bool{},
+		asked: map[uint64]bool{}, starts: map[uint64]core.StreamID{}, teardowns: map[*stream]int{}, applied: map[*stream]uint64{},
 		jobs: map[uint64]bool{},
 	}
 	for step := 0; step < steps; step++ {
@@ -375,13 +408,14 @@ func (w *walk) step(closing bool) error {
 }
 
 // start sends a StartStream: a new group of one to three members, now and
-// then one naming a stream ID already taken or a group still being torn
-// down, which the core refuses whole.
+// then one naming a stream ID already taken, which the core refuses whole,
+// or the group ID of a group still being torn down, a start of its own,
+// which the core admits.
 func (w *walk) start() error {
 	var tearing []uint64
-	for _, gid := range sortedKeys(w.e.groups) {
-		if w.down[gid] {
-			tearing = append(tearing, gid)
+	for _, key := range sortedKeys(w.e.groups) {
+		if w.down[key] {
+			tearing = append(tearing, w.e.groups[key].members[0].spec.Group)
 		}
 	}
 	var gid uint64
@@ -404,17 +438,26 @@ func (w *walk) start() error {
 		spec.Content = fmt.Sprintf("title%d", w.rng.Intn(3))
 		ss[i] = &stream{spec: spec}
 	}
+	taken := slices.ContainsFunc(ss, func(s *stream) bool {
+		return w.e.streams[s.spec.Stream].s != nil || slices.ContainsFunc(ss, func(o *stream) bool { return o != s && o.spec.Stream == s.spec.Stream })
+	})
 	tk := w.ticket()
 	w.asked[tk] = true
-	w.starts[tk] = gid
-	return w.input(fmt.Sprintf("start %d streams in group %d", len(ss), gid), func() { w.e.start(w.now, tk, ss) })
+	w.starts[tk] = ss[0].spec.Stream
+	if err := w.input(fmt.Sprintf("start %d streams in group %d", len(ss), gid), func() { w.e.start(w.now, tk, ss) }); err != nil {
+		return err
+	}
+	if g := w.e.groups[ss[0].spec.Stream]; !taken && !w.e.closed && (g == nil || g.members[0] != ss[0]) {
+		return fmt.Errorf("a start of group %d naming no stream taken was refused", gid)
+	}
+	return nil
 }
 
 // vcr sends a VCR request on a group's connection, or one the group has
 // gone from.
 func (w *walk) vcr() error {
 	gids := sortedKeys(w.ctls)
-	gid := w.nextGroup + 1
+	gid := w.nextID + 1
 	if len(gids) > 0 && w.rng.Intn(8) != 0 {
 		gid = gids[w.rng.Intn(len(gids))]
 	}
@@ -540,6 +583,7 @@ func (w *walk) input(what string, in func(), already ...action) error {
 			w.members[gid] = slices.Clone(g.members)
 			for _, s := range g.members {
 				w.streams[s.spec.Stream] = s
+				w.keys[s] = gid
 			}
 		}
 	}
@@ -572,7 +616,7 @@ func (w *walk) input(what string, in func(), already ...action) error {
 				return fmt.Errorf("%s: disk %d left idle by group %d without a report", what, s.spec.Disk, gid)
 			}
 		}
-		delete(w.members, gid)
+		w.forget(gid)
 	}
 	for _, gid := range sortedKeys(w.ctls) {
 		if w.members[gid] == nil {
@@ -623,7 +667,7 @@ func (w *walk) check(a action, reported map[int]bool) error {
 			w.ok[gid] = true
 		}
 		if a.quit {
-			w.acks = append(w.acks, a.ss[0].spec.Group)
+			w.acks = append(w.acks, a.ss[0].spec.Stream)
 		}
 	case actAttach:
 		if !w.ctls[a.group] || w.down[a.group] || w.members[a.group] == nil {
@@ -653,15 +697,17 @@ func (w *walk) check(a action, reported map[int]bool) error {
 // report its disk owes if it leaves the disk idle.
 func (w *walk) ended(id core.StreamID, reported map[int]bool) error {
 	s := w.streams[id]
+	gid := w.keys[s]
 	switch {
-	case s == nil || !w.down[s.spec.Group] || w.inflight[s.spec.Group] != 0:
+	case s == nil || !w.down[gid] || w.inflight[gid] != 0:
 		return fmt.Errorf("stream-ended for %d before its teardown came back", id)
-	case !w.ok[s.spec.Group]:
+	case !w.ok[gid]:
 		return fmt.Errorf("stream-ended for %d, whose start was not answered OK", id)
 	}
 	delete(w.streams, id)
-	if gid := s.spec.Group; len(w.members[gid]) == 1 {
-		delete(w.members, gid)
+	delete(w.keys, s)
+	if len(w.members[gid]) == 1 {
+		w.forget(gid)
 	} else {
 		w.members[gid] = slices.DeleteFunc(w.members[gid], func(m *stream) bool { return m == s })
 	}
@@ -670,6 +716,18 @@ func (w *walk) ended(id core.StreamID, reported map[int]bool) error {
 		return fmt.Errorf("disk %d left idle by stream %d without a report before its stream-ended", s.spec.Disk, id)
 	}
 	return nil
+}
+
+// forget drops a group gone from the core from the model: a later start
+// may name its first stream again.
+func (w *walk) forget(gid core.StreamID) {
+	for _, s := range w.members[gid] {
+		delete(w.keys, s)
+	}
+	delete(w.members, gid)
+	delete(w.inflight, gid)
+	delete(w.down, gid)
+	delete(w.ok, gid)
 }
 
 // playStreams lists the model's play streams on disk, or on any (-1).

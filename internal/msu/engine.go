@@ -16,7 +16,7 @@ import (
 // numbers, and the inbound replication jobs.
 type engine struct {
 	streams map[core.StreamID]member
-	groups  map[uint64]*group
+	groups  map[core.StreamID]*group // by their start's first stream
 	// playing counts each disk's play streams; the report clock runs while
 	// any do. clock is whether a tick is due, seq the last report's number.
 	playing []int
@@ -30,9 +30,10 @@ type engine struct {
 // group is a stream group (§2.2): the streams started together for one
 // (possibly composite) content item, controlled by a single VCR
 // connection so that commands start and stop all members together. All
-// members live on this MSU — the Coordinator never splits a group.
+// members live on this MSU — the Coordinator never splits a group. It is
+// keyed by its first stream: each start, a re-dispatch's too, names new ones.
 type group struct {
-	id      uint64
+	id      core.StreamID
 	members []*stream // in the order StartStream named them
 	ctl     bool      // its control connection is attached: its start was answered OK
 	// busy is a command with the members — their first start (beginOp), a
@@ -81,7 +82,7 @@ const (
 // one too (tk, op, pos).
 type action struct {
 	kind  actKind
-	group uint64
+	group core.StreamID
 	tk    uint64
 	ss    []*stream // the members; an answer's or EOF's first
 	op    string
@@ -100,7 +101,7 @@ type action struct {
 }
 
 func newEngine(disks int) *engine {
-	return &engine{streams: map[core.StreamID]member{}, groups: map[uint64]*group{}, playing: make([]int, disks), repl: map[uint64]*replJob{}}
+	return &engine{streams: map[core.StreamID]member{}, groups: map[core.StreamID]*group{}, playing: make([]int, disks), repl: map[uint64]*replJob{}}
 }
 
 // take hands over what the inputs since the last take decided, in order.
@@ -116,9 +117,9 @@ func (e *engine) emit(a action) { e.out = append(e.out, a) }
 func (e *engine) answer(tk uint64, err error) { e.emit(action{kind: actAnswer, tk: tk, err: err}) }
 
 // start admits a stream group the shell built, all of its members or
-// none: one of its stream IDs taken, or its group ID still in the table
-// (being torn down, say), refuses it. StartStream tk is answered once the
-// members have begun and the client's control connection is attached.
+// none: one of its stream IDs taken refuses it. StartStream tk is
+// answered once the members have begun and the client's control
+// connection is attached.
 func (e *engine) start(now time.Time, tk uint64, ss []*stream) {
 	var err error
 	switch {
@@ -126,8 +127,6 @@ func (e *engine) start(now time.Time, tk uint64, ss []*stream) {
 		err = core.ErrSessionClosed
 	case len(ss) == 0:
 		err = fmt.Errorf("%w: a start with no stream", core.ErrBadRequest)
-	case e.groups[ss[0].spec.Group] != nil:
-		err = fmt.Errorf("group %d: %w", ss[0].spec.Group, core.ErrStreamTerminated)
 	}
 	for i, s := range ss {
 		id := s.spec.Stream
@@ -141,7 +140,7 @@ func (e *engine) start(now time.Time, tk uint64, ss []*stream) {
 		e.emit(action{kind: actDiscard, ss: ss})
 		return
 	}
-	g := &group{id: ss[0].spec.Group, members: ss}
+	g := &group{id: ss[0].spec.Stream, members: ss}
 	e.groups[g.id] = g
 	for _, s := range ss {
 		e.streams[s.spec.Stream] = member{s: s, g: g}
@@ -161,7 +160,7 @@ const clientDialAttempts = 4
 // dialed is the outcome of attempt n at group gid's control port, for
 // StartStream tk. With a nil err the shell holds the connection under
 // gid, its hello sent: the core attaches it, or has it closed.
-func (e *engine) dialed(gid, tk uint64, n int, err error) {
+func (e *engine) dialed(gid core.StreamID, tk uint64, n int, err error) {
 	g := e.groups[gid]
 	live := g != nil && g.cause == ""
 	switch {
@@ -182,7 +181,7 @@ func (e *engine) dialed(gid, tk uint64, n int, err error) {
 }
 
 // vcr is VCR request tk on group gid's control connection.
-func (e *engine) vcr(tk, gid uint64, op string, pos time.Duration) {
+func (e *engine) vcr(tk uint64, gid core.StreamID, op string, pos time.Duration) {
 	r := action{tk: tk, op: op, pos: pos}
 	switch g := e.groups[gid]; {
 	case op == beginOp: // the members' first start, not a client's
@@ -217,7 +216,7 @@ func (e *engine) run(g *group, r action) {
 
 // commanded is the outcome of request tk's command to group gid. The
 // members' first start (no connection yet) is followed by the dial.
-func (e *engine) commanded(gid, tk uint64, err error) {
+func (e *engine) commanded(gid core.StreamID, tk uint64, err error) {
 	g := e.groups[gid] // its teardown waited for this outcome
 	g.busy = false
 	if err == nil && g.next != 0 {
@@ -238,7 +237,7 @@ func (e *engine) commanded(gid, tk uint64, err error) {
 
 // quitAcked: the acknowledgement of group gid's quit is on the wire, or the
 // connection it went to is gone (cause says which).
-func (e *engine) quitAcked(gid uint64, cause string) {
+func (e *engine) quitAcked(gid core.StreamID, cause string) {
 	if g := e.groups[gid]; g != nil && g.acking {
 		g.busy, g.acking = false, false
 	}
@@ -258,7 +257,7 @@ func (e *engine) resume(g *group) {
 	}
 }
 
-// stop is the Coordinator's StopStream: stream id's whole group ends.
+// stop is the Coordinator's StopStream: the start naming stream id ends.
 func (e *engine) stop(id core.StreamID, cause string) {
 	if m := e.streams[id]; m.g != nil {
 		e.quit(m.g.id, cause)
@@ -269,7 +268,7 @@ func (e *engine) stop(id core.StreamID, cause string) {
 // a 'quit' command from the client, the MSU informs the coordinator that
 // the stream has been terminated"): at once, or when the command in
 // flight comes back.
-func (e *engine) quit(gid uint64, cause string) {
+func (e *engine) quit(gid core.StreamID, cause string) {
 	if g := e.groups[gid]; g != nil {
 		g.cause = cmp.Or(g.cause, cause)
 		if !g.busy {
@@ -294,7 +293,7 @@ func (e *engine) teardown(g *group) {
 // finds nothing of them here; a disk it leaves idle reports first,
 // counting every packet the streams sent. Only a group whose start was
 // answered OK is reported ended: the Coordinator rolled any other back.
-func (e *engine) tornDown(gid uint64, commits []wire.RecordingDone) {
+func (e *engine) tornDown(gid core.StreamID, commits []wire.RecordingDone) {
 	g := e.groups[gid]
 	delete(e.groups, gid)
 	for _, c := range commits {

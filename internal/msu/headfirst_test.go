@@ -90,7 +90,7 @@ func (r *budgetRig) quitting(s *stream) {
 	await.Until(r.t, "the quit to begin", func() bool {
 		quit := false
 		r.m.inspect(func(e *engine) {
-			g := e.groups[s.spec.Group]
+			g := e.groups[s.spec.Stream]
 			quit = g == nil || g.cause != ""
 		})
 		return quit

@@ -149,7 +149,7 @@ type MSU struct {
 	mu       sync.Mutex
 	eng      *engine
 	peer     *wire.Peer
-	ctls     map[uint64]*wire.Peer
+	ctls     map[core.StreamID]*wire.Peer
 	waiters  map[uint64]chan action
 	tickets  uint64
 	fifo     []message
@@ -230,7 +230,7 @@ func New(cfg Config) (*MSU, error) {
 		diskScheds: diskScheds,
 		contents:   make(map[contentKey]*content),
 		eng:        newEngine(len(stores)),
-		ctls:       make(map[uint64]*wire.Peer),
+		ctls:       make(map[core.StreamID]*wire.Peer),
 		waiters:    make(map[uint64]chan action),
 		drained:    make(chan struct{}),
 	}

@@ -482,7 +482,7 @@ func TestQuitDuringControlDial(t *testing.T) {
 	}
 	attached := false
 	r.m.inspect(func(e *engine) {
-		g := e.groups[s.spec.Group]
+		g := e.groups[s.spec.Stream]
 		attached = g != nil && g.ctl
 	})
 	if !ended || attached {

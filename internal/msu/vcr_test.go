@@ -22,11 +22,12 @@ type memberState struct {
 	pos   time.Duration
 }
 
-// states reads group gid's cue and its members' states through the core,
-// which orders the reads after the command that set them.
-func (r *vcrRig) states(gid uint64) (cue uint64, members []memberState) {
+// states reads the cue of the group whose first stream is first, and its
+// members' states, through the core, which orders the reads after the
+// command that set them.
+func (r *vcrRig) states(first core.StreamID) (cue uint64, members []memberState) {
 	r.m.inspect(func(e *engine) {
-		g := e.groups[gid]
+		g := e.groups[first]
 		cue = g.cue
 		for _, s := range g.members {
 			members = append(members, memberState{s.cue.n, s.cue.cname, s.cue.speed, s.position()})
@@ -45,16 +46,16 @@ func TestGroupVCRMovesAllOrNone(t *testing.T) {
 	if err := Ingest(r.m.stores[0], "plain", "mpeg1", testStream(t, 20*time.Second)); err != nil {
 		t.Fatal(err)
 	}
-	gid := r.next + 1
+	first := core.StreamID(r.next + 1)
 	p := r.playGroup("movie", "plain")
 	r.frame(0)
 	r.vcr(p, wire.VCRPause, 0)
-	cue, before := r.states(gid)
+	cue, before := r.states(first)
 	err := p.Call(wire.TypeVCR, wire.VCR{Op: wire.VCRFastForward}, &wire.VCRAck{})
 	if !errors.Is(err, wire.ErrRemote) || !strings.Contains(err.Error(), core.ErrNoFastFile.Error()) {
 		t.Fatalf("fast-forward with a member that has no companion: %v, want %v", err, core.ErrNoFastFile)
 	}
-	if cueAfter, after := r.states(gid); cueAfter != cue || !slices.Equal(after, before) {
+	if cueAfter, after := r.states(first); cueAfter != cue || !slices.Equal(after, before) {
 		t.Errorf("a refused fast-forward moved the group: cue %d, members %+v; before it cue %d, members %+v",
 			cueAfter, after, cue, before)
 	}

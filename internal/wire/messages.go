@@ -451,9 +451,9 @@ type StreamEOF struct {
 // StreamMigrated tells the client its stream group was re-dispatched
 // onto another MSU after its original MSU failed (§2.2 fault
 // tolerance). The new MSU opens a fresh VCR control connection for the
-// same group; stream identifiers are preserved. Playback restarts from
-// the beginning of the content — the client re-seeks to its last
-// delivered position.
+// same group; Streams names the group's new stream IDs, which no earlier
+// start used. Playback restarts from the beginning of the content — the
+// client re-seeks to its last delivered position.
 type StreamMigrated struct {
 	Group   uint64       `json:"group"`
 	MSU     core.MSUID   `json:"msu"` // the new server

@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"regexp"
+	"slices"
 	"strconv"
 	"testing"
 	"time"
@@ -20,8 +21,9 @@ import (
 // → EOF life through a 2-MSU cluster and then scrapes the
 // Coordinator's HTTP endpoint: /metrics must expose non-zero admission
 // and delivery counters (the latter arrive as MSU deltas piggybacked
-// on cache reports), and /events must carry the stream's admit,
-// dispatch, migrate and EOF entries in order. The disks take 25 ms a
+// on cache reports), and /events must carry the play's admit, its
+// stream's dispatch and, under the stream ID the re-dispatch gave it,
+// its migrate and EOF entries, each stream's in order. The disks take 25 ms a
 // read, so a start that waits for one and a start out of the cache must
 // show in different buckets of delivery_startup_seconds.
 func TestObservabilityLifecycle(t *testing.T) {
@@ -99,8 +101,9 @@ func TestObservabilityLifecycle(t *testing.T) {
 	}
 
 	crash(inj[0])
+	var moved wire.StreamMigrated
 	select {
-	case <-stream.Migrated():
+	case moved = <-stream.Migrated():
 	case l := <-stream.Lost():
 		t.Fatalf("stream lost (%q) with a live replica available", l.Reason)
 	case <-time.After(10 * time.Second):
@@ -153,35 +156,38 @@ func TestObservabilityLifecycle(t *testing.T) {
 		}
 	}
 
-	// The stream's timeline: admitted, dispatched, migrated, ended —
-	// in sequence order.
-	streamID := uint64(stream.Info().Streams[0].Stream)
-	var page obs.EventsPage
-	if err := json.Unmarshal([]byte(httpGet(t, srv.URL+"/events?stream="+strconv.FormatUint(streamID, 10))), &page); err != nil {
-		t.Fatal(err)
-	}
-	var kinds []string
-	last := uint64(0)
-	for _, ev := range page.Events {
-		if ev.Seq <= last {
-			t.Fatalf("timeline out of order: %+v", page.Events)
+	// The play's timelines, each in sequence order: its stream dispatched,
+	// and the stream the re-dispatch started in its place migrated and
+	// ended.
+	timeline := func(id uint64) []string {
+		var page obs.EventsPage
+		if err := json.Unmarshal([]byte(httpGet(t, srv.URL+"/events?stream="+strconv.FormatUint(id, 10))), &page); err != nil {
+			t.Fatal(err)
 		}
-		last = ev.Seq
-		kinds = append(kinds, ev.Kind)
-	}
-	want := []string{obs.EvDispatch, obs.EvMigrate, obs.EvEOF}
-	for _, k := range want {
-		found := false
-		for _, got := range kinds {
-			if got == k {
-				found = true
+		var kinds []string
+		last := uint64(0)
+		for _, ev := range page.Events {
+			if ev.Seq <= last {
+				t.Fatalf("timeline out of order: %+v", page.Events)
 			}
+			last = ev.Seq
+			kinds = append(kinds, ev.Kind)
 		}
-		if !found {
-			t.Errorf("stream %d timeline missing %q: %v", streamID, k, kinds)
+		return kinds
+	}
+	for id, want := range map[uint64][]string{
+		uint64(stream.Info().Streams[0].Stream): {obs.EvDispatch},
+		uint64(moved.Streams[0].Stream):         {obs.EvMigrate, obs.EvEOF},
+	} {
+		kinds := timeline(id)
+		for _, k := range want {
+			if !slices.Contains(kinds, k) {
+				t.Errorf("stream %d timeline missing %q: %v", id, k, kinds)
+			}
 		}
 	}
 
+	var page obs.EventsPage
 	// The unfiltered timeline also carries the session-level admit.
 	if err := json.Unmarshal([]byte(httpGet(t, srv.URL+"/events")), &page); err != nil {
 		t.Fatal(err)
