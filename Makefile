@@ -96,10 +96,13 @@ leakcheck:
 # and an orphan whose client is gone is lost
 # (TestCoreOrphanOfGoneClientIsLost); a
 # group's copies land together (TestCoreCompositeCopiesLandTogether);
-# and a stored record that does not decode ends the cue without being
-# sent (TestCorruptRecordEndsTheCue).
+# a stored record that does not decode ends the cue without being
+# sent (TestCorruptRecordEndsTheCue); a client holds a stream group
+# only until its end is final: a quit or stop the MSU acknowledged
+# (TestGroupsForgottenAtEnd) or a recording's stream-lost, which
+# carries its reason (TestFaultRecordingLost).
 faults:
-	$(GO) test -race -timeout 120s -run 'Fault|Failover|Redispatch|Reconnect|MSUDown|Lost|Restart|FailedCommit|ReplayIdempotent|CompositeHoldsNoLocations|DeleteCascades|PR15Fixture|Orphan|Corrupt|PlanStep|LedgerConservation|Core|SeminarCompositeGroup|RecordPlacement|QueuedPlayWakes|CloseWakes|CutAll|QuitIsAcknowledged|StopKeeps|SweepOnStartup|PipelinedVCR|GoroutinesPerStream|VCRAckPositions|GroupVCRMovesAllOrNone|QuitDuringControlDial|ControlDialFailure|ReportCadence|ReportsWhilePlaying|LastReportCountsConcurrentQuits' . ./internal/coordinator ./internal/client ./internal/msu ./internal/msufs ./internal/faultinject ./internal/admindb
+	$(GO) test -race -timeout 120s -run 'Fault|Failover|Redispatch|Reconnect|MSUDown|Lost|Restart|FailedCommit|ReplayIdempotent|CompositeHoldsNoLocations|DeleteCascades|PR15Fixture|Orphan|Corrupt|PlanStep|LedgerConservation|Core|SeminarCompositeGroup|RecordPlacement|QueuedPlayWakes|CloseWakes|CutAll|QuitIsAcknowledged|StopKeeps|SweepOnStartup|PipelinedVCR|GoroutinesPerStream|VCRAckPositions|GroupVCRMovesAllOrNone|QuitDuringControlDial|ControlDialFailure|ReportCadence|ReportsWhilePlaying|LastReportCountsConcurrentQuits|GroupsForgottenAtEnd|FaultRecordingLost' . ./internal/coordinator ./internal/client ./internal/msu ./internal/msufs ./internal/faultinject ./internal/admindb
 
 # Three seconds of each of the nine fuzz targets (go test takes one -fuzz target and
 # one package per run): journal replay and snapshot decoding never

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"net"
+	"slices"
 	"testing"
 	"time"
 
@@ -99,6 +100,11 @@ func TestFaultMSUCrashMigratesStream(t *testing.T) {
 	case m := <-stream.Migrated():
 		if m.MSU != "msu1" {
 			t.Fatalf("migrated to %q, want msu1", m.MSU)
+		}
+		// The handle follows the group: Info names the new MSU and the
+		// streams the notice named.
+		if info := stream.Info(); info.MSU != m.MSU || !slices.Equal(info.Streams, m.Streams) {
+			t.Fatalf("Info after the migration names %q %+v, want %q %+v", info.MSU, info.Streams, m.MSU, m.Streams)
 		}
 	case l := <-stream.Lost():
 		t.Fatalf("stream lost (%q) with a live replica available", l.Reason)

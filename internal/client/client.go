@@ -55,8 +55,9 @@ type Client struct {
 	mu      sync.Mutex
 	peer    *wire.Peer
 	session core.SessionID
-	groups  map[uint64]*groupState
-	vcrWait map[uint64][]chan *vcrState
+	// groups holds each stream group until its end is final: a Quit or
+	// Stop the MSU acknowledged, a stream-lost notice, or Close.
+	groups map[uint64]*groupState
 	// ports remembers successful registrations, in order (composite
 	// ports reference earlier component ports), so a reconnected
 	// session can be rebuilt.
@@ -70,13 +71,16 @@ type Client struct {
 	wg           sync.WaitGroup
 }
 
-// groupState is the client's durable view of one stream group. It
-// outlives individual MSU control connections: when a group migrates,
-// the replacement MSU's connection is swapped in and the channels keep
-// delivering.
+// groupState is the client's one record of a stream group, under
+// Client.mu but for its channels; a Stream or Recording is a handle on
+// it. A migration moves msu and streams and swaps in the replacement
+// MSU's connection; the channels keep delivering.
 type groupState struct {
 	group    uint64
-	vcr      *vcrState // current control connection, nil before first hello
+	msu      core.MSUID // where the group plays now, and under which streams
+	streams  []wire.StreamInfo
+	vcr      *vcrState     // current control connection, nil before ready
+	ready    chan struct{} // closed at the group's first vcr-hello
 	lastPos  time.Duration
 	eof      chan wire.StreamEOF
 	migrated chan wire.StreamMigrated
@@ -85,9 +89,8 @@ type groupState struct {
 
 // vcrState is one accepted MSU control connection.
 type vcrState struct {
-	peer  *wire.Peer
-	hello wire.VCRHello
-	down  chan struct{}
+	peer *wire.Peer
+	down chan struct{}
 }
 
 // Dial connects to the Coordinator and opens a session for user.
@@ -105,28 +108,20 @@ func DialContext(ctx context.Context, coordinator, user string, opts Options) (*
 		user:        user,
 		opts:        opts,
 		groups:      make(map[uint64]*groupState),
-		vcrWait:     make(map[uint64][]chan *vcrState),
 		connCh:      make(chan struct{}),
 		quit:        make(chan struct{}),
 	}
-	conn, err := c.dialConn(ctx)
+	peer, session, err := c.openSession(ctx)
 	if err != nil {
-		return nil, fmt.Errorf("client: dialing coordinator: %w", err)
-	}
-	peer := c.newCoordPeer(conn)
-	var welcome wire.Welcome
-	hello := wire.Hello{User: user, ProtoVersion: wire.ProtoVersion}
-	if err := peer.CallContext(ctx, wire.TypeHello, hello, &welcome); err != nil {
-		peer.Close() //nolint:errcheck // best-effort cleanup; the Call error is what matters
 		return nil, err
 	}
 	c.mu.Lock()
 	c.peer = peer
-	c.session = welcome.Session
+	c.session = session
 	close(c.connCh)
 	c.mu.Unlock()
 
-	host, _, _ := net.SplitHostPort(conn.LocalAddr().String())
+	host, _, _ := net.SplitHostPort(peer.LocalAddr().String())
 	ln, err := net.Listen("tcp", net.JoinHostPort(host, "0"))
 	if err != nil {
 		peer.Close() //nolint:errcheck // best-effort cleanup; the listener error is what matters
@@ -138,28 +133,35 @@ func DialContext(ctx context.Context, coordinator, user string, opts Options) (*
 	return c, nil
 }
 
-// dialConn opens one Coordinator connection. A caller-supplied Options
-// Dial keeps its legacy two-argument shape, so with it only the hello
-// round-trip is cancellable, not the dial itself.
-func (c *Client) dialConn(ctx context.Context) (net.Conn, error) {
-	if c.opts.Dial != nil {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		return c.opts.Dial("tcp", c.coordinator)
+// openSession dials the Coordinator and says hello on the new
+// connection. A caller-supplied Options Dial keeps its legacy
+// two-argument shape, so with it only the hello round-trip is
+// cancellable, not the dial itself. The connection's down-callback is
+// tied to its own peer, so a stale connection's death cannot start a
+// second reconnect loop.
+func (c *Client) openSession(ctx context.Context) (*wire.Peer, core.SessionID, error) {
+	var conn net.Conn
+	err := ctx.Err()
+	switch {
+	case err != nil:
+	case c.opts.Dial != nil:
+		conn, err = c.opts.Dial("tcp", c.coordinator)
+	default:
+		conn, err = new(net.Dialer).DialContext(ctx, "tcp", c.coordinator)
 	}
-	var d net.Dialer
-	return d.DialContext(ctx, "tcp", c.coordinator)
-}
-
-// newCoordPeer wraps a Coordinator connection with the notification
-// handler and a down-callback tied to this specific peer, so a stale
-// connection's death cannot trigger a second reconnect loop.
-func (c *Client) newCoordPeer(conn net.Conn) *wire.Peer {
+	if err != nil {
+		return nil, 0, fmt.Errorf("client: dialing coordinator: %w", err)
+	}
 	var p *wire.Peer
 	p = wire.NewPeerStopped(conn, c.handleCoord, func(error) { c.coordDown(p) })
 	p.Start()
-	return p
+	var welcome wire.Welcome
+	hello := wire.Hello{User: c.user, ProtoVersion: wire.ProtoVersion}
+	if err := p.CallContext(ctx, wire.TypeHello, hello, &welcome); err != nil {
+		p.Close() //nolint:errcheck // best-effort cleanup; the Call error is what matters
+		return nil, 0, err
+	}
+	return p, welcome.Session, nil
 }
 
 // handleCoord routes Coordinator notifications to their groups.
@@ -170,21 +172,21 @@ func (c *Client) handleCoord(msgType string, body json.RawMessage) (any, error) 
 		if err := json.Unmarshal(body, &m); err != nil {
 			return nil, err
 		}
+		c.mu.Lock()
 		g := c.group(m.Group)
-		select {
-		case g.migrated <- m:
-		default:
-		}
+		g.msu, g.streams = m.MSU, m.Streams
+		c.mu.Unlock()
+		deliver(g.migrated, m)
 	case wire.TypeStreamLost:
 		var l wire.StreamLost
 		if err := json.Unmarshal(body, &l); err != nil {
 			return nil, err
 		}
+		c.mu.Lock()
 		g := c.group(l.Group)
-		select {
-		case g.lost <- l:
-		default:
-		}
+		delete(c.groups, l.Group)
+		c.mu.Unlock()
+		deliver(g.lost, l)
 	}
 	return nil, nil
 }
@@ -227,15 +229,8 @@ func (c *Client) reconnectLoop() {
 // tryReconnect performs one redial: hello, then replay the remembered
 // port registrations onto the new session.
 func (c *Client) tryReconnect() bool {
-	conn, err := c.dialConn(context.Background())
+	peer, session, err := c.openSession(context.Background())
 	if err != nil {
-		return false
-	}
-	peer := c.newCoordPeer(conn)
-	var welcome wire.Welcome
-	hello := wire.Hello{User: c.user, ProtoVersion: wire.ProtoVersion}
-	if err := peer.Call(wire.TypeHello, hello, &welcome); err != nil {
-		peer.Close() //nolint:errcheck
 		return false
 	}
 	c.mu.Lock()
@@ -254,7 +249,7 @@ func (c *Client) tryReconnect() bool {
 		return true
 	}
 	c.peer = peer
-	c.session = welcome.Session
+	c.session = session
 	c.reconnecting = false
 	close(c.connCh)
 	c.mu.Unlock()
@@ -300,6 +295,7 @@ func (c *Client) Close() error {
 			peers = append(peers, g.vcr.peer)
 		}
 	}
+	clear(c.groups)
 	peer := c.peer
 	c.mu.Unlock()
 	c.vcrLn.Close()
@@ -311,19 +307,14 @@ func (c *Client) Close() error {
 	return err
 }
 
-// group returns the durable state for a stream group, creating it on
-// first sight (a migration notice can race the play response).
+// group returns the record of a stream group, creating it on first
+// sight (a notice can beat the play's answer on the wire). c.mu is held.
 func (c *Client) group(id uint64) *groupState {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.groupLocked(id)
-}
-
-func (c *Client) groupLocked(id uint64) *groupState {
 	g := c.groups[id]
 	if g == nil {
 		g = &groupState{
 			group:    id,
+			ready:    make(chan struct{}),
 			eof:      make(chan wire.StreamEOF, 4),
 			migrated: make(chan wire.StreamMigrated, 4),
 			lost:     make(chan wire.StreamLost, 4),
@@ -333,8 +324,17 @@ func (c *Client) groupLocked(id uint64) *groupState {
 	return g
 }
 
-// acceptVCR takes control connections from MSUs and routes them by
-// stream group once the MSU's vcr-hello arrives.
+// deliver hands a notice to its handle's channel without blocking: a
+// handle that does not read its notices misses the ones past the buffer.
+func deliver[T any](ch chan T, v T) {
+	select {
+	case ch <- v:
+	default:
+	}
+}
+
+// acceptVCR takes control connections from MSUs; each points at its
+// group's record once the MSU's vcr-hello names the group.
 func (c *Client) acceptVCR() {
 	defer c.wg.Done()
 	for {
@@ -343,6 +343,7 @@ func (c *Client) acceptVCR() {
 			return
 		}
 		st := &vcrState{down: make(chan struct{})}
+		var g *groupState // set by the hello; notices run in order on the read loop
 		st.peer = wire.NewPeerStopped(conn, func(msgType string, body json.RawMessage) (any, error) {
 			switch msgType {
 			case wire.TypeVCRHello:
@@ -350,20 +351,17 @@ func (c *Client) acceptVCR() {
 				if err := json.Unmarshal(body, &hello); err != nil {
 					return nil, err
 				}
-				st.hello = hello
-				c.registerVCR(hello.Group, st)
+				g = c.registerVCR(hello.Group, st)
 				return nil, nil
 			case wire.TypeStreamEOF:
 				var eof wire.StreamEOF
-				if err := json.Unmarshal(body, &eof); err != nil {
+				if err := json.Unmarshal(body, &eof); err != nil || g == nil { // no hello named its group
 					return nil, err
 				}
-				g := c.group(st.hello.Group)
-				g.notePos(&c.mu, eof.Pos)
-				select {
-				case g.eof <- eof:
-				default:
-				}
+				c.mu.Lock()
+				g.lastPos = max(g.lastPos, eof.Pos)
+				c.mu.Unlock()
+				deliver(g.eof, eof)
 				return nil, nil
 			default:
 				return nil, fmt.Errorf("client: unexpected %q on control connection", msgType)
@@ -373,63 +371,33 @@ func (c *Client) acceptVCR() {
 	}
 }
 
-// registerVCR installs a control connection for a group. A second
-// hello for the same group means the Coordinator re-dispatched it onto
-// another MSU: the stale connection is dropped and the replacement is
-// sought to the last position the client saw.
-func (c *Client) registerVCR(group uint64, st *vcrState) {
+// registerVCR installs a control connection for a group and returns the
+// group's record. The first hello makes the group ready. A second hello
+// means the Coordinator re-dispatched it onto another MSU: the stale
+// connection is dropped and the replacement is sought to the last
+// position the client saw.
+func (c *Client) registerVCR(group uint64, st *vcrState) *groupState {
 	c.mu.Lock()
-	g := c.groupLocked(group)
-	old := g.vcr
+	g := c.group(group)
+	old, pos := g.vcr, g.lastPos
 	g.vcr = st
-	pos := g.lastPos
-	waiters := c.vcrWait[group]
-	delete(c.vcrWait, group)
-	c.mu.Unlock()
-	for _, w := range waiters {
-		w <- st
+	switch {
+	case old == nil:
+		close(g.ready)
+	case pos > 0 && !c.closed:
+		// Resume from the last delivered offset on the new MSU.
+		c.wg.Add(1) // under mu: Close sets closed before waiting
+		go func() {
+			defer c.wg.Done()
+			var ack wire.VCRAck
+			st.peer.Call(wire.TypeVCR, wire.VCR{Op: wire.VCRSeek, Pos: pos}, &ack) //nolint:errcheck // the stream still plays from 0 if the seek races a dying conn
+		}()
 	}
+	c.mu.Unlock()
 	if old != nil {
 		old.peer.Close() //nolint:errcheck // the failed MSU's connection; usually already dead
-		if pos > 0 {
-			// Resume from the last delivered offset on the new MSU.
-			go func() {
-				var ack wire.VCRAck
-				st.peer.Call(wire.TypeVCR, wire.VCR{Op: wire.VCRSeek, Pos: pos}, &ack) //nolint:errcheck // the stream still plays from 0 if the seek races a dying conn
-			}()
-		}
 	}
-}
-
-// notePos records the furthest delivery position seen for the group.
-func (g *groupState) notePos(mu *sync.Mutex, pos time.Duration) {
-	mu.Lock()
-	if pos > g.lastPos {
-		g.lastPos = pos
-	}
-	mu.Unlock()
-}
-
-// waitVCR blocks until the MSU's control connection for group arrives,
-// for at most vcrWaitTimeout.
-func (c *Client) waitVCR(group uint64) (*vcrState, error) {
-	c.mu.Lock()
-	if g, ok := c.groups[group]; ok && g.vcr != nil {
-		st := g.vcr
-		c.mu.Unlock()
-		return st, nil
-	}
-	ch := make(chan *vcrState, 1)
-	c.vcrWait[group] = append(c.vcrWait[group], ch)
-	c.mu.Unlock()
-	t := time.NewTimer(vcrWaitTimeout)
-	defer t.Stop()
-	select {
-	case st := <-ch:
-		return st, nil
-	case <-t.C:
-		return nil, fmt.Errorf("client: no control connection for group %d after %v", group, vcrWaitTimeout)
-	}
+	return g
 }
 
 // call performs one Coordinator round-trip bounded by ctx. Every
@@ -587,14 +555,35 @@ func (c *Client) WaitStreamsIdle(timeout time.Duration) error {
 // Stream is a playback handle with VCR controls.
 type Stream struct {
 	c    *Client
-	info wire.PlayOK
 	g    *groupState
-	vcr  *vcrState // the original control connection, for Down
+	info wire.PlayOK   // the play's answer; the group's record has its MSU and streams now
+	down chan struct{} // the control connection the play was answered on
 }
 
 // vcrWaitTimeout bounds how long Play and Record wait for the serving
-// MSU's control connection to arrive.
+// MSU's control connection. One that gives up leaves the group's record
+// in the client until Close: the group may still start on its MSU.
 const vcrWaitTimeout = 10 * time.Second
+
+// start sends a play or record request, whose answer sets *group, and
+// waits for the serving MSU's control connection for at most
+// vcrWaitTimeout. It returns the group's record.
+func (c *Client) start(msgType string, req, resp any, group *uint64) (*groupState, error) {
+	if err := c.call(context.Background(), msgType, req, resp); err != nil {
+		return nil, err
+	}
+	c.mu.Lock()
+	g := c.group(*group)
+	c.mu.Unlock()
+	t := time.NewTimer(vcrWaitTimeout)
+	defer t.Stop()
+	select {
+	case <-g.ready:
+		return g, nil
+	case <-t.C:
+		return nil, fmt.Errorf("client: no control connection for group %d after %v", *group, vcrWaitTimeout)
+	}
+}
 
 // Play asks Calliope to deliver content to the named display port. If
 // wait is set the request queues while resources are busy. The request
@@ -602,21 +591,30 @@ const vcrWaitTimeout = 10 * time.Second
 // free up).
 func (c *Client) Play(content, port string, wait bool) (*Stream, error) {
 	var resp wire.PlayOK
-	err := c.call(context.Background(), wire.TypePlay, wire.Play{
+	g, err := c.start(wire.TypePlay, wire.Play{
 		Content: content, Port: port, ControlAddr: c.ControlAddr(), Wait: wait,
-	}, &resp)
+	}, &resp, &resp.Group)
 	if err != nil {
 		return nil, err
 	}
-	vcr, err := c.waitVCR(resp.Group)
-	if err != nil {
-		return nil, err
+	c.mu.Lock()
+	if g.msu == "" { // else a stream-migrated notice beat the answer
+		g.msu, g.streams = resp.MSU, resp.Streams
 	}
-	return &Stream{c: c, info: resp, g: c.group(resp.Group), vcr: vcr}, nil
+	down := g.vcr.down
+	c.mu.Unlock()
+	return &Stream{c: c, g: g, info: resp, down: down}, nil
 }
 
-// Info reports the scheduling result.
-func (s *Stream) Info() wire.PlayOK { return s.info }
+// Info reports the scheduling result. After a migration its MSU and
+// Streams are the group's new ones, which the Migrated notice named.
+func (s *Stream) Info() wire.PlayOK {
+	s.c.mu.Lock()
+	defer s.c.mu.Unlock()
+	info := s.info
+	info.MSU, info.Streams = s.g.msu, s.g.streams
+	return info
+}
 
 // Length reports the content length.
 func (s *Stream) Length() time.Duration { return s.info.Length }
@@ -624,65 +622,71 @@ func (s *Stream) Length() time.Duration { return s.info.Length }
 // EOF delivers a notification when playback reaches end of content.
 func (s *Stream) EOF() <-chan wire.StreamEOF { return s.g.eof }
 
-// Down is closed if the MSU's control connection is lost. After a
-// migration the channel refers to the failed connection; use Migrated
-// and Lost to learn the group's fate.
-func (s *Stream) Down() <-chan struct{} { return s.vcr.down } //nolint:testonly // §2.2's failure notice: the MSU's control connection broke
+// Down is closed if the control connection the play was answered on is
+// lost. After a migration the channel refers to the failed connection;
+// use Migrated and Lost to learn the group's fate.
+func (s *Stream) Down() <-chan struct{} { return s.down } //nolint:testonly // §2.2's failure notice: the MSU's control connection broke
 
 // Migrated delivers a notice when the Coordinator re-dispatches this
-// group onto another MSU after a failure; it names the group's new stream
-// IDs.
+// group onto another MSU after a failure; it names the group's new MSU
+// and stream IDs, which Info reports from then on.
 func (s *Stream) Migrated() <-chan wire.StreamMigrated { return s.g.migrated }
 
 // Lost delivers a notice when the Coordinator gives up on this group
 // after a failure (no replica, or the queue deadline passed).
 func (s *Stream) Lost() <-chan wire.StreamLost { return s.g.lost }
 
-// currentVCR is the live control connection for this stream's group.
-func (s *Stream) currentVCR() *vcrState {
-	s.c.mu.Lock()
-	defer s.c.mu.Unlock()
-	if s.g.vcr != nil {
-		return s.g.vcr
-	}
-	return s.vcr
-}
-
-func (s *Stream) command(op string, pos time.Duration) (wire.VCRAck, error) {
+// command sends one VCR op on the group's live control connection and
+// notes the position the ack reports. A quit the MSU acknowledged ends
+// the group.
+func (c *Client) command(g *groupState, op string, pos time.Duration) (wire.VCRAck, error) {
+	c.mu.Lock()
+	st := g.vcr
+	c.mu.Unlock()
 	var ack wire.VCRAck
-	err := s.currentVCR().peer.Call(wire.TypeVCR, wire.VCR{Op: op, Pos: pos}, &ack)
-	if err == nil {
-		s.g.notePos(&s.c.mu, ack.Pos)
+	err := st.peer.Call(wire.TypeVCR, wire.VCR{Op: op, Pos: pos}, &ack)
+	c.mu.Lock()
+	switch {
+	case err != nil:
+	case op == wire.VCRQuit:
+		delete(c.groups, g.group)
+	default:
+		g.lastPos = max(g.lastPos, ack.Pos)
 	}
+	c.mu.Unlock()
 	return ack, err
 }
 
 // Pause halts delivery, keeping position.
-func (s *Stream) Pause() (wire.VCRAck, error) { return s.command(wire.VCRPause, 0) }
+func (s *Stream) Pause() (wire.VCRAck, error) { return s.c.command(s.g, wire.VCRPause, 0) }
 
 // Resume restarts normal-rate delivery.
-func (s *Stream) Resume() (wire.VCRAck, error) { return s.command(wire.VCRPlay, 0) }
+func (s *Stream) Resume() (wire.VCRAck, error) { return s.c.command(s.g, wire.VCRPlay, 0) }
 
 // Seek repositions playback to pos (an offset from the start).
-func (s *Stream) Seek(pos time.Duration) (wire.VCRAck, error) { return s.command(wire.VCRSeek, pos) }
+func (s *Stream) Seek(pos time.Duration) (wire.VCRAck, error) {
+	return s.c.command(s.g, wire.VCRSeek, pos)
+}
 
 // FastForward switches to the fast-forward companion file.
-func (s *Stream) FastForward() (wire.VCRAck, error) { return s.command(wire.VCRFastForward, 0) }
+func (s *Stream) FastForward() (wire.VCRAck, error) { return s.c.command(s.g, wire.VCRFastForward, 0) }
 
 // FastBackward switches to the fast-backward companion file.
-func (s *Stream) FastBackward() (wire.VCRAck, error) { return s.command(wire.VCRFastBackward, 0) }
+func (s *Stream) FastBackward() (wire.VCRAck, error) {
+	return s.c.command(s.g, wire.VCRFastBackward, 0)
+}
 
 // Quit terminates the stream group and frees its server resources.
 func (s *Stream) Quit() error {
-	_, err := s.command(wire.VCRQuit, 0)
+	_, err := s.c.command(s.g, wire.VCRQuit, 0)
 	return err
 }
 
 // Recording is a record-session handle.
 type Recording struct {
 	c    *Client
+	g    *groupState
 	info wire.RecordOK
-	vcr  *vcrState
 }
 
 // Record asks Calliope to record content of the given type arriving
@@ -691,18 +695,14 @@ type Recording struct {
 // which the Coordinator reserves disk space.
 func (c *Client) Record(content, contentType, port string, estimate time.Duration, wait bool) (*Recording, error) {
 	var resp wire.RecordOK
-	err := c.call(context.Background(), wire.TypeRecord, wire.Record{
+	g, err := c.start(wire.TypeRecord, wire.Record{
 		Content: content, Type: contentType, Port: port,
 		Estimate: estimate, ControlAddr: c.ControlAddr(), Wait: wait,
-	}, &resp)
+	}, &resp, &resp.Group)
 	if err != nil {
 		return nil, err
 	}
-	vcr, err := c.waitVCR(resp.Group)
-	if err != nil {
-		return nil, err
-	}
-	return &Recording{c: c, info: resp, vcr: vcr}, nil
+	return &Recording{c: c, g: g, info: resp}, nil
 }
 
 // Info reports the scheduling result.
@@ -723,13 +723,11 @@ func (r *Recording) Sink(contentType string) (data, ctrl string) {
 
 // Lost delivers a notice if the recording's MSU fails (recordings
 // cannot migrate: the data lives only on the failed MSU).
-func (r *Recording) Lost() <-chan wire.StreamLost { //nolint:testonly // §2.2's failure notice: a recording cannot migrate
-	return r.c.group(r.info.Group).lost
-}
+func (r *Recording) Lost() <-chan wire.StreamLost { return r.g.lost } //nolint:testonly // §2.2's failure notice, a recording's only one (it cannot migrate); the client's fault tests read it
 
 // Stop ends the recording; the MSU commits it and reclaims any
 // over-estimated space.
 func (r *Recording) Stop() error {
-	var ack wire.VCRAck
-	return r.vcr.peer.Call(wire.TypeVCR, wire.VCR{Op: wire.VCRQuit}, &ack)
+	_, err := r.c.command(r.g, wire.VCRQuit, 0)
+	return err
 }
